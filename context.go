@@ -75,7 +75,7 @@ func (c *Context) Send(target MachineID, ev Event) {
 	if target.IsNil() {
 		panic(assertFailed{msg: fmt.Sprintf("%s: Send(%s) to nil machine", c.m.id, eventName(ev))})
 	}
-	c.rt.enqueue(target, ev, c.m.id, true)
+	c.rt.enqueue(target, ev, c.m, true)
 }
 
 // CreateMachine instantiates a new machine of the registered type and

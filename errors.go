@@ -86,13 +86,13 @@ func (b *Bug) Error() string {
 // dispatch loop recovers it and converts it into a *Bug.
 type assertFailed struct{ msg string }
 
-// abortSignal is the panic payload used to unwind parked machine goroutines
+// abortSignal is the panic payload used to unwind parked machine coroutines
 // when the testing controller tears an iteration down.
 type abortSignal struct{}
 
-// crashSignal is the panic payload used to unwind a parked machine goroutine
+// crashSignal is the panic payload used to unwind a parked machine coroutine
 // when the controller executes a FaultCrash against it. Unlike abortSignal
-// it affects one machine, not the iteration: the goroutine reports ykCrashed
-// and (if the fault carries Restart) immediately reboots from its creation
-// payload.
+// it affects one machine, not the iteration: the coroutine yields ykCrashed
+// and (if the fault carries Restart) reboots from its creation payload the
+// next time the machine is scheduled.
 type crashSignal struct{}

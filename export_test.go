@@ -29,3 +29,13 @@ func (h *TestHarness) CachedSchemas() int {
 	}
 	return n
 }
+
+// ReserveCap is the cap of the process-wide reserve of idle machine
+// instances; ReserveLen reports how many it currently holds.
+const ReserveCap = reserveCap
+
+func ReserveLen() int {
+	instanceReserve.mu.Lock()
+	defer instanceReserve.mu.Unlock()
+	return len(instanceReserve.idle)
+}

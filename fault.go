@@ -60,7 +60,7 @@ func (s FaultStats) Total() int {
 // scheduleFault issues the per-pass fault query and executes a crash if the
 // strategy injects one. It returns true when a crash happened (the scheduler
 // pass must start over) and reports strategy protocol violations through
-// c.bug. Runs on the controller goroutine with every machine parked.
+// c.bug. Runs on the controller's side with every machine parked.
 func (c *controller) scheduleFault() bool {
 	fc := c.cfg.Faults
 	c.crashScratch = c.crashScratch[:0]
@@ -111,11 +111,11 @@ func (c *controller) scheduleFault() bool {
 	return true
 }
 
-// crashMachine halts the target mid-schedule. All machine goroutines are
-// parked, so the crash is a synchronous handshake: set the crashed flag,
-// wake the goroutine, and wait for it to unwind (crashSignal panic through
-// park) and report ykCrashed. The instance is then marked halted — and
-// optionally rebooted in place.
+// crashMachine halts the target mid-schedule. Every machine is parked, so
+// the crash is one coroutine round trip: set the crashed flag and switch to
+// the machine, which unwinds with a crashSignal panic — out of park, or out
+// of run's first check if it was never scheduled — and yields ykCrashed. The
+// instance is then marked halted — and optionally rebooted in place.
 func (c *controller) crashMachine(f FaultAction) {
 	m := c.instances[f.Machine.Seq-1]
 	// Monitors observe the lifecycle event before the crash takes effect,
@@ -124,8 +124,7 @@ func (c *controller) crashMachine(f FaultAction) {
 	c.rt.observeMonitors(&MachineCrashed{Machine: m.id, Restart: f.Restart})
 	c.faults.Crashes++
 	m.crashed = true
-	m.resume <- struct{}{}
-	<-c.yield // the crashed machine's ykCrashed: execution stays serialized
+	m.next() // yields ykCrashed
 	c.statuses[m.id.Seq-1] = msHalted
 	c.readyRemove(m.id)
 	m.mu.Lock()
@@ -148,8 +147,9 @@ func (c *controller) crashMachine(f FaultAction) {
 // restartMachine reboots a crashed instance in place: same MachineID (so
 // peers' stored references stay valid, modeling a process restart), fresh
 // logic from the registered factory, and the creation payload re-delivered
-// so the machine reconfigures itself. The pooled goroutine just finished
-// run() for the crashed incarnation and is back in poolLoop awaiting a job.
+// so the machine reconfigures itself. The coroutine just finished run for
+// the crashed incarnation and is parked at the top of poolLoop, so flipping
+// the status is all it takes: the next schedule of m starts run on m.birth.
 func (c *controller) restartMachine(m *machineInstance) {
 	r := c.rt
 	factory := r.factories[m.id.Type]
@@ -186,9 +186,7 @@ func (c *controller) restartMachine(m *machineInstance) {
 	m.mu.Unlock()
 	c.statuses[m.id.Seq-1] = msReady
 	c.readyAdd(m.id)
-	c.wg.Add(1)
 	c.faults.Restarts++
-	m.job <- m.birth
 	r.observeMonitors(&MachineRestarted{Machine: m.id})
 	if r.logging() {
 		r.logf("fault: restarted %s", m.id)
@@ -196,8 +194,8 @@ func (c *controller) restartMachine(m *machineInstance) {
 }
 
 // nextSendFault issues the per-send fault query for a message bound for
-// target. Runs on the sending machine's goroutine (like nextBool), which is
-// the only runnable goroutine, so trace appends stay serialized. Strategy
+// target. Runs on the sending machine's coroutine (like nextBool), which is
+// the only one running, so trace appends stay serialized. Strategy
 // protocol violations panic assertFailed, which run's recover converts to a
 // bug like any other in-action failure.
 func (c *controller) nextSendFault(target MachineID) FaultAction {

@@ -8,6 +8,8 @@ package psharp_test
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/psharp-go/psharp"
@@ -166,5 +168,120 @@ func TestFaultReplayAutoEnablesFaults(t *testing.T) {
 	res := sct.ReplayTrace(b.SetupMonitored(), rep.FirstBugTrace, psharp.TestConfig{MaxSteps: b.MaxSteps})
 	if res.Bug == nil || res.Bug.Message != rep.FirstBug.Message {
 		t.Fatalf("replay without explicit FaultConfig got %v, want %v", res.Bug, rep.FirstBug)
+	}
+}
+
+// scripted is a hand-driven decision strategy for the lifecycle tests:
+// machine choices follow picks (creation sequence numbers; once the script
+// runs out, or when it names a machine that is not enabled, the first
+// enabled machine runs), the first schedule-level fault query is answered
+// with crash (if set), and every send-level fault query with sendFault.
+type scripted struct {
+	picks     []uint64
+	crash     *psharp.FaultAction
+	sendFault psharp.FaultAction
+}
+
+func (s *scripted) Decide(c psharp.Choice) psharp.Decision {
+	switch c.Kind {
+	case psharp.ChoiceMachine:
+		next := c.Enabled[0]
+		if len(s.picks) > 0 {
+			for _, id := range c.Enabled {
+				if id.Seq == s.picks[0] {
+					next = id
+				}
+			}
+			s.picks = s.picks[1:]
+		}
+		return psharp.Decision{Kind: psharp.DecisionSchedule, Machine: next}
+	case psharp.ChoiceBool:
+		return psharp.Decision{Kind: psharp.DecisionBool}
+	case psharp.ChoiceInt:
+		return psharp.Decision{Kind: psharp.DecisionInt}
+	}
+	d := psharp.Decision{Kind: psharp.DecisionFault}
+	if c.Point == psharp.FaultPointSend {
+		d.Fault = s.sendFault
+	} else if s.crash != nil {
+		d.Fault, s.crash = *s.crash, nil
+	}
+	return d
+}
+
+// TestCoroutineCrashBeforeFirstSchedule crashes a machine that was created
+// but never scheduled — its coroutine holds no run frame yet — with and
+// without restart. The crash must still be a crash: counted in FaultStats,
+// observed by monitors as MachineCrashed (and MachineRestarted), the dead
+// machine's entry action never runs, the rebooted one's runs exactly once,
+// and the recorded trace replays byte for byte.
+func TestCoroutineCrashBeforeFirstSchedule(t *testing.T) {
+	var log []string
+	setup := func(r *psharp.Runtime) {
+		r.MustRegister("Worker", func() psharp.Machine {
+			return psharp.StaticMachineFunc(func(sc *psharp.Schema) {
+				sc.Start("W").
+					OnEntry(func(ctx *psharp.Context, ev psharp.Event) {
+						log = append(log, fmt.Sprintf("%d:entry(%v)", ctx.ID().Seq, ev.(*evWork).To.Seq))
+					}).
+					Ignore(&evSpin{})
+			})
+		})
+		r.MustRegisterMonitor("Lifecycle", func() psharp.Machine {
+			return psharp.StaticMachineFunc(func(sc *psharp.Schema) {
+				sc.Start("L").
+					OnEventDo(&psharp.MachineCrashed{}, func(ctx *psharp.Context, ev psharp.Event) {
+						e := ev.(*psharp.MachineCrashed)
+						log = append(log, fmt.Sprintf("crashed(%d,restart=%v)", e.Machine.Seq, e.Restart))
+					}).
+					OnEventDo(&psharp.MachineRestarted{}, func(ctx *psharp.Context, ev psharp.Event) {
+						log = append(log, fmt.Sprintf("restarted(%d)", ev.(*psharp.MachineRestarted).Machine.Seq))
+					})
+			})
+		})
+		// The payload (seen by the entry action) marks each incarnation.
+		r.MustCreate("Worker", &evWork{To: psharp.MachineID{Seq: 10}})
+		r.MustCreate("Worker", &evWork{To: psharp.MachineID{Seq: 20}})
+	}
+	victim := psharp.MachineID{Type: "Worker", Seq: 2}
+	for _, tc := range []struct {
+		restart bool
+		want    []string
+		stats   psharp.FaultStats
+		points  int
+	}{
+		{false, []string{"crashed(2,restart=false)", "1:entry(10)"}, psharp.FaultStats{Crashes: 1}, 1},
+		{true, []string{"crashed(2,restart=true)", "restarted(2)", "1:entry(10)", "2:entry(20)"}, psharp.FaultStats{Crashes: 1, Restarts: 1}, 2},
+	} {
+		h := psharp.NewTestHarness(setup)
+		var first *psharp.Trace
+		for i := 0; i < 3; i++ { // recycled instances must behave the same
+			log = log[:0]
+			res := h.Run(psharp.TestConfig{
+				Strategy: psharp.AsStrategy(&scripted{crash: &psharp.FaultAction{Kind: psharp.FaultCrash, Machine: victim, Restart: tc.restart}}),
+				Faults:   &psharp.FaultConfig{},
+			})
+			if res.Bug != nil {
+				t.Fatalf("restart=%v: unexpected bug %v", tc.restart, res.Bug)
+			}
+			if res.Faults != tc.stats || res.SchedulingPoints != tc.points {
+				t.Fatalf("restart=%v: faults %+v, %d scheduling points; want %+v, %d", tc.restart, res.Faults, res.SchedulingPoints, tc.stats, tc.points)
+			}
+			if !slices.Equal(log, tc.want) {
+				t.Fatalf("restart=%v: ran %v, want %v", tc.restart, log, tc.want)
+			}
+			if first == nil {
+				first = res.Trace.Clone()
+			} else if encodeTrace(t, res.Trace) != encodeTrace(t, first) {
+				t.Fatalf("restart=%v: recycled iteration %d recorded a different trace", tc.restart, i)
+			}
+		}
+		h.Close()
+
+		log = log[:0]
+		res := sct.ReplayTrace(setup, first, psharp.TestConfig{})
+		if res.Bug != nil || res.Faults != tc.stats || !slices.Equal(log, tc.want) || encodeTrace(t, res.Trace) != encodeTrace(t, first) {
+			t.Fatalf("restart=%v: replay diverged: bug %v, faults %+v, ran %v", tc.restart, res.Bug, res.Faults, log)
+		}
 	}
 }

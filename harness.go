@@ -9,15 +9,20 @@ import (
 
 // TestHarness runs bug-finding iterations of one program repeatedly while
 // recycling every piece of per-iteration machinery: the serialized Runtime,
-// machine instances and their Contexts, event-queue slices, resume channels,
-// a pool of parked machine goroutines, and the trace buffer. Rebuilding all
-// of that dominated the cost of short schedules, so an exploration engine
-// that calls Run thousands of times (the paper's Table 2 setup) should hold
-// one harness per worker instead of calling RunTest per iteration.
+// machine instances with their Contexts, event-queue slices and parked
+// coroutines, and the trace buffer. Rebuilding all of that dominated the
+// cost of short schedules, so an exploration engine that calls Run
+// thousands of times (the paper's Table 2 setup) should hold one harness
+// per worker instead of calling RunTest per iteration.
 //
 // A harness is NOT safe for concurrent use: each exploration worker owns its
-// own. Close releases the parked goroutine pool; after Close the harness
-// must not be used again.
+// own. Close hands the idle machine instances to a process-wide reserve that
+// later harnesses draw from; after Close the harness must not be used again.
+//
+// Machines run as coroutines of the goroutine that calls Run, and the
+// reserve passes them between harnesses, so harnesses must not be driven
+// from goroutines wired to an OS thread (runtime.LockOSThread): the Go
+// runtime refuses to switch a coroutine across thread-lock states.
 type TestHarness struct {
 	setup  func(*Runtime)
 	rt     *Runtime
@@ -50,7 +55,7 @@ func NewTestHarness(setup func(*Runtime), opts ...Option) *TestHarness {
 	for _, o := range opts {
 		o(rt)
 	}
-	c := &controller{rt: rt, yield: make(chan yieldMsg), trace: &Trace{}}
+	c := &controller{rt: rt, trace: &Trace{}}
 	rt.test = c
 	return &TestHarness{setup: setup, rt: rt, c: c, baseSeed: rt.rngState, baseLog: rt.logw}
 }
@@ -122,7 +127,7 @@ func (h *TestHarness) reset(cfg TestConfig) {
 	c.bug = nil
 	c.bound = false
 	c.interrupted = false
-	c.aborting.Store(false)
+	c.aborting = false
 	c.trace.Decisions = c.trace.Decisions[:0]
 	c.det = nil
 	if cfg.RaceDetect {
@@ -131,10 +136,9 @@ func (h *TestHarness) reset(cfg TestConfig) {
 }
 
 // park returns every machine instance of the finished iteration to the
-// freelist, and every monitor instance to the per-name monitor pool. Their
-// goroutines stay parked on their job channels; only called after the
-// controller's teardown has joined all of them, so the field resets cannot
-// race with machine code.
+// freelist, and every monitor instance to the per-name monitor pool. Only
+// called after the controller's teardown, which leaves every coroutine
+// parked at the top of poolLoop with no machine code on its stack.
 func (h *TestHarness) park() {
 	rt, c := h.rt, h.c
 	for i, m := range rt.machines {
@@ -161,15 +165,14 @@ func (h *TestHarness) park() {
 	rt.monitors = rt.monitors[:0]
 }
 
-// Close releases the pool of parked machine goroutines. The harness must be
-// idle (no Run in progress); using it after Close panics.
+// Close donates the harness's idle machine instances to the process-wide
+// reserve (retiring the coroutines of any beyond its cap). The harness must
+// be idle (no Run in progress); using it after Close panics.
 func (h *TestHarness) Close() {
 	if h.closed {
 		return
 	}
 	h.closed = true
-	for _, m := range h.c.free {
-		close(m.job)
-	}
+	donateInstances(h.c.free)
 	h.c.free = nil
 }

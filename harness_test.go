@@ -6,6 +6,10 @@ package psharp_test
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/psharp-go/psharp"
@@ -425,4 +429,241 @@ func TestHarnessCloseIsIdempotentAndGuarded(t *testing.T) {
 		}
 	}()
 	h.Run(psharp.TestConfig{Strategy: mustPrepared(sct.NewRandom(1))})
+}
+
+// crowdSetup creates n machines that block as soon as they are scheduled;
+// the program quiesces once every one of them has been.
+func crowdSetup(n int) func(*psharp.Runtime) {
+	idle := psharp.StaticMachineFunc(func(sc *psharp.Schema) {
+		sc.Start("Idle").Ignore(&evSpin{})
+	})
+	return func(r *psharp.Runtime) {
+		r.MustRegister("Idler", func() psharp.Machine { return idle })
+		for i := 0; i < n; i++ {
+			r.MustCreate("Idler", nil)
+		}
+	}
+}
+
+// TestCoroutineLifecycleBounded pins what happens to machine coroutines
+// when harnesses come and go: however many one-shot RunTest calls and
+// harness create/Run/Close cycles a process performs, the coroutines left
+// behind are the ones parked in the reserve — at most ReserveCap — and a
+// harness larger than the reserve has its overflow retired on Close, not
+// leaked.
+func TestCoroutineLifecycleBounded(t *testing.T) {
+	before := runtime.NumGoroutine() - psharp.ReserveLen()
+	check := func(what string) {
+		t.Helper()
+		if n := psharp.ReserveLen(); n > psharp.ReserveCap {
+			t.Fatalf("%s: reserve holds %d instances, cap is %d", what, n, psharp.ReserveCap)
+		}
+		// Every coroutine this test can have left alive is in the reserve.
+		const slack = 4
+		if got, limit := runtime.NumGoroutine(), before+psharp.ReserveLen()+slack; got > limit {
+			t.Fatalf("%s: %d goroutines, want <= %d (%d outside the reserve before the test + %d reserved + %d slack)",
+				what, got, limit, before, psharp.ReserveLen(), slack)
+		}
+	}
+
+	b := protocols.MustByName("TwoPhaseCommit", true)
+	s := sct.NewRandom(3)
+	for i := 0; i < 300; i++ {
+		s.PrepareIteration(i)
+		psharp.RunTest(b.Setup, psharp.TestConfig{Strategy: s, MaxSteps: b.MaxSteps})
+	}
+	check("300 sequential RunTest calls")
+
+	for i := 0; i < 50; i++ {
+		h := psharp.NewTestHarness(b.Setup)
+		for j := 0; j < 3; j++ {
+			s.PrepareIteration(300 + 3*i + j)
+			h.Run(psharp.TestConfig{Strategy: s, MaxSteps: b.MaxSteps})
+		}
+		h.Close()
+	}
+	check("50 harness create/Run/Close cycles")
+
+	// More idle instances than the reserve holds: Close fills the reserve
+	// to its cap and stops the coroutines of the rest.
+	h := psharp.NewTestHarness(crowdSetup(psharp.ReserveCap + 50))
+	if res := h.Run(psharp.TestConfig{Strategy: mustPrepared(sct.NewRandom(1))}); res.Bug != nil || res.Machines != psharp.ReserveCap+50 {
+		t.Fatalf("crowd run: bug %v, %d machines", res.Bug, res.Machines)
+	}
+	h.Close()
+	if n := psharp.ReserveLen(); n != psharp.ReserveCap {
+		t.Fatalf("reserve holds %d instances after an oversized Close, want the cap %d", n, psharp.ReserveCap)
+	}
+	h.Close() // idempotent: donates nothing twice
+	check("oversized harness closed twice")
+
+	// Instances drawn back out of a full reserve serve another harness,
+	// started and never-started ones alike.
+	first := psharp.RunTest(b.Setup, psharp.TestConfig{Strategy: mustPrepared(sct.NewRandom(9)), MaxSteps: b.MaxSteps})
+	second := psharp.RunTest(b.Setup, psharp.TestConfig{Strategy: mustPrepared(sct.NewRandom(9)), MaxSteps: b.MaxSteps})
+	if encodeTrace(t, first.Trace) != encodeTrace(t, second.Trace) {
+		t.Fatal("the same seed produced different traces on reserve-drawn instances")
+	}
+	check("reserve reuse")
+}
+
+// TestCoroutineOneShotAllocationCap is the tier-1 guard for the start-up
+// bound workloads: a one-shot RunTest of TwoPhaseCommit measured 238
+// allocations on the channel controller (one goroutine and two channels per
+// machine). Building a coroutine per machine per call would cost more than
+// that; drawing parked instances from the reserve costs less.
+func TestCoroutineOneShotAllocationCap(t *testing.T) {
+	b := protocols.MustByName("TwoPhaseCommit", true)
+	s := sct.NewRandom(1)
+	iter := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		s.PrepareIteration(iter)
+		iter++
+		psharp.RunTest(b.Setup, psharp.TestConfig{Strategy: s, MaxSteps: b.MaxSteps})
+	})
+	const oneShotCap = 238
+	if allocs > oneShotCap {
+		t.Errorf("one-shot RunTest of TwoPhaseCommit allocates %.1f, want <= %d (the channel controller's cost)", allocs, oneShotCap)
+	}
+	t.Logf("TwoPhaseCommit allocs per one-shot RunTest: %.1f", allocs)
+}
+
+type evWork struct {
+	psharp.EventBase
+	To psharp.MachineID
+}
+
+// teardownSetup builds one iteration that ends with machines in every
+// parked position teardown has to deal with. Machines 1 and 3 (Relays) send
+// to machine 2 and stay parked mid-handler at the send's scheduling point;
+// machine 2 (Sink) runs its entry, blocks on its empty queue, and answers
+// the first relayed message with a failing assertion; machine 4 is created
+// and never scheduled; machine 5 (Sink) runs its entry and stays blocked.
+// log records what ran.
+func teardownSetup(log *[]string) func(*psharp.Runtime) {
+	note := func(ctx *psharp.Context, what string) {
+		*log = append(*log, fmt.Sprintf("%d:%s", ctx.ID().Seq, what))
+	}
+	return func(r *psharp.Runtime) {
+		r.MustRegister("Relay", func() psharp.Machine {
+			return psharp.StaticMachineFunc(func(sc *psharp.Schema) {
+				sc.Start("R").
+					OnEntry(func(ctx *psharp.Context, ev psharp.Event) { note(ctx, "entry") }).
+					OnEventDo(&evWork{}, func(ctx *psharp.Context, ev psharp.Event) {
+						note(ctx, "before-send")
+						ctx.Send(ev.(*evWork).To, &evWork{})
+						note(ctx, "after-send")
+					})
+			})
+		})
+		r.MustRegister("Sink", func() psharp.Machine {
+			return psharp.StaticMachineFunc(func(sc *psharp.Schema) {
+				sc.Start("S").
+					OnEntry(func(ctx *psharp.Context, ev psharp.Event) { note(ctx, "entry") }).
+					OnEventDo(&evWork{}, func(ctx *psharp.Context, ev psharp.Event) {
+						ctx.Assert(false, "sink reached")
+					})
+			})
+		})
+		relay := r.MustCreate("Relay", nil)
+		sink := r.MustCreate("Sink", nil)
+		parked := r.MustCreate("Relay", nil)
+		r.MustCreate("Relay", nil) // never scheduled
+		r.MustCreate("Sink", nil)  // blocked for good
+		for _, id := range []psharp.MachineID{relay, parked} {
+			if err := r.SendEvent(id, &evWork{To: sink}); err != nil {
+				panic(err)
+			}
+		}
+	}
+}
+
+// TestCoroutineTeardownMixedPositions ends an iteration on a bug while
+// other machines are blocked, parked mid-handler and not yet started, and
+// requires teardown to unwind exactly the live frames: no handler resumes
+// past its scheduling point, the unscheduled machine never runs, and the
+// recycled instances replay the identical iteration — pooled and one-shot.
+func TestCoroutineTeardownMixedPositions(t *testing.T) {
+	var log []string
+	setup := teardownSetup(&log)
+	// Both sinks run their entry and block, both relays run up to their
+	// send, then the first sink handles a relayed message and fails.
+	script := func() psharp.Strategy { return psharp.AsStrategy(&scripted{picks: []uint64{2, 5, 3, 1, 2}}) }
+	want := []string{"2:entry", "5:entry", "3:entry", "3:before-send", "1:entry", "1:before-send"}
+
+	h := psharp.NewTestHarness(setup)
+	defer h.Close()
+	var first string
+	for i := 0; i < 4; i++ {
+		log = log[:0]
+		var res psharp.IterationResult
+		if i < 3 {
+			res = h.Run(psharp.TestConfig{Strategy: script()})
+		} else {
+			res = psharp.RunTest(setup, psharp.TestConfig{Strategy: script()})
+		}
+		if res.Bug == nil || res.Bug.Kind != psharp.BugAssertion || res.Bug.Machine.Seq != 2 {
+			t.Fatalf("iteration %d: bug %v, want the sink's assertion", i, res.Bug)
+		}
+		if res.SchedulingPoints != 5 || res.Machines != 5 {
+			t.Fatalf("iteration %d: %d scheduling points, %d machines, want 5 and 5", i, res.SchedulingPoints, res.Machines)
+		}
+		if !slices.Equal(log, want) {
+			t.Fatalf("iteration %d ran %v, want %v", i, log, want)
+		}
+		enc := encodeTrace(t, res.Trace)
+		if i == 0 {
+			first = enc
+		} else if enc != first {
+			t.Fatalf("iteration %d trace diverged:\n%s\nfirst:\n%s", i, enc, first)
+		}
+	}
+}
+
+// TestCoroutineHandlerPanicBeforeSchedulingPoint fails a handler inside
+// Send, after the call and before the send's scheduling point is reached —
+// by an unknown target and by a strategy that answers the per-send fault
+// query with a crash. Either way the machine must unwind from the middle of
+// the send, report the bug once, and leave the harness reusable.
+func TestCoroutineHandlerPanicBeforeSchedulingPoint(t *testing.T) {
+	setup := func(r *psharp.Runtime) {
+		r.MustRegister("Relay", func() psharp.Machine {
+			return psharp.StaticMachineFunc(func(sc *psharp.Schema) {
+				sc.Start("R").OnEventDo(&evWork{}, func(ctx *psharp.Context, ev psharp.Event) {
+					ctx.Send(ev.(*evWork).To, &evWork{To: ev.(*evWork).To})
+				})
+			})
+		})
+		a := r.MustCreate("Relay", nil)
+		b := r.MustCreate("Relay", nil)
+		if err := r.SendEvent(a, &evWork{To: b}); err != nil {
+			panic(err)
+		}
+		// b forwards a's message to a machine that does not exist.
+		if err := r.SendEvent(b, &evWork{To: psharp.MachineID{Type: "Relay", Seq: 99}}); err != nil {
+			panic(err)
+		}
+	}
+	h := psharp.NewTestHarness(setup)
+	defer h.Close()
+	for i := 0; i < 3; i++ {
+		// Unknown target: machine 2 panics inside Send on its first event.
+		res := h.Run(psharp.TestConfig{Strategy: psharp.AsStrategy(&scripted{picks: []uint64{2, 2}})})
+		if res.Bug == nil || res.Bug.Kind != psharp.BugAssertion || res.Bug.Machine.Seq != 2 || !strings.Contains(res.Bug.Message, "unknown machine") {
+			t.Fatalf("round %d: bug %v, want machine 2's send to an unknown machine", i, res.Bug)
+		}
+		// Invalid fault answer: machine 1 panics inside Send at the fault query.
+		res = h.Run(psharp.TestConfig{
+			Strategy: psharp.AsStrategy(&scripted{picks: []uint64{1, 1}, sendFault: psharp.FaultAction{Kind: psharp.FaultCrash}}),
+			Faults:   &psharp.FaultConfig{},
+		})
+		if res.Bug == nil || res.Bug.Machine.Seq != 1 || !strings.Contains(res.Bug.Message, "send fault point") {
+			t.Fatalf("round %d: bug %v, want machine 1's rejected send fault", i, res.Bug)
+		}
+		// And the harness still runs the program to its ordinary end.
+		res = h.Run(psharp.TestConfig{Strategy: mustPrepared(sct.NewRandom(uint64(i) + 1))})
+		if res.Bug == nil || !strings.Contains(res.Bug.Message, "unknown machine") {
+			t.Fatalf("round %d: random run ended with %v, want the unknown-machine send", i, res.Bug)
+		}
+	}
 }

@@ -8,7 +8,7 @@ import (
 // machineInstance is the runtime representation of one machine: its logic,
 // compiled schema, current state, and event queue. The same instance code
 // runs under the production runtime (goroutine with a blocking queue) and
-// the serialized testing runtime (goroutine parked on a handshake channel).
+// the serialized testing runtime (coroutine the controller switches to).
 type machineInstance struct {
 	id     MachineID
 	rt     *Runtime
@@ -30,13 +30,29 @@ type machineInstance struct {
 	initReleased bool
 
 	// test mode fields
-	resume  chan struct{}
 	bug     *Bug
 	aborted bool
-	// crashed is set by the controller (while the goroutine is parked) to
+	// next and stop are the controller's side of the machine's coroutine
+	// (iter.Pull over poolLoop): next switches to the machine and returns
+	// the kind of its next yield; stop retires the coroutine. yield is the
+	// machine's side, valid once poolLoop has started. All three are nil
+	// under the production runtime, where machines are plain goroutines.
+	next  func() (yieldKind, bool)
+	stop  func()
+	yield func(yieldKind) bool
+	// started is true while a run frame is live on the coroutine's stack:
+	// set when the machine is first scheduled in an iteration, cleared
+	// whenever run returns. Teardown only has frames of started machines to
+	// unwind. fate is how the last run ended, recorded by finish for
+	// poolLoop to yield. stopped records that yield has returned false
+	// (the coroutine was retired mid-run) and must never be called again.
+	started bool
+	stopped bool
+	fate    yieldKind
+	// crashed is set by the controller (while the machine is parked) to
 	// make the next park unwind with a crashSignal: the fault-injection
-	// crash. birth is the creation payload, kept so a crash-with-restart
-	// can reboot the machine by re-delivering it.
+	// crash. birth is the creation payload: what the next run starts from,
+	// kept so a crash-with-restart reboots the machine by re-delivering it.
 	crashed bool
 	birth   Event
 	// hprog is the machine's mid-handler position hash, maintained only
@@ -47,18 +63,12 @@ type machineInstance struct {
 	// with equal visible state but different pending continuations must
 	// hash differently, or the state cache would conflate them.
 	hprog uint64
-
-	// job feeds a pooled machine goroutine its next iteration's creation
-	// payload; nil under the production runtime, where goroutines are
-	// one-shot. Closing it retires the goroutine (TestHarness.Close).
-	job chan Event
 }
 
 func newMachineInstance(rt *Runtime, id MachineID, logic Machine, schema *compiledSchema) *machineInstance {
 	m := &machineInstance{id: id, rt: rt, logic: logic, schema: schema}
 	m.cond = sync.NewCond(&m.mu)
 	m.ctx = &Context{m: m, rt: rt}
-	m.resume = make(chan struct{})
 	return m
 }
 
@@ -78,12 +88,25 @@ func (m *machineInstance) progIdle() {
 	}
 }
 
-// park blocks the machine goroutine until the testing controller schedules
-// it. If the controller is tearing the iteration down, the goroutine unwinds
-// with an abortSignal panic, which run's recover turns into a clean exit.
-func (m *machineInstance) park() {
-	<-m.resume
-	if m.rt.test.isAborting() {
+// park is the machine's side of a scheduling point: it switches to the
+// testing controller, reporting kind, and returns when the controller
+// schedules the machine again. If the controller is tearing the iteration
+// down, the machine unwinds with an abortSignal panic, which run's recover
+// turns into a clean exit; a pending fault-injection crash unwinds the same
+// way with a crashSignal.
+func (m *machineInstance) park(kind yieldKind) {
+	if !m.yield(kind) {
+		// The coroutine was retired with this frame still live. yield must
+		// not be called again: unwind and let poolLoop return.
+		m.stopped = true
+		panic(abortSignal{})
+	}
+	m.checkScheduled()
+}
+
+// checkScheduled runs the checks every resumption starts with.
+func (m *machineInstance) checkScheduled() {
+	if m.rt.test.aborting {
 		panic(abortSignal{})
 	}
 	if m.crashed {
@@ -95,28 +118,33 @@ func (m *machineInstance) park() {
 // controller and parks until rescheduled. No-op under the production
 // runtime.
 func (m *machineInstance) yieldPoint() {
-	c := m.rt.test
-	if c == nil {
+	if m.rt.test == nil {
 		return
 	}
-	c.yield <- yieldMsg{m: m, kind: ykYield}
-	m.park()
+	m.park(ykYield)
 }
 
-// poolLoop is the body of a pooled machine goroutine: it runs one iteration
-// per job received and parks in between, so a TestHarness reuses goroutines
-// instead of spawning one per machine per iteration. The loop exits when
-// the harness closes the job channel.
-func (m *machineInstance) poolLoop() {
-	for payload := range m.job {
-		m.run(payload)
+// poolLoop is the body of a pooled machine coroutine: each time the
+// controller first schedules the instance in an iteration (or after a
+// crash-restart) it runs the machine from its birth payload, then yields
+// the run's fate and stays parked there — at the loop top — until the
+// instance is scheduled again, possibly as a different machine of a later
+// iteration or another harness. The loop exits when the coroutine is
+// stopped.
+func (m *machineInstance) poolLoop(yield func(yieldKind) bool) {
+	m.yield = yield
+	for {
+		m.run(m.birth)
+		if m.stopped || !yield(m.fate) {
+			return
+		}
 	}
 }
 
 // recycle clears all per-iteration state so the instance (and its parked
-// goroutine) can serve the next TestHarness iteration. Slices keep their
+// coroutine) can serve the next TestHarness iteration. Slices keep their
 // capacity; event references are dropped so finished programs can be
-// collected. Only called after teardown has joined the machine's goroutine.
+// collected. Only called after teardown has unwound the machine's run.
 func (m *machineInstance) recycle() {
 	m.id = MachineID{}
 	m.logic = nil
@@ -137,7 +165,8 @@ func (m *machineInstance) recycle() {
 	m.ctx.resetPending()
 }
 
-// run is the machine's goroutine body.
+// run executes the machine from its initial state until it halts or fails:
+// the goroutine body in production, one poolLoop round in test mode.
 func (m *machineInstance) run(payload Event) {
 	defer m.finish()
 	defer func() {
@@ -158,9 +187,11 @@ func (m *machineInstance) run(payload Event) {
 		}
 	}()
 	if m.rt.test != nil {
-		// Wait for the controller to schedule the machine for the first
-		// time before running the initial state's entry action.
-		m.park()
+		// The controller has just scheduled the machine for the first time
+		// (the coroutine stays parked at poolLoop's top until then) — or is
+		// crashing it before it ever ran.
+		m.started = true
+		m.checkScheduled()
 	}
 	m.state = m.schema.initial
 	if m.rt.logging() {
@@ -202,23 +233,22 @@ func (m *machineInstance) run(payload Event) {
 	}
 }
 
-// finish reports the machine's fate exactly once: to the controller in test
-// mode, or to the runtime's failure/accounting machinery in production.
+// finish settles the machine's fate exactly once: in test mode it records
+// it for poolLoop to yield to the controller, in production it feeds the
+// runtime's failure/accounting machinery.
 func (m *machineInstance) finish() {
-	if c := m.rt.test; c != nil {
-		defer c.wg.Done()
-		if m.aborted {
-			return
+	if m.rt.test != nil {
+		m.started = false
+		switch {
+		case m.aborted:
+			m.fate = ykAborted
+		case m.crashed:
+			m.fate = ykCrashed
+		case m.bug != nil:
+			m.fate = ykBug
+		default:
+			m.fate = ykHalted
 		}
-		if m.crashed {
-			c.yield <- yieldMsg{m: m, kind: ykCrashed}
-			return
-		}
-		if m.bug != nil {
-			c.yield <- yieldMsg{m: m, kind: ykBug, bug: m.bug}
-			return
-		}
-		c.yield <- yieldMsg{m: m, kind: ykHalted}
 		return
 	}
 	if m.bug != nil {
@@ -264,8 +294,7 @@ func (m *machineInstance) nextEvent() (envelope, *Bug, bool) {
 		}
 		if c != nil {
 			m.mu.Unlock()
-			c.yield <- yieldMsg{m: m, kind: ykBlocked}
-			m.park()
+			m.park(ykBlocked)
 			continue
 		}
 		if m.rt.isStopped() {
@@ -354,7 +383,7 @@ func (m *machineInstance) handleEvent(ev Event) *Bug {
 		return nil
 	case dispatchDefer:
 		// Only reachable for raised events; re-queue at the back.
-		m.rt.enqueue(m.id, ev, m.id, false)
+		m.rt.enqueue(m.id, ev, m, false)
 		return nil
 	case dispatchAction:
 		if cov := m.rt.cover; cov != nil {

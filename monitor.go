@@ -326,8 +326,8 @@ func (r *Runtime) observeMonitors(ev Event) {
 // monitorFailure routes a monitor-detected bug: the testing controller
 // records it as the iteration's bug (the scheduling loop stops at the next
 // decision), the production runtime fails as with any machine bug. Monitor
-// dispatch happens on the observing sender's goroutine, but in test mode
-// execution is serialized by the yield handshakes, so the write is ordered.
+// dispatch happens on the observing sender's stack, but in test mode
+// execution is serialized by the coroutine switches, so the write is ordered.
 func (r *Runtime) monitorFailure(bug *Bug) {
 	if c := r.test; c != nil {
 		if c.bug == nil {

@@ -197,7 +197,7 @@ func (r *Runtime) SendEvent(target MachineID, ev Event) error {
 	if ev == nil {
 		return fmt.Errorf("psharp: SendEvent: nil event")
 	}
-	r.enqueue(target, ev, MachineID{}, false)
+	r.enqueue(target, ev, nil, false)
 	return nil
 }
 
@@ -226,7 +226,7 @@ func (r *Runtime) create(machineType string, payload Event, creator *machineInst
 	id := MachineID{Type: machineType, Seq: r.nextSeq}
 	var m *machineInstance
 	if c := r.test; c != nil {
-		// Bug-finding mode reuses pooled instances and parked goroutines.
+		// Bug-finding mode reuses pooled instances and parked coroutines.
 		m = c.acquireInstance(r, id, logic, schema)
 	} else {
 		m = newMachineInstance(r, id, logic, schema)
@@ -245,11 +245,10 @@ func (r *Runtime) create(machineType string, payload Event, creator *machineInst
 			creatorIdx = int(creator.id.Seq)
 		}
 		c.onCreate(m, creatorIdx)
-		c.wg.Add(1)
-		// Remember the creation payload: a FaultCrash with Restart reboots
-		// the machine by re-delivering it (see controller.restartMachine).
+		// The creation payload is what the coroutine starts run on when the
+		// machine is first scheduled — and again after a FaultCrash with
+		// Restart (see controller.restartMachine).
 		m.birth = payload
-		m.job <- payload // hand the iteration to the parked goroutine
 		if creator != nil {
 			if c.observing {
 				c.noteCreate(creator, id)
@@ -279,11 +278,16 @@ func (r *Runtime) compileInstanceLocked(machineType string, logic Machine) (*com
 	return s.compile(machineType)
 }
 
-// enqueue routes an event to target's queue. isMachineSend marks sends
-// performed by machine actions (which are scheduling points in test mode);
-// environment sends and internal re-queues are not.
-func (r *Runtime) enqueue(target MachineID, ev Event, sender MachineID, isMachineSend bool) {
-	if isMachineSend || sender.IsNil() {
+// enqueue routes an event to target's queue. sm is the sending machine, nil
+// for sends from the environment. isMachineSend marks sends performed by
+// machine actions (which are scheduling points in test mode); environment
+// sends and internal re-queues are not.
+func (r *Runtime) enqueue(target MachineID, ev Event, sm *machineInstance, isMachineSend bool) {
+	var sender MachineID
+	if sm != nil {
+		sender = sm.id
+	}
+	if isMachineSend || sm == nil {
 		// Specification monitors observe the send itself — machine sends and
 		// environment sends, but not internal re-queues of deferred raised
 		// events, which would double-count one observation. Dispatch happens
@@ -304,12 +308,10 @@ func (r *Runtime) enqueue(target MachineID, ev Event, sender MachineID, isMachin
 	if c != nil && c.cfg.ChessLike && isMachineSend {
 		// CHESS granularity: acquiring the queue lock of the thread-safe
 		// blocking queue is a visible synchronizing operation of its own.
-		if sm := r.machineByID(sender); sm != nil {
-			sm.yieldPoint()
-		}
+		sm.yieldPoint()
 	}
 
-	// The per-send fault query: issued on the sending machine's goroutine
+	// The per-send fault query: issued on the sending machine's stack
 	// for every machine send when faults are enabled, before delivery, so
 	// the query sequence is a function of the schedule alone. Sends to an
 	// already-halted target ignore the answer (there is nothing to fault).
@@ -379,12 +381,10 @@ func (r *Runtime) enqueue(target MachineID, ev Event, sender MachineID, isMachin
 	}
 
 	if c != nil && isMachineSend {
-		if sm := r.machineByID(sender); sm != nil {
-			if c.observing {
-				c.noteSend(sm, target, ev)
-			}
-			sm.yieldPoint() // send is a scheduling point (Section 6.2)
+		if c.observing {
+			c.noteSend(sm, target, ev)
 		}
+		sm.yieldPoint() // send is a scheduling point (Section 6.2)
 	}
 }
 

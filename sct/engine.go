@@ -409,7 +409,7 @@ func (w *worker) nextIteration(sh *shared, local int) (int, bool) {
 
 // runWorker is the core exploration loop shared by Run and RunParallel.
 // Every worker owns a psharp.TestHarness, so runtime machinery (machine
-// instances, goroutines, queues, trace buffers) is recycled across its
+// instances, coroutines, queues, trace buffers) is recycled across its
 // iterations instead of rebuilt.
 func runWorker(setup func(*psharp.Runtime), sh *shared, w worker) Report {
 	opts := sh.opts

@@ -3,9 +3,9 @@ package psharp
 import (
 	"fmt"
 	"io"
+	"iter"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"github.com/psharp-go/psharp/internal/vclock"
 	"github.com/psharp-go/psharp/obs"
@@ -99,21 +99,18 @@ type IterationResult struct {
 	Faults FaultStats
 }
 
+// yieldKind is what a machine coroutine hands the controller when it
+// switches back: why it stopped running.
 type yieldKind int
 
 const (
-	ykYield yieldKind = iota
-	ykBlocked
-	ykBug
-	ykHalted
-	ykCrashed
+	ykYield   yieldKind = iota // at a send/create scheduling point, still runnable
+	ykBlocked                  // no dispatchable event queued
+	ykBug                      // run ended in a failure (machineInstance.bug)
+	ykHalted                   // run ended normally
+	ykCrashed                  // run unwound by a fault-injection crash
+	ykAborted                  // run unwound by teardown
 )
-
-type yieldMsg struct {
-	m    *machineInstance
-	kind yieldKind
-	bug  *Bug
-}
 
 type machineStatus int
 
@@ -124,16 +121,15 @@ const (
 )
 
 // controller serializes machine execution in bug-finding mode. Every machine
-// goroutine parks on its resume channel; the controller wakes exactly one at
-// a time and waits for it to yield (at a send/create scheduling point),
-// block on an empty queue, halt, or fail. Writes to controller state from
-// machine goroutines are ordered by the yield-channel handshakes, so no
-// additional locking is needed.
+// is a coroutine (iter.Pull over machineInstance.poolLoop); the controller
+// switches to exactly one at a time and gets control back when it yields (at
+// a send/create scheduling point), blocks on an empty queue, halts, or
+// fails. A switch hands the thread over directly — no scheduler, run queue
+// or wake-up — and orders every write on one side before every read on the
+// other, so controller state needs no locking.
 type controller struct {
-	rt    *Runtime
-	cfg   TestConfig
-	yield chan yieldMsg
-	wg    sync.WaitGroup
+	rt  *Runtime
+	cfg TestConfig
 
 	// instances mirrors rt.machines indexed by MachineID.Seq-1 but is owned
 	// by the controller, so the scheduling loop never takes rt.mu.
@@ -146,8 +142,8 @@ type controller struct {
 	ready   []MachineID
 	scratch []MachineID
 
-	// free holds recycled machine instances whose goroutines are parked on
-	// their job channels, awaiting the next iteration.
+	// free holds recycled machine instances, their coroutines parked at
+	// the top of poolLoop awaiting the next iteration.
 	free []*machineInstance
 
 	// freeMons holds recycled monitor instances by name, so a harness that
@@ -188,25 +184,73 @@ type controller struct {
 	stepCreated  MachineID
 	stepObserved bool
 
-	aborting atomic.Bool
+	// aborting makes every machine resumed from now on unwind: set by
+	// teardown, read by machines right after the switch that resumes them.
+	aborting bool
 }
 
-func (c *controller) isAborting() bool { return c.aborting.Load() }
+// instanceReserve is the process-wide stock of idle machine instances:
+// coroutine parked at the top of poolLoop, bound to no runtime. A closing
+// harness donates its freelist here and a harness whose own freelist is
+// empty draws from here before building anything, so short-lived harnesses
+// (RunTest, a replay, a hunt of three schedules) stop paying for a
+// coroutine per machine — the dominant start-up cost, at 13 allocations
+// each. A harness in steady state is served by its own freelist and never
+// takes the lock.
+var instanceReserve struct {
+	mu   sync.Mutex
+	idle []*machineInstance
+}
 
-// acquireInstance returns a pooled machine instance (its goroutine already
-// parked on the job channel) or spins up a fresh one. Execution is
-// serialized, so no locking is needed around the freelist.
+// reserveCap bounds the reserve; instances donated beyond it are retired.
+// 256 parked coroutines cover the largest protocol in the suite many times
+// over and pin a few megabytes of stacks at most.
+const reserveCap = 256
+
+// donateInstances moves idle instances into the reserve, unbinding them
+// from their runtime so it can be collected, and retires the overflow.
+func donateInstances(idle []*machineInstance) {
+	instanceReserve.mu.Lock()
+	keep := min(len(idle), reserveCap-len(instanceReserve.idle))
+	for _, m := range idle[:keep] {
+		m.rt, m.ctx.rt = nil, nil
+	}
+	instanceReserve.idle = append(instanceReserve.idle, idle[:keep]...)
+	instanceReserve.mu.Unlock()
+	for _, m := range idle[keep:] {
+		m.stop()
+	}
+}
+
+func takeReserved() *machineInstance {
+	instanceReserve.mu.Lock()
+	defer instanceReserve.mu.Unlock()
+	n := len(instanceReserve.idle)
+	if n == 0 {
+		return nil
+	}
+	m := instanceReserve.idle[n-1]
+	instanceReserve.idle[n-1] = nil
+	instanceReserve.idle = instanceReserve.idle[:n-1]
+	return m
+}
+
+// acquireInstance returns an idle machine instance — from the harness
+// freelist, else from the process-wide reserve, else freshly built with a
+// new coroutine. Execution is serialized, so the freelist needs no lock.
 func (c *controller) acquireInstance(r *Runtime, id MachineID, logic Machine, schema *compiledSchema) *machineInstance {
+	var m *machineInstance
 	if n := len(c.free); n > 0 {
-		m := c.free[n-1]
+		m = c.free[n-1]
 		c.free[n-1] = nil
 		c.free = c.free[:n-1]
-		m.id, m.logic, m.schema = id, logic, schema
-		return m
+	} else if m = takeReserved(); m != nil {
+		m.rt, m.ctx.rt = r, r
+	} else {
+		m = newMachineInstance(r, id, logic, schema)
+		m.next, m.stop = iter.Pull(m.poolLoop)
 	}
-	m := newMachineInstance(r, id, logic, schema)
-	m.job = make(chan Event)
-	go m.poolLoop()
+	m.id, m.logic, m.schema = id, logic, schema
 	return m
 }
 
@@ -352,8 +396,8 @@ func (c *controller) anyQueuedWhileBlocked() *machineInstance {
 	return nil
 }
 
-// loop is the scheduler: it repeatedly picks one enabled machine, wakes it,
-// and processes its next yield.
+// loop is the scheduler: it repeatedly picks one enabled machine, switches
+// to it, and processes what it yields.
 func (c *controller) loop() {
 	for c.bug == nil {
 		if c.cfg.Interrupt != nil && c.cfg.Interrupt() {
@@ -417,25 +461,24 @@ func (c *controller) loop() {
 			c.stepTarget, c.stepCreated, c.stepObserved = MachineID{}, MachineID{}, false
 		}
 		m := c.instances[next.Seq-1]
-		m.resume <- struct{}{}
-		msg := <-c.yield
-		switch msg.kind {
+		kind, _ := m.next()
+		switch kind {
 		case ykYield:
 			// The machine stays in the ready set.
 		case ykBlocked:
-			c.statuses[msg.m.id.Seq-1] = msBlocked
-			c.readyRemove(msg.m.id)
+			c.statuses[next.Seq-1] = msBlocked
+			c.readyRemove(next)
 		case ykHalted:
-			c.statuses[msg.m.id.Seq-1] = msHalted
-			c.readyRemove(msg.m.id)
+			c.statuses[next.Seq-1] = msHalted
+			c.readyRemove(next)
 		case ykBug:
-			c.statuses[msg.m.id.Seq-1] = msHalted
-			c.readyRemove(msg.m.id)
+			c.statuses[next.Seq-1] = msHalted
+			c.readyRemove(next)
 			if c.bug == nil {
 				// First bug wins: a monitor may already have failed this very
 				// decision (observation runs before the machine's own panic),
 				// and the specification violation is the primary report.
-				c.bug = msg.bug
+				c.bug = m.bug
 			}
 		}
 		if c.observing {
@@ -565,18 +608,18 @@ func (c *controller) stateHash() uint64 {
 	return s
 }
 
-// teardown unparks every live machine goroutine so it can observe the abort
-// flag and unwind, then waits for all of them. It reads the controller-owned
-// instances slice, so no runtime lock or copy is needed.
+// teardown unwinds every machine that still has a run frame on its
+// coroutine — parked mid-handler or blocked on its queue: resumed with the
+// abort flag up, it panics abortSignal out of park and is back at the top
+// of poolLoop by the time next returns. Machines that finished, or were
+// created but never scheduled, are already parked there.
 func (c *controller) teardown() {
-	c.aborting.Store(true)
-	for i, m := range c.instances {
-		if c.statuses[i] == msHalted {
-			continue // goroutine already finished the iteration
+	c.aborting = true
+	for _, m := range c.instances {
+		if m.started {
+			m.next()
 		}
-		m.resume <- struct{}{}
 	}
-	c.wg.Wait()
 }
 
 func contains(ids []MachineID, id MachineID) bool {
