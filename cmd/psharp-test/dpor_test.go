@@ -1,8 +1,8 @@
 package main
 
-// CLI coverage for the reduction stack: -strategy dpor, -state-cache, their
-// refusal combinations, and the pruned/distinct-state fields of the
-// campaign report.
+// CLI coverage for the reduction stack: -strategy dpor, -state-cache and the
+// pruned/distinct-state fields of the campaign report. Their refusal
+// combinations are rows of TestOptionMatrix.
 
 import (
 	"encoding/json"
@@ -61,51 +61,5 @@ func TestDPORStateCacheCLIRoundTrip(t *testing.T) {
 	if attempts := c.Result.Iterations + c.Result.PrunedIterations; c.Result.Iterations >= attempts {
 		t.Fatalf("explored iterations (%d) not separated from pruned (%d)",
 			c.Result.Iterations, c.Result.PrunedIterations)
-	}
-}
-
-// TestDPORStateCacheRefusals: every unsound combination exits 2 with a
-// message naming the conflict, before any exploration starts.
-func TestDPORStateCacheRefusals(t *testing.T) {
-	cases := []struct {
-		name string
-		args []string
-		want string
-	}{
-		{
-			"dpor with faults",
-			[]string{"-bench", "TwoPhaseCommitFT", "-buggy", "-strategy", "dpor", "-faults", "2"},
-			"-strategy dpor is incompatible with -faults",
-		},
-		{
-			"dpor with dynamic",
-			[]string{"-bench", "TwoPhaseCommit", "-buggy", "-strategy", "dpor", "-parallel", "2", "-dynamic"},
-			"-strategy dpor is incompatible with -dynamic",
-		},
-		{
-			"state cache with a random strategy",
-			[]string{"-bench", "TwoPhaseCommit", "-buggy", "-strategy", "random", "-state-cache"},
-			"-state-cache requires -strategy dfs or dpor",
-		},
-		{
-			"state cache with a portfolio",
-			[]string{"-bench", "TwoPhaseCommit", "-buggy", "-state-cache", "-portfolio", "default"},
-			"-state-cache is incompatible with -portfolio",
-		},
-		{
-			"state cache with faults",
-			[]string{"-bench", "TwoPhaseCommitFT", "-buggy", "-strategy", "dfs", "-state-cache", "-faults", "2"},
-			"-state-cache is incompatible with -faults",
-		},
-	}
-	for _, tc := range cases {
-		code, _, stderr := runCLI(t, tc.args...)
-		if code != 2 {
-			t.Errorf("%s: exit code = %d, want 2\nstderr: %s", tc.name, code, stderr)
-			continue
-		}
-		if !strings.Contains(stderr, tc.want) {
-			t.Errorf("%s: stderr lacks %q:\n%s", tc.name, tc.want, stderr)
-		}
 	}
 }

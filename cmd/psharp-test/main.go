@@ -45,10 +45,11 @@
 // order of independent steps. -state-cache (with dfs or dpor) adds a hashed
 // global-state cache that cuts schedules short when they revisit an
 // already-covered global state; pruned schedules are reported separately
-// from explored ones and never inflate throughput numbers. Both refuse the
-// combinations they would be unsound under (-faults, -dynamic, mixed
-// portfolios) — see the sct package docs, "Partial-order reduction and
-// state caching".
+// from explored ones and never inflate throughput numbers.
+//
+// Which flags combine is not decided here: the flags spell an
+// sct.ParallelOptions, and what its Validate refuses exits 2 with that
+// error — see the sct package docs, "Option compatibility".
 //
 // # Observability
 //
@@ -90,12 +91,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -173,6 +174,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
+	// -psl is a separate front end: refuse the flags the chosen mode never
+	// reads instead of ignoring them.
+	parallelSet, stray := false, ""
+	fs.Visit(func(f *flag.Flag) {
+		parallelSet = parallelSet || f.Name == "parallel"
+		pslOnly := f.Name == "racy" || f.Name == "interp" || f.Name == "disasm"
+		switch {
+		case stray != "":
+		case *psl == "" && pslOnly:
+			stray = fmt.Sprintf("-%s requires -psl", f.Name)
+		case *psl != "" && !pslOnly && f.Name != "psl" && f.Name != "iterations" && f.Name != "seed":
+			stray = fmt.Sprintf("-psl does not read -%s (it takes -racy, -interp, -disasm, -iterations and -seed)", f.Name)
+		}
+	})
+	if stray != "" {
+		fmt.Fprintln(stderr, "psharp-test:", stray)
+		return 2
+	}
 	if *psl != "" {
 		return runPSL(*psl, *racy, *interpEngine, *disasm, *iterations, *seed, stdout, stderr)
 	}
@@ -222,13 +241,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return replayTrace(b, setup, *replay, *liveness, *temperature, stdout, stderr)
 	}
 
-	opts := sct.Options{
-		Iterations:     *iterations,
-		Timeout:        *timeout,
-		MaxSteps:       b.MaxSteps,
-		StopOnFirstBug: !*keepGoing,
-		LivelockAsBug:  b.LivelockAsBug,
+	// Flags → options. What may be combined with what is sct's call
+	// (ParallelOptions.Validate), made before the run has any side effect.
+	usage := func(err error) int {
+		fmt.Fprintln(stderr, "psharp-test:", err)
+		return 2
 	}
+	popts := sct.ParallelOptions{
+		Options: sct.Options{
+			Iterations:     *iterations,
+			Timeout:        *timeout,
+			MaxSteps:       b.MaxSteps,
+			StopOnFirstBug: !*keepGoing,
+			LivelockAsBug:  b.LivelockAsBug,
+			StateCache:     *stateCache,
+		},
+		Workers:    *parallel,
+		Dynamic:    *dynamic,
+		ShardCount: 1,
+	}
+	opts := &popts.Options
 	if *liveness {
 		opts.LivenessTemperature = *temperature
 	}
@@ -241,64 +273,60 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Restart: true,
 		}
 	}
-	switch *strategy {
-	case "random":
-		opts.Strategy = sct.NewRandom(*seed)
-	case "fair":
-		opts.Strategy = sct.NewRandomFair(*seed, *fairPrefix)
-	case "dfs":
-		opts.Strategy = sct.NewDFS()
-	case "dpor":
-		opts.Strategy = sct.NewDPOR()
-	case "pct":
-		opts.Strategy = sct.NewPCT(*seed, 3, b.MaxSteps)
-	case "delay":
-		opts.Strategy = sct.NewDelayBounding(*seed, 2, b.MaxSteps)
-	default:
-		fmt.Fprintf(stderr, "psharp-test: unknown strategy %q\n", *strategy)
-		return 2
-	}
-	// The reduction stack has documented incompatibilities; refuse the
-	// combinations here with a clear message instead of panicking deep in
-	// the engine (same pattern as -journal + -dynamic below).
-	if *strategy == "dpor" {
-		if *faults > 0 {
-			fmt.Fprintln(stderr, "psharp-test: -strategy dpor is incompatible with -faults: fault decisions are not footprint-tracked, so the partial-order reduction would be unsound")
-			return 2
+	label := *strategy
+	if *portfolio != "" {
+		// Fair members take the same prefix as -strategy fair, so a
+		// -liveness temperature calibrated above the prefix stays sound.
+		pf, err := sct.ParsePortfolioPrefix(*portfolio, *seed, b.MaxSteps, *fairPrefix)
+		if err != nil {
+			return usage(err)
 		}
-		if *dynamic {
-			fmt.Fprintln(stderr, "psharp-test: -strategy dpor is incompatible with -dynamic: work-stealing reassigns iterations across workers, breaking the depth-first backtracking order the reduction depends on")
-			return 2
+		popts.Portfolio = pf
+		label = "portfolio[" + *portfolio + "]"
+		if !parallelSet {
+			// -portfolio implies one worker per member unless -parallel was
+			// given explicitly; fewer workers than members drops members.
+			popts.Workers = pf.Size()
+		}
+	} else {
+		var err error
+		if opts.Strategy, err = sct.NewStrategy(*strategy, *seed, b.MaxSteps, *fairPrefix); err != nil {
+			return usage(err)
 		}
 	}
-	if *stateCache {
-		if *portfolio != "" {
-			fmt.Fprintln(stderr, "psharp-test: -state-cache is incompatible with -portfolio: pruning is only sound when every worker runs a depth-first strategy (dfs or dpor)")
-			return 2
+	campaignStrategy := label
+	if *shardSpec != "" {
+		var err error
+		if popts.ShardIndex, popts.ShardCount, err = parseShard(*shardSpec); err != nil {
+			return usage(err)
 		}
-		if *strategy != "dfs" && *strategy != "dpor" {
-			fmt.Fprintf(stderr, "psharp-test: -state-cache requires -strategy dfs or dpor (got %q): pruning revisited states only preserves coverage under depth-first enumeration\n", *strategy)
-			return 2
-		}
-		if *faults > 0 {
-			fmt.Fprintln(stderr, "psharp-test: -state-cache is incompatible with -faults: injected faults mutate state outside the hashed footprint")
-			return 2
-		}
-		opts.StateCache = true
 	}
-	if *liveness {
-		if *portfolio != "" {
-			// A portfolio overrides -strategy per worker; warn if any member
-			// is unfair, since temperature tracking applies to all of them.
-			for _, m := range strings.Split(*portfolio, ",") {
-				if name := strings.TrimSpace(m); name != "fair" && name != "" {
-					fmt.Fprintf(stderr, "psharp-test: warning: -liveness with unfair portfolio member %q can report spurious violations (scheduler starvation); use fair members\n", name)
-					break
-				}
-			}
-		} else if *strategy != "fair" {
-			fmt.Fprintf(stderr, "psharp-test: warning: -liveness under the unfair %q strategy can report spurious violations (scheduler starvation); use -strategy fair\n", *strategy)
+	err := popts.Validate()
+	if err == nil && *dynamic && *journalDir != "" {
+		// The journal is opened below, after every refusal: Validate has not
+		// seen it yet.
+		err = sct.ErrDynamicJournal
+	}
+	if err == nil && *resumeRun && *journalDir == "" {
+		err = errors.New("-resume requires -journal")
+	}
+	if err != nil {
+		return usage(err)
+	}
+	if pf, n := popts.Portfolio, popts.WorkerCount(); pf != nil && n < pf.Size() {
+		fmt.Fprintf(stderr, "psharp-test: warning: -parallel %d runs only the first %d of %d portfolio members\n", n, n, pf.Size())
+	}
+	if name := popts.Unfair(); *liveness && name != "" {
+		// Temperature tracking applies to every worker; an unfair one can
+		// starve the machine that would discharge the obligation.
+		what := "strategy"
+		if popts.Portfolio != nil {
+			what = "portfolio member"
 		}
+		fmt.Fprintf(stderr, "psharp-test: warning: -liveness with the unfair %s %q can report spurious violations (scheduler starvation); use fair\n", what, name)
+	}
+	if *shardSpec != "" && *journalDir == "" {
+		fmt.Fprintf(stderr, "psharp-test: note: -shard without -journal splits the budget but records nothing; shard results merge only through a shared journal\n")
 	}
 
 	// Observability wiring: a Telemetry accumulator backs both the campaign
@@ -338,88 +366,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer shutdown()
 	}
 
-	parallelSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "parallel" {
-			parallelSet = true
-		}
-	})
-
-	label := *strategy
-	campaignStrategy := *strategy
-	if *dynamic && *portfolio == "" && *parallel == 1 {
-		fmt.Fprintln(stderr, "psharp-test: -dynamic requires -parallel or -portfolio")
-		return 2
-	}
-	var pf *sct.Portfolio
-	if *portfolio != "" {
-		// Fair members take the same prefix as -strategy fair, so a
-		// -liveness temperature calibrated above the prefix stays sound.
-		var err error
-		pf, err = sct.ParsePortfolioPrefix(*portfolio, *seed, b.MaxSteps, *fairPrefix)
-		if err != nil {
-			fmt.Fprintln(stderr, "psharp-test:", err)
-			return 2
-		}
-		label = "portfolio[" + *portfolio + "]"
-		campaignStrategy = label
-		if parallelSet && *parallel > 0 && *parallel < pf.Size() {
-			fmt.Fprintf(stderr, "psharp-test: warning: -parallel %d runs only the first %d of %d portfolio members\n",
-				*parallel, *parallel, pf.Size())
-		}
-	}
-
-	shardIndex, shardCount := 0, 1
-	if *shardSpec != "" {
-		var err error
-		shardIndex, shardCount, err = parseShard(*shardSpec)
-		if err != nil {
-			fmt.Fprintln(stderr, "psharp-test:", err)
-			return 2
-		}
-	}
-	useParallel := *portfolio != "" || *parallel != 1 || shardCount > 1
-	// Resolve the per-process worker count exactly as RunParallel will, so
-	// the journal meta pins the campaign's true worker layout.
-	workerCount := 1
-	if useParallel {
-		n := *parallel
-		if pf != nil && !parallelSet {
-			// -portfolio implies one worker per member unless -parallel was
-			// given explicitly; fewer workers than members drops members.
-			n = pf.Size()
-		}
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		if shardCount == 1 && n > *iterations {
-			n = *iterations
-		}
-		workerCount = n
-	}
-
 	// Journal wiring: open (or resume) this process's shard of the campaign
 	// journal before exploring, and preload its recovered state through
-	// Options.Journal.
-	if *resumeRun && *journalDir == "" {
-		fmt.Fprintln(stderr, "psharp-test: -resume requires -journal")
-		return 2
-	}
-	if *shardSpec != "" && *journalDir == "" {
-		fmt.Fprintf(stderr, "psharp-test: note: -shard without -journal splits the budget but records nothing; shard results merge only through a shared journal\n")
-	}
+	// Options.Journal. The meta pins the campaign's true worker layout.
+	shardIndex, shardCount := popts.ShardIndex, popts.ShardCount
 	var jc *journal.Campaign
 	resumed := false
 	if *journalDir != "" {
-		if *dynamic {
-			fmt.Fprintln(stderr, "psharp-test: -journal is incompatible with -dynamic (work-stealing has no resumable cursor)")
-			return 2
-		}
 		meta := journal.Meta{
 			Benchmark:    b.ID(),
 			Strategy:     campaignStrategy,
 			Seed:         *seed,
-			Workers:      workerCount,
+			Workers:      popts.WorkerCount(),
 			ShardIndex:   shardIndex,
 			ShardCount:   shardCount,
 			MaxSteps:     b.MaxSteps,
@@ -474,26 +432,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		close(sigc) // releases the watcher; safe after Stop
 	}()
 
-	var rep sct.Report
-	var workerReports []sct.WorkerReport
-	if useParallel {
-		popts := sct.ParallelOptions{
-			Options:    opts,
-			Workers:    workerCount,
-			Portfolio:  pf,
-			Dynamic:    *dynamic,
-			ShardIndex: shardIndex,
-			ShardCount: shardCount,
-		}
-		prep := sct.RunParallel(setup, popts)
+	prep := sct.RunParallel(setup, popts)
+	rep := prep.Report
+	if len(prep.Workers) > 1 || popts.Portfolio != nil || shardCount > 1 {
 		if *verbose {
 			for _, w := range prep.Workers {
 				fmt.Fprintf(stdout, "  worker %d (%s): %s\n", w.Worker, w.Strategy, w.Report.String())
 			}
 		}
-		rep = prep.Report
-		workerReports = prep.Workers
-		workerCount = len(prep.Workers)
 		sharding := ""
 		if *dynamic {
 			sharding = ", dynamic"
@@ -502,8 +448,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			sharding = fmt.Sprintf(", shard %d/%d", shardIndex+1, shardCount)
 		}
 		label = fmt.Sprintf("%s x%d workers%s", label, len(prep.Workers), sharding)
-	} else {
-		rep = sct.Run(setup, opts)
 	}
 	suffix := ""
 	if *monitors {
@@ -537,7 +481,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg := sct.CampaignConfig{
 			Benchmark:   b.ID(),
 			Strategy:    campaignStrategy,
-			Workers:     workerCount,
+			Workers:     len(prep.Workers),
 			Dynamic:     *dynamic,
 			Iterations:  *iterations,
 			MaxSteps:    b.MaxSteps,
@@ -552,7 +496,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if shardCount > 1 {
 			cfg.Shard = fmt.Sprintf("%d/%d", shardIndex+1, shardCount)
 		}
-		c := sct.NewCampaign(cfg, &rep, workerReports, tel)
+		c := sct.NewCampaign(cfg, &rep, prep.Workers, tel)
 		if err := c.WriteFile(*reportOut); err != nil {
 			fmt.Fprintln(stderr, "psharp-test:", err)
 			return 1
@@ -588,7 +532,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 func parseShard(spec string) (index, count int, err error) {
 	i := strings.IndexByte(spec, '/')
 	bad := func() (int, int, error) {
-		return 0, 0, fmt.Errorf("psharp-test: -shard wants i/n with 1 <= i <= n (e.g. 2/4), got %q", spec)
+		return 0, 0, fmt.Errorf("-shard wants i/n with 1 <= i <= n (e.g. 2/4), got %q", spec)
 	}
 	if i <= 0 {
 		return bad()

@@ -532,3 +532,27 @@ func TestPSLModeBadInputs(t *testing.T) {
 		t.Fatalf("-list should mark the .psl corpus: code=%d\n%s", code, stdout)
 	}
 }
+
+// TestPSLModeRefusesFlagsItDoesNotRead: -psl takes only -racy, -interp,
+// -disasm, -iterations and -seed; any other flag is a usage error, not a
+// silently dropped request.
+func TestPSLModeRefusesFlagsItDoesNotRead(t *testing.T) {
+	code, stdout, stderr := runCLI(t, "-psl", "Pi", "-strategy", "dpor", "-faults", "3", "-journal", "d", "-parallel", "4")
+	if code != 2 || stdout != "" || !strings.Contains(stderr, "-psl does not read -faults") {
+		t.Fatalf("stray flags under -psl: code=%d stdout=%q stderr=%q", code, stdout, stderr)
+	}
+	if code, _, stderr := runCLI(t, "-psl", "German", "-racy", "-interp", "walk", "-iterations", "5", "-seed", "3"); code != 0 {
+		t.Fatalf("-psl with every flag it reads: code=%d stderr=%q", code, stderr)
+	}
+}
+
+// TestPSLOnlyFlagsRequirePSL: -racy, -interp and -disasm mean nothing to a
+// Go-native benchmark run and are refused without -psl.
+func TestPSLOnlyFlagsRequirePSL(t *testing.T) {
+	for _, args := range [][]string{{"-racy"}, {"-interp", "walk"}, {"-disasm"}} {
+		code, stdout, stderr := runCLI(t, append([]string{"-bench", "Raft", "-buggy", "-iterations", "5"}, args...)...)
+		if want := args[0] + " requires -psl"; code != 2 || stdout != "" || !strings.Contains(stderr, want) {
+			t.Fatalf("%v without -psl: code=%d stdout=%q stderr=%q, want exit 2 and %q", args, code, stdout, stderr, want)
+		}
+	}
+}

@@ -425,23 +425,15 @@ func RunPerfProbe(o PerfProbeOptions) (PerfReport, error) {
 		MaxSteps:   b.MaxSteps,
 		Seed:       o.Seed,
 	}
-	if o.Workers > 1 {
-		prep := sct.RunParallel(b.Setup, sct.ParallelOptions{
-			Options: so, Workers: o.Workers, Dynamic: o.Dynamic,
-		})
-		rep.SchedulesPerSec = prep.SchedulesPerSecond()
-		rep.TotalSchedulingPoints = prep.TotalSchedulingPoints
-		for _, w := range prep.Workers {
-			rep.WorkerIterations = append(rep.WorkerIterations, w.Report.Iterations)
-		}
-		rep.Campaign = sct.NewCampaign(ccfg, &prep.Report, prep.Workers, tel)
-	} else {
-		r := sct.Run(b.Setup, so)
-		rep.SchedulesPerSec = r.SchedulesPerSecond()
-		rep.TotalSchedulingPoints = r.TotalSchedulingPoints
-		rep.WorkerIterations = []int{r.Iterations}
-		rep.Campaign = sct.NewCampaign(ccfg, &r, nil, tel)
+	prep := sct.RunParallel(b.Setup, sct.ParallelOptions{
+		Options: so, Workers: o.Workers, Dynamic: o.Dynamic,
+	})
+	rep.SchedulesPerSec = prep.SchedulesPerSecond()
+	rep.TotalSchedulingPoints = prep.TotalSchedulingPoints
+	for _, w := range prep.Workers {
+		rep.WorkerIterations = append(rep.WorkerIterations, w.Report.Iterations)
 	}
+	rep.Campaign = sct.NewCampaign(ccfg, &prep.Report, prep.Workers, tel)
 	return rep, nil
 }
 

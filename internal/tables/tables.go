@@ -252,14 +252,9 @@ func runCell(b protocols.Benchmark, mode SchedulerMode, opts Table2Options) Tabl
 		// a bug to measure the fraction of buggy schedules.
 		so.StopOnFirstBug = false
 	}
-	var rep sct.Report
-	if opts.Workers > 1 {
-		rep = sct.RunParallel(b.Setup, sct.ParallelOptions{
-			Options: so, Workers: opts.Workers, Dynamic: opts.Dynamic,
-		}).Report
-	} else {
-		rep = sct.Run(b.Setup, so)
-	}
+	rep := sct.RunParallel(b.Setup, sct.ParallelOptions{
+		Options: so, Workers: max(opts.Workers, 1), Dynamic: opts.Dynamic,
+	}).Report
 	return Table2Cell{
 		Mode:         mode,
 		Schedules:    rep.Iterations,

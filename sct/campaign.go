@@ -120,9 +120,9 @@ type StrategyBreakdown struct {
 }
 
 // NewCampaign assembles a campaign report from a merged Report, the
-// per-worker sub-reports (nil for sequential runs), and the run's Telemetry
-// accumulator (nil when telemetry was off). The environment is captured at
-// call time.
+// per-worker sub-reports (nil omits the per-strategy breakdown), and the
+// run's Telemetry accumulator (nil when telemetry was off). The environment
+// is captured at call time.
 func NewCampaign(cfg CampaignConfig, rep *Report, workers []WorkerReport, tel *Telemetry) *Campaign {
 	c := &Campaign{
 		Version: CampaignVersion,

@@ -30,9 +30,9 @@
 //
 // # Parallel portfolio exploration
 //
-// Run explores schedules one at a time; RunParallel fans the same core
-// loop out over a pool of workers, each running an independent strategy
-// instance. Two portfolio shapes are supported:
+// RunParallel is the engine: a pool of workers, each running the core loop
+// under an independent strategy instance; Run is its one-worker call, on
+// the caller's goroutine. Two portfolio shapes are supported:
 //
 //   - Homogeneous: ParallelOptions.Strategy implements Cloneable, and
 //     worker w of n receives CloneForWorker(w, n). The built-in strategies
@@ -99,17 +99,50 @@
 //
 // Both mechanisms are sound for bug finding (they skip only executions
 // equivalent to an explored one) but only relative to depth-first
-// exploration, and neither composes with fault injection (fault decisions
-// are not footprint-tracked). The engine enforces this: StateCache demands
-// a DFS or DPOR strategy and no fault budget, DPOR refuses fault injection
-// and dynamic work stealing, and psharp-test turns the same rules into
-// exit-2 flag errors. Note the paper's own Table 2 caveat applies — on
+// exploration, and neither composes with fault injection; "Option
+// compatibility" below has the rules. Note the paper's own Table 2 caveat
+// applies — on
 // protocols whose bugs hide deep in long schedules, random search finds
 // what any depth-first enumeration (reduced or not) misses; DPOR+cache is
 // the right tool when exhaustiveness or a reproducible sweep of a
 // tractable state space is the goal, and the dpor_probe gate in
 // psharp-bench holds it to at most half of random's schedules-to-bug on
 // the corpus subset where both apply.
+//
+// # Option compatibility
+//
+// ParallelOptions.Validate is the one place that says which options may be
+// combined; this is its prose form. RunParallel (and so Run) panics with
+// its error, psharp-test exits 2 with the same text, and TestOptionMatrix
+// walks the cross-product on both. What the rules need to know about a
+// strategy — depth-first? footprint-tracking? fair? — comes from the one
+// table of named strategies (strategies.go, NewStrategy); a Strategy from
+// outside the table is assumed to be none of the three. In the order
+// checked:
+//
+//   - Iterations must be positive, a Strategy or a Portfolio present (the
+//     Portfolio wins), and ShardIndex within [0, ShardCount).
+//   - Dynamic × shards: work stealing balances within one process; a
+//     sharded campaign's population is defined by its static assignment.
+//   - StateCache × faults: injected faults mutate state outside the hashed
+//     footprint, so a revisited hash no longer means a covered subtree.
+//
+// Then per worker this process starts (WorkerCount of them), on the strategy
+// the worker resolves to — so a portfolio member is held to exactly what the
+// same strategy is held to on its own:
+//
+//   - a strategy shared by several workers must implement Cloneable;
+//   - footprint-tracking (dpor) × faults: fault decisions carry no
+//     footprints, so the reduction would be unsound;
+//   - footprint-tracking (dpor) × Dynamic: reassigning iterations across
+//     workers breaks the depth-first backtracking order;
+//   - StateCache × a worker that is not depth-first (dfs, dpor): pruning
+//     revisited states only preserves coverage when the owning subtree is
+//     completed first. An all-depth-first portfolio ("dfs,dpor") passes.
+//
+// And last, so that a caller can refuse before its journal exists
+// (ErrDynamicJournal): Dynamic × Journal — ticket assignment is not a
+// function of (seed, worker), so a stolen iteration has no resumable cursor.
 //
 // # Performance model
 //
@@ -241,9 +274,7 @@
 // campaign-cumulative counters: the journaled base counters merge in
 // monotonically (sums for sums, maxes for high-water marks), and
 // Report.DistinctSchedules counts the union of journaled and new
-// fingerprints. Dynamic work stealing is refused with a journal: ticket
-// assignment is not a function of (seed, worker), so a stolen iteration
-// could not be attributed to a resumable cursor.
+// fingerprints.
 //
 // Options.Stop is the cooperative-cancellation side of the same story:
 // closing the channel (psharp-test wires SIGINT/SIGTERM to it) stops every

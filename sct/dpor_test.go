@@ -379,47 +379,3 @@ func TestDPORCursorResume(t *testing.T) {
 		t.Fatalf("resumed DPOR found %d distinct, solo %d", rest.DistinctSchedules, solo.DistinctSchedules)
 	}
 }
-
-func wantPanic(t *testing.T, why string, f func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Errorf("%s: expected a panic", why)
-		}
-	}()
-	f()
-}
-
-// TestStateCacheAndDPORRefusals pins the documented incompatibilities as
-// loud refusals rather than silent unsound runs.
-func TestStateCacheAndDPORRefusals(t *testing.T) {
-	wantPanic(t, "state cache under a non-systematic strategy", func() {
-		sct.Run(fanInSetup(2), sct.Options{
-			Strategy: sct.NewRandom(1), Iterations: 10, MaxSteps: 100,
-			StateCache: true,
-		})
-	})
-	wantPanic(t, "state cache with fault injection", func() {
-		sct.Run(fanInSetup(2), sct.Options{
-			Strategy: sct.NewDFS(), Iterations: 10, MaxSteps: 100,
-			StateCache: true, Faults: sct.FaultOptions{Budget: 1},
-		})
-	})
-	wantPanic(t, "DPOR with fault injection", func() {
-		sct.Run(fanInSetup(2), sct.Options{
-			Strategy: sct.NewDPOR(), Iterations: 10, MaxSteps: 100,
-			Faults: sct.FaultOptions{Budget: 1},
-		})
-	})
-	wantPanic(t, "parallel state cache under a portfolio with random members", func() {
-		p, err := sct.ParsePortfolio("random,dfs", 1, 100)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sct.RunParallel(fanInSetup(2), sct.ParallelOptions{
-			Options:   sct.Options{Iterations: 10, MaxSteps: 100, StateCache: true},
-			Workers:   2,
-			Portfolio: p,
-		})
-	})
-}

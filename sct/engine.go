@@ -82,9 +82,9 @@ type Options struct {
 	// to the crash-safe journal in batches (see JournalFlushEvery), counters
 	// merge monotonically across resumed runs, and a journal opened with
 	// journal.Resume preloads the prior runs' state so covered schedules are
-	// never re-executed. Incompatible with ParallelOptions.Dynamic, whose
-	// work assignment is not replayable. Journal IO errors are latched
-	// (Journal.Err), never propagated into the exploration loop.
+	// never re-executed. Journal IO errors are latched (Journal.Err), never
+	// propagated into the exploration loop. See "Option compatibility" in
+	// the package docs.
 	Journal *journal.Campaign
 	// JournalFlushEvery is the per-worker journal batching cadence in
 	// iterations; 0 selects DefaultJournalFlushEvery.
@@ -99,9 +99,8 @@ type Options struct {
 	// worker of the run: iterations that revisit an already-covered global
 	// state are cut short (pruned) instead of re-exploring its subtree.
 	// Pruned iterations are reported separately (Report.PrunedIterations)
-	// and never count toward Iterations or DistinctSchedules. Only sound
-	// with depth-first strategies — the engine panics unless every worker
-	// runs DFS or DPOR — and incompatible with fault injection.
+	// and never count toward Iterations or DistinctSchedules. See "Option
+	// compatibility" in the package docs for what it combines with.
 	StateCache bool
 	// Faults configures fault-injection nondeterminism. When Faults.Budget
 	// is positive, the engine wraps Strategy in a FaultInjector (sharded
@@ -222,14 +221,12 @@ func (s *raceSet) addAll(races []string) {
 	}
 }
 
-// shared is the state one engine run's workers cooperate through. The
-// sequential Run is the one-worker special case.
+// shared is the state one engine run's workers cooperate through.
 type shared struct {
 	opts     Options
 	start    time.Time
 	deadline time.Time // zero when Timeout is unset
-	// workers is the run's worker count (1 for sequential Run), reported in
-	// progress snapshots.
+	// workers is the run's worker count, reported in progress snapshots.
 	workers int
 
 	// stop is the cooperative cancellation flag: StopOnFirstBug, the hard
@@ -266,10 +263,12 @@ type shared struct {
 
 	// progressMu serializes Options.Progress across workers.
 	progressMu sync.Mutex
+	// wg waits for the workers started beside the caller's own.
+	wg sync.WaitGroup
 }
 
-func newShared(opts Options, start time.Time) *shared {
-	sh := &shared{opts: opts, start: start, workers: 1, budget: opts.Iterations}
+func newShared(opts Options, start time.Time, workers int) *shared {
+	sh := &shared{opts: opts, start: start, workers: workers, budget: opts.Iterations}
 	if opts.Timeout > 0 {
 		sh.deadline = start.Add(opts.Timeout)
 	}
@@ -368,14 +367,14 @@ func (sh *shared) expired() bool {
 
 // worker identifies one exploration worker and its slice of the global
 // iteration space: the worker runs local iterations 0..quota-1, and local
-// iteration i is global iteration offset + i*stride. Sequential Run uses
-// the identity mapping {0, 1, quota=Iterations}. A dynamic worker ignores
-// the static shard and instead claims global iteration tickets from the
-// shared counter until the budget is spent (work stealing).
+// iteration i is global iteration offset + i*stride (the identity mapping
+// for a lone worker). A dynamic worker ignores the static shard and instead
+// claims global iteration tickets from the shared counter until the budget
+// is spent (work stealing).
 type worker struct {
 	id       int
 	strategy Strategy
-	label    string // strategy name for sub-reports; "" in sequential runs
+	label    string // strategy name for sub-reports and progress snapshots
 	offset   int
 	stride   int
 	quota    int
@@ -407,10 +406,10 @@ func (w *worker) nextIteration(sh *shared, local int) (int, bool) {
 	return w.globalIter(local), true
 }
 
-// runWorker is the core exploration loop shared by Run and RunParallel.
-// Every worker owns a psharp.TestHarness, so runtime machinery (machine
-// instances, coroutines, queues, trace buffers) is recycled across its
-// iterations instead of rebuilt.
+// runWorker is the engine's exploration loop. Every worker owns a
+// psharp.TestHarness, so runtime machinery (machine instances, coroutines,
+// queues, trace buffers) is recycled across its iterations instead of
+// rebuilt.
 func runWorker(setup func(*psharp.Runtime), sh *shared, w worker) Report {
 	opts := sh.opts
 	var rep Report
@@ -539,68 +538,12 @@ func runWorker(setup func(*psharp.Runtime), sh *shared, w worker) Report {
 	return rep
 }
 
-// Run explores schedules of the program constructed by setup until the
+// Run is RunParallel with one worker, on the caller's goroutine: it explores
+// schedules of the program constructed by setup one at a time until the
 // iteration budget, the time budget, or the strategy's search space is
-// exhausted — or a bug is found, if StopOnFirstBug is set. Run is the
-// single-worker case of the engine's core loop; RunParallel fans the same
-// loop out over many workers.
+// exhausted — or a bug is found, if StopOnFirstBug is set.
 func Run(setup func(*psharp.Runtime), opts Options) Report {
-	if opts.Strategy == nil {
-		panic("sct: Options.Strategy is required")
-	}
-	if opts.Iterations <= 0 {
-		panic("sct: Options.Iterations must be positive")
-	}
-	start := time.Now()
-	strategy := opts.Strategy
-	if opts.Faults.Budget > 0 {
-		checkFaultable(strategy)
-		strategy = newFaultInjector(strategy, opts.Faults, 0, 1)
-	}
-	if opts.StateCache {
-		checkStateCacheable(strategy, opts.Faults.Budget)
-	}
-	sh := newShared(opts, start)
-	w := worker{id: 0, strategy: strategy, offset: 0, stride: 1, quota: opts.Iterations}
-	if opts.Journal != nil {
-		restoreCursor(opts.Journal, &w)
-	}
-	release := sh.watchStop()
-	rep := runWorker(setup, sh, w)
-	release()
-	if opts.Telemetry != nil {
-		opts.Telemetry.finish(sh)
-	}
-	rep.Elapsed = time.Since(start)
-	rep.Interrupted = sh.interruptedOutcome(&rep, opts.Iterations-w.start)
-	if sh.cache != nil {
-		rep.DistinctStates = sh.cache.size()
-	}
-	finishJournal(sh, &rep)
-	return rep
-}
-
-// checkStateCacheable panics unless strategy is one the state cache is
-// sound under — a depth-first enumerator whose lexicographic order
-// completes a state's owning subtree before any other prefix revisits it.
-func checkStateCacheable(strategy Strategy, faultBudget int) {
-	if faultBudget > 0 {
-		panic("sct: Options.StateCache cannot be combined with fault injection: injected faults mutate state outside the hashed footprint")
-	}
-	switch strategy.(type) {
-	case *DFS, *DPOR:
-	default:
-		panic(fmt.Sprintf("sct: Options.StateCache requires a depth-first strategy (DFS or DPOR), not %s: pruning revisited states is only exhaustive-preserving under depth-first enumeration", strategyName(strategy)))
-	}
-}
-
-// checkFaultable panics for strategies that cannot sit inside a
-// FaultInjector: DPOR needs the controller's StepObserver hook, which the
-// injector wrapper would hide (and fault decisions carry no footprints).
-func checkFaultable(strategy Strategy) {
-	if _, ok := strategy.(*DPOR); ok {
-		panic("sct: DPOR does not support fault injection: fault decisions are not footprint-tracked, so the reduction would be unsound")
-	}
+	return RunParallel(setup, ParallelOptions{Options: opts, Workers: 1}).Report
 }
 
 // ReplayTrace re-executes a recorded trace against the program and returns

@@ -25,7 +25,7 @@ func TestJournalWriterAllocBudget(t *testing.T) {
 	defer c.Close()
 
 	opts := Options{Strategy: NewRandom(1), Iterations: 1 << 30, Journal: c}
-	sh := newShared(opts, time.Now())
+	sh := newShared(opts, time.Now(), 1)
 	w := worker{strategy: opts.Strategy, stride: 1, quota: 1 << 30}
 	jw := newJournalWriter(sh, &w)
 

@@ -1,9 +1,9 @@
 package sct
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"github.com/psharp-go/psharp"
@@ -12,14 +12,14 @@ import (
 // ParallelOptions configures RunParallel.
 type ParallelOptions struct {
 	// Options carries the common exploration knobs. When Portfolio is nil,
-	// Options.Strategy must implement Cloneable: every worker receives
+	// every worker of several receives Options.Strategy's
 	// CloneForWorker(w, Workers), so seeds and bound parameters shard
 	// deterministically. Iterations is the *global* budget, divided across
 	// workers (worker w explores the global iterations congruent to w modulo
 	// Workers).
 	Options
 	// Workers is the number of concurrent exploration workers; 0 selects
-	// GOMAXPROCS. RunParallel(workers=1) is equivalent to Run.
+	// GOMAXPROCS (see WorkerCount). Run is the Workers=1 call.
 	Workers int
 	// Portfolio, if non-nil, assigns heterogeneous strategies to workers
 	// round-robin and overrides Options.Strategy.
@@ -39,9 +39,8 @@ type ParallelOptions struct {
 	// run to run and are not comparable to the sequential run. Every found
 	// bug still carries a trace that replays deterministically through
 	// ReplayTrace, and WorkerReport sub-reports record how many iterations
-	// each worker actually executed. Dynamic runs cannot be journaled: the
-	// ticket assignment is not replayable, so there is no well-defined
-	// cursor to resume from.
+	// each worker actually executed. See "Option compatibility" in the
+	// package docs for what Dynamic cannot be combined with.
 	Dynamic bool
 	// ShardIndex/ShardCount split one campaign across ShardCount processes:
 	// this process runs global workers ShardIndex*Workers ..
@@ -82,55 +81,125 @@ type ParallelReport struct {
 	Workers []WorkerReport
 }
 
-// RunParallel fans schedule exploration out over opts.Workers concurrent
-// workers, each running an independent strategy instance over its shard of
-// the global iteration budget, and merges the per-worker statistics into
-// one Report. Shards are static (and the run deterministic) by default;
-// opts.Dynamic switches to work-stealing ticket assignment. Cancellation is
-// cooperative and prompt: StopOnFirstBug and the hard Timeout deadline are
-// polled by every worker at every scheduling point, so a single long
-// iteration cannot keep the run alive.
-func RunParallel(setup func(*psharp.Runtime), opts ParallelOptions) ParallelReport {
-	if opts.Iterations <= 0 {
-		panic("sct: Options.Iterations must be positive")
-	}
-	shards := opts.ShardCount
-	if shards <= 0 {
-		shards = 1
-	}
-	if opts.ShardIndex < 0 || opts.ShardIndex >= shards {
-		panic(fmt.Sprintf("sct: ShardIndex %d out of range [0,%d)", opts.ShardIndex, shards))
-	}
-	if opts.Dynamic && opts.Journal != nil {
-		panic("sct: a journaled campaign requires static sharding; Dynamic work-stealing has no resumable cursor")
-	}
-	if opts.Dynamic && shards > 1 {
-		panic("sct: a sharded campaign requires static sharding; Dynamic only balances within one process")
-	}
-	n := opts.Workers
+// ErrDynamicJournal is Validate's verdict on Dynamic with a Journal. It is
+// exported, and checked last, for callers that must refuse before a journal
+// exists to put in the options: psharp-test tests the same pair on its flags
+// once Validate has passed and reports this error.
+var ErrDynamicJournal = errors.New("a journaled campaign requires static sharding: dynamic work stealing has no resumable cursor")
+
+// shards is ShardCount with its zero value resolved.
+func (o ParallelOptions) shards() int { return max(o.ShardCount, 1) }
+
+// WorkerCount resolves how many workers RunParallel starts in this process:
+// Workers, or GOMAXPROCS when that is not positive, and for an unsharded
+// run never more than Iterations (no worker starts with an empty quota).
+func (o ParallelOptions) WorkerCount() int {
+	n := o.Workers
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	if shards == 1 && n > opts.Iterations {
-		n = opts.Iterations // never start a worker with an empty quota
+	if o.shards() == 1 {
+		n = min(n, o.Iterations)
+	}
+	return n
+}
+
+// slot says which base strategy global worker gw of n runs, under which
+// label, and as which of how many workers sharing it: a portfolio deals
+// its members round-robin, a plain Strategy is shared by all n.
+func (o ParallelOptions) slot(gw, n int) (base Strategy, label string, rank, sharing int) {
+	if p := o.Portfolio; p != nil {
+		k := len(p.members)
+		m := p.members[gw%k]
+		return m.Strategy, m.Name, gw / k, shardQuota(n, gw%k, k)
+	}
+	return o.Strategy, strategyName(o.Strategy), gw, n
+}
+
+// Validate is the one rulebook of option compatibility (see the package
+// docs, "Option compatibility"): it returns the reason RunParallel — and
+// so Run — would refuse the options, or nil. Strategy rules are judged per
+// resolved worker, so a portfolio member is held to exactly what the same
+// strategy is held to on its own. The text carries no package prefix:
+// RunParallel panics with "sct: " + text, psharp-test exits 2 with
+// "psharp-test: " + text.
+func (o ParallelOptions) Validate() error {
+	shards := o.shards()
+	switch {
+	case o.Iterations <= 0:
+		return errors.New("Iterations must be positive")
+	case o.Strategy == nil && o.Portfolio == nil:
+		return errors.New("a Strategy or a Portfolio is required")
+	case o.ShardIndex < 0 || o.ShardIndex >= shards:
+		return fmt.Errorf("ShardIndex %d out of range [0,%d)", o.ShardIndex, shards)
+	case o.Dynamic && shards > 1:
+		return errors.New("a sharded campaign requires static sharding: dynamic work stealing only balances within one process")
+	case o.StateCache && o.Faults.Budget > 0:
+		return errors.New("the state cache cannot be combined with fault injection: injected faults mutate state outside the hashed footprint")
+	}
+	n := o.WorkerCount()
+	for w := 0; w < n; w++ {
+		base, label, _, sharing := o.slot(o.ShardIndex*n+w, n*shards)
+		info := infoOf(base)
+		_, cloneable := base.(Cloneable)
+		switch {
+		case sharing > 1 && !cloneable:
+			return fmt.Errorf("strategy %s (%T) is shared by %d workers but does not implement Cloneable", label, base, sharing)
+		case info.footprints && o.Faults.Budget > 0:
+			return fmt.Errorf("%s cannot be combined with fault injection: fault decisions are not footprint-tracked, so the partial-order reduction would be unsound", label)
+		case info.footprints && o.Dynamic:
+			return fmt.Errorf("%s cannot be combined with dynamic work stealing: reassigning iterations across workers breaks the depth-first backtracking order the reduction depends on", label)
+		case o.StateCache && !info.depthFirst:
+			return fmt.Errorf("the state cache requires every worker to run a depth-first strategy (dfs or dpor), not %s: pruning revisited states only preserves coverage under depth-first enumeration", label)
+		}
+	}
+	if o.Dynamic && o.Journal != nil {
+		return ErrDynamicJournal
+	}
+	return nil
+}
+
+// Unfair names the first strategy among this process's workers that
+// liveness verdicts are not sound under (see "Liveness checking and fair
+// scheduling" in the package docs), or "" when every worker is fair.
+func (o ParallelOptions) Unfair() string {
+	n := o.WorkerCount()
+	for w := 0; w < n; w++ {
+		if base, label, _, _ := o.slot(o.ShardIndex*n+w, n*o.shards()); !infoOf(base).fair {
+			return label
+		}
+	}
+	return ""
+}
+
+// RunParallel is the engine: opts.WorkerCount() workers, each running an
+// independent strategy instance over its shard of the global iteration
+// budget, explore schedules of the program constructed by setup until the
+// budget, the time budget or every strategy's search space is exhausted — or
+// a bug is found, if StopOnFirstBug is set — and their statistics merge into
+// one Report. Worker 0 runs on the caller's goroutine, so Run starts none.
+// Shards are static (and the run deterministic) by default; opts.Dynamic
+// switches to work-stealing ticket assignment. Cancellation is cooperative
+// and prompt: StopOnFirstBug and the hard Timeout deadline are polled by
+// every worker at every scheduling point, so a single long iteration cannot
+// keep the run alive. Options that Validate refuses panic with its error.
+func RunParallel(setup func(*psharp.Runtime), opts ParallelOptions) ParallelReport {
+	if err := opts.Validate(); err != nil {
+		panic("sct: " + err.Error())
 	}
 	// Workers are numbered globally across shards: this process runs global
 	// workers shardIndex*n .. shardIndex*n+n-1 of n*shards, so seed streams,
 	// portfolio assignment and fault streams shard campaign-wide and the
 	// processes jointly explore the single-process population.
-	globalWorkers := n * shards
+	n := opts.WorkerCount()
+	globalWorkers := n * opts.shards()
 	workers := make([]worker, n)
-	for w := 0; w < n; w++ {
+	planned := 0
+	for w := range workers {
 		gw := opts.ShardIndex*n + w
-		strategy, label, err := workerStrategy(opts, gw, globalWorkers)
-		if err != nil {
-			panic("sct: " + err.Error())
-		}
-		if opts.Faults.Budget > 0 {
-			checkFaultable(strategy)
-		}
-		if opts.StateCache {
-			checkStateCacheable(strategy, opts.Faults.Budget)
+		strategy, label, rank, sharing := opts.slot(gw, globalWorkers)
+		if sharing > 1 {
+			strategy = strategy.(Cloneable).CloneForWorker(rank, sharing)
 		}
 		if opts.Faults.Budget > 0 {
 			// Wrap after per-worker resolution so the injector's own fault
@@ -138,6 +207,9 @@ func RunParallel(setup func(*psharp.Runtime), opts ParallelOptions) ParallelRepo
 			strategy = newFaultInjector(strategy, opts.Faults, gw, globalWorkers)
 			label = "faults+" + label
 		}
+		// Dynamic workers ignore quota: the shared ticket counter decides how
+		// much of the budget each one executes, and progress snapshots always
+		// report the global iteration counter against the global budget.
 		workers[w] = worker{
 			id:       w,
 			strategy: strategy,
@@ -147,70 +219,44 @@ func RunParallel(setup func(*psharp.Runtime), opts ParallelOptions) ParallelRepo
 			quota:    shardQuota(opts.Iterations, gw, globalWorkers),
 			dynamic:  opts.Dynamic,
 		}
-		// Dynamic workers ignore quota: the shared ticket counter decides how
-		// much of the budget each one executes, and progress snapshots always
-		// report the global iteration counter against the global budget.
 		if opts.Journal != nil {
 			restoreCursor(opts.Journal, &workers[w])
 		}
-	}
-	planned := 0
-	for w := range workers {
-		if workers[w].quota > workers[w].start {
-			planned += workers[w].quota - workers[w].start
-		}
+		planned += max(workers[w].quota-workers[w].start, 0)
 	}
 
 	start := time.Now()
-	sh := newShared(opts.Options, start)
-	sh.workers = n
+	sh := newShared(opts.Options, start, n)
 	release := sh.watchStop()
-	out := ParallelReport{Workers: make([]WorkerReport, n)}
-	var wg sync.WaitGroup
-	for w := range workers {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			out.Workers[w] = WorkerReport{
-				Worker:   w,
-				Strategy: workers[w].label,
-				Report:   runWorker(setup, sh, workers[w]),
-			}
-		}(w)
+	reports := make([]WorkerReport, n)
+	for w := 1; w < n; w++ {
+		sh.wg.Add(1)
+		go func() {
+			defer sh.wg.Done()
+			sh.work(setup, workers[w], &reports[w])
+		}()
 	}
-	wg.Wait()
+	sh.work(setup, workers[0], &reports[0])
+	sh.wg.Wait()
 	release()
 
 	if opts.Telemetry != nil {
 		opts.Telemetry.finish(sh)
 	}
-	out.Report = mergeReports(out.Workers)
-	out.Report.DistinctSchedules = sh.fingerprints.size()
+	out := ParallelReport{Report: mergeReports(reports), Workers: reports}
+	out.DistinctSchedules = sh.fingerprints.size()
 	if sh.cache != nil {
-		out.Report.DistinctStates = sh.cache.size()
+		out.DistinctStates = sh.cache.size()
 	}
-	out.Report.Elapsed = time.Since(start)
-	out.Report.Interrupted = sh.interruptedOutcome(&out.Report, planned)
+	out.Elapsed = time.Since(start)
+	out.Interrupted = sh.interruptedOutcome(&out.Report, planned)
 	finishJournal(sh, &out.Report)
 	return out
 }
 
-// workerStrategy resolves worker w's strategy instance and display label.
-func workerStrategy(opts ParallelOptions, w, n int) (Strategy, string, error) {
-	if opts.Portfolio != nil {
-		return opts.Portfolio.assign(w, n)
-	}
-	if opts.Strategy == nil {
-		return nil, "", fmt.Errorf("ParallelOptions requires a Strategy or a Portfolio")
-	}
-	if n == 1 {
-		return opts.Strategy, strategyName(opts.Strategy), nil
-	}
-	c, ok := opts.Strategy.(Cloneable)
-	if !ok {
-		return nil, "", fmt.Errorf("strategy %T does not implement Cloneable; use a Portfolio or Workers=1", opts.Strategy)
-	}
-	return c.CloneForWorker(w, n), strategyName(opts.Strategy), nil
+// work runs one worker to completion and files its sub-report.
+func (sh *shared) work(setup func(*psharp.Runtime), w worker, out *WorkerReport) {
+	*out = WorkerReport{Worker: w.id, Strategy: w.label, Report: runWorker(setup, sh, w)}
 }
 
 // shardQuota is the number of global iterations in [0, budget) congruent to
@@ -257,28 +303,4 @@ func mergeReports(workers []WorkerReport) Report {
 	merged.Exhausted = exhausted
 	merged.Races = races.list
 	return merged
-}
-
-// strategyName labels a strategy for sub-reports and progress lines.
-func strategyName(s Strategy) string {
-	switch s := s.(type) {
-	case *FaultInjector:
-		return "faults+" + strategyName(s.inner)
-	case *Random:
-		return "random"
-	case *RandomFair:
-		return "fair"
-	case *PCT:
-		return "pct"
-	case *DelayBounding:
-		return "delay"
-	case *DFS:
-		return "dfs"
-	case *DPOR:
-		return "dpor"
-	case *Replay:
-		return "replay"
-	default:
-		return fmt.Sprintf("%T", s)
-	}
 }

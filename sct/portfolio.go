@@ -42,24 +42,6 @@ func NewPortfolio(members ...PortfolioMember) (*Portfolio, error) {
 // Size returns the number of members.
 func (p *Portfolio) Size() int { return len(p.members) }
 
-// assign resolves worker w (out of n) to a concrete strategy instance: the
-// k-th worker running member j receives member j's CloneForWorker(k, m_j),
-// where m_j is how many of the n workers share member j.
-func (p *Portfolio) assign(w, n int) (Strategy, string, error) {
-	j := w % len(p.members)
-	m := p.members[j]
-	sharing := shardQuota(n, j, len(p.members)) // workers running member j
-	if sharing <= 1 {
-		return m.Strategy, m.Name, nil
-	}
-	c, ok := m.Strategy.(Cloneable)
-	if !ok {
-		return nil, "", fmt.Errorf("portfolio member %q (%T) is shared by %d workers but does not implement Cloneable",
-			m.Name, m.Strategy, sharing)
-	}
-	return c.CloneForWorker(w/len(p.members), sharing), m.Name, nil
-}
-
 // DefaultPortfolio is the standard four-way mix the psharp-test CLI exposes
 // as -portfolio default: random, PCT (depth 3), delay-bounding (budget 2)
 // and DFS, matching the strategy roster of the paper's evaluation.
@@ -72,15 +54,13 @@ func DefaultPortfolio(seed uint64, maxSteps int) *Portfolio {
 }
 
 // ParsePortfolio builds a portfolio from a comma-separated member spec such
-// as "random,pct,delay,dfs" or "random,random,pct". Valid member names are
-// random, fair, pct, delay, dfs and dpor; "default" expands to the
-// DefaultPortfolio roster. Randomized members derive distinct seeds from the
-// base seed by member position, PCT/delay-bounding size their change/delay
-// points to maxSteps (0 falls back to 1000 expected steps), and fair's
-// random prefix defaults to half of maxSteps — when pairing a fair member
-// with liveness checking, use ParsePortfolioPrefix so the temperature
-// threshold can sit above the prefix (otherwise a threshold crossed inside
-// the random prefix is scheduler starvation, not a sound verdict).
+// as "random,pct,delay,dfs" or "random,random,pct". Members are the names
+// NewStrategy accepts, built with NewStrategy's defaults; "default" expands
+// to the DefaultPortfolio roster. Randomized members derive distinct seeds
+// from the base seed by member position (member 0 keeps the base seed, so a
+// one-member portfolio is the homogeneous run of that strategy). When
+// pairing a fair member with liveness checking, use ParsePortfolioPrefix so
+// the temperature threshold can sit above the prefix.
 func ParsePortfolio(spec string, seed uint64, maxSteps int) (*Portfolio, error) {
 	return ParsePortfolioPrefix(spec, seed, maxSteps, -1)
 }
@@ -93,37 +73,17 @@ func ParsePortfolioPrefix(spec string, seed uint64, maxSteps, fairPrefix int) (*
 	if strings.TrimSpace(spec) == "default" {
 		spec = "random,pct,delay,dfs"
 	}
-	steps := maxSteps
-	if steps <= 0 {
-		steps = 1000
-	}
-	if fairPrefix < 0 {
-		fairPrefix = steps / 2
-	}
 	var members []PortfolioMember
 	for i, name := range strings.Split(spec, ",") {
 		name = strings.TrimSpace(name)
+		if name == "" {
+			return nil, fmt.Errorf("sct: empty portfolio member in %q", spec)
+		}
 		// Distinct members get decorrelated seed streams even when the
 		// same strategy appears twice.
-		memberSeed := seed + uint64(i)*0xd1342543de82ef95
-		var s Strategy
-		switch name {
-		case "random":
-			s = NewRandom(memberSeed)
-		case "fair":
-			s = NewRandomFair(memberSeed, fairPrefix)
-		case "pct":
-			s = NewPCT(memberSeed, 3, steps)
-		case "delay":
-			s = NewDelayBounding(memberSeed, 2, steps)
-		case "dfs":
-			s = NewDFS()
-		case "dpor":
-			s = NewDPOR()
-		case "":
-			return nil, fmt.Errorf("sct: empty portfolio member in %q", spec)
-		default:
-			return nil, fmt.Errorf("sct: unknown portfolio member %q (want random, fair, pct, delay, dfs or dpor)", name)
+		s, err := NewStrategy(name, seed+uint64(i)*0xd1342543de82ef95, maxSteps, fairPrefix)
+		if err != nil {
+			return nil, fmt.Errorf("sct: unknown portfolio member %q (want %s)", name, strategyNames())
 		}
 		members = append(members, PortfolioMember{Name: name, Strategy: s})
 	}

@@ -15,10 +15,10 @@ import (
 // how much of the budget is spent.
 type Progress struct {
 	// Worker is the 0-based id of the emitting worker; Workers is the run's
-	// worker count (1 for sequential Run).
+	// worker count.
 	Worker  int `json:"worker"`
 	Workers int `json:"workers"`
-	// Strategy names the emitting worker's strategy ("" in sequential runs).
+	// Strategy names the emitting worker's strategy.
 	Strategy string `json:"strategy,omitempty"`
 	// WorkerIterations is the emitting worker's own iteration count.
 	WorkerIterations int `json:"worker_iterations"`

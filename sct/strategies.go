@@ -1,0 +1,92 @@
+package sct
+
+import (
+	"fmt"
+	"strings"
+)
+
+// strategyInfo is one row of the table of named strategies. Every place that
+// names a strategy — psharp-test -strategy, portfolio specs, worker labels,
+// ParallelOptions.Validate and Unfair — reads this table.
+type strategyInfo struct {
+	name string
+	// depthFirst: a systematic depth-first enumerator, the only kind the
+	// state cache is sound under (its order completes a state's owning
+	// subtree before another prefix revisits it).
+	// footprints: prunes by per-step footprints (DPOR). Fault decisions carry
+	// none and work stealing breaks the backtracking order: refuses both.
+	// fair: liveness verdicts are sound under it.
+	depthFirst, footprints, fair bool
+
+	build func(seed uint64, steps, fairPrefix int) Strategy
+	is    func(Strategy) bool
+}
+
+func isType[T Strategy](s Strategy) bool { _, ok := s.(T); return ok }
+
+var strategyTable = []strategyInfo{
+	{name: "random", is: isType[*Random],
+		build: func(seed uint64, _, _ int) Strategy { return NewRandom(seed) }},
+	{name: "fair", fair: true, is: isType[*RandomFair],
+		build: func(seed uint64, _, prefix int) Strategy { return NewRandomFair(seed, prefix) }},
+	{name: "pct", is: isType[*PCT],
+		build: func(seed uint64, steps, _ int) Strategy { return NewPCT(seed, 3, steps) }},
+	{name: "delay", is: isType[*DelayBounding],
+		build: func(seed uint64, steps, _ int) Strategy { return NewDelayBounding(seed, 2, steps) }},
+	{name: "dfs", depthFirst: true, is: isType[*DFS],
+		build: func(uint64, int, int) Strategy { return NewDFS() }},
+	{name: "dpor", depthFirst: true, footprints: true, is: isType[*DPOR],
+		build: func(uint64, int, int) Strategy { return NewDPOR() }},
+}
+
+// infoOf returns the table row s is an instance of; a strategy from outside
+// the table gets the zero row (no capability assumed).
+func infoOf(s Strategy) strategyInfo {
+	for _, info := range strategyTable {
+		if info.is(s) {
+			return info
+		}
+	}
+	return strategyInfo{}
+}
+
+// strategyName labels a strategy for sub-reports and progress lines.
+func strategyName(s Strategy) string {
+	if name := infoOf(s).name; name != "" {
+		return name
+	}
+	return fmt.Sprintf("%T", s)
+}
+
+// strategyNames lists the table's names for error messages: "a, b or c".
+func strategyNames() string {
+	names := make([]string, len(strategyTable))
+	for i, info := range strategyTable {
+		names[i] = info.name
+	}
+	last := len(names) - 1
+	return strings.Join(names[:last], ", ") + " or " + names[last]
+}
+
+// NewStrategy builds a strategy by name: random, fair, pct, delay, dfs or
+// dpor. PCT (depth 3) and delay-bounding (budget 2) size their change and
+// delay points to maxSteps (0 falls back to 1000 expected steps); fair's
+// random prefix is fairPrefix, negative selecting maxSteps/2 — pass the
+// prefix the liveness temperature was calibrated against, since a
+// threshold crossed inside the random prefix is scheduler starvation, not
+// a sound verdict. It is the constructor behind psharp-test -strategy and
+// behind every member of ParsePortfolio.
+func NewStrategy(name string, seed uint64, maxSteps, fairPrefix int) (Strategy, error) {
+	if maxSteps <= 0 {
+		maxSteps = 1000
+	}
+	if fairPrefix < 0 {
+		fairPrefix = maxSteps / 2
+	}
+	for _, info := range strategyTable {
+		if info.name == name {
+			return info.build(seed, maxSteps, fairPrefix), nil
+		}
+	}
+	return nil, fmt.Errorf("sct: unknown strategy %q (want %s)", name, strategyNames())
+}
