@@ -3,17 +3,59 @@
 //
 // Methods are lowered to a 3-address intermediate form and a single-entry
 // single-exit control-flow graph (the paper's Assumptions). Heap overlap
-// (may_overlap, Section 5.1) is implemented as a flow-sensitive symbolic
-// reachability analysis over abstract objects — allocation sites, parameter
-// entry objects and the receiver — with member-insensitive containment
-// edges, made method-modular by summaries (the paper's taint summaries).
-// On top of it sit the gives-up interprocedural fixpoint (Figure 5), the
+// (may_overlap, Section 5.1) is a flow-sensitive symbolic reachability
+// analysis over abstract objects — allocation sites, parameter entry
+// objects and the receiver — with member-insensitive containment edges,
+// made method-modular by summaries (the paper's taint summaries). On top of
+// it sit the gives-up interprocedural fixpoint (Figure 5), the
 // respects-ownership conditions 1-3 (Section 5.3), the cross-state analysis
 // xSA (Section 5.4), and the read-only extension (Section 8 future work).
+//
+// # The dense domain
+//
+// Every set the analysis manipulates is a row of bits over one of three
+// index spaces, each interned once per lowered Method (Method.index):
+//
+//   - variables: "this" and the reference-typed parameters, locals, temps
+//     and lifted fields, numbered in name order (so sorting indices sorts
+//     names, which fixes the order violations are reported in);
+//   - objects: 0 is the receiver's region, 1+i the region of parameter i,
+//     then one region per lifted field (xSA), then one allocation site per
+//     OpNew and OpCall node;
+//   - positions, in summaries: 0 is the receiver, 1+i parameter i — the
+//     callee's object indices below 1+len(Params), so a closed object row
+//     masked to its first words is already a set of positions.
+//
+// A method's points-to state is one slab of node × variable rows of object
+// bits holding only the state on entry to each node; out-states are
+// recomputed into a scratch row and joined into the successors. Containment
+// is an object × object bit matrix and reach is its bit closure. Taint sets
+// of the ownership check are one row of variable bits per node.
+//
+// # Why the order of evaluation does not matter
+//
+// Everything is a least fixpoint of monotone functions over finite
+// lattices: a transfer function's output only grows when its in-state, the
+// containment matrix or a callee's summary grows; containment edges are
+// only added; summaries only accumulate. Any fair evaluation order
+// therefore reaches the same solution as the naive one (every method from
+// nothing, round after round, until a quiet round — kept as the test-only
+// oracle in reference_test.go). The solver uses that freedom twice. Within
+// a method, nodes are re-evaluated only when their in-state changed, plus
+// the OpLoad and OpCall nodes (the ones that read a closure) whenever
+// containment grew. Across methods, a method is solved again only when the
+// summary of one of its callees grew, and then from the state it already
+// reached with just the affected call nodes marked, not from nothing. The
+// per-machine xSA analyzers take the class methods' lowered forms and
+// converged summaries from the base analyzer as they are: a class method
+// can only call class methods (lang/check.go resolves a call by the
+// receiver's static type), so nothing a machine's cross-state CFG adds can
+// move them.
 package analysis
 
 import (
 	"fmt"
+	"sort"
 
 	"github.com/psharp-go/psharp/lang"
 )
@@ -85,32 +127,6 @@ func (in Instr) String() string {
 	}
 }
 
-// usedRefVars returns the reference-typed variables the instruction reads
-// (the paper's vars(N) restricted to reference variables, minus the pure
-// assignment target: overwriting a variable is a kill, not a use). The
-// receiver participates in loads and stores.
-func (in Instr) usedRefVars(isRef func(string) bool) []string {
-	var out []string
-	add := func(v string) {
-		if v != "" && isRef(v) {
-			out = append(out, v)
-		}
-	}
-	add(in.Src)
-	add(in.Recv)
-	for _, a := range in.Args {
-		add(a)
-	}
-	for _, u := range in.Uses {
-		add(u)
-	}
-	switch in.Op {
-	case OpLoad, OpStore:
-		add("this")
-	}
-	return out
-}
-
 // Node is a CFG node holding exactly one instruction.
 type Node struct {
 	ID    int
@@ -136,6 +152,124 @@ type Method struct {
 	RefVar map[string]bool
 	CFG    *CFG
 	Decl   *lang.MethodDecl
+
+	// The dense index spaces (see the package comment), fixed by index once
+	// lowering is complete and shared by every analyzer that solves the
+	// method.
+	vars     []string    // variable index -> name, sorted; includes "this"
+	this     int         // index of "this" in vars
+	entryObj []int       // per variable: the object it points to on entry, or -1
+	objs     int         // number of abstract objects
+	nodes    []nodeIndex // per node ID
+	readers  []int       // IDs of the evaluated nodes whose transfer reads a closure (OpLoad, OpCall)
+}
+
+// evaluated reports whether the solver ever applies n's transfer function.
+// A node other than the entry with no predecessor heads a chain of dead code
+// (statements behind a return): it is never evaluated and passes nothing
+// on, while the nodes behind it are evaluated, from the empty state.
+func (m *Method) evaluated(n *Node) bool {
+	return n == m.CFG.Entry || len(n.Preds) > 0
+}
+
+// nodeIndex is one node's operands resolved to variable indices; -1 stands
+// for an operand that is absent or not a reference variable.
+type nodeIndex struct {
+	dst, src int
+	// argv is an OpCall's receiver followed by its arguments, so that
+	// argv[p] is the variable bound to position p of the callee's summary.
+	argv []int
+	// uses lists the reference variables the node reads (the paper's
+	// vars(N) restricted to reference variables, minus the pure assignment
+	// target: overwriting a variable is a kill, not a use): Src, the
+	// receiver, the arguments, Instr.Uses, and "this" for loads and stores.
+	uses   []int
+	callee string // OpCall: the callee's "Holder.Name"
+	alloc  int    // OpNew, OpCall: the node's allocation-site object
+}
+
+// index interns the method's variables and abstract objects and resolves
+// every node's operands.
+func (m *Method) index() {
+	m.vars = []string{"this"}
+	for v, ref := range m.RefVar {
+		if ref {
+			m.vars = append(m.vars, v)
+		}
+	}
+	sort.Strings(m.vars)
+	idx := make(map[string]int, len(m.vars))
+	for i, v := range m.vars {
+		idx[v] = i
+	}
+	of := func(v string) int {
+		if i, ok := idx[v]; ok {
+			return i
+		}
+		return -1
+	}
+	m.this = idx["this"]
+	m.entryObj = make([]int, len(m.vars))
+	for i := range m.entryObj {
+		m.entryObj[i] = -1
+	}
+	m.entryObj[m.this] = 0
+	for i, p := range m.Params {
+		if v := of(p); v >= 0 {
+			m.entryObj[v] = 1 + i
+		}
+	}
+	m.objs = 1 + len(m.Params)
+	// In xSA mode, machine-level field variables start as fresh unknown
+	// regions (distinct abstract objects), modeling arbitrary prior state.
+	for i, v := range m.vars {
+		if v[0] == '$' {
+			m.entryObj[i] = m.objs
+			m.objs++
+		}
+	}
+	m.nodes = make([]nodeIndex, len(m.CFG.Nodes))
+	var arena []int // backs every argv and uses; earlier slices stay valid when it grows
+	use := func(v string) {
+		if i := of(v); i >= 0 {
+			arena = append(arena, i)
+		}
+	}
+	for _, n := range m.CFG.Nodes {
+		ins, x := &n.Instr, &m.nodes[n.ID]
+		x.dst, x.src = of(ins.Dst), of(ins.Src)
+		start := len(arena)
+		if ins.Op == OpCall {
+			arena = append(arena, of(ins.Recv))
+			for _, a := range ins.Args {
+				arena = append(arena, of(a))
+			}
+			x.argv = arena[start:len(arena):len(arena)]
+			x.callee = ins.Class + "." + ins.Method
+			start = len(arena)
+		}
+		use(ins.Src)
+		use(ins.Recv)
+		for _, a := range ins.Args {
+			use(a)
+		}
+		for _, u := range ins.Uses {
+			use(u)
+		}
+		switch ins.Op {
+		case OpLoad, OpStore:
+			use("this")
+		}
+		x.uses = arena[start:len(arena):len(arena)]
+		switch ins.Op {
+		case OpNew, OpCall:
+			x.alloc = m.objs
+			m.objs++
+		}
+		if (ins.Op == OpLoad || ins.Op == OpCall) && m.evaluated(n) {
+			m.readers = append(m.readers, n.ID)
+		}
+	}
 }
 
 // QName returns Holder.Name.
@@ -486,6 +620,7 @@ func BuildMethod(prog *lang.Program, holderName string, decl *lang.MethodDecl) *
 		}
 	}
 	m.CFG = &CFG{Entry: entry, Exit: exit, Nodes: lo.nodes}
+	m.index()
 	return m
 }
 

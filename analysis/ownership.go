@@ -60,31 +60,69 @@ func (r *Result) Verified() bool { return len(r.Violations) == 0 }
 
 // Analyze runs the static data-race analysis on a checked program.
 func Analyze(prog *lang.Program, opts Options) *Result {
-	a := newAnalyzer(prog, false)
-	a.runFixpoint()
+	return solveBase(prog).check(opts)
+}
 
+// GivesUp computes the give-up sets of every method (Figure 5), keyed by
+// "Holder.Method", with formal parameter names as values; exported for
+// tests and the psharp-analyze tool.
+func GivesUp(prog *lang.Program) map[string][]string {
+	return solveBase(prog).givesUp()
+}
+
+// AnalyzeGivesUp returns what Analyze and GivesUp return, from one solution
+// of the base summary fixpoint.
+func AnalyzeGivesUp(prog *lang.Program, opts Options) (*Result, map[string][]string) {
+	a := solveBase(prog)
+	return a.check(opts), a.givesUp()
+}
+
+// solveBase builds the base method universe — all class methods, all
+// machine methods, and a synthetic method per state entry block — and
+// solves it.
+func solveBase(prog *lang.Program) *analyzer {
+	a := &analyzer{prog: prog, units: make(map[string]*methodAnalysis)}
+	for _, cd := range prog.Classes {
+		for _, m := range cd.Methods {
+			a.add(BuildMethod(prog, cd.Name, m))
+		}
+	}
+	a.classUnits = len(a.order)
+	for _, md := range prog.Machines {
+		for _, m := range md.Methods {
+			a.add(BuildMethod(prog, md.Name, m))
+		}
+		for _, s := range md.States {
+			if s.Entry != nil {
+				decl := &lang.MethodDecl{Name: "$entry_" + s.Name, Body: s.Entry, Pos: s.Pos}
+				a.add(BuildMethod(prog, md.Name, decl))
+			}
+		}
+	}
+	a.runFixpoint()
+	return a
+}
+
+// check evaluates the ownership conditions on the solved base analyzer.
+func (a *analyzer) check(opts Options) *Result {
 	res := &Result{}
-	perMachine := make(map[string][]Violation)
-	for _, md := range sortedMachines(prog) {
+	var flagged []*lang.MachineDecl
+	for _, md := range sortedMachines(a.prog) {
 		vs := a.checkMachine(md.Name)
-		perMachine[md.Name] = vs
+		if len(vs) > 0 {
+			flagged = append(flagged, md)
+		}
 		res.BaseViolations = append(res.BaseViolations, vs...)
 	}
 
 	final := res.BaseViolations
 	if opts.XSA {
 		final = nil
-		for _, md := range sortedMachines(prog) {
-			if len(perMachine[md.Name]) == 0 {
-				continue
-			}
+		for _, md := range flagged {
 			// Re-analyze the machine on its cross-state CFG; only the
 			// violations that persist there are reported (xSA is sound, so
 			// discarding the others is safe).
-			x := newAnalyzer(prog, true)
-			x.installMachineCFG(md)
-			x.runFixpoint()
-			final = append(final, x.checkMachine(md.Name)...)
+			final = append(final, a.crossState(md).checkMachine(md.Name)...)
 		}
 	}
 
@@ -103,24 +141,17 @@ func Analyze(prog *lang.Program, opts Options) *Result {
 	return res
 }
 
-// GivesUp computes the give-up sets of every method (Figure 5), keyed by
-// "Holder.Method", with formal parameter names as values; exported for
-// tests and the psharp-analyze tool.
-func GivesUp(prog *lang.Program) map[string][]string {
-	a := newAnalyzer(prog, false)
-	a.runFixpoint()
+func (a *analyzer) givesUp() map[string][]string {
 	out := make(map[string][]string)
-	for name, m := range a.methods {
-		sum := a.summaryOf(m.Holder, m.Name)
+	for _, ma := range a.order {
 		var params []string
-		for pos := range sum.GivesUp {
-			if pos >= 0 && pos < len(m.Params) {
-				params = append(params, m.Params[pos])
-			}
+		g := ma.sum.givesUp
+		for pos := g.next(1); pos >= 0; pos = g.next(pos + 1) {
+			params = append(params, ma.method.Params[pos-1])
 		}
 		sort.Strings(params)
 		if len(params) > 0 {
-			out[name] = params
+			out[ma.name] = params
 		}
 	}
 	return out
@@ -132,71 +163,31 @@ func sortedMachines(prog *lang.Program) []*lang.MachineDecl {
 	return out
 }
 
-// newAnalyzer builds the method universe: all class methods, all machine
-// methods, and a synthetic method per state entry block. In lifted mode the
-// machine methods are replaced later by installMachineCFG.
-func newAnalyzer(prog *lang.Program, lifted bool) *analyzer {
-	a := &analyzer{
-		prog:    prog,
-		methods: make(map[string]*Method),
-		summary: make(map[string]*Summary),
-		results: make(map[string]*methodAnalysis),
-	}
-	for _, cd := range prog.Classes {
-		for _, m := range cd.Methods {
-			mm := BuildMethod(prog, cd.Name, m)
-			a.methods[mm.QName()] = mm
-		}
-	}
-	if !lifted {
-		for _, md := range prog.Machines {
-			for _, m := range md.Methods {
-				mm := BuildMethod(prog, md.Name, m)
-				a.methods[mm.QName()] = mm
-			}
-			for _, s := range md.States {
-				if s.Entry != nil {
-					decl := &lang.MethodDecl{Name: "$entry_" + s.Name, Body: s.Entry, Pos: s.Pos}
-					mm := BuildMethod(prog, md.Name, decl)
-					a.methods[mm.QName()] = mm
-				}
-			}
-		}
-	}
-	return a
-}
-
-// checkMachine runs the respects-ownership conditions over every analyzed
-// method belonging to the machine.
+// checkMachine runs the respects-ownership conditions over every method the
+// analyzer solved for the machine, in name order.
 func (a *analyzer) checkMachine(machine string) []Violation {
-	var out []Violation
-	names := make([]string, 0, len(a.methods))
-	for name, m := range a.methods {
-		if m.Holder == machine {
-			names = append(names, name)
+	var units []*methodAnalysis
+	for _, ma := range a.order {
+		if ma.method.Holder == machine {
+			units = append(units, ma)
 		}
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		out = append(out, a.checkMethod(a.methods[name])...)
+	sort.Slice(units, func(i, j int) bool { return units[i].name < units[j].name })
+	var out []Violation
+	for _, ma := range units {
+		out = ma.checkMethod(out)
 	}
 	return out
 }
 
-// checkMethod applies conditions 1-3 at every give-up site of the method.
-func (a *analyzer) checkMethod(m *Method) []Violation {
-	ma := a.results[m.QName()]
-	if ma == nil {
-		return nil
-	}
-	var out []Violation
-	reachable := cfgReachability(m.CFG)
-	for _, n := range m.CFG.Nodes {
-		for _, w := range a.giveUpVarsAt(n) {
-			if w == "" || !m.IsRef(w) {
-				continue
-			}
-			if v, bad := a.checkGiveUp(m, ma, n, w, reachable); bad {
+// checkMethod applies conditions 1-3 at every give-up site of the method,
+// appending the violations to out.
+func (ma *methodAnalysis) checkMethod(out []Violation) []Violation {
+	for _, n := range ma.method.CFG.Nodes {
+		// checkGiveUp's taint pass does not call giveUpVarsAt, so the
+		// result stays valid across the loop.
+		for _, w := range ma.giveUpVarsAt(n) {
+			if v, bad := ma.checkGiveUp(n, w); bad {
 				out = append(out, v)
 			}
 		}
@@ -206,32 +197,30 @@ func (a *analyzer) checkMethod(m *Method) []Violation {
 
 // checkGiveUp evaluates the three respects-ownership conditions for giving
 // up variable w at node n.
-func (a *analyzer) checkGiveUp(m *Method, ma *methodAnalysis, n *Node, w string, reachable map[int]map[int]bool) (Violation, bool) {
-	give := ma.reachVarIn(n.ID, w)
-	if len(give) == 0 {
+func (ma *methodAnalysis) checkGiveUp(n *Node, w int) (Violation, bool) {
+	m := ma.method
+	give := ma.reachVarIn(ma.give, n.ID, w)
+	if give.empty() {
 		return Violation{}, false // provably null payload
 	}
 	v := Violation{
 		Machine: m.Holder,
 		Method:  m.Name,
 		Pos:     n.Instr.Pos,
-		Give:    w,
+		Give:    m.vars[w],
 		Event:   n.Instr.Event,
 	}
 
 	// Condition 2 first: w must not be this, and no other variable at the
 	// site may alias the given-up region.
-	if w == "this" {
+	if w == m.this {
 		v.Conditions = append(v.Conditions, 2)
 		v.Detail = "the receiver itself is given up"
 	} else {
-		for _, other := range n.Instr.usedRefVars(m.IsRef) {
-			if other == w {
-				continue
-			}
-			if ma.reachVarIn(n.ID, other).intersects(give) {
+		for _, other := range m.nodes[n.ID].uses {
+			if other != w && ma.reachVarIn(ma.tmp, n.ID, other).intersects(give) {
 				v.Conditions = append(v.Conditions, 2)
-				v.Detail = fmt.Sprintf("%q aliases the given-up payload at the give-up site", other)
+				v.Detail = fmt.Sprintf("%q aliases the given-up payload at the give-up site", m.vars[other])
 				break
 			}
 		}
@@ -239,7 +228,7 @@ func (a *analyzer) checkGiveUp(m *Method, ma *methodAnalysis, n *Node, w string,
 
 	// Condition 1: the receiver must not reach the given-up region (a later
 	// state could access it through a field).
-	if w != "this" && ma.reachVarIn(n.ID, "this").intersects(give) {
+	if w != m.this && ma.reachVarIn(ma.tmp, n.ID, m.this).intersects(give) {
 		v.Conditions = append(v.Conditions, 1)
 		if v.Detail == "" {
 			v.Detail = "the machine can still reach the payload through its fields"
@@ -250,30 +239,28 @@ func (a *analyzer) checkGiveUp(m *Method, ma *methodAnalysis, n *Node, w string,
 	// hold the payload. Evaluated with a forward taint pass so that strong
 	// updates (and xSA's lifted fields) properly kill stale aliases. The
 	// pass also records whether any tainted use is a write, which gates the
-	// read-only extension.
-	taint := a.taintForward(m, ma, n, give)
+	// read-only extension. Only nodes on a path from n get a non-empty
+	// taint row, so no separate CFG reachability is needed.
+	ma.taintForward(n, give)
 	cond3 := false
 	for _, n2 := range m.CFG.Nodes {
-		if !reachable[n.ID][n2.ID] {
+		tset := ma.taintRow(n2.ID)
+		if tset.empty() {
 			continue
 		}
-		tset := taint[n2.ID]
-		if len(tset) == 0 {
-			continue
-		}
-		for _, used := range n2.Instr.usedRefVars(m.IsRef) {
-			if tset[used] {
+		for _, used := range m.nodes[n2.ID].uses {
+			if tset.has(used) {
 				if !cond3 {
 					cond3 = true
 					v.Conditions = append(v.Conditions, 3)
 					if v.Detail == "" {
-						v.Detail = fmt.Sprintf("%q is used at %s after the payload was given up", used, n2.Instr.Pos)
+						v.Detail = fmt.Sprintf("%q is used at %s after the payload was given up", m.vars[used], n2.Instr.Pos)
 					}
 				}
 				break
 			}
 		}
-		if a.isWritingUse(m, n2, tset) {
+		if ma.isWritingUse(n2, tset) {
 			v.WritesAfter = true
 		}
 	}
@@ -285,141 +272,116 @@ func (a *analyzer) checkGiveUp(m *Method, ma *methodAnalysis, n *Node, w string,
 	return v, true
 }
 
+func (ma *methodAnalysis) taintRow(id int) bitset {
+	vw := len(ma.taintOut)
+	return ma.taint[id*vw : (id+1)*vw]
+}
+
 // taintForward propagates "holds given-up data" forward from node n, where
 // the seed is every variable whose reachable region overlaps give. Strong
 // assignments kill taint; stores taint this (member-insensitively); calls
-// propagate through summaries. Returns taint-at-entry per node.
-func (a *analyzer) taintForward(m *Method, ma *methodAnalysis, n *Node, give objSet) map[int]map[string]bool {
-	seed := make(map[string]bool)
-	for v := range ma.in[n.ID] {
-		if !m.IsRef(v) {
-			continue
-		}
-		if ma.reachVarIn(n.ID, v).intersects(give) {
-			seed[v] = true
+// propagate through summaries. Leaves taint-at-entry per node in ma.taint.
+// The transfer function is monotone and maps no taint to no taint, so
+// propagating on change alone reaches the least fixpoint.
+func (ma *methodAnalysis) taintForward(n *Node, give bitset) {
+	m := ma.method
+	if ma.taint == nil {
+		vw := words(len(m.vars))
+		ma.taint, ma.taintOut = make([]uint64, len(m.CFG.Nodes)*vw), make(bitset, vw)
+	}
+	clear(ma.taint)
+	seed := ma.taintOut
+	clear(seed)
+	for v := range m.vars {
+		if ma.reachVarIn(ma.tmp, n.ID, v).intersects(give) {
+			seed.set(v)
 		}
 	}
-	taintIn := make(map[int]map[string]bool)
 	// The seed applies at the exit of n, i.e. at the entry of its succs.
-	work := make([]*Node, 0, len(n.Succs))
+	again := false
 	for _, s := range n.Succs {
-		taintIn[s.ID] = cloneSet(seed)
-		work = append(work, s)
+		if ma.taintRow(s.ID).or(seed) {
+			ma.dirty[s.ID], again = true, true
+		}
 	}
-	for len(work) > 0 {
-		cur := work[0]
-		work = work[1:]
-		out := a.taintTransfer(m, ma, cur, taintIn[cur.ID])
-		for _, s := range cur.Succs {
-			dst, ok := taintIn[s.ID]
-			if !ok {
-				taintIn[s.ID] = cloneSet(out)
-				work = append(work, s)
+	for again {
+		again = false
+		for id, cur := range m.CFG.Nodes {
+			if !ma.dirty[id] {
 				continue
 			}
-			changed := false
-			for v := range out {
-				if !dst[v] {
-					dst[v] = true
-					changed = true
+			ma.dirty[id] = false
+			out := ma.taintTransfer(cur, ma.taintRow(id))
+			for _, s := range cur.Succs {
+				if ma.taintRow(s.ID).or(out) {
+					ma.dirty[s.ID] = true
+					again = again || s.ID <= id
 				}
 			}
-			if changed {
-				work = append(work, s)
-			}
 		}
 	}
-	return taintIn
 }
 
-func cloneSet(s map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(s))
-	for k := range s {
-		out[k] = true
+// taintTransfer applies one instruction to a taint set; the result is valid
+// until the next call.
+func (ma *methodAnalysis) taintTransfer(n *Node, in bitset) bitset {
+	x, out := &ma.method.nodes[n.ID], ma.taintOut
+	copy(out, in)
+	if x.dst >= 0 {
+		// A strong update: whatever the destination held is gone.
+		out.unset(x.dst)
 	}
-	return out
-}
-
-// taintTransfer applies one instruction to a taint set.
-func (a *analyzer) taintTransfer(m *Method, ma *methodAnalysis, n *Node, in map[string]bool) map[string]bool {
-	out := cloneSet(in)
-	ins := n.Instr
-	switch ins.Op {
+	tainted := func(v int) bool { return v >= 0 && in.has(v) }
+	switch n.Instr.Op {
 	case OpAssign:
-		if m.IsRef(ins.Dst) {
-			if in[ins.Src] {
-				out[ins.Dst] = true
-			} else {
-				delete(out, ins.Dst)
-			}
+		if x.dst >= 0 && tainted(x.src) {
+			out.set(x.dst)
 		}
-	case OpConst, OpNew:
-		delete(out, ins.Dst)
 	case OpLoad:
-		if in["this"] {
-			out[ins.Dst] = true
-		} else {
-			delete(out, ins.Dst)
+		if x.dst >= 0 && in.has(ma.method.this) {
+			out.set(x.dst)
 		}
 	case OpStore:
-		if in[ins.Src] {
-			out["this"] = true
+		if tainted(x.src) {
+			out.set(ma.method.this)
 		}
-	case OpCreate:
-		delete(out, ins.Dst)
 	case OpCall:
-		callee := a.methodOf(ins.Class, ins.Method)
-		argOf := func(pos int) string {
-			if pos == posThis {
-				return ins.Recv
-			}
-			if pos >= 0 && pos < len(ins.Args) {
-				return ins.Args[pos]
-			}
-			return ""
-		}
+		callee := ma.callees[n.ID]
 		if callee == nil {
 			// Unknown callee: taint spreads to everything involved.
-			any := in[ins.Recv]
-			for _, arg := range ins.Args {
-				if in[arg] {
-					any = true
-				}
+			any := false
+			for _, v := range x.argv {
+				any = any || tainted(v)
 			}
 			if any {
-				out[ins.Recv] = true
-				for _, arg := range ins.Args {
-					if m.IsRef(arg) {
-						out[arg] = true
+				for _, v := range x.argv {
+					if v >= 0 {
+						out.set(v)
 					}
 				}
-				if ins.Dst != "" && m.IsRef(ins.Dst) {
-					out[ins.Dst] = true
+				if x.dst >= 0 {
+					out.set(x.dst)
 				}
-			} else if ins.Dst != "" {
-				delete(out, ins.Dst)
 			}
 			break
 		}
-		sum := a.summaryOf(ins.Class, ins.Method)
-		for from, tos := range sum.Links {
-			for to := range tos {
-				if in[argOf(to)] && argOf(from) != "" && m.IsRef(argOf(from)) {
-					out[argOf(from)] = true
+		sum := &callee.sum
+		for from := 0; from < sum.np; from++ {
+			if x.argv[from] < 0 {
+				continue
+			}
+			links := sum.linkRow(from)
+			for to := links.next(0); to >= 0; to = links.next(to + 1) {
+				if tainted(x.argv[to]) {
+					out.set(x.argv[from])
 				}
 			}
 		}
-		if ins.Dst != "" && m.IsRef(ins.Dst) {
-			tainted := false
-			for pos := range sum.RetSources {
-				if in[argOf(pos)] {
-					tainted = true
+		if x.dst >= 0 {
+			for pos := sum.ret.next(0); pos >= 0; pos = sum.ret.next(pos + 1) {
+				if tainted(x.argv[pos]) {
+					out.set(x.dst)
 				}
-			}
-			if tainted {
-				out[ins.Dst] = true
-			} else {
-				delete(out, ins.Dst)
 			}
 		}
 	}
@@ -429,57 +391,30 @@ func (a *analyzer) taintTransfer(m *Method, ma *methodAnalysis, n *Node, in map[
 // isWritingUse reports whether node n may write the region held by a
 // tainted variable: a field store through a tainted receiver, or a call
 // whose writing position is bound to a tainted variable.
-func (a *analyzer) isWritingUse(m *Method, n *Node, tainted map[string]bool) bool {
-	ins := n.Instr
-	switch ins.Op {
+func (ma *methodAnalysis) isWritingUse(n *Node, tainted bitset) bool {
+	x := &ma.method.nodes[n.ID]
+	switch n.Instr.Op {
 	case OpStore:
-		return tainted["this"]
+		return tainted.has(ma.method.this)
 	case OpCall:
-		callee := a.methodOf(ins.Class, ins.Method)
+		callee := ma.callees[n.ID]
 		if callee == nil {
 			// Unknown callee: assume it writes whatever it can reach.
-			if tainted[ins.Recv] {
-				return true
-			}
-			for _, arg := range ins.Args {
-				if tainted[arg] {
+			for _, v := range x.argv {
+				if v >= 0 && tainted.has(v) {
 					return true
 				}
 			}
 			return false
 		}
-		sum := a.summaryOf(ins.Class, ins.Method)
-		for pos := range sum.Writes {
-			v := ins.Recv
-			if pos >= 0 && pos < len(ins.Args) {
-				v = ins.Args[pos]
-			}
-			if tainted[v] {
+		w := callee.sum.writes
+		for pos := w.next(0); pos >= 0; pos = w.next(pos + 1) {
+			if v := x.argv[pos]; v >= 0 && tainted.has(v) {
 				return true
 			}
 		}
 	}
 	return false
-}
-
-// cfgReachability computes can-reach-via-at-least-one-edge per node pair.
-func cfgReachability(cfg *CFG) map[int]map[int]bool {
-	out := make(map[int]map[int]bool, len(cfg.Nodes))
-	for _, n := range cfg.Nodes {
-		seen := make(map[int]bool)
-		stack := append([]*Node(nil), n.Succs...)
-		for len(stack) > 0 {
-			cur := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if seen[cur.ID] {
-				continue
-			}
-			seen[cur.ID] = true
-			stack = append(stack, cur.Succs...)
-		}
-		out[n.ID] = seen
-	}
-	return out
 }
 
 // eventReadOnly reports whether every handler of the event, across every
@@ -497,12 +432,9 @@ func (a *analyzer) eventReadOnly(event string) bool {
 			if decl == nil || len(decl.Params) == 0 || decl.Params[0].Type.IsScalar() {
 				continue // no payload access at all
 			}
-			sum := a.summaryOf(md.Name, meth)
-			if sum.Writes[0] {
-				return false
-			}
-			// Stored into machine state?
-			if tos, ok := sum.Links[posThis]; ok && tos[0] {
+			// Written, or stored into machine state?
+			sum := &a.units[md.Name+"."+meth].sum
+			if sum.writes.has(1) || sum.linkRow(0).has(1) {
 				return false
 			}
 		}

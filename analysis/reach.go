@@ -1,569 +1,478 @@
 package analysis
 
 import (
-	"sort"
+	"math/bits"
 
 	"github.com/psharp-go/psharp/lang"
 )
 
-// objKind classifies abstract heap objects. Member insensitivity (paper
-// Section 5.1: "we taint the whole object instead") means one abstract node
-// stands for the entire region reachable from its source.
-type objKind int
+// bitset is a dense row of bits over one of a method's index spaces
+// (variables, objects, positions, nodes); rows of one space have one length.
+type bitset []uint64
 
-const (
-	objParam objKind = iota // the region reachable from a formal parameter at entry
-	objThis                 // the region reachable from the receiver
-	objAlloc                // an allocation site
-)
+func words(n int) int { return (n + 63) >> 6 }
 
-// obj is an abstract heap object.
-type obj struct {
-	kind objKind
-	idx  int // parameter index, or allocating node ID
-}
+func (b bitset) has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
+func (b bitset) set(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
+func (b bitset) unset(i int)    { b[i>>6] &^= 1 << (uint(i) & 63) }
 
-// objSet is a small set of abstract objects.
-type objSet map[obj]bool
-
-func (s objSet) clone() objSet {
-	out := make(objSet, len(s))
-	for o := range s {
-		out[o] = true
-	}
-	return out
-}
-
-func (s objSet) addAll(other objSet) bool {
+// or joins other's leading len(b) words into b; reports change.
+func (b bitset) or(other bitset) bool {
 	changed := false
-	for o := range other {
-		if !s[o] {
-			s[o] = true
+	for i := range b {
+		if w := other[i]; w&^b[i] != 0 {
+			b[i] |= w
 			changed = true
 		}
 	}
 	return changed
 }
 
-func (s objSet) intersects(other objSet) bool {
-	for o := range s {
-		if other[o] {
+func (b bitset) intersects(other bitset) bool {
+	for i, w := range b {
+		if w&other[i] != 0 {
 			return true
 		}
 	}
 	return false
 }
 
-// Positions in method summaries: parameters are 0..n-1.
-const (
-	posThis = -1
-)
-
-// Summary is a method's modular abstraction (the paper's taint summary
-// plus the gives-up and writes sets).
-type Summary struct {
-	// Links[i] lists positions whose objects may become reachable from
-	// position i's object after the call (containment i -> j).
-	Links map[int]map[int]bool
-	// RetSources lists positions the return value may reach; RetFresh says
-	// the return value may be a fresh allocation.
-	RetSources map[int]bool
-	RetFresh   bool
-	// GivesUp marks parameter positions whose ownership the method
-	// transfers away (Figure 5); posThis is possible too.
-	GivesUp map[int]bool
-	// Writes marks positions whose object may have a field written
-	// (transitively); used by the read-only extension.
-	Writes map[int]bool
-}
-
-func newSummary() *Summary {
-	return &Summary{
-		Links:      make(map[int]map[int]bool),
-		RetSources: make(map[int]bool),
-		GivesUp:    make(map[int]bool),
-		Writes:     make(map[int]bool),
+func (b bitset) empty() bool {
+	for _, w := range b {
+		if w != 0 {
+			return false
+		}
 	}
-}
-
-func (s *Summary) link(from, to int) bool {
-	m, ok := s.Links[from]
-	if !ok {
-		m = make(map[int]bool)
-		s.Links[from] = m
-	}
-	if m[to] {
-		return false
-	}
-	m[to] = true
 	return true
 }
 
-// varPts maps variables to their points-to sets at a program point.
-type varPts map[string]objSet
-
-func (p varPts) clone() varPts {
-	out := make(varPts, len(p))
-	for v, s := range p {
-		out[v] = s.clone()
+// next returns the smallest member >= i, or -1. The loop
+// for i := b.next(0); i >= 0; i = b.next(i + 1) visits the members in order.
+func (b bitset) next(i int) int {
+	for k := i >> 6; k < len(b); k++ {
+		w := b[k]
+		if k == i>>6 {
+			w &= ^uint64(0) << (uint(i) & 63)
+		}
+		if w != 0 {
+			return k<<6 + bits.TrailingZeros64(w)
+		}
 	}
-	return out
+	return -1
 }
 
-func (p varPts) get(v string) objSet {
-	if s, ok := p[v]; ok {
+// summary is a method's modular abstraction (the paper's taint summary plus
+// the gives-up and writes sets), as bit rows over positions: 0 is the
+// receiver, 1+i parameter i. Member insensitivity (paper Section 5.1: "we
+// taint the whole object instead") means one position stands for the entire
+// region reachable from it on entry. Summaries only ever grow.
+type summary struct {
+	np int // number of positions, 1+len(Params)
+	// links holds np rows: row p lists the positions whose objects may
+	// become reachable from position p's object after the call.
+	links []uint64
+	// ret lists the positions the return value may reach; retFresh says it
+	// may be a fresh allocation.
+	ret      bitset
+	retFresh bool
+	// givesUp marks the positions whose ownership the method transfers
+	// away (Figure 5); the receiver is possible too.
+	givesUp bitset
+	// writes marks the positions whose object may have a field written
+	// (transitively); used by the read-only extension.
+	writes bitset
+}
+
+func (s *summary) linkRow(p int) bitset {
+	pw := words(s.np)
+	return s.links[p*pw : (p+1)*pw]
+}
+
+// methodAnalysis is one method as one analyzer solves it: the dense
+// points-to state, the containment matrix, the summary, and the scratch
+// rows of the solver and of the ownership check.
+type methodAnalysis struct {
+	name   string // Holder.Name
+	method *Method
+	sum    summary
+	// callees is indexed by node ID: the unit an evaluated OpCall resolves
+	// to in this analyzer, nil for an unknown callee and every other node.
+	callees []*methodAnalysis
+
+	w      int // words per object row
+	stride int // words per state: len(method.vars) * w
+	// in holds the points-to state on entry to each node, node-major:
+	// variable v at node id is in[id*stride+v*w:][:w]. Nodes the solver
+	// never reaches keep all-zero states.
+	in []uint64
+	// out is the scratch state transfer writes.
+	out []uint64
+	// contains is the monotone containment relation over abstract objects
+	// (member-insensitive heap edges): row o lists what o may contain.
+	contains []uint64
+	grew     bool // a containment edge was added since the solver last looked
+	// dirty marks the nodes the solver still has to evaluate; the ownership
+	// check reuses it, all false again, for its taint pass.
+	dirty  []bool
+	queued bool // in runFixpoint's worklist
+
+	give, tmp, todo bitset // object rows: checkGiveUp's payload region, closures, closure's frontier
+
+	// Taint rows (variable bits) of the ownership check, made on first use:
+	// one per node, and the scratch row taintTransfer writes.
+	taint    []uint64
+	taintOut bitset
+	giveVars []int // giveUpVarsAt's result
+}
+
+// pts returns variable v's points-to row in a state.
+func (ma *methodAnalysis) pts(state []uint64, v int) bitset {
+	return state[v*ma.w : (v+1)*ma.w]
+}
+
+func (ma *methodAnalysis) inState(id int) []uint64 {
+	return ma.in[id*ma.stride : (id+1)*ma.stride]
+}
+
+// closure closes an object row under containment, in place.
+func (ma *methodAnalysis) closure(s bitset) {
+	todo := ma.todo
+	copy(todo, s)
+	for o := todo.next(0); o >= 0; o = todo.next(0) {
+		todo.unset(o)
+		for k, c := range ma.contains[o*ma.w : (o+1)*ma.w] {
+			fresh := c &^ s[k]
+			s[k] |= fresh
+			todo[k] |= fresh
+		}
+	}
+}
+
+// reachVarIn returns, in dst, the closure of v's points-to set on entry to
+// node id; v < 0 (not a reference variable) reaches nothing.
+func (ma *methodAnalysis) reachVarIn(dst bitset, id, v int) bitset {
+	clear(dst)
+	if v >= 0 {
+		copy(dst, ma.pts(ma.inState(id), v))
+		ma.closure(dst)
+	}
+	return dst
+}
+
+// contain makes every object of containers contain every object of
+// contents (but not itself).
+func (ma *methodAnalysis) contain(containers, contents bitset) {
+	for o := containers.next(0); o >= 0; o = containers.next(o + 1) {
+		row := ma.contains[o*ma.w : (o+1)*ma.w]
+		for k, c := range contents {
+			if k == o>>6 {
+				c &^= 1 << (uint(o) & 63)
+			}
+			if c&^row[k] != 0 {
+				row[k] |= c
+				ma.grew = true
+			}
+		}
+	}
+}
+
+// analyzer drives a summary fixpoint over a universe of methods.
+type analyzer struct {
+	prog *lang.Program
+	// units is the universe calls resolve in, keyed by Holder.Name.
+	units map[string]*methodAnalysis
+	// order lists the units this analyzer solves. The base analyzer solves
+	// all of units, class methods first (order[:classUnits]); a cross-state
+	// analyzer solves one machine's methods and finds the class methods in
+	// units already solved.
+	order      []*methodAnalysis
+	classUnits int
+}
+
+// add makes m a unit of the analyzer, with its state at the bottom of the
+// lattice except for the entry node, and every reachable node to evaluate.
+func (a *analyzer) add(m *Method) {
+	nodes, np, w := len(m.CFG.Nodes), 1+len(m.Params), words(m.objs)
+	pw := words(np)
+	ma := &methodAnalysis{name: m.QName(), method: m, w: w, stride: len(m.vars) * w,
+		callees: make([]*methodAnalysis, nodes), dirty: make([]bool, nodes)}
+	slab := make([]uint64, (nodes+1)*ma.stride+(m.objs+3)*w+(np+3)*pw)
+	carve := func(n int) []uint64 {
+		s := slab[:n:n]
+		slab = slab[n:]
 		return s
 	}
-	return nil
-}
+	ma.in, ma.out, ma.contains = carve(nodes*ma.stride), carve(ma.stride), carve(m.objs*w)
+	ma.give, ma.tmp, ma.todo = carve(w), carve(w), carve(w)
+	ma.sum = summary{np: np, links: carve(np * pw), ret: carve(pw), givesUp: carve(pw), writes: carve(pw)}
 
-// joinInto merges other into p; reports change.
-func (p varPts) joinInto(other varPts) bool {
-	changed := false
-	for v, s := range other {
-		cur, ok := p[v]
-		if !ok {
-			p[v] = s.clone()
-			changed = true
-			continue
-		}
-		if cur.addAll(s) {
-			changed = true
+	entry := ma.inState(m.CFG.Entry.ID)
+	for v, o := range m.entryObj {
+		if o >= 0 {
+			ma.pts(entry, v).set(o)
 		}
 	}
-	return changed
-}
-
-// methodAnalysis is the per-method dataflow result.
-type methodAnalysis struct {
-	method *Method
-	// in/out points-to states per node ID.
-	in, out map[int]varPts
-	// contains is the monotone containment relation over abstract objects
-	// accumulated for this method (member-insensitive heap edges).
-	contains map[obj]objSet
-	// containsEdges counts edges in contains, for fixpoint detection.
-	containsEdges int
-}
-
-// reach closes a points-to set under containment.
-func (ma *methodAnalysis) reach(s objSet) objSet {
-	out := make(objSet)
-	var stack []obj
-	for o := range s {
-		out[o] = true
-		stack = append(stack, o)
+	for _, n := range m.CFG.Nodes {
+		ma.dirty[n.ID] = m.evaluated(n)
 	}
-	for len(stack) > 0 {
-		o := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for c := range ma.contains[o] {
-			if !out[c] {
-				out[c] = true
-				stack = append(stack, c)
+	a.units[ma.name] = ma
+	a.order = append(a.order, ma)
+}
+
+// solve runs the flow-sensitive points-to pass of one method from its
+// current state to the least fixpoint: dirty nodes are evaluated in sweeps
+// over the node order (close to reverse postorder, since lowering numbers
+// nodes in program order) until none is left.
+func (ma *methodAnalysis) solve() {
+	m := ma.method
+	for again := true; again; {
+		again = false
+		for id, n := range m.CFG.Nodes {
+			if !ma.dirty[id] {
+				continue
 			}
-		}
-	}
-	return out
-}
-
-// reachVarIn returns the closure of v's points-to set on entry to node id.
-func (ma *methodAnalysis) reachVarIn(id int, v string) objSet {
-	return ma.reach(ma.in[id].get(v))
-}
-
-// reachVarOut returns the closure of v's points-to set on exit from node id.
-func (ma *methodAnalysis) reachVarOut(id int, v string) objSet {
-	return ma.reach(ma.out[id].get(v))
-}
-
-// analyzer drives the whole-program summary fixpoint.
-type analyzer struct {
-	prog    *lang.Program
-	methods map[string]*Method // key: Holder.Name
-	summary map[string]*Summary
-	results map[string]*methodAnalysis
-}
-
-func (a *analyzer) methodOf(holder, name string) *Method {
-	return a.methods[holder+"."+name]
-}
-
-func (a *analyzer) summaryOf(holder, name string) *Summary {
-	s, ok := a.summary[holder+"."+name]
-	if !ok {
-		s = newSummary()
-		a.summary[holder+"."+name] = s
-	}
-	return s
-}
-
-// paramIndex maps a method's formal names to positions.
-func paramIndex(m *Method) map[string]int {
-	idx := make(map[string]int, len(m.Params))
-	for i, p := range m.Params {
-		idx[p] = i
-	}
-	return idx
-}
-
-// analyzeMethod runs the flow-sensitive points-to pass for one method and
-// returns whether its summary changed (for the global fixpoint).
-func (a *analyzer) analyzeMethod(m *Method) bool {
-	ma := &methodAnalysis{
-		method:   m,
-		in:       make(map[int]varPts),
-		out:      make(map[int]varPts),
-		contains: make(map[obj]objSet),
-	}
-	a.results[m.QName()] = ma
-
-	init := make(varPts)
-	init["this"] = objSet{obj{kind: objThis}: true}
-	for i, p := range m.Params {
-		if m.IsRef(p) {
-			init[p] = objSet{obj{kind: objParam, idx: i}: true}
-		}
-	}
-	// In xSA mode, machine-level field variables start as fresh unknown
-	// regions (distinct abstract objects), modeling arbitrary prior state.
-	for v, isRef := range m.RefVar {
-		if isRef && len(v) > 0 && v[0] == '$' {
-			init[v] = objSet{obj{kind: objParam, idx: fieldParamIndex(m, v)}: true}
-		}
-	}
-
-	// Chaotic iteration to a fixpoint. Everything is monotone: points-to
-	// sets and the containment relation only grow, so termination follows
-	// from the finite abstract-object universe. Containment growth must
-	// re-trigger transfer (OpLoad reads reach(this)), which plain worklist
-	// scheduling on state change alone would miss.
-	ma.in[m.CFG.Entry.ID] = init
-	for changed := true; changed; {
-		changed = false
-		for _, n := range m.CFG.Nodes {
-			inState, ok := ma.in[n.ID]
-			if !ok {
-				if n != m.CFG.Entry && len(n.Preds) == 0 {
-					continue // unreachable
+			ma.dirty[id] = false
+			ma.transfer(n)
+			if ma.grew {
+				// OpLoad and OpCall read closures, which a new containment
+				// edge can enlarge without any in-state changing.
+				ma.grew = false
+				for _, r := range m.readers {
+					ma.dirty[r] = true
 				}
-				inState = make(varPts)
-				ma.in[n.ID] = inState
+				again = true
 			}
-			for _, p := range n.Preds {
-				if po, ok := ma.out[p.ID]; ok {
-					if inState.joinInto(po) {
-						changed = true
-					}
+			for _, s := range n.Succs {
+				if bitset(ma.inState(s.ID)).or(ma.out) {
+					ma.dirty[s.ID] = true
+					again = again || s.ID <= id
 				}
 			}
-			before := ma.containsEdges
-			newOut := a.transfer(ma, n, inState)
-			if ma.containsEdges != before {
-				changed = true
-			}
-			oldOut, had := ma.out[n.ID]
-			if !had {
-				ma.out[n.ID] = newOut
-				changed = true
-			} else if oldOut.joinInto(newOut) {
-				changed = true
-			}
 		}
 	}
-	return a.updateSummary(m, ma)
 }
 
-// fieldParamIndex gives each machine-level field variable a stable
-// parameter-like abstract object index (negative, below posThis).
-func fieldParamIndex(m *Method, v string) int {
-	names := make([]string, 0, len(m.RefVar))
-	for name := range m.RefVar {
-		if len(name) > 0 && name[0] == '$' {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	for i, name := range names {
-		if name == v {
-			return -10 - i
-		}
-	}
-	return -10
-}
-
-// transfer applies one instruction.
-func (a *analyzer) transfer(ma *methodAnalysis, n *Node, in varPts) varPts {
-	out := in.clone()
-	ins := n.Instr
-	setStrong := func(dst string, s objSet) {
-		if dst == "" {
-			return
-		}
-		out[dst] = s
-	}
-	switch ins.Op {
-	case OpAssign:
-		if ma.method.IsRef(ins.Dst) {
-			setStrong(ins.Dst, out.get(ins.Src).clone())
-		}
-	case OpConst:
-		if ma.method.IsRef(ins.Dst) {
-			setStrong(ins.Dst, make(objSet))
+// transfer applies one instruction to the node's in-state, leaving the
+// out-state in ma.out.
+func (ma *methodAnalysis) transfer(n *Node) {
+	in, out, x := ma.inState(n.ID), ma.out, &ma.method.nodes[n.ID]
+	copy(out, in)
+	switch n.Instr.Op {
+	case OpAssign, OpConst:
+		if x.dst >= 0 {
+			if x.src >= 0 {
+				copy(ma.pts(out, x.dst), ma.pts(in, x.src))
+			} else {
+				clear(ma.pts(out, x.dst))
+			}
 		}
 	case OpLoad:
-		if ma.method.IsRef(ins.Dst) {
+		if x.dst >= 0 {
 			// Member-insensitive: a field load yields the whole region
 			// reachable from the receiver.
-			setStrong(ins.Dst, ma.reach(out.get("this")))
+			dst := ma.pts(out, x.dst)
+			copy(dst, ma.pts(in, ma.method.this))
+			ma.closure(dst)
 		}
 	case OpStore:
-		src := out.get(ins.Src)
-		for o := range out.get("this") {
-			a.contain(ma, o, src)
+		if x.src >= 0 {
+			ma.contain(ma.pts(in, ma.method.this), ma.pts(in, x.src))
 		}
 	case OpNew:
-		setStrong(ins.Dst, objSet{obj{kind: objAlloc, idx: n.ID}: true})
+		if x.dst >= 0 {
+			dst := ma.pts(out, x.dst)
+			clear(dst)
+			dst.set(x.alloc)
+		}
 	case OpCall:
-		a.transferCall(ma, n, out)
-	case OpSend, OpCreate:
-		// Ownership transfer is checked separately; no points-to effect.
-		if ins.Op == OpCreate && ins.Dst != "" && ma.method.IsRef(ins.Dst) {
-			setStrong(ins.Dst, make(objSet))
-		}
+		ma.transferCall(n, in, out)
 	}
-	return out
-}
-
-func (a *analyzer) contain(ma *methodAnalysis, container obj, contents objSet) {
-	cur, ok := ma.contains[container]
-	if !ok {
-		cur = make(objSet)
-		ma.contains[container] = cur
-	}
-	for o := range contents {
-		if o != container && !cur[o] {
-			cur[o] = true
-			ma.containsEdges++
-		}
-	}
+	// OpSend, OpCreate: ownership transfer is checked separately; no
+	// points-to effect (a machine handle is a scalar).
 }
 
 // transferCall applies a callee summary at a call site.
-func (a *analyzer) transferCall(ma *methodAnalysis, n *Node, out varPts) {
-	ins := n.Instr
-	callee := a.methodOf(ins.Class, ins.Method)
-	argOf := func(pos int) string {
-		if pos == posThis {
-			return ins.Recv
-		}
-		if pos >= 0 && pos < len(ins.Args) {
-			return ins.Args[pos]
-		}
-		return ""
+func (ma *methodAnalysis) transferCall(n *Node, in, out []uint64) {
+	x := &ma.method.nodes[n.ID]
+	var dst bitset
+	if x.dst >= 0 {
+		dst = ma.pts(out, x.dst)
+		clear(dst)
 	}
+	callee := ma.callees[n.ID]
 	if callee == nil {
 		// Unknown callee (paper Section 5.4: library calls are handled
 		// conservatively — everything reachable becomes mutually reachable).
-		all := make(objSet)
-		vars := append([]string{ins.Recv}, ins.Args...)
-		for _, v := range vars {
-			all.addAll(ma.reach(out.get(v)))
+		all := ma.tmp
+		clear(all)
+		for _, v := range x.argv {
+			if v >= 0 {
+				all.or(ma.pts(in, v))
+			}
 		}
-		for o := range all {
-			a.contain(ma, o, all)
-		}
-		if ins.Dst != "" && ma.method.IsRef(ins.Dst) {
-			s := all.clone()
-			s[obj{kind: objAlloc, idx: n.ID}] = true
-			out[ins.Dst] = s
+		ma.closure(all)
+		ma.contain(all, all)
+		if dst != nil {
+			copy(dst, all)
+			dst.set(x.alloc)
 		}
 		return
 	}
-	sum := a.summaryOf(ins.Class, ins.Method)
-	for from, tos := range sum.Links {
-		fromSet := out.get(argOf(from))
-		for to := range tos {
-			toReach := ma.reach(out.get(argOf(to)))
-			for o := range fromSet {
-				a.contain(ma, o, toReach)
-			}
+	sum := &callee.sum
+	for from := 0; from < sum.np; from++ {
+		if x.argv[from] < 0 {
+			continue
+		}
+		links := sum.linkRow(from)
+		for to := links.next(0); to >= 0; to = links.next(to + 1) {
+			ma.contain(ma.pts(in, x.argv[from]), ma.reachVarIn(ma.tmp, n.ID, x.argv[to]))
 		}
 	}
-	if ins.Dst != "" && ma.method.IsRef(ins.Dst) {
-		s := make(objSet)
-		for pos := range sum.RetSources {
-			s.addAll(ma.reach(out.get(argOf(pos))))
+	if dst != nil {
+		for pos := sum.ret.next(0); pos >= 0; pos = sum.ret.next(pos + 1) {
+			if v := x.argv[pos]; v >= 0 {
+				dst.or(ma.pts(in, v))
+			}
 		}
-		if sum.RetFresh {
-			s[obj{kind: objAlloc, idx: n.ID}] = true
+		ma.closure(dst)
+		if sum.retFresh {
+			dst.set(x.alloc)
 		}
-		out[ins.Dst] = s
 	}
 }
 
-// updateSummary recomputes m's summary from the analysis result; returns
-// whether it grew.
-func (a *analyzer) updateSummary(m *Method, ma *methodAnalysis) bool {
-	sum := a.summaryOf(m.Holder, m.Name)
+// updateSummary folds the solved state into the method's summary; reports
+// whether it grew. A closed object row's first words, cut at np bits, are
+// the positions it reaches: the receiver's and the parameters' entry
+// objects are objects 0..np-1.
+func (ma *methodAnalysis) updateSummary() bool {
+	m, sum := ma.method, &ma.sum
 	changed := false
-	exitID := m.CFG.Exit.ID
-
-	posOf := func(o obj) (int, bool) {
-		switch o.kind {
-		case objThis:
-			return posThis, true
-		case objParam:
-			if o.idx >= 0 {
-				return o.idx, true
-			}
+	// mark joins the positions among objs into dst; objs is spent.
+	mark := func(dst, objs bitset) {
+		if r := uint(sum.np) & 63; r != 0 {
+			objs[len(dst)-1] &= 1<<r - 1
 		}
-		return 0, false
-	}
-
-	// Links: position i reaches position j's object at exit.
-	exitState := ma.out[exitID]
-	if exitState == nil {
-		exitState = ma.in[exitID]
-	}
-	srcSets := map[int]objSet{posThis: ma.reach(objSet{obj{kind: objThis}: true})}
-	for i := range m.Params {
-		srcSets[i] = ma.reach(objSet{obj{kind: objParam, idx: i}: true})
-	}
-	for i, reachSet := range srcSets {
-		for o := range reachSet {
-			if j, ok := posOf(o); ok && j != i {
-				if sum.link(i, j) {
-					changed = true
-				}
-			}
+		if dst.or(objs) {
+			changed = true
 		}
 	}
 
-	// Return sources.
+	// Links: position p reaches position q's entry object at exit.
+	for p := 0; p < sum.np; p++ {
+		clear(ma.tmp)
+		ma.tmp.set(p)
+		ma.closure(ma.tmp)
+		ma.tmp.unset(p)
+		mark(sum.linkRow(p), ma.tmp)
+	}
+
 	for _, n := range m.CFG.Nodes {
-		if n.Instr.Op != OpReturn || n.Instr.Src == "" || !m.IsRef(n.Instr.Src) {
-			continue
-		}
-		for o := range ma.reachVarIn(n.ID, n.Instr.Src) {
-			if pos, ok := posOf(o); ok {
-				if !sum.RetSources[pos] {
-					sum.RetSources[pos] = true
-					changed = true
-				}
-			} else if !sum.RetFresh {
-				sum.RetFresh = true
-				changed = true
-			}
-		}
-	}
-
-	// Writes: a field store writes this's region; calls propagate callee
-	// writes onto whatever the written argument can reach.
-	markWrite := func(s objSet) {
-		for o := range s {
-			if pos, ok := posOf(o); ok {
-				if !sum.Writes[pos] {
-					sum.Writes[pos] = true
-					changed = true
-				}
-			}
-		}
-	}
-	for _, n := range m.CFG.Nodes {
+		x := &m.nodes[n.ID]
 		switch n.Instr.Op {
+		case OpReturn:
+			// Return sources.
+			if x.src >= 0 {
+				r := ma.reachVarIn(ma.tmp, n.ID, x.src)
+				// An object beyond the positions is an allocation site (or
+				// a lifted field's region).
+				if !sum.retFresh && r.next(sum.np) >= 0 {
+					sum.retFresh, changed = true, true
+				}
+				mark(sum.ret, r)
+			}
 		case OpStore:
-			markWrite(ma.reachVarIn(n.ID, "this"))
+			// Writes: a field store writes this's region; calls propagate
+			// callee writes onto whatever the written argument can reach.
+			mark(sum.writes, ma.reachVarIn(ma.tmp, n.ID, m.this))
 		case OpCall:
-			callee := a.summaryOf(n.Instr.Class, n.Instr.Method)
-			if a.methodOf(n.Instr.Class, n.Instr.Method) == nil {
+			if callee := ma.callees[n.ID]; callee == nil {
 				// Unknown callee: assume it writes everything it can reach.
-				markWrite(ma.reachVarIn(n.ID, n.Instr.Recv))
-				for _, arg := range n.Instr.Args {
-					markWrite(ma.reachVarIn(n.ID, arg))
+				for _, v := range x.argv {
+					mark(sum.writes, ma.reachVarIn(ma.tmp, n.ID, v))
 				}
-				continue
-			}
-			for pos := range callee.Writes {
-				v := n.Instr.Recv
-				if pos >= 0 && pos < len(n.Instr.Args) {
-					v = n.Instr.Args[pos]
-				}
-				markWrite(ma.reachVarIn(n.ID, v))
-			}
-		}
-	}
-
-	// GivesUp (Figure 5): a send (or create, or call to a method that gives
-	// up the corresponding formal) gives up every position whose entry
-	// object is in the payload's reachable region.
-	markGiveUp := func(s objSet) {
-		for o := range s {
-			if pos, ok := posOf(o); ok {
-				if !sum.GivesUp[pos] {
-					sum.GivesUp[pos] = true
-					changed = true
+			} else {
+				w := callee.sum.writes
+				for pos := w.next(0); pos >= 0; pos = w.next(pos + 1) {
+					mark(sum.writes, ma.reachVarIn(ma.tmp, n.ID, x.argv[pos]))
 				}
 			}
 		}
-	}
-	for _, n := range m.CFG.Nodes {
-		for _, gv := range a.giveUpVarsAt(n) {
-			if gv == "" || !m.IsRef(gv) {
-				continue
-			}
-			markGiveUp(ma.reachVarIn(n.ID, gv))
+		// GivesUp (Figure 5): a send (or create, or call to a method that
+		// gives up the corresponding formal) gives up every position whose
+		// entry object is in the payload's reachable region.
+		for _, gv := range ma.giveUpVarsAt(n) {
+			mark(sum.givesUp, ma.reachVarIn(ma.tmp, n.ID, gv))
 		}
 	}
 	return changed
 }
 
-// giveUpVarsAt returns the variables whose ownership node n transfers away:
-// the payload of a send/create, and every argument passed for a formal in
-// the callee's give-up set.
-func (a *analyzer) giveUpVarsAt(n *Node) []string {
-	ins := n.Instr
-	switch ins.Op {
+// giveUpVarsAt returns the reference variables whose ownership node n
+// transfers away, in name order: the payload of a send/create, and every
+// argument passed for a formal in the callee's give-up set (twice if it is
+// passed for two). The result is valid until the next call.
+func (ma *methodAnalysis) giveUpVarsAt(n *Node) []int {
+	x := &ma.method.nodes[n.ID]
+	out := ma.giveVars[:0]
+	switch n.Instr.Op {
 	case OpSend, OpCreate:
-		if ins.Src != "" {
-			return []string{ins.Src}
+		if x.src >= 0 {
+			out = append(out, x.src)
 		}
 	case OpCall:
-		if a.methodOf(ins.Class, ins.Method) == nil {
+		callee := ma.callees[n.ID]
+		if callee == nil {
 			return nil // unknown callees handled conservatively elsewhere
 		}
-		sum := a.summaryOf(ins.Class, ins.Method)
-		var out []string
-		for pos := range sum.GivesUp {
-			if pos == posThis {
-				out = append(out, ins.Recv)
-			} else if pos >= 0 && pos < len(ins.Args) {
-				out = append(out, ins.Args[pos])
+		g := callee.sum.givesUp
+		for pos := g.next(0); pos >= 0; pos = g.next(pos + 1) {
+			if v := x.argv[pos]; v >= 0 {
+				// insertion sort: a call gives up a handful of arguments
+				i := len(out)
+				out = append(out, v)
+				for ; i > 0 && out[i-1] > v; i-- {
+					out[i] = out[i-1]
+				}
+				out[i] = v
 			}
 		}
-		sort.Strings(out)
-		return out
 	}
-	return nil
+	ma.giveVars = out
+	return out
 }
 
-// runFixpoint computes all summaries to a global fixpoint (methods may be
-// mutually recursive; Figure 5's outer repeat loop).
+// runFixpoint solves the analyzer's units to a global fixpoint (methods may
+// be mutually recursive; Figure 5's outer repeat loop), semi-naively: after
+// the first pass a unit is solved again only when a callee's summary grew,
+// and then only the call nodes bound to that callee are marked.
 func (a *analyzer) runFixpoint() {
-	names := make([]string, 0, len(a.methods))
-	for name := range a.methods {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for {
-		changed := false
-		for _, name := range names {
-			if a.analyzeMethod(a.methods[name]) {
-				changed = true
+	callers := make(map[*methodAnalysis][]*methodAnalysis)
+	for _, ma := range a.order {
+		for _, id := range ma.method.readers {
+			callee := a.units[ma.method.nodes[id].callee] // nil for OpLoad's ""
+			ma.callees[id] = callee
+			if cs := callers[callee]; callee != nil && (len(cs) == 0 || cs[len(cs)-1] != ma) {
+				callers[callee] = append(cs, ma)
 			}
 		}
-		if !changed {
-			return
+		ma.queued = true
+	}
+	for work := append([]*methodAnalysis(nil), a.order...); len(work) > 0; work = work[1:] {
+		ma := work[0]
+		ma.queued = false
+		ma.solve()
+		if !ma.updateSummary() {
+			continue
+		}
+		for _, c := range callers[ma] {
+			for _, id := range c.method.readers {
+				c.dirty[id] = c.dirty[id] || c.callees[id] == ma
+			}
+			if !c.queued {
+				c.queued = true
+				work = append(work, c)
+			}
 		}
 	}
 }

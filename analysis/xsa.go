@@ -7,7 +7,34 @@ import (
 	"github.com/psharp-go/psharp/lang"
 )
 
-// installMachineCFG builds the cross-state analysis form of a machine
+// crossState returns the analyzer of one machine's cross-state form: the
+// base analyzer's class methods as they are (lowered, solved, summaries
+// converged — class methods only call class methods, so the machine cannot
+// move them), the machine's helper methods (not bound to any event) solved
+// again — they stay method-modular, but a handler they call is an unknown
+// callee here — and the overarching machine-level CFG.
+func (a *analyzer) crossState(md *lang.MachineDecl) *analyzer {
+	x := &analyzer{prog: a.prog, units: make(map[string]*methodAnalysis, a.classUnits+len(md.Methods)+1)}
+	for _, u := range a.order[:a.classUnits] {
+		x.units[u.name] = u
+	}
+	handlerNames := make(map[string]bool)
+	for _, s := range md.States {
+		for _, meth := range s.OnDo {
+			handlerNames[meth] = true
+		}
+	}
+	for _, m := range md.Methods {
+		if !handlerNames[m.Name] {
+			x.add(a.units[md.Name+"."+m.Name].method)
+		}
+	}
+	x.add(buildMachineCFG(a.prog, md))
+	x.runFixpoint()
+	return x
+}
+
+// buildMachineCFG builds the cross-state analysis form of a machine
 // (Section 5.4): one overarching CFG in which every state's entry block and
 // every bound handler is inlined, the end of each handler leads to the hub
 // of the (possibly new) state — "at the end of each method representing a
@@ -18,24 +45,10 @@ import (
 // false positives (paper Example 5.5).
 //
 // Handler payloads are modeled as fresh unknown regions, one abstract
-// object per inlined handler copy. Helper methods (not bound to any event)
-// stay method-modular and are analyzed through their summaries.
-func (a *analyzer) installMachineCFG(md *lang.MachineDecl) {
-	handlerNames := make(map[string]bool)
-	for _, s := range md.States {
-		for _, meth := range s.OnDo {
-			handlerNames[meth] = true
-		}
-	}
-	for _, m := range md.Methods {
-		if !handlerNames[m.Name] {
-			mm := BuildMethod(a.prog, md.Name, m)
-			a.methods[mm.QName()] = mm
-		}
-	}
-
+// object per inlined handler copy.
+func buildMachineCFG(prog *lang.Program, md *lang.MachineDecl) *Method {
 	m := &Method{Holder: md.Name, Name: "$machine", RefVar: make(map[string]bool)}
-	lo := &lowerer{prog: a.prog, lifted: true, method: m}
+	lo := &lowerer{prog: prog, lifted: true, method: m}
 	entry := lo.newNode(Instr{Op: OpNop, Pos: md.Pos})
 	exit := lo.newNode(Instr{Op: OpNop, Pos: md.Pos})
 
@@ -143,7 +156,8 @@ func (a *analyzer) installMachineCFG(md *lang.MachineDecl) {
 	}
 
 	m.CFG = &CFG{Entry: entry, Exit: exit, Nodes: lo.nodes}
-	a.methods[m.QName()] = m
+	m.index()
+	return m
 }
 
 // lowerBodyLifted lowers a body using the lowerer's current prefix and

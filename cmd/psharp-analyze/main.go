@@ -41,8 +41,9 @@ func main() {
 			exit = 1
 			continue
 		}
+		// One solution of the base fixpoint serves both outputs.
+		res, gu := analysis.AnalyzeGivesUp(prog, analysis.Options{XSA: !*noXSA, ReadOnly: *readOnly})
 		if *givesUp {
-			gu := analysis.GivesUp(prog)
 			keys := make([]string, 0, len(gu))
 			for k := range gu {
 				keys = append(keys, k)
@@ -52,7 +53,6 @@ func main() {
 				fmt.Printf("%s: gives up %v\n", k, gu[k])
 			}
 		}
-		res := analysis.Analyze(prog, analysis.Options{XSA: !*noXSA, ReadOnly: *readOnly})
 		if res.Verified() {
 			fmt.Printf("%s: verified race-free (%d warnings discharged)\n",
 				path, len(res.BaseViolations)+res.ReadOnlySuppressed)

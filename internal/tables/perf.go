@@ -91,6 +91,10 @@ type PerfReport struct {
 	// a real protocol: how much of a fixed attempt budget is pruned as
 	// revisits of already-covered global states.
 	StateCacheProbe StateCacheProbe `json:"state_cache_probe"`
+	// Table1 is the paper's Table 1 as RunTable1 measured it: per program
+	// the analysis time (median of table1Runs, time_us and racy_time_us),
+	// the false-positive counts and the verdicts.
+	Table1 []Table1Row `json:"table1"`
 	// WorkerIterations records how many iterations each worker actually
 	// executed (uneven under Dynamic; the static shard sizes otherwise).
 	WorkerIterations []int `json:"worker_iterations"`
@@ -406,6 +410,9 @@ func RunPerfProbe(o PerfProbeOptions) (PerfReport, error) {
 	}
 	rep.DPORProbe = probeDPOR(o.Seed)
 	rep.StateCacheProbe = probeStateCache()
+	if rep.Table1, err = RunTable1(); err != nil {
+		return PerfReport{}, err
+	}
 
 	// Throughput probe, with telemetry attached so the perf artifact embeds
 	// the same campaign document psharp-test -report-out writes.
