@@ -132,11 +132,12 @@ func main() {
 				g.Workload, g.DPORSchedules, g.RandomSchedules, g.Ratio,
 				g.PrunedIterations, g.DistinctStates, g.FoundDPOR, g.FoundRandom)
 		}
-		fmt.Printf("state cache on %s: %d of %d attempts pruned (%.1f%%), %d explored, %d distinct states (%.0f states/s)\n",
+		fmt.Printf("state cache on %s: %d of %d attempts pruned (%.1f%%), %d explored, %d distinct states (%.0f states/s), %.1f%% of executed points were prefix replay\n",
 			rep.StateCacheProbe.Workload, rep.StateCacheProbe.Pruned,
 			rep.StateCacheProbe.Explored+rep.StateCacheProbe.Pruned,
 			rep.StateCacheProbe.PrunedPercent, rep.StateCacheProbe.Explored,
-			rep.StateCacheProbe.DistinctStates, rep.StateCacheProbe.StatesPerSec)
+			rep.StateCacheProbe.DistinctStates, rep.StateCacheProbe.StatesPerSec,
+			100*rep.StateCacheProbe.ReplayedShare)
 		// The telemetry-overhead gate: CI runs this command, so a regression
 		// that makes observability allocate on the hot path fails the build.
 		if rep.TelemetryProbe.DeltaAllocs > tables.MaxTelemetryDeltaAllocs {

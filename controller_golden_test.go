@@ -23,6 +23,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"github.com/psharp-go/psharp"
@@ -77,23 +78,31 @@ type goldenCase struct {
 // ownerCache mirrors the sct engine's state-cache ownership rule (first
 // visitor owns a state; a different prefix at equal or greater depth is
 // pruned, a shallower one steals ownership) so the prune path of the
-// controller is part of the oracle.
-type ownerCache map[uint64]stateOwner
+// controller is part of the oracle. It is held by pointer: the controller
+// can tell it is the cache of the previous iteration, so the recorded
+// dpor+cache cells run with the replayed prefix skipped.
+type ownerCache struct {
+	owners map[uint64]stateOwner
+	visits int
+}
 
 type stateOwner struct {
 	prefix uint64
 	depth  int
 }
 
-func (c ownerCache) Visit(state, prefix uint64, depth int) bool {
-	o, ok := c[state]
+func newOwnerCache() *ownerCache { return &ownerCache{owners: make(map[uint64]stateOwner)} }
+
+func (c *ownerCache) Visit(state, prefix uint64, depth int) bool {
+	c.visits++
+	o, ok := c.owners[state]
 	switch {
 	case ok && o.prefix == prefix:
 		return false
 	case ok && o.depth <= depth:
 		return true
 	}
-	c[state] = stateOwner{prefix, depth}
+	c.owners[state] = stateOwner{prefix, depth}
 	return false
 }
 
@@ -133,7 +142,7 @@ func goldenCases() []goldenCase {
 				start: plain(b, func() sct.Strategy { return sct.NewDFS() }, nil)},
 			goldenCase{key: b.ID() + "/dpor+cache", setup: b.Setup, iterations: goldenSeeds * goldenIterations,
 				start: plain(b, func() sct.Strategy { return sct.NewDPOR() },
-					func(cfg *psharp.TestConfig) { cfg.StateCache = ownerCache{} })},
+					func(cfg *psharp.TestConfig) { cfg.StateCache = newOwnerCache() })},
 		)
 	}
 
@@ -207,6 +216,11 @@ func goldenCases() []goldenCase {
 	return cases
 }
 
+// goldenReplayed sums IterationResult.ReplayedPoints over every golden run:
+// the dpor+cache cells reproduce a recording made with every point hashed
+// and visited, which pins the replay memo only if it engaged.
+var goldenReplayed atomic.Int64
+
 // runGoldenCase executes one case and digests it. run is the iteration
 // primitive: a pooled harness's Run or one-shot RunTest.
 func runGoldenCase(t *testing.T, gc goldenCase, run func(psharp.TestConfig) psharp.IterationResult) goldenEntry {
@@ -220,6 +234,7 @@ func runGoldenCase(t *testing.T, gc goldenCase, run func(psharp.TestConfig) psha
 			break // systematic strategy exhausted its tree
 		}
 		res := run(cfgFor(iter))
+		goldenReplayed.Add(int64(res.ReplayedPoints))
 		th := fnv.New64a()
 		if err := res.Trace.Encode(th); err != nil {
 			t.Fatalf("%s: encoding trace of iteration %d: %v", gc.key, iter, err)
@@ -330,6 +345,12 @@ func TestControllerGolden(t *testing.T) {
 	// halves the wall time under -race, and it makes harnesses on different
 	// goroutines trade parked coroutines through the process-wide reserve.
 	const shards = 4
+	goldenReplayed.Store(0)
+	t.Cleanup(func() { // runs once the parallel shards are done
+		if !t.Failed() && goldenReplayed.Load() == 0 {
+			t.Error("no dpor+cache cell skipped a replayed prefix: the recorded oracle does not exercise the replay memo")
+		}
+	})
 	for shard := 0; shard < shards; shard++ {
 		t.Run(fmt.Sprintf("shard%d", shard), func(t *testing.T) {
 			t.Parallel()

@@ -169,16 +169,33 @@
 // psharp-test -state-cache) adds a hashed global-state cache: the
 // controller maintains an incremental FNV-1a fingerprint of the global
 // state — machine fields, control states, queue contents, monitor states
-// and liveness temperatures — at every scheduling point, and cuts an
-// iteration short when it reaches a state an earlier schedule already
-// covered no deeper. Both hooks are off by default and cost nothing when
-// off — the controller skips the footprint and hashing work entirely, and
-// the allocation caps above hold either way. Pruned attempts are reported
-// separately (PrunedIterations, DistinctStates) and never inflate
-// schedule-throughput or distinct-schedule counts. See the sct package's
-// "Partial-order reduction and state caching" section for soundness scope
-// (depth-first strategies only, no fault injection) and the measured
-// reductions.
+// and liveness temperatures — and cuts an iteration short when it reaches
+// a state an earlier schedule already covered no deeper. Both hooks are
+// off by default and cost nothing when off — the controller skips the
+// footprint and hashing work entirely, and the allocation caps above hold
+// either way. Pruned attempts are reported separately (PrunedIterations,
+// DistinctStates) and never inflate schedule-throughput or
+// distinct-schedule counts.
+//
+// What an attempt with a cache costs: the tester is stateless, so attempt
+// n+1 of a depth-first search re-executes the decision prefix it shares
+// with attempt n before it reaches anything new — well over nine points in
+// ten on the Table 2 protocols. The program is deterministic in its decisions (replay rests on the
+// same fact), so on that prefix the states are the ones attempt n already
+// showed the cache, and the controller neither hashes nor consults it
+// there: it compares a rolling hash of the decisions with the one the
+// previous iteration of the same TestHarness had at each point. An attempt
+// therefore costs the re-execution of its prefix, one hash of every live
+// machine at the first point that differs, and incremental hashing (the
+// machines a step touched) of its new suffix; a handler that finishes
+// without a state hash being taken pays a few word writes for its
+// mid-handler position, not a reflective walk of its event.
+// IterationResult.ReplayedPoints (sct's Report.ReplayedPoints and
+// ReplayedShare) says how much of a campaign was such re-execution. See
+// the StateCache type for the contract this puts on a cache, and the sct
+// package's "Partial-order reduction and state caching" section for
+// soundness scope (depth-first strategies only, no fault injection) and the
+// measured reductions.
 //
 // # Declaring machines
 //

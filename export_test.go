@@ -39,3 +39,13 @@ func ReserveLen() int {
 	defer instanceReserve.mu.Unlock()
 	return len(instanceReserve.idle)
 }
+
+// ForgetReplay drops the harness's replay memo, so that the next Run hashes
+// the global state and consults its StateCache at every scheduling point,
+// its replayed prefix included — what every Run did before the memo
+// existed. The equivalence tests run a search both ways.
+func (h *TestHarness) ForgetReplay() {
+	if hs := h.c.hasher; hs != nil {
+		hs.seen = hs.seen[:0]
+	}
+}

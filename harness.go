@@ -88,6 +88,9 @@ func (h *TestHarness) Run(cfg TestConfig) IterationResult {
 		Trace:            c.trace,
 		Faults:           c.faults,
 	}
+	if c.hasher != nil {
+		res.ReplayedPoints = c.hasher.replayed
+	}
 	if c.det != nil {
 		for _, r := range c.det.Races() {
 			res.Races = append(res.Races, r.String())

@@ -326,6 +326,10 @@ type StateCacheProbe struct {
 	PrunedPercent float64 `json:"pruned_percent"`
 	// StatesPerSec is distinct states discovered per second of exploration.
 	StatesPerSec float64 `json:"distinct_states_per_sec"`
+	// ReplayedShare is the share of the executed scheduling decisions
+	// (pruned attempts' included) that re-executed the previous attempt's
+	// prefix (Report.ReplayedShare): what snapshots could save at most.
+	ReplayedShare float64 `json:"replayed_share"`
 }
 
 // PerfProbeOptions configures RunPerfProbe. Zero values select defaults.
@@ -541,6 +545,7 @@ func probeStateCache() StateCacheProbe {
 		Explored:       rep.Iterations,
 		Pruned:         rep.PrunedIterations,
 		DistinctStates: rep.DistinctStates,
+		ReplayedShare:  rep.ReplayedShare(),
 	}
 	if attempts := p.Explored + p.Pruned; attempts > 0 {
 		p.PrunedPercent = 100 * float64(p.Pruned) / float64(attempts)

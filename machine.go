@@ -55,14 +55,28 @@ type machineInstance struct {
 	// kept so a crash-with-restart reboots the machine by re-delivering it.
 	crashed bool
 	birth   Event
-	// hprog is the machine's mid-handler position hash, maintained only
-	// when the controller's state hasher is active: seeded at event
-	// dispatch from the event type and payload, advanced at every visible
-	// operation the handler performs (sends, creates, nondeterministic
-	// choices), and zeroed when the handler completes. Two global states
-	// with equal visible state but different pending continuations must
-	// hash differently, or the state cache would conflate them.
-	hprog uint64
+	// handling, hev, hops and hprog are the machine's mid-handler position,
+	// maintained only when the controller's state hasher is active: while a
+	// handler runs, hev is the event it was dispatched on and hops logs the
+	// visible operations it has performed since (sends, creates,
+	// nondeterministic choices). Two global states with equal visible state
+	// but different pending continuations must hash differently, or the
+	// state cache would conflate them — but the hashing itself (the event's
+	// payload, the sent events' types) waits for hashMachine, which folds
+	// the logged operations into hprog and empties the log; a handler that
+	// completes before any state hash is taken costs a few word writes.
+	handling bool
+	hev      Event
+	hops     []handlerOp
+	hprog    uint64
+}
+
+// handlerOp is one visible operation of a running handler: word is the
+// send's target, the created machine or the choice drawn (each tagged by
+// the caller), sent the event of a send.
+type handlerOp struct {
+	word uint64
+	sent Event
 }
 
 func newMachineInstance(rt *Runtime, id MachineID, logic Machine, schema *compiledSchema) *machineInstance {
@@ -72,20 +86,28 @@ func newMachineInstance(rt *Runtime, id MachineID, logic Machine, schema *compil
 	return m
 }
 
-// progDispatch seeds the mid-handler position hash at event dispatch;
-// progIdle clears it once the handler has run to completion, so a machine
-// waiting for its next event contributes a stable "idle" position to the
+// progDispatch starts the mid-handler position at event dispatch; progIdle
+// clears it once the handler has run to completion, so a machine waiting
+// for its next event contributes a stable "idle" position to the
 // global-state hash. Both are no-ops unless state hashing is active.
 func (m *machineInstance) progDispatch(ev Event) {
 	if c := m.rt.test; c != nil && c.hasher != nil {
-		m.hprog = c.hasher.dispatchHash(ev)
+		m.handling, m.hev, m.hprog = true, ev, fnvOffset64
 	}
 }
 
 func (m *machineInstance) progIdle() {
 	if c := m.rt.test; c != nil && c.hasher != nil {
-		m.hprog = 0
+		m.progReset()
 	}
+}
+
+// progReset forgets the mid-handler position, dropping the event references
+// the operation log holds.
+func (m *machineInstance) progReset() {
+	m.handling, m.hev = false, nil
+	clear(m.hops)
+	m.hops = m.hops[:0]
 }
 
 // park is the machine's side of a scheduling point: it switches to the
@@ -160,7 +182,7 @@ func (m *machineInstance) recycle() {
 	m.aborted = false
 	m.crashed = false
 	m.birth = nil
-	m.hprog = 0
+	m.progReset()
 	m.ctx.currentEvent = nil
 	m.ctx.resetPending()
 }

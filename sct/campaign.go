@@ -71,9 +71,15 @@ type CampaignResult struct {
 	// census (Report.PrunedIterations / Report.DistinctStates); absent when
 	// the campaign ran without Options.StateCache. Pruned iterations are not
 	// included in Iterations or SchedulesPerSecond.
-	PrunedIterations int  `json:"pruned_iterations,omitempty"`
-	DistinctStates   int  `json:"distinct_states,omitempty"`
-	Exhausted        bool `json:"exhausted,omitempty"`
+	PrunedIterations int `json:"pruned_iterations,omitempty"`
+	DistinctStates   int `json:"distinct_states,omitempty"`
+	// PrunedPoints is what the pruned iterations executed (it is not part
+	// of TotalSchedulingPoints) and ReplayedPoints how much of everything
+	// executed re-ran the previous iteration's prefix (Report.PrunedPoints /
+	// Report.ReplayedPoints).
+	PrunedPoints   int64 `json:"pruned_points,omitempty"`
+	ReplayedPoints int64 `json:"replayed_points,omitempty"`
+	Exhausted      bool  `json:"exhausted,omitempty"`
 	// Interrupted marks a partial campaign: the run was stopped early
 	// (signal or hard timeout) and its counters cover only the explored
 	// prefix. A journaled campaign can be resumed to completion.
@@ -140,6 +146,8 @@ func NewCampaign(cfg CampaignConfig, rep *Report, workers []WorkerReport, tel *T
 			BoundReached:          rep.BoundReached,
 			PrunedIterations:      rep.PrunedIterations,
 			DistinctStates:        rep.DistinctStates,
+			PrunedPoints:          rep.PrunedPoints,
+			ReplayedPoints:        rep.ReplayedPoints,
 			Exhausted:             rep.Exhausted,
 			Interrupted:           rep.Interrupted,
 			ElapsedMS:             float64(rep.Elapsed) / float64(time.Millisecond),

@@ -97,6 +97,20 @@
 //     DistinctSchedules or SchedulesPerSecond, so throughput numbers stay
 //     comparable with cache-free runs.
 //
+// Cost model. The search is stateless: an attempt starts the program over
+// and re-executes the decision prefix it shares with the worker's previous
+// attempt before it takes its first new step, and with a cache most
+// attempts are pruned a step or two past that prefix. The prefix is
+// executed but neither hashed nor shown to the cache — an equal decision
+// prefix reaches an equal state, which the previous attempt showed it (see
+// psharp.StateCache) — so an attempt costs prefix re-execution + one full
+// hash at the point where it diverges + incremental hashing of its new
+// suffix. Report.TotalSchedulingPoints counts explored schedules only;
+// Report.PrunedPoints adds what the pruned attempts executed, and
+// Report.ReplayedPoints / ReplayedShare say how much of the total was
+// prefix re-execution (≈ 97 % on TwoPhaseCommit under DPOR+cache): the
+// ceiling on what restarting from snapshots instead could save.
+//
 // Both mechanisms are sound for bug finding (they skip only executions
 // equivalent to an explored one) but only relative to depth-first
 // exploration, and neither composes with fault injection; "Option

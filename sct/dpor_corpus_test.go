@@ -143,6 +143,87 @@ func TestDPORCorpusFaultNegative(t *testing.T) {
 	}
 }
 
+// TestStateCacheParallelSkipsReplayedPrefix: two DPOR workers sharing one
+// state cache, each skipping the hash and the Visit on the prefix its own
+// previous attempt replayed, still find the gated corpus's bugs, and the
+// traces replay. A worker can no longer be pruned inside its own replay by
+// the other's theft of a state — "replay must reach the frontier" — so the
+// run must also be race-clean with the memo live (CI runs it under -race).
+func TestStateCacheParallelSkipsReplayedPrefix(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		budget int
+	}{
+		{"TwoPhaseCommit", 8000}, // two shards of the ~3.5k pruned attempts before the bug branch
+		{"Chord", corpusBudget},  // found by a worker's first attempt: nothing to replay yet
+	} {
+		name := tc.name
+		b := protocols.MustByName(name, true)
+		out := sct.RunParallel(b.SetupMonitored(), sct.ParallelOptions{
+			Options: sct.Options{
+				Strategy:       sct.NewDPOR(),
+				Iterations:     tc.budget,
+				MaxSteps:       b.MaxSteps,
+				LivelockAsBug:  b.LivelockAsBug,
+				StopOnFirstBug: true,
+				StateCache:     true,
+				Timeout:        30 * time.Second,
+			},
+			Workers: 2,
+		})
+		rep := out.Report
+		if !rep.BugFound() {
+			t.Errorf("%s: two DPOR+cache workers missed the seeded bug: %s", name, rep.String())
+			continue
+		}
+		verifyCorpusReplay(t, name, b, rep)
+		if rep.PrunedIterations > 0 && (rep.ReplayedPoints == 0 || rep.PrunedPoints == 0) {
+			t.Errorf("%s: the replay memo never engaged: %s", name, rep.String())
+		}
+		var replayed, pruned int64
+		for _, w := range out.Workers {
+			replayed += w.Report.ReplayedPoints
+			pruned += w.Report.PrunedPoints
+		}
+		if replayed != rep.ReplayedPoints || pruned != rep.PrunedPoints {
+			t.Errorf("%s: merged report says %d replayed / %d pruned points, the workers sum to %d / %d",
+				name, rep.ReplayedPoints, rep.PrunedPoints, replayed, pruned)
+		}
+	}
+}
+
+// TestStateCacheReportsWhatItExecuted: TotalSchedulingPoints leaves the
+// pruned attempts out, so PrunedPoints and ReplayedPoints have to say what
+// a reduced campaign really ran — and that most of it was prefix replay.
+func TestStateCacheReportsWhatItExecuted(t *testing.T) {
+	b := protocols.MustByName("TwoPhaseCommit", false)
+	opts := sct.Options{Strategy: sct.NewDPOR(), Iterations: 300, MaxSteps: b.MaxSteps, StateCache: true}
+	tel := sct.NewTelemetry(time.Second)
+	opts.Telemetry = tel
+	rep := sct.Run(b.Setup, opts)
+	if rep.PrunedIterations == 0 || rep.PrunedPoints < int64(rep.PrunedIterations) {
+		t.Fatalf("pruned attempts executed nothing: %s", rep.String())
+	}
+	executed := rep.TotalSchedulingPoints + rep.PrunedPoints
+	if rep.ReplayedPoints <= 0 || rep.ReplayedPoints >= executed {
+		t.Fatalf("%d replayed points of %d executed", rep.ReplayedPoints, executed)
+	}
+	if share := rep.ReplayedShare(); share < 0.5 {
+		t.Fatalf("replayed share %.2f: a DPOR+cache search of TwoPhaseCommit is mostly prefix replay", share)
+	}
+	c := sct.NewCampaign(sct.CampaignConfig{Strategy: "dpor", StateCache: true}, &rep, nil, tel)
+	if c.Result.PrunedPoints != rep.PrunedPoints || c.Result.ReplayedPoints != rep.ReplayedPoints ||
+		c.Telemetry.PrunedPoints != rep.PrunedPoints || c.Telemetry.ReplayedPoints != rep.ReplayedPoints {
+		t.Fatalf("campaign report %d/%d and telemetry %d/%d disagree with the run's %d pruned / %d replayed points",
+			c.Result.PrunedPoints, c.Result.ReplayedPoints, c.Telemetry.PrunedPoints, c.Telemetry.ReplayedPoints,
+			rep.PrunedPoints, rep.ReplayedPoints)
+	}
+	plain := sct.Run(b.Setup, sct.Options{Strategy: sct.NewDFS(), Iterations: 50, MaxSteps: b.MaxSteps})
+	if plain.ReplayedPoints != 0 || plain.PrunedPoints != 0 {
+		t.Fatalf("a run without a cache reports %d replayed / %d pruned points", plain.ReplayedPoints, plain.PrunedPoints)
+	}
+}
+
 // verifyCorpusReplay checks a DPOR-found bug trace replays byte-identically.
 func verifyCorpusReplay(t *testing.T, name string, b protocols.Benchmark, rep sct.Report) {
 	t.Helper()

@@ -147,6 +147,16 @@ type Report struct {
 	// run visited; 0 when the state cache was off. Per-run only: state
 	// hashes are not journaled, so a resumed campaign's count restarts.
 	DistinctStates int
+	// PrunedPoints sums the scheduling decisions of the pruned iterations,
+	// which TotalSchedulingPoints leaves out: the run executed
+	// TotalSchedulingPoints + PrunedPoints decisions. ReplayedPoints is how
+	// many of those replayed the decisions of the worker's previous
+	// iteration — re-execution of a shared prefix, where the state cache is
+	// not consulted (psharp.IterationResult.ReplayedPoints); ReplayedShare
+	// is their ratio. Both are 0 when the state cache was off, and per-run
+	// like DistinctStates.
+	PrunedPoints   int64
+	ReplayedPoints int64
 	// Exhausted reports that the strategy completed its search space.
 	Exhausted bool
 	// Interrupted reports that the run ended early — an external stop
@@ -181,6 +191,18 @@ func (r *Report) PercentBuggy() float64 {
 	return 100 * float64(r.BuggyIterations) / float64(r.Iterations)
 }
 
+// ReplayedShare is the share of the scheduling decisions a state-cache run
+// executed (those of pruned iterations included) that re-executed the
+// previous iteration's prefix: what a stateless search pays for having no
+// snapshot to restart from.
+func (r *Report) ReplayedShare() float64 {
+	executed := r.TotalSchedulingPoints + r.PrunedPoints
+	if executed == 0 {
+		return 0
+	}
+	return float64(r.ReplayedPoints) / float64(executed)
+}
+
 // String summarizes the report in one line.
 func (r *Report) String() string {
 	bug := "no bug"
@@ -191,9 +213,15 @@ func (r *Report) String() string {
 	if r.Interrupted {
 		mark = " [interrupted]"
 	}
-	return fmt.Sprintf("%d schedules (%d distinct), %d buggy (%.1f%%), maxSP=%d, %.1f sch/sec, %s%s",
+	cache := ""
+	if r.PrunedIterations > 0 || r.ReplayedPoints > 0 {
+		cache = fmt.Sprintf(", %d pruned (pruned_points=%d replayed_points=%d, %.1f%% of %d executed)",
+			r.PrunedIterations, r.PrunedPoints, r.ReplayedPoints, 100*r.ReplayedShare(),
+			r.TotalSchedulingPoints+r.PrunedPoints)
+	}
+	return fmt.Sprintf("%d schedules (%d distinct), %d buggy (%.1f%%), maxSP=%d, %.1f sch/sec%s, %s%s",
 		r.Iterations, r.DistinctSchedules, r.BuggyIterations, r.PercentBuggy(), r.MaxSchedulingPoints,
-		r.SchedulesPerSecond(), bug, mark)
+		r.SchedulesPerSecond(), cache, bug, mark)
 }
 
 // raceSet deduplicates race reports in O(1) per insert while preserving
@@ -248,10 +276,14 @@ type shared struct {
 	iterations atomic.Int64
 	buggy      atomic.Int64
 	distinct   atomic.Int64
-	// pruned counts state-cache-truncated iterations campaign-wide; cache
-	// is the shared state cache, nil unless Options.StateCache is set.
-	pruned atomic.Int64
-	cache  *stateCache
+	// pruned counts state-cache-truncated iterations campaign-wide, and
+	// prunedPoints and replayedPoints their scheduling decisions and the
+	// replayed ones of every iteration (Report.PrunedPoints/ReplayedPoints);
+	// cache is the shared state cache, nil unless Options.StateCache is set.
+	pruned         atomic.Int64
+	prunedPoints   atomic.Int64
+	replayedPoints atomic.Int64
+	cache          *stateCache
 
 	// budget and ticket implement work-stealing (ParallelOptions.Dynamic):
 	// dynamic workers claim global iteration tickets from the shared counter
@@ -466,13 +498,20 @@ func runWorker(setup func(*psharp.Runtime), sh *shared, w worker) Report {
 		if res.Interrupted {
 			break // partial schedule: not counted
 		}
+		if sh.cache != nil {
+			rep.ReplayedPoints += int64(res.ReplayedPoints)
+			sh.replayedPoints.Add(int64(res.ReplayedPoints))
+		}
 		if res.Pruned {
 			// A revisited state truncated the schedule: budget was spent but
 			// nothing new was explored. Keep the iteration out of every
-			// throughput and distinctness counter, but advance the journal
-			// position — on resume the strategy re-derives the same prune.
+			// throughput and distinctness counter (what it executed is
+			// PrunedPoints), but advance the journal position — on resume the
+			// strategy re-derives the same prune.
 			rep.PrunedIterations++
+			rep.PrunedPoints += int64(res.SchedulingPoints)
 			sh.pruned.Add(1)
+			sh.prunedPoints.Add(int64(res.SchedulingPoints))
 			completed = local + 1
 			if jw != nil {
 				jw.note(0, false, completed)

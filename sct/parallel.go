@@ -281,6 +281,8 @@ func mergeReports(workers []WorkerReport) Report {
 		rep := &workers[i].Report
 		merged.Iterations += rep.Iterations
 		merged.PrunedIterations += rep.PrunedIterations
+		merged.PrunedPoints += rep.PrunedPoints
+		merged.ReplayedPoints += rep.ReplayedPoints
 		merged.BuggyIterations += rep.BuggyIterations
 		merged.TotalSchedulingPoints += rep.TotalSchedulingPoints
 		merged.BoundReached += rep.BoundReached

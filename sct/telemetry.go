@@ -33,12 +33,16 @@ type Telemetry struct {
 	census map[string]int64 // bug kind -> buggy iteration count
 	faults psharp.FaultStats
 
-	// pruned and states mirror the run's state-cache counters (campaign-wide
-	// pruned iterations and distinct hashed states) at the last curve sample,
-	// so a live Snapshot reports them without reaching into engine internals.
-	// Both stay zero when the run has no state cache.
-	pruned atomic.Int64
-	states atomic.Int64
+	// pruned, states, prunedPoints and replayedPoints mirror the run's
+	// state-cache counters (campaign-wide pruned iterations, distinct hashed
+	// states, decisions executed by pruned iterations, prefix-replay
+	// decisions) at the last curve sample, so a live Snapshot reports them
+	// without reaching into engine internals. All stay zero when the run has
+	// no state cache.
+	pruned         atomic.Int64
+	states         atomic.Int64
+	prunedPoints   atomic.Int64
+	replayedPoints atomic.Int64
 
 	start time.Time
 	// base offsets every sample's elapsed time by the prior journaled runs'
@@ -119,6 +123,8 @@ func (t *Telemetry) sample(elapsed time.Duration, force bool, sh *shared) {
 		states = int64(sh.cache.size())
 	}
 	t.pruned.Store(sh.pruned.Load())
+	t.prunedPoints.Store(sh.prunedPoints.Load())
+	t.replayedPoints.Store(sh.replayedPoints.Load())
 	t.states.Store(states)
 	t.curve.Sample(elapsed, force,
 		sh.iterations.Load(), sh.distinct.Load(), t.coverage.Distinct(), states)
@@ -154,6 +160,11 @@ type TelemetrySnapshot struct {
 	// as of the last growth-curve sample; both 0 when the cache was off.
 	PrunedIterations int64 `json:"pruned_iterations,omitempty"`
 	DistinctStates   int64 `json:"distinct_states,omitempty"`
+	// PrunedPoints and ReplayedPoints are the scheduling decisions of the
+	// pruned iterations and the prefix-replay decisions of all iterations
+	// (Report.PrunedPoints / Report.ReplayedPoints), as of the same sample.
+	PrunedPoints   int64 `json:"pruned_points,omitempty"`
+	ReplayedPoints int64 `json:"replayed_points,omitempty"`
 	// GrowthCurve samples campaign progress over wall-clock time.
 	GrowthCurve []GrowthPoint `json:"growth_curve,omitempty"`
 }
@@ -180,6 +191,8 @@ func (t *Telemetry) Snapshot() *TelemetrySnapshot {
 	t.mu.Unlock()
 	s.PrunedIterations = t.pruned.Load()
 	s.DistinctStates = t.states.Load()
+	s.PrunedPoints = t.prunedPoints.Load()
+	s.ReplayedPoints = t.replayedPoints.Load()
 	for _, p := range t.curve.Points() {
 		gp := GrowthPoint{ElapsedMS: float64(p.Elapsed) / float64(time.Millisecond)}
 		// Journal-restored checkpoints carry 3 values; live samples carry 4.

@@ -13,7 +13,9 @@ import (
 // strategy-side half of dynamic partial-order reduction — and (b) hash the
 // global program state (machine FSM states, queue contents, machine logic
 // fields, monitor states and temperatures) and ask a StateCache whether
-// that state was already covered, cutting the iteration short when it was.
+// that state was already covered, cutting the iteration short when it was
+// — except on the decision prefix an iteration replays from the one before
+// it, where the answer is known (see StateCache).
 // Both hooks are off unless the strategy implements StepObserver or
 // TestConfig.StateCache is set, and the step bookkeeping is a handful of
 // word writes — the allocation-free hot path is unchanged when they are
@@ -44,12 +46,29 @@ type StepObserver interface {
 	ObserveStep(op StepOp)
 }
 
-// StateCache is consulted by the controller at every scheduling decision
-// when TestConfig.StateCache is set. Visit receives the hash of the
-// current global state, the hash of the decision prefix that led to it,
-// and the prefix depth (decisions made so far); returning true prunes the
-// iteration — the controller stops scheduling and reports the iteration
-// with IterationResult.Pruned set.
+// StateCache is consulted by the controller at the scheduling decisions of
+// an iteration when TestConfig.StateCache is set. Visit receives the hash
+// of the current global state, the hash of the decision prefix that led to
+// it, and the prefix depth (decisions made so far); returning true prunes
+// the iteration — the controller stops scheduling and reports the
+// iteration with IterationResult.Pruned set.
+//
+// The cache is not consulted on a replayed prefix: while an iteration makes
+// the decisions the previous iteration of the same TestHarness made, it
+// passes through states the cache was shown then, under these very
+// prefixes, and answered false to. The controller neither hashes nor calls
+// Visit at those points (IterationResult.ReplayedPoints counts them); the
+// first call of an iteration is at the first point whose decision prefix
+// the previous iteration did not reach. This relies on what replay relies
+// on: the program is deterministic in its decisions, so an equal decision
+// prefix reaches an equal state. A cache must therefore answer a repeated
+// Visit(state, prefix, depth) as it answered the first — any ownership rule
+// does under a depth-first strategy, which finishes a prefix's subtree
+// before any other prefix can take the state at a smaller depth — and a
+// cache shared by several harnesses cannot prune one of them inside its
+// own replay. One-shot RunTest calls, and caches whose dynamic type is not
+// comparable (so "the same cache as last time" cannot be told), are
+// consulted at every point.
 //
 // Soundness is the caller's concern: pruning on a revisited state is only
 // exhaustive-exploration-preserving under a depth-first strategy (sct.DFS,
@@ -123,20 +142,59 @@ type stateHasher struct {
 	prefix uint64
 	// typeIDs interns event and payload types to stable per-run IDs.
 	typeIDs map[reflect.Type]uint64
+
+	// seen is the replay memo: seen[k] is the decision-prefix hash the
+	// harness's previous iteration had at scheduling point k, for every
+	// point the cache let it pass. While replaying, the running iteration
+	// has matched seen at every point so far — replayed counts them — and
+	// the state hash and Visit are skipped; the first point that differs
+	// truncates seen there, and from then on every passed point appends.
+	// key is what of the TestConfig the memo was recorded under. seen starts
+	// out in seenBuf, so a search no deeper than that allocates nothing for
+	// its memo (a hunt of a few schedules would notice).
+	seen      []uint64
+	seenBuf   [128]uint64
+	replaying bool
+	replayed  int
+	key       memoKey
+}
+
+// memoKey is everything in a TestConfig that decides which state a decision
+// prefix reaches and which cache was shown it. The replay memo is dropped
+// when any of it changes between two Runs of a harness.
+type memoKey struct {
+	cache       StateCache
+	temperature int // monitor temperatures feed the hash
+	chessLike   bool
+	faults      bool // fault decisions are not part of the prefix hash
 }
 
 func newStateHasher() *stateHasher {
-	return &stateHasher{prefix: fnvOffset64, typeIDs: make(map[reflect.Type]uint64)}
+	h := &stateHasher{prefix: fnvOffset64, typeIDs: make(map[reflect.Type]uint64)}
+	h.seen = h.seenBuf[:0]
+	return h
 }
 
-// reset prepares the hasher for a fresh iteration. Type interning persists
-// across iterations (types are a property of the program, not the run).
-func (h *stateHasher) reset() {
+// reset prepares the hasher for a fresh iteration under cfg. Type interning
+// persists across iterations (types are a property of the program, not the
+// run), and so does the replay memo unless it could lie: faults are on, the
+// configuration moved, or the cache cannot be told from another one —
+// comparing interfaces panics on an uncomparable dynamic type (a map-typed
+// cache), so such a cache counts as new every time. comps stays empty
+// until the iteration leaves its replayed prefix; stateHash's growth path
+// then hashes every live machine once.
+func (h *stateHasher) reset(cfg *TestConfig) {
 	h.comps = h.comps[:0]
 	h.agg = 0
 	h.dirty = h.dirty[:0]
 	h.marked = h.marked[:0]
 	h.prefix = fnvOffset64
+	key := memoKey{cfg.StateCache, cfg.LivenessTemperature, cfg.ChessLike, cfg.Faults != nil}
+	if key.faults || !reflect.ValueOf(key.cache).Comparable() || key != h.key {
+		h.seen = h.seen[:0]
+	}
+	h.key = key
+	h.replaying, h.replayed = true, 0
 }
 
 // markDirtySeq records that machine Seq's component must be rehashed. New
@@ -154,19 +212,30 @@ func (h *stateHasher) markDirtySeq(seq uint64) {
 	h.dirty = append(h.dirty, idx)
 }
 
-// typeID interns a reflect.Type to a stable hash for this run.
+// typeID interns a reflect.Type to a stable hash for this run: of its
+// package path and name under its pointer indirections, because String
+// abbreviates the path to the package name — a/msg.Ping and b/msg.Ping
+// would share an ID, and two states that differ only in which of them is
+// queued would be one. Unnamed types have only String to go by.
 func (h *stateHasher) typeID(t reflect.Type) uint64 {
 	if id, ok := h.typeIDs[t]; ok {
 		return id
 	}
-	id := fnvString(fnvOffset64, t.String())
+	id, base := fnvOffset64, t
+	for base.Kind() == reflect.Pointer {
+		id, base = fnvByte(id, '*'), base.Elem()
+	}
+	if base.Name() != "" {
+		id = fnvString(fnvByte(fnvString(id, base.PkgPath()), '.'), base.Name())
+	} else {
+		id = fnvString(id, base.String())
+	}
 	h.typeIDs[t] = id
 	return id
 }
 
-// dispatchHash seeds a machine's mid-handler position hash at event
-// dispatch: the handler's identity is the event type plus payload.
-func (h *stateHasher) dispatchHash(ev Event) uint64 {
+// eventHash identifies an event by type and payload.
+func (h *stateHasher) eventHash(ev Event) uint64 {
 	if ev == nil {
 		return mix64(0x9e3779b97f4a7c15)
 	}
@@ -245,21 +314,30 @@ func (h *stateHasher) deepHash(v reflect.Value, depth int) uint64 {
 // scheduler status, mid-handler position, queue contents (sender, event
 // type, payload — not the global send sequence, which differs across
 // behaviorally equivalent interleavings), and the deep hash of the logic
-// value's fields.
+// value's fields. Execution is serialized, so the queue is read unlocked.
 func (h *stateHasher) hashMachine(m *machineInstance, status machineStatus) uint64 {
 	c := fnvUint64(fnvOffset64, m.id.Seq)
 	c = fnvString(c, m.state)
 	c = fnvByte(c, byte(status))
-	c = fnvUint64(c, m.hprog)
-	m.mu.Lock()
+	if m.handling {
+		// Mid-handler: the position is the dispatched event plus every
+		// visible operation since. Operations not yet folded are folded now.
+		for _, op := range m.hops {
+			m.hprog = fnvUint64(m.hprog, op.word)
+			if op.sent != nil {
+				m.hprog = fnvUint64(m.hprog, h.typeID(eventKey(op.sent)))
+			}
+		}
+		clear(m.hops)
+		m.hops = m.hops[:0]
+		c = fnvUint64(fnvUint64(c, m.hprog), h.eventHash(m.hev))
+	}
 	c = fnvUint64(c, uint64(len(m.queue)))
 	for i := range m.queue {
 		env := &m.queue[i]
 		c = fnvUint64(c, env.sender.Seq)
-		c = fnvUint64(c, h.typeID(eventKey(env.event)))
-		c = fnvUint64(c, h.deepHash(reflect.ValueOf(env.event), 0))
+		c = fnvUint64(c, h.eventHash(env.event))
 	}
-	m.mu.Unlock()
 	if m.logic != nil {
 		c = fnvUint64(c, h.deepHash(reflect.ValueOf(m.logic), 0))
 	}

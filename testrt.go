@@ -53,12 +53,15 @@ type TestConfig struct {
 	// exploration workers can share one and report campaign-wide coverage.
 	Coverage *obs.StateEventCoverage
 	// StateCache, if non-nil, is consulted at every scheduling decision
+	// past the prefix the harness's previous iteration already showed it,
 	// with a hash of the global state (machine FSM states, queue contents,
 	// logic fields, monitor states and temperatures) and the decision
 	// prefix that reached it; when Visit returns true the iteration is cut
-	// short and reported with IterationResult.Pruned set. Only sound under
-	// depth-first strategies (see the StateCache docs); incompatible with
-	// Faults in this version.
+	// short and reported with IterationResult.Pruned set. Skipping the
+	// replayed prefix relies, as replay does, on the program being
+	// deterministic in its decisions. Only sound under depth-first
+	// strategies (see the StateCache docs); incompatible with Faults in
+	// this version.
 	StateCache StateCache
 	// Faults, if non-nil, enables fault-injection nondeterminism: the
 	// controller issues a ChoiceFault query once per scheduler pass (crash?)
@@ -89,6 +92,10 @@ type IterationResult struct {
 	// SchedulingPoints is the number of scheduling decisions taken (the
 	// paper's #SP column).
 	SchedulingPoints int
+	// ReplayedPoints is how many of them replayed the previous iteration's
+	// decisions, so that cfg.StateCache was not consulted (see StateCache);
+	// 0 without a cache.
+	ReplayedPoints int
 	// Machines is the number of machine instances created.
 	Machines int
 	// Trace replays the iteration deterministically.
@@ -318,7 +325,7 @@ func (c *controller) setDecider() {
 		if c.hasher == nil {
 			c.hasher = newStateHasher()
 		}
-		c.hasher.reset()
+		c.hasher.reset(&c.cfg)
 	} else {
 		c.hasher = nil
 	}
@@ -350,15 +357,15 @@ func (c *controller) nextBool() bool {
 	return d.Bool
 }
 
-// mixChoice folds a nondeterministic-choice result into the currently
-// running machine's mid-handler position hash: two continuations that drew
-// different values are different program positions.
+// mixChoice logs a nondeterministic-choice result in the currently running
+// machine's mid-handler position: two continuations that drew different
+// values are different program positions.
 func (c *controller) mixChoice(v uint64) {
 	if c.current.Seq == 0 {
 		return
 	}
 	m := c.instances[c.current.Seq-1]
-	m.hprog = fnvUint64(m.hprog, v)
+	m.hops = append(m.hops, handlerOp{word: v})
 }
 
 func (c *controller) nextInt(n int) int {
@@ -536,7 +543,7 @@ func (c *controller) updateTemperatures() {
 func (c *controller) noteSend(sm *machineInstance, target MachineID, ev Event) {
 	c.stepTarget = target
 	if h := c.hasher; h != nil {
-		sm.hprog = fnvUint64(fnvUint64(sm.hprog, target.Seq), h.typeID(eventKey(ev)))
+		sm.hops = append(sm.hops, handlerOp{target.Seq, ev})
 		h.markDirtySeq(target.Seq)
 	}
 }
@@ -550,7 +557,7 @@ func (c *controller) noteCreate(creator *machineInstance, id MachineID) {
 	}
 	c.stepCreated = id
 	if c.hasher != nil {
-		creator.hprog = fnvUint64(creator.hprog, id.Seq|0x8000000000000000)
+		creator.hops = append(creator.hops, handlerOp{word: id.Seq | 0x8000000000000000})
 	}
 }
 
@@ -572,13 +579,25 @@ func (c *controller) noteStepEnd() {
 }
 
 // checkStateCache hashes the current global state and asks cfg.StateCache
-// whether it was already covered; a true answer prunes the iteration.
+// whether it was already covered; a true answer prunes the iteration. On a
+// replayed prefix — the decisions so far are the previous iteration's — the
+// answer is known to be false and neither happens (see StateCache).
 func (c *controller) checkStateCache() bool {
-	if !c.cfg.StateCache.Visit(c.stateHash(), c.hasher.prefix, c.steps) {
-		return false
+	h := c.hasher
+	if h.replaying {
+		if k := h.replayed; k < len(h.seen) && h.seen[k] == h.prefix {
+			h.replayed++
+			return false
+		}
+		h.replaying = false
+		h.seen = h.seen[:h.replayed]
 	}
-	c.pruned = true
-	return true
+	if c.cfg.StateCache.Visit(c.stateHash(), h.prefix, c.steps) {
+		c.pruned = true
+		return true
+	}
+	h.seen = append(h.seen, h.prefix)
+	return false
 }
 
 // stateHash returns the hash of the global state at the current scheduling
