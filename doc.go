@@ -251,21 +251,39 @@
 // Bug-finding throughput has two terms: what a scheduling point costs and
 // how much each iteration rebuilds.
 //
-// A scheduling point is one controller↔machine round trip. Every machine
-// of the testing runtime is a coroutine (iter.Pull over the instance's
-// run loop): the controller resumes the chosen machine with a direct
-// switch and the machine switches back at its next send, create, block or
-// halt, so the thread is handed over without the Go scheduler, a run
-// queue or a wake-up. The controller this replaced parked each machine
-// goroutine on a channel and paid two unbuffered channel operations — two
-// trips through the scheduler — per point: bench's traced pass measured
-// that bare handoff at ≈ 620 ns of a ≈ 1 120 ns scheduling point on the
-// Table 2 protocols under random scheduling; with coroutines the handoff
-// is ≈ 290 ns and the scheduling point ≈ 590 ns (go1.24, 2 vCPU). The
-// recorded-trace oracle in controller_golden_test.go holds the two
-// controllers to byte-identical schedules, bugs and fault statistics.
-// Production mode is untouched: machines there are plain goroutines
-// blocking on condition variables.
+// A scheduling point is a decision, and a coroutine switch only if the
+// decision needs one. Every machine of the testing runtime is a coroutine
+// (iter.Pull over the instance's run loop) of the goroutine that called
+// Run, so exactly one stack runs at a time and a switch hands the thread
+// over without the Go scheduler, a run queue or a wake-up. The scheduler
+// pass — interrupt poll, quiescence, deadlock and liveness checks, depth
+// bound, state-cache check, fault query, the strategy's Decide, trace
+// append — is one function (controller.pass) that runs on whichever stack
+// reaches the point. A machine at a send or create closes its own step and
+// runs the pass itself; if the strategy keeps it running it returns into
+// its handler, and only when another machine is chosen, the iteration ends
+// or a crash must be applied does it park and leave the outcome to the
+// controller's loop, which then merely switches. Under random scheduling
+// 13–23 % of the points of a Table 2 protocol keep the yielding machine
+// (94 % of German's, whose livelock is one machine talking to itself; a
+// third of all points of the benchmark's table2_random round) and 25–60 %
+// under depth-first search, which prefers the first enabled machine:
+// IterationResult.ContinuedPoints and sct's Report.ContinuedShare count
+// them exactly. Those points cost no switch at all; the others cost
+// two (machine → loop → next machine). And because the switches
+// already order everything, a testing Runtime takes none of the locks the
+// production runtime needs: no queue mutex, no runtime mutex, no condition
+// variable on the send, dequeue, halt, create and crash paths — the
+// previous controller paid five uncontended lock pairs and a Signal per
+// send/dequeue. (Hence: touching a testing Runtime from a second goroutine
+// is a data race, not merely nondeterminism.) bench's traced pass reads
+// the bare hand-off at ≈ 190 ns of a ≈ 455 ns scheduling point on the
+// Table 2 protocols under random scheduling (go1.24, 2 vCPU); the
+// coroutine controller before this shape read ≈ 300 of ≈ 570, the channel
+// handshake before that ≈ 620 of ≈ 1 120. The recorded-trace oracle in
+// controller_golden_test.go holds all three to byte-identical schedules,
+// bugs and fault statistics. Production mode is untouched: machines there
+// are plain goroutines blocking on condition variables, under every lock.
 //
 // RunTest is a one-shot convenience: every call constructs a serialized
 // runtime, a controller and a trace, runs one schedule, and throws them

@@ -57,10 +57,10 @@ func (s FaultStats) Total() int {
 	return s.Crashes + s.Drops + s.Duplicates + s.Reorders
 }
 
-// scheduleFault issues the per-pass fault query and executes a crash if the
-// strategy injects one. It returns true when a crash happened (the scheduler
-// pass must start over) and reports strategy protocol violations through
-// c.bug. Runs on the controller's side with every machine parked.
+// scheduleFault issues the per-pass fault query and records the answer. It
+// returns true when the strategy injects a crash, left in c.crash for loop
+// to apply (the pass may be running on the very stack to be unwound), and
+// reports strategy protocol violations through c.bug.
 func (c *controller) scheduleFault() bool {
 	fc := c.cfg.Faults
 	c.crashScratch = c.crashScratch[:0]
@@ -107,15 +107,16 @@ func (c *controller) scheduleFault() bool {
 		f.PreserveMailbox = false
 	}
 	c.trace.addFault(f)
-	c.crashMachine(f)
+	c.crash = f
 	return true
 }
 
-// crashMachine halts the target mid-schedule. Every machine is parked, so
-// the crash is one coroutine round trip: set the crashed flag and switch to
-// the machine, which unwinds with a crashSignal panic — out of park, or out
-// of run's first check if it was never scheduled — and yields ykCrashed. The
-// instance is then marked halted — and optionally rebooted in place.
+// crashMachine halts the target mid-schedule. Called from loop, where every
+// machine is parked, so the crash is one coroutine round trip: set the
+// crashed flag and switch to the machine, which unwinds with a crashSignal
+// panic — out of park, or out of run's first check if it was never scheduled
+// — and yields ykCrashed. The instance is then marked halted — and
+// optionally rebooted in place.
 func (c *controller) crashMachine(f FaultAction) {
 	m := c.instances[f.Machine.Seq-1]
 	// Monitors observe the lifecycle event before the crash takes effect,
@@ -127,15 +128,10 @@ func (c *controller) crashMachine(f FaultAction) {
 	m.next() // yields ykCrashed
 	c.statuses[m.id.Seq-1] = msHalted
 	c.readyRemove(m.id)
-	m.mu.Lock()
 	m.halted = true
 	if !f.PreserveMailbox {
-		for i := range m.queue {
-			m.queue[i] = envelope{}
-		}
-		m.queue = m.queue[:0]
+		m.dropQueue()
 	}
-	m.mu.Unlock()
 	if c.rt.logging() {
 		c.rt.logf("fault: crashed %s (restart=%v, keepq=%v)", m.id, f.Restart, f.PreserveMailbox)
 	}
@@ -164,9 +160,7 @@ func (c *controller) restartMachine(m *machineInstance) {
 		// Closure-form machines compile a per-instance schema whose actions
 		// close over the logic value, so the new incarnation needs its own.
 		var err error
-		r.mu.Lock()
 		schema, err = r.compileInstanceLocked(m.id.Type, logic)
-		r.mu.Unlock()
 		if err != nil {
 			c.bug = &Bug{Kind: BugPanic, Machine: m.id,
 				Message: fmt.Sprintf("cannot restart %s: %v", m.id, err)}
@@ -175,15 +169,13 @@ func (c *controller) restartMachine(m *machineInstance) {
 	}
 	m.logic = logic
 	m.schema = schema
-	m.state = ""
+	m.state, m.st = "", nil
 	m.crashed = false
 	m.bug = nil
 	m.aborted = false
+	m.halted = false
 	m.ctx.currentEvent = nil
 	m.ctx.resetPending()
-	m.mu.Lock()
-	m.halted = false
-	m.mu.Unlock()
 	c.statuses[m.id.Seq-1] = msReady
 	c.readyAdd(m.id)
 	c.faults.Restarts++

@@ -174,10 +174,12 @@ func TestFaultReplayAutoEnablesFaults(t *testing.T) {
 // scripted is a hand-driven decision strategy for the lifecycle tests:
 // machine choices follow picks (creation sequence numbers; once the script
 // runs out, or when it names a machine that is not enabled, the first
-// enabled machine runs), the first schedule-level fault query is answered
-// with crash (if set), and every send-level fault query with sendFault.
+// enabled machine runs), the first schedule-level fault query after declines
+// declined ones is answered with crash (if set), and every send-level fault
+// query with sendFault.
 type scripted struct {
 	picks     []uint64
+	declines  int
 	crash     *psharp.FaultAction
 	sendFault psharp.FaultAction
 }
@@ -203,6 +205,8 @@ func (s *scripted) Decide(c psharp.Choice) psharp.Decision {
 	d := psharp.Decision{Kind: psharp.DecisionFault}
 	if c.Point == psharp.FaultPointSend {
 		d.Fault = s.sendFault
+	} else if s.declines > 0 {
+		s.declines--
 	} else if s.crash != nil {
 		d.Fault, s.crash = *s.crash, nil
 	}
@@ -274,6 +278,91 @@ func TestCoroutineCrashBeforeFirstSchedule(t *testing.T) {
 				first = res.Trace.Clone()
 			} else if encodeTrace(t, res.Trace) != encodeTrace(t, first) {
 				t.Fatalf("restart=%v: recycled iteration %d recorded a different trace", tc.restart, i)
+			}
+		}
+		h.Close()
+
+		log = log[:0]
+		res := sct.ReplayTrace(setup, first, psharp.TestConfig{})
+		if res.Bug != nil || res.Faults != tc.stats || !slices.Equal(log, tc.want) || encodeTrace(t, res.Trace) != encodeTrace(t, first) {
+			t.Fatalf("restart=%v: replay diverged: bug %v, faults %+v, ran %v", tc.restart, res.Bug, res.Faults, log)
+		}
+	}
+}
+
+// TestCoroutineCrashYieldingMachineAtItsSend injects a crash of the machine
+// that is asking: machine 1 reaches its send's scheduling point, takes the
+// scheduler pass on its own stack, and the pass's fault query is answered
+// with a crash of machine 1. The crash has to be applied from the
+// controller's stack — the handler must never resume past the send — and the
+// pass restarted: the message it sent is delivered, the rebooted incarnation
+// runs its entry action again, and the trace replays byte for byte.
+func TestCoroutineCrashYieldingMachineAtItsSend(t *testing.T) {
+	var log []string
+	note := func(ctx *psharp.Context, what string) { log = append(log, fmt.Sprintf("%d:%s", ctx.ID().Seq, what)) }
+	setup := func(r *psharp.Runtime) {
+		r.MustRegister("Relay", func() psharp.Machine {
+			return psharp.StaticMachineFunc(func(sc *psharp.Schema) {
+				sc.Start("R").
+					OnEntry(func(ctx *psharp.Context, ev psharp.Event) { note(ctx, "entry") }).
+					OnEventDo(&evWork{}, func(ctx *psharp.Context, ev psharp.Event) {
+						note(ctx, "before-send")
+						ctx.Send(ev.(*evWork).To, &evSpin{})
+						note(ctx, "after-send")
+					})
+			})
+		})
+		r.MustRegister("Sink", func() psharp.Machine {
+			return psharp.StaticMachineFunc(func(sc *psharp.Schema) {
+				sc.Start("S").OnEventDo(&evSpin{}, func(ctx *psharp.Context, ev psharp.Event) { note(ctx, "got") })
+			})
+		})
+		relay := r.MustCreate("Relay", nil)
+		sink := r.MustCreate("Sink", nil)
+		if err := r.SendEvent(relay, &evWork{To: sink}); err != nil {
+			panic(err)
+		}
+	}
+	victim := psharp.MachineID{Type: "Relay", Seq: 1}
+	for _, tc := range []struct {
+		restart bool
+		want    []string
+		stats   psharp.FaultStats
+		points  int
+	}{
+		{false, []string{"1:entry", "1:before-send", "2:got"}, psharp.FaultStats{Crashes: 1}, 2},
+		{true, []string{"1:entry", "1:before-send", "1:entry", "2:got"}, psharp.FaultStats{Crashes: 1, Restarts: 1}, 3},
+	} {
+		// The first pass (the controller's) declines and starts machine 1;
+		// the second is machine 1's own, at its send.
+		cfg := func() psharp.TestConfig {
+			return psharp.TestConfig{
+				Strategy: psharp.AsStrategy(&scripted{picks: []uint64{1, 1, 2}, declines: 1,
+					crash: &psharp.FaultAction{Kind: psharp.FaultCrash, Machine: victim, Restart: tc.restart}}),
+				Faults: &psharp.FaultConfig{},
+			}
+		}
+		h := psharp.NewTestHarness(setup)
+		var first *psharp.Trace
+		for i := 0; i < 4; i++ { // three recycled iterations, then one-shot
+			log = log[:0]
+			var res psharp.IterationResult
+			if i < 3 {
+				res = h.Run(cfg())
+			} else {
+				res = psharp.RunTest(setup, cfg())
+			}
+			if res.Bug != nil || res.Faults != tc.stats || res.SchedulingPoints != tc.points || res.ContinuedPoints != 0 {
+				t.Fatalf("restart=%v iteration %d: bug %v, faults %+v, %d scheduling points (%d continued); want none, %+v, %d (0)",
+					tc.restart, i, res.Bug, res.Faults, res.SchedulingPoints, res.ContinuedPoints, tc.stats, tc.points)
+			}
+			if !slices.Equal(log, tc.want) {
+				t.Fatalf("restart=%v iteration %d ran %v, want %v", tc.restart, i, log, tc.want)
+			}
+			if first == nil {
+				first = res.Trace.Clone()
+			} else if encodeTrace(t, res.Trace) != encodeTrace(t, first) {
+				t.Fatalf("restart=%v: iteration %d recorded a different trace", tc.restart, i)
 			}
 		}
 		h.Close()

@@ -19,10 +19,15 @@ import (
 // own. Close hands the idle machine instances to a process-wide reserve that
 // later harnesses draw from; after Close the harness must not be used again.
 //
-// Machines run as coroutines of the goroutine that calls Run, and the
-// reserve passes them between harnesses, so harnesses must not be driven
-// from goroutines wired to an OS thread (runtime.LockOSThread): the Go
-// runtime refuses to switch a coroutine across thread-lock states.
+// Machines run as coroutines of the goroutine that calls Run — the
+// strategy's Decide, Interrupt and StateCache.Visit are called from their
+// stacks as well as from Run's — and a testing Runtime takes no lock (see
+// controller). Using the Runtime setup received from another goroutine
+// (SendEvent, CreateMachine) is unsupported: it always broke determinism,
+// now it is also a data race. The reserve passes coroutines between
+// harnesses, so harnesses must not be driven from goroutines wired to an OS
+// thread (runtime.LockOSThread): the Go runtime refuses to switch a
+// coroutine across thread-lock states.
 type TestHarness struct {
 	setup  func(*Runtime)
 	rt     *Runtime
@@ -75,15 +80,24 @@ func (h *TestHarness) Run(cfg TestConfig) IterationResult {
 	}
 	h.reset(cfg)
 	h.setup(h.rt)
-	h.c.loop()
-
 	c := h.c
+	c.loop()
+	if v := c.panicked; v != nil {
+		// The strategy panicked inside a pass, possibly on a machine's
+		// stack. Teardown has unwound every handler since, so the instances
+		// are recycled like any iteration's (the harness stays usable and
+		// can Close) before the caller sees the panic it would have seen
+		// had the pass run on its own stack.
+		h.park()
+		panic(v)
+	}
 	res := IterationResult{
 		Bug:              c.bug,
 		Interrupted:      c.interrupted,
 		Pruned:           c.pruned,
 		BoundReached:     c.bound,
 		SchedulingPoints: c.steps,
+		ContinuedPoints:  c.continued,
 		Machines:         len(h.rt.machines),
 		Trace:            c.trace,
 		Faults:           c.faults,
@@ -126,7 +140,8 @@ func (h *TestHarness) reset(cfg TestConfig) {
 	c.statuses = c.statuses[:0]
 	c.ready = c.ready[:0]
 	c.current = MachineID{}
-	c.steps = 0
+	c.steps, c.continued = 0, 0
+	c.panicked = nil
 	c.bug = nil
 	c.bound = false
 	c.interrupted = false

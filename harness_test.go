@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
@@ -665,5 +666,137 @@ func TestCoroutineHandlerPanicBeforeSchedulingPoint(t *testing.T) {
 		if res.Bug == nil || !strings.Contains(res.Bug.Message, "unknown machine") {
 			t.Fatalf("round %d: random run ended with %v, want the unknown-machine send", i, res.Bug)
 		}
+	}
+}
+
+// panicAt makes its k-th machine choice a panic; every other decision is the
+// inner strategy's. onMachine records whether that choice was being taken on
+// a machine's coroutine (mid-handler, inside a send's scheduling point)
+// rather than on the stack that called Run.
+type panicAt struct {
+	sct.Strategy
+	k, choices int
+	onMachine  bool
+}
+
+type strategyPanic struct{ choice int }
+
+func (s *panicAt) NextMachine(cur psharp.MachineID, enabled []psharp.MachineID) psharp.MachineID {
+	if s.choices++; s.choices == s.k {
+		s.onMachine = bytes.Contains(debug.Stack(), []byte(".yieldPoint("))
+		panic(strategyPanic{s.k})
+	}
+	return s.Strategy.NextMachine(cur, enabled)
+}
+
+// TestCoroutineStrategyPanicSurfacesAfterTeardown panics the strategy at its
+// k-th machine choice, for every k of a schedule — on the controller's stack
+// and, wherever the previous step ended at a send, mid-handler on a
+// machine's. Either way the caller of Run or RunTest must see that very
+// panic value (the machine's recover must not report it as the machine's
+// bug), after teardown: the harness runs again and closes, a later harness
+// drawing the same instances from the reserve runs clean, and no coroutine
+// is left behind.
+func TestCoroutineStrategyPanicSurfacesAfterTeardown(t *testing.T) {
+	b := protocols.MustByName("TwoPhaseCommit", false)
+	run := func(h *psharp.TestHarness, s sct.Strategy) (res psharp.IterationResult, panicked any) {
+		defer func() { panicked = recover() }()
+		s.PrepareIteration(0)
+		cfg := psharp.TestConfig{Strategy: s, MaxSteps: b.MaxSteps}
+		if h != nil {
+			return h.Run(cfg), nil
+		}
+		return psharp.RunTest(b.Setup, cfg), nil
+	}
+	clean, _ := run(nil, sct.NewRandom(5))
+	if clean.Bug != nil || clean.SchedulingPoints < 20 {
+		t.Fatalf("reference run: bug %v, %d scheduling points", clean.Bug, clean.SchedulingPoints)
+	}
+	want := encodeTrace(t, clean.Trace)
+
+	before := runtime.NumGoroutine() - psharp.ReserveLen()
+	midHandler := 0
+	for _, pooled := range []bool{true, false} {
+		var h *psharp.TestHarness
+		if pooled {
+			h = psharp.NewTestHarness(b.Setup)
+		}
+		for k := 1; k <= clean.SchedulingPoints; k++ {
+			s := &panicAt{Strategy: sct.NewRandom(5), k: k}
+			if _, got := run(h, s); got != (strategyPanic{k}) {
+				t.Fatalf("pooled=%v k=%d: Run panicked with %v, want the strategy's own panic value", pooled, k, got)
+			}
+			if s.onMachine {
+				midHandler++
+			}
+			// The same harness (or, one-shot, a new one served by the
+			// reserve the panicked one closed into) runs the whole
+			// schedule as if nothing had happened.
+			res, got := run(h, sct.NewRandom(5))
+			if got != nil || res.Bug != nil || encodeTrace(t, res.Trace) != want {
+				t.Fatalf("pooled=%v k=%d: run after the panic: panic %v, bug %v, trace equal=%v",
+					pooled, k, got, res.Bug, encodeTrace(t, res.Trace) == want)
+			}
+		}
+		if pooled {
+			h.Close()
+		}
+	}
+	if midHandler == 0 {
+		t.Fatal("no panic was raised on a machine's stack: the test does not exercise the mid-handler decision")
+	}
+	const slack = 4
+	if got, limit := runtime.NumGoroutine(), before+psharp.ReserveLen()+slack; got > limit {
+		t.Fatalf("%d goroutines after %d strategy panics, want <= %d: teardown left coroutines parked mid-handler",
+			got, 2*clean.SchedulingPoints, limit)
+	}
+}
+
+// adjacentRepeats counts the schedule decisions of a trace that pick the
+// machine the schedule decision before them picked. Without faults that is
+// exactly when the first of the two steps ended at a send or create: a
+// machine that blocked or halted cannot be enabled at the very next point.
+func adjacentRepeats(tr *psharp.Trace) int {
+	n, last := 0, psharp.MachineID{}
+	for _, d := range tr.Decisions {
+		if d.Kind != psharp.DecisionSchedule {
+			continue
+		}
+		if d.Machine == last {
+			n++
+		}
+		last = d.Machine
+	}
+	return n
+}
+
+// TestContinuedPointsExact pins IterationResult.ContinuedPoints as an exact
+// function of the schedule: the scheduling points at which the strategy kept
+// the machine that had just yielded — counted from the trace — the same
+// through a pooled harness, one-shot RunTest and a repeated run, and zero
+// for a program whose handlers never reach a send.
+func TestContinuedPointsExact(t *testing.T) {
+	total := 0
+	for _, b := range protocols.All() {
+		h := psharp.NewTestHarness(b.Setup)
+		for seed := uint64(1); seed <= 3; seed++ {
+			cfg := func() psharp.TestConfig {
+				return psharp.TestConfig{Strategy: mustPrepared(sct.NewRandom(seed)), MaxSteps: b.MaxSteps, LivelockAsBug: b.LivelockAsBug}
+			}
+			pooled, again, oneShot := h.Run(cfg()).ContinuedPoints, h.Run(cfg()).ContinuedPoints, psharp.RunTest(b.Setup, cfg())
+			if want := adjacentRepeats(oneShot.Trace); pooled != want || again != want || oneShot.ContinuedPoints != want {
+				t.Errorf("%s seed %d: ContinuedPoints pooled %d, pooled again %d, one-shot %d; the trace repeats a machine %d times",
+					b.ID(), seed, pooled, again, oneShot.ContinuedPoints, want)
+			}
+			total += oneShot.ContinuedPoints
+		}
+		h.Close()
+	}
+	if total == 0 {
+		t.Error("no scheduling point of any protocol continued the yielding machine")
+	}
+	res := psharp.RunTest(crowdSetup(8), psharp.TestConfig{Strategy: mustPrepared(sct.NewRandom(1))})
+	if res.SchedulingPoints != 8 || res.ContinuedPoints != 0 {
+		t.Errorf("send-free program: %d scheduling points, %d continued; want 8 and 0", res.SchedulingPoints, res.ContinuedPoints)
 	}
 }

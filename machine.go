@@ -16,12 +16,21 @@ type machineInstance struct {
 	schema *compiledSchema
 	ctx    *Context
 
+	// state names the current state and st is its compiled form, cached by
+	// enter so that dispatching an event looks no state up by name.
 	state  string
+	st     *stateSpec
 	halted bool
 
+	// mu guards halted and the mailbox under the production runtime, where
+	// senders run concurrently with the machine; the testing runtime is
+	// serialized and takes no lock (see Runtime.lock). The mailbox is the
+	// window queue[qhead:]: dequeuing its head advances qhead instead of
+	// shifting the backlog down (see removeLocked, push).
 	mu    sync.Mutex
 	cond  *sync.Cond
 	queue []envelope
+	qhead int
 
 	// initReleased tracks the production-mode "initialization" work unit:
 	// it is released once the initial entry action has completed (or the
@@ -136,11 +145,20 @@ func (m *machineInstance) checkScheduled() {
 	}
 }
 
-// yieldPoint is a scheduling point: it hands control back to the testing
-// controller and parks until rescheduled. No-op under the production
-// runtime.
+// yieldPoint is a scheduling point the machine reaches mid-handler (send,
+// create, and the CHESS-granularity points): the machine closes its own step
+// and takes the scheduling decision on its own stack. Chosen again, it just
+// returns into the handler; otherwise it parks until rescheduled, leaving
+// the outcome for the controller's loop to act on. No-op under the
+// production runtime.
 func (m *machineInstance) yieldPoint() {
-	if m.rt.test == nil {
+	c := m.rt.test
+	if c == nil {
+		return
+	}
+	c.endStep()
+	if c.pending = c.pass(); c.pending == passRun && c.current.Seq == m.id.Seq {
+		c.continued++
 		return
 	}
 	m.park(ykYield)
@@ -171,12 +189,9 @@ func (m *machineInstance) recycle() {
 	m.id = MachineID{}
 	m.logic = nil
 	m.schema = nil
-	m.state = ""
+	m.state, m.st = "", nil
 	m.halted = false
-	for i := range m.queue {
-		m.queue[i] = envelope{}
-	}
-	m.queue = m.queue[:0]
+	m.dropQueue()
 	m.initReleased = false
 	m.bug = nil
 	m.aborted = false
@@ -215,12 +230,11 @@ func (m *machineInstance) run(payload Event) {
 		m.started = true
 		m.checkScheduled()
 	}
-	m.state = m.schema.initial
+	m.enter(m.schema.initial)
 	if m.rt.logging() {
 		m.rt.logf("%s: entering initial state %q", m.id, m.state)
 	}
-	st := m.schema.states[m.state]
-	if st.hasEntry() {
+	if st := m.st; st.hasEntry() {
 		m.progDispatch(payload)
 		if bug := m.execute(st.onEntry, st.onEntryM, payload); bug != nil {
 			m.bug = bug
@@ -291,40 +305,34 @@ func (m *machineInstance) releaseInit() {
 
 // nextEvent returns the next dispatchable event. Under the production
 // runtime it blocks on the queue condition variable; under the testing
-// runtime it reports "blocked" to the controller and parks. ok is false
-// when the runtime is stopping.
+// runtime it reports "blocked" to the controller and parks, and takes no
+// lock. ok is false when the runtime is stopping.
 func (m *machineInstance) nextEvent() (envelope, *Bug, bool) {
-	c := m.rt.test
-	for {
-		if c != nil && c.cfg.ChessLike {
-			// CHESS-granularity scheduling: the dequeue of the thread-safe
-			// blocking queue is itself a visible synchronizing operation.
-			m.yieldPoint()
-		}
-		m.mu.Lock()
-		env, found, bug := m.scanQueueLocked()
-		if bug != nil {
-			m.mu.Unlock()
-			return envelope{}, bug, false
-		}
-		if found {
-			m.mu.Unlock()
-			if c != nil {
+	if c := m.rt.test; c != nil {
+		for {
+			if c.cfg.ChessLike {
+				// CHESS-granularity scheduling: the dequeue of the thread-safe
+				// blocking queue is itself a visible synchronizing operation.
+				m.yieldPoint()
+			}
+			env, found, bug := m.scanQueueLocked()
+			if found {
 				c.onDequeue(m, env)
 			}
-			return env, nil, true
-		}
-		if c != nil {
-			m.mu.Unlock()
+			if found || bug != nil {
+				return env, bug, found
+			}
 			m.park(ykBlocked)
-			continue
 		}
-		if m.rt.isStopped() {
-			m.mu.Unlock()
-			return envelope{}, nil, false
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for {
+		env, found, bug := m.scanQueueLocked()
+		if found || bug != nil || m.rt.isStopped() {
+			return env, bug, found
 		}
 		m.cond.Wait()
-		m.mu.Unlock()
 	}
 }
 
@@ -334,10 +342,10 @@ func (m *machineInstance) nextEvent() (envelope, *Bug, bool) {
 // ones. Encountering an event with no binding at all is a runtime error
 // (Section 6.1), except for the built-in halt event.
 func (m *machineInstance) scanQueueLocked() (envelope, bool, *Bug) {
-	i := 0
+	i := m.qhead
 	for i < len(m.queue) {
 		env := m.queue[i]
-		disp, ok := m.schema.lookup(m.state, eventKey(env.event))
+		disp, ok := m.st.lookup(eventKey(env.event))
 		if !ok {
 			if isHaltEvent(env.event) {
 				m.removeLocked(i) // released in run, like any dispatch
@@ -352,7 +360,7 @@ func (m *machineInstance) scanQueueLocked() (envelope, bool, *Bug) {
 		}
 		switch disp.kind {
 		case dispatchIgnore:
-			m.removeLocked(i)
+			i = m.removeLocked(i)
 			m.rt.eventConsumed()
 		case dispatchDefer:
 			i++
@@ -366,14 +374,49 @@ func (m *machineInstance) scanQueueLocked() (envelope, bool, *Bug) {
 	return envelope{}, false, nil
 }
 
-func (m *machineInstance) removeLocked(i int) {
+// queued is the mailbox: the events sent and not yet dequeued, in order.
+func (m *machineInstance) queued() []envelope { return m.queue[m.qhead:] }
+
+// removeLocked dequeues queue[i] and returns the index its successor now
+// has. The head — the only case when nothing is deferred — costs O(1): it
+// moves qhead past the slot, and an emptied mailbox rewinds to the start of
+// its array. Only an event behind deferred ones shifts the rest down. Either
+// way the vacated slot is zeroed so it does not retain its Event.
+func (m *machineInstance) removeLocked(i int) int {
+	if i == m.qhead {
+		m.queue[i] = envelope{}
+		if m.qhead++; m.qhead == len(m.queue) {
+			m.queue, m.qhead = m.queue[:0], 0
+		}
+		return m.qhead
+	}
 	last := len(m.queue) - 1
 	copy(m.queue[i:], m.queue[i+1:])
-	// Zero the vacated tail slot: the shift leaves a duplicate envelope
-	// beyond len that would otherwise retain its Event until the next
-	// recycle or halt.
 	m.queue[last] = envelope{}
 	m.queue = m.queue[:last]
+	return i
+}
+
+// push appends env to the mailbox. Before the array would grow it reclaims
+// the dequeued prefix, if that is most of it: the move is paid for by the
+// dequeues that made the prefix, so a mailbox that never drains stays linear.
+func (m *machineInstance) push(env envelope) {
+	if len(m.queue) == cap(m.queue) && m.qhead > len(m.queue)/2 {
+		n := copy(m.queue, m.queue[m.qhead:])
+		clear(m.queue[n:])
+		m.queue, m.qhead = m.queue[:n], 0
+	}
+	m.queue = append(m.queue, env)
+}
+
+// dropQueue empties the mailbox, keeping its capacity (with event references
+// cleared) so a recycled instance does not regrow it, and returns how many
+// events it held.
+func (m *machineInstance) dropQueue() int {
+	n := len(m.queued())
+	clear(m.queued())
+	m.queue, m.qhead = m.queue[:0], 0
+	return n
 }
 
 func isHaltEvent(ev Event) bool {
@@ -387,7 +430,7 @@ func isHaltEvent(ev Event) bool {
 // handleEvent processes one dequeued or raised event to completion,
 // including any chained raises and transitions requested by the actions.
 func (m *machineInstance) handleEvent(ev Event) *Bug {
-	disp, ok := m.schema.lookup(m.state, eventKey(ev))
+	disp, ok := m.st.lookup(eventKey(ev))
 	if !ok {
 		if isHaltEvent(ev) {
 			m.doHalt()
@@ -459,8 +502,7 @@ func (m *machineInstance) applyPending(trigger Event) *Bug {
 // gotoState exits the current state, enters target, and runs its entry
 // action with the triggering event as payload.
 func (m *machineInstance) gotoState(target string, payload Event) *Bug {
-	cur := m.schema.states[m.state]
-	if cur != nil && cur.hasExit() {
+	if cur := m.st; cur != nil && cur.hasExit() {
 		m.ctx.resetPending()
 		if cur.onExitM != nil {
 			cur.onExitM(m.logic, m.ctx)
@@ -475,26 +517,23 @@ func (m *machineInstance) gotoState(target string, payload Event) *Bug {
 	if m.rt.logging() {
 		m.rt.logf("%s: %q -> %q", m.id, m.state, target)
 	}
-	m.state = target
-	st := m.schema.states[target]
-	if st.hasEntry() {
+	m.enter(target)
+	if st := m.st; st.hasEntry() {
 		return m.execute(st.onEntry, st.onEntryM, payload)
 	}
 	return nil
 }
 
+// enter makes name the machine's current state.
+func (m *machineInstance) enter(name string) { m.state, m.st = name, m.schema.states[name] }
+
 // doHalt marks the machine halted and drops its queue; further events sent
-// to it are discarded by the runtime. The queue's capacity is retained (with
-// event references cleared) so a recycled instance does not regrow it.
+// to it are discarded by the runtime.
 func (m *machineInstance) doHalt() {
-	m.mu.Lock()
-	dropped := len(m.queue)
-	for i := range m.queue {
-		m.queue[i] = envelope{}
-	}
-	m.queue = m.queue[:0]
+	m.lock()
+	dropped := m.dropQueue()
 	m.halted = true
-	m.mu.Unlock()
+	m.unlock()
 	for i := 0; i < dropped; i++ {
 		m.rt.eventConsumed()
 	}
@@ -503,9 +542,16 @@ func (m *machineInstance) doHalt() {
 	}
 }
 
-// isHalted reports the halted flag under the queue lock (used by senders).
-func (m *machineInstance) isHalted() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.halted
+// lock and unlock take the mailbox lock under the production runtime only
+// (see Runtime.lock).
+func (m *machineInstance) lock() {
+	if m.rt.test == nil {
+		m.mu.Lock()
+	}
+}
+
+func (m *machineInstance) unlock() {
+	if m.rt.test == nil {
+		m.mu.Unlock()
+	}
 }

@@ -19,6 +19,11 @@ import (
 //     each, with blocking queues;
 //   - bug-finding (RunTest): execution is serialized under a Strategy.
 type Runtime struct {
+	// mu guards the tables below under the production runtime. A testing
+	// runtime is serialized by construction — one stack runs at a time and
+	// the coroutine switches order everything (see controller) — so its
+	// create, send, dequeue, halt and crash paths go through lock/unlock,
+	// which do nothing there.
 	mu        sync.Mutex
 	factories map[string]func() Machine
 	machines  []*machineInstance
@@ -201,12 +206,26 @@ func (r *Runtime) SendEvent(target MachineID, ev Event) error {
 	return nil
 }
 
+// lock and unlock take r.mu under the production runtime only; which kind a
+// runtime is, is fixed at construction.
+func (r *Runtime) lock() {
+	if r.test == nil {
+		r.mu.Lock()
+	}
+}
+
+func (r *Runtime) unlock() {
+	if r.test == nil {
+		r.mu.Unlock()
+	}
+}
+
 // create instantiates a machine; creator is nil for environment creates.
 func (r *Runtime) create(machineType string, payload Event, creator *machineInstance) (MachineID, error) {
-	r.mu.Lock()
+	r.lock()
 	factory, ok := r.factories[machineType]
 	if !ok {
-		r.mu.Unlock()
+		r.unlock()
 		return MachineID{}, fmt.Errorf("psharp: unknown machine type %q", machineType)
 	}
 	logic := factory()
@@ -218,7 +237,7 @@ func (r *Runtime) create(machineType string, payload Event, creator *machineInst
 		var err error
 		schema, err = r.compileInstanceLocked(machineType, logic)
 		if err != nil {
-			r.mu.Unlock()
+			r.unlock()
 			return MachineID{}, err
 		}
 	}
@@ -233,7 +252,7 @@ func (r *Runtime) create(machineType string, payload Event, creator *machineInst
 		r.busy++ // initialization counts as outstanding work
 	}
 	r.machines = append(r.machines, m)
-	r.mu.Unlock()
+	r.unlock()
 
 	r.metrics.Creates.Inc()
 	if r.logging() {
@@ -325,51 +344,49 @@ func (r *Runtime) enqueue(target MachineID, ev Event, sm *machineInstance, isMac
 		clock = c.det.Send(int(sender.Seq))
 	}
 
-	m.mu.Lock()
+	m.lock()
 	if m.halted {
-		m.mu.Unlock()
+		m.unlock()
 		r.metrics.DroppedSends.Inc()
 		if r.logging() {
 			r.logf("dropped %s to halted %s", eventName(ev), target)
 		}
 	} else if fault.Kind == FaultDrop {
-		m.mu.Unlock()
+		m.unlock()
 		c.faults.Drops++
 		r.metrics.DroppedSends.Inc()
 		if r.logging() {
 			r.logf("fault: dropped %s to %s", eventName(ev), target)
 		}
 	} else {
-		r.mu.Lock()
+		r.lock()
 		r.sendSeq++
-		seq := r.sendSeq
-		var seq2 uint64
+		env := envelope{event: ev, sender: sender, clock: clock, seq: r.sendSeq}
 		if fault.Kind == FaultDuplicate {
 			r.sendSeq++
-			seq2 = r.sendSeq
 		}
-		if r.test == nil {
+		if c == nil {
 			r.busy++
 		}
-		r.mu.Unlock()
-		env := envelope{event: ev, sender: sender, clock: clock, seq: seq}
+		r.unlock()
+		m.push(env)
 		switch fault.Kind {
 		case FaultDuplicate:
-			m.queue = append(m.queue, env,
-				envelope{event: ev, sender: sender, clock: clock, seq: seq2})
+			env.seq++
+			m.push(env)
 			c.faults.Duplicates++
 		case FaultReorder:
 			// Break FIFO: the message overtakes everything already queued.
-			m.queue = append(m.queue, envelope{})
-			copy(m.queue[1:], m.queue)
-			m.queue[0] = env
+			q := m.queued()
+			copy(q[1:], q)
+			q[0] = env
 			c.faults.Reorders++
-		default:
-			m.queue = append(m.queue, env)
 		}
-		depth := int64(len(m.queue))
-		m.cond.Signal()
-		m.mu.Unlock()
+		depth := int64(len(m.queued()))
+		if c == nil {
+			m.cond.Signal()
+		}
+		m.unlock()
 		r.metrics.Sends.Inc()
 		r.metrics.MailboxMax.Observe(depth)
 		if r.logging() {
@@ -388,13 +405,13 @@ func (r *Runtime) enqueue(target MachineID, ev Event, sm *machineInstance, isMac
 	}
 }
 
-func (r *Runtime) machineByID(id MachineID) *machineInstance {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if id.Seq == 0 || int(id.Seq) > len(r.machines) {
-		return nil
+func (r *Runtime) machineByID(id MachineID) (m *machineInstance) {
+	r.lock()
+	if id.Seq != 0 && int(id.Seq) <= len(r.machines) {
+		m = r.machines[id.Seq-1]
 	}
-	return r.machines[id.Seq-1]
+	r.unlock()
+	return m
 }
 
 // eventConsumed is production-mode work accounting: one queued event was

@@ -3,6 +3,7 @@ package psharp_test
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/psharp-go/psharp"
 	"github.com/psharp-go/psharp/sct"
@@ -257,5 +258,90 @@ func mustSend(t *testing.T, r *psharp.Runtime, id psharp.MachineID, ev psharp.Ev
 	t.Helper()
 	if err := r.SendEvent(id, ev); err != nil {
 		t.Fatal(err)
+	}
+}
+
+type evSeq struct {
+	psharp.EventBase
+	N int
+}
+
+// backlogSetup starts a production runtime with one machine whose schema
+// gets two actions: hold, an entry action that does not return until release
+// is closed, so that everything sent meanwhile piles up in the mailbox, and
+// handle, which requires evSeq events to arrive in sending order. got counts
+// the events handled.
+func backlogSetup(schema func(sc *psharp.Schema, hold, handle psharp.Action)) (r *psharp.Runtime, id psharp.MachineID, release chan struct{}, got *int) {
+	release, got = make(chan struct{}), new(int)
+	hold := func(*psharp.Context, psharp.Event) { <-release }
+	handle := func(ctx *psharp.Context, ev psharp.Event) {
+		ctx.Assert(ev.(*evSeq).N == *got, "event %d arrived in position %d", ev.(*evSeq).N, *got)
+		*got++
+	}
+	r = psharp.NewRuntime()
+	r.MustRegister("Consumer", func() psharp.Machine {
+		return psharp.MachineFunc(func(sc *psharp.Schema) { schema(sc, hold, handle) })
+	})
+	return r, r.MustCreate("Consumer", nil), release, got
+}
+
+// TestMailboxDrainIsLinear feeds one production-mode machine a backlog of
+// 200 000 events it cannot start on (no sender window) and then lets it
+// drain. Dequeuing the head of the mailbox is O(1); when it shifted the
+// whole backlog down instead, this drain moved 1.4 TB and took minutes.
+func TestMailboxDrainIsLinear(t *testing.T) {
+	const backlog = 200_000
+	r, id, release, got := backlogSetup(func(sc *psharp.Schema, hold, handle psharp.Action) {
+		sc.Start("Draining").OnEntry(hold).OnEventDo(&evSeq{}, handle)
+	})
+	for i := 0; i < backlog; i++ {
+		mustSend(t, r, id, &evSeq{N: i})
+	}
+	start := time.Now()
+	close(release)
+	if err := r.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	r.Stop()
+	if *got != backlog {
+		t.Fatalf("handled %d events of %d", *got, backlog)
+	}
+	// Linear is tens of milliseconds; the bound only has to tell it from
+	// quadratic on a slow, loaded machine.
+	if d := time.Since(start); d > 10*time.Second {
+		t.Fatalf("draining a backlog of %d took %v: dequeuing is not O(1)", backlog, d)
+	}
+}
+
+// TestMailboxKeepsOrderAroundDeferredHead drains a backlog whose head is a
+// deferred event: every dequeue takes the event behind it (the shifting
+// path), the deferred one stays first, and once the machine changes state
+// it is delivered before anything sent later.
+func TestMailboxKeepsOrderAroundDeferredHead(t *testing.T) {
+	const backlog = 2000
+	var tail []string
+	r, id, release, got := backlogSetup(func(sc *psharp.Schema, hold, handle psharp.Action) {
+		sc.Start("Draining").
+			OnEntry(hold).
+			Defer(&evA{}).
+			OnEventDo(&evSeq{}, handle).
+			OnEventGoto(&evB{}, "Done")
+		sc.State("Done").
+			OnEventDo(&evA{}, func(*psharp.Context, psharp.Event) { tail = append(tail, "a") }).
+			OnEventDo(&evC{}, func(*psharp.Context, psharp.Event) { tail = append(tail, "c") })
+	})
+	mustSend(t, r, id, &evA{})
+	for i := 0; i < backlog; i++ {
+		mustSend(t, r, id, &evSeq{N: i})
+	}
+	mustSend(t, r, id, &evB{})
+	mustSend(t, r, id, &evC{})
+	close(release)
+	if err := r.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	r.Stop()
+	if *got != backlog || strings.Join(tail, "") != "ac" {
+		t.Fatalf("handled %d of %d in-order events, then %v; want all of them, then the deferred event before the later one", *got, backlog, tail)
 	}
 }

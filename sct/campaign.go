@@ -79,7 +79,12 @@ type CampaignResult struct {
 	// Report.ReplayedPoints).
 	PrunedPoints   int64 `json:"pruned_points,omitempty"`
 	ReplayedPoints int64 `json:"replayed_points,omitempty"`
-	Exhausted      bool  `json:"exhausted,omitempty"`
+	// ContinuedPoints and ContinuedShare say how many of the executed
+	// scheduling decisions cost no coroutine switch (Report.ContinuedPoints
+	// / Report.ContinuedShare): the campaign's own hand-off profile.
+	ContinuedPoints int64   `json:"continued_points,omitempty"`
+	ContinuedShare  float64 `json:"continued_share,omitempty"`
+	Exhausted       bool    `json:"exhausted,omitempty"`
 	// Interrupted marks a partial campaign: the run was stopped early
 	// (signal or hard timeout) and its counters cover only the explored
 	// prefix. A journaled campaign can be resumed to completion.
@@ -148,6 +153,8 @@ func NewCampaign(cfg CampaignConfig, rep *Report, workers []WorkerReport, tel *T
 			DistinctStates:        rep.DistinctStates,
 			PrunedPoints:          rep.PrunedPoints,
 			ReplayedPoints:        rep.ReplayedPoints,
+			ContinuedPoints:       rep.ContinuedPoints,
+			ContinuedShare:        rep.ContinuedShare(),
 			Exhausted:             rep.Exhausted,
 			Interrupted:           rep.Interrupted,
 			ElapsedMS:             float64(rep.Elapsed) / float64(time.Millisecond),

@@ -165,9 +165,19 @@
 // queue slices and trace buffers instead of rebuilding them (see the psharp
 // package's performance model); per-iteration allocations are proportional
 // to machines created, and extra scheduling points are allocation-free.
-// A scheduling point is a direct coroutine switch to the chosen machine and
-// back — ≈ 590 ns all told on the Table 2 protocols under Random, against
-// ≈ 1 120 ns for the channel handshake it replaced — and a worker's harness
+// A scheduling point is the strategy's decision, taken on the stack of the
+// machine that reached the send or create, plus — only when the decision
+// picks another machine — a direct coroutine switch through the controller:
+// ≈ 455 ns all told on the Table 2 protocols under Random (≈ 570 when every
+// point switched, ≈ 1 120 for the channel handshake before that).
+// Report.ContinuedPoints / ContinuedShare count the points that needed no
+// switch (0.13–0.23 per protocol there, 0.94 on German's livelock,
+// 0.25–0.6 under DFS); the campaign report and the -http snapshot carry them,
+// so a campaign shows its own hand-off profile.
+// Strategies and Options.Stop/Timeout polling therefore run on machine
+// coroutines' stacks as well as on the worker's; a strategy that panics
+// (a diverged replay) still surfaces from Run as that panic, after the
+// iteration was torn down. A worker's harness
 // starts from the process-wide reserve of idle machine instances earlier
 // harnesses left behind, so a campaign or a ReplayTrace that follows
 // another pays no coroutine construction.

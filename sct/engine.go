@@ -157,6 +157,12 @@ type Report struct {
 	// like DistinctStates.
 	PrunedPoints   int64
 	ReplayedPoints int64
+	// ContinuedPoints is how many of the executed decisions (those of
+	// pruned iterations included) kept the machine that had just reached a
+	// send or create running, so that the controller switched no coroutine
+	// (psharp.IterationResult.ContinuedPoints); ContinuedShare is their
+	// ratio. An exact function of the schedules explored.
+	ContinuedPoints int64
 	// Exhausted reports that the strategy completed its search space.
 	Exhausted bool
 	// Interrupted reports that the run ended early — an external stop
@@ -201,6 +207,17 @@ func (r *Report) ReplayedShare() float64 {
 		return 0
 	}
 	return float64(r.ReplayedPoints) / float64(executed)
+}
+
+// ContinuedShare is the share of the scheduling decisions the run executed
+// (those of pruned iterations included) that needed no coroutine switch:
+// the strategy kept the machine running that had just yielded.
+func (r *Report) ContinuedShare() float64 {
+	executed := r.TotalSchedulingPoints + r.PrunedPoints
+	if executed == 0 {
+		return 0
+	}
+	return float64(r.ContinuedPoints) / float64(executed)
 }
 
 // String summarizes the report in one line.
@@ -280,10 +297,12 @@ type shared struct {
 	// prunedPoints and replayedPoints their scheduling decisions and the
 	// replayed ones of every iteration (Report.PrunedPoints/ReplayedPoints);
 	// cache is the shared state cache, nil unless Options.StateCache is set.
-	pruned         atomic.Int64
-	prunedPoints   atomic.Int64
-	replayedPoints atomic.Int64
-	cache          *stateCache
+	// continuedPoints is Report.ContinuedPoints campaign-wide.
+	pruned          atomic.Int64
+	prunedPoints    atomic.Int64
+	replayedPoints  atomic.Int64
+	continuedPoints atomic.Int64
+	cache           *stateCache
 
 	// budget and ticket implement work-stealing (ParallelOptions.Dynamic):
 	// dynamic workers claim global iteration tickets from the shared counter
@@ -498,6 +517,8 @@ func runWorker(setup func(*psharp.Runtime), sh *shared, w worker) Report {
 		if res.Interrupted {
 			break // partial schedule: not counted
 		}
+		rep.ContinuedPoints += int64(res.ContinuedPoints)
+		sh.continuedPoints.Add(int64(res.ContinuedPoints))
 		if sh.cache != nil {
 			rep.ReplayedPoints += int64(res.ReplayedPoints)
 			sh.replayedPoints.Add(int64(res.ReplayedPoints))

@@ -283,6 +283,7 @@ func mergeReports(workers []WorkerReport) Report {
 		merged.PrunedIterations += rep.PrunedIterations
 		merged.PrunedPoints += rep.PrunedPoints
 		merged.ReplayedPoints += rep.ReplayedPoints
+		merged.ContinuedPoints += rep.ContinuedPoints
 		merged.BuggyIterations += rep.BuggyIterations
 		merged.TotalSchedulingPoints += rep.TotalSchedulingPoints
 		merged.BoundReached += rep.BoundReached

@@ -359,38 +359,68 @@ func TestDynamicFirstBugReplays(t *testing.T) {
 	}
 }
 
+// exhaustionSignal closes done when the strategy it wraps reports its search
+// space exhausted; heldUntil keeps the strategy it wraps from preparing (and
+// so, under dynamic sharding, from claiming a ticket) until gate closes.
+type exhaustionSignal struct {
+	sct.Strategy
+	done chan struct{}
+}
+
+func (s *exhaustionSignal) PrepareIteration(iter int) bool {
+	ok := s.Strategy.PrepareIteration(iter)
+	if !ok {
+		close(s.done) // a dynamic worker stops at its first false
+	}
+	return ok
+}
+
+type heldUntil struct {
+	sct.Strategy
+	gate <-chan struct{}
+}
+
+func (s *heldUntil) PrepareIteration(iter int) bool {
+	<-s.gate
+	return s.Strategy.PrepareIteration(iter)
+}
+
 // TestDynamicExhaustedMemberDoesNotBurnBudget pins the ticket protocol: a
 // dynamic worker whose strategy exhausts (DFS on a tiny tree) must stop
 // without claiming budget, leaving its remaining iterations to the other
-// workers, so the run still executes the full global budget.
+// workers, so the run still executes the full global budget. The random
+// member is held until the DFS member has reported exhaustion — left to
+// race, it drains the budget before DFS has walked its tree about once in
+// 300 runs — which makes the split exact: DFS its whole tree, random the
+// rest.
 func TestDynamicExhaustedMemberDoesNotBurnBudget(t *testing.T) {
-	const iterations = 300
-	pf, err := sct.ParsePortfolio("dfs,random", 7, 1000)
+	// fanInSetup(2) has a 72-schedule DFS tree, well within the budget.
+	const iterations, tree = 300, 72
+	exhausted := make(chan struct{})
+	pf, err := sct.NewPortfolio(
+		sct.PortfolioMember{Name: "dfs", Strategy: &exhaustionSignal{sct.NewDFS(), exhausted}},
+		sct.PortfolioMember{Name: "random", Strategy: &heldUntil{sct.NewRandom(7), exhausted}},
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// fanInSetup(2) has a 72-schedule DFS tree, so the DFS worker exhausts
-	// well within the 300-ticket budget and random must absorb the rest.
 	par := sct.RunParallel(fanInSetup(2), sct.ParallelOptions{
 		Options:   sct.Options{Iterations: iterations, MaxSteps: 1000},
 		Workers:   2,
 		Portfolio: pf,
 		Dynamic:   true,
 	})
-	var dfsRep, randRep *sct.WorkerReport
-	for i := range par.Workers {
-		switch par.Workers[i].Strategy {
-		case "dfs":
-			dfsRep = &par.Workers[i]
-		case "random":
-			randRep = &par.Workers[i]
-		}
-	}
-	if dfsRep == nil || randRep == nil {
+	if len(par.Workers) != 2 || par.Workers[0].Strategy != "dfs" || par.Workers[1].Strategy != "random" {
 		t.Fatalf("portfolio workers missing: %+v", par.Workers)
 	}
-	if !dfsRep.Report.Exhausted {
-		t.Fatalf("DFS worker did not exhaust its tree (%d iterations); shrink the program", dfsRep.Report.Iterations)
+	dfsRep, randRep := par.Workers[0].Report, par.Workers[1].Report
+	if !dfsRep.Exhausted || dfsRep.Iterations != tree {
+		t.Fatalf("DFS worker ran %d iterations (exhausted=%v), want its whole %d-schedule tree; resize the program",
+			dfsRep.Iterations, dfsRep.Exhausted, tree)
+	}
+	if randRep.Exhausted || randRep.Iterations != iterations-tree {
+		t.Errorf("random worker ran %d iterations (exhausted=%v), want the %d the exhausted worker left",
+			randRep.Iterations, randRep.Exhausted, iterations-tree)
 	}
 	if par.Iterations != iterations {
 		t.Errorf("dynamic run executed %d iterations, want the full budget %d (exhausted worker must not burn tickets)",

@@ -38,11 +38,13 @@ type Telemetry struct {
 	// states, decisions executed by pruned iterations, prefix-replay
 	// decisions) at the last curve sample, so a live Snapshot reports them
 	// without reaching into engine internals. All stay zero when the run has
-	// no state cache.
-	pruned         atomic.Int64
-	states         atomic.Int64
-	prunedPoints   atomic.Int64
-	replayedPoints atomic.Int64
+	// no state cache. continuedPoints mirrors Report.ContinuedPoints the same
+	// way.
+	pruned          atomic.Int64
+	states          atomic.Int64
+	prunedPoints    atomic.Int64
+	replayedPoints  atomic.Int64
+	continuedPoints atomic.Int64
 
 	start time.Time
 	// base offsets every sample's elapsed time by the prior journaled runs'
@@ -125,6 +127,7 @@ func (t *Telemetry) sample(elapsed time.Duration, force bool, sh *shared) {
 	t.pruned.Store(sh.pruned.Load())
 	t.prunedPoints.Store(sh.prunedPoints.Load())
 	t.replayedPoints.Store(sh.replayedPoints.Load())
+	t.continuedPoints.Store(sh.continuedPoints.Load())
 	t.states.Store(states)
 	t.curve.Sample(elapsed, force,
 		sh.iterations.Load(), sh.distinct.Load(), t.coverage.Distinct(), states)
@@ -165,6 +168,11 @@ type TelemetrySnapshot struct {
 	// (Report.PrunedPoints / Report.ReplayedPoints), as of the same sample.
 	PrunedPoints   int64 `json:"pruned_points,omitempty"`
 	ReplayedPoints int64 `json:"replayed_points,omitempty"`
+	// ContinuedPoints is how many executed scheduling decisions cost no
+	// coroutine switch (Report.ContinuedPoints), as of the same sample;
+	// over SchedulingPoints' count × mean (plus PrunedPoints) it is the
+	// live ContinuedShare.
+	ContinuedPoints int64 `json:"continued_points,omitempty"`
 	// GrowthCurve samples campaign progress over wall-clock time.
 	GrowthCurve []GrowthPoint `json:"growth_curve,omitempty"`
 }
@@ -193,6 +201,7 @@ func (t *Telemetry) Snapshot() *TelemetrySnapshot {
 	s.DistinctStates = t.states.Load()
 	s.PrunedPoints = t.prunedPoints.Load()
 	s.ReplayedPoints = t.replayedPoints.Load()
+	s.ContinuedPoints = t.continuedPoints.Load()
 	for _, p := range t.curve.Points() {
 		gp := GrowthPoint{ElapsedMS: float64(p.Elapsed) / float64(time.Millisecond)}
 		// Journal-restored checkpoints carry 3 values; live samples carry 4.

@@ -143,3 +143,54 @@ func TestCampaignReportRoundTrip(t *testing.T) {
 		t.Fatal("campaign missing telemetry growth curve")
 	}
 }
+
+// TestContinuedPointsInReportCampaignAndSnapshot: the count of scheduling
+// decisions that cost no coroutine switch is an exact function of the
+// schedules explored — one worker and four static shards of the same seed
+// and budget report the same total — and the campaign report and the live
+// snapshot carry it beside its share of everything executed.
+func TestContinuedPointsInReportCampaignAndSnapshot(t *testing.T) {
+	run := func(workers int, tel *sct.Telemetry) sct.ParallelReport {
+		return sct.RunParallel(fanInSetup(3), sct.ParallelOptions{
+			Options: sct.Options{Strategy: sct.NewRandom(11), Iterations: 200, MaxSteps: 1000, Telemetry: tel},
+			Workers: workers,
+		})
+	}
+	tel := sct.NewTelemetry(time.Second)
+	seq, par := run(1, tel), run(4, nil)
+	if seq.ContinuedPoints <= 0 || seq.ContinuedPoints >= seq.TotalSchedulingPoints {
+		t.Fatalf("%d continued points of %d executed", seq.ContinuedPoints, seq.TotalSchedulingPoints)
+	}
+	if par.ContinuedPoints != seq.ContinuedPoints || par.TotalSchedulingPoints != seq.TotalSchedulingPoints {
+		t.Fatalf("four shards: %d continued of %d points; one worker: %d of %d",
+			par.ContinuedPoints, par.TotalSchedulingPoints, seq.ContinuedPoints, seq.TotalSchedulingPoints)
+	}
+	if want := float64(seq.ContinuedPoints) / float64(seq.TotalSchedulingPoints); seq.ContinuedShare() != want {
+		t.Fatalf("ContinuedShare %v, want %v", seq.ContinuedShare(), want)
+	}
+	c := sct.NewCampaign(sct.CampaignConfig{Strategy: "random"}, &seq.Report, nil, tel)
+	if c.Result.ContinuedPoints != seq.ContinuedPoints || c.Result.ContinuedShare != seq.ContinuedShare() ||
+		c.Telemetry.ContinuedPoints != seq.ContinuedPoints {
+		t.Fatalf("campaign result %d (%.3f) and snapshot %d disagree with the run's %d (%.3f)",
+			c.Result.ContinuedPoints, c.Result.ContinuedShare, c.Telemetry.ContinuedPoints,
+			seq.ContinuedPoints, seq.ContinuedShare())
+	}
+	data, err := json.Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded struct {
+		Result struct {
+			ContinuedPoints int64 `json:"continued_points"`
+		} `json:"result"`
+		Telemetry struct {
+			ContinuedPoints int64 `json:"continued_points"`
+		} `json:"telemetry"`
+	}
+	if err := json.Unmarshal(data, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	if decoded.Result.ContinuedPoints != seq.ContinuedPoints || decoded.Telemetry.ContinuedPoints != seq.ContinuedPoints {
+		t.Fatalf("campaign JSON carries %+v, want %d in both places", decoded, seq.ContinuedPoints)
+	}
+}

@@ -332,9 +332,10 @@ func (h *stateHasher) hashMachine(m *machineInstance, status machineStatus) uint
 		m.hops = m.hops[:0]
 		c = fnvUint64(fnvUint64(c, m.hprog), h.eventHash(m.hev))
 	}
-	c = fnvUint64(c, uint64(len(m.queue)))
-	for i := range m.queue {
-		env := &m.queue[i]
+	q := m.queued()
+	c = fnvUint64(c, uint64(len(q)))
+	for i := range q {
+		env := &q[i]
 		c = fnvUint64(c, env.sender.Seq)
 		c = fnvUint64(c, h.eventHash(env.event))
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"iter"
-	"sort"
 	"sync"
 
 	"github.com/psharp-go/psharp/internal/vclock"
@@ -96,6 +95,11 @@ type IterationResult struct {
 	// decisions, so that cfg.StateCache was not consulted (see StateCache);
 	// 0 without a cache.
 	ReplayedPoints int
+	// ContinuedPoints is how many of them kept the machine that had just
+	// reached a send/create scheduling point running, so that the decision
+	// cost no coroutine switch (see controller); a function of the schedule
+	// alone.
+	ContinuedPoints int
 	// Machines is the number of machine instances created.
 	Machines int
 	// Trace replays the iteration deterministically.
@@ -127,13 +131,31 @@ const (
 	msHalted
 )
 
+// passOutcome is what one scheduler pass settled.
+type passOutcome int
+
+const (
+	passRun   passOutcome = iota // controller.current steps next
+	passEnd                      // the iteration is over
+	passCrash                    // controller.crash is recorded and has to be applied
+)
+
 // controller serializes machine execution in bug-finding mode. Every machine
-// is a coroutine (iter.Pull over machineInstance.poolLoop); the controller
-// switches to exactly one at a time and gets control back when it yields (at
-// a send/create scheduling point), blocks on an empty queue, halts, or
-// fails. A switch hands the thread over directly — no scheduler, run queue
-// or wake-up — and orders every write on one side before every read on the
-// other, so controller state needs no locking.
+// is a coroutine (iter.Pull over machineInstance.poolLoop) of the goroutine
+// that called TestHarness.Run, and exactly one stack runs at a time: the
+// controller's (loop) or one machine's. A switch hands the thread over
+// directly — no scheduler, run queue or wake-up — and orders every write on
+// one side before every read on the other, so neither controller state nor,
+// under a testing runtime, the Runtime's and the machines' own state needs
+// a lock (see Runtime.lock).
+//
+// The scheduling decision (pass) is taken on whichever stack reaches the
+// scheduling point. A machine at a send/create/CHESS yield point closes its
+// own step and runs the pass itself (machineInstance.yieldPoint); if it is
+// chosen again it returns into its handler without a switch, otherwise it
+// parks and loop acts on the outcome it left in pending. loop runs the pass
+// only where no machine can: at the start, after a machine blocked, halted
+// or failed, and after a crash, which it alone applies.
 type controller struct {
 	rt  *Runtime
 	cfg TestConfig
@@ -160,6 +182,7 @@ type controller struct {
 
 	current     MachineID
 	steps       int
+	continued   int // scheduling points that needed no switch
 	trace       *Trace
 	bug         *Bug
 	bound       bool
@@ -190,6 +213,13 @@ type controller struct {
 	stepTarget   MachineID
 	stepCreated  MachineID
 	stepObserved bool
+
+	// pending is the outcome of the pass a machine ran before it parked at
+	// a yield point, crash the fault of a passCrash outcome, panicked what a
+	// pass recovered from the strategy, for Run to raise after teardown.
+	pending  passOutcome
+	crash    FaultAction
+	panicked any
 
 	// aborting makes every machine resumed from now on unwind: set by
 	// teardown, read by machines right after the switch that resumes them.
@@ -292,22 +322,25 @@ func (c *controller) onEnqueue(m *machineInstance) {
 	}
 }
 
-// readyAdd inserts id into the ready list at its creation-order position.
+// readyAdd inserts id into the ready list at its creation-order position:
+// a scan from the back, the list being a handful of IDs.
 func (c *controller) readyAdd(id MachineID) {
-	i := sort.Search(len(c.ready), func(i int) bool { return c.ready[i].Seq >= id.Seq })
-	c.ready = append(c.ready, MachineID{})
-	copy(c.ready[i+1:], c.ready[i:])
+	i := len(c.ready)
+	c.ready = append(c.ready, id)
+	for ; i > 0 && c.ready[i-1].Seq > id.Seq; i-- {
+		c.ready[i] = c.ready[i-1]
+	}
 	c.ready[i] = id
 }
 
 // readyRemove deletes id from the ready list (no-op if absent).
 func (c *controller) readyRemove(id MachineID) {
-	i := sort.Search(len(c.ready), func(i int) bool { return c.ready[i].Seq >= id.Seq })
-	if i >= len(c.ready) || c.ready[i].Seq != id.Seq {
-		return
+	for i := range c.ready {
+		if c.ready[i].Seq == id.Seq {
+			c.ready = append(c.ready[:i], c.ready[i+1:]...)
+			return
+		}
 	}
-	copy(c.ready[i:], c.ready[i+1:])
-	c.ready = c.ready[:len(c.ready)-1]
 }
 
 // onDequeue feeds the happens-before edge from send to receive.
@@ -385,122 +418,128 @@ func (c *controller) nextInt(n int) int {
 }
 
 // anyQueuedWhileBlocked detects the deadlock case: machines hold only
-// deferred events and nobody is runnable. It reads the controller-owned
-// instances slice, so no runtime lock or copy is needed.
+// deferred events and nobody is runnable.
 func (c *controller) anyQueuedWhileBlocked() *machineInstance {
 	for i, st := range c.statuses {
-		if st != msBlocked {
-			continue
-		}
-		m := c.instances[i]
-		m.mu.Lock()
-		n := len(m.queue)
-		m.mu.Unlock()
-		if n > 0 {
-			return m
+		if st == msBlocked && len(c.instances[i].queued()) > 0 {
+			return c.instances[i]
 		}
 	}
 	return nil
 }
 
-// loop is the scheduler: it repeatedly picks one enabled machine, switches
-// to it, and processes what it yields.
+// loop drives one iteration from the controller's stack: it switches to the
+// machine each pass chose, applies each crash, and tears down at the end.
+// A machine that comes back from a yield point has already closed its step
+// and run the next pass; any other way back leaves both to loop.
 func (c *controller) loop() {
-	for c.bug == nil {
-		if c.cfg.Interrupt != nil && c.cfg.Interrupt() {
-			c.interrupted = true
-			break
+	out := c.pass()
+	for out != passEnd {
+		if out == passCrash {
+			// The target may be the machine whose stack took the decision,
+			// and crashing is a switch to it: only possible from here. The
+			// pass starts over — the crash may have emptied the ready set,
+			// and the next pass gets its own fault query.
+			c.crashMachine(c.crash)
+			out = c.pass()
+			continue
 		}
-		if len(c.ready) == 0 {
-			if m := c.anyQueuedWhileBlocked(); m != nil {
-				c.bug = &Bug{Kind: BugDeadlock, Machine: m.id, State: m.state,
-					Message: "all machines blocked but deferred events remain queued"}
-			} else if mon := c.hotMonitor(); mon != nil {
-				// A finite execution ended with an undischarged liveness
-				// obligation: nothing can ever discharge it now.
-				c.bug = &Bug{Kind: BugLiveness, Monitor: mon.name, State: mon.state,
-					Message: fmt.Sprintf("monitor still hot in state %q when the program quiesced", mon.state)}
-			}
-			break // quiescence: the program terminated naturally
-		}
-		if c.cfg.MaxSteps > 0 && c.steps >= c.cfg.MaxSteps {
-			c.bound = true
-			if c.cfg.LivelockAsBug {
-				c.bug = &Bug{Kind: BugLivelock, Machine: c.current,
-					Message: fmt.Sprintf("depth bound of %d scheduling points exceeded", c.cfg.MaxSteps)}
-			}
-			break
-		}
-		if c.hasher != nil && c.checkStateCache() {
-			break
-		}
-		if c.cfg.Faults != nil {
-			crashed := c.scheduleFault()
-			if c.bug != nil {
-				break
-			}
-			if crashed {
-				// Start the pass over: the crash may have emptied the ready
-				// set, and the next pass gets its own fault query.
-				continue
-			}
-		}
-		c.scratch = append(c.scratch[:0], c.ready...)
-		d := c.decider.Decide(Choice{Kind: ChoiceMachine, Current: c.current, Enabled: c.scratch})
-		if d.Kind != DecisionSchedule {
-			c.bug = &Bug{Kind: BugPanic,
-				Message: fmt.Sprintf("strategy answered a machine choice with decision kind %d", d.Kind)}
-			break
-		}
-		next := d.Machine
-		if !contains(c.scratch, next) {
-			c.bug = &Bug{Kind: BugPanic, Machine: next,
-				Message: fmt.Sprintf("strategy chose %s, which is not enabled", next)}
-			break
-		}
-		c.trace.addSchedule(next)
-		c.current = next
-		c.steps++
-		if c.observing {
-			if h := c.hasher; h != nil {
-				h.prefix = fnvUint64(fnvByte(h.prefix, 1), next.Seq)
-			}
-			c.stepTarget, c.stepCreated, c.stepObserved = MachineID{}, MachineID{}, false
-		}
-		m := c.instances[next.Seq-1]
+		m := c.instances[c.current.Seq-1]
 		kind, _ := m.next()
-		switch kind {
-		case ykYield:
-			// The machine stays in the ready set.
-		case ykBlocked:
-			c.statuses[next.Seq-1] = msBlocked
-			c.readyRemove(next)
-		case ykHalted:
-			c.statuses[next.Seq-1] = msHalted
-			c.readyRemove(next)
-		case ykBug:
-			c.statuses[next.Seq-1] = msHalted
-			c.readyRemove(next)
-			if c.bug == nil {
-				// First bug wins: a monitor may already have failed this very
-				// decision (observation runs before the machine's own panic),
-				// and the specification violation is the primary report.
-				c.bug = m.bug
-			}
+		if kind == ykYield {
+			out = c.pending // the machine stays in the ready set
+			continue
 		}
-		if c.observing {
-			c.noteStepEnd()
+		status := msHalted
+		if kind == ykBlocked {
+			status = msBlocked
+		} else if kind == ykBug && c.bug == nil {
+			// First bug wins: a monitor may already have failed this very
+			// decision (observation runs before the machine's own panic),
+			// and the specification violation is the primary report.
+			c.bug = m.bug
 		}
-		if c.cfg.LivenessTemperature > 0 && c.bug == nil {
-			c.updateTemperatures()
-		}
-		if c.det != nil && c.cfg.RaceAsBug && c.bug == nil {
-			if races := c.det.Races(); len(races) > 0 {
-				c.bug = &Bug{Kind: BugDataRace, Machine: c.current, Message: races[0].String()}
-			}
-		}
+		c.statuses[m.id.Seq-1] = status
+		c.readyRemove(m.id)
+		c.endStep()
+		out = c.pass()
 	}
 	c.teardown()
+}
+
+// pass is the scheduler pass: every check between two steps and the
+// strategy's choice of the machine that takes the next one, recorded in the
+// trace. It runs on the stack that reached the scheduling point — a
+// machine's, mid-handler, or loop's — and only says what has to happen;
+// switching and crashing are loop's. A panic of the strategy (a replay that
+// diverged, say) must not unwind the handler it interrupted as if the
+// machine had failed: it ends the iteration and is kept for Run.
+func (c *controller) pass() (out passOutcome) {
+	defer func() {
+		if r := recover(); r != nil {
+			c.panicked, out = r, passEnd
+		}
+	}()
+	if c.bug != nil {
+		return passEnd
+	}
+	if c.cfg.Interrupt != nil && c.cfg.Interrupt() {
+		c.interrupted = true
+		return passEnd
+	}
+	if len(c.ready) == 0 {
+		if m := c.anyQueuedWhileBlocked(); m != nil {
+			c.bug = &Bug{Kind: BugDeadlock, Machine: m.id, State: m.state,
+				Message: "all machines blocked but deferred events remain queued"}
+		} else if mon := c.hotMonitor(); mon != nil {
+			// A finite execution ended with an undischarged liveness
+			// obligation: nothing can ever discharge it now.
+			c.bug = &Bug{Kind: BugLiveness, Monitor: mon.name, State: mon.state,
+				Message: fmt.Sprintf("monitor still hot in state %q when the program quiesced", mon.state)}
+		}
+		return passEnd // quiescence: the program terminated naturally
+	}
+	if c.cfg.MaxSteps > 0 && c.steps >= c.cfg.MaxSteps {
+		c.bound = true
+		if c.cfg.LivelockAsBug {
+			c.bug = &Bug{Kind: BugLivelock, Machine: c.current,
+				Message: fmt.Sprintf("depth bound of %d scheduling points exceeded", c.cfg.MaxSteps)}
+		}
+		return passEnd
+	}
+	if c.hasher != nil && c.checkStateCache() {
+		return passEnd
+	}
+	if c.cfg.Faults != nil {
+		if crash := c.scheduleFault(); c.bug != nil {
+			return passEnd
+		} else if crash {
+			return passCrash
+		}
+	}
+	c.scratch = append(c.scratch[:0], c.ready...)
+	d := c.decider.Decide(Choice{Kind: ChoiceMachine, Current: c.current, Enabled: c.scratch})
+	if d.Kind != DecisionSchedule {
+		c.bug = &Bug{Kind: BugPanic,
+			Message: fmt.Sprintf("strategy answered a machine choice with decision kind %d", d.Kind)}
+		return passEnd
+	}
+	next := d.Machine
+	if !contains(c.scratch, next) {
+		c.bug = &Bug{Kind: BugPanic, Machine: next,
+			Message: fmt.Sprintf("strategy chose %s, which is not enabled", next)}
+		return passEnd
+	}
+	c.trace.addSchedule(next)
+	c.current = next
+	c.steps++
+	if c.observing {
+		if h := c.hasher; h != nil {
+			h.prefix = fnvUint64(fnvByte(h.prefix, 1), next.Seq)
+		}
+		c.stepTarget, c.stepCreated, c.stepObserved = MachineID{}, MachineID{}, false
+	}
+	return passRun
 }
 
 // hotMonitor returns a monitor currently in a hot state, if liveness
@@ -561,10 +600,11 @@ func (c *controller) noteCreate(creator *machineInstance, id MachineID) {
 	}
 }
 
-// noteStepEnd finishes one scheduling step's observation bookkeeping: the
-// executed machine's component is stale (its state, queue or continuation
-// moved), and the strategy learns the step's footprint.
-func (c *controller) noteStepEnd() {
+// endStep closes the step c.current just executed, on the stack that
+// learned it was over: the executed machine's hash component is stale (its
+// state, queue or continuation moved), the strategy learns the step's
+// footprint, hot monitors heat up and a detected race may become the bug.
+func (c *controller) endStep() {
 	if h := c.hasher; h != nil {
 		h.markDirtySeq(c.current.Seq)
 	}
@@ -575,6 +615,14 @@ func (c *controller) noteStepEnd() {
 			Created:  c.stepCreated,
 			Observed: c.stepObserved,
 		})
+	}
+	if c.cfg.LivenessTemperature > 0 && c.bug == nil {
+		c.updateTemperatures()
+	}
+	if c.det != nil && c.cfg.RaceAsBug && c.bug == nil {
+		if races := c.det.Races(); len(races) > 0 {
+			c.bug = &Bug{Kind: BugDataRace, Machine: c.current, Message: races[0].String()}
+		}
 	}
 }
 
