@@ -91,7 +91,9 @@ func setup(r *psharp.Runtime) {
 }
 
 func main() {
-	// 1. Production runtime: machines run concurrently, one goroutine each.
+	// 1. Production runtime: machines run concurrently, each on a goroutine
+	// only while it has events to handle. Wait returns at quiescence (or with
+	// the first failure); nothing is left running then, so Stop is optional.
 	rt := psharp.NewRuntime()
 	setup(rt)
 	if err := rt.Wait(); err != nil {

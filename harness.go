@@ -2,7 +2,6 @@ package psharp
 
 import (
 	"io"
-	"sync"
 
 	"github.com/psharp-go/psharp/internal/vclock"
 )
@@ -50,19 +49,10 @@ type TestHarness struct {
 // setup registers the same declaration under the same type name every
 // iteration — which any deterministic setup does.
 func NewTestHarness(setup func(*Runtime), opts ...Option) *TestHarness {
-	rt := &Runtime{
-		factories:      make(map[string]func() Machine),
-		schemas:        make(map[string]*compiledSchema),
-		monitorSchemas: make(map[string]*compiledSchema),
-		rngState:       1,
-	}
-	rt.qcond = sync.NewCond(&rt.mu)
-	for _, o := range opts {
-		o(rt)
-	}
+	rt := NewRuntime(opts...)
 	c := &controller{rt: rt, trace: &Trace{}}
 	rt.test = c
-	return &TestHarness{setup: setup, rt: rt, c: c, baseSeed: rt.rngState, baseLog: rt.logw}
+	return &TestHarness{setup: setup, rt: rt, c: c, baseSeed: rt.rngState.Load(), baseLog: rt.logw}
 }
 
 // Run executes one bug-finding iteration, exactly like RunTest but against
@@ -122,11 +112,11 @@ func (h *TestHarness) Run(cfg TestConfig) IterationResult {
 func (h *TestHarness) reset(cfg TestConfig) {
 	rt, c := h.rt, h.c
 	clear(rt.factories)
-	rt.nextSeq, rt.sendSeq = 0, 0
-	rt.busy = 0
+	rt.nextSeq = 0
+	rt.sendSeq.Store(0)
 	rt.failure = nil
-	rt.stopped = false
-	rt.rngState = h.baseSeed
+	rt.stopped.Store(false)
+	rt.rngState.Store(h.baseSeed)
 	rt.cover = cfg.Coverage
 	rt.logw = cfg.Log
 	if cfg.Log == nil {

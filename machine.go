@@ -7,8 +7,9 @@ import (
 
 // machineInstance is the runtime representation of one machine: its logic,
 // compiled schema, current state, and event queue. The same instance code
-// runs under the production runtime (goroutine with a blocking queue) and
-// the serialized testing runtime (coroutine the controller switches to).
+// runs under the production runtime (activations: a goroutine runs the
+// machine only while its mailbox has work, see activate) and the serialized
+// testing runtime (a coroutine the controller switches to).
 type machineInstance struct {
 	id     MachineID
 	rt     *Runtime
@@ -22,21 +23,27 @@ type machineInstance struct {
 	st     *stateSpec
 	halted bool
 
-	// mu guards halted and the mailbox under the production runtime, where
-	// senders run concurrently with the machine; the testing runtime is
+	// mu guards halted, active and the mailbox under the production runtime,
+	// where senders run concurrently with the machine; the testing runtime is
 	// serialized and takes no lock (see Runtime.lock). The mailbox is the
 	// window queue[qhead:]: dequeuing its head advances qhead instead of
 	// shifting the backlog down (see removeLocked, push).
 	mu    sync.Mutex
-	cond  *sync.Cond
 	queue []envelope
 	qhead int
 
-	// initReleased tracks the production-mode "initialization" work unit:
-	// it is released once the initial entry action has completed (or the
-	// machine dies), so Wait does not report quiescence while entry actions
-	// are still running.
-	initReleased bool
+	// Production mode. active says that some goroutine owns the machine: it
+	// is running, or about to run, an activation of it. Whoever sets the bit
+	// (create, or the send that finds it clear) must start that activation;
+	// the activation clears it under the lock that found nothing
+	// dispatchable. Everything else of the instance belongs to the owner, and
+	// the mailbox lock orders one owner's writes before the next one's reads.
+	// An idle machine owns no goroutine and no stack. spawn is m.activate,
+	// stored once so that starting a goroutine on it allocates no closure;
+	// held is the owning goroutine's hand-off slot (see activate).
+	active bool
+	spawn  func()
+	held   **machineInstance
 
 	// test mode fields
 	bug     *Bug
@@ -60,8 +67,9 @@ type machineInstance struct {
 	fate    yieldKind
 	// crashed is set by the controller (while the machine is parked) to
 	// make the next park unwind with a crashSignal: the fault-injection
-	// crash. birth is the creation payload: what the next run starts from,
-	// kept so a crash-with-restart reboots the machine by re-delivering it.
+	// crash. birth is the creation payload (both modes): what boot starts
+	// from, kept so a crash-with-restart reboots the machine by re-delivering
+	// it.
 	crashed bool
 	birth   Event
 	// handling, hev, hops and hprog are the machine's mid-handler position,
@@ -90,7 +98,6 @@ type handlerOp struct {
 
 func newMachineInstance(rt *Runtime, id MachineID, logic Machine, schema *compiledSchema) *machineInstance {
 	m := &machineInstance{id: id, rt: rt, logic: logic, schema: schema}
-	m.cond = sync.NewCond(&m.mu)
 	m.ctx = &Context{m: m, rt: rt}
 	return m
 }
@@ -174,7 +181,7 @@ func (m *machineInstance) yieldPoint() {
 func (m *machineInstance) poolLoop(yield func(yieldKind) bool) {
 	m.yield = yield
 	for {
-		m.run(m.birth)
+		m.run()
 		if m.stopped || !yield(m.fate) {
 			return
 		}
@@ -192,7 +199,6 @@ func (m *machineInstance) recycle() {
 	m.state, m.st = "", nil
 	m.halted = false
 	m.dropQueue()
-	m.initReleased = false
 	m.bug = nil
 	m.aborted = false
 	m.crashed = false
@@ -202,112 +208,159 @@ func (m *machineInstance) recycle() {
 	m.ctx.resetPending()
 }
 
-// run executes the machine from its initial state until it halts or fails:
-// the goroutine body in production, one poolLoop round in test mode.
-func (m *machineInstance) run(payload Event) {
+// run is one poolLoop round of the testing runtime: the machine's whole life
+// from its initial state until it halts or fails.
+func (m *machineInstance) run() {
 	defer m.finish()
 	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		switch v := r.(type) {
+		switch v := recover().(type) {
+		case nil:
 		case abortSignal:
 			m.aborted = true
 		case crashSignal:
 			// Fault-injection crash: not a bug. m.crashed is already set;
 			// finish reports ykCrashed to the waiting controller.
-		case assertFailed:
-			m.bug = &Bug{Kind: BugAssertion, Machine: m.id, State: m.state, Message: v.msg}
 		default:
-			m.bug = &Bug{Kind: BugPanic, Machine: m.id, State: m.state, Message: fmt.Sprint(v)}
+			m.bug = m.panicBug(v)
 		}
 	}()
-	if m.rt.test != nil {
-		// The controller has just scheduled the machine for the first time
-		// (the coroutine stays parked at poolLoop's top until then) — or is
-		// crashing it before it ever ran.
-		m.started = true
-		m.checkScheduled()
+	// The controller has just scheduled the machine for the first time (the
+	// coroutine stays parked at poolLoop's top until then) — or is crashing
+	// it before it ever ran.
+	m.started = true
+	m.checkScheduled()
+	if m.bug = m.boot(); m.bug != nil {
+		return
 	}
+	for more := true; more && !m.halted; {
+		more, m.bug = m.step() // an empty mailbox parks inside step
+	}
+}
+
+// finish records how a testing run ended, for poolLoop to yield.
+func (m *machineInstance) finish() {
+	m.started = false
+	switch {
+	case m.aborted:
+		m.fate = ykAborted
+	case m.crashed:
+		m.fate = ykCrashed
+	case m.bug != nil:
+		m.fate = ykBug
+	default:
+		m.fate = ykHalted
+	}
+}
+
+// panicBug is the bug a panic out of one of m's actions stands for.
+func (m *machineInstance) panicBug(v any) *Bug {
+	if a, ok := v.(assertFailed); ok {
+		return &Bug{Kind: BugAssertion, Machine: m.id, State: m.state, Message: a.msg}
+	}
+	return &Bug{Kind: BugPanic, Machine: m.id, State: m.state, Message: fmt.Sprint(v)}
+}
+
+// activate is the body of every goroutine the production runtime starts. It
+// runs one activation of m, whose active bit its caller set, and then — as
+// the next iteration, not a call — one of the machine that activation woke
+// and still held when it ended, and so on until an activation ends holding
+// nothing.
+//
+// held is the goroutine's hand-off slot, reached by the machine it is running
+// through m.held: a handler that wakes an idle machine (Runtime.wake) keeps
+// at most one such machine back here instead of paying for a goroutine, a
+// park and a wake-up. A held machine waits no longer than the rest of the
+// handler that woke it: if the waker finds more work in its own mailbox at
+// its next dequeue, or wakes a second machine, the held one gets a goroutine
+// of its own; if the waker goes idle, halts, fails or sees the runtime
+// stopped, the loop below runs it. The slot lives on the goroutine, not in
+// the machine, because a machine that went idle may have a new owner by the
+// time its old one looks.
+func (m *machineInstance) activate() {
+	var held *machineInstance
+	for ; m != nil; m, held = held, nil {
+		m.held = &held
+		if bug := m.drain(); bug != nil {
+			m.rt.fail(bug)
+		}
+	}
+}
+
+// drain is one activation: the initial entry action if the machine has not
+// run yet, then one step after another until nothing in the mailbox is
+// dispatchable. The bug is reported while the failed (or halted) machine is
+// still owned — its active bit stays set for good; after a step that went
+// idle, m is not touched again.
+func (m *machineInstance) drain() (bug *Bug) {
+	defer func() {
+		if v := recover(); v != nil {
+			bug = m.panicBug(v)
+		}
+	}()
+	if m.st == nil {
+		if bug = m.boot(); bug != nil {
+			return bug
+		}
+	}
+	for more := true; more && !m.halted; {
+		more, bug = m.step()
+	}
+	return bug
+}
+
+// boot enters the initial state and runs its entry action on the creation
+// payload. Under the production runtime the creation counts as a unit of
+// outstanding work until then, so Wait does not report quiescence while
+// entry actions are still running.
+func (m *machineInstance) boot() *Bug {
 	m.enter(m.schema.initial)
 	if m.rt.logging() {
 		m.rt.logf("%s: entering initial state %q", m.id, m.state)
 	}
 	if st := m.st; st.hasEntry() {
-		m.progDispatch(payload)
-		if bug := m.execute(st.onEntry, st.onEntryM, payload); bug != nil {
-			m.bug = bug
-			return
+		m.progDispatch(m.birth)
+		if bug := m.execute(st.onEntry, st.onEntryM, m.birth); bug != nil {
+			return bug
 		}
 		m.progIdle()
 	}
-	m.releaseInit()
-	for !m.halted {
-		env, bug, ok := m.nextEvent()
-		if bug != nil {
-			m.bug = bug
-			return
-		}
-		if !ok {
-			return // runtime stopped
-		}
-		if m.rt.logging() {
-			m.rt.logf("%s: dequeued %s in state %q", m.id, eventName(env.event), m.state)
-		}
-		m.progDispatch(env.event)
-		bug = m.handleEvent(env.event)
-		m.progIdle()
-		// The work unit for this event is released only after its handler
-		// has completed, so production-mode Wait cannot observe quiescence
-		// while an action is still running.
-		m.rt.eventConsumed()
-		if bug != nil {
-			m.bug = bug
-			return
-		}
-	}
+	m.rt.consumed(1)
+	return nil
 }
 
-// finish settles the machine's fate exactly once: in test mode it records
-// it for poolLoop to yield to the controller, in production it feeds the
-// runtime's failure/accounting machinery.
-func (m *machineInstance) finish() {
-	if m.rt.test != nil {
-		m.started = false
-		switch {
-		case m.aborted:
-			m.fate = ykAborted
-		case m.crashed:
-			m.fate = ykCrashed
-		case m.bug != nil:
-			m.fate = ykBug
-		default:
-			m.fate = ykHalted
-		}
-		return
+// step dequeues the next dispatchable event and runs its handler to
+// completion: the one unit of execution both runtimes are made of. more is
+// false when the machine cannot take another step now: it failed (bug), or —
+// production only — nothing is dispatchable and the machine has been given
+// up.
+func (m *machineInstance) step() (more bool, bug *Bug) {
+	env, bug, ok := m.nextEvent()
+	if !ok {
+		return false, bug
 	}
-	if m.bug != nil {
-		m.rt.fail(m.bug)
+	if m.rt.logging() {
+		m.rt.logf("%s: dequeued %s in state %q", m.id, eventName(env.event), m.state)
 	}
-	m.releaseInit()
+	m.progDispatch(env.event)
+	if bug = m.handleEvent(env.event); bug != nil {
+		return false, bug
+	}
+	m.progIdle()
+	// The work unit for this event is released only after its handler has
+	// completed — and never if it failed — so production-mode Wait can
+	// observe neither quiescence while an action is still running nor an
+	// emptied runtime before the failure that emptied it.
+	m.rt.consumed(1)
+	return true, nil
 }
 
-// releaseInit releases the production-mode initialization work unit exactly
-// once; only ever called from the machine's own goroutine.
-func (m *machineInstance) releaseInit() {
-	if m.initReleased || m.rt.test != nil {
-		return
-	}
-	m.initReleased = true
-	m.rt.initDone()
-}
-
-// nextEvent returns the next dispatchable event. Under the production
-// runtime it blocks on the queue condition variable; under the testing
-// runtime it reports "blocked" to the controller and parks, and takes no
-// lock. ok is false when the runtime is stopping.
-func (m *machineInstance) nextEvent() (envelope, *Bug, bool) {
+// nextEvent returns the next dispatchable event. Under the testing runtime
+// it reports "blocked" to the controller and parks until there is one, and
+// takes no lock. Under the production runtime ok is false when there is none
+// or the runtime is stopping, and the machine went idle under the very lock
+// that found that out: the next send to it starts its next activation,
+// possibly before this call has returned.
+func (m *machineInstance) nextEvent() (env envelope, bug *Bug, ok bool) {
 	if c := m.rt.test; c != nil {
 		for {
 			if c.cfg.ChessLike {
@@ -315,25 +368,31 @@ func (m *machineInstance) nextEvent() (envelope, *Bug, bool) {
 				// blocking queue is itself a visible synchronizing operation.
 				m.yieldPoint()
 			}
-			env, found, bug := m.scanQueueLocked()
-			if found {
+			env, ok, bug = m.scanQueueLocked()
+			if ok {
 				c.onDequeue(m, env)
 			}
-			if found || bug != nil {
-				return env, bug, found
+			if ok || bug != nil {
+				return env, bug, ok
 			}
 			m.park(ykBlocked)
 		}
 	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	for {
-		env, found, bug := m.scanQueueLocked()
-		if found || bug != nil || m.rt.isStopped() {
-			return env, bug, found
-		}
-		m.cond.Wait()
+	if !m.rt.stopped.Load() {
+		env, ok, bug = m.scanQueueLocked()
 	}
+	if !ok && bug == nil {
+		m.active = false
+	}
+	m.mu.Unlock()
+	if ok && *m.held != nil {
+		// More work of its own: the machine this goroutine woke and held
+		// back does not wait for it.
+		go (*m.held).spawn()
+		*m.held = nil
+	}
+	return env, bug, ok
 }
 
 // scanQueueLocked implements the paper's transition-function semantics: it
@@ -348,7 +407,7 @@ func (m *machineInstance) scanQueueLocked() (envelope, bool, *Bug) {
 		disp, ok := m.st.lookup(eventKey(env.event))
 		if !ok {
 			if isHaltEvent(env.event) {
-				m.removeLocked(i) // released in run, like any dispatch
+				m.removeLocked(i) // released in step, like any dispatch
 				return env, true, nil
 			}
 			return envelope{}, false, &Bug{
@@ -361,12 +420,12 @@ func (m *machineInstance) scanQueueLocked() (envelope, bool, *Bug) {
 		switch disp.kind {
 		case dispatchIgnore:
 			i = m.removeLocked(i)
-			m.rt.eventConsumed()
+			m.rt.consumed(1)
 		case dispatchDefer:
 			i++
 		default:
 			// The dequeued event's work unit stays outstanding until its
-			// handler completes (released in run).
+			// handler completes (released in step).
 			m.removeLocked(i)
 			return env, true, nil
 		}
@@ -534,9 +593,7 @@ func (m *machineInstance) doHalt() {
 	dropped := m.dropQueue()
 	m.halted = true
 	m.unlock()
-	for i := 0; i < dropped; i++ {
-		m.rt.eventConsumed()
-	}
+	m.rt.consumed(dropped)
 	if m.rt.logging() {
 		m.rt.logf("%s: halted", m.id)
 	}

@@ -15,20 +15,38 @@ import (
 // of machine types, creates machine instances, routes events, and detects
 // quiescence and failures. A Runtime operates in one of two modes:
 //
-//   - production (NewRuntime): machines run concurrently, one goroutine
-//     each, with blocking queues;
+//   - production (NewRuntime): machines run concurrently, but a machine has
+//     no thread of its own. A send that finds the target idle activates it:
+//     some goroutine runs its handlers, one at a time and each seeing what
+//     the one before wrote, until nothing in its mailbox is dispatchable, and
+//     then lets go of it. Between activations a machine is its struct and
+//     its mailbox, so a quiescent Runtime nobody references is garbage
+//     whether or not Stop was called. The goroutine that wakes a machine from
+//     inside a handler runs that machine itself once its own goes idle
+//     (machineInstance.activate), which is why a handler must not block
+//     waiting for another machine to make progress: under the testing
+//     runtime that deadlocks the iteration, here it can stall the one
+//     machine the handler had just woken;
 //   - bug-finding (RunTest): execution is serialized under a Strategy.
+//
+// Either way events from one sender reach one receiver in send order, and
+// Wait returns once nothing is outstanding or on the first failure.
 type Runtime struct {
-	// mu guards the tables below under the production runtime. A testing
-	// runtime is serialized by construction — one stack runs at a time and
-	// the coroutine switches order everything (see controller) — so its
-	// create, send, dequeue, halt and crash paths go through lock/unlock,
-	// which do nothing there.
+	// mu guards the tables below under the production runtime, which takes it
+	// to register, to create and to report (Wait, Failure, NumMachines) — not
+	// to pass a message: senders find machines through table and account for
+	// work in atomics. A testing runtime is serialized by construction — one
+	// stack runs at a time and the coroutine switches order everything (see
+	// controller) — so its create, send, dequeue, halt and crash paths go
+	// through lock/unlock, which do nothing there.
 	mu        sync.Mutex
 	factories map[string]func() Machine
 	machines  []*machineInstance
 	nextSeq   uint64
-	sendSeq   uint64
+	sendSeq   atomic.Uint64
+	// table is machines as production create last published it: a reader
+	// sees every machine whose ID it can have learnt.
+	table atomic.Pointer[[]*machineInstance]
 
 	// schemas caches the compiled schema per machine type. Static types
 	// (StaticMachine) are compiled exactly once, at registration, and every
@@ -69,14 +87,15 @@ type Runtime struct {
 	cover *obs.StateEventCoverage
 
 	// Production-mode accounting: busy counts outstanding units of work
-	// (queued events and machine initializations); Wait blocks until it
-	// reaches zero (quiescence) or a failure is recorded.
-	busy    int
+	// (queued events and machine initializations); Wait sleeps on qcond until
+	// it reaches zero (quiescence), a failure is recorded or the runtime is
+	// stopped. Only the transition to zero and fail take mu, to wake Wait.
+	busy    atomic.Int64
 	qcond   *sync.Cond
 	failure *Bug
-	stopped bool
+	stopped atomic.Bool
 
-	rngState uint64
+	rngState atomic.Uint64
 	logw     io.Writer
 }
 
@@ -87,7 +106,7 @@ type Option func(*Runtime)
 func WithLog(w io.Writer) Option { return func(r *Runtime) { r.logw = w } }
 
 // WithSeed seeds the production runtime's pseudo-random choice source.
-func WithSeed(seed uint64) Option { return func(r *Runtime) { r.rngState = seed } }
+func WithSeed(seed uint64) Option { return func(r *Runtime) { r.rngState.Store(seed) } }
 
 // WithoutSchemaCache disables the per-type compiled-schema cache: every
 // create rebuilds and revalidates the machine's schema, which is what the
@@ -102,8 +121,8 @@ func NewRuntime(opts ...Option) *Runtime {
 		factories:      make(map[string]func() Machine),
 		schemas:        make(map[string]*compiledSchema),
 		monitorSchemas: make(map[string]*compiledSchema),
-		rngState:       1,
 	}
+	r.rngState.Store(1)
 	r.qcond = sync.NewCond(&r.mu)
 	for _, o := range opts {
 		o(r)
@@ -247,11 +266,20 @@ func (r *Runtime) create(machineType string, payload Event, creator *machineInst
 	if c := r.test; c != nil {
 		// Bug-finding mode reuses pooled instances and parked coroutines.
 		m = c.acquireInstance(r, id, logic, schema)
+		r.machines = append(r.machines, m)
 	} else {
+		// The creator owns the first activation, which runs the initial
+		// entry action; until that is done the machine is outstanding work.
 		m = newMachineInstance(r, id, logic, schema)
-		r.busy++ // initialization counts as outstanding work
+		m.active, m.spawn = true, m.activate
+		r.busy.Add(1)
+		r.machines = append(r.machines, m)
+		table := r.machines
+		r.table.Store(&table)
 	}
-	r.machines = append(r.machines, m)
+	// The creation payload is what boot starts the machine on — again after
+	// a FaultCrash with Restart (see controller.restartMachine).
+	m.birth = payload
 	r.unlock()
 
 	r.metrics.Creates.Inc()
@@ -264,10 +292,6 @@ func (r *Runtime) create(machineType string, payload Event, creator *machineInst
 			creatorIdx = int(creator.id.Seq)
 		}
 		c.onCreate(m, creatorIdx)
-		// The creation payload is what the coroutine starts run on when the
-		// machine is first scheduled — and again after a FaultCrash with
-		// Restart (see controller.restartMachine).
-		m.birth = payload
 		if creator != nil {
 			if c.observing {
 				c.noteCreate(creator, id)
@@ -276,10 +300,23 @@ func (r *Runtime) create(machineType string, payload Event, creator *machineInst
 		}
 		return id, nil
 	}
-	go func() {
-		m.run(payload)
-	}()
+	r.wake(m, creator)
 	return id, nil
+}
+
+// wake starts the activation of m, whose active bit the caller has just set.
+// From the environment that is a goroutine. A handler of waker instead holds
+// m back for its own goroutine to run next (see machineInstance.activate),
+// giving the machine it held so far a goroutine.
+func (r *Runtime) wake(m, waker *machineInstance) {
+	if waker == nil {
+		go m.spawn()
+		return
+	}
+	if h := *waker.held; h != nil {
+		go h.spawn()
+	}
+	*waker.held = m
 }
 
 // compileInstanceLocked builds, validates and freezes a schema for one
@@ -359,16 +396,15 @@ func (r *Runtime) enqueue(target MachineID, ev Event, sm *machineInstance, isMac
 			r.logf("fault: dropped %s to %s", eventName(ev), target)
 		}
 	} else {
-		r.lock()
-		r.sendSeq++
-		env := envelope{event: ev, sender: sender, clock: clock, seq: r.sendSeq}
+		env := envelope{event: ev, sender: sender, clock: clock, seq: r.sendSeq.Add(1)}
 		if fault.Kind == FaultDuplicate {
-			r.sendSeq++
+			r.sendSeq.Add(1)
 		}
+		woke := false
 		if c == nil {
-			r.busy++
+			r.busy.Add(1)
+			woke, m.active = !m.active, true
 		}
-		r.unlock()
 		m.push(env)
 		switch fault.Kind {
 		case FaultDuplicate:
@@ -383,9 +419,6 @@ func (r *Runtime) enqueue(target MachineID, ev Event, sm *machineInstance, isMac
 			c.faults.Reorders++
 		}
 		depth := int64(len(m.queued()))
-		if c == nil {
-			m.cond.Signal()
-		}
 		m.unlock()
 		r.metrics.Sends.Inc()
 		r.metrics.MailboxMax.Observe(depth)
@@ -394,6 +427,8 @@ func (r *Runtime) enqueue(target MachineID, ev Event, sm *machineInstance, isMac
 		}
 		if c != nil {
 			c.onEnqueue(m)
+		} else if woke {
+			r.wake(m, sm)
 		}
 	}
 
@@ -405,63 +440,41 @@ func (r *Runtime) enqueue(target MachineID, ev Event, sm *machineInstance, isMac
 	}
 }
 
-func (r *Runtime) machineByID(id MachineID) (m *machineInstance) {
-	r.lock()
-	if id.Seq != 0 && int(id.Seq) <= len(r.machines) {
-		m = r.machines[id.Seq-1]
-	}
-	r.unlock()
-	return m
-}
-
-// eventConsumed is production-mode work accounting: one queued event was
-// handled or dropped.
-func (r *Runtime) eventConsumed() {
+// machineByID looks id up; production senders take no lock for it.
+func (r *Runtime) machineByID(id MachineID) *machineInstance {
+	var ms []*machineInstance
 	if r.test != nil {
-		return
+		ms = r.machines
+	} else if t := r.table.Load(); t != nil {
+		ms = *t
 	}
-	r.mu.Lock()
-	r.busy--
-	if r.busy <= 0 {
+	if id.Seq == 0 || id.Seq > uint64(len(ms)) {
+		return nil
+	}
+	return ms[id.Seq-1]
+}
+
+// consumed is production-mode work accounting: n units of outstanding work —
+// queued events handled, ignored or dropped by a halt, a completed
+// initialization — are done. The last one out wakes Wait.
+func (r *Runtime) consumed(n int) {
+	if r.test == nil && n > 0 && r.busy.Add(-int64(n)) == 0 {
+		r.mu.Lock()
 		r.qcond.Broadcast()
+		r.mu.Unlock()
 	}
-	r.mu.Unlock()
 }
 
-// initDone marks a machine's initialization complete; see create.
-func (r *Runtime) initDone() {
-	if r.test != nil {
-		return
-	}
-	r.mu.Lock()
-	r.busy--
-	if r.busy <= 0 {
-		r.qcond.Broadcast()
-	}
-	r.mu.Unlock()
-}
-
-func (r *Runtime) isStopped() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stopped
-}
-
-// fail records the first failure and stops the runtime.
+// fail records the first failure (none for a plain Stop) and stops the
+// runtime: every activation ends at its next dequeue, and Wait returns.
 func (r *Runtime) fail(b *Bug) {
 	r.mu.Lock()
 	if r.failure == nil {
 		r.failure = b
 	}
-	r.stopped = true
-	machines := append([]*machineInstance(nil), r.machines...)
+	r.stopped.Store(true)
 	r.qcond.Broadcast()
 	r.mu.Unlock()
-	for _, m := range machines {
-		m.mu.Lock()
-		m.cond.Broadcast()
-		m.mu.Unlock()
-	}
 }
 
 // Failure returns the first recorded failure, if any.
@@ -479,7 +492,7 @@ func (r *Runtime) Wait() error {
 		panic("psharp: Wait is not available in bug-finding mode")
 	}
 	r.mu.Lock()
-	for r.busy > 0 && r.failure == nil && !r.stopped {
+	for r.busy.Load() > 0 && r.failure == nil && !r.stopped.Load() {
 		r.qcond.Wait()
 	}
 	var err error
@@ -490,19 +503,11 @@ func (r *Runtime) Wait() error {
 	return err
 }
 
-// Stop shuts the runtime down: machines blocked on empty queues exit.
-func (r *Runtime) Stop() {
-	r.mu.Lock()
-	r.stopped = true
-	machines := append([]*machineInstance(nil), r.machines...)
-	r.qcond.Broadcast()
-	r.mu.Unlock()
-	for _, m := range machines {
-		m.mu.Lock()
-		m.cond.Broadcast()
-		m.mu.Unlock()
-	}
-}
+// Stop shuts the runtime down: activations end at their next dequeue and
+// whatever is still queued stays unhandled. A quiescent runtime has nothing to
+// shut down — no goroutine outlives the last handler — so Stop after Wait is
+// optional.
+func (r *Runtime) Stop() { r.fail(nil) }
 
 // NumMachines returns how many machines have been created so far.
 func (r *Runtime) NumMachines() int {
@@ -529,10 +534,7 @@ func (r *Runtime) randomInt(m *machineInstance, n int) int {
 
 // nextRand steps the production-mode SplitMix64 generator.
 func (r *Runtime) nextRand() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.rngState += 0x9e3779b97f4a7c15
-	z := r.rngState
+	z := r.rngState.Add(0x9e3779b97f4a7c15)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)

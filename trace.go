@@ -149,43 +149,44 @@ func (t *Trace) Clone() *Trace {
 //	i <value>                                   controlled integer
 //	f none|drop|dup|reorder                     fault query answer (send point)
 //	f crash <machine-type> <machine-seq> <restart 0|1> <keepq 0|1>
+//
+// Records are appended digit by digit into the buffered writer's own free
+// space rather than formatted: a trace is thousands of them, and every bug
+// hunt encodes at least one.
 func (t *Trace) Encode(w io.Writer) error {
+	// A failed write sticks to the writer: the next Write and Flush return it.
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "psharp-trace %d\n", TraceFormatVersion); err != nil {
-		return err
+	bw.WriteString("psharp-trace " + strconv.Itoa(TraceFormatVersion) + "\n")
+	bw.WriteString("# records: s <type> <seq> | b 0|1 | i <value> | f none|drop|dup|reorder | f crash <type> <seq> <restart> <keepq>\n")
+	bit := func(b bool) byte {
+		if b {
+			return '1'
+		}
+		return '0'
 	}
-	if _, err := fmt.Fprintln(bw, "# records: s <type> <seq> | b 0|1 | i <value> | f none|drop|dup|reorder | f crash <type> <seq> <restart> <keepq>"); err != nil {
-		return err
+	id := func(rec []byte, m MachineID) []byte {
+		return strconv.AppendUint(append(append(rec, m.Type...), ' '), m.Seq, 10)
 	}
 	for _, d := range t.Decisions {
-		var err error
+		rec := bw.AvailableBuffer()
 		switch d.Kind {
 		case DecisionSchedule:
-			_, err = fmt.Fprintf(bw, "s %s %d\n", d.Machine.Type, d.Machine.Seq)
+			rec = id(append(rec, "s "...), d.Machine)
 		case DecisionBool:
-			v := 0
-			if d.Bool {
-				v = 1
-			}
-			_, err = fmt.Fprintf(bw, "b %d\n", v)
+			rec = append(rec, 'b', ' ', bit(d.Bool))
 		case DecisionInt:
-			_, err = fmt.Fprintf(bw, "i %d\n", d.Int)
+			rec = strconv.AppendInt(append(rec, "i "...), int64(d.Int), 10)
 		case DecisionFault:
 			if d.Fault.Kind == FaultCrash {
-				restart, keepq := 0, 0
-				if d.Fault.Restart {
-					restart = 1
-				}
-				if d.Fault.PreserveMailbox {
-					keepq = 1
-				}
-				_, err = fmt.Fprintf(bw, "f crash %s %d %d %d\n",
-					d.Fault.Machine.Type, d.Fault.Machine.Seq, restart, keepq)
+				rec = id(append(rec, "f crash "...), d.Fault.Machine)
+				rec = append(rec, ' ', bit(d.Fault.Restart), ' ', bit(d.Fault.PreserveMailbox))
 			} else {
-				_, err = fmt.Fprintf(bw, "f %s\n", d.Fault.Kind)
+				rec = append(append(rec, "f "...), d.Fault.Kind.String()...)
 			}
+		default:
+			continue
 		}
-		if err != nil {
+		if _, err := bw.Write(append(rec, '\n')); err != nil {
 			return err
 		}
 	}

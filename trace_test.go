@@ -7,6 +7,9 @@ package psharp_test
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -136,3 +139,78 @@ func TestTraceFaultRecordsRoundTrip(t *testing.T) {
 		t.Fatalf("fault records diverged after round-trip:\nbefore: %v\nafter:  %v", trace.Decisions, decoded.Decisions)
 	}
 }
+
+// TestTraceEncodeMatchesFormattedReference holds Encode, which appends its
+// records without fmt, to the byte sequence the fmt-based encoder it
+// replaced produced: every record kind, long names, extreme values, a trace
+// long enough to cross the writer's buffer many times, and a writer that
+// fails.
+func TestTraceEncodeMatchesFormattedReference(t *testing.T) {
+	reference := func(tr *psharp.Trace) string {
+		var b strings.Builder
+		fmt.Fprintf(&b, "psharp-trace %d\n", psharp.TraceFormatVersion)
+		fmt.Fprintln(&b, "# records: s <type> <seq> | b 0|1 | i <value> | f none|drop|dup|reorder | f crash <type> <seq> <restart> <keepq>")
+		for _, d := range tr.Decisions {
+			switch d.Kind {
+			case psharp.DecisionSchedule:
+				fmt.Fprintf(&b, "s %s %d\n", d.Machine.Type, d.Machine.Seq)
+			case psharp.DecisionBool:
+				fmt.Fprintf(&b, "b %d\n", map[bool]int{true: 1}[d.Bool])
+			case psharp.DecisionInt:
+				fmt.Fprintf(&b, "i %d\n", d.Int)
+			case psharp.DecisionFault:
+				if f := d.Fault; f.Kind == psharp.FaultCrash {
+					fmt.Fprintf(&b, "f crash %s %d %d %d\n", f.Machine.Type, f.Machine.Seq,
+						map[bool]int{true: 1}[f.Restart], map[bool]int{true: 1}[f.PreserveMailbox])
+				} else {
+					fmt.Fprintf(&b, "f %s\n", f.Kind)
+				}
+			}
+		}
+		return b.String()
+	}
+	id := func(typ string, seq uint64) psharp.MachineID { return psharp.MachineID{Type: typ, Seq: seq} }
+	records := []psharp.Decision{
+		{Kind: psharp.DecisionSchedule, Machine: id("M", 1)},
+		{Kind: psharp.DecisionSchedule, Machine: id(strings.Repeat("LongTypeName", 40), math.MaxUint64)},
+		{Kind: psharp.DecisionSchedule, Machine: id("", 0)},
+		{Kind: psharp.DecisionBool}, {Kind: psharp.DecisionBool, Bool: true},
+		{Kind: psharp.DecisionInt}, {Kind: psharp.DecisionInt, Int: math.MaxInt}, {Kind: psharp.DecisionInt, Int: math.MinInt},
+		{Kind: psharp.DecisionFault},
+		{Kind: psharp.DecisionFault, Fault: psharp.FaultAction{Kind: psharp.FaultDrop}},
+		{Kind: psharp.DecisionFault, Fault: psharp.FaultAction{Kind: psharp.FaultDuplicate}},
+		{Kind: psharp.DecisionFault, Fault: psharp.FaultAction{Kind: psharp.FaultReorder}},
+		{Kind: psharp.DecisionFault, Fault: psharp.FaultAction{Kind: psharp.FaultKind(17)}},
+		{Kind: psharp.DecisionFault, Fault: psharp.FaultAction{Kind: psharp.FaultCrash, Machine: id("Node", 3)}},
+		{Kind: psharp.DecisionFault, Fault: psharp.FaultAction{Kind: psharp.FaultCrash, Machine: id("Node", 12), Restart: true}},
+		{Kind: psharp.DecisionFault, Fault: psharp.FaultAction{Kind: psharp.FaultCrash, Machine: id("Node", 7), Restart: true, PreserveMailbox: true}},
+		{Kind: psharp.DecisionKind(9)}, // not a record: neither encoder writes anything
+	}
+	tr := &psharp.Trace{}
+	for i := 0; i < 700; i++ { // ≈ 350 KB through a 4 KB buffer
+		tr.Decisions = append(tr.Decisions, records...)
+		tr.Decisions = append(tr.Decisions, psharp.Decision{Kind: psharp.DecisionInt, Int: i})
+	}
+	var got strings.Builder
+	if err := tr.Encode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if want := reference(tr); got.String() != want {
+		for i := 0; i < len(want) && i < got.Len(); i++ {
+			if got.String()[i] != want[i] {
+				t.Fatalf("encodings differ at byte %d: %q, want %q", i, got.String()[max(0, i-40):i+20], want[max(0, i-40):i+20])
+			}
+		}
+		t.Fatalf("encoded %d bytes, want %d", got.Len(), len(want))
+	}
+	if err := tr.Encode(failingWriter{}); err == nil || err.Error() != "disk full" {
+		t.Fatalf("Encode into a failing writer: %v, want its error", err)
+	}
+	if err := (&psharp.Trace{}).Encode(failingWriter{}); err == nil {
+		t.Fatal("an empty trace's header failed to write and Encode said nothing")
+	}
+}
+
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
