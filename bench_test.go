@@ -97,12 +97,11 @@ func BenchmarkTable2(b *testing.B) {
 // trace every call) against the pooled TestHarness on the same workload:
 // once on the spin hot-path program (where the runtime's own overhead
 // dominates and pooling saves most of it — the ≥50% claim, gated hard by
-// TestHarnessHalvesAllocations and recorded in BENCH_sct.json) and once on
-// a protocol benchmark. Both workloads declare their machines in the
-// static form, so the pooled numbers reflect per-type schema caching: the
-// steady state pays only machine logic and wiring, never schema rebuilds
-// (locked in by TestProtocolAllocationCap and the schema_cache_probe entry
-// of BENCH_sct.json).
+// TestHarnessHalvesAllocations) and once on a protocol benchmark. Both
+// workloads declare their machines in the static form, so the pooled
+// numbers reflect per-type schema caching: the steady state pays only
+// machine logic and wiring, never schema rebuilds (locked in by
+// TestProtocolAllocationCap).
 func BenchmarkIterationAllocs(b *testing.B) {
 	tpc := protocols.MustByName("TwoPhaseCommit", true)
 	workloads := []struct {
@@ -199,9 +198,9 @@ func BenchmarkParallelExploration(b *testing.B) {
 // BenchmarkInterpCorpus runs seeded .psl schedules over the full Table 1
 // corpus (racy and non-racy variants) under each interp engine. The claim
 // under test is the bytecode VM's schedules/s advantage over the reference
-// tree-walker (the interp_perf_probe entry of BENCH_sct.json gates the
-// ratio at ≥5x); -benchmem additionally shows the VM's zero steady-state
-// allocations per schedule.
+// tree-walker (bash bench/run.sh reports it as interp.vm_ns_per_step against
+// interp.walk_ns_per_step); -benchmem additionally shows the VM's zero
+// steady-state allocations per schedule.
 func BenchmarkInterpCorpus(b *testing.B) {
 	type corpusProg struct {
 		name string

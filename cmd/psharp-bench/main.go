@@ -1,39 +1,61 @@
-// Command psharp-bench regenerates the paper's evaluation tables and tracks
-// exploration-performance trends.
+// Command psharp-bench regenerates the paper's two evaluation tables.
 //
 // Usage:
 //
-//	psharp-bench -table 1 [-check]
+//	psharp-bench -table 1 [-check] [-json table1.json]
 //	psharp-bench -table 2 [-iterations 10000] [-timeout 5m] [-parallel 8 [-dynamic]]
 //	psharp-bench -table all
-//	psharp-bench -table none -json BENCH_sct.json
 //
 // With -check, the Table 1 results are compared against the expected
 // false-positive counts encoded in internal/benchsrc (the paper's published
 // numbers) and the command exits non-zero on any drift; CI uses this as the
-// Table 1 gate.
+// Table 1 gate. With -json, the Table 1 rows just printed (the time column
+// in microseconds, median of five) are also written to a file, under the
+// environment they were measured in. What a scheduling point or an analysis
+// pass costs layer by layer is not this command's business: bash
+// bench/run.sh measures it.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"time"
 
 	"github.com/psharp-go/psharp/internal/tables"
+	"github.com/psharp-go/psharp/obs"
 )
 
 func main() {
-	table := flag.String("table", "all", "which table to regenerate: 1, 2, all or none")
-	iterations := flag.Int("iterations", 10000, "schedule budget per Table 2 cell (paper: 10,000)")
-	timeout := flag.Duration("timeout", 5*time.Minute, "time budget per Table 2 cell (paper: 5m)")
-	seed := flag.Uint64("seed", 20150628, "random scheduler seed")
-	parallel := flag.Int("parallel", 1, "exploration workers per Table 2 cell (0 = GOMAXPROCS)")
-	dynamic := flag.Bool("dynamic", false, "work-stealing iteration assignment for parallel cells (trades population reproducibility for utilization)")
-	jsonPath := flag.String("json", "", "write a machine-readable perf report (BENCH_sct.json) to this path: schedules/sec, allocs/iteration, per-worker iteration counts")
-	check := flag.Bool("check", false, "compare Table 1 results against the expected counts in internal/benchsrc and exit non-zero on drift")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command body, separated from main so the flag-handling tests
+// can drive it in-process.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("psharp-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	table := fs.String("table", "all", "which table to regenerate: 1, 2 or all")
+	iterations := fs.Int("iterations", 10000, "schedule budget per Table 2 cell (paper: 10,000)")
+	timeout := fs.Duration("timeout", 5*time.Minute, "time budget per Table 2 cell (paper: 5m)")
+	seed := fs.Uint64("seed", 20150628, "random scheduler seed")
+	parallel := fs.Int("parallel", 1, "exploration workers per Table 2 cell (0 = GOMAXPROCS)")
+	dynamic := fs.Bool("dynamic", false, "work-stealing iteration assignment for parallel cells (trades population reproducibility for utilization)")
+	jsonPath := fs.String("json", "", "also write the Table 1 rows, with the environment they were measured in, to this file as JSON")
+	check := fs.Bool("check", false, "compare Table 1 results against the expected counts in internal/benchsrc and exit non-zero on drift")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, a ...any) int {
+		fmt.Fprintln(stderr, append([]any{"psharp-bench:"}, a...)...)
+		return code
+	}
 	if *parallel <= 0 {
 		// tables treats Workers 0/1 as the paper's sequential setup, so
 		// resolve the "all cores" spelling here.
@@ -41,134 +63,77 @@ func main() {
 	}
 
 	switch *table {
-	case "1", "2", "all", "none":
+	case "1", "2", "all":
 	default:
-		fmt.Fprintf(os.Stderr, "psharp-bench: unknown -table %q (want 1, 2, all or none)\n", *table)
-		os.Exit(2)
+		return fail(2, fmt.Sprintf("unknown -table %q (want 1, 2 or all)", *table))
+	}
+	table1, table2 := *table != "2", *table != "1"
+	if *check && !table1 {
+		return fail(2, "-check requires -table 1 or -table all")
+	}
+	if *jsonPath != "" && !table1 {
+		return fail(2, "-json requires -table 1 or -table all")
+	}
+	opts2 := tables.Table2Options{
+		Iterations: *iterations, Timeout: *timeout, Seed: *seed,
+		Workers: *parallel, Dynamic: *dynamic,
+	}
+	if table2 {
+		if err := opts2.Validate(); err != nil {
+			return fail(2, err)
+		}
 	}
 
-	if *check && *table != "1" && *table != "all" {
-		fmt.Fprintln(os.Stderr, "psharp-bench: -check requires -table 1 or -table all")
-		os.Exit(2)
-	}
-
-	if *table == "1" || *table == "all" {
-		fmt.Println("== Table 1: static data race analysis ==")
+	if table1 {
+		var out *os.File
+		if *jsonPath != "" {
+			// Opened before the analysis runs, so an unwritable path fails
+			// at once instead of after the work.
+			var err error
+			if out, err = os.Create(*jsonPath); err != nil {
+				return fail(1, err)
+			}
+			defer out.Close()
+		}
+		fmt.Fprintln(stdout, "== Table 1: static data race analysis ==")
 		rows, err := tables.RunTable1()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "psharp-bench:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
-		tables.PrintTable1(os.Stdout, rows)
-		fmt.Println()
+		tables.PrintTable1(stdout, rows)
+		fmt.Fprintln(stdout)
+		if out != nil {
+			enc := json.NewEncoder(out)
+			enc.SetIndent("", "  ")
+			err := enc.Encode(struct {
+				Env    obs.Env            `json:"env"`
+				Table1 []tables.Table1Row `json:"table1"`
+			}{obs.CaptureEnv(), rows})
+			if err == nil {
+				err = out.Close()
+			}
+			if err != nil {
+				return fail(1, err)
+			}
+		}
 		if *check {
 			if drift := tables.CheckTable1(rows); len(drift) > 0 {
 				for _, d := range drift {
-					fmt.Fprintln(os.Stderr, "psharp-bench: Table 1 drift:", d)
+					fail(1, "Table 1 drift:", d)
 				}
-				os.Exit(1)
+				return 1
 			}
-			fmt.Printf("Table 1 check: all %d benchmarks match the paper's false-positive counts\n", len(rows))
+			fmt.Fprintf(stdout, "Table 1 check: all %d benchmarks match the paper's false-positive counts\n", len(rows))
 		}
 	}
-	if *table == "2" || *table == "all" {
-		fmt.Printf("== Table 2: scheduler comparison (budget: %d schedules / %v per cell) ==\n",
+	if table2 {
+		fmt.Fprintf(stdout, "== Table 2: scheduler comparison (budget: %d schedules / %v per cell) ==\n",
 			*iterations, *timeout)
-		rows, err := tables.RunTable2(tables.Table2Options{
-			Iterations: *iterations, Timeout: *timeout, Seed: *seed,
-			Workers: *parallel, Dynamic: *dynamic,
-		})
+		rows, err := tables.RunTable2(opts2)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "psharp-bench:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
-		tables.PrintTable2(os.Stdout, rows)
+		tables.PrintTable2(stdout, rows)
 	}
-	if *jsonPath != "" {
-		rep, err := tables.RunPerfProbe(tables.PerfProbeOptions{
-			Iterations: min(*iterations, 2000),
-			Workers:    *parallel,
-			Dynamic:    *dynamic,
-			Seed:       *seed,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "psharp-bench:", err)
-			os.Exit(1)
-		}
-		if err := tables.WritePerfReport(*jsonPath, rep); err != nil {
-			fmt.Fprintln(os.Stderr, "psharp-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("perf report written to %s (%.1f schedules/s, allocs/iteration pooled %.1f vs one-shot %.1f on %s)\n",
-			*jsonPath, rep.SchedulesPerSec,
-			rep.AllocProbes[0].Pooled, rep.AllocProbes[0].OneShot, rep.AllocProbes[0].Workload)
-		fmt.Printf("schema cache on %s: %.1f allocs/iteration cached vs %.1f per-instance (%.1f%% saved)\n",
-			rep.SchemaProbe.Workload, rep.SchemaProbe.Cached, rep.SchemaProbe.PerInstance,
-			rep.SchemaProbe.SavedPercent)
-		fmt.Printf("monitor overhead on %s: %.1f allocs/iteration monitored vs %.1f plain (+%.1f)\n",
-			rep.MonitorProbe.Workload, rep.MonitorProbe.Monitored, rep.MonitorProbe.Unmonitored,
-			rep.MonitorProbe.DeltaAllocs)
-		fmt.Printf("telemetry overhead on %s: %.1f allocs/iteration with telemetry vs %.1f plain (+%.2f)\n",
-			rep.TelemetryProbe.Workload, rep.TelemetryProbe.Telemetry, rep.TelemetryProbe.Plain,
-			rep.TelemetryProbe.DeltaAllocs)
-		fmt.Printf("interp coverage over the Table 1 corpus: %d/%d declared transitions dispatched (%.1f%%) across %d benchmarks x %d seeds\n",
-			rep.InterpCoverage.CoveredTransitions, rep.InterpCoverage.DeclaredTransitions,
-			rep.InterpCoverage.CoveredPercent, rep.InterpCoverage.Benchmarks, rep.InterpCoverage.Seeds)
-		fmt.Printf("interp throughput over the Table 1 corpus: %.0f schedules/s bytecode vs %.0f walker (%.1fx) across %d benchmarks x %d seeds\n",
-			rep.InterpPerf.BytecodeSchedulesPerSec, rep.InterpPerf.WalkSchedulesPerSec,
-			rep.InterpPerf.Speedup, rep.InterpPerf.Benchmarks, rep.InterpPerf.Seeds)
-		fmt.Printf("fault injection on %s: %d buggy schedules in %d with a %d-fault budget vs %d fault-free (%d crashes, %d restarts, %d drops, %d dups, %d reorders)\n",
-			rep.FaultProbe.Workload, rep.FaultProbe.BuggyWithFaults, rep.FaultProbe.ScheduleBudget,
-			rep.FaultProbe.FaultBudget, rep.FaultProbe.BuggyFaultFree,
-			rep.FaultProbe.Crashes, rep.FaultProbe.Restarts, rep.FaultProbe.Drops,
-			rep.FaultProbe.Duplicates, rep.FaultProbe.Reorders)
-		fmt.Printf("resume round trip on %s: split at %d/%d, resumed to %d distinct (%d buggy) vs solo %d distinct (%d buggy), resumed slice ran %d\n",
-			rep.ResumeProbe.Workload, rep.ResumeProbe.SplitAt, rep.ResumeProbe.ScheduleBudget,
-			rep.ResumeProbe.DistinctResumed, rep.ResumeProbe.BuggyResumed,
-			rep.ResumeProbe.DistinctSolo, rep.ResumeProbe.BuggySolo,
-			rep.ResumeProbe.ResumedSliceIterations)
-		for _, g := range rep.DPORProbe.Benchmarks {
-			fmt.Printf("dpor probe on %s: %d schedules to the bug vs random's %d (ratio %.2f, +%d pruned, %d distinct states, found dpor=%v random=%v)\n",
-				g.Workload, g.DPORSchedules, g.RandomSchedules, g.Ratio,
-				g.PrunedIterations, g.DistinctStates, g.FoundDPOR, g.FoundRandom)
-		}
-		fmt.Printf("state cache on %s: %d of %d attempts pruned (%.1f%%), %d explored, %d distinct states (%.0f states/s), %.1f%% of executed points were prefix replay\n",
-			rep.StateCacheProbe.Workload, rep.StateCacheProbe.Pruned,
-			rep.StateCacheProbe.Explored+rep.StateCacheProbe.Pruned,
-			rep.StateCacheProbe.PrunedPercent, rep.StateCacheProbe.Explored,
-			rep.StateCacheProbe.DistinctStates, rep.StateCacheProbe.StatesPerSec,
-			100*rep.StateCacheProbe.ReplayedShare)
-		// The telemetry-overhead gate: CI runs this command, so a regression
-		// that makes observability allocate on the hot path fails the build.
-		if rep.TelemetryProbe.DeltaAllocs > tables.MaxTelemetryDeltaAllocs {
-			fmt.Fprintf(os.Stderr, "psharp-bench: telemetry overhead gate: +%.2f allocs/iteration exceeds the %.0f-alloc budget\n",
-				rep.TelemetryProbe.DeltaAllocs, tables.MaxTelemetryDeltaAllocs)
-			os.Exit(1)
-		}
-		// The interpreter-throughput gate: the bytecode engine must stay well
-		// ahead of the tree-walker on the corpus.
-		if rep.InterpPerf.Speedup < tables.MinInterpSpeedup {
-			fmt.Fprintf(os.Stderr, "psharp-bench: interp perf gate: bytecode speedup %.2fx is below the %.0fx floor\n",
-				rep.InterpPerf.Speedup, tables.MinInterpSpeedup)
-			os.Exit(1)
-		}
-		// The DPOR gate: on the gated corpus subset, DPOR with the state cache
-		// must reach every seeded bug in at most half the schedules random
-		// search needs — the reduction's reason to exist.
-		if !rep.DPORProbe.AllFound || rep.DPORProbe.WorstRatio > tables.MaxDPORScheduleRatio {
-			fmt.Fprintf(os.Stderr, "psharp-bench: dpor gate: all bugs found=%v, worst schedule ratio %.2f (budget %.2f)\n",
-				rep.DPORProbe.AllFound, rep.DPORProbe.WorstRatio, tables.MaxDPORScheduleRatio)
-			os.Exit(1)
-		}
-		// The resume gate: a budget-split journaled campaign must converge on
-		// the uninterrupted run's population exactly.
-		if !rep.ResumeProbe.PopulationsMatch {
-			fmt.Fprintf(os.Stderr, "psharp-bench: resume gate: split campaign diverged from the uninterrupted run (distinct %d vs %d, buggy %d vs %d, resumed slice %d of %d)\n",
-				rep.ResumeProbe.DistinctResumed, rep.ResumeProbe.DistinctSolo,
-				rep.ResumeProbe.BuggyResumed, rep.ResumeProbe.BuggySolo,
-				rep.ResumeProbe.ResumedSliceIterations,
-				rep.ResumeProbe.ScheduleBudget-rep.ResumeProbe.SplitAt)
-			os.Exit(1)
-		}
-	}
+	return 0
 }

@@ -51,8 +51,8 @@
 // fuses common instruction pairs into superinstructions, caches the
 // compiled form on the Program, and pools VM state — a steady-state
 // schedule does zero allocations and runs roughly an order of magnitude
-// more schedules per second than the walker (interp_perf_probe in
-// BENCH_sct.json records the measured ratio; CI fails below 5x; the
+// more schedules per second than the walker (bash bench/run.sh reports
+// both, as interp.vm_ns_per_step and interp.walk_ns_per_step; the
 // differential harness holds the two engines outcome-identical on every
 // corpus benchmark). Select the engine with interp.Options.Engine, or
 // from the CLI:
@@ -321,9 +321,9 @@
 // schedule length: the marginal cost of an extra scheduling point is zero
 // allocations (enforced by the allocation regression tests, including a
 // protocol-class cap that a returning schema rebuild cannot pass). The sct
-// engine holds one harness per exploration worker; BENCH_sct.json
-// (psharp-bench -json) tracks schedules/sec, allocs/iteration, and the
-// schema-cache saving across changes.
+// engine holds one harness per exploration worker; bash bench/run.sh
+// measures schedules/sec and allocs/iteration on the BENCHMARK.json
+// workloads.
 //
 // # Production runtime
 //
@@ -391,7 +391,7 @@
 // a coverage hit is a read-lock, one map lookup on a comparable struct key,
 // and an atomic add — no per-dispatch reflection, no steady-state
 // allocation; the allocation caps above hold with coverage attached
-// (gated by BENCH_sct.json's telemetry_overhead_probe). The sct package
+// (gated by sct's TestTelemetryAllocationOverhead). The sct package
 // layers campaign-level telemetry — depth histograms, coverage growth
 // curves over wall-clock time, typed progress snapshots, and versioned
 // campaign reports — on the same primitives; see its Observability section.

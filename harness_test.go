@@ -375,24 +375,15 @@ func TestStaticSchemasCompileOncePerRuntime(t *testing.T) {
 }
 
 // TestInvalidStaticSchemaFailsAtRegister locks Register's error contract:
-// a static machine with an invalid schema is rejected at registration,
-// whether the per-type cache is enabled or not.
+// a static machine with an invalid schema is rejected at registration.
 func TestInvalidStaticSchemaFailsAtRegister(t *testing.T) {
 	bad := psharp.StaticMachineFunc(func(sc *psharp.Schema) {
 		sc.Start("A")
 		sc.Start("B") // duplicate start state
 	})
-	for _, tc := range []struct {
-		name string
-		opts []psharp.Option
-	}{
-		{"cached", nil},
-		{"cache-off", []psharp.Option{psharp.WithoutSchemaCache()}},
-	} {
-		r := psharp.NewRuntime(tc.opts...)
-		if err := r.Register("Bad", func() psharp.Machine { return bad }); err == nil {
-			t.Errorf("%s: Register accepted an invalid static schema", tc.name)
-		}
+	r := psharp.NewRuntime()
+	if err := r.Register("Bad", func() psharp.Machine { return bad }); err == nil {
+		t.Error("Register accepted an invalid static schema")
 	}
 }
 

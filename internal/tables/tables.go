@@ -1,7 +1,9 @@
 // Package tables regenerates the paper's evaluation tables: Table 1 (the
 // static analyzer across the benchmark suites) and Table 2 (the scheduler
-// comparison on the buggy protocol implementations). It is shared by the
-// psharp-bench command and the root bench_test.go harness.
+// comparison on the buggy protocol implementations), and nothing else: what
+// a scheduling point or an analysis pass costs, layer by layer, is bench/'s
+// to measure (bash bench/run.sh). It is shared by the psharp-bench command
+// and the root bench_test.go harness.
 package tables
 
 import (
@@ -228,14 +230,31 @@ func DefaultTable2Options() Table2Options {
 	return Table2Options{Iterations: 10000, Timeout: 5 * time.Minute, Seed: 20150628}
 }
 
+// table2Modes are a row's cells, in column order.
+var table2Modes = []SchedulerMode{ModeChessRDOn, ModeChessRDOff, ModePSharpDFS, ModePSharpRandom}
+
+// Validate returns the reason the engine would refuse a cell run under o
+// (sct.ParallelOptions.Validate's text), or nil.
+func (o Table2Options) Validate() error {
+	for _, mode := range table2Modes {
+		if err := cellOptions(protocols.Benchmark{}, mode, o).Validate(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // RunTable2Row measures one buggy benchmark under all four configurations.
 func RunTable2Row(name string, opts Table2Options) (Table2Row, error) {
 	b, ok := protocols.ByName(name, true)
 	if !ok {
 		return Table2Row{}, fmt.Errorf("tables: no buggy benchmark %q", name)
 	}
+	if err := opts.Validate(); err != nil {
+		return Table2Row{}, fmt.Errorf("tables: %w", err)
+	}
 	row := Table2Row{Name: name, Machines: b.Machines}
-	for _, mode := range []SchedulerMode{ModeChessRDOn, ModeChessRDOff, ModePSharpDFS, ModePSharpRandom} {
+	for _, mode := range table2Modes {
 		row.Cells = append(row.Cells, runCell(b, mode, opts))
 	}
 	return row, nil
@@ -257,7 +276,8 @@ func RunTable2(opts Table2Options) ([]Table2Row, error) {
 	return rows, nil
 }
 
-func runCell(b protocols.Benchmark, mode SchedulerMode, opts Table2Options) Table2Cell {
+// cellOptions is the engine configuration of one Table 2 cell.
+func cellOptions(b protocols.Benchmark, mode SchedulerMode, opts Table2Options) sct.ParallelOptions {
 	so := sct.Options{
 		Iterations:     opts.Iterations,
 		Timeout:        opts.Timeout,
@@ -281,9 +301,11 @@ func runCell(b protocols.Benchmark, mode SchedulerMode, opts Table2Options) Tabl
 		// a bug to measure the fraction of buggy schedules.
 		so.StopOnFirstBug = false
 	}
-	rep := sct.RunParallel(b.Setup, sct.ParallelOptions{
-		Options: so, Workers: max(opts.Workers, 1), Dynamic: opts.Dynamic,
-	}).Report
+	return sct.ParallelOptions{Options: so, Workers: max(opts.Workers, 1), Dynamic: opts.Dynamic}
+}
+
+func runCell(b protocols.Benchmark, mode SchedulerMode, opts Table2Options) Table2Cell {
+	rep := sct.RunParallel(b.Setup, cellOptions(b, mode, opts)).Report
 	return Table2Cell{
 		Mode:         mode,
 		Schedules:    rep.Iterations,

@@ -18,8 +18,9 @@ import (
 )
 
 // runBoth executes one seed under both engines with race detection and
-// coverage attached and fails on any observable divergence.
-func runBoth(t *testing.T, prog *lang.Program, main string, seed uint64) {
+// coverage attached and fails on any observable divergence. It returns the
+// transitions the seed dispatched.
+func runBoth(t *testing.T, prog *lang.Program, main string, seed uint64) []obs.TransitionCount {
 	t.Helper()
 	var covW, covB obs.StateEventCoverage
 	w := Run(prog, main, Options{Engine: EngineWalk, Seed: seed, RaceDetect: true, Coverage: &covW})
@@ -40,9 +41,11 @@ func runBoth(t *testing.T, prog *lang.Program, main string, seed uint64) {
 	if !reflect.DeepEqual(w.HotMonitors, b.HotMonitors) {
 		t.Fatalf("seed %d: hot monitors walk=%v bytecode=%v", seed, w.HotMonitors, b.HotMonitors)
 	}
-	if sw, sb := covW.Snapshot(), covB.Snapshot(); !reflect.DeepEqual(sw, sb) {
+	sw, sb := covW.Snapshot(), covB.Snapshot()
+	if !reflect.DeepEqual(sw, sb) {
 		t.Fatalf("seed %d: coverage walk=%v bytecode=%v", seed, sw, sb)
 	}
+	return sb
 }
 
 func errString(err error) string {
@@ -53,7 +56,9 @@ func errString(err error) string {
 }
 
 // TestDifferentialCorpus locks the two engines together over the full
-// Table 1 corpus: all 21 program variants, 12 seeds each.
+// Table 1 corpus: all 21 program variants, 12 seeds each. Together the seeds
+// of a program must dispatch some, and no more than all, of the transitions
+// it declares (DeclaredTransitions is the coverage ratio's denominator).
 func TestDifferentialCorpus(t *testing.T) {
 	for _, bm := range benchsrc.All() {
 		variants := []bool{false}
@@ -73,8 +78,14 @@ func TestDifferentialCorpus(t *testing.T) {
 					t.Fatalf("source: %v", err)
 				}
 				main := prog.Machines[0].Name
+				covered := map[obs.Transition]bool{}
 				for seed := uint64(1); seed <= 12; seed++ {
-					runBoth(t, prog, main, seed)
+					for _, tc := range runBoth(t, prog, main, seed) {
+						covered[tc.Transition] = true
+					}
+				}
+				if declared := DeclaredTransitions(prog); len(covered) == 0 || len(covered) > declared {
+					t.Errorf("covered %d transitions of %d declared", len(covered), declared)
 				}
 			})
 		}

@@ -36,8 +36,9 @@
 // stays selectable (Options.Engine = EngineWalk, -interp=walk in the
 // CLIs) as the semantic baseline; Disassemble prints the compiled
 // listing. On the corpus the VM runs roughly an order of magnitude more
-// schedules per second than the walker — the ratio is recorded as
-// interp_perf_probe in BENCH_sct.json and gated in CI.
+// schedules per second than the walker: bash bench/run.sh reports both as
+// interp.vm_ns_per_step and interp.walk_ns_per_step, and BENCHMARK.json
+// bounds the psl_interp workload's ops_per_s.
 package interp
 
 import (

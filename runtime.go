@@ -55,12 +55,8 @@ type Runtime struct {
 	// TestHarness keeps this cache across recycled iterations.
 	schemas map[string]*compiledSchema
 	// schemaCompiles counts schema compilations (both forms) since
-	// construction; the compile-once tests and the schema-cache benchmark
-	// probe observe it.
+	// construction; the compile-once tests observe it.
 	schemaCompiles int
-	// noSchemaCache forces per-create schema rebuilds even for static
-	// types, so benchmarks can quantify what the cache saves.
-	noSchemaCache bool
 
 	// monitors are the registered specification monitors (see monitor.go):
 	// synchronous observers dispatched at every send and raise.
@@ -107,13 +103,6 @@ func WithLog(w io.Writer) Option { return func(r *Runtime) { r.logw = w } }
 
 // WithSeed seeds the production runtime's pseudo-random choice source.
 func WithSeed(seed uint64) Option { return func(r *Runtime) { r.rngState.Store(seed) } }
-
-// WithoutSchemaCache disables the per-type compiled-schema cache: every
-// create rebuilds and revalidates the machine's schema, which is what the
-// closure declaration form always pays. It exists so the benchmark probes
-// can quantify what the cache saves on a static-form program; there is no
-// reason to use it otherwise.
-func WithoutSchemaCache() Option { return func(r *Runtime) { r.noSchemaCache = true } }
 
 // NewRuntime returns a production-mode runtime.
 func NewRuntime(opts ...Option) *Runtime {
@@ -177,14 +166,7 @@ func (r *Runtime) Register(name string, factory func() Machine) error {
 				return err
 			}
 			r.schemaCompiles++
-			if r.noSchemaCache {
-				// Measurement mode: the schema was still validated here
-				// (Register's error contract holds), but create rebuilds it
-				// per instance, so record only that the type is known.
-				r.schemas[name] = nil
-			} else {
-				r.schemas[name] = cs
-			}
+			r.schemas[name] = cs
 		} else {
 			r.schemas[name] = nil // closure form: compiled per instance
 		}
@@ -250,9 +232,9 @@ func (r *Runtime) create(machineType string, payload Event, creator *machineInst
 	logic := factory()
 	schema := r.schemas[machineType]
 	if schema == nil {
-		// Closure form (or cache disabled): build and validate a schema for
-		// this instance. Static types never reach here on the cached path —
-		// their frozen schema was compiled at registration.
+		// Closure form: build and validate a schema for this instance.
+		// Static types never reach here — their frozen schema was compiled
+		// at registration.
 		var err error
 		schema, err = r.compileInstanceLocked(machineType, logic)
 		if err != nil {
@@ -320,16 +302,10 @@ func (r *Runtime) wake(m, waker *machineInstance) {
 }
 
 // compileInstanceLocked builds, validates and freezes a schema for one
-// machine instance: the closure declaration form's per-create cost, and the
-// WithoutSchemaCache measurement path (where it configures via the static
-// declaration if the type has one).
+// machine instance: the closure declaration form's per-create cost.
 func (r *Runtime) compileInstanceLocked(machineType string, logic Machine) (*compiledSchema, error) {
 	s := newSchema()
-	if sm, ok := logic.(StaticMachine); ok {
-		sm.ConfigureType(s)
-	} else {
-		logic.Configure(s)
-	}
+	logic.Configure(s)
 	r.schemaCompiles++
 	return s.compile(machineType)
 }

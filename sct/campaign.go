@@ -17,7 +17,7 @@ const CampaignVersion = 1
 // campaign: what was run (config and environment), what came out (the
 // merged result and per-strategy breakdown), and how coverage grew over
 // wall-clock time (the telemetry snapshot). psharp-test -report-out writes
-// one; psharp-bench embeds them in its perf report.
+// one.
 type Campaign struct {
 	Version int `json:"version"`
 	// Env makes successive reports comparable across machines.

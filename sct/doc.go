@@ -119,9 +119,9 @@
 // protocols whose bugs hide deep in long schedules, random search finds
 // what any depth-first enumeration (reduced or not) misses; DPOR+cache is
 // the right tool when exhaustiveness or a reproducible sweep of a
-// tractable state space is the goal, and the dpor_probe gate in
-// psharp-bench holds it to at most half of random's schedules-to-bug on
-// the corpus subset where both apply.
+// tractable state space is the goal, and TestDPORCorpusBeatsRandom holds
+// it to at most half of random's schedules-to-bug on the corpus subset
+// where both apply.
 //
 // # Option compatibility
 //
@@ -187,7 +187,7 @@
 // setup re-registers the types every iteration, but registration is a
 // cache hit from iteration 2 on. Closure-form machines keep paying one
 // schema build per machine per iteration, which now dominates their
-// allocation profile (see the schema_cache_probe below).
+// allocation profile.
 //
 // Static sharding (the default) pre-assigns worker w the global iterations
 // congruent to w modulo n, which is what makes parallel runs deterministic
@@ -209,33 +209,19 @@
 // injector's own randomness is a separate seed-sharded stream, so enabling
 // faults does not perturb which interleavings the inner strategy explores,
 // and fault-enabled parallel runs shard deterministically like Random does
-// (see fault_probe below for what the budget buys on the crash-tolerant
-// corpus).
+// (TestFaultInjectionFindsCrashOnlyBug shows what the budget buys on the
+// crash-tolerant corpus).
 //
 // Specification monitors cost almost nothing on this hot path: observation
 // is synchronous, allocation-free dispatch through the monitor's compiled
 // schema (cached per name, instance recycled by the harness), so a
 // monitored worker pays only the monitor factory's allocations per
-// iteration — at most 5 on the protocol workloads, gated by the monitor
-// allocation caps and recorded in BENCH_sct.json's monitor_overhead_probe.
+// iteration — at most 5 on the protocol workloads, gated by
+// TestMonitorAllocationCap and TestProtocolMonitorAllocationCap.
 //
-// BENCH_sct.json, emitted by psharp-bench -json, records the throughput
-// trajectory across changes: schedules_per_sec and total_scheduling_points
-// for the probe run, alloc_probes comparing allocs/iteration through the
-// pooled harness vs one-shot RunTest per workload (the relay-hotpath entry
-// isolates runtime overhead; the protocol entry runs static-form machines
-// against the schema cache), schema_cache_probe comparing the same
-// protocol with the cache on vs off (per-instance rebuilds, the closure
-// form's cost), monitor_overhead_probe comparing the protocol with its
-// specification monitors attached vs plain, telemetry_overhead_probe
-// comparing allocs/iteration with a Telemetry accumulator attached vs
-// without (its delta is capped at 3), fault_probe comparing buggy-schedule
-// yield on the crash-tolerant corpus with faults off vs on under the same
-// schedule budget, dpor_probe comparing schedules-to-bug for DPOR+cache vs
-// random search on the gated corpus subset (the ratio is capped at 0.5),
-// state_cache_probe recording the cache's prune rate and distinct-state
-// population on a keep-going run, and worker_iterations showing the
-// per-worker split (uneven under Dynamic).
+// What each of these layers costs per scheduling point, and the end-to-end
+// throughput they add up to, is measured by the repository's benchmark
+// (bash bench/run.sh; BENCHMARK.json names its workloads and metrics).
 //
 // # Observability
 //
@@ -268,7 +254,7 @@
 //     JSON document from a finished run — environment metadata, the merged
 //     result, a per-strategy breakdown of portfolio workers, and the
 //     telemetry snapshot with its coverage-growth curve. psharp-test
-//     -report-out writes one; psharp-bench embeds them per benchmark.
+//     -report-out writes one.
 //
 // # Resumable campaigns
 //

@@ -74,8 +74,7 @@ type Options struct {
 	// Telemetry, if non-nil, accumulates campaign metrics — depth
 	// histograms, state-transition coverage, bug census, and growth curves
 	// over wall-clock time — across every iteration and worker of the run.
-	// One accumulator can also be shared across runs (psharp-bench reuses
-	// one per benchmark variant).
+	// One accumulator can also be shared across runs.
 	Telemetry *Telemetry
 	// Journal, if non-nil, makes the campaign durable and resumable: workers
 	// append their newly-distinct schedule fingerprints and strategy cursors

@@ -20,8 +20,8 @@ import (
 // Attach one via Options.Telemetry. All recording is allocation-free in
 // steady state (atomics, an interned coverage set, and a time-bucketed
 // curve whose fast path is one atomic load), so the engine's allocation
-// caps hold with telemetry on; the overhead is gated by the
-// telemetry-overhead probe in BENCH_sct.json. Snapshot is safe to call
+// caps hold with telemetry on; TestTelemetryAllocationOverhead gates the
+// overhead at 3 allocations per iteration. Snapshot is safe to call
 // concurrently with a live run, which is what the -http debug endpoint
 // serves.
 type Telemetry struct {

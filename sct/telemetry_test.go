@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
+	"github.com/psharp-go/psharp/internal/protocols"
 	"github.com/psharp-go/psharp/sct"
 )
 
@@ -193,4 +195,34 @@ func TestContinuedPointsInReportCampaignAndSnapshot(t *testing.T) {
 	if decoded.Result.ContinuedPoints != seq.ContinuedPoints || decoded.Telemetry.ContinuedPoints != seq.ContinuedPoints {
 		t.Fatalf("campaign JSON carries %+v, want %d in both places", decoded, seq.ContinuedPoints)
 	}
+}
+
+// TestTelemetryAllocationOverhead: the same TwoPhaseCommit budget through
+// sct.Run with and without a Telemetry accumulator. The per-run fixed cost
+// (harness construction, first iterations) is the same on both sides, so the
+// difference in allocations per iteration is what the observability layer
+// spends; it may be at most 3. Not parallel: MemStats.Mallocs is process-wide.
+func TestTelemetryAllocationOverhead(t *testing.T) {
+	b := protocols.MustByName("TwoPhaseCommit", true)
+	const iters = 400
+	measure := func(tel *sct.Telemetry) float64 {
+		run := func() {
+			sct.Run(b.Setup, sct.Options{
+				Strategy: sct.NewRandom(1), Iterations: iters, MaxSteps: b.MaxSteps, Telemetry: tel,
+			})
+		}
+		run() // warm global pools before measuring
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs-before.Mallocs) / iters
+	}
+	plain, with := measure(nil), measure(sct.NewTelemetry(0))
+	if with-plain > 3 {
+		t.Errorf("telemetry adds %.2f allocs/iteration (plain %.1f, with telemetry %.1f), budget 3",
+			with-plain, plain, with)
+	}
+	t.Logf("allocs/iteration: plain %.2f, with telemetry %.2f (%+.2f)", plain, with, with-plain)
 }
