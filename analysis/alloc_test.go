@@ -6,16 +6,20 @@ import (
 	"github.com/psharp-go/psharp/lang"
 )
 
-// TestAnalyzeAllocCap locks the dense domain's allocation profile: one xSA
+// TestAnalyzeAllocCap locks the analysis' allocation profile: one xSA
 // analysis of each of the 21 corpus programs, lowering included, measured
-// at 23.3k heap allocations when the cap was set (the map-of-maps domain it
-// replaced took 465k: it cloned the whole points-to state at every
-// transfer). What is left is the CFG lowering (two thirds) and five slices
-// per solved method. A per-transfer or per-node allocation creeping back
-// into the solver multiplies the figure and fails here rather than waiting
-// for the benchmark.
+// at 4.2k heap allocations when the cap was set (23.3k with the
+// string-operand lowering the integer IR replaced: a 256-byte node, its
+// pointer slices and a formatted name per temp; 465k with the map-of-maps
+// domain before that, which cloned the whole points-to state at every
+// transfer). What is left is per lowered method — the Method, its nodes,
+// its variables, its index arena, its call sites and events if it has any
+// — and per solved unit: the unit, its slab, callees, dirty, and the taint
+// rows on first use; then the violations' strings. A per-node allocation
+// creeping back into lowering or the solver multiplies the figure and fails
+// here rather than waiting for the benchmark.
 func TestAnalyzeAllocCap(t *testing.T) {
-	const allocCap = 29000 // ~25 % above the measured figure
+	const allocCap = 5300 // ~25 % above the measured figure
 	var progs []*lang.Program
 	for _, src := range corpusSources(t) {
 		progs = append(progs, src.program(t))

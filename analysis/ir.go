@@ -13,15 +13,24 @@
 //
 // # The dense domain
 //
+// Lowering happens once, straight into the index spaces the solver works
+// in. lang.Check has already resolved every variable, field and call to its
+// declaration, so the lowerer looks no name up: it interns a parameter,
+// local, temp or lifted field as a small integer when it is declared and
+// emits flat nodes whose operands are those integers (node, Method in this
+// file; the cross-state CFG of xsa.go goes through the same emitter, which
+// tells the locals and temps of each inlined body apart by a copy number).
+// A variable's name — "b", "%t3", "$field", "h4$b" — is spelled only when a
+// violation reports it, and compared only where the report order depends on
+// it (a call that gives up several arguments lists them in name order).
 // Every set the analysis manipulates is a row of bits over one of three
-// index spaces, each interned once per lowered Method (Method.index):
+// spaces:
 //
-//   - variables: "this" and the reference-typed parameters, locals, temps
-//     and lifted fields, numbered in name order (so sorting indices sorts
-//     names, which fixes the order violations are reported in);
+//   - variables: 0 is "this", then the reference-typed parameters, locals,
+//     temps and lifted fields in the order lowering met them;
 //   - objects: 0 is the receiver's region, 1+i the region of parameter i,
-//     then one region per lifted field (xSA), then one allocation site per
-//     OpNew and OpCall node;
+//     then one region per lifted field (xSA, in field-name order), then one
+//     allocation site per OpNew and OpCall node;
 //   - positions, in summaries: 0 is the receiver, 1+i parameter i — the
 //     callee's object indices below 1+len(Params), so a closed object row
 //     masked to its first words is already a set of positions.
@@ -54,8 +63,9 @@
 package analysis
 
 import (
-	"fmt"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 
 	"github.com/psharp-go/psharp/lang"
 )
@@ -63,578 +73,509 @@ import (
 // Op enumerates IR instruction kinds. Scalar computation is collapsed into
 // OpConst (the analysis only tracks reference flow, as the paper's does),
 // but reference variables consumed by scalar expressions are retained in
-// Uses so the ownership conditions still see them as occurrences.
-type Op int
+// the node's uses so the ownership conditions still see them as occurrences.
+type Op uint8
 
 // IR operations.
 const (
 	OpNop    Op = iota
-	OpAssign    // Dst := Src
-	OpConst     // Dst := <scalar or null>
-	OpLoad      // Dst := this.Field
-	OpStore     // this.Field := Src
-	OpNew       // Dst := new Class
-	OpCall      // Dst := Recv.Method(Args...)
-	OpSend      // send Target, Event, Payload?
-	OpCreate    // Dst := create MachineType(Payload?)
-	OpReturn    // return Src?
-	OpBranch    // branch on Src (scalar)
+	OpAssign    // dst := src
+	OpConst     // dst := <scalar or null>
+	OpLoad      // dst := this.<field>
+	OpStore     // this.<field> := src
+	OpNew       // dst := new <class>
+	OpCall      // dst := argv[0].<callee>(argv[1:]...)
+	OpSend      // send <machine>, event, src?
+	OpCreate    // dst := create <machine>(src?)
+	OpReturn    // return src?
+	OpBranch    // branch on a scalar
 )
 
-// Instr is one lowered instruction.
-type Instr struct {
-	Op     Op
-	Dst    string
-	Src    string
-	Field  string
-	Class  string
-	Event  string
-	Method string
-	Recv   string
-	Target string // send destination variable (machine-typed, scalar)
-	Args   []string
-	// Uses lists reference variables consumed by collapsed scalar
-	// computation (e.g. comparisons against references).
-	Uses []string
-	Pos  lang.Pos
-}
+// span is a run of Method.refs.
+type span struct{ off, n int32 }
 
-// String renders the instruction for diagnostics.
-func (in Instr) String() string {
-	switch in.Op {
-	case OpAssign:
-		return fmt.Sprintf("%s := %s", in.Dst, in.Src)
-	case OpConst:
-		return fmt.Sprintf("%s := <const>", in.Dst)
-	case OpLoad:
-		return fmt.Sprintf("%s := this.%s", in.Dst, in.Field)
-	case OpStore:
-		return fmt.Sprintf("this.%s := %s", in.Field, in.Src)
-	case OpNew:
-		return fmt.Sprintf("%s := new %s", in.Dst, in.Class)
-	case OpCall:
-		return fmt.Sprintf("%s := %s.%s(%v)", in.Dst, in.Recv, in.Method, in.Args)
-	case OpSend:
-		return fmt.Sprintf("send %s, %s, %s", in.Target, in.Event, in.Src)
-	case OpCreate:
-		return fmt.Sprintf("%s := create %s(%s)", in.Dst, in.Class, in.Src)
-	case OpReturn:
-		return fmt.Sprintf("return %s", in.Src)
-	case OpBranch:
-		return fmt.Sprintf("branch %s", in.Src)
-	default:
-		return "nop"
-	}
-}
-
-// Node is a CFG node holding exactly one instruction.
-type Node struct {
-	ID    int
-	Instr Instr
-	Succs []*Node
-	Preds []*Node
-}
-
-// CFG is a single-entry single-exit control-flow graph.
-type CFG struct {
-	Entry, Exit *Node
-	Nodes       []*Node
-}
-
-// Method is the analyzable form of one method: its CFG plus variable
-// classification.
-type Method struct {
-	Holder string // enclosing class or machine name
-	Name   string
-	Params []string
-	// RefVar reports which variables (params, locals, temps) are
-	// reference-typed; "this" is always a reference.
-	RefVar map[string]bool
-	CFG    *CFG
-	Decl   *lang.MethodDecl
-
-	// The dense index spaces (see the package comment), fixed by index once
-	// lowering is complete and shared by every analyzer that solves the
-	// method.
-	vars     []string    // variable index -> name, sorted; includes "this"
-	this     int         // index of "this" in vars
-	entryObj []int       // per variable: the object it points to on entry, or -1
-	objs     int         // number of abstract objects
-	nodes    []nodeIndex // per node ID
-	readers  []int       // IDs of the evaluated nodes whose transfer reads a closure (OpLoad, OpCall)
-}
-
-// evaluated reports whether the solver ever applies n's transfer function.
-// A node other than the entry with no predecessor heads a chain of dead code
-// (statements behind a return): it is never evaluated and passes nothing
-// on, while the nodes behind it are evaluated, from the empty state.
-func (m *Method) evaluated(n *Node) bool {
-	return n == m.CFG.Entry || len(n.Preds) > 0
-}
-
-// nodeIndex is one node's operands resolved to variable indices; -1 stands
-// for an operand that is absent or not a reference variable.
-type nodeIndex struct {
-	dst, src int
-	// argv is an OpCall's receiver followed by its arguments, so that
-	// argv[p] is the variable bound to position p of the callee's summary.
-	argv []int
+// node is one lowered instruction and its CFG edges. Operands are variable
+// indices, -1 for one that is absent or not a reference variable; what a
+// scalar operand was is not kept, the analysis never asks.
+type node struct {
+	op  Op
+	fan bool // a state hub: succ bounds its successors in Method.fanout
+	// nsucc counts the successors in succ; only a hub has more than two.
+	nsucc int8
+	succ  [2]int32
+	preds int32 // incoming edges; who they come from is never asked
+	line  int32
+	col   int32
+	dst   int32
+	src   int32
 	// uses lists the reference variables the node reads (the paper's
 	// vars(N) restricted to reference variables, minus the pure assignment
-	// target: overwriting a variable is a kill, not a use): Src, the
-	// receiver, the arguments, Instr.Uses, and "this" for loads and stores.
-	uses   []int
-	callee string // OpCall: the callee's "Holder.Name"
-	alloc  int    // OpNew, OpCall: the node's allocation-site object
+	// target: overwriting a variable is a kill, not a use): src, the
+	// receiver and the arguments, the variables a collapsed scalar
+	// expression compares, and "this" for loads and stores.
+	uses  span
+	site  int32 // OpCall: an index into Method.calls; OpSend: into Method.events
+	alloc int32 // OpNew, OpCall: the node's allocation-site object
 }
 
-// index interns the method's variables and abstract objects and resolves
-// every node's operands.
-func (m *Method) index() {
-	m.vars = []string{"this"}
-	for v, ref := range m.RefVar {
-		if ref {
-			m.vars = append(m.vars, v)
-		}
+func (n *node) pos() lang.Pos { return lang.Pos{Line: int(n.line), Col: int(n.col)} }
+
+// callSite is what an OpCall calls and with what: argv is the receiver
+// followed by the arguments, so that argv[p] is the variable bound to
+// position p of the callee's summary.
+type callSite struct {
+	decl *lang.MethodDecl
+	argv span
+}
+
+// variable is one reference variable of a method. Its name is spelled out
+// only when a violation reports it.
+type variable struct {
+	name   string // as declared; a lifted field's name; "" for a temp
+	copy   int32  // cross-state CFG: the inlined body it belongs to, from 1
+	temp   int32  // a temp's number, from 1
+	lifted bool   // a machine field lifted to a variable (xSA)
+	entry  int32  // the object it points to on entry, or -1
+}
+
+// appendName spells the variable: "b", "%t3", "$field", and "h4$b" or
+// "h4$%t3" inside the fourth body inlined into a cross-state CFG.
+func (v *variable) appendName(b []byte) []byte {
+	if v.lifted {
+		return append(append(b, '$'), v.name...)
 	}
-	sort.Strings(m.vars)
-	idx := make(map[string]int, len(m.vars))
-	for i, v := range m.vars {
-		idx[v] = i
+	if v.copy > 0 {
+		b = append(strconv.AppendInt(append(b, 'h'), int64(v.copy), 10), '$')
 	}
-	of := func(v string) int {
-		if i, ok := idx[v]; ok {
-			return i
+	if v.temp > 0 {
+		return strconv.AppendInt(append(b, "%t"...), int64(v.temp), 10)
+	}
+	return append(b, v.name...)
+}
+
+// Method is the analyzable form of one method, or of one machine's
+// cross-state CFG: a single-entry single-exit graph of nodes in program
+// order (node 0 is the entry, lowering numbers the rest as it meets them)
+// over the dense index spaces of the package comment. It is immutable once
+// lowered and shared by every analyzer that solves it.
+type Method struct {
+	Holder  string           // enclosing class or machine name
+	Name    string           // "$entry_<state>" for an entry block, "$machine" for a cross-state CFG
+	Decl    *lang.MethodDecl // nil for a cross-state CFG
+	nparams int
+
+	nodes   []node
+	vars    []variable // variable 0 is "this"
+	refs    []int32    // backs every argv and uses
+	calls   []callSite
+	events  []string
+	fanout  []int32 // the hubs' successors
+	readers []int32 // the evaluated nodes whose transfer reads a closure (OpLoad, OpCall)
+	objs    int     // number of abstract objects
+}
+
+const this = 0 // the receiver's variable index
+
+func (m *Method) list(s span) []int32 { return m.refs[s.off : s.off+s.n] }
+
+func (m *Method) argv(call *node) []int32 { return m.list(m.calls[call.site].argv) }
+
+func (m *Method) succs(n *node) []int32 {
+	if n.fan {
+		return m.fanout[n.succ[0]:n.succ[1]]
+	}
+	return n.succ[:n.nsucc]
+}
+
+// evaluated reports whether the solver ever applies the node's transfer
+// function. A node other than the entry with no predecessor heads a chain
+// of dead code (statements behind a return): it is never evaluated and
+// passes nothing on, while the nodes behind it are evaluated, from the
+// empty state.
+func evaluated(id int, n *node) bool { return id == 0 || n.preds > 0 }
+
+// varName spells variable v.
+func (m *Method) varName(v int32) string {
+	if x := &m.vars[v]; x.lifted || x.copy > 0 || x.temp > 0 {
+		return string(x.appendName(nil))
+	}
+	return m.vars[v].name
+}
+
+// nameLess orders two variables as their names sort.
+func (m *Method) nameLess(a, b int32) bool {
+	var ba, bb [48]byte
+	return string(m.vars[a].appendName(ba[:0])) < string(m.vars[b].appendName(bb[:0]))
+}
+
+// chain is a partial CFG: its first node and the one node control leaves it
+// from; -1 stands for none (an empty chain, an exit cut by a return).
+type chain struct{ head, tail int32 }
+
+var empty = chain{-1, -1}
+
+// lowerer lowers method bodies into Methods. It interns a variable when it
+// is declared and emits nodes whose operands are already indices; one
+// lowerer serves every method of a program, so the buffers a Method is cut
+// from are grown once.
+type lowerer struct {
+	m      *Method
+	nodes  []node
+	vars   []variable
+	refs   []int32
+	calls  []callSite
+	events []string
+	fanout []int32
+
+	slots []int32 // the body being lowered: VarDecl.Index -> variable
+	args  []int32 // stack of the call arguments being lowered
+	temps int32
+	// lifted marks a cross-state CFG (xSA): field accesses become strongly
+	// updated assignments to one variable per field, interned in fields
+	// (by the field's VarDecl.Index) when first met, and every inlined body
+	// gets a copy number of its own for its locals and temps.
+	lifted bool
+	fields []int32
+	copy   int32
+}
+
+func (lo *lowerer) begin(m *Method, lifted bool) {
+	lo.m, lo.lifted, lo.temps, lo.copy = m, lifted, 0, 0
+	lo.nodes, lo.refs, lo.calls, lo.events, lo.fanout = lo.nodes[:0], lo.refs[:0], lo.calls[:0], lo.events[:0], lo.fanout[:0]
+	lo.vars = append(lo.vars[:0], variable{name: "this", entry: 0})
+}
+
+// bind interns the reference variables of one body's frame.
+func (lo *lowerer) bind(decl *lang.MethodDecl) {
+	lo.slots = lo.slots[:0]
+	for _, d := range decl.Vars {
+		v := int32(-1)
+		if d.Type.IsRef() {
+			v = lo.newVar(variable{name: d.Name, copy: lo.copy, entry: -1})
 		}
+		lo.slots = append(lo.slots, v)
+	}
+}
+
+func (lo *lowerer) newVar(v variable) int32 {
+	lo.vars = append(lo.vars, v)
+	return int32(len(lo.vars) - 1)
+}
+
+// temp numbers a fresh temporary, and interns it if it holds a reference.
+func (lo *lowerer) temp(ref bool) int32 {
+	lo.temps++
+	if !ref {
 		return -1
 	}
-	m.this = idx["this"]
-	m.entryObj = make([]int, len(m.vars))
-	for i := range m.entryObj {
-		m.entryObj[i] = -1
-	}
-	m.entryObj[m.this] = 0
-	for i, p := range m.Params {
-		if v := of(p); v >= 0 {
-			m.entryObj[v] = 1 + i
-		}
-	}
-	m.objs = 1 + len(m.Params)
-	// In xSA mode, machine-level field variables start as fresh unknown
-	// regions (distinct abstract objects), modeling arbitrary prior state.
-	for i, v := range m.vars {
-		if v[0] == '$' {
-			m.entryObj[i] = m.objs
-			m.objs++
-		}
-	}
-	m.nodes = make([]nodeIndex, len(m.CFG.Nodes))
-	var arena []int // backs every argv and uses; earlier slices stay valid when it grows
-	use := func(v string) {
-		if i := of(v); i >= 0 {
-			arena = append(arena, i)
-		}
-	}
-	for _, n := range m.CFG.Nodes {
-		ins, x := &n.Instr, &m.nodes[n.ID]
-		x.dst, x.src = of(ins.Dst), of(ins.Src)
-		start := len(arena)
-		if ins.Op == OpCall {
-			arena = append(arena, of(ins.Recv))
-			for _, a := range ins.Args {
-				arena = append(arena, of(a))
-			}
-			x.argv = arena[start:len(arena):len(arena)]
-			x.callee = ins.Class + "." + ins.Method
-			start = len(arena)
-		}
-		use(ins.Src)
-		use(ins.Recv)
-		for _, a := range ins.Args {
-			use(a)
-		}
-		for _, u := range ins.Uses {
-			use(u)
-		}
-		switch ins.Op {
-		case OpLoad, OpStore:
-			use("this")
-		}
-		x.uses = arena[start:len(arena):len(arena)]
-		switch ins.Op {
-		case OpNew, OpCall:
-			x.alloc = m.objs
-			m.objs++
-		}
-		if (ins.Op == OpLoad || ins.Op == OpCall) && m.evaluated(n) {
-			m.readers = append(m.readers, n.ID)
-		}
-	}
+	return lo.newVar(variable{copy: lo.copy, temp: lo.temps, entry: -1})
 }
 
-// QName returns Holder.Name.
-func (m *Method) QName() string { return m.Holder + "." + m.Name }
-
-// IsRef classifies a variable of the method.
-func (m *Method) IsRef(v string) bool {
-	if v == "this" {
-		return true
+// field returns the variable a field is lifted to.
+func (lo *lowerer) field(d *lang.VarDecl) int32 {
+	if !d.Type.IsRef() {
+		return -1
 	}
-	return m.RefVar[v]
-}
-
-// lowerer builds a Method from an AST method body.
-type lowerer struct {
-	prog   *lang.Program
-	method *Method
-	nodes  []*Node
-	nextID int
-	temps  int
-	// lifted enables xSA mode: field accesses become assignments to
-	// machine-level variables named "$<field>", with strong updates.
-	lifted bool
-	// prefix renames locals when inlining handler bodies into the
-	// machine-level CFG.
-	prefix string
-}
-
-func (lo *lowerer) newNode(in Instr) *Node {
-	n := &Node{ID: lo.nextID, Instr: in}
-	lo.nextID++
-	lo.nodes = append(lo.nodes, n)
-	return n
-}
-
-func link(from, to *Node) {
-	from.Succs = append(from.Succs, to)
-	to.Preds = append(to.Preds, from)
-}
-
-func (lo *lowerer) temp(ref bool) string {
-	lo.temps++
-	name := fmt.Sprintf("%%t%d", lo.temps)
-	if lo.prefix != "" {
-		name = lo.prefix + name
+	if lo.fields[d.Index] < 0 {
+		lo.fields[d.Index] = lo.newVar(variable{name: d.Name, lifted: true})
 	}
-	if ref {
-		lo.method.RefVar[name] = true
-	}
-	return name
+	return lo.fields[d.Index]
 }
 
-func (lo *lowerer) local(name string) string {
-	if lo.prefix != "" {
-		return lo.prefix + name
+// emit appends a node, behind c if c is given.
+func (lo *lowerer) emit(c *chain, op Op, pos lang.Pos, dst, src int32, uses span) int32 {
+	id := int32(len(lo.nodes))
+	lo.nodes = append(lo.nodes, node{op: op, line: int32(pos.Line), col: int32(pos.Col), dst: dst, src: src, uses: uses})
+	if c != nil {
+		lo.append(c, chain{id, id})
 	}
-	return name
+	return id
 }
 
-// fieldVar names the machine-level variable standing for a field in xSA
-// mode.
-func fieldVar(field string) string { return "$" + field }
-
-// chain is a partial CFG: a head node and the set of dangling exits.
-type chain struct {
-	head  *Node
-	tails []*Node
-}
-
-func (lo *lowerer) seq(c *chain, n *Node) {
-	if c.head == nil {
-		c.head = n
-		c.tails = []*Node{n}
-		return
-	}
-	for _, t := range c.tails {
-		link(t, n)
-	}
-	c.tails = []*Node{n}
+func (lo *lowerer) link(from, to int32) {
+	n := &lo.nodes[from]
+	n.succ[n.nsucc] = to
+	n.nsucc++
+	lo.nodes[to].preds++
 }
 
 func (lo *lowerer) append(c *chain, sub chain) {
-	if sub.head == nil {
-		return
-	}
-	if c.head == nil {
+	switch {
+	case sub.head < 0:
+	case c.head < 0:
 		*c = sub
-		return
+	default:
+		if c.tail >= 0 {
+			lo.link(c.tail, sub.head)
+		}
+		c.tail = sub.tail
 	}
-	for _, t := range c.tails {
-		link(t, sub.head)
-	}
-	c.tails = sub.tails
 }
 
-func declareLocals(stmts []lang.Stmt, lo *lowerer) {
-	for _, s := range stmts {
-		switch st := s.(type) {
-		case *lang.LocalDecl:
-			if st.Decl.Type.IsRef() {
-				lo.method.RefVar[lo.local(st.Decl.Name)] = true
-			}
-		case *lang.IfStmt:
-			declareLocals(st.Then, lo)
-			declareLocals(st.Else, lo)
-		case *lang.WhileStmt:
-			declareLocals(st.Body, lo)
+// since is the run of refs pushed since there were off of them.
+func (lo *lowerer) since(off int) span { return span{int32(off), int32(len(lo.refs) - off)} }
+
+// usesOf records the reference variables among vs as one node's uses.
+func (lo *lowerer) usesOf(vs ...int32) span {
+	off := len(lo.refs)
+	for _, v := range vs {
+		if v >= 0 {
+			lo.refs = append(lo.refs, v)
 		}
+	}
+	return lo.since(off)
+}
+
+// refUses records the reference variables read inside a collapsed scalar
+// expression, so ownership condition 3 still sees them as uses.
+func (lo *lowerer) refUses(e lang.Expr) span {
+	off := len(lo.refs)
+	lo.pushRefUses(e)
+	return lo.since(off)
+}
+
+func (lo *lowerer) pushRefUses(e lang.Expr) {
+	switch x := e.(type) {
+	case *lang.VarRef:
+		if v := lo.slots[x.Decl.Index]; v >= 0 {
+			lo.refs = append(lo.refs, v)
+		}
+	case *lang.UnaryExpr:
+		lo.pushRefUses(x.X)
+	case *lang.BinaryExpr:
+		lo.pushRefUses(x.L)
+		lo.pushRefUses(x.R)
 	}
 }
 
 func (lo *lowerer) lowerStmts(stmts []lang.Stmt) chain {
-	var c chain
+	c := empty
 	for _, s := range stmts {
 		lo.append(&c, lo.lowerStmt(s))
 	}
 	return c
 }
 
+// lowerCond lowers a condition and the branch on it.
+func (lo *lowerer) lowerCond(cond lang.Expr, pos lang.Pos) (c chain, branch int32) {
+	_, c = lo.lowerExpr(cond)
+	return c, lo.emit(&c, OpBranch, pos, -1, -1, lo.refUses(cond))
+}
+
 func (lo *lowerer) lowerStmt(s lang.Stmt) chain {
-	var c chain
+	c := empty
 	switch st := s.(type) {
 	case *lang.LocalDecl:
 		// declaration only; no instruction
 	case *lang.AssignStmt:
-		v, sub := lo.lowerExpr(st.Value)
-		c = sub
-		if st.ToField != "" {
-			if lo.lifted {
-				lo.method.RefVar[fieldVar(st.ToField)] = refType(lo.prog, lo.fieldType(st.ToField))
-				lo.seq(&c, lo.newNode(Instr{Op: OpAssign, Dst: fieldVar(st.ToField), Src: v, Pos: st.Pos}))
-			} else {
-				lo.seq(&c, lo.newNode(Instr{Op: OpStore, Field: st.ToField, Src: v, Pos: st.Pos}))
-			}
-		} else {
-			lo.seq(&c, lo.newNode(Instr{Op: OpAssign, Dst: lo.local(st.Target), Src: v, Pos: st.Pos}))
+		var v int32
+		v, c = lo.lowerExpr(st.Value)
+		switch {
+		case st.ToField == "":
+			lo.emit(&c, OpAssign, st.Pos, lo.slots[st.Decl.Index], v, lo.usesOf(v))
+		case lo.lifted:
+			lo.emit(&c, OpAssign, st.Pos, lo.field(st.Decl), v, lo.usesOf(v))
+		default:
+			lo.emit(&c, OpStore, st.Pos, -1, v, lo.usesOf(v, this))
 		}
 	case *lang.ExprStmt:
 		_, c = lo.lowerExpr(st.X)
 	case *lang.SendStmt:
-		dst, sub := lo.lowerExpr(st.Dst)
-		c = sub
-		payload := ""
+		_, c = lo.lowerExpr(st.Dst) // a machine handle is a scalar
+		payload := int32(-1)
 		if st.Payload != nil {
-			var psub chain
-			payload, psub = lo.lowerExpr(st.Payload)
-			lo.append(&c, psub)
+			var sub chain
+			payload, sub = lo.lowerExpr(st.Payload)
+			lo.append(&c, sub)
 		}
-		lo.seq(&c, lo.newNode(Instr{Op: OpSend, Target: dst, Event: st.Event, Src: payload, Pos: st.Pos}))
+		send := lo.emit(&c, OpSend, st.Pos, -1, payload, lo.usesOf(payload))
+		lo.nodes[send].site = int32(len(lo.events))
+		lo.events = append(lo.events, st.Event)
 	case *lang.RaiseStmt:
 		// A raise delivers the payload to this machine itself; ownership is
 		// retained, so the analysis treats it as a no-op over references.
-		lo.seq(&c, lo.newNode(Instr{Op: OpNop, Pos: st.Pos}))
+		lo.emit(&c, OpNop, st.Pos, -1, -1, span{})
 	case *lang.ReturnStmt:
-		src := ""
+		src := int32(-1)
 		if st.Value != nil {
-			var sub chain
-			src, sub = lo.lowerExpr(st.Value)
-			c = sub
+			src, c = lo.lowerExpr(st.Value)
 		}
-		lo.seq(&c, lo.newNode(Instr{Op: OpReturn, Src: src, Pos: st.Pos}))
+		lo.emit(&c, OpReturn, st.Pos, -1, src, lo.usesOf(src))
 		// Statements after a return are unreachable; cut the chain.
-		c.tails = nil
+		c.tail = -1
 	case *lang.IfStmt:
-		cond, sub := lo.lowerExpr(st.Cond)
-		c = sub
-		branch := lo.newNode(Instr{Op: OpBranch, Src: cond, Uses: refUses(st.Cond, lo), Pos: st.Pos})
-		lo.seq(&c, branch)
+		var branch int32
+		c, branch = lo.lowerCond(st.Cond, st.Pos)
 		then := lo.lowerStmts(st.Then)
 		els := lo.lowerStmts(st.Else)
-		join := lo.newNode(Instr{Op: OpNop, Pos: st.Pos})
-		if then.head != nil {
-			link(branch, then.head)
-			for _, t := range then.tails {
-				link(t, join)
+		join := lo.emit(nil, OpNop, st.Pos, -1, -1, span{})
+		for _, arm := range [2]chain{then, els} {
+			if arm.head < 0 {
+				lo.link(branch, join)
+				continue
 			}
-		} else {
-			link(branch, join)
-		}
-		if els.head != nil {
-			link(branch, els.head)
-			for _, t := range els.tails {
-				link(t, join)
+			lo.link(branch, arm.head)
+			if arm.tail >= 0 {
+				lo.link(arm.tail, join)
 			}
-		} else {
-			link(branch, join)
 		}
-		c.tails = []*Node{join}
+		c.tail = join
 	case *lang.WhileStmt:
-		cond, sub := lo.lowerExpr(st.Cond)
-		head := sub.head
-		branch := lo.newNode(Instr{Op: OpBranch, Src: cond, Uses: refUses(st.Cond, lo), Pos: st.Pos})
-		if head == nil {
-			head = branch
-			sub = chain{head: branch, tails: []*Node{branch}}
-		} else {
-			for _, t := range sub.tails {
-				link(t, branch)
-			}
-		}
+		var branch int32
+		c, branch = lo.lowerCond(st.Cond, st.Pos)
 		body := lo.lowerStmts(st.Body)
-		exit := lo.newNode(Instr{Op: OpNop, Pos: st.Pos})
-		link(branch, exit)
-		if body.head != nil {
-			link(branch, body.head)
-			for _, t := range body.tails {
-				link(t, head)
-			}
-		} else {
-			link(branch, head)
+		exit := lo.emit(nil, OpNop, st.Pos, -1, -1, span{})
+		lo.link(branch, exit)
+		if body.head < 0 {
+			body = chain{c.head, -1} // an empty body loops straight back
 		}
-		c = chain{head: head, tails: []*Node{exit}}
+		lo.link(branch, body.head)
+		if body.tail >= 0 {
+			lo.link(body.tail, c.head)
+		}
+		c.tail = exit
 	case *lang.AssertStmt:
-		cond, sub := lo.lowerExpr(st.Cond)
-		c = sub
-		lo.seq(&c, lo.newNode(Instr{Op: OpBranch, Src: cond, Uses: refUses(st.Cond, lo), Pos: st.Pos}))
+		c, _ = lo.lowerCond(st.Cond, st.Pos)
 	}
 	return c
 }
 
-// refUses collects reference-typed variable/field reads inside a collapsed
-// scalar expression, so ownership condition 3 still sees them as uses.
-func refUses(e lang.Expr, lo *lowerer) []string {
-	var out []string
-	var walk func(lang.Expr)
-	walk = func(e lang.Expr) {
-		switch x := e.(type) {
-		case *lang.VarRef:
-			if x.TypeOf().IsRef() {
-				out = append(out, lo.local(x.Name))
-			}
-		case *lang.UnaryExpr:
-			walk(x.X)
-		case *lang.BinaryExpr:
-			walk(x.L)
-			walk(x.R)
-		}
-	}
-	walk(e)
-	return out
-}
-
-func refType(prog *lang.Program, t lang.Type) bool { return t.IsRef() }
-
-func (lo *lowerer) fieldType(name string) lang.Type {
-	if md, ok := lo.prog.MachineByName[lo.method.Holder]; ok {
-		if f, ok := md.FieldByName[name]; ok {
-			return f.Type
-		}
-	}
-	if cd, ok := lo.prog.ClassByName[lo.method.Holder]; ok {
-		if f, ok := cd.FieldByName[name]; ok {
-			return f.Type
-		}
-	}
-	return lang.Type{Name: "int"}
-}
-
 // lowerExpr lowers an expression, returning the variable holding its value
-// ("" for void calls) and the evaluation chain.
-func (lo *lowerer) lowerExpr(e lang.Expr) (string, chain) {
-	var c chain
+// (-1 for a scalar or no value) and the evaluation chain.
+func (lo *lowerer) lowerExpr(e lang.Expr) (int32, chain) {
+	c := empty
 	switch x := e.(type) {
-	case *lang.IntLit, *lang.BoolLit:
-		t := lo.temp(false)
-		lo.seq(&c, lo.newNode(Instr{Op: OpConst, Dst: t}))
-		return t, c
 	case *lang.NullLit:
 		t := lo.temp(true)
-		lo.seq(&c, lo.newNode(Instr{Op: OpConst, Dst: t, Pos: x.Pos}))
+		lo.emit(&c, OpConst, x.Pos, t, -1, span{})
 		return t, c
 	case *lang.VarRef:
-		return lo.local(x.Name), c
+		return lo.slots[x.Decl.Index], c
 	case *lang.ThisRef:
-		return "this", c
+		return this, c
 	case *lang.FieldRef:
 		t := lo.temp(x.TypeOf().IsRef())
 		if lo.lifted {
-			lo.method.RefVar[fieldVar(x.Field)] = x.TypeOf().IsRef()
-			lo.seq(&c, lo.newNode(Instr{Op: OpAssign, Dst: t, Src: fieldVar(x.Field), Pos: x.Pos}))
+			f := lo.field(x.Decl)
+			lo.emit(&c, OpAssign, x.Pos, t, f, lo.usesOf(f))
 		} else {
-			lo.seq(&c, lo.newNode(Instr{Op: OpLoad, Dst: t, Field: x.Field, Pos: x.Pos}))
+			lo.emit(&c, OpLoad, x.Pos, t, -1, lo.usesOf(this))
 		}
 		return t, c
 	case *lang.NewExpr:
 		t := lo.temp(true)
-		lo.seq(&c, lo.newNode(Instr{Op: OpNew, Dst: t, Class: x.Class, Pos: x.Pos}))
+		lo.emit(&c, OpNew, x.Pos, t, -1, span{})
 		return t, c
 	case *lang.CreateExpr:
-		payload := ""
+		payload := int32(-1)
 		if x.Payload != nil {
-			var sub chain
-			payload, sub = lo.lowerExpr(x.Payload)
-			lo.append(&c, sub)
+			payload, c = lo.lowerExpr(x.Payload)
 		}
-		t := lo.temp(false) // machine handles are scalar
-		lo.seq(&c, lo.newNode(Instr{Op: OpCreate, Dst: t, Class: x.Machine, Src: payload, Pos: x.Pos}))
-		return t, c
+		lo.temp(false) // machine handles are scalar
+		lo.emit(&c, OpCreate, x.Pos, -1, payload, lo.usesOf(payload))
+		return -1, c
 	case *lang.CallExpr:
-		recv, sub := lo.lowerExpr(x.Recv)
-		c = sub
-		args := make([]string, 0, len(x.Args))
+		base := len(lo.args)
+		var recv int32
+		recv, c = lo.lowerExpr(x.Recv)
+		lo.args = append(lo.args, recv)
 		for _, a := range x.Args {
-			av, asub := lo.lowerExpr(a)
-			lo.append(&c, asub)
-			args = append(args, av)
+			av, sub := lo.lowerExpr(a)
+			lo.append(&c, sub)
+			lo.args = append(lo.args, av)
 		}
-		dst := ""
+		dst := int32(-1)
 		if x.TypeOf().Name != "void" {
 			dst = lo.temp(x.TypeOf().IsRef())
 		}
-		recvType := x.Recv.TypeOf().Name
-		lo.seq(&c, lo.newNode(Instr{
-			Op: OpCall, Dst: dst, Recv: recv, Class: recvType, Method: x.Method,
-			Args: args, Pos: x.Pos,
-		}))
+		off := len(lo.refs)
+		lo.refs = append(lo.refs, lo.args[base:]...)
+		argv := lo.since(off)
+		call := lo.emit(&c, OpCall, x.Pos, dst, -1, lo.usesOf(lo.args[base:]...))
+		lo.args = lo.args[:base]
+		lo.nodes[call].site = int32(len(lo.calls))
+		lo.calls = append(lo.calls, callSite{x.Decl, argv})
 		return dst, c
 	case *lang.UnaryExpr, *lang.BinaryExpr:
 		// Scalar computation collapses; keep reference uses visible.
-		t := lo.temp(false)
-		lo.seq(&c, lo.newNode(Instr{Op: OpConst, Dst: t, Uses: refUses(e, lo)}))
-		return t, c
+		lo.temp(false)
+		lo.emit(&c, OpConst, lang.Pos{}, -1, -1, lo.refUses(e))
+		return -1, c
 	}
-	t := lo.temp(false)
-	lo.seq(&c, lo.newNode(Instr{Op: OpConst, Dst: t}))
-	return t, c
+	lo.temp(false) // an integer or boolean literal
+	lo.emit(&c, OpConst, lang.Pos{}, -1, -1, span{})
+	return -1, c
 }
 
-// BuildMethod lowers one method to its CFG form.
-func BuildMethod(prog *lang.Program, holderName string, decl *lang.MethodDecl) *Method {
-	m := &Method{Holder: holderName, Name: decl.Name, RefVar: make(map[string]bool)}
-	for _, p := range decl.Params {
-		m.Params = append(m.Params, p.Name)
-	}
-	m.Decl = decl
-	lo := &lowerer{prog: prog, method: m}
-	entry := lo.newNode(Instr{Op: OpNop, Pos: decl.Pos})
-	body := lowerMethodInto(lo, decl)
-	exit := lo.newNode(Instr{Op: OpNop, Pos: decl.Pos})
-	link(entry, body.head)
-	for _, t := range body.tails {
-		link(t, exit)
-	}
-	// Returns jump straight to exit.
-	for _, n := range lo.nodes {
-		if n.Instr.Op == OpReturn && len(n.Succs) == 0 && n != exit {
-			link(n, exit)
+// linkReturns sends the returns among nodes [from, to) that lead nowhere
+// yet on to next.
+func (lo *lowerer) linkReturns(from, to int, next int32) {
+	for id := from; id < to; id++ {
+		if n := &lo.nodes[id]; n.op == OpReturn && n.nsucc == 0 {
+			lo.link(int32(id), next)
 		}
 	}
-	m.CFG = &CFG{Entry: entry, Exit: exit, Nodes: lo.nodes}
-	m.index()
-	return m
 }
 
-func lowerMethodInto(lo *lowerer, decl *lang.MethodDecl) chain {
-	for _, p := range decl.Params {
-		if p.Type.IsRef() {
-			lo.method.RefVar[lo.local(p.Name)] = true
+// method lowers one method to its CFG form.
+func (lo *lowerer) method(holder string, decl *lang.MethodDecl) *Method {
+	lo.begin(&Method{Holder: holder, Name: decl.Name, Decl: decl, nparams: len(decl.Params)}, false)
+	lo.bind(decl)
+	for i := range decl.Params {
+		if v := lo.slots[i]; v >= 0 {
+			lo.vars[v].entry = int32(1 + i)
 		}
 	}
-	declareLocals(decl.Body, lo)
+	entry := lo.emit(nil, OpNop, decl.Pos, -1, -1, span{})
 	body := lo.lowerStmts(decl.Body)
-	if body.head == nil {
-		n := lo.newNode(Instr{Op: OpNop, Pos: decl.Pos})
-		body = chain{head: n, tails: []*Node{n}}
+	if body.head < 0 {
+		lo.emit(&body, OpNop, decl.Pos, -1, -1, span{})
 	}
-	return body
+	exit := lo.emit(nil, OpNop, decl.Pos, -1, -1, span{})
+	lo.link(entry, body.head)
+	if body.tail >= 0 {
+		lo.link(body.tail, exit)
+	}
+	lo.linkReturns(0, int(exit), exit)
+	return lo.finish()
+}
+
+// finish numbers the abstract objects, collects the readers and cuts the
+// Method out of the lowerer's buffers.
+func (lo *lowerer) finish() *Method {
+	m := lo.m
+	m.objs = 1 + m.nparams
+	if lo.lifted {
+		// Machine-level field variables start as fresh unknown regions
+		// (distinct abstract objects, in name order), modeling arbitrary
+		// prior state.
+		lifted := lo.args[:0] // the argument stack is empty between calls
+		for v := range lo.vars {
+			if lo.vars[v].lifted {
+				lifted = append(lifted, int32(v))
+			}
+		}
+		slices.SortFunc(lifted, func(a, b int32) int { return strings.Compare(lo.vars[a].name, lo.vars[b].name) })
+		for _, v := range lifted {
+			lo.vars[v].entry = int32(m.objs)
+			m.objs++
+		}
+		lo.args = lifted[:0]
+	}
+	nrefs := len(lo.refs) // the readers go behind them
+	for id := range lo.nodes {
+		n := &lo.nodes[id]
+		if n.op == OpNew || n.op == OpCall {
+			n.alloc = int32(m.objs)
+			m.objs++
+		}
+		if (n.op == OpLoad || n.op == OpCall) && evaluated(id, n) {
+			lo.refs = append(lo.refs, int32(id))
+		}
+	}
+	m.nodes, m.vars = slices.Clone(lo.nodes), slices.Clone(lo.vars)
+	m.calls, m.events = slices.Clone(lo.calls), slices.Clone(lo.events)
+	ints, n := slices.Concat(lo.refs, lo.fanout), len(lo.refs)
+	m.refs, m.readers, m.fanout = ints[:nrefs:nrefs], ints[nrefs:n:n], ints[n:]
+	return m
 }

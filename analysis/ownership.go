@@ -81,21 +81,20 @@ func AnalyzeGivesUp(prog *lang.Program, opts Options) (*Result, map[string][]str
 // machine methods, and a synthetic method per state entry block — and
 // solves it.
 func solveBase(prog *lang.Program) *analyzer {
-	a := &analyzer{prog: prog, units: make(map[string]*methodAnalysis)}
+	a := &analyzer{prog: prog, lo: new(lowerer), units: make(map[*lang.MethodDecl]*methodAnalysis)}
 	for _, cd := range prog.Classes {
 		for _, m := range cd.Methods {
-			a.add(BuildMethod(prog, cd.Name, m))
+			a.add(a.lo.method(cd.Name, m))
 		}
 	}
 	a.classUnits = len(a.order)
 	for _, md := range prog.Machines {
 		for _, m := range md.Methods {
-			a.add(BuildMethod(prog, md.Name, m))
+			a.add(a.lo.method(md.Name, m))
 		}
 		for _, s := range md.States {
 			if s.Entry != nil {
-				decl := &lang.MethodDecl{Name: "$entry_" + s.Name, Body: s.Entry, Pos: s.Pos}
-				a.add(BuildMethod(prog, md.Name, decl))
+				a.add(a.lo.method(md.Name, s.EntryMethod))
 			}
 		}
 	}
@@ -147,11 +146,11 @@ func (a *analyzer) givesUp() map[string][]string {
 		var params []string
 		g := ma.sum.givesUp
 		for pos := g.next(1); pos >= 0; pos = g.next(pos + 1) {
-			params = append(params, ma.method.Params[pos-1])
+			params = append(params, ma.method.Decl.Params[pos-1].Name)
 		}
 		sort.Strings(params)
 		if len(params) > 0 {
-			out[ma.name] = params
+			out[ma.method.Holder+"."+ma.method.Name] = params
 		}
 	}
 	return out
@@ -172,7 +171,7 @@ func (a *analyzer) checkMachine(machine string) []Violation {
 			units = append(units, ma)
 		}
 	}
-	sort.Slice(units, func(i, j int) bool { return units[i].name < units[j].name })
+	sort.Slice(units, func(i, j int) bool { return units[i].method.Name < units[j].method.Name })
 	var out []Violation
 	for _, ma := range units {
 		out = ma.checkMethod(out)
@@ -183,11 +182,11 @@ func (a *analyzer) checkMachine(machine string) []Violation {
 // checkMethod applies conditions 1-3 at every give-up site of the method,
 // appending the violations to out.
 func (ma *methodAnalysis) checkMethod(out []Violation) []Violation {
-	for _, n := range ma.method.CFG.Nodes {
+	for id := range ma.method.nodes {
 		// checkGiveUp's taint pass does not call giveUpVarsAt, so the
 		// result stays valid across the loop.
-		for _, w := range ma.giveUpVarsAt(n) {
-			if v, bad := ma.checkGiveUp(n, w); bad {
+		for _, w := range ma.giveUpVarsAt(&ma.method.nodes[id]) {
+			if v, bad := ma.checkGiveUp(id, w); bad {
 				out = append(out, v)
 			}
 		}
@@ -197,30 +196,28 @@ func (ma *methodAnalysis) checkMethod(out []Violation) []Violation {
 
 // checkGiveUp evaluates the three respects-ownership conditions for giving
 // up variable w at node n.
-func (ma *methodAnalysis) checkGiveUp(n *Node, w int) (Violation, bool) {
+func (ma *methodAnalysis) checkGiveUp(id int, w int32) (Violation, bool) {
 	m := ma.method
-	give := ma.reachVarIn(ma.give, n.ID, w)
+	n := &m.nodes[id]
+	give := ma.reachVarIn(ma.give, id, w)
 	if give.empty() {
 		return Violation{}, false // provably null payload
 	}
-	v := Violation{
-		Machine: m.Holder,
-		Method:  m.Name,
-		Pos:     n.Instr.Pos,
-		Give:    m.vars[w],
-		Event:   n.Instr.Event,
+	v := Violation{Machine: m.Holder, Method: m.Name, Pos: n.pos(), Give: m.varName(w)}
+	if n.op == OpSend {
+		v.Event = m.events[n.site]
 	}
 
 	// Condition 2 first: w must not be this, and no other variable at the
 	// site may alias the given-up region.
-	if w == m.this {
+	if w == this {
 		v.Conditions = append(v.Conditions, 2)
 		v.Detail = "the receiver itself is given up"
 	} else {
-		for _, other := range m.nodes[n.ID].uses {
-			if other != w && ma.reachVarIn(ma.tmp, n.ID, other).intersects(give) {
+		for _, other := range m.list(n.uses) {
+			if other != w && ma.reachVarIn(ma.tmp, id, other).intersects(give) {
 				v.Conditions = append(v.Conditions, 2)
-				v.Detail = fmt.Sprintf("%q aliases the given-up payload at the give-up site", m.vars[other])
+				v.Detail = fmt.Sprintf("%q aliases the given-up payload at the give-up site", m.varName(other))
 				break
 			}
 		}
@@ -228,7 +225,7 @@ func (ma *methodAnalysis) checkGiveUp(n *Node, w int) (Violation, bool) {
 
 	// Condition 1: the receiver must not reach the given-up region (a later
 	// state could access it through a field).
-	if w != m.this && ma.reachVarIn(ma.tmp, n.ID, m.this).intersects(give) {
+	if w != this && ma.reachVarIn(ma.tmp, id, this).intersects(give) {
 		v.Conditions = append(v.Conditions, 1)
 		if v.Detail == "" {
 			v.Detail = "the machine can still reach the payload through its fields"
@@ -241,20 +238,20 @@ func (ma *methodAnalysis) checkGiveUp(n *Node, w int) (Violation, bool) {
 	// pass also records whether any tainted use is a write, which gates the
 	// read-only extension. Only nodes on a path from n get a non-empty
 	// taint row, so no separate CFG reachability is needed.
-	ma.taintForward(n, give)
+	ma.taintForward(id, give)
 	cond3 := false
-	for _, n2 := range m.CFG.Nodes {
-		tset := ma.taintRow(n2.ID)
+	for id2 := range m.nodes {
+		n2, tset := &m.nodes[id2], ma.taintRow(id2)
 		if tset.empty() {
 			continue
 		}
-		for _, used := range m.nodes[n2.ID].uses {
-			if tset.has(used) {
+		for _, used := range m.list(n2.uses) {
+			if tset.has(int(used)) {
 				if !cond3 {
 					cond3 = true
 					v.Conditions = append(v.Conditions, 3)
 					if v.Detail == "" {
-						v.Detail = fmt.Sprintf("%q is used at %s after the payload was given up", m.vars[used], n2.Instr.Pos)
+						v.Detail = fmt.Sprintf("%q is used at %s after the payload was given up", m.varName(used), n2.pos())
 					}
 				}
 				break
@@ -283,39 +280,41 @@ func (ma *methodAnalysis) taintRow(id int) bitset {
 // propagate through summaries. Leaves taint-at-entry per node in ma.taint.
 // The transfer function is monotone and maps no taint to no taint, so
 // propagating on change alone reaches the least fixpoint.
-func (ma *methodAnalysis) taintForward(n *Node, give bitset) {
+func (ma *methodAnalysis) taintForward(from int, give bitset) {
 	m := ma.method
 	if ma.taint == nil {
 		vw := words(len(m.vars))
-		ma.taint, ma.taintOut = make([]uint64, len(m.CFG.Nodes)*vw), make(bitset, vw)
+		ma.taint = make([]uint64, (len(m.nodes)+1)*vw)
+		ma.taint, ma.taintOut = ma.taint[vw:], ma.taint[:vw:vw]
 	}
 	clear(ma.taint)
 	seed := ma.taintOut
 	clear(seed)
 	for v := range m.vars {
-		if ma.reachVarIn(ma.tmp, n.ID, v).intersects(give) {
+		if ma.reachVarIn(ma.tmp, from, int32(v)).intersects(give) {
 			seed.set(v)
 		}
 	}
-	// The seed applies at the exit of n, i.e. at the entry of its succs.
+	// The seed applies at the exit of the node, i.e. at the entry of its succs.
 	again := false
-	for _, s := range n.Succs {
-		if ma.taintRow(s.ID).or(seed) {
-			ma.dirty[s.ID], again = true, true
+	for _, s := range m.succs(&m.nodes[from]) {
+		if ma.taintRow(int(s)).or(seed) {
+			ma.dirty[s], again = true, true
 		}
 	}
 	for again {
 		again = false
-		for id, cur := range m.CFG.Nodes {
+		for id := range m.nodes {
 			if !ma.dirty[id] {
 				continue
 			}
 			ma.dirty[id] = false
+			cur := &m.nodes[id]
 			out := ma.taintTransfer(cur, ma.taintRow(id))
-			for _, s := range cur.Succs {
-				if ma.taintRow(s.ID).or(out) {
-					ma.dirty[s.ID] = true
-					again = again || s.ID <= id
+			for _, s := range m.succs(cur) {
+				if ma.taintRow(int(s)).or(out) {
+					ma.dirty[s] = true
+					again = again || int(s) <= id
 				}
 			}
 		}
@@ -324,63 +323,63 @@ func (ma *methodAnalysis) taintForward(n *Node, give bitset) {
 
 // taintTransfer applies one instruction to a taint set; the result is valid
 // until the next call.
-func (ma *methodAnalysis) taintTransfer(n *Node, in bitset) bitset {
-	x, out := &ma.method.nodes[n.ID], ma.taintOut
+func (ma *methodAnalysis) taintTransfer(x *node, in bitset) bitset {
+	out := ma.taintOut
 	copy(out, in)
 	if x.dst >= 0 {
 		// A strong update: whatever the destination held is gone.
-		out.unset(x.dst)
+		out.unset(int(x.dst))
 	}
-	tainted := func(v int) bool { return v >= 0 && in.has(v) }
-	switch n.Instr.Op {
+	tainted := func(v int32) bool { return v >= 0 && in.has(int(v)) }
+	switch x.op {
 	case OpAssign:
 		if x.dst >= 0 && tainted(x.src) {
-			out.set(x.dst)
+			out.set(int(x.dst))
 		}
 	case OpLoad:
-		if x.dst >= 0 && in.has(ma.method.this) {
-			out.set(x.dst)
+		if x.dst >= 0 && in.has(this) {
+			out.set(int(x.dst))
 		}
 	case OpStore:
 		if tainted(x.src) {
-			out.set(ma.method.this)
+			out.set(this)
 		}
 	case OpCall:
-		callee := ma.callees[n.ID]
+		argv, callee := ma.method.argv(x), ma.callees[x.site]
 		if callee == nil {
 			// Unknown callee: taint spreads to everything involved.
 			any := false
-			for _, v := range x.argv {
+			for _, v := range argv {
 				any = any || tainted(v)
 			}
 			if any {
-				for _, v := range x.argv {
+				for _, v := range argv {
 					if v >= 0 {
-						out.set(v)
+						out.set(int(v))
 					}
 				}
 				if x.dst >= 0 {
-					out.set(x.dst)
+					out.set(int(x.dst))
 				}
 			}
 			break
 		}
 		sum := &callee.sum
 		for from := 0; from < sum.np; from++ {
-			if x.argv[from] < 0 {
+			if argv[from] < 0 {
 				continue
 			}
 			links := sum.linkRow(from)
 			for to := links.next(0); to >= 0; to = links.next(to + 1) {
-				if tainted(x.argv[to]) {
-					out.set(x.argv[from])
+				if tainted(argv[to]) {
+					out.set(int(argv[from]))
 				}
 			}
 		}
 		if x.dst >= 0 {
 			for pos := sum.ret.next(0); pos >= 0; pos = sum.ret.next(pos + 1) {
-				if tainted(x.argv[pos]) {
-					out.set(x.dst)
+				if tainted(argv[pos]) {
+					out.set(int(x.dst))
 				}
 			}
 		}
@@ -391,17 +390,16 @@ func (ma *methodAnalysis) taintTransfer(n *Node, in bitset) bitset {
 // isWritingUse reports whether node n may write the region held by a
 // tainted variable: a field store through a tainted receiver, or a call
 // whose writing position is bound to a tainted variable.
-func (ma *methodAnalysis) isWritingUse(n *Node, tainted bitset) bool {
-	x := &ma.method.nodes[n.ID]
-	switch n.Instr.Op {
+func (ma *methodAnalysis) isWritingUse(x *node, tainted bitset) bool {
+	switch x.op {
 	case OpStore:
-		return tainted.has(ma.method.this)
+		return tainted.has(this)
 	case OpCall:
-		callee := ma.callees[n.ID]
+		argv, callee := ma.method.argv(x), ma.callees[x.site]
 		if callee == nil {
 			// Unknown callee: assume it writes whatever it can reach.
-			for _, v := range x.argv {
-				if v >= 0 && tainted.has(v) {
+			for _, v := range argv {
+				if v >= 0 && tainted.has(int(v)) {
 					return true
 				}
 			}
@@ -409,7 +407,7 @@ func (ma *methodAnalysis) isWritingUse(n *Node, tainted bitset) bool {
 		}
 		w := callee.sum.writes
 		for pos := w.next(0); pos >= 0; pos = w.next(pos + 1) {
-			if v := x.argv[pos]; v >= 0 && tainted.has(v) {
+			if v := argv[pos]; v >= 0 && tainted.has(int(v)) {
 				return true
 			}
 		}
@@ -433,7 +431,7 @@ func (a *analyzer) eventReadOnly(event string) bool {
 				continue // no payload access at all
 			}
 			// Written, or stored into machine state?
-			sum := &a.units[md.Name+"."+meth].sum
+			sum := &a.units[decl].sum
 			if sum.writes.has(1) || sum.linkRow(0).has(1) {
 				return false
 			}

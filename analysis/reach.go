@@ -92,11 +92,10 @@ func (s *summary) linkRow(p int) bitset {
 // points-to state, the containment matrix, the summary, and the scratch
 // rows of the solver and of the ownership check.
 type methodAnalysis struct {
-	name   string // Holder.Name
 	method *Method
 	sum    summary
-	// callees is indexed by node ID: the unit an evaluated OpCall resolves
-	// to in this analyzer, nil for an unknown callee and every other node.
+	// callees is indexed by call site (node.site): the unit an evaluated
+	// OpCall resolves to in this analyzer, nil for an unknown callee.
 	callees []*methodAnalysis
 
 	w      int // words per object row
@@ -122,12 +121,12 @@ type methodAnalysis struct {
 	// one per node, and the scratch row taintTransfer writes.
 	taint    []uint64
 	taintOut bitset
-	giveVars []int // giveUpVarsAt's result
+	giveVars []int32 // giveUpVarsAt's result
 }
 
 // pts returns variable v's points-to row in a state.
-func (ma *methodAnalysis) pts(state []uint64, v int) bitset {
-	return state[v*ma.w : (v+1)*ma.w]
+func (ma *methodAnalysis) pts(state []uint64, v int32) bitset {
+	return state[int(v)*ma.w : (int(v)+1)*ma.w]
 }
 
 func (ma *methodAnalysis) inState(id int) []uint64 {
@@ -150,7 +149,7 @@ func (ma *methodAnalysis) closure(s bitset) {
 
 // reachVarIn returns, in dst, the closure of v's points-to set on entry to
 // node id; v < 0 (not a reference variable) reaches nothing.
-func (ma *methodAnalysis) reachVarIn(dst bitset, id, v int) bitset {
+func (ma *methodAnalysis) reachVarIn(dst bitset, id int, v int32) bitset {
 	clear(dst)
 	if v >= 0 {
 		copy(dst, ma.pts(ma.inState(id), v))
@@ -179,8 +178,9 @@ func (ma *methodAnalysis) contain(containers, contents bitset) {
 // analyzer drives a summary fixpoint over a universe of methods.
 type analyzer struct {
 	prog *lang.Program
-	// units is the universe calls resolve in, keyed by Holder.Name.
-	units map[string]*methodAnalysis
+	lo   *lowerer
+	// units is the universe calls resolve in, keyed by declaration.
+	units map[*lang.MethodDecl]*methodAnalysis
 	// order lists the units this analyzer solves. The base analyzer solves
 	// all of units, class methods first (order[:classUnits]); a cross-state
 	// analyzer solves one machine's methods and finds the class methods in
@@ -192,10 +192,10 @@ type analyzer struct {
 // add makes m a unit of the analyzer, with its state at the bottom of the
 // lattice except for the entry node, and every reachable node to evaluate.
 func (a *analyzer) add(m *Method) {
-	nodes, np, w := len(m.CFG.Nodes), 1+len(m.Params), words(m.objs)
+	nodes, np, w := len(m.nodes), 1+m.nparams, words(m.objs)
 	pw := words(np)
-	ma := &methodAnalysis{name: m.QName(), method: m, w: w, stride: len(m.vars) * w,
-		callees: make([]*methodAnalysis, nodes), dirty: make([]bool, nodes)}
+	ma := &methodAnalysis{method: m, w: w, stride: len(m.vars) * w,
+		callees: make([]*methodAnalysis, len(m.calls)), dirty: make([]bool, nodes)}
 	slab := make([]uint64, (nodes+1)*ma.stride+(m.objs+3)*w+(np+3)*pw)
 	carve := func(n int) []uint64 {
 		s := slab[:n:n]
@@ -206,16 +206,18 @@ func (a *analyzer) add(m *Method) {
 	ma.give, ma.tmp, ma.todo = carve(w), carve(w), carve(w)
 	ma.sum = summary{np: np, links: carve(np * pw), ret: carve(pw), givesUp: carve(pw), writes: carve(pw)}
 
-	entry := ma.inState(m.CFG.Entry.ID)
-	for v, o := range m.entryObj {
-		if o >= 0 {
-			ma.pts(entry, v).set(o)
+	entry := ma.inState(0)
+	for v := range m.vars {
+		if o := m.vars[v].entry; o >= 0 {
+			ma.pts(entry, int32(v)).set(int(o))
 		}
 	}
-	for _, n := range m.CFG.Nodes {
-		ma.dirty[n.ID] = m.evaluated(n)
+	for id := range m.nodes {
+		ma.dirty[id] = evaluated(id, &m.nodes[id])
 	}
-	a.units[ma.name] = ma
+	if m.Decl != nil {
+		a.units[m.Decl] = ma
+	}
 	a.order = append(a.order, ma)
 }
 
@@ -227,12 +229,13 @@ func (ma *methodAnalysis) solve() {
 	m := ma.method
 	for again := true; again; {
 		again = false
-		for id, n := range m.CFG.Nodes {
+		for id := range m.nodes {
 			if !ma.dirty[id] {
 				continue
 			}
 			ma.dirty[id] = false
-			ma.transfer(n)
+			n := &m.nodes[id]
+			ma.transfer(id, n)
 			if ma.grew {
 				// OpLoad and OpCall read closures, which a new containment
 				// edge can enlarge without any in-state changing.
@@ -242,10 +245,10 @@ func (ma *methodAnalysis) solve() {
 				}
 				again = true
 			}
-			for _, s := range n.Succs {
-				if bitset(ma.inState(s.ID)).or(ma.out) {
-					ma.dirty[s.ID] = true
-					again = again || s.ID <= id
+			for _, s := range m.succs(n) {
+				if bitset(ma.inState(int(s))).or(ma.out) {
+					ma.dirty[s] = true
+					again = again || int(s) <= id
 				}
 			}
 		}
@@ -254,10 +257,10 @@ func (ma *methodAnalysis) solve() {
 
 // transfer applies one instruction to the node's in-state, leaving the
 // out-state in ma.out.
-func (ma *methodAnalysis) transfer(n *Node) {
-	in, out, x := ma.inState(n.ID), ma.out, &ma.method.nodes[n.ID]
+func (ma *methodAnalysis) transfer(id int, x *node) {
+	in, out := ma.inState(id), ma.out
 	copy(out, in)
-	switch n.Instr.Op {
+	switch x.op {
 	case OpAssign, OpConst:
 		if x.dst >= 0 {
 			if x.src >= 0 {
@@ -271,41 +274,41 @@ func (ma *methodAnalysis) transfer(n *Node) {
 			// Member-insensitive: a field load yields the whole region
 			// reachable from the receiver.
 			dst := ma.pts(out, x.dst)
-			copy(dst, ma.pts(in, ma.method.this))
+			copy(dst, ma.pts(in, this))
 			ma.closure(dst)
 		}
 	case OpStore:
 		if x.src >= 0 {
-			ma.contain(ma.pts(in, ma.method.this), ma.pts(in, x.src))
+			ma.contain(ma.pts(in, this), ma.pts(in, x.src))
 		}
 	case OpNew:
 		if x.dst >= 0 {
 			dst := ma.pts(out, x.dst)
 			clear(dst)
-			dst.set(x.alloc)
+			dst.set(int(x.alloc))
 		}
 	case OpCall:
-		ma.transferCall(n, in, out)
+		ma.transferCall(id, x, in, out)
 	}
 	// OpSend, OpCreate: ownership transfer is checked separately; no
 	// points-to effect (a machine handle is a scalar).
 }
 
 // transferCall applies a callee summary at a call site.
-func (ma *methodAnalysis) transferCall(n *Node, in, out []uint64) {
-	x := &ma.method.nodes[n.ID]
+func (ma *methodAnalysis) transferCall(id int, x *node, in, out []uint64) {
+	argv := ma.method.argv(x)
 	var dst bitset
 	if x.dst >= 0 {
 		dst = ma.pts(out, x.dst)
 		clear(dst)
 	}
-	callee := ma.callees[n.ID]
+	callee := ma.callees[x.site]
 	if callee == nil {
 		// Unknown callee (paper Section 5.4: library calls are handled
 		// conservatively — everything reachable becomes mutually reachable).
 		all := ma.tmp
 		clear(all)
-		for _, v := range x.argv {
+		for _, v := range argv {
 			if v >= 0 {
 				all.or(ma.pts(in, v))
 			}
@@ -314,29 +317,29 @@ func (ma *methodAnalysis) transferCall(n *Node, in, out []uint64) {
 		ma.contain(all, all)
 		if dst != nil {
 			copy(dst, all)
-			dst.set(x.alloc)
+			dst.set(int(x.alloc))
 		}
 		return
 	}
 	sum := &callee.sum
 	for from := 0; from < sum.np; from++ {
-		if x.argv[from] < 0 {
+		if argv[from] < 0 {
 			continue
 		}
 		links := sum.linkRow(from)
 		for to := links.next(0); to >= 0; to = links.next(to + 1) {
-			ma.contain(ma.pts(in, x.argv[from]), ma.reachVarIn(ma.tmp, n.ID, x.argv[to]))
+			ma.contain(ma.pts(in, argv[from]), ma.reachVarIn(ma.tmp, id, argv[to]))
 		}
 	}
 	if dst != nil {
 		for pos := sum.ret.next(0); pos >= 0; pos = sum.ret.next(pos + 1) {
-			if v := x.argv[pos]; v >= 0 {
+			if v := argv[pos]; v >= 0 {
 				dst.or(ma.pts(in, v))
 			}
 		}
 		ma.closure(dst)
 		if sum.retFresh {
-			dst.set(x.alloc)
+			dst.set(int(x.alloc))
 		}
 	}
 }
@@ -367,13 +370,13 @@ func (ma *methodAnalysis) updateSummary() bool {
 		mark(sum.linkRow(p), ma.tmp)
 	}
 
-	for _, n := range m.CFG.Nodes {
-		x := &m.nodes[n.ID]
-		switch n.Instr.Op {
+	for id := range m.nodes {
+		x := &m.nodes[id]
+		switch x.op {
 		case OpReturn:
 			// Return sources.
 			if x.src >= 0 {
-				r := ma.reachVarIn(ma.tmp, n.ID, x.src)
+				r := ma.reachVarIn(ma.tmp, id, x.src)
 				// An object beyond the positions is an allocation site (or
 				// a lifted field's region).
 				if !sum.retFresh && r.next(sum.np) >= 0 {
@@ -384,25 +387,26 @@ func (ma *methodAnalysis) updateSummary() bool {
 		case OpStore:
 			// Writes: a field store writes this's region; calls propagate
 			// callee writes onto whatever the written argument can reach.
-			mark(sum.writes, ma.reachVarIn(ma.tmp, n.ID, m.this))
+			mark(sum.writes, ma.reachVarIn(ma.tmp, id, this))
 		case OpCall:
-			if callee := ma.callees[n.ID]; callee == nil {
+			argv := m.argv(x)
+			if callee := ma.callees[x.site]; callee == nil {
 				// Unknown callee: assume it writes everything it can reach.
-				for _, v := range x.argv {
-					mark(sum.writes, ma.reachVarIn(ma.tmp, n.ID, v))
+				for _, v := range argv {
+					mark(sum.writes, ma.reachVarIn(ma.tmp, id, v))
 				}
 			} else {
 				w := callee.sum.writes
 				for pos := w.next(0); pos >= 0; pos = w.next(pos + 1) {
-					mark(sum.writes, ma.reachVarIn(ma.tmp, n.ID, x.argv[pos]))
+					mark(sum.writes, ma.reachVarIn(ma.tmp, id, argv[pos]))
 				}
 			}
 		}
 		// GivesUp (Figure 5): a send (or create, or call to a method that
 		// gives up the corresponding formal) gives up every position whose
 		// entry object is in the payload's reachable region.
-		for _, gv := range ma.giveUpVarsAt(n) {
-			mark(sum.givesUp, ma.reachVarIn(ma.tmp, n.ID, gv))
+		for _, gv := range ma.giveUpVarsAt(x) {
+			mark(sum.givesUp, ma.reachVarIn(ma.tmp, id, gv))
 		}
 	}
 	return changed
@@ -412,26 +416,25 @@ func (ma *methodAnalysis) updateSummary() bool {
 // transfers away, in name order: the payload of a send/create, and every
 // argument passed for a formal in the callee's give-up set (twice if it is
 // passed for two). The result is valid until the next call.
-func (ma *methodAnalysis) giveUpVarsAt(n *Node) []int {
-	x := &ma.method.nodes[n.ID]
+func (ma *methodAnalysis) giveUpVarsAt(x *node) []int32 {
 	out := ma.giveVars[:0]
-	switch n.Instr.Op {
+	switch x.op {
 	case OpSend, OpCreate:
 		if x.src >= 0 {
 			out = append(out, x.src)
 		}
 	case OpCall:
-		callee := ma.callees[n.ID]
+		callee := ma.callees[x.site]
 		if callee == nil {
 			return nil // unknown callees handled conservatively elsewhere
 		}
-		g := callee.sum.givesUp
+		argv, g := ma.method.argv(x), callee.sum.givesUp
 		for pos := g.next(0); pos >= 0; pos = g.next(pos + 1) {
-			if v := x.argv[pos]; v >= 0 {
+			if v := argv[pos]; v >= 0 {
 				// insertion sort: a call gives up a handful of arguments
 				i := len(out)
 				out = append(out, v)
-				for ; i > 0 && out[i-1] > v; i-- {
+				for ; i > 0 && out[i-1] != v && ma.method.nameLess(v, out[i-1]); i-- {
 					out[i] = out[i-1]
 				}
 				out[i] = v
@@ -449,9 +452,14 @@ func (ma *methodAnalysis) giveUpVarsAt(n *Node) []int {
 func (a *analyzer) runFixpoint() {
 	callers := make(map[*methodAnalysis][]*methodAnalysis)
 	for _, ma := range a.order {
-		for _, id := range ma.method.readers {
-			callee := a.units[ma.method.nodes[id].callee] // nil for OpLoad's ""
-			ma.callees[id] = callee
+		m := ma.method
+		for _, id := range m.readers {
+			n := &m.nodes[id]
+			if n.op != OpCall {
+				continue
+			}
+			callee := a.units[m.calls[n.site].decl]
+			ma.callees[n.site] = callee
 			if cs := callers[callee]; callee != nil && (len(cs) == 0 || cs[len(cs)-1] != ma) {
 				callers[callee] = append(cs, ma)
 			}
@@ -467,7 +475,9 @@ func (a *analyzer) runFixpoint() {
 		}
 		for _, c := range callers[ma] {
 			for _, id := range c.method.readers {
-				c.dirty[id] = c.dirty[id] || c.callees[id] == ma
+				if n := &c.method.nodes[id]; n.op == OpCall && c.callees[n.site] == ma {
+					c.dirty[id] = true
+				}
 			}
 			if !c.queued {
 				c.queued = true

@@ -2,14 +2,17 @@ package analysis
 
 // The reference engine: the map-of-maps abstract domain and the naive
 // solver the dense implementation in reach.go and ownership.go replaced,
-// kept verbatim (identifiers prefixed ref) as a test-only oracle. Every
-// method is re-solved from nothing by chaotic iteration on every round of
-// the summary loop until a round changes no summary; points-to states are
+// and behind them the string-operand lowering (refInstr, refNode, refCFG,
+// refLowerer, RefVar, refIndex) the integer IR of ir.go replaced, both kept
+// verbatim (identifiers prefixed ref) as a test-only oracle. Every method is
+// re-solved from nothing by chaotic iteration on every round of the summary
+// loop until a round changes no summary; points-to states are
 // map[string]map[refObj]bool cloned at every transfer; every xSA pass lowers
-// and solves every class method again. It shares only the IR (BuildMethod,
-// buildMachineCFG) with the code under test. FuzzAnalyzeDifferential holds
-// the two to the same Result and give-up map on any program that parses and
-// checks.
+// and solves every class method again. It shares nothing but Op, Violation
+// and Result with the code under test. FuzzAnalyzeDifferential holds the two
+// to the same Result and give-up map on any program that parses and checks;
+// TestLoweringDifferential (lowering_test.go) holds the two lowerings to the
+// same per-node tables.
 
 import (
 	"fmt"
@@ -20,11 +23,707 @@ import (
 	"github.com/psharp-go/psharp/lang"
 )
 
+// refInstr is one lowered instruction.
+type refInstr struct {
+	Op     Op
+	Dst    string
+	Src    string
+	Field  string
+	Class  string
+	Event  string
+	Method string
+	Recv   string
+	Target string // send destination variable (machine-typed, scalar)
+	Args   []string
+	// Uses lists reference variables consumed by collapsed scalar
+	// computation (e.g. comparisons against references).
+	Uses []string
+	Pos  lang.Pos
+}
+
+// String renders the instruction for diagnostics.
+func (in refInstr) String() string {
+	switch in.Op {
+	case OpAssign:
+		return fmt.Sprintf("%s := %s", in.Dst, in.Src)
+	case OpConst:
+		return fmt.Sprintf("%s := <const>", in.Dst)
+	case OpLoad:
+		return fmt.Sprintf("%s := this.%s", in.Dst, in.Field)
+	case OpStore:
+		return fmt.Sprintf("this.%s := %s", in.Field, in.Src)
+	case OpNew:
+		return fmt.Sprintf("%s := new %s", in.Dst, in.Class)
+	case OpCall:
+		return fmt.Sprintf("%s := %s.%s(%v)", in.Dst, in.Recv, in.Method, in.Args)
+	case OpSend:
+		return fmt.Sprintf("send %s, %s, %s", in.Target, in.Event, in.Src)
+	case OpCreate:
+		return fmt.Sprintf("%s := create %s(%s)", in.Dst, in.Class, in.Src)
+	case OpReturn:
+		return fmt.Sprintf("return %s", in.Src)
+	case OpBranch:
+		return fmt.Sprintf("branch %s", in.Src)
+	default:
+		return "nop"
+	}
+}
+
+// refNode is a CFG node holding exactly one instruction.
+type refNode struct {
+	ID    int
+	Instr refInstr
+	Succs []*refNode
+	Preds []*refNode
+}
+
+// refCFG is a single-entry single-exit control-flow graph.
+type refCFG struct {
+	Entry, Exit *refNode
+	Nodes       []*refNode
+}
+
+// refMethod is the analyzable form of one method: its CFG plus variable
+// classification.
+type refMethod struct {
+	Holder string // enclosing class or machine name
+	Name   string
+	Params []string
+	// RefVar reports which variables (params, locals, temps) are
+	// reference-typed; "this" is always a reference.
+	RefVar map[string]bool
+	CFG    *refCFG
+	Decl   *lang.MethodDecl
+
+	// The dense index spaces (see the package comment), fixed by refIndex once
+	// lowering is complete and shared by every analyzer that solves the
+	// method.
+	vars     []string       // variable index -> name, sorted; includes "this"
+	this     int            // index of "this" in vars
+	entryObj []int          // per variable: the object it points to on entry, or -1
+	objs     int            // number of abstract objects
+	nodes    []refNodeIndex // per node ID
+	readers  []int          // IDs of the evaluated nodes whose transfer reads a closure (OpLoad, OpCall)
+}
+
+// evaluated reports whether the solver ever applies n's transfer function.
+// A node other than the entry with no predecessor heads a chain of dead code
+// (statements behind a return): it is never evaluated and passes nothing
+// on, while the nodes behind it are evaluated, from the empty state.
+func (m *refMethod) evaluated(n *refNode) bool {
+	return n == m.CFG.Entry || len(n.Preds) > 0
+}
+
+// refNodeIndex is one node's operands resolved to variable indices; -1 stands
+// for an operand that is absent or not a reference variable.
+type refNodeIndex struct {
+	dst, src int
+	// argv is an OpCall's receiver followed by its arguments, so that
+	// argv[p] is the variable bound to position p of the callee's summary.
+	argv []int
+	// uses lists the reference variables the node reads (the paper's
+	// vars(N) restricted to reference variables, minus the pure assignment
+	// target: overwriting a variable is a kill, not a use): Src, the
+	// receiver, the arguments, refInstr.Uses, and "this" for loads and stores.
+	uses   []int
+	callee string // OpCall: the callee's "Holder.Name"
+	alloc  int    // OpNew, OpCall: the node's allocation-site object
+}
+
+// refIndex interns the method's variables and abstract objects and resolves
+// every node's operands.
+func (m *refMethod) refIndex() {
+	m.vars = []string{"this"}
+	for v, ref := range m.RefVar {
+		if ref {
+			m.vars = append(m.vars, v)
+		}
+	}
+	sort.Strings(m.vars)
+	idx := make(map[string]int, len(m.vars))
+	for i, v := range m.vars {
+		idx[v] = i
+	}
+	of := func(v string) int {
+		if i, ok := idx[v]; ok {
+			return i
+		}
+		return -1
+	}
+	m.this = idx["this"]
+	m.entryObj = make([]int, len(m.vars))
+	for i := range m.entryObj {
+		m.entryObj[i] = -1
+	}
+	m.entryObj[m.this] = 0
+	for i, p := range m.Params {
+		if v := of(p); v >= 0 {
+			m.entryObj[v] = 1 + i
+		}
+	}
+	m.objs = 1 + len(m.Params)
+	// In xSA mode, machine-level field variables start as fresh unknown
+	// regions (distinct abstract objects), modeling arbitrary prior state.
+	for i, v := range m.vars {
+		if v[0] == '$' {
+			m.entryObj[i] = m.objs
+			m.objs++
+		}
+	}
+	m.nodes = make([]refNodeIndex, len(m.CFG.Nodes))
+	var arena []int // backs every argv and uses; earlier slices stay valid when it grows
+	use := func(v string) {
+		if i := of(v); i >= 0 {
+			arena = append(arena, i)
+		}
+	}
+	for _, n := range m.CFG.Nodes {
+		ins, x := &n.Instr, &m.nodes[n.ID]
+		x.dst, x.src = of(ins.Dst), of(ins.Src)
+		start := len(arena)
+		if ins.Op == OpCall {
+			arena = append(arena, of(ins.Recv))
+			for _, a := range ins.Args {
+				arena = append(arena, of(a))
+			}
+			x.argv = arena[start:len(arena):len(arena)]
+			x.callee = ins.Class + "." + ins.Method
+			start = len(arena)
+		}
+		use(ins.Src)
+		use(ins.Recv)
+		for _, a := range ins.Args {
+			use(a)
+		}
+		for _, u := range ins.Uses {
+			use(u)
+		}
+		switch ins.Op {
+		case OpLoad, OpStore:
+			use("this")
+		}
+		x.uses = arena[start:len(arena):len(arena)]
+		switch ins.Op {
+		case OpNew, OpCall:
+			x.alloc = m.objs
+			m.objs++
+		}
+		if (ins.Op == OpLoad || ins.Op == OpCall) && m.evaluated(n) {
+			m.readers = append(m.readers, n.ID)
+		}
+	}
+}
+
+// QName returns Holder.Name.
+func (m *refMethod) QName() string { return m.Holder + "." + m.Name }
+
+// IsRef classifies a variable of the method.
+func (m *refMethod) IsRef(v string) bool {
+	if v == "this" {
+		return true
+	}
+	return m.RefVar[v]
+}
+
+// refLowerer builds a refMethod from an AST method body.
+type refLowerer struct {
+	prog   *lang.Program
+	method *refMethod
+	nodes  []*refNode
+	nextID int
+	temps  int
+	// lifted enables xSA mode: field accesses become assignments to
+	// machine-level variables named "$<field>", with strong updates.
+	lifted bool
+	// prefix renames locals when inlining handler bodies into the
+	// machine-level CFG.
+	prefix string
+}
+
+func (lo *refLowerer) newNode(in refInstr) *refNode {
+	n := &refNode{ID: lo.nextID, Instr: in}
+	lo.nextID++
+	lo.nodes = append(lo.nodes, n)
+	return n
+}
+
+func refLink(from, to *refNode) {
+	from.Succs = append(from.Succs, to)
+	to.Preds = append(to.Preds, from)
+}
+
+func (lo *refLowerer) temp(ref bool) string {
+	lo.temps++
+	name := fmt.Sprintf("%%t%d", lo.temps)
+	if lo.prefix != "" {
+		name = lo.prefix + name
+	}
+	if ref {
+		lo.method.RefVar[name] = true
+	}
+	return name
+}
+
+func (lo *refLowerer) local(name string) string {
+	if lo.prefix != "" {
+		return lo.prefix + name
+	}
+	return name
+}
+
+// refFieldVar names the machine-level variable standing for a field in xSA
+// mode.
+func refFieldVar(field string) string { return "$" + field }
+
+// refChain is a partial CFG: a head node and the set of dangling exits.
+type refChain struct {
+	head  *refNode
+	tails []*refNode
+}
+
+func (lo *refLowerer) seq(c *refChain, n *refNode) {
+	if c.head == nil {
+		c.head = n
+		c.tails = []*refNode{n}
+		return
+	}
+	for _, t := range c.tails {
+		refLink(t, n)
+	}
+	c.tails = []*refNode{n}
+}
+
+func (lo *refLowerer) append(c *refChain, sub refChain) {
+	if sub.head == nil {
+		return
+	}
+	if c.head == nil {
+		*c = sub
+		return
+	}
+	for _, t := range c.tails {
+		refLink(t, sub.head)
+	}
+	c.tails = sub.tails
+}
+
+func refDeclareLocals(stmts []lang.Stmt, lo *refLowerer) {
+	for _, s := range stmts {
+		switch st := s.(type) {
+		case *lang.LocalDecl:
+			if st.Decl.Type.IsRef() {
+				lo.method.RefVar[lo.local(st.Decl.Name)] = true
+			}
+		case *lang.IfStmt:
+			refDeclareLocals(st.Then, lo)
+			refDeclareLocals(st.Else, lo)
+		case *lang.WhileStmt:
+			refDeclareLocals(st.Body, lo)
+		}
+	}
+}
+
+func (lo *refLowerer) lowerStmts(stmts []lang.Stmt) refChain {
+	var c refChain
+	for _, s := range stmts {
+		lo.append(&c, lo.lowerStmt(s))
+	}
+	return c
+}
+
+func (lo *refLowerer) lowerStmt(s lang.Stmt) refChain {
+	var c refChain
+	switch st := s.(type) {
+	case *lang.LocalDecl:
+		// declaration only; no instruction
+	case *lang.AssignStmt:
+		v, sub := lo.lowerExpr(st.Value)
+		c = sub
+		if st.ToField != "" {
+			if lo.lifted {
+				lo.method.RefVar[refFieldVar(st.ToField)] = refRefType(lo.prog, lo.fieldType(st.ToField))
+				lo.seq(&c, lo.newNode(refInstr{Op: OpAssign, Dst: refFieldVar(st.ToField), Src: v, Pos: st.Pos}))
+			} else {
+				lo.seq(&c, lo.newNode(refInstr{Op: OpStore, Field: st.ToField, Src: v, Pos: st.Pos}))
+			}
+		} else {
+			lo.seq(&c, lo.newNode(refInstr{Op: OpAssign, Dst: lo.local(st.Target), Src: v, Pos: st.Pos}))
+		}
+	case *lang.ExprStmt:
+		_, c = lo.lowerExpr(st.X)
+	case *lang.SendStmt:
+		dst, sub := lo.lowerExpr(st.Dst)
+		c = sub
+		payload := ""
+		if st.Payload != nil {
+			var psub refChain
+			payload, psub = lo.lowerExpr(st.Payload)
+			lo.append(&c, psub)
+		}
+		lo.seq(&c, lo.newNode(refInstr{Op: OpSend, Target: dst, Event: st.Event, Src: payload, Pos: st.Pos}))
+	case *lang.RaiseStmt:
+		// A raise delivers the payload to this machine itself; ownership is
+		// retained, so the analysis treats it as a no-op over references.
+		lo.seq(&c, lo.newNode(refInstr{Op: OpNop, Pos: st.Pos}))
+	case *lang.ReturnStmt:
+		src := ""
+		if st.Value != nil {
+			var sub refChain
+			src, sub = lo.lowerExpr(st.Value)
+			c = sub
+		}
+		lo.seq(&c, lo.newNode(refInstr{Op: OpReturn, Src: src, Pos: st.Pos}))
+		// Statements after a return are unreachable; cut the chain.
+		c.tails = nil
+	case *lang.IfStmt:
+		cond, sub := lo.lowerExpr(st.Cond)
+		c = sub
+		branch := lo.newNode(refInstr{Op: OpBranch, Src: cond, Uses: refRefUses(st.Cond, lo), Pos: st.Pos})
+		lo.seq(&c, branch)
+		then := lo.lowerStmts(st.Then)
+		els := lo.lowerStmts(st.Else)
+		join := lo.newNode(refInstr{Op: OpNop, Pos: st.Pos})
+		if then.head != nil {
+			refLink(branch, then.head)
+			for _, t := range then.tails {
+				refLink(t, join)
+			}
+		} else {
+			refLink(branch, join)
+		}
+		if els.head != nil {
+			refLink(branch, els.head)
+			for _, t := range els.tails {
+				refLink(t, join)
+			}
+		} else {
+			refLink(branch, join)
+		}
+		c.tails = []*refNode{join}
+	case *lang.WhileStmt:
+		cond, sub := lo.lowerExpr(st.Cond)
+		head := sub.head
+		branch := lo.newNode(refInstr{Op: OpBranch, Src: cond, Uses: refRefUses(st.Cond, lo), Pos: st.Pos})
+		if head == nil {
+			head = branch
+			sub = refChain{head: branch, tails: []*refNode{branch}}
+		} else {
+			for _, t := range sub.tails {
+				refLink(t, branch)
+			}
+		}
+		body := lo.lowerStmts(st.Body)
+		exit := lo.newNode(refInstr{Op: OpNop, Pos: st.Pos})
+		refLink(branch, exit)
+		if body.head != nil {
+			refLink(branch, body.head)
+			for _, t := range body.tails {
+				refLink(t, head)
+			}
+		} else {
+			refLink(branch, head)
+		}
+		c = refChain{head: head, tails: []*refNode{exit}}
+	case *lang.AssertStmt:
+		cond, sub := lo.lowerExpr(st.Cond)
+		c = sub
+		lo.seq(&c, lo.newNode(refInstr{Op: OpBranch, Src: cond, Uses: refRefUses(st.Cond, lo), Pos: st.Pos}))
+	}
+	return c
+}
+
+// refRefUses collects reference-typed variable/field reads inside a collapsed
+// scalar expression, so ownership condition 3 still sees them as uses.
+func refRefUses(e lang.Expr, lo *refLowerer) []string {
+	var out []string
+	var walk func(lang.Expr)
+	walk = func(e lang.Expr) {
+		switch x := e.(type) {
+		case *lang.VarRef:
+			if x.TypeOf().IsRef() {
+				out = append(out, lo.local(x.Name))
+			}
+		case *lang.UnaryExpr:
+			walk(x.X)
+		case *lang.BinaryExpr:
+			walk(x.L)
+			walk(x.R)
+		}
+	}
+	walk(e)
+	return out
+}
+
+func refRefType(prog *lang.Program, t lang.Type) bool { return t.IsRef() }
+
+func (lo *refLowerer) fieldType(name string) lang.Type {
+	if md, ok := lo.prog.MachineByName[lo.method.Holder]; ok {
+		if f, ok := md.FieldByName[name]; ok {
+			return f.Type
+		}
+	}
+	if cd, ok := lo.prog.ClassByName[lo.method.Holder]; ok {
+		if f, ok := cd.FieldByName[name]; ok {
+			return f.Type
+		}
+	}
+	return lang.Type{Name: "int"}
+}
+
+// lowerExpr lowers an expression, returning the variable holding its value
+// ("" for void calls) and the evaluation chain.
+func (lo *refLowerer) lowerExpr(e lang.Expr) (string, refChain) {
+	var c refChain
+	switch x := e.(type) {
+	case *lang.IntLit, *lang.BoolLit:
+		t := lo.temp(false)
+		lo.seq(&c, lo.newNode(refInstr{Op: OpConst, Dst: t}))
+		return t, c
+	case *lang.NullLit:
+		t := lo.temp(true)
+		lo.seq(&c, lo.newNode(refInstr{Op: OpConst, Dst: t, Pos: x.Pos}))
+		return t, c
+	case *lang.VarRef:
+		return lo.local(x.Name), c
+	case *lang.ThisRef:
+		return "this", c
+	case *lang.FieldRef:
+		t := lo.temp(x.TypeOf().IsRef())
+		if lo.lifted {
+			lo.method.RefVar[refFieldVar(x.Field)] = x.TypeOf().IsRef()
+			lo.seq(&c, lo.newNode(refInstr{Op: OpAssign, Dst: t, Src: refFieldVar(x.Field), Pos: x.Pos}))
+		} else {
+			lo.seq(&c, lo.newNode(refInstr{Op: OpLoad, Dst: t, Field: x.Field, Pos: x.Pos}))
+		}
+		return t, c
+	case *lang.NewExpr:
+		t := lo.temp(true)
+		lo.seq(&c, lo.newNode(refInstr{Op: OpNew, Dst: t, Class: x.Class, Pos: x.Pos}))
+		return t, c
+	case *lang.CreateExpr:
+		payload := ""
+		if x.Payload != nil {
+			var sub refChain
+			payload, sub = lo.lowerExpr(x.Payload)
+			lo.append(&c, sub)
+		}
+		t := lo.temp(false) // machine handles are scalar
+		lo.seq(&c, lo.newNode(refInstr{Op: OpCreate, Dst: t, Class: x.Machine, Src: payload, Pos: x.Pos}))
+		return t, c
+	case *lang.CallExpr:
+		recv, sub := lo.lowerExpr(x.Recv)
+		c = sub
+		args := make([]string, 0, len(x.Args))
+		for _, a := range x.Args {
+			av, asub := lo.lowerExpr(a)
+			lo.append(&c, asub)
+			args = append(args, av)
+		}
+		dst := ""
+		if x.TypeOf().Name != "void" {
+			dst = lo.temp(x.TypeOf().IsRef())
+		}
+		recvType := x.Recv.TypeOf().Name
+		lo.seq(&c, lo.newNode(refInstr{
+			Op: OpCall, Dst: dst, Recv: recv, Class: recvType, Method: x.Method,
+			Args: args, Pos: x.Pos,
+		}))
+		return dst, c
+	case *lang.UnaryExpr, *lang.BinaryExpr:
+		// Scalar computation collapses; keep reference uses visible.
+		t := lo.temp(false)
+		lo.seq(&c, lo.newNode(refInstr{Op: OpConst, Dst: t, Uses: refRefUses(e, lo)}))
+		return t, c
+	}
+	t := lo.temp(false)
+	lo.seq(&c, lo.newNode(refInstr{Op: OpConst, Dst: t}))
+	return t, c
+}
+
+// refBuildMethod lowers one method to its CFG form.
+func refBuildMethod(prog *lang.Program, holderName string, decl *lang.MethodDecl) *refMethod {
+	m := &refMethod{Holder: holderName, Name: decl.Name, RefVar: make(map[string]bool)}
+	for _, p := range decl.Params {
+		m.Params = append(m.Params, p.Name)
+	}
+	m.Decl = decl
+	lo := &refLowerer{prog: prog, method: m}
+	entry := lo.newNode(refInstr{Op: OpNop, Pos: decl.Pos})
+	body := refLowerMethodInto(lo, decl)
+	exit := lo.newNode(refInstr{Op: OpNop, Pos: decl.Pos})
+	refLink(entry, body.head)
+	for _, t := range body.tails {
+		refLink(t, exit)
+	}
+	// Returns jump straight to exit.
+	for _, n := range lo.nodes {
+		if n.Instr.Op == OpReturn && len(n.Succs) == 0 && n != exit {
+			refLink(n, exit)
+		}
+	}
+	m.CFG = &refCFG{Entry: entry, Exit: exit, Nodes: lo.nodes}
+	m.refIndex()
+	return m
+}
+
+func refLowerMethodInto(lo *refLowerer, decl *lang.MethodDecl) refChain {
+	for _, p := range decl.Params {
+		if p.Type.IsRef() {
+			lo.method.RefVar[lo.local(p.Name)] = true
+		}
+	}
+	refDeclareLocals(decl.Body, lo)
+	body := lo.lowerStmts(decl.Body)
+	if body.head == nil {
+		n := lo.newNode(refInstr{Op: OpNop, Pos: decl.Pos})
+		body = refChain{head: n, tails: []*refNode{n}}
+	}
+	return body
+}
+
+// refBuildMachineCFG builds the cross-state analysis form of a machine
+// (Section 5.4): one overarching CFG in which every state's entry block and
+// every bound handler is inlined, the end of each handler leads to the hub
+// of the (possibly new) state — "at the end of each method representing a
+// state we non-deterministically call one of the methods representing an
+// immediate successor state" — and machine fields are lifted to
+// machine-level variables ("$f") with strong updates, which is what lets a
+// reset like `this.f := null;` after a send discharge the staged-payload
+// false positives (paper Example 5.5).
+//
+// Handler payloads are modeled as fresh unknown regions, one abstract
+// object per inlined handler copy.
+func refBuildMachineCFG(prog *lang.Program, md *lang.MachineDecl) *refMethod {
+	m := &refMethod{Holder: md.Name, Name: "$machine", RefVar: make(map[string]bool)}
+	lo := &refLowerer{prog: prog, lifted: true, method: m}
+	entry := lo.newNode(refInstr{Op: OpNop, Pos: md.Pos})
+	exit := lo.newNode(refInstr{Op: OpNop, Pos: md.Pos})
+
+	// One hub node per state; control returns to a hub after each handler.
+	hubs := make(map[string]*refNode, len(md.States))
+	for _, s := range md.States {
+		hubs[s.Name] = lo.newNode(refInstr{Op: OpNop, Pos: s.Pos})
+	}
+
+	copies := 0
+	// inlineBody lowers stmts with a fresh prefix and links any contained
+	// returns to the continuation node.
+	inlineBody := func(stmts []lang.Stmt, payload *lang.VarDecl, pos lang.Pos) (head *refNode, cont func(*refNode)) {
+		copies++
+		lo.prefix = fmt.Sprintf("h%d$", copies)
+		firstNew := len(lo.nodes)
+		var c refChain
+		if payload != nil {
+			name := lo.local(payload.Name)
+			if payload.Type.IsRef() {
+				m.RefVar[name] = true
+			}
+			// The payload is an unknown region owned by this machine from
+			// the moment the handler starts (paper: "an action assumes
+			// ownership of any payload it receives").
+			lo.seq(&c, lo.newNode(refInstr{Op: OpNew, Dst: name, Class: "$payload", Pos: pos}))
+		}
+		decl := &lang.MethodDecl{Name: "$inline", Body: stmts, Pos: pos}
+		if payload != nil {
+			decl.Params = []*lang.VarDecl{payload}
+		}
+		body := refLowerBodyLifted(lo, decl)
+		lo.append(&c, body)
+		if c.head == nil {
+			n := lo.newNode(refInstr{Op: OpNop, Pos: pos})
+			c = refChain{head: n, tails: []*refNode{n}}
+		}
+		created := lo.nodes[firstNew:]
+		tails := c.tails
+		lo.prefix = ""
+		return c.head, func(next *refNode) {
+			for _, t := range tails {
+				refLink(t, next)
+			}
+			for _, n := range created {
+				if n.Instr.Op == OpReturn && len(n.Succs) == 0 {
+					refLink(n, next)
+				}
+			}
+		}
+	}
+
+	// Entry chains, one per state with an entry block.
+	entryHead := make(map[string]*refNode)
+	entryCont := make(map[string]func(*refNode))
+	for _, s := range md.States {
+		if s.Entry != nil {
+			h, cont := inlineBody(s.Entry, nil, s.Pos)
+			entryHead[s.Name] = h
+			entryCont[s.Name] = cont
+		}
+	}
+	// enter returns the node that represents entering a state.
+	enter := func(state string) *refNode {
+		if h, ok := entryHead[state]; ok {
+			return h
+		}
+		return hubs[state]
+	}
+	for _, s := range md.States {
+		if cont, ok := entryCont[s.Name]; ok {
+			cont(hubs[s.Name])
+		}
+	}
+
+	refLink(entry, enter(md.StartState.Name))
+
+	for _, s := range md.States {
+		hub := hubs[s.Name]
+		events := make([]string, 0, len(s.OnDo)+len(s.OnGoto))
+		for e := range s.OnDo {
+			events = append(events, e)
+		}
+		for e := range s.OnGoto {
+			events = append(events, e)
+		}
+		sort.Strings(events)
+		for _, e := range events {
+			if meth, ok := s.OnDo[e]; ok {
+				decl := md.MethodByName[meth]
+				var payload *lang.VarDecl
+				if len(decl.Params) == 1 {
+					payload = decl.Params[0]
+				}
+				h, cont := inlineBody(decl.Body, payload, decl.Pos)
+				refLink(hub, h)
+				cont(hub)
+				continue
+			}
+			target := s.OnGoto[e]
+			refLink(hub, enter(target))
+		}
+		// A machine can stop receiving in any state.
+		refLink(hub, exit)
+	}
+
+	m.CFG = &refCFG{Entry: entry, Exit: exit, Nodes: lo.nodes}
+	m.refIndex()
+	return m
+}
+
+// refLowerBodyLifted lowers a body using the refLowerer's current prefix and
+// lifted mode.
+func refLowerBodyLifted(lo *refLowerer, decl *lang.MethodDecl) refChain {
+	for _, p := range decl.Params {
+		if p.Type.IsRef() {
+			lo.method.RefVar[lo.local(p.Name)] = true
+		}
+	}
+	refDeclareLocals(decl.Body, lo)
+	return lo.lowerStmts(decl.Body)
+}
+
 // usedRefVars returns the reference-typed variables the instruction reads
 // (the paper's vars(N) restricted to reference variables, minus the pure
 // assignment target: overwriting a variable is a kill, not a use). The
 // receiver participates in loads and stores.
-func (in Instr) usedRefVars(isRef func(string) bool) []string {
+func (in refInstr) usedRefVars(isRef func(string) bool) []string {
 	var out []string
 	add := func(v string) {
 		if v != "" && isRef(v) {
@@ -176,7 +875,7 @@ func (p refVarPts) joinInto(other refVarPts) bool {
 
 // refMethodAnalysis is the per-method dataflow result.
 type refMethodAnalysis struct {
-	method *Method
+	method *refMethod
 	// in/out points-to states per node ID.
 	in, out map[int]refVarPts
 	// contains is the monotone containment relation over abstract objects
@@ -215,12 +914,12 @@ func (ma *refMethodAnalysis) reachVarIn(id int, v string) refObjSet {
 // refAnalyzer drives the whole-program summary fixpoint.
 type refAnalyzer struct {
 	prog    *lang.Program
-	methods map[string]*Method // key: Holder.Name
+	methods map[string]*refMethod // key: Holder.Name
 	summary map[string]*refSummary
 	results map[string]*refMethodAnalysis
 }
 
-func (a *refAnalyzer) methodOf(holder, name string) *Method {
+func (a *refAnalyzer) methodOf(holder, name string) *refMethod {
 	return a.methods[holder+"."+name]
 }
 
@@ -235,7 +934,7 @@ func (a *refAnalyzer) summaryOf(holder, name string) *refSummary {
 
 // analyzeMethod runs the flow-sensitive points-to pass for one method and
 // returns whether its summary changed (for the global fixpoint).
-func (a *refAnalyzer) analyzeMethod(m *Method) bool {
+func (a *refAnalyzer) analyzeMethod(m *refMethod) bool {
 	ma := &refMethodAnalysis{
 		method:   m,
 		in:       make(map[int]refVarPts),
@@ -302,7 +1001,7 @@ func (a *refAnalyzer) analyzeMethod(m *Method) bool {
 
 // refFieldParamIndex gives each machine-level field variable a stable
 // parameter-like abstract object index (negative, below refPosThis).
-func refFieldParamIndex(m *Method, v string) int {
+func refFieldParamIndex(m *refMethod, v string) int {
 	names := make([]string, 0, len(m.RefVar))
 	for name := range m.RefVar {
 		if len(name) > 0 && name[0] == '$' {
@@ -319,7 +1018,7 @@ func refFieldParamIndex(m *Method, v string) int {
 }
 
 // transfer applies one instruction.
-func (a *refAnalyzer) transfer(ma *refMethodAnalysis, n *Node, in refVarPts) refVarPts {
+func (a *refAnalyzer) transfer(ma *refMethodAnalysis, n *refNode, in refVarPts) refVarPts {
 	out := in.clone()
 	ins := n.Instr
 	setStrong := func(dst string, s refObjSet) {
@@ -376,7 +1075,7 @@ func (a *refAnalyzer) contain(ma *refMethodAnalysis, container refObj, contents 
 }
 
 // transferCall applies a callee summary at a call site.
-func (a *refAnalyzer) transferCall(ma *refMethodAnalysis, n *Node, out refVarPts) {
+func (a *refAnalyzer) transferCall(ma *refMethodAnalysis, n *refNode, out refVarPts) {
 	ins := n.Instr
 	callee := a.methodOf(ins.Class, ins.Method)
 	argOf := func(pos int) string {
@@ -430,7 +1129,7 @@ func (a *refAnalyzer) transferCall(ma *refMethodAnalysis, n *Node, out refVarPts
 
 // updateSummary recomputes m's summary from the analysis result; returns
 // whether it grew.
-func (a *refAnalyzer) updateSummary(m *Method, ma *refMethodAnalysis) bool {
+func (a *refAnalyzer) updateSummary(m *refMethod, ma *refMethodAnalysis) bool {
 	sum := a.summaryOf(m.Holder, m.Name)
 	changed := false
 	exitID := m.CFG.Exit.ID
@@ -547,7 +1246,7 @@ func (a *refAnalyzer) updateSummary(m *Method, ma *refMethodAnalysis) bool {
 // giveUpVarsAt returns the variables whose ownership node n transfers away:
 // the payload of a send/create, and every argument passed for a formal in
 // the callee's give-up set.
-func (a *refAnalyzer) giveUpVarsAt(n *Node) []string {
+func (a *refAnalyzer) giveUpVarsAt(n *refNode) []string {
 	ins := n.Instr
 	switch ins.Op {
 	case OpSend, OpCreate:
@@ -668,26 +1367,26 @@ func refGivesUp(prog *lang.Program) map[string][]string {
 func newRefAnalyzer(prog *lang.Program, lifted bool) *refAnalyzer {
 	a := &refAnalyzer{
 		prog:    prog,
-		methods: make(map[string]*Method),
+		methods: make(map[string]*refMethod),
 		summary: make(map[string]*refSummary),
 		results: make(map[string]*refMethodAnalysis),
 	}
 	for _, cd := range prog.Classes {
 		for _, m := range cd.Methods {
-			mm := BuildMethod(prog, cd.Name, m)
+			mm := refBuildMethod(prog, cd.Name, m)
 			a.methods[mm.QName()] = mm
 		}
 	}
 	if !lifted {
 		for _, md := range prog.Machines {
 			for _, m := range md.Methods {
-				mm := BuildMethod(prog, md.Name, m)
+				mm := refBuildMethod(prog, md.Name, m)
 				a.methods[mm.QName()] = mm
 			}
 			for _, s := range md.States {
 				if s.Entry != nil {
 					decl := &lang.MethodDecl{Name: "$entry_" + s.Name, Body: s.Entry, Pos: s.Pos}
-					mm := BuildMethod(prog, md.Name, decl)
+					mm := refBuildMethod(prog, md.Name, decl)
 					a.methods[mm.QName()] = mm
 				}
 			}
@@ -708,11 +1407,11 @@ func (a *refAnalyzer) installMachineCFG(md *lang.MachineDecl) {
 	}
 	for _, m := range md.Methods {
 		if !handlerNames[m.Name] {
-			mm := BuildMethod(a.prog, md.Name, m)
+			mm := refBuildMethod(a.prog, md.Name, m)
 			a.methods[mm.QName()] = mm
 		}
 	}
-	m := buildMachineCFG(a.prog, md)
+	m := refBuildMachineCFG(a.prog, md)
 	a.methods[m.QName()] = m
 }
 
@@ -734,7 +1433,7 @@ func (a *refAnalyzer) checkMachine(machine string) []Violation {
 }
 
 // checkMethod applies conditions 1-3 at every give-up site of the method.
-func (a *refAnalyzer) checkMethod(m *Method) []Violation {
+func (a *refAnalyzer) checkMethod(m *refMethod) []Violation {
 	ma := a.results[m.QName()]
 	if ma == nil {
 		return nil
@@ -756,7 +1455,7 @@ func (a *refAnalyzer) checkMethod(m *Method) []Violation {
 
 // checkGiveUp evaluates the three respects-ownership conditions for giving
 // up variable w at node n.
-func (a *refAnalyzer) checkGiveUp(m *Method, ma *refMethodAnalysis, n *Node, w string, reachable map[int]map[int]bool) (Violation, bool) {
+func (a *refAnalyzer) checkGiveUp(m *refMethod, ma *refMethodAnalysis, n *refNode, w string, reachable map[int]map[int]bool) (Violation, bool) {
 	give := ma.reachVarIn(n.ID, w)
 	if len(give) == 0 {
 		return Violation{}, false // provably null payload
@@ -839,7 +1538,7 @@ func (a *refAnalyzer) checkGiveUp(m *Method, ma *refMethodAnalysis, n *Node, w s
 // the seed is every variable whose reachable region overlaps give. Strong
 // assignments kill taint; stores taint this (member-insensitively); calls
 // propagate through summaries. Returns taint-at-entry per node.
-func (a *refAnalyzer) taintForward(m *Method, ma *refMethodAnalysis, n *Node, give refObjSet) map[int]map[string]bool {
+func (a *refAnalyzer) taintForward(m *refMethod, ma *refMethodAnalysis, n *refNode, give refObjSet) map[int]map[string]bool {
 	seed := make(map[string]bool)
 	for v := range ma.in[n.ID] {
 		if !m.IsRef(v) {
@@ -851,7 +1550,7 @@ func (a *refAnalyzer) taintForward(m *Method, ma *refMethodAnalysis, n *Node, gi
 	}
 	taintIn := make(map[int]map[string]bool)
 	// The seed applies at the exit of n, i.e. at the entry of its succs.
-	work := make([]*Node, 0, len(n.Succs))
+	work := make([]*refNode, 0, len(n.Succs))
 	for _, s := range n.Succs {
 		taintIn[s.ID] = refCloneSet(seed)
 		work = append(work, s)
@@ -891,7 +1590,7 @@ func refCloneSet(s map[string]bool) map[string]bool {
 }
 
 // taintTransfer applies one instruction to a taint set.
-func (a *refAnalyzer) taintTransfer(m *Method, ma *refMethodAnalysis, n *Node, in map[string]bool) map[string]bool {
+func (a *refAnalyzer) taintTransfer(m *refMethod, ma *refMethodAnalysis, n *refNode, in map[string]bool) map[string]bool {
 	out := refCloneSet(in)
 	ins := n.Instr
 	switch ins.Op {
@@ -979,7 +1678,7 @@ func (a *refAnalyzer) taintTransfer(m *Method, ma *refMethodAnalysis, n *Node, i
 // isWritingUse reports whether node n may write the region held by a
 // tainted variable: a field store through a tainted receiver, or a call
 // whose writing position is bound to a tainted variable.
-func (a *refAnalyzer) isWritingUse(m *Method, n *Node, tainted map[string]bool) bool {
+func (a *refAnalyzer) isWritingUse(m *refMethod, n *refNode, tainted map[string]bool) bool {
 	ins := n.Instr
 	switch ins.Op {
 	case OpStore:
@@ -1013,11 +1712,11 @@ func (a *refAnalyzer) isWritingUse(m *Method, n *Node, tainted map[string]bool) 
 }
 
 // refCFGReachability computes can-reach-via-at-least-one-edge per node pair.
-func refCFGReachability(cfg *CFG) map[int]map[int]bool {
+func refCFGReachability(cfg *refCFG) map[int]map[int]bool {
 	out := make(map[int]map[int]bool, len(cfg.Nodes))
 	for _, n := range cfg.Nodes {
 		seen := make(map[int]bool)
-		stack := append([]*Node(nil), n.Succs...)
+		stack := append([]*refNode(nil), n.Succs...)
 		for len(stack) > 0 {
 			cur := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"sort"
 
 	"github.com/psharp-go/psharp/lang"
@@ -14,9 +13,9 @@ import (
 // again — they stay method-modular, but a handler they call is an unknown
 // callee here — and the overarching machine-level CFG.
 func (a *analyzer) crossState(md *lang.MachineDecl) *analyzer {
-	x := &analyzer{prog: a.prog, units: make(map[string]*methodAnalysis, a.classUnits+len(md.Methods)+1)}
+	x := &analyzer{prog: a.prog, lo: a.lo, units: make(map[*lang.MethodDecl]*methodAnalysis, a.classUnits+len(md.Methods))}
 	for _, u := range a.order[:a.classUnits] {
-		x.units[u.name] = u
+		x.units[u.method.Decl] = u
 	}
 	handlerNames := make(map[string]bool)
 	for _, s := range md.States {
@@ -26,109 +25,54 @@ func (a *analyzer) crossState(md *lang.MachineDecl) *analyzer {
 	}
 	for _, m := range md.Methods {
 		if !handlerNames[m.Name] {
-			x.add(a.units[md.Name+"."+m.Name].method)
+			x.add(a.units[m].method)
 		}
 	}
-	x.add(buildMachineCFG(a.prog, md))
+	x.add(a.lo.machine(md))
 	x.runFixpoint()
 	return x
 }
 
-// buildMachineCFG builds the cross-state analysis form of a machine
-// (Section 5.4): one overarching CFG in which every state's entry block and
-// every bound handler is inlined, the end of each handler leads to the hub
-// of the (possibly new) state — "at the end of each method representing a
-// state we non-deterministically call one of the methods representing an
-// immediate successor state" — and machine fields are lifted to
-// machine-level variables ("$f") with strong updates, which is what lets a
-// reset like `this.f := null;` after a send discharge the staged-payload
-// false positives (paper Example 5.5).
+// machine builds the cross-state analysis form of a machine (Section 5.4):
+// one overarching CFG in which every state's entry block and every bound
+// handler is inlined, the end of each handler leads to the hub of the
+// (possibly new) state — "at the end of each method representing a state we
+// non-deterministically call one of the methods representing an immediate
+// successor state" — and machine fields are lifted to machine-level
+// variables ("$f") with strong updates, which is what lets a reset like
+// `this.f := null;` after a send discharge the staged-payload false
+// positives (paper Example 5.5).
 //
 // Handler payloads are modeled as fresh unknown regions, one abstract
 // object per inlined handler copy.
-func buildMachineCFG(prog *lang.Program, md *lang.MachineDecl) *Method {
-	m := &Method{Holder: md.Name, Name: "$machine", RefVar: make(map[string]bool)}
-	lo := &lowerer{prog: prog, lifted: true, method: m}
-	entry := lo.newNode(Instr{Op: OpNop, Pos: md.Pos})
-	exit := lo.newNode(Instr{Op: OpNop, Pos: md.Pos})
+func (lo *lowerer) machine(md *lang.MachineDecl) *Method {
+	lo.begin(&Method{Holder: md.Name, Name: "$machine"}, true)
+	lo.fields = lo.fields[:0]
+	for range md.Fields {
+		lo.fields = append(lo.fields, -1)
+	}
+	entry := lo.emit(nil, OpNop, md.Pos, -1, -1, span{})
+	exit := lo.emit(nil, OpNop, md.Pos, -1, -1, span{})
 
 	// One hub node per state; control returns to a hub after each handler.
-	hubs := make(map[string]*Node, len(md.States))
+	// enter is the node that represents entering a state: the head of its
+	// inlined entry block if it has one, its hub if not.
+	hub0 := int32(len(lo.nodes))
+	enter := make(map[string]int32, len(md.States))
 	for _, s := range md.States {
-		hubs[s.Name] = lo.newNode(Instr{Op: OpNop, Pos: s.Pos})
+		enter[s.Name] = lo.emit(nil, OpNop, s.Pos, -1, -1, span{})
 	}
-
-	copies := 0
-	// inlineBody lowers stmts with a fresh prefix and links any contained
-	// returns to the continuation node.
-	inlineBody := func(stmts []lang.Stmt, payload *lang.VarDecl, pos lang.Pos) (head *Node, cont func(*Node)) {
-		copies++
-		lo.prefix = fmt.Sprintf("h%d$", copies)
-		firstNew := len(lo.nodes)
-		var c chain
-		if payload != nil {
-			name := lo.local(payload.Name)
-			if payload.Type.IsRef() {
-				m.RefVar[name] = true
-			}
-			// The payload is an unknown region owned by this machine from
-			// the moment the handler starts (paper: "an action assumes
-			// ownership of any payload it receives").
-			lo.seq(&c, lo.newNode(Instr{Op: OpNew, Dst: name, Class: "$payload", Pos: pos}))
-		}
-		decl := &lang.MethodDecl{Name: "$inline", Body: stmts, Pos: pos}
-		if payload != nil {
-			decl.Params = []*lang.VarDecl{payload}
-		}
-		body := lowerBodyLifted(lo, decl)
-		lo.append(&c, body)
-		if c.head == nil {
-			n := lo.newNode(Instr{Op: OpNop, Pos: pos})
-			c = chain{head: n, tails: []*Node{n}}
-		}
-		created := lo.nodes[firstNew:]
-		tails := c.tails
-		lo.prefix = ""
-		return c.head, func(next *Node) {
-			for _, t := range tails {
-				link(t, next)
-			}
-			for _, n := range created {
-				if n.Instr.Op == OpReturn && len(n.Succs) == 0 {
-					link(n, next)
-				}
-			}
-		}
-	}
-
-	// Entry chains, one per state with an entry block.
-	entryHead := make(map[string]*Node)
-	entryCont := make(map[string]func(*Node))
-	for _, s := range md.States {
+	for i, s := range md.States {
 		if s.Entry != nil {
-			h, cont := inlineBody(s.Entry, nil, s.Pos)
-			entryHead[s.Name] = h
-			entryCont[s.Name] = cont
+			enter[s.Name] = lo.inline(s.EntryMethod, hub0+int32(i))
 		}
 	}
-	// enter returns the node that represents entering a state.
-	enter := func(state string) *Node {
-		if h, ok := entryHead[state]; ok {
-			return h
-		}
-		return hubs[state]
-	}
-	for _, s := range md.States {
-		if cont, ok := entryCont[s.Name]; ok {
-			cont(hubs[s.Name])
-		}
-	}
+	lo.link(entry, enter[md.StartState.Name])
 
-	link(entry, enter(md.StartState.Name))
-
-	for _, s := range md.States {
-		hub := hubs[s.Name]
-		events := make([]string, 0, len(s.OnDo)+len(s.OnGoto))
+	var events []string
+	for i, s := range md.States {
+		hub := hub0 + int32(i)
+		events = events[:0]
 		for e := range s.OnDo {
 			events = append(events, e)
 		}
@@ -136,38 +80,45 @@ func buildMachineCFG(prog *lang.Program, md *lang.MachineDecl) *Method {
 			events = append(events, e)
 		}
 		sort.Strings(events)
+		from := int32(len(lo.fanout))
 		for _, e := range events {
+			to := enter[s.OnGoto[e]]
 			if meth, ok := s.OnDo[e]; ok {
-				decl := md.MethodByName[meth]
-				var payload *lang.VarDecl
-				if len(decl.Params) == 1 {
-					payload = decl.Params[0]
-				}
-				h, cont := inlineBody(decl.Body, payload, decl.Pos)
-				link(hub, h)
-				cont(hub)
-				continue
+				to = lo.inline(md.MethodByName[meth], hub)
 			}
-			target := s.OnGoto[e]
-			link(hub, enter(target))
+			lo.fanout = append(lo.fanout, to)
 		}
 		// A machine can stop receiving in any state.
-		link(hub, exit)
+		lo.fanout = append(lo.fanout, exit)
+		for _, to := range lo.fanout[from:] {
+			lo.nodes[to].preds++
+		}
+		lo.nodes[hub].fan, lo.nodes[hub].succ = true, [2]int32{from, int32(len(lo.fanout))}
 	}
-
-	m.CFG = &CFG{Entry: entry, Exit: exit, Nodes: lo.nodes}
-	m.index()
-	return m
+	return lo.finish()
 }
 
-// lowerBodyLifted lowers a body using the lowerer's current prefix and
-// lifted mode.
-func lowerBodyLifted(lo *lowerer, decl *lang.MethodDecl) chain {
-	for _, p := range decl.Params {
-		if p.Type.IsRef() {
-			lo.method.RefVar[lo.local(p.Name)] = true
-		}
+// inline lowers a body (an entry block, or a handler with its payload
+// parameter if it takes one) as the next copy, with locals and temps of its
+// own, leads its end and its returns on to next, and returns its head.
+func (lo *lowerer) inline(decl *lang.MethodDecl, next int32) int32 {
+	lo.copy++
+	first := len(lo.nodes)
+	lo.bind(decl)
+	c := empty
+	if len(decl.Params) == 1 {
+		// The payload is an unknown region owned by this machine from the
+		// moment the handler starts (paper: "an action assumes ownership of
+		// any payload it receives").
+		lo.emit(&c, OpNew, decl.Pos, lo.slots[0], -1, span{})
 	}
-	declareLocals(decl.Body, lo)
-	return lo.lowerStmts(decl.Body)
+	lo.append(&c, lo.lowerStmts(decl.Body))
+	if c.head < 0 {
+		lo.emit(&c, OpNop, decl.Pos, -1, -1, span{})
+	}
+	if c.tail >= 0 {
+		lo.link(c.tail, next)
+	}
+	lo.linkReturns(first, len(lo.nodes), next)
+	return c.head
 }

@@ -64,6 +64,9 @@ type VarDecl struct {
 	Name string
 	Type Type
 	Pos  Pos
+	// Index, set by Check, is a field's position among its holder's Fields
+	// and a parameter's or local's position in its method's Vars.
+	Index int
 }
 
 // MethodDecl declares a method: formal parameters, optional result type,
@@ -74,6 +77,9 @@ type MethodDecl struct {
 	Result *Type // nil for void
 	Body   []Stmt
 	Pos    Pos
+	// Vars, set by Check, lists the frame: the parameters, then every local
+	// of the body in source order (locals have method-wide scope).
+	Vars []*VarDecl
 }
 
 // ClassDecl declares a plain data class.
@@ -120,6 +126,9 @@ type StateDecl struct {
 	Defers  map[string]bool
 	Ignores map[string]bool
 	Pos     Pos
+	// EntryMethod, set by Check when Entry is not nil, is the entry block as
+	// a parameterless method named "$entry_<state>".
+	EntryMethod *MethodDecl
 }
 
 // Stmt is a statement node.
@@ -138,6 +147,8 @@ type AssignStmt struct {
 	ToField string
 	Value   Expr
 	Pos     Pos
+	// Decl, set by Check, is the assigned variable's or field's declaration.
+	Decl *VarDecl
 }
 
 // ExprStmt evaluates an expression for its side effects (a call).
@@ -237,6 +248,7 @@ type VarRef struct {
 	exprBase
 	Name string
 	Pos  Pos
+	Decl *VarDecl // set by Check
 }
 
 // ThisRef is the receiver reference.
@@ -250,6 +262,7 @@ type FieldRef struct {
 	exprBase
 	Field string
 	Pos   Pos
+	Decl  *VarDecl // set by Check
 }
 
 // NewExpr allocates a class instance: new C.
@@ -275,6 +288,7 @@ type CallExpr struct {
 	Method string
 	Args   []Expr
 	Pos    Pos
+	Decl   *MethodDecl // the callee, set by Check
 }
 
 // UnaryExpr is !x or -x.

@@ -4,8 +4,11 @@ import (
 	"fmt"
 )
 
-// Check resolves names and types for the program, filling symbol tables and
-// per-expression types. It enforces the paper's core-language assumptions:
+// Check resolves names and types for the program, filling symbol tables,
+// per-expression types and the declaration every variable, field and call
+// refers to (VarRef.Decl, FieldRef.Decl, AssignStmt.Decl, CallExpr.Decl,
+// with each VarDecl's Index and each method's Vars), so that no later pass
+// looks a name up again. It enforces the paper's core-language assumptions:
 // member variables are only accessible through this; machines exchange
 // data only through events; locals and parameters have method-wide scope.
 func Check(prog *Program) error {
@@ -41,7 +44,10 @@ type checker struct {
 	// current method scope
 	cur    *holder
 	method *MethodDecl
-	scope  map[string]Type
+	scope  map[string]*VarDecl
+	vars   []*VarDecl      // the method's frame so far: parameters, then locals
+	frames slab[*VarDecl]  // backs every MethodDecl.Vars
+	bound  map[string]bool // checkStates: the events one state binds
 }
 
 func (c *checker) errf(pos Pos, format string, args ...any) error {
@@ -55,6 +61,8 @@ func (c *checker) run() error {
 	p.MonitorByName = make(map[string]*MachineDecl)
 	p.EventByName = make(map[string]*EventDecl)
 	c.holders = make(map[string]*holder)
+	c.scope = make(map[string]*VarDecl)
+	c.bound = make(map[string]bool)
 
 	for _, e := range p.Events {
 		if _, dup := p.EventByName[e.Name]; dup {
@@ -164,8 +172,8 @@ func (c *checker) checkMachineBodies(md *MachineDecl) error {
 	}
 	for _, s := range md.States {
 		if s.Entry != nil {
-			entry := &MethodDecl{Name: "$entry_" + s.Name, Body: s.Entry, Pos: s.Pos}
-			if err := c.checkMethod(c.holders[md.Name], entry); err != nil {
+			s.EntryMethod = &MethodDecl{Name: "$entry_" + s.Name, Body: s.Entry, Pos: s.Pos}
+			if err := c.checkMethod(c.holders[md.Name], s.EntryMethod); err != nil {
 				return err
 			}
 		}
@@ -174,11 +182,12 @@ func (c *checker) checkMachineBodies(md *MachineDecl) error {
 }
 
 func (c *checker) fillMembers(h *holder, fields []*VarDecl, methods []*MethodDecl, pos Pos) error {
-	for _, f := range fields {
+	for i, f := range fields {
 		if _, dup := h.fields[f.Name]; dup {
 			return c.errf(f.Pos, "%s: field %q declared twice", h.name, f.Name)
 		}
 		h.fields[f.Name] = f
+		f.Index = i
 	}
 	for _, m := range methods {
 		if _, dup := h.methods[m.Name]; dup {
@@ -243,15 +252,15 @@ func (c *checker) checkStates(md *MachineDecl) error {
 		// An event may be bound at most once per state across all tables
 		// (paper Section 6.1: "an event can be handled in more than one way
 		// in the same state" is an error).
-		seen := make(map[string]bool)
+		clear(c.bound)
 		bind := func(evt string) error {
 			if _, ok := c.prog.EventByName[evt]; !ok {
 				return c.errf(s.Pos, "%s %q state %q: unknown event %q", kind, md.Name, s.Name, evt)
 			}
-			if seen[evt] {
+			if c.bound[evt] {
 				return c.errf(s.Pos, "%s %q state %q: event %q bound more than once", kind, md.Name, s.Name, evt)
 			}
-			seen[evt] = true
+			c.bound[evt] = true
 			return nil
 		}
 		for evt, meth := range s.OnDo {
@@ -294,14 +303,24 @@ func (c *checker) checkStates(md *MachineDecl) error {
 func (c *checker) checkMethod(h *holder, m *MethodDecl) error {
 	c.cur = h
 	c.method = m
-	c.scope = make(map[string]Type)
+	clear(c.scope)
+	c.vars = c.vars[:0]
 	for _, p := range m.Params {
 		if _, dup := c.scope[p.Name]; dup {
 			return c.errf(p.Pos, "duplicate parameter %q", p.Name)
 		}
-		c.scope[p.Name] = p.Type
+		c.declare(p)
 	}
-	return c.checkStmts(m.Body)
+	err := c.checkStmts(m.Body)
+	m.Vars = c.frames.copyOf(c.vars)
+	return err
+}
+
+// declare adds a parameter or local to the current method's scope and frame.
+func (c *checker) declare(d *VarDecl) {
+	c.scope[d.Name] = d
+	d.Index = len(c.vars)
+	c.vars = append(c.vars, d)
 }
 
 func (c *checker) checkStmts(stmts []Stmt) error {
@@ -323,28 +342,27 @@ func (c *checker) checkStmt(s Stmt) error {
 		if _, dup := c.scope[d.Name]; dup {
 			return c.errf(d.Pos, "variable %q already declared", d.Name)
 		}
-		c.scope[d.Name] = d.Type
+		c.declare(d)
 		return nil
 	case *AssignStmt:
 		vt, err := c.checkExpr(st.Value)
 		if err != nil {
 			return err
 		}
-		var target Type
 		if st.ToField != "" {
 			f, ok := c.cur.fields[st.ToField]
 			if !ok {
 				return c.errf(st.Pos, "%s has no field %q", c.cur.name, st.ToField)
 			}
-			target = f.Type
+			st.Decl = f
 		} else {
-			t, ok := c.scope[st.Target]
+			d, ok := c.scope[st.Target]
 			if !ok {
 				return c.errf(st.Pos, "undeclared variable %q", st.Target)
 			}
-			target = t
+			st.Decl = d
 		}
-		if !assignable(target, vt, st.Value) {
+		if target := st.Decl.Type; !assignable(target, vt, st.Value) {
 			return c.errf(st.Pos, "cannot assign %s to %s", vt.Name, target.Name)
 		}
 		return nil
@@ -480,11 +498,12 @@ func (c *checker) checkExpr(e Expr) (Type, error) {
 		// null's static type is resolved by context; give it a marker.
 		return c.setType(e, Type{"null"}), nil
 	case *VarRef:
-		t, ok := c.scope[x.Name]
+		d, ok := c.scope[x.Name]
 		if !ok {
 			return Type{}, c.errf(x.Pos, "undeclared variable %q", x.Name)
 		}
-		return c.setType(e, t), nil
+		x.Decl = d
+		return c.setType(e, d.Type), nil
 	case *ThisRef:
 		return c.setType(e, Type{c.cur.name}), nil
 	case *FieldRef:
@@ -492,6 +511,7 @@ func (c *checker) checkExpr(e Expr) (Type, error) {
 		if !ok {
 			return Type{}, c.errf(x.Pos, "%s has no field %q", c.cur.name, x.Field)
 		}
+		x.Decl = f
 		return c.setType(e, f.Type), nil
 	case *NewExpr:
 		h, ok := c.holders[x.Class]
@@ -542,6 +562,7 @@ func (c *checker) checkExpr(e Expr) (Type, error) {
 					i+1, rt.Name, x.Method, at.Name, m.Params[i].Type.Name)
 			}
 		}
+		x.Decl = m
 		if m.Result == nil {
 			return c.setType(e, Type{"void"}), nil
 		}

@@ -16,7 +16,7 @@ x := 1 + 2 * 3 <= 4 && !true || a != b;`)
 	for _, tok := range toks {
 		kinds = append(kinds, tok.Kind)
 	}
-	if kinds[0] != TokKeyword || toks[0].Text != "machine" {
+	if kinds[0] != TokMachine || toks[0].Text != "machine" {
 		t.Fatalf("first token = %v", toks[0])
 	}
 	if toks[len(toks)-1].Kind != TokEOF {

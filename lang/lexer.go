@@ -5,37 +5,19 @@ import "fmt"
 // lexer tokenizes core-language source text. Comments run from "//" to end
 // of line; whitespace separates tokens.
 type lexer struct {
-	src  string
-	pos  int
-	line int
-	col  int
+	src       string
+	pos       int
+	line      int
+	lineStart int // offset of the current line's first byte
 }
 
-func newLexer(src string) *lexer {
-	return &lexer{src: src, line: 1, col: 1}
-}
+func newLexer(src string) lexer { return lexer{src: src, line: 1} }
+
+// here is the position of the next unread byte.
+func (l *lexer) here() Pos { return Pos{l.line, l.pos - l.lineStart + 1} }
 
 func (l *lexer) errorf(format string, args ...any) error {
-	return fmt.Errorf("lang: %d:%d: %s", l.line, l.col, fmt.Sprintf(format, args...))
-}
-
-func (l *lexer) peekByte() byte {
-	if l.pos >= len(l.src) {
-		return 0
-	}
-	return l.src[l.pos]
-}
-
-func (l *lexer) advance() byte {
-	c := l.src[l.pos]
-	l.pos++
-	if c == '\n' {
-		l.line++
-		l.col = 1
-	} else {
-		l.col++
-	}
-	return c
+	return fmt.Errorf("lang: %s: %s", l.here(), fmt.Sprintf(format, args...))
 }
 
 func isLetter(c byte) bool {
@@ -44,98 +26,86 @@ func isLetter(c byte) bool {
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
-// next returns the next token.
-func (l *lexer) next() (Token, error) {
-	for l.pos < len(l.src) {
-		c := l.peekByte()
-		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			l.advance()
-		case c == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '/':
-			for l.pos < len(l.src) && l.peekByte() != '\n' {
-				l.advance()
+// next lexes the next token into t.
+func (l *lexer) next(t *Token) error {
+	src := l.src
+	for l.pos < len(src) {
+		switch c := src[l.pos]; {
+		case c == '\n':
+			l.pos++
+			l.line++
+			l.lineStart = l.pos
+		case c == ' ' || c == '\t' || c == '\r':
+			l.pos++
+		case c == '/' && l.pos+1 < len(src) && src[l.pos+1] == '/':
+			for l.pos < len(src) && src[l.pos] != '\n' {
+				l.pos++
 			}
 		default:
-			return l.lexToken()
+			return l.lexToken(t)
 		}
 	}
-	return Token{Kind: TokEOF, Pos: Pos{l.line, l.col}}, nil
+	*t = Token{Kind: TokEOF, Pos: l.here()}
+	return nil
 }
 
-func (l *lexer) lexToken() (Token, error) {
-	pos := Pos{l.line, l.col}
-	c := l.peekByte()
+// punct lists the one-byte tokens by their byte; two-byte operators are
+// lexToken's.
+var punct = [256]TokenKind{
+	'{': TokLBrace, '}': TokRBrace, '(': TokLParen, ')': TokRParen,
+	';': TokSemi, ',': TokComma, '.': TokDot, ':': TokColon,
+	'+': TokPlus, '-': TokMinus, '*': TokStar, '/': TokSlash, '%': TokPercent,
+	'!': TokBang, '<': TokLt, '>': TokGt,
+}
+
+// lexToken lexes the token that starts at l.pos; a token never spans lines.
+func (l *lexer) lexToken(t *Token) error {
+	src, start := l.src, l.pos
+	t.Pos = l.here()
+	c := src[start]
 	switch {
 	case isLetter(c):
-		start := l.pos
-		for l.pos < len(l.src) && (isLetter(l.peekByte()) || isDigit(l.peekByte())) {
-			l.advance()
+		for l.pos++; l.pos < len(src) && (isLetter(src[l.pos]) || isDigit(src[l.pos])); l.pos++ {
 		}
-		text := l.src[start:l.pos]
-		kind := TokIdent
-		if keywords[text] {
-			kind = TokKeyword
-		}
-		return Token{Kind: kind, Text: text, Pos: pos}, nil
+		t.Text = src[start:l.pos]
+		t.Kind = keywordKind(t.Text)
+		return nil
 	case isDigit(c):
-		start := l.pos
-		for l.pos < len(l.src) && isDigit(l.peekByte()) {
-			l.advance()
+		for l.pos++; l.pos < len(src) && isDigit(src[l.pos]); l.pos++ {
 		}
-		return Token{Kind: TokInt, Text: l.src[start:l.pos], Pos: pos}, nil
+		t.Kind, t.Text = TokInt, src[start:l.pos]
+		return nil
 	}
-	l.advance()
-	two := func(second byte, k2 TokenKind, k1 TokenKind, text1, text2 string) (Token, error) {
-		if l.peekByte() == second {
-			l.advance()
-			return Token{Kind: k2, Text: text2, Pos: pos}, nil
+	l.pos++
+	kind := punct[c] // TokEOF: no such token
+	if l.pos < len(src) {
+		two := TokEOF
+		switch next := src[l.pos]; {
+		case c == ':' && next == '=':
+			two = TokAssign
+		case c == '=' && next == '=':
+			two = TokEq
+		case c == '!' && next == '=':
+			two = TokNeq
+		case c == '<' && next == '=':
+			two = TokLe
+		case c == '>' && next == '=':
+			two = TokGe
+		case c == '&' && next == '&':
+			two = TokAndAnd
+		case c == '|' && next == '|':
+			two = TokOrOr
 		}
-		if k1 == TokEOF {
-			return Token{}, l.errorf("unexpected character %q", string(c))
+		if two != TokEOF {
+			l.pos++
+			kind = two
 		}
-		return Token{Kind: k1, Text: text1, Pos: pos}, nil
 	}
-	switch c {
-	case '{':
-		return Token{Kind: TokLBrace, Text: "{", Pos: pos}, nil
-	case '}':
-		return Token{Kind: TokRBrace, Text: "}", Pos: pos}, nil
-	case '(':
-		return Token{Kind: TokLParen, Text: "(", Pos: pos}, nil
-	case ')':
-		return Token{Kind: TokRParen, Text: ")", Pos: pos}, nil
-	case ';':
-		return Token{Kind: TokSemi, Text: ";", Pos: pos}, nil
-	case ',':
-		return Token{Kind: TokComma, Text: ",", Pos: pos}, nil
-	case '.':
-		return Token{Kind: TokDot, Text: ".", Pos: pos}, nil
-	case ':':
-		return two('=', TokAssign, TokColon, ":", ":=")
-	case '+':
-		return Token{Kind: TokPlus, Text: "+", Pos: pos}, nil
-	case '-':
-		return Token{Kind: TokMinus, Text: "-", Pos: pos}, nil
-	case '*':
-		return Token{Kind: TokStar, Text: "*", Pos: pos}, nil
-	case '/':
-		return Token{Kind: TokSlash, Text: "/", Pos: pos}, nil
-	case '%':
-		return Token{Kind: TokPercent, Text: "%", Pos: pos}, nil
-	case '=':
-		return two('=', TokEq, TokEOF, "", "==")
-	case '!':
-		return two('=', TokNeq, TokBang, "!", "!=")
-	case '<':
-		return two('=', TokLe, TokLt, "<", "<=")
-	case '>':
-		return two('=', TokGe, TokGt, ">", ">=")
-	case '&':
-		return two('&', TokAndAnd, TokEOF, "", "&&")
-	case '|':
-		return two('|', TokOrOr, TokEOF, "", "||")
+	if kind == TokEOF {
+		return l.errorf("unexpected character %q", string(c))
 	}
-	return Token{}, l.errorf("unexpected character %q", string(c))
+	t.Kind, t.Text = kind, src[start:l.pos]
+	return nil
 }
 
 // Lex tokenizes src fully (used by tests and tools).
@@ -143,8 +113,8 @@ func Lex(src string) ([]Token, error) {
 	l := newLexer(src)
 	var out []Token
 	for {
-		t, err := l.next()
-		if err != nil {
+		var t Token
+		if err := l.next(&t); err != nil {
 			return nil, err
 		}
 		out = append(out, t)

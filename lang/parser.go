@@ -5,49 +5,124 @@ import (
 	"strconv"
 )
 
-// Parser is a recursive-descent parser for the core language.
-type parser struct {
-	lex *lexer
-	tok Token
+// maxNesting bounds how deep blocks and sub-expressions may nest (the corpus
+// stays under 20). The parser, Check, the analysis' lowering and the interp
+// compiler all recurse over the tree, and Go cannot recover from a stack
+// overflow, so a pathological source must be refused here.
+const maxNesting = 1000
+
+// slab hands out zeroed elements of one type from shared chunks, so that a
+// parse allocates per chunk instead of per AST node or per statement list.
+type slab[T any] struct {
+	free []T
+	size int // of the last chunk; each is half as large again, up to 64
 }
+
+// take returns n fresh elements with no spare capacity behind them.
+func (s *slab[T]) take(n int) []T {
+	if len(s.free) < n {
+		s.size = min(max(s.size+s.size/2, 4), 64)
+		s.free = make([]T, max(n, s.size))
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
+}
+
+// alloc returns a pointer to a copy of v in the slab.
+func alloc[T any](s *slab[T], v T) *T {
+	p := &s.take(1)[0]
+	*p = v
+	return p
+}
+
+// copyOf moves a finished list off a scratch stack; an empty list is nil.
+func (s *slab[T]) copyOf(xs []T) []T {
+	if len(xs) == 0 {
+		return nil
+	}
+	out := s.take(len(xs))
+	copy(out, xs)
+	return out
+}
+
+// parser is a recursive-descent parser for the core language. A syntax
+// error unwinds to parse as a bailout panic.
+type parser struct {
+	lex   lexer
+	tok   Token
+	depth int // open blocks and sub-expressions, see maxNesting
+
+	// Scratch stacks the lists under construction sit on; a finished list is
+	// copied into its slab and popped.
+	stmts []Stmt
+	exprs []Expr
+	vars  []*VarDecl
+
+	stmtLists slab[Stmt]
+	exprLists slab[Expr]
+	varLists  slab[*VarDecl]
+
+	varDecls slab[VarDecl]
+	methods  slab[MethodDecl]
+	states   slab[StateDecl]
+	locals   slab[LocalDecl]
+	assigns  slab[AssignStmt]
+	exprSts  slab[ExprStmt]
+	sends    slab[SendStmt]
+	returns  slab[ReturnStmt]
+	ifs      slab[IfStmt]
+	whiles   slab[WhileStmt]
+	asserts  slab[AssertStmt]
+	raises   slab[RaiseStmt]
+	ints     slab[IntLit]
+	bools    slab[BoolLit]
+	nulls    slab[NullLit]
+	varRefs  slab[VarRef]
+	thisRefs slab[ThisRef]
+	fields   slab[FieldRef]
+	news     slab[NewExpr]
+	creates  slab[CreateExpr]
+	calls    slab[CallExpr]
+	unaries  slab[UnaryExpr]
+	binaries slab[BinaryExpr]
+}
+
+type bailout struct{ err error }
 
 // Parse parses a compilation unit. The returned program has not been
 // checked; call Check before analysis or interpretation.
 func Parse(src string) (*Program, error) {
 	p := &parser{lex: newLexer(src)}
-	if err := p.advance(); err != nil {
-		return nil, err
-	}
-	prog := &Program{}
+	return p.parse()
+}
+
+func (p *parser) parse() (prog *Program, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			b, ok := r.(bailout)
+			if !ok {
+				panic(r)
+			}
+			prog, err = nil, b.err
+		}
+	}()
+	p.advance()
+	prog = &Program{}
 	for p.tok.Kind != TokEOF {
-		switch {
-		case p.isKeyword("event"):
-			d, err := p.parseEvent()
-			if err != nil {
-				return nil, err
-			}
-			prog.Events = append(prog.Events, d)
-		case p.isKeyword("class"):
-			d, err := p.parseClass()
-			if err != nil {
-				return nil, err
-			}
-			prog.Classes = append(prog.Classes, d)
-		case p.isKeyword("machine"):
-			d, err := p.parseMachine("machine")
-			if err != nil {
-				return nil, err
-			}
-			prog.Machines = append(prog.Machines, d)
-		case p.isKeyword("monitor"):
-			d, err := p.parseMachine("monitor")
-			if err != nil {
-				return nil, err
-			}
-			d.IsMonitor = true
-			prog.Monitors = append(prog.Monitors, d)
+		switch p.tok.Kind {
+		case TokEvent:
+			prog.Events = append(prog.Events, p.parseEvent())
+		case TokClass:
+			prog.Classes = append(prog.Classes, p.parseClass())
+		case TokMachine:
+			prog.Machines = append(prog.Machines, p.parseMachine("machine"))
+		case TokMonitor:
+			md := p.parseMachine("monitor")
+			md.IsMonitor = true
+			prog.Monitors = append(prog.Monitors, md)
 		default:
-			return nil, p.errorf("expected 'event', 'class', 'machine' or 'monitor', got %s", p.tok)
+			p.fail("expected 'event', 'class', 'machine' or 'monitor', got %s", p.tok)
 		}
 	}
 	return prog, nil
@@ -62,760 +137,448 @@ func MustParse(src string) *Program {
 	return prog
 }
 
-func (p *parser) errorf(format string, args ...any) error {
-	return fmt.Errorf("lang: %s: %s", p.tok.Pos, fmt.Sprintf(format, args...))
+// fail abandons the parse with an error at the current token.
+func (p *parser) fail(format string, args ...any) {
+	panic(bailout{fmt.Errorf("lang: %s: %s", p.tok.Pos, fmt.Sprintf(format, args...))})
 }
 
-func (p *parser) advance() error {
-	t, err := p.lex.next()
-	if err != nil {
-		return err
+func (p *parser) advance() {
+	if err := p.lex.next(&p.tok); err != nil {
+		panic(bailout{err})
 	}
-	p.tok = t
-	return nil
 }
 
-func (p *parser) isKeyword(kw string) bool {
-	return p.tok.Kind == TokKeyword && p.tok.Text == kw
-}
-
-func (p *parser) expectKeyword(kw string) error {
-	if !p.isKeyword(kw) {
-		return p.errorf("expected %q, got %s", kw, p.tok)
-	}
-	return p.advance()
-}
-
-func (p *parser) expect(kind TokenKind, what string) (Token, error) {
+// accept consumes the current token if it has the given kind.
+func (p *parser) accept(kind TokenKind) bool {
 	if p.tok.Kind != kind {
-		return Token{}, p.errorf("expected %s, got %s", what, p.tok)
+		return false
 	}
-	t := p.tok
-	return t, p.advance()
+	p.advance()
+	return true
 }
 
-func (p *parser) parseIdent() (string, Pos, error) {
-	pos := p.tok.Pos
-	t, err := p.expect(TokIdent, "identifier")
-	return t.Text, pos, err
+// expect consumes a token of the given kind and returns its text; what
+// names the token in the error message.
+func (p *parser) expect(kind TokenKind, what string) string {
+	if p.tok.Kind != kind {
+		p.fail("expected %s, got %s", what, p.tok)
+	}
+	text := p.tok.Text
+	p.advance()
+	return text
 }
 
-func (p *parser) parseType() (Type, error) {
-	if p.tok.Kind == TokKeyword {
-		switch p.tok.Text {
-		case "int", "bool", "machine":
-			name := p.tok.Text
-			return Type{Name: name}, p.advance()
-		}
+func (p *parser) ident() string { return p.expect(TokIdent, "identifier") }
+
+// open enters a nested block or sub-expression; the caller closes it with
+// p.depth--.
+func (p *parser) open() {
+	if p.depth++; p.depth > maxNesting {
+		p.fail("blocks and expressions nest deeper than %d", maxNesting)
 	}
-	if p.tok.Kind == TokIdent {
+}
+
+func (p *parser) parseType() Type {
+	switch p.tok.Kind {
+	case TokIntType, TokBoolType, TokMachine, TokIdent:
 		name := p.tok.Text
-		return Type{Name: name}, p.advance()
+		p.advance()
+		return Type{Name: name}
 	}
-	return Type{}, p.errorf("expected a type, got %s", p.tok)
+	p.fail("expected a type, got %s", p.tok)
+	return Type{}
 }
 
-func (p *parser) parseEvent() (*EventDecl, error) {
+func (p *parser) parseEvent() *EventDecl {
 	pos := p.tok.Pos
-	if err := p.expectKeyword("event"); err != nil {
-		return nil, err
-	}
-	name, _, err := p.parseIdent()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(TokSemi, "';'"); err != nil {
-		return nil, err
-	}
-	return &EventDecl{Name: name, Pos: pos}, nil
+	p.expect(TokEvent, `"event"`)
+	name := p.ident()
+	p.expect(TokSemi, "';'")
+	return &EventDecl{Name: name, Pos: pos}
 }
 
-func (p *parser) parseVarDecl() (*VarDecl, error) {
+func (p *parser) parseVarDecl() *VarDecl {
 	pos := p.tok.Pos
-	if err := p.expectKeyword("var"); err != nil {
-		return nil, err
-	}
-	name, _, err := p.parseIdent()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(TokColon, "':'"); err != nil {
-		return nil, err
-	}
-	typ, err := p.parseType()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(TokSemi, "';'"); err != nil {
-		return nil, err
-	}
-	return &VarDecl{Name: name, Type: typ, Pos: pos}, nil
+	p.expect(TokVar, `"var"`)
+	name := p.ident()
+	p.expect(TokColon, "':'")
+	typ := p.parseType()
+	p.expect(TokSemi, "';'")
+	return alloc(&p.varDecls, VarDecl{Name: name, Type: typ, Pos: pos})
 }
 
-func (p *parser) parseMethod() (*MethodDecl, error) {
+func (p *parser) parseMethod() *MethodDecl {
 	pos := p.tok.Pos
-	if err := p.expectKeyword("method"); err != nil {
-		return nil, err
-	}
-	name, _, err := p.parseIdent()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(TokLParen, "'('"); err != nil {
-		return nil, err
-	}
-	var params []*VarDecl
+	p.expect(TokMethod, `"method"`)
+	name := p.ident()
+	p.expect(TokLParen, "'('")
+	base := len(p.vars)
 	for p.tok.Kind != TokRParen {
-		if len(params) > 0 {
-			if _, err := p.expect(TokComma, "','"); err != nil {
-				return nil, err
-			}
+		if len(p.vars) > base {
+			p.expect(TokComma, "','")
 		}
-		pname, ppos, err := p.parseIdent()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokColon, "':'"); err != nil {
-			return nil, err
-		}
-		ptyp, err := p.parseType()
-		if err != nil {
-			return nil, err
-		}
-		params = append(params, &VarDecl{Name: pname, Type: ptyp, Pos: ppos})
+		ppos := p.tok.Pos
+		pname := p.ident()
+		p.expect(TokColon, "':'")
+		p.vars = append(p.vars, alloc(&p.varDecls, VarDecl{Name: pname, Type: p.parseType(), Pos: ppos}))
 	}
-	if err := p.advance(); err != nil { // consume ')'
-		return nil, err
-	}
+	p.advance() // consume ')'
+	params := p.varLists.copyOf(p.vars[base:])
+	p.vars = p.vars[:base]
 	var result *Type
-	if p.tok.Kind == TokColon {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		typ, err := p.parseType()
-		if err != nil {
-			return nil, err
-		}
+	if p.accept(TokColon) {
+		typ := p.parseType()
 		result = &typ
 	}
-	body, err := p.parseBlock()
-	if err != nil {
-		return nil, err
-	}
-	return &MethodDecl{Name: name, Params: params, Result: result, Body: body, Pos: pos}, nil
+	body := p.parseBlock()
+	return alloc(&p.methods, MethodDecl{Name: name, Params: params, Result: result, Body: body, Pos: pos})
 }
 
-func (p *parser) parseClass() (*ClassDecl, error) {
+func (p *parser) parseClass() *ClassDecl {
 	pos := p.tok.Pos
-	if err := p.expectKeyword("class"); err != nil {
-		return nil, err
-	}
-	name, _, err := p.parseIdent()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(TokLBrace, "'{'"); err != nil {
-		return nil, err
-	}
-	cd := &ClassDecl{Name: name, Pos: pos}
-	for p.tok.Kind != TokRBrace {
-		switch {
-		case p.isKeyword("var"):
-			f, err := p.parseVarDecl()
-			if err != nil {
-				return nil, err
-			}
-			cd.Fields = append(cd.Fields, f)
-		case p.isKeyword("method"):
-			m, err := p.parseMethod()
-			if err != nil {
-				return nil, err
-			}
-			cd.Methods = append(cd.Methods, m)
+	p.expect(TokClass, `"class"`)
+	cd := &ClassDecl{Name: p.ident(), Pos: pos}
+	p.expect(TokLBrace, "'{'")
+	for !p.accept(TokRBrace) {
+		switch p.tok.Kind {
+		case TokVar:
+			cd.Fields = append(cd.Fields, p.parseVarDecl())
+		case TokMethod:
+			cd.Methods = append(cd.Methods, p.parseMethod())
 		default:
-			return nil, p.errorf("expected 'var' or 'method' in class, got %s", p.tok)
+			p.fail("expected 'var' or 'method' in class, got %s", p.tok)
 		}
 	}
-	return cd, p.advance()
+	return cd
 }
 
 // parseMachine parses a machine or monitor declaration; kw is the
 // introducing keyword ("machine" or "monitor") — the two share their whole
 // grammar except that monitor states may carry hot/cold annotations (the
 // checker enforces the monitor-only rules).
-func (p *parser) parseMachine(kw string) (*MachineDecl, error) {
+func (p *parser) parseMachine(kw string) *MachineDecl {
 	pos := p.tok.Pos
-	if err := p.expectKeyword(kw); err != nil {
-		return nil, err
-	}
-	name, _, err := p.parseIdent()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(TokLBrace, "'{'"); err != nil {
-		return nil, err
-	}
-	md := &MachineDecl{Name: name, Pos: pos}
-	for p.tok.Kind != TokRBrace {
-		switch {
-		case p.isKeyword("var"):
-			f, err := p.parseVarDecl()
-			if err != nil {
-				return nil, err
-			}
-			md.Fields = append(md.Fields, f)
-		case p.isKeyword("method"):
-			m, err := p.parseMethod()
-			if err != nil {
-				return nil, err
-			}
-			md.Methods = append(md.Methods, m)
-		case p.isKeyword("start") || p.isKeyword("hot") || p.isKeyword("cold") || p.isKeyword("state"):
-			s, err := p.parseState()
-			if err != nil {
-				return nil, err
-			}
-			md.States = append(md.States, s)
+	p.advance() // the caller saw kw
+	md := &MachineDecl{Name: p.ident(), Pos: pos}
+	p.expect(TokLBrace, "'{'")
+	for !p.accept(TokRBrace) {
+		switch p.tok.Kind {
+		case TokVar:
+			md.Fields = append(md.Fields, p.parseVarDecl())
+		case TokMethod:
+			md.Methods = append(md.Methods, p.parseMethod())
+		case TokStart, TokHot, TokCold, TokState:
+			md.States = append(md.States, p.parseState())
 		default:
-			return nil, p.errorf("expected 'var', 'method' or 'state' in %s, got %s", kw, p.tok)
+			p.fail("expected 'var', 'method' or 'state' in %s, got %s", kw, p.tok)
 		}
 	}
-	return md, p.advance()
+	return md
 }
 
-func (p *parser) parseState() (*StateDecl, error) {
-	pos := p.tok.Pos
-	sd := &StateDecl{
-		Pos:     pos,
-		OnDo:    make(map[string]string),
-		OnGoto:  make(map[string]string),
-		Defers:  make(map[string]bool),
-		Ignores: make(map[string]bool),
-	}
+func (p *parser) parseState() *StateDecl {
+	sd := alloc(&p.states, StateDecl{Pos: p.tok.Pos, OnDo: map[string]string{}, OnGoto: map[string]string{}})
 	// State modifiers may appear in any order before the state keyword:
 	// "start hot state S" and "hot start state S" are both accepted.
 modifiers:
 	for {
-		switch {
-		case p.isKeyword("start"):
+		switch p.tok.Kind {
+		case TokStart:
 			if sd.Start {
-				return nil, p.errorf("duplicate 'start' modifier")
+				p.fail("duplicate 'start' modifier")
 			}
 			sd.Start = true
-		case p.isKeyword("hot"):
+		case TokHot, TokCold:
 			if sd.Hot || sd.Cold {
-				return nil, p.errorf("duplicate hot/cold modifier")
+				p.fail("duplicate hot/cold modifier")
 			}
-			sd.Hot = true
-		case p.isKeyword("cold"):
-			if sd.Hot || sd.Cold {
-				return nil, p.errorf("duplicate hot/cold modifier")
-			}
-			sd.Cold = true
+			sd.Hot, sd.Cold = p.tok.Kind == TokHot, p.tok.Kind == TokCold
 		default:
 			break modifiers
 		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 	}
-	if err := p.expectKeyword("state"); err != nil {
-		return nil, err
-	}
-	name, _, err := p.parseIdent()
-	if err != nil {
-		return nil, err
-	}
-	sd.Name = name
-	if _, err := p.expect(TokLBrace, "'{'"); err != nil {
-		return nil, err
-	}
-	for p.tok.Kind != TokRBrace {
-		switch {
-		case p.isKeyword("entry"):
+	p.expect(TokState, `"state"`)
+	sd.Name = p.ident()
+	p.expect(TokLBrace, "'{'")
+	for !p.accept(TokRBrace) {
+		switch p.tok.Kind {
+		case TokEntry:
 			if sd.Entry != nil {
-				return nil, p.errorf("state %q: duplicate entry block", name)
+				p.fail("state %q: duplicate entry block", sd.Name)
 			}
-			if err := p.advance(); err != nil {
-				return nil, err
+			p.advance()
+			if sd.Entry = p.parseBlock(); sd.Entry == nil {
+				sd.Entry = []Stmt{} // present, though empty
 			}
-			body, err := p.parseBlock()
-			if err != nil {
-				return nil, err
-			}
-			if body == nil {
-				body = []Stmt{}
-			}
-			sd.Entry = body
-		case p.isKeyword("on"):
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			evt, _, err := p.parseIdent()
-			if err != nil {
-				return nil, err
-			}
+		case TokOn:
+			p.advance()
+			evt := p.ident()
 			switch {
-			case p.isKeyword("do"):
-				if err := p.advance(); err != nil {
-					return nil, err
-				}
-				meth, _, err := p.parseIdent()
-				if err != nil {
-					return nil, err
-				}
-				sd.OnDo[evt] = meth
-			case p.isKeyword("goto"):
-				if err := p.advance(); err != nil {
-					return nil, err
-				}
-				target, _, err := p.parseIdent()
-				if err != nil {
-					return nil, err
-				}
-				sd.OnGoto[evt] = target
+			case p.accept(TokDo):
+				sd.OnDo[evt] = p.ident()
+			case p.accept(TokGoto):
+				sd.OnGoto[evt] = p.ident()
 			default:
-				return nil, p.errorf("expected 'do' or 'goto', got %s", p.tok)
+				p.fail("expected 'do' or 'goto', got %s", p.tok)
 			}
-			if _, err := p.expect(TokSemi, "';'"); err != nil {
-				return nil, err
+			p.expect(TokSemi, "';'")
+		case TokDefer, TokIgnore:
+			set := &sd.Defers
+			if p.tok.Kind == TokIgnore {
+				set = &sd.Ignores
 			}
-		case p.isKeyword("defer"):
-			if err := p.advance(); err != nil {
-				return nil, err
+			p.advance()
+			if *set == nil {
+				*set = make(map[string]bool)
 			}
-			evt, _, err := p.parseIdent()
-			if err != nil {
-				return nil, err
-			}
-			sd.Defers[evt] = true
-			if _, err := p.expect(TokSemi, "';'"); err != nil {
-				return nil, err
-			}
-		case p.isKeyword("ignore"):
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			evt, _, err := p.parseIdent()
-			if err != nil {
-				return nil, err
-			}
-			sd.Ignores[evt] = true
-			if _, err := p.expect(TokSemi, "';'"); err != nil {
-				return nil, err
-			}
+			(*set)[p.ident()] = true
+			p.expect(TokSemi, "';'")
 		default:
-			return nil, p.errorf("expected 'entry', 'on', 'defer' or 'ignore' in state, got %s", p.tok)
+			p.fail("expected 'entry', 'on', 'defer' or 'ignore' in state, got %s", p.tok)
 		}
 	}
-	return sd, p.advance()
+	return sd
 }
 
-func (p *parser) parseBlock() ([]Stmt, error) {
-	if _, err := p.expect(TokLBrace, "'{'"); err != nil {
-		return nil, err
-	}
-	var out []Stmt
+func (p *parser) parseBlock() []Stmt {
+	p.expect(TokLBrace, "'{'")
+	base := len(p.stmts)
 	for p.tok.Kind != TokRBrace {
-		s, err := p.parseStmt()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
+		s := p.parseStmt() // may move p.stmts
+		p.stmts = append(p.stmts, s)
 	}
-	return out, p.advance()
+	p.advance()
+	out := p.stmtLists.copyOf(p.stmts[base:])
+	p.stmts = p.stmts[:base]
+	return out
 }
 
-func (p *parser) parseStmt() (Stmt, error) {
+// parseNested parses the block of an if or a while.
+func (p *parser) parseNested() []Stmt {
+	p.open()
+	out := p.parseBlock()
+	p.depth--
+	return out
+}
+
+// parseCond parses a parenthesized condition.
+func (p *parser) parseCond() Expr {
+	p.expect(TokLParen, "'('")
+	cond := p.parseExpr()
+	p.expect(TokRParen, "')'")
+	return cond
+}
+
+// parsePayload parses the optional ", payload" of a send or raise.
+func (p *parser) parsePayload() Expr {
+	if p.accept(TokComma) {
+		return p.parseExpr()
+	}
+	return nil
+}
+
+func (p *parser) parseStmt() Stmt {
 	pos := p.tok.Pos
-	switch {
-	case p.isKeyword("var"):
-		d, err := p.parseVarDecl()
-		if err != nil {
-			return nil, err
+	switch p.tok.Kind {
+	case TokVar:
+		return alloc(&p.locals, LocalDecl{Decl: p.parseVarDecl()})
+	case TokIf:
+		p.advance()
+		st := alloc(&p.ifs, IfStmt{Cond: p.parseCond(), Pos: pos})
+		st.Then = p.parseNested()
+		if p.accept(TokElse) {
+			st.Else = p.parseNested()
 		}
-		return &LocalDecl{Decl: d}, nil
-	case p.isKeyword("if"):
-		if err := p.advance(); err != nil {
-			return nil, err
+		return st
+	case TokWhile:
+		p.advance()
+		st := alloc(&p.whiles, WhileStmt{Cond: p.parseCond(), Pos: pos})
+		st.Body = p.parseNested()
+		return st
+	case TokReturn:
+		p.advance()
+		st := alloc(&p.returns, ReturnStmt{Pos: pos})
+		if p.tok.Kind != TokSemi {
+			st.Value = p.parseExpr()
 		}
-		if _, err := p.expect(TokLParen, "'('"); err != nil {
-			return nil, err
-		}
-		cond, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokRParen, "')'"); err != nil {
-			return nil, err
-		}
-		then, err := p.parseBlock()
-		if err != nil {
-			return nil, err
-		}
-		var els []Stmt
-		if p.isKeyword("else") {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			els, err = p.parseBlock()
-			if err != nil {
-				return nil, err
-			}
-		}
-		return &IfStmt{Cond: cond, Then: then, Else: els, Pos: pos}, nil
-	case p.isKeyword("while"):
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokLParen, "'('"); err != nil {
-			return nil, err
-		}
-		cond, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokRParen, "')'"); err != nil {
-			return nil, err
-		}
-		body, err := p.parseBlock()
-		if err != nil {
-			return nil, err
-		}
-		return &WhileStmt{Cond: cond, Body: body, Pos: pos}, nil
-	case p.isKeyword("return"):
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		if p.tok.Kind == TokSemi {
-			return &ReturnStmt{Pos: pos}, p.advance()
-		}
-		val, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokSemi, "';'"); err != nil {
-			return nil, err
-		}
-		return &ReturnStmt{Value: val, Pos: pos}, nil
-	case p.isKeyword("send"):
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		dst, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokComma, "','"); err != nil {
-			return nil, err
-		}
-		evt, _, err := p.parseIdent()
-		if err != nil {
-			return nil, err
-		}
-		var payload Expr
-		if p.tok.Kind == TokComma {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			payload, err = p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-		}
-		if _, err := p.expect(TokSemi, "';'"); err != nil {
-			return nil, err
-		}
-		return &SendStmt{Dst: dst, Event: evt, Payload: payload, Pos: pos}, nil
-	case p.isKeyword("raise"):
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		evt, _, err := p.parseIdent()
-		if err != nil {
-			return nil, err
-		}
-		var payload Expr
-		if p.tok.Kind == TokComma {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			payload, err = p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-		}
-		if _, err := p.expect(TokSemi, "';'"); err != nil {
-			return nil, err
-		}
-		return &RaiseStmt{Event: evt, Payload: payload, Pos: pos}, nil
-	case p.isKeyword("assert"):
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		cond, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokSemi, "';'"); err != nil {
-			return nil, err
-		}
-		return &AssertStmt{Cond: cond, Pos: pos}, nil
-	case p.isKeyword("this"):
+		p.expect(TokSemi, "';'")
+		return st
+	case TokSend:
+		p.advance()
+		st := alloc(&p.sends, SendStmt{Dst: p.parseExpr(), Pos: pos})
+		p.expect(TokComma, "','")
+		st.Event = p.ident()
+		st.Payload = p.parsePayload()
+		p.expect(TokSemi, "';'")
+		return st
+	case TokRaise:
+		p.advance()
+		st := alloc(&p.raises, RaiseStmt{Event: p.ident(), Pos: pos})
+		st.Payload = p.parsePayload()
+		p.expect(TokSemi, "';'")
+		return st
+	case TokAssert:
+		p.advance()
+		st := alloc(&p.asserts, AssertStmt{Cond: p.parseExpr(), Pos: pos})
+		p.expect(TokSemi, "';'")
+		return st
+	case TokThis:
 		// this.f := expr;  or  this.m(args);
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokDot, "'.'"); err != nil {
-			return nil, err
-		}
-		name, _, err := p.parseIdent()
-		if err != nil {
-			return nil, err
-		}
+		p.advance()
+		p.expect(TokDot, "'.'")
+		name := p.ident()
 		if p.tok.Kind == TokLParen {
-			call, err := p.parseCallTail(&ThisRef{Pos: pos}, name, pos)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(TokSemi, "';'"); err != nil {
-				return nil, err
-			}
-			return &ExprStmt{X: call, Pos: pos}, nil
+			call := p.parseCallTail(alloc(&p.thisRefs, ThisRef{Pos: pos}), name, pos)
+			p.expect(TokSemi, "';'")
+			return alloc(&p.exprSts, ExprStmt{X: call, Pos: pos})
 		}
-		if _, err := p.expect(TokAssign, "':='"); err != nil {
-			return nil, err
-		}
-		val, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokSemi, "';'"); err != nil {
-			return nil, err
-		}
-		return &AssignStmt{ToField: name, Value: val, Pos: pos}, nil
-	case p.tok.Kind == TokIdent:
+		p.expect(TokAssign, "':='")
+		st := alloc(&p.assigns, AssignStmt{ToField: name, Value: p.parseExpr(), Pos: pos})
+		p.expect(TokSemi, "';'")
+		return st
+	case TokIdent:
 		// v := expr;  or  v.m(args);
 		name := p.tok.Text
-		if err := p.advance(); err != nil {
-			return nil, err
+		p.advance()
+		switch {
+		case p.accept(TokAssign):
+			st := alloc(&p.assigns, AssignStmt{Target: name, Value: p.parseExpr(), Pos: pos})
+			p.expect(TokSemi, "';'")
+			return st
+		case p.accept(TokDot):
+			meth := p.ident()
+			call := p.parseCallTail(alloc(&p.varRefs, VarRef{Name: name, Pos: pos}), meth, pos)
+			p.expect(TokSemi, "';'")
+			return alloc(&p.exprSts, ExprStmt{X: call, Pos: pos})
 		}
-		switch p.tok.Kind {
-		case TokAssign:
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			val, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(TokSemi, "';'"); err != nil {
-				return nil, err
-			}
-			return &AssignStmt{Target: name, Value: val, Pos: pos}, nil
-		case TokDot:
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			meth, _, err := p.parseIdent()
-			if err != nil {
-				return nil, err
-			}
-			call, err := p.parseCallTail(&VarRef{Name: name, Pos: pos}, meth, pos)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(TokSemi, "';'"); err != nil {
-				return nil, err
-			}
-			return &ExprStmt{X: call, Pos: pos}, nil
-		}
-		return nil, p.errorf("expected ':=' or '.' after identifier %q", name)
+		p.fail("expected ':=' or '.' after identifier %q", name)
 	}
-	return nil, p.errorf("unexpected token %s at start of statement", p.tok)
+	p.fail("unexpected token %s at start of statement", p.tok)
+	return nil
 }
 
-func (p *parser) parseCallTail(recv Expr, method string, pos Pos) (*CallExpr, error) {
-	if _, err := p.expect(TokLParen, "'('"); err != nil {
-		return nil, err
-	}
-	var args []Expr
+func (p *parser) parseCallTail(recv Expr, method string, pos Pos) *CallExpr {
+	p.expect(TokLParen, "'('")
+	p.open()
+	base := len(p.exprs)
 	for p.tok.Kind != TokRParen {
-		if len(args) > 0 {
-			if _, err := p.expect(TokComma, "','"); err != nil {
-				return nil, err
-			}
+		if len(p.exprs) > base {
+			p.expect(TokComma, "','")
 		}
-		a, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		args = append(args, a)
+		arg := p.parseExpr() // may move p.exprs
+		p.exprs = append(p.exprs, arg)
 	}
-	if err := p.advance(); err != nil { // consume ')'
-		return nil, err
-	}
-	return &CallExpr{Recv: recv, Method: method, Args: args, Pos: pos}, nil
+	p.advance() // consume ')'
+	p.depth--
+	args := p.exprLists.copyOf(p.exprs[base:])
+	p.exprs = p.exprs[:base]
+	return alloc(&p.calls, CallExpr{Recv: recv, Method: method, Args: args, Pos: pos})
 }
 
-// Binary operator precedence, loosest first.
-var precedence = map[TokenKind]int{
-	TokOrOr: 1, TokAndAnd: 2,
-	TokEq: 3, TokNeq: 3,
-	TokLt: 4, TokLe: 4, TokGt: 4, TokGe: 4,
-	TokPlus: 5, TokMinus: 5,
-	TokStar: 6, TokSlash: 6, TokPercent: 6,
+// binaryOps gives each binary operator token its precedence (loosest is 1,
+// 0 marks every other token) and its spelling.
+var binaryOps = [TokCold + 1]struct {
+	prec int
+	text string
+}{
+	TokOrOr: {1, "||"}, TokAndAnd: {2, "&&"},
+	TokEq: {3, "=="}, TokNeq: {3, "!="},
+	TokLt: {4, "<"}, TokLe: {4, "<="}, TokGt: {4, ">"}, TokGe: {4, ">="},
+	TokPlus: {5, "+"}, TokMinus: {5, "-"},
+	TokStar: {6, "*"}, TokSlash: {6, "/"}, TokPercent: {6, "%"},
 }
 
-var opText = map[TokenKind]string{
-	TokOrOr: "||", TokAndAnd: "&&", TokEq: "==", TokNeq: "!=",
-	TokLt: "<", TokLe: "<=", TokGt: ">", TokGe: ">=",
-	TokPlus: "+", TokMinus: "-", TokStar: "*", TokSlash: "/", TokPercent: "%",
-}
-
-func (p *parser) parseExpr() (Expr, error) {
+func (p *parser) parseExpr() Expr {
 	return p.parseBinary(1)
 }
 
-func (p *parser) parseBinary(minPrec int) (Expr, error) {
-	left, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
+func (p *parser) parseBinary(minPrec int) Expr {
+	left := p.parseUnary()
+	depth := p.depth
 	for {
-		prec, ok := precedence[p.tok.Kind]
-		if !ok || prec < minPrec {
-			return left, nil
+		op := binaryOps[p.tok.Kind]
+		if op.prec == 0 || op.prec < minPrec {
+			p.depth = depth
+			return left
 		}
-		op := opText[p.tok.Kind]
 		pos := p.tok.Pos
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseBinary(prec + 1)
-		if err != nil {
-			return nil, err
-		}
-		left = &BinaryExpr{Op: op, L: left, R: right, Pos: pos}
+		p.advance()
+		p.open() // the chain's tree grows one level per operator
+		left = alloc(&p.binaries, BinaryExpr{Op: op.text, L: left, R: p.parseBinary(op.prec + 1), Pos: pos})
 	}
 }
 
-func (p *parser) parseUnary() (Expr, error) {
+func (p *parser) parseUnary() Expr {
 	pos := p.tok.Pos
 	switch p.tok.Kind {
-	case TokBang:
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryExpr{Op: "!", X: x, Pos: pos}, nil
-	case TokMinus:
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryExpr{Op: "-", X: x, Pos: pos}, nil
+	case TokBang, TokMinus:
+		op := p.tok.Text
+		p.advance()
+		p.open()
+		x := p.parseUnary()
+		p.depth--
+		return alloc(&p.unaries, UnaryExpr{Op: op, X: x, Pos: pos})
 	}
 	return p.parsePrimary()
 }
 
-func (p *parser) parsePrimary() (Expr, error) {
+func (p *parser) parsePrimary() Expr {
 	pos := p.tok.Pos
-	switch {
-	case p.tok.Kind == TokInt:
+	switch p.tok.Kind {
+	case TokInt:
 		v, err := strconv.ParseInt(p.tok.Text, 10, 64)
 		if err != nil {
-			return nil, p.errorf("bad integer literal: %v", err)
+			p.fail("bad integer literal: %v", err)
 		}
-		return &IntLit{Value: v, Pos: pos}, p.advance()
-	case p.isKeyword("true"), p.isKeyword("false"):
-		v := p.tok.Text == "true"
-		return &BoolLit{Value: v, Pos: pos}, p.advance()
-	case p.isKeyword("null"):
-		return &NullLit{Pos: pos}, p.advance()
-	case p.isKeyword("new"):
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		name, _, err := p.parseIdent()
-		if err != nil {
-			return nil, err
-		}
-		return &NewExpr{Class: name, Pos: pos}, nil
-	case p.isKeyword("create"):
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		name, _, err := p.parseIdent()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokLParen, "'('"); err != nil {
-			return nil, err
-		}
-		var payload Expr
+		p.advance()
+		return alloc(&p.ints, IntLit{Value: v, Pos: pos})
+	case TokTrue, TokFalse:
+		v := p.tok.Kind == TokTrue
+		p.advance()
+		return alloc(&p.bools, BoolLit{Value: v, Pos: pos})
+	case TokNull:
+		p.advance()
+		return alloc(&p.nulls, NullLit{Pos: pos})
+	case TokNew:
+		p.advance()
+		return alloc(&p.news, NewExpr{Class: p.ident(), Pos: pos})
+	case TokCreate:
+		p.advance()
+		x := alloc(&p.creates, CreateExpr{Machine: p.ident(), Pos: pos})
+		p.expect(TokLParen, "'('")
 		if p.tok.Kind != TokRParen {
-			payload, err = p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
+			p.open()
+			x.Payload = p.parseExpr()
+			p.depth--
 		}
-		if _, err := p.expect(TokRParen, "')'"); err != nil {
-			return nil, err
+		p.expect(TokRParen, "')'")
+		return x
+	case TokThis:
+		p.advance()
+		if !p.accept(TokDot) {
+			return alloc(&p.thisRefs, ThisRef{Pos: pos})
 		}
-		return &CreateExpr{Machine: name, Payload: payload, Pos: pos}, nil
-	case p.isKeyword("this"):
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		if p.tok.Kind != TokDot {
-			return &ThisRef{Pos: pos}, nil
-		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		name, _, err := p.parseIdent()
-		if err != nil {
-			return nil, err
-		}
+		name := p.ident()
 		if p.tok.Kind == TokLParen {
-			return p.parseCallTail(&ThisRef{Pos: pos}, name, pos)
+			return p.parseCallTail(alloc(&p.thisRefs, ThisRef{Pos: pos}), name, pos)
 		}
-		return &FieldRef{Field: name, Pos: pos}, nil
-	case p.tok.Kind == TokIdent:
-		name := p.tok.Text
-		if err := p.advance(); err != nil {
-			return nil, err
+		return alloc(&p.fields, FieldRef{Field: name, Pos: pos})
+	case TokIdent:
+		ref := alloc(&p.varRefs, VarRef{Name: p.tok.Text, Pos: pos})
+		p.advance()
+		if p.accept(TokDot) {
+			return p.parseCallTail(ref, p.ident(), pos)
 		}
-		if p.tok.Kind == TokDot {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			meth, _, err := p.parseIdent()
-			if err != nil {
-				return nil, err
-			}
-			return p.parseCallTail(&VarRef{Name: name, Pos: pos}, meth, pos)
-		}
-		return &VarRef{Name: name, Pos: pos}, nil
-	case p.tok.Kind == TokLParen:
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		x, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokRParen, "')'"); err != nil {
-			return nil, err
-		}
-		return x, nil
+		return ref
+	case TokLParen:
+		p.advance()
+		p.open()
+		x := p.parseExpr()
+		p.depth--
+		p.expect(TokRParen, "')'")
+		return x
 	}
-	return nil, p.errorf("unexpected token %s in expression", p.tok)
+	p.fail("unexpected token %s in expression", p.tok)
+	return nil
 }

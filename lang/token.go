@@ -4,6 +4,17 @@
 // an AST, and a name/type checker. The analysis package consumes the
 // checked AST; the interp package executes it under the paper's operational
 // semantics (Figures 3 and 4).
+//
+// The lexer classifies reserved words itself — every keyword is a token
+// kind of its own — so the parser dispatches on kinds and never compares a
+// token's text. The parser takes AST nodes and statement, argument and
+// parameter lists from per-parse slabs, and refuses blocks and expressions
+// nested deeper than a fixed bound, because it and every pass behind it
+// recurse over the tree. Check leaves what it resolved on the tree: the
+// declaration behind every VarRef, FieldRef, assignment target and call,
+// each VarDecl's Index and each method's frame (MethodDecl.Vars), and a
+// state's entry block as a method (StateDecl.EntryMethod), so a back end
+// can lower by index without looking a name up again.
 package lang
 
 import "fmt"
@@ -16,7 +27,6 @@ const (
 	TokEOF TokenKind = iota
 	TokIdent
 	TokInt
-	TokKeyword
 	// Punctuation and operators.
 	TokLBrace  // {
 	TokRBrace  // }
@@ -41,17 +51,112 @@ const (
 	TokAndAnd  // &&
 	TokOrOr    // ||
 	TokBang    // !
+	// Keywords: the lexer classifies a reserved word once, so the parser
+	// compares kinds and never a token's text.
+	TokClass
+	TokMachine
+	TokEvent
+	TokState
+	TokStart
+	TokEntry
+	TokOn
+	TokDo
+	TokGoto
+	TokDefer
+	TokIgnore
+	TokVar
+	TokMethod
+	TokIf
+	TokElse
+	TokWhile
+	TokReturn
+	TokSend
+	TokCreate
+	TokNew
+	TokAssert
+	TokRaise
+	TokThis
+	TokNull
+	TokTrue
+	TokFalse
+	TokIntType  // int
+	TokBoolType // bool
+	TokHalt
+	TokMonitor
+	TokHot
+	TokCold
 )
 
-var keywords = map[string]bool{
-	"class": true, "machine": true, "event": true, "state": true,
-	"start": true, "entry": true, "on": true, "do": true, "goto": true,
-	"defer": true, "ignore": true, "var": true, "method": true,
-	"if": true, "else": true, "while": true, "return": true,
-	"send": true, "create": true, "new": true, "assert": true, "raise": true,
-	"this": true, "null": true, "true": true, "false": true,
-	"int": true, "bool": true, "halt": true,
-	"monitor": true, "hot": true, "cold": true,
+// keywordKind returns the kind of a reserved word, TokIdent for any other
+// identifier.
+func keywordKind(text string) TokenKind {
+	switch text {
+	case "class":
+		return TokClass
+	case "machine":
+		return TokMachine
+	case "event":
+		return TokEvent
+	case "state":
+		return TokState
+	case "start":
+		return TokStart
+	case "entry":
+		return TokEntry
+	case "on":
+		return TokOn
+	case "do":
+		return TokDo
+	case "goto":
+		return TokGoto
+	case "defer":
+		return TokDefer
+	case "ignore":
+		return TokIgnore
+	case "var":
+		return TokVar
+	case "method":
+		return TokMethod
+	case "if":
+		return TokIf
+	case "else":
+		return TokElse
+	case "while":
+		return TokWhile
+	case "return":
+		return TokReturn
+	case "send":
+		return TokSend
+	case "create":
+		return TokCreate
+	case "new":
+		return TokNew
+	case "assert":
+		return TokAssert
+	case "raise":
+		return TokRaise
+	case "this":
+		return TokThis
+	case "null":
+		return TokNull
+	case "true":
+		return TokTrue
+	case "false":
+		return TokFalse
+	case "int":
+		return TokIntType
+	case "bool":
+		return TokBoolType
+	case "halt":
+		return TokHalt
+	case "monitor":
+		return TokMonitor
+	case "hot":
+		return TokHot
+	case "cold":
+		return TokCold
+	}
+	return TokIdent
 }
 
 // Pos is a source position.
