@@ -136,6 +136,17 @@
 // FaultInjector wraps any inner strategy with a PCT-style budgeted
 // injection plan (sct.FaultOptions).
 //
+// Every query — fault or not — reaches the strategy through one entry
+// point, DecisionStrategy.Decide(*Choice, *Decision). Both arguments are
+// scratch that is valid for the call: the Choice is one record the
+// controller keeps per harness and fills in place (only the fields of its
+// Kind mean anything), and the Decision is the record the answer will
+// occupy in the iteration's trace, handed over zeroed. The strategy writes
+// its answer there and nowhere else; the controller validates it where it
+// lies and only then counts it into the trace, so a rejected answer, or a
+// Decide that panics half way, leaves no record. A three-method Strategy is
+// driven through an adapter that does exactly that with its return values.
+//
 // A crash halts the machine at its next scheduling point: its queue is
 // cleared (unless the action sets PreserveMailbox), monitors observe a
 // MachineCrashed event, and — if the action requests a restart — the same
@@ -258,11 +269,12 @@
 // Run, so exactly one stack runs at a time and a switch hands the thread
 // over without the Go scheduler, a run queue or a wake-up. The scheduler
 // pass — interrupt poll, quiescence, deadlock and liveness checks, depth
-// bound, state-cache check, fault query, the strategy's Decide, trace
-// append — is one function (controller.pass) that runs on whichever stack
-// reaches the point. A machine at a send or create closes its own step and
-// runs the pass itself; if the strategy keeps it running it returns into
-// its handler, and only when another machine is chosen, the iteration ends
+// bound, state-cache check, fault query, the strategy's Decide, which
+// writes its answer straight into the trace's next record — is one function
+// (controller.pass) that runs on whichever stack reaches the point. A
+// machine at a send or create closes its own step and runs the pass
+// itself; if the strategy keeps it running it returns into its handler,
+// and only when another machine is chosen, the iteration ends
 // or a crash must be applied does it park and leave the outcome to the
 // controller's loop, which then merely switches. Under random scheduling
 // 13–23 % of the points of a Table 2 protocol keep the yielding machine
@@ -293,14 +305,22 @@
 // so a recycled machine costs no coroutine construction), the
 // controller's incrementally maintained ready list and the scratch slice
 // handed to Strategy.NextMachine, and the trace buffer (reset with
-// retained capacity — clone a Trace you keep past the next Run). A closed
-// harness donates its idle instances to one process-wide reserve (capped
-// at 256; the overflow's coroutines are retired) and a harness whose own
-// freelist is empty draws from it before building anything, so even
-// short-lived harnesses — RunTest, a trace replay, a hunt that finds its
-// bug in three schedules — rarely pay the 13 allocations a fresh coroutine
-// costs. A steady-state harness is served by its own freelist and never
-// touches the reserve's lock.
+// retained capacity — clone a Trace you keep past the next Run or Close;
+// RunTest returns a clone). A closed harness donates its idle instances to
+// one process-wide reserve (capped at 256; the overflow's coroutines are
+// retired), and its trace buffer to another (8 buffers of at most 16 384
+// decisions); a harness whose own freelist is empty draws from the first
+// before building anything and a new harness starts with a buffer from
+// the second, so even short-lived harnesses — RunTest, a trace replay, a
+// hunt that finds its bug in three schedules — rarely pay the 13
+// allocations a fresh coroutine costs or regrow a trace by doubling. A
+// steady-state harness is served by its own freelist and never touches
+// the reserves' locks. Teardown is as cheap as the iteration was short: a
+// machine blocked between handlers when the iteration ends returns out of
+// its run loop, and only one parked inside a handler is unwound by panic.
+// The testing runtime also counts without atomics — send sequence numbers
+// and the RuntimeMetrics counters are plain words of the controller, added
+// to the runtime's atomics once per iteration (see Runtime.Metrics).
 //
 // Machine schemas follow the compile-once discipline: Register compiles a
 // static type's schema one time and every create reuses the frozen form,

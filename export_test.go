@@ -49,3 +49,7 @@ func (h *TestHarness) ForgetReplay() {
 		hs.seen = hs.seen[:0]
 	}
 }
+
+// TraceLen reports how many decisions the harness's trace holds: those of
+// the last iteration, also when its Run panicked and returned no result.
+func (h *TestHarness) TraceLen() int { return len(h.c.trace.Decisions) }

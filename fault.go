@@ -74,21 +74,19 @@ func (c *controller) scheduleFault() bool {
 		}
 		c.crashScratch = append(c.crashScratch, m.id)
 	}
-	ch := Choice{
-		Kind:      ChoiceFault,
-		Point:     FaultPointSchedule,
-		Crashable: c.crashScratch,
-		Eligible:  len(c.crashScratch) > 0,
-	}
-	d := c.decider.Decide(ch)
+	eligible := len(c.crashScratch) > 0
+	ch := &c.choice
+	ch.Kind, ch.Point, ch.Crashable, ch.Eligible = ChoiceFault, FaultPointSchedule, c.crashScratch, eligible
+	d := c.ask()
 	if d.Kind != DecisionFault {
 		c.bug = &Bug{Kind: BugPanic,
 			Message: fmt.Sprintf("strategy answered a fault choice with decision kind %d", d.Kind)}
 		return false
 	}
-	f := d.Fault
+	f := &d.Fault
 	if f.Kind == FaultNone {
-		c.trace.addFault(FaultAction{})
+		*f = FaultAction{}
+		c.trace.commit()
 		return false
 	}
 	if f.Kind != FaultCrash {
@@ -96,7 +94,7 @@ func (c *controller) scheduleFault() bool {
 			Message: fmt.Sprintf("strategy injected %s at a schedule fault point (only crash is valid here)", f.Kind)}
 		return false
 	}
-	if !ch.Eligible || !contains(c.crashScratch, f.Machine) {
+	if !eligible || !contains(c.crashScratch, f.Machine) {
 		c.bug = &Bug{Kind: BugPanic, Machine: f.Machine,
 			Message: fmt.Sprintf("strategy crashed %s, which is not crashable", f.Machine)}
 		return false
@@ -106,8 +104,8 @@ func (c *controller) scheduleFault() bool {
 	if !f.Restart {
 		f.PreserveMailbox = false
 	}
-	c.trace.addFault(f)
-	c.crash = f
+	c.trace.commit()
+	c.crash = *f
 	return true
 }
 
@@ -186,33 +184,31 @@ func (c *controller) restartMachine(m *machineInstance) {
 }
 
 // nextSendFault issues the per-send fault query for a message bound for
-// target. Runs on the sending machine's coroutine (like nextBool), which is
-// the only one running, so trace appends stay serialized. Strategy
-// protocol violations panic assertFailed, which run's recover converts to a
-// bug like any other in-action failure.
-func (c *controller) nextSendFault(target MachineID) FaultAction {
-	ch := Choice{
-		Kind:     ChoiceFault,
-		Point:    FaultPointSend,
-		Target:   target,
-		Eligible: !c.cfg.Faults.isImmune(target.Type),
-	}
-	d := c.decider.Decide(ch)
+// target and returns the kind of fault to apply to it. Runs on the sending
+// machine's coroutine (like nextBool), which is the only one running, so
+// trace appends stay serialized. Strategy protocol violations panic
+// assertFailed, which run's recover converts to a bug like any other
+// in-action failure.
+func (c *controller) nextSendFault(target MachineID) FaultKind {
+	eligible := !c.cfg.Faults.isImmune(target.Type)
+	ch := &c.choice
+	ch.Kind, ch.Point, ch.Target, ch.Eligible = ChoiceFault, FaultPointSend, target, eligible
+	d := c.ask()
 	if d.Kind != DecisionFault {
 		panic(assertFailed{msg: fmt.Sprintf("strategy answered a fault choice with decision kind %d", d.Kind)})
 	}
-	f := d.Fault
-	switch f.Kind {
+	kind := d.Fault.Kind
+	switch kind {
 	case FaultNone, FaultDrop, FaultDuplicate, FaultReorder:
 	default:
-		panic(assertFailed{msg: fmt.Sprintf("strategy injected %s at a send fault point (only drop/dup/reorder are valid here)", f.Kind)})
+		panic(assertFailed{msg: fmt.Sprintf("strategy injected %s at a send fault point (only drop/dup/reorder are valid here)", kind)})
 	}
-	if !ch.Eligible && f.Kind != FaultNone {
-		panic(assertFailed{msg: fmt.Sprintf("strategy injected %s on a send to immune machine %s", f.Kind, target)})
+	if !eligible && kind != FaultNone {
+		panic(assertFailed{msg: fmt.Sprintf("strategy injected %s on a send to immune machine %s", kind, target)})
 	}
 	// Canonicalize the crash-only fields so the recorded action is exactly
 	// the send-fault kind.
-	f = FaultAction{Kind: f.Kind}
-	c.trace.addFault(f)
-	return f
+	d.Fault = FaultAction{Kind: kind}
+	c.trace.commit()
+	return kind
 }

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/psharp-go/psharp"
@@ -176,17 +177,25 @@ func TestFaultReplayAutoEnablesFaults(t *testing.T) {
 // runs out, or when it names a machine that is not enabled, the first
 // enabled machine runs), the first schedule-level fault query after declines
 // declined ones is answered with crash (if set), and every send-level fault
-// query with sendFault.
+// query with sendFault. Its bad-th machine choice (0: none) is answered the
+// way wrong says; answered counts the queries answered properly until then.
 type scripted struct {
 	picks     []uint64
 	declines  int
 	crash     *psharp.FaultAction
 	sendFault psharp.FaultAction
+
+	bad, choices, answered int
+	wrong                  func(c *psharp.Choice, d *psharp.Decision)
 }
 
-func (s *scripted) Decide(c psharp.Choice) psharp.Decision {
+func (s *scripted) Decide(c *psharp.Choice, d *psharp.Decision) {
 	switch c.Kind {
 	case psharp.ChoiceMachine:
+		if s.choices++; s.choices == s.bad {
+			s.wrong(c, d)
+			return
+		}
 		next := c.Enabled[0]
 		if len(s.picks) > 0 {
 			for _, id := range c.Enabled {
@@ -196,21 +205,73 @@ func (s *scripted) Decide(c psharp.Choice) psharp.Decision {
 			}
 			s.picks = s.picks[1:]
 		}
-		return psharp.Decision{Kind: psharp.DecisionSchedule, Machine: next}
+		d.Kind, d.Machine = psharp.DecisionSchedule, next
 	case psharp.ChoiceBool:
-		return psharp.Decision{Kind: psharp.DecisionBool}
+		d.Kind = psharp.DecisionBool
 	case psharp.ChoiceInt:
-		return psharp.Decision{Kind: psharp.DecisionInt}
+		d.Kind = psharp.DecisionInt
+	default:
+		d.Kind = psharp.DecisionFault
+		if c.Point == psharp.FaultPointSend {
+			d.Fault = s.sendFault
+		} else if s.declines > 0 {
+			s.declines--
+		} else if s.crash != nil {
+			d.Fault, s.crash = *s.crash, nil
+		}
 	}
-	d := psharp.Decision{Kind: psharp.DecisionFault}
-	if c.Point == psharp.FaultPointSend {
-		d.Fault = s.sendFault
-	} else if s.declines > 0 {
-		s.declines--
-	} else if s.crash != nil {
-		d.Fault, s.crash = *s.crash, nil
+	s.answered++
+}
+
+// TestCoroutineRejectedAnswerLeavesNoRecord answers the k-th machine choice
+// of a fault-enabled TwoPhaseCommitFT schedule, for every k, with a decision
+// of the wrong kind and with a machine that is not enabled. The strategy
+// writes its answer into the trace's next record, so the record must become
+// part of the trace only once it has passed validation: the iteration ends
+// with the strategy's bug and the trace holds exactly the decisions answered
+// properly before it — on the controller's stack and on a machine's alike —
+// and the harness runs the next schedule as if nothing had happened.
+func TestCoroutineRejectedAnswerLeavesNoRecord(t *testing.T) {
+	b := protocols.MustByName("TwoPhaseCommitFT", false)
+	cfg := func(s *scripted) psharp.TestConfig {
+		return psharp.TestConfig{Strategy: psharp.AsStrategy(s), MaxSteps: b.MaxSteps, Faults: &psharp.FaultConfig{}}
 	}
-	return d
+	h := psharp.NewTestHarness(b.Setup)
+	defer h.Close()
+	clean := h.Run(cfg(&scripted{}))
+	if clean.Bug != nil || clean.SchedulingPoints < 20 {
+		t.Fatalf("reference run: bug %v, %d scheduling points", clean.Bug, clean.SchedulingPoints)
+	}
+	want, points := encodeTrace(t, clean.Trace), clean.SchedulingPoints
+	for _, tc := range []struct {
+		name, message string
+		wrong         func(c *psharp.Choice, d *psharp.Decision)
+	}{
+		{"wrong kind", "answered a machine choice with decision kind 1", func(c *psharp.Choice, d *psharp.Decision) {
+			d.Kind, d.Bool, d.Machine = psharp.DecisionBool, true, c.Enabled[0]
+		}},
+		{"not enabled", "which is not enabled", func(c *psharp.Choice, d *psharp.Decision) {
+			d.Kind, d.Machine = psharp.DecisionSchedule, psharp.MachineID{Type: c.Enabled[0].Type, Seq: 99}
+		}},
+	} {
+		for k := 1; k <= points; k++ {
+			s := &scripted{bad: k, wrong: tc.wrong}
+			res := h.Run(cfg(s))
+			if res.Bug == nil || res.Bug.Kind != psharp.BugPanic || !strings.Contains(res.Bug.Message, tc.message) {
+				t.Fatalf("%s at choice %d: bug %v, want the strategy's", tc.name, k, res.Bug)
+			}
+			if got := len(res.Trace.Decisions); got != s.answered || res.SchedulingPoints != k-1 {
+				t.Fatalf("%s at choice %d: trace holds %d decisions and %d scheduling points, want the %d answered and %d",
+					tc.name, k, got, res.SchedulingPoints, s.answered, k-1)
+			}
+			if !strings.HasPrefix(want, encodeTrace(t, res.Trace)) {
+				t.Fatalf("%s at choice %d: the trace is not a prefix of the clean run's", tc.name, k)
+			}
+		}
+		if res := h.Run(cfg(&scripted{})); res.Bug != nil || encodeTrace(t, res.Trace) != want {
+			t.Fatalf("%s: run after the rejected answers: bug %v, trace equal=%v", tc.name, res.Bug, encodeTrace(t, res.Trace) == want)
+		}
+	}
 }
 
 // TestCoroutineCrashBeforeFirstSchedule crashes a machine that was created

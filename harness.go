@@ -15,8 +15,9 @@ import (
 // per worker instead of calling RunTest per iteration.
 //
 // A harness is NOT safe for concurrent use: each exploration worker owns its
-// own. Close hands the idle machine instances to a process-wide reserve that
-// later harnesses draw from; after Close the harness must not be used again.
+// own. Close hands the idle machine instances and the trace buffer to a
+// process-wide reserve that later harnesses draw from; after Close the
+// harness must not be used again.
 //
 // Machines run as coroutines of the goroutine that calls Run — the
 // strategy's Decide, Interrupt and StateCache.Visit are called from their
@@ -50,7 +51,7 @@ type TestHarness struct {
 // iteration — which any deterministic setup does.
 func NewTestHarness(setup func(*Runtime), opts ...Option) *TestHarness {
 	rt := NewRuntime(opts...)
-	c := &controller{rt: rt, trace: &Trace{}}
+	c := &controller{rt: rt, trace: &Trace{Decisions: takeReservedTrace()}}
 	rt.test = c
 	return &TestHarness{setup: setup, rt: rt, c: c, baseSeed: rt.rngState.Load(), baseLog: rt.logw}
 }
@@ -59,7 +60,8 @@ func NewTestHarness(setup func(*Runtime), opts ...Option) *TestHarness {
 // the harness's recycled machinery.
 //
 // The returned result's Trace aliases the harness's reusable buffer: it is
-// valid only until the next Run call. Callers that retain it (to replay a
+// valid only until the next Run call or Close, whichever comes first (Close
+// hands the buffer to the next harness). Callers that retain it (to replay a
 // bug later) must copy it with Trace.Clone first.
 func (h *TestHarness) Run(cfg TestConfig) IterationResult {
 	if cfg.Strategy == nil {
@@ -72,6 +74,9 @@ func (h *TestHarness) Run(cfg TestConfig) IterationResult {
 	h.setup(h.rt)
 	c := h.c
 	c.loop()
+	// However the iteration ended — quiescence, bug, interrupt, a panic of
+	// the strategy — what it counted becomes visible in Runtime.Metrics now.
+	h.rt.metrics.fold(c.counts)
 	if v := c.panicked; v != nil {
 		// The strategy panicked inside a pass, possibly on a machine's
 		// stack. Teardown has unwound every handler since, so the instances
@@ -113,7 +118,6 @@ func (h *TestHarness) reset(cfg TestConfig) {
 	rt, c := h.rt, h.c
 	clear(rt.factories)
 	rt.nextSeq = 0
-	rt.sendSeq.Store(0)
 	rt.failure = nil
 	rt.stopped.Store(false)
 	rt.rngState.Store(h.baseSeed)
@@ -131,6 +135,7 @@ func (h *TestHarness) reset(cfg TestConfig) {
 	c.ready = c.ready[:0]
 	c.current = MachineID{}
 	c.steps, c.continued = 0, 0
+	c.sendSeq, c.counts = 0, iterationCounts{}
 	c.panicked = nil
 	c.bug = nil
 	c.bound = false
@@ -173,9 +178,10 @@ func (h *TestHarness) park() {
 	rt.monitors = rt.monitors[:0]
 }
 
-// Close donates the harness's idle machine instances to the process-wide
-// reserve (retiring the coroutines of any beyond its cap). The harness must
-// be idle (no Run in progress); using it after Close panics.
+// Close donates the harness's idle machine instances and its trace buffer to
+// the process-wide reserve (retiring the coroutines of any beyond its cap):
+// the Trace of the last Run's result is invalid from here on. The harness
+// must be idle (no Run in progress); using it after Close panics.
 func (h *TestHarness) Close() {
 	if h.closed {
 		return
@@ -183,4 +189,6 @@ func (h *TestHarness) Close() {
 	h.closed = true
 	donateInstances(h.c.free)
 	h.c.free = nil
+	donateTrace(h.c.trace.Decisions)
+	h.c.trace.Decisions = nil
 }

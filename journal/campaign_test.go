@@ -1,7 +1,9 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -424,5 +426,60 @@ func TestResumeTornAtBirth(t *testing.T) {
 			t.Fatalf("cut at %d: recovered %d fingerprints after re-seed, want 2", cut, n)
 		}
 		r2.Close()
+	}
+}
+
+// TestResumeRefusesVersion1Campaign hands Resume the directory a version-1
+// build left behind. Its fingerprints were made by that build's hash of a
+// trace; a schedule this build explores again would hash differently and be
+// counted as new, so the campaign must be refused, not resumed — whether
+// the version is read from the manifest or, the manifest lost and rewritten
+// by hand, from the shard's own header.
+func TestResumeRefusesVersion1Campaign(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "camp")
+	c, err := Create(dir, testMeta(), Options{SyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Advance(0, 3, nil, []uint64{0xa, 0xb, 0xc})
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	manifest, shard := filepath.Join(dir, ManifestName), filepath.Join(dir, ShardFileName(0, 1))
+	current, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(current, []byte(`"format": 2`), []byte(`"format": 1`), 1)
+	if bytes.Equal(old, current) {
+		t.Fatalf("manifest does not record format 2:\n%s", current)
+	}
+	data, err := os.ReadFile(shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(data[8:12], 1)
+	if err := os.WriteFile(shard, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		manifest []byte
+		path     string
+	}{
+		{"version-1 manifest", old, manifest},
+		{"version-1 shard under a rewritten manifest", current, shard},
+	} {
+		if err := os.WriteFile(manifest, tc.manifest, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Resume(dir, testMeta(), Options{})
+		var ve *VersionError
+		if !errors.As(err, &ve) || ve.Version != 1 || ve.Path != tc.path {
+			t.Errorf("%s: Resume returned %v, want a *VersionError naming version 1 of %s", tc.name, err, tc.path)
+		}
+		if _, err := ReadState(dir); !errors.As(err, &ve) || ve.Version != 1 {
+			t.Errorf("%s: ReadState returned %v, want a *VersionError naming version 1", tc.name, err)
+		}
 	}
 }

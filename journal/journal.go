@@ -60,7 +60,12 @@ import (
 // Version is the journal file-format version this package reads and
 // writes. Files with any other version are rejected loudly: silently
 // reinterpreting an unknown layout could resurrect wrong campaign state.
-const Version = 1
+// The framing has not changed since version 1; version 2 is the schedule
+// fingerprint the campaign records carry (sct hashes one word per decision,
+// no longer the machine's type name byte by byte). A version-1 campaign
+// resumed by this build would count every schedule it explores again as
+// distinct, so it is refused like any other unknown version.
+const Version = 2
 
 // MaxPayload caps a record payload at 64 MiB. Campaign records are a few
 // KiB at most; a length field beyond the cap is proof of corruption, not a

@@ -126,12 +126,12 @@ func (m *machineInstance) progReset() {
 	m.hops = m.hops[:0]
 }
 
-// park is the machine's side of a scheduling point: it switches to the
-// testing controller, reporting kind, and returns when the controller
-// schedules the machine again. If the controller is tearing the iteration
-// down, the machine unwinds with an abortSignal panic, which run's recover
-// turns into a clean exit; a pending fault-injection crash unwinds the same
-// way with a crashSignal.
+// park is the machine's side of a scheduling point reached mid-handler: it
+// switches to the testing controller, reporting kind, and returns when the
+// controller schedules the machine again. If the controller is tearing the
+// iteration down, the machine unwinds with an abortSignal panic, which run's
+// recover turns into a clean exit; a pending fault-injection crash unwinds
+// the same way with a crashSignal.
 func (m *machineInstance) park(kind yieldKind) {
 	if !m.yield(kind) {
 		// The coroutine was retired with this frame still live. yield must
@@ -142,7 +142,29 @@ func (m *machineInstance) park(kind yieldKind) {
 	m.checkScheduled()
 }
 
-// checkScheduled runs the checks every resumption starts with.
+// parkBlocked parks a machine with nothing to dispatch until something is
+// sent to it. It is between handlers, so when it is resumed only for the
+// iteration to be torn down there is nothing to unwind: it reports false and
+// run's loop ends by returning. Most machines end most iterations blocked,
+// and a panic and its recovery for each of them was a visible share of a
+// short iteration. A crash still unwinds.
+func (m *machineInstance) parkBlocked() bool {
+	if !m.yield(ykBlocked) {
+		m.stopped, m.aborted = true, true
+		return false
+	}
+	if m.rt.test.aborting {
+		m.aborted = true
+		return false
+	}
+	if m.crashed {
+		panic(crashSignal{})
+	}
+	return true
+}
+
+// checkScheduled runs the checks a machine resumed mid-handler, or scheduled
+// for the first time, starts with.
 func (m *machineInstance) checkScheduled() {
 	if m.rt.test.aborting {
 		panic(abortSignal{})
@@ -330,9 +352,9 @@ func (m *machineInstance) boot() *Bug {
 
 // step dequeues the next dispatchable event and runs its handler to
 // completion: the one unit of execution both runtimes are made of. more is
-// false when the machine cannot take another step now: it failed (bug), or —
-// production only — nothing is dispatchable and the machine has been given
-// up.
+// false when the machine cannot take another step now: it failed (bug),
+// nothing is dispatchable and the machine has been given up (production), or
+// the iteration was torn down while it waited (testing).
 func (m *machineInstance) step() (more bool, bug *Bug) {
 	env, bug, ok := m.nextEvent()
 	if !ok {
@@ -355,11 +377,12 @@ func (m *machineInstance) step() (more bool, bug *Bug) {
 }
 
 // nextEvent returns the next dispatchable event. Under the testing runtime
-// it reports "blocked" to the controller and parks until there is one, and
-// takes no lock. Under the production runtime ok is false when there is none
-// or the runtime is stopping, and the machine went idle under the very lock
-// that found that out: the next send to it starts its next activation,
-// possibly before this call has returned.
+// it reports "blocked" to the controller and parks until there is one — ok
+// is false only if the iteration ends first — and takes no lock. Under the
+// production runtime ok is false when there is none or the runtime is
+// stopping, and the machine went idle under the very lock that found that
+// out: the next send to it starts its next activation, possibly before this
+// call has returned.
 func (m *machineInstance) nextEvent() (env envelope, bug *Bug, ok bool) {
 	if c := m.rt.test; c != nil {
 		for {
@@ -375,7 +398,9 @@ func (m *machineInstance) nextEvent() (env envelope, bug *Bug, ok bool) {
 			if ok || bug != nil {
 				return env, bug, ok
 			}
-			m.park(ykBlocked)
+			if !m.parkBlocked() {
+				return envelope{}, nil, false // torn down: run ends as aborted
+			}
 		}
 	}
 	m.mu.Lock()

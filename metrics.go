@@ -4,8 +4,11 @@ import "github.com/psharp-go/psharp/obs"
 
 // RuntimeMetrics are the runtime's always-on operational counters: every
 // field is a fixed-size atomic from the obs package, so recording costs one
-// atomic op and never allocates — cheap enough to leave on in production
-// and under the allocation-capped testing hot path alike.
+// atomic op and never allocates — cheap enough to leave on in production.
+// A testing runtime records into plain words of its controller instead
+// (iterationCounts: its execution is serialized, and three lock-prefixed
+// adds a send were a measurable share of a scheduling point) and adds them
+// here once, when the iteration ends.
 type RuntimeMetrics struct {
 	// Sends counts events successfully enqueued (machine sends, environment
 	// sends, and internal re-queues of deferred raised events).
@@ -20,6 +23,21 @@ type RuntimeMetrics struct {
 	MailboxMax obs.MaxGauge
 }
 
+// iterationCounts is RuntimeMetrics for one bug-finding iteration, without
+// the atomics.
+type iterationCounts struct {
+	sends, dropped, monitorDispatches, creates, mailboxMax int64
+}
+
+// fold adds one finished iteration's counts.
+func (m *RuntimeMetrics) fold(n iterationCounts) {
+	m.Sends.Add(n.sends)
+	m.DroppedSends.Add(n.dropped)
+	m.MonitorDispatches.Add(n.monitorDispatches)
+	m.Creates.Add(n.creates)
+	m.MailboxMax.Observe(n.mailboxMax)
+}
+
 // RuntimeMetricsSnapshot is the JSON-friendly view of RuntimeMetrics.
 type RuntimeMetricsSnapshot struct {
 	Sends             int64 `json:"sends"`
@@ -31,7 +49,11 @@ type RuntimeMetricsSnapshot struct {
 
 // Metrics snapshots the runtime's operational counters. Under a TestHarness
 // the counters accumulate across recycled iterations, so the snapshot
-// describes the whole campaign, not the last schedule.
+// describes the whole campaign, not the last schedule — and they become
+// visible an iteration at a time: TestHarness.Run adds an iteration's counts
+// as it returns (or panics with the strategy's panic), so a snapshot taken
+// from inside a handler, a monitor or the strategy does not yet include the
+// iteration that is running.
 func (r *Runtime) Metrics() RuntimeMetricsSnapshot {
 	return RuntimeMetricsSnapshot{
 		Sends:             r.metrics.Sends.Load(),

@@ -87,3 +87,103 @@ func TestProductionRuntimeMetrics(t *testing.T) {
 	}
 	r.Stop()
 }
+
+// TestHarnessMetricsFoldPerIteration holds Runtime.Metrics under a harness —
+// where the controller counts in plain words and Run adds them to the
+// runtime's atomics as it returns — to what the program itself counted:
+// after every pooled iteration, one ending in a strategy panic and one
+// interrupted among them, the snapshot equals the running sums over the
+// iterations so far, and a snapshot taken from inside a handler does not yet
+// include the iteration it runs in.
+func TestHarnessMetricsFoldPerIteration(t *testing.T) {
+	const workers, monitors = 3, 2
+	var (
+		rt        *psharp.Runtime
+		want      psharp.RuntimeMetricsSnapshot // running sums, kept by the program
+		atStart   psharp.RuntimeMetricsSnapshot // want when the iteration began
+		depth     map[uint64]int64              // events sent to a machine and not yet handled
+		hubHalted bool
+	)
+	hub := psharp.MachineID{Type: "Hub", Seq: 1}
+	sent := func(to psharp.MachineID) {
+		want.MonitorDispatches += monitors
+		if to == hub && hubHalted {
+			want.DroppedSends++
+			return
+		}
+		want.Sends++
+		depth[to.Seq]++
+		want.MailboxMax = max(want.MailboxMax, depth[to.Seq])
+	}
+	send := func(ctx *psharp.Context, to psharp.MachineID, ev psharp.Event) {
+		sent(to)
+		ctx.Send(to, ev)
+	}
+	setup := func(r *psharp.Runtime) {
+		rt, atStart, depth, hubHalted = r, want, make(map[uint64]int64), false
+		r.MustRegister("Hub", func() psharp.Machine {
+			replies := 0
+			return psharp.MachineFunc(func(sc *psharp.Schema) {
+				sc.Start("H").
+					OnEntry(func(ctx *psharp.Context, _ psharp.Event) {
+						if got := rt.Metrics(); got != atStart {
+							t.Errorf("Metrics from inside a handler = %+v, want the finished iterations' %+v", got, atStart)
+						}
+						for i := 0; i < workers; i++ {
+							want.Creates++
+							w := ctx.CreateMachine("Worker", nil)
+							send(ctx, w, &evWork{To: ctx.ID()})
+						}
+					}).
+					OnEventDo(&evBallot{}, func(ctx *psharp.Context, _ psharp.Event) {
+						depth[hub.Seq]--
+						if replies++; replies == 2 {
+							hubHalted = true
+							ctx.Halt()
+						}
+					})
+			})
+		})
+		r.MustRegister("Worker", func() psharp.Machine {
+			return psharp.StaticMachineFunc(func(sc *psharp.Schema) {
+				sc.Start("W").OnEventDo(&evWork{}, func(ctx *psharp.Context, ev psharp.Event) {
+					depth[ctx.ID().Seq]--
+					send(ctx, ev.(*evWork).To, &evBallot{From: ctx.ID()})
+					send(ctx, ev.(*evWork).To, &evBallot{From: ctx.ID()})
+				})
+			})
+		})
+		for _, name := range [monitors]string{"WatchA", "WatchB"} {
+			r.MustRegisterMonitor(name, func() psharp.Machine {
+				return psharp.StaticMachineFunc(func(sc *psharp.Schema) { sc.Start("Watching").Ignore(&evBallot{}) })
+			})
+		}
+		want.Creates++
+		r.MustCreate("Hub", nil)
+	}
+
+	h := psharp.NewTestHarness(setup)
+	defer h.Close()
+	var dropped, panicked, interrupted bool
+	for i := 0; i < 12; i++ {
+		cfg := psharp.TestConfig{Strategy: mustPrepared(sct.NewRandom(uint64(i) + 1))}
+		switch i {
+		case 4:
+			cfg.Strategy = &panicAt{Strategy: mustPrepared(sct.NewRandom(5)), k: 7}
+		case 8:
+			polls := 0
+			cfg.Interrupt = func() bool { polls++; return polls > 6 }
+		}
+		func() {
+			defer func() { panicked = panicked || recover() != nil }()
+			interrupted = h.Run(cfg).Interrupted || interrupted
+		}()
+		dropped = dropped || want.DroppedSends > 0
+		if got := rt.Metrics(); got != want {
+			t.Fatalf("after iteration %d: Metrics = %+v, the program counted %+v", i, got, want)
+		}
+	}
+	if !dropped || !panicked || !interrupted {
+		t.Fatalf("the iterations did not cover a dropped send (%v), a strategy panic (%v) and an interrupt (%v)", dropped, panicked, interrupted)
+	}
+}

@@ -299,22 +299,26 @@ func (mon *monitorInstance) gotoState(target string, payload Event) *Bug {
 // counter keeps the no-monitor fast path lock-free. The testing runtime is
 // already serialized and skips the lock.
 func (r *Runtime) observeMonitors(ev Event) {
-	if r.test == nil {
+	if c := r.test; c == nil {
 		if r.monCount.Load() == 0 {
 			return
 		}
 		r.monMu.Lock()
 		defer r.monMu.Unlock()
-	} else if len(r.monitors) == 0 {
-		return
-	} else if r.test.observing {
-		// Monitor verdicts are order-sensitive global state: mark the
-		// executing step monitor-observed so DPOR treats any two observed
-		// steps as dependent, and note that the monitors' hash components
-		// may have moved.
-		r.test.stepObserved = true
+		r.metrics.MonitorDispatches.Add(int64(len(r.monitors)))
+	} else {
+		if len(r.monitors) == 0 {
+			return
+		}
+		if c.observing {
+			// Monitor verdicts are order-sensitive global state: mark the
+			// executing step monitor-observed so DPOR treats any two observed
+			// steps as dependent, and note that the monitors' hash components
+			// may have moved.
+			c.stepObserved = true
+		}
+		c.counts.monitorDispatches += int64(len(r.monitors))
 	}
-	r.metrics.MonitorDispatches.Add(int64(len(r.monitors)))
 	for _, mon := range r.monitors {
 		if bug := mon.observe(ev); bug != nil {
 			r.monitorFailure(bug)

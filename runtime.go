@@ -43,7 +43,7 @@ type Runtime struct {
 	factories map[string]func() Machine
 	machines  []*machineInstance
 	nextSeq   uint64
-	sendSeq   atomic.Uint64
+	sendSeq   atomic.Uint64 // production only; a controller numbers sends itself
 	// table is machines as production create last published it: a reader
 	// sees every machine whose ID it can have learnt.
 	table atomic.Pointer[[]*machineInstance]
@@ -264,11 +264,11 @@ func (r *Runtime) create(machineType string, payload Event, creator *machineInst
 	m.birth = payload
 	r.unlock()
 
-	r.metrics.Creates.Inc()
 	if r.logging() {
 		r.logf("created %s", id)
 	}
 	if c := r.test; c != nil {
+		c.counts.creates++
 		creatorIdx := 0
 		if creator != nil {
 			creatorIdx = int(creator.id.Seq)
@@ -282,6 +282,7 @@ func (r *Runtime) create(machineType string, payload Event, creator *machineInst
 		}
 		return id, nil
 	}
+	r.metrics.Creates.Inc()
 	r.wake(m, creator)
 	return id, nil
 }
@@ -347,7 +348,7 @@ func (r *Runtime) enqueue(target MachineID, ev Event, sm *machineInstance, isMac
 	// for every machine send when faults are enabled, before delivery, so
 	// the query sequence is a function of the schedule alone. Sends to an
 	// already-halted target ignore the answer (there is nothing to fault).
-	fault := FaultAction{}
+	fault := FaultNone
 	if c != nil && isMachineSend && c.cfg.Faults != nil {
 		fault = c.nextSendFault(target)
 	}
@@ -357,34 +358,43 @@ func (r *Runtime) enqueue(target MachineID, ev Event, sm *machineInstance, isMac
 		clock = c.det.Send(int(sender.Seq))
 	}
 
+	// Under a controller the sequence number and the counters are plain words
+	// of its own (one stack runs at a time; TestHarness.Run folds the counters
+	// into r.metrics); production senders share atomics.
 	m.lock()
 	if m.halted {
 		m.unlock()
-		r.metrics.DroppedSends.Inc()
+		if c != nil {
+			c.counts.dropped++
+		} else {
+			r.metrics.DroppedSends.Inc()
+		}
 		if r.logging() {
 			r.logf("dropped %s to halted %s", eventName(ev), target)
 		}
-	} else if fault.Kind == FaultDrop {
+	} else if fault == FaultDrop {
 		m.unlock()
 		c.faults.Drops++
-		r.metrics.DroppedSends.Inc()
+		c.counts.dropped++
 		if r.logging() {
 			r.logf("fault: dropped %s to %s", eventName(ev), target)
 		}
 	} else {
-		env := envelope{event: ev, sender: sender, clock: clock, seq: r.sendSeq.Add(1)}
-		if fault.Kind == FaultDuplicate {
-			r.sendSeq.Add(1)
-		}
+		env := envelope{event: ev, sender: sender, clock: clock}
 		woke := false
-		if c == nil {
+		if c != nil {
+			c.sendSeq++
+			env.seq = c.sendSeq
+		} else {
+			env.seq = r.sendSeq.Add(1)
 			r.busy.Add(1)
 			woke, m.active = !m.active, true
 		}
 		m.push(env)
-		switch fault.Kind {
+		switch fault {
 		case FaultDuplicate:
-			env.seq++
+			c.sendSeq++
+			env.seq = c.sendSeq
 			m.push(env)
 			c.faults.Duplicates++
 		case FaultReorder:
@@ -396,15 +406,19 @@ func (r *Runtime) enqueue(target MachineID, ev Event, sm *machineInstance, isMac
 		}
 		depth := int64(len(m.queued()))
 		m.unlock()
-		r.metrics.Sends.Inc()
-		r.metrics.MailboxMax.Observe(depth)
 		if r.logging() {
 			r.logf("%s -> %s: %s", sender, target, eventName(ev))
 		}
 		if c != nil {
+			c.counts.sends++
+			c.counts.mailboxMax = max(c.counts.mailboxMax, depth)
 			c.onEnqueue(m)
-		} else if woke {
-			r.wake(m, sm)
+		} else {
+			r.metrics.Sends.Inc()
+			r.metrics.MailboxMax.Observe(depth)
+			if woke {
+				r.wake(m, sm)
+			}
 		}
 	}
 

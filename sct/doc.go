@@ -9,6 +9,19 @@
 // The engine has no false positives: every reported bug comes with a
 // schedule trace that replays it deterministically.
 //
+// A strategy here is a psharp.Strategy — the three-method interface — plus
+// PrepareIteration. The two that must answer fault queries, FaultInjector
+// and Replay, also implement psharp.DecisionStrategy, whose one method is
+// Decide(*psharp.Choice, *psharp.Decision): the controller calls it for
+// every query, the strategy writes its answer into the Decision — the
+// trace's next record, handed over zeroed — and returns. Both arguments are
+// scratch, valid for the call only: copy the Enabled or Crashable set to
+// keep it, and never hold on to the Decision (the record is not part of the
+// trace until the controller has validated it, and is overwritten if it is
+// rejected). FaultInjector forwards what it does not answer to its inner
+// strategy through psharp.AsDecisionStrategy, so a wrapped three-method
+// strategy sees exactly the calls it would see unwrapped.
+//
 // # Liveness checking and fair scheduling
 //
 // Safety bugs are findable by any strategy; liveness bugs ("eventually
@@ -50,11 +63,14 @@
 // The global iteration budget is divided exactly across workers, per-worker
 // statistics are merged into one Report (plus per-worker sub-reports in
 // ParallelReport.Workers), and every explored schedule is fingerprinted —
-// a hash of its decision trace — so Report.DistinctSchedules states how
-// many distinct schedules a run covered rather than just raw iteration
-// throughput. Cancellation is cooperative and prompt: StopOnFirstBug, the
-// hard Timeout deadline and the budget are polled at every scheduling
-// point, so even a runaway iteration cannot keep a worker alive.
+// a hash of its decision trace, one 64-bit word per decision (kind, and the
+// machine's sequence number, the value drawn or the fault's bits; a
+// machine's type name is implied by its creation order and is left out) —
+// so Report.DistinctSchedules states how many distinct schedules a run
+// covered rather than just raw iteration throughput. Cancellation is
+// cooperative and prompt: StopOnFirstBug, the hard Timeout deadline and
+// the budget are polled at every scheduling point, so even a runaway
+// iteration cannot keep a worker alive.
 //
 // Determinism carries over: the same seed and worker count reproduce the
 // same merged counts (for runs that are not stopped early, whose timing is
@@ -203,7 +219,7 @@
 // cost when off: with no fault budget the controller never issues fault
 // queries and the trace carries no fault records. With a budget, every
 // scheduler pass and every machine send adds one strategy query and one
-// trace record (an appended Decision, amortized into the recycled trace
+// trace record (written by the injector in place, in the recycled trace
 // buffer), and each crash-with-restart pays one factory call plus machine
 // re-wiring — proportional to faults injected, not schedule length. The
 // injector's own randomness is a separate seed-sharded stream, so enabling
@@ -260,7 +276,11 @@
 //
 // Options.Journal attaches a journal.Campaign, making the run durable and
 // resumable (see the journal package for the file format and recovery
-// semantics). Each worker appends its schedule fingerprints and its
+// semantics). The fingerprints it stores are this package's: the function
+// that makes them is part of the format (journal.Version 2), and a campaign
+// journaled by a build with another one is refused with a
+// *journal.VersionError, not resumed into counting its schedules twice.
+// Each worker appends its schedule fingerprints and its
 // strategy cursor in batches of JournalFlushEvery iterations from a
 // preallocated buffer, off the scheduling hot path — journaling adds at
 // most one allocation per steady-state iteration (measured zero; gated by

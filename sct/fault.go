@@ -60,7 +60,7 @@ const DefaultFaultHorizon = 256
 // Cloneable when the inner strategy does, sharding both streams.
 type FaultInjector struct {
 	inner  Strategy
-	innerD psharp.DecisionStrategy // inner via Decide when it implements it
+	innerD psharp.DecisionStrategy // inner as Decide reaches it
 
 	budget   int
 	horizon  int
@@ -104,7 +104,7 @@ func newFaultInjector(inner Strategy, opts FaultOptions, offset, stride int) *Fa
 		rng:      newRNG(opts.Seed),
 		points:   make(map[int]bool, opts.Budget),
 	}
-	s.innerD, _ = inner.(psharp.DecisionStrategy)
+	s.innerD = psharp.AsDecisionStrategy(inner)
 	return s
 }
 
@@ -166,28 +166,19 @@ func (s *FaultInjector) PrepareIteration(iter int) bool {
 
 // Decide answers fault queries from the iteration's injection plan and
 // routes every other choice to the inner strategy.
-func (s *FaultInjector) Decide(c psharp.Choice) psharp.Decision {
+func (s *FaultInjector) Decide(c *psharp.Choice, d *psharp.Decision) {
 	if c.Kind != psharp.ChoiceFault {
-		if s.innerD != nil {
-			return s.innerD.Decide(c)
-		}
-		switch c.Kind {
-		case psharp.ChoiceMachine:
-			return psharp.Decision{Kind: psharp.DecisionSchedule, Machine: s.inner.NextMachine(c.Current, c.Enabled)}
-		case psharp.ChoiceBool:
-			return psharp.Decision{Kind: psharp.DecisionBool, Bool: s.inner.NextBool()}
-		case psharp.ChoiceInt:
-			return psharp.Decision{Kind: psharp.DecisionInt, Int: s.inner.NextInt(c.N)}
-		}
-		panic(fmt.Sprintf("sct: fault injector asked for unknown choice kind %d", c.Kind))
+		s.innerD.Decide(c, d)
+		return
 	}
+	d.Kind = psharp.DecisionFault
 	i := s.idx
 	s.idx++
 	if s.remaining <= 0 || !c.Eligible || !s.points[i] {
-		return psharp.Decision{Kind: psharp.DecisionFault}
+		return
 	}
 	s.remaining--
-	f := psharp.FaultAction{}
+	f := &d.Fault
 	switch c.Point {
 	case psharp.FaultPointSend:
 		kinds := [3]psharp.FaultKind{psharp.FaultDrop, psharp.FaultDuplicate, psharp.FaultReorder}
@@ -200,7 +191,6 @@ func (s *FaultInjector) Decide(c psharp.Choice) psharp.Decision {
 		}
 		f.PreserveMailbox = f.Restart && s.preserve
 	}
-	return psharp.Decision{Kind: psharp.DecisionFault, Fault: f}
 }
 
 // NextMachine delegates to the inner strategy (legacy interface; the

@@ -6,68 +6,56 @@ import (
 	"github.com/psharp-go/psharp"
 )
 
-// Schedule fingerprinting: a 64-bit FNV-1a hash over the decision trace of
-// one iteration. Two iterations that made the same scheduling and
-// nondeterminism decisions have the same fingerprint, so the engine can
-// report how many *distinct* schedules a run explored — which is the honest
-// coverage metric once many workers explore concurrently (sharded seed
-// streams never collide by construction, but portfolio members and the
-// paper's memoryless random scheduler both revisit schedules).
+// Schedule fingerprinting: a 64-bit hash over the decision trace of one
+// iteration. Two iterations that made the same scheduling and nondeterminism
+// decisions have the same fingerprint, so the engine can report how many
+// *distinct* schedules a run explored — which is the honest coverage metric
+// once many workers explore concurrently (sharded seed streams never collide
+// by construction, but portfolio members and the paper's memoryless random
+// scheduler both revisit schedules).
+//
+// Fingerprints are journaled (journal.Version names the function that made
+// them): changing what fingerprintTrace returns for a trace is a journal
+// format change.
 
-const (
-	fnvOffset64 = 0xcbf29ce484222325
-	fnvPrime64  = 0x100000001b3
-)
-
-func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
-func fnvUint64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = fnvByte(h, byte(v>>(8*i)))
-	}
-	return h
-}
-
-func fnvString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = fnvByte(h, s[i])
-	}
-	return h
-}
-
-// fingerprintTrace hashes a decision trace. Machine identity hashes as
-// (type, seq), which is deterministic because the serialized runtime assigns
-// sequence numbers in creation order.
+// fingerprintTrace hashes a decision trace, one word per decision: the
+// decision's kind in the low two bits and, above them, what was decided —
+// the machine's sequence number, the boolean, the integer, or the fault's
+// kind, restart and keep-mailbox bits and crash target. A machine's sequence
+// number is its creation order under the serialized runtime, so within one
+// campaign it names the machine and the type name adds nothing. Each word is
+// folded in by a multiply and an xor-shift, both invertible, so traces that
+// differ in one decision never collide.
 func fingerprintTrace(t *psharp.Trace) uint64 {
-	h := uint64(fnvOffset64)
-	for _, d := range t.Decisions {
-		h = fnvByte(h, byte(d.Kind))
+	const mul = 0x9e3779b97f4a7c15
+	h := uint64(len(t.Decisions))
+	for i := range t.Decisions {
+		d := &t.Decisions[i]
+		var v uint64
 		switch d.Kind {
 		case psharp.DecisionSchedule:
-			h = fnvString(h, d.Machine.Type)
-			h = fnvUint64(h, d.Machine.Seq)
+			v = d.Machine.Seq
 		case psharp.DecisionBool:
 			if d.Bool {
-				h = fnvByte(h, 1)
-			} else {
-				h = fnvByte(h, 0)
+				v = 1
 			}
 		case psharp.DecisionInt:
-			h = fnvUint64(h, uint64(d.Int))
+			v = uint64(d.Int)
 		case psharp.DecisionFault:
-			h = fnvByte(h, byte(d.Fault.Kind))
-			if d.Fault.Kind == psharp.FaultCrash {
-				h = fnvString(h, d.Fault.Machine.Type)
-				h = fnvUint64(h, d.Fault.Machine.Seq)
-				bits := byte(0)
-				if d.Fault.Restart {
-					bits |= 1
+			f := &d.Fault
+			v = uint64(f.Kind)
+			if f.Kind == psharp.FaultCrash {
+				if f.Restart {
+					v |= 1 << 3
 				}
-				if d.Fault.PreserveMailbox {
-					bits |= 2
+				if f.PreserveMailbox {
+					v |= 1 << 4
 				}
-				h = fnvByte(h, bits)
+				v |= f.Machine.Seq << 5
 			}
 		}
+		h = (h ^ (v<<2 | uint64(d.Kind))) * mul
+		h ^= h >> 32
 	}
 	return h
 }

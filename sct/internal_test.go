@@ -1,9 +1,11 @@
 package sct
 
 import (
+	"bytes"
 	"testing"
 
 	"github.com/psharp-go/psharp"
+	"github.com/psharp-go/psharp/internal/protocols"
 )
 
 func TestRaceSetDedupsPreservingOrder(t *testing.T) {
@@ -93,6 +95,87 @@ func TestFingerprintDistinguishesTraces(t *testing.T) {
 	} {
 		if other == base {
 			t.Errorf("%s trace collides with base", name)
+		}
+	}
+
+	// Fault records: every field Trace.Encode writes must tell two traces
+	// apart, and a value must not read the same under another kind (an
+	// integer 1, a true, machine 1, a drop).
+	fault := func(f psharp.FaultAction) psharp.Decision {
+		return psharp.Decision{Kind: psharp.DecisionFault, Fault: f}
+	}
+	seen := map[uint64]string{}
+	for name, d := range map[string]psharp.Decision{
+		"schedule 1":            {Kind: psharp.DecisionSchedule, Machine: id1},
+		"schedule 2":            {Kind: psharp.DecisionSchedule, Machine: id2},
+		"true":                  {Kind: psharp.DecisionBool, Bool: true},
+		"false":                 {Kind: psharp.DecisionBool},
+		"int 0":                 {Kind: psharp.DecisionInt},
+		"int 1":                 {Kind: psharp.DecisionInt, Int: 1},
+		"int 2":                 {Kind: psharp.DecisionInt, Int: 2},
+		"none":                  fault(psharp.FaultAction{}),
+		"drop":                  fault(psharp.FaultAction{Kind: psharp.FaultDrop}),
+		"dup":                   fault(psharp.FaultAction{Kind: psharp.FaultDuplicate}),
+		"reorder":               fault(psharp.FaultAction{Kind: psharp.FaultReorder}),
+		"crash 1":               fault(psharp.FaultAction{Kind: psharp.FaultCrash, Machine: id1}),
+		"crash 2":               fault(psharp.FaultAction{Kind: psharp.FaultCrash, Machine: id2}),
+		"crash 1 restart":       fault(psharp.FaultAction{Kind: psharp.FaultCrash, Machine: id1, Restart: true}),
+		"crash 1 restart keepq": fault(psharp.FaultAction{Kind: psharp.FaultCrash, Machine: id1, Restart: true, PreserveMailbox: true}),
+	} {
+		fp := mk(func(tr *psharp.Trace) {
+			tr.Decisions = []psharp.Decision{{Kind: psharp.DecisionSchedule, Machine: id1}, d, {Kind: psharp.DecisionSchedule, Machine: id2}}
+		})
+		if other, dup := seen[fp]; dup {
+			t.Errorf("traces differing in one record (%s, %s) share a fingerprint", name, other)
+		}
+		seen[fp] = name
+	}
+}
+
+// TestFingerprintMatchesEncodingOracle is the oracle for the one-word-per-
+// decision fingerprint: over 2 000 random schedules of each of three
+// protocols — one of them with crashes, drops, duplicates and reorders
+// injected — two schedules share a fingerprint exactly when Trace.Encode
+// writes the same bytes for them. Encode spells every field out, the
+// machine's type name included; the fingerprint leaves the name out.
+func TestFingerprintMatchesEncodingOracle(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		faults bool
+	}{{"BoundedAsync", false}, {"Chord", false}, {"TwoPhaseCommitFT", true}} {
+		b := protocols.MustByName(tc.name, true)
+		var strategy Strategy = NewRandom(7)
+		cfg := psharp.TestConfig{MaxSteps: b.MaxSteps, LivelockAsBug: b.LivelockAsBug}
+		if tc.faults {
+			strategy = NewFaultInjector(strategy, FaultOptions{Budget: 2, Seed: 7, Horizon: 64, Immune: b.FaultImmune, Restart: true, PreserveMailbox: true})
+			cfg.Faults = &psharp.FaultConfig{Immune: b.FaultImmune}
+		}
+		cfg.Strategy = strategy
+		h := psharp.NewTestHarness(b.Setup)
+		fingerprints, encodings := map[uint64]struct{}{}, map[string]struct{}{}
+		var buf bytes.Buffer
+		faultRecords := 0
+		for i := 0; i < 2000; i++ {
+			strategy.PrepareIteration(i)
+			tr := h.Run(cfg).Trace
+			buf.Reset()
+			if err := tr.Encode(&buf); err != nil {
+				t.Fatal(err)
+			}
+			fingerprints[fingerprintTrace(tr)] = struct{}{}
+			encodings[buf.String()] = struct{}{}
+			for _, d := range tr.Decisions {
+				if d.Kind == psharp.DecisionFault && d.Fault.Kind != psharp.FaultNone {
+					faultRecords++
+				}
+			}
+		}
+		h.Close()
+		if len(fingerprints) != len(encodings) {
+			t.Errorf("%s: 2000 schedules have %d distinct fingerprints and %d distinct encodings", tc.name, len(fingerprints), len(encodings))
+		}
+		if len(encodings) < 100 || tc.faults != (faultRecords > 0) {
+			t.Errorf("%s: %d distinct schedules, %d injected faults: the oracle is not exercised", tc.name, len(encodings), faultRecords)
 		}
 	}
 }

@@ -34,11 +34,13 @@ func (s *Replay) PrepareIteration(iter int) bool {
 // Consumed reports how many decisions have been replayed.
 func (s *Replay) Consumed() int { return s.pos }
 
-func (s *Replay) next(kind psharp.DecisionKind) psharp.Decision {
+// next returns the recorded decision at this position, which must be of
+// the kind the program is asking for.
+func (s *Replay) next(kind psharp.DecisionKind) *psharp.Decision {
 	if s.pos >= len(s.trace.Decisions) {
 		panic(fmt.Sprintf("sct: replay ran past the end of the trace (%d decisions)", len(s.trace.Decisions)))
 	}
-	d := s.trace.Decisions[s.pos]
+	d := &s.trace.Decisions[s.pos]
 	if d.Kind != kind {
 		panic(fmt.Sprintf("sct: replay divergence at decision %d: trace has kind %v, program asked for %v",
 			s.pos, d.Kind, kind))
@@ -74,20 +76,17 @@ func (s *Replay) NextInt(n int) int {
 // FaultNone declines — at exactly the query where it was recorded. The
 // controller re-validates each action against the current state, so a
 // divergent program still fails loudly instead of misinjecting.
-func (s *Replay) Decide(c psharp.Choice) psharp.Decision {
+func (s *Replay) Decide(c *psharp.Choice, d *psharp.Decision) {
 	switch c.Kind {
 	case psharp.ChoiceMachine:
-		return psharp.Decision{Kind: psharp.DecisionSchedule, Machine: s.NextMachine(c.Current, c.Enabled)}
+		d.Kind, d.Machine = psharp.DecisionSchedule, s.NextMachine(c.Current, c.Enabled)
 	case psharp.ChoiceBool:
-		return s.next(psharp.DecisionBool)
+		d.Kind, d.Bool = psharp.DecisionBool, s.NextBool()
 	case psharp.ChoiceInt:
-		d := s.next(psharp.DecisionInt)
-		if d.Int >= c.N {
-			panic(fmt.Sprintf("sct: replay divergence at decision %d: recorded %d out of range %d", s.pos-1, d.Int, c.N))
-		}
-		return d
+		d.Kind, d.Int = psharp.DecisionInt, s.NextInt(c.N)
 	case psharp.ChoiceFault:
-		return s.next(psharp.DecisionFault)
+		d.Kind, d.Fault = psharp.DecisionFault, s.next(psharp.DecisionFault).Fault
+	default:
+		panic(fmt.Sprintf("sct: replay asked for unknown choice kind %d", c.Kind))
 	}
-	panic(fmt.Sprintf("sct: replay asked for unknown choice kind %d", c.Kind))
 }

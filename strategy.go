@@ -64,8 +64,11 @@ const (
 )
 
 // Choice describes one nondeterminism point. Only the fields of the active
-// Kind are meaningful. The Enabled and Crashable slices are scratch buffers
-// the runtime reuses; copy them to keep them.
+// Kind are meaningful: the controller keeps one Choice for the whole harness
+// and sets the active kind's fields in place before every query, so the
+// others hold whatever an earlier query left there. The value, like the
+// Enabled and Crashable slices it points to, is scratch that is valid for
+// the duration of the Decide call; copy what you keep.
 //
 // Fault queries are issued unconditionally whenever faults are enabled —
 // even when no fault is permitted at this point — so that the query
@@ -91,14 +94,22 @@ type Choice struct {
 }
 
 // DecisionStrategy is the generalized strategy interface: one entry point
-// the controller calls at every nondeterminism point. Decide must return a
-// Decision whose Kind matches the query (ChoiceMachine → DecisionSchedule,
-// ChoiceBool → DecisionBool, ChoiceInt → DecisionInt, ChoiceFault →
-// DecisionFault); a mismatched or invalid decision ends the iteration with
-// a bug attributed to the strategy. Like Strategy, all calls within one
-// iteration are serialized.
+// the controller calls at every nondeterminism point. Decide answers the
+// query c by filling in d, which arrives zeroed: it sets d.Kind to match the
+// query (ChoiceMachine → DecisionSchedule, ChoiceBool → DecisionBool,
+// ChoiceInt → DecisionInt, ChoiceFault → DecisionFault) and the field of
+// that kind; a mismatched or invalid decision ends the iteration with a bug
+// attributed to the strategy. Like Strategy, all calls within one iteration
+// are serialized.
+//
+// Both arguments are scratch, valid for the call only. d is the record the
+// answer will occupy in the iteration's trace — the strategy writes it where
+// it is kept, nothing is copied afterwards — but it is not part of the trace
+// until the controller has validated it: an answer that is rejected, or a
+// Decide that panics half way through writing it, leaves no record. Decide
+// must not retain c or d, nor read d after returning.
 type DecisionStrategy interface {
-	Decide(c Choice) Decision
+	Decide(c *Choice, d *Decision)
 }
 
 // legacyDecider adapts a plain Strategy to the decision API. It answers
@@ -109,18 +120,31 @@ type legacyDecider struct {
 	s Strategy
 }
 
-func (a *legacyDecider) Decide(c Choice) Decision {
+func (a *legacyDecider) Decide(c *Choice, d *Decision) {
 	switch c.Kind {
 	case ChoiceMachine:
-		return Decision{Kind: DecisionSchedule, Machine: a.s.NextMachine(c.Current, c.Enabled)}
+		d.Kind, d.Machine = DecisionSchedule, a.s.NextMachine(c.Current, c.Enabled)
 	case ChoiceBool:
-		return Decision{Kind: DecisionBool, Bool: a.s.NextBool()}
+		d.Kind, d.Bool = DecisionBool, a.s.NextBool()
 	case ChoiceInt:
-		return Decision{Kind: DecisionInt, Int: a.s.NextInt(c.N)}
+		d.Kind, d.Int = DecisionInt, a.s.NextInt(c.N)
 	case ChoiceFault:
-		return Decision{Kind: DecisionFault}
+		d.Kind = DecisionFault
+	default:
+		panic(fmt.Sprintf("psharp: unknown choice kind %d", c.Kind))
 	}
-	panic(fmt.Sprintf("psharp: unknown choice kind %d", c.Kind))
+}
+
+// AsDecisionStrategy returns s as the controller sees it: s itself if it
+// implements DecisionStrategy, else an adapter that maps each query onto
+// the three Strategy methods and declines every fault. Strategies that wrap
+// another one (like sct.FaultInjector) use it to forward the queries they do
+// not answer themselves.
+func AsDecisionStrategy(s Strategy) DecisionStrategy {
+	if ds, ok := s.(DecisionStrategy); ok {
+		return ds
+	}
+	return &legacyDecider{s: s}
 }
 
 // AsStrategy wraps a pure DecisionStrategy as a Strategy so it can be used
@@ -137,16 +161,22 @@ type deciderStrategy struct {
 	d DecisionStrategy
 }
 
-func (w *deciderStrategy) Decide(c Choice) Decision { return w.d.Decide(c) }
+func (w *deciderStrategy) Decide(c *Choice, d *Decision) { w.d.Decide(c, d) }
 
 func (w *deciderStrategy) NextMachine(current MachineID, enabled []MachineID) MachineID {
-	return w.d.Decide(Choice{Kind: ChoiceMachine, Current: current, Enabled: enabled}).Machine
+	var d Decision
+	w.d.Decide(&Choice{Kind: ChoiceMachine, Current: current, Enabled: enabled}, &d)
+	return d.Machine
 }
 
 func (w *deciderStrategy) NextBool() bool {
-	return w.d.Decide(Choice{Kind: ChoiceBool}).Bool
+	var d Decision
+	w.d.Decide(&Choice{Kind: ChoiceBool}, &d)
+	return d.Bool
 }
 
 func (w *deciderStrategy) NextInt(n int) int {
-	return w.d.Decide(Choice{Kind: ChoiceInt, N: n}).Int
+	var d Decision
+	w.d.Decide(&Choice{Kind: ChoiceInt, N: n}, &d)
+	return d.Int
 }

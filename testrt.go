@@ -191,9 +191,18 @@ type controller struct {
 
 	// decider is the strategy as seen through the decision API: the
 	// strategy itself if it implements DecisionStrategy, else legacy
-	// wrapping it (embedded by value so the adapter never allocates).
+	// wrapping it (embedded by value so the adapter never allocates). choice
+	// is the one query record every Decide call of the harness is handed (see
+	// ask).
 	decider DecisionStrategy
 	legacy  legacyDecider
+	choice  Choice
+
+	// sendSeq numbers the iteration's sends and counts holds its operational
+	// counters: plain words, because one stack runs at a time. Run folds
+	// counts into the runtime's atomic RuntimeMetrics when the iteration ends.
+	sendSeq uint64
+	counts  iterationCounts
 
 	// faults counts injected failures; crashScratch is the reusable
 	// crashable-machine list handed to schedule-level fault queries.
@@ -270,6 +279,47 @@ func takeReserved() *machineInstance {
 	instanceReserve.idle[n-1] = nil
 	instanceReserve.idle = instanceReserve.idle[:n-1]
 	return m
+}
+
+// traceReserve is the stock of idle trace buffers, beside the instances: a
+// closing harness donates the []Decision it grew and the next harness starts
+// with it, so a short-lived harness (a hunt of three schedules, the replay
+// that confirms it) does not regrow a trace by doubling from nothing.
+var traceReserve struct {
+	mu   sync.Mutex
+	idle [][]Decision
+}
+
+// The reserve keeps at most traceReserveCap buffers of at most
+// traceReserveLen decisions each — 8 × 1.4 MB at worst. A longer trace's
+// buffer is left to the collector: the next harness may run a short program.
+const (
+	traceReserveCap = 8
+	traceReserveLen = 1 << 14
+)
+
+func donateTrace(buf []Decision) {
+	if cap(buf) == 0 || cap(buf) > traceReserveLen {
+		return
+	}
+	traceReserve.mu.Lock()
+	if len(traceReserve.idle) < traceReserveCap {
+		traceReserve.idle = append(traceReserve.idle, buf[:0])
+	}
+	traceReserve.mu.Unlock()
+}
+
+func takeReservedTrace() []Decision {
+	traceReserve.mu.Lock()
+	defer traceReserve.mu.Unlock()
+	n := len(traceReserve.idle)
+	if n == 0 {
+		return nil
+	}
+	buf := traceReserve.idle[n-1]
+	traceReserve.idle[n-1] = nil
+	traceReserve.idle = traceReserve.idle[:n-1]
+	return buf
 }
 
 // acquireInstance returns an idle machine instance — from the harness
@@ -373,12 +423,23 @@ func (c *controller) setDecider() {
 	c.decider = &c.legacy
 }
 
+// ask puts the query the caller has described in c.choice to the strategy.
+// The answer is written straight into the trace's next record, which the
+// caller validates where it lies and then commits; returning without
+// committing — or a panic of the strategy — leaves the trace as it was.
+func (c *controller) ask() *Decision {
+	d := c.trace.slot()
+	c.decider.Decide(&c.choice, d)
+	return d
+}
+
 func (c *controller) nextBool() bool {
-	d := c.decider.Decide(Choice{Kind: ChoiceBool})
+	c.choice.Kind = ChoiceBool
+	d := c.ask()
 	if d.Kind != DecisionBool {
 		panic(assertFailed{msg: fmt.Sprintf("strategy answered a bool choice with decision kind %d", d.Kind)})
 	}
-	c.trace.addBool(d.Bool)
+	c.trace.commit()
 	if h := c.hasher; h != nil {
 		v := byte(0)
 		if d.Bool {
@@ -402,14 +463,15 @@ func (c *controller) mixChoice(v uint64) {
 }
 
 func (c *controller) nextInt(n int) int {
-	d := c.decider.Decide(Choice{Kind: ChoiceInt, N: n})
+	c.choice.Kind, c.choice.N = ChoiceInt, n
+	d := c.ask()
 	if d.Kind != DecisionInt {
 		panic(assertFailed{msg: fmt.Sprintf("strategy answered an int choice with decision kind %d", d.Kind)})
 	}
 	if d.Int < 0 || d.Int >= n {
 		panic(assertFailed{msg: fmt.Sprintf("strategy returned %d for NextInt(%d)", d.Int, n)})
 	}
-	c.trace.addInt(d.Int)
+	c.trace.commit()
 	if h := c.hasher; h != nil {
 		h.prefix = fnvUint64(fnvByte(h.prefix, 3), uint64(d.Int))
 		c.mixChoice(uint64(d.Int) | 0x200000000)
@@ -518,7 +580,8 @@ func (c *controller) pass() (out passOutcome) {
 		}
 	}
 	c.scratch = append(c.scratch[:0], c.ready...)
-	d := c.decider.Decide(Choice{Kind: ChoiceMachine, Current: c.current, Enabled: c.scratch})
+	c.choice.Kind, c.choice.Current, c.choice.Enabled = ChoiceMachine, c.current, c.scratch
+	d := c.ask()
 	if d.Kind != DecisionSchedule {
 		c.bug = &Bug{Kind: BugPanic,
 			Message: fmt.Sprintf("strategy answered a machine choice with decision kind %d", d.Kind)}
@@ -530,7 +593,7 @@ func (c *controller) pass() (out passOutcome) {
 			Message: fmt.Sprintf("strategy chose %s, which is not enabled", next)}
 		return passEnd
 	}
-	c.trace.addSchedule(next)
+	c.trace.commit()
 	c.current = next
 	c.steps++
 	if c.observing {
@@ -675,11 +738,12 @@ func (c *controller) stateHash() uint64 {
 	return s
 }
 
-// teardown unwinds every machine that still has a run frame on its
-// coroutine — parked mid-handler or blocked on its queue: resumed with the
-// abort flag up, it panics abortSignal out of park and is back at the top
-// of poolLoop by the time next returns. Machines that finished, or were
-// created but never scheduled, are already parked there.
+// teardown ends the run of every machine that still has a run frame on its
+// coroutine. Resumed with the abort flag up, a machine blocked on its queue
+// — between handlers — returns out of run (parkBlocked); one parked
+// mid-handler panics abortSignal out of park. Either is back at the top of
+// poolLoop by the time next returns. Machines that finished, or were created
+// but never scheduled, are already parked there.
 func (c *controller) teardown() {
 	c.aborting = true
 	for _, m := range c.instances {
@@ -708,9 +772,13 @@ func contains(ids []MachineID, id MachineID) bool {
 //
 // RunTest is a thin wrapper over a one-shot TestHarness; callers running
 // many iterations of the same program (like the sct engine) should hold a
-// TestHarness so runtime machinery is recycled instead of rebuilt.
+// TestHarness so runtime machinery is recycled instead of rebuilt. The
+// result's Trace is the caller's own: a copy, because the harness's buffer
+// goes back to the reserve when RunTest returns.
 func RunTest(setup func(*Runtime), cfg TestConfig) IterationResult {
 	h := NewTestHarness(setup)
 	defer h.Close()
-	return h.Run(cfg)
+	res := h.Run(cfg)
+	res.Trace = res.Trace.Clone()
+	return res
 }

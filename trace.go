@@ -6,6 +6,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // TraceFormatVersion is the version of the trace text encoding this build
@@ -98,21 +99,18 @@ type Trace struct {
 	Decisions []Decision
 }
 
-func (t *Trace) addSchedule(id MachineID) {
-	t.Decisions = append(t.Decisions, Decision{Kind: DecisionSchedule, Machine: id})
+// slot returns the record the next decision will occupy — zeroed, within the
+// buffer's capacity, not yet counted in len — for the strategy to answer into
+// (see DecisionStrategy); commit makes it part of the trace once the
+// controller has validated it. A slot that is never committed leaves no
+// trace: the next slot call hands out, and zeroes, the same record.
+func (t *Trace) slot() *Decision {
+	n := len(t.Decisions)
+	t.Decisions = append(t.Decisions, Decision{})[:n]
+	return &t.Decisions[:n+1][n]
 }
 
-func (t *Trace) addBool(v bool) {
-	t.Decisions = append(t.Decisions, Decision{Kind: DecisionBool, Bool: v})
-}
-
-func (t *Trace) addInt(v int) {
-	t.Decisions = append(t.Decisions, Decision{Kind: DecisionInt, Int: v})
-}
-
-func (t *Trace) addFault(f FaultAction) {
-	t.Decisions = append(t.Decisions, Decision{Kind: DecisionFault, Fault: f})
-}
+func (t *Trace) commit() { t.Decisions = t.Decisions[:len(t.Decisions)+1] }
 
 // Len returns the number of recorded decisions.
 func (t *Trace) Len() int { return len(t.Decisions) }
@@ -131,15 +129,20 @@ func (t *Trace) HasFaultDecisions() bool {
 	return false
 }
 
-// Clone returns a deep copy of the trace. A TestHarness reuses its trace
-// buffer across iterations, so callers that retain an IterationResult.Trace
-// past the next Run must clone it first.
+// Clone returns a deep copy of the trace, sized to its length. A TestHarness
+// reuses its trace buffer across iterations and hands it to the next harness
+// when it closes, so callers that retain an IterationResult.Trace past the
+// harness's next Run or its Close must clone it first.
 func (t *Trace) Clone() *Trace {
 	if t == nil {
 		return nil
 	}
 	return &Trace{Decisions: append([]Decision(nil), t.Decisions...)}
 }
+
+// encodeWriters recycles Encode's buffered writers: every bug hunt encodes
+// at least one trace, and a writer's buffer is 4 KB.
+var encodeWriters = sync.Pool{New: func() any { return bufio.NewWriter(nil) }}
 
 // Encode writes the trace in a line-oriented text format. The first line is
 // a required header naming the format version; the records are
@@ -151,13 +154,20 @@ func (t *Trace) Clone() *Trace {
 //	f crash <machine-type> <machine-seq> <restart 0|1> <keepq 0|1>
 //
 // Records are appended digit by digit into the buffered writer's own free
-// space rather than formatted: a trace is thousands of them, and every bug
-// hunt encodes at least one.
+// space rather than formatted, and the writer is recycled: a trace is
+// thousands of records, and every bug hunt encodes at least one.
 func (t *Trace) Encode(w io.Writer) error {
-	// A failed write sticks to the writer: the next Write and Flush return it.
-	bw := bufio.NewWriter(w)
-	bw.WriteString("psharp-trace " + strconv.Itoa(TraceFormatVersion) + "\n")
-	bw.WriteString("# records: s <type> <seq> | b 0|1 | i <value> | f none|drop|dup|reorder | f crash <type> <seq> <restart> <keepq>\n")
+	// A failed write sticks to the writer (the next Write and Flush return
+	// it) until Reset clears it.
+	bw := encodeWriters.Get().(*bufio.Writer)
+	bw.Reset(w)
+	defer func() {
+		bw.Reset(nil) // do not keep w alive from the pool
+		encodeWriters.Put(bw)
+	}()
+	bw.WriteString("psharp-trace ")
+	bw.WriteString(strconv.Itoa(TraceFormatVersion)) // a small int: no allocation
+	bw.WriteString("\n# records: s <type> <seq> | b 0|1 | i <value> | f none|drop|dup|reorder | f crash <type> <seq> <restart> <keepq>\n")
 	bit := func(b bool) byte {
 		if b {
 			return '1'
@@ -167,7 +177,14 @@ func (t *Trace) Encode(w io.Writer) error {
 	id := func(rec []byte, m MachineID) []byte {
 		return strconv.AppendUint(append(append(rec, m.Type...), ' '), m.Seq, 10)
 	}
-	for _, d := range t.Decisions {
+	for i := range t.Decisions {
+		d := &t.Decisions[i]
+		// Room for the longest record's fixed part ("f crash ", a 20-digit
+		// sequence number, two flags) beside the names: appending past the
+		// writer's free space would reallocate the record.
+		if bw.Available() < 40+len(d.Machine.Type)+len(d.Fault.Machine.Type) {
+			bw.Flush()
+		}
 		rec := bw.AvailableBuffer()
 		switch d.Kind {
 		case DecisionSchedule:
@@ -199,6 +216,7 @@ func (t *Trace) Encode(w io.Writer) error {
 // error rather than silently misreplayed; re-record them with this build.
 func DecodeTrace(r io.Reader) (*Trace, error) {
 	t := &Trace{}
+	add := func(d Decision) { t.Decisions = append(t.Decisions, d) }
 	sc := bufio.NewScanner(r)
 	line := 0
 	sawHeader := false
@@ -236,12 +254,12 @@ func DecodeTrace(r io.Reader) (*Trace, error) {
 			if err != nil {
 				return nil, fmt.Errorf("trace line %d: bad seq: %v", line, err)
 			}
-			t.addSchedule(MachineID{Type: fields[1], Seq: seq})
+			add(Decision{Kind: DecisionSchedule, Machine: MachineID{Type: fields[1], Seq: seq}})
 		case "b":
 			if len(fields) != 2 || (fields[1] != "0" && fields[1] != "1") {
 				return nil, fmt.Errorf("trace line %d: want 'b 0|1', got %q", line, text)
 			}
-			t.addBool(fields[1] == "1")
+			add(Decision{Kind: DecisionBool, Bool: fields[1] == "1"})
 		case "i":
 			if len(fields) != 2 {
 				return nil, fmt.Errorf("trace line %d: want 'i <value>', got %q", line, text)
@@ -250,7 +268,7 @@ func DecodeTrace(r io.Reader) (*Trace, error) {
 			if err != nil {
 				return nil, fmt.Errorf("trace line %d: bad value: %v", line, err)
 			}
-			t.addInt(v)
+			add(Decision{Kind: DecisionInt, Int: v})
 		case "f":
 			if len(fields) < 2 {
 				return nil, fmt.Errorf("trace line %d: want 'f <kind>', got %q", line, text)
@@ -263,7 +281,7 @@ func DecodeTrace(r io.Reader) (*Trace, error) {
 				kind := map[string]FaultKind{
 					"none": FaultNone, "drop": FaultDrop, "dup": FaultDuplicate, "reorder": FaultReorder,
 				}[fields[1]]
-				t.addFault(FaultAction{Kind: kind})
+				add(Decision{Kind: DecisionFault, Fault: FaultAction{Kind: kind}})
 			case "crash":
 				if len(fields) != 6 {
 					return nil, fmt.Errorf("trace line %d: want 'f crash <type> <seq> <restart> <keepq>', got %q", line, text)
@@ -280,12 +298,12 @@ func DecodeTrace(r io.Reader) (*Trace, error) {
 				if err != nil {
 					return nil, fmt.Errorf("trace line %d: bad keepq flag: %v", line, err)
 				}
-				t.addFault(FaultAction{
+				add(Decision{Kind: DecisionFault, Fault: FaultAction{
 					Kind:            FaultCrash,
 					Machine:         MachineID{Type: fields[2], Seq: seq},
 					Restart:         restart,
 					PreserveMailbox: keepq,
-				})
+				}})
 			default:
 				return nil, fmt.Errorf("trace line %d: unknown fault kind %q", line, fields[1])
 			}

@@ -209,6 +209,33 @@ func TestTraceEncodeMatchesFormattedReference(t *testing.T) {
 	if err := (&psharp.Trace{}).Encode(failingWriter{}); err == nil {
 		t.Fatal("an empty trace's header failed to write and Encode said nothing")
 	}
+
+	// Encode's buffered writer is pooled. The one that just failed must come
+	// back clean, and in steady state an Encode into a buffer that is already
+	// large enough allocates nothing but, at most, a writer the pool had
+	// dropped. (A fault kind without a mnemonic is formatted, which allocates:
+	// no recorded trace has one.)
+	plain := &psharp.Trace{}
+	for _, d := range tr.Decisions {
+		if d.Fault.Kind <= psharp.FaultReorder {
+			plain.Decisions = append(plain.Decisions, d)
+		}
+	}
+	want := reference(plain)
+	var buf bytes.Buffer
+	buf.Grow(len(want))
+	allocs := testing.AllocsPerRun(20, func() {
+		buf.Reset()
+		if err := plain.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if buf.String() != want {
+		t.Fatal("Encode through a recycled writer wrote a different encoding")
+	}
+	if allocs > 1 {
+		t.Errorf("Encode into a pre-grown buffer allocates %.1f times, want <= 1", allocs)
+	}
 }
 
 type failingWriter struct{}
