@@ -45,7 +45,16 @@
 // order of independent steps. -state-cache (with dfs or dpor) adds a hashed
 // global-state cache that cuts schedules short when they revisit an
 // already-covered global state; pruned schedules are reported separately
-// from explored ones and never inflate throughput numbers.
+// from explored ones and never inflate throughput numbers. A program whose
+// machines keep state no hash stands for — a live func, chan or
+// unsafe.Pointer field — ends a -state-cache run at its first scheduling
+// point: the error names the machine type and the field, and the exit status
+// is 2, as for any configuration that cannot be run. Under dfs and dpor,
+// with or without the cache, a schedule may start from a checkpoint of the
+// previous one instead of from the program's setup (restored_points in the
+// summary); a program run this way must register pure machine factories and
+// keep its state in machines, monitors and events — see
+// psharp.NewTestHarness.
 //
 // Which flags combine is not decided here: the flags spell an
 // sct.ParallelOptions, and what its Validate refuses exits 2 with that
@@ -454,6 +463,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		suffix = " (monitored)"
 	}
 	fmt.Fprintf(stdout, "%s under %s%s: %s\n", b.ID(), label, suffix, rep.String())
+	if rep.Err != nil {
+		fmt.Fprintln(stderr, "psharp-test:", rep.Err)
+	}
 	if rep.Interrupted {
 		resumeHint := ""
 		if jc != nil {
@@ -520,6 +532,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if signalled.Load() {
 		return 130
+	}
+	if rep.Err != nil {
+		return 2
 	}
 	if rep.BugFound() {
 		return 1

@@ -179,9 +179,9 @@
 // of independent operations into one representative while remaining as
 // exhaustive as DFS. TestConfig.StateCache (sct Options.StateCache, or
 // psharp-test -state-cache) adds a hashed global-state cache: the
-// controller maintains an incremental FNV-1a fingerprint of the global
-// state — machine fields, control states, queue contents, monitor states
-// and liveness temperatures — and cuts an iteration short when it reaches
+// controller maintains an incremental fingerprint of the global state —
+// machine fields, control states, queue contents, monitor states and
+// liveness temperatures — and cuts an iteration short when it reaches
 // a state an earlier schedule already covered no deeper. Both hooks are
 // off by default and cost nothing when off — the controller skips the
 // footprint and hashing work entirely, and the allocation caps above hold
@@ -189,25 +189,73 @@
 // DistinctStates) and never inflate schedule-throughput or
 // distinct-schedule counts.
 //
-// What an attempt with a cache costs: the tester is stateless, so attempt
-// n+1 of a depth-first search re-executes the decision prefix it shares
-// with attempt n before it reaches anything new — well over nine points in
-// ten on the Table 2 protocols. The program is deterministic in its decisions (replay rests on the
-// same fact), so on that prefix the states are the ones attempt n already
-// showed the cache, and the controller neither hashes nor consults it
-// there: it compares a rolling hash of the decisions with the one the
-// previous iteration of the same TestHarness had at each point. An attempt
-// therefore costs the re-execution of its prefix, one hash of every live
-// machine at the first point that differs, and incremental hashing (the
-// machines a step touched) of its new suffix; a handler that finishes
-// without a state hash being taken pays a few word writes for its
-// mid-handler position, not a reflective walk of its event.
+// What the hash covers is decided by the types of the values it walks:
+// each machine-logic, monitor-logic and event-payload type is compiled, on
+// first sight, into a state plan (stateplan.go) — a flat list of (offset,
+// kind) steps over its memory — and the hash is one interpreter of it.
+// Slices are hashed whole and pointers followed to any depth; an object
+// reached twice within one machine's state is hashed once and referred back
+// to, so two states that differ only in what aliases what are two states. A
+// non-nil func, chan or unsafe.Pointer in a machine's state has no hash:
+// with a cache attached the iteration ends at its first scheduling point
+// with a *StateError in IterationResult.Err (sct's Report.Err; psharp-test
+// exits 2) naming the machine type and the field, instead of pruning on a
+// hash that ignored it. Nil ones are ordinary values, and a logic that is
+// itself a func (MachineFunc) is a declaration: what its closures captured
+// was never visible to the hash.
+//
+// What a depth-first attempt costs: the paper's tester is stateless, so
+// attempt n+1 would re-execute the decision prefix it shares with attempt n
+// before it reaches anything new — well over nine points in ten on the
+// Table 2 protocols. The second interpreter of the state plans is a deep
+// copy, and with it the harness checkpoints (checkpoint.go): at a
+// scheduling point where no machine is parked in the middle of a handler
+// the whole program is data, a snapshot of it is a copy of every logic
+// value, mailbox and monitor, made in one walk so that what machines and
+// queued events share stays shared, and an attempt whose strategy promises
+// to repeat a prefix of the last one (PrefixResumer: sct.DFS and sct.DPOR)
+// starts from the deepest snapshot inside that prefix instead of from
+// setup. Nothing a caller can count changes: the restored points are
+// points of the schedule in SchedulingPoints, ReplayedPoints, the Trace and
+// every report, and a search with checkpoints is attempt for attempt the
+// search without (TestStateCacheReplaySkipEquivalence holds it to that on
+// the whole corpus). IterationResult.RestoredPoints (sct's
+// Report.RestoredPoints and RestoredShare) says how much was not executed;
+// Runtime.Metrics and coverage hit counts count what was. Snapshots are
+// taken without a knob — at most one an attempt, only at a quiescent point
+// of the prefix the last few attempts all shared — and a harness holds at
+// most eight. No checkpoint is ever taken, and every attempt runs
+// from setup exactly as before, when the strategy is not a PrefixResumer (or
+// is wrapped in one that is not), under Faults, RaceDetect or an execution
+// log, for a program with a closure-form machine or monitor, for state
+// holding a live func, chan or unsafe.Pointer or a pointer into the middle
+// of another object, and on the first Run after the configuration changed.
+// The program must keep its state where the tester can see it — in machine
+// and monitor logic values and in events: what a handler does to anything
+// else (a variable its setup closure captured, a file) is not repeated for
+// the points an attempt restores. And since such an attempt does not run
+// setup, a machine it creates comes from the factory an earlier setup call
+// registered: factories must be pure, and an object machines share and
+// change must travel in creation payloads and events, not in a closure of
+// setup's (NewTestHarness spells the rule out).
+//
+// With a cache, what is left of the shared prefix is not hashed either. The
+// program is deterministic in its decisions (replay rests on the same
+// fact), so on that prefix the states are the ones attempt n already showed
+// the cache, and the controller neither hashes nor consults it there: it
+// compares a rolling hash of the decisions with the one the previous
+// iteration of the same TestHarness had at each point. An attempt therefore
+// costs a copy of the program, the re-execution of its prefix from the
+// checkpoint on, one hash of every live machine at the first point that
+// differs, and incremental hashing (the machines a step touched) of its new
+// suffix; a handler that finishes without a state hash being taken pays a
+// few word writes for its mid-handler position, not a walk of its event.
 // IterationResult.ReplayedPoints (sct's Report.ReplayedPoints and
-// ReplayedShare) says how much of a campaign was such re-execution. See
-// the StateCache type for the contract this puts on a cache, and the sct
-// package's "Partial-order reduction and state caching" section for
-// soundness scope (depth-first strategies only, no fault injection) and the
-// measured reductions.
+// ReplayedShare) says how much of a campaign repeated earlier decisions,
+// restored or re-executed. See the StateCache type for the contract this
+// puts on a cache, and the sct package's "Partial-order reduction and state
+// caching" section for soundness scope (depth-first strategies only, no
+// fault injection) and the measured reductions.
 //
 // # Declaring machines
 //

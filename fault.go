@@ -124,6 +124,10 @@ func (c *controller) crashMachine(f FaultAction) {
 	c.faults.Crashes++
 	m.crashed = true
 	m.next() // yields ykCrashed
+	if m.midHandler {
+		m.midHandler = false
+		c.parked--
+	}
 	c.statuses[m.id.Seq-1] = msHalted
 	c.readyRemove(m.id)
 	m.halted = true

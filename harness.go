@@ -14,6 +14,19 @@ import (
 // thousands of times (the paper's Table 2 setup) should hold one harness
 // per worker instead of calling RunTest per iteration.
 //
+// Under a strategy that says how much of the previous iteration the next one
+// repeats (PrefixResumer: the depth-first strategies of the sct package) the
+// harness goes one step further than recycling machinery: it keeps snapshots
+// of the program at quiescent scheduling points and starts an iteration from
+// the deepest one inside the repeated prefix instead of from setup, which
+// then does not run. The results are those of running from setup — a
+// restored scheduling point is a point of the schedule in every count and in
+// the Trace; IterationResult.RestoredPoints says how many there were — as
+// long as the program keeps its state in its machines, monitors and events:
+// see checkpoint.go for the rules and for what is never checkpointed
+// (closure-form machines, Faults, RaceDetect, an execution log, state a copy
+// would not be faithful to).
+//
 // A harness is NOT safe for concurrent use: each exploration worker owns its
 // own. Close hands the idle machine instances and the trace buffer to a
 // process-wide reserve that later harnesses draw from; after Close the
@@ -41,7 +54,20 @@ type TestHarness struct {
 }
 
 // NewTestHarness returns a harness that executes the program constructed by
-// setup. setup runs once per Run call, against a recycled Runtime.
+// setup. setup runs once per Run call — except for a Run that starts from a
+// checkpoint — against a recycled Runtime.
+//
+// A Run that starts from a checkpoint (depth-first strategies only, see
+// TestHarness) runs on copies of the machines' logic values and on the
+// factories the last setup call that did run registered. For its results to
+// be those of a run from setup, factories must be pure — build the logic
+// value from constants and from what every call of setup computes alike — and
+// setup must not allocate state that machines change and reach through a
+// closure (a "network" or "disk" a factory captured): hand such an object
+// over in a creation payload or an event, where a checkpoint copies it along
+// with the machines that share it. A pointer setup keeps to a logic value is,
+// after such a Run, not the value the machine ran on. Nothing detects a
+// program that breaks this; it is searched as a different program.
 //
 // The harness keeps the runtime's per-type compiled-schema cache across
 // iterations: setup re-registers its machine types every Run, but a type
@@ -71,8 +97,13 @@ func (h *TestHarness) Run(cfg TestConfig) IterationResult {
 		panic("psharp: Run on a closed TestHarness")
 	}
 	h.reset(cfg)
-	h.setup(h.rt)
 	c := h.c
+	if c.rewind() == 0 {
+		// No checkpoint inside what this iteration repeats of the last one:
+		// the program starts where the user's setup leaves it.
+		clear(h.rt.factories)
+		h.setup(h.rt)
+	}
 	c.loop()
 	// However the iteration ended — quiescence, bug, interrupt, a panic of
 	// the strategy — what it counted becomes visible in Runtime.Metrics now.
@@ -92,10 +123,12 @@ func (h *TestHarness) Run(cfg TestConfig) IterationResult {
 		Pruned:           c.pruned,
 		BoundReached:     c.bound,
 		SchedulingPoints: c.steps,
+		RestoredPoints:   c.restored,
 		ContinuedPoints:  c.continued,
 		Machines:         len(h.rt.machines),
 		Trace:            c.trace,
 		Faults:           c.faults,
+		Err:              c.err,
 	}
 	if c.hasher != nil {
 		res.ReplayedPoints = c.hasher.replayed
@@ -110,13 +143,15 @@ func (h *TestHarness) Run(cfg TestConfig) IterationResult {
 }
 
 // reset rewinds the runtime and controller to their pre-setup state while
-// retaining every allocation: the factories map is cleared in place and all
-// slices are truncated with their capacity kept. The compiled-schema caches
-// (rt.schemas and rt.monitorSchemas) deliberately survive: schemas are
-// per-type, not per-iteration, so recompiling them would be pure waste.
+// retaining every allocation: all slices are truncated with their capacity
+// kept. The compiled-schema caches (rt.schemas and rt.monitorSchemas)
+// deliberately survive: schemas are per-type, not per-iteration, so
+// recompiling them would be pure waste. The registered factories and the
+// trace of the previous iteration survive until Run knows where this one
+// starts (controller.rewind): an iteration restored from a checkpoint keeps
+// both.
 func (h *TestHarness) reset(cfg TestConfig) {
 	rt, c := h.rt, h.c
-	clear(rt.factories)
 	rt.nextSeq = 0
 	rt.failure = nil
 	rt.stopped.Store(false)
@@ -141,7 +176,7 @@ func (h *TestHarness) reset(cfg TestConfig) {
 	c.bound = false
 	c.interrupted = false
 	c.aborting = false
-	c.trace.Decisions = c.trace.Decisions[:0]
+	c.parked, c.restored, c.err = 0, 0, nil
 	c.det = nil
 	if cfg.RaceDetect {
 		c.det = vclock.NewDetector()
@@ -178,8 +213,9 @@ func (h *TestHarness) park() {
 	rt.monitors = rt.monitors[:0]
 }
 
-// Close donates the harness's idle machine instances and its trace buffer to
-// the process-wide reserve (retiring the coroutines of any beyond its cap):
+// Close drops the harness's checkpoints and donates its idle machine
+// instances and its trace buffer to the process-wide reserve (retiring the
+// coroutines of any beyond its cap):
 // the Trace of the last Run's result is invalid from here on. The harness
 // must be idle (no Run in progress); using it after Close panics.
 func (h *TestHarness) Close() {
@@ -187,6 +223,7 @@ func (h *TestHarness) Close() {
 		return
 	}
 	h.closed = true
+	h.c.ck = nil
 	donateInstances(h.c.free)
 	h.c.free = nil
 	donateTrace(h.c.trace.Decisions)

@@ -65,6 +65,10 @@ type machineInstance struct {
 	started bool
 	stopped bool
 	fate    yieldKind
+	// midHandler is true while the machine is parked at a yield point, with
+	// a handler's frames on its stack; the controller counts these machines
+	// (controller.parked).
+	midHandler bool
 	// crashed is set by the controller (while the machine is parked) to
 	// make the next park unwind with a crashSignal: the fault-injection
 	// crash. birth is the creation payload (both modes): what boot starts
@@ -224,14 +228,16 @@ func (m *machineInstance) recycle() {
 	m.bug = nil
 	m.aborted = false
 	m.crashed = false
+	m.midHandler = false
 	m.birth = nil
 	m.progReset()
 	m.ctx.currentEvent = nil
 	m.ctx.resetPending()
 }
 
-// run is one poolLoop round of the testing runtime: the machine's whole life
-// from its initial state until it halts or fails.
+// run is one poolLoop round of the testing runtime: the machine's life from
+// its initial state — or from the state a checkpoint restored it in — until
+// it halts or fails.
 func (m *machineInstance) run() {
 	defer m.finish()
 	defer func() {
@@ -251,8 +257,12 @@ func (m *machineInstance) run() {
 	// it before it ever ran.
 	m.started = true
 	m.checkScheduled()
-	if m.bug = m.boot(); m.bug != nil {
-		return
+	if m.st == nil {
+		// Not a machine restored from a checkpoint, which is between two
+		// handlers of a life already under way.
+		if m.bug = m.boot(); m.bug != nil {
+			return
+		}
 	}
 	for more := true; more && !m.halted; {
 		more, m.bug = m.step() // an empty mailbox parks inside step

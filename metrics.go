@@ -49,7 +49,11 @@ type RuntimeMetricsSnapshot struct {
 
 // Metrics snapshots the runtime's operational counters. Under a TestHarness
 // the counters accumulate across recycled iterations, so the snapshot
-// describes the whole campaign, not the last schedule — and they become
+// describes the whole campaign, not the last schedule. They count what was
+// executed: an iteration that starts from a checkpoint (see PrefixResumer)
+// adds the sends, creates and monitor dispatches it made from there on, not
+// those of the scheduling points it restored — as sct's Report.PrunedPoints
+// counts what pruned iterations ran. And they become
 // visible an iteration at a time: TestHarness.Run adds an iteration's counts
 // as it returns (or panics with the strategy's panic), so a snapshot taken
 // from inside a handler, a monitor or the strategy does not yet include the

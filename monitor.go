@@ -120,6 +120,21 @@ func (r *Runtime) RegisterMonitor(name string, factory func() Machine) error {
 			return fmt.Errorf("psharp: monitor %q registered twice", name)
 		}
 	}
+	bug := r.attachMonitor(name, logic, schema).enterInitial()
+	r.monMu.Unlock()
+
+	if bug != nil {
+		r.monitorFailure(bug)
+	}
+	return nil
+}
+
+// attachMonitor appends a cold monitor instance — under a controller the
+// one parked under name by an earlier iteration, if any — to the runtime's
+// list: what registration does before the monitor enters its initial state,
+// and what a checkpoint restore does before it puts it back in the state it
+// was in. The caller holds monMu in production mode.
+func (r *Runtime) attachMonitor(name string, logic Machine, schema *compiledSchema) *monitorInstance {
 	var mon *monitorInstance
 	if c := r.test; c != nil {
 		mon = c.acquireMonitor(name)
@@ -131,14 +146,8 @@ func (r *Runtime) RegisterMonitor(name string, factory func() Machine) error {
 	mon.logic, mon.schema = logic, schema
 	mon.temp = 0
 	r.monitors = append(r.monitors, mon)
-	bug := mon.enterInitial()
 	r.monCount.Store(int32(len(r.monitors)))
-	r.monMu.Unlock()
-
-	if bug != nil {
-		r.monitorFailure(bug)
-	}
-	return nil
+	return mon
 }
 
 // isStatic reports whether logic uses the static declaration form.

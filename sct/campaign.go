@@ -79,6 +79,12 @@ type CampaignResult struct {
 	// Report.ReplayedPoints).
 	PrunedPoints   int64 `json:"pruned_points,omitempty"`
 	ReplayedPoints int64 `json:"replayed_points,omitempty"`
+	// RestoredPoints and RestoredShare say how many scheduling decisions of
+	// the campaign's schedules were restored from checkpoints instead of
+	// executed (Report.RestoredPoints / Report.RestoredShare); absent unless
+	// the strategy is depth-first.
+	RestoredPoints int64   `json:"restored_points,omitempty"`
+	RestoredShare  float64 `json:"restored_share,omitempty"`
 	// ContinuedPoints and ContinuedShare say how many of the executed
 	// scheduling decisions cost no coroutine switch (Report.ContinuedPoints
 	// / Report.ContinuedShare): the campaign's own hand-off profile.
@@ -153,6 +159,8 @@ func NewCampaign(cfg CampaignConfig, rep *Report, workers []WorkerReport, tel *T
 			DistinctStates:        rep.DistinctStates,
 			PrunedPoints:          rep.PrunedPoints,
 			ReplayedPoints:        rep.ReplayedPoints,
+			RestoredPoints:        rep.RestoredPoints,
+			RestoredShare:         rep.RestoredShare(),
 			ContinuedPoints:       rep.ContinuedPoints,
 			ContinuedShare:        rep.ContinuedShare(),
 			Exhausted:             rep.Exhausted,

@@ -23,6 +23,13 @@ import (
 // branching factor is unknown before the first execution); after the probe,
 // clones other than worker 0 jump their root into their own residue class,
 // so at most n-1 duplicate schedules are explored per parallel run.
+//
+// DFS implements psharp.PrefixResumer, so a psharp.TestHarness starts an
+// iteration from a checkpoint inside the prefix it repeats, without running
+// setup, whenever it holds one. That asks of the program under test that its
+// machine factories be pure and its state live in machine and monitor logic
+// values and events, not in variables setup allocated and closures captured:
+// see psharp.NewTestHarness.
 type DFS struct {
 	stack     []dfsNode
 	pos       int
@@ -150,6 +157,39 @@ func (s *DFS) choice(kind psharp.DecisionKind, n int) int {
 	s.stack = append(s.stack, dfsNode{kind: kind, options: n})
 	s.pos++
 	return 0
+}
+
+// RepeatedPrefix implements psharp.PrefixResumer: every node below the one
+// PrepareIteration just advanced keeps its branch, so the iteration repeats
+// the previous one up to there — as far as prev is that iteration.
+func (s *DFS) RepeatedPrefix(prev []psharp.Decision) int {
+	k := min(len(s.stack)-1, len(prev))
+	for i := 0; i < k; i++ {
+		n := &s.stack[i]
+		if !repeats(&prev[i], n.kind, n.idx, n.machines) {
+			return i
+		}
+	}
+	return max(k, 0)
+}
+
+// ResumeAt implements psharp.PrefixResumer.
+func (s *DFS) ResumeAt(n int) { s.pos = n }
+
+// repeats reports whether d is what a search-tree node of the given kind
+// answers on its branch idx.
+func repeats(d *psharp.Decision, kind psharp.DecisionKind, idx int, machines []psharp.MachineID) bool {
+	if d.Kind != kind {
+		return false
+	}
+	switch kind {
+	case psharp.DecisionSchedule:
+		return idx < len(machines) && machines[idx].Seq == d.Machine.Seq
+	case psharp.DecisionBool:
+		return d.Bool == (idx == 1)
+	default:
+		return d.Int == idx
+	}
 }
 
 // dfsCursorVersion versions the DFS cursor blob layout inside journal

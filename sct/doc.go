@@ -113,19 +113,35 @@
 //     DistinctSchedules or SchedulesPerSecond, so throughput numbers stay
 //     comparable with cache-free runs.
 //
-// Cost model. The search is stateless: an attempt starts the program over
-// and re-executes the decision prefix it shares with the worker's previous
-// attempt before it takes its first new step, and with a cache most
-// attempts are pruned a step or two past that prefix. The prefix is
-// executed but neither hashed nor shown to the cache — an equal decision
-// prefix reaches an equal state, which the previous attempt showed it (see
-// psharp.StateCache) — so an attempt costs prefix re-execution + one full
-// hash at the point where it diverges + incremental hashing of its new
-// suffix. Report.TotalSchedulingPoints counts explored schedules only;
-// Report.PrunedPoints adds what the pruned attempts executed, and
-// Report.ReplayedPoints / ReplayedShare say how much of the total was
-// prefix re-execution (≈ 97 % on TwoPhaseCommit under DPOR+cache): the
-// ceiling on what restarting from snapshots instead could save.
+// Cost model. The paper's search is stateless: an attempt starts the
+// program over and re-executes the decision prefix it shares with the
+// worker's previous attempt before it takes its first new step, and with a
+// cache most attempts are pruned a step or two past that prefix. DFS and
+// DPOR implement psharp.PrefixResumer — they tell the harness how much of
+// the last attempt the next one repeats — and the harness starts the attempt
+// from the deepest checkpoint it holds inside that prefix: a copy of the
+// program taken at a scheduling point where no machine was in the middle of
+// a handler (see "What a depth-first attempt costs" in the psharp package
+// docs, which also lists what is never checkpointed; DPOR rebuilds its sleep
+// set for the resume point from the footprints its stack keeps). Such an
+// attempt does not run setup: the program must register pure machine
+// factories and keep its state in machines, monitors and events (see
+// psharp.NewTestHarness). What is left of the prefix is executed but
+// neither hashed nor shown to the cache —
+// an equal decision prefix reaches an equal state, which the previous
+// attempt showed it (see psharp.StateCache) — so an attempt costs a copy of
+// the program + prefix re-execution from the checkpoint on + one full hash
+// at the point where it diverges + incremental hashing of its new suffix.
+// Report.TotalSchedulingPoints counts explored schedules only;
+// Report.PrunedPoints adds the points of the pruned attempts,
+// Report.ReplayedPoints / ReplayedShare say how much of the total repeated
+// the attempt before (≈ 97 % on TwoPhaseCommit under DPOR+cache), and
+// Report.RestoredPoints / RestoredShare how much of it came out of a
+// checkpoint instead of being executed (≈ 80 % of a DFS search of
+// TwoPhaseCommit or German, ≈ 15 % of BoundedAsync, whose machines are
+// almost always mid-handler). Every one of these counts but the last two is
+// what it would be without checkpoints: the searches are the same, attempt
+// for attempt (TestDPORCorpusDFSParity runs the corpus both ways).
 //
 // Both mechanisms are sound for bug finding (they skip only executions
 // equivalent to an explored one) but only relative to depth-first

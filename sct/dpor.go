@@ -52,6 +52,11 @@ import (
 // is not supported in this version — the fault injector wrapper would hide
 // the StepObserver hook and fault decisions are not footprint-tracked; the
 // engine and psharp-test refuse the combination.
+//
+// Like DFS, DPOR implements psharp.PrefixResumer: iterations may start from
+// a harness checkpoint instead of from setup, which requires pure machine
+// factories and no mutable state shared through setup's closures (see
+// psharp.NewTestHarness).
 type DPOR struct {
 	stack     []dporNode
 	pos       int
@@ -290,10 +295,16 @@ func (s *DPOR) ObserveStep(op psharp.StepOp) {
 		n.opKnown = true
 		s.addBacktracks(s.curSched)
 	}
-	// Entering this node's subtree: sibling branches already explored here
-	// go to sleep. Then every entry dependent with the executed step wakes
-	// (is dropped) — reordering against it matters, so the subtree below
-	// must be free to schedule it.
+	s.sleepPast(n, o)
+	s.curSched = -1
+}
+
+// sleepPast advances the sleep set over node n, whose chosen step did o.
+// Entering the node's subtree, sibling branches already explored there go to
+// sleep. Then every entry dependent with the executed step wakes (is dropped)
+// — reordering against it matters, so the subtree below must be free to
+// schedule it.
+func (s *DPOR) sleepPast(n *dporNode, o dporOp) {
 	s.curSleep = append(s.curSleep, n.done...)
 	kept := s.curSleep[:0]
 	for _, e := range s.curSleep {
@@ -302,7 +313,37 @@ func (s *DPOR) ObserveStep(op psharp.StepOp) {
 		}
 	}
 	s.curSleep = kept
-	s.curSched = -1
+}
+
+// RepeatedPrefix implements psharp.PrefixResumer, like DFS.RepeatedPrefix.
+func (s *DPOR) RepeatedPrefix(prev []psharp.Decision) int {
+	k := min(len(s.stack)-1, len(prev))
+	for i := 0; i < k; i++ {
+		n := &s.stack[i]
+		idx := n.idx
+		if n.kind == psharp.DecisionSchedule {
+			if idx = n.chosen; !n.opKnown {
+				return i // a branch not executed yet has no place in a sleep set
+			}
+		}
+		if !repeats(&prev[i], n.kind, idx, n.machines) {
+			return i
+		}
+	}
+	return max(k, 0)
+}
+
+// ResumeAt implements psharp.PrefixResumer: besides the position, the sleep
+// set is what n executed steps would have left it — rebuilt from the
+// footprint and the explored siblings every node on the way keeps.
+func (s *DPOR) ResumeAt(n int) {
+	s.pos, s.curSched = n, -1
+	s.curSleep = s.curSleep[:0]
+	for i := range s.stack[:n] {
+		if node := &s.stack[i]; node.kind == psharp.DecisionSchedule {
+			s.sleepPast(node, node.op)
+		}
+	}
 }
 
 // addBacktracks is the DPOR race analysis: find the most recent earlier

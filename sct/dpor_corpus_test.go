@@ -34,11 +34,62 @@ func corpusRun(b protocols.Benchmark, s sct.Strategy, cache bool, budget int) sc
 	})
 }
 
+// corpusRunFromSetup is corpusRun with checkpoints off: every attempt
+// executes its whole schedule from setup.
+func corpusRunFromSetup(b protocols.Benchmark, s sct.Strategy, cache bool, budget int) sct.Report {
+	return sct.RunWithoutCheckpoints(b.SetupMonitored(), sct.Options{
+		Strategy:       s,
+		Iterations:     budget,
+		MaxSteps:       b.MaxSteps,
+		LivelockAsBug:  b.LivelockAsBug,
+		StopOnFirstBug: true,
+		StateCache:     cache,
+		Timeout:        30 * time.Second,
+	})
+}
+
+// sameCampaign requires two reports to describe one campaign: every count
+// that is a function of the schedules explored, the bug and its trace. Only
+// RestoredPoints (and the clock) may tell a search that starts its attempts
+// from checkpoints from one that runs them from setup.
+func sameCampaign(t *testing.T, what string, got, want sct.Report) {
+	t.Helper()
+	type counts struct {
+		iterations, distinct, buggy, maxSP, maxMachines, bound, pruned, states int
+		points, prunedPoints, replayed, continued                              int64
+		exhausted                                                              bool
+		bugAt                                                                  int
+		bug, trace                                                             string
+	}
+	of := func(r sct.Report) counts {
+		c := counts{r.Iterations, r.DistinctSchedules, r.BuggyIterations, r.MaxSchedulingPoints, r.MaxMachines,
+			r.BoundReached, r.PrunedIterations, r.DistinctStates, r.TotalSchedulingPoints, r.PrunedPoints,
+			r.ReplayedPoints, r.ContinuedPoints, r.Exhausted, r.FirstBugIteration, "", ""}
+		if r.FirstBug != nil {
+			var enc bytes.Buffer
+			if err := r.FirstBugTrace.Encode(&enc); err != nil {
+				t.Fatal(err)
+			}
+			c.bug, c.trace = r.FirstBug.Error(), enc.String()
+		}
+		return c
+	}
+	if g, w := of(got), of(want); g != w {
+		g.trace, w.trace = "", ""
+		t.Errorf("%s: with checkpoints %+v, from setup %+v (traces equal: %v)", what, g, w, g == w)
+	}
+	if want.RestoredPoints != 0 {
+		t.Errorf("%s: the search from setup restored %d points", what, want.RestoredPoints)
+	}
+}
+
 // TestDPORCorpusDFSParity: on every buggy Table 2 benchmark, DPOR+cache
 // must find a bug whenever equal-budget DFS does — pruning never loses a
 // bug the unreduced enumeration reaches — and every bug it finds must
-// replay byte-identically.
+// replay byte-identically. Both searches are run twice, as shipped and with
+// checkpoints off, and must be the same campaign either way.
 func TestDPORCorpusDFSParity(t *testing.T) {
+	var restored int64
 	for _, name := range protocols.Names() {
 		b, ok := protocols.ByName(name, true)
 		if !ok {
@@ -46,6 +97,9 @@ func TestDPORCorpusDFSParity(t *testing.T) {
 		}
 		dfs := corpusRun(b, sct.NewDFS(), false, corpusBudget)
 		dpor := corpusRun(b, sct.NewDPOR(), true, corpusBudget)
+		sameCampaign(t, name+" under dfs", dfs, corpusRunFromSetup(b, sct.NewDFS(), false, corpusBudget))
+		sameCampaign(t, name+" under dpor+cache", dpor, corpusRunFromSetup(b, sct.NewDPOR(), true, corpusBudget))
+		restored += dfs.RestoredPoints + dpor.RestoredPoints
 		if dfs.BugFound() && !dpor.BugFound() {
 			t.Errorf("%s: DFS found a bug at iteration %d but DPOR+cache missed it (%d explored, %d pruned)",
 				name, dfs.FirstBugIteration, dpor.Iterations, dpor.PrunedIterations)
@@ -56,6 +110,42 @@ func TestDPORCorpusDFSParity(t *testing.T) {
 		}
 		t.Logf("%-18s dfs=%v dpor+cache=%v (%d explored, %d pruned)",
 			name, dfs.BugFound(), dpor.BugFound(), dpor.Iterations, dpor.PrunedIterations)
+	}
+	if restored == 0 {
+		t.Error("no search of the corpus started an attempt from a checkpoint")
+	}
+}
+
+// TestDPORCorpusDeepHunt is the one hunt of the corpus only the reductions
+// make possible: DPOR+cache finds the BoundedAsync bug at attempt 1 237 —
+// plain DFS has not after 4 000 — with checkpoints and without, and the
+// trace replays byte for byte.
+func TestDPORCorpusDeepHunt(t *testing.T) {
+	b := protocols.MustByName("BoundedAsync", true)
+	hunt := func(run func(func(*psharp.Runtime), sct.Options) sct.Report) sct.Report {
+		return run(b.Setup, sct.Options{Strategy: sct.NewDPOR(), Iterations: 2000, MaxSteps: b.MaxSteps,
+			LivelockAsBug: b.LivelockAsBug, StopOnFirstBug: true, StateCache: true})
+	}
+	rep := hunt(sct.Run)
+	if !rep.BugFound() || rep.Iterations+rep.PrunedIterations != 1237 {
+		t.Fatalf("the hunt ended after %d attempts, want the bug at attempt 1237: %s",
+			rep.Iterations+rep.PrunedIterations, rep.String())
+	}
+	if rep.RestoredPoints == 0 {
+		t.Errorf("1237 attempts and none started from a checkpoint: %s", rep.String())
+	}
+	sameCampaign(t, "the BoundedAsync hunt", rep, hunt(sct.RunWithoutCheckpoints))
+	res := sct.ReplayTrace(b.Setup, rep.FirstBugTrace, psharp.TestConfig{MaxSteps: b.MaxSteps, LivelockAsBug: b.LivelockAsBug})
+	var want, got bytes.Buffer
+	if err := rep.FirstBugTrace.Encode(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Trace.Encode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if res.Bug == nil || res.Bug.Error() != rep.FirstBug.Error() || !bytes.Equal(want.Bytes(), got.Bytes()) {
+		t.Fatalf("replay found %v through a trace equal to the hunt's: %v; the hunt found %v",
+			res.Bug, bytes.Equal(want.Bytes(), got.Bytes()), rep.FirstBug)
 	}
 }
 

@@ -156,6 +156,14 @@ type Report struct {
 	// like DistinctStates.
 	PrunedPoints   int64
 	ReplayedPoints int64
+	// RestoredPoints is how many scheduling decisions the run did not have
+	// to execute: depth-first iterations start from a checkpoint inside the
+	// prefix they share with the one before (psharp.PrefixResumer), and the
+	// decisions before it are in the schedule — in TotalSchedulingPoints,
+	// PrunedPoints and ReplayedPoints — without having been made again.
+	// RestoredShare is their share of those points; 0 under any other
+	// strategy, with or without a state cache.
+	RestoredPoints int64
 	// ContinuedPoints is how many of the executed decisions (those of
 	// pruned iterations included) kept the machine that had just reached a
 	// send or create running, so that the controller switched no coroutine
@@ -175,6 +183,11 @@ type Report struct {
 	// Faults totals the failure actions injected across all iterations
 	// (zero when the run had no fault budget).
 	Faults psharp.FaultStats
+	// Err is non-nil when the run stopped because the program cannot be
+	// explored as configured (psharp.IterationResult.Err): with StateCache
+	// set, a *psharp.StateError naming the machine state that cannot be
+	// hashed. The counters cover the iterations completed before it.
+	Err error
 }
 
 // BugFound reports whether any iteration failed.
@@ -208,6 +221,17 @@ func (r *Report) ReplayedShare() float64 {
 	return float64(r.ReplayedPoints) / float64(executed)
 }
 
+// RestoredShare is the share of the run's scheduling decisions (those of
+// pruned iterations included) that were restored from a checkpoint instead
+// of executed: what ReplayedShare's re-execution no longer costs.
+func (r *Report) RestoredShare() float64 {
+	points := r.TotalSchedulingPoints + r.PrunedPoints
+	if points == 0 {
+		return 0
+	}
+	return float64(r.RestoredPoints) / float64(points)
+}
+
 // ContinuedShare is the share of the scheduling decisions the run executed
 // (those of pruned iterations included) that needed no coroutine switch:
 // the strategy kept the machine running that had just yielded.
@@ -234,6 +258,9 @@ func (r *Report) String() string {
 		cache = fmt.Sprintf(", %d pruned (pruned_points=%d replayed_points=%d, %.1f%% of %d executed)",
 			r.PrunedIterations, r.PrunedPoints, r.ReplayedPoints, 100*r.ReplayedShare(),
 			r.TotalSchedulingPoints+r.PrunedPoints)
+	}
+	if r.RestoredPoints > 0 {
+		cache += fmt.Sprintf(", restored_points=%d (%.1f%% not re-executed)", r.RestoredPoints, 100*r.RestoredShare())
 	}
 	return fmt.Sprintf("%d schedules (%d distinct), %d buggy (%.1f%%), maxSP=%d, %.1f sch/sec%s, %s%s",
 		r.Iterations, r.DistinctSchedules, r.BuggyIterations, r.PercentBuggy(), r.MaxSchedulingPoints,
@@ -296,10 +323,12 @@ type shared struct {
 	// prunedPoints and replayedPoints their scheduling decisions and the
 	// replayed ones of every iteration (Report.PrunedPoints/ReplayedPoints);
 	// cache is the shared state cache, nil unless Options.StateCache is set.
-	// continuedPoints is Report.ContinuedPoints campaign-wide.
+	// continuedPoints and restoredPoints are Report.ContinuedPoints and
+	// Report.RestoredPoints campaign-wide.
 	pruned          atomic.Int64
 	prunedPoints    atomic.Int64
 	replayedPoints  atomic.Int64
+	restoredPoints  atomic.Int64
 	continuedPoints atomic.Int64
 	cache           *stateCache
 
@@ -513,11 +542,19 @@ func runWorker(setup func(*psharp.Runtime), sh *shared, w worker) Report {
 			break
 		}
 		res := h.Run(cfg)
+		if res.Err != nil {
+			// Every iteration would end this way: the campaign is over.
+			rep.Err = res.Err
+			sh.stop.Store(true)
+			break
+		}
 		if res.Interrupted {
 			break // partial schedule: not counted
 		}
 		rep.ContinuedPoints += int64(res.ContinuedPoints)
 		sh.continuedPoints.Add(int64(res.ContinuedPoints))
+		rep.RestoredPoints += int64(res.RestoredPoints)
+		sh.restoredPoints.Add(int64(res.RestoredPoints))
 		if sh.cache != nil {
 			rep.ReplayedPoints += int64(res.ReplayedPoints)
 			sh.replayedPoints.Add(int64(res.ReplayedPoints))

@@ -283,6 +283,7 @@ func mergeReports(workers []WorkerReport) Report {
 		merged.PrunedIterations += rep.PrunedIterations
 		merged.PrunedPoints += rep.PrunedPoints
 		merged.ReplayedPoints += rep.ReplayedPoints
+		merged.RestoredPoints += rep.RestoredPoints
 		merged.ContinuedPoints += rep.ContinuedPoints
 		merged.BuggyIterations += rep.BuggyIterations
 		merged.TotalSchedulingPoints += rep.TotalSchedulingPoints
@@ -294,6 +295,9 @@ func mergeReports(workers []WorkerReport) Report {
 			merged.MaxMachines = rep.MaxMachines
 		}
 		merged.Faults.Add(rep.Faults)
+		if merged.Err == nil {
+			merged.Err = rep.Err
+		}
 		races.addAll(rep.Races)
 		if rep.FirstBug != nil &&
 			(merged.FirstBug == nil || rep.FirstBugIteration < merged.FirstBugIteration) {

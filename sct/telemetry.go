@@ -38,12 +38,13 @@ type Telemetry struct {
 	// states, decisions executed by pruned iterations, prefix-replay
 	// decisions) at the last curve sample, so a live Snapshot reports them
 	// without reaching into engine internals. All stay zero when the run has
-	// no state cache. continuedPoints mirrors Report.ContinuedPoints the same
-	// way.
+	// no state cache. continuedPoints and restoredPoints mirror
+	// Report.ContinuedPoints and Report.RestoredPoints the same way.
 	pruned          atomic.Int64
 	states          atomic.Int64
 	prunedPoints    atomic.Int64
 	replayedPoints  atomic.Int64
+	restoredPoints  atomic.Int64
 	continuedPoints atomic.Int64
 
 	start time.Time
@@ -127,6 +128,7 @@ func (t *Telemetry) sample(elapsed time.Duration, force bool, sh *shared) {
 	t.pruned.Store(sh.pruned.Load())
 	t.prunedPoints.Store(sh.prunedPoints.Load())
 	t.replayedPoints.Store(sh.replayedPoints.Load())
+	t.restoredPoints.Store(sh.restoredPoints.Load())
 	t.continuedPoints.Store(sh.continuedPoints.Load())
 	t.states.Store(states)
 	t.curve.Sample(elapsed, force,
@@ -168,6 +170,10 @@ type TelemetrySnapshot struct {
 	// (Report.PrunedPoints / Report.ReplayedPoints), as of the same sample.
 	PrunedPoints   int64 `json:"pruned_points,omitempty"`
 	ReplayedPoints int64 `json:"replayed_points,omitempty"`
+	// RestoredPoints is how many scheduling decisions were restored from
+	// checkpoints instead of executed (Report.RestoredPoints), as of the same
+	// sample.
+	RestoredPoints int64 `json:"restored_points,omitempty"`
 	// ContinuedPoints is how many executed scheduling decisions cost no
 	// coroutine switch (Report.ContinuedPoints), as of the same sample;
 	// over SchedulingPoints' count × mean (plus PrunedPoints) it is the
@@ -201,6 +207,7 @@ func (t *Telemetry) Snapshot() *TelemetrySnapshot {
 	s.DistinctStates = t.states.Load()
 	s.PrunedPoints = t.prunedPoints.Load()
 	s.ReplayedPoints = t.replayedPoints.Load()
+	s.RestoredPoints = t.restoredPoints.Load()
 	s.ContinuedPoints = t.continuedPoints.Load()
 	for _, p := range t.curve.Points() {
 		gp := GrowthPoint{ElapsedMS: float64(p.Elapsed) / float64(time.Millisecond)}

@@ -20,24 +20,41 @@ import (
 
 // attempt is what one iteration of a search looked like from outside.
 type attempt struct {
-	pruned bool
-	points int
-	trace  string
-	bug    string
+	pruned   bool
+	points   int
+	replayed int
+	trace    string
+	bug      string
 }
 
-// searchWithCache makes up to attempts attempts of strategy s on b through
-// one harness with an ownership cache attached. With everyPoint set it
-// drops the replay memo before each attempt, so every scheduling point is
-// hashed and shown to the cache, as before the memo existed.
-func searchWithCache(t *testing.T, b protocols.Benchmark, s sct.Strategy, attempts int, everyPoint bool) (log []attempt, cache *ownerCache, replayed int) {
+// searchMode says how much a search may remember from one attempt to the
+// next.
+type searchMode int
+
+const (
+	searchLive          searchMode = iota // replay memo and checkpoints, as shipped
+	searchNoCheckpoints                   // every attempt executes every point, from setup
+	searchEveryPoint                      // and hashes and shows its cache every point, too
+)
+
+// search makes up to attempts attempts of strategy s on the program setup
+// builds through one harness, with an ownership cache attached if cached.
+// Whatever mode forbids is dropped before each attempt (through
+// export_test.go: there is no option for it).
+func search(t *testing.T, setup func(*psharp.Runtime), b protocols.Benchmark, s sct.Strategy, attempts int, cached bool, mode searchMode) (log []attempt, cache *ownerCache, restored int) {
 	t.Helper()
-	h := psharp.NewTestHarness(b.Setup)
+	h := psharp.NewTestHarness(setup)
 	defer h.Close()
-	cache = newOwnerCache()
-	cfg := psharp.TestConfig{Strategy: s, MaxSteps: b.MaxSteps, LivelockAsBug: b.LivelockAsBug, StateCache: cache}
+	cfg := psharp.TestConfig{Strategy: s, MaxSteps: b.MaxSteps, LivelockAsBug: b.LivelockAsBug}
+	if cached {
+		cache = newOwnerCache()
+		cfg.StateCache = cache
+	}
 	for i := 0; i < attempts && s.PrepareIteration(i); i++ {
-		if everyPoint {
+		switch mode {
+		case searchNoCheckpoints:
+			h.ForgetCheckpoints()
+		case searchEveryPoint:
 			h.ForgetReplay()
 		}
 		res := h.Run(cfg)
@@ -45,23 +62,48 @@ func searchWithCache(t *testing.T, b protocols.Benchmark, s sct.Strategy, attemp
 		if err := res.Trace.Encode(&enc); err != nil {
 			t.Fatal(err)
 		}
-		a := attempt{pruned: res.Pruned, points: res.SchedulingPoints, trace: enc.String()}
+		a := attempt{pruned: res.Pruned, points: res.SchedulingPoints, replayed: res.ReplayedPoints, trace: enc.String()}
 		if res.Bug != nil {
 			a.bug = res.Bug.Error()
 		}
+		if res.Err != nil {
+			t.Fatalf("attempt %d: %v", i, res.Err)
+		}
+		if mode != searchLive && res.RestoredPoints != 0 {
+			t.Fatalf("attempt %d restored %d points with checkpoints forgotten", i, res.RestoredPoints)
+		}
 		log = append(log, a)
-		replayed += res.ReplayedPoints
+		restored += res.RestoredPoints
 	}
-	return log, cache, replayed
+	return log, cache, restored
 }
 
-// TestStateCacheReplaySkipEquivalence is the simulation argument as a test:
-// on every Table 2 protocol, under both depth-first strategies, the search
-// that skips its replayed prefixes makes attempt for attempt the run of the
-// search that hashes and visits every point — same prune flags, depths,
-// traces and bugs — and leaves the cache with the same owner table.
+func sameAttempts(t *testing.T, what string, got, want []attempt, gotCache, wantCache *ownerCache) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d attempts against %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: attempt %d diverges:\n  got %+v\n want %+v", what, i, got[i], want[i])
+		}
+	}
+	if gotCache != nil && !reflect.DeepEqual(gotCache.owners, wantCache.owners) {
+		t.Fatalf("%s: owner tables differ: %d states against %d", what, len(gotCache.owners), len(wantCache.owners))
+	}
+}
+
+// TestStateCacheReplaySkipEquivalence is the simulation argument as a test.
+// On every Table 2 protocol, under both depth-first strategies, with and
+// without a state cache, the search as shipped — starting each attempt from
+// the deepest checkpoint inside the prefix it repeats, neither hashing nor
+// showing its cache what it replays — makes attempt for attempt the run of
+// the search that executes every point from setup, and of the one that also
+// hashes and visits every point: same prune flags, depths, replayed counts,
+// traces byte for byte and bugs, and the same owner table left in the cache.
 func TestStateCacheReplaySkipEquivalence(t *testing.T) {
 	const attempts = 300
+	restoredAnywhere := 0
 	for _, b := range protocols.All() {
 		for _, s := range []struct {
 			name  string
@@ -71,30 +113,48 @@ func TestStateCacheReplaySkipEquivalence(t *testing.T) {
 			{"dpor", func() sct.Strategy { return sct.NewDPOR() }},
 		} {
 			t.Run(b.ID()+"/"+s.name, func(t *testing.T) {
-				skipLog, skipCache, replayed := searchWithCache(t, b, s.fresh(), attempts, false)
-				fullLog, fullCache, fullReplayed := searchWithCache(t, b, s.fresh(), attempts, true)
-				if len(skipLog) != len(fullLog) {
-					t.Fatalf("%d attempts with the prefix skipped, %d with every point visited", len(skipLog), len(fullLog))
+				live, _, restored := search(t, b.Setup, b, s.fresh(), attempts, false, searchLive)
+				plain, _, _ := search(t, b.Setup, b, s.fresh(), attempts, false, searchNoCheckpoints)
+				sameAttempts(t, "no cache, checkpoints on/off", live, plain, nil, nil)
+				restoredAnywhere += restored
+			})
+			t.Run(b.ID()+"/"+s.name+"+cache", func(t *testing.T) {
+				live, liveCache, restored := search(t, b.Setup, b, s.fresh(), attempts, true, searchLive)
+				skip, skipCache, _ := search(t, b.Setup, b, s.fresh(), attempts, true, searchNoCheckpoints)
+				full, fullCache, _ := search(t, b.Setup, b, s.fresh(), attempts, true, searchEveryPoint)
+				sameAttempts(t, "checkpoints on/off", live, skip, liveCache, skipCache)
+				if liveCache.visits != skipCache.visits {
+					t.Fatalf("%d visits with checkpoints, %d without", liveCache.visits, skipCache.visits)
 				}
-				for i := range skipLog {
-					if skipLog[i] != fullLog[i] {
-						t.Fatalf("attempt %d diverges:\n skipping %+v\n visiting %+v", i, skipLog[i], fullLog[i])
+				replayed := 0
+				for i := range skip {
+					replayed += skip[i].replayed
+					skip[i].replayed = 0 // the every-point search replays nothing, by construction
+					if full[i].replayed != 0 {
+						t.Fatalf("the every-point search skipped %d points in attempt %d", full[i].replayed, i)
 					}
 				}
-				if !reflect.DeepEqual(skipCache.owners, fullCache.owners) {
-					t.Fatalf("owner tables differ: %d states with the prefix skipped, %d with every point visited",
-						len(skipCache.owners), len(fullCache.owners))
-				}
-				if fullReplayed != 0 {
-					t.Fatalf("the every-point search skipped %d points", fullReplayed)
-				}
+				sameAttempts(t, "prefix skipped/every point visited", skip, full, skipCache, fullCache)
 				// The comparison means something only if the skip happened.
-				if len(skipLog) > 1 && (replayed == 0 || skipCache.visits+replayed != fullCache.visits) {
+				if len(skip) > 1 && (replayed == 0 || skipCache.visits+replayed != fullCache.visits) {
 					t.Fatalf("skip path not exercised: %d points replayed, %d visits against %d",
 						replayed, skipCache.visits, fullCache.visits)
 				}
+				restoredAnywhere += restored
 			})
 		}
+		if b.Monitors != nil {
+			// The monitored program: monitor state is part of a checkpoint.
+			t.Run(b.ID()+"/monitored", func(t *testing.T) {
+				live, liveCache, restored := search(t, b.SetupMonitored(), b, sct.NewDPOR(), attempts, true, searchLive)
+				plain, plainCache, _ := search(t, b.SetupMonitored(), b, sct.NewDPOR(), attempts, true, searchNoCheckpoints)
+				sameAttempts(t, "monitored, checkpoints on/off", live, plain, liveCache, plainCache)
+				restoredAnywhere += restored
+			})
+		}
+	}
+	if restoredAnywhere == 0 {
+		t.Fatal("no attempt of any search started from a checkpoint")
 	}
 }
 

@@ -1,8 +1,9 @@
 package psharp
 
 import (
-	"math"
 	"reflect"
+
+	"github.com/psharp-go/psharp/obs"
 )
 
 // Global-state hashing and step observation: the controller-side hooks
@@ -19,8 +20,12 @@ import (
 // Both hooks are off unless the strategy implements StepObserver or
 // TestConfig.StateCache is set, and the step bookkeeping is a handful of
 // word writes — the allocation-free hot path is unchanged when they are
-// off (and stays allocation-free per steady-state step when on, except for
-// the reflective deep hash of map-typed logic fields).
+// off. What is hashed of user values — logic fields, event payloads — is
+// decided by their types' state plans (stateplan.go), the walker checkpoints
+// copy with; hashing allocates nothing per steady-state step for state made
+// of pointers, structs, slices and maps of plain keys and elements, and does
+// allocate for an event or interface value that is not a pointer (a box per
+// hash) and for a map whose keys or elements hold pointers (two per entry).
 
 // StepOp is the effect footprint of one executed scheduling step: which
 // machine ran, which machine (if any) it sent to, which machine (if any)
@@ -61,14 +66,23 @@ type StepObserver interface {
 // first call of an iteration is at the first point whose decision prefix
 // the previous iteration did not reach. This relies on what replay relies
 // on: the program is deterministic in its decisions, so an equal decision
-// prefix reaches an equal state. A cache must therefore answer a repeated
-// Visit(state, prefix, depth) as it answered the first — any ownership rule
-// does under a depth-first strategy, which finishes a prefix's subtree
-// before any other prefix can take the state at a smaller depth — and a
-// cache shared by several harnesses cannot prune one of them inside its
-// own replay. One-shot RunTest calls, and caches whose dynamic type is not
-// comparable (so "the same cache as last time" cannot be told), are
-// consulted at every point.
+// prefix reaches an equal state. (Where the harness holds a checkpoint
+// inside that prefix — see PrefixResumer — the points before it are not even
+// executed; they count as replayed all the same.) A cache must therefore
+// answer a repeated Visit(state, prefix, depth) as it answered the first —
+// any ownership rule does under a depth-first strategy, which finishes a
+// prefix's subtree before any other prefix can take the state at a smaller
+// depth — and a cache shared by several harnesses cannot prune one of them
+// inside its own replay. One-shot RunTest calls, and caches whose dynamic
+// type is not comparable (so "the same cache as last time" cannot be told),
+// are consulted at every point.
+//
+// The hash covers machine and monitor logic values and queued events through
+// their types' state plans (stateplan.go): to any depth and length, with what
+// is aliased inside one machine's state told apart from what is merely
+// equal. State it cannot cover — a non-nil func, chan or unsafe.Pointer —
+// ends the iteration with a *StateError in IterationResult.Err rather than
+// being hashed to a constant.
 //
 // Soundness is the caller's concern: pruning on a revisited state is only
 // exhaustive-exploration-preserving under a depth-first strategy (sct.DFS,
@@ -116,18 +130,17 @@ func mix64(v uint64) uint64 {
 	return v
 }
 
-// maxDeepHashDepth bounds the reflective walk over machine logic and event
-// payloads; it caps cost and breaks pointer cycles.
-const maxDeepHashDepth = 8
-
 // stateHasher computes the incremental global-state hash. Per-machine
 // components (FSM state, controller status, queue contents, mid-handler
-// position, deep-hashed logic fields) are cached and XORed into an
-// aggregate; each step dirties only the machines it touched — the machine
-// that ran, its send target, machines it created — so a scheduling point
-// rehashes O(step footprint) machines, not O(machines). Monitors are few
-// and shallow and are rehashed fresh at every point (their temperatures
-// change every step under liveness checking).
+// position, logic fields) are cached and XORed into an aggregate; each step
+// dirties only the machines it touched — the machine that ran, its send
+// target, machines it created — so a scheduling point rehashes O(step
+// footprint) machines, not O(machines). Monitors are few and shallow and are
+// rehashed fresh at every point (their temperatures change every step under
+// liveness checking). A component is one walk of the state plans: what is
+// aliased inside one machine — two fields, a field and a queued event — is
+// part of its hash; memory shared between machines is hashed once per
+// machine that reaches it, the price of rehashing them separately.
 type stateHasher struct {
 	// comps[i] is the cached component of machine Seq i+1; agg is the XOR
 	// of all components.
@@ -140,8 +153,11 @@ type stateHasher struct {
 	// prefix is the rolling hash of the decision prefix (schedule, bool,
 	// int choices) of the current iteration.
 	prefix uint64
-	// typeIDs interns event and payload types to stable per-run IDs.
-	typeIDs map[reflect.Type]uint64
+	// walk is the plan interpreter's state, reused by every component; err is
+	// the first value it refused to hash (see StateError), for the pass that
+	// asked for the hash to end the iteration with.
+	walk stateWalk
+	err  *StateError
 
 	// seen is the replay memo: seen[k] is the decision-prefix hash the
 	// harness's previous iteration had at scheduling point k, for every
@@ -149,52 +165,55 @@ type stateHasher struct {
 	// has matched seen at every point so far — replayed counts them — and
 	// the state hash and Visit are skipped; the first point that differs
 	// truncates seen there, and from then on every passed point appends.
-	// key is what of the TestConfig the memo was recorded under. seen starts
-	// out in seenBuf, so a search no deeper than that allocates nothing for
-	// its memo (a hunt of a few schedules would notice).
+	// The controller drops the memo when the configuration moves (memoKey).
+	// seen starts out in seenBuf, so a search no deeper than that allocates
+	// nothing for its memo (a hunt of a few schedules would notice).
 	seen      []uint64
 	seenBuf   [128]uint64
 	replaying bool
 	replayed  int
-	key       memoKey
 }
 
 // memoKey is everything in a TestConfig that decides which state a decision
-// prefix reaches and which cache was shown it. The replay memo is dropped
-// when any of it changes between two Runs of a harness.
+// prefix reaches, which cache was shown it and where its handlers left their
+// marks. What a harness remembers of its previous iteration — the replay memo
+// and the checkpoints (checkpoint.go) — is dropped when any of it changes
+// between two Runs.
 type memoKey struct {
 	cache       StateCache
-	temperature int // monitor temperatures feed the hash
+	temperature int // monitor temperatures are state
 	chessLike   bool
 	faults      bool // fault decisions are not part of the prefix hash
+	maxSteps    int  // a prefix longer than the bound is never reached
+	coverage    *obs.StateEventCoverage
+}
+
+// same reports whether what was remembered under k is still true under next.
+// With faults on it never is, nor with a cache that cannot be told from
+// another one: comparing interfaces panics on an uncomparable dynamic type (a
+// map-typed cache), so such a cache counts as new every time.
+func (k memoKey) same(next memoKey) bool {
+	return !next.faults && (next.cache == nil || reflect.ValueOf(next.cache).Comparable()) && k == next
 }
 
 func newStateHasher() *stateHasher {
-	h := &stateHasher{prefix: fnvOffset64, typeIDs: make(map[reflect.Type]uint64)}
+	h := &stateHasher{prefix: fnvOffset64}
 	h.seen = h.seenBuf[:0]
 	return h
 }
 
-// reset prepares the hasher for a fresh iteration under cfg. Type interning
-// persists across iterations (types are a property of the program, not the
-// run), and so does the replay memo unless it could lie: faults are on, the
-// configuration moved, or the cache cannot be told from another one —
-// comparing interfaces panics on an uncomparable dynamic type (a map-typed
-// cache), so such a cache counts as new every time. comps stays empty
-// until the iteration leaves its replayed prefix; stateHash's growth path
-// then hashes every live machine once.
-func (h *stateHasher) reset(cfg *TestConfig) {
+// reset prepares the hasher for a fresh iteration. The replay memo persists
+// (the controller drops it when the configuration moves, see memoKey). comps
+// stays empty until the iteration leaves its replayed prefix; stateHash's
+// growth path then hashes every live machine once.
+func (h *stateHasher) reset() {
 	h.comps = h.comps[:0]
 	h.agg = 0
 	h.dirty = h.dirty[:0]
 	h.marked = h.marked[:0]
 	h.prefix = fnvOffset64
-	key := memoKey{cfg.StateCache, cfg.LivenessTemperature, cfg.ChessLike, cfg.Faults != nil}
-	if key.faults || !reflect.ValueOf(key.cache).Comparable() || key != h.key {
-		h.seen = h.seen[:0]
-	}
-	h.key = key
 	h.replaying, h.replayed = true, 0
+	h.err = nil
 }
 
 // markDirtySeq records that machine Seq's component must be rehashed. New
@@ -212,152 +231,64 @@ func (h *stateHasher) markDirtySeq(seq uint64) {
 	h.dirty = append(h.dirty, idx)
 }
 
-// typeID interns a reflect.Type to a stable hash for this run: of its
-// package path and name under its pointer indirections, because String
-// abbreviates the path to the package name — a/msg.Ping and b/msg.Ping
-// would share an ID, and two states that differ only in which of them is
-// queued would be one. Unnamed types have only String to go by.
-func (h *stateHasher) typeID(t reflect.Type) uint64 {
-	if id, ok := h.typeIDs[t]; ok {
-		return id
-	}
-	id, base := fnvOffset64, t
-	for base.Kind() == reflect.Pointer {
-		id, base = fnvByte(id, '*'), base.Elem()
-	}
-	if base.Name() != "" {
-		id = fnvString(fnvByte(fnvString(id, base.PkgPath()), '.'), base.Name())
-	} else {
-		id = fnvString(id, base.String())
-	}
-	h.typeIDs[t] = id
-	return id
-}
-
-// eventHash identifies an event by type and payload.
-func (h *stateHasher) eventHash(ev Event) uint64 {
-	if ev == nil {
-		return mix64(0x9e3779b97f4a7c15)
-	}
-	return fnvUint64(h.typeID(eventKey(ev)), h.deepHash(reflect.ValueOf(ev), 0))
-}
-
-// deepHash walks a value reflectively and folds its contents into a hash.
-// It reads unexported fields through kind-switched accessors (Int, Uint,
-// Bool, String, Float64bits — all legal on unexported fields), XORs map
-// entries so iteration order cannot leak in, and skips funcs, channels and
-// unsafe pointers. The depth cap bounds cost and breaks cycles.
-func (h *stateHasher) deepHash(v reflect.Value, depth int) uint64 {
-	if !v.IsValid() || depth > maxDeepHashDepth {
-		return 0x9e3779b9
-	}
-	switch v.Kind() {
-	case reflect.Bool:
-		if v.Bool() {
-			return 0x9e3779b97f4a7c15
-		}
-		return 0x85ebca6b7f4a7c15
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return mix64(uint64(v.Int()))
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		return mix64(v.Uint())
-	case reflect.Float32, reflect.Float64:
-		return mix64(math.Float64bits(v.Float()))
-	case reflect.Complex64, reflect.Complex128:
-		c := v.Complex()
-		return mix64(math.Float64bits(real(c)) ^ mix64(math.Float64bits(imag(c))))
-	case reflect.String:
-		return fnvString(fnvOffset64, v.String())
-	case reflect.Pointer:
-		if v.IsNil() {
-			return 0xc2b2ae3d
-		}
-		return mix64(h.deepHash(v.Elem(), depth+1) ^ 0x27d4eb2f)
-	case reflect.Interface:
-		if v.IsNil() {
-			return 0xc2b2ae3d
-		}
-		e := v.Elem()
-		return fnvUint64(h.typeID(e.Type()), h.deepHash(e, depth+1))
-	case reflect.Struct:
-		hh := fnvOffset64
-		for i := 0; i < v.NumField(); i++ {
-			hh = fnvUint64(hh, h.deepHash(v.Field(i), depth+1))
-		}
-		return hh
-	case reflect.Slice, reflect.Array:
-		n := v.Len()
-		hh := fnvUint64(fnvOffset64, uint64(n))
-		if n > 128 {
-			n = 128 // bound pathological payloads; length is already mixed
-		}
-		for i := 0; i < n; i++ {
-			hh = fnvUint64(hh, h.deepHash(v.Index(i), depth+1))
-		}
-		return hh
-	case reflect.Map:
-		if v.IsNil() {
-			return 0xc2b2ae3d
-		}
-		var x uint64
-		iter := v.MapRange()
-		for iter.Next() {
-			x ^= mix64(fnvUint64(h.deepHash(iter.Key(), depth+1), h.deepHash(iter.Value(), depth+1)))
-		}
-		return fnvUint64(fnvUint64(fnvOffset64, uint64(v.Len())), x)
-	default: // Chan, Func, UnsafePointer, Invalid
-		return 0x165667b1
-	}
-}
-
 // hashMachine computes one machine's component: identity, FSM state,
 // scheduler status, mid-handler position, queue contents (sender, event
 // type, payload — not the global send sequence, which differs across
-// behaviorally equivalent interleavings), and the deep hash of the logic
-// value's fields. Execution is serialized, so the queue is read unlocked.
+// behaviorally equivalent interleavings), and the logic value's fields, the
+// user values by their state plans in one walk. Execution is serialized, so
+// the queue is read unlocked.
 func (h *stateHasher) hashMachine(m *machineInstance, status machineStatus) uint64 {
-	c := fnvUint64(fnvOffset64, m.id.Seq)
-	c = fnvString(c, m.state)
-	c = fnvByte(c, byte(status))
+	w := &h.walk
+	w.reset()
+	w.h = fold(foldString(fold(w.h, m.id.Seq), m.state), uint64(status))
 	if m.handling {
 		// Mid-handler: the position is the dispatched event plus every
 		// visible operation since. Operations not yet folded are folded now.
 		for _, op := range m.hops {
 			m.hprog = fnvUint64(m.hprog, op.word)
 			if op.sent != nil {
-				m.hprog = fnvUint64(m.hprog, h.typeID(eventKey(op.sent)))
+				m.hprog = fnvUint64(m.hprog, planOf(eventKey(op.sent)).id)
 			}
 		}
 		clear(m.hops)
 		m.hops = m.hops[:0]
-		c = fnvUint64(fnvUint64(c, m.hprog), h.eventHash(m.hev))
+		w.h = fold(w.h, m.hprog)
+		w.hashEvent(&m.hev)
 	}
 	q := m.queued()
-	c = fnvUint64(c, uint64(len(q)))
+	w.h = fold(w.h, uint64(len(q)))
 	for i := range q {
-		env := &q[i]
-		c = fnvUint64(c, env.sender.Seq)
-		c = fnvUint64(c, h.eventHash(env.event))
+		w.h = fold(w.h, q[i].sender.Seq)
+		w.hashEvent(&q[i].event)
 	}
 	if m.logic != nil {
-		c = fnvUint64(c, h.deepHash(reflect.ValueOf(m.logic), 0))
+		w.hashLogic(&m.logic)
 	}
-	return mix64(c)
+	if m.st == nil {
+		w.hashEvent(&m.birth) // not booted yet: what it will start from is state too
+	}
+	if w.refused != nil && h.err == nil {
+		h.err = w.refusedIn("machine " + m.id.Type)
+	}
+	return mix64(w.h)
 }
 
 // hashMonitor folds one monitor's full state — name, FSM state, hot flag,
 // temperature, logic fields — into a component.
 func (h *stateHasher) hashMonitor(mon *monitorInstance) uint64 {
-	c := fnvString(fnvOffset64, mon.name)
-	c = fnvString(c, mon.state)
+	w := &h.walk
+	w.reset()
+	w.h = foldString(foldString(w.h, mon.name), mon.state)
+	hot := uint64(0)
 	if mon.hot {
-		c = fnvByte(c, 1)
-	} else {
-		c = fnvByte(c, 0)
+		hot = 1
 	}
-	c = fnvUint64(c, uint64(mon.temp))
+	w.h = fold(fold(w.h, hot), uint64(mon.temp))
 	if mon.logic != nil {
-		c = fnvUint64(c, h.deepHash(reflect.ValueOf(mon.logic), 0))
+		w.hashLogic(&mon.logic)
 	}
-	return mix64(c)
+	if w.refused != nil && h.err == nil {
+		h.err = w.refusedIn("monitor " + mon.name)
+	}
+	return mix64(w.h)
 }

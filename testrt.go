@@ -60,7 +60,9 @@ type TestConfig struct {
 	// replayed prefix relies, as replay does, on the program being
 	// deterministic in its decisions. Only sound under depth-first
 	// strategies (see the StateCache docs); incompatible with Faults in
-	// this version.
+	// this version. A program whose machines or monitors keep a live func,
+	// chan or unsafe.Pointer in their state cannot be hashed: its iterations
+	// end at once with a *StateError in IterationResult.Err.
 	StateCache StateCache
 	// Faults, if non-nil, enables fault-injection nondeterminism: the
 	// controller issues a ChoiceFault query once per scheduler pass (crash?)
@@ -93,8 +95,14 @@ type IterationResult struct {
 	SchedulingPoints int
 	// ReplayedPoints is how many of them replayed the previous iteration's
 	// decisions, so that cfg.StateCache was not consulted (see StateCache);
-	// 0 without a cache.
+	// 0 without a cache. It includes the RestoredPoints.
 	ReplayedPoints int
+	// RestoredPoints is how many of them were not executed: the iteration
+	// started from a checkpoint taken that deep in the decision prefix it
+	// shares with the one before it (see PrefixResumer). They are points of
+	// the schedule all the same — in SchedulingPoints, in ReplayedPoints, in
+	// the Trace — and 0 unless the strategy is depth-first.
+	RestoredPoints int
 	// ContinuedPoints is how many of them kept the machine that had just
 	// reached a send/create scheduling point running, so that the decision
 	// cost no coroutine switch (see controller); a function of the schedule
@@ -108,6 +116,11 @@ type IterationResult struct {
 	Races []string
 	// Faults counts the failure actions injected during the iteration.
 	Faults FaultStats
+	// Err is non-nil when the iteration was abandoned because the program
+	// cannot be tested as configured: a *StateError when StateCache is set and
+	// a machine's or monitor's state cannot be hashed. The other fields
+	// describe the partial schedule; every later Run would end the same way.
+	Err error
 }
 
 // yieldKind is what a machine coroutine hands the controller when it
@@ -233,6 +246,21 @@ type controller struct {
 	// aborting makes every machine resumed from now on unwind: set by
 	// teardown, read by machines right after the switch that resumes them.
 	aborting bool
+
+	// parked counts the machines parked at a yield point, mid-handler: while
+	// it is zero on loop's stack the program is quiescent (see checkpoint.go).
+	// resumer is cfg.Strategy's PrefixResumer, for a Run that may start from a
+	// checkpoint; ck holds the checkpoints, once there is a use for any, and
+	// restored is how many scheduling points this iteration took from one.
+	// key is what of the configuration the memory of the previous iteration —
+	// the hasher's replay memo, the checkpoints — was recorded under; err is
+	// what Run reports in IterationResult.Err.
+	parked   int
+	resumer  PrefixResumer
+	ck       *checkpoints
+	restored int
+	key      memoKey
+	err      error
 }
 
 // instanceReserve is the process-wide stock of idle machine instances:
@@ -401,25 +429,42 @@ func (c *controller) onDequeue(m *machineInstance, env envelope) {
 }
 
 // setDecider caches the per-iteration view of cfg.Strategy through the
-// decision API, avoiding the type assertion at every nondeterminism point.
+// decision API, avoiding the type assertion at every nondeterminism point,
+// and drops what the harness remembers of its previous iteration if this one
+// runs under another configuration.
 func (c *controller) setDecider() {
-	c.stepObs, _ = c.cfg.Strategy.(StepObserver)
-	if c.cfg.StateCache != nil {
+	cfg := &c.cfg
+	c.stepObs, _ = cfg.Strategy.(StepObserver)
+	key := memoKey{cfg.StateCache, cfg.LivenessTemperature, cfg.ChessLike, cfg.Faults != nil, cfg.MaxSteps, cfg.Coverage}
+	same := c.key.same(key)
+	c.key = key
+	if cfg.StateCache == nil {
+		c.hasher = nil
+	} else {
 		if c.hasher == nil {
 			c.hasher = newStateHasher()
+		} else if !same {
+			c.hasher.seen = c.hasher.seen[:0]
 		}
-		c.hasher.reset(&c.cfg)
-	} else {
-		c.hasher = nil
+		c.hasher.reset()
+	}
+	// Checkpoints carry neither fault bookkeeping nor vector clocks, and a
+	// restored prefix writes no log.
+	c.resumer = nil
+	if cfg.Faults == nil && !cfg.RaceDetect && !c.rt.logging() {
+		c.resumer, _ = cfg.Strategy.(PrefixResumer)
+	}
+	if c.ck != nil && (!same || c.resumer == nil) {
+		c.ck.forget()
 	}
 	c.observing = c.stepObs != nil || c.hasher != nil
 	c.pruned = false
 	c.stepTarget, c.stepCreated, c.stepObserved = MachineID{}, MachineID{}, false
-	if ds, ok := c.cfg.Strategy.(DecisionStrategy); ok {
+	if ds, ok := cfg.Strategy.(DecisionStrategy); ok {
 		c.decider = ds
 		return
 	}
-	c.legacy.s = c.cfg.Strategy
+	c.legacy.s = cfg.Strategy
 	c.decider = &c.legacy
 }
 
@@ -495,7 +540,7 @@ func (c *controller) anyQueuedWhileBlocked() *machineInstance {
 // A machine that comes back from a yield point has already closed its step
 // and run the next pass; any other way back leaves both to loop.
 func (c *controller) loop() {
-	out := c.pass()
+	out := c.loopPass()
 	for out != passEnd {
 		if out == passCrash {
 			// The target may be the machine whose stack took the decision,
@@ -509,8 +554,16 @@ func (c *controller) loop() {
 		m := c.instances[c.current.Seq-1]
 		kind, _ := m.next()
 		if kind == ykYield {
+			if !m.midHandler {
+				m.midHandler = true
+				c.parked++
+			}
 			out = c.pending // the machine stays in the ready set
 			continue
+		}
+		if m.midHandler {
+			m.midHandler = false
+			c.parked--
 		}
 		status := msHalted
 		if kind == ykBlocked {
@@ -524,7 +577,7 @@ func (c *controller) loop() {
 		c.statuses[m.id.Seq-1] = status
 		c.readyRemove(m.id)
 		c.endStep()
-		out = c.pass()
+		out = c.loopPass()
 	}
 	c.teardown()
 }
@@ -690,7 +743,8 @@ func (c *controller) endStep() {
 }
 
 // checkStateCache hashes the current global state and asks cfg.StateCache
-// whether it was already covered; a true answer prunes the iteration. On a
+// whether it was already covered; a true answer prunes the iteration, and so
+// does state that cannot be hashed, with c.err set. On a
 // replayed prefix — the decisions so far are the previous iteration's — the
 // answer is known to be false and neither happens (see StateCache).
 func (c *controller) checkStateCache() bool {
@@ -703,7 +757,13 @@ func (c *controller) checkStateCache() bool {
 		h.replaying = false
 		h.seen = h.seen[:h.replayed]
 	}
-	if c.cfg.StateCache.Visit(c.stateHash(), h.prefix, c.steps) {
+	state := c.stateHash()
+	if h.err != nil {
+		// Part of the state has no hash: nothing may be pruned on the rest.
+		c.err = h.err
+		return true
+	}
+	if c.cfg.StateCache.Visit(state, h.prefix, c.steps) {
 		c.pruned = true
 		return true
 	}
