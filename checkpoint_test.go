@@ -488,7 +488,8 @@ func TestCheckpointCloseReleasesEverything(t *testing.T) {
 // campaign — all there is of a hunt that finds its bug at once — pays nothing
 // for the checkpoints later attempts would use. The caps are what a
 // one-attempt campaign allocated before checkpoints existed (the state plans
-// took allocations off the cached ones).
+// took allocations off the cached ones; a reduced node's backtrack and
+// explored sets being one array took one more off TwoPhaseCommit's).
 func TestCheckpointFirstAttemptAllocationCap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counts need a quiet process")
@@ -497,10 +498,10 @@ func TestCheckpointFirstAttemptAllocationCap(t *testing.T) {
 		protocol    string
 		dfs, cached float64
 	}{
-		{"Chord", 154, 326},
-		{"TwoPhaseCommit", 267, 599},
-		{"German", 269, 558},
-		{"BoundedAsync", 234, 589},
+		{"Chord", 154, 321},
+		{"TwoPhaseCommit", 267, 550},
+		{"German", 269, 556},
+		{"BoundedAsync", 234, 586},
 	} {
 		b := protocols.MustByName(tc.protocol, false)
 		for _, cached := range []bool{false, true} {
@@ -519,6 +520,52 @@ func TestCheckpointFirstAttemptAllocationCap(t *testing.T) {
 			if got := testing.AllocsPerRun(20, campaign); got > limit {
 				t.Errorf("%s, cache %v: a one-attempt campaign allocates %.0f times, %.0f before checkpoints", tc.protocol, cached, got, limit)
 			}
+		}
+	}
+}
+
+// TestReducedSearchSteadyAllocationCap holds what a reduced attempt costs once
+// the search is under way: a node's reduction — backtrack and explored flags,
+// the footprints of its explored branches — comes from a node popped before
+// it, so an attempt under DPOR allocates two to four times more than one
+// under DFS (an enabled set per new node under either); a reduction made per
+// node would be 15 more. Attempts 100 to 400, per attempt.
+func TestReducedSearchSteadyAllocationCap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts need a quiet process")
+	}
+	for _, tc := range []struct {
+		protocol  string
+		dfs, dpor float64
+	}{
+		{"Chord", 24, 28},
+		{"TwoPhaseCommit", 40, 43},
+		{"German", 22, 24},
+		{"BoundedAsync", 20, 22},
+	} {
+		b := protocols.MustByName(tc.protocol, false)
+		for _, s := range []sct.Strategy{sct.NewDFS(), sct.NewDPOR()} {
+			h := psharp.NewTestHarness(b.Setup)
+			cfg := psharp.TestConfig{Strategy: s, MaxSteps: b.MaxSteps}
+			iter := 0
+			attempt := func() {
+				if !s.PrepareIteration(iter) {
+					t.Fatalf("%s: %T exhausted after %d attempts", tc.protocol, s, iter)
+				}
+				iter++
+				h.Run(cfg)
+			}
+			for iter < 99 {
+				attempt()
+			}
+			limit := tc.dfs
+			if _, reduced := s.(*sct.DPOR); reduced {
+				limit = tc.dpor
+			}
+			if got := testing.AllocsPerRun(300, attempt); got > limit {
+				t.Errorf("%s: an attempt of %T allocates %.0f times in steady state, cap %.0f", tc.protocol, s, got, limit)
+			}
+			h.Close()
 		}
 	}
 }

@@ -373,6 +373,48 @@ func TestJournalResumeCLIRoundTrip(t *testing.T) {
 	}
 }
 
+// TestResumeRefusesAnotherBuildsCursor: -resume on a campaign whose journal
+// holds a cursor this build cannot read (what a depth-first campaign
+// journaled before cursor version 2 holds) is one line on stderr and exit 2,
+// not a stack trace, and runs nothing.
+func TestResumeRefusesAnotherBuildsCursor(t *testing.T) {
+	jdir := filepath.Join(t.TempDir(), "journal")
+	common := []string{"-bench", "TwoPhaseCommit", "-strategy", "dfs", "-journal", jdir}
+	if code, stdout, stderr := runCLI(t, append(common, "-iterations", "50")...); code != 0 {
+		t.Fatalf("journaled run exit = %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+	st, err := journal.ReadState(jdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := journal.Resume(jdir, st.Meta, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Advance(0, 50, []byte{1, 0, 0, 1, 0}, nil) // cursor version 1: an empty DFS stack
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	code, stdout, stderr := runCLI(t, append(common, "-iterations", "100", "-resume")...)
+	if code != 2 {
+		t.Fatalf("resume exit = %d, want 2\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+	var refusal []string
+	for _, line := range strings.Split(strings.TrimSpace(stderr), "\n") {
+		if !strings.Contains(line, "resuming campaign") {
+			refusal = append(refusal, line)
+		}
+	}
+	if len(refusal) != 1 || !strings.HasPrefix(refusal[0], "psharp-test: sct: journal cursor for worker 0: cursor version 1, this build reads version 2: ") ||
+		!strings.Contains(refusal[0], "must be finished by that build or started afresh") {
+		t.Fatalf("want the one-line refusal, got:\n%s", stderr)
+	}
+	if !strings.Contains(stdout, ": 0 schedules") || !strings.Contains(stdout, "holds 50 distinct schedules and 50 iterations") {
+		t.Fatalf("the refused resume should run nothing and leave the journal as it found it:\n%s", stdout)
+	}
+}
+
 // TestShardedJournalCLI splits one campaign across two -shard processes
 // sharing a journal directory and checks they jointly cover the population
 // of an equivalent single-process run.

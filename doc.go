@@ -171,10 +171,12 @@
 //
 // Beyond placing scheduling points only before sends and creates (the
 // paper's static reduction, above), the testing stack prunes equivalent
-// schedules dynamically. sct.NewDPOR is dynamic partial-order reduction
-// with sleep sets: the controller reports every executed step's footprint —
+// schedules dynamically. sct has one depth-first search of the schedule
+// tree; sct.NewDFS is that search branching on every enabled machine, and
+// sct.NewDPOR is the same search with dynamic partial-order reduction and
+// sleep sets: the controller reports every executed step's footprint —
 // the machine that ran, the mailbox it targeted, the machine it created —
-// through the StepObserver hook, and the strategy backtracks only where two
+// through the StepObserver hook, and the search backtracks only where two
 // steps of different machines actually conflict, collapsing interleavings
 // of independent operations into one representative while remaining as
 // exhaustive as DFS. TestConfig.StateCache (sct Options.StateCache, or
@@ -213,8 +215,8 @@
 // the whole program is data, a snapshot of it is a copy of every logic
 // value, mailbox and monitor, made in one walk so that what machines and
 // queued events share stays shared, and an attempt whose strategy promises
-// to repeat a prefix of the last one (PrefixResumer: sct.DFS and sct.DPOR)
-// starts from the deepest snapshot inside that prefix instead of from
+// to repeat a prefix of the last one (PrefixResumer: sct's depth-first
+// search, as DFS and as DPOR) starts from the deepest snapshot inside that prefix instead of from
 // setup. Nothing a caller can count changes: the restored points are
 // points of the schedule in SchedulingPoints, ReplayedPoints, the Trace and
 // every report, and a search with checkpoints is attempt for attempt the
@@ -469,7 +471,8 @@
 // Exploration state no longer dies with the process. psharp-test -journal
 // <dir> makes a campaign durable: every explored schedule's fingerprint,
 // each worker's strategy cursor (the position in its seed stream, or the
-// DFS frontier), the campaign counters and periodic telemetry checkpoints
+// frontier of the depth-first search, with its backtrack sets under
+// DPOR), the campaign counters and periodic telemetry checkpoints
 // are appended to a crash-safe binary journal (the journal package — a
 // versioned header and length+FNV-1a-checksummed record framing). After a
 // crash — SIGKILL, OOM, CI timeout — rerunning with -resume recovers the
@@ -480,7 +483,10 @@
 // and budget. Recovery is strict about what it forgives: a torn tail (the
 // one failure appending can produce) is truncated silently, while a
 // checksum mismatch mid-file or an unknown format version is rejected
-// loudly rather than silently resurrecting wrong state.
+// loudly rather than silently resurrecting wrong state — and so is a
+// frontier the search cannot take up (corrupt, another strategy's, or
+// journaled by a build with another cursor format, which has to finish
+// that campaign itself): psharp-test says which and exits 2.
 //
 // Durability has one knob, -journal-sync, the fsync cadence in records:
 // 1 fsyncs every record (an OS crash costs nothing, but every append pays

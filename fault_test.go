@@ -223,6 +223,16 @@ func (s *scripted) Decide(c *psharp.Choice, d *psharp.Decision) {
 	s.answered++
 }
 
+// The three methods make a scripted a psharp.Strategy and nothing else: the
+// controller finds Decide and puts every query to it.
+const notThroughDecide = "scripted: the controller asks a DecisionStrategy through Decide"
+
+func (s *scripted) NextBool() bool  { panic(notThroughDecide) }
+func (s *scripted) NextInt(int) int { panic(notThroughDecide) }
+func (s *scripted) NextMachine(psharp.MachineID, []psharp.MachineID) psharp.MachineID {
+	panic(notThroughDecide)
+}
+
 // TestCoroutineRejectedAnswerLeavesNoRecord answers the k-th machine choice
 // of a fault-enabled TwoPhaseCommitFT schedule, for every k, with a decision
 // of the wrong kind and with a machine that is not enabled. The strategy
@@ -234,7 +244,7 @@ func (s *scripted) Decide(c *psharp.Choice, d *psharp.Decision) {
 func TestCoroutineRejectedAnswerLeavesNoRecord(t *testing.T) {
 	b := protocols.MustByName("TwoPhaseCommitFT", false)
 	cfg := func(s *scripted) psharp.TestConfig {
-		return psharp.TestConfig{Strategy: psharp.AsStrategy(s), MaxSteps: b.MaxSteps, Faults: &psharp.FaultConfig{}}
+		return psharp.TestConfig{Strategy: s, MaxSteps: b.MaxSteps, Faults: &psharp.FaultConfig{}}
 	}
 	h := psharp.NewTestHarness(b.Setup)
 	defer h.Close()
@@ -323,7 +333,7 @@ func TestCoroutineCrashBeforeFirstSchedule(t *testing.T) {
 		for i := 0; i < 3; i++ { // recycled instances must behave the same
 			log = log[:0]
 			res := h.Run(psharp.TestConfig{
-				Strategy: psharp.AsStrategy(&scripted{crash: &psharp.FaultAction{Kind: psharp.FaultCrash, Machine: victim, Restart: tc.restart}}),
+				Strategy: &scripted{crash: &psharp.FaultAction{Kind: psharp.FaultCrash, Machine: victim, Restart: tc.restart}},
 				Faults:   &psharp.FaultConfig{},
 			})
 			if res.Bug != nil {
@@ -398,8 +408,8 @@ func TestCoroutineCrashYieldingMachineAtItsSend(t *testing.T) {
 		// the second is machine 1's own, at its send.
 		cfg := func() psharp.TestConfig {
 			return psharp.TestConfig{
-				Strategy: psharp.AsStrategy(&scripted{picks: []uint64{1, 1, 2}, declines: 1,
-					crash: &psharp.FaultAction{Kind: psharp.FaultCrash, Machine: victim, Restart: tc.restart}}),
+				Strategy: &scripted{picks: []uint64{1, 1, 2}, declines: 1,
+					crash: &psharp.FaultAction{Kind: psharp.FaultCrash, Machine: victim, Restart: tc.restart}},
 				Faults: &psharp.FaultConfig{},
 			}
 		}

@@ -581,7 +581,7 @@ func TestCoroutineTeardownMixedPositions(t *testing.T) {
 	setup := teardownSetup(&log)
 	// Both sinks run their entry and block, both relays run up to their
 	// send, then the first sink handles a relayed message and fails.
-	script := func() psharp.Strategy { return psharp.AsStrategy(&scripted{picks: []uint64{2, 5, 3, 1, 2}}) }
+	script := func() psharp.Strategy { return &scripted{picks: []uint64{2, 5, 3, 1, 2}} }
 	want := []string{"2:entry", "5:entry", "3:entry", "3:before-send", "1:entry", "1:before-send"}
 
 	h := psharp.NewTestHarness(setup)
@@ -641,13 +641,13 @@ func TestCoroutineHandlerPanicBeforeSchedulingPoint(t *testing.T) {
 	defer h.Close()
 	for i := 0; i < 3; i++ {
 		// Unknown target: machine 2 panics inside Send on its first event.
-		res := h.Run(psharp.TestConfig{Strategy: psharp.AsStrategy(&scripted{picks: []uint64{2, 2}})})
+		res := h.Run(psharp.TestConfig{Strategy: &scripted{picks: []uint64{2, 2}}})
 		if res.Bug == nil || res.Bug.Kind != psharp.BugAssertion || res.Bug.Machine.Seq != 2 || !strings.Contains(res.Bug.Message, "unknown machine") {
 			t.Fatalf("round %d: bug %v, want machine 2's send to an unknown machine", i, res.Bug)
 		}
 		// Invalid fault answer: machine 1 panics inside Send at the fault query.
 		res = h.Run(psharp.TestConfig{
-			Strategy: psharp.AsStrategy(&scripted{picks: []uint64{1, 1}, sendFault: psharp.FaultAction{Kind: psharp.FaultCrash}}),
+			Strategy: &scripted{picks: []uint64{1, 1}, sendFault: psharp.FaultAction{Kind: psharp.FaultCrash}},
 			Faults:   &psharp.FaultConfig{},
 		})
 		if res.Bug == nil || res.Bug.Machine.Seq != 1 || !strings.Contains(res.Bug.Message, "send fault point") {

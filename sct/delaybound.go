@@ -9,13 +9,10 @@ import "github.com/psharp-go/psharp"
 // machine the deterministic scheduler would run and moves to the next one.
 // Delay positions are chosen uniformly over the expected schedule length.
 type DelayBounding struct {
-	seed   uint64
+	seedStream
 	budget int
 	steps  int
-	offset int
-	stride int
 
-	rng       *splitMix64
 	delayAt   map[int]bool
 	remaining int
 	step      int
@@ -30,7 +27,7 @@ func NewDelayBounding(seed uint64, budget, expectedSteps int) *DelayBounding {
 	if expectedSteps < 1 {
 		expectedSteps = 1
 	}
-	return &DelayBounding{seed: seed, budget: budget, steps: expectedSteps, stride: 1}
+	return &DelayBounding{seedStream: newSeedStream(seed), budget: budget, steps: expectedSteps, delayAt: make(map[int]bool)}
 }
 
 // CloneForWorker shards the per-iteration delay-placement seed stream: the
@@ -38,16 +35,15 @@ func NewDelayBounding(seed uint64, budget, expectedSteps int) *DelayBounding {
 // same base seed, so a sharded parallel run explores exactly the sequential
 // run's schedule population.
 func (s *DelayBounding) CloneForWorker(worker, workers int) Strategy {
-	return &DelayBounding{seed: s.seed, budget: s.budget, steps: s.steps, offset: worker, stride: workers}
+	return &DelayBounding{seedStream: s.shard(worker, workers), budget: s.budget, steps: s.steps, delayAt: make(map[int]bool)}
 }
 
 // PrepareIteration re-randomizes the delay positions.
 func (s *DelayBounding) PrepareIteration(iter int) bool {
-	g := uint64(s.offset) + uint64(iter)*uint64(s.stride)
-	s.rng = newRNG(s.seed + g*0x9e3779b97f4a7c15)
-	s.delayAt = make(map[int]bool)
+	s.rewind(iter, 0)
+	clear(s.delayAt)
 	for i := 0; i < s.budget; i++ {
-		s.delayAt[s.rng.intn(s.steps)] = true
+		s.delayAt[s.NextInt(s.steps)] = true
 	}
 	s.remaining = s.budget
 	s.step = 0
@@ -72,9 +68,3 @@ func (s *DelayBounding) NextMachine(current psharp.MachineID, enabled []psharp.M
 	s.step++
 	return enabled[idx]
 }
-
-// NextBool resolves controlled booleans uniformly.
-func (s *DelayBounding) NextBool() bool { return s.rng.boolean() }
-
-// NextInt resolves controlled integers uniformly.
-func (s *DelayBounding) NextInt(n int) int { return s.rng.intn(n) }

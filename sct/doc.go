@@ -81,11 +81,17 @@
 //
 // Exhaustive enumeration wastes most of its budget on schedules that differ
 // only in the order of commuting operations — sends to different machines,
-// steps of machines that never interact. Two reduction mechanisms prune
-// that redundancy, composable and individually optional:
+// steps of machines that never interact. There is one depth-first search of
+// the schedule tree (search.go): a stack of decision nodes, replayed from
+// the root and extended at the frontier on every attempt, backtracked
+// between attempts, sharded across workers by residue class of the root
+// branch, its frontier journaled as a cursor (CursorStrategy). DFS (NewDFS)
+// is that search branching on every enabled machine at every schedule node.
+// Two reduction mechanisms prune the redundancy, composable and optional:
 //
-//   - DPOR (NewDPOR) is dynamic partial-order reduction in the
-//     Flanagan–Godefroid style with sleep sets. The engine reports each
+//   - DPOR (NewDPOR) is the same search with a backtrack set per schedule
+//     node: dynamic partial-order reduction in the Flanagan–Godefroid style
+//     with sleep sets. The engine reports each
 //     executed step's footprint (which machine ran, which mailbox it
 //     targeted, which machine it created) back to the strategy, which
 //     inserts backtrack points only where two steps of different machines
@@ -94,11 +100,9 @@
 //     conflicts were already explored. DPOR is exhaustive where DFS is —
 //     when it exhausts its tree, every Mazurkiewicz trace of the program
 //     has a representative explored — but reaches exhaustion orders of
-//     magnitude sooner on programs with independent components. It shards
-//     across parallel workers by residue class of the root branch (the
-//     root keeps all branches, so sharding never loses soundness), and
-//     implements CursorStrategy, so journaled DPOR campaigns resume
-//     mid-frontier.
+//     magnitude sooner on programs with independent components. Its root
+//     keeps all branches, so sharding never loses soundness; replay,
+//     cursors and checkpointed prefixes are DFS's, being the same code.
 //
 //   - The hashed global-state cache (Options.StateCache) fingerprints the
 //     global state — every machine's serialized fields, control state and
@@ -116,14 +120,15 @@
 // Cost model. The paper's search is stateless: an attempt starts the
 // program over and re-executes the decision prefix it shares with the
 // worker's previous attempt before it takes its first new step, and with a
-// cache most attempts are pruned a step or two past that prefix. DFS and
-// DPOR implement psharp.PrefixResumer — they tell the harness how much of
+// cache most attempts are pruned a step or two past that prefix. The search
+// implements psharp.PrefixResumer — it tells the harness how much of
 // the last attempt the next one repeats — and the harness starts the attempt
 // from the deepest checkpoint it holds inside that prefix: a copy of the
 // program taken at a scheduling point where no machine was in the middle of
 // a handler (see "What a depth-first attempt costs" in the psharp package
-// docs, which also lists what is never checkpointed; DPOR rebuilds its sleep
-// set for the resume point from the footprints its stack keeps). Such an
+// docs, which also lists what is never checkpointed; under reduction the
+// sleep set for the resume point is rebuilt from the footprints the stack
+// keeps). Such an
 // attempt does not run setup: the program must register pure machine
 // factories and keep its state in machines, monitors and events (see
 // psharp.NewTestHarness). What is left of the prefix is executed but
@@ -163,8 +168,9 @@
 // walks the cross-product on both. What the rules need to know about a
 // strategy — depth-first? footprint-tracking? fair? — comes from the one
 // table of named strategies (strategies.go, NewStrategy); a Strategy from
-// outside the table is assumed to be none of the three. In the order
-// checked:
+// outside the table is assumed to be none of the three. dfs and dpor are
+// the depth-first search without and with reduction, and only the latter
+// tracks footprints. In the order checked:
 //
 //   - Iterations must be positive, a Strategy or a Portfolio present (the
 //     Portfolio wins), and ShardIndex within [0, ShardCount).
@@ -307,13 +313,17 @@
 // idempotent work — and never skip any.
 //
 // On a resumed run the engine restores each worker before its first
-// iteration: strategies implementing CursorStrategy (DFS and DPOR, whose
-// cursors are their serialized enumeration frontiers — DPOR's additionally
-// carries its backtrack sets, sleep sets and step footprints) reload their
-// exact position via LoadCursor, while the reseeding strategies (Random, RandomFair, PCT,
-// DelayBounding, FaultInjector around any of them) need only the
-// completed-iteration count, because worker w's iteration k is a pure
-// function of (seed, w, k). Workers then skip their already-completed
+// iteration: the depth-first search reloads its exact position via
+// LoadCursor from the one cursor format it has (version 2: the stack, with
+// the backtrack sets and step footprints of its nodes when it is DPOR's),
+// while the reseeding strategies (Random, RandomFair, PCT, DelayBounding,
+// FaultInjector around any of them) need only the completed-iteration
+// count, because worker w's iteration k is a pure function of (seed, w, k)
+// (seedStream). A cursor that does not load — another strategy's, a corrupt
+// one, one in the two layouts of version 1 — ends the run before its first
+// iteration with Report.Err (psharp-test prints it and exits 2); a version-1
+// campaign has to be finished by the build that journaled it or started
+// afresh. Workers then skip their already-completed
 // slots of the global iteration stream — zero journal-covered schedules
 // re-execute (observable in ParallelReport.Workers, whose per-worker
 // iteration counts are this-process-only) — and the merged Report carries

@@ -186,7 +186,9 @@ type Report struct {
 	// Err is non-nil when the run stopped because the program cannot be
 	// explored as configured (psharp.IterationResult.Err): with StateCache
 	// set, a *psharp.StateError naming the machine state that cannot be
-	// hashed. The counters cover the iterations completed before it.
+	// hashed. The counters cover the iterations completed before it. It is
+	// also how RunParallel refuses to resume a Journal whose cursor a worker's
+	// strategy cannot load: no iteration runs.
 	Err error
 }
 

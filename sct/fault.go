@@ -54,7 +54,7 @@ const DefaultFaultHorizon = 256
 // (restarting with probability 1/2 if Restart is set), or a uniformly
 // chosen drop/duplicate/reorder at send points.
 //
-// The injector's own randomness is a seed-sharded splitMix64 stream, kept
+// The injector's own randomness is a seedStream of its own, kept
 // separate from the inner strategy's so enabling faults does not perturb
 // which interleavings the inner strategy would have explored. It implements
 // Cloneable when the inner strategy does, sharding both streams.
@@ -64,13 +64,10 @@ type FaultInjector struct {
 
 	budget   int
 	horizon  int
-	seed     uint64
 	restart  bool
 	preserve bool
-	offset   int
-	stride   int
 
-	rng       *splitMix64
+	faults    seedStream
 	points    map[int]bool // fault-query indices that inject, this iteration
 	remaining int
 	idx       int // fault queries answered so far this iteration
@@ -92,20 +89,16 @@ func newFaultInjector(inner Strategy, opts FaultOptions, offset, stride int) *Fa
 	if horizon <= 0 {
 		horizon = DefaultFaultHorizon
 	}
-	s := &FaultInjector{
+	return &FaultInjector{
 		inner:    inner,
+		innerD:   psharp.AsDecisionStrategy(inner),
 		budget:   opts.Budget,
 		horizon:  horizon,
-		seed:     opts.Seed,
 		restart:  opts.Restart,
 		preserve: opts.PreserveMailbox,
-		offset:   offset,
-		stride:   stride,
-		rng:      newRNG(opts.Seed),
+		faults:   seedStream{seed: opts.Seed}.shard(offset, stride),
 		points:   make(map[int]bool, opts.Budget),
 	}
-	s.innerD = psharp.AsDecisionStrategy(inner)
-	return s
 }
 
 // Inner returns the wrapped exploration strategy.
@@ -119,7 +112,7 @@ func (s *FaultInjector) CloneForWorker(worker, workers int) Strategy {
 		panic(fmt.Sprintf("sct: FaultInjector inner strategy %T is not Cloneable", s.inner))
 	}
 	return newFaultInjector(cl.CloneForWorker(worker, workers), FaultOptions{
-		Budget: s.budget, Horizon: s.horizon, Seed: s.seed,
+		Budget: s.budget, Horizon: s.horizon, Seed: s.faults.seed,
 		Restart: s.restart, PreserveMailbox: s.preserve,
 	}, worker, workers)
 }
@@ -151,13 +144,12 @@ func (s *FaultInjector) PrepareIteration(iter int) bool {
 	if !s.inner.PrepareIteration(iter) {
 		return false
 	}
-	g := uint64(s.offset) + uint64(iter)*uint64(s.stride)
-	// Offset the stream constant so a FaultInjector sharing its seed with
-	// the inner Random still draws an independent sequence.
-	s.rng.reseed(s.seed + 0x6a09e667f3bcc909 + g*0x9e3779b97f4a7c15)
+	// The salt keeps a FaultInjector sharing its seed with the inner Random
+	// drawing an independent sequence.
+	s.faults.rewind(iter, 0x6a09e667f3bcc909)
 	clear(s.points)
 	for i := 0; i < s.budget; i++ {
-		s.points[s.rng.intn(s.horizon)] = true
+		s.points[s.faults.NextInt(s.horizon)] = true
 	}
 	s.remaining = s.budget
 	s.idx = 0
@@ -182,12 +174,12 @@ func (s *FaultInjector) Decide(c *psharp.Choice, d *psharp.Decision) {
 	switch c.Point {
 	case psharp.FaultPointSend:
 		kinds := [3]psharp.FaultKind{psharp.FaultDrop, psharp.FaultDuplicate, psharp.FaultReorder}
-		f.Kind = kinds[s.rng.intn(3)]
+		f.Kind = kinds[s.faults.NextInt(3)]
 	default: // FaultPointSchedule: crash a random crashable machine
 		f.Kind = psharp.FaultCrash
-		f.Machine = c.Crashable[s.rng.intn(len(c.Crashable))]
+		f.Machine = c.Crashable[s.faults.NextInt(len(c.Crashable))]
 		if s.restart {
-			f.Restart = s.rng.boolean()
+			f.Restart = s.faults.NextBool()
 		}
 		f.PreserveMailbox = f.Restart && s.preserve
 	}

@@ -27,7 +27,7 @@ import (
 // folded in by a multiply and an xor-shift, both invertible, so traces that
 // differ in one decision never collide.
 func fingerprintTrace(t *psharp.Trace) uint64 {
-	const mul = 0x9e3779b97f4a7c15
+	const mul = golden64
 	h := uint64(len(t.Decisions))
 	for i := range t.Decisions {
 		d := &t.Decisions[i]

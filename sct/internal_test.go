@@ -188,7 +188,7 @@ func TestFingerprintSetConcurrentInserts(t *testing.T) {
 			fresh := 0
 			for i := 0; i < 1000; i++ {
 				// Every goroutine inserts the same 1000 values.
-				if s.insert(uint64(i) * 0x9e3779b97f4a7c15) {
+				if s.insert(uint64(i) * golden64) {
 					fresh++
 				}
 			}

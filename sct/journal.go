@@ -12,10 +12,10 @@ import (
 // reseed per global iteration (Random, RandomFair, PCT, DelayBounding, and
 // FaultInjector's fault stream) need no cursor — their position is fully
 // determined by the iteration index the engine journals for every worker —
-// so only the systematic enumerators implement it directly: DFS and DPOR,
-// whose frontiers are schedule-tree stacks (DPOR's additionally carries its
-// backtrack sets and step footprints); FaultInjector delegates to its inner
-// strategy.
+// so only the systematic enumeration implements it directly: DFS and DPOR,
+// whose frontier is a schedule-tree stack (under reduction, with the
+// backtrack sets and step footprints of its nodes); FaultInjector delegates
+// to its inner strategy.
 type CursorStrategy interface {
 	Strategy
 	// SaveCursor serializes the strategy's cross-iteration state after the
@@ -100,23 +100,26 @@ func (jw *journalWriter) flush(completed int) {
 
 // restoreCursor loads a worker's journaled position: its completed local
 // iteration count (the engine restarts its stream there) and, for
-// CursorStrategy strategies, the serialized search frontier.
-func restoreCursor(j *journal.Campaign, w *worker) {
+// CursorStrategy strategies, the serialized search frontier. A frontier the
+// worker's strategy cannot take up is an error: the campaign cannot go on
+// from it.
+func restoreCursor(j *journal.Campaign, w *worker) error {
 	completed, blob, ok := j.Cursor(w.offset)
 	if !ok {
-		return
+		return nil
 	}
 	w.start = completed
 	if len(blob) == 0 {
-		return
+		return nil
 	}
 	cs, ok := w.strategy.(CursorStrategy)
 	if !ok {
-		panic(fmt.Sprintf("sct: journal holds a cursor blob for worker %d but strategy %T cannot load cursors (was the campaign run with a different strategy?)", w.offset, w.strategy))
+		return fmt.Errorf("sct: journal holds a cursor blob for worker %d but strategy %T cannot load cursors (was the campaign run with a different strategy?)", w.offset, w.strategy)
 	}
 	if err := cs.LoadCursor(blob); err != nil {
-		panic(fmt.Sprintf("sct: journal cursor for worker %d: %v", w.offset, err))
+		return fmt.Errorf("sct: journal cursor for worker %d: %w", w.offset, err)
 	}
+	return nil
 }
 
 // finishJournal merges the journal's prior-run baseline into the report —

@@ -2,6 +2,8 @@ package sct
 
 import (
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -34,7 +36,7 @@ func TestJournalWriterAllocBudget(t *testing.T) {
 	fp := uint64(0)
 	iterate := func() {
 		completed++
-		fp += 0x9e3779b97f4a7c15
+		fp += golden64
 		jw.note(fp, true, completed)
 	}
 	for i := 0; i < 4096; i++ {
@@ -51,47 +53,70 @@ func TestJournalWriterAllocBudget(t *testing.T) {
 	}
 }
 
-// TestDFSCursorBlobRoundTrip: a mid-search DFS frontier survives
-// SaveCursor/LoadCursor into a freshly constructed DFS byte-for-byte.
+// TestDFSCursorBlobRoundTrip: a mid-search frontier, plain or reduced,
+// survives SaveCursor/LoadCursor into a freshly constructed strategy
+// byte-for-byte, and into no other.
 func TestDFSCursorBlobRoundTrip(t *testing.T) {
-	src := &DFS{
-		shard: 1, shards: 3, jumped: true,
-		stack: []dfsNode{
-			{kind: psharp.DecisionSchedule, options: 3, idx: 1, machines: []psharp.MachineID{
-				{Type: "Counter", Seq: 1}, {Type: "Sender", Seq: 2}, {Type: "Sender", Seq: 3},
-			}},
+	id := func(typ string, seq uint64) psharp.MachineID { return psharp.MachineID{Type: typ, Seq: seq} }
+	machines := []psharp.MachineID{id("Counter", 1), id("Sender", 2), id("Sender", 3)}
+	sent := psharp.StepOp{Machine: id("Sender", 2), Target: id("Counter", 1), Observed: true}
+	for _, tc := range []struct {
+		name string
+		src  tree
+	}{
+		{"dfs", tree{shard: 1, shards: 3, jumped: true, stack: []node{
+			{kind: psharp.DecisionSchedule, options: 3, idx: 1, machines: machines},
 			{kind: psharp.DecisionBool, options: 2, idx: 1},
 			{kind: psharp.DecisionInt, options: 5, idx: 4},
-		},
-	}
-	blob := src.SaveCursor()
+		}}},
+		{"dpor", tree{reduce: true, shard: 1, shards: 3, jumped: true, stack: []node{
+			{kind: psharp.DecisionSchedule, options: 3, idx: 1, machines: machines, red: &reduction{
+				flags: []uint8{toExplore | explored, toExplore, toExplore},
+				done:  []psharp.StepOp{{Machine: id("Counter", 1), Created: id("Sender", 4)}},
+				op:    sent,
+			}},
+			{kind: psharp.DecisionBool, options: 2, idx: 1},
+			{kind: psharp.DecisionSchedule, options: 2, idx: 0, machines: machines[1:], red: &reduction{
+				flags: []uint8{toExplore, 0},
+			}},
+		}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := tc.src
+			blob := src.SaveCursor()
+			fresh := func(shard int, reduce bool) *tree { return &tree{reduce: reduce, shard: shard, shards: 3} }
 
-	dst := &DFS{shard: 1, shards: 3}
-	if err := dst.LoadCursor(blob); err != nil {
-		t.Fatal(err)
-	}
-	if got := dst.SaveCursor(); string(got) != string(blob) {
-		t.Fatalf("cursor did not round-trip:\n%x\n%x", blob, got)
-	}
-	if !dst.jumped || dst.exhausted || dst.pos != 0 {
-		t.Fatalf("flags lost: jumped=%t exhausted=%t pos=%d", dst.jumped, dst.exhausted, dst.pos)
-	}
-
-	wrongShard := &DFS{shard: 2, shards: 3}
-	if err := wrongShard.LoadCursor(blob); err == nil {
-		t.Fatal("cursor from another shard must be rejected")
-	}
-	if err := NewDFS().LoadCursor([]byte{99}); err == nil {
-		t.Fatal("unknown cursor version must be rejected")
-	}
-	for cut := 0; cut < len(blob); cut++ {
-		trunc := &DFS{shard: 1, shards: 3}
-		if err := trunc.LoadCursor(blob[:cut]); err == nil && cut > 0 {
-			// Some prefixes decode cleanly (e.g. a shorter but complete
-			// stack); what matters is no panic and no silent half-load.
-			if len(trunc.stack) == len(src.stack) {
-				t.Fatalf("truncated cursor (%d bytes) loaded a full stack", cut)
+			dst := fresh(1, src.reduce)
+			if err := dst.LoadCursor(blob); err != nil {
+				t.Fatal(err)
 			}
-		}
+			if got := dst.SaveCursor(); string(got) != string(blob) {
+				t.Fatalf("cursor did not round-trip:\n%x\n%x", blob, got)
+			}
+			if !dst.jumped || dst.exhausted || dst.pos != 0 || !reflect.DeepEqual(dst.stack, src.stack) {
+				t.Fatalf("state lost: jumped=%t exhausted=%t pos=%d stack=%+v", dst.jumped, dst.exhausted, dst.pos, dst.stack)
+			}
+
+			if err := fresh(2, src.reduce).LoadCursor(blob); err == nil {
+				t.Error("cursor from another shard must be rejected")
+			}
+			if err := fresh(1, !src.reduce).LoadCursor(blob); err == nil {
+				t.Error("cursor of the other search must be rejected")
+			}
+			if err := fresh(1, src.reduce).LoadCursor([]byte{99}); err == nil || !strings.Contains(err.Error(), "cursor version 99") {
+				t.Errorf("unknown cursor version must be rejected as such, got %v", err)
+			}
+			if err := fresh(1, src.reduce).LoadCursor(append(blob[:len(blob):len(blob)], 0)); err == nil {
+				t.Error("cursor with a trailing byte must be rejected")
+			}
+			for cut := 0; cut < len(blob); cut++ {
+				trunc := fresh(1, src.reduce)
+				if err := trunc.LoadCursor(blob[:cut]); err == nil {
+					t.Fatalf("truncated cursor (%d of %d bytes) loaded", cut, len(blob))
+				} else if trunc.stack != nil {
+					t.Fatalf("truncated cursor (%d bytes) was refused but left %d nodes behind", cut, len(trunc.stack))
+				}
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -236,6 +237,42 @@ func TestJournalDFSCursorResume(t *testing.T) {
 	}
 	if rest.DistinctSchedules != solo.DistinctSchedules {
 		t.Fatalf("resumed DFS found %d distinct, solo %d", rest.DistinctSchedules, solo.DistinctSchedules)
+	}
+}
+
+// TestJournalUnreadableCursorIsAnError: a journal whose cursor the worker's
+// strategy cannot load — here one in the layout DFS wrote before cursor
+// version 2, as a campaign journaled by an older build holds — ends the run
+// before its first iteration with Report.Err saying who can finish the
+// campaign. It used to be a panic out of RunParallel.
+func TestJournalUnreadableCursorIsAnError(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "v1")
+	meta := journal.Meta{Benchmark: "FanIn3", Strategy: "dfs", Workers: 1, ShardCount: 1, MaxSteps: 1000}
+	c, err := journal.Create(dir, meta, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// Version 1, no flags, shard 0 of 1, an empty stack.
+	c.Advance(0, 10, []byte{1, 0, 0, 1, 0}, nil)
+
+	for _, s := range []sct.Strategy{sct.NewDFS(), sct.NewDPOR(), sct.NewRandom(1)} {
+		rep := sct.RunParallel(fanInSetup(3), sct.ParallelOptions{Workers: 1, Options: sct.Options{
+			Strategy: s, Iterations: 100, MaxSteps: 1000, Journal: c,
+		}})
+		if rep.Err == nil || rep.Iterations != 0 || len(rep.Workers) != 0 {
+			t.Fatalf("%T: want an error and no iteration, got %s (err %v)", s, rep.Report.String(), rep.Err)
+		}
+		want := "another cursor format and must be finished by that build or started afresh"
+		if _, seeded := s.(*sct.Random); seeded {
+			want = "cannot load cursors"
+		}
+		if !strings.Contains(rep.Err.Error(), want) {
+			t.Errorf("%T: error %q does not say %q", s, rep.Err, want)
+		}
+	}
+	if completed, _, _ := c.Cursor(0); completed != 10 {
+		t.Errorf("the refused runs moved the journaled position to %d", completed)
 	}
 }
 

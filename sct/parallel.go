@@ -220,7 +220,9 @@ func RunParallel(setup func(*psharp.Runtime), opts ParallelOptions) ParallelRepo
 			dynamic:  opts.Dynamic,
 		}
 		if opts.Journal != nil {
-			restoreCursor(opts.Journal, &workers[w])
+			if err := restoreCursor(opts.Journal, &workers[w]); err != nil {
+				return ParallelReport{Report: Report{Err: err}}
+			}
 		}
 		planned += max(workers[w].quota-workers[w].start, 0)
 	}

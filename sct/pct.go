@@ -9,14 +9,12 @@ import "github.com/psharp-go/psharp"
 // runs; at d-1 randomly chosen scheduling points (the "change points") the
 // currently highest-priority enabled machine is demoted below every other.
 // PCT gives probabilistic detection guarantees for bugs of depth <= d.
+// Controlled choices stay uniformly random (PCT only prioritizes scheduling).
 type PCT struct {
-	seed   uint64
-	depth  int
-	steps  int // expected schedule length for change-point placement
-	offset int
-	stride int
+	seedStream
+	depth int
+	steps int // expected schedule length for change-point placement
 
-	rng          *splitMix64
 	priorities   map[psharp.MachineID]uint64
 	low          uint64 // next demotion priority (counts down)
 	changePoints map[int]bool
@@ -32,7 +30,12 @@ func NewPCT(seed uint64, d, expectedSteps int) *PCT {
 	if expectedSteps < 1 {
 		expectedSteps = 1
 	}
-	return &PCT{seed: seed, depth: d, steps: expectedSteps, stride: 1}
+	return newPCT(newSeedStream(seed), d, expectedSteps)
+}
+
+func newPCT(stream seedStream, d, steps int) *PCT {
+	return &PCT{seedStream: stream, depth: d, steps: steps,
+		priorities: make(map[psharp.MachineID]uint64), changePoints: make(map[int]bool)}
 }
 
 // CloneForWorker shards the per-iteration priority/change-point seed
@@ -40,18 +43,17 @@ func NewPCT(seed uint64, d, expectedSteps int) *PCT {
 // worker + i*workers of the same base seed, so a sharded parallel run
 // explores exactly the sequential run's schedule population.
 func (s *PCT) CloneForWorker(worker, workers int) Strategy {
-	return &PCT{seed: s.seed, depth: s.depth, steps: s.steps, offset: worker, stride: workers}
+	return newPCT(s.shard(worker, workers), s.depth, s.steps)
 }
 
 // PrepareIteration re-randomizes priorities and change points.
 func (s *PCT) PrepareIteration(iter int) bool {
-	g := uint64(s.offset) + uint64(iter)*uint64(s.stride)
-	s.rng = newRNG(s.seed + g*0x9e3779b97f4a7c15)
-	s.priorities = make(map[psharp.MachineID]uint64)
+	s.rewind(iter, 0)
+	clear(s.priorities)
 	s.low = uint64(s.depth) // priorities below depth are demotion slots
-	s.changePoints = make(map[int]bool)
+	clear(s.changePoints)
 	for i := 0; i < s.depth-1; i++ {
-		s.changePoints[s.rng.intn(s.steps)] = true
+		s.changePoints[s.NextInt(s.steps)] = true
 	}
 	s.step = 0
 	return true
@@ -67,37 +69,25 @@ func (s *PCT) priority(id psharp.MachineID) uint64 {
 	return p
 }
 
-// NextMachine runs the highest-priority enabled machine, demoting it first
-// if this step is a change point.
-func (s *PCT) NextMachine(_ psharp.MachineID, enabled []psharp.MachineID) psharp.MachineID {
-	best := enabled[0]
-	bestP := s.priority(best)
+func (s *PCT) highest(enabled []psharp.MachineID) psharp.MachineID {
+	best, bestP := enabled[0], s.priority(enabled[0])
 	for _, id := range enabled[1:] {
 		if p := s.priority(id); p > bestP {
 			best, bestP = id, p
 		}
 	}
+	return best
+}
+
+// NextMachine runs the highest-priority enabled machine, demoting it first
+// if this step is a change point.
+func (s *PCT) NextMachine(_ psharp.MachineID, enabled []psharp.MachineID) psharp.MachineID {
+	best := s.highest(enabled)
 	if s.changePoints[s.step] && s.low > 0 {
 		s.low--
 		s.priorities[best] = s.low
-		// Re-pick after the demotion.
-		s.step++
-		next := enabled[0]
-		nextP := s.priority(next)
-		for _, id := range enabled[1:] {
-			if p := s.priority(id); p > nextP {
-				next, nextP = id, p
-			}
-		}
-		return next
+		best = s.highest(enabled)
 	}
 	s.step++
 	return best
 }
-
-// NextBool resolves controlled booleans uniformly (PCT only prioritizes
-// scheduling; value nondeterminism stays random).
-func (s *PCT) NextBool() bool { return s.rng.boolean() }
-
-// NextInt resolves controlled integers uniformly.
-func (s *PCT) NextInt(n int) int { return s.rng.intn(n) }

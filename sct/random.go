@@ -8,45 +8,30 @@ import "github.com/psharp-go/psharp"
 // explored schedules, which is exactly what lets nondeterministic
 // environment machines stay random (Section 6.2).
 //
-// Random is deterministic given its seed: global iteration g always draws
-// from the stream seeded with seed+g, so a bug found at iteration g can be
-// re-found without a trace. A worker clone with offset w and stride n maps
-// its local iterations onto global iterations {w, w+n, w+2n, ...}, so a
-// sharded parallel run explores exactly the same schedule population as the
-// sequential run with the same seed and budget.
-type Random struct {
-	seed   uint64
-	offset int
-	stride int
-	rng    *splitMix64
-}
+// Random is deterministic given its seed, and a sharded parallel run
+// explores exactly the same schedule population as the sequential run with
+// the same seed and budget: see seedStream.
+type Random struct{ seedStream }
 
 // NewRandom returns a random strategy with the given base seed.
 func NewRandom(seed uint64) *Random {
-	return &Random{seed: seed, stride: 1, rng: newRNG(seed)}
+	return &Random{newSeedStream(seed)}
 }
 
 // CloneForWorker shards the seed stream: the clone's local iteration i is
 // global iteration worker + i*workers of the same base seed.
 func (s *Random) CloneForWorker(worker, workers int) Strategy {
-	return &Random{seed: s.seed, offset: worker, stride: workers, rng: newRNG(s.seed)}
+	return &Random{s.shard(worker, workers)}
 }
 
 // PrepareIteration reseeds the stream for local iteration iter. Random
 // never exhausts its search space.
 func (s *Random) PrepareIteration(iter int) bool {
-	g := uint64(s.offset) + uint64(iter)*uint64(s.stride)
-	s.rng.reseed(s.seed + g*0x9e3779b97f4a7c15)
+	s.rewind(iter, 0)
 	return true
 }
 
 // NextMachine picks uniformly from the enabled machines.
 func (s *Random) NextMachine(_ psharp.MachineID, enabled []psharp.MachineID) psharp.MachineID {
-	return enabled[s.rng.intn(len(enabled))]
+	return enabled[s.NextInt(len(enabled))]
 }
-
-// NextBool resolves a controlled boolean choice uniformly.
-func (s *Random) NextBool() bool { return s.rng.boolean() }
-
-// NextInt resolves a controlled integer choice uniformly.
-func (s *Random) NextInt(n int) int { return s.rng.intn(n) }

@@ -21,11 +21,8 @@ import "github.com/psharp-go/psharp"
 // seed stream across parallel workers, so a sharded parallel run explores
 // the same schedule population as the sequential run.
 type RandomFair struct {
-	seed   uint64
-	offset int
-	stride int
+	seedStream
 	prefix int
-	rng    *splitMix64
 
 	steps   int
 	lastSeq uint64
@@ -38,20 +35,19 @@ func NewRandomFair(seed uint64, prefix int) *RandomFair {
 	if prefix < 0 {
 		prefix = 0
 	}
-	return &RandomFair{seed: seed, stride: 1, prefix: prefix, rng: newRNG(seed)}
+	return &RandomFair{seedStream: newSeedStream(seed), prefix: prefix}
 }
 
 // CloneForWorker shards the seed stream exactly like Random: the clone's
 // local iteration i is global iteration worker + i*workers.
 func (s *RandomFair) CloneForWorker(worker, workers int) Strategy {
-	return &RandomFair{seed: s.seed, offset: worker, stride: workers, prefix: s.prefix, rng: newRNG(s.seed)}
+	return &RandomFair{seedStream: s.shard(worker, workers), prefix: s.prefix}
 }
 
 // PrepareIteration reseeds the stream for local iteration iter and rewinds
 // the fairness bookkeeping. RandomFair never exhausts its search space.
 func (s *RandomFair) PrepareIteration(iter int) bool {
-	g := uint64(s.offset) + uint64(iter)*uint64(s.stride)
-	s.rng.reseed(s.seed + g*0x9e3779b97f4a7c15)
+	s.rewind(iter, 0)
 	s.steps = 0
 	s.lastSeq = 0
 	return true
@@ -66,7 +62,7 @@ func (s *RandomFair) PrepareIteration(iter int) bool {
 func (s *RandomFair) NextMachine(_ psharp.MachineID, enabled []psharp.MachineID) psharp.MachineID {
 	s.steps++
 	if s.steps <= s.prefix {
-		id := enabled[s.rng.intn(len(enabled))]
+		id := enabled[s.NextInt(len(enabled))]
 		s.lastSeq = id.Seq
 		return id
 	}
@@ -80,9 +76,3 @@ func (s *RandomFair) NextMachine(_ psharp.MachineID, enabled []psharp.MachineID)
 	s.lastSeq = id.Seq
 	return id
 }
-
-// NextBool resolves a controlled boolean choice uniformly.
-func (s *RandomFair) NextBool() bool { return s.rng.boolean() }
-
-// NextInt resolves a controlled integer choice uniformly.
-func (s *RandomFair) NextInt(n int) int { return s.rng.intn(n) }

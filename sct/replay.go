@@ -2,6 +2,7 @@ package sct
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/psharp-go/psharp"
 )
@@ -52,7 +53,7 @@ func (s *Replay) next(kind psharp.DecisionKind) *psharp.Decision {
 // NextMachine returns the machine recorded at this position.
 func (s *Replay) NextMachine(_ psharp.MachineID, enabled []psharp.MachineID) psharp.MachineID {
 	d := s.next(psharp.DecisionSchedule)
-	if !contains(enabled, d.Machine) {
+	if !slices.Contains(enabled, d.Machine) {
 		panic(fmt.Sprintf("sct: replay divergence at decision %d: %s is not enabled", s.pos-1, d.Machine))
 	}
 	return d.Machine

@@ -146,37 +146,3 @@ func AsDecisionStrategy(s Strategy) DecisionStrategy {
 	}
 	return &legacyDecider{s: s}
 }
-
-// AsStrategy wraps a pure DecisionStrategy as a Strategy so it can be used
-// as TestConfig.Strategy. The controller detects the underlying
-// DecisionStrategy and routes every query — including fault queries —
-// through Decide; the three legacy methods exist only to satisfy the
-// config's type. Strategies that already implement both interfaces (like
-// sct.FaultInjector and sct.Replay) do not need the wrapper.
-func AsStrategy(d DecisionStrategy) Strategy {
-	return &deciderStrategy{d: d}
-}
-
-type deciderStrategy struct {
-	d DecisionStrategy
-}
-
-func (w *deciderStrategy) Decide(c *Choice, d *Decision) { w.d.Decide(c, d) }
-
-func (w *deciderStrategy) NextMachine(current MachineID, enabled []MachineID) MachineID {
-	var d Decision
-	w.d.Decide(&Choice{Kind: ChoiceMachine, Current: current, Enabled: enabled}, &d)
-	return d.Machine
-}
-
-func (w *deciderStrategy) NextBool() bool {
-	var d Decision
-	w.d.Decide(&Choice{Kind: ChoiceBool}, &d)
-	return d.Bool
-}
-
-func (w *deciderStrategy) NextInt(n int) int {
-	var d Decision
-	w.d.Decide(&Choice{Kind: ChoiceInt, N: n}, &d)
-	return d.Int
-}
