@@ -247,11 +247,11 @@ func (c *controller) snapshot(pos int) {
 	w := &ck.walk
 	w.reset()
 	s := &snapshot{pos: pos, steps: c.steps, continued: c.continued, current: c.current, sendSeq: c.sendSeq,
-		machines: make([]machineState, len(c.instances)), monitors: make([]monitorState, len(rt.monitors))}
+		machines: make([]machineState, len(rt.machines)), monitors: make([]monitorState, len(rt.monitors))}
 	if c.hasher != nil {
 		s.prefix = c.hasher.prefix
 	}
-	for i, m := range c.instances {
+	for i, m := range rt.machines {
 		if rt.schemas[m.id.Type] == nil {
 			ck.unfit = true // closure form: its state is not in its logic value
 			return
@@ -316,7 +316,7 @@ func (c *controller) restore(s *snapshot) {
 	c.ready = c.ready[:0]
 	for i, st := range c.statuses {
 		if st == msReady {
-			c.ready = append(c.ready, c.instances[i].id)
+			c.ready = append(c.ready, rt.machines[i].id)
 		}
 	}
 	for i := range s.monitors {

@@ -75,8 +75,11 @@
 // journal (see the journal package), so a run killed at any point — SIGKILL
 // included — can continue with -resume instead of starting over. A resumed
 // run skips every journaled schedule, restarts each worker's seed stream at
-// its cursor, and reports campaign-cumulative counters; growing -iterations
-// across resumes splits one budget over several invocations. -shard i/n
+// its cursor, and reports the campaign, not itself: every counter of the
+// summary line and of -report-out covers all the runs so far ("iterations"
+// plus "pruned_iterations" is the budget consumed), except "distinct_states"
+// — the state cache is not journaled. Growing -iterations across resumes
+// splits one budget over several invocations. -shard i/n
 // (1-based) lets n processes share one journal directory and jointly
 // explore the exact population a single n×-parallel process would.
 // -journal-sync trades durability against fsync traffic.
@@ -86,8 +89,8 @@
 // written (the report carries an "interrupted" marker, as it does when the
 // hard -timeout expires). A second signal exits immediately.
 //
-// -report-out FILE writes a versioned campaign report after the run. For
-// example,
+// -report-out FILE writes a versioned campaign report after the run; that
+// it and -trace-out can be written is checked before the run. For example,
 //
 //	psharp-test -bench TwoPhaseCommit -buggy -monitors -keep-going \
 //	    -iterations 5000 -parallel 4 -report-out campaign.json
@@ -153,7 +156,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	progressJSONL := fs.String("progress-jsonl", "", "stream progress snapshots as JSON lines to this file instead of human text ('-' for stdout; defaults -progress-every to 1000)")
 	reportOut := fs.String("report-out", "", "write a versioned campaign report (coverage, growth curves, bug census) to this file; see the worked example in the command docs")
 	journalDir := fs.String("journal", "", "crash-safe campaign journal directory: schedule fingerprints, strategy cursors and counters are appended durably so a killed run can continue with -resume")
-	resumeRun := fs.Bool("resume", false, "resume the journaled campaign in -journal: skip already-covered schedules, continue each worker's stream at its cursor, report campaign-cumulative counters")
+	resumeRun := fs.Bool("resume", false, "resume the journaled campaign in -journal: skip already-covered schedules, continue each worker's stream at its cursor, report campaign-cumulative counters (explored and pruned schedules alike)")
 	shardSpec := fs.String("shard", "", "run one shard i/n (1-based, e.g. 2/4) of a multi-process campaign; all n processes share the -journal directory and jointly explore one population")
 	journalSync := fs.Int("journal-sync", 0, "journal fsync cadence in records (0 = default 64; 1 = fsync every record, maximally durable; -1 = fsync only at checkpoints and exit)")
 	httpAddr := fs.String("http", "", "serve /debug/vars (live telemetry) and /debug/pprof/ on this address for the duration of the run, e.g. :6060 or 127.0.0.1:0")
@@ -337,6 +340,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *shardSpec != "" && *journalDir == "" {
 		fmt.Fprintf(stderr, "psharp-test: note: -shard without -journal splits the budget but records nothing; shard results merge only through a shared journal\n")
 	}
+	// Outputs written when the campaign is over are tried now: a path that
+	// cannot be written fails here, not after the last schedule.
+	for _, path := range []string{*reportOut, *traceOut} {
+		if err := probeOutput(path); err != nil {
+			fmt.Fprintln(stderr, "psharp-test:", err)
+			return 1
+		}
+	}
 
 	// Observability wiring: a Telemetry accumulator backs both the campaign
 	// report and the live /debug/vars view; progress snapshots go to stderr
@@ -410,8 +421,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		resumed = jc.Resumed()
 		if resumed {
 			base := jc.Counters()
-			fmt.Fprintf(stderr, "psharp-test: resuming campaign in %s: %d iterations and %d distinct schedules journaled\n",
-				*journalDir, base.Iterations, len(jc.Fingerprints()))
+			fmt.Fprintf(stderr, "psharp-test: resuming campaign in %s: %d iterations (+%d pruned) and %d distinct schedules journaled\n",
+				*journalDir, base.Iterations, base.PrunedIterations, len(jc.Fingerprints()))
 		}
 	}
 
@@ -526,8 +537,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err := jc.Close(); err != nil {
 			fmt.Fprintf(stderr, "psharp-test: warning: closing journal: %v\n", err)
 		} else if st, err := journal.ReadState(*journalDir); err == nil {
-			fmt.Fprintf(stdout, "journal: %s holds %d distinct schedules and %d iterations across %d/%d shard(s)\n",
-				*journalDir, st.DistinctSchedules, st.Counters.Iterations, st.ShardsPresent, st.Shards)
+			fmt.Fprintf(stdout, "journal: %s holds %d distinct schedules and %d iterations (+%d pruned) across %d/%d shard(s)\n",
+				*journalDir, st.DistinctSchedules, st.Counters.Iterations, st.Counters.PrunedIterations, st.ShardsPresent, st.Shards)
 		}
 	}
 	if signalled.Load() {
@@ -563,6 +574,24 @@ func parseShard(spec string) (index, count int, err error) {
 		return bad()
 	}
 	return idx - 1, cnt, nil
+}
+
+// probeOutput reports why path ("" is no path) could not be written later.
+// It leaves a file that exists as it is and creates none.
+func probeOutput(path string) error {
+	if path == "" {
+		return nil
+	}
+	_, statErr := os.Stat(path)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
+	if err != nil {
+		return err
+	}
+	f.Close()
+	if os.IsNotExist(statErr) {
+		return os.Remove(path)
+	}
+	return nil
 }
 
 // writeTrace encodes tr into path.

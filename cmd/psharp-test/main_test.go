@@ -8,6 +8,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -205,6 +206,42 @@ func TestReportOutWritesCampaign(t *testing.T) {
 	}
 	if len(c.Telemetry.BugCensus) == 0 {
 		t.Fatal("report has no bug census despite buggy iterations")
+	}
+}
+
+// TestOutputPathsRefusedBeforeRunning: a -report-out or -trace-out path that
+// cannot be written ends the command before the first schedule — nothing is
+// explored, no journal is created — and the check itself leaves no file
+// behind: a run that finds no bug still writes no trace, and a file already
+// at the path is not touched until there is something to put in it.
+func TestOutputPathsRefusedBeforeRunning(t *testing.T) {
+	dir := t.TempDir()
+	jdir := filepath.Join(dir, "journal")
+	for _, flag := range []string{"-report-out", "-trace-out"} {
+		code, stdout, stderr := runCLI(t, "-bench", "TwoPhaseCommit", "-buggy", "-iterations", "100000000",
+			"-journal", jdir, flag, filepath.Join(dir, "missing", "out"))
+		if code != 1 || stdout != "" || !strings.Contains(stderr, "no such file or directory") {
+			t.Fatalf("%s into a missing directory: exit %d\nstdout: %s\nstderr: %s", flag, code, stdout, stderr)
+		}
+		if _, err := os.Stat(jdir); !os.IsNotExist(err) {
+			t.Fatalf("%s was refused after the journal was created (%v)", flag, err)
+		}
+	}
+
+	trace, kept := filepath.Join(dir, "clean.trace"), filepath.Join(dir, "kept.trace")
+	if err := os.WriteFile(kept, []byte("an earlier trace"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{trace, kept} {
+		if code, stdout, stderr := runCLI(t, "-bench", "TwoPhaseCommit", "-iterations", "50", "-trace-out", path); code != 0 {
+			t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
+		}
+	}
+	if _, err := os.Stat(trace); !os.IsNotExist(err) {
+		t.Fatalf("a run that found no bug left a trace file behind (%v)", err)
+	}
+	if data, err := os.ReadFile(kept); err != nil || string(data) != "an earlier trace" {
+		t.Fatalf("a run that found no bug changed the file at -trace-out: %q, %v", data, err)
 	}
 }
 
@@ -412,6 +449,56 @@ func TestResumeRefusesAnotherBuildsCursor(t *testing.T) {
 	}
 	if !strings.Contains(stdout, ": 0 schedules") || !strings.Contains(stdout, "holds 50 distinct schedules and 50 iterations") {
 		t.Fatalf("the refused resume should run nothing and leave the journal as it found it:\n%s", stdout)
+	}
+}
+
+// TestResumeStateCacheCampaignCountsWholeBudget: after -resume, the report,
+// campaign.json and the journal all count the campaign, not the last process:
+// explored plus pruned schedules are the budget, and the shares are ratios of
+// two campaign-wide numbers. The second half resumes a journal the build
+// before sct.Tally wrote (testdata/journal-parent, 60 schedules of the same
+// campaign, a twelve-value counters record): it still resumes, and what that
+// record never carried counts from zero.
+func TestResumeStateCacheCampaignCountsWholeBudget(t *testing.T) {
+	dir := t.TempDir()
+	common := []string{"-bench", "TwoPhaseCommit", "-strategy", "dfs", "-state-cache"}
+	resume := func(jdir string, budget int) (sct.CampaignResult, string) {
+		t.Helper()
+		report := filepath.Join(dir, "campaign.json")
+		code, stdout, stderr := runCLI(t, append(common, "-journal", jdir, "-resume",
+			"-iterations", fmt.Sprint(budget), "-report-out", report)...)
+		if code != 0 {
+			t.Fatalf("resume exit = %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
+		}
+		return readCampaign(t, report).Result, stdout
+	}
+
+	jdir := filepath.Join(dir, "journal")
+	if code, stdout, stderr := runCLI(t, append(common, "-journal", jdir, "-iterations", "150")...); code != 0 {
+		t.Fatalf("journaled run exit = %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+	res, stdout := resume(jdir, 300)
+	if res.Iterations+res.PrunedIterations != 300 {
+		t.Fatalf("resumed campaign reports %d explored + %d pruned schedules of a budget of 300", res.Iterations, res.PrunedIterations)
+	}
+	points := float64(res.TotalSchedulingPoints + res.PrunedPoints)
+	if res.RestoredShare != float64(res.RestoredPoints)/points || res.ContinuedShare != float64(res.ContinuedPoints)/points ||
+		res.RestoredShare <= 0 || res.RestoredShare > 1 || res.ContinuedShare > 1 {
+		t.Fatalf("shares are not ratios of the campaign's own counters: %+v", res)
+	}
+	if want := fmt.Sprintf("%d iterations (+%d pruned) across 1/1 shard(s)", res.Iterations, res.PrunedIterations); !strings.Contains(stdout, want) {
+		t.Fatalf("journal summary does not say %q:\n%s", want, stdout)
+	}
+
+	parent := filepath.Join(dir, "journal-parent")
+	if err := os.CopyFS(parent, os.DirFS("testdata/journal-parent")); err != nil {
+		t.Fatal(err)
+	}
+	res, _ = resume(parent, 120)
+	// 9 explored schedules journaled and 51 pruned ones not; the resumed
+	// process explores 6 and prunes 54 — what the parent build itself printed.
+	if res.Iterations != 15 || res.PrunedIterations != 54 || res.TotalSchedulingPoints != 1122 || res.PrunedPoints != 3874 {
+		t.Fatalf("resuming the parent build's journal: %+v", res)
 	}
 }
 

@@ -480,7 +480,11 @@
 // schedules, and continues each strategy exactly where its cursor left
 // off, so an interrupted-and-resumed campaign converges on the same
 // distinct-schedule population as an uninterrupted run of the same seed
-// and budget. Recovery is strict about what it forgives: a torn tail (the
+// and budget. Its report counts the campaign, not the last process: the
+// counters record holds everything sct.Tally counts, so explored plus pruned
+// schedules are the budget consumed however many runs it took (only the
+// state cache, and so the distinct-states count, starts over with each
+// process). Recovery is strict about what it forgives: a torn tail (the
 // one failure appending can produce) is truncated silently, while a
 // checksum mismatch mid-file or an unknown format version is rejected
 // loudly rather than silently resurrecting wrong state — and so is a

@@ -34,13 +34,14 @@ func (fc *FaultConfig) isImmune(machineType string) bool {
 }
 
 // FaultStats counts the failure actions injected during an iteration (or,
-// summed, a whole exploration run).
+// summed, a whole exploration run). The JSON keys are those of sct's
+// campaign report and telemetry snapshot.
 type FaultStats struct {
-	Crashes    int
-	Restarts   int
-	Drops      int
-	Duplicates int
-	Reorders   int
+	Crashes    int `json:"crashes,omitempty"`
+	Restarts   int `json:"restarts,omitempty"`
+	Drops      int `json:"drops,omitempty"`
+	Duplicates int `json:"duplicates,omitempty"`
+	Reorders   int `json:"reorders,omitempty"`
 }
 
 // Add accumulates o into s.
@@ -68,7 +69,7 @@ func (c *controller) scheduleFault() bool {
 		if st == msHalted {
 			continue
 		}
-		m := c.instances[i]
+		m := c.rt.machines[i]
 		if fc.isImmune(m.id.Type) {
 			continue
 		}
@@ -116,7 +117,7 @@ func (c *controller) scheduleFault() bool {
 // — and yields ykCrashed. The instance is then marked halted — and
 // optionally rebooted in place.
 func (c *controller) crashMachine(f FaultAction) {
-	m := c.instances[f.Machine.Seq-1]
+	m := c.rt.machines[f.Machine.Seq-1]
 	// Monitors observe the lifecycle event before the crash takes effect,
 	// mirroring how sends are observed before delivery. A monitor state
 	// with no binding for MachineCrashed skips it.

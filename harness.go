@@ -165,7 +165,6 @@ func (h *TestHarness) reset(cfg TestConfig) {
 	c.cfg = cfg
 	c.setDecider()
 	c.faults = FaultStats{}
-	c.instances = c.instances[:0]
 	c.statuses = c.statuses[:0]
 	c.ready = c.ready[:0]
 	c.current = MachineID{}

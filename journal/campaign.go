@@ -82,7 +82,7 @@ func (m Meta) mismatch(other Meta) string {
 }
 
 // Counters is the campaign-cumulative counter record: everything a resumed
-// run must merge monotonically into its Report.
+// run must merge into its report (sct.Tally, as int64s, plus wall-clock time).
 type Counters struct {
 	Iterations            int64
 	BuggyIterations       int64
@@ -96,6 +96,52 @@ type Counters struct {
 	Duplicates            int64
 	Reorders              int64
 	ElapsedMicros         int64
+	PrunedIterations      int64
+	PrunedPoints          int64
+	ReplayedPoints        int64
+	RestoredPoints        int64
+	ContinuedPoints       int64
+}
+
+// counterSlot is one counter of a Counters: where it lives, and whether two
+// records combine it as a maximum instead of a sum.
+type counterSlot struct {
+	v   *int64
+	max bool
+}
+
+// legacyCounterSlots is how many values the record had before it carried the
+// state-cache and hand-off counters; such a record still decodes, the missing
+// ones as 0.
+const legacyCounterSlots = 12
+
+// slots lists every counter once, in the order of the journal record: new
+// ones go at the end. Encoding, decoding and Merge all walk this list.
+// ElapsedMicros is a maximum because records merge across shards, which run
+// side by side; a resumed run adds its own time to the record's itself.
+func (c *Counters) slots() [17]counterSlot {
+	return [...]counterSlot{
+		{v: &c.Iterations}, {v: &c.BuggyIterations}, {v: &c.BoundReached},
+		{v: &c.TotalSchedulingPoints}, {v: &c.MaxSchedulingPoints, max: true}, {v: &c.MaxMachines, max: true},
+		{v: &c.Crashes}, {v: &c.Restarts}, {v: &c.Drops}, {v: &c.Duplicates}, {v: &c.Reorders},
+		{v: &c.ElapsedMicros, max: true},
+		{v: &c.PrunedIterations}, {v: &c.PrunedPoints}, {v: &c.ReplayedPoints},
+		{v: &c.RestoredPoints}, {v: &c.ContinuedPoints},
+	}
+}
+
+// Merge folds another record into c — another shard's here, another run's or
+// worker's in sct.Tally.Merge: sums add, maxima (the two Max fields and
+// ElapsedMicros) take the larger.
+func (c *Counters) Merge(o Counters) {
+	theirs := o.slots()
+	for i, s := range c.slots() {
+		if s.max {
+			*s.v = max(*s.v, *theirs[i].v)
+		} else {
+			*s.v += *theirs[i].v
+		}
+	}
 }
 
 // Checkpoint is one telemetry growth-curve point, durable so the coverage
@@ -114,14 +160,6 @@ type Options struct {
 	// fastest and least durable setting — a crash can lose everything since
 	// the last checkpoint, but never corrupt the journal).
 	SyncEvery int
-	// CompactRatio triggers recompaction when dead (superseded) records
-	// exceed this fraction of the file's records; 0 selects 0.5.
-	CompactRatio float64
-	// CompactMinRecords suppresses compaction below this record count so
-	// small journals never pay a rewrite; 0 selects 512.
-	CompactMinRecords int
-	// CheckpointEvery rate-limits telemetry checkpoints; 0 selects 1s.
-	CheckpointEvery time.Duration
 }
 
 // DefaultSyncEvery is the default fsync cadence in records: frequent
@@ -129,21 +167,16 @@ type Options struct {
 // that the fsync cost never shows up against schedule execution.
 const DefaultSyncEvery = 64
 
-func (o Options) withDefaults() Options {
-	if o.SyncEvery == 0 {
-		o.SyncEvery = DefaultSyncEvery
-	}
-	if o.CompactRatio == 0 {
-		o.CompactRatio = 0.5
-	}
-	if o.CompactMinRecords == 0 {
-		o.CompactMinRecords = 512
-	}
-	if o.CheckpointEvery == 0 {
-		o.CheckpointEvery = time.Second
-	}
-	return o
-}
+const (
+	// compactRatio triggers recompaction when dead (superseded) records
+	// exceed this fraction of the file's records.
+	compactRatio = 0.5
+	// compactMinRecords suppresses compaction below this record count so
+	// small journals never pay a rewrite.
+	compactMinRecords = 512
+	// checkpointEvery rate-limits telemetry checkpoints.
+	checkpointEvery = time.Second
+)
 
 // ManifestName is the campaign manifest file inside a journal directory.
 const ManifestName = "MANIFEST.json"
@@ -172,7 +205,6 @@ type Campaign struct {
 	log  *Log
 	dir  string
 	meta Meta
-	opts Options
 
 	mu          sync.Mutex
 	own         map[uint64]struct{} // fingerprints journaled in this shard's file
@@ -209,7 +241,9 @@ func Resume(dir string, meta Meta, opts Options) (*Campaign, error) {
 }
 
 func open(dir string, meta Meta, opts Options, resume bool) (*Campaign, error) {
-	opts = opts.withDefaults()
+	if opts.SyncEvery == 0 {
+		opts.SyncEvery = DefaultSyncEvery
+	}
 	if meta.ShardCount <= 0 {
 		meta.ShardCount = 1
 	}
@@ -228,7 +262,6 @@ func open(dir string, meta Meta, opts Options, resume bool) (*Campaign, error) {
 	c := &Campaign{
 		dir:     dir,
 		meta:    meta,
-		opts:    opts,
 		own:     make(map[uint64]struct{}),
 		cursors: make(map[int]cursorState),
 	}
@@ -542,7 +575,7 @@ func (c *Campaign) SaveCounters(ct Counters) {
 }
 
 // Checkpoint journals a telemetry growth-curve point, rate-limited to one
-// per Options.CheckpointEvery unless force is set (the final checkpoint of
+// per checkpointEvery unless force is set (the final checkpoint of
 // a run always lands). Checkpoints are also sync barriers: even under a
 // negative SyncEvery the journal is durable up to the last checkpoint.
 func (c *Campaign) Checkpoint(cp Checkpoint, force bool) {
@@ -551,7 +584,7 @@ func (c *Campaign) Checkpoint(cp Checkpoint, force bool) {
 	if c.failed() {
 		return
 	}
-	if !force && cp.ElapsedMicros-c.lastCkpt < c.opts.CheckpointEvery.Microseconds() {
+	if !force && cp.ElapsedMicros-c.lastCkpt < checkpointEvery.Microseconds() {
 		return
 	}
 	c.buf = c.buf[:0]
@@ -578,30 +611,12 @@ func (c *Campaign) failed() bool {
 const maxCheckpointsKept = 256
 
 // maybeCompactLocked rewrites the shard file without superseded records
-// once the dead-record ratio crosses the configured threshold.
+// once the dead-record ratio crosses compactRatio.
 func (c *Campaign) maybeCompactLocked() {
-	if c.total < c.opts.CompactMinRecords || float64(c.dead) <= c.opts.CompactRatio*float64(c.total) {
+	if c.total < compactMinRecords || float64(c.dead) <= compactRatio*float64(c.total) {
 		return
 	}
 	c.compactLocked()
-}
-
-// Compact forces a compaction rewrite regardless of the dead-record ratio.
-func (c *Campaign) Compact() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.failed() {
-		return c.errLocked()
-	}
-	c.compactLocked()
-	return c.errLocked()
-}
-
-func (c *Campaign) errLocked() error {
-	if c.err != nil {
-		return c.err
-	}
-	return c.log.Err()
 }
 
 func (c *Campaign) compactLocked() {
@@ -704,33 +719,26 @@ func decodeCursor(p []byte) (worker, completed int, blob []byte, err error) {
 }
 
 func encodeCounters(buf []byte, ct Counters) []byte {
-	for _, v := range []int64{
-		ct.Iterations, ct.BuggyIterations, ct.BoundReached,
-		ct.TotalSchedulingPoints, ct.MaxSchedulingPoints, ct.MaxMachines,
-		ct.Crashes, ct.Restarts, ct.Drops, ct.Duplicates, ct.Reorders,
-		ct.ElapsedMicros,
-	} {
-		buf = binary.AppendUvarint(buf, uint64(v))
+	for _, s := range ct.slots() {
+		buf = binary.AppendUvarint(buf, uint64(*s.v))
 	}
 	return buf
 }
 
 func decodeCounters(p []byte) (Counters, error) {
-	var vals [12]int64
-	for i := range vals {
+	var ct Counters
+	for i, s := range ct.slots() {
+		if len(p) == 0 && i >= legacyCounterSlots {
+			break
+		}
 		v, n := binary.Uvarint(p)
 		if n <= 0 {
 			return Counters{}, fmt.Errorf("short counter field %d", i)
 		}
-		vals[i] = int64(v)
+		*s.v = int64(v)
 		p = p[n:]
 	}
-	return Counters{
-		Iterations: vals[0], BuggyIterations: vals[1], BoundReached: vals[2],
-		TotalSchedulingPoints: vals[3], MaxSchedulingPoints: vals[4], MaxMachines: vals[5],
-		Crashes: vals[6], Restarts: vals[7], Drops: vals[8], Duplicates: vals[9],
-		Reorders: vals[10], ElapsedMicros: vals[11],
-	}, nil
+	return ct, nil
 }
 
 func decodeCheckpoint(p []byte) (Checkpoint, error) {
@@ -761,7 +769,7 @@ type State struct {
 	// DistinctSchedules is the size of the union of all shards' journaled
 	// fingerprint sets.
 	DistinctSchedules int
-	// Counters sums the newest counter record of every shard.
+	// Counters merges the newest counter record of every shard.
 	Counters Counters
 }
 
@@ -790,7 +798,7 @@ func ReadState(dir string) (*State, error) {
 			return nil, err
 		}
 		st.ShardsPresent++
-		var last *Counters
+		var last Counters // zero, which merges as nothing, until a record is found
 		for _, r := range records {
 			switch r.Kind {
 			case recFingerprints:
@@ -799,24 +807,11 @@ func ReadState(dir string) (*State, error) {
 				}
 			case recCounters:
 				if ct, err := decodeCounters(r.Payload); err == nil {
-					last = &ct
+					last = ct
 				}
 			}
 		}
-		if last != nil {
-			st.Counters.Iterations += last.Iterations
-			st.Counters.BuggyIterations += last.BuggyIterations
-			st.Counters.BoundReached += last.BoundReached
-			st.Counters.TotalSchedulingPoints += last.TotalSchedulingPoints
-			st.Counters.Crashes += last.Crashes
-			st.Counters.Restarts += last.Restarts
-			st.Counters.Drops += last.Drops
-			st.Counters.Duplicates += last.Duplicates
-			st.Counters.Reorders += last.Reorders
-			st.Counters.MaxSchedulingPoints = max(st.Counters.MaxSchedulingPoints, last.MaxSchedulingPoints)
-			st.Counters.MaxMachines = max(st.Counters.MaxMachines, last.MaxMachines)
-			st.Counters.ElapsedMicros = max(st.Counters.ElapsedMicros, last.ElapsedMicros)
-		}
+		st.Counters.Merge(last)
 	}
 	st.DistinctSchedules = len(seen)
 	return st, nil

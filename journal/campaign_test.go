@@ -7,9 +7,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
 
 func testMeta() Meta {
@@ -146,8 +146,7 @@ func TestResumeGrowsBudget(t *testing.T) {
 
 func TestCompactionPreservesState(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "camp")
-	// Aggressive thresholds so cursor supersession triggers compaction.
-	c, err := Create(dir, testMeta(), Options{SyncEvery: -1, CompactMinRecords: 16, CompactRatio: 0.25})
+	c, err := Create(dir, testMeta(), Options{SyncEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,18 +156,24 @@ func TestCompactionPreservesState(t *testing.T) {
 		wantFPs = append(wantFPs, fp)
 		c.Advance(i%2, i, nil, []uint64{fp})
 	}
-	c.SaveCounters(Counters{Iterations: 200})
+	// Cursor advances that find nothing new supersede one another: by the
+	// time the file holds compactMinRecords records, more than compactRatio
+	// of them are dead.
+	for i := 201; i <= 500; i++ {
+		c.Advance(i%2, i, nil, nil)
+	}
+	c.SaveCounters(Counters{Iterations: 500})
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// 400+ appended records, two live cursors: compaction must have fired.
+	// 700+ appended records, two live cursors: compaction must have fired.
 	records, _, err := RecoverFile(filepath.Join(dir, ShardFileName(0, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(records) > 100 {
-		t.Fatalf("file holds %d records after 400+ appends; compaction never fired", len(records))
+	if len(records) > 300 {
+		t.Fatalf("file holds %d records after 700+ appends; compaction never fired", len(records))
 	}
 
 	r, err := Resume(dir, testMeta(), Options{})
@@ -185,20 +190,20 @@ func TestCompactionPreservesState(t *testing.T) {
 			t.Fatalf("fingerprint %x lost in compaction", fp)
 		}
 	}
-	if done, _, _ := r.Cursor(0); done != 200 {
-		t.Fatalf("worker 0 cursor = %d, want 200", done)
+	if done, _, _ := r.Cursor(0); done != 500 {
+		t.Fatalf("worker 0 cursor = %d, want 500", done)
 	}
-	if done, _, _ := r.Cursor(1); done != 199 {
-		t.Fatalf("worker 1 cursor = %d, want 199", done)
+	if done, _, _ := r.Cursor(1); done != 499 {
+		t.Fatalf("worker 1 cursor = %d, want 499", done)
 	}
-	if r.Counters().Iterations != 200 {
+	if r.Counters().Iterations != 500 {
 		t.Fatalf("counters lost in compaction: %+v", r.Counters())
 	}
 }
 
 func TestCheckpointRateLimit(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "camp")
-	c, err := Create(dir, testMeta(), Options{CheckpointEvery: time.Second})
+	c, err := Create(dir, testMeta(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +227,7 @@ func TestShardPeersAndReadState(t *testing.T) {
 		t.Fatal(err)
 	}
 	c0.Advance(0, 5, nil, []uint64{1, 2, 3})
-	c0.SaveCounters(Counters{Iterations: 5, BuggyIterations: 1, MaxSchedulingPoints: 9})
+	c0.SaveCounters(Counters{Iterations: 5, BuggyIterations: 1, MaxSchedulingPoints: 9, PrunedIterations: 2, ElapsedMicros: 70})
 	if err := c0.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +247,7 @@ func TestShardPeersAndReadState(t *testing.T) {
 		t.Fatalf("shard 1 did not preload shard 0's fingerprints: %v", c1.Fingerprints())
 	}
 	c1.Advance(2, 4, nil, []uint64{3, 4}) // fp 3 overlaps shard 0
-	c1.SaveCounters(Counters{Iterations: 4, MaxSchedulingPoints: 12})
+	c1.SaveCounters(Counters{Iterations: 4, MaxSchedulingPoints: 12, PrunedIterations: 3, ElapsedMicros: 50})
 	if err := c1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -257,11 +262,53 @@ func TestShardPeersAndReadState(t *testing.T) {
 	if st.DistinctSchedules != 4 { // {1,2,3,4}: the union, not the sum
 		t.Fatalf("merged distinct = %d, want 4", st.DistinctSchedules)
 	}
-	if st.Counters.Iterations != 9 || st.Counters.BuggyIterations != 1 {
+	if st.Counters.Iterations != 9 || st.Counters.BuggyIterations != 1 || st.Counters.PrunedIterations != 5 {
 		t.Fatalf("summed counters = %+v", st.Counters)
 	}
-	if st.Counters.MaxSchedulingPoints != 12 { // max across shards, not sum
-		t.Fatalf("max SP = %d, want 12", st.Counters.MaxSchedulingPoints)
+	// Maxima across shards, not sums: the shards ran side by side.
+	if st.Counters.MaxSchedulingPoints != 12 || st.Counters.ElapsedMicros != 70 {
+		t.Fatalf("max SP = %d, elapsed = %d, want 12 and 70", st.Counters.MaxSchedulingPoints, st.Counters.ElapsedMicros)
+	}
+}
+
+// TestCountersRecord: every field of Counters is in the one slot list that
+// the record's encoding, its decoding and Merge walk, and a record written
+// before the list grew past twelve values still decodes, the rest as 0.
+func TestCountersRecord(t *testing.T) {
+	var full Counters
+	v := reflect.ValueOf(&full).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetInt(int64(i + 1))
+	}
+	record := encodeCounters(nil, full)
+	if len(record) != v.NumField() { // one-byte uvarints
+		t.Fatalf("record holds %d values for %d fields", len(record), v.NumField())
+	}
+	if got, err := decodeCounters(record); err != nil || got != full {
+		t.Fatalf("decode(encode) = %+v, %v; want %+v", got, err, full)
+	}
+	var merged Counters
+	merged.Merge(full)
+	if merged != full {
+		t.Fatalf("Merge into a zero record = %+v, want %+v", merged, full)
+	}
+	merged.Merge(full)
+	if merged.Iterations != 2*full.Iterations || merged.MaxMachines != full.MaxMachines {
+		t.Fatalf("Merge summed a maximum or kept a sum: %+v", merged)
+	}
+
+	legacy, err := decodeCounters(record[:legacyCounterSlots])
+	if err != nil {
+		t.Fatalf("a twelve-value record no longer decodes: %v", err)
+	}
+	want := full
+	want.PrunedIterations, want.PrunedPoints, want.ReplayedPoints = 0, 0, 0
+	want.RestoredPoints, want.ContinuedPoints = 0, 0
+	if legacy != want {
+		t.Fatalf("twelve-value record = %+v, want %+v", legacy, want)
+	}
+	if _, err := decodeCounters(record[:legacyCounterSlots-1]); err == nil {
+		t.Fatal("an eleven-value record decoded")
 	}
 }
 

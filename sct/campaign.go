@@ -5,7 +5,6 @@ import (
 	"os"
 	"time"
 
-	"github.com/psharp-go/psharp"
 	"github.com/psharp-go/psharp/obs"
 )
 
@@ -56,41 +55,21 @@ type CampaignConfig struct {
 	Resumed bool `json:"resumed,omitempty"`
 }
 
-// CampaignResult is the JSON rendering of a merged Report.
+// CampaignResult is the JSON rendering of a merged Report: its Tally, under
+// the Tally's own keys, and what is derived from it or is not a count.
 type CampaignResult struct {
-	Iterations            int     `json:"iterations"`
-	DistinctSchedules     int     `json:"distinct_schedules"`
-	BuggyIterations       int     `json:"buggy_iterations"`
-	PercentBuggy          float64 `json:"percent_buggy"`
-	SchedulesPerSecond    float64 `json:"schedules_per_sec"`
-	MaxSchedulingPoints   int     `json:"max_scheduling_points"`
-	TotalSchedulingPoints int64   `json:"total_scheduling_points"`
-	MaxMachines           int     `json:"max_machines"`
-	BoundReached          int     `json:"bound_reached"`
-	// PrunedIterations and DistinctStates report the state-cache prune
-	// census (Report.PrunedIterations / Report.DistinctStates); absent when
-	// the campaign ran without Options.StateCache. Pruned iterations are not
-	// included in Iterations or SchedulesPerSecond.
-	PrunedIterations int `json:"pruned_iterations,omitempty"`
-	DistinctStates   int `json:"distinct_states,omitempty"`
-	// PrunedPoints is what the pruned iterations executed (it is not part
-	// of TotalSchedulingPoints) and ReplayedPoints how much of everything
-	// executed re-ran the previous iteration's prefix (Report.PrunedPoints /
-	// Report.ReplayedPoints).
-	PrunedPoints   int64 `json:"pruned_points,omitempty"`
-	ReplayedPoints int64 `json:"replayed_points,omitempty"`
-	// RestoredPoints and RestoredShare say how many scheduling decisions of
-	// the campaign's schedules were restored from checkpoints instead of
-	// executed (Report.RestoredPoints / Report.RestoredShare); absent unless
-	// the strategy is depth-first.
-	RestoredPoints int64   `json:"restored_points,omitempty"`
+	Tally
+	DistinctSchedules  int     `json:"distinct_schedules"`
+	PercentBuggy       float64 `json:"percent_buggy"`
+	SchedulesPerSecond float64 `json:"schedules_per_sec"`
+	// DistinctStates is Report.DistinctStates; absent without a state cache.
+	DistinctStates int `json:"distinct_states,omitempty"`
+	// RestoredShare and ContinuedShare are the Tally's: how much of the
+	// campaign's schedules was restored from checkpoints instead of executed
+	// (absent unless the strategy is depth-first), and its hand-off profile.
 	RestoredShare  float64 `json:"restored_share,omitempty"`
-	// ContinuedPoints and ContinuedShare say how many of the executed
-	// scheduling decisions cost no coroutine switch (Report.ContinuedPoints
-	// / Report.ContinuedShare): the campaign's own hand-off profile.
-	ContinuedPoints int64   `json:"continued_points,omitempty"`
-	ContinuedShare  float64 `json:"continued_share,omitempty"`
-	Exhausted       bool    `json:"exhausted,omitempty"`
+	ContinuedShare float64 `json:"continued_share,omitempty"`
+	Exhausted      bool    `json:"exhausted,omitempty"`
 	// Interrupted marks a partial campaign: the run was stopped early
 	// (signal or hard timeout) and its counters cover only the explored
 	// prefix. A journaled campaign can be resumed to completion.
@@ -100,29 +79,6 @@ type CampaignResult struct {
 	FirstBugKind      string   `json:"first_bug_kind,omitempty"`
 	FirstBugIteration int      `json:"first_bug_iteration,omitempty"`
 	Races             []string `json:"races,omitempty"`
-	// Faults breaks down the faults injected across the campaign; absent
-	// when fault injection was off or never fired.
-	Faults *FaultBreakdown `json:"faults,omitempty"`
-}
-
-// FaultBreakdown is the JSON rendering of psharp.FaultStats, shared by
-// campaign results and telemetry snapshots.
-type FaultBreakdown struct {
-	Crashes    int `json:"crashes,omitempty"`
-	Restarts   int `json:"restarts,omitempty"`
-	Drops      int `json:"drops,omitempty"`
-	Duplicates int `json:"duplicates,omitempty"`
-	Reorders   int `json:"reorders,omitempty"`
-}
-
-func newFaultBreakdown(s psharp.FaultStats) *FaultBreakdown {
-	return &FaultBreakdown{
-		Crashes:    s.Crashes,
-		Restarts:   s.Restarts,
-		Drops:      s.Drops,
-		Duplicates: s.Duplicates,
-		Reorders:   s.Reorders,
-	}
 }
 
 // StrategyBreakdown aggregates the workers that ran one strategy label.
@@ -146,36 +102,23 @@ func NewCampaign(cfg CampaignConfig, rep *Report, workers []WorkerReport, tel *T
 		Env:     obs.CaptureEnv(),
 		Config:  cfg,
 		Result: CampaignResult{
-			Iterations:            rep.Iterations,
-			DistinctSchedules:     rep.DistinctSchedules,
-			BuggyIterations:       rep.BuggyIterations,
-			PercentBuggy:          rep.PercentBuggy(),
-			SchedulesPerSecond:    rep.SchedulesPerSecond(),
-			MaxSchedulingPoints:   rep.MaxSchedulingPoints,
-			TotalSchedulingPoints: rep.TotalSchedulingPoints,
-			MaxMachines:           rep.MaxMachines,
-			BoundReached:          rep.BoundReached,
-			PrunedIterations:      rep.PrunedIterations,
-			DistinctStates:        rep.DistinctStates,
-			PrunedPoints:          rep.PrunedPoints,
-			ReplayedPoints:        rep.ReplayedPoints,
-			RestoredPoints:        rep.RestoredPoints,
-			RestoredShare:         rep.RestoredShare(),
-			ContinuedPoints:       rep.ContinuedPoints,
-			ContinuedShare:        rep.ContinuedShare(),
-			Exhausted:             rep.Exhausted,
-			Interrupted:           rep.Interrupted,
-			ElapsedMS:             float64(rep.Elapsed) / float64(time.Millisecond),
-			Races:                 rep.Races,
+			Tally:              rep.Tally,
+			DistinctSchedules:  rep.DistinctSchedules,
+			PercentBuggy:       rep.PercentBuggy(),
+			SchedulesPerSecond: rep.SchedulesPerSecond(),
+			DistinctStates:     rep.DistinctStates,
+			RestoredShare:      rep.RestoredShare(),
+			ContinuedShare:     rep.ContinuedShare(),
+			Exhausted:          rep.Exhausted,
+			Interrupted:        rep.Interrupted,
+			ElapsedMS:          float64(rep.Elapsed) / float64(time.Millisecond),
+			Races:              rep.Races,
 		},
 	}
 	if rep.FirstBug != nil {
 		c.Result.FirstBug = rep.FirstBug.Error()
 		c.Result.FirstBugKind = rep.FirstBug.Kind.String()
 		c.Result.FirstBugIteration = rep.FirstBugIteration
-	}
-	if rep.Faults.Total() > 0 || rep.Faults.Restarts > 0 {
-		c.Result.Faults = newFaultBreakdown(rep.Faults)
 	}
 	c.Strategies = strategyBreakdowns(rep, workers)
 	if tel != nil {
@@ -205,9 +148,7 @@ func strategyBreakdowns(merged *Report, workers []WorkerReport) []StrategyBreakd
 		b.Iterations += w.Report.Iterations
 		b.BuggyIterations += w.Report.BuggyIterations
 		b.BoundReached += w.Report.BoundReached
-		if w.Report.MaxSchedulingPoints > b.MaxSchedulingPoints {
-			b.MaxSchedulingPoints = w.Report.MaxSchedulingPoints
-		}
+		b.MaxSchedulingPoints = max(b.MaxSchedulingPoints, w.Report.MaxSchedulingPoints)
 		if merged.FirstBug != nil && w.Report.FirstBug != nil &&
 			w.Report.FirstBugIteration == merged.FirstBugIteration {
 			b.FoundFirstBug = true

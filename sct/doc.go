@@ -263,6 +263,12 @@
 //
 // # Observability
 //
+// What a campaign counts is one type, Tally: a worker counts each finished
+// iteration into its own, and the campaign's is the journaled past ⊕ the
+// workers' whoever asks and whenever — the final Report, a Progress
+// snapshot, a mid-run Telemetry.Snapshot, a journal checkpoint. Report,
+// CampaignResult and TelemetrySnapshot embed it.
+//
 // The engine exposes campaign measurement at three granularities, all built
 // on the obs package's allocation-conscious primitives so the performance
 // model above survives with them enabled:
@@ -286,7 +292,8 @@
 //     thins when it fills). Recording happens between iterations and is
 //     allocation-free in steady state; Telemetry.Snapshot is the
 //     allocating, read-only view and is safe against a live run, which is
-//     what psharp-test's -http debug endpoint serves.
+//     what psharp-test's -http debug endpoint serves. The Tally in a
+//     snapshot is read from the run's workers at that moment.
 //
 //   - Campaign reports: NewCampaign assembles a versioned (CampaignVersion)
 //     JSON document from a finished run — environment metadata, the merged
@@ -303,7 +310,7 @@
 // journaled by a build with another one is refused with a
 // *journal.VersionError, not resumed into counting its schedules twice.
 // Each worker appends its schedule fingerprints and its
-// strategy cursor in batches of JournalFlushEvery iterations from a
+// strategy cursor in batches of 64 iterations from a
 // preallocated buffer, off the scheduling hot path — journaling adds at
 // most one allocation per steady-state iteration (measured zero; gated by
 // the alloc test), and journal IO errors are latched on the Campaign
@@ -327,10 +334,14 @@
 // slots of the global iteration stream — zero journal-covered schedules
 // re-execute (observable in ParallelReport.Workers, whose per-worker
 // iteration counts are this-process-only) — and the merged Report carries
-// campaign-cumulative counters: the journaled base counters merge in
-// monotonically (sums for sums, maxes for high-water marks), and
-// Report.DistinctSchedules counts the union of journaled and new
-// fingerprints.
+// the campaign's Tally: the journal's counters record holds the whole Tally
+// of the runs before, and it merges in as one more worker's would. So after
+// a resume Iterations + PrunedIterations is the budget consumed and every
+// share is a ratio of two campaign-wide numbers; Report.DistinctSchedules
+// counts the union of journaled and new fingerprints, and only
+// Report.DistinctStates is this process's alone (the state cache is not
+// journaled). A twelve-value counters record, from before it carried the
+// state-cache and hand-off counters, still resumes; they count from zero.
 //
 // Options.Stop is the cooperative-cancellation side of the same story:
 // closing the channel (psharp-test wires SIGINT/SIGTERM to it) stops every

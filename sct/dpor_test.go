@@ -349,7 +349,7 @@ func TestDPORCursorResume(t *testing.T) {
 	firstBudget := solo.Iterations / 2
 	first := sct.Run(independentSetup(3), sct.Options{
 		Strategy: sct.NewDPOR(), Iterations: firstBudget, MaxSteps: 1000,
-		Journal: c, JournalFlushEvery: 1,
+		Journal: c,
 	})
 	if err := c.Close(); err != nil {
 		t.Fatal(err)

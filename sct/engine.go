@@ -78,16 +78,13 @@ type Options struct {
 	Telemetry *Telemetry
 	// Journal, if non-nil, makes the campaign durable and resumable: workers
 	// append their newly-distinct schedule fingerprints and strategy cursors
-	// to the crash-safe journal in batches (see JournalFlushEvery), counters
-	// merge monotonically across resumed runs, and a journal opened with
+	// to the crash-safe journal in batches of journalFlushEvery iterations,
+	// the Tally merges across resumed runs, and a journal opened with
 	// journal.Resume preloads the prior runs' state so covered schedules are
 	// never re-executed. Journal IO errors are latched (Journal.Err), never
 	// propagated into the exploration loop. See "Option compatibility" in
 	// the package docs.
 	Journal *journal.Campaign
-	// JournalFlushEvery is the per-worker journal batching cadence in
-	// iterations; 0 selects DefaultJournalFlushEvery.
-	JournalFlushEvery int
 	// Stop, when non-nil, requests cooperative cancellation when it is
 	// closed: workers notice at the next scheduling point, the run winds
 	// down normally (final journal flush, telemetry point, merged Report
@@ -97,7 +94,7 @@ type Options struct {
 	// StateCache attaches a hashed global-state cache shared by every
 	// worker of the run: iterations that revisit an already-covered global
 	// state are cut short (pruned) instead of re-exploring its subtree.
-	// Pruned iterations are reported separately (Report.PrunedIterations)
+	// Pruned iterations are reported separately (Tally.PrunedIterations)
 	// and never count toward Iterations or DistinctSchedules. See "Option
 	// compatibility" in the package docs for what it combines with.
 	StateCache bool
@@ -110,18 +107,21 @@ type Options struct {
 	Faults FaultOptions
 }
 
-// Report aggregates an engine run; its fields correspond to the columns of
-// the paper's Table 2.
+// Report aggregates an engine run: the Tally of its iterations — the columns
+// of the paper's Table 2 — and what is not a count.
 type Report struct {
-	// Iterations is the number of schedules actually explored.
-	Iterations int
+	// Tally counts the run's iterations; campaign-cumulative under
+	// Options.Journal.
+	Tally
 	// DistinctSchedules counts unique decision traces among the explored
 	// schedules (by fingerprint); under RunParallel the count is merged
 	// across workers, so duplicated work is visible as Iterations minus
 	// DistinctSchedules.
 	DistinctSchedules int
-	// BuggyIterations counts schedules that exposed a bug.
-	BuggyIterations int
+	// DistinctStates is the number of distinct hashed global states the
+	// run visited; 0 when the state cache was off. This process's only: the
+	// state cache is not journaled, so a resumed campaign's count restarts.
+	DistinctStates int
 	// FirstBug is the first failure found (nil if none).
 	FirstBug *psharp.Bug
 	// FirstBugIteration is the 0-based iteration of the first failure. Under
@@ -129,47 +129,6 @@ type Report struct {
 	FirstBugIteration int
 	// FirstBugTrace deterministically replays the first failure.
 	FirstBugTrace *psharp.Trace
-	// MaxSchedulingPoints is the longest schedule seen (#SP).
-	MaxSchedulingPoints int
-	// TotalSchedulingPoints sums scheduling decisions across iterations.
-	TotalSchedulingPoints int64
-	// MaxMachines is the largest number of machines in one iteration (#T).
-	MaxMachines int
-	// BoundReached counts iterations truncated by MaxSteps.
-	BoundReached int
-	// PrunedIterations counts iterations the state cache cut short at a
-	// revisited global state (Options.StateCache). Pruned iterations
-	// consume schedule budget but explore nothing new, so they are kept
-	// out of Iterations, DistinctSchedules and SchedulesPerSecond.
-	PrunedIterations int
-	// DistinctStates is the number of distinct hashed global states the
-	// run visited; 0 when the state cache was off. Per-run only: state
-	// hashes are not journaled, so a resumed campaign's count restarts.
-	DistinctStates int
-	// PrunedPoints sums the scheduling decisions of the pruned iterations,
-	// which TotalSchedulingPoints leaves out: the run executed
-	// TotalSchedulingPoints + PrunedPoints decisions. ReplayedPoints is how
-	// many of those replayed the decisions of the worker's previous
-	// iteration — re-execution of a shared prefix, where the state cache is
-	// not consulted (psharp.IterationResult.ReplayedPoints); ReplayedShare
-	// is their ratio. Both are 0 when the state cache was off, and per-run
-	// like DistinctStates.
-	PrunedPoints   int64
-	ReplayedPoints int64
-	// RestoredPoints is how many scheduling decisions the run did not have
-	// to execute: depth-first iterations start from a checkpoint inside the
-	// prefix they share with the one before (psharp.PrefixResumer), and the
-	// decisions before it are in the schedule — in TotalSchedulingPoints,
-	// PrunedPoints and ReplayedPoints — without having been made again.
-	// RestoredShare is their share of those points; 0 under any other
-	// strategy, with or without a state cache.
-	RestoredPoints int64
-	// ContinuedPoints is how many of the executed decisions (those of
-	// pruned iterations included) kept the machine that had just reached a
-	// send or create running, so that the controller switched no coroutine
-	// (psharp.IterationResult.ContinuedPoints); ContinuedShare is their
-	// ratio. An exact function of the schedules explored.
-	ContinuedPoints int64
 	// Exhausted reports that the strategy completed its search space.
 	Exhausted bool
 	// Interrupted reports that the run ended early — an external stop
@@ -180,9 +139,6 @@ type Report struct {
 	Elapsed time.Duration
 	// Races collects distinct race reports from RD-on iterations.
 	Races []string
-	// Faults totals the failure actions injected across all iterations
-	// (zero when the run had no fault budget).
-	Faults psharp.FaultStats
 	// Err is non-nil when the run stopped because the program cannot be
 	// explored as configured (psharp.IterationResult.Err): with StateCache
 	// set, a *psharp.StateError naming the machine state that cannot be
@@ -209,40 +165,6 @@ func (r *Report) PercentBuggy() float64 {
 		return 0
 	}
 	return 100 * float64(r.BuggyIterations) / float64(r.Iterations)
-}
-
-// ReplayedShare is the share of the scheduling decisions a state-cache run
-// executed (those of pruned iterations included) that re-executed the
-// previous iteration's prefix: what a stateless search pays for having no
-// snapshot to restart from.
-func (r *Report) ReplayedShare() float64 {
-	executed := r.TotalSchedulingPoints + r.PrunedPoints
-	if executed == 0 {
-		return 0
-	}
-	return float64(r.ReplayedPoints) / float64(executed)
-}
-
-// RestoredShare is the share of the run's scheduling decisions (those of
-// pruned iterations included) that were restored from a checkpoint instead
-// of executed: what ReplayedShare's re-execution no longer costs.
-func (r *Report) RestoredShare() float64 {
-	points := r.TotalSchedulingPoints + r.PrunedPoints
-	if points == 0 {
-		return 0
-	}
-	return float64(r.RestoredPoints) / float64(points)
-}
-
-// ContinuedShare is the share of the scheduling decisions the run executed
-// (those of pruned iterations included) that needed no coroutine switch:
-// the strategy kept the machine running that had just yielded.
-func (r *Report) ContinuedShare() float64 {
-	executed := r.TotalSchedulingPoints + r.PrunedPoints
-	if executed == 0 {
-		return 0
-	}
-	return float64(r.ContinuedPoints) / float64(executed)
 }
 
 // String summarizes the report in one line.
@@ -299,8 +221,12 @@ type shared struct {
 	opts     Options
 	start    time.Time
 	deadline time.Time // zero when Timeout is unset
-	// workers is the run's worker count, reported in progress snapshots.
-	workers int
+	// workers are the run's workers; each counts its iterations into its
+	// own tally, and base holds what the campaign counted before this run
+	// (the journal's counters record; zero without a journal). The campaign
+	// so far is tally(): base ⊕ Σ workers, mid-run as in the final Report.
+	workers []worker
+	base    Tally
 
 	// stop is the cooperative cancellation flag: StopOnFirstBug, the hard
 	// deadline, and external aborts set it; workers poll it between
@@ -314,25 +240,8 @@ type shared struct {
 	// checkpoints report base+current so curves span resumes.
 	baseElapsed time.Duration
 
-	// iterations, buggy and distinct count campaign-wide explored, buggy,
-	// and distinct-fingerprint schedules across all workers; progress
-	// snapshots and telemetry growth curves read them so they always report
-	// global campaign state, not one worker's slice of it.
-	iterations atomic.Int64
-	buggy      atomic.Int64
-	distinct   atomic.Int64
-	// pruned counts state-cache-truncated iterations campaign-wide, and
-	// prunedPoints and replayedPoints their scheduling decisions and the
-	// replayed ones of every iteration (Report.PrunedPoints/ReplayedPoints);
 	// cache is the shared state cache, nil unless Options.StateCache is set.
-	// continuedPoints and restoredPoints are Report.ContinuedPoints and
-	// Report.RestoredPoints campaign-wide.
-	pruned          atomic.Int64
-	prunedPoints    atomic.Int64
-	replayedPoints  atomic.Int64
-	restoredPoints  atomic.Int64
-	continuedPoints atomic.Int64
-	cache           *stateCache
+	cache *stateCache
 
 	// budget and ticket implement work-stealing (ParallelOptions.Dynamic):
 	// dynamic workers claim global iteration tickets from the shared counter
@@ -348,7 +257,7 @@ type shared struct {
 	wg sync.WaitGroup
 }
 
-func newShared(opts Options, start time.Time, workers int) *shared {
+func newShared(opts Options, start time.Time, workers []worker) *shared {
 	sh := &shared{opts: opts, start: start, workers: workers, budget: opts.Iterations}
 	if opts.Timeout > 0 {
 		sh.deadline = start.Add(opts.Timeout)
@@ -359,24 +268,36 @@ func newShared(opts Options, start time.Time, workers int) *shared {
 	if j := opts.Journal; j != nil {
 		// Preload the campaign's journaled fingerprints (this shard's and
 		// every peer's) so already-covered schedules count as duplicates, and
-		// the prior runs' counters so progress lines report campaign totals.
+		// the prior runs' tally so every view reports campaign totals.
 		for _, fp := range j.Fingerprints() {
 			sh.fingerprints.insert(fp)
 		}
-		sh.distinct.Store(int64(sh.fingerprints.size()))
 		base := j.Counters()
+		sh.base.load(&base)
 		sh.baseElapsed = time.Duration(base.ElapsedMicros) * time.Microsecond
-		sh.iterations.Store(base.Iterations)
-		sh.buggy.Store(base.BuggyIterations)
 	}
 	if opts.Telemetry != nil {
-		opts.Telemetry.begin(start)
-		if j := opts.Journal; j != nil {
-			opts.Telemetry.restore(sh.baseElapsed, j.Checkpoints())
-		}
+		opts.Telemetry.begin(sh)
 	}
 	return sh
 }
+
+// tally is the campaign's count so far. Safe to call concurrently with the
+// workers: each one's tally is read under the lock it is counted under.
+func (sh *shared) tally() Tally {
+	t := sh.base
+	for i := range sh.workers {
+		w := &sh.workers[i]
+		w.mu.Lock()
+		t.Merge(w.tally)
+		w.mu.Unlock()
+	}
+	return t
+}
+
+// elapsed is the campaign's wall-clock time so far, prior journaled runs
+// included.
+func (sh *shared) elapsed() time.Duration { return sh.baseElapsed + time.Since(sh.start) }
 
 // watchStop wires Options.Stop into the cooperative cancellation flag; the
 // returned release func must be called when the run ends so the watcher
@@ -400,9 +321,9 @@ func (sh *shared) watchStop() (release func()) {
 // interruptedOutcome classifies a finished run: true when it ended on an
 // external stop or on the hard deadline with planned iterations still
 // unexplored. Complete runs, exhausted strategies and deliberate
-// StopOnFirstBug stops are not interruptions. Callers evaluate this before
-// merging any journaled baseline, so rep.Iterations counts this run only
-// and planned is this run's residual budget.
+// StopOnFirstBug stops are not interruptions. rep is the workers' merged
+// report, before any journaled baseline: it counts this run only, and planned
+// is this run's residual budget.
 func (sh *shared) interruptedOutcome(rep *Report, planned int) bool {
 	if sh.external.Load() {
 		return true
@@ -421,20 +342,19 @@ func (sh *shared) interruptedOutcome(rep *Report, planned int) bool {
 // emitProgress builds a campaign-wide progress snapshot and hands it to the
 // configured ProgressFunc, serialized across workers.
 func (sh *shared) emitProgress(w *worker, workerIters int) {
+	t := sh.tally()
 	p := Progress{
 		Worker:           w.id,
-		Workers:          sh.workers,
+		Workers:          len(sh.workers),
 		Strategy:         w.label,
 		WorkerIterations: workerIters,
-		Iterations:       sh.iterations.Load(),
+		Iterations:       int64(t.Iterations),
 		Budget:           sh.budget,
-		Buggy:            sh.buggy.Load(),
-		Distinct:         sh.distinct.Load(),
-		Pruned:           sh.pruned.Load(),
+		Buggy:            int64(t.BuggyIterations),
+		Distinct:         int64(sh.fingerprints.size()),
+		Pruned:           int64(t.PrunedIterations),
+		DistinctStates:   int64(sh.cache.size()),
 		Elapsed:          time.Since(sh.start),
-	}
-	if sh.cache != nil {
-		p.DistinctStates = int64(sh.cache.size())
 	}
 	sh.progressMu.Lock()
 	sh.opts.Progress(p)
@@ -464,6 +384,11 @@ type worker struct {
 	// is position-independent, so restarting the stream there is exact).
 	start   int
 	dynamic bool
+
+	// tally counts the worker's iterations of this run. The worker writes it
+	// under mu, once per iteration; shared.tally reads it under mu.
+	mu    sync.Mutex
+	tally Tally
 }
 
 // globalIter maps a local iteration index to its global index.
@@ -491,7 +416,7 @@ func (w *worker) nextIteration(sh *shared, local int) (int, bool) {
 // psharp.TestHarness, so runtime machinery (machine instances, coroutines,
 // queues, trace buffers) is recycled across its iterations instead of
 // rebuilt.
-func runWorker(setup func(*psharp.Runtime), sh *shared, w worker) Report {
+func runWorker(setup func(*psharp.Runtime), sh *shared, w *worker) Report {
 	opts := sh.opts
 	var rep Report
 	var races raceSet
@@ -520,7 +445,7 @@ func runWorker(setup func(*psharp.Runtime), sh *shared, w worker) Report {
 	}
 	var jw *journalWriter
 	if opts.Journal != nil {
-		jw = newJournalWriter(sh, &w)
+		jw = newJournalWriter(sh, w)
 	}
 	completed := w.start
 	for local := w.start; ; local++ {
@@ -553,77 +478,46 @@ func runWorker(setup func(*psharp.Runtime), sh *shared, w worker) Report {
 		if res.Interrupted {
 			break // partial schedule: not counted
 		}
-		rep.ContinuedPoints += int64(res.ContinuedPoints)
-		sh.continuedPoints.Add(int64(res.ContinuedPoints))
-		rep.RestoredPoints += int64(res.RestoredPoints)
-		sh.restoredPoints.Add(int64(res.RestoredPoints))
-		if sh.cache != nil {
-			rep.ReplayedPoints += int64(res.ReplayedPoints)
-			sh.replayedPoints.Add(int64(res.ReplayedPoints))
-		}
+		w.mu.Lock()
+		w.tally.Count(&res)
+		w.mu.Unlock()
+		completed = local + 1
 		if res.Pruned {
-			// A revisited state truncated the schedule: budget was spent but
-			// nothing new was explored. Keep the iteration out of every
-			// throughput and distinctness counter (what it executed is
-			// PrunedPoints), but advance the journal position — on resume the
-			// strategy re-derives the same prune.
-			rep.PrunedIterations++
-			rep.PrunedPoints += int64(res.SchedulingPoints)
-			sh.pruned.Add(1)
-			sh.prunedPoints.Add(int64(res.SchedulingPoints))
-			completed = local + 1
+			// Nothing new was explored, so there is no fingerprint to keep,
+			// but the journal position advances — on resume the strategy
+			// re-derives the same prune.
 			if jw != nil {
 				jw.note(0, false, completed)
 			}
 			continue
 		}
-		rep.Iterations++
-		sh.iterations.Add(1)
-		rep.TotalSchedulingPoints += int64(res.SchedulingPoints)
-		if res.SchedulingPoints > rep.MaxSchedulingPoints {
-			rep.MaxSchedulingPoints = res.SchedulingPoints
-		}
-		if res.Machines > rep.MaxMachines {
-			rep.MaxMachines = res.Machines
-		}
-		if res.BoundReached {
-			rep.BoundReached++
-		}
-		rep.Faults.Add(res.Faults)
-		completed = local + 1
 		fp := fingerprintTrace(res.Trace)
 		isNew := sh.fingerprints.insert(fp)
 		if isNew {
 			rep.DistinctSchedules++
-			sh.distinct.Add(1)
 		}
 		if jw != nil {
 			jw.note(fp, isNew, completed)
 		}
 		races.addAll(res.Races)
-		if res.Bug != nil {
-			rep.BuggyIterations++
-			sh.buggy.Add(1)
-			if rep.FirstBug == nil {
-				rep.FirstBug = res.Bug
-				rep.FirstBugIteration = global
-				// The harness reuses its trace buffer; detach the copy we keep.
-				rep.FirstBugTrace = res.Trace.Clone()
-			}
-			if opts.StopOnFirstBug {
-				if tel := opts.Telemetry; tel != nil {
-					tel.record(&res)
-				}
-				sh.stop.Store(true)
-				break
-			}
+		if res.Bug != nil && rep.FirstBug == nil {
+			rep.FirstBug = res.Bug
+			rep.FirstBugIteration = global
+			// The harness reuses its trace buffer; detach the copy we keep.
+			rep.FirstBugTrace = res.Trace.Clone()
 		}
 		if tel := opts.Telemetry; tel != nil {
 			tel.record(&res)
-			tel.maybeSample(sh)
+		}
+		if res.Bug != nil && opts.StopOnFirstBug {
+			sh.stop.Store(true)
+			break
+		}
+		if tel := opts.Telemetry; tel != nil {
+			tel.maybeSample()
 		}
 		if opts.Progress != nil && opts.ProgressEvery > 0 && (local+1)%opts.ProgressEvery == 0 {
-			sh.emitProgress(&w, local+1)
+			sh.emitProgress(w, local+1)
 		}
 	}
 	if jw != nil {
@@ -631,6 +525,7 @@ func runWorker(setup func(*psharp.Runtime), sh *shared, w worker) Report {
 		// ended the loop (quota, deadline, external stop, first bug).
 		jw.flush(completed)
 	}
+	rep.Tally = w.tally
 	rep.Races = races.list
 	rep.Elapsed = time.Since(start)
 	return rep

@@ -29,7 +29,8 @@ func RunWithoutCheckpoints(setup func(*psharp.Runtime), opts Options) Report {
 	if err := (ParallelOptions{Options: opts, Workers: 1}).Validate(); err != nil {
 		panic("sct: " + err.Error())
 	}
-	w := worker{label: strategyName(opts.Strategy), stride: 1, quota: opts.Iterations}
+	workers := []worker{{label: strategyName(opts.Strategy), stride: 1, quota: opts.Iterations}}
+	w := &workers[0]
 	switch s := opts.Strategy.(type) {
 	case *DFS:
 		w.strategy = forgetfulDFS{s}
@@ -38,11 +39,9 @@ func RunWithoutCheckpoints(setup func(*psharp.Runtime), opts Options) Report {
 	default:
 		panic("sct: RunWithoutCheckpoints wants a DFS or a DPOR")
 	}
-	sh := newShared(opts, time.Now(), 1)
+	sh := newShared(opts, time.Now(), workers)
 	rep := runWorker(setup, sh, w)
 	rep.DistinctSchedules = sh.fingerprints.size()
-	if sh.cache != nil {
-		rep.DistinctStates = sh.cache.size()
-	}
+	rep.DistinctStates = sh.cache.size()
 	return rep
 }

@@ -2,6 +2,7 @@ package sct
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"github.com/psharp-go/psharp"
 )
@@ -72,6 +73,9 @@ type fingerprintSet struct {
 		mu   sync.Mutex
 		seen map[uint64]struct{}
 	}
+	// distinct is the set's size, so that progress snapshots, growth-curve
+	// samples and journal checkpoints read it without taking the shard locks.
+	distinct atomic.Int64
 }
 
 // insert adds fp and reports whether it was new.
@@ -86,17 +90,11 @@ func (s *fingerprintSet) insert(fp uint64) bool {
 		shard.seen[fp] = struct{}{}
 	}
 	shard.mu.Unlock()
+	if !dup {
+		s.distinct.Add(1)
+	}
 	return !dup
 }
 
 // size returns the number of distinct fingerprints inserted.
-func (s *fingerprintSet) size() int {
-	n := 0
-	for i := range s.shards {
-		shard := &s.shards[i]
-		shard.mu.Lock()
-		n += len(shard.seen)
-		shard.mu.Unlock()
-	}
-	return n
-}
+func (s *fingerprintSet) size() int { return int(s.distinct.Load()) }

@@ -27,37 +27,23 @@ type CursorStrategy interface {
 	LoadCursor(cursor []byte) error
 }
 
-// DefaultJournalFlushEvery is the journal batching cadence: each worker
-// flushes its newly-distinct fingerprints and cursor once per this many
-// completed iterations, keeping journal appends amortized well under one
-// allocation per iteration and entirely off the scheduling hot path.
-const DefaultJournalFlushEvery = 64
+// journalFlushEvery is the journal batching cadence: each worker flushes its
+// newly-distinct fingerprints and cursor once per this many completed
+// iterations, keeping journal appends amortized well under one allocation
+// per iteration and entirely off the scheduling hot path.
+const journalFlushEvery = 64
 
 // journalWriter is one worker's batching front end to the shared campaign
-// journal.
+// journal. The worker's offset is its key there: unique across shards.
 type journalWriter struct {
-	c         *journal.Campaign
-	sh        *shared
-	strategy  Strategy
-	workerKey int // globally unique across shards: the worker's offset
-	every     int
-	fps       []uint64
-	since     int
+	sh    *shared
+	w     *worker
+	fps   []uint64
+	since int
 }
 
 func newJournalWriter(sh *shared, w *worker) *journalWriter {
-	every := sh.opts.JournalFlushEvery
-	if every <= 0 {
-		every = DefaultJournalFlushEvery
-	}
-	return &journalWriter{
-		c:         sh.opts.Journal,
-		sh:        sh,
-		strategy:  w.strategy,
-		workerKey: w.offset,
-		every:     every,
-		fps:       make([]uint64, 0, every),
-	}
+	return &journalWriter{sh: sh, w: w, fps: make([]uint64, 0, journalFlushEvery)}
 }
 
 // note records one completed iteration (completed is the worker's local
@@ -68,7 +54,7 @@ func (jw *journalWriter) note(fp uint64, isNew bool, completed int) {
 		jw.fps = append(jw.fps, fp)
 	}
 	jw.since++
-	if jw.since >= jw.every {
+	if jw.since >= journalFlushEvery {
 		jw.flush(completed)
 	}
 }
@@ -80,22 +66,28 @@ func (jw *journalWriter) note(fp uint64, isNew bool, completed int) {
 func (jw *journalWriter) flush(completed int) {
 	jw.since = 0
 	var blob []byte
-	if cs, ok := jw.strategy.(CursorStrategy); ok {
+	if cs, ok := jw.w.strategy.(CursorStrategy); ok {
 		blob = cs.SaveCursor()
 	}
-	jw.c.Advance(jw.workerKey, completed, blob, jw.fps)
+	jw.sh.opts.Journal.Advance(jw.w.offset, completed, blob, jw.fps)
 	jw.fps = jw.fps[:0]
-	sh := jw.sh
+	jw.sh.checkpoint(jw.sh.elapsed(), jw.sh.tally().Iterations, false)
+}
+
+// checkpoint journals a growth-curve point of a campaign that has explored
+// iterations schedules in elapsed; the journal rate-limits all but forced
+// ones.
+func (sh *shared) checkpoint(elapsed time.Duration, iterations int, force bool) {
 	covered := int64(0)
 	if tel := sh.opts.Telemetry; tel != nil {
 		covered = tel.coverage.Distinct()
 	}
-	jw.c.Checkpoint(journal.Checkpoint{
-		ElapsedMicros:      (sh.baseElapsed + time.Since(sh.start)).Microseconds(),
-		Iterations:         sh.iterations.Load(),
-		DistinctSchedules:  sh.distinct.Load(),
+	sh.opts.Journal.Checkpoint(journal.Checkpoint{
+		ElapsedMicros:      elapsed.Microseconds(),
+		Iterations:         int64(iterations),
+		DistinctSchedules:  int64(sh.fingerprints.size()),
 		CoveredTransitions: covered,
-	}, false)
+	}, force)
 }
 
 // restoreCursor loads a worker's journaled position: its completed local
@@ -122,53 +114,16 @@ func restoreCursor(j *journal.Campaign, w *worker) error {
 	return nil
 }
 
-// finishJournal merges the journal's prior-run baseline into the report —
-// counters stay campaign-cumulative and monotone across resumes — then
-// journals the new cumulative counters and a forced final checkpoint so
-// the next resume (and the growth curve) picks up exactly here.
+// finishJournal journals the campaign's cumulative counters — rep is already
+// campaign-wide — and a forced final checkpoint, so the next resume (and the
+// growth curve) picks up exactly here.
 func finishJournal(sh *shared, rep *Report) {
 	j := sh.opts.Journal
 	if j == nil {
 		return
 	}
-	base := j.Counters()
-	rep.Iterations += int(base.Iterations)
-	rep.BuggyIterations += int(base.BuggyIterations)
-	rep.BoundReached += int(base.BoundReached)
-	rep.TotalSchedulingPoints += base.TotalSchedulingPoints
-	rep.MaxSchedulingPoints = max(rep.MaxSchedulingPoints, int(base.MaxSchedulingPoints))
-	rep.MaxMachines = max(rep.MaxMachines, int(base.MaxMachines))
-	rep.Faults.Crashes += int(base.Crashes)
-	rep.Faults.Restarts += int(base.Restarts)
-	rep.Faults.Drops += int(base.Drops)
-	rep.Faults.Duplicates += int(base.Duplicates)
-	rep.Faults.Reorders += int(base.Reorders)
-	rep.Elapsed += time.Duration(base.ElapsedMicros) * time.Microsecond
-	// With a journal, distinct schedules are counted against the whole
-	// campaign's fingerprint set (preloaded at open), not this run's.
-	rep.DistinctSchedules = sh.fingerprints.size()
-	j.SaveCounters(journal.Counters{
-		Iterations:            int64(rep.Iterations),
-		BuggyIterations:       int64(rep.BuggyIterations),
-		BoundReached:          int64(rep.BoundReached),
-		TotalSchedulingPoints: rep.TotalSchedulingPoints,
-		MaxSchedulingPoints:   int64(rep.MaxSchedulingPoints),
-		MaxMachines:           int64(rep.MaxMachines),
-		Crashes:               int64(rep.Faults.Crashes),
-		Restarts:              int64(rep.Faults.Restarts),
-		Drops:                 int64(rep.Faults.Drops),
-		Duplicates:            int64(rep.Faults.Duplicates),
-		Reorders:              int64(rep.Faults.Reorders),
-		ElapsedMicros:         rep.Elapsed.Microseconds(),
-	})
-	covered := int64(0)
-	if tel := sh.opts.Telemetry; tel != nil {
-		covered = tel.coverage.Distinct()
-	}
-	j.Checkpoint(journal.Checkpoint{
-		ElapsedMicros:      rep.Elapsed.Microseconds(),
-		Iterations:         int64(rep.Iterations),
-		DistinctSchedules:  int64(rep.DistinctSchedules),
-		CoveredTransitions: covered,
-	}, true)
+	ct := journal.Counters{ElapsedMicros: rep.Elapsed.Microseconds()}
+	rep.Tally.save(&ct)
+	j.SaveCounters(ct)
+	sh.checkpoint(rep.Elapsed, rep.Iterations, true)
 }

@@ -27,9 +27,9 @@ func TestJournalWriterAllocBudget(t *testing.T) {
 	defer c.Close()
 
 	opts := Options{Strategy: NewRandom(1), Iterations: 1 << 30, Journal: c}
-	sh := newShared(opts, time.Now(), 1)
-	w := worker{strategy: opts.Strategy, stride: 1, quota: 1 << 30}
-	jw := newJournalWriter(sh, &w)
+	workers := []worker{{strategy: opts.Strategy, stride: 1, quota: 1 << 30}}
+	sh := newShared(opts, time.Now(), workers)
+	jw := newJournalWriter(sh, &workers[0])
 
 	// Warm the reusable buffers past their growth phase.
 	completed := 0

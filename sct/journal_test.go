@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/psharp-go/psharp"
+	"github.com/psharp-go/psharp/internal/protocols"
 	"github.com/psharp-go/psharp/journal"
 	"github.com/psharp-go/psharp/sct"
 )
@@ -126,6 +127,57 @@ func TestJournalResumeEquivalence(t *testing.T) {
 	}
 }
 
+// TestJournalResumeEquivalenceStateCache is the same split under dfs with
+// the state cache, where most of the budget goes to pruned iterations: the
+// resumed campaign's tally is the first process's ⊕ the second's own — every
+// counter, not only the ones the journal record used to carry — so the
+// budget consumed is Iterations + PrunedIterations and every share is a ratio
+// of two campaign-wide numbers; journal.ReadState says the same.
+func TestJournalResumeEquivalenceStateCache(t *testing.T) {
+	const half, full = 150, 300
+	b := protocols.MustByName("TwoPhaseCommit", false)
+	dir := filepath.Join(t.TempDir(), "split")
+	meta := journal.Meta{Benchmark: b.ID(), Strategy: "dfs", Workers: 1, ShardCount: 1, MaxSteps: b.MaxSteps}
+	run := func(budget int, open func(string, journal.Meta, journal.Options) (*journal.Campaign, error)) sct.ParallelReport {
+		c, err := open(dir, meta, journal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := sct.RunParallel(b.Setup, sct.ParallelOptions{
+			Options: sct.Options{Strategy: sct.NewDFS(), Iterations: budget, MaxSteps: b.MaxSteps, StateCache: true, Journal: c},
+			Workers: 1,
+		})
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	first := run(half, journal.Create)
+	second := run(full, journal.Resume)
+
+	want := first.Tally
+	want.Merge(second.Workers[0].Report.Tally)
+	if second.Tally != want {
+		t.Fatalf("resumed tally is not the first process's ⊕ the second's own:\n got %+v\nwant %+v", second.Tally, want)
+	}
+	if first.PrunedIterations == 0 || second.Workers[0].Report.PrunedIterations == 0 {
+		t.Fatalf("a process pruned nothing: the split does not exercise the cache (%+v, %+v)", first.Tally, second.Workers[0].Report.Tally)
+	}
+	if got := second.Iterations + second.PrunedIterations; got != full {
+		t.Fatalf("resumed campaign consumed %d+%d schedules of a budget of %d", second.Iterations, second.PrunedIterations, full)
+	}
+	if share := second.RestoredShare(); share <= 0 || share > 1 {
+		t.Fatalf("restored share %v of a campaign-wide tally %+v", share, second.Tally)
+	}
+	st, err := journal.ReadState(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Counters.Iterations + st.Counters.PrunedIterations; got != full || st.Counters.RestoredPoints != second.RestoredPoints {
+		t.Fatalf("journal.ReadState: %+v, the report %+v", st.Counters, second.Tally)
+	}
+}
+
 // TestJournalKillAtRandomRecordResume truncates the shard file at random
 // byte offsets — simulating SIGKILL at arbitrary append points — and checks
 // every resumed campaign still converges on the uninterrupted run's
@@ -209,7 +261,7 @@ func TestJournalDFSCursorResume(t *testing.T) {
 	firstBudget := solo.Iterations / 3
 	first := sct.Run(fanInSetup(3), sct.Options{
 		Strategy: sct.NewDFS(), Iterations: firstBudget, MaxSteps: 1000,
-		Journal: c, JournalFlushEvery: 1,
+		Journal: c,
 	})
 	if err := c.Close(); err != nil {
 		t.Fatal(err)

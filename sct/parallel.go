@@ -228,36 +228,37 @@ func RunParallel(setup func(*psharp.Runtime), opts ParallelOptions) ParallelRepo
 	}
 
 	start := time.Now()
-	sh := newShared(opts.Options, start, n)
+	sh := newShared(opts.Options, start, workers)
 	release := sh.watchStop()
 	reports := make([]WorkerReport, n)
 	for w := 1; w < n; w++ {
 		sh.wg.Add(1)
 		go func() {
 			defer sh.wg.Done()
-			sh.work(setup, workers[w], &reports[w])
+			sh.work(setup, &workers[w], &reports[w])
 		}()
 	}
-	sh.work(setup, workers[0], &reports[0])
+	sh.work(setup, &workers[0], &reports[0])
 	sh.wg.Wait()
 	release()
 
 	if opts.Telemetry != nil {
-		opts.Telemetry.finish(sh)
+		opts.Telemetry.finish()
 	}
 	out := ParallelReport{Report: mergeReports(reports), Workers: reports}
-	out.DistinctSchedules = sh.fingerprints.size()
-	if sh.cache != nil {
-		out.DistinctStates = sh.cache.size()
-	}
-	out.Elapsed = time.Since(start)
 	out.Interrupted = sh.interruptedOutcome(&out.Report, planned)
+	// From here on the report is the campaign's: with a journal, the prior
+	// runs' tally, wall-clock time and fingerprints are in it.
+	out.Tally = sh.tally()
+	out.DistinctSchedules = sh.fingerprints.size()
+	out.DistinctStates = sh.cache.size()
+	out.Elapsed = sh.elapsed()
 	finishJournal(sh, &out.Report)
 	return out
 }
 
 // work runs one worker to completion and files its sub-report.
-func (sh *shared) work(setup func(*psharp.Runtime), w worker, out *WorkerReport) {
+func (sh *shared) work(setup func(*psharp.Runtime), w *worker, out *WorkerReport) {
 	*out = WorkerReport{Worker: w.id, Strategy: w.label, Report: runWorker(setup, sh, w)}
 }
 
@@ -272,31 +273,17 @@ func shardQuota(budget, w, n int) int {
 }
 
 // mergeReports folds per-worker reports into the global aggregate. Merging
-// in worker order keeps the result deterministic for full runs: sums and
-// maxima are order-insensitive, the first bug is the one with the smallest
-// global iteration index, and race reports keep worker-0-first ordering.
+// in worker order keeps the result deterministic for full runs: a tally's
+// sums and maxima are order-insensitive, the first bug is the one with the
+// smallest global iteration index, and race reports keep worker-0-first
+// ordering.
 func mergeReports(workers []WorkerReport) Report {
 	var merged Report
 	var races raceSet
 	exhausted := len(workers) > 0
 	for i := range workers {
 		rep := &workers[i].Report
-		merged.Iterations += rep.Iterations
-		merged.PrunedIterations += rep.PrunedIterations
-		merged.PrunedPoints += rep.PrunedPoints
-		merged.ReplayedPoints += rep.ReplayedPoints
-		merged.RestoredPoints += rep.RestoredPoints
-		merged.ContinuedPoints += rep.ContinuedPoints
-		merged.BuggyIterations += rep.BuggyIterations
-		merged.TotalSchedulingPoints += rep.TotalSchedulingPoints
-		merged.BoundReached += rep.BoundReached
-		if rep.MaxSchedulingPoints > merged.MaxSchedulingPoints {
-			merged.MaxSchedulingPoints = rep.MaxSchedulingPoints
-		}
-		if rep.MaxMachines > merged.MaxMachines {
-			merged.MaxMachines = rep.MaxMachines
-		}
-		merged.Faults.Add(rep.Faults)
+		merged.Tally.Merge(rep.Tally)
 		if merged.Err == nil {
 			merged.Err = rep.Err
 		}

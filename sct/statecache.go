@@ -36,7 +36,6 @@ import (
 type stateCache struct {
 	shards   [stateCacheShards]stateCacheShard
 	distinct atomic.Int64
-	pruned   atomic.Int64
 }
 
 const stateCacheShards = 64
@@ -76,7 +75,6 @@ func (c *stateCache) Visit(state, prefix uint64, depth int) bool {
 	}
 	if int(o.depth) <= depth {
 		s.mu.Unlock()
-		c.pruned.Add(1)
 		return true
 	}
 	s.seen[state] = stateOwner{prefix: prefix, depth: int32(depth)}
@@ -84,7 +82,11 @@ func (c *stateCache) Visit(state, prefix uint64, depth int) bool {
 	return false
 }
 
-// size returns the number of distinct global states recorded.
+// size returns the number of distinct global states recorded; 0 for the nil
+// cache of a run without one.
 func (c *stateCache) size() int {
+	if c == nil {
+		return 0
+	}
 	return int(c.distinct.Load())
 }

@@ -197,6 +197,42 @@ func TestContinuedPointsInReportCampaignAndSnapshot(t *testing.T) {
 	}
 }
 
+// TestSnapshotMidRunIsLive: a snapshot taken while the run is going — here
+// from a Progress callback, which a worker makes between two iterations —
+// carries the engine's own counts of that moment, the ones the Progress
+// reports, and not those of the last growth-curve sample (there is none: the
+// curve's interval is an hour).
+func TestSnapshotMidRunIsLive(t *testing.T) {
+	b := protocols.MustByName("TwoPhaseCommit", false)
+	tel := sct.NewTelemetry(time.Hour)
+	calls := 0
+	rep := sct.Run(b.Setup, sct.Options{
+		Strategy: sct.NewDFS(), Iterations: 300, MaxSteps: b.MaxSteps, StateCache: true,
+		Telemetry: tel, ProgressEvery: 1,
+		Progress: func(p sct.Progress) {
+			calls++
+			snap := tel.Snapshot()
+			if int64(snap.Iterations) != p.Iterations || int64(snap.PrunedIterations) != p.Pruned ||
+				int64(snap.DistinctStates) != p.DistinctStates || int64(snap.BuggyIterations) != p.Buggy {
+				t.Errorf("snapshot %+v (%d states) beside progress %+v", snap.Tally, snap.DistinctStates, p)
+			}
+			// One worker: what it has run so far is what the campaign counted.
+			if snap.Iterations+snap.PrunedIterations != p.WorkerIterations {
+				t.Errorf("snapshot counts %d+%d schedules after %d", snap.Iterations, snap.PrunedIterations, p.WorkerIterations)
+			}
+			if snap.PrunedIterations > 0 && (snap.PrunedPoints == 0 || snap.ReplayedPoints == 0 || snap.ContinuedPoints == 0) {
+				t.Errorf("snapshot %+v lags the pruned iterations it counts", snap.Tally)
+			}
+		},
+	})
+	if calls != rep.Iterations || rep.PrunedIterations == 0 {
+		t.Fatalf("%d progress calls for %d explored and %d pruned schedules", calls, rep.Iterations, rep.PrunedIterations)
+	}
+	if snap := tel.Snapshot(); snap.Tally != rep.Tally || snap.DistinctStates != rep.DistinctStates {
+		t.Fatalf("final snapshot %+v (%d states), report %+v (%d states)", snap.Tally, snap.DistinctStates, rep.Tally, rep.DistinctStates)
+	}
+}
+
 // TestTelemetryAllocationOverhead: the same TwoPhaseCommit budget through
 // sct.Run with and without a Telemetry accumulator. The per-run fixed cost
 // (harness construction, first iterations) is the same on both sides, so the

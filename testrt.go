@@ -173,10 +173,8 @@ type controller struct {
 	rt  *Runtime
 	cfg TestConfig
 
-	// instances mirrors rt.machines indexed by MachineID.Seq-1 but is owned
-	// by the controller, so the scheduling loop never takes rt.mu.
-	instances []*machineInstance
-	statuses  []machineStatus // indexed by MachineID.Seq-1
+	// statuses is indexed by MachineID.Seq-1, as rt.machines is.
+	statuses []machineStatus
 
 	// ready is the incrementally maintained enabled set, kept sorted by
 	// creation order (Seq); scratch is the reusable copy handed to
@@ -384,7 +382,6 @@ func (c *controller) acquireMonitor(name string) *monitorInstance {
 // entry action. New machines carry the highest Seq so far, so appending
 // keeps the ready list sorted by creation order.
 func (c *controller) onCreate(m *machineInstance, creatorIdx int) {
-	c.instances = append(c.instances, m)
 	c.statuses = append(c.statuses, msReady)
 	c.ready = append(c.ready, m.id)
 	if c.det != nil {
@@ -503,7 +500,7 @@ func (c *controller) mixChoice(v uint64) {
 	if c.current.Seq == 0 {
 		return
 	}
-	m := c.instances[c.current.Seq-1]
+	m := c.rt.machines[c.current.Seq-1]
 	m.hops = append(m.hops, handlerOp{word: v})
 }
 
@@ -528,8 +525,8 @@ func (c *controller) nextInt(n int) int {
 // deferred events and nobody is runnable.
 func (c *controller) anyQueuedWhileBlocked() *machineInstance {
 	for i, st := range c.statuses {
-		if st == msBlocked && len(c.instances[i].queued()) > 0 {
-			return c.instances[i]
+		if st == msBlocked && len(c.rt.machines[i].queued()) > 0 {
+			return c.rt.machines[i]
 		}
 	}
 	return nil
@@ -551,7 +548,7 @@ func (c *controller) loop() {
 			out = c.pass()
 			continue
 		}
-		m := c.instances[c.current.Seq-1]
+		m := c.rt.machines[c.current.Seq-1]
 		kind, _ := m.next()
 		if kind == ykYield {
 			if !m.midHandler {
@@ -777,7 +774,7 @@ func (c *controller) checkStateCache() bool {
 // freshly hashed state.
 func (c *controller) stateHash() uint64 {
 	h := c.hasher
-	for len(h.comps) < len(c.instances) {
+	for len(h.comps) < len(c.rt.machines) {
 		// Machines created since the last point: give them a slot and
 		// hash them on this pass.
 		h.comps = append(h.comps, 0)
@@ -785,7 +782,7 @@ func (c *controller) stateHash() uint64 {
 		h.dirty = append(h.dirty, len(h.comps)-1)
 	}
 	for _, idx := range h.dirty {
-		neu := h.hashMachine(c.instances[idx], c.statuses[idx])
+		neu := h.hashMachine(c.rt.machines[idx], c.statuses[idx])
 		h.agg ^= h.comps[idx] ^ neu
 		h.comps[idx] = neu
 		h.marked[idx] = false
@@ -806,7 +803,7 @@ func (c *controller) stateHash() uint64 {
 // but never scheduled, are already parked there.
 func (c *controller) teardown() {
 	c.aborting = true
-	for _, m := range c.instances {
+	for _, m := range c.rt.machines {
 		if m.started {
 			m.next()
 		}
