@@ -506,9 +506,12 @@
 // with the manifest pinning the campaign identity (benchmark, strategy,
 // seed, worker count) so mismatched processes are refused. Each shard
 // preloads its peers' fingerprints, and journal.ReadState merges the
-// directory into one campaign-wide view — the foundation for a continuous
-// fuzzing service where N machines soak one corpus protocol and any of
-// them can die and resume. Interruption is first-class either way: SIGINT
+// directory into one campaign-wide view. Both read a shard by the rules a
+// resume does, so a peer holding a record that does not decode, or the meta
+// record of another campaign, is refused rather than merged. This is the
+// foundation for a continuous fuzzing service where N machines soak one
+// corpus protocol and any of them can die and resume. Interruption is
+// first-class either way: SIGINT
 // or SIGTERM (and the hard -timeout) flush a final checkpoint and still
 // write -report-out and -trace-out, with the campaign report marked
 // interrupted. See the sct package docs for how the journal stays off the

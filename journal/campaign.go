@@ -1,13 +1,15 @@
 package journal
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -197,28 +199,116 @@ type cursorState struct {
 	blob      []byte
 }
 
-// Campaign is one process's handle on a campaign journal directory: it
-// appends this shard's records and carries the recovered state (its own
-// plus the union of peer shards' fingerprints) for the engine to preload.
-// All methods are safe for concurrent use by exploration workers.
-type Campaign struct {
-	log  *Log
-	dir  string
-	meta Meta
-
-	mu          sync.Mutex
-	own         map[uint64]struct{} // fingerprints journaled in this shard's file
-	preload     []uint64            // recovered fingerprints: own ∪ peers
+// shard is what a shard file's records say but its fingerprints: each
+// worker's newest cursor, the newest counters, the checkpoints in time order,
+// and how many records the file has and how many a later one superseded.
+type shard struct {
 	cursors     map[int]cursorState
 	counters    Counters
 	hasCounters bool
 	checkpoints []Checkpoint
 	lastCkpt    int64 // ElapsedMicros of the newest checkpoint
-	total       int   // records in the shard file
-	dead        int   // superseded records among them
-	resumed     bool
-	err         error
-	buf         []byte // reusable payload encoding buffer
+	total       int
+	dead        int
+}
+
+// readShard is the one reader of shard records, for this process's shard,
+// its peers' and ReadState's alike. It checks that the file is shard
+// want.ShardIndex of want's campaign, hands each fingerprint to fp in file
+// order and folds the other records into a shard. A record that does not
+// decode, or of a kind this build does not write, is a *CorruptError. A file
+// without records (its process died before the meta record) is empty.
+func readShard(path string, records []Record, want Meta, fp func(uint64)) (shard, error) {
+	s := shard{cursors: make(map[int]cursorState)}
+	if len(records) == 0 {
+		return s, nil
+	}
+	off, m := int64(headerLen), Meta{}
+	corrupt := func(reason string) error { return &CorruptError{Path: path, Offset: off, Reason: reason} }
+	if records[0].Kind != recMeta {
+		return s, corrupt("journal does not begin with a campaign meta record")
+	}
+	if err := json.Unmarshal(records[0].Payload, &m); err != nil {
+		return s, corrupt("undecodable campaign meta: " + err.Error())
+	}
+	if m.ShardIndex != want.ShardIndex {
+		return s, fmt.Errorf("journal: %s holds shard %d, expected shard %d", path, m.ShardIndex, want.ShardIndex)
+	}
+	if diff := want.mismatch(m); diff != "" {
+		return s, fmt.Errorf("journal: %s belongs to a different campaign: %s", path, diff)
+	}
+	s.total = 1
+	for i, r := range records[1:] {
+		off += int64(5 + len(records[i].Payload) + 8)
+		if err := s.fold(r, fp); err != nil {
+			return s, corrupt(err.Error())
+		}
+	}
+	return s, nil
+}
+
+// fold applies one record after the meta record to s. A live Campaign folds
+// each record it appends too, so its state is what a resume would read.
+func (s *shard) fold(r Record, fp func(uint64)) error {
+	s.total++
+	switch r.Kind {
+	case recFingerprints:
+		if len(r.Payload)%8 != 0 {
+			return errors.New("fingerprint batch not a multiple of 8 bytes")
+		}
+		for p := r.Payload; fp != nil && len(p) > 0; p = p[8:] {
+			fp(binary.LittleEndian.Uint64(p))
+		}
+	case recCursor:
+		worker, cs, err := decodeCursor(r.Payload)
+		if err != nil {
+			return fmt.Errorf("undecodable cursor: %w", err)
+		}
+		if _, had := s.cursors[worker]; had {
+			s.dead++
+		}
+		s.cursors[worker] = cs
+	case recCounters:
+		ct, err := decodeCounters(r.Payload)
+		if err != nil {
+			return fmt.Errorf("undecodable counters: %w", err)
+		}
+		if s.hasCounters {
+			s.dead++
+		}
+		s.counters, s.hasCounters = ct, true
+	case recCheckpoint:
+		cp, err := decodeCheckpoint(r.Payload)
+		if err != nil {
+			return fmt.Errorf("undecodable checkpoint: %w", err)
+		}
+		s.checkpoints = append(s.checkpoints, cp)
+		s.lastCkpt = cp.ElapsedMicros
+	default:
+		// Unknown kinds under a known version would mean a newer writer
+		// sharing our version number; that must not pass silently.
+		return fmt.Errorf("unknown record kind %d", r.Kind)
+	}
+	return nil
+}
+
+// Campaign is one process's handle on a campaign journal directory: it
+// appends this shard's records and carries the recovered state for the
+// engine to preload. In memory it keeps what a resume would read of its
+// shard's cursors, counters and checkpoints, which Cursor, Counters and
+// Checkpoints report and compaction rewrites. It keeps no fingerprints but
+// the recovered Fingerprints slice: the engine holds every one in its own
+// set and compaction copies them from the file, so a copy here would double
+// a campaign's largest structure. All methods are safe for concurrent use.
+type Campaign struct {
+	log     *Log
+	preload []uint64 // recovered fingerprints: this shard's ∪ its peers'
+	resumed bool
+
+	mu    sync.Mutex
+	shard // this shard's state, including every record appended since open
+	err   error
+	buf   []byte // reusable payload encoding buffer
 }
 
 // Create starts a fresh campaign shard in dir, creating the directory and
@@ -259,59 +349,68 @@ func open(dir string, meta Meta, opts Options, resume bool) (*Campaign, error) {
 	if err := ensureManifest(dir, meta, resume); err != nil {
 		return nil, err
 	}
-	c := &Campaign{
-		dir:     dir,
-		meta:    meta,
-		own:     make(map[uint64]struct{}),
-		cursors: make(map[int]cursorState),
+	c := &Campaign{}
+	seen := make(map[uint64]struct{})
+	collect := func(fp uint64) {
+		if _, dup := seen[fp]; !dup {
+			seen[fp] = struct{}{}
+			c.preload = append(c.preload, fp)
+		}
+	}
+	// Peers first, so a bad peer refuses the campaign before this shard's
+	// file is created. Peers are read, never modified: they may belong to
+	// live processes.
+	for i := 0; i < meta.ShardCount; i++ {
+		if i == meta.ShardIndex {
+			continue
+		}
+		peer := meta
+		peer.ShardIndex = i
+		if _, err := readShardFile(dir, peer, collect); err != nil && !os.IsNotExist(err) {
+			return nil, err
+		}
 	}
 	path := filepath.Join(dir, ShardFileName(meta.ShardIndex, meta.ShardCount))
 	_, statErr := os.Stat(path)
+	var records []Record
+	var err error
 	switch {
 	case statErr == nil && !resume:
 		return nil, fmt.Errorf("journal: %s already has a journal for shard %d/%d; resume the campaign or choose a fresh directory",
 			dir, meta.ShardIndex, meta.ShardCount)
 	case statErr == nil:
-		log, records, err := OpenLog(path, opts.SyncEvery)
-		if err != nil {
-			return nil, err
-		}
-		if len(records) == 0 {
-			// The process died before its first flush: recovery truncated
-			// the torn meta record and left a bare header. Nothing durable
-			// ever landed, so re-seed the shard as if created fresh rather
-			// than refusing to resume it.
-			if err := seedMeta(log, meta); err != nil {
-				log.Close()
-				return nil, err
-			}
-			c.log = log
-			c.total = 1
-			break
-		}
-		if err := c.replay(path, records); err != nil {
-			log.Close()
-			return nil, err
-		}
-		c.log = log
-		c.resumed = true
+		c.log, records, err = OpenLog(path, opts.SyncEvery)
 	default:
-		log, err := CreateLog(path, opts.SyncEvery)
-		if err != nil {
-			return nil, err
-		}
-		if err := seedMeta(log, meta); err != nil {
-			log.Close()
-			return nil, err
-		}
-		c.log = log
+		c.log, err = CreateLog(path, opts.SyncEvery)
+	}
+	if err != nil {
+		return nil, err
+	}
+	c.shard, err = readShard(path, records, meta, collect)
+	if err == nil && len(records) == 0 {
+		// A new shard, or one whose process died before its first flush:
+		// recovery truncated the torn meta record and left a bare header.
+		// Nothing durable ever landed, so seed it as if created fresh.
+		err = seedMeta(c.log, meta)
 		c.total = 1
 	}
-	if err := c.loadPeers(); err != nil {
+	if err != nil {
 		c.log.Close()
 		return nil, err
 	}
+	c.resumed = len(records) > 0
 	return c, nil
+}
+
+// readShardFile reads shard want.ShardIndex of the campaign in dir without
+// modifying it; a shard with no file yet is an os.IsNotExist error.
+func readShardFile(dir string, want Meta, fp func(uint64)) (shard, error) {
+	path := filepath.Join(dir, ShardFileName(want.ShardIndex, want.ShardCount))
+	records, _, err := RecoverFile(path)
+	if err != nil {
+		return shard{}, err
+	}
+	return readShard(path, records, want, fp)
 }
 
 // seedMeta appends the campaign identity as the journal's first record and
@@ -330,20 +429,30 @@ func seedMeta(log *Log, meta Meta) error {
 	return log.Sync()
 }
 
+// readManifest reads and version-checks dir's campaign manifest.
+func readManifest(dir string) (manifestFile, error) {
+	var mf manifestFile
+	path := filepath.Join(dir, ManifestName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return mf, err
+	}
+	if err := json.Unmarshal(data, &mf); err != nil {
+		return mf, fmt.Errorf("journal: %s: %w", path, err)
+	}
+	if mf.Format != Version {
+		return mf, &VersionError{Path: path, Version: uint32(mf.Format)}
+	}
+	return mf, nil
+}
+
 // ensureManifest writes the campaign manifest atomically on first contact
 // and validates it on every later one.
 func ensureManifest(dir string, meta Meta, resume bool) error {
 	path := filepath.Join(dir, ManifestName)
-	data, err := os.ReadFile(path)
+	mf, err := readManifest(dir)
 	switch {
 	case err == nil:
-		var mf manifestFile
-		if err := json.Unmarshal(data, &mf); err != nil {
-			return fmt.Errorf("journal: %s: %w", path, err)
-		}
-		if mf.Format != Version {
-			return &VersionError{Path: path, Version: uint32(mf.Format)}
-		}
 		if mf.Shards != meta.ShardCount {
 			return fmt.Errorf("journal: %s records %d shard(s), run asked for %d", path, mf.Shards, meta.ShardCount)
 		}
@@ -351,137 +460,29 @@ func ensureManifest(dir string, meta Meta, resume bool) error {
 			return fmt.Errorf("journal: %s belongs to a different campaign: %s", path, diff)
 		}
 		return nil
+	case os.IsNotExist(err) && resume:
+		return fmt.Errorf("journal: %s has no campaign manifest; nothing to resume", dir)
 	case os.IsNotExist(err):
-		if resume {
-			return fmt.Errorf("journal: %s has no campaign manifest; nothing to resume", dir)
-		}
-		mf := manifestFile{Format: Version, Shards: meta.ShardCount, Meta: meta.normalized()}
-		data, err := json.MarshalIndent(mf, "", "  ")
+		data, err := json.MarshalIndent(manifestFile{Format: Version, Shards: meta.ShardCount, Meta: meta.normalized()}, "", "  ")
 		if err != nil {
 			return err
 		}
-		tmp := path + ".tmp"
-		if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		return os.Rename(tmp, path)
+		return writeFileAtomic(path, append(data, '\n'))
 	default:
 		return err
 	}
 }
 
-// replay folds a recovered record stream into campaign state.
-func (c *Campaign) replay(path string, records []Record) error {
-	if len(records) == 0 || records[0].Kind != recMeta {
-		return &CorruptError{Path: path, Offset: headerLen, Reason: "journal does not begin with a campaign meta record"}
-	}
-	var fileMeta Meta
-	if err := json.Unmarshal(records[0].Payload, &fileMeta); err != nil {
-		return &CorruptError{Path: path, Offset: headerLen, Reason: "undecodable campaign meta: " + err.Error()}
-	}
-	if fileMeta.ShardIndex != c.meta.ShardIndex {
-		return fmt.Errorf("journal: %s holds shard %d, expected shard %d", path, fileMeta.ShardIndex, c.meta.ShardIndex)
-	}
-	if diff := c.meta.mismatch(fileMeta); diff != "" {
-		return fmt.Errorf("journal: %s belongs to a different campaign: %s", path, diff)
-	}
-	for _, r := range records[1:] {
-		switch r.Kind {
-		case recFingerprints:
-			if len(r.Payload)%8 != 0 {
-				return &CorruptError{Path: path, Reason: "fingerprint batch not a multiple of 8 bytes"}
-			}
-			for i := 0; i+8 <= len(r.Payload); i += 8 {
-				c.own[binary.LittleEndian.Uint64(r.Payload[i:])] = struct{}{}
-			}
-		case recCursor:
-			worker, completed, blob, err := decodeCursor(r.Payload)
-			if err != nil {
-				return &CorruptError{Path: path, Reason: "undecodable cursor: " + err.Error()}
-			}
-			if _, had := c.cursors[worker]; had {
-				c.dead++
-			}
-			c.cursors[worker] = cursorState{completed: completed, blob: blob}
-		case recCounters:
-			ct, err := decodeCounters(r.Payload)
-			if err != nil {
-				return &CorruptError{Path: path, Reason: "undecodable counters: " + err.Error()}
-			}
-			if c.hasCounters {
-				c.dead++
-			}
-			c.counters, c.hasCounters = ct, true
-		case recCheckpoint:
-			cp, err := decodeCheckpoint(r.Payload)
-			if err != nil {
-				return &CorruptError{Path: path, Reason: "undecodable checkpoint: " + err.Error()}
-			}
-			c.checkpoints = append(c.checkpoints, cp)
-			c.lastCkpt = cp.ElapsedMicros
-		default:
-			// Unknown kinds under a known version would mean a newer writer
-			// sharing our version number; that must not pass silently.
-			return &CorruptError{Path: path, Reason: fmt.Sprintf("unknown record kind %d", r.Kind)}
-		}
-	}
-	c.total = len(records)
-	return nil
-}
-
-// loadPeers unions the other shards' journaled fingerprints into the
-// preload set. Peers are read with the same recovery rules but never
-// modified — they may belong to live processes.
-func (c *Campaign) loadPeers() error {
-	seen := make(map[uint64]struct{}, len(c.own))
-	for fp := range c.own {
-		seen[fp] = struct{}{}
-		c.preload = append(c.preload, fp)
-	}
-	for shard := 0; shard < c.meta.ShardCount; shard++ {
-		if shard == c.meta.ShardIndex {
-			continue
-		}
-		path := filepath.Join(c.dir, ShardFileName(shard, c.meta.ShardCount))
-		records, _, err := RecoverFile(path)
-		if os.IsNotExist(err) {
-			continue // the peer has not started yet
-		}
-		if err != nil {
-			return err
-		}
-		for _, r := range records {
-			if r.Kind != recFingerprints {
-				continue
-			}
-			for i := 0; i+8 <= len(r.Payload); i += 8 {
-				fp := binary.LittleEndian.Uint64(r.Payload[i:])
-				if _, dup := seen[fp]; !dup {
-					seen[fp] = struct{}{}
-					c.preload = append(c.preload, fp)
-				}
-			}
-		}
-	}
-	return nil
-}
-
 // Resumed reports whether this shard recovered prior state.
 func (c *Campaign) Resumed() bool { return c.resumed }
-
-// Meta returns the campaign identity this handle was opened with.
-func (c *Campaign) Meta() Meta { return c.meta }
-
-// Dir returns the journal directory.
-func (c *Campaign) Dir() string { return c.dir }
 
 // Fingerprints returns every fingerprint recovered at open time — this
 // shard's union every peer shard's — for preloading the engine's
 // distinct-schedule set. The slice is shared; do not mutate it.
 func (c *Campaign) Fingerprints() []uint64 { return c.preload }
 
-// Cursor returns worker's recovered cursor: how many local iterations it
-// had completed and its strategy's opaque cursor blob, if any.
+// Cursor returns worker's newest cursor: how many local iterations it had
+// completed and its strategy's opaque cursor blob, if any.
 func (c *Campaign) Cursor(worker int) (completed int, blob []byte, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -489,15 +490,15 @@ func (c *Campaign) Cursor(worker int) (completed int, blob []byte, ok bool) {
 	return cs.completed, cs.blob, ok
 }
 
-// Counters returns the newest recovered counter record (zero if none),
-// i.e. the campaign-cumulative totals as of the last completed run.
+// Counters returns the newest counter record (zero if none), i.e. the
+// campaign-cumulative totals as of the last completed run.
 func (c *Campaign) Counters() Counters {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.counters
 }
 
-// Checkpoints returns the recovered telemetry checkpoints in time order.
+// Checkpoints returns the telemetry checkpoints in time order.
 func (c *Campaign) Checkpoints() []Checkpoint {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -511,10 +512,20 @@ func (c *Campaign) Checkpoints() []Checkpoint {
 func (c *Campaign) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.err != nil {
-		return c.err
+	return cmp.Or(c.err, c.log.Err())
+}
+
+// appendLocked appends one record and folds it into the handle's state by
+// the reader's own rule; it reports whether the record was appended.
+func (c *Campaign) appendLocked(kind byte, payload []byte) bool {
+	if c.log.Append(kind, payload) != nil {
+		return false
 	}
-	return c.log.Err()
+	if err := c.fold(Record{Kind: kind, Payload: payload}, nil); err != nil {
+		c.err = err
+		return false
+	}
+	return true
 }
 
 // Advance journals one worker's progress: a batch of newly-distinct
@@ -532,26 +543,15 @@ func (c *Campaign) Advance(worker, completed int, cursor []byte, fps []uint64) {
 		c.buf = c.buf[:0]
 		for _, fp := range fps {
 			c.buf = binary.LittleEndian.AppendUint64(c.buf, fp)
-			c.own[fp] = struct{}{}
 		}
-		if c.log.Append(recFingerprints, c.buf) != nil {
+		if !c.appendLocked(recFingerprints, c.buf) {
 			return
 		}
-		c.total++
 	}
-	c.buf = c.buf[:0]
-	c.buf = binary.AppendUvarint(c.buf, uint64(worker))
-	c.buf = binary.AppendUvarint(c.buf, uint64(completed))
-	c.buf = append(c.buf, cursor...)
-	if c.log.Append(recCursor, c.buf) != nil {
-		return
+	c.buf = appendCursor(c.buf[:0], worker, cursorState{completed: completed, blob: cursor})
+	if c.appendLocked(recCursor, c.buf) {
+		c.maybeCompactLocked()
 	}
-	c.total++
-	if _, had := c.cursors[worker]; had {
-		c.dead++
-	}
-	c.cursors[worker] = cursorState{completed: completed, blob: append([]byte(nil), cursor...)}
-	c.maybeCompactLocked()
 }
 
 // SaveCounters journals the campaign-cumulative counters, superseding any
@@ -563,15 +563,9 @@ func (c *Campaign) SaveCounters(ct Counters) {
 		return
 	}
 	c.buf = encodeCounters(c.buf[:0], ct)
-	if c.log.Append(recCounters, c.buf) != nil {
-		return
+	if c.appendLocked(recCounters, c.buf) {
+		c.maybeCompactLocked()
 	}
-	c.total++
-	if c.hasCounters {
-		c.dead++
-	}
-	c.counters, c.hasCounters = ct, true
-	c.maybeCompactLocked()
 }
 
 // Checkpoint journals a telemetry growth-curve point, rate-limited to one
@@ -581,24 +575,13 @@ func (c *Campaign) SaveCounters(ct Counters) {
 func (c *Campaign) Checkpoint(cp Checkpoint, force bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.failed() {
+	if c.failed() || !force && cp.ElapsedMicros-c.lastCkpt < checkpointEvery.Microseconds() {
 		return
 	}
-	if !force && cp.ElapsedMicros-c.lastCkpt < checkpointEvery.Microseconds() {
-		return
+	c.buf = appendCheckpoint(c.buf[:0], cp)
+	if c.appendLocked(recCheckpoint, c.buf) {
+		c.log.Sync()
 	}
-	c.buf = c.buf[:0]
-	c.buf = binary.AppendUvarint(c.buf, uint64(cp.ElapsedMicros))
-	c.buf = binary.AppendUvarint(c.buf, uint64(cp.Iterations))
-	c.buf = binary.AppendUvarint(c.buf, uint64(cp.DistinctSchedules))
-	c.buf = binary.AppendUvarint(c.buf, uint64(cp.CoveredTransitions))
-	if c.log.Append(recCheckpoint, c.buf) != nil {
-		return
-	}
-	c.total++
-	c.checkpoints = append(c.checkpoints, cp)
-	c.lastCkpt = cp.ElapsedMicros
-	c.log.Sync()
 }
 
 // failed reports (under c.mu) whether the journal has latched an error.
@@ -610,74 +593,49 @@ func (c *Campaign) failed() bool {
 // preserves; older points are evenly thinned, mirroring obs.Curve.
 const maxCheckpointsKept = 256
 
-// maybeCompactLocked rewrites the shard file without superseded records
-// once the dead-record ratio crosses compactRatio.
+// maybeCompactLocked rewrites the shard file without superseded records once
+// they are more than compactRatio of it: the meta record and every
+// fingerprint record pass through from the file verbatim and in file order,
+// then come the live cursors by worker, the counters and the thinned
+// checkpoints.
 func (c *Campaign) maybeCompactLocked() {
 	if c.total < compactMinRecords || float64(c.dead) <= compactRatio*float64(c.total) {
 		return
 	}
-	c.compactLocked()
-}
-
-func (c *Campaign) compactLocked() {
-	mp, err := json.Marshal(c.meta)
+	if c.log.Sync() != nil {
+		return // latched in the log
+	}
+	records, _, err := RecoverFile(c.log.path)
 	if err != nil {
 		c.err = err
 		return
 	}
-	records := []Record{{Kind: recMeta, Payload: mp}}
-	// One sorted batch per 64k fingerprints: deterministic output, bounded
-	// payloads.
-	fps := make([]uint64, 0, len(c.own))
-	for fp := range c.own {
-		fps = append(fps, fp)
-	}
-	sort.Slice(fps, func(i, j int) bool { return fps[i] < fps[j] })
-	const batch = 1 << 16
-	for i := 0; i < len(fps); i += batch {
-		end := min(i+batch, len(fps))
-		payload := make([]byte, 0, (end-i)*8)
-		for _, fp := range fps[i:end] {
-			payload = binary.LittleEndian.AppendUint64(payload, fp)
+	kept := records[:0]
+	for _, r := range records {
+		if r.Kind == recMeta || r.Kind == recFingerprints {
+			kept = append(kept, r)
 		}
-		records = append(records, Record{Kind: recFingerprints, Payload: payload})
 	}
-	workers := make([]int, 0, len(c.cursors))
-	for w := range c.cursors {
-		workers = append(workers, w)
-	}
-	sort.Ints(workers)
-	for _, w := range workers {
-		cs := c.cursors[w]
-		payload := binary.AppendUvarint(nil, uint64(w))
-		payload = binary.AppendUvarint(payload, uint64(cs.completed))
-		payload = append(payload, cs.blob...)
-		records = append(records, Record{Kind: recCursor, Payload: payload})
+	for _, w := range slices.Sorted(maps.Keys(c.cursors)) {
+		kept = append(kept, Record{Kind: recCursor, Payload: appendCursor(nil, w, c.cursors[w])})
 	}
 	if c.hasCounters {
-		records = append(records, Record{Kind: recCounters, Payload: encodeCounters(nil, c.counters)})
+		kept = append(kept, Record{Kind: recCounters, Payload: encodeCounters(nil, c.counters)})
 	}
-	ckpts := c.checkpoints
-	for len(ckpts) > maxCheckpointsKept {
-		kept := make([]Checkpoint, 0, (len(ckpts)+1)/2)
-		for i := 1; i < len(ckpts); i += 2 {
-			kept = append(kept, ckpts[i])
+	for len(c.checkpoints) > maxCheckpointsKept {
+		thinned := make([]Checkpoint, 0, len(c.checkpoints)/2)
+		for i := 1; i < len(c.checkpoints); i += 2 {
+			thinned = append(thinned, c.checkpoints[i])
 		}
-		ckpts = kept
+		c.checkpoints = thinned
 	}
-	c.checkpoints = ckpts
-	for _, cp := range ckpts {
-		payload := binary.AppendUvarint(nil, uint64(cp.ElapsedMicros))
-		payload = binary.AppendUvarint(payload, uint64(cp.Iterations))
-		payload = binary.AppendUvarint(payload, uint64(cp.DistinctSchedules))
-		payload = binary.AppendUvarint(payload, uint64(cp.CoveredTransitions))
-		records = append(records, Record{Kind: recCheckpoint, Payload: payload})
+	for _, cp := range c.checkpoints {
+		kept = append(kept, Record{Kind: recCheckpoint, Payload: appendCheckpoint(nil, cp)})
 	}
-	if err := c.log.Rewrite(records); err != nil {
+	if c.log.Rewrite(kept) != nil {
 		return // latched in the log
 	}
-	c.total = len(records)
-	c.dead = 0
+	c.total, c.dead = len(kept), 0
 }
 
 // Sync flushes and fsyncs the shard file.
@@ -694,28 +652,29 @@ func (c *Campaign) Sync() error {
 func (c *Campaign) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	closeErr := c.log.Close()
-	if c.err != nil {
-		return c.err
-	}
-	return closeErr
+	return cmp.Or(c.err, c.log.Close())
 }
 
-func decodeCursor(p []byte) (worker, completed int, blob []byte, err error) {
+// The one encoder of each record kind but the fingerprint batch (Advance's)
+// and the meta record (seedMeta's), each beside its decoder.
+
+func appendCursor(buf []byte, worker int, cs cursorState) []byte {
+	buf = binary.AppendUvarint(buf, uint64(worker))
+	buf = binary.AppendUvarint(buf, uint64(cs.completed))
+	return append(buf, cs.blob...)
+}
+
+func decodeCursor(p []byte) (worker int, cs cursorState, err error) {
 	w, n := binary.Uvarint(p)
-	if n <= 0 {
-		return 0, 0, nil, errors.New("short worker field")
+	done, m := binary.Uvarint(p[max(n, 0):])
+	if n <= 0 || m <= 0 {
+		return 0, cs, errors.New("short worker or completed field")
 	}
-	p = p[n:]
-	done, n := binary.Uvarint(p)
-	if n <= 0 {
-		return 0, 0, nil, errors.New("short completed field")
+	if p = p[n+m:]; len(p) > 0 {
+		cs.blob = append([]byte(nil), p...)
 	}
-	p = p[n:]
-	if len(p) > 0 {
-		blob = append([]byte(nil), p...)
-	}
-	return int(w), int(done), blob, nil
+	cs.completed = int(done)
+	return int(w), cs, nil
 }
 
 func encodeCounters(buf []byte, ct Counters) []byte {
@@ -735,26 +694,33 @@ func decodeCounters(p []byte) (Counters, error) {
 		if n <= 0 {
 			return Counters{}, fmt.Errorf("short counter field %d", i)
 		}
-		*s.v = int64(v)
-		p = p[n:]
+		*s.v, p = int64(v), p[n:]
 	}
 	return ct, nil
 }
 
+// fields lists a checkpoint's values in the order of its record.
+func (cp *Checkpoint) fields() [4]*int64 {
+	return [...]*int64{&cp.ElapsedMicros, &cp.Iterations, &cp.DistinctSchedules, &cp.CoveredTransitions}
+}
+
+func appendCheckpoint(buf []byte, cp Checkpoint) []byte {
+	for _, v := range cp.fields() {
+		buf = binary.AppendUvarint(buf, uint64(*v))
+	}
+	return buf
+}
+
 func decodeCheckpoint(p []byte) (Checkpoint, error) {
-	var vals [4]int64
-	for i := range vals {
-		v, n := binary.Uvarint(p)
+	var cp Checkpoint
+	for i, v := range cp.fields() {
+		u, n := binary.Uvarint(p)
 		if n <= 0 {
 			return Checkpoint{}, fmt.Errorf("short checkpoint field %d", i)
 		}
-		vals[i] = int64(v)
-		p = p[n:]
+		*v, p = int64(u), p[n:]
 	}
-	return Checkpoint{
-		ElapsedMicros: vals[0], Iterations: vals[1],
-		DistinctSchedules: vals[2], CoveredTransitions: vals[3],
-	}, nil
+	return cp, nil
 }
 
 // State is the read-only merged view of a whole campaign directory, across
@@ -774,23 +740,19 @@ type State struct {
 }
 
 // ReadState recovers and merges every shard of the campaign in dir without
-// taking ownership of any file.
+// taking ownership of any file. A shard that does not belong to the
+// manifest's campaign, or holds a record that does not decode, is an error.
 func ReadState(dir string) (*State, error) {
-	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	mf, err := readManifest(dir)
 	if err != nil {
 		return nil, err
 	}
-	var mf manifestFile
-	if err := json.Unmarshal(data, &mf); err != nil {
-		return nil, fmt.Errorf("journal: %s: %w", filepath.Join(dir, ManifestName), err)
-	}
-	if mf.Format != Version {
-		return nil, &VersionError{Path: filepath.Join(dir, ManifestName), Version: uint32(mf.Format)}
-	}
 	st := &State{Meta: mf.Meta, Shards: mf.Shards}
 	seen := make(map[uint64]struct{})
-	for shard := 0; shard < mf.Shards; shard++ {
-		records, _, err := RecoverFile(filepath.Join(dir, ShardFileName(shard, mf.Shards)))
+	for i := 0; i < mf.Shards; i++ {
+		want := mf.Meta
+		want.ShardIndex, want.ShardCount = i, mf.Shards
+		s, err := readShardFile(dir, want, func(fp uint64) { seen[fp] = struct{}{} })
 		if os.IsNotExist(err) {
 			continue
 		}
@@ -798,20 +760,7 @@ func ReadState(dir string) (*State, error) {
 			return nil, err
 		}
 		st.ShardsPresent++
-		var last Counters // zero, which merges as nothing, until a record is found
-		for _, r := range records {
-			switch r.Kind {
-			case recFingerprints:
-				for i := 0; i+8 <= len(r.Payload); i += 8 {
-					seen[binary.LittleEndian.Uint64(r.Payload[i:])] = struct{}{}
-				}
-			case recCounters:
-				if ct, err := decodeCounters(r.Payload); err == nil {
-					last = ct
-				}
-			}
-		}
-		st.Counters.Merge(last)
+		st.Counters.Merge(s.counters) // zero, which merges as nothing, without a record
 	}
 	st.DistinctSchedules = len(seen)
 	return st, nil

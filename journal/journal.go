@@ -42,13 +42,17 @@
 // Appends go through a buffered writer and are fsynced every
 // Options.SyncEvery records (Sync and Close always flush). A lower cadence
 // bounds how much exploration a power loss can cost; a higher cadence keeps
-// the journal entirely off the exploration hot path. Compaction rewrites
-// happen in a temp file that is fsynced and renamed over the journal, so a
-// crash during compaction leaves either the old or the new file, never a
-// hybrid.
+// the journal entirely off the exploration hot path. Compaction filters the
+// shard file: the meta record and every fingerprint record pass through
+// verbatim and in file order, so each still precedes every cursor that counts
+// it, followed by the live cursors, the newest counters and the thinned
+// checkpoints. Like the campaign manifest, the result goes to a temp file
+// that is fsynced and renamed over the old one, so a crash during compaction
+// leaves either the old or the new file, never a hybrid.
 package journal
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -75,6 +79,13 @@ const MaxPayload = 1 << 26
 const headerLen = 16
 
 var magic = [8]byte{'P', 'S', 'H', 'J', 'R', 'N', 'L', 0}
+
+// header is the first headerLen bytes of every journal this build writes.
+var header = func() (h [headerLen]byte) {
+	copy(h[:], magic[:])
+	binary.LittleEndian.PutUint32(h[8:12], Version)
+	return h
+}()
 
 // ErrNotJournal reports that a file does not start with the journal magic.
 var ErrNotJournal = errors.New("journal: not a journal file (bad magic)")
@@ -128,6 +139,14 @@ func checksum(kind byte, payload []byte) uint64 {
 	return h
 }
 
+// appendRecord frames one record onto buf.
+func appendRecord(buf []byte, kind byte, payload []byte) []byte {
+	buf = append(buf, kind)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = append(buf, payload...)
+	return binary.LittleEndian.AppendUint64(buf, checksum(kind, payload))
+}
+
 // Log is the low-level append-only record file. It is not safe for
 // concurrent use; Campaign serializes access behind its own mutex.
 type Log struct {
@@ -146,14 +165,11 @@ func CreateLog(path string, syncEvery int) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	var hdr [headerLen]byte
-	copy(hdr[:], magic[:])
-	binary.LittleEndian.PutUint32(hdr[8:12], Version)
-	if _, err := f.Write(hdr[:]); err != nil {
-		f.Close()
-		return nil, err
+	_, err = f.Write(header[:])
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -176,20 +192,16 @@ func OpenLog(path string, syncEvery int) (*Log, []Record, error) {
 	if validEnd < headerLen {
 		// The header itself was torn (crash between create and first sync):
 		// rewrite it and start over as an empty journal.
-		var hdr [headerLen]byte
-		copy(hdr[:], magic[:])
-		binary.LittleEndian.PutUint32(hdr[8:12], Version)
-		if _, err := f.WriteAt(hdr[:], 0); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
+		_, err = f.WriteAt(header[:], 0)
 		validEnd = headerLen
 	}
-	if err := f.Truncate(validEnd); err != nil {
-		f.Close()
-		return nil, nil, err
+	if err == nil {
+		err = f.Truncate(validEnd)
 	}
-	if _, err := f.Seek(validEnd, io.SeekStart); err != nil {
+	if err == nil {
+		_, err = f.Seek(validEnd, io.SeekStart)
+	}
+	if err != nil {
 		f.Close()
 		return nil, nil, err
 	}
@@ -199,7 +211,8 @@ func OpenLog(path string, syncEvery int) (*Log, []Record, error) {
 // RecoverFile scans the journal at path read-only and returns its valid
 // records plus the byte offset at which the valid prefix ends. It applies
 // the package's recovery classification but modifies nothing, so peer
-// shards of a live campaign can be read safely.
+// shards of a live campaign can be read safely. The payloads share one
+// buffer, the file's bytes as read.
 func RecoverFile(path string) ([]Record, int64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -255,7 +268,7 @@ func recover_(path string, data []byte) ([]Record, int64, error) {
 			}
 			return nil, 0, &CorruptError{Path: path, Offset: off, Reason: "checksum mismatch"}
 		}
-		records = append(records, Record{Kind: kind, Payload: append([]byte(nil), payload...)})
+		records = append(records, Record{Kind: kind, Payload: payload})
 		off += total
 	}
 	return records, off, nil
@@ -265,9 +278,6 @@ func recover_(path string, data []byte) ([]Record, int64, error) {
 // poisoned: further appends are silently dropped so a campaign can finish
 // in memory and report the journal failure once at the end.
 func (l *Log) Err() error { return l.err }
-
-// Path returns the journal's file path.
-func (l *Log) Path() string { return l.path }
 
 // Append appends one record. The write is buffered; durability follows the
 // configured fsync cadence.
@@ -279,12 +289,7 @@ func (l *Log) Append(kind byte, payload []byte) error {
 		l.err = fmt.Errorf("journal: record payload %d bytes exceeds cap %d", len(payload), MaxPayload)
 		return l.err
 	}
-	var frame [5]byte
-	frame[0] = kind
-	binary.LittleEndian.PutUint32(frame[1:5], uint32(len(payload)))
-	l.buf = append(l.buf, frame[:]...)
-	l.buf = append(l.buf, payload...)
-	l.buf = binary.LittleEndian.AppendUint64(l.buf, checksum(kind, payload))
+	l.buf = appendRecord(l.buf, kind, payload)
 	l.unsynced++
 	if l.syncEvery > 0 && l.unsynced >= l.syncEvery {
 		return l.Sync()
@@ -330,77 +335,57 @@ func (l *Log) Sync() error {
 
 // Close syncs and closes the journal.
 func (l *Log) Close() error {
-	syncErr := l.Sync()
-	closeErr := l.f.Close()
-	if syncErr != nil {
-		return syncErr
-	}
-	return closeErr
+	return cmp.Or(l.Sync(), l.f.Close())
 }
 
 // Rewrite atomically replaces the journal's contents with records — the
-// compaction primitive. It writes a sibling temp file, fsyncs it, renames
-// it over the journal, and re-opens the log for appending; a crash at any
-// point leaves either the complete old file or the complete new one.
+// compaction primitive — through writeFileAtomic, and re-opens the log for
+// appending.
 func (l *Log) Rewrite(records []Record) error {
 	if err := l.Sync(); err != nil {
 		return err
 	}
-	dir, base := filepath.Split(l.path)
-	tmp, err := os.CreateTemp(dir, base+".rewrite-*")
-	if err != nil {
-		l.err = err
-		return err
-	}
-	tmpPath := tmp.Name()
-	fail := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpPath)
-		l.err = err
-		return err
-	}
-	var buf []byte
-	var hdr [headerLen]byte
-	copy(hdr[:], magic[:])
-	binary.LittleEndian.PutUint32(hdr[8:12], Version)
-	buf = append(buf, hdr[:]...)
+	buf := append([]byte(nil), header[:]...)
 	for _, r := range records {
-		var frame [5]byte
-		frame[0] = r.Kind
-		binary.LittleEndian.PutUint32(frame[1:5], uint32(len(r.Payload)))
-		buf = append(buf, frame[:]...)
-		buf = append(buf, r.Payload...)
-		buf = binary.LittleEndian.AppendUint64(buf, checksum(r.Kind, r.Payload))
+		buf = appendRecord(buf, r.Kind, r.Payload)
 	}
-	if _, err := tmp.Write(buf); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpPath)
+	if err := writeFileAtomic(l.path, buf); err != nil {
 		l.err = err
 		return err
 	}
-	if err := os.Rename(tmpPath, l.path); err != nil {
-		os.Remove(tmpPath)
-		l.err = err
-		return err
-	}
-	old := l.f
-	f, err := os.OpenFile(l.path, os.O_RDWR, 0o644)
+	f, err := os.OpenFile(l.path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		l.err = err
 		return err
 	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		l.err = err
+	l.f.Close()
+	l.f = f
+	return nil
+}
+
+// writeFileAtomic replaces path with data so that a crash at any point
+// leaves either the complete old file or the complete new one: it writes a
+// sibling temp file, fsyncs it, and renames it over path.
+func writeFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err != nil {
 		return err
 	}
-	old.Close()
-	l.f = f
-	l.unsynced = 0
-	return nil
+	err = tmp.Chmod(0o644)
+	if err == nil {
+		_, err = tmp.Write(data)
+	}
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if closeErr := tmp.Close(); err == nil {
+		err = closeErr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }

@@ -10,15 +10,7 @@ import (
 
 // encodeRecord frames one record exactly as Log.Append does, so tests can
 // assemble journal images byte by byte.
-func encodeRecord(kind byte, payload []byte) []byte {
-	var out []byte
-	var frame [5]byte
-	frame[0] = kind
-	binary.LittleEndian.PutUint32(frame[1:5], uint32(len(payload)))
-	out = append(out, frame[:]...)
-	out = append(out, payload...)
-	return binary.LittleEndian.AppendUint64(out, checksum(kind, payload))
-}
+func encodeRecord(kind byte, payload []byte) []byte { return appendRecord(nil, kind, payload) }
 
 func encodeHeader(version uint32) []byte {
 	var hdr [headerLen]byte
@@ -317,7 +309,7 @@ func TestRewriteReplacesContents(t *testing.T) {
 	}
 	sameRecords(t, got, append(want, Record{Kind: 3, Payload: []byte("post")}))
 	// No temp litter left behind.
-	matches, _ := filepath.Glob(path + ".rewrite-*")
+	matches, _ := filepath.Glob(path + ".tmp-*")
 	if len(matches) != 0 {
 		t.Fatalf("rewrite left temp files: %v", matches)
 	}
