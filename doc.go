@@ -222,7 +222,7 @@
 // every report, and a search with checkpoints is attempt for attempt the
 // search without (TestStateCacheReplaySkipEquivalence holds it to that on
 // the whole corpus). IterationResult.RestoredPoints (sct's
-// Report.RestoredPoints and RestoredShare) says how much was not executed;
+// Report.RestoredPoints and Shares().RestoredShare) says how much was not executed;
 // Runtime.Metrics and coverage hit counts count what was. Snapshots are
 // taken without a knob — at most one an attempt, only at a quiescent point
 // of the prefix the last few attempts all shared — and a harness holds at
@@ -253,7 +253,7 @@
 // suffix; a handler that finishes without a state hash being taken pays a
 // few word writes for its mid-handler position, not a walk of its event.
 // IterationResult.ReplayedPoints (sct's Report.ReplayedPoints and
-// ReplayedShare) says how much of a campaign repeated earlier decisions,
+// Shares().ReplayedShare) says how much of a campaign repeated earlier decisions,
 // restored or re-executed. See the StateCache type for the contract this
 // puts on a cache, and the sct package's "Partial-order reduction and state
 // caching" section for soundness scope (depth-first strategies only, no
@@ -267,8 +267,10 @@
 // The static form (preferred) matches the paper's design, where the
 // transition and action-binding tables of Figure 1 are properties of the
 // machine class, compiled once. The type embeds StaticBase and implements
-// StaticMachine: ConfigureType runs a single time, at Register, and the
-// compiled schema is frozen and shared by every instance. Actions use the
+// StaticMachine: ConfigureType runs at Register on a probe from the
+// factory, once per process for each registered name and probe value, and
+// the compiled schema is frozen and shared by every instance on every
+// Runtime. Actions use the
 // M-suffixed builders (OnEntryM, OnExitM, OnEventDoM) and receive the
 // machine instance as their first parameter — assert it to the concrete
 // type — instead of closing over it:
@@ -287,15 +289,21 @@
 //			})
 //	}
 //
-// ConfigureType must be instance-independent. It may read fields the
-// factory sets identically on every instance — registration parameters,
+// ConfigureType must be a function of the probe's value. It may read fields
+// the factory sets identically on every instance — registration parameters,
 // like a buggy-variant flag that adds or removes bindings — but its action
-// closures must not capture the receiver, which is a discarded probe.
-// Per-instance initialization that the closure form did inside Configure
-// (seeding a map, say) moves into the registered factory. Handlers that
-// touch no per-instance state can keep the plain closure signatures
-// (OnEntry, OnEventDo) inside a static schema. Machines with no instance
-// fields at all can use StaticMachineFunc.
+// closures must not capture the receiver, which is a discarded probe, and it
+// must read nothing the probe does not hold. Register looks the schema up
+// in a process-wide table by name, probe type and probe value (compared with
+// reflect.DeepEqual): the buggy and the correct variant of a protocol are
+// two entries under one name, and a campaign, its replay and every later
+// harness of the same program compile nothing. A probe holding a non-nil
+// func or chan equals nothing, so its type compiles once per Runtime; so
+// does a StaticMachineFunc. Per-instance initialization that the closure
+// form did inside Configure (seeding a map, say) moves into the registered
+// factory. Handlers that touch no per-instance state can keep the plain
+// closure signatures (OnEntry, OnEventDo) inside a static schema. Machines
+// with no instance fields at all can use StaticMachineFunc.
 //
 // The closure form remains fully supported: implement Machine, whose
 // Configure runs once per instance with actions closing over it. It is the
@@ -331,7 +339,7 @@
 // (94 % of German's, whose livelock is one machine talking to itself; a
 // third of all points of the benchmark's table2_random round) and 25–60 %
 // under depth-first search, which prefers the first enabled machine:
-// IterationResult.ContinuedPoints and sct's Report.ContinuedShare count
+// IterationResult.ContinuedPoints and sct's Report.Shares().ContinuedShare count
 // them exactly. Those points cost no switch at all; the others cost
 // two (machine → loop → next machine). And because the switches
 // already order everything, a testing Runtime takes none of the locks the
@@ -372,12 +380,16 @@
 // and the RuntimeMetrics counters are plain words of the controller, added
 // to the runtime's atomics once per iteration (see Runtime.Metrics).
 //
-// Machine schemas follow the compile-once discipline: Register compiles a
-// static type's schema one time and every create reuses the frozen form,
-// and the harness keeps that per-type cache across recycled iterations, so
-// a static-form program pays zero schema allocations from iteration 2 on.
-// Monitors ride the same machinery: a static monitor's schema is compiled
-// once per registered name, the harness recycles the monitor instance and
+// Machine schemas follow the compile-once discipline: a static type's
+// schema is compiled once per process for each probe value and every
+// create on every Runtime reuses the frozen form, and the harness keeps its
+// runtime's name→schema bindings across recycled iterations, so a
+// static-form program pays zero schema allocations from iteration 2 on and
+// a new harness — a campaign's, a replay's — pays one probe and one table
+// lookup per type instead of a compile (compiles would be a third of the
+// allocations of a hunt that finds its bug in a few schedules). Monitors
+// ride the same machinery: a static monitor's schema comes from the same
+// table, the harness recycles the monitor instance and
 // its Context across iterations, and observation itself is allocation-free
 // — attaching a monitor adds only its factory's allocations per iteration
 // (at most 5 on the protocol workloads, enforced by the monitor allocation

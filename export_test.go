@@ -20,20 +20,26 @@ func (r *Runtime) SchemaCompiles() int {
 // runtime has compiled across all Run calls so far.
 func (h *TestHarness) SchemaCompiles() int { return h.rt.SchemaCompiles() }
 
-// CachedSchemas reports how many machine types currently have a compiled
-// schema cached (static types only; closure-form registrations record a
-// negative entry that this does not count).
-func (h *TestHarness) CachedSchemas() int {
-	h.rt.mu.Lock()
-	defer h.rt.mu.Unlock()
+// TypeSchemaCompiles reports how many static schemas the process has
+// compiled, on every Runtime, since it started.
+func TypeSchemaCompiles() int64 { return typeSchemas.compiles.Load() }
+
+// CachedTypeSchemas reports how many probe values of machine or monitor
+// types registered under name the process-wide table keeps a schema for.
+func CachedTypeSchemas(name string) int {
+	typeSchemas.mu.Lock()
+	defer typeSchemas.mu.Unlock()
 	n := 0
-	for _, cs := range h.rt.schemas {
-		if cs != nil {
-			n++
+	for k, entries := range typeSchemas.byKey {
+		if k.name == name {
+			n += len(entries)
 		}
 	}
 	return n
 }
+
+// MaxProbeValues is how many probe values of one type the table keeps.
+const MaxProbeValues = maxProbeValues
 
 // ReserveCap is the cap of the process-wide reserve of idle machine
 // instances; ReserveLen reports how many it currently holds.

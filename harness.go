@@ -69,12 +69,15 @@ type TestHarness struct {
 // after such a Run, not the value the machine ran on. Nothing detects a
 // program that breaks this; it is searched as a different program.
 //
-// The harness keeps the runtime's per-type compiled-schema cache across
-// iterations: setup re-registers its machine types every Run, but a type
-// whose schema is already cached is not recompiled, so static-form
-// machines pay zero schema allocations from iteration 2 on. This assumes
-// setup registers the same declaration under the same type name every
-// iteration — which any deterministic setup does.
+// A static machine or monitor type is compiled once per process for each
+// probe value (see Register), so a new harness over a program another
+// harness or a replay already ran compiles nothing. The harness also keeps
+// its runtime's name→schema bindings across iterations: setup re-registers
+// its machine types every Run, but a name already bound is neither probed
+// nor looked up again, so static-form machines pay zero schema allocations
+// from iteration 2 on. This assumes setup registers the same declaration
+// under the same type name every iteration — which any deterministic setup
+// does.
 func NewTestHarness(setup func(*Runtime), opts ...Option) *TestHarness {
 	rt := NewRuntime(opts...)
 	c := &controller{rt: rt, trace: &Trace{Decisions: takeReservedTrace()}}
@@ -144,9 +147,9 @@ func (h *TestHarness) Run(cfg TestConfig) IterationResult {
 
 // reset rewinds the runtime and controller to their pre-setup state while
 // retaining every allocation: all slices are truncated with their capacity
-// kept. The compiled-schema caches (rt.schemas and rt.monitorSchemas)
-// deliberately survive: schemas are per-type, not per-iteration, so
-// recompiling them would be pure waste. The registered factories and the
+// kept. The schema bindings (rt.schemas and rt.monitorSchemas) deliberately
+// survive: schemas are per-type, not per-iteration, so looking them up again
+// would be pure waste. The registered factories and the
 // trace of the previous iteration survive until Run knows where this one
 // starts (controller.rewind): an iteration restored from a checkpoint keeps
 // both.

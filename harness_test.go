@@ -231,10 +231,11 @@ func TestDeclarationFormsEquivalent(t *testing.T) {
 	if !sawBug || !sawClean {
 		t.Fatalf("test program not exercising both outcomes (bug=%v clean=%v); strengthen the setup", sawBug, sawClean)
 	}
-	// The static harness compiled one schema per type, ever; the closure
-	// harness compiled one per machine instance per iteration.
-	if got := hStatic.SchemaCompiles(); got != 2 {
-		t.Errorf("static harness schema compiles = %d, want 2", got)
+	// The static harness compiled at most one schema per type (none if an
+	// earlier harness of the process did); the closure harness compiled one
+	// per machine instance per iteration.
+	if got := hStatic.SchemaCompiles(); got > 2 {
+		t.Errorf("static harness schema compiles = %d, want at most 2", got)
 	}
 	if got := hClosure.SchemaCompiles(); got < 25*4 {
 		t.Errorf("closure harness schema compiles = %d, want >= %d (one per instance per iteration)", got, 25*4)
@@ -331,60 +332,38 @@ func TestProtocolAllocationCap(t *testing.T) {
 	t.Logf("TwoPhaseCommit allocs/iteration through warmed harness: %.1f", allocs)
 }
 
-// TestStaticSchemasCompileOncePerHarness asserts the compile-once
-// discipline end to end: a harness running a protocol whose machines all
-// use the static declaration form compiles exactly one schema per machine
-// type, across however many recycled iterations (and machine creates)
-// follow.
-func TestStaticSchemasCompileOncePerHarness(t *testing.T) {
-	b := protocols.MustByName("TwoPhaseCommit", true)
-	const types = 5 // coordinator, participant, checker, timer, logger
-	h := psharp.NewTestHarness(b.Setup)
-	defer h.Close()
-	strategy := sct.NewRandom(1)
-	for i := 0; i < 10; i++ {
-		strategy.PrepareIteration(i)
-		h.Run(psharp.TestConfig{Strategy: strategy, MaxSteps: b.MaxSteps})
-	}
-	if got := h.SchemaCompiles(); got != types {
-		t.Errorf("schema compiles across 10 iterations = %d, want %d (once per type)", got, types)
-	}
-	if got := h.CachedSchemas(); got != types {
-		t.Errorf("cached schemas = %d, want %d", got, types)
-	}
-}
+// invalidMachine declares two start states.
+type invalidMachine struct{ psharp.StaticBase }
 
-// TestStaticSchemasCompileOncePerRuntime covers the production runtime: N
-// creates of one static type share the schema compiled at registration.
-func TestStaticSchemasCompileOncePerRuntime(t *testing.T) {
-	r := psharp.NewRuntime()
-	r.MustRegister("Spinner", func() psharp.Machine {
-		return psharp.StaticMachineFunc(func(sc *psharp.Schema) {
-			sc.Start("Spin").Ignore(&evSpin{})
-		})
-	})
-	for i := 0; i < 8; i++ {
-		r.MustCreate("Spinner", nil)
-	}
-	if err := r.Wait(); err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
-	r.Stop()
-	if got := r.SchemaCompiles(); got != 1 {
-		t.Errorf("schema compiles for 8 creates of one static type = %d, want 1", got)
-	}
+func (*invalidMachine) ConfigureType(sc *psharp.Schema) {
+	sc.Start("A")
+	sc.Start("B")
 }
 
 // TestInvalidStaticSchemaFailsAtRegister locks Register's error contract:
-// a static machine with an invalid schema is rejected at registration.
+// a static machine with an invalid schema is rejected at registration, on
+// every Runtime — a failed compile never enters the process-wide table.
 func TestInvalidStaticSchemaFailsAtRegister(t *testing.T) {
 	bad := psharp.StaticMachineFunc(func(sc *psharp.Schema) {
 		sc.Start("A")
 		sc.Start("B") // duplicate start state
 	})
-	r := psharp.NewRuntime()
-	if err := r.Register("Bad", func() psharp.Machine { return bad }); err == nil {
-		t.Error("Register accepted an invalid static schema")
+	for i := 0; i < 3; i++ {
+		r := psharp.NewRuntime()
+		if err := r.Register("Bad", func() psharp.Machine { return bad }); err == nil {
+			t.Errorf("runtime %d: Register accepted an invalid StaticMachineFunc schema", i)
+		}
+		if err := r.Register("BadStruct", func() psharp.Machine { return &invalidMachine{} }); err == nil {
+			t.Errorf("runtime %d: Register accepted an invalid static schema", i)
+		}
+		if err := r.RegisterMonitor("BadMonitor", func() psharp.Machine { return &invalidMachine{} }); err == nil {
+			t.Errorf("runtime %d: RegisterMonitor accepted an invalid static schema", i)
+		}
+	}
+	for _, name := range []string{"Bad", "BadStruct", "BadMonitor"} {
+		if got := psharp.CachedTypeSchemas(name); got != 0 {
+			t.Errorf("the table keeps %d schemas for %s, want 0", got, name)
+		}
 	}
 }
 

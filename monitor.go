@@ -37,8 +37,8 @@ import "fmt"
 // trace like any other bug.
 //
 // Monitors follow the machine declaration forms: a static monitor
-// (StaticMachine) has its schema compiled once per registered name and
-// reused across instances and recycled TestHarness iterations; a
+// (StaticMachine) has its schema compiled once per process per (name, probe
+// value) and reused across Runtimes and recycled TestHarness iterations; a
 // closure-form monitor (Machine) is recompiled per registration.
 
 // monitorInstance is the runtime representation of one registered monitor.
@@ -65,11 +65,12 @@ type monitorInstance struct {
 // any) runs here, with a nil event.
 //
 // Monitor names share the machine-type rules: non-empty, no whitespace, no
-// duplicate registration. A static monitor's schema is compiled and
-// validated once per name and cached — a TestHarness keeps the cache and
-// the monitor instance itself across recycled iterations, so re-registering
-// the same monitor every iteration costs one logic allocation, not a
-// schema rebuild.
+// duplicate registration. A static monitor's schema comes from the same
+// process-wide table as a static machine's, keyed by name and by the value
+// the factory returned before the monitor ran; a TestHarness also keeps the
+// name's binding and the monitor instance itself across recycled
+// iterations, so re-registering the same monitor every iteration costs one
+// logic allocation, not a lookup or a schema rebuild.
 func (r *Runtime) RegisterMonitor(name string, factory func() Machine) error {
 	if name == "" || factory == nil {
 		return fmt.Errorf("psharp: RegisterMonitor(%q): name and factory must be non-empty", name)
@@ -79,31 +80,26 @@ func (r *Runtime) RegisterMonitor(name string, factory func() Machine) error {
 	}
 	logic := factory()
 
-	// Schema resolution shares r.mu with machine registration (the schema
-	// caches and the compile counter live there).
+	// Schema resolution shares r.mu with machine registration (the bindings
+	// and the compile counter live there).
 	r.mu.Lock()
 	schema, known := r.monitorSchemas[name]
-	if !known {
+	if !known || schema == nil || !isStatic(logic) {
+		// The name's first registration here, a name bound to the closure form
+		// (whose actions close over the instance), or closure-form logic
+		// shadowing a name bound to a static schema.
 		var err error
 		schema, err = r.compileMonitorLocked(name, logic)
 		if err != nil {
 			r.mu.Unlock()
 			return err
 		}
-		if isStatic(logic) {
-			r.monitorSchemas[name] = schema // static: compile once per name
-		} else {
-			r.monitorSchemas[name] = nil // remember the name uses the closure form
-		}
-	} else if schema == nil || !isStatic(logic) {
-		// Rebuild path: the name is cached as closure form (nil entry, whose
-		// actions close over the instance), or this registration's logic is
-		// a closure form shadowing a cached static schema.
-		var err error
-		schema, err = r.compileMonitorLocked(name, logic)
-		if err != nil {
-			r.mu.Unlock()
-			return err
+		if !known {
+			bound := schema
+			if !isStatic(logic) {
+				bound = nil // remember the name uses the closure form
+			}
+			r.monitorSchemas[name] = bound
 		}
 	}
 	r.mu.Unlock()
@@ -156,17 +152,16 @@ func isStatic(logic Machine) bool {
 	return ok
 }
 
-// compileMonitorLocked builds and validates a monitor schema, configuring
-// through whichever declaration form the logic implements — a static
-// monitor registered under a closure-cached name must not hit
-// StaticBase.Configure's panic. Caller holds r.mu (schemaCompiles).
+// compileMonitorLocked resolves a monitor schema through whichever
+// declaration form the logic implements — a static monitor registered under
+// a name bound to the closure form must not hit StaticBase.Configure's
+// panic. Caller holds r.mu (schemaCompiles).
 func (r *Runtime) compileMonitorLocked(name string, logic Machine) (*compiledSchema, error) {
-	s := newSchema()
 	if sm, ok := logic.(StaticMachine); ok {
-		sm.ConfigureType(s)
-	} else {
-		logic.Configure(s)
+		return r.staticSchemaLocked(name, sm, true)
 	}
+	s := newSchema()
+	logic.Configure(s)
 	cs, err := s.compileMonitor(name)
 	if err != nil {
 		return nil, err

@@ -167,10 +167,12 @@ func TestMonitorRecyclesCleanly(t *testing.T) {
 	if !sawBug || !sawClean {
 		t.Fatalf("test program not exercising both outcomes (bug=%v clean=%v); strengthen the setup", sawBug, sawClean)
 	}
-	// The static monitor's schema was compiled once, ever, alongside the two
-	// machine schemas — re-registration across 25 iterations is cache hits.
-	if got := h.SchemaCompiles(); got != 3 {
-		t.Errorf("schema compiles across 25 monitored iterations = %d, want 3 (2 machines + 1 monitor)", got)
+	// The two StaticMachineFunc machines compiled once in this harness (a
+	// func has no value to compare across Runtimes), the struct monitor at
+	// most once in the process — re-registration across 25 iterations is
+	// binding hits.
+	if got := h.SchemaCompiles(); got < 2 || got > 3 {
+		t.Errorf("schema compiles across 25 monitored iterations = %d, want 2 machines + at most 1 monitor", got)
 	}
 }
 

@@ -48,20 +48,21 @@ type Runtime struct {
 	// sees every machine whose ID it can have learnt.
 	table atomic.Pointer[[]*machineInstance]
 
-	// schemas caches the compiled schema per machine type. Static types
-	// (StaticMachine) are compiled exactly once, at registration, and every
-	// create reuses the frozen form; a nil entry records that the type uses
-	// the closure form, whose schema must be rebuilt per instance. A
-	// TestHarness keeps this cache across recycled iterations.
+	// schemas binds each registered machine type to its compiled schema. A
+	// static type (StaticMachine) is bound at registration to the process's
+	// schema for its probe (typeSchemaOf) and every create reuses it; a nil
+	// entry records that the type uses the closure form, whose schema must be
+	// rebuilt per instance. A TestHarness keeps the bindings across recycled
+	// iterations, so re-registering a known name does not even probe.
 	schemas map[string]*compiledSchema
-	// schemaCompiles counts schema compilations (both forms) since
-	// construction; the compile-once tests observe it.
+	// schemaCompiles counts the schema compilations (both forms) this runtime
+	// performed since construction; the compile-once tests observe it.
 	schemaCompiles int
 
 	// monitors are the registered specification monitors (see monitor.go):
 	// synchronous observers dispatched at every send and raise.
 	monitors []*monitorInstance
-	// monitorSchemas caches compiled monitor schemas per name, with the same
+	// monitorSchemas binds monitor names to compiled schemas, with the same
 	// static-vs-closure discipline as schemas (nil entry = closure form).
 	monitorSchemas map[string]*compiledSchema
 	// monMu guards monitors (list and dispatch) in production mode, where
@@ -134,12 +135,15 @@ func validateTypeName(op, name string) error {
 // must be registered before any instance is created (the paper requires
 // registration up front so the analyzable machine set is closed).
 //
-// Registration is where static machine types pay their one-time schema
-// cost: one probe instance is taken from the factory, and if it implements
-// StaticMachine its schema is compiled and validated here, once, then
-// reused by every create of the type. Invalid static schemas are therefore
-// reported by Register, not create. Closure-form types are probed once to
-// record the form and keep compiling per instance.
+// Registration is where static machine types get their schema: one probe
+// instance is taken from the factory, and if it implements StaticMachine the
+// schema compiled for an equal probe under the same name is looked up in a
+// process-wide table, or compiled and validated here and added to it — so a
+// static type compiles once per process per probe value, not once per
+// Runtime, and every create reuses the frozen form. Invalid static schemas
+// are reported by Register, not create, on every Register: a failed compile
+// is never kept. Closure-form types are probed once to record the form and
+// keep compiling per instance.
 //
 // Because of the probe, the factory must be a pure constructor: it runs
 // once here with the instance discarded, so a factory with side effects
@@ -158,21 +162,27 @@ func (r *Runtime) Register(name string, factory func() Machine) error {
 		return fmt.Errorf("psharp: machine type %q registered twice", name)
 	}
 	if _, known := r.schemas[name]; !known {
+		var cs *compiledSchema // nil: closure form, compiled per instance
 		if sm, ok := factory().(StaticMachine); ok {
-			s := newSchema()
-			sm.ConfigureType(s)
-			cs, err := s.compile(name)
-			if err != nil {
+			var err error
+			if cs, err = r.staticSchemaLocked(name, sm, false); err != nil {
 				return err
 			}
-			r.schemaCompiles++
-			r.schemas[name] = cs
-		} else {
-			r.schemas[name] = nil // closure form: compiled per instance
 		}
+		r.schemas[name] = cs
 	}
 	r.factories[name] = factory
 	return nil
+}
+
+// staticSchemaLocked resolves a static declaration through the process-wide
+// table and counts a compile it could not avoid. Caller holds r.mu.
+func (r *Runtime) staticSchemaLocked(name string, probe StaticMachine, monitor bool) (*compiledSchema, error) {
+	cs, compiled, err := typeSchemaOf(name, probe, monitor)
+	if compiled {
+		r.schemaCompiles++
+	}
+	return cs, err
 }
 
 // MustRegister is Register that panics on error; convenient in test setups.

@@ -3,6 +3,9 @@ package psharp
 import (
 	"fmt"
 	"reflect"
+	"sync"
+	"sync/atomic"
+	"unsafe"
 )
 
 // Machine is implemented by user machine types. Configure is the legacy
@@ -13,8 +16,9 @@ import (
 // closure-form schema must be rebuilt and revalidated for every create.
 //
 // Machine types whose schema does not depend on the instance should
-// implement StaticMachine instead: the runtime then compiles the schema
-// once per registered type and shares the frozen form across instances.
+// implement StaticMachine instead: the schema is then compiled once per
+// process for each registered name and probe value, and the frozen form is
+// shared by every instance of every Runtime.
 //
 // Machines correspond to the paper's Machine subclasses; states to its State
 // nested classes; OnEventGoto entries to the "State Transitions" table and
@@ -26,16 +30,23 @@ type Machine interface {
 // StaticMachine is the type-level declaration form, matching the paper's
 // design where a machine's transition and action-binding tables are
 // properties of the machine class, compiled once. ConfigureType declares
-// the schema for the type: it is called a single time, at registration, on
-// one probe instance produced by the registered factory. Bound actions use
-// the static signatures (MachineAction, MachineExitAction), which receive
-// the machine instance as a parameter instead of closing over it.
+// the schema for the type on a probe instance produced by the registered
+// factory. Bound actions use the static signatures (MachineAction,
+// MachineExitAction), which receive the machine instance as a parameter
+// instead of closing over it.
 //
-// ConfigureType must be instance-independent: it may read fields the
-// factory sets identically on every instance (registration parameters such
-// as a buggy-variant flag), but must not capture the receiver in action
-// bodies — the receiver it runs on is a discarded probe, not the machine
-// the actions will later run against.
+// ConfigureType must be a function of the probe's value: it may read fields
+// the factory sets identically on every instance (registration parameters
+// such as a buggy-variant flag), but must not capture the receiver in action
+// bodies — the receiver it runs on is a discarded probe, not the machine the
+// actions will later run against — and must not read anything the probe
+// does not hold (a global, the time). The schema is compiled once per
+// process for each (registered name, probe type, probe value): a later
+// Register of the same name, on any Runtime, whose probe is equal by
+// reflect.DeepEqual to one already compiled reuses that schema without
+// calling ConfigureType. A probe that holds a non-nil func or chan never
+// compares equal; its type is compiled once per Runtime, as is a
+// StaticMachineFunc.
 //
 // Static machines embed StaticBase to satisfy the Machine interface.
 type StaticMachine interface {
@@ -63,8 +74,9 @@ func (f MachineFunc) Configure(s *Schema) { f(s) }
 // StaticMachineFunc adapts a standalone declaration function to the
 // StaticMachine interface, for machines that keep no per-instance state in
 // their actions (or keep it in the events they exchange). The function must
-// be instance-independent: it runs once per registered type and the
-// resulting schema is shared by every instance.
+// be instance-independent: it runs once per registered type per Runtime (a
+// func value has no value to compare across Runtimes) and the resulting
+// schema is shared by every instance.
 type StaticMachineFunc func(*Schema)
 
 // Configure implements Machine; the declaration is instance-independent by
@@ -118,8 +130,8 @@ type dispatchEntry struct {
 // hold a small slice of bindings rather than a map: machines bind a handful
 // of event types per state, so a linear scan over inline pairs beats a map
 // on lookup and costs a fraction of the allocations to build — which
-// matters because schemas are rebuilt for every machine of every
-// exploration iteration.
+// matters because closure-form schemas are rebuilt for every machine of
+// every exploration iteration.
 type handlerBinding struct {
 	key   reflect.Type
 	entry dispatchEntry
@@ -369,9 +381,9 @@ func (s *Schema) validateAs(kind, machineType string) error {
 
 // compiledSchema is the frozen, validated form of a machine Schema: the
 // paper's per-class transition and action-binding tables. It is immutable
-// after compile, and therefore safe to share across machine instances and
-// goroutines — the runtime caches one per registered static machine type,
-// and a TestHarness keeps the cache across recycled iterations.
+// after compile, and therefore safe to share across machine instances,
+// Runtimes and goroutines — the process keeps one per static declaration
+// (typeSchemas), and a Runtime binds each registered name to one.
 type compiledSchema struct {
 	machineType string
 	initial     string
@@ -410,6 +422,106 @@ func (s *Schema) compileMonitor(name string) (*compiledSchema, error) {
 		return nil, err
 	}
 	return &compiledSchema{machineType: name, initial: s.initial, states: s.states}, nil
+}
+
+// typeKey names a static declaration up to its probe's value: machine or
+// monitor (they compile under different rules), the registered name, and the
+// probe's dynamic type.
+type typeKey struct {
+	monitor bool
+	name    string
+	typ     reflect.Type
+}
+
+// typeSchema is one compiled static schema with a private deep copy of the
+// probe it was compiled on, which nothing else references or changes.
+type typeSchema struct {
+	probe  Machine
+	schema *compiledSchema
+}
+
+// maxProbeValues bounds the probe values the table keeps per typeKey. A
+// factory whose probes differ from one Runtime to the next (a counter, a
+// per-run configuration) compiles once per Runtime past it, instead of
+// growing the table for the life of the process.
+const maxProbeValues = 8
+
+// typeSchemas is the process-wide table of compiled static schemas. A
+// schema is a function of the declaration and the probe's value, so the
+// buggy and the correct variant of a protocol, whose probes differ in one
+// flag under one name, are two entries.
+var typeSchemas struct {
+	mu    sync.Mutex
+	byKey map[typeKey][]typeSchema
+	// compiles counts the compiles typeSchemaOf could not avoid; the
+	// compile-once tests observe it.
+	compiles atomic.Int64
+}
+
+// typeSchemaOf returns the schema of the static declaration whose probe
+// registers under name, and whether it took a compile to get it. A probe
+// equal to one compiled before under the same name and type shares that
+// one's schema; a failed compile is returned and never kept.
+func typeSchemaOf(name string, probe StaticMachine, monitor bool) (cs *compiledSchema, compiled bool, err error) {
+	key := typeKey{monitor: monitor, name: name, typ: reflect.TypeOf(probe)}
+	typeSchemas.mu.Lock()
+	cs = lookupTypeSchemaLocked(key, probe)
+	typeSchemas.mu.Unlock()
+	if cs != nil {
+		return cs, false, nil
+	}
+	keep := keepable(probe) // before ConfigureType runs on the probe
+	s := newSchema()
+	probe.ConfigureType(s)
+	if monitor {
+		cs, err = s.compileMonitor(name)
+	} else {
+		cs, err = s.compile(name)
+	}
+	if err != nil {
+		return nil, false, err
+	}
+	typeSchemas.compiles.Add(1)
+	if keep == nil {
+		return cs, true, nil
+	}
+	typeSchemas.mu.Lock()
+	defer typeSchemas.mu.Unlock()
+	if prior := lookupTypeSchemaLocked(key, keep); prior != nil {
+		return prior, true, nil // compiled meanwhile by another goroutine
+	}
+	if entries := typeSchemas.byKey[key]; len(entries) < maxProbeValues {
+		if typeSchemas.byKey == nil {
+			typeSchemas.byKey = make(map[typeKey][]typeSchema)
+		}
+		typeSchemas.byKey[key] = append(entries, typeSchema{probe: keep, schema: cs})
+	}
+	return cs, true, nil
+}
+
+// keepable returns a deep copy of probe to key the table with, or nil if no
+// copy stands for it: one that DeepEqual does not find equal to the probe
+// (a non-nil func or chan, which the copy leaves nil; a NaN) never matches.
+func keepable(probe Machine) Machine {
+	var keep Machine
+	var w stateWalk
+	w.reset()
+	w.copyInterface(machineIface, unsafe.Pointer(&keep), unsafe.Pointer(&probe))
+	if w.refused != nil || !reflect.DeepEqual(keep, probe) {
+		return nil
+	}
+	return keep
+}
+
+// lookupTypeSchemaLocked returns the kept schema whose probe equals probe,
+// or nil. Caller holds typeSchemas.mu.
+func lookupTypeSchemaLocked(key typeKey, probe Machine) *compiledSchema {
+	for _, e := range typeSchemas.byKey[key] {
+		if reflect.DeepEqual(e.probe, probe) {
+			return e.schema
+		}
+	}
+	return nil
 }
 
 // lookup returns the dispatch entry for event type t in state name.

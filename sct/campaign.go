@@ -64,12 +64,12 @@ type CampaignResult struct {
 	SchedulesPerSecond float64 `json:"schedules_per_sec"`
 	// DistinctStates is Report.DistinctStates; absent without a state cache.
 	DistinctStates int `json:"distinct_states,omitempty"`
-	// RestoredShare and ContinuedShare are the Tally's: how much of the
-	// campaign's schedules was restored from checkpoints instead of executed
-	// (absent unless the strategy is depth-first), and its hand-off profile.
-	RestoredShare  float64 `json:"restored_share,omitempty"`
-	ContinuedShare float64 `json:"continued_share,omitempty"`
-	Exhausted      bool    `json:"exhausted,omitempty"`
+	// Shares are the Tally's: how much of the campaign's schedules replayed
+	// the attempt before (absent without a state cache), was restored from
+	// checkpoints instead of executed (absent unless the strategy is
+	// depth-first), and its hand-off profile.
+	Shares
+	Exhausted bool `json:"exhausted,omitempty"`
 	// Interrupted marks a partial campaign: the run was stopped early
 	// (signal or hard timeout) and its counters cover only the explored
 	// prefix. A journaled campaign can be resumed to completion.
@@ -107,8 +107,7 @@ func NewCampaign(cfg CampaignConfig, rep *Report, workers []WorkerReport, tel *T
 			PercentBuggy:       rep.PercentBuggy(),
 			SchedulesPerSecond: rep.SchedulesPerSecond(),
 			DistinctStates:     rep.DistinctStates,
-			RestoredShare:      rep.RestoredShare(),
-			ContinuedShare:     rep.ContinuedShare(),
+			Shares:             rep.Shares(),
 			Exhausted:          rep.Exhausted,
 			Interrupted:        rep.Interrupted,
 			ElapsedMS:          float64(rep.Elapsed) / float64(time.Millisecond),

@@ -111,6 +111,27 @@ func TestCampaignOracle(t *testing.T) {
 	}
 	for name, w := range want {
 		g := got[name]
+		// Keys the recorded build did not write: replayed_share in the result,
+		// the three shares in the telemetry. Each is the ratio of the result's
+		// own counts, in both places.
+		result := g["result"].(map[string]any)
+		telemetry, _ := g["telemetry"].(map[string]any)
+		points := result["total_scheduling_points"].(float64)
+		if p, ok := result["pruned_points"].(float64); ok {
+			points += p
+		}
+		for key, count := range map[string]string{
+			"replayed_share": "replayed_points", "restored_share": "restored_points", "continued_share": "continued_points",
+		} {
+			c, _ := result[count].(float64)
+			if share, _ := result[key].(float64); share != c/points {
+				t.Errorf("%s: result.%s = %v, want %s/points = %v", name, key, result[key], count, c/points)
+			}
+			if telemetry[key] != result[key] {
+				t.Errorf("%s: telemetry.%s = %v, result.%s = %v", name, key, telemetry[key], key, result[key])
+			}
+		}
+		delete(result, "replayed_share")
 		for _, section := range []string{"version", "config", "result", "strategies"} {
 			if !reflect.DeepEqual(g[section], w[section]) {
 				t.Errorf("%s: %s diverged from the recorded report:\n got %v\nwant %v", name, section, g[section], w[section])

@@ -139,9 +139,9 @@
 // at the point where it diverges + incremental hashing of its new suffix.
 // Report.TotalSchedulingPoints counts explored schedules only;
 // Report.PrunedPoints adds the points of the pruned attempts,
-// Report.ReplayedPoints / ReplayedShare say how much of the total repeated
+// Report.ReplayedPoints / Shares().ReplayedShare say how much of the total repeated
 // the attempt before (≈ 97 % on TwoPhaseCommit under DPOR+cache), and
-// Report.RestoredPoints / RestoredShare how much of it came out of a
+// Report.RestoredPoints / Shares().RestoredShare how much of it came out of a
 // checkpoint instead of being executed (≈ 80 % of a DFS search of
 // TwoPhaseCommit or German, ≈ 15 % of BoundedAsync, whose machines are
 // almost always mid-handler). Every one of these counts but the last two is
@@ -208,10 +208,11 @@
 // picks another machine — a direct coroutine switch through the controller:
 // ≈ 455 ns all told on the Table 2 protocols under Random (≈ 570 when every
 // point switched, ≈ 1 120 for the channel handshake before that).
-// Report.ContinuedPoints / ContinuedShare count the points that needed no
-// switch (0.13–0.23 per protocol there, 0.94 on German's livelock,
-// 0.25–0.6 under DFS); the campaign report and the -http snapshot carry them,
-// so a campaign shows its own hand-off profile.
+// Report.ContinuedPoints / Shares().ContinuedShare count the points that
+// needed no switch (0.13–0.23 per protocol there, 0.94 on German's livelock,
+// 0.25–0.6 under DFS); the campaign report and the -http snapshot carry
+// them, with the replayed and restored shares, so a campaign shows its own
+// hand-off profile.
 // Strategies and Options.Stop/Timeout polling therefore run on machine
 // coroutines' stacks as well as on the worker's; a strategy that panics
 // (a diverged replay) still surfaces from Run as that panic, after the
@@ -219,13 +220,20 @@
 // starts from the process-wide reserve of idle machine instances earlier
 // harnesses left behind, so a campaign or a ReplayTrace that follows
 // another pays no coroutine construction.
-// The harness also carries the per-type compiled-schema cache across
-// iterations, so programs whose machines use the static declaration form
-// (psharp.StaticMachine) compile each schema once per worker, ever —
-// setup re-registers the types every iteration, but registration is a
-// cache hit from iteration 2 on. Closure-form machines keep paying one
-// schema build per machine per iteration, which now dominates their
-// allocation profile.
+// A static machine or monitor type (psharp.StaticMachine) is compiled once
+// per process for each probe value, not once per worker or per campaign: a
+// campaign, and the ReplayTrace that confirms its bug, start on schemas an
+// earlier harness of the process compiled, while the buggy and the correct
+// variant of a protocol, whose probes differ in one flag, keep one schema
+// each. Within a harness, setup re-registers the types every iteration, but
+// a name already bound is neither probed nor looked up again. Closure-form
+// machines keep paying one schema build per machine per iteration, which
+// dominates their allocation profile.
+//
+// PCT's decision reads no map: a machine's priority sits in a slice at its
+// sequence number and the d−1 change points in a sorted slice passed in step
+// order, so choosing costs one scan of the enabled machines, whatever their
+// type names.
 //
 // Static sharding (the default) pre-assigns worker w the global iterations
 // congruent to w modulo n, which is what makes parallel runs deterministic

@@ -297,7 +297,7 @@ func TestStateCacheReportsWhatItExecuted(t *testing.T) {
 	if rep.ReplayedPoints <= 0 || rep.ReplayedPoints >= executed {
 		t.Fatalf("%d replayed points of %d executed", rep.ReplayedPoints, executed)
 	}
-	if share := rep.ReplayedShare(); share < 0.5 {
+	if share := rep.Shares().ReplayedShare; share < 0.5 {
 		t.Fatalf("replayed share %.2f: a DPOR+cache search of TwoPhaseCommit is mostly prefix replay", share)
 	}
 	c := sct.NewCampaign(sct.CampaignConfig{Strategy: "dpor", StateCache: true}, &rep, nil, tel)

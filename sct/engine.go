@@ -177,14 +177,14 @@ func (r *Report) String() string {
 	if r.Interrupted {
 		mark = " [interrupted]"
 	}
-	cache := ""
+	cache, shares := "", r.Shares()
 	if r.PrunedIterations > 0 || r.ReplayedPoints > 0 {
 		cache = fmt.Sprintf(", %d pruned (pruned_points=%d replayed_points=%d, %.1f%% of %d executed)",
-			r.PrunedIterations, r.PrunedPoints, r.ReplayedPoints, 100*r.ReplayedShare(),
+			r.PrunedIterations, r.PrunedPoints, r.ReplayedPoints, 100*shares.ReplayedShare,
 			r.TotalSchedulingPoints+r.PrunedPoints)
 	}
 	if r.RestoredPoints > 0 {
-		cache += fmt.Sprintf(", restored_points=%d (%.1f%% not re-executed)", r.RestoredPoints, 100*r.RestoredShare())
+		cache += fmt.Sprintf(", restored_points=%d (%.1f%% not re-executed)", r.RestoredPoints, 100*shares.RestoredShare)
 	}
 	return fmt.Sprintf("%d schedules (%d distinct), %d buggy (%.1f%%), maxSP=%d, %.1f sch/sec%s, %s%s",
 		r.Iterations, r.DistinctSchedules, r.BuggyIterations, r.PercentBuggy(), r.MaxSchedulingPoints,

@@ -166,7 +166,7 @@ func TestJournalResumeEquivalenceStateCache(t *testing.T) {
 	if got := second.Iterations + second.PrunedIterations; got != full {
 		t.Fatalf("resumed campaign consumed %d+%d schedules of a budget of %d", second.Iterations, second.PrunedIterations, full)
 	}
-	if share := second.RestoredShare(); share <= 0 || share > 1 {
+	if share := second.Shares().RestoredShare; share <= 0 || share > 1 {
 		t.Fatalf("restored share %v of a campaign-wide tally %+v", share, second.Tally)
 	}
 	st, err := journal.ReadState(dir)

@@ -1,6 +1,10 @@
 package sct
 
-import "github.com/psharp-go/psharp"
+import (
+	"slices"
+
+	"github.com/psharp-go/psharp"
+)
 
 // PCT implements the probabilistic concurrency testing scheduler of
 // Burckhardt et al. (ASPLOS 2010), the paper's reference [4], adapted to
@@ -10,15 +14,23 @@ import "github.com/psharp-go/psharp"
 // currently highest-priority enabled machine is demoted below every other.
 // PCT gives probabilistic detection guarantees for bugs of depth <= d.
 // Controlled choices stay uniformly random (PCT only prioritizes scheduling).
+//
+// A decision reads no map: machines are numbered densely from 1 in creation
+// order (psharp.MachineID.Seq), so priorities live in a slice by number, and
+// the change points in a sorted slice passed in step order.
 type PCT struct {
 	seedStream
 	depth int
 	steps int // expected schedule length for change-point placement
 
-	priorities   map[psharp.MachineID]uint64
-	low          uint64 // next demotion priority (counts down)
-	changePoints map[int]bool
-	step         int
+	// prio is the priority of machine Seq-1, 0 for one not seen yet this
+	// iteration: initial priorities lie above depth+1 and demotions hand out
+	// depth, depth-1, … 1, so a priority is never 0.
+	prio    []uint64
+	low     uint64 // the next demotion hands out low-1
+	changes []int  // change points, sorted; duplicates are one point
+	next    int    // index into changes of the first point not passed yet
+	step    int
 }
 
 // NewPCT returns a PCT strategy with bug depth d over schedules of roughly
@@ -34,8 +46,8 @@ func NewPCT(seed uint64, d, expectedSteps int) *PCT {
 }
 
 func newPCT(stream seedStream, d, steps int) *PCT {
-	return &PCT{seedStream: stream, depth: d, steps: steps,
-		priorities: make(map[psharp.MachineID]uint64), changePoints: make(map[int]bool)}
+	// Room for the machines of every Table 2 protocol: one allocation.
+	return &PCT{seedStream: stream, depth: d, steps: steps, prio: make([]uint64, 0, 16)}
 }
 
 // CloneForWorker shards the per-iteration priority/change-point seed
@@ -49,22 +61,28 @@ func (s *PCT) CloneForWorker(worker, workers int) Strategy {
 // PrepareIteration re-randomizes priorities and change points.
 func (s *PCT) PrepareIteration(iter int) bool {
 	s.rewind(iter, 0)
-	clear(s.priorities)
-	s.low = uint64(s.depth) // priorities below depth are demotion slots
-	clear(s.changePoints)
+	s.prio = s.prio[:0]
+	s.low = uint64(s.depth) + 1 // priorities 1..depth are demotion slots
+	s.changes = s.changes[:0]
 	for i := 0; i < s.depth-1; i++ {
-		s.changePoints[s.NextInt(s.steps)] = true
+		s.changes = append(s.changes, s.NextInt(s.steps))
 	}
+	slices.Sort(s.changes)
+	s.next = 0
 	s.step = 0
 	return true
 }
 
 func (s *PCT) priority(id psharp.MachineID) uint64 {
-	p, ok := s.priorities[id]
-	if !ok {
+	i := int(id.Seq - 1)
+	for len(s.prio) <= i {
+		s.prio = append(s.prio, 0)
+	}
+	p := s.prio[i]
+	if p == 0 {
 		// Initial priorities all sit above the demotion band.
-		p = uint64(s.depth) + 1 + s.rng.next()%1_000_000
-		s.priorities[id] = p
+		p = uint64(s.depth) + 2 + s.rng.next()%1_000_000
+		s.prio[i] = p
 	}
 	return p
 }
@@ -79,13 +97,21 @@ func (s *PCT) highest(enabled []psharp.MachineID) psharp.MachineID {
 	return best
 }
 
+// changePoint reports whether the current step is a change point.
+func (s *PCT) changePoint() bool {
+	for s.next < len(s.changes) && s.changes[s.next] < s.step {
+		s.next++
+	}
+	return s.next < len(s.changes) && s.changes[s.next] == s.step
+}
+
 // NextMachine runs the highest-priority enabled machine, demoting it first
 // if this step is a change point.
 func (s *PCT) NextMachine(_ psharp.MachineID, enabled []psharp.MachineID) psharp.MachineID {
 	best := s.highest(enabled)
-	if s.changePoints[s.step] && s.low > 0 {
+	if s.changePoint() && s.low > 1 {
 		s.low--
-		s.priorities[best] = s.low
+		s.prio[best.Seq-1] = s.low
 		best = s.highest(enabled)
 	}
 	s.step++

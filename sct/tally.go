@@ -36,21 +36,21 @@ type Tally struct {
 	// ReplayedPoints is how many of those replayed the decisions of the
 	// worker's previous iteration — a shared prefix, where the state cache
 	// is not consulted (psharp.IterationResult.ReplayedPoints);
-	// ReplayedShare is their ratio. 0 when the state cache was off.
+	// Shares().ReplayedShare is their ratio. 0 when the state cache was off.
 	ReplayedPoints int64 `json:"replayed_points,omitempty"`
 	// RestoredPoints is how many scheduling decisions did not have to be
 	// executed: depth-first iterations start from a checkpoint inside the
 	// prefix they share with the one before (psharp.PrefixResumer), and the
 	// decisions before it are in the schedule — in TotalSchedulingPoints,
 	// PrunedPoints and ReplayedPoints — without having been made again.
-	// RestoredShare is their share of those points; 0 under any other
-	// strategy, with or without a state cache.
+	// Shares().RestoredShare is their share of those points; 0 under any
+	// other strategy, with or without a state cache.
 	RestoredPoints int64 `json:"restored_points,omitempty"`
 	// ContinuedPoints is how many of the decisions (those of pruned
 	// iterations included) kept the machine that had just reached a send or
 	// create running, so that the controller switched no coroutine
-	// (psharp.IterationResult.ContinuedPoints); ContinuedShare is their
-	// ratio. An exact function of the schedules explored.
+	// (psharp.IterationResult.ContinuedPoints); Shares().ContinuedShare is
+	// their ratio. An exact function of the schedules explored.
 	ContinuedPoints int64 `json:"continued_points,omitempty"`
 	// Faults totals the failure actions injected across all iterations
 	// (zero, and absent from JSON, when nothing was injected).
@@ -98,27 +98,34 @@ func (t *Tally) Merge(o Tally) {
 	t.load(&sum)
 }
 
-// share is part over the decisions of every counted schedule, pruned or not.
-func (t *Tally) share(part int64) float64 {
-	points := t.TotalSchedulingPoints + t.PrunedPoints
-	if points == 0 {
-		return 0
-	}
-	return float64(part) / float64(points)
+// Shares are a Tally's ratios: each a count of decisions over the decisions
+// of every counted schedule, pruned or not. CampaignResult and
+// TelemetrySnapshot embed them beside the Tally they come from.
+type Shares struct {
+	// ReplayedShare is the share that replayed the previous iteration's
+	// prefix: what a stateless search pays for having no snapshot to restart
+	// from.
+	ReplayedShare float64 `json:"replayed_share,omitempty"`
+	// RestoredShare is the share that was restored from a checkpoint instead
+	// of executed: what ReplayedShare's re-execution no longer costs.
+	RestoredShare float64 `json:"restored_share,omitempty"`
+	// ContinuedShare is the share that needed no coroutine switch: the
+	// strategy kept the machine running that had just yielded.
+	ContinuedShare float64 `json:"continued_share,omitempty"`
 }
 
-// ReplayedShare is the share of the campaign's scheduling decisions that
-// replayed the previous iteration's prefix: what a stateless search pays for
-// having no snapshot to restart from.
-func (t *Tally) ReplayedShare() float64 { return t.share(t.ReplayedPoints) }
-
-// RestoredShare is the share that was restored from a checkpoint instead of
-// executed: what ReplayedShare's re-execution no longer costs.
-func (t *Tally) RestoredShare() float64 { return t.share(t.RestoredPoints) }
-
-// ContinuedShare is the share that needed no coroutine switch: the strategy
-// kept the machine running that had just yielded.
-func (t *Tally) ContinuedShare() float64 { return t.share(t.ContinuedPoints) }
+// Shares computes the tally's ratios; all are 0 before the first decision.
+func (t *Tally) Shares() Shares {
+	points := float64(t.TotalSchedulingPoints + t.PrunedPoints)
+	if points == 0 {
+		return Shares{}
+	}
+	return Shares{
+		ReplayedShare:  float64(t.ReplayedPoints) / points,
+		RestoredShare:  float64(t.RestoredPoints) / points,
+		ContinuedShare: float64(t.ContinuedPoints) / points,
+	}
+}
 
 // save copies t into the journal's counters record, load the record into t.
 func (t *Tally) save(c *journal.Counters) { t.exchange(c, true) }

@@ -130,6 +130,8 @@ type TelemetrySnapshot struct {
 	// engine's own, read live, so mid-run it is what Progress reports and
 	// after the run what the Report carries.
 	Tally
+	// Shares are that Tally's ratios, computed at the same moment.
+	Shares
 	// DistinctStates is the state cache's size at the same moment; 0 when
 	// the cache was off.
 	DistinctStates int `json:"distinct_states,omitempty"`
@@ -152,6 +154,7 @@ func (t *Telemetry) Snapshot() *TelemetrySnapshot {
 	t.mu.Unlock()
 	if run != nil {
 		s.Tally, s.DistinctStates = run.tally(), run.cache.size()
+		s.Shares = s.Tally.Shares()
 	}
 	for _, p := range t.curve.Points() {
 		gp := GrowthPoint{ElapsedMS: float64(p.Elapsed) / float64(time.Millisecond)}

@@ -167,15 +167,15 @@ func TestContinuedPointsInReportCampaignAndSnapshot(t *testing.T) {
 		t.Fatalf("four shards: %d continued of %d points; one worker: %d of %d",
 			par.ContinuedPoints, par.TotalSchedulingPoints, seq.ContinuedPoints, seq.TotalSchedulingPoints)
 	}
-	if want := float64(seq.ContinuedPoints) / float64(seq.TotalSchedulingPoints); seq.ContinuedShare() != want {
-		t.Fatalf("ContinuedShare %v, want %v", seq.ContinuedShare(), want)
+	if want := float64(seq.ContinuedPoints) / float64(seq.TotalSchedulingPoints); seq.Shares().ContinuedShare != want {
+		t.Fatalf("ContinuedShare %v, want %v", seq.Shares().ContinuedShare, want)
 	}
 	c := sct.NewCampaign(sct.CampaignConfig{Strategy: "random"}, &seq.Report, nil, tel)
-	if c.Result.ContinuedPoints != seq.ContinuedPoints || c.Result.ContinuedShare != seq.ContinuedShare() ||
+	if c.Result.ContinuedPoints != seq.ContinuedPoints || c.Result.ContinuedShare != seq.Shares().ContinuedShare ||
 		c.Telemetry.ContinuedPoints != seq.ContinuedPoints {
 		t.Fatalf("campaign result %d (%.3f) and snapshot %d disagree with the run's %d (%.3f)",
 			c.Result.ContinuedPoints, c.Result.ContinuedShare, c.Telemetry.ContinuedPoints,
-			seq.ContinuedPoints, seq.ContinuedShare())
+			seq.ContinuedPoints, seq.Shares().ContinuedShare)
 	}
 	data, err := json.Marshal(c)
 	if err != nil {
@@ -223,13 +223,37 @@ func TestSnapshotMidRunIsLive(t *testing.T) {
 			if snap.PrunedIterations > 0 && (snap.PrunedPoints == 0 || snap.ReplayedPoints == 0 || snap.ContinuedPoints == 0) {
 				t.Errorf("snapshot %+v lags the pruned iterations it counts", snap.Tally)
 			}
+			// The shares /debug/vars serves are the ratios of these counts.
+			points := float64(snap.TotalSchedulingPoints + snap.PrunedPoints)
+			want := map[string]float64{
+				"replayed_share":  float64(snap.ReplayedPoints) / points,
+				"restored_share":  float64(snap.RestoredPoints) / points,
+				"continued_share": float64(snap.ContinuedPoints) / points,
+			}
+			data, err := json.Marshal(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got map[string]any
+			if err := json.Unmarshal(data, &got); err != nil {
+				t.Fatal(err)
+			}
+			for key, w := range want {
+				if g, _ := got[key].(float64); g != w {
+					t.Errorf("snapshot JSON %s = %v, want %v of %+v", key, got[key], w, snap.Tally)
+				}
+			}
 		},
 	})
 	if calls != rep.Iterations || rep.PrunedIterations == 0 {
 		t.Fatalf("%d progress calls for %d explored and %d pruned schedules", calls, rep.Iterations, rep.PrunedIterations)
 	}
-	if snap := tel.Snapshot(); snap.Tally != rep.Tally || snap.DistinctStates != rep.DistinctStates {
+	snap := tel.Snapshot()
+	if snap.Tally != rep.Tally || snap.DistinctStates != rep.DistinctStates {
 		t.Fatalf("final snapshot %+v (%d states), report %+v (%d states)", snap.Tally, snap.DistinctStates, rep.Tally, rep.DistinctStates)
+	}
+	if snap.Shares != rep.Shares() || snap.ReplayedShare == 0 || snap.RestoredShare == 0 || snap.ContinuedShare == 0 {
+		t.Fatalf("final snapshot shares %+v, report %+v", snap.Shares, rep.Shares())
 	}
 }
 
