@@ -14,10 +14,11 @@ import (
 // A Go machine parked in the middle of a handler is a coroutine stack, which
 // nothing can copy; but at a scheduling point taken on the controller's own
 // stack with no machine parked mid-handler — a quiescent point — the whole
-// program is data: each machine's logic value, state, mailbox and status,
-// each monitor's logic, state and temperature, and a handful of the
-// controller's counters. A snapshot is a deep copy of that (stateWalk.copy,
-// one walk, so what machines and queued events share stays shared), and an
+// program is data: each instance's logic value and state — a machine's with
+// its mailbox and status, a monitor's (a machine that observes) with its
+// temperature — and a handful of the controller's counters. A snapshot is a
+// deep copy of that, one record per instance (stateWalk.copy, one walk, so
+// what machines, monitors and queued events share stays shared), and an
 // iteration that starts from one is set up from it instead of from the user's
 // setup function: the same acquireInstance/onCreate path, with every machine
 // entering run between two handlers, where it was.
@@ -94,11 +95,12 @@ type snapshot struct {
 	current   MachineID
 	sendSeq   uint64
 	prefix    uint64 // stateHasher.prefix, when a cache is attached
-	machines  []machineState
-	monitors  []monitorState
+	machines  []instanceState
+	monitors  []instanceState
 }
 
-type machineState struct {
+// instanceState is one machine or monitor as a snapshot holds it.
+type instanceState struct {
 	id     MachineID
 	schema *compiledSchema
 	logic  Machine
@@ -106,17 +108,43 @@ type machineState struct {
 	st     *stateSpec // nil: not booted yet, birth is what boot will start from
 	status machineStatus
 	halted bool
+	temp   int
 	queue  []envelope
 	birth  Event
 }
 
-type monitorState struct {
-	name   string
-	schema *compiledSchema
-	logic  Machine
-	state  string
-	hot    bool
-	temp   int
+// save records m in is. It reports false, recording nothing usable, for an
+// instance whose schema is not the one bound to its name (bound): the closure
+// form, whose state lives in captured variables rather than its logic value.
+func (is *instanceState) save(w *stateWalk, m *machineInstance, bound *compiledSchema) bool {
+	if m.schema != bound {
+		return false
+	}
+	*is = instanceState{id: m.id, schema: m.schema, state: m.state, st: m.st, halted: m.halted, temp: m.temp}
+	w.copyLogic(&is.logic, &m.logic)
+	if q := m.queued(); len(q) > 0 {
+		is.queue = make([]envelope, len(q))
+		for j := range q {
+			is.queue[j] = envelope{sender: q[j].sender, seq: q[j].seq}
+			w.copyEvent(&is.queue[j].event, &q[j].event)
+		}
+	}
+	if m.st == nil {
+		w.copyEvent(&is.birth, &m.birth)
+	}
+	return true
+}
+
+// load puts a fresh copy of the instance is records into m, a just acquired
+// instance of the same ID and schema; is stays as it is.
+func (is *instanceState) load(w *stateWalk, m *machineInstance) {
+	w.copyLogic(&m.logic, &is.logic)
+	m.state, m.st, m.halted, m.temp = is.state, is.st, is.halted, is.temp
+	for j := range is.queue {
+		m.push(envelope{sender: is.queue[j].sender, seq: is.queue[j].seq})
+		w.copyEvent(&m.queue[len(m.queue)-1].event, &is.queue[j].event)
+	}
+	w.copyEvent(&m.birth, &is.birth)
 }
 
 // checkpoints is what a controller remembers of its previous iteration in
@@ -247,37 +275,22 @@ func (c *controller) snapshot(pos int) {
 	w := &ck.walk
 	w.reset()
 	s := &snapshot{pos: pos, steps: c.steps, continued: c.continued, current: c.current, sendSeq: c.sendSeq,
-		machines: make([]machineState, len(rt.machines)), monitors: make([]monitorState, len(rt.monitors))}
+		machines: make([]instanceState, len(rt.machines)), monitors: make([]instanceState, len(rt.monitors))}
 	if c.hasher != nil {
 		s.prefix = c.hasher.prefix
 	}
 	for i, m := range rt.machines {
-		if rt.schemas[m.id.Type] == nil {
-			ck.unfit = true // closure form: its state is not in its logic value
-			return
-		}
-		ms := &s.machines[i]
-		*ms = machineState{id: m.id, schema: m.schema, state: m.state, st: m.st, status: c.statuses[i], halted: m.halted}
-		w.copyLogic(&ms.logic, &m.logic)
-		if q := m.queued(); len(q) > 0 {
-			ms.queue = make([]envelope, len(q))
-			for j := range q {
-				ms.queue[j] = envelope{sender: q[j].sender, seq: q[j].seq}
-				w.copyEvent(&ms.queue[j].event, &q[j].event)
-			}
-		}
-		if m.st == nil {
-			w.copyEvent(&ms.birth, &m.birth)
-		}
-	}
-	for i, mon := range rt.monitors {
-		if !isStatic(mon.logic) || mon.schema != rt.monitorSchemas[mon.name] {
+		if !s.machines[i].save(w, m, rt.schemas[m.id.Type]) {
 			ck.unfit = true
 			return
 		}
-		ms := &s.monitors[i]
-		*ms = monitorState{name: mon.name, schema: mon.schema, state: mon.state, hot: mon.hot, temp: mon.temp}
-		w.copyLogic(&ms.logic, &mon.logic)
+		s.machines[i].status = c.statuses[i]
+	}
+	for i, m := range rt.monitors {
+		if !s.monitors[i].save(w, m, rt.monitorSchemas[m.id.Type]) {
+			ck.unfit = true
+			return
+		}
 	}
 	if w.refused != nil || w.unfaithful || w.overlaps() {
 		ck.unfit = true
@@ -291,26 +304,20 @@ func (c *controller) snapshot(pos int) {
 }
 
 // restore sets the reset harness up from s, as setup would from nothing:
-// machines through acquireInstance and onCreate, monitors through attach,
-// each with a fresh copy of its state — s stays as it is for the next
-// iteration to start from.
+// machines through acquireInstance and onCreate, monitors through
+// attachMonitor, each with a fresh copy of its state — s stays as it is for
+// the next iteration to start from.
 func (c *controller) restore(s *snapshot) {
 	rt := c.rt
 	w := &c.ck.walk
 	w.reset()
 	for i := range s.machines {
-		ms := &s.machines[i]
-		m := c.acquireInstance(rt, ms.id, nil, ms.schema)
-		w.copyLogic(&m.logic, &ms.logic)
-		m.state, m.st, m.halted = ms.state, ms.st, ms.halted
-		for j := range ms.queue {
-			m.push(envelope{sender: ms.queue[j].sender, seq: ms.queue[j].seq})
-			w.copyEvent(&m.queue[len(m.queue)-1].event, &ms.queue[j].event)
-		}
-		w.copyEvent(&m.birth, &ms.birth)
+		is := &s.machines[i]
+		m := c.acquireInstance(rt, is.id, nil, is.schema)
+		is.load(w, m)
 		rt.machines = append(rt.machines, m)
 		c.onCreate(m, 0)
-		c.statuses[i] = ms.status
+		c.statuses[i] = is.status
 	}
 	rt.nextSeq = uint64(len(s.machines))
 	c.ready = c.ready[:0]
@@ -320,10 +327,8 @@ func (c *controller) restore(s *snapshot) {
 		}
 	}
 	for i := range s.monitors {
-		ms := &s.monitors[i]
-		mon := rt.attachMonitor(ms.name, nil, ms.schema)
-		w.copyLogic(&mon.logic, &ms.logic)
-		mon.state, mon.hot, mon.temp = ms.state, ms.hot, ms.temp
+		is := &s.monitors[i]
+		is.load(w, rt.attachMonitor(is.id, nil, is.schema))
 	}
 	c.steps, c.continued, c.current, c.sendSeq = s.steps, s.continued, s.current, s.sendSeq
 	if h := c.hasher; h != nil {

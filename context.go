@@ -11,15 +11,16 @@ import (
 // state-machine effects (Goto/Raise/Halt). A Context is only valid inside
 // the action it is passed to.
 //
-// Monitor actions receive a restricted Context: Assert, Goto, Raise and
-// Logf work as for machines, but Send, CreateMachine, Halt, RandomBool,
-// RandomInt, Read and Write are forbidden — a specification monitor
-// passively observes the program and must not influence it. Calling a
-// forbidden operation fails the iteration with BugMonitor.
+// A monitor is a machine that observes (see RegisterMonitor), and its
+// actions receive the same Context, restricted: Assert, Goto, Raise, Logf,
+// ID and State work as for machines, but Send, CreateMachine, Halt,
+// RandomBool, RandomInt, Read and Write are forbidden — a specification
+// monitor passively observes the program and must not influence it. Calling
+// a forbidden operation fails the iteration with BugMonitor. Messages and log
+// lines name a monitor as "monitor Name".
 type Context struct {
-	m   *machineInstance
-	mon *monitorInstance // non-nil when the context belongs to a monitor
-	rt  *Runtime
+	m  *machineInstance
+	rt *Runtime
 
 	currentEvent Event
 	pendingGoto  string
@@ -30,7 +31,7 @@ type Context struct {
 // monitorForbids panics (reported as BugMonitor by the observing dispatch)
 // when a monitor action calls an operation reserved for machines.
 func (c *Context) monitorForbids(op string) {
-	if c.mon != nil {
+	if c.m.monitor() {
 		panic(assertFailed{msg: fmt.Sprintf("monitors cannot %s: they are passive observers", op)})
 	}
 }
@@ -50,20 +51,10 @@ func (c *Context) takePending() (halt bool, gotoState string, raised Event) {
 // ID returns the machine's identifier. For a monitor context the ID carries
 // the monitor's name with a zero sequence (monitors are not schedulable
 // machines, so their IDs are never valid send targets).
-func (c *Context) ID() MachineID {
-	if c.mon != nil {
-		return MachineID{Type: c.mon.name}
-	}
-	return c.m.id
-}
+func (c *Context) ID() MachineID { return c.m.id }
 
 // State returns the name of the machine's (or monitor's) current state.
-func (c *Context) State() string {
-	if c.mon != nil {
-		return c.mon.state
-	}
-	return c.m.state
-}
+func (c *Context) State() string { return c.m.state }
 
 // Send enqueues ev in target's event queue. In bug-finding mode this is a
 // scheduling point (the paper's send operation, Section 6.2).
@@ -121,18 +112,10 @@ func (c *Context) Assert(cond bool, format string, args ...any) {
 // being handled. At most one of Goto/Raise/Halt may be pending.
 func (c *Context) Goto(state string) {
 	c.checkNoPending("Goto")
-	if _, ok := c.schema().states[state]; !ok {
-		panic(assertFailed{msg: fmt.Sprintf("%s: Goto(%q): no such state", c.ID(), state)})
+	if _, ok := c.m.schema.states[state]; !ok {
+		panic(assertFailed{msg: fmt.Sprintf("%s: Goto(%q): no such state", c.m, state)})
 	}
 	c.pendingGoto = state
-}
-
-// schema returns the dispatching schema of the context's owner.
-func (c *Context) schema() *compiledSchema {
-	if c.mon != nil {
-		return c.mon.schema
-	}
-	return c.m.schema
 }
 
 // Raise requests that ev be handled immediately after the current action
@@ -140,7 +123,7 @@ func (c *Context) schema() *compiledSchema {
 func (c *Context) Raise(ev Event) {
 	c.checkNoPending("Raise")
 	if ev == nil {
-		panic(assertFailed{msg: fmt.Sprintf("%s: Raise of nil event", c.ID())})
+		panic(assertFailed{msg: fmt.Sprintf("%s: Raise of nil event", c.m)})
 	}
 	c.pendingRaise = ev
 }
@@ -155,17 +138,13 @@ func (c *Context) Halt() {
 
 func (c *Context) checkNoPending(op string) {
 	if c.pendingGoto != "" || c.pendingRaise != nil || c.pendingHalt {
-		panic(assertFailed{msg: fmt.Sprintf("%s: %s: another Goto/Raise/Halt is already pending", c.ID(), op)})
+		panic(assertFailed{msg: fmt.Sprintf("%s: %s: another Goto/Raise/Halt is already pending", c.m, op)})
 	}
 }
 
 // Logf writes a formatted message to the runtime log (if configured).
 func (c *Context) Logf(format string, args ...any) {
-	if c.mon != nil {
-		c.rt.logf("monitor %s: %s", c.mon.name, fmt.Sprintf(format, args...))
-		return
-	}
-	c.rt.logf("%s: %s", c.m.id, fmt.Sprintf(format, args...))
+	c.rt.logf("%s: %s", c.m, fmt.Sprintf(format, args...))
 }
 
 // Read instruments a read of the named shared location for the

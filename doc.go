@@ -82,15 +82,18 @@
 // # Specifying correctness
 //
 // Beyond machine-local assertions (Context.Assert), correctness is
-// specified with monitors — the paper's observer machines. A monitor is
-// declared like a machine (states, event handlers, transitions, either
-// declaration form) and registered with Runtime.RegisterMonitor; from then
-// on every sent and raised event is dispatched to it synchronously, at the
-// send or raise itself, and the monitor handles the events its current
-// state binds, skipping the rest. Monitors are passive: actions may
-// Assert, Goto, Raise and Logf but must not Send, CreateMachine, Halt, or
-// draw nondeterminism — so attaching a monitor never changes the program's
-// schedules, and a monitored run explores byte-identical traces.
+// specified with monitors — the paper's observer machines. A monitor is a
+// machine that observes events instead of receiving them: it is declared
+// like a machine (states, event handlers, transitions, either declaration
+// form), registered with Runtime.RegisterMonitor, and runs its actions
+// through the machines' own handler path and Context — but it has no
+// mailbox and is never scheduled. From its registration on, every sent and
+// raised event is handed to it synchronously, at the send or raise itself,
+// and the monitor handles the events its current state binds, skipping the
+// rest. Monitors are passive: actions may Assert, Goto, Raise and Logf but
+// must not Send, CreateMachine, Halt, or draw nondeterminism — so attaching
+// a monitor never changes the program's schedules, and a monitored run
+// explores byte-identical traces.
 //
 // Two specification classes follow:
 //
@@ -389,8 +392,8 @@
 // lookup per type instead of a compile (compiles would be a third of the
 // allocations of a hunt that finds its bug in a few schedules). Monitors
 // ride the same machinery: a static monitor's schema comes from the same
-// table, the harness recycles the monitor instance and
-// its Context across iterations, and observation itself is allocation-free
+// table, a monitor's instance and its Context are recycled with the machines'
+// across iterations, and observation itself is allocation-free
 // — attaching a monitor adds only its factory's allocations per iteration
 // (at most 5 on the protocol workloads, enforced by the monitor allocation
 // caps).

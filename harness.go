@@ -185,34 +185,12 @@ func (h *TestHarness) reset(cfg TestConfig) {
 	}
 }
 
-// park returns every machine instance of the finished iteration to the
-// freelist, and every monitor instance to the per-name monitor pool. Only
-// called after the controller's teardown, which leaves every coroutine
-// parked at the top of poolLoop with no machine code on its stack.
+// park returns every machine and monitor instance of the finished iteration
+// to the freelist, after the controller's teardown.
 func (h *TestHarness) park() {
 	rt, c := h.rt, h.c
-	for i, m := range rt.machines {
-		m.recycle()
-		c.free = append(c.free, m)
-		rt.machines[i] = nil
-	}
-	rt.machines = rt.machines[:0]
-	for i, mon := range rt.monitors {
-		// Drop all per-iteration state; the next RegisterMonitor of the same
-		// name reuses the instance (and its Context) with fresh logic.
-		mon.logic = nil
-		mon.state = ""
-		mon.hot = false
-		mon.temp = 0
-		mon.ctx.currentEvent = nil
-		mon.ctx.resetPending()
-		if c.freeMons == nil {
-			c.freeMons = make(map[string]*monitorInstance)
-		}
-		c.freeMons[mon.name] = mon
-		rt.monitors[i] = nil
-	}
-	rt.monitors = rt.monitors[:0]
+	rt.machines = c.release(rt.machines)
+	rt.monitors = c.release(rt.monitors)
 }
 
 // Close drops the harness's checkpoints and donates its idle machine

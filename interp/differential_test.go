@@ -18,13 +18,14 @@ import (
 )
 
 // runBoth executes one seed under both engines with race detection and
-// coverage attached and fails on any observable divergence. It returns the
-// transitions the seed dispatched.
-func runBoth(t *testing.T, prog *lang.Program, main string, seed uint64) []obs.TransitionCount {
+// coverage attached, dispatching at most maxSteps events (0: Run's default),
+// and fails on any observable divergence. It returns the transitions the seed
+// dispatched.
+func runBoth(t *testing.T, prog *lang.Program, main string, seed uint64, maxSteps int) []obs.TransitionCount {
 	t.Helper()
 	var covW, covB obs.StateEventCoverage
-	w := Run(prog, main, Options{Engine: EngineWalk, Seed: seed, RaceDetect: true, Coverage: &covW})
-	b := Run(prog, main, Options{Engine: EngineBytecode, Seed: seed, RaceDetect: true, Coverage: &covB})
+	w := Run(prog, main, Options{Engine: EngineWalk, Seed: seed, MaxSteps: maxSteps, RaceDetect: true, Coverage: &covW})
+	b := Run(prog, main, Options{Engine: EngineBytecode, Seed: seed, MaxSteps: maxSteps, RaceDetect: true, Coverage: &covB})
 	if w.Steps != b.Steps {
 		t.Fatalf("seed %d: steps walk=%d bytecode=%d", seed, w.Steps, b.Steps)
 	}
@@ -80,7 +81,7 @@ func TestDifferentialCorpus(t *testing.T) {
 				main := prog.Machines[0].Name
 				covered := map[obs.Transition]bool{}
 				for seed := uint64(1); seed <= 12; seed++ {
-					for _, tc := range runBoth(t, prog, main, seed) {
+					for _, tc := range runBoth(t, prog, main, seed, 0) {
 						covered[tc.Transition] = true
 					}
 				}

@@ -9,7 +9,10 @@ import (
 // compiled schema, current state, and event queue. The same instance code
 // runs under the production runtime (activations: a goroutine runs the
 // machine only while its mailbox has work, see activate) and the serialized
-// testing runtime (a coroutine the controller switches to).
+// testing runtime (a coroutine the controller switches to). A specification
+// monitor is an instance too, one that observes events instead of receiving
+// them: its ID has no Seq, and it has no mailbox and is never scheduled (see
+// monitor.go).
 type machineInstance struct {
 	id     MachineID
 	rt     *Runtime
@@ -22,6 +25,10 @@ type machineInstance struct {
 	state  string
 	st     *stateSpec
 	halted bool
+	// temp is a monitor's temperature: the consecutive scheduling decisions
+	// it has spent in a hot state (controller.updateTemperatures). enter
+	// resets it on a state that is not hot, which a machine's never is.
+	temp int
 
 	// mu guards halted, active and the mailbox under the production runtime,
 	// where senders run concurrently with the machine; the testing runtime is
@@ -215,15 +222,17 @@ func (m *machineInstance) poolLoop(yield func(yieldKind) bool) {
 }
 
 // recycle clears all per-iteration state so the instance (and its parked
-// coroutine) can serve the next TestHarness iteration. Slices keep their
-// capacity; event references are dropped so finished programs can be
-// collected. Only called after teardown has unwound the machine's run.
+// coroutine, if it has one) can serve the next TestHarness iteration, as a
+// machine or a monitor. Slices keep their capacity; event references are
+// dropped so finished programs can be collected. Only called after teardown
+// has unwound the machine's run.
 func (m *machineInstance) recycle() {
 	m.id = MachineID{}
 	m.logic = nil
 	m.schema = nil
 	m.state, m.st = "", nil
 	m.halted = false
+	m.temp = 0
 	m.dropQueue()
 	m.bug = nil
 	m.aborted = false
@@ -525,18 +534,29 @@ func isHaltEvent(ev Event) bool {
 // including any chained raises and transitions requested by the actions.
 func (m *machineInstance) handleEvent(ev Event) *Bug {
 	disp, ok := m.st.lookup(eventKey(ev))
-	if !ok {
-		if isHaltEvent(ev) {
-			m.doHalt()
-			return nil
-		}
-		return &Bug{
-			Kind:    BugUnhandledEvent,
-			Machine: m.id,
-			State:   m.state,
-			Message: fmt.Sprintf("event %s cannot be handled in state %q", eventName(ev), m.state),
-		}
+	if ok {
+		return m.dispatch(disp, ev)
 	}
+	// A monitor gets here only by a raise of its own (observe skips what the
+	// state does not bind), and no event, HaltEvent included, halts it.
+	if m.monitor() {
+		return &Bug{Kind: BugUnhandledEvent, State: m.state,
+			Message: fmt.Sprintf("raised event %s cannot be handled in state %q", eventName(ev), m.state)}
+	}
+	if isHaltEvent(ev) {
+		m.doHalt()
+		return nil
+	}
+	return &Bug{
+		Kind:    BugUnhandledEvent,
+		Machine: m.id,
+		State:   m.state,
+		Message: fmt.Sprintf("event %s cannot be handled in state %q", eventName(ev), m.state),
+	}
+}
+
+// dispatch runs the reaction disp the current state binds to ev.
+func (m *machineInstance) dispatch(disp dispatchEntry, ev Event) *Bug {
 	switch disp.kind {
 	case dispatchIgnore:
 		return nil
@@ -544,16 +564,15 @@ func (m *machineInstance) handleEvent(ev Event) *Bug {
 		// Only reachable for raised events; re-queue at the back.
 		m.rt.enqueue(m.id, ev, m, false)
 		return nil
-	case dispatchAction:
-		if cov := m.rt.cover; cov != nil {
+	case dispatchAction, dispatchGoto:
+		if cov := m.rt.cover; cov != nil && !m.monitor() {
+			// Coverage counts program transitions: a monitor's are observations.
 			cov.Hit(m.id.Type, m.state, disp.event)
+		}
+		if disp.kind == dispatchGoto {
+			return m.gotoState(disp.target, ev)
 		}
 		return m.execute(disp.action, disp.maction, ev)
-	case dispatchGoto:
-		if cov := m.rt.cover; cov != nil {
-			cov.Hit(m.id.Type, m.state, disp.event)
-		}
-		return m.gotoState(disp.target, ev)
 	default:
 		return &Bug{Kind: BugPanic, Machine: m.id, State: m.state, Message: "corrupt dispatch table"}
 	}
@@ -585,9 +604,13 @@ func (m *machineInstance) applyPending(trigger Event) *Bug {
 	}
 	if raised != nil {
 		if m.rt.logging() {
-			m.rt.logf("%s: raised %s", m.id, eventName(raised))
+			m.rt.logf("%s: raised %s", m, eventName(raised))
 		}
-		m.rt.observeMonitors(raised) // monitors observe raises like sends
+		if !m.monitor() {
+			// Monitors observe a machine's raises like its sends; a monitor's
+			// own raise is not a program event.
+			m.rt.observeMonitors(raised)
+		}
 		return m.handleEvent(raised)
 	}
 	return nil
@@ -604,12 +627,15 @@ func (m *machineInstance) gotoState(target string, payload Event) *Bug {
 			cur.onExit(m.ctx)
 		}
 		if halt, g, r := m.ctx.takePending(); halt || g != "" || r != nil {
-			return &Bug{Kind: BugPanic, Machine: m.id, State: m.state,
-				Message: "exit actions must not call Goto, Raise or Halt"}
+			msg := "exit actions must not call Goto, Raise or Halt"
+			if m.monitor() {
+				msg = "monitor " + msg
+			}
+			return &Bug{Kind: BugPanic, Machine: m.id, State: m.state, Message: msg}
 		}
 	}
 	if m.rt.logging() {
-		m.rt.logf("%s: %q -> %q", m.id, m.state, target)
+		m.rt.logf("%s: %q -> %q", m, m.state, target)
 	}
 	m.enter(target)
 	if st := m.st; st.hasEntry() {
@@ -618,8 +644,24 @@ func (m *machineInstance) gotoState(target string, payload Event) *Bug {
 	return nil
 }
 
-// enter makes name the machine's current state.
-func (m *machineInstance) enter(name string) { m.state, m.st = name, m.schema.states[name] }
+// enter makes name the current state. Entering a state that is not hot
+// discharges a monitor's liveness obligation: a later hot period is measured
+// from zero.
+func (m *machineInstance) enter(name string) {
+	m.state, m.st = name, m.schema.states[name]
+	if !m.st.isHot() {
+		m.temp = 0
+	}
+}
+
+// String names m in messages and log lines: a machine by its ID, a monitor
+// as "monitor Name".
+func (m *machineInstance) String() string {
+	if m.monitor() {
+		return "monitor " + m.id.Type
+	}
+	return m.id.String()
+}
 
 // doHalt marks the machine halted and drops its queue; further events sent
 // to it are discarded by the runtime.

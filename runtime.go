@@ -60,10 +60,11 @@ type Runtime struct {
 	schemaCompiles int
 
 	// monitors are the registered specification monitors (see monitor.go):
-	// synchronous observers dispatched at every send and raise.
-	monitors []*monitorInstance
-	// monitorSchemas binds monitor names to compiled schemas, with the same
-	// static-vs-closure discipline as schemas (nil entry = closure form).
+	// machine instances with no Seq that observe every send and raise
+	// synchronously instead of being scheduled.
+	monitors []*machineInstance
+	// monitorSchemas binds monitor names to compiled schemas as schemas binds
+	// machine types (bindLocked): the two name spaces are apart.
 	monitorSchemas map[string]*compiledSchema
 	// monMu guards monitors (list and dispatch) in production mode, where
 	// machines send concurrently with each other and with registration; the
@@ -162,17 +163,29 @@ func (r *Runtime) Register(name string, factory func() Machine) error {
 		return fmt.Errorf("psharp: machine type %q registered twice", name)
 	}
 	if _, known := r.schemas[name]; !known {
-		var cs *compiledSchema // nil: closure form, compiled per instance
-		if sm, ok := factory().(StaticMachine); ok {
-			var err error
-			if cs, err = r.staticSchemaLocked(name, sm, false); err != nil {
-				return err
-			}
+		if _, err := r.bindLocked(r.schemas, name, factory(), false); err != nil {
+			return err
 		}
-		r.schemas[name] = cs
 	}
 	r.factories[name] = factory
 	return nil
+}
+
+// bindLocked binds name, seen for the first time on this Runtime, in table
+// (schemas or monitorSchemas): to the process's schema for probe's value if
+// probe is static, or to nil, which records the closure form, whose schema is
+// built per instance (compileInstanceLocked). A failed compile binds nothing.
+// Caller holds r.mu.
+func (r *Runtime) bindLocked(table map[string]*compiledSchema, name string, probe Machine, monitor bool) (*compiledSchema, error) {
+	var cs *compiledSchema
+	if sm, ok := probe.(StaticMachine); ok {
+		var err error
+		if cs, err = r.staticSchemaLocked(name, sm, monitor); err != nil {
+			return nil, err
+		}
+	}
+	table[name] = cs
+	return cs, nil
 }
 
 // staticSchemaLocked resolves a static declaration through the process-wide
@@ -246,7 +259,7 @@ func (r *Runtime) create(machineType string, payload Event, creator *machineInst
 		// Static types never reach here — their frozen schema was compiled
 		// at registration.
 		var err error
-		schema, err = r.compileInstanceLocked(machineType, logic)
+		schema, err = r.compileInstanceLocked(machineType, logic, false)
 		if err != nil {
 			r.unlock()
 			return MachineID{}, err
@@ -313,12 +326,18 @@ func (r *Runtime) wake(m, waker *machineInstance) {
 }
 
 // compileInstanceLocked builds, validates and freezes a schema for one
-// machine instance: the closure declaration form's per-create cost.
-func (r *Runtime) compileInstanceLocked(machineType string, logic Machine) (*compiledSchema, error) {
+// machine or monitor instance whose name is bound to the closure form: the
+// closure declaration form's per-instance cost. Static logic under such a
+// name — a form that changed between registrations — gets its type's schema
+// instead: StaticBase.Configure would panic. Caller holds r.mu.
+func (r *Runtime) compileInstanceLocked(name string, logic Machine, monitor bool) (*compiledSchema, error) {
+	if sm, ok := logic.(StaticMachine); ok {
+		return r.staticSchemaLocked(name, sm, monitor)
+	}
 	s := newSchema()
 	logic.Configure(s)
 	r.schemaCompiles++
-	return s.compile(machineType)
+	return s.compile(name, monitor)
 }
 
 // enqueue routes an event to target's queue. sm is the sending machine, nil

@@ -348,23 +348,19 @@ func (s *Schema) err(format string, args ...any) {
 	s.errs = append(s.errs, fmt.Errorf(format, args...))
 }
 
-// validate checks the frozen schema and returns a descriptive error listing
-// every problem found.
-func (s *Schema) validate(machineType string) error {
-	return s.validateAs("machine", machineType)
-}
-
-func (s *Schema) validateAs(kind, machineType string) error {
+// validate checks the frozen schema of the named machine or monitor (kind)
+// and returns a descriptive error listing every problem found.
+func (s *Schema) validate(kind, name string) error {
 	errs := append([]error(nil), s.errs...)
 	if s.initial == "" {
 		errs = append(errs, fmt.Errorf("no start state declared"))
 	}
-	for _, name := range s.order { // declaration order: deterministic, no copy
-		st := s.states[name]
+	for _, sn := range s.order { // declaration order: deterministic, no copy
+		st := s.states[sn]
 		for i := range st.handlers {
 			if e := st.handlers[i].entry; e.kind == dispatchGoto {
 				if _, ok := s.states[e.target]; !ok {
-					errs = append(errs, fmt.Errorf("state %q: goto target %q is not a declared state", name, e.target))
+					errs = append(errs, fmt.Errorf("state %q: goto target %q is not a declared state", sn, e.target))
 				}
 			}
 		}
@@ -372,7 +368,7 @@ func (s *Schema) validateAs(kind, machineType string) error {
 	if len(errs) == 0 {
 		return nil
 	}
-	msg := fmt.Sprintf("%s %q: invalid schema:", kind, machineType)
+	msg := fmt.Sprintf("%s %q: invalid schema:", kind, name)
 	for _, e := range errs {
 		msg += "\n\t" + e.Error()
 	}
@@ -390,35 +386,28 @@ type compiledSchema struct {
 	states      map[string]*stateSpec
 }
 
-// compile validates the schema and freezes it. The builder hands its state
-// table to the compiled form and must not be used afterwards. Machine
-// schemas must not carry hot/cold liveness annotations — those belong to
-// monitors (compileMonitor).
-func (s *Schema) compile(machineType string) (*compiledSchema, error) {
-	for _, name := range s.order {
-		if s.states[name].temp != tempNone {
-			s.err("state %q: hot/cold annotations are only allowed on monitor states", name)
-		}
+// compile validates the schema of the named machine or monitor and freezes
+// it. The builder hands its state table to the compiled form and must not be
+// used afterwards. A machine's states must not carry hot/cold liveness
+// annotations, which belong to monitors; a monitor's must not Defer, since a
+// monitor observes events instead of queueing them.
+func (s *Schema) compile(name string, monitor bool) (*compiledSchema, error) {
+	kind := "machine"
+	if monitor {
+		kind = "monitor"
 	}
-	if err := s.validate(machineType); err != nil {
-		return nil, err
-	}
-	return &compiledSchema{machineType: machineType, initial: s.initial, states: s.states}, nil
-}
-
-// compileMonitor validates the schema under the monitor rules and freezes
-// it. Monitors are synchronous observers without event queues, so Defer
-// bindings are meaningless and rejected.
-func (s *Schema) compileMonitor(name string) (*compiledSchema, error) {
 	for _, sn := range s.order {
 		st := s.states[sn]
+		if !monitor && st.temp != tempNone {
+			s.err("state %q: hot/cold annotations are only allowed on monitor states", sn)
+		}
 		for i := range st.handlers {
-			if st.handlers[i].entry.kind == dispatchDefer {
+			if monitor && st.handlers[i].entry.kind == dispatchDefer {
 				s.err("state %q: monitors cannot Defer events (they have no queue)", sn)
 			}
 		}
 	}
-	if err := s.validateAs("monitor", name); err != nil {
+	if err := s.validate(kind, name); err != nil {
 		return nil, err
 	}
 	return &compiledSchema{machineType: name, initial: s.initial, states: s.states}, nil
@@ -473,12 +462,7 @@ func typeSchemaOf(name string, probe StaticMachine, monitor bool) (cs *compiledS
 	keep := keepable(probe) // before ConfigureType runs on the probe
 	s := newSchema()
 	probe.ConfigureType(s)
-	if monitor {
-		cs, err = s.compileMonitor(name)
-	} else {
-		cs, err = s.compile(name)
-	}
-	if err != nil {
+	if cs, err = s.compile(name, monitor); err != nil {
 		return nil, false, err
 	}
 	typeSchemas.compiles.Add(1)
@@ -522,15 +506,6 @@ func lookupTypeSchemaLocked(key typeKey, probe Machine) *compiledSchema {
 		}
 	}
 	return nil
-}
-
-// lookup returns the dispatch entry for event type t in state name.
-func (cs *compiledSchema) lookup(state string, t reflect.Type) (dispatchEntry, bool) {
-	st, ok := cs.states[state]
-	if !ok {
-		return dispatchEntry{}, false
-	}
-	return st.lookup(t)
 }
 
 // NumStates returns the number of declared states (program statistics for

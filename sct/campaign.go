@@ -81,15 +81,13 @@ type CampaignResult struct {
 	Races             []string `json:"races,omitempty"`
 }
 
-// StrategyBreakdown aggregates the workers that ran one strategy label.
+// StrategyBreakdown aggregates the workers that ran one strategy label: the
+// Merge of their Tallies, under the Tally's own keys.
 type StrategyBreakdown struct {
-	Strategy            string `json:"strategy"`
-	Workers             int    `json:"workers"`
-	Iterations          int    `json:"iterations"`
-	BuggyIterations     int    `json:"buggy_iterations"`
-	BoundReached        int    `json:"bound_reached"`
-	MaxSchedulingPoints int    `json:"max_scheduling_points"`
-	FoundFirstBug       bool   `json:"found_first_bug,omitempty"`
+	Strategy string `json:"strategy"`
+	Workers  int    `json:"workers"`
+	Tally
+	FoundFirstBug bool `json:"found_first_bug,omitempty"`
 }
 
 // NewCampaign assembles a campaign report from a merged Report, the
@@ -144,10 +142,7 @@ func strategyBreakdowns(merged *Report, workers []WorkerReport) []StrategyBreakd
 		}
 		b := &out[j]
 		b.Workers++
-		b.Iterations += w.Report.Iterations
-		b.BuggyIterations += w.Report.BuggyIterations
-		b.BoundReached += w.Report.BoundReached
-		b.MaxSchedulingPoints = max(b.MaxSchedulingPoints, w.Report.MaxSchedulingPoints)
+		b.Merge(w.Report.Tally)
 		if merged.FirstBug != nil && w.Report.FirstBug != nil &&
 			w.Report.FirstBugIteration == merged.FirstBugIteration {
 			b.FoundFirstBug = true

@@ -29,8 +29,8 @@ func fillDistinct(t *testing.T, v reflect.Value, next *int64) {
 }
 
 // TestTallyFieldsAreWiredEverywhere: a counter is added to Tally in one
-// place, and this fails until Merge, the JSON keys and the journal's counters
-// record carry it too.
+// place, and this fails until Merge, the JSON keys, the per-strategy
+// breakdown and the journal's counters record carry it too.
 func TestTallyFieldsAreWiredEverywhere(t *testing.T) {
 	var full Tally
 	fillDistinct(t, reflect.ValueOf(&full).Elem(), new(int64))
@@ -58,6 +58,30 @@ func TestTallyFieldsAreWiredEverywhere(t *testing.T) {
 	}
 	if want := reflect.TypeOf(full).NumField(); len(keys) != want {
 		t.Errorf("%d JSON keys for %d fields: %s", len(keys), want, data)
+	}
+
+	// The per-strategy breakdown of two workers of one label is their Merge,
+	// every key of it in the breakdown's JSON.
+	var twice Tally
+	twice.Merge(full)
+	twice.Merge(full)
+	worker := WorkerReport{Strategy: "random", Report: Report{Tally: full}}
+	b := strategyBreakdowns(&Report{}, []WorkerReport{worker, worker})
+	if len(b) != 1 || b[0].Workers != 2 || b[0].Tally != twice {
+		t.Errorf("breakdown of two workers = %+v, want one of 2 workers with %+v", b, twice)
+	}
+	data, err = json.Marshal(b[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bkeys map[string]any
+	if err := json.Unmarshal(data, &bkeys); err != nil {
+		t.Fatal(err)
+	}
+	for key := range keys {
+		if _, ok := bkeys[key]; !ok {
+			t.Errorf("breakdown JSON lacks the tally's %q: %s", key, data)
+		}
 	}
 
 	dir := filepath.Join(t.TempDir(), "camp")

@@ -275,12 +275,12 @@ func (h *stateHasher) hashMachine(m *machineInstance, status machineStatus) uint
 
 // hashMonitor folds one monitor's full state — name, FSM state, hot flag,
 // temperature, logic fields — into a component.
-func (h *stateHasher) hashMonitor(mon *monitorInstance) uint64 {
+func (h *stateHasher) hashMonitor(mon *machineInstance) uint64 {
 	w := &h.walk
 	w.reset()
-	w.h = foldString(foldString(w.h, mon.name), mon.state)
+	w.h = foldString(foldString(w.h, mon.id.Type), mon.state)
 	hot := uint64(0)
-	if mon.hot {
+	if mon.st.isHot() {
 		hot = 1
 	}
 	w.h = fold(fold(w.h, hot), uint64(mon.temp))
@@ -288,7 +288,7 @@ func (h *stateHasher) hashMonitor(mon *monitorInstance) uint64 {
 		w.hashLogic(&mon.logic)
 	}
 	if w.refused != nil && h.err == nil {
-		h.err = w.refusedIn("monitor " + mon.name)
+		h.err = w.refusedIn(mon.String())
 	}
 	return mix64(w.h)
 }

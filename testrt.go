@@ -182,14 +182,10 @@ type controller struct {
 	ready   []MachineID
 	scratch []MachineID
 
-	// free holds recycled machine instances, their coroutines parked at
-	// the top of poolLoop awaiting the next iteration.
+	// free holds recycled machine and monitor instances, their coroutines (a
+	// monitor needs none) parked at the top of poolLoop awaiting the next
+	// iteration.
 	free []*machineInstance
-
-	// freeMons holds recycled monitor instances by name, so a harness that
-	// re-registers the same monitors every iteration reuses the instance and
-	// its Context instead of reallocating them.
-	freeMons map[string]*monitorInstance
 
 	current     MachineID
 	steps       int
@@ -262,9 +258,9 @@ type controller struct {
 }
 
 // instanceReserve is the process-wide stock of idle machine instances:
-// coroutine parked at the top of poolLoop, bound to no runtime. A closing
-// harness donates its freelist here and a harness whose own freelist is
-// empty draws from here before building anything, so short-lived harnesses
+// coroutine, if any, parked at the top of poolLoop, bound to no runtime. A
+// closing harness donates its freelist here and a harness whose own freelist
+// is empty draws from here before building anything, so short-lived harnesses
 // (RunTest, a replay, a hunt of three schedules) stop paying for a
 // coroutine per machine — the dominant start-up cost, at 13 allocations
 // each. A harness in steady state is served by its own freelist and never
@@ -290,7 +286,9 @@ func donateInstances(idle []*machineInstance) {
 	instanceReserve.idle = append(instanceReserve.idle, idle[:keep]...)
 	instanceReserve.mu.Unlock()
 	for _, m := range idle[keep:] {
-		m.stop()
+		if m.stop != nil {
+			m.stop()
+		}
 	}
 }
 
@@ -348,9 +346,10 @@ func takeReservedTrace() []Decision {
 	return buf
 }
 
-// acquireInstance returns an idle machine instance — from the harness
-// freelist, else from the process-wide reserve, else freshly built with a
-// new coroutine. Execution is serialized, so the freelist needs no lock.
+// acquireInstance returns an idle instance for the machine or monitor id —
+// from the harness freelist, else from the process-wide reserve, else freshly
+// built — with a coroutine if id is a machine's and the instance has none
+// yet. Execution is serialized, so the freelist needs no lock.
 func (c *controller) acquireInstance(r *Runtime, id MachineID, logic Machine, schema *compiledSchema) *machineInstance {
 	var m *machineInstance
 	if n := len(c.free); n > 0 {
@@ -361,21 +360,25 @@ func (c *controller) acquireInstance(r *Runtime, id MachineID, logic Machine, sc
 		m.rt, m.ctx.rt = r, r
 	} else {
 		m = newMachineInstance(r, id, logic, schema)
+	}
+	if m.next == nil && id.Seq != 0 {
 		m.next, m.stop = iter.Pull(m.poolLoop)
 	}
 	m.id, m.logic, m.schema = id, logic, schema
 	return m
 }
 
-// acquireMonitor returns the parked monitor instance registered under name
-// in a previous iteration, or nil if none. Execution is serialized, so no
-// locking is needed around the pool.
-func (c *controller) acquireMonitor(name string) *monitorInstance {
-	mon := c.freeMons[name]
-	if mon != nil {
-		delete(c.freeMons, name)
+// release recycles the instances of a finished iteration into the freelist
+// and returns the emptied list. Only called after teardown, which leaves
+// every coroutine parked at the top of poolLoop with no machine code on its
+// stack.
+func (c *controller) release(ms []*machineInstance) []*machineInstance {
+	for i, m := range ms {
+		m.recycle()
+		c.free = append(c.free, m)
+		ms[i] = nil
 	}
-	return mon
+	return ms[:0]
 }
 
 // onCreate registers a newly created machine as ready to run its initial
@@ -606,7 +609,7 @@ func (c *controller) pass() (out passOutcome) {
 		} else if mon := c.hotMonitor(); mon != nil {
 			// A finite execution ended with an undischarged liveness
 			// obligation: nothing can ever discharge it now.
-			c.bug = &Bug{Kind: BugLiveness, Monitor: mon.name, State: mon.state,
+			c.bug = &Bug{Kind: BugLiveness, Monitor: mon.id.Type, State: mon.state,
 				Message: fmt.Sprintf("monitor still hot in state %q when the program quiesced", mon.state)}
 		}
 		return passEnd // quiescence: the program terminated naturally
@@ -657,12 +660,12 @@ func (c *controller) pass() (out passOutcome) {
 
 // hotMonitor returns a monitor currently in a hot state, if liveness
 // checking is on; used at quiescence.
-func (c *controller) hotMonitor() *monitorInstance {
+func (c *controller) hotMonitor() *machineInstance {
 	if c.cfg.LivenessTemperature <= 0 {
 		return nil
 	}
 	for _, mon := range c.rt.monitors {
-		if mon.hot {
+		if mon.st.isHot() {
 			return mon
 		}
 	}
@@ -672,16 +675,17 @@ func (c *controller) hotMonitor() *monitorInstance {
 // updateTemperatures advances hot-state temperature tracking by one
 // scheduling decision: every monitor sitting in a hot state heats up by one
 // degree, every other monitor is cold (its counter was already reset when it
-// left the hot state). Crossing the threshold is the liveness violation —
-// deterministic in the schedule, so the bug replays like any other.
+// entered a state that is not hot, see machineInstance.enter). Crossing the
+// threshold is the liveness violation — deterministic in the schedule, so the
+// bug replays like any other.
 func (c *controller) updateTemperatures() {
 	for _, mon := range c.rt.monitors {
-		if !mon.hot {
+		if !mon.st.isHot() {
 			continue
 		}
 		mon.temp++
 		if mon.temp > c.cfg.LivenessTemperature {
-			c.bug = &Bug{Kind: BugLiveness, Monitor: mon.name, State: mon.state,
+			c.bug = &Bug{Kind: BugLiveness, Monitor: mon.id.Type, State: mon.state,
 				Message: fmt.Sprintf("monitor stayed hot in state %q for %d consecutive scheduling decisions (threshold %d)",
 					mon.state, mon.temp, c.cfg.LivenessTemperature)}
 			return
