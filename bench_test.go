@@ -143,54 +143,29 @@ func BenchmarkIterationAllocs(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelExploration compares sequential Run against RunParallel
-// on protocol-corpus benchmarks: same seed, same budget, same schedule
-// population (sharded seed streams), different worker counts — plus, for
-// multi-worker runs, static pre-assigned shards vs dynamic work-stealing
-// ticket assignment. The claims under test are that schedules/s scales with
-// workers and that dynamic mode is not slower when iteration costs skew.
+// BenchmarkParallelExploration compares sequential runs (one worker, which
+// is Run) against RunParallel on protocol-corpus benchmarks: same seed, same
+// budget, same schedule
+// population (sharded seed streams), different worker counts. The claim
+// under test is that schedules/s scales with workers.
 func BenchmarkParallelExploration(b *testing.B) {
 	for _, name := range []string{"Raft", "TwoPhaseCommit"} {
 		bench := protocols.MustByName(name, true)
 		for _, workers := range []int{1, 2, 4, 8} {
-			sharding := []bool{false}
-			if workers > 1 {
-				sharding = []bool{false, true}
-			}
-			for _, dynamic := range sharding {
-				label := fmt.Sprintf("%s/workers=%d", name, workers)
-				if workers > 1 {
-					mode := "static"
-					if dynamic {
-						mode = "dynamic"
+			b.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				totalSchedules := 0
+				for i := 0; i < b.N; i++ {
+					opts := sct.Options{
+						Strategy:   sct.NewRandom(uint64(i) + 1),
+						Iterations: 64,
+						MaxSteps:   bench.MaxSteps,
 					}
-					label += "/" + mode
+					rep := sct.RunParallel(bench.Setup, sct.ParallelOptions{Options: opts, Workers: workers}).Report
+					totalSchedules += rep.Iterations
 				}
-				workers := workers
-				dynamic := dynamic
-				bench := bench
-				b.Run(label, func(b *testing.B) {
-					b.ReportAllocs()
-					totalSchedules := 0
-					for i := 0; i < b.N; i++ {
-						opts := sct.Options{
-							Strategy:   sct.NewRandom(uint64(i) + 1),
-							Iterations: 64,
-							MaxSteps:   bench.MaxSteps,
-						}
-						var rep sct.Report
-						if workers == 1 {
-							rep = sct.Run(bench.Setup, opts)
-						} else {
-							rep = sct.RunParallel(bench.Setup, sct.ParallelOptions{
-								Options: opts, Workers: workers, Dynamic: dynamic,
-							}).Report
-						}
-						totalSchedules += rep.Iterations
-					}
-					b.ReportMetric(float64(totalSchedules)/b.Elapsed().Seconds(), "schedules/s")
-				})
-			}
+				b.ReportMetric(float64(totalSchedules)/b.Elapsed().Seconds(), "schedules/s")
+			})
 		}
 	}
 }

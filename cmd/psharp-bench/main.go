@@ -3,7 +3,7 @@
 // Usage:
 //
 //	psharp-bench -table 1 [-check] [-json table1.json]
-//	psharp-bench -table 2 [-iterations 10000] [-timeout 5m] [-parallel 8 [-dynamic]]
+//	psharp-bench -table 2 [-iterations 10000] [-timeout 5m] [-parallel 8]
 //	psharp-bench -table all
 //
 // With -check, the Table 1 results are compared against the expected
@@ -43,7 +43,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	timeout := fs.Duration("timeout", 5*time.Minute, "time budget per Table 2 cell (paper: 5m)")
 	seed := fs.Uint64("seed", 20150628, "random scheduler seed")
 	parallel := fs.Int("parallel", 1, "exploration workers per Table 2 cell (0 = GOMAXPROCS)")
-	dynamic := fs.Bool("dynamic", false, "work-stealing iteration assignment for parallel cells (trades population reproducibility for utilization)")
 	jsonPath := fs.String("json", "", "also write the Table 1 rows, with the environment they were measured in, to this file as JSON")
 	check := fs.Bool("check", false, "compare Table 1 results against the expected counts in internal/benchsrc and exit non-zero on drift")
 	if err := fs.Parse(args); err != nil {
@@ -74,10 +73,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *jsonPath != "" && !table1 {
 		return fail(2, "-json requires -table 1 or -table all")
 	}
-	opts2 := tables.Table2Options{
-		Iterations: *iterations, Timeout: *timeout, Seed: *seed,
-		Workers: *parallel, Dynamic: *dynamic,
-	}
+	opts2 := tables.Table2Options{Iterations: *iterations, Timeout: *timeout, Seed: *seed, Workers: *parallel}
 	if table2 {
 		if err := opts2.Validate(); err != nil {
 			return fail(2, err)

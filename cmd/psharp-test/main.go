@@ -9,7 +9,7 @@
 //	psharp-test -bench FairResponder -buggy -liveness
 //	psharp-test -bench TwoPhaseCommitFT -buggy -monitors -faults 2
 //	psharp-test -bench TwoPhaseCommit -buggy -strategy dpor -state-cache
-//	psharp-test -bench Raft -buggy -parallel 8 [-dynamic]
+//	psharp-test -bench Raft -buggy -parallel 8 [-timeout 1m]
 //	psharp-test -bench Raft -buggy -parallel 8 -portfolio default
 //	psharp-test -bench Raft -buggy -report-out campaign.json [-http :6060]
 //	psharp-test -bench Raft -buggy -journal camp/ [-resume] [-shard 2/4]
@@ -109,6 +109,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -149,8 +150,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	faultHorizon := fs.Int("fault-horizon", 0, "fault-point horizon the budget is spread over (0 = sct.DefaultFaultHorizon)")
 	replay := fs.String("replay", "", "replay a trace file against the benchmark instead of exploring; exits 0 if the bug reproduces")
 	parallel := fs.Int("parallel", 1, "number of exploration workers (0 = GOMAXPROCS)")
-	dynamic := fs.Bool("dynamic", false, "work-stealing iteration assignment across workers (keeps all workers busy under skewed iteration costs; trades run-to-run population reproducibility, bug traces still replay)")
-	portfolio := fs.String("portfolio", "", "comma-separated worker portfolio, e.g. 'random,fair,pct,delay,dfs' or 'default' (implies -parallel)")
+	portfolio := fs.String("portfolio", "", "comma-separated worker portfolio, e.g. 'random,fair,pct,delay,dfs' or 'default' (implies -parallel; excludes -strategy)")
 	verbose := fs.Bool("v", false, "print per-worker sub-reports for parallel runs")
 	progressEvery := fs.Int("progress-every", 0, "emit a progress snapshot every N iterations of each worker (0 = off)")
 	progressJSONL := fs.String("progress-jsonl", "", "stream progress snapshots as JSON lines to this file instead of human text ('-' for stdout; defaults -progress-every to 1000)")
@@ -186,8 +186,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	// -psl is a separate front end: refuse the flags the chosen mode never
-	// reads instead of ignoring them.
+	// -psl is a separate front end, and a portfolio names every worker's
+	// strategy: refuse the flags the chosen mode never reads instead of
+	// ignoring them.
 	parallelSet, stray := false, ""
 	fs.Visit(func(f *flag.Flag) {
 		parallelSet = parallelSet || f.Name == "parallel"
@@ -198,6 +199,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			stray = fmt.Sprintf("-%s requires -psl", f.Name)
 		case *psl != "" && !pslOnly && f.Name != "psl" && f.Name != "iterations" && f.Name != "seed":
 			stray = fmt.Sprintf("-psl does not read -%s (it takes -racy, -interp, -disasm, -iterations and -seed)", f.Name)
+		case *portfolio != "" && f.Name == "strategy":
+			stray = "-strategy cannot be combined with -portfolio: the portfolio names every worker's strategy"
 		}
 	})
 	if stray != "" {
@@ -269,7 +272,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			StateCache:     *stateCache,
 		},
 		Workers:    *parallel,
-		Dynamic:    *dynamic,
 		ShardCount: 1,
 	}
 	opts := &popts.Options
@@ -289,7 +291,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *portfolio != "" {
 		// Fair members take the same prefix as -strategy fair, so a
 		// -liveness temperature calibrated above the prefix stays sound.
-		pf, err := sct.ParsePortfolioPrefix(*portfolio, *seed, b.MaxSteps, *fairPrefix)
+		pf, err := sct.ParsePortfolio(*portfolio, *seed, b.MaxSteps, *fairPrefix)
 		if err != nil {
 			return usage(err)
 		}
@@ -314,11 +316,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	err := popts.Validate()
-	if err == nil && *dynamic && *journalDir != "" {
-		// The journal is opened below, after every refusal: Validate has not
-		// seen it yet.
-		err = sct.ErrDynamicJournal
-	}
 	if err == nil && *resumeRun && *journalDir == "" {
 		err = errors.New("-resume requires -journal")
 	}
@@ -461,9 +458,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 		sharding := ""
-		if *dynamic {
-			sharding = ", dynamic"
-		}
 		if shardCount > 1 {
 			sharding = fmt.Sprintf(", shard %d/%d", shardIndex+1, shardCount)
 		}
@@ -505,7 +499,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Benchmark:   b.ID(),
 			Strategy:    campaignStrategy,
 			Workers:     len(prep.Workers),
-			Dynamic:     *dynamic,
 			Iterations:  *iterations,
 			MaxSteps:    b.MaxSteps,
 			TimeoutMS:   timeout.Milliseconds(),
@@ -556,22 +549,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 // parseShard parses a 1-based "i/n" shard spec into a 0-based index and a
 // count.
 func parseShard(spec string) (index, count int, err error) {
-	i := strings.IndexByte(spec, '/')
-	bad := func() (int, int, error) {
+	i, n, ok := strings.Cut(spec, "/")
+	idx, errI := strconv.Atoi(i)
+	cnt, errN := strconv.Atoi(n)
+	if !ok || errI != nil || errN != nil || cnt < 1 || idx < 1 || idx > cnt {
 		return 0, 0, fmt.Errorf("-shard wants i/n with 1 <= i <= n (e.g. 2/4), got %q", spec)
-	}
-	if i <= 0 {
-		return bad()
-	}
-	var idx, cnt int
-	if _, err := fmt.Sscanf(spec[:i], "%d", &idx); err != nil {
-		return bad()
-	}
-	if _, err := fmt.Sscanf(spec[i+1:], "%d", &cnt); err != nil {
-		return bad()
-	}
-	if cnt < 1 || idx < 1 || idx > cnt {
-		return bad()
 	}
 	return idx - 1, cnt, nil
 }

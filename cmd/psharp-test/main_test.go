@@ -548,17 +548,25 @@ func TestShardedJournalCLI(t *testing.T) {
 	}
 }
 
-// TestJournalFlagValidation pins the usage errors around the new flags.
+// TestJournalFlagValidation pins the usage errors around the journal flags,
+// and around -strategy, which a portfolio would otherwise drop silently:
+// each exits 2 with one line on stderr before the journal directory exists.
 func TestJournalFlagValidation(t *testing.T) {
 	if code, _, stderr := runCLI(t, "-bench", "Raft", "-resume"); code != 2 || !strings.Contains(stderr, "-journal") {
 		t.Fatalf("-resume without -journal: code=%d stderr=%s", code, stderr)
 	}
-	if code, _, stderr := runCLI(t, "-bench", "Raft", "-journal", t.TempDir(), "-dynamic", "-parallel", "2"); code != 2 || !strings.Contains(stderr, "dynamic") {
-		t.Fatalf("-journal with -dynamic: code=%d stderr=%s", code, stderr)
-	}
-	for _, bad := range []string{"0/2", "3/2", "x/y", "2"} {
-		if code, _, stderr := runCLI(t, "-bench", "Raft", "-journal", t.TempDir(), "-shard", bad); code != 2 {
-			t.Fatalf("-shard %s accepted: code=%d stderr=%s", bad, code, stderr)
+	for _, bad := range [][]string{
+		{"-shard", "0/2"}, {"-shard", "3/2"}, {"-shard", "x/y"}, {"-shard", "2"},
+		{"-shard", "1/4.5"}, {"-shard", "1/2/3"}, {"-shard", "1x/2"},
+		{"-strategy", "dpor", "-portfolio", "random,pct"},
+	} {
+		jdir := filepath.Join(t.TempDir(), "journal")
+		code, stdout, stderr := runCLI(t, append([]string{"-bench", "Raft", "-journal", jdir}, bad...)...)
+		if code != 2 || stdout != "" || strings.Count(stderr, "\n") != 1 {
+			t.Fatalf("%v: code=%d stdout=%q stderr=%q, want exit 2 and one line on stderr", bad, code, stdout, stderr)
+		}
+		if _, err := os.Stat(jdir); !os.IsNotExist(err) {
+			t.Fatalf("%v: journal directory created before the refusal (%v)", bad, err)
 		}
 	}
 }

@@ -3,7 +3,9 @@ package main
 // The option-compatibility matrix, walked once for every surface that
 // takes the options: sct.ParallelOptions.Validate is the rulebook, and
 // sct.RunParallel and the command line must give its verdict — the same
-// text on refusal, a completed run whose bug replays on acceptance.
+// text on refusal, a completed run whose bug replays on acceptance. It is
+// walked twice: stopping at the first bug, as psharp-test does by default,
+// and under -keep-going, where every worker runs its static shard to the end.
 
 import (
 	"fmt"
@@ -26,18 +28,26 @@ type matrixCell struct {
 	iterations int
 	faults     int
 	stateCache bool
-	dynamic    bool
 	journal    bool
 	shard      bool // shard 1/2
 	workers    int
 }
 
 func (c matrixCell) String() string {
-	return fmt.Sprintf("%s iterations=%d faults=%d cache=%t dynamic=%t journal=%t shard=%t workers=%d",
-		c.strategy, c.iterations, c.faults, c.stateCache, c.dynamic, c.journal, c.shard, c.workers)
+	return fmt.Sprintf("%s iterations=%d faults=%d cache=%t journal=%t shard=%t workers=%d",
+		c.strategy, c.iterations, c.faults, c.stateCache, c.journal, c.shard, c.workers)
 }
 
-func TestOptionMatrix(t *testing.T) {
+func TestOptionMatrix(t *testing.T) { walkOptionMatrix(t, false) }
+
+// TestOptionMatrixKeepGoing holds the static shards to their quotas: a
+// worker whose strategy does not exhaust spends exactly its share of the
+// budget, and since a full static run is deterministic the command line
+// reports the same counts as RunParallel — except where several workers
+// share a state cache, and which of them prunes a state is a race.
+func TestOptionMatrixKeepGoing(t *testing.T) { walkOptionMatrix(t, true) }
+
+func walkOptionMatrix(t *testing.T, keepGoing bool) {
 	const seed = 1
 	b := protocols.MustByName("Chord", true)
 	replays := func(t *testing.T, surface string, tr *psharp.Trace) {
@@ -56,12 +66,10 @@ func TestOptionMatrix(t *testing.T) {
 	} {
 		for _, faults := range []int{0, 1} {
 			for _, stateCache := range bools {
-				for _, dynamic := range bools {
-					for _, journal := range bools {
-						for _, shard := range bools {
-							for _, workers := range []int{1, 2} {
-								cells = append(cells, matrixCell{strategy, 20, faults, stateCache, dynamic, journal, shard, workers})
-							}
+				for _, journal := range bools {
+					for _, shard := range bools {
+						for _, workers := range []int{1, 2} {
+							cells = append(cells, matrixCell{strategy, 20, faults, stateCache, journal, shard, workers})
 						}
 					}
 				}
@@ -75,23 +83,23 @@ func TestOptionMatrix(t *testing.T) {
 		t.Run(c.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			cliJournal, cliTrace := filepath.Join(dir, "cli-journal"), filepath.Join(dir, "cli.trace")
+			cliReport := filepath.Join(dir, "cli.json")
 			popts := sct.ParallelOptions{
 				Options: sct.Options{
 					Iterations:     c.iterations,
 					MaxSteps:       b.MaxSteps,
-					StopOnFirstBug: true,
+					StopOnFirstBug: !keepGoing,
 					LivelockAsBug:  b.LivelockAsBug,
 					StateCache:     c.stateCache,
 				},
 				Workers: c.workers,
-				Dynamic: c.dynamic,
 			}
 			args := []string{"-bench", b.Name, "-buggy", "-seed", strconv.Itoa(seed),
 				"-iterations", strconv.Itoa(c.iterations), "-parallel", strconv.Itoa(c.workers),
 				"-trace-out", cliTrace}
 			var err error
 			if strings.Contains(c.strategy, ",") {
-				popts.Portfolio, err = sct.ParsePortfolioPrefix(c.strategy, seed, b.MaxSteps, -1)
+				popts.Portfolio, err = sct.ParsePortfolio(c.strategy, seed, b.MaxSteps, -1)
 				args = append(args, "-portfolio", c.strategy)
 			} else {
 				popts.Strategy, err = sct.NewStrategy(c.strategy, seed, b.MaxSteps, -1)
@@ -107,8 +115,8 @@ func TestOptionMatrix(t *testing.T) {
 			if c.stateCache {
 				args = append(args, "-state-cache")
 			}
-			if c.dynamic {
-				args = append(args, "-dynamic")
+			if keepGoing {
+				args = append(args, "-keep-going", "-report-out", cliReport)
 			}
 			if c.shard {
 				popts.ShardCount = 2
@@ -173,9 +181,29 @@ func TestOptionMatrix(t *testing.T) {
 				}
 				replays(t, "CLI", tr)
 			}
+			if !keepGoing {
+				return
+			}
+			// Every cell's budget splits evenly over the workers of all shards.
+			quota := c.iterations / (c.workers * max(popts.ShardCount, 1))
+			for _, w := range prep.Workers {
+				if ran := w.Report.Iterations + w.Report.PrunedIterations; !w.Report.Exhausted && ran != quota {
+					t.Errorf("worker %d (%s) ran %d schedules, want its quota of %d", w.Worker, w.Strategy, ran, quota)
+				}
+			}
+			if c.stateCache && len(prep.Workers) > 1 {
+				return
+			}
+			res := readCampaign(t, cliReport).Result
+			cli := [4]int{res.Iterations, res.PrunedIterations, res.BuggyIterations, res.DistinctSchedules}
+			api := [4]int{prep.Iterations, prep.PrunedIterations, prep.BuggyIterations, prep.DistinctSchedules}
+			if cli != api {
+				t.Errorf("CLI counts %v, RunParallel %v (iterations, pruned, buggy, distinct)", cli, api)
+			}
 		})
 	}
 	// Both verdicts must be exercised, or the table proves nothing.
+	t.Logf("%d cells: %d refused, %d accepted", len(cells), refused, accepted)
 	if refused < 100 || accepted < 100 {
 		t.Errorf("matrix is lopsided: %d cells refused, %d accepted", refused, accepted)
 	}

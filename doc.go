@@ -350,13 +350,14 @@
 // variable on the send, dequeue, halt, create and crash paths — the
 // previous controller paid five uncontended lock pairs and a Signal per
 // send/dequeue. (Hence: touching a testing Runtime from a second goroutine
-// is a data race, not merely nondeterminism.) bench's traced pass reads
-// the bare hand-off at ≈ 190 ns of a ≈ 455 ns scheduling point on the
-// Table 2 protocols under random scheduling (go1.24, 2 vCPU); the
-// coroutine controller before this shape read ≈ 300 of ≈ 570, the channel
-// handshake before that ≈ 620 of ≈ 1 120. The recorded-trace oracle in
-// controller_golden_test.go holds all three to byte-identical schedules,
-// bugs and fault statistics.
+// is a data race, not merely nondeterminism.) bench's traced table2_random
+// pass (bash bench/run.sh -workload table2_random -trace 1) reads the bare
+// hand-off, psharp.handoff_ns_per_sp, at ≈ 185–205 ns of a scheduling point
+// on the Table 2 protocols, psharp.step_ns_per_sp, at ≈ 285–320 ns (go1.24,
+// 2 vCPU); the coroutine controller before this shape read ≈ 300 of ≈ 570,
+// the channel handshake before that ≈ 620 of ≈ 1 120. The recorded-trace
+// oracle in controller_golden_test.go holds all three to byte-identical
+// schedules, bugs and fault statistics.
 //
 // RunTest is a one-shot convenience: every call constructs a serialized
 // runtime, a controller and a trace, runs one schedule, and throws them

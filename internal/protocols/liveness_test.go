@@ -140,7 +140,7 @@ func TestMonitorsDoNotPerturbExploration(t *testing.T) {
 // the trace still replays.
 func TestLivenessBugFoundInParallelPortfolio(t *testing.T) {
 	b := MustByName("FairResponder", true)
-	pf, err := sct.ParsePortfolio("random,fair", 20150628, b.MaxSteps)
+	pf, err := sct.ParsePortfolio("random,fair", 20150628, b.MaxSteps, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

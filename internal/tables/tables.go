@@ -219,10 +219,6 @@ type Table2Options struct {
 	// Sharded seed streams keep the explored schedule population identical
 	// to the sequential run's.
 	Workers int
-	// Dynamic opts parallel cells into work-stealing iteration assignment
-	// (sct.ParallelOptions.Dynamic): all workers stay busy when iteration
-	// costs skew, at the cost of run-to-run population reproducibility.
-	Dynamic bool
 }
 
 // DefaultTable2Options returns the paper's budgets.
@@ -301,7 +297,7 @@ func cellOptions(b protocols.Benchmark, mode SchedulerMode, opts Table2Options) 
 		// a bug to measure the fraction of buggy schedules.
 		so.StopOnFirstBug = false
 	}
-	return sct.ParallelOptions{Options: so, Workers: max(opts.Workers, 1), Dynamic: opts.Dynamic}
+	return sct.ParallelOptions{Options: so, Workers: max(opts.Workers, 1)}
 }
 
 func runCell(b protocols.Benchmark, mode SchedulerMode, opts Table2Options) Table2Cell {

@@ -35,7 +35,6 @@ type CampaignConfig struct {
 	Benchmark  string `json:"benchmark,omitempty"`
 	Strategy   string `json:"strategy"`
 	Workers    int    `json:"workers"`
-	Dynamic    bool   `json:"dynamic,omitempty"`
 	Iterations int    `json:"iterations"`
 	MaxSteps   int    `json:"max_steps"`
 	TimeoutMS  int64  `json:"timeout_ms,omitempty"`

@@ -166,16 +166,13 @@
 // combined; this is its prose form. RunParallel (and so Run) panics with
 // its error, psharp-test exits 2 with the same text, and TestOptionMatrix
 // walks the cross-product on both. What the rules need to know about a
-// strategy — depth-first? footprint-tracking? fair? — comes from the one
-// table of named strategies (strategies.go, NewStrategy); a Strategy from
-// outside the table is assumed to be none of the three. dfs and dpor are
-// the depth-first search without and with reduction, and only the latter
-// tracks footprints. In the order checked:
+// strategy — depth-first? fair? — comes from the one table of named
+// strategies (strategies.go, NewStrategy); a Strategy from outside the table
+// is assumed to be neither. dfs and dpor are the depth-first search without
+// and with reduction. In the order checked:
 //
 //   - Iterations must be positive, a Strategy or a Portfolio present (the
 //     Portfolio wins), and ShardIndex within [0, ShardCount).
-//   - Dynamic × shards: work stealing balances within one process; a
-//     sharded campaign's population is defined by its static assignment.
 //   - StateCache × faults: injected faults mutate state outside the hashed
 //     footprint, so a revisited hash no longer means a covered subtree.
 //
@@ -184,17 +181,13 @@
 // same strategy is held to on its own:
 //
 //   - a strategy shared by several workers must implement Cloneable;
-//   - footprint-tracking (dpor) × faults: fault decisions carry no
-//     footprints, so the reduction would be unsound;
-//   - footprint-tracking (dpor) × Dynamic: reassigning iterations across
-//     workers breaks the depth-first backtracking order;
+//   - depth-first (dfs, dpor) × faults: the search replays the previous
+//     iteration's prefix, but the injector draws its faults afresh each
+//     iteration, so the replay diverges; dpor's reduction would also miss
+//     the fault decisions, which carry no footprints;
 //   - StateCache × a worker that is not depth-first (dfs, dpor): pruning
 //     revisited states only preserves coverage when the owning subtree is
 //     completed first. An all-depth-first portfolio ("dfs,dpor") passes.
-//
-// And last, so that a caller can refuse before its journal exists
-// (ErrDynamicJournal): Dynamic × Journal — ticket assignment is not a
-// function of (seed, worker), so a stolen iteration has no resumable cursor.
 //
 // # Performance model
 //
@@ -206,8 +199,9 @@
 // A scheduling point is the strategy's decision, taken on the stack of the
 // machine that reached the send or create, plus — only when the decision
 // picks another machine — a direct coroutine switch through the controller:
-// ≈ 455 ns all told on the Table 2 protocols under Random (≈ 570 when every
-// point switched, ≈ 1 120 for the channel handshake before that).
+// ≈ 285–320 ns all told on the Table 2 protocols (psharp.step_ns_per_sp in
+// bash bench/run.sh -workload table2_random -trace 1, go1.24, 2 vCPU; ≈ 570
+// when every point switched, ≈ 1 120 for the channel handshake before that).
 // Report.ContinuedPoints / Shares().ContinuedShare count the points that
 // needed no switch (0.13–0.23 per protocol there, 0.94 on German's livelock,
 // 0.25–0.6 under DFS); the campaign report and the -http snapshot carry
@@ -235,15 +229,12 @@
 // order, so choosing costs one scan of the enabled machines, whatever their
 // type names.
 //
-// Static sharding (the default) pre-assigns worker w the global iterations
-// congruent to w modulo n, which is what makes parallel runs deterministic
-// and population-equal to sequential ones — but leaves workers idle when
-// iteration costs skew. ParallelOptions.Dynamic trades that determinism
-// away for utilization: workers claim iteration tickets from a shared
-// atomic counter, so the merged counts and FirstBugIteration vary run to
-// run (each WorkerReport records the iterations its worker actually
-// executed), while every found bug still replays deterministically from
-// its trace.
+// Static sharding pre-assigns worker w the global iterations congruent to w
+// modulo n, which is what makes parallel runs deterministic and
+// population-equal to sequential ones — but leaves a worker idle once its
+// shard is done while a slower one works on. A campaign that must keep every
+// worker busy to its end sets a time budget (Options.Timeout) instead of
+// relying on the iteration budget alone.
 //
 // Fault injection (Options.Faults) rides the same hot path at near-zero
 // cost when off: with no fault budget the controller never issues fault
@@ -285,7 +276,7 @@
 //     every ProgressEvery iterations of each worker, serialized behind a
 //     run-wide mutex. Snapshots carry global counters (iterations, buggy,
 //     distinct fingerprints against the global budget) so they report true
-//     campaign progress even under Dynamic work stealing. ProgressText
+//     campaign progress, whichever worker emits them. ProgressText
 //     renders a human line; ProgressJSONL a machine-readable stream.
 //
 //   - Telemetry: Options.Telemetry accumulates, across every worker of a

@@ -243,12 +243,6 @@ type shared struct {
 	// cache is the shared state cache, nil unless Options.StateCache is set.
 	cache *stateCache
 
-	// budget and ticket implement work-stealing (ParallelOptions.Dynamic):
-	// dynamic workers claim global iteration tickets from the shared counter
-	// until the budget is spent, instead of working a pre-assigned shard.
-	budget int
-	ticket atomic.Int64
-
 	fingerprints fingerprintSet
 
 	// progressMu serializes Options.Progress across workers.
@@ -258,7 +252,7 @@ type shared struct {
 }
 
 func newShared(opts Options, start time.Time, workers []worker) *shared {
-	sh := &shared{opts: opts, start: start, workers: workers, budget: opts.Iterations}
+	sh := &shared{opts: opts, start: start, workers: workers}
 	if opts.Timeout > 0 {
 		sh.deadline = start.Add(opts.Timeout)
 	}
@@ -349,7 +343,7 @@ func (sh *shared) emitProgress(w *worker, workerIters int) {
 		Strategy:         w.label,
 		WorkerIterations: workerIters,
 		Iterations:       int64(t.Iterations),
-		Budget:           sh.budget,
+		Budget:           sh.opts.Iterations,
 		Buggy:            int64(t.BuggyIterations),
 		Distinct:         int64(sh.fingerprints.size()),
 		Pruned:           int64(t.PrunedIterations),
@@ -366,12 +360,10 @@ func (sh *shared) expired() bool {
 	return !sh.deadline.IsZero() && !time.Now().Before(sh.deadline)
 }
 
-// worker identifies one exploration worker and its slice of the global
-// iteration space: the worker runs local iterations 0..quota-1, and local
-// iteration i is global iteration offset + i*stride (the identity mapping
-// for a lone worker). A dynamic worker ignores the static shard and instead
-// claims global iteration tickets from the shared counter until the budget
-// is spent (work stealing).
+// worker identifies one exploration worker and its static shard of the
+// global iteration space: the worker runs local iterations start..quota-1,
+// and local iteration i is global iteration offset + i*stride (the identity
+// mapping for a lone worker).
 type worker struct {
 	id       int
 	strategy Strategy
@@ -382,34 +374,12 @@ type worker struct {
 	// start is the local iteration to begin at: 0 for fresh runs, the
 	// journaled completed count when resuming (the worker→iteration mapping
 	// is position-independent, so restarting the stream there is exact).
-	start   int
-	dynamic bool
+	start int
 
 	// tally counts the worker's iterations of this run. The worker writes it
 	// under mu, once per iteration; shared.tally reads it under mu.
 	mu    sync.Mutex
 	tally Tally
-}
-
-// globalIter maps a local iteration index to its global index.
-func (w *worker) globalIter(local int) int { return w.offset + local*w.stride }
-
-// nextIteration decides whether the worker runs local iteration local and
-// returns the global index it accounts against. Static workers walk their
-// pre-assigned shard; dynamic workers claim the next ticket from the shared
-// budget, so fast workers absorb the iterations slow workers never reach.
-func (w *worker) nextIteration(sh *shared, local int) (int, bool) {
-	if w.dynamic {
-		t := sh.ticket.Add(1) - 1
-		if t >= int64(sh.budget) {
-			return 0, false
-		}
-		return int(t), true
-	}
-	if local >= w.quota {
-		return 0, false
-	}
-	return w.globalIter(local), true
 }
 
 // runWorker is the engine's exploration loop. Every worker owns a
@@ -448,23 +418,11 @@ func runWorker(setup func(*psharp.Runtime), sh *shared, w *worker) Report {
 		jw = newJournalWriter(sh, w)
 	}
 	completed := w.start
-	for local := w.start; ; local++ {
+	for local := w.start; local < w.quota; local++ {
 		if interrupt() {
 			break
 		}
-		// Dynamic workers prepare before claiming a ticket: an exhausted
-		// strategy must not burn budget that another worker could execute.
-		// (The final prepared-but-unclaimed iteration is discarded, which is
-		// harmless — the worker stops either way.)
-		if w.dynamic && !w.strategy.PrepareIteration(local) {
-			rep.Exhausted = true
-			break
-		}
-		global, ok := w.nextIteration(sh, local)
-		if !ok {
-			break
-		}
-		if !w.dynamic && !w.strategy.PrepareIteration(local) {
+		if !w.strategy.PrepareIteration(local) {
 			rep.Exhausted = true
 			break
 		}
@@ -502,7 +460,7 @@ func runWorker(setup func(*psharp.Runtime), sh *shared, w *worker) Report {
 		races.addAll(res.Races)
 		if res.Bug != nil && rep.FirstBug == nil {
 			rep.FirstBug = res.Bug
-			rep.FirstBugIteration = global
+			rep.FirstBugIteration = w.offset + local*w.stride
 			// The harness reuses its trace buffer; detach the copy we keep.
 			rep.FirstBugTrace = res.Trace.Clone()
 		}

@@ -178,6 +178,58 @@ func TestJournalResumeEquivalenceStateCache(t *testing.T) {
 	}
 }
 
+// TestJournalResumesTimedOutCampaign: a time budget journals like an
+// iteration budget. A two-worker campaign cut short by its Timeout is
+// interrupted with budget left; resuming it runs exactly the remainder and
+// lands on the uninterrupted run's buggy and distinct-schedule counts.
+func TestJournalResumesTimedOutCampaign(t *testing.T) {
+	const workers = 2
+	dir := filepath.Join(t.TempDir(), "timed")
+	c, err := journal.Create(dir, campaignMeta(workers), journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := sct.RunParallel(chancySetup, sct.ParallelOptions{
+		Options: sct.Options{
+			Strategy:   sct.NewRandom(7),
+			Iterations: 1 << 30,
+			MaxSteps:   200,
+			Timeout:    20 * time.Millisecond,
+			Journal:    c,
+		},
+		Workers: workers,
+	})
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !first.Interrupted {
+		t.Fatalf("timed-out campaign not marked interrupted: %s", first.Report.String())
+	}
+	// Leave both workers a remainder of their shard.
+	full := 0
+	for _, w := range first.Workers {
+		full = max(full, workers*w.Report.Iterations)
+	}
+	full += 200
+
+	second := runJournaled(t, dir, workers, full, true)
+	solo := runJournaled(t, filepath.Join(t.TempDir(), "solo"), workers, full, false)
+	ranNow := 0
+	for _, w := range second.Workers {
+		ranNow += w.Report.Iterations
+	}
+	if second.Interrupted || second.Iterations != full || ranNow != full-first.Iterations {
+		t.Fatalf("resumed campaign: %d iterations, %d of them now (interrupted=%v); want %d, %d now",
+			second.Iterations, ranNow, second.Interrupted, full, full-first.Iterations)
+	}
+	if a, b := second.BuggyIterations, solo.BuggyIterations; a != b {
+		t.Fatalf("buggy iterations diverged: resumed %d vs solo %d", a, b)
+	}
+	if a, b := second.DistinctSchedules, solo.DistinctSchedules; a != b {
+		t.Fatalf("distinct schedules diverged: resumed %d vs solo %d", a, b)
+	}
+}
+
 // TestJournalKillAtRandomRecordResume truncates the shard file at random
 // byte offsets — simulating SIGKILL at arbitrary append points — and checks
 // every resumed campaign still converges on the uninterrupted run's
@@ -381,23 +433,4 @@ func TestCompletedRunNotInterrupted(t *testing.T) {
 	if !rep.Exhausted || rep.Interrupted {
 		t.Fatalf("exhausted run marked interrupted: %s", rep.String())
 	}
-}
-
-// TestJournalRejectsDynamic pins the documented incompatibility.
-func TestJournalRejectsDynamic(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "dyn")
-	c, err := journal.Create(dir, campaignMeta(2), journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Dynamic + Journal must panic")
-		}
-	}()
-	sct.RunParallel(chancySetup, sct.ParallelOptions{
-		Options: sct.Options{Strategy: sct.NewRandom(7), Iterations: 10, MaxSteps: 200, Journal: c},
-		Workers: 2, Dynamic: true,
-	})
 }

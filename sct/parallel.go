@@ -24,24 +24,6 @@ type ParallelOptions struct {
 	// Portfolio, if non-nil, assigns heterogeneous strategies to workers
 	// round-robin and overrides Options.Strategy.
 	Portfolio *Portfolio
-	// Dynamic opts into work stealing: instead of pre-assigning each worker
-	// a static 1/n shard of the iteration budget, workers claim global
-	// iteration tickets from a shared atomic counter, so fast workers absorb
-	// the iterations slow workers never reach and nobody idles while budget
-	// remains (useful when iteration costs are skewed, e.g. heterogeneous
-	// portfolios or bound-sensitive strategies).
-	//
-	// The trade-off is reproducibility of the *population*: each worker
-	// still walks its own deterministically sharded strategy stream, but how
-	// many iterations of that stream it executes now depends on relative
-	// worker speed, so the explored schedule set, the merged counts, and
-	// FirstBugIteration (the claim order of the winning ticket) vary from
-	// run to run and are not comparable to the sequential run. Every found
-	// bug still carries a trace that replays deterministically through
-	// ReplayTrace, and WorkerReport sub-reports record how many iterations
-	// each worker actually executed. See "Option compatibility" in the
-	// package docs for what Dynamic cannot be combined with.
-	Dynamic bool
 	// ShardIndex/ShardCount split one campaign across ShardCount processes:
 	// this process runs global workers ShardIndex*Workers ..
 	// (ShardIndex+1)*Workers-1 out of Workers*ShardCount, so the N processes
@@ -80,12 +62,6 @@ type ParallelReport struct {
 	// Workers holds per-worker sub-reports, indexed by worker id.
 	Workers []WorkerReport
 }
-
-// ErrDynamicJournal is Validate's verdict on Dynamic with a Journal. It is
-// exported, and checked last, for callers that must refuse before a journal
-// exists to put in the options: psharp-test tests the same pair on its flags
-// once Validate has passed and reports this error.
-var ErrDynamicJournal = errors.New("a journaled campaign requires static sharding: dynamic work stealing has no resumable cursor")
 
 // shards is ShardCount with its zero value resolved.
 func (o ParallelOptions) shards() int { return max(o.ShardCount, 1) }
@@ -132,8 +108,6 @@ func (o ParallelOptions) Validate() error {
 		return errors.New("a Strategy or a Portfolio is required")
 	case o.ShardIndex < 0 || o.ShardIndex >= shards:
 		return fmt.Errorf("ShardIndex %d out of range [0,%d)", o.ShardIndex, shards)
-	case o.Dynamic && shards > 1:
-		return errors.New("a sharded campaign requires static sharding: dynamic work stealing only balances within one process")
 	case o.StateCache && o.Faults.Budget > 0:
 		return errors.New("the state cache cannot be combined with fault injection: injected faults mutate state outside the hashed footprint")
 	}
@@ -145,16 +119,11 @@ func (o ParallelOptions) Validate() error {
 		switch {
 		case sharing > 1 && !cloneable:
 			return fmt.Errorf("strategy %s (%T) is shared by %d workers but does not implement Cloneable", label, base, sharing)
-		case info.footprints && o.Faults.Budget > 0:
-			return fmt.Errorf("%s cannot be combined with fault injection: fault decisions are not footprint-tracked, so the partial-order reduction would be unsound", label)
-		case info.footprints && o.Dynamic:
-			return fmt.Errorf("%s cannot be combined with dynamic work stealing: reassigning iterations across workers breaks the depth-first backtracking order the reduction depends on", label)
+		case info.depthFirst && o.Faults.Budget > 0:
+			return fmt.Errorf("%s cannot be combined with fault injection: a depth-first search replays the previous iteration's prefix, and faults are drawn afresh each iteration, not enumerated", label)
 		case o.StateCache && !info.depthFirst:
 			return fmt.Errorf("the state cache requires every worker to run a depth-first strategy (dfs or dpor), not %s: pruning revisited states only preserves coverage under depth-first enumeration", label)
 		}
-	}
-	if o.Dynamic && o.Journal != nil {
-		return ErrDynamicJournal
 	}
 	return nil
 }
@@ -178,8 +147,9 @@ func (o ParallelOptions) Unfair() string {
 // budget, the time budget or every strategy's search space is exhausted — or
 // a bug is found, if StopOnFirstBug is set — and their statistics merge into
 // one Report. Worker 0 runs on the caller's goroutine, so Run starts none.
-// Shards are static (and the run deterministic) by default; opts.Dynamic
-// switches to work-stealing ticket assignment. Cancellation is cooperative
+// Shards are static, so a full run is deterministic — unless several workers
+// share a StateCache, where which of them prunes a revisited state depends on
+// which reached it first. Cancellation is cooperative
 // and prompt: StopOnFirstBug and the hard Timeout deadline are polled by
 // every worker at every scheduling point, so a single long iteration cannot
 // keep the run alive. Options that Validate refuses panic with its error.
@@ -207,9 +177,6 @@ func RunParallel(setup func(*psharp.Runtime), opts ParallelOptions) ParallelRepo
 			strategy = newFaultInjector(strategy, opts.Faults, gw, globalWorkers)
 			label = "faults+" + label
 		}
-		// Dynamic workers ignore quota: the shared ticket counter decides how
-		// much of the budget each one executes, and progress snapshots always
-		// report the global iteration counter against the global budget.
 		workers[w] = worker{
 			id:       w,
 			strategy: strategy,
@@ -217,7 +184,6 @@ func RunParallel(setup func(*psharp.Runtime), opts ParallelOptions) ParallelRepo
 			offset:   gw,
 			stride:   globalWorkers,
 			quota:    shardQuota(opts.Iterations, gw, globalWorkers),
-			dynamic:  opts.Dynamic,
 		}
 		if opts.Journal != nil {
 			if err := restoreCursor(opts.Journal, &workers[w]); err != nil {

@@ -123,7 +123,7 @@ func TestParallelDeterminism(t *testing.T) {
 			Options: sct.Options{Strategy: sct.NewPCT(7, 3, 50), Iterations: 200, MaxSteps: 100},
 			Workers: 4,
 		})
-		pf, err := sct.ParsePortfolio("default", 7, 100)
+		pf, err := sct.ParsePortfolio("default", 7, 100, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,132 +275,31 @@ func TestParallelProgressIsCoherent(t *testing.T) {
 
 // TestParsePortfolio covers the CLI-facing portfolio spec parser.
 func TestParsePortfolio(t *testing.T) {
-	p, err := sct.ParsePortfolio("default", 1, 100)
+	p, err := sct.ParsePortfolio("default", 1, 100, -1)
 	if err != nil || p.Size() != 4 {
 		t.Fatalf("default portfolio: %v (size %d)", err, p.Size())
 	}
-	p, err = sct.ParsePortfolio("random, random ,dfs", 1, 0)
+	p, err = sct.ParsePortfolio("random, random ,dfs", 1, 0, -1)
 	if err != nil || p.Size() != 3 {
 		t.Fatalf("explicit portfolio: %v", err)
 	}
-	if _, err := sct.ParsePortfolio("random,,dfs", 1, 100); err == nil {
+	if _, err := sct.ParsePortfolio("random,,dfs", 1, 100, -1); err == nil {
 		t.Error("empty member not rejected")
 	}
-	if _, err := sct.ParsePortfolio("quantum", 1, 100); err == nil {
+	if _, err := sct.ParsePortfolio("quantum", 1, 100, -1); err == nil {
 		t.Error("unknown member not rejected")
 	}
 }
 
-// TestDynamicShardingExecutesFullBudget checks the work-stealing accounting:
-// a dynamic run with no early stop executes exactly the global budget, the
-// per-worker sub-reports record the actual (uneven) iteration counts, and
-// the bug-rich program still exposes its bug.
-func TestDynamicShardingExecutesFullBudget(t *testing.T) {
-	const iterations = 400
-	for _, workers := range []int{2, 4, 7} {
-		par := sct.RunParallel(orderingBugSetup(), sct.ParallelOptions{
-			Options: sct.Options{
-				Strategy:   sct.NewRandom(42),
-				Iterations: iterations,
-				MaxSteps:   100,
-			},
-			Workers: workers,
-			Dynamic: true,
-		})
-		if par.Iterations != iterations {
-			t.Errorf("workers=%d: dynamic run executed %d iterations, want the full budget %d",
-				workers, par.Iterations, iterations)
-		}
-		if !par.BugFound() {
-			t.Errorf("workers=%d: dynamic run found no bug in a bug-rich program", workers)
-		}
-		sum := 0
-		for _, w := range par.Workers {
-			sum += w.Report.Iterations
-		}
-		if sum != par.Iterations {
-			t.Errorf("workers=%d: sub-report iterations sum %d != merged %d", workers, sum, par.Iterations)
-		}
-		if par.FirstBugIteration < 0 || par.FirstBugIteration >= iterations {
-			t.Errorf("workers=%d: FirstBugIteration %d outside ticket range [0,%d)",
-				workers, par.FirstBugIteration, iterations)
-		}
-	}
-}
-
-// TestDynamicFirstBugReplays checks the determinism trade-off boundary:
-// dynamic sharding gives up population-level reproducibility, but any bug it
-// finds still carries a trace that replays deterministically and reproduces
-// the same failure — including with StopOnFirstBug cancellation racing the
-// workers.
-func TestDynamicFirstBugReplays(t *testing.T) {
-	par := sct.RunParallel(orderingBugSetup(), sct.ParallelOptions{
-		Options: sct.Options{
-			Strategy:       sct.NewRandom(5),
-			Iterations:     100_000,
-			MaxSteps:       100,
-			StopOnFirstBug: true,
-		},
-		Workers: 4,
-		Dynamic: true,
-	})
-	if !par.BugFound() {
-		t.Fatal("no bug found")
-	}
-	if par.Iterations >= 100_000 {
-		t.Fatalf("StopOnFirstBug did not halt the dynamic workers: %d iterations", par.Iterations)
-	}
-	res := sct.ReplayTrace(orderingBugSetup(), par.FirstBugTrace, psharp.TestConfig{MaxSteps: 100})
-	if res.Bug == nil {
-		t.Fatal("replay of the dynamically-found bug trace found no bug")
-	}
-	if res.Bug.Kind != par.FirstBug.Kind || res.Bug.Message != par.FirstBug.Message {
-		t.Fatalf("replay reproduced %v, want %v", res.Bug, par.FirstBug)
-	}
-}
-
-// exhaustionSignal closes done when the strategy it wraps reports its search
-// space exhausted; heldUntil keeps the strategy it wraps from preparing (and
-// so, under dynamic sharding, from claiming a ticket) until gate closes.
-type exhaustionSignal struct {
-	sct.Strategy
-	done chan struct{}
-}
-
-func (s *exhaustionSignal) PrepareIteration(iter int) bool {
-	ok := s.Strategy.PrepareIteration(iter)
-	if !ok {
-		close(s.done) // a dynamic worker stops at its first false
-	}
-	return ok
-}
-
-type heldUntil struct {
-	sct.Strategy
-	gate <-chan struct{}
-}
-
-func (s *heldUntil) PrepareIteration(iter int) bool {
-	<-s.gate
-	return s.Strategy.PrepareIteration(iter)
-}
-
-// TestDynamicExhaustedMemberDoesNotBurnBudget pins the ticket protocol: a
-// dynamic worker whose strategy exhausts (DFS on a tiny tree) must stop
-// without claiming budget, leaving its remaining iterations to the other
-// workers, so the run still executes the full global budget. The random
-// member is held until the DFS member has reported exhaustion — left to
-// race, it drains the budget before DFS has walked its tree about once in
-// 300 runs — which makes the split exact: DFS its whole tree, random the
-// rest.
-func TestDynamicExhaustedMemberDoesNotBurnBudget(t *testing.T) {
-	// fanInSetup(2) has a 72-schedule DFS tree, well within the budget.
-	const iterations, tree = 300, 72
-	exhausted := make(chan struct{})
-	pf, err := sct.NewPortfolio(
-		sct.PortfolioMember{Name: "dfs", Strategy: &exhaustionSignal{sct.NewDFS(), exhausted}},
-		sct.PortfolioMember{Name: "random", Strategy: &heldUntil{sct.NewRandom(7), exhausted}},
-	)
+// TestStaticShardOfAnExhaustedMember pins what a worker of a skewed portfolio
+// does: each runs its own static shard of the budget. A DFS member whose tree
+// is smaller than its shard stops, exhausted, after the tree; the other
+// member runs exactly its quota and no more; and the merged report counts
+// both without calling the run exhausted or interrupted.
+func TestStaticShardOfAnExhaustedMember(t *testing.T) {
+	// fanInSetup(2) has a 72-schedule DFS tree, within DFS's 150-iteration shard.
+	const iterations, tree, quota = 300, 72, 150
+	pf, err := sct.ParsePortfolio("dfs,random", 7, 1000, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +307,6 @@ func TestDynamicExhaustedMemberDoesNotBurnBudget(t *testing.T) {
 		Options:   sct.Options{Iterations: iterations, MaxSteps: 1000},
 		Workers:   2,
 		Portfolio: pf,
-		Dynamic:   true,
 	})
 	if len(par.Workers) != 2 || par.Workers[0].Strategy != "dfs" || par.Workers[1].Strategy != "random" {
 		t.Fatalf("portfolio workers missing: %+v", par.Workers)
@@ -418,37 +316,42 @@ func TestDynamicExhaustedMemberDoesNotBurnBudget(t *testing.T) {
 		t.Fatalf("DFS worker ran %d iterations (exhausted=%v), want its whole %d-schedule tree; resize the program",
 			dfsRep.Iterations, dfsRep.Exhausted, tree)
 	}
-	if randRep.Exhausted || randRep.Iterations != iterations-tree {
-		t.Errorf("random worker ran %d iterations (exhausted=%v), want the %d the exhausted worker left",
-			randRep.Iterations, randRep.Exhausted, iterations-tree)
+	if randRep.Exhausted || randRep.Iterations != quota {
+		t.Errorf("random worker ran %d iterations (exhausted=%v), want its quota of %d", randRep.Iterations, randRep.Exhausted, quota)
 	}
-	if par.Iterations != iterations {
-		t.Errorf("dynamic run executed %d iterations, want the full budget %d (exhausted worker must not burn tickets)",
-			par.Iterations, iterations)
+	if par.Iterations != tree+quota || par.Exhausted || par.Interrupted {
+		t.Errorf("merged report: %d iterations (exhausted=%v, interrupted=%v), want %d, neither exhausted nor interrupted",
+			par.Iterations, par.Exhausted, par.Interrupted, tree+quota)
 	}
 }
 
-// TestDynamicFindsSameBugAsStatic checks that on the existing parallel test
-// program both sharding modes expose the same (kind, message) bug: dynamic
-// mode changes who explores what, not what is explorable.
-func TestDynamicFindsSameBugAsStatic(t *testing.T) {
-	run := func(dynamic bool) sct.ParallelReport {
-		return sct.RunParallel(orderingBugSetup(), sct.ParallelOptions{
-			Options: sct.Options{
-				Strategy:   sct.NewRandom(42),
-				Iterations: 400,
-				MaxSteps:   100,
-			},
-			Workers: 4,
-			Dynamic: dynamic,
-		})
+// TestTimeBudgetOutlivesAnExhaustedMember is the same portfolio under a time
+// budget with more iterations than it can spend: the DFS member still stops,
+// exhausted, after its tree, and the random member keeps exploring its shard
+// until the deadline ends the run.
+func TestTimeBudgetOutlivesAnExhaustedMember(t *testing.T) {
+	const tree, timeout = 72, 100 * time.Millisecond
+	pf, err := sct.ParsePortfolio("dfs,random", 7, 1000, -1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	static, dynamic := run(false), run(true)
-	if !static.BugFound() || !dynamic.BugFound() {
-		t.Fatalf("bug found: static=%v dynamic=%v", static.BugFound(), dynamic.BugFound())
+	start := time.Now()
+	par := sct.RunParallel(fanInSetup(2), sct.ParallelOptions{
+		Options:   sct.Options{Iterations: 1 << 30, MaxSteps: 1000, Timeout: timeout},
+		Workers:   2,
+		Portfolio: pf,
+	})
+	elapsed := time.Since(start)
+	dfsRep, randRep := par.Workers[0].Report, par.Workers[1].Report
+	if !dfsRep.Exhausted || dfsRep.Iterations != tree {
+		t.Fatalf("DFS worker ran %d iterations (exhausted=%v), want its whole %d-schedule tree", dfsRep.Iterations, dfsRep.Exhausted, tree)
 	}
-	if static.FirstBug.Kind != dynamic.FirstBug.Kind || static.FirstBug.Message != dynamic.FirstBug.Message {
-		t.Errorf("dynamic found %v, static found %v", dynamic.FirstBug, static.FirstBug)
+	if randRep.Exhausted || randRep.Iterations <= tree {
+		t.Errorf("random worker ran %d iterations (exhausted=%v), want it to outlast the DFS tree", randRep.Iterations, randRep.Exhausted)
+	}
+	if elapsed < timeout || !par.Interrupted || par.Exhausted {
+		t.Errorf("run ended after %v (interrupted=%v, exhausted=%v), want it to last to the %v deadline, interrupted",
+			elapsed, par.Interrupted, par.Exhausted, timeout)
 	}
 }
 

@@ -42,34 +42,16 @@ func NewPortfolio(members ...PortfolioMember) (*Portfolio, error) {
 // Size returns the number of members.
 func (p *Portfolio) Size() int { return len(p.members) }
 
-// DefaultPortfolio is the standard four-way mix the psharp-test CLI exposes
-// as -portfolio default: random, PCT (depth 3), delay-bounding (budget 2)
-// and DFS, matching the strategy roster of the paper's evaluation.
-func DefaultPortfolio(seed uint64, maxSteps int) *Portfolio {
-	p, err := ParsePortfolio("random,pct,delay,dfs", seed, maxSteps)
-	if err != nil {
-		panic("sct: " + err.Error()) // the spec above is statically valid
-	}
-	return p
-}
-
 // ParsePortfolio builds a portfolio from a comma-separated member spec such
-// as "random,pct,delay,dfs" or "random,random,pct". Members are the names
-// NewStrategy accepts, built with NewStrategy's defaults; "default" expands
-// to the DefaultPortfolio roster. Randomized members derive distinct seeds
-// from the base seed by member position (member 0 keeps the base seed, so a
-// one-member portfolio is the homogeneous run of that strategy). When
-// pairing a fair member with liveness checking, use ParsePortfolioPrefix so
-// the temperature threshold can sit above the prefix.
-func ParsePortfolio(spec string, seed uint64, maxSteps int) (*Portfolio, error) {
-	return ParsePortfolioPrefix(spec, seed, maxSteps, -1)
-}
-
-// ParsePortfolioPrefix is ParsePortfolio with an explicit random-prefix
-// length for fair members; negative selects the maxSteps/2 default. Pass
-// the prefix the liveness temperature threshold was calibrated against
-// (e.g. a protocol benchmark's FairPrefix).
-func ParsePortfolioPrefix(spec string, seed uint64, maxSteps, fairPrefix int) (*Portfolio, error) {
+// as "random,pct,delay,dfs" or "random,random,pct"; "default" is the
+// paper's roster, random, PCT (depth 3), delay-bounding (budget 2) and DFS.
+// Members are the names NewStrategy accepts, built by NewStrategy from the
+// same maxSteps and fairPrefix (negative selects maxSteps/2; pass the prefix
+// a liveness temperature was calibrated against). Randomized members derive
+// distinct seeds from the base seed by member position (member 0 keeps the
+// base seed, so a one-member portfolio is the homogeneous run of that
+// strategy).
+func ParsePortfolio(spec string, seed uint64, maxSteps, fairPrefix int) (*Portfolio, error) {
 	if strings.TrimSpace(spec) == "default" {
 		spec = "random,pct,delay,dfs"
 	}

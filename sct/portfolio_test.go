@@ -26,7 +26,7 @@ func TestParsePortfolioErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p, err := sct.ParsePortfolio(tc.spec, 1, 1000)
+			p, err := sct.ParsePortfolio(tc.spec, 1, 1000, -1)
 			if err == nil {
 				t.Fatalf("ParsePortfolio(%q) accepted an invalid spec (portfolio size %d)", tc.spec, p.Size())
 			}
@@ -48,7 +48,7 @@ func TestParsePortfolioValidSpecs(t *testing.T) {
 		{"fair", 1},
 	}
 	for _, tc := range cases {
-		p, err := sct.ParsePortfolio(tc.spec, 1, 1000)
+		p, err := sct.ParsePortfolio(tc.spec, 1, 1000, -1)
 		if err != nil {
 			t.Errorf("ParsePortfolio(%q): %v", tc.spec, err)
 			continue

@@ -10,9 +10,7 @@ import (
 // Progress is one typed progress snapshot, emitted by the engine every
 // Options.ProgressEvery iterations of a worker. All campaign-wide fields
 // (Iterations, Buggy, Distinct) are global: they count across every worker,
-// so the snapshot reports true campaign progress against the global budget
-// even under work-stealing, where a worker's local count says nothing about
-// how much of the budget is spent.
+// so the snapshot reports true campaign progress against the global budget.
 type Progress struct {
 	// Worker is the 0-based id of the emitting worker; Workers is the run's
 	// worker count.

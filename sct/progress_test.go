@@ -64,51 +64,40 @@ func TestProgressDisabled(t *testing.T) {
 // TestProgressParallelEmission checks — under -race — that parallel workers
 // emit through one shared ProgressFunc without data races (emission is
 // mutex-serialized by the engine) and that global counters never exceed the
-// budget. Under static sharding every worker owns 50 of the 200 iterations,
-// so each must emit exactly its ten snapshots; under dynamic ticketing
-// nothing makes a worker yield to its siblings (one may drain the whole
-// budget before another starts), so only the race and budget checks apply.
+// budget. Every worker owns 50 of the 200 iterations, so each must emit
+// exactly its ten snapshots.
 func TestProgressParallelEmission(t *testing.T) {
-	for _, dynamic := range []bool{false, true} {
-		var got []sct.Progress // appended without locking: the engine serializes
-		sct.RunParallel(fanInSetup(3), sct.ParallelOptions{
-			Options: sct.Options{
-				Strategy:      sct.NewRandom(7),
-				Iterations:    200,
-				MaxSteps:      1000,
-				Progress:      func(p sct.Progress) { got = append(got, p) },
-				ProgressEvery: 5,
-			},
-			Workers: 4,
-			Dynamic: dynamic,
-		})
-		if len(got) == 0 {
-			t.Fatalf("dynamic=%v: no snapshots emitted", dynamic)
+	var got []sct.Progress // appended without locking: the engine serializes
+	sct.RunParallel(fanInSetup(3), sct.ParallelOptions{
+		Options: sct.Options{
+			Strategy:      sct.NewRandom(7),
+			Iterations:    200,
+			MaxSteps:      1000,
+			Progress:      func(p sct.Progress) { got = append(got, p) },
+			ProgressEvery: 5,
+		},
+		Workers: 4,
+	})
+	emitted := map[int]int{}
+	for _, p := range got {
+		if p.Workers != 4 {
+			t.Fatalf("workers = %d, want 4", p.Workers)
 		}
-		emitted := map[int]int{}
-		for _, p := range got {
-			if p.Workers != 4 {
-				t.Fatalf("dynamic=%v: workers = %d, want 4", dynamic, p.Workers)
-			}
-			if p.Iterations > int64(p.Budget) {
-				t.Fatalf("dynamic=%v: global iterations %d exceed budget %d", dynamic, p.Iterations, p.Budget)
-			}
-			if p.Strategy == "" {
-				t.Fatalf("dynamic=%v: parallel snapshot without strategy label: %+v", dynamic, p)
-			}
-			emitted[p.Worker]++
-			if !dynamic && p.WorkerIterations != 5*emitted[p.Worker] {
-				t.Fatalf("static worker %d: snapshot %d reports %d worker iterations, want %d",
-					p.Worker, emitted[p.Worker], p.WorkerIterations, 5*emitted[p.Worker])
-			}
+		if p.Iterations > int64(p.Budget) {
+			t.Fatalf("global iterations %d exceed budget %d", p.Iterations, p.Budget)
 		}
-		if dynamic {
-			continue
+		if p.Strategy == "" {
+			t.Fatalf("parallel snapshot without strategy label: %+v", p)
 		}
-		for w := 0; w < 4; w++ {
-			if emitted[w] != 10 {
-				t.Fatalf("static worker %d emitted %d snapshots, want 10 (50 iterations at ProgressEvery 5): %v", w, emitted[w], emitted)
-			}
+		emitted[p.Worker]++
+		if p.WorkerIterations != 5*emitted[p.Worker] {
+			t.Fatalf("worker %d: snapshot %d reports %d worker iterations, want %d",
+				p.Worker, emitted[p.Worker], p.WorkerIterations, 5*emitted[p.Worker])
+		}
+	}
+	for w := 0; w < 4; w++ {
+		if emitted[w] != 10 {
+			t.Fatalf("worker %d emitted %d snapshots, want 10 (50 iterations at ProgressEvery 5): %v", w, emitted[w], emitted)
 		}
 	}
 }

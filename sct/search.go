@@ -17,7 +17,10 @@ import (
 // systematic exploration, the values of controlled nondeterministic
 // choices). DFS explores a different schedule on every iteration and, given
 // enough iterations and an acyclic state space, explores all of them; when
-// the tree is exhausted PrepareIteration returns false.
+// the tree is exhausted PrepareIteration returns false. Fault injection is
+// not supported: the injector draws its faults afresh each iteration, so the
+// prefix DFS replays would not happen again; the engine and psharp-test
+// refuse the combination.
 //
 // A worker clone (CloneForWorker) shards the tree by its first decision:
 // worker k of n owns the root branches congruent to k modulo n, so the
@@ -82,7 +85,7 @@ func (s *DFS) CloneForWorker(worker, workers int) Strategy {
 // DPOR is a safety-exploration strategy: it is unfair in the same way DFS
 // is, so pairing it with LivenessTemperature can flag starvation schedules
 // a fair scheduler would not produce (exactly like DFS). Fault injection
-// is not supported in this version — the fault injector wrapper would hide
+// is not supported either — besides the replay, the fault injector would hide
 // the StepObserver hook and fault decisions are not footprint-tracked; the
 // engine and psharp-test refuse the combination.
 type DPOR struct{ tree }

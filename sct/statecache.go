@@ -26,7 +26,7 @@ import (
 //     revisit can only reach a depth-bounded subset of what the owner
 //     explored, so nothing is lost.
 //   - Revisit through a different prefix at a *shallower* depth: the new
-//     prefix steals ownership and the iteration continues — under a depth
+//     prefix takes over ownership and the iteration continues — under a depth
 //     bound (Options.MaxSteps) the shallower occurrence reaches strictly
 //     more of the state's subtree than the owner could.
 //

@@ -12,11 +12,11 @@ type strategyInfo struct {
 	name string
 	// depthFirst: a systematic depth-first enumerator, the only kind the
 	// state cache is sound under (its order completes a state's owning
-	// subtree before another prefix revisits it).
-	// footprints: prunes by per-step footprints (DPOR). Fault decisions carry
-	// none and work stealing breaks the backtracking order: refuses both.
+	// subtree before another prefix revisits it). It replays each prefix, so
+	// it refuses fault injection, whose faults differ from one iteration to
+	// the next.
 	// fair: liveness verdicts are sound under it.
-	depthFirst, footprints, fair bool
+	depthFirst, fair bool
 
 	build func(seed uint64, steps, fairPrefix int) Strategy
 	is    func(Strategy) bool
@@ -35,7 +35,7 @@ var strategyTable = []strategyInfo{
 		build: func(seed uint64, steps, _ int) Strategy { return NewDelayBounding(seed, 2, steps) }},
 	{name: "dfs", depthFirst: true, is: isType[*DFS],
 		build: func(uint64, int, int) Strategy { return NewDFS() }},
-	{name: "dpor", depthFirst: true, footprints: true, is: isType[*DPOR],
+	{name: "dpor", depthFirst: true, is: isType[*DPOR],
 		build: func(uint64, int, int) Strategy { return NewDPOR() }},
 }
 
