@@ -655,14 +655,21 @@ func TestPSLDisasmFlag(t *testing.T) {
 	}
 }
 
-// TestPSLModeBadInputs: unknown benchmark and unknown engine are usage
-// errors (exit 2), and -list marks the .psl corpus.
+// TestPSLModeBadInputs: unknown benchmark, unknown engine and a
+// non-positive budget are usage errors (exit 2), and -list marks the .psl
+// corpus.
 func TestPSLModeBadInputs(t *testing.T) {
 	if code, _, stderr := runCLI(t, "-psl", "Nope"); code != 2 || !strings.Contains(stderr, "Nope") {
 		t.Fatalf("unknown -psl: code=%d stderr=%s", code, stderr)
 	}
 	if code, _, stderr := runCLI(t, "-psl", "Pi", "-interp", "turbo"); code != 2 || !strings.Contains(stderr, "turbo") {
 		t.Fatalf("unknown -interp: code=%d stderr=%s", code, stderr)
+	}
+	for _, n := range []string{"0", "-3"} {
+		code, stdout, stderr := runCLI(t, "-psl", "Pi", "-iterations", n)
+		if code != 2 || stdout != "" || stderr != "psharp-test: Iterations must be positive\n" {
+			t.Fatalf("-psl -iterations %s: code=%d stdout=%q stderr=%q, want exit 2 and one line", n, code, stdout, stderr)
+		}
 	}
 	code, stdout, _ := runCLI(t, "-list")
 	if code != 0 || !strings.Contains(stdout, "Swordfish [psl]") {

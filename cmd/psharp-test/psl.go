@@ -18,11 +18,16 @@ import (
 // runPSL explores iterations seeded schedules of the named .psl benchmark
 // with the race detector on, and summarizes outcomes: quiescence, bound
 // exhaustion, distinct races, transition coverage, and the first fault.
-// Exit codes mirror the Go-native mode: 1 when a fault was found, 0 clean.
+// Exit codes mirror the Go-native mode: 1 when a fault was found, 0 clean,
+// 2 for a usage error (a non-positive -iterations among them).
 func runPSL(name string, racy bool, engineName string, disasm bool, iterations int, seed uint64, stdout, stderr io.Writer) int {
 	engine, err := interp.ParseEngine(engineName)
 	if err != nil {
 		fmt.Fprintln(stderr, "psharp-test:", err)
+		return 2
+	}
+	if iterations <= 0 {
+		fmt.Fprintln(stderr, "psharp-test: Iterations must be positive")
 		return 2
 	}
 	prog, err := benchsrc.Source(name, racy)

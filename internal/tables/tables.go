@@ -221,11 +221,6 @@ type Table2Options struct {
 	Workers int
 }
 
-// DefaultTable2Options returns the paper's budgets.
-func DefaultTable2Options() Table2Options {
-	return Table2Options{Iterations: 10000, Timeout: 5 * time.Minute, Seed: 20150628}
-}
-
 // table2Modes are a row's cells, in column order.
 var table2Modes = []SchedulerMode{ModeChessRDOn, ModeChessRDOff, ModePSharpDFS, ModePSharpRandom}
 

@@ -5,8 +5,9 @@ package interp
 // with an operand stack and a constant pool), cached on the Program via
 // AuxLoad/AuxStore alongside the compiled dispatch schemas, and shared
 // read-only by every Run call and seed. Every name the tree-walker resolves
-// through a map at dispatch time — locals, fields, events, states, methods
-// — is resolved here, at compile time, to a dense index.
+// through a map at dispatch time — locals, fields, events, states, methods,
+// classes, machines — is an operand here: the Index lang.Check gave its
+// declaration, and each frame is the checked method's Vars.
 //
 // The compiler builds on schemasFor: per-state dispatch precedence
 // (do < goto < defer < ignore) is inherited from the compiled schemas by
@@ -264,7 +265,7 @@ type compiledState struct {
 	decl     *lang.StateDecl
 	hot      bool
 	entry    *compiledCode // nil when the state has no entry block
-	dispatch []vdispatch   // indexed by interned event id
+	dispatch []vdispatch   // indexed by EventDecl.Index
 }
 
 // compiledMachine is the bytecode form of one machine or monitor
@@ -294,23 +295,22 @@ type compiledClass struct {
 // compiledProgram is one Program's complete bytecode: shared, immutable
 // after construction, plus a pool of recycled VM run states.
 type compiledProgram struct {
-	prog          *lang.Program
-	events        []string
-	machines      []*compiledMachine
-	monitors      []*compiledMachine
-	classes       []*compiledClass
-	consts        []vval
-	poss          []string
-	methodNames   []string
-	machineByName map[string]*compiledMachine
-	pool          sync.Pool
+	prog        *lang.Program
+	events      []string
+	machines    []*compiledMachine
+	monitors    []*compiledMachine
+	classes     []*compiledClass
+	consts      []vval
+	poss        []string
+	methodNames []string
+	pool        sync.Pool
 	// mainCache remembers the last entry-machine lookup: nearly every Run
 	// of a Program starts the same machine, and at ~1us-per-schedule the
 	// per-run string-map probe is measurable.
 	mainCache atomic.Pointer[mainEntry]
 }
 
-// mainEntry is one cached machineByName resolution.
+// mainEntry is one cached entry-machine resolution.
 type mainEntry struct {
 	name string
 	cm   *compiledMachine
@@ -384,7 +384,6 @@ func zeroFields(fields []*lang.VarDecl) []vval {
 // output; an unknown AST node is an internal inconsistency and panics.
 type compiler struct {
 	prog          *lang.Program
-	st            *lang.SymbolTable
 	cp            *compiledProgram
 	posIdx        map[string]int32
 	constIdx      map[int64]int32
@@ -392,16 +391,13 @@ type compiler struct {
 }
 
 func compileProgram(prog *lang.Program) *compiledProgram {
-	st := lang.Intern(prog)
 	ps := schemasFor(prog)
-	cp := &compiledProgram{
-		prog:          prog,
-		events:        st.Events,
-		machineByName: make(map[string]*compiledMachine, len(prog.Machines)),
+	cp := &compiledProgram{prog: prog}
+	for _, e := range prog.Events {
+		cp.events = append(cp.events, e.Name)
 	}
 	c := &compiler{
 		prog:          prog,
-		st:            st,
 		cp:            cp,
 		posIdx:        make(map[string]int32),
 		constIdx:      make(map[int64]int32),
@@ -415,9 +411,7 @@ func compileProgram(prog *lang.Program) *compiledProgram {
 		cp.classes = append(cp.classes, cc)
 	}
 	for _, md := range prog.Machines {
-		cm := &compiledMachine{decl: md, fieldZero: zeroFields(md.Fields)}
-		cp.machines = append(cp.machines, cm)
-		cp.machineByName[md.Name] = cm
+		cp.machines = append(cp.machines, &compiledMachine{decl: md, fieldZero: zeroFields(md.Fields)})
 	}
 	for _, md := range prog.Monitors {
 		cp.monitors = append(cp.monitors, &compiledMachine{decl: md, fieldZero: zeroFields(md.Fields)})
@@ -425,8 +419,7 @@ func compileProgram(prog *lang.Program) *compiledProgram {
 	for i, cd := range prog.Classes {
 		cc := cp.classes[i]
 		for _, meth := range cd.Methods {
-			cc.methods = append(cc.methods,
-				c.compileCode(cd.Name+"."+meth.Name, meth, nil, cc))
+			cc.methods = append(cc.methods, c.lower(cd.Name+"."+meth.Name, meth, nil, cc))
 		}
 	}
 	for i, md := range prog.Machines {
@@ -442,7 +435,7 @@ func compileProgram(prog *lang.Program) *compiledProgram {
 		cc.byName = make([]*compiledCode, len(cp.methodNames))
 		for ni, name := range cp.methodNames {
 			if md, ok := cd.MethodByName[name]; ok {
-				cc.byName[ni] = cc.methods[c.st.MethodIndex[md]]
+				cc.byName[ni] = cc.methods[md.Index]
 			}
 		}
 	}
@@ -457,56 +450,48 @@ func compileProgram(prog *lang.Program) *compiledProgram {
 func (c *compiler) compileMachine(cm *compiledMachine, ms *machineSchema) {
 	md := cm.decl
 	for _, meth := range md.Methods {
-		cm.methods = append(cm.methods,
-			c.compileCode(md.Name+"."+meth.Name, meth, cm, nil))
+		cm.methods = append(cm.methods, c.lower(md.Name+"."+meth.Name, meth, cm, nil))
 	}
 	cm.states = make([]*compiledState, len(md.States))
 	for i, sd := range md.States {
 		cs := &compiledState{decl: sd, hot: sd.Hot}
-		if sd.Entry != nil {
-			cs.entry = c.compileBlock(md.Name+"."+sd.Name+".entry", sd.Entry, cm)
+		if sd.EntryMethod != nil {
+			cs.entry = c.lower(md.Name+"."+sd.Name+".entry", sd.EntryMethod, cm, nil)
 		}
 		cm.states[i] = cs
 	}
-	nev := len(c.st.Events)
+	nev := len(c.cp.events)
 	for i, sd := range md.States {
 		ss := ms.states[sd.Name]
 		d := make([]vdispatch, nev)
 		for evt, e := range ss.dispatch {
 			vd := vdispatch{kind: e.kind}
 			if e.method != nil {
-				vd.method = cm.methods[c.st.MethodIndex[e.method]]
+				vd.method = cm.methods[e.method.Index]
 			}
 			if e.target != nil {
-				vd.target = cm.states[c.st.StateIndex[e.target.decl]]
+				vd.target = cm.states[e.target.decl.Index]
 			}
-			d[c.st.EventIndex[evt]] = vd
+			d[c.event(evt)] = vd
 		}
 		cm.states[i].dispatch = d
 	}
-	cm.start = cm.states[c.st.StateIndex[md.StartState]]
+	cm.start = cm.states[md.StartState.Index]
 }
 
-func (c *compiler) compileCode(name string, meth *lang.MethodDecl, cm *compiledMachine, cc *compiledClass) *compiledCode {
-	return c.lower(name, meth.Params, meth.Body, cm, cc)
-}
-
-func (c *compiler) compileBlock(name string, body []lang.Stmt, cm *compiledMachine) *compiledCode {
-	return c.lower(name, nil, body, cm, nil)
-}
-
-func (c *compiler) lower(name string, params []*lang.VarDecl, body []lang.Stmt, cm *compiledMachine, cc *compiledClass) *compiledCode {
-	code := &compiledCode{name: name, machine: cm, class: cc, nparams: len(params)}
-	decls := lang.CollectLocals(params, body)
-	g := &gen{c: c, code: code, slots: make(map[string]int32, len(decls))}
-	for _, d := range decls {
-		g.slots[d.Name] = int32(len(code.localNames))
+// lower compiles one checked method or state entry block. Its frame is the
+// checker's: slot i holds meth.Vars[i] (parameters first), and hidden loop
+// counters follow.
+func (c *compiler) lower(name string, meth *lang.MethodDecl, cm *compiledMachine, cc *compiledClass) *compiledCode {
+	code := &compiledCode{name: name, machine: cm, class: cc, nparams: len(meth.Params)}
+	for _, d := range meth.Vars {
 		code.localNames = append(code.localNames, d.Name)
 	}
-	if len(params) == 1 {
-		code.payloadZero = zeroByKind[zkindOf(params[0].Type)]
+	if len(meth.Params) == 1 {
+		code.payloadZero = zeroByKind[zkindOf(meth.Params[0].Type)]
 	}
-	g.stmts(body)
+	g := &gen{c: c, code: code}
+	g.stmts(meth.Body)
 	code.nlocals = len(code.localNames)
 	written := make([]bool, code.nlocals)
 	for i := 0; i < code.nparams; i++ {
@@ -739,6 +724,8 @@ func (c *compiler) constant(v int64) int32 {
 	return i
 }
 
+func (c *compiler) event(name string) int32 { return int32(c.prog.EventByName[name].Index) }
+
 func (c *compiler) methodName(name string) int32 {
 	if i, ok := c.methodNameIdx[name]; ok {
 		return i
@@ -751,9 +738,8 @@ func (c *compiler) methodName(name string) int32 {
 
 // gen emits instructions for one code unit.
 type gen struct {
-	c     *compiler
-	code  *compiledCode
-	slots map[string]int32
+	c    *compiler
+	code *compiledCode
 }
 
 func (g *gen) emit(op Opcode, a, b, pos int32) int {
@@ -771,16 +757,15 @@ func (g *gen) hidden() int32 {
 	return s
 }
 
-// fieldSlot resolves a this-field name in the current holder; the second
-// result is true for class (heap object) context.
-func (g *gen) fieldSlot(name string) (int32, bool) {
+// field emits a this-field access: ofield in class (heap object) code,
+// mfield in machine code.
+func (g *gen) field(d *lang.VarDecl, ofield, mfield Opcode) {
 	if g.code.class != nil {
-		return int32(g.c.st.FieldSlot[g.code.class.decl.FieldByName[name]]), true
+		g.emit(ofield, int32(d.Index), 0, -1)
+	} else {
+		g.emit(mfield, int32(d.Index), 0, -1)
 	}
-	return int32(g.c.st.FieldSlot[g.code.machine.decl.FieldByName[name]]), false
 }
-
-func (g *gen) event(name string) int32 { return int32(g.c.st.EventIndex[name]) }
 
 func (g *gen) stmts(body []lang.Stmt) {
 	for _, s := range body {
@@ -793,18 +778,13 @@ func (g *gen) stmt(s lang.Stmt) {
 	case *lang.LocalDecl:
 		// The walker defines a local when its declaration executes, not at
 		// frame entry — a use before that faults "undefined variable".
-		g.emit(opDeclLocal, g.slots[st.Decl.Name], zkindOf(st.Decl.Type), -1)
+		g.emit(opDeclLocal, int32(st.Decl.Index), zkindOf(st.Decl.Type), -1)
 	case *lang.AssignStmt:
 		g.expr(st.Value)
 		if st.ToField != "" {
-			slot, onObj := g.fieldSlot(st.ToField)
-			if onObj {
-				g.emit(opStoreOField, slot, 0, -1)
-			} else {
-				g.emit(opStoreMField, slot, 0, -1)
-			}
+			g.field(st.Decl, opStoreOField, opStoreMField)
 		} else {
-			g.emit(opStoreLocal, g.slots[st.Target], 0, -1)
+			g.emit(opStoreLocal, int32(st.Decl.Index), 0, -1)
 		}
 	case *lang.ExprStmt:
 		g.expr(st.X)
@@ -816,14 +796,14 @@ func (g *gen) stmt(s lang.Stmt) {
 			g.expr(st.Payload)
 			hasP = 1
 		}
-		g.emit(opSend, g.event(st.Event), hasP, g.c.pos(st.Pos))
+		g.emit(opSend, g.c.event(st.Event), hasP, g.c.pos(st.Pos))
 	case *lang.RaiseStmt:
 		hasP := int32(0)
 		if st.Payload != nil {
 			g.expr(st.Payload)
 			hasP = 1
 		}
-		g.emit(opRaise, g.event(st.Event), hasP, -1)
+		g.emit(opRaise, g.c.event(st.Event), hasP, -1)
 	case *lang.ReturnStmt:
 		if st.Value != nil {
 			g.expr(st.Value)
@@ -878,21 +858,16 @@ func (g *gen) expr(e lang.Expr) {
 	case *lang.NullLit:
 		g.emit(opPushNull, 0, 0, -1)
 	case *lang.VarRef:
-		g.emit(opLoadLocal, g.slots[x.Name], 0, g.c.pos(x.Pos))
+		g.emit(opLoadLocal, int32(x.Decl.Index), 0, g.c.pos(x.Pos))
 	case *lang.ThisRef:
 		g.emit(opBadThis, 0, 0, g.c.pos(x.Pos))
 	case *lang.FieldRef:
-		slot, onObj := g.fieldSlot(x.Field)
-		if onObj {
-			g.emit(opLoadOField, slot, 0, -1)
-		} else {
-			g.emit(opLoadMField, slot, 0, -1)
-		}
+		g.field(x.Decl, opLoadOField, opLoadMField)
 	case *lang.NewExpr:
-		g.emit(opNew, int32(g.c.st.ClassIndex[g.c.prog.ClassByName[x.Class]]), 0, -1)
+		g.emit(opNew, int32(g.c.prog.ClassByName[x.Class].Index), 0, -1)
 	case *lang.CreateExpr:
 		// The walker never evaluates a create payload; neither do we.
-		g.emit(opCreate, int32(g.c.st.MachineIndex[g.c.prog.MachineByName[x.Machine]]), 0, -1)
+		g.emit(opCreate, int32(g.c.prog.MachineByName[x.Machine].Index), 0, -1)
 	case *lang.CallExpr:
 		g.call(x)
 	case *lang.UnaryExpr:
@@ -913,16 +888,10 @@ func (g *gen) call(x *lang.CallExpr) {
 	if _, ok := x.Recv.(*lang.ThisRef); ok {
 		// this.m(...): resolved statically — the executing code's own
 		// holder is the runtime receiver by definition.
-		var mi int
-		if g.code.class != nil {
-			mi = g.c.st.MethodIndex[g.code.class.decl.MethodByName[x.Method]]
-		} else {
-			mi = g.c.st.MethodIndex[g.code.machine.decl.MethodByName[x.Method]]
-		}
 		for _, a := range x.Args {
 			g.expr(a)
 		}
-		g.emit(opCallSelf, int32(mi), 0, g.c.pos(x.Pos))
+		g.emit(opCallSelf, int32(x.Decl.Index), 0, g.c.pos(x.Pos))
 		return
 	}
 	// obj.m(...): the receiver's runtime class is dynamic, so the call

@@ -1,8 +1,9 @@
 package interp
 
 // Disassembly of compiled programs, for debugging the bytecode engine and
-// for documentation. The listing is stable for a given source text: all
-// indices are interned in declaration order.
+// for documentation. The listing is stable for a given source text: every
+// index is the one lang.Check gave the declaration, its position in
+// declaration order.
 
 import (
 	"fmt"

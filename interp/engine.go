@@ -11,8 +11,8 @@ type Engine uint8
 const (
 	// EngineBytecode (the default) compiles each machine and monitor body
 	// once per loaded Program into compact stack-machine bytecode and runs
-	// it on an operand-stack VM with interned event, field, state and
-	// method indices — no string hashing and no per-dispatch allocation on
+	// it on an operand-stack VM with the checker's event, field, state and
+	// method indices as operands — no string hashing and no per-dispatch allocation on
 	// the hot path. See the package docs, "Bytecode execution".
 	EngineBytecode Engine = iota
 	// EngineWalk is the reference tree-walking evaluator (eval.go): it

@@ -14,9 +14,9 @@
 // dispatch; the default bytecode engine compiles each machine, monitor,
 // and class method body once per loaded Program into compact stack-machine
 // bytecode (compile.go) and runs it on an operand-stack VM (vm.go). The
-// compiler interns every event, field, state, and method name to a dense
-// index, so the VM's hot path does no string hashing and no per-dispatch
-// allocation; a fusion pass then collapses common instruction pairs into
+// compiler reads the indices lang.Check gave every event, class, machine,
+// state, method, field and frame variable, so the VM's hot path does no
+// string hashing and no per-dispatch allocation; a fusion pass then collapses common instruction pairs into
 // superinstructions (assign-from-field, compare-and-branch, send-locals,
 // and similar shapes) until a fixpoint, roughly halving dynamic
 // instruction count on the Table 1 corpus. Compiled programs are cached on
@@ -107,8 +107,6 @@ type machineInst struct {
 // by machine id and never empty.
 type Scheduler interface {
 	Next(enabled []MachineID) MachineID
-	// Choose resolves a controlled scalar choice in [0, n).
-	Choose(n int) int
 }
 
 // randomScheduler is a seeded SplitMix64 scheduler.
@@ -131,8 +129,6 @@ func (r *randomScheduler) Next(enabled []MachineID) MachineID {
 	}
 	return enabled[int(x%uint64(len(enabled)))]
 }
-
-func (r *randomScheduler) Choose(n int) int { return int(r.next() % uint64(n)) }
 
 // Options configures a run.
 type Options struct {

@@ -83,7 +83,7 @@ func (v vval) asInt() Int {
 	return Int(v.n)
 }
 
-// vmsg is one queued event with interned event id. It is deliberately
+// vmsg is one queued event, named by its EventDecl.Index. It is deliberately
 // pointer-free (no write barriers on enqueue, nothing to scrub on recycle);
 // vector clocks live in the instance's parallel clocks slice, populated only
 // when the race detector is armed.
@@ -226,11 +226,11 @@ func runVM(prog *lang.Program, main string, opts Options) Outcome {
 	if e := cp.mainCache.Load(); e != nil && e.name == main {
 		md = e.cm
 	} else {
-		var ok bool
-		md, ok = cp.machineByName[main]
+		decl, ok := prog.MachineByName[main]
 		if !ok {
 			return Outcome{Err: fmt.Errorf("interp: no machine %q", main)}
 		}
+		md = cp.machines[decl.Index]
 		cp.mainCache.Store(&mainEntry{name: main, cm: md})
 	}
 	vm := cp.getVM(opts)

@@ -57,6 +57,8 @@ func (p *Program) AuxStore(key, value any) { p.aux.Store(key, value) }
 type EventDecl struct {
 	Name string
 	Pos  Pos
+	// Index, set by Check, is the event's position in Program.Events.
+	Index int
 }
 
 // VarDecl declares a member field, local variable or formal parameter.
@@ -77,6 +79,9 @@ type MethodDecl struct {
 	Result *Type // nil for void
 	Body   []Stmt
 	Pos    Pos
+	// Index, set by Check, is the method's position among its holder's
+	// Methods (a state's EntryMethod is in no list and keeps 0).
+	Index int
 	// Vars, set by Check, lists the frame: the parameters, then every local
 	// of the body in source order (locals have method-wide scope).
 	Vars []*VarDecl
@@ -88,6 +93,8 @@ type ClassDecl struct {
 	Fields  []*VarDecl
 	Methods []*MethodDecl
 	Pos     Pos
+	// Index, set by Check, is the class's position in Program.Classes.
+	Index int
 
 	FieldByName  map[string]*VarDecl
 	MethodByName map[string]*MethodDecl
@@ -105,6 +112,9 @@ type MachineDecl struct {
 	// IsMonitor marks a specification monitor declaration ("monitor M").
 	IsMonitor bool
 	Pos       Pos
+	// Index, set by Check, is the declaration's position in
+	// Program.Machines, or in Program.Monitors for a monitor.
+	Index int
 
 	FieldByName  map[string]*VarDecl
 	MethodByName map[string]*MethodDecl
@@ -126,6 +136,9 @@ type StateDecl struct {
 	Defers  map[string]bool
 	Ignores map[string]bool
 	Pos     Pos
+	// Index, set by Check, is the state's position among its machine's
+	// States.
+	Index int
 	// EntryMethod, set by Check when Entry is not nil, is the entry block as
 	// a parameterless method named "$entry_<state>".
 	EntryMethod *MethodDecl

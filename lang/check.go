@@ -7,21 +7,15 @@ import (
 // Check resolves names and types for the program, filling symbol tables,
 // per-expression types and the declaration every variable, field and call
 // refers to (VarRef.Decl, FieldRef.Decl, AssignStmt.Decl, CallExpr.Decl,
-// with each VarDecl's Index and each method's Vars), so that no later pass
-// looks a name up again. It enforces the paper's core-language assumptions:
+// with each method's Vars), and numbers every declaration by its position
+// in the declaring list (the Index of each VarDecl, EventDecl, ClassDecl,
+// MachineDecl, MethodDecl and StateDecl), so that no later pass looks a
+// name up again. It enforces the paper's core-language assumptions:
 // member variables are only accessible through this; machines exchange
 // data only through events; locals and parameters have method-wide scope.
 func Check(prog *Program) error {
 	c := &checker{prog: prog}
 	return c.run()
-}
-
-// MustCheck panics on a check error; for tests and embedded sources.
-func MustCheck(prog *Program) *Program {
-	if err := Check(prog); err != nil {
-		panic(err)
-	}
-	return prog
 }
 
 // holder abstracts over classes, machines and monitors (all hold fields +
@@ -64,13 +58,14 @@ func (c *checker) run() error {
 	c.scope = make(map[string]*VarDecl)
 	c.bound = make(map[string]bool)
 
-	for _, e := range p.Events {
+	for i, e := range p.Events {
 		if _, dup := p.EventByName[e.Name]; dup {
 			return c.errf(e.Pos, "event %q declared twice", e.Name)
 		}
 		p.EventByName[e.Name] = e
+		e.Index = i
 	}
-	for _, cd := range p.Classes {
+	for i, cd := range p.Classes {
 		if _, dup := c.holders[cd.Name]; dup {
 			return c.errf(cd.Pos, "type %q declared twice", cd.Name)
 		}
@@ -79,11 +74,12 @@ func (c *checker) run() error {
 		h := &holder{name: cd.Name, fields: cd.FieldByName, methods: cd.MethodByName}
 		c.holders[cd.Name] = h
 		p.ClassByName[cd.Name] = cd
+		cd.Index = i
 		if err := c.fillMembers(h, cd.Fields, cd.Methods, cd.Pos); err != nil {
 			return err
 		}
 	}
-	for _, md := range p.Machines {
+	for i, md := range p.Machines {
 		if _, dup := c.holders[md.Name]; dup {
 			return c.errf(md.Pos, "type %q declared twice", md.Name)
 		}
@@ -93,11 +89,12 @@ func (c *checker) run() error {
 		h := &holder{name: md.Name, fields: md.FieldByName, methods: md.MethodByName, machine: true}
 		c.holders[md.Name] = h
 		p.MachineByName[md.Name] = md
+		md.Index = i
 		if err := c.fillMembers(h, md.Fields, md.Methods, md.Pos); err != nil {
 			return err
 		}
 	}
-	for _, md := range p.Monitors {
+	for i, md := range p.Monitors {
 		if _, dup := c.holders[md.Name]; dup {
 			return c.errf(md.Pos, "type %q declared twice", md.Name)
 		}
@@ -107,6 +104,7 @@ func (c *checker) run() error {
 		h := &holder{name: md.Name, fields: md.FieldByName, methods: md.MethodByName, machine: true, monitor: true}
 		c.holders[md.Name] = h
 		p.MonitorByName[md.Name] = md
+		md.Index = i
 		if err := c.fillMembers(h, md.Fields, md.Methods, md.Pos); err != nil {
 			return err
 		}
@@ -189,11 +187,12 @@ func (c *checker) fillMembers(h *holder, fields []*VarDecl, methods []*MethodDec
 		h.fields[f.Name] = f
 		f.Index = i
 	}
-	for _, m := range methods {
+	for i, m := range methods {
 		if _, dup := h.methods[m.Name]; dup {
 			return c.errf(m.Pos, "%s: method %q declared twice", h.name, m.Name)
 		}
 		h.methods[m.Name] = m
+		m.Index = i
 	}
 	return nil
 }
@@ -230,11 +229,12 @@ func (c *checker) checkStates(md *MachineDecl) error {
 	if md.IsMonitor {
 		kind = "monitor"
 	}
-	for _, s := range md.States {
+	for i, s := range md.States {
 		if _, dup := md.StateByName[s.Name]; dup {
 			return c.errf(s.Pos, "%s %q: state %q declared twice", kind, md.Name, s.Name)
 		}
 		md.StateByName[s.Name] = s
+		s.Index = i
 		if s.Start {
 			if md.StartState != nil {
 				return c.errf(s.Pos, "%s %q: more than one start state", kind, md.Name)

@@ -167,3 +167,176 @@ func TestNullAssignability(t *testing.T) {
 		t.Fatal("null to int must be rejected")
 	}
 }
+
+const numberingSrc = `
+event eA;
+event eB;
+
+class box {
+	var v: int;
+	method get(): int { var r: int; r := this.v; return r; }
+}
+
+class pair {
+	var l: box;
+	var r: box;
+	method first(): box { return this.l; }
+	method second(): box { return this.r; }
+}
+
+machine m1 {
+	var f1: int;
+	var f2: bool;
+	start state S0 {
+		entry {
+			var a: int;
+			if (true) {
+				var b: bool;
+				b := false;
+			} else {
+				var e: int;
+				e := 1;
+			}
+			while (a < 2) {
+				var c: int;
+				a := a + 1;
+			}
+		}
+		on eA do h;
+		on eB goto S1;
+	}
+	state S1 {
+	}
+	method g() { this.h(1); }
+	method h(p: int) {
+		var x: int;
+		x := p;
+	}
+}
+
+machine m2 {
+	start state Idle {
+	}
+}
+
+monitor obs_m {
+	var seen: int;
+	start state Watch {
+		on eA do note;
+	}
+	method note() { this.seen := this.seen + 1; }
+}
+`
+
+// checkIndices fails unless every declaration of prog carries its position
+// in the list that declares it.
+func checkIndices(t *testing.T, prog *Program) {
+	t.Helper()
+	want := func(what string, got, i int) {
+		t.Helper()
+		if got != i {
+			t.Fatalf("%s: Index = %d, want %d", what, got, i)
+		}
+	}
+	members := func(holder string, fields []*VarDecl, methods []*MethodDecl) {
+		for i, f := range fields {
+			want(holder+"."+f.Name, f.Index, i)
+		}
+		for i, m := range methods {
+			want(holder+"."+m.Name+"()", m.Index, i)
+			for j, v := range m.Vars {
+				want(holder+"."+m.Name+" var "+v.Name, v.Index, j)
+			}
+		}
+	}
+	for i, e := range prog.Events {
+		want("event "+e.Name, e.Index, i)
+	}
+	for i, cd := range prog.Classes {
+		want("class "+cd.Name, cd.Index, i)
+		members(cd.Name, cd.Fields, cd.Methods)
+	}
+	for _, list := range [][]*MachineDecl{prog.Machines, prog.Monitors} {
+		for i, md := range list {
+			want(md.Name, md.Index, i)
+			members(md.Name, md.Fields, md.Methods)
+			for j, sd := range md.States {
+				want(md.Name+" state "+sd.Name, sd.Index, j)
+				if sd.EntryMethod != nil {
+					for k, v := range sd.EntryMethod.Vars {
+						want(md.Name+" state "+sd.Name+" entry var "+v.Name, v.Index, k)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCheckNumbersDeclarations checks that Check numbers every declaration
+// kind in declaration order (monitors apart from machines), here and on
+// every corpus source, and that resolved references carry those numbers.
+func TestCheckNumbersDeclarations(t *testing.T) {
+	prog := MustParse(numberingSrc)
+	if err := Check(prog); err != nil {
+		t.Fatal(err)
+	}
+	checkIndices(t, prog)
+	if prog.EventByName["eB"].Index != 1 || prog.ClassByName["pair"].Index != 1 ||
+		prog.MachineByName["m2"].Index != 1 || prog.MonitorByName["obs_m"].Index != 0 {
+		t.Fatal("event, class, machine or monitor not numbered in declaration order")
+	}
+	m1 := prog.MachineByName["m1"]
+	if m1.StateByName["S1"].Index != 1 || m1.FieldByName["f2"].Index != 1 || m1.MethodByName["h"].Index != 1 {
+		t.Fatal("state, field or method not numbered in declaration order")
+	}
+	call := m1.MethodByName["g"].Body[0].(*ExprStmt).X.(*CallExpr)
+	if call.Decl.Index != 1 {
+		t.Fatalf("this.h resolves to method index %d, want 1", call.Decl.Index)
+	}
+	note := prog.MonitorByName["obs_m"].MethodByName["note"].Body[0].(*AssignStmt)
+	if note.Decl.Index != 0 || note.Value.(*BinaryExpr).L.(*FieldRef).Decl.Index != 0 {
+		t.Fatal("monitor field references do not carry the field's index")
+	}
+	for _, src := range corpus(t) {
+		prog := MustParse(src)
+		if err := Check(prog); err != nil {
+			t.Fatal(err)
+		}
+		checkIndices(t, prog)
+	}
+}
+
+// TestCheckNumbersFrames checks the frame Check builds for each body:
+// parameters first, then every local however deeply nested, in source order.
+func TestCheckNumbersFrames(t *testing.T) {
+	prog := MustParse(numberingSrc)
+	if err := Check(prog); err != nil {
+		t.Fatal(err)
+	}
+	names := func(decls []*VarDecl) string {
+		var out []string
+		for _, d := range decls {
+			out = append(out, d.Name)
+		}
+		return strings.Join(out, " ")
+	}
+	m1 := prog.MachineByName["m1"]
+	h := m1.MethodByName["h"]
+	if got := names(h.Vars); got != "p x" {
+		t.Fatalf("method h frame = [%s], want [p x]", got)
+	}
+	assign := h.Body[1].(*AssignStmt)
+	if assign.Decl != h.Vars[1] || assign.Value.(*VarRef).Decl != h.Vars[0] {
+		t.Fatal("x := p does not resolve to frame slots 1 and 0")
+	}
+	entry := m1.StartState.EntryMethod
+	if got := names(entry.Vars); got != "a b e c" {
+		t.Fatalf("entry frame = [%s], want [a b e c] (nested decls in source order)", got)
+	}
+	if got := names(prog.ClassByName["box"].MethodByName["get"].Vars); got != "r" {
+		t.Fatalf("box.get frame = [%s], want [r]", got)
+	}
+	if m1.StateByName["S1"].EntryMethod != nil {
+		t.Fatal("a state without an entry block got an entry method")
+	}
+}

@@ -507,25 +507,3 @@ func lookupTypeSchemaLocked(key typeKey, probe Machine) *compiledSchema {
 	}
 	return nil
 }
-
-// NumStates returns the number of declared states (program statistics for
-// Table 1 reporting).
-func (s *Schema) NumStates() int { return len(s.states) }
-
-// NumTransitions returns the number of goto bindings across all states.
-func (s *Schema) NumTransitions() int { return s.countKind(dispatchGoto) }
-
-// NumActionBindings returns the number of do bindings across all states.
-func (s *Schema) NumActionBindings() int { return s.countKind(dispatchAction) }
-
-func (s *Schema) countKind(k dispatchKind) int {
-	n := 0
-	for _, st := range s.states {
-		for i := range st.handlers {
-			if st.handlers[i].entry.kind == k {
-				n++
-			}
-		}
-	}
-	return n
-}

@@ -62,8 +62,6 @@ type Options struct {
 	ChessLike bool
 	// RaceDetect enables the happens-before race detector (RD-on).
 	RaceDetect bool
-	// RaceAsBug ends an iteration when a race is detected.
-	RaceAsBug bool
 	// Progress, if non-nil, receives a typed Progress snapshot every
 	// ProgressEvery iterations of each worker (ProgressEvery <= 0 disables
 	// emission). Calls are serialized behind a run-wide mutex, so one
@@ -401,7 +399,6 @@ func runWorker(setup func(*psharp.Runtime), sh *shared, w *worker) Report {
 		LivenessTemperature: opts.LivenessTemperature,
 		ChessLike:           opts.ChessLike,
 		RaceDetect:          opts.RaceDetect,
-		RaceAsBug:           opts.RaceAsBug,
 		Interrupt:           interrupt,
 	}
 	if opts.Telemetry != nil {

@@ -101,9 +101,6 @@ func newFaultInjector(inner Strategy, opts FaultOptions, offset, stride int) *Fa
 	}
 }
 
-// Inner returns the wrapped exploration strategy.
-func (s *FaultInjector) Inner() Strategy { return s.inner }
-
 // CloneForWorker shards both the inner strategy and the injector's fault
 // stream; it panics if the inner strategy is not Cloneable.
 func (s *FaultInjector) CloneForWorker(worker, workers int) Strategy {

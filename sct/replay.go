@@ -32,9 +32,6 @@ func (s *Replay) PrepareIteration(iter int) bool {
 	return iter == 0
 }
 
-// Consumed reports how many decisions have been replayed.
-func (s *Replay) Consumed() int { return s.pos }
-
 // next returns the recorded decision at this position, which must be of
 // the kind the program is asking for.
 func (s *Replay) next(kind psharp.DecisionKind) *psharp.Decision {
