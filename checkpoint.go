@@ -1,27 +1,45 @@
 package psharp
 
-import (
-	"math/bits"
-	"slices"
-)
+import "slices"
 
-// Quiescent checkpoints: a depth-first attempt does not re-execute the
-// prefix it shares with the attempt before it.
+// Checkpoints: a depth-first attempt does not re-execute the prefix it
+// shares with the attempt before it.
 //
 // The paper's tester is stateless — every schedule starts from setup — and
 // under a depth-first strategy almost everything an attempt executes is the
 // previous attempt's decisions made again to get back to the backtrack point.
-// A Go machine parked in the middle of a handler is a coroutine stack, which
-// nothing can copy; but at a scheduling point taken on the controller's own
-// stack with no machine parked mid-handler — a quiescent point — the whole
-// program is data: each instance's logic value and state — a machine's with
-// its mailbox and status, a monitor's (a machine that observes) with its
-// temperature — and a handful of the controller's counters. A snapshot is a
-// deep copy of that, one record per instance (stateWalk.copy, one walk, so
-// what machines, monitors and queued events share stays shared), and an
-// iteration that starts from one is set up from it instead of from the user's
-// setup function: the same acquireInstance/onCreate path, with every machine
-// entering run between two handlers, where it was.
+// A snapshot of the program at a scheduling point spares that: each
+// instance's logic value and state — a machine's with its mailbox and status,
+// a monitor's (a machine that observes) with its temperature — and a handful
+// of the controller's counters, deep-copied one record per instance
+// (stateWalk.copy, one walk, so what machines, monitors and queued events
+// share stays shared). An iteration that starts from one is set up from it
+// instead of from the user's setup function: the same acquireInstance/
+// onCreate path, with every machine entering run where it was.
+//
+// A machine parked in the middle of a handler is a coroutine stack, which
+// nothing can copy; but it can be rebuilt, because a handler is a
+// deterministic function of its machine's state, its event and its
+// controlled choices. While an iteration has a snapshot to take ahead, every
+// handler chain a machine starts — at a dequeue, or at its birth: the
+// handler, then whatever exits, gotos, entries and raises follow — records a
+// copy of the machine's logic and of the event as they were then
+// (handlerStart), and from there counts the yield points the machine passes
+// and logs the machines it creates and the values it draws. A snapshot holds
+// a parked machine as that record, that count and that log, with its mailbox
+// as it stands. A restore re-runs the chain on the machine's own coroutine
+// in catch-up mode: sends, creates and monitor notifications have no effect
+// (the snapshot has them already), creates and draws return what the log
+// says, and at the recorded yield point the machine parks without asking
+// the strategy — where it was. Its state-hash position (hops) comes back as
+// it was, being made of the same operations.
+//
+// What breaks the contract breaks the rebuild, silently, as it breaks
+// replay: a handler that reads what another machine writes outside events —
+// a package variable, an object setup captured — or that touches an object
+// after sending it away (what the paper's ownership analysis forbids). A
+// machine that does not get back to its yield point, or asks for another
+// kind of result than its log holds, fails the iteration as a BugPanic.
 //
 // Which iterations may: the strategy says, through PrefixResumer, how many of
 // the previous iteration's decisions the next one repeats; the controller
@@ -29,21 +47,30 @@ import (
 // there and tells the strategy where it resumes. An iteration with no usable
 // snapshot rewinds to position 0, which is running setup: one path, not two.
 // Restored scheduling points count as points of the schedule everywhere
-// (SchedulingPoints, ReplayedPoints, the trace, fingerprints); only
-// IterationResult.RestoredPoints, wall time, allocations and Runtime.Metrics
-// — which count what was executed — tell.
+// (SchedulingPoints, ReplayedPoints, ContinuedPoints, the trace,
+// fingerprints); only IterationResult.RestoredPoints, wall time, allocations
+// and Runtime.Metrics — which count what was executed — tell.
 //
 // Which snapshots are taken is decided with no knob. An iteration that
-// repeats part of the one before it records one bit per decision position:
-// was it quiescent. The next one, while it replays toward its backtrack
-// point, snapshots at most once: at the deepest quiescent position, past
-// where it started, inside the prefix that all of the last backtrackWindow
-// iterations repeated (the search dips a few levels up and comes back all
-// the time; a snapshot deeper than the dips is dropped before it has paid
-// for itself). The first iteration of a search therefore records and takes
-// nothing, and a program whose machines are always mid-handler never pays
-// for a copy. The stack holds maxCheckpoints snapshots; the shallowest goes
-// first.
+// repeats part of the one before it records the positions of its scheduling
+// points and which machines were parked at each. The next one, while it
+// replays toward its backtrack point, snapshots at most once — and records
+// handler starts only for the machines parked there: at the deepest point,
+// past where it started, inside the prefix that
+// all of the last backtrackWindow iterations repeated (the search dips a few
+// levels up and comes back all the time; a snapshot deeper than the dips is
+// dropped before it has paid for itself). The first iteration of a search
+// therefore records and takes nothing. The stack holds maxCheckpoints
+// snapshots; the shallowest goes first.
+//
+// The one fallback: a handler start copied apart from the snapshot must share
+// no memory with anything else the snapshot holds — another machine, a
+// monitor, a queued event, another handler start — or the rebuilt machine
+// and the restored rest would no longer share it (the spans stateWalk.overlaps
+// leaves, compared across the walks). A machine whose handler start does is
+// stuck: until the configuration changes, snapshots sit only at points where
+// no stuck machine is parked — the deepest quiescent point, once every
+// machine that parks is stuck. The snapshot that found it out is not taken.
 //
 // What has no checkpoint, and replays from setup exactly as before: a
 // strategy without PrefixResumer (every non-depth-first one, and a wrapper
@@ -87,12 +114,13 @@ const (
 	backtrackWindow = 4
 )
 
-// snapshot is the program at a quiescent scheduling point.
+// snapshot is the program at a scheduling point.
 type snapshot struct {
 	pos       int // decisions made before the point: the trace length there
 	steps     int
 	continued int
 	current   MachineID
+	onStack   MachineID // the machine whose yield point took the pass, if one did
 	sendSeq   uint64
 	prefix    uint64 // stateHasher.prefix, when a cache is attached
 	machines  []instanceState
@@ -104,31 +132,69 @@ type instanceState struct {
 	id     MachineID
 	schema *compiledSchema
 	logic  Machine
-	state  string
 	st     *stateSpec // nil: not booted yet, birth is what boot will start from
 	status machineStatus
 	halted bool
 	temp   int
 	queue  []envelope
 	birth  Event
+	// A machine parked at a yield point (yields > 0) is rebuilt: it re-runs
+	// chain — or, if chain is nil, starts from logic at the CHESS dequeue it
+	// yielded at — passing yields yield points, the last of which it parks
+	// at, and log answers its creates and draws.
+	chain  *handlerStart
+	yields int
+	log    []chainOp
 }
 
-// save records m in is. It reports false, recording nothing usable, for an
-// instance whose schema is not the one bound to its name (bound): the closure
-// form, whose state lives in captured variables rather than its logic value.
-func (is *instanceState) save(w *stateWalk, m *machineInstance, bound *compiledSchema) bool {
+// handlerStart is a machine as it began a handler chain: copies of its logic
+// and of the event (the birth payload when st is nil: the chain is the boot),
+// and its state.
+type handlerStart struct {
+	logic Machine
+	event Event
+	st    *stateSpec
+}
+
+// unrecorded stands for the start of a chain no faithful copy was made of —
+// one a copy would not be faithful to, or one that began when the machine
+// was not expected to be parked at the snapshot, which only a program
+// nondeterministic beyond its choices can make happen: nothing can rebuild
+// the machine running it.
+var unrecorded = &handlerStart{}
+
+// save records m in is, a record a dropped snapshot may have used before;
+// running says that m's stack is the one taking the pass. It reports false,
+// recording nothing usable, for an instance whose schema is not the one bound
+// to its name (bound): the closure form, whose state lives in captured
+// variables rather than its logic value.
+func (is *instanceState) save(w *stateWalk, m *machineInstance, bound *compiledSchema, running bool) bool {
 	if m.schema != bound {
 		return false
 	}
-	*is = instanceState{id: m.id, schema: m.schema, state: m.state, st: m.st, halted: m.halted, temp: m.temp}
-	w.copyLogic(&is.logic, &m.logic)
-	if q := m.queued(); len(q) > 0 {
-		is.queue = make([]envelope, len(q))
-		for j := range q {
-			is.queue[j] = envelope{sender: q[j].sender, seq: q[j].seq}
-			w.copyEvent(&is.queue[j].event, &q[j].event)
+	queue, log := is.queue[:0], is.log[:0]
+	*is = instanceState{id: m.id, schema: m.schema, st: m.st, halted: m.halted, temp: m.temp}
+	switch {
+	case !m.midHandler && !running:
+		w.copyLogic(&is.logic, &m.logic)
+	case m.dequeueing:
+		w.copyLogic(&is.logic, &m.logic) // between two handlers, one yield short of the next
+		is.yields = 1
+	default:
+		is.chain, is.yields, log = m.chain, m.chainYields, append(log, m.chainLog...)
+		if is.chain == nil {
+			is.chain = unrecorded
 		}
 	}
+	is.log = log
+	if q := m.queued(); len(q) > 0 {
+		queue = slices.Grow(queue, len(q))[:len(q)]
+		for j := range q {
+			queue[j] = envelope{sender: q[j].sender, seq: q[j].seq}
+			w.copyEvent(&queue[j].event, &q[j].event)
+		}
+	}
+	is.queue = queue
 	if m.st == nil {
 		w.copyEvent(&is.birth, &m.birth)
 	}
@@ -136,15 +202,29 @@ func (is *instanceState) save(w *stateWalk, m *machineInstance, bound *compiledS
 }
 
 // load puts a fresh copy of the instance is records into m, a just acquired
-// instance of the same ID and schema; is stays as it is.
+// instance of the same ID and schema; is stays as it is. A parked machine
+// comes back as it began its chain, set to catch up.
 func (is *instanceState) load(w *stateWalk, m *machineInstance) {
-	w.copyLogic(&m.logic, &is.logic)
-	m.state, m.st, m.halted, m.temp = is.state, is.st, is.halted, is.temp
+	logic, birth := &is.logic, &is.birth
+	m.st, m.halted, m.temp = is.st, is.halted, is.temp
+	if hs := is.chain; hs != nil {
+		logic, m.st = &hs.logic, hs.st
+		if hs.st == nil {
+			birth = &hs.event
+		} else {
+			w.copyEvent(&m.replayEv, &hs.event)
+		}
+	}
+	if m.st != nil {
+		m.state = m.st.name
+	}
+	w.copyLogic(&m.logic, logic)
 	for j := range is.queue {
 		m.push(envelope{sender: is.queue[j].sender, seq: is.queue[j].seq})
 		w.copyEvent(&m.queue[len(m.queue)-1].event, &is.queue[j].event)
 	}
-	w.copyEvent(&m.birth, &is.birth)
+	w.copyEvent(&m.birth, birth)
+	m.chain, m.replayLeft, m.replayLog = is.chain, is.yields, is.log
 }
 
 // checkpoints is what a controller remembers of its previous iteration in
@@ -153,67 +233,49 @@ func (is *instanceState) load(w *stateWalk, m *machineInstance) {
 // schedules of a strategy that repeats nothing, never has any.
 type checkpoints struct {
 	stack []*snapshot // by increasing pos
-	// quiet has bit p set when the pass at trace length p of the last
-	// iteration to get there was quiescent. Only an iteration that repeats
-	// some of the one before it records (recording): the first iteration of a
-	// search, which may well be its last, does not pay for a second that may
-	// never come. The set starts out in quietBuf.
-	quiet     bitset
-	quietBuf  [8]uint64
+	// passes[p] is, for the last iteration to get to trace length p, whether
+	// it took a scheduling pass there (bit 0) and which machines were parked
+	// mid-handler at it (machineBit). Only an iteration that repeats some of
+	// the one before it records (recording): the first iteration of a search,
+	// which may well be its last, does not pay for a second that may never
+	// come.
+	passes    []uint64
 	recording bool
-	// target is the position this iteration snapshots at, 0 for none. recent
-	// holds the repeated-prefix lengths of the last backtrackWindow iterations.
+	// target is the position this iteration snapshots at, 0 for none; chains
+	// are the machines parked there, whose handler starts are recorded while
+	// it is ahead. recent holds the repeated-prefix lengths of the last
+	// backtrackWindow iterations.
 	target int
+	chains uint64
 	recent [backtrackWindow]int
 	iter   int
 	// unfit: a snapshot of this program was refused; none is tried again
-	// until the configuration changes.
+	// until the configuration changes. stuck: the machines a snapshot could
+	// not rebuild; until then snapshots are taken where none of them is
+	// parked.
 	unfit bool
+	stuck uint64
 	walk  stateWalk
+	// spare holds snapshots dropped from the stack, for the next ones to
+	// reuse their arrays. Handler starts are cut from a slab, which is never
+	// reused: a snapshot may hold on to any handler start for good.
+	spare  []*snapshot
+	starts []handlerStart
 }
+
+// machineBit is machine i's bit (i indexes rt.machines) in a passes word:
+// machines past the 62nd share the last bit.
+func machineBit(i int) uint64 { return 1 << min(i+1, 63) }
 
 // forget drops everything remembered.
 func (ck *checkpoints) forget() {
 	clear(ck.stack)
 	ck.stack = ck.stack[:0]
-	ck.quiet.clearFrom(0)
-	ck.unfit = false
+	clear(ck.spare)
+	ck.spare = ck.spare[:0]
+	ck.passes = ck.passes[:0]
+	ck.unfit, ck.stuck = false, 0
 	ck.recent, ck.iter = [backtrackWindow]int{}, 0
-}
-
-// bitset is a growable set of small non-negative integers.
-type bitset []uint64
-
-func (b *bitset) set(i int) {
-	for i/64 >= len(*b) {
-		*b = append(*b, 0)
-	}
-	(*b)[i/64] |= 1 << (i % 64)
-}
-
-// clearFrom removes every member ≥ i.
-func (b bitset) clearFrom(i int) {
-	if w := i / 64; w < len(b) {
-		b[w] &= 1<<(i%64) - 1
-		clear(b[w+1:])
-	}
-}
-
-// last returns the largest member in [lo, hi], or -1.
-func (b bitset) last(lo, hi int) int {
-	for w := min(hi/64, len(b)-1); w >= 0 && w >= lo/64; w-- {
-		word := b[w]
-		if w == hi/64 && hi%64 != 63 {
-			word &= 1<<(hi%64+1) - 1
-		}
-		if word != 0 {
-			if i := w*64 + 63 - bits.LeadingZeros64(word); i >= lo {
-				return i
-			}
-			return -1
-		}
-	}
-	return -1
 }
 
 // rewind starts an iteration: it restores the deepest snapshot inside the
@@ -227,86 +289,199 @@ func (c *controller) rewind() int {
 	}
 	if c.ck == nil && k > 0 {
 		c.ck = &checkpoints{}
-		c.ck.quiet = c.ck.quietBuf[:0]
 	}
 	if ck := c.ck; ck != nil {
-		ck.target, ck.recording = 0, k > 0
+		ck.target, ck.chains, ck.recording = 0, 0, k > 0
 		n := len(ck.stack)
 		for n > 0 && ck.stack[n-1].pos > k {
 			n-- // taken inside a subtree the search has left
 		}
+		ck.spare = append(ck.spare, ck.stack[n:]...)
 		clear(ck.stack[n:])
 		ck.stack = ck.stack[:n]
 		if n > 0 {
 			at = ck.stack[n-1].pos
-			c.restore(ck.stack[n-1])
-			c.resumer.ResumeAt(at)
 		}
 		ck.recent[ck.iter%backtrackWindow] = k
 		ck.iter++
 		if !ck.unfit {
-			ck.target = max(ck.quiet.last(at+1, slices.Min(ck.recent[:])), 0)
+			for p := min(slices.Min(ck.recent[:]), len(ck.passes)-1); p > at; p-- {
+				if w := ck.passes[p]; w&1 != 0 && w&ck.stuck == 0 {
+					ck.target, ck.chains = p, w&^1
+					break
+				}
+			}
 		}
-		ck.quiet.clearFrom(at) // this iteration rewrites the rest
+		ck.passes = ck.passes[:min(at, len(ck.passes))] // this iteration rewrites the rest
+		if n > 0 {
+			c.restore(ck.stack[n-1])
+			c.resumer.ResumeAt(at)
+		}
 	}
 	c.trace.Decisions = c.trace.Decisions[:at]
 	return at
 }
 
-// loopPass is pass as loop runs it: on the controller's stack, which is where
-// the program can be quiescent. It records whether it is and takes the
-// snapshot this iteration was waiting to take here.
+// loopPass is pass as loop runs it: on the controller's stack, with no
+// machine running.
 func (c *controller) loopPass() passOutcome {
-	if ck := c.ck; ck != nil && ck.recording && c.parked == 0 {
-		pos := len(c.trace.Decisions)
-		ck.quiet.set(pos)
-		if pos == ck.target && pos > 0 && c.bug == nil {
-			c.snapshot(pos)
-		}
+	if c.ck != nil {
+		c.checkpoint(nil)
 	}
 	return c.pass()
 }
 
+// checkpoint is where a pass starts, on the stack of running (nil: loop's),
+// in a harness that has checkpoints. It records the point and the machines
+// parked at it, and takes the snapshot this iteration was waiting to take
+// here.
+func (c *controller) checkpoint(running *machineInstance) {
+	ck := c.ck
+	if !ck.recording {
+		return
+	}
+	pos := len(c.trace.Decisions)
+	for len(ck.passes) <= pos {
+		ck.passes = append(ck.passes, 0)
+	}
+	w := uint64(1)
+	for i, m := range c.rt.machines {
+		if m.midHandler || m == running {
+			w |= machineBit(i)
+		}
+	}
+	ck.passes[pos] = w
+	if pos == ck.target && pos > 0 && c.bug == nil {
+		ck.chains = 0
+		c.snapshot(pos, running)
+	}
+}
+
+// beginChain is where machine m starts a handler chain on ev — at a dequeue,
+// or at its birth — in a harness that has checkpoints; while a snapshot is
+// ahead, a copy of where it started is recorded for the snapshot to rebuild
+// it from. A machine catching up is re-running the chain a snapshot
+// recorded.
+func (c *controller) beginChain(m *machineInstance, ev Event) {
+	if m.replayLeft > 0 {
+		return
+	}
+	m.chain, m.chainYields, m.chainLog, m.chainSpans = nil, 0, m.chainLog[:0], m.chainSpans[:0]
+	if ck := c.ck; ck.chains&machineBit(int(m.id.Seq-1)) != 0 {
+		m.chain = ck.handlerStart(m, ev)
+	}
+}
+
+// handlerStart copies m's logic and the event ev of the chain m begins, and
+// leaves the memory they occupy in m.chainSpans.
+func (ck *checkpoints) handlerStart(m *machineInstance, ev Event) *handlerStart {
+	if len(ck.starts) == cap(ck.starts) {
+		ck.starts = make([]handlerStart, 0, 64)
+	}
+	ck.starts = append(ck.starts, handlerStart{event: ev, st: m.st})
+	hs := &ck.starts[len(ck.starts)-1]
+	w := &ck.walk
+	w.reset()
+	w.copyLogic(&hs.logic, &m.logic)
+	w.copyEvent(&hs.event, &hs.event) // deepened in place: ev stays off the heap
+	if w.refused != nil || w.unfaithful || w.overlaps() {
+		*hs = handlerStart{}
+		ck.starts = ck.starts[:len(ck.starts)-1]
+		return unrecorded
+	}
+	m.chainSpans = append(m.chainSpans, w.spans...)
+	return hs
+}
+
 // snapshot copies the program as it stands at trace length pos onto the
 // stack — or finds that it cannot be copied faithfully and gives up on the
-// program.
-func (c *controller) snapshot(pos int) {
+// program, or that a parked machine cannot be rebuilt faithfully and marks it
+// stuck.
+func (c *controller) snapshot(pos int, running *machineInstance) {
 	ck, rt := c.ck, c.rt
 	w := &ck.walk
 	w.reset()
-	s := &snapshot{pos: pos, steps: c.steps, continued: c.continued, current: c.current, sendSeq: c.sendSeq,
-		machines: make([]instanceState, len(rt.machines)), monitors: make([]instanceState, len(rt.monitors))}
+	var s *snapshot
+	if n := len(ck.spare); n > 0 {
+		s = ck.spare[n-1]
+		ck.spare[n-1] = nil
+		ck.spare = ck.spare[:n-1]
+	} else {
+		s = &snapshot{}
+	}
+	*s = snapshot{pos: pos, steps: c.steps, continued: c.continued, current: c.current, sendSeq: c.sendSeq,
+		machines: slices.Grow(s.machines[:0], len(rt.machines))[:len(rt.machines)],
+		monitors: slices.Grow(s.monitors[:0], len(rt.monitors))[:len(rt.monitors)]}
+	if running != nil {
+		s.onStack = running.id
+	}
 	if c.hasher != nil {
 		s.prefix = c.hasher.prefix
 	}
-	for i, m := range rt.machines {
-		if !s.machines[i].save(w, m, rt.schemas[m.id.Type]) {
-			ck.unfit = true
-			return
-		}
-		s.machines[i].status = c.statuses[i]
-	}
-	for i, m := range rt.monitors {
-		if !s.monitors[i].save(w, m, rt.monitorSchemas[m.id.Type]) {
-			ck.unfit = true
-			return
-		}
-	}
-	if w.refused != nil || w.unfaithful || w.overlaps() {
-		ck.unfit = true
+	if !c.save(s, running) {
+		ck.spare = append(ck.spare, s)
 		return
 	}
 	if len(ck.stack) == maxCheckpoints {
+		ck.spare = append(ck.spare, ck.stack[0])
 		copy(ck.stack, ck.stack[1:])
 		ck.stack = ck.stack[:maxCheckpoints-1]
 	}
 	ck.stack = append(ck.stack, s)
 }
 
+// save records every instance in s, or reports why it cannot: unfit when the
+// program cannot be copied faithfully, stuck when a parked machine cannot be
+// rebuilt faithfully.
+func (c *controller) save(s *snapshot, running *machineInstance) bool {
+	ck, rt := c.ck, c.rt
+	w := &ck.walk
+	for i, m := range rt.machines {
+		if !s.machines[i].save(w, m, rt.schemas[m.id.Type], m == running) {
+			ck.unfit = true
+			return false
+		}
+		s.machines[i].status = c.statuses[i]
+	}
+	for i, m := range rt.monitors {
+		if !s.monitors[i].save(w, m, rt.monitorSchemas[m.id.Type], false) {
+			ck.unfit = true
+			return false
+		}
+	}
+	if w.refused != nil || w.unfaithful || w.overlaps() {
+		ck.unfit = true
+		return false
+	}
+	// The handler starts recorded in this iteration were copied in walks of
+	// their own, from memory as it was then: none of it may be memory the
+	// snapshot reaches otherwise, or another of them. (One a restore handed
+	// down was checked when it was first saved, and what was copied apart
+	// then was restored apart.)
+	stuck := uint64(0)
+	for i, m := range rt.machines {
+		hs := s.machines[i].chain
+		if hs == nil {
+			continue
+		}
+		if hs == unrecorded || sharing(m.chainSpans, w.spans) {
+			stuck |= machineBit(i)
+		}
+		for j, o := range rt.machines[:i] {
+			if s.machines[j].chain != nil && sharing(m.chainSpans, o.chainSpans) {
+				stuck |= machineBit(i) | machineBit(j)
+			}
+		}
+	}
+	ck.stuck |= stuck
+	return stuck == 0
+}
+
 // restore sets the reset harness up from s, as setup would from nothing:
 // machines through acquireInstance and onCreate, monitors through
 // attachMonitor, each with a fresh copy of its state — s stays as it is for
-// the next iteration to start from.
+// the next iteration to start from. Then every machine s holds parked
+// mid-handler catches up to where it was.
 func (c *controller) restore(s *snapshot) {
 	rt := c.rt
 	w := &c.ck.walk
@@ -331,10 +506,25 @@ func (c *controller) restore(s *snapshot) {
 		is.load(w, rt.attachMonitor(is.id, nil, is.schema))
 	}
 	c.steps, c.continued, c.current, c.sendSeq = s.steps, s.continued, s.current, s.sendSeq
+	c.resumedOn = s.onStack
 	if h := c.hasher; h != nil {
 		// Every point before this one was shown to the cache by an earlier
 		// iteration, under these prefixes: they count as replayed.
 		h.prefix, h.replayed = s.prefix, s.steps
 	}
 	c.restored = s.steps
+	for _, m := range rt.machines {
+		if m.replayLeft == 0 {
+			continue
+		}
+		m.chainSpans = m.chainSpans[:0]
+		if kind, _ := m.next(); kind == ykYield && m.replayLeft == 0 {
+			m.midHandler = true
+		} else if c.bug == nil {
+			c.bug = m.bug
+			if c.bug == nil {
+				c.bug = &Bug{Kind: BugPanic, Machine: m.id, State: m.state, Message: m.diverged("did not get back to where it was")}
+			}
+		}
+	}
 }

@@ -205,31 +205,50 @@
 // with a cache attached the iteration ends at its first scheduling point
 // with a *StateError in IterationResult.Err (sct's Report.Err; psharp-test
 // exits 2) naming the machine type and the field, instead of pruning on a
-// hash that ignored it. Nil ones are ordinary values, and a logic that is
-// itself a func (MachineFunc) is a declaration: what its closures captured
-// was never visible to the hash.
+// hash that ignored it. Nil ones are ordinary values. A logic that is itself
+// a func is refused the same way unless it is a StaticMachineFunc: a
+// closure-form (MachineFunc) machine keeps its state in variables its
+// actions captured, which no hash can see, and a cache blind to it prunes
+// schedules that differ only there (sct's TestStateCacheRefusesClosureLogic
+// has the program: DPOR finds its bug, DPOR with a blind cache exhausted
+// without it).
 //
 // What a depth-first attempt costs: the paper's tester is stateless, so
 // attempt n+1 would re-execute the decision prefix it shares with attempt n
 // before it reaches anything new — well over nine points in ten on the
 // Table 2 protocols. The second interpreter of the state plans is a deep
-// copy, and with it the harness checkpoints (checkpoint.go): at a
-// scheduling point where no machine is parked in the middle of a handler
-// the whole program is data, a snapshot of it is a copy of every logic
-// value, mailbox and monitor, made in one walk so that what machines and
-// queued events share stays shared, and an attempt whose strategy promises
-// to repeat a prefix of the last one (PrefixResumer: sct's depth-first
-// search, as DFS and as DPOR) starts from the deepest snapshot inside that prefix instead of from
-// setup. Nothing a caller can count changes: the restored points are
-// points of the schedule in SchedulingPoints, ReplayedPoints, the Trace and
-// every report, and a search with checkpoints is attempt for attempt the
-// search without (TestStateCacheReplaySkipEquivalence holds it to that on
-// the whole corpus). IterationResult.RestoredPoints (sct's
-// Report.RestoredPoints and Shares().RestoredShare) says how much was not executed;
-// Runtime.Metrics and coverage hit counts count what was. Snapshots are
-// taken without a knob — at most one an attempt, only at a quiescent point
-// of the prefix the last few attempts all shared — and a harness holds at
-// most eight. No checkpoint is ever taken, and every attempt runs
+// copy, and with it the harness checkpoints (checkpoint.go): a snapshot of
+// the program at a scheduling point is a copy of every logic value, mailbox
+// and monitor, made in one walk so that what machines and queued events
+// share stays shared, and an attempt whose strategy promises to repeat a
+// prefix of the last one (PrefixResumer: sct's depth-first search, as DFS and
+// as DPOR) starts from the deepest snapshot inside that prefix instead of
+// from setup. A machine parked in the middle of a handler is a coroutine
+// stack, which cannot be copied; the snapshot holds it as it began its
+// handler chain — its logic and its event as of the dequeue (or birth),
+// copied there — with the number of yield points it has passed since and the
+// machines it created and values it drew, and a restore re-runs the chain on
+// the machine's own coroutine, its sends, creates and monitor notifications
+// suppressed and its creates and draws answered from that log, until it
+// parks where it was. That relies on what the state cache and replay rely
+// on, now in the middle of a handler: a handler is a deterministic function
+// of its machine's state, its event and its controlled choices. A handler
+// that reads what another machine writes outside events — a package
+// variable, an object a setup closure captured — breaks it, and so does one
+// that touches an object after sending it away, which the paper's ownership
+// rule forbids. Nothing a caller can count changes: the restored points are
+// points of the schedule in SchedulingPoints, ReplayedPoints,
+// ContinuedPoints, the Trace and every report, and a search with checkpoints
+// is attempt for attempt the search without
+// (TestStateCacheReplaySkipEquivalence holds it to that on the whole corpus).
+// IterationResult.RestoredPoints (sct's Report.RestoredPoints and
+// Shares().RestoredShare) says how much was not executed; Runtime.Metrics and
+// coverage hit counts count what was. Snapshots are taken without a knob — at
+// most one an attempt, at the deepest scheduling point of the prefix the
+// last few attempts all shared — and a harness holds at most eight. A
+// machine whose handler start shares memory with the rest of the snapshot
+// cannot be rebuilt apart from it: snapshots then sit where it is not
+// parked. No checkpoint is ever taken, and every attempt runs
 // from setup exactly as before, when the strategy is not a PrefixResumer (or
 // is wrapped in one that is not), under Faults, RaceDetect or an execution
 // log, for a program with a closure-form machine or monitor, for state
@@ -313,7 +332,8 @@
 // right tool when the declaration itself must vary per instance — but
 // because each instance's actions are fresh closures, its schema is
 // rebuilt and revalidated on every create, which on the exploration hot
-// path is the dominant allocation cost (see below). Migrating a machine is
+// path is the dominant allocation cost (see below), and the state cache
+// refuses it, its state being out of the hash's sight. Migrating a machine is
 // mechanical: embed StaticBase, rename Configure to ConfigureType, switch
 // the builders to the M variants, and open each handler with
 // `s := m.(*YourType)`. The two forms are behaviorally indistinguishable —

@@ -1,6 +1,7 @@
 package psharp
 
 import (
+	"math/bits"
 	"reflect"
 	"unsafe"
 )
@@ -78,6 +79,52 @@ func (h *TestHarness) Checkpoints() int {
 		return len(ck.stack)
 	}
 	return 0
+}
+
+// CheckpointShape is one snapshot a harness holds as the checkpoint tests
+// look at it: where it sits, how many of its machines are parked at a yield
+// point — of those, how many in the entry action of their birth (Booting) and
+// how many at a CHESS dequeue (Dequeueing) — and how many are halted.
+type CheckpointShape struct {
+	Pos, Parked, Booting, Dequeueing, Halted int
+}
+
+// CheckpointShapes describes the snapshots the harness holds, shallowest
+// first.
+func (h *TestHarness) CheckpointShapes() []CheckpointShape {
+	if h.c.ck == nil {
+		return nil
+	}
+	var shapes []CheckpointShape
+	for _, s := range h.c.ck.stack {
+		sh := CheckpointShape{Pos: s.pos}
+		for _, is := range s.machines {
+			switch {
+			case is.halted:
+				sh.Halted++
+			case is.yields == 0:
+			case is.chain == nil:
+				sh.Parked++
+				sh.Dequeueing++
+			case is.chain.st == nil:
+				sh.Parked++
+				sh.Booting++
+			default:
+				sh.Parked++
+			}
+		}
+		shapes = append(shapes, sh)
+	}
+	return shapes
+}
+
+// CheckpointsStuck reports how many machines the harness has found it cannot
+// rebuild mid-handler (machines past the 62nd count as one).
+func (h *TestHarness) CheckpointsStuck() int {
+	if h.c.ck == nil {
+		return 0
+	}
+	return bits.OnesCount64(h.c.ck.stuck)
 }
 
 // MaxCheckpoints is the bound of a harness's snapshot stack.

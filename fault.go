@@ -125,10 +125,7 @@ func (c *controller) crashMachine(f FaultAction) {
 	c.faults.Crashes++
 	m.crashed = true
 	m.next() // yields ykCrashed
-	if m.midHandler {
-		m.midHandler = false
-		c.parked--
-	}
+	m.midHandler = false
 	c.statuses[m.id.Seq-1] = msHalted
 	c.readyRemove(m.id)
 	m.halted = true

@@ -17,13 +17,17 @@ import (
 // Under a strategy that says how much of the previous iteration the next one
 // repeats (PrefixResumer: the depth-first strategies of the sct package) the
 // harness goes one step further than recycling machinery: it keeps snapshots
-// of the program at quiescent scheduling points and starts an iteration from
-// the deepest one inside the repeated prefix instead of from setup, which
-// then does not run. The results are those of running from setup — a
+// of the program at scheduling points — a machine in the middle of a handler
+// held as it began the handler, and rebuilt by running it again — and starts
+// an iteration from the deepest one inside the repeated prefix instead of
+// from setup, which then does not run. The results are those of running from
+// setup — a
 // restored scheduling point is a point of the schedule in every count and in
 // the Trace; IterationResult.RestoredPoints says how many there were — as
-// long as the program keeps its state in its machines, monitors and events:
-// see checkpoint.go for the rules and for what is never checkpointed
+// long as the program keeps its state in its machines, monitors and events
+// and its handlers are deterministic functions of that state, their events
+// and their controlled choices: see checkpoint.go for the rules and for what
+// is never checkpointed
 // (closure-form machines, Faults, RaceDetect, an execution log, state a copy
 // would not be faithful to).
 //
@@ -178,7 +182,7 @@ func (h *TestHarness) reset(cfg TestConfig) {
 	c.bound = false
 	c.interrupted = false
 	c.aborting = false
-	c.parked, c.restored, c.err = 0, 0, nil
+	c.restored, c.resumedOn, c.err = 0, MachineID{}, nil
 	c.det = nil
 	if cfg.RaceDetect {
 		c.det = vclock.NewDetector()

@@ -72,9 +72,11 @@ type machineInstance struct {
 	started bool
 	stopped bool
 	fate    yieldKind
-	// midHandler is true while the machine is parked at a yield point, with
-	// a handler's frames on its stack; the controller counts these machines
-	// (controller.parked).
+	// midHandler is set when the machine parks at a yield point, with a
+	// handler's frames on its stack, and cleared when its run next stops
+	// otherwise (blocked, halted, failed, crashed): a machine that is not
+	// running is parked mid-handler exactly when it is set (see
+	// checkpoint.go).
 	midHandler bool
 	// crashed is set by the controller (while the machine is parked) to
 	// make the next park unwind with a crashSignal: the fault-injection
@@ -97,6 +99,70 @@ type machineInstance struct {
 	hev      Event
 	hops     []handlerOp
 	hprog    uint64
+
+	// What a checkpoint needs of a machine parked mid-handler (see
+	// checkpoint.go). chain is where the handler chain it is running began —
+	// its logic and event as of the dequeue or birth — recorded only while
+	// the iteration has a snapshot to take ahead; chainYields counts the
+	// yield points the machine has passed since and chainLog the results it
+	// got since: machines created, values drawn. dequeueing is set while it
+	// yields at the CHESS-granularity dequeue, between two handlers.
+	chain       *handlerStart
+	chainYields int
+	chainLog    []chainOp
+	chainSpans  []span // the memory chain was copied from, if it was this iteration
+	dequeueing  bool
+	// A machine restored mid-handler catches up: it re-runs its chain with
+	// replayLeft yield points to pass — the last one it parks at, unasked —
+	// creates and draws answered from replayLog and the first step handling
+	// replayEv, and with its sends, creates and monitor notifications
+	// suppressed, the snapshot holding their effects already.
+	replayLeft int
+	replayLog  []chainOp
+	replayEv   Event
+}
+
+// chainOp is one result a running handler chain got from the runtime: the
+// Seq of a machine it created, or a value it drew.
+type chainOp struct {
+	kind chainOpKind
+	v    uint64
+}
+
+type chainOpKind uint8
+
+const (
+	opCreate chainOpKind = iota
+	opBool
+	opInt
+)
+
+// logChain records a result of m's handler chain, if the chain is recorded.
+func (m *machineInstance) logChain(kind chainOpKind, v uint64) {
+	if m.chain != nil {
+		m.chainLog = append(m.chainLog, chainOp{kind, v})
+	}
+}
+
+// replayed is the next result of the handler chain m is catching up on. The
+// chain asks for the same results in the same order as when it ran, unless
+// it is not a deterministic function of its machine's state, its event and
+// its controlled choices.
+func (m *machineInstance) replayed(kind chainOpKind) uint64 {
+	if len(m.replayLog) == 0 || m.replayLog[0].kind != kind {
+		panic(m.diverged("took another path"))
+	}
+	op := m.replayLog[0]
+	m.replayLog = m.replayLog[1:]
+	m.logChain(op.kind, op.v)
+	return op.v
+}
+
+// diverged says that m, restored mid-handler, did not re-run its handler
+// chain as it ran the first time.
+func (m *machineInstance) diverged(how string) string {
+	return fmt.Sprintf("psharp: %s %s when it was restored mid-handler from a checkpoint: "+
+		"its handler is not a deterministic function of its state, its event and its controlled choices", m.id, how)
 }
 
 // handlerOp is one visible operation of a running handler: word is the
@@ -196,7 +262,18 @@ func (m *machineInstance) yieldPoint() {
 	if c == nil {
 		return
 	}
+	m.chainYields++
+	if m.replayLeft > 0 {
+		// Catching up: the iteration the snapshot was taken in decided here.
+		if m.replayLeft--; m.replayLeft == 0 {
+			m.park(ykYield)
+		}
+		return
+	}
 	c.endStep()
+	if c.ck != nil {
+		c.checkpoint(m)
+	}
 	if c.pending = c.pass(); c.pending == passRun && c.current.Seq == m.id.Seq {
 		c.continued++
 		return
@@ -240,6 +317,8 @@ func (m *machineInstance) recycle() {
 	m.midHandler = false
 	m.birth = nil
 	m.progReset()
+	m.chain, m.chainYields, m.chainLog, m.chainSpans, m.dequeueing = nil, 0, m.chainLog[:0], m.chainSpans[:0], false
+	m.replayLeft, m.replayLog, m.replayEv = 0, nil, nil
 	m.ctx.currentEvent = nil
 	m.ctx.resetPending()
 }
@@ -267,8 +346,11 @@ func (m *machineInstance) run() {
 	m.started = true
 	m.checkScheduled()
 	if m.st == nil {
-		// Not a machine restored from a checkpoint, which is between two
-		// handlers of a life already under way.
+		// Not a machine restored from a checkpoint between two handlers of a
+		// life already under way.
+		if c := m.rt.test; c.ck != nil {
+			c.beginChain(m, m.birth)
+		}
 		if m.bug = m.boot(); m.bug != nil {
 			return
 		}
@@ -404,15 +486,28 @@ func (m *machineInstance) step() (more bool, bug *Bug) {
 // call has returned.
 func (m *machineInstance) nextEvent() (env envelope, bug *Bug, ok bool) {
 	if c := m.rt.test; c != nil {
+		if ev := m.replayEv; ev != nil {
+			// Catching up: the event the chain was dispatched on, which the
+			// restored mailbox no longer holds.
+			m.replayEv = nil
+			return envelope{event: ev}, nil, true
+		}
 		for {
 			if c.cfg.ChessLike {
 				// CHESS-granularity scheduling: the dequeue of the thread-safe
 				// blocking queue is itself a visible synchronizing operation.
+				m.dequeueing = true
 				m.yieldPoint()
+				m.dequeueing = false
 			}
 			env, ok, bug = m.scanQueueLocked()
 			if ok {
 				c.onDequeue(m, env)
+				if c.ck != nil {
+					// The handler chain that starts here may be one a
+					// snapshot has to rebuild.
+					c.beginChain(m, env.event)
+				}
 			}
 			if ok || bug != nil {
 				return env, bug, ok
@@ -606,9 +701,10 @@ func (m *machineInstance) applyPending(trigger Event) *Bug {
 		if m.rt.logging() {
 			m.rt.logf("%s: raised %s", m, eventName(raised))
 		}
-		if !m.monitor() {
+		if !m.monitor() && m.replayLeft == 0 {
 			// Monitors observe a machine's raises like its sends; a monitor's
-			// own raise is not a program event.
+			// own raise is not a program event, and one a restored machine
+			// makes again as it catches up was observed before the snapshot.
 			m.rt.observeMonitors(raised)
 		}
 		return m.handleEvent(raised)

@@ -246,6 +246,15 @@ func (r *Runtime) unlock() {
 
 // create instantiates a machine; creator is nil for environment creates.
 func (r *Runtime) create(machineType string, payload Event, creator *machineInstance) (MachineID, error) {
+	if creator != nil && creator.replayLeft > 0 {
+		// Catching up after a restore: the machine is in the snapshot.
+		id := r.machines[creator.replayed(opCreate)-1].id
+		if r.test.observing {
+			r.test.noteCreate(creator, id)
+		}
+		creator.yieldPoint()
+		return id, nil
+	}
 	r.lock()
 	factory, ok := r.factories[machineType]
 	if !ok {
@@ -301,6 +310,7 @@ func (r *Runtime) create(machineType string, payload Event, creator *machineInst
 			if c.observing {
 				c.noteCreate(creator, id)
 			}
+			creator.logChain(opCreate, id.Seq)
 			creator.yieldPoint() // create-machine is a scheduling point
 		}
 		return id, nil
@@ -349,10 +359,11 @@ func (r *Runtime) enqueue(target MachineID, ev Event, sm *machineInstance, isMac
 	if sm != nil {
 		sender = sm.id
 	}
-	if isMachineSend || sm == nil {
+	if (isMachineSend || sm == nil) && (sm == nil || sm.replayLeft == 0) {
 		// Specification monitors observe the send itself — machine sends and
 		// environment sends, but not internal re-queues of deferred raised
-		// events, which would double-count one observation. Dispatch happens
+		// events, which would double-count one observation, nor the sends a
+		// restored machine makes again as it catches up. Dispatch happens
 		// before the send's scheduling point and regardless of whether the
 		// target can still receive the event.
 		r.observeMonitors(ev)
@@ -371,6 +382,16 @@ func (r *Runtime) enqueue(target MachineID, ev Event, sm *machineInstance, isMac
 		// CHESS granularity: acquiring the queue lock of the thread-safe
 		// blocking queue is a visible synchronizing operation of its own.
 		sm.yieldPoint()
+	}
+	if sm != nil && sm.replayLeft > 0 {
+		// Catching up after a restore: the snapshot holds the delivery.
+		if isMachineSend {
+			if c.observing {
+				c.noteSend(sm, target, ev)
+			}
+			sm.yieldPoint()
+		}
+		return
 	}
 
 	// The per-send fault query: issued on the sending machine's stack
@@ -538,7 +559,7 @@ func (r *Runtime) NumMachines() int {
 // randomBool resolves a controlled nondeterministic boolean choice.
 func (r *Runtime) randomBool(m *machineInstance) bool {
 	if c := r.test; c != nil {
-		return c.nextBool()
+		return c.nextBool(m)
 	}
 	return r.nextRand()&1 == 1
 }
@@ -546,7 +567,7 @@ func (r *Runtime) randomBool(m *machineInstance) bool {
 // randomInt resolves a controlled nondeterministic integer choice in [0,n).
 func (r *Runtime) randomInt(m *machineInstance, n int) int {
 	if c := r.test; c != nil {
-		return c.nextInt(n)
+		return c.nextInt(m, n)
 	}
 	return int(r.nextRand() % uint64(n))
 }

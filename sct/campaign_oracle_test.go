@@ -13,6 +13,7 @@ package sct_test
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"reflect"
 	"testing"
@@ -133,6 +134,7 @@ func TestCampaignOracle(t *testing.T) {
 			}
 		}
 		delete(result, "replayed_share")
+		checkpointPolicy(t, name, g, w)
 		for _, section := range []string{"version", "config", "result"} {
 			if !reflect.DeepEqual(g[section], w[section]) {
 				t.Errorf("%s: %s diverged from the recorded report:\n got %v\nwant %v", name, section, g[section], w[section])
@@ -150,6 +152,48 @@ func TestCampaignOracle(t *testing.T) {
 		}
 		gt, _ := g["telemetry"].(map[string]any)
 		supersetOf(t, name+": telemetry", gt, w["telemetry"].(map[string]any))
+	}
+}
+
+// checkpointPolicy holds what the snapshot policy of the depth-first
+// checkpoints decides to the rule it must keep, then makes it read as
+// recorded: a campaign may restore more points than the recorded build
+// (which snapshotted at quiescent points only), never fewer, and its
+// coverage counts — which count executed dispatches — may move, over the
+// same transitions.
+func checkpointPolicy(t *testing.T, name string, g, w map[string]any) {
+	t.Helper()
+	for _, section := range []string{"result", "telemetry"} {
+		gs, _ := g[section].(map[string]any)
+		ws, _ := w[section].(map[string]any)
+		if gs == nil || ws == nil {
+			continue
+		}
+		if got, want := gs["restored_points"], ws["restored_points"]; got != nil && want != nil && got.(float64) < want.(float64) {
+			t.Errorf("%s: %s.restored_points = %v, the recorded build restored %v", name, section, got, want)
+		}
+		for _, key := range []string{"restored_points", "restored_share"} {
+			if v, ok := ws[key]; ok {
+				gs[key] = v
+			}
+		}
+		gc, _ := gs["coverage"].([]any)
+		wc, _ := ws["coverage"].([]any)
+		if len(wc) == 0 || len(gc) != len(wc) {
+			continue // nothing to hold, or reported by the comparison
+		}
+		transitions := func(c []any) []any {
+			out := make([]any, len(c))
+			for i, e := range c {
+				m := maps.Clone(e.(map[string]any))
+				delete(m, "count")
+				out[i] = m
+			}
+			return out
+		}
+		if reflect.DeepEqual(transitions(gc), transitions(wc)) {
+			gs["coverage"] = wc
+		}
 	}
 }
 

@@ -2,7 +2,9 @@ package sct_test
 
 import (
 	"bytes"
+	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/psharp-go/psharp"
@@ -16,22 +18,8 @@ import (
 // space to a small fraction of what DFS enumerates.
 func independentSetup(pairs int) func(*psharp.Runtime) {
 	return func(r *psharp.Runtime) {
-		r.MustRegister("Counter", func() psharp.Machine {
-			n := 0
-			return psharp.MachineFunc(func(sc *psharp.Schema) {
-				sc.Start("Counting").
-					OnEventDo(&tick{}, func(ctx *psharp.Context, ev psharp.Event) { n++ })
-			})
-		})
-		r.MustRegister("Sender", func() psharp.Machine {
-			return psharp.MachineFunc(func(sc *psharp.Schema) {
-				sc.Start("S").
-					OnEventDo(&cfg{}, func(ctx *psharp.Context, ev psharp.Event) {
-						ctx.Send(ev.(*cfg).Target, &tick{})
-						ctx.Halt()
-					})
-			})
-		})
+		r.MustRegister("Counter", func() psharp.Machine { return &tickCounter{} })
+		r.MustRegister("Sender", func() psharp.Machine { return &tickSender{} })
 		for i := 0; i < pairs; i++ {
 			c := r.MustCreate("Counter", nil)
 			s := r.MustCreate("Sender", nil)
@@ -46,29 +34,8 @@ func independentSetup(pairs int) func(*psharp.Runtime) {
 // mailbox; sends to a common target are dependent, so DPOR must enumerate
 // both orders and find it.
 func orderBugSetup(r *psharp.Runtime) {
-	r.MustRegister("Counter", func() psharp.Machine {
-		var first psharp.MachineID
-		return psharp.MachineFunc(func(sc *psharp.Schema) {
-			sc.Start("Counting").
-				OnEventDo(&cfg{}, func(ctx *psharp.Context, ev psharp.Event) {
-					sender := ev.(*cfg).Target
-					if first.IsNil() {
-						first = sender
-						return
-					}
-					ctx.Assert(first.Seq < sender.Seq, "senders arrived out of creation order")
-				})
-		})
-	})
-	r.MustRegister("Sender", func() psharp.Machine {
-		return psharp.MachineFunc(func(sc *psharp.Schema) {
-			sc.Start("S").
-				OnEventDo(&cfg{}, func(ctx *psharp.Context, ev psharp.Event) {
-					ctx.Send(ev.(*cfg).Target, &cfg{Target: ctx.ID()})
-					ctx.Halt()
-				})
-		})
-	})
+	r.MustRegister("Counter", func() psharp.Machine { return &orderCounter{} })
+	r.MustRegister("Sender", func() psharp.Machine { return &orderSender{} })
 	counter := r.MustCreate("Counter", nil)
 	for i := 0; i < 2; i++ {
 		s := r.MustCreate("Sender", nil)
@@ -76,6 +43,35 @@ func orderBugSetup(r *psharp.Runtime) {
 			panic(err)
 		}
 	}
+}
+
+// orderCounter asserts that the senders arrive in creation order.
+type orderCounter struct {
+	psharp.StaticBase
+	first psharp.MachineID
+}
+
+func (*orderCounter) ConfigureType(sc *psharp.Schema) {
+	sc.Start("Counting").
+		OnEventDoM(&cfg{}, func(m psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
+			c, sender := m.(*orderCounter), ev.(*cfg).Target
+			if c.first.IsNil() {
+				c.first = sender
+				return
+			}
+			ctx.Assert(c.first.Seq < sender.Seq, "senders arrived out of creation order")
+		})
+}
+
+// orderSender tells the target its cfg names who it is, and halts.
+type orderSender struct{ psharp.StaticBase }
+
+func (*orderSender) ConfigureType(sc *psharp.Schema) {
+	sc.Start("S").
+		OnEventDo(&cfg{}, func(ctx *psharp.Context, ev psharp.Event) {
+			ctx.Send(ev.(*cfg).Target, &cfg{Target: ctx.ID()})
+			ctx.Halt()
+		})
 }
 
 // TestDPORReducesIndependentInterleavings is the point of the strategy: on
@@ -377,5 +373,130 @@ func TestDPORCursorResume(t *testing.T) {
 	}
 	if rest.DistinctSchedules != solo.DistinctSchedules {
 		t.Fatalf("resumed DPOR found %d distinct, solo %d", rest.DistinctSchedules, solo.DistinctSchedules)
+	}
+}
+
+// The closure-state program: machine A hears once from each of two
+// senders, noting whether Y's message came before X's; once it has both it
+// starts a third sender and checks the note when that one's Z comes. The
+// order of X and Y shows only in A's own state. In the closure form that
+// state is variables A's actions captured; in the static form, fields.
+type (
+	xMsg struct{ psharp.EventBase }
+	yMsg struct{ psharp.EventBase }
+	zMsg struct{ psharp.EventBase }
+)
+
+func yBeforeXSetup(closure bool) func(*psharp.Runtime) {
+	return func(r *psharp.Runtime) {
+		if closure {
+			r.MustRegister("A", func() psharp.Machine {
+				var gotX, yFirst bool
+				heard := 0
+				return psharp.MachineFunc(func(sc *psharp.Schema) {
+					sc.Start("Listen").
+						OnEventDo(&xMsg{}, func(ctx *psharp.Context, _ psharp.Event) {
+							gotX = true
+							if heard++; heard == 2 {
+								ctx.Goto("Check")
+							}
+						}).
+						OnEventDo(&yMsg{}, func(ctx *psharp.Context, _ psharp.Event) {
+							yFirst = !gotX
+							if heard++; heard == 2 {
+								ctx.Goto("Check")
+							}
+						})
+					sc.State("Check").
+						OnEntry(startZ).
+						OnEventDo(&zMsg{}, func(ctx *psharp.Context, _ psharp.Event) {
+							ctx.Assert(!yFirst, "Y's message came before X's")
+						})
+				})
+			})
+		} else {
+			r.MustRegister("A", func() psharp.Machine { return &yBeforeX{} })
+		}
+		r.MustRegister("Sender", func() psharp.Machine { return &oneShot{} })
+		a := r.MustCreate("A", nil)
+		r.MustCreate("Sender", &shot{Target: a, Ev: &xMsg{}})
+		r.MustCreate("Sender", &shot{Target: a, Ev: &yMsg{}})
+	}
+}
+
+func startZ(ctx *psharp.Context, _ psharp.Event) {
+	ctx.CreateMachine("Sender", &shot{Target: ctx.ID(), Ev: &zMsg{}})
+}
+
+type yBeforeX struct {
+	psharp.StaticBase
+	gotX, yFirst bool
+	heard        int
+}
+
+func (*yBeforeX) ConfigureType(sc *psharp.Schema) {
+	sc.Start("Listen").
+		OnEventDoM(&xMsg{}, func(m psharp.Machine, ctx *psharp.Context, _ psharp.Event) {
+			a := m.(*yBeforeX)
+			a.gotX = true
+			if a.heard++; a.heard == 2 {
+				ctx.Goto("Check")
+			}
+		}).
+		OnEventDoM(&yMsg{}, func(m psharp.Machine, ctx *psharp.Context, _ psharp.Event) {
+			a := m.(*yBeforeX)
+			a.yFirst = !a.gotX
+			if a.heard++; a.heard == 2 {
+				ctx.Goto("Check")
+			}
+		})
+	sc.State("Check").
+		OnEntry(startZ).
+		OnEventDoM(&zMsg{}, func(m psharp.Machine, ctx *psharp.Context, _ psharp.Event) {
+			ctx.Assert(!m.(*yBeforeX).yFirst, "Y's message came before X's")
+		})
+}
+
+// shot is a oneShot's creation payload: what to send to whom.
+type shot struct {
+	psharp.EventBase
+	Target psharp.MachineID
+	Ev     psharp.Event
+}
+
+type oneShot struct{ psharp.StaticBase }
+
+func (*oneShot) ConfigureType(sc *psharp.Schema) {
+	sc.Start("Fire").OnEntry(func(ctx *psharp.Context, ev psharp.Event) {
+		ctx.Send(ev.(*shot).Target, ev.(*shot).Ev)
+		ctx.Halt()
+	})
+}
+
+// TestStateCacheRefusesClosureLogic: the state cache hashes a machine by
+// what it can see, and a closure-form machine's state is in variables its
+// actions captured. DPOR finds the closure-state program's bug; DPOR with the
+// cache, blind to that state, pruned every order in which Y's message comes
+// first and exhausted with no bug (4 schedules explored, 11 pruned). It now
+// refuses the program at its first scheduling point, as it refuses a live
+// func field, and finds the bug in the static twin, whose state is fields it
+// hashes.
+func TestStateCacheRefusesClosureLogic(t *testing.T) {
+	opts := func(cache bool) sct.Options {
+		return sct.Options{Strategy: sct.NewDPOR(), Iterations: 10_000, MaxSteps: 100, StopOnFirstBug: true, StateCache: cache}
+	}
+	if rep := sct.Run(yBeforeXSetup(true), opts(false)); !rep.BugFound() {
+		t.Fatalf("dpor missed the bug: %s", rep.String())
+	}
+	rep := sct.Run(yBeforeXSetup(true), opts(true))
+	var se *psharp.StateError
+	if !errors.As(rep.Err, &se) || rep.BugFound() {
+		t.Fatalf("dpor+cache on the closure form: %s (err %v), want it refused with a *psharp.StateError", rep.String(), rep.Err)
+	}
+	if !strings.Contains(se.Error(), "machine A") || !strings.Contains(se.Error(), "psharp.MachineFunc") {
+		t.Errorf("the refusal names neither the machine nor its declaration form: %v", se)
+	}
+	if rep := sct.Run(yBeforeXSetup(false), opts(true)); !rep.BugFound() {
+		t.Fatalf("dpor+cache missed the bug in the static twin: %s", rep.String())
 	}
 }

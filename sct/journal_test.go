@@ -17,16 +17,18 @@ import (
 // chancySetup is fan-in plus a 1-in-8 assertion bug, so equivalence checks
 // cover buggy-iteration counting as well as fingerprints.
 func chancySetup(r *psharp.Runtime) {
-	r.MustRegister("Chancy", func() psharp.Machine {
-		return psharp.MachineFunc(func(sc *psharp.Schema) {
-			sc.Start("S").OnEntry(func(ctx *psharp.Context, ev psharp.Event) {
-				a, b, c := ctx.RandomBool(), ctx.RandomBool(), ctx.RandomBool()
-				ctx.Assert(!(a && b && c), "the 1-in-8 combination")
-			})
-		})
-	})
+	r.MustRegister("Chancy", func() psharp.Machine { return &chancy{} })
 	r.MustCreate("Chancy", nil)
 	fanInSetup(2)(r)
+}
+
+type chancy struct{ psharp.StaticBase }
+
+func (*chancy) ConfigureType(sc *psharp.Schema) {
+	sc.Start("S").OnEntry(func(ctx *psharp.Context, ev psharp.Event) {
+		a, b, c := ctx.RandomBool(), ctx.RandomBool(), ctx.RandomBool()
+		ctx.Assert(!(a && b && c), "the 1-in-8 combination")
+	})
 }
 
 func campaignMeta(workers int) journal.Meta {

@@ -19,22 +19,8 @@ type cfg struct {
 
 func fanInSetup(senders int) func(*psharp.Runtime) {
 	return func(r *psharp.Runtime) {
-		r.MustRegister("Counter", func() psharp.Machine {
-			n := 0
-			return psharp.MachineFunc(func(sc *psharp.Schema) {
-				sc.Start("Counting").
-					OnEventDo(&tick{}, func(ctx *psharp.Context, ev psharp.Event) { n++ })
-			})
-		})
-		r.MustRegister("Sender", func() psharp.Machine {
-			return psharp.MachineFunc(func(sc *psharp.Schema) {
-				sc.Start("S").
-					OnEventDo(&cfg{}, func(ctx *psharp.Context, ev psharp.Event) {
-						ctx.Send(ev.(*cfg).Target, &tick{})
-						ctx.Halt()
-					})
-			})
-		})
+		r.MustRegister("Counter", func() psharp.Machine { return &tickCounter{} })
+		r.MustRegister("Sender", func() psharp.Machine { return &tickSender{} })
 		counter := r.MustCreate("Counter", nil)
 		for i := 0; i < senders; i++ {
 			s := r.MustCreate("Sender", nil)
@@ -43,6 +29,28 @@ func fanInSetup(senders int) func(*psharp.Runtime) {
 			}
 		}
 	}
+}
+
+// tickCounter counts the ticks it receives.
+type tickCounter struct {
+	psharp.StaticBase
+	n int
+}
+
+func (*tickCounter) ConfigureType(sc *psharp.Schema) {
+	sc.Start("Counting").
+		OnEventDoM(&tick{}, func(m psharp.Machine, _ *psharp.Context, _ psharp.Event) { m.(*tickCounter).n++ })
+}
+
+// tickSender sends one tick to the target its cfg names, and halts.
+type tickSender struct{ psharp.StaticBase }
+
+func (*tickSender) ConfigureType(sc *psharp.Schema) {
+	sc.Start("S").
+		OnEventDo(&cfg{}, func(ctx *psharp.Context, ev psharp.Event) {
+			ctx.Send(ev.(*cfg).Target, &tick{})
+			ctx.Halt()
+		})
 }
 
 // TestDFSExhaustsAndTerminates checks that DFS visits the whole schedule

@@ -132,8 +132,10 @@ type tree struct {
 	// descent: footprints of fully explored sibling branches, kept while
 	// every executed step is independent of them.
 	curSleep []psharp.StepOp
-	// spare holds the reductions of popped nodes for the nodes pushed next.
-	spare []*reduction
+	// spare and spareIDs hold the reductions and the enabled sets of popped
+	// nodes for the nodes pushed next.
+	spare    []*reduction
+	spareIDs [][]psharp.MachineID
 }
 
 // node is one decision on the current path: idx is the branch being
@@ -250,8 +252,12 @@ func (n *node) advance(first, stride int) bool {
 // truncate pops the nodes above depth.
 func (t *tree) truncate(depth int) {
 	for i := depth; i < len(t.stack); i++ {
-		if r := t.stack[i].red; r != nil {
-			t.spare = append(t.spare, r)
+		n := &t.stack[i]
+		if n.red != nil {
+			t.spare = append(t.spare, n.red)
+		}
+		if n.machines != nil {
+			t.spareIDs = append(t.spareIDs, n.machines[:0])
 		}
 	}
 	t.stack = t.stack[:depth]
@@ -278,7 +284,7 @@ func (t *tree) NextMachine(_ psharp.MachineID, enabled []psharp.MachineID) pshar
 	n := node{
 		kind:     psharp.DecisionSchedule,
 		options:  int32(len(enabled)),
-		machines: append([]psharp.MachineID(nil), enabled...),
+		machines: append(t.newIDs(), enabled...),
 	}
 	if t.reduce {
 		n.idx = int32(t.pickAwake(enabled))
@@ -300,6 +306,17 @@ func (t *tree) NextMachine(_ psharp.MachineID, enabled []psharp.MachineID) pshar
 	t.stack = append(t.stack, n)
 	t.pos++
 	return enabled[n.idx]
+}
+
+// newIDs returns an empty enabled set to fill, a popped node's if there is one.
+func (t *tree) newIDs() []psharp.MachineID {
+	k := len(t.spareIDs)
+	if k == 0 {
+		return nil
+	}
+	ids := t.spareIDs[k-1]
+	t.spareIDs = t.spareIDs[:k-1]
+	return ids
 }
 
 func (t *tree) newReduction(branches int) *reduction {

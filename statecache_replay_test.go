@@ -20,11 +20,12 @@ import (
 
 // attempt is what one iteration of a search looked like from outside.
 type attempt struct {
-	pruned   bool
-	points   int
-	replayed int
-	trace    string
-	bug      string
+	pruned    bool
+	points    int
+	replayed  int
+	continued int
+	trace     string
+	bug       string
 }
 
 // searchMode says how much a search may remember from one attempt to the
@@ -62,7 +63,8 @@ func search(t *testing.T, setup func(*psharp.Runtime), b protocols.Benchmark, s 
 		if err := res.Trace.Encode(&enc); err != nil {
 			t.Fatal(err)
 		}
-		a := attempt{pruned: res.Pruned, points: res.SchedulingPoints, replayed: res.ReplayedPoints, trace: enc.String()}
+		a := attempt{pruned: res.Pruned, points: res.SchedulingPoints, replayed: res.ReplayedPoints,
+			continued: res.ContinuedPoints, trace: enc.String()}
 		if res.Bug != nil {
 			a.bug = res.Bug.Error()
 		}
@@ -192,7 +194,7 @@ func sharedPoints(prev, cur *psharp.Trace) int {
 // attempt does not share with the one before it — and everything again
 // whenever the memo could lie.
 func TestStateCacheVisitsOnlyNewSuffix(t *testing.T) {
-	h := psharp.NewTestHarness(ballotSetup())
+	h := psharp.NewTestHarness(staticBallotSetup())
 	defer h.Close()
 	dfs := sct.NewDFS()
 	cache := &countingCache{}
@@ -273,6 +275,15 @@ type firstState struct{ hash uint64 }
 
 func (c *firstState) Visit(state, _ uint64, _ int) bool { c.hash = state; return true }
 
+// pingSink takes either Ping and does nothing.
+type pingSink struct{ psharp.StaticBase }
+
+func (*pingSink) ConfigureType(sc *psharp.Schema) {
+	sc.Start("Wait").
+		OnEventDo(&amsg.Ping{}, func(*psharp.Context, psharp.Event) {}).
+		OnEventDo(&bmsg.Ping{}, func(*psharp.Context, psharp.Event) {})
+}
+
 // TestStateCacheTellsSameNamedEventTypes: a/msg.Ping and b/msg.Ping print
 // alike ("*msg.Ping") and carry no payload, so only the types' package
 // paths tell a queue holding one from a queue holding the other. Hashing
@@ -286,13 +297,7 @@ func TestStateCacheTellsSameNamedEventTypes(t *testing.T) {
 		dfs := sct.NewDFS()
 		dfs.PrepareIteration(0)
 		psharp.RunTest(func(r *psharp.Runtime) {
-			r.MustRegister("Sink", func() psharp.Machine {
-				return psharp.MachineFunc(func(sc *psharp.Schema) {
-					sc.Start("Wait").
-						OnEventDo(&amsg.Ping{}, func(*psharp.Context, psharp.Event) {}).
-						OnEventDo(&bmsg.Ping{}, func(*psharp.Context, psharp.Event) {})
-				})
-			})
+			r.MustRegister("Sink", func() psharp.Machine { return &pingSink{} })
 			if err := r.SendEvent(r.MustCreate("Sink", nil), ev); err != nil {
 				panic(err)
 			}

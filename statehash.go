@@ -80,9 +80,10 @@ type StepObserver interface {
 // The hash covers machine and monitor logic values and queued events through
 // their types' state plans (stateplan.go): to any depth and length, with what
 // is aliased inside one machine's state told apart from what is merely
-// equal. State it cannot cover — a non-nil func, chan or unsafe.Pointer —
-// ends the iteration with a *StateError in IterationResult.Err rather than
-// being hashed to a constant.
+// equal. State it cannot cover — a non-nil func, chan or unsafe.Pointer, and
+// a closure-form (MachineFunc) logic, whose state is in what its actions
+// captured — ends the iteration with a *StateError in IterationResult.Err
+// rather than being hashed to a constant.
 //
 // Soundness is the caller's concern: pruning on a revisited state is only
 // exhaustive-exploration-preserving under a depth-first strategy (sct.DFS,

@@ -185,9 +185,11 @@ func typeID(t reflect.Type) uint64 {
 
 // StateError reports that a machine's or monitor's state cannot be hashed:
 // it holds a live func, chan or unsafe.Pointer, whose meaning no hash of
-// bytes captures. A Run with TestConfig.StateCache set ends at the first
-// such value and returns the error in IterationResult.Err; pruning on a hash
-// that ignored the value could drop schedules that differ only in it.
+// bytes captures, or it is a closure-form logic (a func itself, with an empty
+// Path), whose state is what its actions captured. A Run with
+// TestConfig.StateCache set ends at the first such value and returns the
+// error in IterationResult.Err; pruning on a hash that ignored the value
+// could drop schedules that differ only in it.
 type StateError struct {
 	// Owner says whose state was walked ("machine <type>" or "monitor
 	// <name>"), In is the Go type the value was found in, Path the field path
@@ -599,14 +601,19 @@ func (w *stateWalk) hashInterface(typ reflect.Type, f unsafe.Pointer) {
 func (w *stateWalk) hashEvent(ev *Event) { w.hashInterface(eventIface, unsafe.Pointer(ev)) }
 
 // hashLogic folds the machine's or monitor's logic value at logic. A logic
-// that is itself a func (MachineFunc, StaticMachineFunc) is a declaration,
-// not data: only its type is folded, and whatever its closures captured is as
-// invisible to the hash as it is to the type system.
+// that is itself a func is a declaration, not data: a static one
+// (StaticMachineFunc) keeps no per-instance state and is folded by its type;
+// any other (MachineFunc) keeps its state in what its closures captured, which
+// no hash can see, and is refused like a live func field.
 func (w *stateWalk) hashLogic(logic *Machine) {
-	if p := w.dynamic(machineIface, unsafe.Pointer(logic)); p.kind == reflect.Func {
-		w.h = fold(w.h, p.id)
-	} else {
+	p := w.dynamic(machineIface, unsafe.Pointer(logic))
+	if p.kind != reflect.Func {
 		w.hashInterface(machineIface, unsafe.Pointer(logic))
+		return
+	}
+	w.h = fold(w.h, p.id)
+	if _, static := (*logic).(StaticMachine); !static && w.refused == nil {
+		w.refused = &StateError{In: p.typ.String(), Kind: "func"}
 	}
 }
 
@@ -721,7 +728,9 @@ func (w *stateWalk) copyMap(op *stateOp, d, s unsafe.Pointer) {
 	}
 	mv := reflect.NewAt(op.typ, s).Elem()
 	nm := reflect.MakeMapWithSize(op.typ, mv.Len())
-	w.seen.add(visit{key: k, to: nm.UnsafePointer()})
+	// A map is one byte of span: enough for two walks that copied it apart
+	// to overlap (see checkpoints.handlerStart).
+	w.seen.add(visit{key: k, to: nm.UnsafePointer(), size: 1})
 	if op.key.flat && op.sub.flat {
 		sc := w.mapScratch(op)
 		for w.iter.Reset(mv); w.iter.Next(); {
@@ -793,7 +802,7 @@ type span struct {
 // overlaps reports whether two objects the walk entered share memory without
 // being the same object — a pointer into a struct that is also reached whole,
 // two windows of one array. Copied apart, writes through one would no longer
-// show through the other.
+// show through the other. It leaves the objects' spans in w.spans, sorted.
 func (w *stateWalk) overlaps() bool {
 	w.spans = w.spans[:0]
 	for i := range w.seen.list {
@@ -804,6 +813,22 @@ func (w *stateWalk) overlaps() bool {
 	slices.SortFunc(w.spans, func(a, b span) int { return cmp.Compare(a.at, b.at) })
 	for i := 1; i < len(w.spans); i++ {
 		if w.spans[i].at < w.spans[i-1].end {
+			return true
+		}
+	}
+	return false
+}
+
+// sharing reports whether a span of a shares memory with a span of b; both
+// are sorted and overlap nowhere among themselves.
+func sharing(a, b []span) bool {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i].end <= b[j].at:
+			i++
+		case b[j].end <= a[i].at:
+			j++
+		default:
 			return true
 		}
 	}

@@ -61,8 +61,9 @@ type TestConfig struct {
 	// deterministic in its decisions. Only sound under depth-first
 	// strategies (see the StateCache docs); incompatible with Faults in
 	// this version. A program whose machines or monitors keep a live func,
-	// chan or unsafe.Pointer in their state cannot be hashed: its iterations
-	// end at once with a *StateError in IterationResult.Err.
+	// chan or unsafe.Pointer in their state, or are declared in the closure
+	// form (MachineFunc), cannot be hashed: its iterations end at once with a
+	// *StateError in IterationResult.Err.
 	StateCache StateCache
 	// Faults, if non-nil, enables fault-injection nondeterminism: the
 	// controller issues a ChoiceFault query once per scheduler pass (crash?)
@@ -241,20 +242,18 @@ type controller struct {
 	// teardown, read by machines right after the switch that resumes them.
 	aborting bool
 
-	// parked counts the machines parked at a yield point, mid-handler: while
-	// it is zero on loop's stack the program is quiescent (see checkpoint.go).
 	// resumer is cfg.Strategy's PrefixResumer, for a Run that may start from a
 	// checkpoint; ck holds the checkpoints, once there is a use for any, and
 	// restored is how many scheduling points this iteration took from one.
 	// key is what of the configuration the memory of the previous iteration —
 	// the hasher's replay memo, the checkpoints — was recorded under; err is
 	// what Run reports in IterationResult.Err.
-	parked   int
-	resumer  PrefixResumer
-	ck       *checkpoints
-	restored int
-	key      memoKey
-	err      error
+	resumer   PrefixResumer
+	ck        *checkpoints
+	restored  int
+	resumedOn MachineID // whose stack took the restored snapshot's pass, if a machine's
+	key       memoKey
+	err       error
 }
 
 // instanceReserve is the process-wide stock of idle machine instances:
@@ -478,50 +477,64 @@ func (c *controller) ask() *Decision {
 	return d
 }
 
-func (c *controller) nextBool() bool {
-	c.choice.Kind = ChoiceBool
-	d := c.ask()
-	if d.Kind != DecisionBool {
-		panic(assertFailed{msg: fmt.Sprintf("strategy answered a bool choice with decision kind %d", d.Kind)})
-	}
-	c.trace.commit()
-	if h := c.hasher; h != nil {
-		v := byte(0)
+// nextBool draws a controlled boolean for machine m — from the strategy, or
+// from m's log while m catches up after a restore, the decision being in the
+// restored trace already.
+func (c *controller) nextBool(m *machineInstance) bool {
+	var v uint64
+	if m.replayLeft > 0 {
+		v = m.replayed(opBool)
+	} else {
+		c.choice.Kind = ChoiceBool
+		d := c.ask()
+		if d.Kind != DecisionBool {
+			panic(assertFailed{msg: fmt.Sprintf("strategy answered a bool choice with decision kind %d", d.Kind)})
+		}
+		c.trace.commit()
 		if d.Bool {
 			v = 1
 		}
-		h.prefix = fnvByte(fnvByte(h.prefix, 2), v)
-		c.mixChoice(uint64(v) | 0x100)
+		if h := c.hasher; h != nil {
+			h.prefix = fnvByte(fnvByte(h.prefix, 2), byte(v))
+		}
+		m.logChain(opBool, v)
 	}
-	return d.Bool
+	c.mixChoice(m, v|0x100)
+	return v == 1
 }
 
-// mixChoice logs a nondeterministic-choice result in the currently running
-// machine's mid-handler position: two continuations that drew different
+// mixChoice logs a nondeterministic-choice result in m's mid-handler
+// position, when the state is hashed: two continuations that drew different
 // values are different program positions.
-func (c *controller) mixChoice(v uint64) {
-	if c.current.Seq == 0 {
-		return
+func (c *controller) mixChoice(m *machineInstance, v uint64) {
+	if c.hasher != nil {
+		m.hops = append(m.hops, handlerOp{word: v})
 	}
-	m := c.rt.machines[c.current.Seq-1]
-	m.hops = append(m.hops, handlerOp{word: v})
 }
 
-func (c *controller) nextInt(n int) int {
-	c.choice.Kind, c.choice.N = ChoiceInt, n
-	d := c.ask()
-	if d.Kind != DecisionInt {
-		panic(assertFailed{msg: fmt.Sprintf("strategy answered an int choice with decision kind %d", d.Kind)})
+// nextInt draws a controlled integer in [0, n) for machine m, as nextBool.
+func (c *controller) nextInt(m *machineInstance, n int) int {
+	var v int
+	if m.replayLeft > 0 {
+		v = int(m.replayed(opInt))
+	} else {
+		c.choice.Kind, c.choice.N = ChoiceInt, n
+		d := c.ask()
+		if d.Kind != DecisionInt {
+			panic(assertFailed{msg: fmt.Sprintf("strategy answered an int choice with decision kind %d", d.Kind)})
+		}
+		if d.Int < 0 || d.Int >= n {
+			panic(assertFailed{msg: fmt.Sprintf("strategy returned %d for NextInt(%d)", d.Int, n)})
+		}
+		c.trace.commit()
+		v = d.Int
+		if h := c.hasher; h != nil {
+			h.prefix = fnvUint64(fnvByte(h.prefix, 3), uint64(v))
+		}
+		m.logChain(opInt, uint64(v))
 	}
-	if d.Int < 0 || d.Int >= n {
-		panic(assertFailed{msg: fmt.Sprintf("strategy returned %d for NextInt(%d)", d.Int, n)})
-	}
-	c.trace.commit()
-	if h := c.hasher; h != nil {
-		h.prefix = fnvUint64(fnvByte(h.prefix, 3), uint64(d.Int))
-		c.mixChoice(uint64(d.Int) | 0x200000000)
-	}
-	return d.Int
+	c.mixChoice(m, uint64(v)|0x200000000)
+	return v
 }
 
 // anyQueuedWhileBlocked detects the deadlock case: machines hold only
@@ -541,6 +554,11 @@ func (c *controller) anyQueuedWhileBlocked() *machineInstance {
 // and run the next pass; any other way back leaves both to loop.
 func (c *controller) loop() {
 	out := c.loopPass()
+	if out == passRun && c.resumedOn.Seq != 0 && c.current.Seq == c.resumedOn.Seq {
+		// Restored at a pass a yield point of this machine took on its own
+		// stack: from setup, choosing it again cost no switch.
+		c.continued++
+	}
 	for out != passEnd {
 		if out == passCrash {
 			// The target may be the machine whose stack took the decision,
@@ -554,17 +572,11 @@ func (c *controller) loop() {
 		m := c.rt.machines[c.current.Seq-1]
 		kind, _ := m.next()
 		if kind == ykYield {
-			if !m.midHandler {
-				m.midHandler = true
-				c.parked++
-			}
+			m.midHandler = true
 			out = c.pending // the machine stays in the ready set
 			continue
 		}
-		if m.midHandler {
-			m.midHandler = false
-			c.parked--
-		}
+		m.midHandler = false
 		status := msHalted
 		if kind == ykBlocked {
 			status = msBlocked
