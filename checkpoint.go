@@ -1,6 +1,9 @@
 package psharp
 
-import "slices"
+import (
+	"slices"
+	"unsafe"
+)
 
 // Checkpoints: a depth-first attempt does not re-execute the prefix it
 // shares with the attempt before it.
@@ -11,19 +14,25 @@ import "slices"
 // A snapshot of the program at a scheduling point spares that: each
 // instance's logic value and state — a machine's with its mailbox and status,
 // a monitor's (a machine that observes) with its temperature — and a handful
-// of the controller's counters, deep-copied one record per instance
-// (stateWalk.copy, one walk, so what machines, monitors and queued events
-// share stays shared). An iteration that starts from one is set up from it
-// instead of from the user's setup function: the same acquireInstance/
-// onCreate path, with every machine entering run where it was.
+// of the controller's counters, one record per instance. Taking one (and
+// recording a handler start, below) is the only time a checkpoint reads the
+// program's memory: one copy walk (stateWalk.copy) over every instance
+// makes the snapshot's image — its objects, the pointer
+// slots inside them, and one root per logic value, queued event and birth
+// payload — so what machines, monitors and queued events share stays
+// shared. An iteration that starts from one is set up from it instead of
+// from the user's setup function: the same acquireInstance/onCreate path,
+// with every machine entering run where it was and its state a relocation
+// of the image: objects allocated and typed-copied, slots patched, maps
+// rebuilt, no walk.
 //
 // A machine parked in the middle of a handler is a coroutine stack, which
 // nothing can copy; but it can be rebuilt, because a handler is a
 // deterministic function of its machine's state, its event and its
 // controlled choices. While an iteration has a snapshot to take ahead, every
 // handler chain a machine starts — at a dequeue, or at its birth: the
-// handler, then whatever exits, gotos, entries and raises follow — records a
-// copy of the machine's logic and of the event as they were then
+// handler, then whatever exits, gotos, entries and raises follow — records an
+// image of the machine's logic and of the event as they were then
 // (handlerStart), and from there counts the yield points the machine passes
 // and logs the machines it creates and the values it draws. A snapshot holds
 // a parked machine as that record, that count and that log, with its mailbox
@@ -125,19 +134,23 @@ type snapshot struct {
 	prefix    uint64 // stateHasher.prefix, when a cache is attached
 	machines  []instanceState
 	monitors  []instanceState
+	img       image // what the roots of machines and monitors stand on
+	// starts holds the handler starts of the machines parked at the point,
+	// copied in when the snapshot is taken; the machines' chains point here.
+	starts []handlerStart
 }
 
 // instanceState is one machine or monitor as a snapshot holds it.
 type instanceState struct {
 	id     MachineID
 	schema *compiledSchema
-	logic  Machine
 	st     *stateSpec // nil: not booted yet, birth is what boot will start from
 	status machineStatus
 	halted bool
 	temp   int
-	queue  []envelope
-	birth  Event
+	logic  imageRoot
+	queue  []queued
+	birth  imageRoot
 	// A machine parked at a yield point (yields > 0) is rebuilt: it re-runs
 	// chain — or, if chain is nil, starts from logic at the CHESS dequeue it
 	// yielded at — passing yields yield points, the last of which it parks
@@ -147,13 +160,35 @@ type instanceState struct {
 	log    []chainOp
 }
 
-// handlerStart is a machine as it began a handler chain: copies of its logic
-// and of the event (the birth payload when st is nil: the chain is the boot),
-// and its state.
+// queued is an event in a mailbox as a snapshot holds it.
+type queued struct {
+	sender MachineID
+	seq    uint64
+	event  imageRoot
+}
+
+// handlerStart is a machine as it began a handler chain: its logic and the
+// event (the birth payload when st is nil: the chain is the boot), copied
+// into an image of their own, and its state. A handler start is not written
+// once made: its copies — the one recorded, the one a snapshot holds —
+// share the image's objects, which a relocation only reads.
 type handlerStart struct {
-	logic Machine
-	event Event
+	img   image
+	logic imageRoot
+	event imageRoot
 	st    *stateSpec
+}
+
+// set makes hs a copy of from, reusing hs's arrays.
+func (hs *handlerStart) set(from *handlerStart) {
+	img := hs.img
+	img.reset()
+	*hs = *from
+	hs.img = image{
+		objs:  append(img.objs, from.img.objs...),
+		slots: append(img.slots, from.img.slots...),
+		maps:  append(img.maps, from.img.maps...),
+	}
 }
 
 // unrecorded stands for the start of a chain no faithful copy was made of —
@@ -176,9 +211,9 @@ func (is *instanceState) save(w *stateWalk, m *machineInstance, bound *compiledS
 	*is = instanceState{id: m.id, schema: m.schema, st: m.st, halted: m.halted, temp: m.temp}
 	switch {
 	case !m.midHandler && !running:
-		w.copyLogic(&is.logic, &m.logic)
+		is.logic = w.logicRoot(&m.logic)
 	case m.dequeueing:
-		w.copyLogic(&is.logic, &m.logic) // between two handlers, one yield short of the next
+		is.logic = w.logicRoot(&m.logic) // between two handlers, one yield short of the next
 		is.yields = 1
 	default:
 		is.chain, is.yields, log = m.chain, m.chainYields, append(log, m.chainLog...)
@@ -190,40 +225,48 @@ func (is *instanceState) save(w *stateWalk, m *machineInstance, bound *compiledS
 	if q := m.queued(); len(q) > 0 {
 		queue = slices.Grow(queue, len(q))[:len(q)]
 		for j := range q {
-			queue[j] = envelope{sender: q[j].sender, seq: q[j].seq}
-			w.copyEvent(&queue[j].event, &q[j].event)
+			queue[j] = queued{sender: q[j].sender, seq: q[j].seq, event: w.eventRoot(&q[j].event)}
 		}
 	}
 	is.queue = queue
 	if m.st == nil {
-		w.copyEvent(&is.birth, &m.birth)
+		is.birth = w.eventRoot(&m.birth)
 	}
 	return true
 }
 
-// load puts a fresh copy of the instance is records into m, a just acquired
-// instance of the same ID and schema; is stays as it is. A parked machine
-// comes back as it began its chain, set to catch up.
-func (is *instanceState) load(w *stateWalk, m *machineInstance) {
-	logic, birth := &is.logic, &is.birth
+// load puts the instance is records into m, a just acquired instance of the
+// same ID and schema, from ck.rel, the relocation of the snapshot's image;
+// is stays as it is. A parked machine comes back as it began its chain, set
+// to catch up: its logic and event from a relocation of the chain's own
+// image.
+func (is *instanceState) load(ck *checkpoints, m *machineInstance) {
+	rel := &ck.rel
 	m.st, m.halted, m.temp = is.st, is.halted, is.temp
 	if hs := is.chain; hs != nil {
-		logic, m.st = &hs.logic, hs.st
+		cr := &ck.chainRel
+		cr.restore(&hs.img)
+		m.st = hs.st
+		cr.put(unsafe.Pointer(&m.logic), hs.logic)
 		if hs.st == nil {
-			birth = &hs.event
+			cr.put(unsafe.Pointer(&m.birth), hs.event)
 		} else {
-			w.copyEvent(&m.replayEv, &hs.event)
+			cr.put(unsafe.Pointer(&m.replayEv), hs.event)
+			rel.put(unsafe.Pointer(&m.birth), is.birth)
 		}
+		cr.release()
+	} else {
+		rel.put(unsafe.Pointer(&m.logic), is.logic)
+		rel.put(unsafe.Pointer(&m.birth), is.birth)
 	}
 	if m.st != nil {
 		m.state = m.st.name
 	}
-	w.copyLogic(&m.logic, logic)
 	for j := range is.queue {
-		m.push(envelope{sender: is.queue[j].sender, seq: is.queue[j].seq})
-		w.copyEvent(&m.queue[len(m.queue)-1].event, &is.queue[j].event)
+		q := &is.queue[j]
+		m.push(envelope{sender: q.sender, seq: q.seq})
+		rel.put(unsafe.Pointer(&m.queue[len(m.queue)-1].event), q.event)
 	}
-	w.copyEvent(&m.birth, birth)
 	m.chain, m.replayLeft, m.replayLog = is.chain, is.yields, is.log
 }
 
@@ -256,11 +299,16 @@ type checkpoints struct {
 	unfit bool
 	stuck uint64
 	walk  stateWalk
+	// rel and chainRel relocate a snapshot's image and, machine by machine,
+	// the images of the handler starts it holds.
+	rel, chainRel relocation
 	// spare holds snapshots dropped from the stack, for the next ones to
-	// reuse their arrays. Handler starts are cut from a slab, which is never
-	// reused: a snapshot may hold on to any handler start for good.
-	spare  []*snapshot
-	starts []handlerStart
+	// reuse their arrays. The first nrecords of recorded are the handler
+	// starts this iteration has recorded; the next iteration reuses them,
+	// and a snapshot keeps copies.
+	spare    []*snapshot
+	recorded []*handlerStart
+	nrecords int
 }
 
 // machineBit is machine i's bit (i indexes rt.machines) in a passes word:
@@ -291,7 +339,7 @@ func (c *controller) rewind() int {
 		c.ck = &checkpoints{}
 	}
 	if ck := c.ck; ck != nil {
-		ck.target, ck.chains, ck.recording = 0, 0, k > 0
+		ck.target, ck.chains, ck.recording, ck.nrecords = 0, 0, k > 0, 0
 		n := len(ck.stack)
 		for n > 0 && ck.stack[n-1].pos > k {
 			n-- // taken inside a subtree the search has left
@@ -352,7 +400,10 @@ func (c *controller) checkpoint(running *machineInstance) {
 	}
 	ck.passes[pos] = w
 	if pos == ck.target && pos > 0 && c.bug == nil {
-		ck.chains = 0
+		// Once an iteration: taking it may send the snapshot the iteration
+		// was restored from to spare, and until the iteration ends the
+		// restored machines' chains point into that one's starts.
+		ck.target, ck.chains = 0, 0
 		c.snapshot(pos, running)
 	}
 }
@@ -372,23 +423,21 @@ func (c *controller) beginChain(m *machineInstance, ev Event) {
 	}
 }
 
-// handlerStart copies m's logic and the event ev of the chain m begins, and
-// leaves the memory they occupy in m.chainSpans.
+// handlerStart copies m's logic and the event ev of the chain m begins into
+// the next of this iteration's records, and leaves the memory they occupy in
+// m.chainSpans.
 func (ck *checkpoints) handlerStart(m *machineInstance, ev Event) *handlerStart {
-	if len(ck.starts) == cap(ck.starts) {
-		ck.starts = make([]handlerStart, 0, 64)
+	if ck.nrecords == len(ck.recorded) {
+		ck.recorded = append(ck.recorded, &handlerStart{})
 	}
-	ck.starts = append(ck.starts, handlerStart{event: ev, st: m.st})
-	hs := &ck.starts[len(ck.starts)-1]
+	hs := ck.recorded[ck.nrecords]
 	w := &ck.walk
-	w.reset()
-	w.copyLogic(&hs.logic, &m.logic)
-	w.copyEvent(&hs.event, &hs.event) // deepened in place: ev stays off the heap
+	w.begin(&hs.img)
+	hs.logic, hs.event, hs.st = w.logicRoot(&m.logic), w.root(eventIface, *(*ifaceWords)(unsafe.Pointer(&ev))), m.st
 	if w.refused != nil || w.unfaithful || w.overlaps() {
-		*hs = handlerStart{}
-		ck.starts = ck.starts[:len(ck.starts)-1]
 		return unrecorded
 	}
+	ck.nrecords++
 	m.chainSpans = append(m.chainSpans, w.spans...)
 	return hs
 }
@@ -399,8 +448,6 @@ func (ck *checkpoints) handlerStart(m *machineInstance, ev Event) *handlerStart 
 // stuck.
 func (c *controller) snapshot(pos int, running *machineInstance) {
 	ck, rt := c.ck, c.rt
-	w := &ck.walk
-	w.reset()
 	var s *snapshot
 	if n := len(ck.spare); n > 0 {
 		s = ck.spare[n-1]
@@ -411,7 +458,9 @@ func (c *controller) snapshot(pos int, running *machineInstance) {
 	}
 	*s = snapshot{pos: pos, steps: c.steps, continued: c.continued, current: c.current, sendSeq: c.sendSeq,
 		machines: slices.Grow(s.machines[:0], len(rt.machines))[:len(rt.machines)],
-		monitors: slices.Grow(s.monitors[:0], len(rt.monitors))[:len(rt.monitors)]}
+		monitors: slices.Grow(s.monitors[:0], len(rt.monitors))[:len(rt.monitors)],
+		img:      s.img, starts: s.starts}
+	ck.walk.begin(&s.img)
 	if running != nil {
 		s.onStack = running.id
 	}
@@ -474,22 +523,44 @@ func (c *controller) save(s *snapshot, running *machineInstance) bool {
 		}
 	}
 	ck.stuck |= stuck
-	return stuck == 0
+	if stuck != 0 {
+		return false
+	}
+	// The snapshot keeps its own copies of the handler starts: a recorded one
+	// is reused by the next iteration, and one a restore handed down lives
+	// in a snapshot that may be dropped first.
+	n := 0
+	for i := range s.machines {
+		if s.machines[i].chain != nil {
+			n++
+		}
+	}
+	if n > cap(s.starts) {
+		s.starts = append(s.starts[:cap(s.starts)], make([]handlerStart, n-cap(s.starts))...)
+	}
+	s.starts, n = s.starts[:n], 0
+	for i := range s.machines {
+		if is := &s.machines[i]; is.chain != nil {
+			s.starts[n].set(is.chain)
+			is.chain = &s.starts[n]
+			n++
+		}
+	}
+	return true
 }
 
 // restore sets the reset harness up from s, as setup would from nothing:
 // machines through acquireInstance and onCreate, monitors through
-// attachMonitor, each with a fresh copy of its state — s stays as it is for
-// the next iteration to start from. Then every machine s holds parked
+// attachMonitor, their state a relocation of s's image — s stays as it is
+// for the next iteration to start from. Then every machine s holds parked
 // mid-handler catches up to where it was.
 func (c *controller) restore(s *snapshot) {
-	rt := c.rt
-	w := &c.ck.walk
-	w.reset()
+	rt, ck := c.rt, c.ck
+	ck.rel.restore(&s.img)
 	for i := range s.machines {
 		is := &s.machines[i]
 		m := c.acquireInstance(rt, is.id, nil, is.schema)
-		is.load(w, m)
+		is.load(ck, m)
 		rt.machines = append(rt.machines, m)
 		c.onCreate(m, 0)
 		c.statuses[i] = is.status
@@ -503,8 +574,9 @@ func (c *controller) restore(s *snapshot) {
 	}
 	for i := range s.monitors {
 		is := &s.monitors[i]
-		is.load(w, rt.attachMonitor(is.id, nil, is.schema))
+		is.load(ck, rt.attachMonitor(is.id, nil, is.schema))
 	}
+	ck.rel.release()
 	c.steps, c.continued, c.current, c.sendSeq = s.steps, s.continued, s.current, s.sendSeq
 	c.resumedOn = s.onStack
 	if h := c.hasher; h != nil {

@@ -218,12 +218,15 @@
 // before it reaches anything new — well over nine points in ten on the
 // Table 2 protocols. The second interpreter of the state plans is a deep
 // copy, and with it the harness checkpoints (checkpoint.go): a snapshot of
-// the program at a scheduling point is a copy of every logic value, mailbox
-// and monitor, made in one walk so that what machines and queued events
-// share stays shared, and an attempt whose strategy promises to repeat a
-// prefix of the last one (PrefixResumer: sct's depth-first search, as DFS and
-// as DPOR) starts from the deepest snapshot inside that prefix instead of
-// from setup. A machine parked in the middle of a handler is a coroutine
+// the program at a scheduling point is an image of every logic value,
+// mailbox and monitor — its objects, the pointers between them and the
+// values that stand on them — made in one walk so that what machines and
+// queued events share stays shared, and an attempt whose strategy promises
+// to repeat a prefix of the last one (PrefixResumer: sct's depth-first
+// search, as DFS and as DPOR) starts from the deepest snapshot inside that
+// prefix instead of from setup. Restoring one walks nothing: it is a
+// relocation of the image, each object allocated with its own type and
+// copied whole, its pointers patched to the new objects, its maps rebuilt. A machine parked in the middle of a handler is a coroutine
 // stack, which cannot be copied; the snapshot holds it as it began its
 // handler chain — its logic and its event as of the dequeue (or birth),
 // copied there — with the number of yield points it has passed since and the
@@ -269,11 +272,13 @@
 // the cache, and the controller neither hashes nor consults it there: it
 // compares a rolling hash of the decisions with the one the previous
 // iteration of the same TestHarness had at each point. An attempt therefore
-// costs a copy of the program, the re-execution of its prefix from the
-// checkpoint on, one hash of every live machine at the first point that
-// differs, and incremental hashing (the machines a step touched) of its new
-// suffix; a handler that finishes without a state hash being taken pays a
-// few word writes for its mid-handler position, not a walk of its event.
+// costs a relocation of the program's image (an allocation and a typed copy
+// per object it holds, a store per pointer between them), the re-execution
+// of its prefix from the checkpoint on, one hash of every live machine at
+// the first point that differs, and incremental hashing (the machines a
+// step touched) of its new suffix; a handler that finishes without a state
+// hash being taken pays a few word writes for its mid-handler position, not
+// a walk of its event.
 // IterationResult.ReplayedPoints (sct's Report.ReplayedPoints and
 // Shares().ReplayedShare) says how much of a campaign repeated earlier decisions,
 // restored or re-executed. See the StateCache type for the contract this

@@ -149,17 +149,68 @@ func StateHash(vs ...any) (hash uint64, err error) {
 	return mix64(w.h), err
 }
 
-// StateCopy deep-copies the values in one walk of their state plans, the way
-// a checkpoint copies a program; ok is false if the copy would not be
-// faithful (a checkpoint would be discarded).
+// StateCopy deep-copies the values in one walk of their state plans and one
+// relocation of the image it makes, the way a checkpoint copies a program;
+// ok is false if the copy would not be faithful (a checkpoint would be
+// discarded).
 func StateCopy(vs ...any) (copies []any, ok bool) {
+	im, ok := NewStateImage(vs...)
+	return im.Restore(), ok
+}
+
+// StateImage is values as a snapshot holds a program: the image one walk of
+// their state plans makes, one root per value.
+type StateImage struct {
+	img   image
+	roots []imageRoot
+}
+
+// NewStateImage copies the values into an image in one walk; ok is false if
+// a copy would not be faithful.
+func NewStateImage(vs ...any) (im *StateImage, ok bool) {
 	var w stateWalk
-	w.reset()
-	copies = make([]any, len(vs))
+	im = &StateImage{roots: make([]imageRoot, len(vs))}
+	w.begin(&im.img)
 	for i := range vs {
-		w.copyInterface(anyType, unsafe.Pointer(&copies[i]), unsafe.Pointer(&vs[i]))
+		im.roots[i] = w.root(anyType, *(*ifaceWords)(unsafe.Pointer(&vs[i])))
 	}
-	return copies, w.refused == nil && !w.unfaithful && !w.overlaps()
+	return im, w.refused == nil && !w.unfaithful && !w.overlaps()
+}
+
+// Restore relocates the image into new copies of its values, the way a
+// checkpoint restores a program.
+func (im *StateImage) Restore() []any {
+	var rel relocation
+	rel.restore(&im.img)
+	vs := make([]any, len(im.roots))
+	for i, root := range im.roots {
+		rel.put(unsafe.Pointer(&vs[i]), root)
+	}
+	rel.release()
+	return vs
+}
+
+// Slots and Maps count the pointer slots and the maps the image holds.
+func (im *StateImage) Slots() int { return len(im.img.slots) }
+func (im *StateImage) Maps() int  { return len(im.img.maps) }
+
+// Digest folds every byte of the image's objects and every slot and root: a
+// restore that writes into the image changes it.
+func (im *StateImage) Digest() uint64 {
+	h := fnvOffset64
+	for _, o := range im.img.objs {
+		h = fold(fold(fold(h, uint64(o.kind)), uint64(o.n)), uint64(o.slots))
+		if o.kind != objMap {
+			h = foldMem(h, o.at, o.typ.Size())
+		}
+	}
+	for _, s := range im.img.slots {
+		h = fold(fold(fold(h, uint64(s.obj)), uint64(s.to)), uint64(s.off))
+	}
+	for _, r := range im.roots {
+		h = fold(fold(fold(h, uint64(uintptr(r.tab))), uint64(uintptr(r.data))), uint64(r.obj))
+	}
+	return h
 }
 
 var anyType = reflect.TypeOf((*any)(nil)).Elem()

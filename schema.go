@@ -487,11 +487,18 @@ func typeSchemaOf(name string, probe StaticMachine, monitor bool) (cs *compiledS
 // copy stands for it: one that DeepEqual does not find equal to the probe
 // (a non-nil func or chan, which the copy leaves nil; a NaN) never matches.
 func keepable(probe Machine) Machine {
-	var keep Machine
 	var w stateWalk
-	w.reset()
-	w.copyInterface(machineIface, unsafe.Pointer(&keep), unsafe.Pointer(&probe))
-	if w.refused != nil || !reflect.DeepEqual(keep, probe) {
+	var im image
+	w.begin(&im)
+	root := w.root(machineIface, *(*ifaceWords)(unsafe.Pointer(&probe)))
+	if w.refused != nil {
+		return nil
+	}
+	var keep Machine
+	var rel relocation
+	rel.restore(&im)
+	rel.put(unsafe.Pointer(&keep), root)
+	if !reflect.DeepEqual(keep, probe) {
 		return nil
 	}
 	return keep

@@ -135,9 +135,11 @@
 // psharp.NewTestHarness). What is left of the prefix is executed but
 // neither hashed nor shown to the cache —
 // an equal decision prefix reaches an equal state, which the previous
-// attempt showed it (see psharp.StateCache) — so an attempt costs a copy of
-// the program + prefix re-execution from the checkpoint on + one full hash
-// at the point where it diverges + incremental hashing of its new suffix.
+// attempt showed it (see psharp.StateCache) — so an attempt costs a
+// relocation of the checkpoint's image of the program (no walk of it: an
+// allocation and a typed copy per object, a store per pointer) + prefix
+// re-execution from the checkpoint on + one full hash at the point where it
+// diverges + incremental hashing of its new suffix.
 // Report.TotalSchedulingPoints counts explored schedules only;
 // Report.PrunedPoints adds the points of the pruned attempts,
 // Report.ReplayedPoints / Shares().ReplayedShare say how much of the total repeated

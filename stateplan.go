@@ -22,7 +22,8 @@ import (
 // memory, one small function per kind, and share the walk's visited table:
 // every pointer, slice and map is entered once per walk, so aliasing and
 // cycles are part of what is hashed and survive a copy, and neither depth
-// nor length is capped.
+// nor length is capped. A copy walk makes an image (see below), which a
+// relocation turns into a working copy without walking anything.
 //
 // What a plan cannot represent faithfully is a non-nil func, chan or
 // unsafe.Pointer: code and synchronisation state, not data. A walk that meets
@@ -66,7 +67,9 @@ type statePlan struct {
 	// flat: only skWords and skString ops, so the value owns nothing a walk
 	// could enter twice and a shallow copy is a deep one. dense: one skWords
 	// op covering the whole value, so an array of them is one block of memory.
-	flat, dense bool
+	// direct: pointer-shaped (a pointer, a map, a struct or array of one), so
+	// an interface holding one has it as its data word instead of a box.
+	flat, dense, direct bool
 }
 
 // statePlans caches the plan per type for the process; planMu serialises
@@ -116,6 +119,12 @@ func (b *planBuilder) plan(t reflect.Type) *statePlan {
 		}
 	}
 	p.dense = len(p.ops) == 1 && p.ops[0].kind == skWords && p.ops[0].n == p.size
+	if p.kind != reflect.Interface {
+		// Boxed, the zero value's data word points at the box; direct, it is
+		// the value: nil.
+		z := reflect.Zero(t).Interface()
+		p.direct = (*ifaceWords)(unsafe.Pointer(&z)).data == nil
+	}
 	return p
 }
 
@@ -212,11 +221,12 @@ type visitKey struct {
 	plan *statePlan
 }
 
-// visit is one entered object: to is its copy (copy walks), n how many
-// elements of a slice have been walked and size its extent in bytes.
+// visit is one entered object: obj is its copy's object in the image (copy
+// walks), n how many elements of it have been walked and size its extent in
+// bytes.
 type visit struct {
 	key  visitKey
-	to   unsafe.Pointer
+	obj  int32
 	n    int
 	size uintptr
 }
@@ -291,6 +301,13 @@ type stateWalk struct {
 	refused *StateError
 	// unfaithful: a copy could not keep two slices in the one array they share.
 	unfaithful bool
+
+	// A copy walk writes into img: into object owner, or, while owner is -1,
+	// into rootv, the root being copied, whose object it leaves in rootObj.
+	img     *image
+	owner   int32
+	rootObj int32
+	rootv   ifaceWords
 
 	// tabs remembers the plan behind an interface's type word (see dynamic).
 	tabs [16]struct {
@@ -579,22 +596,21 @@ func (w *stateWalk) mapScratch(op *stateOp) mapScratch {
 }
 
 // hashInterface folds the interface value of static type typ at f: its
-// dynamic type, then the value — through the pointer if it is one, else from
-// a boxed copy (the interface's own box has no address reflect will give out).
+// dynamic type, then the value — the data word itself if the type is
+// pointer-shaped, else the box it points at.
 func (w *stateWalk) hashInterface(typ reflect.Type, f unsafe.Pointer) {
-	if (*ifaceWords)(f).tab == nil {
+	x := (*ifaceWords)(f)
+	if x.tab == nil {
 		w.h = fold(w.h, tagNil)
 		return
 	}
 	p := w.dynamic(typ, f)
 	w.h = fold(w.h, p.id)
-	if p.kind == reflect.Pointer {
-		w.hashPointer(p.ops[0].sub, (*ifaceWords)(f).data)
+	if p.direct {
+		w.hash(p, unsafe.Pointer(&x.data))
 		return
 	}
-	box := reflect.New(p.typ)
-	box.Elem().Set(reflect.NewAt(typ, f).Elem().Elem())
-	w.hash(p, box.UnsafePointer())
+	w.hash(p, x.data)
 }
 
 // hashEvent folds the event at ev, by type and payload.
@@ -617,9 +633,147 @@ func (w *stateWalk) hashLogic(logic *Machine) {
 	}
 }
 
-// copy makes the value of plan p at dst a deep copy of the one at src. dst is
-// zeroed memory of p's type — or src itself, to deepen a shallow copy in
-// place: every op reads before it writes.
+// Images: what a copy walk makes.
+//
+// The copy interpreter is the only reader of live user memory a checkpoint
+// has, and it does not make a value a program can use: it makes an image of
+// one, which a relocation turns into a working copy — as many independent
+// ones as are asked for — walking nothing. An image is
+//   - its objects: every pointer target, slice array and box of a non-flat
+//     interface value the walk entered, each in memory of its own type (T,
+//     or [cap]T for a slice's array) holding the copied value;
+//   - its slots: the pointer-like words inside those objects — pointers,
+//     slice data, maps, the data words of interfaces — as (object, offset,
+//     target object);
+//   - its maps, objects of their own with no memory: each holds its entries
+//     as two objects, an array of keys and one of elements;
+//   - and its roots, the interface values it was made from (logic, events),
+//     each a type word and a target object.
+// A relocation allocates every object with its own type, fills it with a
+// typed copy (write barriers kept), patches the slots, then inserts each
+// map's entries into a fresh map, and stores the roots where it is told.
+// Every pointer-like word points at the start of an object: a walk that
+// meets one into the middle of another refuses the copy (overlaps,
+// unfaithful). Strings and flat boxes are immutable and stay shared, with
+// the image and between relocations; so do entry arrays without slots,
+// which are read and never written.
+
+// image is user state copied for relocation; its arrays are reused from one
+// copy walk to the next.
+type image struct {
+	objs  []imageObj
+	slots []imageSlot
+	maps  []int32 // the map objects, for a relocation to fill last
+}
+
+// objKind says how a relocation makes an object.
+type objKind uint8
+
+const (
+	objValue   objKind = iota // a typed copy of val
+	objMap                    // a fresh map of the entries in objects keys and elems
+	objEntries                // a map's keys or elements: a typed copy, or val itself if no slot lies in it
+)
+
+// imageObj is one object of an image.
+type imageObj struct {
+	val reflect.Value  // the image's copy, addressable; unset for a map
+	at  unsafe.Pointer // val's address
+	typ reflect.Type   // val's type, or the map's
+	// A map has n entries, whose keys and elements are objects keys and
+	// elems when n > 0.
+	n           int
+	keys, elems int32
+	slots       int32 // how many slots lie in the object
+	kind        objKind
+	// boxed: typ is neither pointer-shaped (see statePlan.direct) nor an
+	// interface, so made an interface a copy of val is boxed in memory of
+	// its own.
+	boxed bool
+}
+
+// imageSlot is a pointer-like word off bytes into object obj that stands
+// for object to.
+type imageSlot struct {
+	obj, to int32
+	off     uintptr
+}
+
+// imageRoot is an interface value an image was made from: its type word and
+// data word as copied, the data word standing for object obj-1 of the image
+// when obj > 0. When obj is 0 — nil, a flat box, a static func logic, a
+// pointer to a zero-size value — the data word is shared as it is.
+type imageRoot struct {
+	tab, data unsafe.Pointer
+	obj       int32
+}
+
+func (im *image) reset() {
+	clear(im.objs) // drop the copies of the image before
+	im.objs, im.slots, im.maps = im.objs[:0], im.slots[:0], im.maps[:0]
+}
+
+// alloc adds a zeroed object of n elements of plan p: a p, or an array of
+// n of them if array.
+func (im *image) alloc(p *statePlan, n int, array bool, kind objKind) int32 {
+	t, boxed := p.typ, !p.direct && p.kind != reflect.Interface
+	if array {
+		t, boxed = reflect.ArrayOf(n, t), n > 1 || !p.direct
+	}
+	v := reflect.New(t)
+	im.objs = append(im.objs, imageObj{val: v.Elem(), at: v.UnsafePointer(), typ: t, kind: kind, boxed: boxed})
+	return int32(len(im.objs) - 1)
+}
+
+// begin readies the walk to copy into im, emptied.
+func (w *stateWalk) begin(im *image) {
+	w.reset()
+	im.reset()
+	w.img, w.owner = im, -1
+}
+
+// link records that the pointer-like word just written at d stands for
+// object obj: a slot of the object being written, or the root's target.
+func (w *stateWalk) link(d unsafe.Pointer, obj int32) {
+	if w.owner < 0 {
+		w.rootObj = obj
+		return
+	}
+	im := w.img
+	o := &im.objs[w.owner]
+	im.slots = append(im.slots, imageSlot{obj: w.owner, to: obj, off: uintptr(d) - uintptr(o.at)})
+	o.slots++
+}
+
+// root copies the interface value v, of static type typ, into the image.
+func (w *stateWalk) root(typ reflect.Type, v ifaceWords) imageRoot {
+	w.rootv, w.rootObj = v, -1
+	w.copyInterface(typ, unsafe.Pointer(&w.rootv), unsafe.Pointer(&w.rootv))
+	r := imageRoot{tab: w.rootv.tab, data: w.rootv.data, obj: w.rootObj + 1}
+	w.rootv = ifaceWords{}
+	return r
+}
+
+// logicRoot copies a machine's or monitor's logic value into the image. A
+// func logic of a static type (StaticMachineFunc) keeps no per-instance
+// state and is shared.
+func (w *stateWalk) logicRoot(logic *Machine) imageRoot {
+	v := *(*ifaceWords)(unsafe.Pointer(logic))
+	if v.tab == nil || w.dynamic(machineIface, unsafe.Pointer(logic)).kind == reflect.Func {
+		return imageRoot{tab: v.tab, data: v.data}
+	}
+	return w.root(machineIface, v)
+}
+
+// eventRoot copies an event into the image.
+func (w *stateWalk) eventRoot(ev *Event) imageRoot {
+	return w.root(eventIface, *(*ifaceWords)(unsafe.Pointer(ev)))
+}
+
+// copy writes the value of plan p at src into the image, at dst: zeroed
+// memory of p's type inside the object being written (or the root) — or src
+// itself, to deepen a shallow copy in place: every op reads before it
+// writes.
 func (w *stateWalk) copy(p *statePlan, dst, src unsafe.Pointer) {
 	for i := range p.ops {
 		op := &p.ops[i]
@@ -630,7 +784,7 @@ func (w *stateWalk) copy(p *statePlan, dst, src unsafe.Pointer) {
 		case skString:
 			*(*string)(d) = *(*string)(s)
 		case skPointer:
-			*(*unsafe.Pointer)(d) = w.copyPointer(op.sub, *(*unsafe.Pointer)(s))
+			w.copyPointer(op.sub, d, *(*unsafe.Pointer)(s))
 		case skSlice:
 			w.copySlice(op, (*sliceHeader)(d), (*sliceHeader)(s))
 		case skArray:
@@ -649,27 +803,37 @@ func (w *stateWalk) copy(p *statePlan, dst, src unsafe.Pointer) {
 	}
 }
 
-func (w *stateWalk) copyPointer(sub *statePlan, at unsafe.Pointer) unsafe.Pointer {
+// into copies the value of plan p at src to dst, which lies in object obj.
+func (w *stateWalk) into(obj int32, p *statePlan, dst, src unsafe.Pointer) {
+	owner := w.owner
+	w.owner = obj
+	w.copy(p, dst, src)
+	w.owner = owner
+}
+
+// copyPointer writes at d the copy of the pointer at, to a value of plan sub.
+func (w *stateWalk) copyPointer(sub *statePlan, d, at unsafe.Pointer) {
 	if at == nil || sub.size == 0 {
-		return at
+		*(*unsafe.Pointer)(d) = at
+		return
 	}
 	k := visitKey{at, sub}
-	if i, ok := w.seen.lookup(k); ok {
-		e := &w.seen.list[i]
-		if e.n == 0 {
-			// The array of a slice copied with length 0: its first element is
-			// reached only now.
-			e.n = 1
-			w.copy(sub, e.to, at)
-		}
-		return e.to
+	i, ok := w.seen.lookup(k)
+	if !ok {
+		// A pointer is a one-element window of what it points to: a slice that
+		// starts there and is no longer shares the copy.
+		i = w.seen.add(visit{key: k, obj: w.img.alloc(sub, 1, false, objValue), size: sub.size})
 	}
-	// A pointer is a one-element window of what it points to: a slice that
-	// starts there and is no longer shares the copy.
-	to := reflect.New(sub.typ).UnsafePointer()
-	w.seen.add(visit{key: k, to: to, n: 1, size: sub.size}) // before its contents: cycles end here
-	w.copy(sub, to, at)
-	return to
+	e := w.seen.list[i]
+	to := w.img.objs[e.obj].at
+	*(*unsafe.Pointer)(d) = to
+	w.link(d, e.obj)
+	if e.n == 0 {
+		// Entered just now, or as the array of a slice copied with length 0,
+		// whose first element is reached only now.
+		w.seen.list[i].n = 1 // before its contents: cycles end here
+		w.into(e.obj, sub, to, at)
+	}
 }
 
 // copySlice copies a slice into an array of the same capacity — appends
@@ -684,10 +848,10 @@ func (w *stateWalk) copySlice(op *stateOp, d, s *sliceHeader) {
 	k := visitKey{src.data, sub}
 	i, ok := w.seen.lookup(k)
 	if !ok {
-		to := reflect.MakeSlice(op.typ, src.cap, src.cap).UnsafePointer()
-		i = w.seen.add(visit{key: k, to: to, size: uintptr(src.cap) * sub.size})
+		obj := w.img.alloc(sub, src.cap, true, objValue)
+		i = w.seen.add(visit{key: k, obj: obj, size: uintptr(src.cap) * sub.size})
 	}
-	e := &w.seen.list[i]
+	e := w.seen.list[i]
 	if uintptr(src.cap)*sub.size > e.size {
 		// A longer view of memory already copied shorter (&s[0] before s,
 		// s[:2:2] before s): the copy made then has no room for this one.
@@ -695,26 +859,28 @@ func (w *stateWalk) copySlice(op *stateOp, d, s *sliceHeader) {
 		*d = sliceHeader{}
 		return
 	}
-	to, from := e.to, e.n
+	to := w.img.objs[e.obj].at
 	*d = sliceHeader{data: to, len: src.len, cap: src.cap}
-	if src.len <= from {
+	w.link(unsafe.Pointer(d), e.obj)
+	if src.len <= e.n {
 		return
 	}
-	e.n = src.len // before the elements: they may lead back here
-	switch {
-	case sub.dense:
-		n := uintptr(src.len) * sub.size
-		copy(unsafe.Slice((*byte)(to), n), unsafe.Slice((*byte)(src.data), n))
-	case sub.flat && from == 0:
-		// Strings among the elements: a typed copy keeps the write barriers.
-		reflect.Copy(reflect.NewAt(op.typ, unsafe.Pointer(d)).Elem(), reflect.NewAt(op.typ, unsafe.Pointer(&src)).Elem())
-	default:
-		for j := from; j < src.len; j++ {
-			w.copy(sub, unsafe.Add(to, uintptr(j)*sub.size), unsafe.Add(src.data, uintptr(j)*sub.size))
-		}
+	w.seen.list[i].n = src.len // before the elements: they may lead back here
+	if sub.dense {
+		from, n := uintptr(e.n)*sub.size, uintptr(src.len)*sub.size
+		copy(unsafe.Slice((*byte)(to), n)[from:], unsafe.Slice((*byte)(src.data), n)[from:])
+		return
 	}
+	owner := w.owner
+	w.owner = e.obj
+	for j := e.n; j < src.len; j++ {
+		w.copy(sub, unsafe.Add(to, uintptr(j)*sub.size), unsafe.Add(src.data, uintptr(j)*sub.size))
+	}
+	w.owner = owner
 }
 
+// copyMap copies a map as a map object of the image and its entries, and
+// leaves nil at d, where a relocation puts the fresh map.
 func (w *stateWalk) copyMap(op *stateOp, d, s unsafe.Pointer) {
 	at := *(*unsafe.Pointer)(s)
 	if at == nil {
@@ -722,35 +888,54 @@ func (w *stateWalk) copyMap(op *stateOp, d, s unsafe.Pointer) {
 		return
 	}
 	k := visitKey{at, op.sub}
-	if i, ok := w.seen.lookup(k); ok {
-		*(*unsafe.Pointer)(d) = w.seen.list[i].to
+	i, ok := w.seen.lookup(k)
+	if !ok {
+		im := w.img
+		obj := int32(len(im.objs))
+		im.objs = append(im.objs, imageObj{typ: op.typ, kind: objMap})
+		im.maps = append(im.maps, obj)
+		// A map is one byte of span: enough for two walks that copied it apart
+		// to overlap (see checkpoints.handlerStart).
+		i = w.seen.add(visit{key: k, obj: obj, size: 1})
+		w.copyEntries(op, obj, reflect.NewAt(op.typ, s).Elem())
+	}
+	*(*unsafe.Pointer)(d) = nil // last: d may be s, which the entries were read from
+	w.link(d, w.seen.list[i].obj)
+}
+
+// copyEntries copies the entries of the map mv into the arrays of map object
+// obj: shallow copies, deepened where they lie.
+func (w *stateWalk) copyEntries(op *stateOp, obj int32, mv reflect.Value) {
+	n := mv.Len()
+	if n == 0 {
 		return
 	}
-	mv := reflect.NewAt(op.typ, s).Elem()
-	nm := reflect.MakeMapWithSize(op.typ, mv.Len())
-	// A map is one byte of span: enough for two walks that copied it apart
-	// to overlap (see checkpoints.handlerStart).
-	w.seen.add(visit{key: k, to: nm.UnsafePointer(), size: 1})
-	if op.key.flat && op.sub.flat {
-		sc := w.mapScratch(op)
-		for w.iter.Reset(mv); w.iter.Next(); {
-			sc.k.SetIterKey(&w.iter)
-			sc.v.SetIterValue(&w.iter)
-			nm.SetMapIndex(sc.k, sc.v)
-		}
-		w.iter.Reset(reflect.Value{})
-	} else {
-		for it := mv.MapRange(); it.Next(); {
-			// Shallow copies, deepened where they lie, then stored by value.
-			kv, vv := reflect.New(op.typ.Key()), reflect.New(op.typ.Elem())
-			kv.Elem().SetIterKey(it)
-			vv.Elem().SetIterValue(it)
-			w.copy(op.key, kv.UnsafePointer(), kv.UnsafePointer())
-			w.copy(op.sub, vv.UnsafePointer(), vv.UnsafePointer())
-			nm.SetMapIndex(kv.Elem(), vv.Elem())
-		}
+	im := w.img
+	keys := im.alloc(op.key, n, true, objEntries)
+	elems := im.alloc(op.sub, n, true, objEntries)
+	m := &im.objs[obj]
+	m.n, m.keys, m.elems = n, keys, elems
+	kv, ev := im.objs[keys].val, im.objs[elems].val
+	j := 0
+	for w.iter.Reset(mv); w.iter.Next(); j++ {
+		kv.Index(j).SetIterKey(&w.iter)
+		ev.Index(j).SetIterValue(&w.iter)
 	}
-	*(*unsafe.Pointer)(d) = nm.UnsafePointer() // last: d may be s, which mv reads
+	w.iter.Reset(reflect.Value{})
+	w.deepen(keys, op.key, n)
+	w.deepen(elems, op.sub, n)
+}
+
+// deepen turns the n shallow copies of plan p in object obj into deep ones.
+func (w *stateWalk) deepen(obj int32, p *statePlan, n int) {
+	if p.flat {
+		return
+	}
+	at := w.img.objs[obj].at
+	for j := 0; j < n; j++ {
+		e := unsafe.Add(at, uintptr(j)*p.size)
+		w.into(obj, p, e, e)
+	}
 }
 
 // copyInterface copies the interface value of static type typ at s to d.
@@ -762,16 +947,20 @@ func (w *stateWalk) copyInterface(typ reflect.Type, d, s unsafe.Pointer) {
 	}
 	p := w.dynamic(typ, s)
 	switch {
-	case p.kind == reflect.Pointer:
-		// Same dynamic type, so the same type word; the data word is the pointer.
-		*(*ifaceWords)(d) = ifaceWords{tab: src.tab, data: w.copyPointer(p.ops[0].sub, src.data)}
 	case p.flat:
 		*(*ifaceWords)(d) = src // the box is immutable and owns nothing
+	case p.direct:
+		// Same dynamic type, so the same type word; the data word is the
+		// value, copied where it lies.
+		(*ifaceWords)(d).tab = src.tab
+		w.copy(p, unsafe.Pointer(&(*ifaceWords)(d).data), unsafe.Pointer(&(*ifaceWords)(s).data))
 	default:
-		box := reflect.New(p.typ)
-		box.Elem().Set(reflect.NewAt(typ, s).Elem().Elem())
-		w.copy(p, box.UnsafePointer(), box.UnsafePointer())
-		reflect.NewAt(typ, d).Elem().Set(box.Elem())
+		// A box of the image's own, copied from the original's.
+		box := w.img.alloc(p, 1, false, objValue)
+		to := w.img.objs[box].at
+		w.into(box, p, to, src.data)
+		*(*ifaceWords)(d) = ifaceWords{tab: src.tab, data: to}
+		w.link(unsafe.Pointer(&(*ifaceWords)(d).data), box)
 	}
 }
 
@@ -780,18 +969,77 @@ var (
 	eventIface   = reflect.TypeOf((*Event)(nil)).Elem()
 )
 
-// copyLogic copies a logic value from *s to *d. A func logic of a static
-// type (StaticMachineFunc) keeps no per-instance state and is shared.
-func (w *stateWalk) copyLogic(d, s *Machine) {
-	if *s == nil || w.dynamic(machineIface, unsafe.Pointer(s)).kind == reflect.Func {
-		*d = *s
-		return
-	}
-	w.copyInterface(machineIface, unsafe.Pointer(d), unsafe.Pointer(s))
+// relocation is where one restore of an image put its objects; whoever
+// restores keeps one, to reuse its arrays.
+type relocation struct {
+	to   []unsafe.Pointer // by object
+	maps []reflect.Value  // by image.maps
 }
 
-func (w *stateWalk) copyEvent(d, s *Event) {
-	w.copyInterface(eventIface, unsafe.Pointer(d), unsafe.Pointer(s))
+// restore makes a working copy of im: every object allocated with its type
+// and filled with a typed copy, every slot patched, every map rebuilt from
+// its entries. im is not written. The roots go where put puts them; release
+// ends the restore.
+func (r *relocation) restore(im *image) {
+	to, maps := r.to[:0], r.maps[:0]
+	for i := range im.objs {
+		o := &im.objs[i]
+		switch {
+		case o.kind == objMap:
+			m := reflect.MakeMapWithSize(o.typ, o.n)
+			maps = append(maps, m)
+			to = append(to, m.UnsafePointer())
+		case o.kind == objEntries && o.slots == 0:
+			to = append(to, o.at) // read where it lies
+		case o.boxed:
+			// Made an interface, an addressable value is copied into a box of
+			// its own type: one allocation and a typed copy, and the box is
+			// the object.
+			v := o.val.Interface()
+			to = append(to, (*ifaceWords)(unsafe.Pointer(&v)).data)
+		default:
+			p := reflect.New(o.typ)
+			p.Elem().Set(o.val)
+			to = append(to, p.UnsafePointer())
+		}
+	}
+	for _, s := range im.slots {
+		*(*unsafe.Pointer)(unsafe.Add(to[s.obj], s.off)) = to[s.to]
+	}
+	r.to, r.maps = to, maps
+	for j, i := range im.maps {
+		if o := &im.objs[i]; o.n > 0 {
+			keys, elems := r.entries(im, o.keys), r.entries(im, o.elems)
+			for e := 0; e < o.n; e++ {
+				maps[j].SetMapIndex(keys.Index(e), elems.Index(e))
+			}
+		}
+	}
+}
+
+// entries is the relocated entry array obj of im.
+func (r *relocation) entries(im *image, obj int32) reflect.Value {
+	if o := &im.objs[obj]; r.to[obj] != o.at {
+		return reflect.NewAt(o.typ, r.to[obj]).Elem()
+	}
+	return im.objs[obj].val
+}
+
+// put stores the relocated root at d, an interface of the root's static
+// type.
+func (r *relocation) put(d unsafe.Pointer, root imageRoot) {
+	v := ifaceWords{tab: root.tab, data: root.data}
+	if root.obj > 0 {
+		v.data = r.to[root.obj-1]
+	}
+	*(*ifaceWords)(d) = v
+}
+
+// release forgets the objects of the restore.
+func (r *relocation) release() {
+	clear(r.to)
+	clear(r.maps)
+	r.to, r.maps = r.to[:0], r.maps[:0]
 }
 
 // span is the memory one entered object occupies.

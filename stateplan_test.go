@@ -9,6 +9,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"unsafe"
@@ -476,6 +478,290 @@ func TestStatePlanHashOrdersTiedMapKeys(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		if got, _ := psharp.StateHash(m); got != want {
 			t.Fatalf("one map hashed to %#x and, %d walks later, to %#x", want, i+1, got)
+		}
+	}
+}
+
+// scramble changes every number, string, bool and map reachable from v, an
+// addressable value, writing in place wherever memory can be written
+// (unexported fields too); seen ends cycles. A boxed interface value, which
+// cannot be written, is replaced by a scrambled copy.
+func scramble(v reflect.Value, seen map[uintptr]bool) {
+	switch v.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(v.Float() + 1)
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.String:
+		v.SetString(v.String() + "'")
+	case reflect.Pointer:
+		if !v.IsNil() && !seen[v.Pointer()] {
+			seen[v.Pointer()] = true
+			scramble(v.Elem(), seen)
+		}
+	case reflect.Slice:
+		if v.Len() > 0 && !seen[v.Pointer()] {
+			seen[v.Pointer()] = true
+			for i := 0; i < v.Len(); i++ {
+				scramble(v.Index(i), seen)
+			}
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			scramble(v.Index(i), seen)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			if !f.CanSet() {
+				f = reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
+			}
+			scramble(f, seen)
+		}
+	case reflect.Map:
+		if v.IsNil() || seen[v.Pointer()] {
+			return
+		}
+		seen[v.Pointer()] = true
+		for _, k := range v.MapKeys() {
+			e := reflect.New(v.Type().Elem()).Elem()
+			e.Set(v.MapIndex(k))
+			scramble(e, seen)
+			v.SetMapIndex(k, e)
+		}
+		v.SetMapIndex(reflect.Zero(v.Type().Key()), reflect.Zero(v.Type().Elem()))
+	case reflect.Interface:
+		if v.IsNil() {
+			return
+		}
+		if e := v.Elem(); e.Kind() == reflect.Pointer {
+			scramble(e, seen)
+		} else {
+			c := reflect.New(e.Type()).Elem()
+			c.Set(e)
+			scramble(c, seen)
+			v.Set(c)
+		}
+	}
+}
+
+// scrambleAll scrambles the values of one walk.
+func scrambleAll(vs []any) {
+	seen := map[uintptr]bool{}
+	for i := range vs {
+		scramble(reflect.ValueOf(&vs[i]).Elem(), seen)
+	}
+}
+
+// checkImage makes an image of vs and restores it three times: each restore
+// hashes as vs do, and none shares memory with vs, the image or another
+// restore — scrambling one leaves every other hash, and every byte of the
+// image, as it was, and a fourth restore made after all that still hashes
+// as vs. The collector runs between restores, so a restored object it was
+// not told holds pointers has its targets freed under it. It returns the
+// restores, unscrambled, and the image.
+func checkImage(t *testing.T, name string, vs ...any) ([][]any, *psharp.StateImage) {
+	t.Helper()
+	want, err := psharp.StateHash(vs...)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	im, ok := psharp.NewStateImage(vs...)
+	if !ok {
+		t.Fatalf("%s: image refused", name)
+	}
+	digest := im.Digest()
+	restores := make([][]any, 3)
+	fresh := make([][]any, 3)
+	for i := range restores {
+		restores[i], fresh[i] = im.Restore(), im.Restore()
+		runtime.GC()
+	}
+	hashes := make([]uint64, len(restores))
+	for i, r := range restores {
+		if hashes[i], _ = psharp.StateHash(r...); hashes[i] != want {
+			t.Fatalf("%s: restore %d hashes to %#x, the original to %#x", name, i, hashes[i], want)
+		}
+	}
+	for i, r := range restores {
+		scrambleAll(r)
+		runtime.GC()
+		if hashes[i], _ = psharp.StateHash(r...); hashes[i] == want {
+			t.Fatalf("%s: scrambled, restore %d still hashes to %#x", name, i, want)
+		}
+		if got, _ := psharp.StateHash(vs...); got != want {
+			t.Fatalf("%s: scrambling restore %d changed the original's hash", name, i)
+		}
+		for j, o := range restores {
+			if got, _ := psharp.StateHash(o...); j != i && got != hashes[j] {
+				t.Fatalf("%s: scrambling restore %d changed restore %d's hash", name, i, j)
+			}
+		}
+		if im.Digest() != digest {
+			t.Fatalf("%s: scrambling restore %d wrote into the image", name, i)
+		}
+	}
+	if got, _ := psharp.StateHash(im.Restore()...); got != want {
+		t.Fatalf("%s: a restore made after the others were scrambled hashes to %#x, the original to %#x", name, got, want)
+	}
+	return fresh, im
+}
+
+// TestStatePlanImageRoundTrip: the image a snapshot keeps of the program is
+// the one copy walk over live memory; every restore is a relocation of it —
+// objects allocated and typed-copied, pointer slots patched, maps rebuilt —
+// and must be as good as a walk, over the generated graphs of
+// TestStatePlanRoundTrip: it hashes as the original, keeps the sharing
+// across the walk's values, and shares no memory with the original, the
+// image or another restore.
+func TestStatePlanImageRoundTrip(t *testing.T) {
+	for seed := int64(1); seed <= 150; seed++ {
+		g := &gen{r: rand.New(rand.NewSource(seed))}
+		a, b := g.node(4), g.node(3)
+		ev := &node{Name: "event", Next: a.Next, Kids: []*node{b, a}}
+		restores, _ := checkImage(t, fmt.Sprintf("seed %d", seed), a, b, ev)
+		for _, r := range restores {
+			ra, rb, rev := r[0].(*node), r[1].(*node), r[2].(*node)
+			if ra == a || rb == b || rev.Kids[0] != rb || rev.Kids[1] != ra || rev.Next != ra.Next {
+				t.Fatalf("seed %d: sharing across the walk's values not preserved", seed)
+			}
+		}
+		if r := restores; r[0][0] == r[1][0] || r[1][0] == r[2][0] {
+			t.Fatalf("seed %d: two restores share their first value", seed)
+		}
+	}
+}
+
+// TestStatePlanImageHandCases: the image round trip over the views, maps,
+// boxes and cycles a generated graph may miss.
+func TestStatePlanImageHandCases(t *testing.T) {
+	// Views of one array, long ones read before short ones; a pointer
+	// reaching past a slice's length into its capacity.
+	type item struct {
+		ID   int
+		Name string
+	}
+	type views struct {
+		Items []item
+		Cur   *item
+		Whole []int64
+		Short []int64
+		Spare []item
+		First *item
+		Room  []*item // capacity past the length
+		Same  []*item
+	}
+	items := []item{{1, "a"}, {2, "b"}, {3, "c"}}
+	buf := []int64{1, 2, 3, 4, 5, 6, 7, 8}
+	spare := make([]item, 1, 2)[:0]
+	room := make([]*item, 2, 10)
+	room[1] = &items[0]
+	vw := &views{Items: items, Cur: &items[0], Whole: buf, Short: buf[:2:2], Spare: spare, First: &spare[:1][0], Room: room, Same: room}
+	vw.First.Name = "spare"
+	restores, im := checkImage(t, "views", vw)
+	if im.Slots() == 0 {
+		t.Fatal("views: an image with no pointer slots")
+	}
+	for i, r := range restores {
+		c := r[0].(*views)
+		if c.Cur != &c.Items[0] || &c.Short[0] != &c.Whole[0] || cap(c.Short) != 2 || c.First != &c.Spare[:1][0] ||
+			c.First.Name != "spare" || len(c.Room) != 2 || cap(c.Room) != 10 || &c.Same[0] != &c.Room[0] || c.Room[1] != c.Cur {
+			t.Fatalf("views, restore %d: %+v", i, c)
+		}
+		c.Room = append(c.Room, c.Cur)
+		if c.Same[:3][2] != c.Cur || room[:3][2] != nil {
+			t.Fatalf("views, restore %d: an append inside the capacity does not show through the other view alone", i)
+		}
+		if i+1 < len(restores) {
+			if o := restores[i+1][0].(*views); &o.Items[0] == &c.Items[0] || o.Room[:3][2] != nil {
+				t.Fatalf("views, restores %d and %d share an array", i, i+1)
+			}
+		}
+	}
+
+	// Maps with flat and with pointer-holding keys and elements.
+	type key struct{ N int }
+	k1, k2 := &key{1}, &key{2}
+	shared := []int{7}
+	maps := &struct {
+		Flat    map[string]int
+		PtrKeys map[*key][]int
+		PtrVals map[leaf]*node
+		Nested  map[string]map[int]string
+		Boxed   map[string]any
+		Empty   map[int]int
+		Again   map[string]int
+		Keys    []*key
+	}{
+		Flat:    map[string]int{"a": 1, "b": 2},
+		PtrKeys: map[*key][]int{k1: shared, k2: shared},
+		PtrVals: map[leaf]*node{{Text: "x"}: {Name: "n"}, {Text: "y"}: nil},
+		Nested:  map[string]map[int]string{"in": {1: "one"}},
+		Boxed:   map[string]any{"slice": []int{1, 2}, "ptr": k1, "pair": pairOf{&shared[0], &shared[0]}},
+		Empty:   map[int]int{},
+		Keys:    []*key{k1, k2},
+	}
+	maps.Again = maps.Flat
+	restores, im = checkImage(t, "maps", maps)
+	if im.Maps() != 7 {
+		t.Fatalf("maps: the image holds %d maps, want 7", im.Maps())
+	}
+	for i, r := range restores {
+		c := r[0].(*struct {
+			Flat    map[string]int
+			PtrKeys map[*key][]int
+			PtrVals map[leaf]*node
+			Nested  map[string]map[int]string
+			Boxed   map[string]any
+			Empty   map[int]int
+			Again   map[string]int
+			Keys    []*key
+		})
+		if c.PtrKeys[c.Keys[0]] == nil || &c.PtrKeys[c.Keys[0]][0] != &c.PtrKeys[c.Keys[1]][0] || c.PtrKeys[k1] != nil {
+			t.Fatalf("maps, restore %d: pointer keys not relocated: %v", i, c.PtrKeys)
+		}
+		if c.Boxed["ptr"] != c.Keys[0] || c.Empty == nil || len(c.Empty) != 0 {
+			t.Fatalf("maps, restore %d: %+v", i, c)
+		}
+		c.Again["c"] = 3
+		if c.Flat["c"] != 3 || maps.Flat["c"] != 0 {
+			t.Fatalf("maps, restore %d: one map reached twice is not one map", i)
+		}
+	}
+
+	// Interface values: boxed and holding pointers, pointer-shaped without
+	// being pointers, and flat.
+	x := 5
+	type onePtr struct{ P *int }
+	var cell any = &x // an interface as an object of its own, behind a pointer
+	boxes := []any{pairOf{&x, &x}, onePtr{&x}, [1]*int{&x}, []string{"s", "t"}, map[int]*int{1: &x}, leaf{Text: "flat"}, &x, &cell}
+	restores, _ = checkImage(t, "boxes", boxes...)
+	for i, r := range restores {
+		p := r[0].(pairOf)
+		if p.A != p.B || p.A != r[1].(onePtr).P || p.A != r[2].([1]*int)[0] || p.A != r[4].(map[int]*int)[1] || p.A != r[6] || p.A == &x {
+			t.Fatalf("boxes, restore %d: one int is not one int: %v", i, r)
+		}
+		if c := r[7].(*any); c == &cell || *c != any(p.A) {
+			t.Fatalf("boxes, restore %d: the interface behind a pointer is not its own copy of the one int", i)
+		}
+	}
+
+	// Cycles: through a pointer, a slice, a map and an interface.
+	self := &node{Name: "self"}
+	self.Next, self.Kids, self.Any = self, []*node{self}, self
+	self.Refs = map[int]*node{0: self}
+	loop := map[string]any{}
+	loop["loop"] = loop
+	restores, _ = checkImage(t, "cycles", self, loop)
+	for i, r := range restores {
+		c, l := r[0].(*node), r[1].(map[string]any)
+		if c.Next != c || c.Kids[0] != c || c.Any != any(c) || c.Refs[0] != c || c == self ||
+			reflect.ValueOf(l["loop"]).Pointer() != reflect.ValueOf(l).Pointer() {
+			t.Fatalf("cycles, restore %d: a cycle does not close on its copy", i)
 		}
 	}
 }
