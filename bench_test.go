@@ -344,20 +344,7 @@ func BenchmarkProductionRuntime(b *testing.B) {
 		const relays = 4
 		delivered := false
 		rt := psharp.NewRuntime()
-		rt.MustRegister("Relay", func() psharp.Machine {
-			var next psharp.MachineID
-			return psharp.MachineFunc(func(sc *psharp.Schema) {
-				sc.Start("Run").
-					OnEventDo(&benchWire{}, func(_ *psharp.Context, ev psharp.Event) { next = ev.(*benchWire).Next }).
-					OnEventDo(&benchHop{}, func(ctx *psharp.Context, ev psharp.Event) {
-						if left := ev.(*benchHop).Left; left > 0 {
-							ctx.Send(next, &benchHop{Left: left - 1})
-						} else {
-							delivered = true
-						}
-					})
-			})
-		})
+		rt.MustRegister("Relay", func() psharp.Machine { return &benchRelay{delivered: &delivered} })
 		var ids [relays]psharp.MachineID
 		for i := range ids {
 			ids[i] = rt.MustCreate("Relay", nil)
@@ -375,35 +362,9 @@ func BenchmarkProductionRuntime(b *testing.B) {
 		got := 0
 		rt := psharp.NewRuntime()
 		rt.MustRegister("Sink", func() psharp.Machine {
-			seen := make(map[psharp.MachineID]int)
-			return psharp.MachineFunc(func(sc *psharp.Schema) {
-				sc.Start("Run").OnEventDo(&benchItem{}, func(ctx *psharp.Context, ev psharp.Event) {
-					from := ev.(*benchItem).From
-					got++
-					if seen[from]++; seen[from]%window == 0 {
-						ctx.Send(from, &benchCredit{})
-					}
-				})
-			})
+			return &benchSink{got: &got, seen: make(map[psharp.MachineID]int), window: window}
 		})
-		rt.MustRegister("Sender", func() psharp.Machine {
-			var sink psharp.MachineID
-			left := 0
-			burst := func(ctx *psharp.Context) {
-				for i := 0; i < window && left > 0; i++ {
-					ctx.Send(sink, &benchItem{From: ctx.ID()})
-					left--
-				}
-			}
-			return psharp.MachineFunc(func(sc *psharp.Schema) {
-				sc.Start("Run").
-					OnEventDo(&benchFlood{}, func(ctx *psharp.Context, ev psharp.Event) {
-						sink, left = ev.(*benchFlood).Sink, ev.(*benchFlood).N
-						burst(ctx)
-					}).
-					OnEventDo(&benchCredit{}, func(ctx *psharp.Context, _ psharp.Event) { burst(ctx) })
-			})
-		})
+		rt.MustRegister("Sender", func() psharp.Machine { return &benchSender{window: window} })
 		sink := rt.MustCreate("Sink", nil)
 		var ids [senders]psharp.MachineID
 		for i := range ids {
@@ -419,4 +380,70 @@ func BenchmarkProductionRuntime(b *testing.B) {
 			b.Fatalf("sink received %d of %d items", got, b.N)
 		}
 	})
+}
+
+// benchRelay passes the token on to the next relay until its hops are spent.
+type benchRelay struct {
+	psharp.StaticBase
+	next      psharp.MachineID
+	delivered *bool
+}
+
+func (*benchRelay) ConfigureType(sc *psharp.Schema) {
+	sc.Start("Run").
+		OnEventDoM(&benchWire{}, func(m psharp.Machine, _ *psharp.Context, ev psharp.Event) {
+			m.(*benchRelay).next = ev.(*benchWire).Next
+		}).
+		OnEventDoM(&benchHop{}, func(m psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
+			r := m.(*benchRelay)
+			if left := ev.(*benchHop).Left; left > 0 {
+				ctx.Send(r.next, &benchHop{Left: left - 1})
+			} else {
+				*r.delivered = true
+			}
+		})
+}
+
+// benchSink counts items and grants each sender a credit per window of them.
+type benchSink struct {
+	psharp.StaticBase
+	got    *int
+	seen   map[psharp.MachineID]int
+	window int
+}
+
+func (*benchSink) ConfigureType(sc *psharp.Schema) {
+	sc.Start("Run").OnEventDoM(&benchItem{}, func(m psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
+		s, from := m.(*benchSink), ev.(*benchItem).From
+		*s.got++
+		if s.seen[from]++; s.seen[from]%s.window == 0 {
+			ctx.Send(from, &benchCredit{})
+		}
+	})
+}
+
+// benchSender sends its items to the sink a window at a time, one window per
+// credit.
+type benchSender struct {
+	psharp.StaticBase
+	sink   psharp.MachineID
+	left   int
+	window int
+}
+
+func (s *benchSender) burst(ctx *psharp.Context) {
+	for i := 0; i < s.window && s.left > 0; i++ {
+		ctx.Send(s.sink, &benchItem{From: ctx.ID()})
+		s.left--
+	}
+}
+
+func (*benchSender) ConfigureType(sc *psharp.Schema) {
+	sc.Start("Run").
+		OnEventDoM(&benchFlood{}, func(m psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
+			s := m.(*benchSender)
+			s.sink, s.left = ev.(*benchFlood).Sink, ev.(*benchFlood).N
+			s.burst(ctx)
+		}).
+		OnEventDoM(&benchCredit{}, func(m psharp.Machine, ctx *psharp.Context, _ psharp.Event) { m.(*benchSender).burst(ctx) })
 }

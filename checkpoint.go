@@ -85,7 +85,7 @@ import (
 // strategy without PrefixResumer (every non-depth-first one, and a wrapper
 // that hides it); TestConfig.Faults, RaceDetect or an execution log, whose
 // state or output a snapshot does not carry; a program with a closure-form
-// (MachineFunc) machine or monitor, whose state lives in captured variables;
+// (MachineFunc) machine, whose state lives in captured variables;
 // state holding a live func, chan or unsafe.Pointer, or pointers into the
 // middle of other objects, which a copy would not be faithful to; and the
 // first Run after the configuration changed (memoKey). Everything else must
@@ -201,8 +201,8 @@ var unrecorded = &handlerStart{}
 // save records m in is, a record a dropped snapshot may have used before;
 // running says that m's stack is the one taking the pass. It reports false,
 // recording nothing usable, for an instance whose schema is not the one bound
-// to its name (bound): the closure form, whose state lives in captured
-// variables rather than its logic value.
+// to its name (bound): a closure-form machine, whose state lives in captured
+// variables rather than its logic value. (A monitor is always static.)
 func (is *instanceState) save(w *stateWalk, m *machineInstance, bound *compiledSchema, running bool) bool {
 	if m.schema != bound {
 		return false

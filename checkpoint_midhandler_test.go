@@ -395,8 +395,8 @@ type ndTicker struct{ psharp.StaticBase }
 
 func (*ndTicker) ConfigureType(sc *psharp.Schema) {
 	sc.Start("Tick").
-		OnEntry(func(ctx *psharp.Context, _ psharp.Event) { ctx.Send(ctx.ID(), &ndTick{}) }).
-		OnEventDo(&ndTick{}, func(ctx *psharp.Context, _ psharp.Event) {
+		OnEntryM(func(_ psharp.Machine, ctx *psharp.Context, _ psharp.Event) { ctx.Send(ctx.ID(), &ndTick{}) }).
+		OnEventDoM(&ndTick{}, func(_ psharp.Machine, ctx *psharp.Context, _ psharp.Event) {
 			if drawsLikeThis == "bool" {
 				ctx.RandomBool()
 			} else {

@@ -93,7 +93,7 @@ func (*ckRoot) ConfigureType(sc *psharp.Schema) {
 type ckEarly struct{ psharp.StaticBase }
 
 func (*ckEarly) ConfigureType(sc *psharp.Schema) {
-	sc.Start("Once").OnEventDo(&ckGo{}, func(ctx *psharp.Context, _ psharp.Event) {
+	sc.Start("Once").OnEventDoM(&ckGo{}, func(_ psharp.Machine, ctx *psharp.Context, _ psharp.Event) {
 		ctx.Send(psharp.MachineID{Type: "Root", Seq: 1}, &ckAck{From: ctx.ID()})
 		ctx.Halt()
 	})

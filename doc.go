@@ -206,7 +206,7 @@
 // with a *StateError in IterationResult.Err (sct's Report.Err; psharp-test
 // exits 2) naming the machine type and the field, instead of pruning on a
 // hash that ignored it. Nil ones are ordinary values. A logic that is itself
-// a func is refused the same way unless it is a StaticMachineFunc: a
+// a func is refused the same way, whatever interfaces it implements: a
 // closure-form (MachineFunc) machine keeps its state in variables its
 // actions captured, which no hash can see, and a cache blind to it prunes
 // schedules that differ only there (sct's TestStateCacheRefusesClosureLogic
@@ -254,7 +254,7 @@
 // parked. No checkpoint is ever taken, and every attempt runs
 // from setup exactly as before, when the strategy is not a PrefixResumer (or
 // is wrapped in one that is not), under Faults, RaceDetect or an execution
-// log, for a program with a closure-form machine or monitor, for state
+// log, for a program with a closure-form machine, for state
 // holding a live func, chan or unsafe.Pointer or a pointer into the middle
 // of another object, and on the first Run after the configuration changed.
 // The program must keep its state where the tester can see it — in machine
@@ -288,19 +288,18 @@
 //
 // # Declaring machines
 //
-// A machine type declares its states, transitions and action bindings on a
-// Schema builder, in one of two forms.
-//
-// The static form (preferred) matches the paper's design, where the
-// transition and action-binding tables of Figure 1 are properties of the
-// machine class, compiled once. The type embeds StaticBase and implements
-// StaticMachine: ConfigureType runs at Register on a probe from the
-// factory, once per process for each registered name and probe value, and
-// the compiled schema is frozen and shared by every instance on every
-// Runtime. Actions use the
-// M-suffixed builders (OnEntryM, OnExitM, OnEventDoM) and receive the
-// machine instance as their first parameter — assert it to the concrete
-// type — instead of closing over it:
+// A machine or monitor type declares its states, transitions and action
+// bindings on a Schema builder, once per type. This matches the paper's
+// design, where the transition and action-binding tables of Figure 1 are
+// properties of the machine class, compiled once. The type embeds
+// StaticBase and implements StaticMachine: ConfigureType runs at Register
+// (or RegisterMonitor) on a probe from the factory, once per process for
+// each registered name and probe value, and the compiled schema is frozen
+// and shared by every instance on every Runtime. The machine's state is the
+// fields of the value its factory returns, where the state cache hashes it
+// and a checkpoint copies it. Actions are bound with OnEntryM, OnExitM and
+// OnEventDoM and receive the machine instance as their first parameter —
+// assert it to the concrete type — instead of closing over it:
 //
 //	type Ping struct{ psharp.EventBase }
 //
@@ -325,24 +324,25 @@
 // reflect.DeepEqual): the buggy and the correct variant of a protocol are
 // two entries under one name, and a campaign, its replay and every later
 // harness of the same program compile nothing. A probe holding a non-nil
-// func or chan equals nothing, so its type compiles once per Runtime; so
-// does a StaticMachineFunc. Per-instance initialization that the closure
-// form did inside Configure (seeding a map, say) moves into the registered
-// factory. Handlers that touch no per-instance state can keep the plain
-// closure signatures (OnEntry, OnEventDo) inside a static schema. Machines
-// with no instance fields at all can use StaticMachineFunc.
+// func or chan equals nothing, so its type compiles once per Runtime.
+// Per-instance initialization (seeding a map, say) belongs in the
+// registered factory. A nil action, a duplicate entry or exit action and an
+// event bound twice in one state are schema errors, reported by Register.
 //
-// The closure form remains fully supported: implement Machine, whose
-// Configure runs once per instance with actions closing over it. It is the
-// right tool when the declaration itself must vary per instance — but
-// because each instance's actions are fresh closures, its schema is
-// rebuilt and revalidated on every create, which on the exploration hot
-// path is the dominant allocation cost (see below), and the state cache
-// refuses it, its state being out of the hash's sight. Migrating a machine is
-// mechanical: embed StaticBase, rename Configure to ConfigureType, switch
-// the builders to the M variants, and open each handler with
-// `s := m.(*YourType)`. The two forms are behaviorally indistinguishable —
-// the equivalence tests replay identical traces through both.
+// The closure form — MachineFunc, whose function declares the schema per
+// instance with OnEventDo handlers closing over variables the factory
+// allocated — is kept for machines only, and only until the repository's
+// benchmark, its last user, declares its machines statically (ROADMAP item
+// 1(e)). OnEventDo adapts its handler to the one action signature when the
+// binding is made. Each instance's schema is rebuilt and revalidated on every
+// create, which on the exploration hot path is the dominant allocation cost
+// (see below); the state cache refuses it and a checkpoint never holds it,
+// its state being out of their sight. RegisterMonitor refuses it with an
+// error naming the monitor. Porting a machine is mechanical: embed
+// StaticBase, move the captured variables into fields, declare the schema in
+// ConfigureType with the M builders, and open each handler with
+// `s := m.(*YourType)`; harness_test.go's equivalence test replays identical
+// traces through both forms.
 //
 // # Performance model
 //
@@ -417,8 +417,8 @@
 // a new harness — a campaign's, a replay's — pays one probe and one table
 // lookup per type instead of a compile (compiles would be a third of the
 // allocations of a hunt that finds its bug in a few schedules). Monitors
-// ride the same machinery: a static monitor's schema comes from the same
-// table, a monitor's instance and its Context are recycled with the machines'
+// ride the same machinery: a monitor's schema comes from the same table, a
+// monitor's instance and its Context are recycled with the machines'
 // across iterations, and observation itself is allocation-free
 // — attaching a monitor adds only its factory's allocations per iteration
 // (at most 5 on the protocol workloads, enforced by the monitor allocation

@@ -160,7 +160,7 @@ func (c *controller) restartMachine(m *machineInstance) {
 		// Closure-form machines compile a per-instance schema whose actions
 		// close over the logic value, so the new incarnation needs its own.
 		var err error
-		schema, err = r.compileInstanceLocked(m.id.Type, logic, false)
+		schema, err = r.compileInstanceLocked(m.id.Type, logic)
 		if err != nil {
 			c.bug = &Bug{Kind: BugPanic, Machine: m.id,
 				Message: fmt.Sprintf("cannot restart %s: %v", m.id, err)}

@@ -8,7 +8,6 @@ package psharp_test
 
 import (
 	"bytes"
-	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -293,27 +292,8 @@ func TestCoroutineRejectedAnswerLeavesNoRecord(t *testing.T) {
 func TestCoroutineCrashBeforeFirstSchedule(t *testing.T) {
 	var log []string
 	setup := func(r *psharp.Runtime) {
-		r.MustRegister("Worker", func() psharp.Machine {
-			return psharp.StaticMachineFunc(func(sc *psharp.Schema) {
-				sc.Start("W").
-					OnEntry(func(ctx *psharp.Context, ev psharp.Event) {
-						log = append(log, fmt.Sprintf("%d:entry(%v)", ctx.ID().Seq, ev.(*evWork).To.Seq))
-					}).
-					Ignore(&evSpin{})
-			})
-		})
-		r.MustRegisterMonitor("Lifecycle", func() psharp.Machine {
-			return psharp.StaticMachineFunc(func(sc *psharp.Schema) {
-				sc.Start("L").
-					OnEventDo(&psharp.MachineCrashed{}, func(ctx *psharp.Context, ev psharp.Event) {
-						e := ev.(*psharp.MachineCrashed)
-						log = append(log, fmt.Sprintf("crashed(%d,restart=%v)", e.Machine.Seq, e.Restart))
-					}).
-					OnEventDo(&psharp.MachineRestarted{}, func(ctx *psharp.Context, ev psharp.Event) {
-						log = append(log, fmt.Sprintf("restarted(%d)", ev.(*psharp.MachineRestarted).Machine.Seq))
-					})
-			})
-		})
+		r.MustRegister("Worker", func() psharp.Machine { return &crashWorker{logged{log: &log}} })
+		r.MustRegisterMonitor("Lifecycle", func() psharp.Machine { return &lifecycleLog{logged{log: &log}} })
 		// The payload (seen by the entry action) marks each incarnation.
 		r.MustCreate("Worker", &evWork{To: psharp.MachineID{Seq: 10}})
 		r.MustCreate("Worker", &evWork{To: psharp.MachineID{Seq: 20}})
@@ -370,24 +350,9 @@ func TestCoroutineCrashBeforeFirstSchedule(t *testing.T) {
 // runs its entry action again, and the trace replays byte for byte.
 func TestCoroutineCrashYieldingMachineAtItsSend(t *testing.T) {
 	var log []string
-	note := func(ctx *psharp.Context, what string) { log = append(log, fmt.Sprintf("%d:%s", ctx.ID().Seq, what)) }
 	setup := func(r *psharp.Runtime) {
-		r.MustRegister("Relay", func() psharp.Machine {
-			return psharp.StaticMachineFunc(func(sc *psharp.Schema) {
-				sc.Start("R").
-					OnEntry(func(ctx *psharp.Context, ev psharp.Event) { note(ctx, "entry") }).
-					OnEventDo(&evWork{}, func(ctx *psharp.Context, ev psharp.Event) {
-						note(ctx, "before-send")
-						ctx.Send(ev.(*evWork).To, &evSpin{})
-						note(ctx, "after-send")
-					})
-			})
-		})
-		r.MustRegister("Sink", func() psharp.Machine {
-			return psharp.StaticMachineFunc(func(sc *psharp.Schema) {
-				sc.Start("S").OnEventDo(&evSpin{}, func(ctx *psharp.Context, ev psharp.Event) { note(ctx, "got") })
-			})
-		})
+		r.MustRegister("Relay", func() psharp.Machine { return &crashRelay{logged{log: &log}} })
+		r.MustRegister("Sink", func() psharp.Machine { return &crashSink{logged{log: &log}} })
 		relay := r.MustCreate("Relay", nil)
 		sink := r.MustCreate("Sink", nil)
 		if err := r.SendEvent(relay, &evWork{To: sink}); err != nil {
@@ -444,4 +409,51 @@ func TestCoroutineCrashYieldingMachineAtItsSend(t *testing.T) {
 			t.Fatalf("restart=%v: replay diverged: bug %v, faults %+v, ran %v", tc.restart, res.Bug, res.Faults, log)
 		}
 	}
+}
+
+// crashWorker logs its entry with the incarnation its payload marks.
+type crashWorker struct{ logged }
+
+func (*crashWorker) ConfigureType(sc *psharp.Schema) {
+	sc.Start("W").
+		OnEntryM(func(m psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
+			note(m, "%d:entry(%v)", ctx.ID().Seq, ev.(*evWork).To.Seq)
+		}).
+		Ignore(&evSpin{})
+}
+
+// lifecycleLog is a monitor logging the crashes and restarts it observes.
+type lifecycleLog struct{ logged }
+
+func (*lifecycleLog) ConfigureType(sc *psharp.Schema) {
+	sc.Start("L").
+		OnEventDoM(&psharp.MachineCrashed{}, func(m psharp.Machine, _ *psharp.Context, ev psharp.Event) {
+			e := ev.(*psharp.MachineCrashed)
+			note(m, "crashed(%d,restart=%v)", e.Machine.Seq, e.Restart)
+		}).
+		OnEventDoM(&psharp.MachineRestarted{}, func(m psharp.Machine, _ *psharp.Context, ev psharp.Event) {
+			note(m, "restarted(%d)", ev.(*psharp.MachineRestarted).Machine.Seq)
+		})
+}
+
+// crashRelay logs its entry and both sides of the send it makes on evWork.
+type crashRelay struct{ logged }
+
+func (*crashRelay) ConfigureType(sc *psharp.Schema) {
+	sc.Start("R").
+		OnEntryM(func(m psharp.Machine, ctx *psharp.Context, _ psharp.Event) { note(m, "%d:entry", ctx.ID().Seq) }).
+		OnEventDoM(&evWork{}, func(m psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
+			note(m, "%d:before-send", ctx.ID().Seq)
+			ctx.Send(ev.(*evWork).To, &evSpin{})
+			note(m, "%d:after-send", ctx.ID().Seq)
+		})
+}
+
+// crashSink logs the evSpin it gets.
+type crashSink struct{ logged }
+
+func (*crashSink) ConfigureType(sc *psharp.Schema) {
+	sc.Start("S").OnEventDoM(&evSpin{}, func(m psharp.Machine, ctx *psharp.Context, _ psharp.Event) {
+		note(m, "%d:got", ctx.ID().Seq)
+	})
 }

@@ -73,15 +73,15 @@ type TestHarness struct {
 // after such a Run, not the value the machine ran on. Nothing detects a
 // program that breaks this; it is searched as a different program.
 //
-// A static machine or monitor type is compiled once per process for each
-// probe value (see Register), so a new harness over a program another
-// harness or a replay already ran compiles nothing. The harness also keeps
-// its runtime's name→schema bindings across iterations: setup re-registers
-// its machine types every Run, but a name already bound is neither probed
-// nor looked up again, so static-form machines pay zero schema allocations
-// from iteration 2 on. This assumes setup registers the same declaration
-// under the same type name every iteration — which any deterministic setup
-// does.
+// A machine or monitor type is compiled once per process for each probe
+// value (see Register; closure-form machines excepted), so a new harness
+// over a program another harness or a replay already ran compiles nothing.
+// The harness also keeps its runtime's name→schema bindings across
+// iterations: setup re-registers its machine types every Run, but a name
+// already bound is neither probed nor looked up again, so static-form
+// machines pay zero schema allocations from iteration 2 on. This assumes
+// setup registers the same declaration under the same type name every
+// iteration — which any deterministic setup does.
 func NewTestHarness(setup func(*Runtime), opts ...Option) *TestHarness {
 	rt := NewRuntime(opts...)
 	c := &controller{rt: rt, trace: &Trace{Decisions: takeReservedTrace()}}

@@ -6,7 +6,6 @@ package psharp_test
 
 import (
 	"bytes"
-	"fmt"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -31,24 +30,11 @@ type evBallot struct {
 // spinSetup builds a single machine that bounces one preallocated event to
 // itself n times and halts. The program itself allocates nothing per step,
 // so it isolates the runtime's own per-scheduling-point allocations. The
-// spinner keeps its state in the event, so it can use the static
-// declaration form (its schema is compiled once per harness, not per
-// iteration).
+// bouncer keeps its state in the event and is a zero-size static type: its
+// schema is compiled once per process and its logic value costs nothing.
 func spinSetup(n int) func(*psharp.Runtime) {
-	spin := psharp.StaticMachineFunc(func(sc *psharp.Schema) {
-		sc.Start("Spin").
-			OnEventDo(&evSpin{}, func(ctx *psharp.Context, ev psharp.Event) {
-				e := ev.(*evSpin)
-				if e.Left == 0 {
-					ctx.Halt()
-					return
-				}
-				e.Left--
-				ctx.Send(ctx.ID(), e)
-			})
-	})
 	return func(r *psharp.Runtime) {
-		r.MustRegister("Spinner", func() psharp.Machine { return spin })
+		r.MustRegister("Spinner", func() psharp.Machine { return &bouncer{} })
 		id := r.MustCreate("Spinner", nil)
 		if err := r.SendEvent(id, &evSpin{Left: n}); err != nil {
 			panic(err)
@@ -56,11 +42,29 @@ func spinSetup(n int) func(*psharp.Runtime) {
 	}
 }
 
+// bouncer sends each evSpin back to itself until its count runs out.
+type bouncer struct{ psharp.StaticBase }
+
+func (*bouncer) ConfigureType(sc *psharp.Schema) {
+	sc.Start("Spin").
+		OnEventDoM(&evSpin{}, func(_ psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
+			e := ev.(*evSpin)
+			if e.Left == 0 {
+				ctx.Halt()
+				return
+			}
+			e.Left--
+			ctx.Send(ctx.ID(), e)
+		})
+}
+
 // ballotSetup builds an interleaving- and choice-sensitive program: voters
 // race their ballots to a collector, which asserts creation-order arrival,
 // and each voter flips a controlled coin that decides whether it halts or
 // re-sends. It exercises sends, creates, blocking, halting, deferred
-// controlled choices, and both buggy and clean schedules.
+// controlled choices, and both buggy and clean schedules. Its machines are in
+// the closure form, which only the declaration-form equivalence test uses;
+// staticBallotSetup is the same program in the static form.
 func ballotSetup() func(*psharp.Runtime) {
 	return func(r *psharp.Runtime) {
 		r.MustRegister("Collector", func() psharp.Machine {
@@ -125,7 +129,7 @@ type sbVoter struct{ psharp.StaticBase }
 
 func (*sbVoter) ConfigureType(sc *psharp.Schema) {
 	sc.Start("Vote").
-		OnEventDo(&evBallot{}, func(ctx *psharp.Context, ev psharp.Event) {
+		OnEventDoM(&evBallot{}, func(_ psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
 			target := ev.(*evBallot).From
 			ctx.Send(target, &evBallot{From: ctx.ID()})
 			if ctx.RandomBool() || ctx.RandomInt(3) == 0 {
@@ -162,7 +166,7 @@ func encodeTrace(t *testing.T, tr *psharp.Trace) string {
 // like a fresh one-shot RunTest on every iteration: same bug, same counts,
 // and byte-identical traces — i.e. recycling leaks no state between runs.
 func TestHarnessMatchesRunTest(t *testing.T) {
-	setup := ballotSetup()
+	setup := staticBallotSetup()
 	h := psharp.NewTestHarness(setup)
 	defer h.Close()
 	sawBug, sawClean := false, false
@@ -340,29 +344,52 @@ func (*invalidMachine) ConfigureType(sc *psharp.Schema) {
 	sc.Start("B")
 }
 
+// nilAction binds a nil action with the builder its field picks.
+type nilAction struct {
+	psharp.StaticBase
+	builder int
+}
+
+func (probe *nilAction) ConfigureType(sc *psharp.Schema) {
+	st := sc.Start("S")
+	switch probe.builder {
+	case 0:
+		st.OnEventDo(&evSpin{}, nil)
+	case 1:
+		st.OnEventDoM(&evSpin{}, nil)
+	case 2:
+		st.OnEntryM(nil)
+	default:
+		// A nil entry must not leave the slot free for a second one.
+		st.OnExitM(nil).OnExitM(func(psharp.Machine, *psharp.Context) {})
+	}
+}
+
 // TestInvalidStaticSchemaFailsAtRegister locks Register's error contract:
-// a static machine with an invalid schema is rejected at registration, on
-// every Runtime — a failed compile never enters the process-wide table.
+// a static machine or monitor with an invalid schema — two start states, or
+// a nil action bound by any builder — is rejected at registration, on every
+// Runtime; a failed compile never enters the process-wide table.
 func TestInvalidStaticSchemaFailsAtRegister(t *testing.T) {
-	bad := psharp.StaticMachineFunc(func(sc *psharp.Schema) {
-		sc.Start("A")
-		sc.Start("B") // duplicate start state
-	})
+	bad := map[string]func() psharp.Machine{"TwoStarts": func() psharp.Machine { return &invalidMachine{} }}
+	for i, b := range []string{"OnEventDo", "OnEventDoM", "OnEntryM", "OnExitM"} {
+		bad["Nil"+b] = func() psharp.Machine { return &nilAction{builder: i} }
+	}
 	for i := 0; i < 3; i++ {
 		r := psharp.NewRuntime()
-		if err := r.Register("Bad", func() psharp.Machine { return bad }); err == nil {
-			t.Errorf("runtime %d: Register accepted an invalid StaticMachineFunc schema", i)
-		}
-		if err := r.Register("BadStruct", func() psharp.Machine { return &invalidMachine{} }); err == nil {
-			t.Errorf("runtime %d: Register accepted an invalid static schema", i)
-		}
-		if err := r.RegisterMonitor("BadMonitor", func() psharp.Machine { return &invalidMachine{} }); err == nil {
-			t.Errorf("runtime %d: RegisterMonitor accepted an invalid static schema", i)
+		for name, factory := range bad {
+			if err := r.Register(name, factory); err == nil {
+				t.Errorf("runtime %d: Register accepted the invalid schema %s", i, name)
+			}
+			if err := r.RegisterMonitor(name+"Monitor", factory); err == nil {
+				t.Errorf("runtime %d: RegisterMonitor accepted the invalid schema %s", i, name)
+			}
 		}
 	}
-	for _, name := range []string{"Bad", "BadStruct", "BadMonitor"} {
-		if got := psharp.CachedTypeSchemas(name); got != 0 {
-			t.Errorf("the table keeps %d schemas for %s, want 0", got, name)
+	for name := range bad {
+		for _, n := range []string{name, name + "Monitor"} {
+			if got := psharp.CachedTypeSchemas(n); got != 0 {
+				t.Errorf("the table keeps %d schemas for %s, want 0", got, n)
+			}
 		}
 	}
 }
@@ -406,16 +433,18 @@ func TestHarnessCloseIsIdempotentAndGuarded(t *testing.T) {
 // crowdSetup creates n machines that block as soon as they are scheduled;
 // the program quiesces once every one of them has been.
 func crowdSetup(n int) func(*psharp.Runtime) {
-	idle := psharp.StaticMachineFunc(func(sc *psharp.Schema) {
-		sc.Start("Idle").Ignore(&evSpin{})
-	})
 	return func(r *psharp.Runtime) {
-		r.MustRegister("Idler", func() psharp.Machine { return idle })
+		r.MustRegister("Idler", func() psharp.Machine { return &idler{} })
 		for i := 0; i < n; i++ {
 			r.MustCreate("Idler", nil)
 		}
 	}
 }
+
+// idler ignores evSpin and handles nothing else.
+type idler struct{ psharp.StaticBase }
+
+func (*idler) ConfigureType(sc *psharp.Schema) { sc.Start("Idle").Ignore(&evSpin{}) }
 
 // TestCoroutineLifecycleBounded pins what happens to machine coroutines
 // when harnesses come and go: however many one-shot RunTest calls and
@@ -513,30 +542,9 @@ type evWork struct {
 // and never scheduled; machine 5 (Sink) runs its entry and stays blocked.
 // log records what ran.
 func teardownSetup(log *[]string) func(*psharp.Runtime) {
-	note := func(ctx *psharp.Context, what string) {
-		*log = append(*log, fmt.Sprintf("%d:%s", ctx.ID().Seq, what))
-	}
 	return func(r *psharp.Runtime) {
-		r.MustRegister("Relay", func() psharp.Machine {
-			return psharp.StaticMachineFunc(func(sc *psharp.Schema) {
-				sc.Start("R").
-					OnEntry(func(ctx *psharp.Context, ev psharp.Event) { note(ctx, "entry") }).
-					OnEventDo(&evWork{}, func(ctx *psharp.Context, ev psharp.Event) {
-						note(ctx, "before-send")
-						ctx.Send(ev.(*evWork).To, &evWork{})
-						note(ctx, "after-send")
-					})
-			})
-		})
-		r.MustRegister("Sink", func() psharp.Machine {
-			return psharp.StaticMachineFunc(func(sc *psharp.Schema) {
-				sc.Start("S").
-					OnEntry(func(ctx *psharp.Context, ev psharp.Event) { note(ctx, "entry") }).
-					OnEventDo(&evWork{}, func(ctx *psharp.Context, ev psharp.Event) {
-						ctx.Assert(false, "sink reached")
-					})
-			})
-		})
+		r.MustRegister("Relay", func() psharp.Machine { return &tdRelay{logged{log: log}} })
+		r.MustRegister("Sink", func() psharp.Machine { return &tdSink{logged{log: log}} })
 		relay := r.MustCreate("Relay", nil)
 		sink := r.MustCreate("Sink", nil)
 		parked := r.MustCreate("Relay", nil)
@@ -548,6 +556,39 @@ func teardownSetup(log *[]string) func(*psharp.Runtime) {
 			}
 		}
 	}
+}
+
+// tdRelay logs its entry and both sides of the evWork it sends on evWork.
+type tdRelay struct{ logged }
+
+func (*tdRelay) ConfigureType(sc *psharp.Schema) {
+	sc.Start("R").
+		OnEntryM(func(m psharp.Machine, ctx *psharp.Context, _ psharp.Event) { note(m, "%d:entry", ctx.ID().Seq) }).
+		OnEventDoM(&evWork{}, func(m psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
+			note(m, "%d:before-send", ctx.ID().Seq)
+			ctx.Send(ev.(*evWork).To, &evWork{})
+			note(m, "%d:after-send", ctx.ID().Seq)
+		})
+}
+
+// tdSink logs its entry and fails on the first evWork.
+type tdSink struct{ logged }
+
+func (*tdSink) ConfigureType(sc *psharp.Schema) {
+	sc.Start("S").
+		OnEntryM(func(m psharp.Machine, ctx *psharp.Context, _ psharp.Event) { note(m, "%d:entry", ctx.ID().Seq) }).
+		OnEventDoM(&evWork{}, func(_ psharp.Machine, ctx *psharp.Context, _ psharp.Event) {
+			ctx.Assert(false, "sink reached")
+		})
+}
+
+// forwarder passes each evWork on to the machine it names.
+type forwarder struct{ psharp.StaticBase }
+
+func (*forwarder) ConfigureType(sc *psharp.Schema) {
+	sc.Start("R").OnEventDoM(&evWork{}, func(_ psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
+		ctx.Send(ev.(*evWork).To, &evWork{To: ev.(*evWork).To})
+	})
 }
 
 // TestCoroutineTeardownMixedPositions ends an iteration on a bug while
@@ -599,13 +640,7 @@ func TestCoroutineTeardownMixedPositions(t *testing.T) {
 // the send, report the bug once, and leave the harness reusable.
 func TestCoroutineHandlerPanicBeforeSchedulingPoint(t *testing.T) {
 	setup := func(r *psharp.Runtime) {
-		r.MustRegister("Relay", func() psharp.Machine {
-			return psharp.StaticMachineFunc(func(sc *psharp.Schema) {
-				sc.Start("R").OnEventDo(&evWork{}, func(ctx *psharp.Context, ev psharp.Event) {
-					ctx.Send(ev.(*evWork).To, &evWork{To: ev.(*evWork).To})
-				})
-			})
-		})
+		r.MustRegister("Relay", func() psharp.Machine { return &forwarder{} })
 		a := r.MustCreate("Relay", nil)
 		b := r.MustCreate("Relay", nil)
 		if err := r.SendEvent(a, &evWork{To: b}); err != nil {

@@ -176,7 +176,7 @@ func (*pxProposer) ConfigureType(sc *psharp.Schema) {
 			}
 			ctx.Goto("Phase1")
 		}).
-		OnEventDo(&pxStartTick{}, func(ctx *psharp.Context, ev psharp.Event) {
+		OnEventDoM(&pxStartTick{}, func(_ psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
 			t := ev.(*pxStartTick)
 			if t.Left > 1 {
 				ctx.Send(ctx.ID(), &pxStartTick{Left: t.Left - 1})
@@ -284,13 +284,13 @@ type pxRegistry struct{ psharp.StaticBase }
 
 func (*pxRegistry) ConfigureType(sc *psharp.Schema) {
 	sc.Start("Ready").
-		OnEventDo(&pxPersist{}, func(ctx *psharp.Context, ev psharp.Event) {
+		OnEventDoM(&pxPersist{}, func(_ psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
 			// Writing the ballot durably takes a beat: the write request
 			// passes through the registry's own queue once before the
 			// acknowledgement goes out.
 			ctx.Send(ctx.ID(), &pxPersistDone{Inner: ev.(*pxPersist)})
 		}).
-		OnEventDo(&pxPersistDone{}, func(ctx *psharp.Context, ev psharp.Event) {
+		OnEventDoM(&pxPersistDone{}, func(_ psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
 			per := ev.(*pxPersistDone).Inner
 			ctx.Write("registry.ballots")
 			ctx.Send(per.Proposer, &pxPersistAck{Ballot: per.Ballot})

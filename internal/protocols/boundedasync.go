@@ -118,7 +118,7 @@ func (*baRelay) ConfigureType(sc *psharp.Schema) {
 		OnEntryM(func(m psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
 			m.(*baRelay).sched = ev.(*baConfig).Scheduler
 		}).
-		OnEventDo(&baReq{}, func(ctx *psharp.Context, ev psharp.Event) {
+		OnEventDoM(&baReq{}, func(_ psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
 			// Two queue passes per request: the relay models a network with
 			// store-and-forward latency.
 			ctx.Send(ctx.ID(), &baFwd{})

@@ -185,7 +185,7 @@ func (*crMid) ConfigureType(sc *psharp.Schema) {
 				ctx.Send(md.detector, &crObserved{Seq: u.Seq})
 			}
 		}).
-		OnEventDo(&crFail{}, func(ctx *psharp.Context, ev psharp.Event) {
+		OnEventDoM(&crFail{}, func(_ psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
 			// Crash: queued updates die with the replica; later sends to it
 			// are dropped by the runtime.
 			ctx.Halt()

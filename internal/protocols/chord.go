@@ -197,10 +197,10 @@ type chordGrant struct {
 
 func (*chordSupervisor) ConfigureType(sc *psharp.Schema) {
 	sc.Start("Ready").
-		OnEventDo(&chordJoinReq{}, func(ctx *psharp.Context, ev psharp.Event) {
+		OnEventDoM(&chordJoinReq{}, func(_ psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
 			ctx.Send(ctx.ID(), &chordGrant{Joiner: ev.(*chordJoinReq).Joiner})
 		}).
-		OnEventDo(&chordGrant{}, func(ctx *psharp.Context, ev psharp.Event) {
+		OnEventDoM(&chordGrant{}, func(_ psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
 			ctx.Send(ev.(*chordGrant).Joiner, &chordJoinAck{})
 		})
 }

@@ -250,7 +250,7 @@ func (*gerClient) ConfigureType(sc *psharp.Schema) {
 		}
 		ackInvalidate(m, ctx, ev)
 	}
-	spin := func(ctx *psharp.Context, ev psharp.Event) {
+	spin := func(_ psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
 		ctx.Send(ctx.ID(), &gerSpin{})
 	}
 
@@ -333,7 +333,7 @@ func (*gerClient) ConfigureType(sc *psharp.Schema) {
 	sc.State("Detaching").
 		OnEventGoto(&gerDetachAck{}, "Done").
 		OnEventDoM(&gerInvalidate{}, staleInvalidate).
-		OnEventDo(&gerSpin{}, spin).
+		OnEventDoM(&gerSpin{}, spin).
 		Ignore(&gerNext{})
 
 	sc.State("Done").

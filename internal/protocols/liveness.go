@@ -115,7 +115,7 @@ type lvClient struct{ psharp.StaticBase }
 func (*lvClient) ConfigureType(sc *psharp.Schema) {
 	sc.Start("Boot").
 		Ignore(&lvResponse{}).
-		OnEventDo(&lvClientConfig{}, func(ctx *psharp.Context, ev psharp.Event) {
+		OnEventDoM(&lvClientConfig{}, func(_ psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
 			ctx.Send(ev.(*lvClientConfig).Server, &lvRequest{From: ctx.ID()})
 		})
 }
@@ -125,7 +125,7 @@ type lvAdmin struct{ psharp.StaticBase }
 
 func (*lvAdmin) ConfigureType(sc *psharp.Schema) {
 	sc.Start("Boot").
-		OnEventDo(&lvAdminConfig{}, func(ctx *psharp.Context, ev psharp.Event) {
+		OnEventDoM(&lvAdminConfig{}, func(_ psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
 			server := ev.(*lvAdminConfig).Server
 			ctx.Send(server, &lvReconfigure{})
 			ctx.Send(server, &lvUpdateDone{})
@@ -139,20 +139,20 @@ type lvPacer struct{ psharp.StaticBase }
 
 func (*lvPacer) ConfigureType(sc *psharp.Schema) {
 	sc.Start("Ticking").
-		OnEventDo(&lvTick{}, func(ctx *psharp.Context, ev psharp.Event) {
+		OnEventDoM(&lvTick{}, func(_ psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
 			ctx.Send(ctx.ID(), ev)
 		})
 }
 
 // lvResponseMonitor is the hot/cold liveness specification: hot between an
 // observed request and its response.
-func lvResponseMonitor() psharp.Machine {
-	return psharp.StaticMachineFunc(func(sc *psharp.Schema) {
-		sc.Start("Idle").Cold().
-			OnEventGoto(&lvRequest{}, "AwaitingResponse")
-		sc.State("AwaitingResponse").Hot().
-			OnEventGoto(&lvResponse{}, "Idle")
-	})
+type lvResponseMonitor struct{ psharp.StaticBase }
+
+func (*lvResponseMonitor) ConfigureType(sc *psharp.Schema) {
+	sc.Start("Idle").Cold().
+		OnEventGoto(&lvRequest{}, "AwaitingResponse")
+	sc.State("AwaitingResponse").Hot().
+		OnEventGoto(&lvResponse{}, "Idle")
 }
 
 func fairResponderBenchmark(buggy bool) Benchmark {
@@ -177,7 +177,7 @@ func fairResponderBenchmark(buggy bool) Benchmark {
 			mustSend(r, pacer, &lvTick{})
 		},
 		Monitors: func(r *psharp.Runtime) {
-			r.MustRegisterMonitor("ResponseMonitor", lvResponseMonitor)
+			r.MustRegisterMonitor("ResponseMonitor", func() psharp.Machine { return &lvResponseMonitor{} })
 		},
 	}
 }

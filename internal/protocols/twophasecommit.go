@@ -134,7 +134,7 @@ func (probe *tpcCoordinator) ConfigureType(sc *psharp.Schema) {
 	logging.OnEventGoto(&tpcLogAck{}, "Deciding")
 	// Stale timeouts from transactions that decided on full votes drift in
 	// while the decision is being logged.
-	logging.OnEventDo(&tpcTimeout{}, func(ctx *psharp.Context, ev psharp.Event) {})
+	logging.OnEventDoM(&tpcTimeout{}, func(_ psharp.Machine, ctx *psharp.Context, ev psharp.Event) {})
 	if !probe.buggy {
 		// The fix: a vote for an aborted (timed-out) transaction can still
 		// arrive while the decision is being logged; discard it.
@@ -308,7 +308,7 @@ func (*tpcTimer) ConfigureType(sc *psharp.Schema) {
 			ctx.Goto("Armed")
 		})
 	sc.State("Armed").
-		OnEventDo(&tpcStartTimer{}, func(ctx *psharp.Context, ev psharp.Event) {
+		OnEventDoM(&tpcStartTimer{}, func(_ psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
 			// The timeout ticks twice through the timer's own queue before
 			// firing, modeling a timeout long enough that it usually loses
 			// the race against the votes — which is what makes the buggy

@@ -440,9 +440,9 @@ func (m *machineInstance) boot() *Bug {
 	if m.rt.logging() {
 		m.rt.logf("%s: entering initial state %q", m.id, m.state)
 	}
-	if st := m.st; st.hasEntry() {
+	if entry := m.st.entry; entry != nil {
 		m.progDispatch(m.birth)
-		if bug := m.execute(st.onEntry, st.onEntryM, m.birth); bug != nil {
+		if bug := m.execute(entry, m.birth); bug != nil {
 			return bug
 		}
 		m.progIdle()
@@ -667,24 +667,20 @@ func (m *machineInstance) dispatch(disp dispatchEntry, ev Event) *Bug {
 		if disp.kind == dispatchGoto {
 			return m.gotoState(disp.target, ev)
 		}
-		return m.execute(disp.action, disp.maction, ev)
+		return m.execute(disp.fn, ev)
 	default:
 		return &Bug{Kind: BugPanic, Machine: m.id, State: m.state, Message: "corrupt dispatch table"}
 	}
 }
 
-// execute runs a bound action — whichever declaration form is set — and
-// then applies whatever pending effect (halt, goto, raise) the action
-// requested via its Context. Static-form actions receive the machine's
-// logic instance explicitly, which is what lets their schema be shared.
-func (m *machineInstance) execute(fn Action, mfn MachineAction, ev Event) *Bug {
+// execute runs a bound action and then applies whatever pending effect
+// (halt, goto, raise) the action requested via its Context. The action
+// receives the machine's logic instance explicitly, which is what lets its
+// schema be shared.
+func (m *machineInstance) execute(fn MachineAction, ev Event) *Bug {
 	m.ctx.resetPending()
 	m.ctx.currentEvent = ev
-	if mfn != nil {
-		mfn(m.logic, m.ctx, ev)
-	} else {
-		fn(m.ctx, ev)
-	}
+	fn(m.logic, m.ctx, ev)
 	return m.applyPending(ev)
 }
 
@@ -715,13 +711,9 @@ func (m *machineInstance) applyPending(trigger Event) *Bug {
 // gotoState exits the current state, enters target, and runs its entry
 // action with the triggering event as payload.
 func (m *machineInstance) gotoState(target string, payload Event) *Bug {
-	if cur := m.st; cur != nil && cur.hasExit() {
+	if cur := m.st; cur != nil && cur.exit != nil {
 		m.ctx.resetPending()
-		if cur.onExitM != nil {
-			cur.onExitM(m.logic, m.ctx)
-		} else {
-			cur.onExit(m.ctx)
-		}
+		cur.exit(m.logic, m.ctx)
 		if halt, g, r := m.ctx.takePending(); halt || g != "" || r != nil {
 			msg := "exit actions must not call Goto, Raise or Halt"
 			if m.monitor() {
@@ -734,8 +726,8 @@ func (m *machineInstance) gotoState(target string, payload Event) *Bug {
 		m.rt.logf("%s: %q -> %q", m, m.state, target)
 	}
 	m.enter(target)
-	if st := m.st; st.hasEntry() {
-		return m.execute(st.onEntry, st.onEntryM, payload)
+	if entry := m.st.entry; entry != nil {
+		return m.execute(entry, payload)
 	}
 	return nil
 }

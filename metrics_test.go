@@ -16,14 +16,7 @@ func TestCoverageRecordsDispatchedTransitions(t *testing.T) {
 	dfs := sct.NewDFS()
 	dfs.PrepareIteration(0)
 	res := psharp.RunTest(func(r *psharp.Runtime) {
-		r.MustRegister("Gate", func() psharp.Machine {
-			return psharp.MachineFunc(func(sc *psharp.Schema) {
-				sc.Start("Closed").
-					OnEventGoto(&evB{}, "Open")
-				sc.State("Open").
-					OnEventDo(&evA{}, func(ctx *psharp.Context, ev psharp.Event) {})
-			})
-		})
+		r.MustRegister("Gate", func() psharp.Machine { return &coverGate{} })
 		id := r.MustCreate("Gate", nil)
 		mustSend(t, r, id, &evB{})
 		mustSend(t, r, id, &evA{})
@@ -55,14 +48,7 @@ func TestProductionRuntimeMetrics(t *testing.T) {
 	var cov obs.StateEventCoverage
 	r := psharp.NewRuntime(psharp.WithCoverage(&cov))
 	handled := make(chan struct{}, 8)
-	r.MustRegister("Sink", func() psharp.Machine {
-		return psharp.MachineFunc(func(sc *psharp.Schema) {
-			sc.Start("S").
-				OnEventDo(&evA{}, func(ctx *psharp.Context, ev psharp.Event) { handled <- struct{}{} }).
-				OnEventGoto(&evB{}, "Done")
-			sc.State("Done")
-		})
-	})
+	r.MustRegister("Sink", func() psharp.Machine { return &signalSink{handled: handled} })
 	id := r.MustCreate("Sink", nil)
 	for i := 0; i < 3; i++ {
 		if err := r.SendEvent(id, &evA{}); err != nil {
@@ -88,6 +74,109 @@ func TestProductionRuntimeMetrics(t *testing.T) {
 	r.Stop()
 }
 
+// coverGate opens on evB and then handles evA.
+type coverGate struct{ psharp.StaticBase }
+
+func (*coverGate) ConfigureType(sc *psharp.Schema) {
+	sc.Start("Closed").
+		OnEventGoto(&evB{}, "Open")
+	sc.State("Open").
+		OnEventDoM(&evA{}, func(psharp.Machine, *psharp.Context, psharp.Event) {})
+}
+
+// signalSink signals handled for each evA until evB takes it to Done.
+type signalSink struct {
+	psharp.StaticBase
+	handled chan struct{}
+}
+
+func (*signalSink) ConfigureType(sc *psharp.Schema) {
+	sc.Start("S").
+		OnEventDoM(&evA{}, func(m psharp.Machine, _ *psharp.Context, _ psharp.Event) { m.(*signalSink).handled <- struct{}{} }).
+		OnEventGoto(&evB{}, "Done")
+	sc.State("Done")
+}
+
+// The program of TestHarnessMetricsFoldPerIteration: a hub creates
+// hubWorkers workers and sends each one work; each worker replies twice, and
+// the hub halts at its second reply. hubMonitors monitors watch. hubTally
+// keeps, beside the machines, what the program counted of itself.
+const hubWorkers, hubMonitors = 3, 2
+
+type hubTally struct {
+	metrics func() psharp.RuntimeMetricsSnapshot // the Runtime's
+	// early is what Metrics read from inside a handler, if it was not atStart.
+	early   *psharp.RuntimeMetricsSnapshot
+	want    psharp.RuntimeMetricsSnapshot // running sums, kept by the program
+	atStart psharp.RuntimeMetricsSnapshot // want when the iteration began
+	depth   map[uint64]int64              // events sent to a machine and not yet handled
+	// hubHalted says that the hub halted, so sends to it are dropped.
+	hubHalted bool
+}
+
+var tallyHubID = psharp.MachineID{Type: "Hub", Seq: 1}
+
+// send sends ev to to from ctx's machine and counts it.
+func (k *hubTally) send(ctx *psharp.Context, to psharp.MachineID, ev psharp.Event) {
+	k.want.MonitorDispatches += hubMonitors
+	if to == tallyHubID && k.hubHalted {
+		k.want.DroppedSends++
+	} else {
+		k.want.Sends++
+		k.depth[to.Seq]++
+		k.want.MailboxMax = max(k.want.MailboxMax, k.depth[to.Seq])
+	}
+	ctx.Send(to, ev)
+}
+
+type tallyHub struct {
+	psharp.StaticBase
+	k       *hubTally
+	replies int
+}
+
+func (*tallyHub) ConfigureType(sc *psharp.Schema) {
+	sc.Start("H").
+		OnEntryM(func(m psharp.Machine, ctx *psharp.Context, _ psharp.Event) {
+			k := m.(*tallyHub).k
+			if got := k.metrics(); got != k.atStart {
+				k.early = &got
+			}
+			for i := 0; i < hubWorkers; i++ {
+				k.want.Creates++
+				w := ctx.CreateMachine("Worker", nil)
+				k.send(ctx, w, &evWork{To: ctx.ID()})
+			}
+		}).
+		OnEventDoM(&evBallot{}, func(m psharp.Machine, ctx *psharp.Context, _ psharp.Event) {
+			hub := m.(*tallyHub)
+			hub.k.depth[tallyHubID.Seq]--
+			if hub.replies++; hub.replies == 2 {
+				hub.k.hubHalted = true
+				ctx.Halt()
+			}
+		})
+}
+
+type tallyWorker struct {
+	psharp.StaticBase
+	k *hubTally
+}
+
+func (*tallyWorker) ConfigureType(sc *psharp.Schema) {
+	sc.Start("W").OnEventDoM(&evWork{}, func(m psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
+		k := m.(*tallyWorker).k
+		k.depth[ctx.ID().Seq]--
+		k.send(ctx, ev.(*evWork).To, &evBallot{From: ctx.ID()})
+		k.send(ctx, ev.(*evWork).To, &evBallot{From: ctx.ID()})
+	})
+}
+
+// ballotWatch is a monitor that ignores ballots.
+type ballotWatch struct{ psharp.StaticBase }
+
+func (*ballotWatch) ConfigureType(sc *psharp.Schema) { sc.Start("Watching").Ignore(&evBallot{}) }
+
 // TestHarnessMetricsFoldPerIteration holds Runtime.Metrics under a harness —
 // where the controller counts in plain words and Run adds them to the
 // runtime's atomics as it returns — to what the program itself counted:
@@ -96,69 +185,15 @@ func TestProductionRuntimeMetrics(t *testing.T) {
 // iterations so far, and a snapshot taken from inside a handler does not yet
 // include the iteration it runs in.
 func TestHarnessMetricsFoldPerIteration(t *testing.T) {
-	const workers, monitors = 3, 2
-	var (
-		rt        *psharp.Runtime
-		want      psharp.RuntimeMetricsSnapshot // running sums, kept by the program
-		atStart   psharp.RuntimeMetricsSnapshot // want when the iteration began
-		depth     map[uint64]int64              // events sent to a machine and not yet handled
-		hubHalted bool
-	)
-	hub := psharp.MachineID{Type: "Hub", Seq: 1}
-	sent := func(to psharp.MachineID) {
-		want.MonitorDispatches += monitors
-		if to == hub && hubHalted {
-			want.DroppedSends++
-			return
-		}
-		want.Sends++
-		depth[to.Seq]++
-		want.MailboxMax = max(want.MailboxMax, depth[to.Seq])
-	}
-	send := func(ctx *psharp.Context, to psharp.MachineID, ev psharp.Event) {
-		sent(to)
-		ctx.Send(to, ev)
-	}
+	k := &hubTally{}
 	setup := func(r *psharp.Runtime) {
-		rt, atStart, depth, hubHalted = r, want, make(map[uint64]int64), false
-		r.MustRegister("Hub", func() psharp.Machine {
-			replies := 0
-			return psharp.MachineFunc(func(sc *psharp.Schema) {
-				sc.Start("H").
-					OnEntry(func(ctx *psharp.Context, _ psharp.Event) {
-						if got := rt.Metrics(); got != atStart {
-							t.Errorf("Metrics from inside a handler = %+v, want the finished iterations' %+v", got, atStart)
-						}
-						for i := 0; i < workers; i++ {
-							want.Creates++
-							w := ctx.CreateMachine("Worker", nil)
-							send(ctx, w, &evWork{To: ctx.ID()})
-						}
-					}).
-					OnEventDo(&evBallot{}, func(ctx *psharp.Context, _ psharp.Event) {
-						depth[hub.Seq]--
-						if replies++; replies == 2 {
-							hubHalted = true
-							ctx.Halt()
-						}
-					})
-			})
-		})
-		r.MustRegister("Worker", func() psharp.Machine {
-			return psharp.StaticMachineFunc(func(sc *psharp.Schema) {
-				sc.Start("W").OnEventDo(&evWork{}, func(ctx *psharp.Context, ev psharp.Event) {
-					depth[ctx.ID().Seq]--
-					send(ctx, ev.(*evWork).To, &evBallot{From: ctx.ID()})
-					send(ctx, ev.(*evWork).To, &evBallot{From: ctx.ID()})
-				})
-			})
-		})
-		for _, name := range [monitors]string{"WatchA", "WatchB"} {
-			r.MustRegisterMonitor(name, func() psharp.Machine {
-				return psharp.StaticMachineFunc(func(sc *psharp.Schema) { sc.Start("Watching").Ignore(&evBallot{}) })
-			})
+		k.metrics, k.atStart, k.depth, k.hubHalted = r.Metrics, k.want, make(map[uint64]int64), false
+		r.MustRegister("Hub", func() psharp.Machine { return &tallyHub{k: k} })
+		r.MustRegister("Worker", func() psharp.Machine { return &tallyWorker{k: k} })
+		for _, name := range [hubMonitors]string{"WatchA", "WatchB"} {
+			r.MustRegisterMonitor(name, func() psharp.Machine { return &ballotWatch{} })
 		}
-		want.Creates++
+		k.want.Creates++
 		r.MustCreate("Hub", nil)
 	}
 
@@ -178,9 +213,12 @@ func TestHarnessMetricsFoldPerIteration(t *testing.T) {
 			defer func() { panicked = panicked || recover() != nil }()
 			interrupted = h.Run(cfg).Interrupted || interrupted
 		}()
-		dropped = dropped || want.DroppedSends > 0
-		if got := rt.Metrics(); got != want {
-			t.Fatalf("after iteration %d: Metrics = %+v, the program counted %+v", i, got, want)
+		dropped = dropped || k.want.DroppedSends > 0
+		if k.early != nil {
+			t.Fatalf("iteration %d: Metrics from inside a handler = %+v, want the finished iterations' %+v", i, *k.early, k.atStart)
+		}
+		if got := k.metrics(); got != k.want {
+			t.Fatalf("after iteration %d: Metrics = %+v, the program counted %+v", i, got, k.want)
 		}
 	}
 	if !dropped || !panicked || !interrupted {

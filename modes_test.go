@@ -42,6 +42,27 @@ func TestChessLikeModeAddsSchedulingPoints(t *testing.T) {
 
 type rdPoke struct{ psharp.EventBase }
 
+// rdWriter writes its location on every poke.
+type rdWriter struct {
+	psharp.StaticBase
+	loc string
+}
+
+func (*rdWriter) ConfigureType(sc *psharp.Schema) {
+	sc.Start("S").OnEventDoM(&rdPoke{}, func(m psharp.Machine, ctx *psharp.Context, _ psharp.Event) {
+		ctx.Write(m.(*rdWriter).loc)
+	})
+}
+
+// rdSpinner pokes itself on every poke.
+type rdSpinner struct{ psharp.StaticBase }
+
+func (*rdSpinner) ConfigureType(sc *psharp.Schema) {
+	sc.Start("S").OnEventDoM(&rdPoke{}, func(_ psharp.Machine, ctx *psharp.Context, _ psharp.Event) {
+		ctx.Send(ctx.ID(), &rdPoke{})
+	})
+}
+
 func racingSetup(racy bool) func(*psharp.Runtime) {
 	return func(r *psharp.Runtime) {
 		for i, loc := range []string{"shared.cell", "shared.cell2"} {
@@ -50,13 +71,7 @@ func racingSetup(racy bool) func(*psharp.Runtime) {
 				loc = "shared.cell" // both writers hit the same location
 			}
 			name := []string{"W1", "W2"}[i]
-			r.MustRegister(name, func() psharp.Machine {
-				return psharp.MachineFunc(func(sc *psharp.Schema) {
-					sc.Start("S").OnEventDo(&rdPoke{}, func(ctx *psharp.Context, ev psharp.Event) {
-						ctx.Write(loc)
-					})
-				})
-			})
+			r.MustRegister(name, func() psharp.Machine { return &rdWriter{loc: loc} })
 			id := r.MustCreate(name, nil)
 			if err := r.SendEvent(id, &rdPoke{}); err != nil {
 				panic(err)
@@ -157,13 +172,7 @@ func TestTraceEncodingRoundTripProperty(t *testing.T) {
 // minimal self-sending machine (the paper's German livelock pattern).
 func TestLivelockDetection(t *testing.T) {
 	setup := func(r *psharp.Runtime) {
-		r.MustRegister("Spinner", func() psharp.Machine {
-			return psharp.MachineFunc(func(sc *psharp.Schema) {
-				sc.Start("S").OnEventDo(&rdPoke{}, func(ctx *psharp.Context, ev psharp.Event) {
-					ctx.Send(ctx.ID(), &rdPoke{})
-				})
-			})
-		})
+		r.MustRegister("Spinner", func() psharp.Machine { return &rdSpinner{} })
 		id := r.MustCreate("Spinner", nil)
 		if err := r.SendEvent(id, &rdPoke{}); err != nil {
 			panic(err)

@@ -32,9 +32,27 @@ func (*mtCount) ConfigureType(sc *psharp.Schema) {
 		})
 }
 
-// oracleMonitor declares a closure-form monitor from its schema.
+// oracleSpec is a static monitor whose schema is its declare field's: a
+// case's declaration, the same on every instance.
+type oracleSpec struct {
+	psharp.StaticBase
+	declare func(sc *psharp.Schema)
+}
+
+func (probe *oracleSpec) ConfigureType(sc *psharp.Schema) { probe.declare(sc) }
+
+// oracleMonitor declares a monitor from its schema.
 func oracleMonitor(declare func(sc *psharp.Schema)) func() psharp.Machine {
-	return func() psharp.Machine { return psharp.MachineFunc(declare) }
+	return func() psharp.Machine { return &oracleSpec{declare: declare} }
+}
+
+// echo raises a response to itself on each request, and ignores that.
+type echo struct{ psharp.StaticBase }
+
+func (*echo) ConfigureType(sc *psharp.Schema) {
+	sc.Start("Idle").
+		OnEventDoM(&mtReq{}, func(_ psharp.Machine, ctx *psharp.Context, _ psharp.Event) { ctx.Raise(&mtResp{}) }).
+		Ignore(&mtResp{})
 }
 
 // oracleSetup registers spec as the monitor "Spec" beside a machine that
@@ -43,13 +61,7 @@ func oracleMonitor(declare func(sc *psharp.Schema)) func() psharp.Machine {
 // an observation.
 func oracleSetup(spec func() psharp.Machine) func(*psharp.Runtime) {
 	return func(r *psharp.Runtime) {
-		r.MustRegister("Echo", func() psharp.Machine {
-			return psharp.StaticMachineFunc(func(sc *psharp.Schema) {
-				sc.Start("Idle").
-					OnEventDo(&mtReq{}, func(ctx *psharp.Context, ev psharp.Event) { ctx.Raise(&mtResp{}) }).
-					Ignore(&mtResp{})
-			})
-		})
+		r.MustRegister("Echo", func() psharp.Machine { return &echo{} })
 		r.MustRegisterMonitor("Spec", spec)
 		e := r.MustCreate("Echo", nil)
 		for i := 0; i < 2; i++ {
@@ -63,7 +75,7 @@ func oracleSetup(spec func() psharp.Machine) func(*psharp.Runtime) {
 // onReq declares a one-state monitor whose request handler is fn.
 func onReq(fn func(ctx *psharp.Context)) func() psharp.Machine {
 	return oracleMonitor(func(sc *psharp.Schema) {
-		sc.Start("S").OnEventDo(&mtReq{}, func(ctx *psharp.Context, ev psharp.Event) { fn(ctx) })
+		sc.Start("S").OnEventDoM(&mtReq{}, func(_ psharp.Machine, ctx *psharp.Context, ev psharp.Event) { fn(ctx) })
 	})
 }
 
@@ -84,7 +96,7 @@ func monitorOracleCases() []monitorOracleCase {
 	}
 	return []monitorOracleCase{
 		{name: "assert in initial entry", setup: oracleSetup(oracleMonitor(func(sc *psharp.Schema) {
-			sc.Start("S").OnEntry(func(ctx *psharp.Context, ev psharp.Event) {
+			sc.Start("S").OnEntryM(func(_ psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
 				ctx.Assert(ev == nil, "unreachable")
 				ctx.Assert(false, "initial entry of %s", ctx.State())
 			})
@@ -92,7 +104,7 @@ func monitorOracleCases() []monitorOracleCase {
 
 		{name: "assert in entry after goto", setup: oracleSetup(oracleMonitor(func(sc *psharp.Schema) {
 			sc.Start("S").OnEventGoto(&mtReq{}, "T")
-			sc.State("T").OnEntry(func(ctx *psharp.Context, ev psharp.Event) {
+			sc.State("T").OnEntryM(func(_ psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
 				_, isReq := ev.(*mtReq)
 				ctx.Assert(!isReq, "entered %s on the request", ctx.State())
 			})
@@ -107,13 +119,13 @@ func monitorOracleCases() []monitorOracleCase {
 
 		{name: "assert in exit", setup: oracleSetup(oracleMonitor(func(sc *psharp.Schema) {
 			sc.Start("S").OnEventGoto(&mtReq{}, "T").
-				OnExit(func(ctx *psharp.Context) { ctx.Assert(false, "leaving %s", ctx.State()) })
+				OnExitM(func(_ psharp.Machine, ctx *psharp.Context) { ctx.Assert(false, "leaving %s", ctx.State()) })
 			sc.State("T")
 		})), want: psharp.Bug{Kind: psharp.BugMonitor, Monitor: "Spec", State: "S", Message: "leaving S"}},
 
 		{name: "exit calls Goto", setup: oracleSetup(oracleMonitor(func(sc *psharp.Schema) {
 			sc.Start("S").OnEventGoto(&mtReq{}, "T").
-				OnExit(func(ctx *psharp.Context) { ctx.Goto("U") })
+				OnExitM(func(_ psharp.Machine, ctx *psharp.Context) { ctx.Goto("U") })
 			sc.State("T")
 			sc.State("U")
 		})), want: psharp.Bug{Kind: psharp.BugMonitor, Monitor: "Spec", State: "S",
@@ -121,7 +133,7 @@ func monitorOracleCases() []monitorOracleCase {
 
 		{name: "exit calls Raise", setup: oracleSetup(oracleMonitor(func(sc *psharp.Schema) {
 			sc.Start("S").OnEventGoto(&mtReq{}, "T").
-				OnExit(func(ctx *psharp.Context) { ctx.Raise(&mtResp{}) })
+				OnExitM(func(_ psharp.Machine, ctx *psharp.Context) { ctx.Raise(&mtResp{}) })
 			sc.State("T").Ignore(&mtResp{})
 		})), want: psharp.Bug{Kind: psharp.BugMonitor, Monitor: "Spec", State: "S",
 			Message: "monitor exit actions must not call Goto, Raise or Halt"}},
@@ -136,16 +148,16 @@ func monitorOracleCases() []monitorOracleCase {
 
 		{name: "raise chains into a goto", setup: oracleSetup(oracleMonitor(func(sc *psharp.Schema) {
 			sc.Start("S").
-				OnEventDo(&mtReq{}, func(ctx *psharp.Context, ev psharp.Event) { ctx.Raise(&mtOutcome{Commit: true}) }).
+				OnEventDoM(&mtReq{}, func(_ psharp.Machine, ctx *psharp.Context, ev psharp.Event) { ctx.Raise(&mtOutcome{Commit: true}) }).
 				OnEventGoto(&mtOutcome{}, "T")
-			sc.State("T").OnEntry(func(ctx *psharp.Context, ev psharp.Event) {
+			sc.State("T").OnEntryM(func(_ psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
 				ctx.Assert(!ev.(*mtOutcome).Commit, "entered %s on the raised outcome", ctx.State())
 			})
 		})), want: psharp.Bug{Kind: psharp.BugMonitor, Monitor: "Spec", State: "T", Message: "entered T on the raised outcome"}},
 
 		{name: "observes a machine's raise", setup: oracleSetup(oracleMonitor(func(sc *psharp.Schema) {
 			sc.Start("S").Ignore(&mtReq{}).
-				OnEventDo(&mtResp{}, func(ctx *psharp.Context, ev psharp.Event) { ctx.Assert(false, "saw the raise") })
+				OnEventDoM(&mtResp{}, func(_ psharp.Machine, ctx *psharp.Context, ev psharp.Event) { ctx.Assert(false, "saw the raise") })
 		})), want: psharp.Bug{Kind: psharp.BugMonitor, Monitor: "Spec", State: "S", Message: "saw the raise"}},
 
 		{name: "panic in handler", setup: oracleSetup(onReq(func(ctx *psharp.Context) {
@@ -239,7 +251,7 @@ func TestMonitorMessagesNameTheMonitor(t *testing.T) {
 	var log bytes.Buffer
 	setup := oracleSetup(oracleMonitor(func(sc *psharp.Schema) {
 		sc.Start("S").OnEventGoto(&mtReq{}, "T")
-		sc.State("T").OnEntry(func(ctx *psharp.Context, ev psharp.Event) { ctx.Logf("entered") }).Ignore(&mtReq{})
+		sc.State("T").OnEntryM(func(_ psharp.Machine, ctx *psharp.Context, ev psharp.Event) { ctx.Logf("entered") }).Ignore(&mtReq{})
 	}))
 	if res := psharp.RunTest(setup, psharp.TestConfig{Strategy: mustPrepared(sct.NewRandom(1)), Log: &log}); res.Bug != nil {
 		t.Fatalf("unexpected bug %v", res.Bug)

@@ -45,13 +45,34 @@ func (*mtAgreement) ConfigureType(sc *psharp.Schema) {
 }
 
 // mtResponds is a liveness monitor: hot between a request and its response.
-func mtResponds() psharp.Machine {
-	return psharp.StaticMachineFunc(func(sc *psharp.Schema) {
-		sc.Start("Idle").Cold().
-			OnEventGoto(&mtReq{}, "Waiting")
-		sc.State("Waiting").Hot().
-			OnEventGoto(&mtResp{}, "Idle")
-	})
+func mtResponds() psharp.Machine { return &respondsSpec{} }
+
+type respondsSpec struct{ psharp.StaticBase }
+
+func (*respondsSpec) ConfigureType(sc *psharp.Schema) {
+	sc.Start("Idle").Cold().
+		OnEventGoto(&mtReq{}, "Waiting")
+	sc.State("Waiting").Hot().
+		OnEventGoto(&mtResp{}, "Idle")
+}
+
+// outcomeSink ignores outcomes.
+type outcomeSink struct{ psharp.StaticBase }
+
+func (*outcomeSink) ConfigureType(sc *psharp.Schema) { sc.Start("S").Ignore(&mtOutcome{}) }
+
+// decider answers a request by sending a coin-flip outcome to the sink,
+// machine 1, and halting.
+type decider struct{ psharp.StaticBase }
+
+func (*decider) ConfigureType(sc *psharp.Schema) {
+	sc.Start("D").
+		OnEventDoM(&mtReq{}, func(_ psharp.Machine, ctx *psharp.Context, _ psharp.Event) {
+			// The sink's ID is always 1: it is created first.
+			sink := psharp.MachineID{Type: "Sink", Seq: 1}
+			ctx.Send(sink, &mtOutcome{Commit: ctx.RandomBool()})
+			ctx.Halt()
+		})
 }
 
 // decidersSetup builds two deciders that each flip a controlled coin and
@@ -59,22 +80,8 @@ func mtResponds() psharp.Machine {
 // monitor. Roughly half of all schedules violate agreement.
 func decidersSetup(monitors bool) func(*psharp.Runtime) {
 	return func(r *psharp.Runtime) {
-		r.MustRegister("Sink", func() psharp.Machine {
-			return psharp.StaticMachineFunc(func(sc *psharp.Schema) {
-				sc.Start("S").Ignore(&mtOutcome{})
-			})
-		})
-		r.MustRegister("Decider", func() psharp.Machine {
-			return psharp.StaticMachineFunc(func(sc *psharp.Schema) {
-				sc.Start("D").
-					OnEventDo(&mtReq{}, func(ctx *psharp.Context, ev psharp.Event) {
-						// The sink's ID is always 1: it is created first.
-						sink := psharp.MachineID{Type: "Sink", Seq: 1}
-						ctx.Send(sink, &mtOutcome{Commit: ctx.RandomBool()})
-						ctx.Halt()
-					})
-			})
-		})
+		r.MustRegister("Sink", func() psharp.Machine { return &outcomeSink{} })
+		r.MustRegister("Decider", func() psharp.Machine { return &decider{} })
 		if monitors {
 			r.MustRegisterMonitor("Agreement", func() psharp.Machine { return &mtAgreement{} })
 		}
@@ -167,12 +174,10 @@ func TestMonitorRecyclesCleanly(t *testing.T) {
 	if !sawBug || !sawClean {
 		t.Fatalf("test program not exercising both outcomes (bug=%v clean=%v); strengthen the setup", sawBug, sawClean)
 	}
-	// The two StaticMachineFunc machines compiled once in this harness (a
-	// func has no value to compare across Runtimes), the struct monitor at
-	// most once in the process — re-registration across 25 iterations is
-	// binding hits.
-	if got := h.SchemaCompiles(); got < 2 || got > 3 {
-		t.Errorf("schema compiles across 25 monitored iterations = %d, want 2 machines + at most 1 monitor", got)
+	// The two machines and the monitor compiled at most once each in the
+	// process — re-registration across 25 iterations is binding hits.
+	if got := h.SchemaCompiles(); got > 3 {
+		t.Errorf("schema compiles across 25 monitored iterations = %d, want at most 2 machines + 1 monitor", got)
 	}
 }
 
@@ -182,15 +187,7 @@ func TestMonitorRecyclesCleanly(t *testing.T) {
 // the obligation is never discharged and never reaches quiescence.
 func livenessSpinSetup() func(*psharp.Runtime) {
 	return func(r *psharp.Runtime) {
-		r.MustRegister("Pacer", func() psharp.Machine {
-			return psharp.StaticMachineFunc(func(sc *psharp.Schema) {
-				sc.Start("Spin").
-					Ignore(&mtReq{}).
-					OnEventDo(&mtOutcome{}, func(ctx *psharp.Context, ev psharp.Event) {
-						ctx.Send(ctx.ID(), ev)
-					})
-			})
-		})
+		r.MustRegister("Pacer", func() psharp.Machine { return &pacer{} })
 		r.MustRegisterMonitor("Responds", mtResponds)
 		p := r.MustCreate("Pacer", nil)
 		if err := r.SendEvent(p, &mtReq{}); err != nil {
@@ -201,6 +198,22 @@ func livenessSpinSetup() func(*psharp.Runtime) {
 		}
 	}
 }
+
+// pacer ignores requests and sends each outcome back to itself.
+type pacer struct{ psharp.StaticBase }
+
+func (*pacer) ConfigureType(sc *psharp.Schema) {
+	sc.Start("Spin").
+		Ignore(&mtReq{}).
+		OnEventDoM(&mtOutcome{}, func(_ psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
+			ctx.Send(ctx.ID(), ev)
+		})
+}
+
+// quiet ignores requests.
+type quiet struct{ psharp.StaticBase }
+
+func (*quiet) ConfigureType(sc *psharp.Schema) { sc.Start("S").Ignore(&mtReq{}) }
 
 // TestLivenessTemperatureThreshold checks the hot-state temperature bug: a
 // monitor stuck hot past the threshold fails the iteration with BugLiveness,
@@ -233,11 +246,7 @@ func TestLivenessTemperatureThreshold(t *testing.T) {
 // specification (nothing can discharge the obligation anymore).
 func TestLivenessHotAtQuiescence(t *testing.T) {
 	setup := func(r *psharp.Runtime) {
-		r.MustRegister("Quiet", func() psharp.Machine {
-			return psharp.StaticMachineFunc(func(sc *psharp.Schema) {
-				sc.Start("S").Ignore(&mtReq{})
-			})
-		})
+		r.MustRegister("Quiet", func() psharp.Machine { return &quiet{} })
 		r.MustRegisterMonitor("Responds", mtResponds)
 		q := r.MustCreate("Quiet", nil)
 		if err := r.SendEvent(q, &mtReq{}); err != nil {
@@ -253,24 +262,23 @@ func TestLivenessHotAtQuiescence(t *testing.T) {
 	}
 }
 
+// rogue is a monitor that sends, which monitors must not.
+type rogue struct{ psharp.StaticBase }
+
+func (*rogue) ConfigureType(sc *psharp.Schema) {
+	sc.Start("S").
+		OnEventDoM(&mtReq{}, func(_ psharp.Machine, ctx *psharp.Context, _ psharp.Event) {
+			ctx.Send(psharp.MachineID{Type: "Quiet", Seq: 1}, &mtResp{})
+		})
+}
+
 // TestMonitorForbiddenOperations checks that a monitor action calling a
 // machine-only operation fails the iteration as a monitor violation rather
 // than corrupting the program.
 func TestMonitorForbiddenOperations(t *testing.T) {
 	setup := func(r *psharp.Runtime) {
-		r.MustRegister("Quiet", func() psharp.Machine {
-			return psharp.StaticMachineFunc(func(sc *psharp.Schema) {
-				sc.Start("S").Ignore(&mtReq{})
-			})
-		})
-		r.MustRegisterMonitor("Rogue", func() psharp.Machine {
-			return psharp.MachineFunc(func(sc *psharp.Schema) {
-				sc.Start("S").
-					OnEventDo(&mtReq{}, func(ctx *psharp.Context, ev psharp.Event) {
-						ctx.Send(psharp.MachineID{Type: "Quiet", Seq: 1}, &mtResp{})
-					})
-			})
-		})
+		r.MustRegister("Quiet", func() psharp.Machine { return &quiet{} })
+		r.MustRegisterMonitor("Rogue", func() psharp.Machine { return &rogue{} })
 		q := r.MustCreate("Quiet", nil)
 		if err := r.SendEvent(q, &mtReq{}); err != nil {
 			panic(err)
@@ -289,11 +297,7 @@ func TestMonitorForbiddenOperations(t *testing.T) {
 // concurrent production runtime too, not just the serialized testing one.
 func TestMonitorInProductionRuntime(t *testing.T) {
 	r := psharp.NewRuntime()
-	r.MustRegister("Sink", func() psharp.Machine {
-		return psharp.StaticMachineFunc(func(sc *psharp.Schema) {
-			sc.Start("S").Ignore(&mtOutcome{})
-		})
-	})
+	r.MustRegister("Sink", func() psharp.Machine { return &outcomeSink{} })
 	r.MustRegisterMonitor("Agreement", func() psharp.Machine { return &mtAgreement{} })
 	sink := r.MustCreate("Sink", nil)
 	if err := r.SendEvent(sink, &mtOutcome{Commit: true}); err != nil {
@@ -313,6 +317,25 @@ func TestMonitorInProductionRuntime(t *testing.T) {
 	}
 }
 
+// streamer sends itself an outcome and the evSpin back until its count runs
+// out, and ignores the outcomes.
+type streamer struct{ psharp.StaticBase }
+
+func (*streamer) ConfigureType(sc *psharp.Schema) {
+	sc.Start("Echoing").
+		OnEventDoM(&evSpin{}, func(_ psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
+			e := ev.(*evSpin)
+			if e.Left == 0 {
+				ctx.Halt()
+				return
+			}
+			e.Left--
+			ctx.Send(ctx.ID(), &mtOutcome{Commit: true})
+			ctx.Send(ctx.ID(), e)
+		}).
+		Ignore(&mtOutcome{})
+}
+
 // TestMonitorRegisterDuringProductionSends covers the SetupMonitored
 // pattern on the concurrent production runtime: machines created by setup
 // are already running and sending when the monitors register afterwards, so
@@ -320,22 +343,7 @@ func TestMonitorInProductionRuntime(t *testing.T) {
 // in CI's liveness suite).
 func TestMonitorRegisterDuringProductionSends(t *testing.T) {
 	r := psharp.NewRuntime()
-	r.MustRegister("Echo", func() psharp.Machine {
-		return psharp.StaticMachineFunc(func(sc *psharp.Schema) {
-			sc.Start("Echoing").
-				OnEventDo(&evSpin{}, func(ctx *psharp.Context, ev psharp.Event) {
-					e := ev.(*evSpin)
-					if e.Left == 0 {
-						ctx.Halt()
-						return
-					}
-					e.Left--
-					ctx.Send(ctx.ID(), &mtOutcome{Commit: true})
-					ctx.Send(ctx.ID(), e)
-				}).
-				Ignore(&mtOutcome{})
-		})
-	})
+	r.MustRegister("Echo", func() psharp.Machine { return &streamer{} })
 	e := r.MustCreate("Echo", nil)
 	if err := r.SendEvent(e, &evSpin{Left: 500}); err != nil {
 		t.Fatal(err)
@@ -348,78 +356,87 @@ func TestMonitorRegisterDuringProductionSends(t *testing.T) {
 	r.Stop()
 }
 
+// hotMachine is a machine with a hot state, which only monitors may have.
+type hotMachine struct{ psharp.StaticBase }
+
+func (*hotMachine) ConfigureType(sc *psharp.Schema) { sc.Start("S").Hot().Ignore(&mtReq{}) }
+
 // TestHotStatesRejectedOnMachines checks that hot/cold liveness annotations
 // are monitor-only: a machine schema carrying one is rejected at Register.
 func TestHotStatesRejectedOnMachines(t *testing.T) {
 	r := psharp.NewRuntime()
-	err := r.Register("Hotty", func() psharp.Machine {
-		return psharp.StaticMachineFunc(func(sc *psharp.Schema) {
-			sc.Start("S").Hot().Ignore(&mtReq{})
-		})
-	})
+	err := r.Register("Hotty", func() psharp.Machine { return &hotMachine{} })
 	if err == nil || !strings.Contains(err.Error(), "monitor states") {
 		t.Fatalf("Register accepted a hot machine state: err = %v", err)
 	}
 }
 
-// TestMonitorDuplicateAcrossFormsErrors checks that re-registering a name
-// with a different declaration form still reports the duplicate cleanly —
-// in particular, a static monitor under a closure-cached name must not hit
-// StaticBase.Configure's panic on the schema-rebuild path.
-func TestMonitorDuplicateAcrossFormsErrors(t *testing.T) {
-	r := psharp.NewRuntime()
-	closure := psharp.MachineFunc(func(sc *psharp.Schema) {
-		sc.Start("S").OnEventDo(&mtReq{}, func(ctx *psharp.Context, ev psharp.Event) {})
+// closureResponds is mtResponds in the closure form, which monitors may not
+// use.
+func closureResponds() psharp.Machine {
+	return psharp.MachineFunc(func(sc *psharp.Schema) {
+		sc.Start("Idle").Cold().OnEventGoto(&mtReq{}, "Waiting")
+		sc.State("Waiting").Hot().OnEventGoto(&mtResp{}, "Idle")
 	})
-	if err := r.RegisterMonitor("Spec", func() psharp.Machine { return closure }); err != nil {
-		t.Fatal(err)
+}
+
+// TestMonitorClosureFormRefused: RegisterMonitor refuses a closure-form
+// monitor with an error naming it — not a panic, and binding nothing — on a
+// fresh Runtime, in a harness's setup, and in a harness whose setup
+// alternates the two forms under one name, whose static iterations still
+// attach the monitor and run clean.
+func TestMonitorClosureFormRefused(t *testing.T) {
+	refused := func(err error) bool {
+		return err != nil && strings.Contains(err.Error(), `monitor "Responds"`) && strings.Contains(err.Error(), "StaticMachine")
 	}
-	err := r.RegisterMonitor("Spec", mtResponds)
-	if err == nil || !strings.Contains(err.Error(), "registered twice") {
-		t.Fatalf("duplicate static-over-closure registration: err = %v, want 'registered twice'", err)
+	r := psharp.NewRuntime()
+	if err := r.RegisterMonitor("Responds", closureResponds); !refused(err) {
+		t.Fatalf("fresh Runtime: err = %v, want the closure-form monitor refused by name", err)
+	}
+	if err := r.RegisterMonitor("Responds", mtResponds); err != nil {
+		t.Fatalf("fresh Runtime: the static form after the refused closure form: %v", err)
+	}
+	r.Stop()
+
+	for _, alternate := range []bool{false, true} {
+		var static bool
+		var err error
+		spin := spinSetup(8)
+		h := psharp.NewTestHarness(func(r *psharp.Runtime) {
+			spin(r)
+			if static {
+				err = r.RegisterMonitor("Responds", mtResponds)
+				if again := r.RegisterMonitor("Responds", mtResponds); err == nil && !strings.Contains(again.Error(), "registered twice") {
+					err = again // the first registration did not attach it
+				}
+			} else {
+				err = r.RegisterMonitor("Responds", closureResponds)
+			}
+		})
+		for i := 0; i < 4; i++ {
+			static = alternate && i%2 == 1
+			res := h.Run(psharp.TestConfig{Strategy: mustPrepared(sct.NewRandom(uint64(i) + 1)), LivenessTemperature: 1000})
+			if static && err != nil || !static && !refused(err) {
+				t.Fatalf("alternate=%v iteration %d (static=%v): RegisterMonitor err = %v", alternate, i, static, err)
+			}
+			if res.Bug != nil || res.Err != nil {
+				t.Fatalf("alternate=%v iteration %d (static=%v): bug %v, err %v", alternate, i, static, res.Bug, res.Err)
+			}
+		}
+		h.Close()
 	}
 }
 
-// TestMonitorFormMayVaryAcrossIterations covers a harness whose setup
-// switches a monitor's declaration form between iterations: the closure
-// form's nil cache entry must not break a later static registration of the
-// same name.
-func TestMonitorFormMayVaryAcrossIterations(t *testing.T) {
-	useStatic := false
-	spin := spinSetup(8)
-	setup := func(r *psharp.Runtime) {
-		spin(r)
-		if useStatic {
-			r.MustRegisterMonitor("Responds", mtResponds)
-		} else {
-			r.MustRegisterMonitor("Responds", func() psharp.Machine {
-				return psharp.MachineFunc(func(sc *psharp.Schema) {
-					sc.Start("Idle").Cold().OnEventGoto(&mtReq{}, "Waiting")
-					sc.State("Waiting").Hot().OnEventGoto(&mtResp{}, "Idle")
-				})
-			})
-		}
-	}
-	h := psharp.NewTestHarness(setup)
-	defer h.Close()
-	for i := 0; i < 4; i++ {
-		useStatic = i%2 == 1
-		res := h.Run(psharp.TestConfig{Strategy: mustPrepared(sct.NewRandom(uint64(i) + 1))})
-		if res.Bug != nil {
-			t.Fatalf("iteration %d (static=%v): unexpected bug %v", i, useStatic, res.Bug)
-		}
-	}
-}
+// deferringSpec is a monitor that defers, which monitors cannot.
+type deferringSpec struct{ psharp.StaticBase }
+
+func (*deferringSpec) ConfigureType(sc *psharp.Schema) { sc.Start("S").Defer(&mtReq{}) }
 
 // TestMonitorDeferRejected checks that Defer bindings are rejected in
 // monitor schemas: monitors have no queue to defer into.
 func TestMonitorDeferRejected(t *testing.T) {
 	r := psharp.NewRuntime()
-	err := r.RegisterMonitor("Deferred", func() psharp.Machine {
-		return psharp.StaticMachineFunc(func(sc *psharp.Schema) {
-			sc.Start("S").Defer(&mtReq{})
-		})
-	})
+	err := r.RegisterMonitor("Deferred", func() psharp.Machine { return &deferringSpec{} })
 	if err == nil || !strings.Contains(err.Error(), "no queue") {
 		t.Fatalf("RegisterMonitor accepted a Defer binding: err = %v", err)
 	}

@@ -60,11 +60,19 @@ func mustWait(t *testing.T, r *psharp.Runtime) {
 	}
 }
 
-// register declares a closure-form machine type with one state.
+// oneState is a static machine type with one state, Run, whose bindings its
+// configure field makes: the same on every instance, over state the test
+// shares with all of them.
+type oneState struct {
+	psharp.StaticBase
+	configure func(*psharp.StateBuilder)
+}
+
+func (probe *oneState) ConfigureType(sc *psharp.Schema) { probe.configure(sc.Start("Run")) }
+
+// register declares a oneState machine type.
 func register(r *psharp.Runtime, name string, configure func(*psharp.StateBuilder)) {
-	r.MustRegister(name, func() psharp.Machine {
-		return psharp.MachineFunc(func(sc *psharp.Schema) { configure(sc.Start("Run")) })
-	})
+	r.MustRegister(name, func() psharp.Machine { return &oneState{configure: configure} })
 }
 
 // TestProductionQuiescentRuntimeOwnsNoGoroutine: after Wait — and without
@@ -76,7 +84,7 @@ func TestProductionQuiescentRuntimeOwnsNoGoroutine(t *testing.T) {
 	var handled atomic.Int64
 	r := psharp.NewRuntime()
 	register(r, "Idle", func(s *psharp.StateBuilder) {
-		s.OnEventDo(&evKick{}, func(*psharp.Context, psharp.Event) { handled.Add(1) })
+		s.OnEventDoM(&evKick{}, func(psharp.Machine, *psharp.Context, psharp.Event) { handled.Add(1) })
 	})
 	ids := make([]psharp.MachineID, machines)
 	for i := range ids {
@@ -106,7 +114,7 @@ func TestProductionQuiescentRuntimeIsCollectable(t *testing.T) {
 		runtime.SetFinalizer(state, func(*[64]int) { close(collected) })
 		r := psharp.NewRuntime()
 		register(r, "M", func(s *psharp.StateBuilder) {
-			s.OnEventDo(&evKick{}, func(*psharp.Context, psharp.Event) { state[0]++ })
+			s.OnEventDoM(&evKick{}, func(psharp.Machine, *psharp.Context, psharp.Event) { state[0]++ })
 		})
 		mustSend(t, r, r.MustCreate("M", nil), &evKick{})
 		mustWait(t, r)
@@ -132,7 +140,7 @@ func TestProductionStopDuringSendStorm(t *testing.T) {
 	r := psharp.NewRuntime()
 	var next [4]psharp.MachineID
 	register(r, "Relay", func(s *psharp.StateBuilder) {
-		s.OnEventDo(&evNum{}, func(ctx *psharp.Context, ev psharp.Event) {
+		s.OnEventDoM(&evNum{}, func(_ psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
 			if n := ev.(*evNum).N; n > 0 {
 				ctx.Send(next[n%len(next)], &evNum{N: n - 1})
 			}
@@ -167,6 +175,40 @@ func TestProductionStopDuringSendStorm(t *testing.T) {
 	}
 }
 
+// fifoSink checks that each sender's evNum events arrive in order, once
+// each, and never two handlers at a time; every pauseEvery events it spends
+// a while in a state deferring them. It counts into the test's variables.
+type fifoSink struct {
+	psharp.StaticBase
+	pauseEvery int
+	inHandler  *atomic.Int32
+	got        *int
+	nextFrom   map[psharp.MachineID]int
+	pauses     *int
+}
+
+func (*fifoSink) ConfigureType(sc *psharp.Schema) {
+	sc.Start("Open").
+		OnEventDoM(&evNum{}, func(m psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
+			s := m.(*fifoSink)
+			ctx.Assert(s.inHandler.Add(1) == 1, "two handlers of the sink at once")
+			e := ev.(*evNum)
+			ctx.Assert(e.N == s.nextFrom[e.From], "%s: event %d arrived in position %d", e.From, e.N, s.nextFrom[e.From])
+			s.nextFrom[e.From]++
+			if *s.got++; *s.got%s.pauseEvery == 0 {
+				ctx.Goto("Paused")
+			}
+			s.inHandler.Add(-1)
+		})
+	sc.State("Paused").
+		OnEntryM(func(m psharp.Machine, ctx *psharp.Context, _ psharp.Event) {
+			*m.(*fifoSink).pauses++
+			ctx.Send(ctx.ID(), &evKick{}) // queued behind what is waiting already
+		}).
+		Defer(&evNum{}).
+		OnEventGoto(&evKick{}, "Open")
+}
+
 // TestProductionFIFOAndExactlyOnce: three machines each send 50 000 numbered
 // events to one sink that, every so often, spends a while in a state deferring
 // them. Events of one sender arrive in send order, each exactly once; the
@@ -181,29 +223,10 @@ func TestProductionFIFOAndExactlyOnce(t *testing.T) {
 	)
 	r := psharp.NewRuntime()
 	r.MustRegister("Sink", func() psharp.Machine {
-		return psharp.MachineFunc(func(sc *psharp.Schema) {
-			sc.Start("Open").
-				OnEventDo(&evNum{}, func(ctx *psharp.Context, ev psharp.Event) {
-					ctx.Assert(inHandler.Add(1) == 1, "two handlers of the sink at once")
-					e := ev.(*evNum)
-					ctx.Assert(e.N == nextFrom[e.From], "%s: event %d arrived in position %d", e.From, e.N, nextFrom[e.From])
-					nextFrom[e.From]++
-					if got++; got%pauseEvery == 0 {
-						ctx.Goto("Paused")
-					}
-					inHandler.Add(-1)
-				})
-			sc.State("Paused").
-				OnEntry(func(ctx *psharp.Context, _ psharp.Event) {
-					pauses++
-					ctx.Send(ctx.ID(), &evKick{}) // queued behind what is waiting already
-				}).
-				Defer(&evNum{}).
-				OnEventGoto(&evKick{}, "Open")
-		})
+		return &fifoSink{pauseEvery: pauseEvery, inHandler: &inHandler, got: &got, nextFrom: nextFrom, pauses: &pauses}
 	})
 	register(r, "Sender", func(s *psharp.StateBuilder) {
-		s.OnEventDo(&evTarget{}, func(ctx *psharp.Context, ev psharp.Event) {
+		s.OnEventDoM(&evTarget{}, func(_ psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
 			for n := 0; n < each; n++ {
 				ctx.Send(ev.(*evTarget).ID, &evNum{From: ctx.ID(), N: n})
 			}
@@ -235,13 +258,13 @@ func TestProductionWaitCoversAllOutstandingWork(t *testing.T) {
 	var entered, handled atomic.Int32
 	r := psharp.NewRuntime()
 	register(r, "M", func(s *psharp.StateBuilder) {
-		s.OnEntry(func(*psharp.Context, psharp.Event) {
+		s.OnEntryM(func(psharp.Machine, *psharp.Context, psharp.Event) {
 			time.Sleep(20 * time.Millisecond)
 			entered.Add(1)
 		}).
 			Ignore(&evA{}).
-			OnEventDo(&evB{}, func(*psharp.Context, psharp.Event) { handled.Add(1) }).
-			OnEventDo(&evC{}, func(ctx *psharp.Context, _ psharp.Event) { ctx.Halt() })
+			OnEventDoM(&evB{}, func(psharp.Machine, *psharp.Context, psharp.Event) { handled.Add(1) }).
+			OnEventDoM(&evC{}, func(_ psharp.Machine, ctx *psharp.Context, _ psharp.Event) { ctx.Halt() })
 	})
 	id := r.MustCreate("M", nil)
 	mustWait(t, r)
@@ -267,9 +290,9 @@ func TestProductionWaitCoversAllOutstandingWork(t *testing.T) {
 func TestProductionFirstFailureWins(t *testing.T) {
 	r := psharp.NewRuntime()
 	register(r, "M", func(s *psharp.StateBuilder) {
-		s.OnEventDo(&evA{}, func(ctx *psharp.Context, _ psharp.Event) {
+		s.OnEventDoM(&evA{}, func(_ psharp.Machine, ctx *psharp.Context, _ psharp.Event) {
 			ctx.Assert(false, "first")
-		}).OnEventDo(&evB{}, func(ctx *psharp.Context, _ psharp.Event) {
+		}).OnEventDoM(&evB{}, func(_ psharp.Machine, ctx *psharp.Context, _ psharp.Event) {
 			for r.Failure() == nil {
 				time.Sleep(time.Millisecond)
 			}
@@ -301,7 +324,7 @@ func TestActivationRingStaysOnOneGoroutine(t *testing.T) {
 	ran := make(map[string]int)
 	r := psharp.NewRuntime()
 	register(r, "Relay", func(s *psharp.StateBuilder) {
-		s.OnEventDo(&evNum{}, func(ctx *psharp.Context, ev psharp.Event) {
+		s.OnEventDoM(&evNum{}, func(_ psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
 			ran[goid()]++ // one goroutine at a time, or the race detector objects
 			if n := ev.(*evNum).N; n > 1 {
 				ctx.Send(ids[(n-1)%relays], &evNum{N: n - 1})
@@ -334,10 +357,10 @@ func TestActivationFanOutStartsEveryWokenMachine(t *testing.T) {
 	var ids [leaves]psharp.MachineID
 	r := psharp.NewRuntime()
 	register(r, "Leaf", func(s *psharp.StateBuilder) {
-		s.OnEventDo(&evNum{}, func(_ *psharp.Context, ev psharp.Event) { leaf[ev.(*evNum).N] = goid() })
+		s.OnEventDoM(&evNum{}, func(_ psharp.Machine, _ *psharp.Context, ev psharp.Event) { leaf[ev.(*evNum).N] = goid() })
 	})
 	register(r, "Hub", func(s *psharp.StateBuilder) {
-		s.OnEventDo(&evKick{}, func(ctx *psharp.Context, _ psharp.Event) {
+		s.OnEventDoM(&evKick{}, func(_ psharp.Machine, ctx *psharp.Context, _ psharp.Event) {
 			hub = goid()
 			for i, id := range ids {
 				ctx.Send(id, &evNum{N: i})
@@ -372,13 +395,13 @@ func TestActivationBusyWakerDoesNotHoldTheWokenBack(t *testing.T) {
 	release, woken := make(chan struct{}), make(chan struct{})
 	r := psharp.NewRuntime()
 	register(r, "Woken", func(s *psharp.StateBuilder) {
-		s.OnEventDo(&evKick{}, func(*psharp.Context, psharp.Event) { close(woken) })
+		s.OnEventDoM(&evKick{}, func(psharp.Machine, *psharp.Context, psharp.Event) { close(woken) })
 	})
 	register(r, "Waker", func(s *psharp.StateBuilder) {
-		s.OnEventDo(&evA{}, func(ctx *psharp.Context, _ psharp.Event) {
+		s.OnEventDoM(&evA{}, func(_ psharp.Machine, ctx *psharp.Context, _ psharp.Event) {
 			<-release // until the backlog below is in the mailbox
 			ctx.Send(target, &evKick{})
-		}).OnEventDo(&evB{}, func(*psharp.Context, psharp.Event) {
+		}).OnEventDoM(&evB{}, func(psharp.Machine, *psharp.Context, psharp.Event) {
 			select {
 			case <-woken:
 			case <-time.After(10 * time.Second):
@@ -403,10 +426,10 @@ func TestActivationWakerHaltsAfterWaking(t *testing.T) {
 	var wakerG, wokenG string
 	r := psharp.NewRuntime()
 	register(r, "Woken", func(s *psharp.StateBuilder) {
-		s.OnEventDo(&evKick{}, func(*psharp.Context, psharp.Event) { wokenG = goid() })
+		s.OnEventDoM(&evKick{}, func(psharp.Machine, *psharp.Context, psharp.Event) { wokenG = goid() })
 	})
 	register(r, "Waker", func(s *psharp.StateBuilder) {
-		s.OnEventDo(&evKick{}, func(ctx *psharp.Context, _ psharp.Event) {
+		s.OnEventDoM(&evKick{}, func(_ psharp.Machine, ctx *psharp.Context, _ psharp.Event) {
 			wakerG = goid()
 			ctx.Send(target, &evKick{})
 			ctx.Halt()
@@ -436,10 +459,10 @@ func TestActivationWakerFailsAfterWaking(t *testing.T) {
 		r := psharp.NewRuntime()
 		register(r, "Woken", func(s *psharp.StateBuilder) { s.Ignore(&evKick{}) })
 		register(r, "Born", func(s *psharp.StateBuilder) {
-			s.OnEntry(func(*psharp.Context, psharp.Event) { close(born) })
+			s.OnEntryM(func(psharp.Machine, *psharp.Context, psharp.Event) { close(born) })
 		})
 		register(r, "Waker", func(s *psharp.StateBuilder) {
-			s.OnEventDo(&evKick{}, func(ctx *psharp.Context, _ psharp.Event) {
+			s.OnEventDoM(&evKick{}, func(_ psharp.Machine, ctx *psharp.Context, _ psharp.Event) {
 				ctx.CreateMachine("Born", nil)
 				ctx.Send(target, &evKick{})
 				ctx.Assert(!assert, "boom")
@@ -464,5 +487,103 @@ func TestActivationWakerFailsAfterWaking(t *testing.T) {
 			t.Fatal("the machine the failing handler created was never started")
 		}
 		drained(t, baseline, "after the waker failed")
+	}
+}
+
+// The relay ring of the production benchmark: n machines pass one token
+// around, and every hop folds step into its checksum.
+type ringHop struct {
+	psharp.EventBase
+	Left int
+	Sum  uint64
+}
+
+type ringWire struct {
+	psharp.EventBase
+	Next psharp.MachineID
+}
+
+// ringEnd is what the machine that found the token spent recorded.
+type ringEnd struct {
+	delivered int
+	sum       uint64
+}
+
+// ringRelay is the static twin of relayRing's closure-form relay.
+type ringRelay struct {
+	psharp.StaticBase
+	next psharp.MachineID
+	hops int
+	step uint64
+	end  *ringEnd
+}
+
+func (*ringRelay) ConfigureType(sc *psharp.Schema) {
+	sc.Start("Run").
+		OnEventDoM(&ringWire{}, func(m psharp.Machine, _ *psharp.Context, ev psharp.Event) {
+			m.(*ringRelay).next = ev.(*ringWire).Next
+		}).
+		OnEventDoM(&ringHop{}, func(m psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
+			r, t := m.(*ringRelay), ev.(*ringHop)
+			if t.Left == 0 {
+				*r.end = ringEnd{delivered: r.hops, sum: t.Sum}
+				return
+			}
+			ctx.Send(r.next, &ringHop{Left: t.Left - 1, Sum: t.Sum*31 + r.step})
+		})
+}
+
+// relayRing runs hops hops around a ring of n relays on a production
+// runtime, declared in the closure form or, with static, as ringRelay.
+func relayRing(t *testing.T, static bool, n, hops int, step uint64) ringEnd {
+	t.Helper()
+	var end ringEnd
+	r := psharp.NewRuntime()
+	defer r.Stop()
+	r.MustRegister("Relay", func() psharp.Machine {
+		if static {
+			return &ringRelay{hops: hops, step: step, end: &end}
+		}
+		var next psharp.MachineID
+		return psharp.MachineFunc(func(sc *psharp.Schema) {
+			sc.Start("Run").
+				OnEventDo(&ringWire{}, func(_ *psharp.Context, ev psharp.Event) { next = ev.(*ringWire).Next }).
+				OnEventDo(&ringHop{}, func(ctx *psharp.Context, ev psharp.Event) {
+					t := ev.(*ringHop)
+					if t.Left == 0 {
+						end = ringEnd{delivered: hops, sum: t.Sum}
+						return
+					}
+					ctx.Send(next, &ringHop{Left: t.Left - 1, Sum: t.Sum*31 + step})
+				})
+		})
+	})
+	ids := make([]psharp.MachineID, n)
+	for i := range ids {
+		ids[i] = r.MustCreate("Relay", nil)
+	}
+	for i, id := range ids {
+		mustSend(t, r, id, &ringWire{Next: ids[(i+1)%n]})
+	}
+	mustWait(t, r)
+	mustSend(t, r, ids[0], &ringHop{Left: hops})
+	mustWait(t, r)
+	return end
+}
+
+// TestProductionDeclarationFormsRelayAlike: the relay ring declared in the
+// closure form, whose handlers OnEventDo adapts to the one action slot, and
+// in the static form deliver the same hop count and checksum.
+func TestProductionDeclarationFormsRelayAlike(t *testing.T) {
+	const relays, step = 16, 0x9e3779b9
+	for _, hops := range []int{1, 17, 5_000} {
+		var want uint64
+		for i := 0; i < hops; i++ {
+			want = want*31 + step
+		}
+		closure, static := relayRing(t, false, relays, hops, step), relayRing(t, true, relays, hops, step)
+		if closure != static || closure != (ringEnd{delivered: hops, sum: want}) {
+			t.Fatalf("%d hops: closure form %+v, static form %+v, want %d hops and checksum %x", hops, closure, static, hops, want)
+		}
 	}
 }

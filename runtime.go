@@ -63,8 +63,8 @@ type Runtime struct {
 	// machine instances with no Seq that observe every send and raise
 	// synchronously instead of being scheduled.
 	monitors []*machineInstance
-	// monitorSchemas binds monitor names to compiled schemas as schemas binds
-	// machine types (bindLocked): the two name spaces are apart.
+	// monitorSchemas binds monitor names to their static schemas as schemas
+	// binds machine types: the two name spaces are apart.
 	monitorSchemas map[string]*compiledSchema
 	// monMu guards monitors (list and dispatch) in production mode, where
 	// machines send concurrently with each other and with registration; the
@@ -143,8 +143,8 @@ func validateTypeName(op, name string) error {
 // static type compiles once per process per probe value, not once per
 // Runtime, and every create reuses the frozen form. Invalid static schemas
 // are reported by Register, not create, on every Register: a failed compile
-// is never kept. Closure-form types are probed once to record the form and
-// keep compiling per instance.
+// is never kept. Closure-form (MachineFunc) types are probed once to record
+// the form and keep compiling per instance.
 //
 // Because of the probe, the factory must be a pure constructor: it runs
 // once here with the instance discarded, so a factory with side effects
@@ -163,29 +163,21 @@ func (r *Runtime) Register(name string, factory func() Machine) error {
 		return fmt.Errorf("psharp: machine type %q registered twice", name)
 	}
 	if _, known := r.schemas[name]; !known {
-		if _, err := r.bindLocked(r.schemas, name, factory(), false); err != nil {
-			return err
+		// Bound to the process's schema for the probe's value if it is
+		// static, or to nil, which records the closure form, whose schema is
+		// built per instance (compileInstanceLocked). A failed compile binds
+		// nothing.
+		var cs *compiledSchema
+		if sm, ok := factory().(StaticMachine); ok {
+			var err error
+			if cs, err = r.staticSchemaLocked(name, sm, false); err != nil {
+				return err
+			}
 		}
+		r.schemas[name] = cs
 	}
 	r.factories[name] = factory
 	return nil
-}
-
-// bindLocked binds name, seen for the first time on this Runtime, in table
-// (schemas or monitorSchemas): to the process's schema for probe's value if
-// probe is static, or to nil, which records the closure form, whose schema is
-// built per instance (compileInstanceLocked). A failed compile binds nothing.
-// Caller holds r.mu.
-func (r *Runtime) bindLocked(table map[string]*compiledSchema, name string, probe Machine, monitor bool) (*compiledSchema, error) {
-	var cs *compiledSchema
-	if sm, ok := probe.(StaticMachine); ok {
-		var err error
-		if cs, err = r.staticSchemaLocked(name, sm, monitor); err != nil {
-			return nil, err
-		}
-	}
-	table[name] = cs
-	return cs, nil
 }
 
 // staticSchemaLocked resolves a static declaration through the process-wide
@@ -268,7 +260,7 @@ func (r *Runtime) create(machineType string, payload Event, creator *machineInst
 		// Static types never reach here — their frozen schema was compiled
 		// at registration.
 		var err error
-		schema, err = r.compileInstanceLocked(machineType, logic, false)
+		schema, err = r.compileInstanceLocked(machineType, logic)
 		if err != nil {
 			r.unlock()
 			return MachineID{}, err
@@ -336,18 +328,18 @@ func (r *Runtime) wake(m, waker *machineInstance) {
 }
 
 // compileInstanceLocked builds, validates and freezes a schema for one
-// machine or monitor instance whose name is bound to the closure form: the
-// closure declaration form's per-instance cost. Static logic under such a
-// name — a form that changed between registrations — gets its type's schema
-// instead: StaticBase.Configure would panic. Caller holds r.mu.
-func (r *Runtime) compileInstanceLocked(name string, logic Machine, monitor bool) (*compiledSchema, error) {
+// machine whose type is bound to the closure form: the closure declaration
+// form's per-instance cost. Static logic under such a name — a form that
+// changed between registrations — gets its type's schema instead:
+// StaticBase.Configure would panic. Caller holds r.mu.
+func (r *Runtime) compileInstanceLocked(name string, logic Machine) (*compiledSchema, error) {
 	if sm, ok := logic.(StaticMachine); ok {
-		return r.staticSchemaLocked(name, sm, monitor)
+		return r.staticSchemaLocked(name, sm, false)
 	}
 	s := newSchema()
 	logic.Configure(s)
 	r.schemaCompiles++
-	return s.compile(name, monitor)
+	return s.compile(name, false)
 }
 
 // enqueue routes an event to target's queue. sm is the sending machine, nil

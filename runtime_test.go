@@ -1,6 +1,7 @@
 package psharp_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -22,15 +23,20 @@ type evNote struct {
 	Tag string
 }
 
-// recorder appends tags of every note it receives.
-type recorder struct{ log *[]string }
-
-func (m *recorder) Configure(sc *psharp.Schema) {
-	sc.Start("Recording").
-		OnEventDo(&evNote{}, func(ctx *psharp.Context, ev psharp.Event) {
-			*m.log = append(*m.log, ev.(*evNote).Tag)
-		})
+// logged is embedded by the test machines and monitors that append what they
+// do to a log their test reads; its StaticBase makes them static.
+type logged struct {
+	psharp.StaticBase
+	log *[]string
 }
+
+// note appends a line to the log of m, which embeds logged.
+func note(m psharp.Machine, format string, args ...any) {
+	l := m.(interface{ logTo() *[]string }).logTo()
+	*l = append(*l, fmt.Sprintf(format, args...))
+}
+
+func (l *logged) logTo() *[]string { return l.log }
 
 // runOne executes a single serialized iteration with a deterministic
 // (first-enabled) schedule.
@@ -41,26 +47,84 @@ func runOne(t *testing.T, setup func(*psharp.Runtime)) psharp.IterationResult {
 	return psharp.RunTest(setup, psharp.TestConfig{Strategy: dfs, MaxSteps: 10000})
 }
 
+// gate defers evA until evB opens it, then notes each evA.
+type gate struct{ logged }
+
+func (*gate) ConfigureType(sc *psharp.Schema) {
+	sc.Start("Closed").
+		Defer(&evA{}).
+		OnEventGoto(&evB{}, "Open")
+	sc.State("Open").
+		OnEventDoM(&evA{}, func(m psharp.Machine, _ *psharp.Context, _ psharp.Event) { note(m, "A") })
+}
+
+// ignorer ignores evA and notes each evB.
+type ignorer struct{ logged }
+
+func (*ignorer) ConfigureType(sc *psharp.Schema) {
+	sc.Start("S").
+		Ignore(&evA{}).
+		OnEventDoM(&evB{}, func(m psharp.Machine, _ *psharp.Context, _ psharp.Event) { note(m, "B") })
+}
+
+// mute handles nothing.
+type mute struct{ psharp.StaticBase }
+
+func (*mute) ConfigureType(sc *psharp.Schema) { sc.Start("S") }
+
+// raiser notes each event it handles and raises evC on evA.
+type raiser struct{ logged }
+
+func (*raiser) ConfigureType(sc *psharp.Schema) {
+	sc.Start("S").
+		OnEventDoM(&evA{}, func(m psharp.Machine, ctx *psharp.Context, _ psharp.Event) {
+			note(m, "A")
+			ctx.Raise(&evC{})
+		}).
+		OnEventDoM(&evB{}, func(m psharp.Machine, _ *psharp.Context, _ psharp.Event) { note(m, "B") }).
+		OnEventDoM(&evC{}, func(m psharp.Machine, _ *psharp.Context, _ psharp.Event) { note(m, "C") })
+}
+
+// halter notes an evA and halts.
+type halter struct{ logged }
+
+func (*halter) ConfigureType(sc *psharp.Schema) {
+	sc.Start("S").
+		OnEventDoM(&evA{}, func(m psharp.Machine, ctx *psharp.Context, _ psharp.Event) {
+			note(m, "A")
+			ctx.Halt()
+		})
+}
+
+// exitEntry notes leaving S1 and entering S2 on the note that moves it.
+type exitEntry struct{ logged }
+
+func (*exitEntry) ConfigureType(sc *psharp.Schema) {
+	sc.Start("S1").
+		OnExitM(func(m psharp.Machine, _ *psharp.Context) { note(m, "exit-S1") }).
+		OnEventGoto(&evNote{}, "S2")
+	sc.State("S2").
+		OnEntryM(func(m psharp.Machine, _ *psharp.Context, ev psharp.Event) {
+			note(m, "entry-S2:%s", ev.(*evNote).Tag)
+		})
+}
+
+// doubleBound binds evA twice in one state.
+type doubleBound struct{ psharp.StaticBase }
+
+func (*doubleBound) ConfigureType(sc *psharp.Schema) {
+	sc.Start("S").
+		OnEventDoM(&evA{}, func(psharp.Machine, *psharp.Context, psharp.Event) {}).
+		OnEventGoto(&evA{}, "S")
+}
+
 // TestDeferHoldsEventUntilStateChange checks the transition-function
 // semantics: deferred events stay queued and are delivered after a state
 // change, in order.
 func TestDeferHoldsEventUntilStateChange(t *testing.T) {
 	var log []string
-	type gate struct{ log *[]string }
-	configure := func(g *gate, sc *psharp.Schema) {
-		sc.Start("Closed").
-			Defer(&evA{}).
-			OnEventGoto(&evB{}, "Open")
-		sc.State("Open").
-			OnEventDo(&evA{}, func(ctx *psharp.Context, ev psharp.Event) {
-				*g.log = append(*g.log, "A")
-			})
-	}
 	res := runOne(t, func(r *psharp.Runtime) {
-		r.MustRegister("Gate", func() psharp.Machine {
-			g := &gate{log: &log}
-			return psharp.MachineFunc(func(sc *psharp.Schema) { configure(g, sc) })
-		})
+		r.MustRegister("Gate", func() psharp.Machine { return &gate{logged{log: &log}} })
 		id := r.MustCreate("Gate", nil)
 		for i := 0; i < 2; i++ {
 			if err := r.SendEvent(id, &evA{}); err != nil {
@@ -81,15 +145,9 @@ func TestDeferHoldsEventUntilStateChange(t *testing.T) {
 
 // TestIgnoreDropsEvents checks that ignored events are silently discarded.
 func TestIgnoreDropsEvents(t *testing.T) {
-	handled := 0
+	var log []string
 	res := runOne(t, func(r *psharp.Runtime) {
-		r.MustRegister("M", func() psharp.Machine {
-			return psharp.MachineFunc(func(sc *psharp.Schema) {
-				sc.Start("S").
-					Ignore(&evA{}).
-					OnEventDo(&evB{}, func(ctx *psharp.Context, ev psharp.Event) { handled++ })
-			})
-		})
+		r.MustRegister("M", func() psharp.Machine { return &ignorer{logged{log: &log}} })
 		id := r.MustCreate("M", nil)
 		mustSend(t, r, id, &evA{})
 		mustSend(t, r, id, &evB{})
@@ -98,19 +156,15 @@ func TestIgnoreDropsEvents(t *testing.T) {
 	if res.Bug != nil {
 		t.Fatalf("bug: %v", res.Bug)
 	}
-	if handled != 1 {
-		t.Fatalf("handled = %d, want 1", handled)
+	if got := strings.Join(log, ","); got != "B" {
+		t.Fatalf("handled %q, want \"B\"", got)
 	}
 }
 
 // TestUnhandledEventIsBug checks the Section 6.1 runtime error.
 func TestUnhandledEventIsBug(t *testing.T) {
 	res := runOne(t, func(r *psharp.Runtime) {
-		r.MustRegister("M", func() psharp.Machine {
-			return psharp.MachineFunc(func(sc *psharp.Schema) {
-				sc.Start("S")
-			})
-		})
+		r.MustRegister("M", func() psharp.Machine { return &mute{} })
 		id := r.MustCreate("M", nil)
 		mustSend(t, r, id, &evA{})
 	})
@@ -124,21 +178,7 @@ func TestUnhandledEventIsBug(t *testing.T) {
 func TestRaiseBypassesQueue(t *testing.T) {
 	var log []string
 	res := runOne(t, func(r *psharp.Runtime) {
-		r.MustRegister("M", func() psharp.Machine {
-			return psharp.MachineFunc(func(sc *psharp.Schema) {
-				sc.Start("S").
-					OnEventDo(&evA{}, func(ctx *psharp.Context, ev psharp.Event) {
-						log = append(log, "A")
-						ctx.Raise(&evC{})
-					}).
-					OnEventDo(&evB{}, func(ctx *psharp.Context, ev psharp.Event) {
-						log = append(log, "B")
-					}).
-					OnEventDo(&evC{}, func(ctx *psharp.Context, ev psharp.Event) {
-						log = append(log, "C")
-					})
-			})
-		})
+		r.MustRegister("M", func() psharp.Machine { return &raiser{logged{log: &log}} })
 		id := r.MustCreate("M", nil)
 		mustSend(t, r, id, &evA{})
 		mustSend(t, r, id, &evB{})
@@ -153,17 +193,9 @@ func TestRaiseBypassesQueue(t *testing.T) {
 
 // TestHaltDropsQueueAndLaterSends checks halt semantics.
 func TestHaltDropsQueueAndLaterSends(t *testing.T) {
-	handled := 0
+	var log []string
 	res := runOne(t, func(r *psharp.Runtime) {
-		r.MustRegister("M", func() psharp.Machine {
-			return psharp.MachineFunc(func(sc *psharp.Schema) {
-				sc.Start("S").
-					OnEventDo(&evA{}, func(ctx *psharp.Context, ev psharp.Event) {
-						handled++
-						ctx.Halt()
-					})
-			})
-		})
+		r.MustRegister("M", func() psharp.Machine { return &halter{logged{log: &log}} })
 		id := r.MustCreate("M", nil)
 		mustSend(t, r, id, &evA{})
 		mustSend(t, r, id, &evA{})
@@ -172,8 +204,8 @@ func TestHaltDropsQueueAndLaterSends(t *testing.T) {
 	if res.Bug != nil {
 		t.Fatalf("bug: %v", res.Bug)
 	}
-	if handled != 1 {
-		t.Fatalf("handled = %d, want 1 (halt drops the queue)", handled)
+	if len(log) != 1 {
+		t.Fatalf("handled %d events, want 1 (halt drops the queue)", len(log))
 	}
 }
 
@@ -182,17 +214,7 @@ func TestHaltDropsQueueAndLaterSends(t *testing.T) {
 func TestGotoRunsExitAndEntry(t *testing.T) {
 	var log []string
 	res := runOne(t, func(r *psharp.Runtime) {
-		r.MustRegister("M", func() psharp.Machine {
-			return psharp.MachineFunc(func(sc *psharp.Schema) {
-				sc.Start("S1").
-					OnExit(func(ctx *psharp.Context) { log = append(log, "exit-S1") }).
-					OnEventGoto(&evNote{}, "S2")
-				sc.State("S2").
-					OnEntry(func(ctx *psharp.Context, ev psharp.Event) {
-						log = append(log, "entry-S2:"+ev.(*evNote).Tag)
-					})
-			})
-		})
+		r.MustRegister("M", func() psharp.Machine { return &exitEntry{logged{log: &log}} })
 		id := r.MustCreate("M", nil)
 		mustSend(t, r, id, &evNote{Tag: "x"})
 	})
@@ -208,17 +230,10 @@ func TestGotoRunsExitAndEntry(t *testing.T) {
 // configuration time.
 func TestDuplicateBindingRejected(t *testing.T) {
 	r := psharp.NewRuntime()
-	r.MustRegister("M", func() psharp.Machine {
-		return psharp.MachineFunc(func(sc *psharp.Schema) {
-			sc.Start("S").
-				OnEventDo(&evA{}, func(ctx *psharp.Context, ev psharp.Event) {}).
-				OnEventGoto(&evA{}, "S")
-		})
-	})
-	if _, err := r.CreateMachine("M", nil); err == nil {
+	defer r.Stop()
+	if err := r.Register("M", func() psharp.Machine { return &doubleBound{} }); err == nil {
 		t.Fatal("want a schema validation error for the double binding")
 	}
-	r.Stop()
 }
 
 // TestTraceRoundTrip checks the trace encoding used for replay files.
@@ -266,23 +281,49 @@ type evSeq struct {
 	N int
 }
 
-// backlogSetup starts a production runtime with one machine whose schema
-// gets two actions: hold, an entry action that does not return until release
-// is closed, so that everything sent meanwhile piles up in the mailbox, and
-// handle, which requires evSeq events to arrive in sending order. got counts
-// the events handled.
-func backlogSetup(schema func(sc *psharp.Schema, hold, handle psharp.Action)) (r *psharp.Runtime, id psharp.MachineID, release chan struct{}, got *int) {
-	release, got = make(chan struct{}), new(int)
-	hold := func(*psharp.Context, psharp.Event) { <-release }
-	handle := func(ctx *psharp.Context, ev psharp.Event) {
-		ctx.Assert(ev.(*evSeq).N == *got, "event %d arrived in position %d", ev.(*evSeq).N, *got)
-		*got++
+// consumer is the one machine of the mailbox tests: its entry action does
+// not return until release is closed, so that everything sent meanwhile piles
+// up in the mailbox, and it requires evSeq events to arrive in sending order,
+// counting them in got. With deferHead it also defers evA until evB takes it
+// to Done, which notes each evA and evC in tail.
+type consumer struct {
+	psharp.StaticBase
+	release   chan struct{}
+	got       *int
+	tail      *[]string
+	deferHead bool
+}
+
+func (probe *consumer) ConfigureType(sc *psharp.Schema) {
+	draining := sc.Start("Draining").
+		OnEntryM(func(m psharp.Machine, _ *psharp.Context, _ psharp.Event) { <-m.(*consumer).release }).
+		OnEventDoM(&evSeq{}, func(m psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
+			c := m.(*consumer)
+			ctx.Assert(ev.(*evSeq).N == *c.got, "event %d arrived in position %d", ev.(*evSeq).N, *c.got)
+			*c.got++
+		})
+	if !probe.deferHead {
+		return
 	}
+	draining.Defer(&evA{}).OnEventGoto(&evB{}, "Done")
+	tail := func(s string) psharp.MachineAction {
+		return func(m psharp.Machine, _ *psharp.Context, _ psharp.Event) {
+			c := m.(*consumer)
+			*c.tail = append(*c.tail, s)
+		}
+	}
+	sc.State("Done").OnEventDoM(&evA{}, tail("a")).OnEventDoM(&evC{}, tail("c"))
+}
+
+// backlogSetup starts a production runtime with one consumer.
+func backlogSetup(deferHead bool) (r *psharp.Runtime, id psharp.MachineID, c *consumer) {
+	c = &consumer{release: make(chan struct{}), got: new(int), tail: new([]string), deferHead: deferHead}
 	r = psharp.NewRuntime()
 	r.MustRegister("Consumer", func() psharp.Machine {
-		return psharp.MachineFunc(func(sc *psharp.Schema) { schema(sc, hold, handle) })
+		m := *c
+		return &m
 	})
-	return r, r.MustCreate("Consumer", nil), release, got
+	return r, r.MustCreate("Consumer", nil), c
 }
 
 // TestMailboxDrainIsLinear feeds one production-mode machine a backlog of
@@ -291,20 +332,18 @@ func backlogSetup(schema func(sc *psharp.Schema, hold, handle psharp.Action)) (r
 // whole backlog down instead, this drain moved 1.4 TB and took minutes.
 func TestMailboxDrainIsLinear(t *testing.T) {
 	const backlog = 200_000
-	r, id, release, got := backlogSetup(func(sc *psharp.Schema, hold, handle psharp.Action) {
-		sc.Start("Draining").OnEntry(hold).OnEventDo(&evSeq{}, handle)
-	})
+	r, id, c := backlogSetup(false)
 	for i := 0; i < backlog; i++ {
 		mustSend(t, r, id, &evSeq{N: i})
 	}
 	start := time.Now()
-	close(release)
+	close(c.release)
 	if err := r.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	r.Stop()
-	if *got != backlog {
-		t.Fatalf("handled %d events of %d", *got, backlog)
+	if *c.got != backlog {
+		t.Fatalf("handled %d events of %d", *c.got, backlog)
 	}
 	// Linear is tens of milliseconds; the bound only has to tell it from
 	// quadratic on a slow, loaded machine.
@@ -319,29 +358,19 @@ func TestMailboxDrainIsLinear(t *testing.T) {
 // it is delivered before anything sent later.
 func TestMailboxKeepsOrderAroundDeferredHead(t *testing.T) {
 	const backlog = 2000
-	var tail []string
-	r, id, release, got := backlogSetup(func(sc *psharp.Schema, hold, handle psharp.Action) {
-		sc.Start("Draining").
-			OnEntry(hold).
-			Defer(&evA{}).
-			OnEventDo(&evSeq{}, handle).
-			OnEventGoto(&evB{}, "Done")
-		sc.State("Done").
-			OnEventDo(&evA{}, func(*psharp.Context, psharp.Event) { tail = append(tail, "a") }).
-			OnEventDo(&evC{}, func(*psharp.Context, psharp.Event) { tail = append(tail, "c") })
-	})
+	r, id, c := backlogSetup(true)
 	mustSend(t, r, id, &evA{})
 	for i := 0; i < backlog; i++ {
 		mustSend(t, r, id, &evSeq{N: i})
 	}
 	mustSend(t, r, id, &evB{})
 	mustSend(t, r, id, &evC{})
-	close(release)
+	close(c.release)
 	if err := r.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	r.Stop()
-	if *got != backlog || strings.Join(tail, "") != "ac" {
-		t.Fatalf("handled %d of %d in-order events, then %v; want all of them, then the deferred event before the later one", *got, backlog, tail)
+	if *c.got != backlog || strings.Join(*c.tail, "") != "ac" {
+		t.Fatalf("handled %d of %d in-order events, then %v; want all of them, then the deferred event before the later one", *c.got, backlog, *c.tail)
 	}
 }

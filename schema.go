@@ -8,32 +8,31 @@ import (
 	"unsafe"
 )
 
-// Machine is implemented by user machine types. Configure is the legacy
-// closure declaration form: it is called once per instance, before the
-// initial state's entry action runs, and declares the machine's states,
-// transitions and action bindings on the Schema, with actions closing over
-// the instance. Because each instance's actions are distinct closures, a
-// closure-form schema must be rebuilt and revalidated for every create.
+// Machine is implemented by user machine types. A machine is declared in the
+// static form: its type implements StaticMachine, whose ConfigureType
+// declares the states, transitions and action bindings once per type, and
+// its state lives in the fields of the value the registered factory returns.
 //
-// Machine types whose schema does not depend on the instance should
-// implement StaticMachine instead: the schema is then compiled once per
-// process for each registered name and probe value, and the frozen form is
-// shared by every instance of every Runtime.
+// Configure is what is left of the closure form, kept only until the
+// repository's benchmark stops declaring machines with MachineFunc: a
+// closure-form machine declares its schema per instance, binding OnEventDo
+// actions that close over variables the factory allocated, so its schema is
+// rebuilt and revalidated for every create, and the tester cannot see its
+// state. Monitors must be static.
 //
 // Machines correspond to the paper's Machine subclasses; states to its State
 // nested classes; OnEventGoto entries to the "State Transitions" table and
-// OnEventDo entries to the "Action Bindings" table of Figure 1.
+// OnEventDoM entries to the "Action Bindings" table of Figure 1.
 type Machine interface {
 	Configure(s *Schema)
 }
 
-// StaticMachine is the type-level declaration form, matching the paper's
-// design where a machine's transition and action-binding tables are
-// properties of the machine class, compiled once. ConfigureType declares
-// the schema for the type on a probe instance produced by the registered
-// factory. Bound actions use the static signatures (MachineAction,
-// MachineExitAction), which receive the machine instance as a parameter
-// instead of closing over it.
+// StaticMachine is the declaration form, matching the paper's design where a
+// machine's transition and action-binding tables are properties of the
+// machine class, compiled once. ConfigureType declares the schema for the
+// type on a probe instance produced by the registered factory. Bound actions
+// use the static signatures (MachineAction, MachineExitAction), which
+// receive the machine instance as a parameter instead of closing over it.
 //
 // ConfigureType must be a function of the probe's value: it may read fields
 // the factory sets identically on every instance (registration parameters
@@ -45,8 +44,7 @@ type Machine interface {
 // Register of the same name, on any Runtime, whose probe is equal by
 // reflect.DeepEqual to one already compiled reuses that schema without
 // calling ConfigureType. A probe that holds a non-nil func or chan never
-// compares equal; its type is compiled once per Runtime, as is a
-// StaticMachineFunc.
+// compares equal; its type is compiled once per Runtime.
 //
 // Static machines embed StaticBase to satisfy the Machine interface.
 type StaticMachine interface {
@@ -54,7 +52,7 @@ type StaticMachine interface {
 	ConfigureType(s *Schema)
 }
 
-// StaticBase is embedded by static-form machine types to satisfy the legacy
+// StaticBase is embedded by static-form machine types to satisfy the
 // Machine interface. Its Configure panics: a static machine's schema is
 // declared once per type via ConfigureType, never per instance.
 type StaticBase struct{}
@@ -64,45 +62,31 @@ func (StaticBase) Configure(*Schema) {
 	panic("psharp: static machine configured per instance; its schema is declared by ConfigureType")
 }
 
-// MachineFunc adapts a plain configuration function to the Machine
-// interface, for machines whose state lives in closed-over variables.
+// MachineFunc adapts a configuration function to the Machine interface: the
+// closure form, for machines whose state lives in closed-over variables and
+// whose handlers are bound with OnEventDo. It is kept for the repository's
+// benchmark, its last user; declare new machines as StaticMachine types.
 type MachineFunc func(*Schema)
 
 // Configure implements Machine.
 func (f MachineFunc) Configure(s *Schema) { f(s) }
 
-// StaticMachineFunc adapts a standalone declaration function to the
-// StaticMachine interface, for machines that keep no per-instance state in
-// their actions (or keep it in the events they exchange). The function must
-// be instance-independent: it runs once per registered type per Runtime (a
-// func value has no value to compare across Runtimes) and the resulting
-// schema is shared by every instance.
-type StaticMachineFunc func(*Schema)
-
-// Configure implements Machine; the declaration is instance-independent by
-// construction, so delegating is safe even on legacy paths.
-func (f StaticMachineFunc) Configure(s *Schema) { f(s) }
-
-// ConfigureType implements StaticMachine.
-func (f StaticMachineFunc) ConfigureType(s *Schema) { f(s) }
-
-// Action is the signature of entry actions and event handlers in the
-// closure declaration form. Actions must be sequential: they must not spawn
-// goroutines or block on anything other than the Context operations.
+// Action is the handler signature of the closure form, which OnEventDo
+// adapts to a MachineAction; the rules of MachineAction apply.
 type Action func(ctx *Context, ev Event)
 
-// ExitAction runs when a state is exited via a transition.
-type ExitAction func(ctx *Context)
-
-// MachineAction is the static-form action signature: the machine instance
-// arrives as an explicit parameter (assert it to the concrete type) instead
-// of being closed over, so the schema the action is bound in can be
-// compiled once per type and shared across instances and goroutines. The
-// sequentiality rules of Action apply.
+// MachineAction is the signature of entry actions and event handlers: the
+// machine instance arrives as an explicit parameter (assert it to the
+// concrete type) instead of being closed over, so the schema the action is
+// bound in can be compiled once per type and shared across instances and
+// goroutines. The entry action receives the event whose transition entered
+// the state; the handler, the event it handles. Actions must be sequential:
+// they must not spawn goroutines or block on anything other than the Context
+// operations.
 type MachineAction func(m Machine, ctx *Context, ev Event)
 
-// MachineExitAction is the static-form exit action signature; see
-// MachineAction.
+// MachineExitAction is the signature of exit actions, run when a state is
+// exited via a transition; see MachineAction.
 type MachineExitAction func(m Machine, ctx *Context)
 
 // dispatchKind says how a state reacts to an event type.
@@ -117,10 +101,9 @@ const (
 )
 
 type dispatchEntry struct {
-	kind    dispatchKind
-	target  string        // goto target state
-	action  Action        // closure-form bound action (dispatchAction)
-	maction MachineAction // static-form bound action (dispatchAction)
+	kind   dispatchKind
+	target string        // goto target state
+	fn     MachineAction // bound action (dispatchAction)
 	// event is the bound event type's display name, resolved once at bind
 	// time so coverage recording never pays per-dispatch reflection.
 	event string
@@ -130,7 +113,7 @@ type dispatchEntry struct {
 // hold a small slice of bindings rather than a map: machines bind a handful
 // of event types per state, so a linear scan over inline pairs beats a map
 // on lookup and costs a fraction of the allocations to build — which
-// matters because closure-form schemas are rebuilt for every machine of
+// matters because a closure-form schema is rebuilt for every machine of
 // every exploration iteration.
 type handlerBinding struct {
 	key   reflect.Type
@@ -149,25 +132,17 @@ const (
 )
 
 // stateSpec is the compiled form of one declared state. A state holds at
-// most one entry and one exit action, in either declaration form.
+// most one entry and one exit action.
 type stateSpec struct {
 	name     string
 	temp     stateTemp
-	onEntry  Action
-	onEntryM MachineAction
-	onExit   ExitAction
-	onExitM  MachineExitAction
+	entry    MachineAction
+	exit     MachineExitAction
 	handlers []handlerBinding
 }
 
 // isHot reports whether the state carries the hot liveness annotation.
 func (st *stateSpec) isHot() bool { return st.temp == tempHot }
-
-// hasEntry reports whether the state declares an entry action in any form.
-func (st *stateSpec) hasEntry() bool { return st.onEntry != nil || st.onEntryM != nil }
-
-// hasExit reports whether the state declares an exit action in any form.
-func (st *stateSpec) hasExit() bool { return st.onExit != nil || st.onExitM != nil }
 
 // lookup returns the dispatch entry bound to event type t, if any.
 func (st *stateSpec) lookup(t reflect.Type) (dispatchEntry, bool) {
@@ -252,43 +227,33 @@ func (b *StateBuilder) Cold() *StateBuilder {
 	return b
 }
 
-// OnEntry registers the state's entry action. The action receives the event
-// whose transition entered the state (the payload in the paper's terms); for
-// the initial state it receives the creation payload event, which may be nil.
-func (b *StateBuilder) OnEntry(fn Action) *StateBuilder {
-	if b.state.hasEntry() {
-		b.schema.err("state %q: duplicate OnEntry", b.state.name)
-	}
-	b.state.onEntry = fn
-	return b
-}
-
-// OnEntryM registers a static-form entry action; see OnEntry and
-// MachineAction.
+// OnEntryM registers the state's entry action; see MachineAction. The
+// action receives the event whose transition entered the state (the payload
+// in the paper's terms); for the initial state it receives the creation
+// payload event, which may be nil.
 func (b *StateBuilder) OnEntryM(fn MachineAction) *StateBuilder {
-	if b.state.hasEntry() {
-		b.schema.err("state %q: duplicate OnEntry", b.state.name)
+	switch {
+	case fn == nil:
+		b.schema.err("state %q: nil OnEntryM action", b.state.name)
+	case b.state.entry != nil:
+		b.schema.err("state %q: duplicate OnEntryM", b.state.name)
+	default:
+		b.state.entry = fn
 	}
-	b.state.onEntryM = fn
 	return b
 }
 
-// OnExit registers the state's exit action, run when leaving via a goto.
-func (b *StateBuilder) OnExit(fn ExitAction) *StateBuilder {
-	if b.state.hasExit() {
-		b.schema.err("state %q: duplicate OnExit", b.state.name)
-	}
-	b.state.onExit = fn
-	return b
-}
-
-// OnExitM registers a static-form exit action; see OnExit and
-// MachineExitAction.
+// OnExitM registers the state's exit action, run when leaving via a goto;
+// see MachineExitAction.
 func (b *StateBuilder) OnExitM(fn MachineExitAction) *StateBuilder {
-	if b.state.hasExit() {
-		b.schema.err("state %q: duplicate OnExit", b.state.name)
+	switch {
+	case fn == nil:
+		b.schema.err("state %q: nil OnExitM action", b.state.name)
+	case b.state.exit != nil:
+		b.schema.err("state %q: duplicate OnExitM", b.state.name)
+	default:
+		b.state.exit = fn
 	}
-	b.state.onExitM = fn
 	return b
 }
 
@@ -300,18 +265,20 @@ func (b *StateBuilder) OnEventGoto(proto Event, target string) *StateBuilder {
 	return b
 }
 
-// OnEventDo registers an action binding: the event is handled by fn and the
-// machine stays in the current state.
-func (b *StateBuilder) OnEventDo(proto Event, fn Action) *StateBuilder {
-	b.bind(proto, dispatchEntry{kind: dispatchAction, action: fn})
+// OnEventDoM registers an action binding: the event is handled by fn and the
+// machine stays in the current state; see MachineAction.
+func (b *StateBuilder) OnEventDoM(proto Event, fn MachineAction) *StateBuilder {
+	b.bind(proto, dispatchEntry{kind: dispatchAction, fn: fn})
 	return b
 }
 
-// OnEventDoM registers a static-form action binding; see OnEventDo and
-// MachineAction.
-func (b *StateBuilder) OnEventDoM(proto Event, fn MachineAction) *StateBuilder {
-	b.bind(proto, dispatchEntry{kind: dispatchAction, maction: fn})
-	return b
+// OnEventDo is OnEventDoM for a closure-form handler, which it adapts to the
+// one action signature when the binding is made.
+func (b *StateBuilder) OnEventDo(proto Event, fn Action) *StateBuilder {
+	if fn == nil {
+		return b.OnEventDoM(proto, nil)
+	}
+	return b.OnEventDoM(proto, func(_ Machine, ctx *Context, ev Event) { fn(ctx, ev) })
 }
 
 // Defer keeps events of proto's type in the queue while in this state; they
@@ -330,6 +297,10 @@ func (b *StateBuilder) Ignore(proto Event) *StateBuilder {
 func (b *StateBuilder) bind(proto Event, e dispatchEntry) {
 	if proto == nil {
 		b.schema.err("state %q: nil event prototype", b.state.name)
+		return
+	}
+	if e.kind == dispatchAction && e.fn == nil {
+		b.schema.err("state %q: nil action bound to event %s", b.state.name, eventName(proto))
 		return
 	}
 	key := eventKey(proto)

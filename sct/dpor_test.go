@@ -68,7 +68,7 @@ type orderSender struct{ psharp.StaticBase }
 
 func (*orderSender) ConfigureType(sc *psharp.Schema) {
 	sc.Start("S").
-		OnEventDo(&cfg{}, func(ctx *psharp.Context, ev psharp.Event) {
+		OnEventDoM(&cfg{}, func(_ psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
 			ctx.Send(ev.(*cfg).Target, &cfg{Target: ctx.ID()})
 			ctx.Halt()
 		})
@@ -137,14 +137,7 @@ func TestDPORFindsOrderingBug(t *testing.T) {
 // systematically, exactly like DFS.
 func TestDPORExploresNondetChoices(t *testing.T) {
 	setup := func(r *psharp.Runtime) {
-		r.MustRegister("Chooser", func() psharp.Machine {
-			return psharp.MachineFunc(func(sc *psharp.Schema) {
-				sc.Start("S").OnEntry(func(ctx *psharp.Context, ev psharp.Event) {
-					a, b, c := ctx.RandomBool(), ctx.RandomBool(), ctx.RandomBool()
-					ctx.Assert(!(a && b && c), "the 1-in-8 combination")
-				})
-			})
-		})
+		r.MustRegister("Chooser", func() psharp.Machine { return &chancy{} })
 		r.MustCreate("Chooser", nil)
 	}
 	rep := sct.Run(setup, sct.Options{
@@ -387,36 +380,46 @@ type (
 	zMsg struct{ psharp.EventBase }
 )
 
-func yBeforeXSetup(closure bool) func(*psharp.Runtime) {
+// Declarations of machine A.
+const (
+	closureA = iota // MachineFunc: state in captured variables
+	funcA           // funcLogic: the same declaration, claiming to be static
+	staticA         // yBeforeX: state in fields
+)
+
+func yBeforeXSetup(form int) func(*psharp.Runtime) {
 	return func(r *psharp.Runtime) {
-		if closure {
-			r.MustRegister("A", func() psharp.Machine {
-				var gotX, yFirst bool
-				heard := 0
-				return psharp.MachineFunc(func(sc *psharp.Schema) {
-					sc.Start("Listen").
-						OnEventDo(&xMsg{}, func(ctx *psharp.Context, _ psharp.Event) {
-							gotX = true
-							if heard++; heard == 2 {
-								ctx.Goto("Check")
-							}
-						}).
-						OnEventDo(&yMsg{}, func(ctx *psharp.Context, _ psharp.Event) {
-							yFirst = !gotX
-							if heard++; heard == 2 {
-								ctx.Goto("Check")
-							}
-						})
-					sc.State("Check").
-						OnEntry(startZ).
-						OnEventDo(&zMsg{}, func(ctx *psharp.Context, _ psharp.Event) {
-							ctx.Assert(!yFirst, "Y's message came before X's")
-						})
-				})
-			})
-		} else {
-			r.MustRegister("A", func() psharp.Machine { return &yBeforeX{} })
-		}
+		r.MustRegister("A", func() psharp.Machine {
+			if form == staticA {
+				return &yBeforeX{}
+			}
+			var gotX, yFirst bool
+			heard := 0
+			declare := func(sc *psharp.Schema) {
+				sc.Start("Listen").
+					OnEventDo(&xMsg{}, func(ctx *psharp.Context, _ psharp.Event) {
+						gotX = true
+						if heard++; heard == 2 {
+							ctx.Goto("Check")
+						}
+					}).
+					OnEventDo(&yMsg{}, func(ctx *psharp.Context, _ psharp.Event) {
+						yFirst = !gotX
+						if heard++; heard == 2 {
+							ctx.Goto("Check")
+						}
+					})
+				sc.State("Check").
+					OnEntryM(startZ).
+					OnEventDo(&zMsg{}, func(ctx *psharp.Context, _ psharp.Event) {
+						ctx.Assert(!yFirst, "Y's message came before X's")
+					})
+			}
+			if form == funcA {
+				return funcLogic(declare)
+			}
+			return psharp.MachineFunc(declare)
+		})
 		r.MustRegister("Sender", func() psharp.Machine { return &oneShot{} })
 		a := r.MustCreate("A", nil)
 		r.MustCreate("Sender", &shot{Target: a, Ev: &xMsg{}})
@@ -424,7 +427,15 @@ func yBeforeXSetup(closure bool) func(*psharp.Runtime) {
 	}
 }
 
-func startZ(ctx *psharp.Context, _ psharp.Event) {
+// funcLogic is a func type that declares itself static: its schema is
+// compiled once per Runtime, and its state is still what the closures it
+// binds captured.
+type funcLogic func(*psharp.Schema)
+
+func (f funcLogic) Configure(sc *psharp.Schema)     { f(sc) }
+func (f funcLogic) ConfigureType(sc *psharp.Schema) { f(sc) }
+
+func startZ(_ psharp.Machine, ctx *psharp.Context, _ psharp.Event) {
 	ctx.CreateMachine("Sender", &shot{Target: ctx.ID(), Ev: &zMsg{}})
 }
 
@@ -451,7 +462,7 @@ func (*yBeforeX) ConfigureType(sc *psharp.Schema) {
 			}
 		})
 	sc.State("Check").
-		OnEntry(startZ).
+		OnEntryM(startZ).
 		OnEventDoM(&zMsg{}, func(m psharp.Machine, ctx *psharp.Context, _ psharp.Event) {
 			ctx.Assert(!m.(*yBeforeX).yFirst, "Y's message came before X's")
 		})
@@ -467,7 +478,7 @@ type shot struct {
 type oneShot struct{ psharp.StaticBase }
 
 func (*oneShot) ConfigureType(sc *psharp.Schema) {
-	sc.Start("Fire").OnEntry(func(ctx *psharp.Context, ev psharp.Event) {
+	sc.Start("Fire").OnEntryM(func(_ psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
 		ctx.Send(ev.(*shot).Target, ev.(*shot).Ev)
 		ctx.Halt()
 	})
@@ -479,24 +490,27 @@ func (*oneShot) ConfigureType(sc *psharp.Schema) {
 // cache, blind to that state, pruned every order in which Y's message comes
 // first and exhausted with no bug (4 schedules explored, 11 pruned). It now
 // refuses the program at its first scheduling point, as it refuses a live
-// func field, and finds the bug in the static twin, whose state is fields it
-// hashes.
+// func field — also when the func logic claims to be static, which the cache
+// once folded by its type — and finds the bug in the static twin, whose
+// state is fields it hashes.
 func TestStateCacheRefusesClosureLogic(t *testing.T) {
 	opts := func(cache bool) sct.Options {
 		return sct.Options{Strategy: sct.NewDPOR(), Iterations: 10_000, MaxSteps: 100, StopOnFirstBug: true, StateCache: cache}
 	}
-	if rep := sct.Run(yBeforeXSetup(true), opts(false)); !rep.BugFound() {
+	if rep := sct.Run(yBeforeXSetup(closureA), opts(false)); !rep.BugFound() {
 		t.Fatalf("dpor missed the bug: %s", rep.String())
 	}
-	rep := sct.Run(yBeforeXSetup(true), opts(true))
-	var se *psharp.StateError
-	if !errors.As(rep.Err, &se) || rep.BugFound() {
-		t.Fatalf("dpor+cache on the closure form: %s (err %v), want it refused with a *psharp.StateError", rep.String(), rep.Err)
+	for form, typ := range map[int]string{closureA: "psharp.MachineFunc", funcA: "sct_test.funcLogic"} {
+		rep := sct.Run(yBeforeXSetup(form), opts(true))
+		var se *psharp.StateError
+		if !errors.As(rep.Err, &se) || rep.BugFound() {
+			t.Fatalf("dpor+cache on %s: %s (err %v), want it refused with a *psharp.StateError", typ, rep.String(), rep.Err)
+		}
+		if !strings.Contains(se.Error(), "machine A") || !strings.Contains(se.Error(), typ) {
+			t.Errorf("the refusal names neither the machine nor its declaration %s: %v", typ, se)
+		}
 	}
-	if !strings.Contains(se.Error(), "machine A") || !strings.Contains(se.Error(), "psharp.MachineFunc") {
-		t.Errorf("the refusal names neither the machine nor its declaration form: %v", se)
-	}
-	if rep := sct.Run(yBeforeXSetup(false), opts(true)); !rep.BugFound() {
+	if rep := sct.Run(yBeforeXSetup(staticA), opts(true)); !rep.BugFound() {
 		t.Fatalf("dpor+cache missed the bug in the static twin: %s", rep.String())
 	}
 }

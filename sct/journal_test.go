@@ -25,7 +25,7 @@ func chancySetup(r *psharp.Runtime) {
 type chancy struct{ psharp.StaticBase }
 
 func (*chancy) ConfigureType(sc *psharp.Schema) {
-	sc.Start("S").OnEntry(func(ctx *psharp.Context, ev psharp.Event) {
+	sc.Start("S").OnEntryM(func(_ psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
 		a, b, c := ctx.RandomBool(), ctx.RandomBool(), ctx.RandomBool()
 		ctx.Assert(!(a && b && c), "the 1-in-8 combination")
 	})

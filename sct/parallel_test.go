@@ -10,61 +10,27 @@ import (
 	"github.com/psharp-go/psharp/sct"
 )
 
-// orderingBugSetup builds a program with an interleaving-dependent assertion
-// failure: the counter requires its two senders to arrive in creation order.
-func orderingBugSetup() func(*psharp.Runtime) {
-	return func(r *psharp.Runtime) {
-		r.MustRegister("Counter", func() psharp.Machine {
-			var first psharp.MachineID
-			return psharp.MachineFunc(func(sc *psharp.Schema) {
-				sc.Start("Counting").
-					OnEventDo(&cfg{}, func(ctx *psharp.Context, ev psharp.Event) {
-						sender := ev.(*cfg).Target
-						if first.IsNil() {
-							first = sender
-							return
-						}
-						ctx.Assert(first.Seq < sender.Seq, "senders arrived out of creation order")
-					})
-			})
-		})
-		r.MustRegister("Sender", func() psharp.Machine {
-			return psharp.MachineFunc(func(sc *psharp.Schema) {
-				sc.Start("S").
-					OnEventDo(&cfg{}, func(ctx *psharp.Context, ev psharp.Event) {
-						ctx.Send(ev.(*cfg).Target, &cfg{Target: ctx.ID()})
-						ctx.Halt()
-					})
-			})
-		})
-		counter := r.MustCreate("Counter", nil)
-		for i := 0; i < 2; i++ {
-			s := r.MustCreate("Sender", nil)
-			if err := r.SendEvent(s, &cfg{Target: counter}); err != nil {
-				panic(err)
-			}
-		}
-	}
-}
-
 // runawaySetup builds a program that never quiesces: a machine endlessly
 // re-sends itself an event, so with MaxSteps=0 a single iteration runs
 // forever unless the engine's hard deadline interrupts it.
 func runawaySetup() func(*psharp.Runtime) {
 	return func(r *psharp.Runtime) {
-		r.MustRegister("Spinner", func() psharp.Machine {
-			return psharp.MachineFunc(func(sc *psharp.Schema) {
-				sc.Start("Spin").
-					OnEventDo(&tick{}, func(ctx *psharp.Context, ev psharp.Event) {
-						ctx.Send(ctx.ID(), &tick{})
-					})
-			})
-		})
+		r.MustRegister("Spinner", func() psharp.Machine { return &spinner{} })
 		id := r.MustCreate("Spinner", nil)
 		if err := r.SendEvent(id, &tick{}); err != nil {
 			panic(err)
 		}
 	}
+}
+
+// spinner re-sends itself every tick it handles.
+type spinner struct{ psharp.StaticBase }
+
+func (*spinner) ConfigureType(sc *psharp.Schema) {
+	sc.Start("Spin").
+		OnEventDoM(&tick{}, func(_ psharp.Machine, ctx *psharp.Context, _ psharp.Event) {
+			ctx.Send(ctx.ID(), &tick{})
+		})
 }
 
 func reportCounts(r sct.Report) [7]int64 {
@@ -81,7 +47,7 @@ func reportCounts(r sct.Report) [7]int64 {
 // matches the sequential report.
 func TestParallelMatchesSequentialRandom(t *testing.T) {
 	const iterations = 400
-	seq := sct.Run(orderingBugSetup(), sct.Options{
+	seq := sct.Run(orderBugSetup, sct.Options{
 		Strategy:   sct.NewRandom(42),
 		Iterations: iterations,
 		MaxSteps:   100,
@@ -90,7 +56,7 @@ func TestParallelMatchesSequentialRandom(t *testing.T) {
 		t.Fatal("sequential run found no bug; the setup is supposed to be bug-rich")
 	}
 	for _, workers := range []int{2, 4, 7} {
-		par := sct.RunParallel(orderingBugSetup(), sct.ParallelOptions{
+		par := sct.RunParallel(orderBugSetup, sct.ParallelOptions{
 			Options: sct.Options{
 				Strategy:   sct.NewRandom(42),
 				Iterations: iterations,
@@ -119,7 +85,7 @@ func TestParallelMatchesSequentialRandom(t *testing.T) {
 // strategy and a heterogeneous portfolio.
 func TestParallelDeterminism(t *testing.T) {
 	run := func() (sct.ParallelReport, sct.ParallelReport) {
-		homog := sct.RunParallel(orderingBugSetup(), sct.ParallelOptions{
+		homog := sct.RunParallel(orderBugSetup, sct.ParallelOptions{
 			Options: sct.Options{Strategy: sct.NewPCT(7, 3, 50), Iterations: 200, MaxSteps: 100},
 			Workers: 4,
 		})
@@ -127,7 +93,7 @@ func TestParallelDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mixed := sct.RunParallel(orderingBugSetup(), sct.ParallelOptions{
+		mixed := sct.RunParallel(orderBugSetup, sct.ParallelOptions{
 			Options:   sct.Options{Iterations: 200, MaxSteps: 100},
 			Workers:   4,
 			Portfolio: pf,
@@ -190,7 +156,7 @@ func TestParallelDFSShardsCoverTree(t *testing.T) {
 // parallelism: whichever worker finds the first bug, its trace replays
 // deterministically through sct.ReplayTrace and reproduces the same bug.
 func TestParallelFirstBugReplays(t *testing.T) {
-	par := sct.RunParallel(orderingBugSetup(), sct.ParallelOptions{
+	par := sct.RunParallel(orderBugSetup, sct.ParallelOptions{
 		Options: sct.Options{
 			Strategy:       sct.NewRandom(5),
 			Iterations:     100_000,
@@ -205,7 +171,7 @@ func TestParallelFirstBugReplays(t *testing.T) {
 	if par.Iterations >= 100_000 {
 		t.Fatalf("StopOnFirstBug did not halt the workers: %d iterations", par.Iterations)
 	}
-	res := sct.ReplayTrace(orderingBugSetup(), par.FirstBugTrace, psharp.TestConfig{MaxSteps: 100})
+	res := sct.ReplayTrace(orderBugSetup, par.FirstBugTrace, psharp.TestConfig{MaxSteps: 100})
 	if res.Bug == nil {
 		t.Fatal("replay of the parallel first-bug trace found no bug")
 	}

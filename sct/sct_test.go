@@ -47,7 +47,7 @@ type tickSender struct{ psharp.StaticBase }
 
 func (*tickSender) ConfigureType(sc *psharp.Schema) {
 	sc.Start("S").
-		OnEventDo(&cfg{}, func(ctx *psharp.Context, ev psharp.Event) {
+		OnEventDoM(&cfg{}, func(_ psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
 			ctx.Send(ev.(*cfg).Target, &tick{})
 			ctx.Halt()
 		})
@@ -78,14 +78,7 @@ func TestDFSExhaustsAndTerminates(t *testing.T) {
 // found within the full enumeration.
 func TestDFSExploresNondetChoices(t *testing.T) {
 	setup := func(r *psharp.Runtime) {
-		r.MustRegister("Chooser", func() psharp.Machine {
-			return psharp.MachineFunc(func(sc *psharp.Schema) {
-				sc.Start("S").OnEntry(func(ctx *psharp.Context, ev psharp.Event) {
-					a, b, c := ctx.RandomBool(), ctx.RandomBool(), ctx.RandomBool()
-					ctx.Assert(!(a && b && c), "the 1-in-8 combination")
-				})
-			})
-		})
+		r.MustRegister("Chooser", func() psharp.Machine { return &chancy{} })
 		r.MustCreate("Chooser", nil)
 	}
 	rep := sct.Run(setup, sct.Options{
@@ -127,38 +120,7 @@ func TestRandomSeedDeterminism(t *testing.T) {
 func TestStrategiesFindSeededChoiceBug(t *testing.T) {
 	// Two senders; the counter asserts a specific arrival order chosen to
 	// fail only in some interleavings.
-	setup := func(r *psharp.Runtime) {
-		r.MustRegister("Counter", func() psharp.Machine {
-			var first psharp.MachineID
-			return psharp.MachineFunc(func(sc *psharp.Schema) {
-				sc.Start("Counting").
-					OnEventDo(&cfg{}, func(ctx *psharp.Context, ev psharp.Event) {
-						sender := ev.(*cfg).Target
-						if first.IsNil() {
-							first = sender
-							return
-						}
-						ctx.Assert(first.Seq < sender.Seq, "senders arrived out of creation order")
-					})
-			})
-		})
-		r.MustRegister("Sender", func() psharp.Machine {
-			return psharp.MachineFunc(func(sc *psharp.Schema) {
-				sc.Start("S").
-					OnEventDo(&cfg{}, func(ctx *psharp.Context, ev psharp.Event) {
-						ctx.Send(ev.(*cfg).Target, &cfg{Target: ctx.ID()})
-						ctx.Halt()
-					})
-			})
-		})
-		counter := r.MustCreate("Counter", nil)
-		for i := 0; i < 2; i++ {
-			s := r.MustCreate("Sender", nil)
-			if err := r.SendEvent(s, &cfg{Target: counter}); err != nil {
-				panic(err)
-			}
-		}
-	}
+	setup := orderBugSetup
 	strategies := map[string]sct.Strategy{
 		"random": sct.NewRandom(3),
 		"pct":    sct.NewPCT(3, 3, 20),

@@ -17,7 +17,7 @@ import (
 // growth curve with a forced final point.
 func TestTelemetryAccumulatesCampaignMetrics(t *testing.T) {
 	tel := sct.NewTelemetry(time.Millisecond)
-	rep := sct.Run(orderingBugSetup(), sct.Options{
+	rep := sct.Run(orderBugSetup, sct.Options{
 		Strategy:   sct.NewRandom(42),
 		Iterations: 300,
 		MaxSteps:   100,

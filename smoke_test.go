@@ -29,7 +29,7 @@ type pongServer struct{ psharp.StaticBase }
 
 func (*pongServer) ConfigureType(sc *psharp.Schema) {
 	sc.Start("Serving").
-		OnEventDo(&evPing{}, func(ctx *psharp.Context, ev psharp.Event) {
+		OnEventDoM(&evPing{}, func(_ psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
 			ctx.Send(ev.(*evPing).From, &evPong{})
 		})
 }

@@ -280,8 +280,8 @@ type pingSink struct{ psharp.StaticBase }
 
 func (*pingSink) ConfigureType(sc *psharp.Schema) {
 	sc.Start("Wait").
-		OnEventDo(&amsg.Ping{}, func(*psharp.Context, psharp.Event) {}).
-		OnEventDo(&bmsg.Ping{}, func(*psharp.Context, psharp.Event) {})
+		OnEventDoM(&amsg.Ping{}, func(psharp.Machine, *psharp.Context, psharp.Event) {}).
+		OnEventDoM(&bmsg.Ping{}, func(psharp.Machine, *psharp.Context, psharp.Event) {})
 }
 
 // TestStateCacheTellsSameNamedEventTypes: a/msg.Ping and b/msg.Ping print

@@ -81,8 +81,8 @@ type StepObserver interface {
 // their types' state plans (stateplan.go): to any depth and length, with what
 // is aliased inside one machine's state told apart from what is merely
 // equal. State it cannot cover — a non-nil func, chan or unsafe.Pointer, and
-// a closure-form (MachineFunc) logic, whose state is in what its actions
-// captured — ends the iteration with a *StateError in IterationResult.Err
+// a logic that is itself a func (a closure-form MachineFunc machine), whose
+// state is in what its actions captured — ends the iteration with a *StateError in IterationResult.Err
 // rather than being hashed to a constant.
 //
 // Soundness is the caller's concern: pruning on a revisited state is only

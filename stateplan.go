@@ -194,8 +194,8 @@ func typeID(t reflect.Type) uint64 {
 
 // StateError reports that a machine's or monitor's state cannot be hashed:
 // it holds a live func, chan or unsafe.Pointer, whose meaning no hash of
-// bytes captures, or it is a closure-form logic (a func itself, with an empty
-// Path), whose state is what its actions captured. A Run with
+// bytes captures, or it is a closure-form machine's logic (a MachineFunc,
+// with an empty Path), whose state is what its actions captured. A Run with
 // TestConfig.StateCache set ends at the first such value and returns the
 // error in IterationResult.Err; pruning on a hash that ignored the value
 // could drop schedules that differ only in it.
@@ -617,21 +617,9 @@ func (w *stateWalk) hashInterface(typ reflect.Type, f unsafe.Pointer) {
 func (w *stateWalk) hashEvent(ev *Event) { w.hashInterface(eventIface, unsafe.Pointer(ev)) }
 
 // hashLogic folds the machine's or monitor's logic value at logic. A logic
-// that is itself a func is a declaration, not data: a static one
-// (StaticMachineFunc) keeps no per-instance state and is folded by its type;
-// any other (MachineFunc) keeps its state in what its closures captured, which
-// no hash can see, and is refused like a live func field.
-func (w *stateWalk) hashLogic(logic *Machine) {
-	p := w.dynamic(machineIface, unsafe.Pointer(logic))
-	if p.kind != reflect.Func {
-		w.hashInterface(machineIface, unsafe.Pointer(logic))
-		return
-	}
-	w.h = fold(w.h, p.id)
-	if _, static := (*logic).(StaticMachine); !static && w.refused == nil {
-		w.refused = &StateError{In: p.typ.String(), Kind: "func"}
-	}
-}
+// that is itself a func (MachineFunc) keeps its state in what its closures
+// captured, which no hash can see, and is refused like a live func field.
+func (w *stateWalk) hashLogic(logic *Machine) { w.hashInterface(machineIface, unsafe.Pointer(logic)) }
 
 // Images: what a copy walk makes.
 //
@@ -754,15 +742,10 @@ func (w *stateWalk) root(typ reflect.Type, v ifaceWords) imageRoot {
 	return r
 }
 
-// logicRoot copies a machine's or monitor's logic value into the image. A
-// func logic of a static type (StaticMachineFunc) keeps no per-instance
-// state and is shared.
+// logicRoot copies a machine's or monitor's logic value into the image; a
+// func logic is refused, as hashLogic refuses it.
 func (w *stateWalk) logicRoot(logic *Machine) imageRoot {
-	v := *(*ifaceWords)(unsafe.Pointer(logic))
-	if v.tab == nil || w.dynamic(machineIface, unsafe.Pointer(logic)).kind == reflect.Func {
-		return imageRoot{tab: v.tab, data: v.data}
-	}
-	return w.root(machineIface, v)
+	return w.root(machineIface, *(*ifaceWords)(unsafe.Pointer(logic)))
 }
 
 // eventRoot copies an event into the image.

@@ -42,7 +42,7 @@ type holder struct {
 }
 
 func (*holder) ConfigureType(sc *psharp.Schema) {
-	sc.Start("Hold").OnEventDo(&evBallot{}, func(*psharp.Context, psharp.Event) {})
+	sc.Start("Hold").OnEventDoM(&evBallot{}, func(psharp.Machine, *psharp.Context, psharp.Event) {})
 }
 
 // holding is a one-machine program whose machine's logic holds v.

@@ -61,9 +61,9 @@ type TestConfig struct {
 	// deterministic in its decisions. Only sound under depth-first
 	// strategies (see the StateCache docs); incompatible with Faults in
 	// this version. A program whose machines or monitors keep a live func,
-	// chan or unsafe.Pointer in their state, or are declared in the closure
-	// form (MachineFunc), cannot be hashed: its iterations end at once with a
-	// *StateError in IterationResult.Err.
+	// chan or unsafe.Pointer in their state, or that has a closure-form
+	// (MachineFunc) machine, cannot be hashed: its iterations end at once with
+	// a *StateError in IterationResult.Err.
 	StateCache StateCache
 	// Faults, if non-nil, enables fault-injection nondeterminism: the
 	// controller issues a ChoiceFault query once per scheduler pass (crash?)

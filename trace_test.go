@@ -22,11 +22,7 @@ import (
 // with any whitespace are rejected by Register and RegisterMonitor before
 // they can reach a trace.
 func TestRegisterRejectsWhitespaceNames(t *testing.T) {
-	factory := func() psharp.Machine {
-		return psharp.StaticMachineFunc(func(sc *psharp.Schema) {
-			sc.Start("S")
-		})
-	}
+	factory := func() psharp.Machine { return &mute{} }
 	for _, name := range []string{"two words", "tab\tsep", "new\nline", "cr\rname", " leading", "trailing "} {
 		r := psharp.NewRuntime()
 		if err := r.Register(name, factory); err == nil {
@@ -44,7 +40,7 @@ func TestRegisterRejectsWhitespaceNames(t *testing.T) {
 // encodes and decodes back to the identical decision sequence, and that the
 // decoded trace still replays the same schedule.
 func TestTraceEncodeDecodeRoundTrip(t *testing.T) {
-	setup := ballotSetup()
+	setup := staticBallotSetup()
 	var trace *psharp.Trace
 	var bug *psharp.Bug
 	for seed := uint64(1); seed < 64; seed++ {

@@ -151,28 +151,25 @@ type funcProbe struct {
 func (*funcProbe) ConfigureType(sc *psharp.Schema) { sc.Start("Idle") }
 
 // TestTypeSchemaUncomparableProbesCompilePerRuntime: a probe with a non-nil
-// func field, and a StaticMachineFunc, can be equal to nothing, so their
-// types compile once per Runtime — as every static type did before the
-// process-wide table — and the table keeps none of them. A probe whose func
-// field is nil compares like any other value.
+// func field can be equal to nothing, so its type compiles once per Runtime —
+// as every static type did before the process-wide table — and the table
+// keeps none of them. A probe whose func field is nil compares like any other
+// value.
 func TestTypeSchemaUncomparableProbesCompilePerRuntime(t *testing.T) {
-	withFunc, funcForm, nilFunc := freshTypeName("Hooked"), freshTypeName("FuncForm"), freshTypeName("Unhooked")
+	withFunc, nilFunc := freshTypeName("Hooked"), freshTypeName("Unhooked")
 	for i := 0; i < 3; i++ {
 		r := psharp.NewRuntime()
 		r.MustRegister(withFunc, func() psharp.Machine { return &funcProbe{hook: func() {}} })
-		r.MustRegister(funcForm, func() psharp.Machine {
-			return psharp.StaticMachineFunc(func(sc *psharp.Schema) { sc.Start("Idle") })
-		})
 		r.MustRegister(nilFunc, func() psharp.Machine { return &funcProbe{} })
-		want := 2
+		want := 1
 		if i == 0 {
-			want = 3
+			want = 2
 		}
 		if got := r.SchemaCompiles(); got != want {
 			t.Errorf("runtime %d: %d schema compiles, want %d", i, got, want)
 		}
 	}
-	for name, want := range map[string]int{withFunc: 0, funcForm: 0, nilFunc: 1} {
+	for name, want := range map[string]int{withFunc: 0, nilFunc: 1} {
 		if got := psharp.CachedTypeSchemas(name); got != want {
 			t.Errorf("the table keeps %d schemas for %s, want %d", got, name, want)
 		}
