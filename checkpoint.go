@@ -29,26 +29,28 @@ import (
 // A machine parked in the middle of a handler is a coroutine stack, which
 // nothing can copy; but it can be rebuilt, because a handler is a
 // deterministic function of its machine's state, its event and its
-// controlled choices. While an iteration has a snapshot to take ahead, every
-// handler chain a machine starts — at a dequeue, or at its birth: the
-// handler, then whatever exits, gotos, entries and raises follow — records an
-// image of the machine's logic and of the event as they were then
-// (handlerStart), and from there counts the yield points the machine passes
-// and logs the machines it creates and the values it draws. A snapshot holds
-// a parked machine as that record, that count and that log, with its mailbox
-// as it stands. A restore re-runs the chain on the machine's own coroutine
-// in catch-up mode: sends, creates and monitor notifications have no effect
-// (the snapshot has them already), creates and draws return what the log
-// says, and at the recorded yield point the machine parks without asking
-// the strategy — where it was. Its state-hash position (hops) comes back as
-// it was, being made of the same operations.
+// controlled choices. Every handler chain a machine starts — at a dequeue,
+// or at its birth: the handler, then whatever exits, gotos, entries and
+// raises follow — keeps a log of what it does: its sends, creates and draws
+// and the yield points it passes (machineInstance.note), the log the state
+// hash folds its mid-handler position from. While an iteration has a
+// snapshot to take ahead, the chain also records an image of the machine's
+// logic and of the event as they were when it began (handlerStart). A
+// snapshot holds a parked machine as that record and a copy of that log,
+// with its mailbox as it stands. A restore re-runs the chain on the
+// machine's own coroutine in catch-up mode: sends, creates and monitor
+// notifications have no effect (the snapshot has them already), every op
+// is matched against the log, creates and draws return what it says, and at
+// the yield point it ends with the machine parks without asking the
+// strategy — where it was. Its state-hash position comes back as it was,
+// being folded from the same log.
 //
 // What breaks the contract breaks the rebuild, silently, as it breaks
 // replay: a handler that reads what another machine writes outside events —
 // a package variable, an object setup captured — or that touches an object
 // after sending it away (what the paper's ownership analysis forbids). A
-// machine that does not get back to its yield point, or asks for another
-// kind of result than its log holds, fails the iteration as a BugPanic.
+// machine that does not get back to its yield point, or does another thing
+// than its log holds next, fails the iteration as a BugPanic.
 //
 // Which iterations may: the strategy says, through PrefixResumer, how many of
 // the previous iteration's decisions the next one repeats; the controller
@@ -151,13 +153,12 @@ type instanceState struct {
 	logic  imageRoot
 	queue  []queued
 	birth  imageRoot
-	// A machine parked at a yield point (yields > 0) is rebuilt: it re-runs
-	// chain — or, if chain is nil, starts from logic at the CHESS dequeue it
-	// yielded at — passing yields yield points, the last of which it parks
-	// at, and log answers its creates and draws.
-	chain  *handlerStart
-	yields int
-	log    []chainOp
+	// A machine parked at a yield point (log not empty) is rebuilt: it
+	// re-runs chain — or, if chain is nil, starts from logic at the CHESS
+	// dequeue it yielded at — matching log op for op, and parks at the yield
+	// point log ends with.
+	chain *handlerStart
+	log   []chainOp
 }
 
 // queued is an event in a mailbox as a snapshot holds it.
@@ -198,28 +199,29 @@ func (hs *handlerStart) set(from *handlerStart) {
 // the machine running it.
 var unrecorded = &handlerStart{}
 
-// save records m in is, a record a dropped snapshot may have used before;
-// running says that m's stack is the one taking the pass. It reports false,
-// recording nothing usable, for an instance whose schema is not the one bound
-// to its name (bound): a closure-form machine, whose state lives in captured
-// variables rather than its logic value. (A monitor is always static.)
-func (is *instanceState) save(w *stateWalk, m *machineInstance, bound *compiledSchema, running bool) bool {
+// save records m in is, a record a dropped snapshot may have used before. It
+// reports false, recording nothing usable, for an instance whose schema is
+// not the one bound to its name (bound): a closure-form machine, whose state
+// lives in captured variables rather than its logic value. (A monitor is
+// always static.) A machine is parked when it is in a chain or at a CHESS
+// dequeue; the one whose stack takes the pass is too.
+func (is *instanceState) save(w *stateWalk, m *machineInstance, bound *compiledSchema) bool {
 	if m.schema != bound {
 		return false
 	}
 	queue, log := is.queue[:0], is.log[:0]
 	*is = instanceState{id: m.id, schema: m.schema, st: m.st, halted: m.halted, temp: m.temp}
 	switch {
-	case !m.midHandler && !running:
-		is.logic = w.logicRoot(&m.logic)
 	case m.dequeueing:
-		is.logic = w.logicRoot(&m.logic) // between two handlers, one yield short of the next
-		is.yields = 1
-	default:
-		is.chain, is.yields, log = m.chain, m.chainYields, append(log, m.chainLog...)
+		is.logic = w.logicRoot(&m.logic) // between two chains, one yield short of the next
+		log = append(log, chainOp{kind: opYield})
+	case m.handling:
+		is.chain, log = m.chain, append(log, m.ops...)
 		if is.chain == nil {
 			is.chain = unrecorded
 		}
+	default:
+		is.logic = w.logicRoot(&m.logic)
 	}
 	is.log = log
 	if q := m.queued(); len(q) > 0 {
@@ -267,7 +269,10 @@ func (is *instanceState) load(ck *checkpoints, m *machineInstance) {
 		m.push(envelope{sender: q.sender, seq: q.seq})
 		rel.put(unsafe.Pointer(&m.queue[len(m.queue)-1].event), q.event)
 	}
-	m.chain, m.replayLeft, m.replayLog = is.chain, is.yields, is.log
+	m.chain = is.chain
+	if len(is.log) > 0 {
+		m.replayLog = is.log
+	}
 }
 
 // checkpoints is what a controller remembers of its previous iteration in
@@ -394,7 +399,7 @@ func (c *controller) checkpoint(running *machineInstance) {
 	}
 	w := uint64(1)
 	for i, m := range c.rt.machines {
-		if m.midHandler || m == running {
+		if m.handling || m.dequeueing {
 			w |= machineBit(i)
 		}
 	}
@@ -409,16 +414,17 @@ func (c *controller) checkpoint(running *machineInstance) {
 }
 
 // beginChain is where machine m starts a handler chain on ev — at a dequeue,
-// or at its birth — in a harness that has checkpoints; while a snapshot is
-// ahead, a copy of where it started is recorded for the snapshot to rebuild
-// it from. A machine catching up is re-running the chain a snapshot
-// recorded.
+// or at its birth — under the controller: the chain's log starts empty, and
+// while a snapshot is ahead that wants m parked, a copy of where the chain
+// started is recorded for the snapshot to rebuild it from. A machine
+// catching up is re-running the chain a snapshot recorded.
 func (c *controller) beginChain(m *machineInstance, ev Event) {
-	if m.replayLeft > 0 {
+	m.handling, m.ev, m.ops, m.folded, m.hprog = true, ev, m.ops[:0], 0, fnvOffset64
+	if m.replayLog != nil {
 		return
 	}
-	m.chain, m.chainYields, m.chainLog, m.chainSpans = nil, 0, m.chainLog[:0], m.chainSpans[:0]
-	if ck := c.ck; ck.chains&machineBit(int(m.id.Seq-1)) != 0 {
+	m.chain, m.chainSpans = nil, m.chainSpans[:0]
+	if ck := c.ck; ck != nil && ck.chains&machineBit(int(m.id.Seq-1)) != 0 {
 		m.chain = ck.handlerStart(m, ev)
 	}
 }
@@ -467,7 +473,7 @@ func (c *controller) snapshot(pos int, running *machineInstance) {
 	if c.hasher != nil {
 		s.prefix = c.hasher.prefix
 	}
-	if !c.save(s, running) {
+	if !c.save(s) {
 		ck.spare = append(ck.spare, s)
 		return
 	}
@@ -482,18 +488,18 @@ func (c *controller) snapshot(pos int, running *machineInstance) {
 // save records every instance in s, or reports why it cannot: unfit when the
 // program cannot be copied faithfully, stuck when a parked machine cannot be
 // rebuilt faithfully.
-func (c *controller) save(s *snapshot, running *machineInstance) bool {
+func (c *controller) save(s *snapshot) bool {
 	ck, rt := c.ck, c.rt
 	w := &ck.walk
 	for i, m := range rt.machines {
-		if !s.machines[i].save(w, m, rt.schemas[m.id.Type], m == running) {
+		if !s.machines[i].save(w, m, rt.schemas[m.id.Type]) {
 			ck.unfit = true
 			return false
 		}
 		s.machines[i].status = c.statuses[i]
 	}
 	for i, m := range rt.monitors {
-		if !s.monitors[i].save(w, m, rt.monitorSchemas[m.id.Type], false) {
+		if !s.monitors[i].save(w, m, rt.monitorSchemas[m.id.Type]) {
 			ck.unfit = true
 			return false
 		}
@@ -586,13 +592,10 @@ func (c *controller) restore(s *snapshot) {
 	}
 	c.restored = s.steps
 	for _, m := range rt.machines {
-		if m.replayLeft == 0 {
+		if m.replayLog == nil {
 			continue
 		}
-		m.chainSpans = m.chainSpans[:0]
-		if kind, _ := m.next(); kind == ykYield && m.replayLeft == 0 {
-			m.midHandler = true
-		} else if c.bug == nil {
+		if kind, _ := m.next(); (kind != ykYield || m.replayLog != nil) && c.bug == nil {
 			c.bug = m.bug
 			if c.bug == nil {
 				c.bug = &Bug{Kind: BugPanic, Machine: m.id, State: m.state, Message: m.diverged("did not get back to where it was")}

@@ -384,9 +384,13 @@ func (firstChoice) NextInt(int) int                           { return 0 }
 func (firstChoice) RepeatedPrefix(prev []psharp.Decision) int { return len(prev) }
 func (firstChoice) ResumeAt(int)                              {}
 
-// drawsLikeThis is read by ndTicker's handler: the package variable another
-// machine — here the test — writes, which a handler must not read.
-var drawsLikeThis = "bool"
+// drawsLikeThis and sendsFirst are read by ndTicker's handler: package
+// variables another machine — here the test — writes, which a handler must
+// not read.
+var (
+	drawsLikeThis = "bool"
+	sendsFirst    = false
+)
 
 type ndTick struct{ psharp.EventBase }
 
@@ -397,6 +401,9 @@ func (*ndTicker) ConfigureType(sc *psharp.Schema) {
 	sc.Start("Tick").
 		OnEntryM(func(_ psharp.Machine, ctx *psharp.Context, _ psharp.Event) { ctx.Send(ctx.ID(), &ndTick{}) }).
 		OnEventDoM(&ndTick{}, func(_ psharp.Machine, ctx *psharp.Context, _ psharp.Event) {
+			if sendsFirst {
+				ctx.Send(ctx.ID(), &ndTick{})
+			}
 			if drawsLikeThis == "bool" {
 				ctx.RandomBool()
 			} else {
@@ -409,30 +416,43 @@ func (*ndTicker) ConfigureType(sc *psharp.Schema) {
 // TestCheckpointMidHandlerNondeterminismFails: a handler that is not a
 // function of its machine's state, its event and its choices cannot be
 // rebuilt. A restored ticker parked in a handler that now draws an int where
-// it drew a bool fails the iteration with a BugPanic that says so, instead
-// of running on from a state no schedule reaches.
+// it drew a bool, or sends once more before its draw, fails the iteration
+// with a BugPanic that says so, instead of running on from a state no
+// schedule reaches (with the extra send, it would park one yield point
+// early if only yield points were counted).
 func TestCheckpointMidHandlerNondeterminismFails(t *testing.T) {
-	defer func() { drawsLikeThis = "bool" }()
-	h := psharp.NewTestHarness(func(r *psharp.Runtime) {
-		r.MustRegister("Ticker", func() psharp.Machine { return &ndTicker{} })
-		r.MustCreate("Ticker", nil)
-	})
-	defer h.Close()
-	cfg := psharp.TestConfig{Strategy: firstChoice{}, MaxSteps: 20}
-	restored := false
-	for i := 0; i < 10 && !restored; i++ {
-		res := h.Run(cfg)
-		if res.Bug != nil {
-			t.Fatalf("attempt %d: %v", i, res.Bug)
+	defer func() { drawsLikeThis, sendsFirst = "bool", false }()
+	for _, tc := range []struct {
+		name   string
+		change func()
+	}{
+		{"draws an int", func() { drawsLikeThis = "int" }},
+		{"sends first", func() { sendsFirst = true }},
+	} {
+		drawsLikeThis, sendsFirst = "bool", false
+		h := psharp.NewTestHarness(func(r *psharp.Runtime) {
+			r.MustRegister("Ticker", func() psharp.Machine { return &ndTicker{} })
+			r.MustCreate("Ticker", nil)
+		})
+		cfg := psharp.TestConfig{Strategy: firstChoice{}, MaxSteps: 20}
+		restored := false
+		for i := 0; i < 10 && !restored; i++ {
+			res := h.Run(cfg)
+			if res.Bug != nil {
+				t.Fatalf("%s: attempt %d: %v", tc.name, i, res.Bug)
+			}
+			restored = res.RestoredPoints > 0
 		}
-		restored = res.RestoredPoints > 0
-	}
-	if shapes := h.CheckpointShapes(); !restored || len(shapes) == 0 || shapes[len(shapes)-1].Parked == 0 {
-		t.Fatalf("no attempt restored a snapshot with the ticker parked: restored %v, held %+v", restored, shapes)
-	}
-	drawsLikeThis = "int"
-	res := h.Run(cfg)
-	if res.Bug == nil || res.Bug.Kind != psharp.BugPanic || !strings.Contains(res.Bug.Message, "not a deterministic function") {
-		t.Fatalf("the rebuilt ticker took another path and the attempt reported %v", res.Bug)
+		if shapes := h.CheckpointShapes(); !restored || len(shapes) == 0 || shapes[len(shapes)-1].Parked == 0 {
+			t.Fatalf("%s: no attempt restored a snapshot with the ticker parked: restored %v, held %+v", tc.name, restored, shapes)
+		}
+		tc.change()
+		res := h.Run(cfg)
+		h.Close()
+		if res.Bug == nil || res.Bug.Kind != psharp.BugPanic || !strings.Contains(res.Bug.Message, "took another path") ||
+			!strings.Contains(res.Bug.Message, "not a deterministic function") {
+			t.Fatalf("%s: the rebuilt ticker took another path and the attempt reported %v (%d points restored)",
+				tc.name, res.Bug, res.RestoredPoints)
+		}
 	}
 }

@@ -226,14 +226,17 @@
 // search, as DFS and as DPOR) starts from the deepest snapshot inside that
 // prefix instead of from setup. Restoring one walks nothing: it is a
 // relocation of the image, each object allocated with its own type and
-// copied whole, its pointers patched to the new objects, its maps rebuilt. A machine parked in the middle of a handler is a coroutine
-// stack, which cannot be copied; the snapshot holds it as it began its
-// handler chain — its logic and its event as of the dequeue (or birth),
-// copied there — with the number of yield points it has passed since and the
-// machines it created and values it drew, and a restore re-runs the chain on
-// the machine's own coroutine, its sends, creates and monitor notifications
-// suppressed and its creates and draws answered from that log, until it
-// parks where it was. That relies on what the state cache and replay rely
+// copied whole, its pointers patched to the new objects, its maps rebuilt. A
+// machine parked in the middle of a handler is a coroutine stack, which
+// cannot be copied; the snapshot holds it as it began its handler chain —
+// its logic and its event as of the dequeue (or birth), copied there — with
+// the chain's log of what it did since: its sends, creates and draws and the
+// yield points it passed, the very log the state hash reads its mid-handler
+// position from. A restore re-runs the chain on the machine's own coroutine,
+// its sends, creates and monitor notifications suppressed, and matches each
+// of them, each draw and each yield point against the log — creates and
+// draws answered from it — until it parks at the yield point the log ends
+// with, where it was. That relies on what the state cache and replay rely
 // on, now in the middle of a handler: a handler is a deterministic function
 // of its machine's state, its event and its controlled choices. A handler
 // that reads what another machine writes outside events — a package
@@ -276,9 +279,11 @@
 // per object it holds, a store per pointer between them), the re-execution
 // of its prefix from the checkpoint on, one hash of every live machine at
 // the first point that differs, and incremental hashing (the machines a
-// step touched) of its new suffix; a handler that finishes without a state
-// hash being taken pays a few word writes for its mid-handler position, not
-// a walk of its event.
+// step touched) of its new suffix; a handler's mid-handler position is its
+// chain log, folded into one word at the end of each of its steps (and
+// dropped once folded, unless a snapshot records the chain), so a handler
+// that finishes without a state hash being taken pays that fold, not a walk
+// of its event.
 // IterationResult.ReplayedPoints (sct's Report.ReplayedPoints and
 // Shares().ReplayedShare) says how much of a campaign repeated earlier decisions,
 // restored or re-executed. See the StateCache type for the contract this

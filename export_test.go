@@ -73,6 +73,19 @@ func (h *TestHarness) ForgetCheckpoints() {
 	}
 }
 
+// ChainLogCap reports the largest capacity of a handler-chain log among the
+// harness's idle instances, and drops those logs' arrays, so that the next
+// call measures only the Runs in between (an instance taken from the
+// process-wide reserve brings the capacity another harness grew).
+func (h *TestHarness) ChainLogCap() int {
+	n := 0
+	for _, m := range h.c.free {
+		n = max(n, cap(m.ops))
+		m.ops = nil
+	}
+	return n
+}
+
 // Checkpoints reports how many snapshots the harness holds.
 func (h *TestHarness) Checkpoints() int {
 	if ck := h.c.ck; ck != nil {
@@ -102,7 +115,7 @@ func (h *TestHarness) CheckpointShapes() []CheckpointShape {
 			switch {
 			case is.halted:
 				sh.Halted++
-			case is.yields == 0:
+			case len(is.log) == 0:
 			case is.chain == nil:
 				sh.Parked++
 				sh.Dequeueing++

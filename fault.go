@@ -124,8 +124,8 @@ func (c *controller) crashMachine(f FaultAction) {
 	c.rt.observeMonitors(&MachineCrashed{Machine: m.id, Restart: f.Restart})
 	c.faults.Crashes++
 	m.crashed = true
-	m.next() // yields ykCrashed
-	m.midHandler = false
+	m.next()           // yields ykCrashed
+	m.handling = false // a crash ends the chain
 	c.statuses[m.id.Seq-1] = msHalted
 	c.readyRemove(m.id)
 	m.halted = true

@@ -154,8 +154,8 @@ type baProcess struct {
 }
 
 // Process requests travel through a relay machine (the "network" between
-// the processes and the scheduler), so a request needs two hops to race
-// ahead of the ticker's one-hop round trip — keeping the buggy missing
+// the processes and the scheduler), so a request needs two sends to race
+// ahead of the ticker's one-send round trip — keeping the buggy missing
 // defer a rare event, as in the paper (6% of schedules).
 
 func (*baProcess) ConfigureType(sc *psharp.Schema) {

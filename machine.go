@@ -2,6 +2,7 @@ package psharp
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 )
 
@@ -72,12 +73,6 @@ type machineInstance struct {
 	started bool
 	stopped bool
 	fate    yieldKind
-	// midHandler is set when the machine parks at a yield point, with a
-	// handler's frames on its stack, and cleared when its run next stops
-	// otherwise (blocked, halted, failed, crashed): a machine that is not
-	// running is parked mid-handler exactly when it is set (see
-	// checkpoint.go).
-	midHandler bool
 	// crashed is set by the controller (while the machine is parked) to
 	// make the next park unwind with a crashSignal: the fault-injection
 	// crash. birth is the creation payload (both modes): what boot starts
@@ -85,77 +80,84 @@ type machineInstance struct {
 	// it.
 	crashed bool
 	birth   Event
-	// handling, hev, hops and hprog are the machine's mid-handler position,
-	// maintained only when the controller's state hasher is active: while a
-	// handler runs, hev is the event it was dispatched on and hops logs the
-	// visible operations it has performed since (sends, creates,
-	// nondeterministic choices). Two global states with equal visible state
-	// but different pending continuations must hash differently, or the
-	// state cache would conflate them — but the hashing itself (the event's
-	// payload, the sent events' types) waits for hashMachine, which folds
-	// the logged operations into hprog and empties the log; a handler that
-	// completes before any state hash is taken costs a few word writes.
-	handling bool
-	hev      Event
-	hops     []handlerOp
-	hprog    uint64
-
-	// What a checkpoint needs of a machine parked mid-handler (see
-	// checkpoint.go). chain is where the handler chain it is running began —
-	// its logic and event as of the dequeue or birth — recorded only while
-	// the iteration has a snapshot to take ahead; chainYields counts the
-	// yield points the machine has passed since and chainLog the results it
-	// got since: machines created, values drawn. dequeueing is set while it
-	// yields at the CHESS-granularity dequeue, between two handlers.
-	chain       *handlerStart
-	chainYields int
-	chainLog    []chainOp
-	chainSpans  []span // the memory chain was copied from, if it was this iteration
-	dequeueing  bool
+	// The handler chain the machine is running — a handler, then whatever
+	// exits, gotos, entries and raises follow — from the dequeue or birth that
+	// began it (controller.beginChain) to its end. handling is set while it
+	// runs, ev is the event it began on, and ops logs what it did, in order:
+	// its sends, creates and draws and the yield points it passed. ops is
+	// written only while something reads it (logged): the state hash, which
+	// folds it into hprog (foldChain), and a snapshot recording the chain
+	// (chain is non-nil), which copies it (instanceState.save). dequeueing
+	// is set while the machine yields at the CHESS-granularity dequeue,
+	// between two chains. A machine that is not running is parked mid-handler
+	// exactly when handling or dequeueing is set (see checkpoint.go).
+	handling   bool
+	dequeueing bool
+	ev         Event
+	ops        []chainOp
+	folded     int // ops[:folded] are in hprog
+	hprog      uint64
+	// chain is where the chain began — the machine's logic and event as of
+	// the dequeue or birth — recorded only while the iteration has a snapshot
+	// to take ahead; chainSpans is the memory it was copied from, if it was
+	// this iteration.
+	chain      *handlerStart
+	chainSpans []span
 	// A machine restored mid-handler catches up: it re-runs its chain with
-	// replayLeft yield points to pass — the last one it parks at, unasked —
-	// creates and draws answered from replayLog and the first step handling
-	// replayEv, and with its sends, creates and monitor notifications
-	// suppressed, the snapshot holding their effects already.
-	replayLeft int
-	replayLog  []chainOp
-	replayEv   Event
+	// replayLog, the ops the snapshot holds, left to match — creates and
+	// draws answered from it, the first step handling replayEv, and its sends,
+	// creates and monitor notifications suppressed, the snapshot holding
+	// their effects already — and parks, unasked, at the yield point the log
+	// ends with.
+	replayLog []chainOp
+	replayEv  Event
 }
 
-// chainOp is one result a running handler chain got from the runtime: the
-// Seq of a machine it created, or a value it drew.
+// chainOp is one thing a running handler chain did: a send (v the target's
+// Seq, typ the event's type), a create (v the machine's Seq), a draw (v the
+// value) or a yield point.
 type chainOp struct {
 	kind chainOpKind
 	v    uint64
+	typ  reflect.Type
 }
 
 type chainOpKind uint8
 
 const (
-	opCreate chainOpKind = iota
+	opSend chainOpKind = iota
+	opCreate
 	opBool
 	opInt
+	opYield
 )
 
-// logChain records a result of m's handler chain, if the chain is recorded.
-func (m *machineInstance) logChain(kind chainOpKind, v uint64) {
-	if m.chain != nil {
-		m.chainLog = append(m.chainLog, chainOp{kind, v})
-	}
+// logged reports whether m's chain log is written: while the state is
+// hashed, while a snapshot records the chain, and while m catches up. The
+// callers of note ask first, so that nothing else is paid per op.
+func (m *machineInstance) logged() bool {
+	return m.replayLog != nil || m.chain != nil || m.rt.test.hasher != nil
 }
 
-// replayed is the next result of the handler chain m is catching up on. The
-// chain asks for the same results in the same order as when it ran, unless
-// it is not a deterministic function of its machine's state, its event and
-// its controlled choices.
-func (m *machineInstance) replayed(kind chainOpKind) uint64 {
-	if len(m.replayLog) == 0 || m.replayLog[0].kind != kind {
-		panic(m.diverged("took another path"))
+// note is where m's chain logs op, the one site for every kind. While m
+// catches up, op must be the next one its log holds — a send to the same
+// machine of the same event type, a create, a draw, a yield point — and what
+// is returned is the logged one, with the Seq created or the value drawn
+// then. A chain asks for the same things in the same order as when it ran,
+// unless it is not a deterministic function of its machine's state, its
+// event and its controlled choices.
+func (m *machineInstance) note(op chainOp) chainOp {
+	if log := m.replayLog; log != nil {
+		if log[0].kind != op.kind || op.kind == opSend && log[0] != op {
+			panic(m.diverged("took another path"))
+		}
+		op = log[0]
+		if m.replayLog = log[1:]; len(m.replayLog) == 0 {
+			m.replayLog = nil // caught up
+		}
 	}
-	op := m.replayLog[0]
-	m.replayLog = m.replayLog[1:]
-	m.logChain(op.kind, op.v)
-	return op.v
+	m.ops = append(m.ops, op)
+	return op
 }
 
 // diverged says that m, restored mid-handler, did not re-run its handler
@@ -165,42 +167,10 @@ func (m *machineInstance) diverged(how string) string {
 		"its handler is not a deterministic function of its state, its event and its controlled choices", m.id, how)
 }
 
-// handlerOp is one visible operation of a running handler: word is the
-// send's target, the created machine or the choice drawn (each tagged by
-// the caller), sent the event of a send.
-type handlerOp struct {
-	word uint64
-	sent Event
-}
-
 func newMachineInstance(rt *Runtime, id MachineID, logic Machine, schema *compiledSchema) *machineInstance {
 	m := &machineInstance{id: id, rt: rt, logic: logic, schema: schema}
 	m.ctx = &Context{m: m, rt: rt}
 	return m
-}
-
-// progDispatch starts the mid-handler position at event dispatch; progIdle
-// clears it once the handler has run to completion, so a machine waiting
-// for its next event contributes a stable "idle" position to the
-// global-state hash. Both are no-ops unless state hashing is active.
-func (m *machineInstance) progDispatch(ev Event) {
-	if c := m.rt.test; c != nil && c.hasher != nil {
-		m.handling, m.hev, m.hprog = true, ev, fnvOffset64
-	}
-}
-
-func (m *machineInstance) progIdle() {
-	if c := m.rt.test; c != nil && c.hasher != nil {
-		m.progReset()
-	}
-}
-
-// progReset forgets the mid-handler position, dropping the event references
-// the operation log holds.
-func (m *machineInstance) progReset() {
-	m.handling, m.hev = false, nil
-	clear(m.hops)
-	m.hops = m.hops[:0]
 }
 
 // park is the machine's side of a scheduling point reached mid-handler: it
@@ -262,10 +232,14 @@ func (m *machineInstance) yieldPoint() {
 	if c == nil {
 		return
 	}
-	m.chainYields++
-	if m.replayLeft > 0 {
-		// Catching up: the iteration the snapshot was taken in decided here.
-		if m.replayLeft--; m.replayLeft == 0 {
+	catchingUp := m.replayLog != nil
+	if m.logged() {
+		m.note(chainOp{kind: opYield})
+	}
+	if catchingUp {
+		// The iteration the snapshot was taken in decided here; the last
+		// such point is where the machine was parked.
+		if m.replayLog == nil {
 			m.park(ykYield)
 		}
 		return
@@ -314,11 +288,10 @@ func (m *machineInstance) recycle() {
 	m.bug = nil
 	m.aborted = false
 	m.crashed = false
-	m.midHandler = false
 	m.birth = nil
-	m.progReset()
-	m.chain, m.chainYields, m.chainLog, m.chainSpans, m.dequeueing = nil, 0, m.chainLog[:0], m.chainSpans[:0], false
-	m.replayLeft, m.replayLog, m.replayEv = 0, nil, nil
+	m.handling, m.dequeueing, m.ev, m.ops, m.folded, m.hprog = false, false, nil, m.ops[:0], 0, 0
+	m.chain, m.chainSpans = nil, m.chainSpans[:0]
+	m.replayLog, m.replayEv = nil, nil
 	m.ctx.currentEvent = nil
 	m.ctx.resetPending()
 }
@@ -348,9 +321,7 @@ func (m *machineInstance) run() {
 	if m.st == nil {
 		// Not a machine restored from a checkpoint between two handlers of a
 		// life already under way.
-		if c := m.rt.test; c.ck != nil {
-			c.beginChain(m, m.birth)
-		}
+		m.rt.test.beginChain(m, m.birth)
 		if m.bug = m.boot(); m.bug != nil {
 			return
 		}
@@ -441,12 +412,11 @@ func (m *machineInstance) boot() *Bug {
 		m.rt.logf("%s: entering initial state %q", m.id, m.state)
 	}
 	if entry := m.st.entry; entry != nil {
-		m.progDispatch(m.birth)
 		if bug := m.execute(entry, m.birth); bug != nil {
 			return bug
 		}
-		m.progIdle()
 	}
+	m.handling = false // the chain is over
 	m.rt.consumed(1)
 	return nil
 }
@@ -464,11 +434,10 @@ func (m *machineInstance) step() (more bool, bug *Bug) {
 	if m.rt.logging() {
 		m.rt.logf("%s: dequeued %s in state %q", m.id, eventName(env.event), m.state)
 	}
-	m.progDispatch(env.event)
 	if bug = m.handleEvent(env.event); bug != nil {
 		return false, bug
 	}
-	m.progIdle()
+	m.handling = false // the chain is over
 	// The work unit for this event is released only after its handler has
 	// completed — and never if it failed — so production-mode Wait can
 	// observe neither quiescence while an action is still running nor an
@@ -490,6 +459,7 @@ func (m *machineInstance) nextEvent() (env envelope, bug *Bug, ok bool) {
 			// Catching up: the event the chain was dispatched on, which the
 			// restored mailbox no longer holds.
 			m.replayEv = nil
+			c.beginChain(m, ev)
 			return envelope{event: ev}, nil, true
 		}
 		for {
@@ -503,11 +473,7 @@ func (m *machineInstance) nextEvent() (env envelope, bug *Bug, ok bool) {
 			env, ok, bug = m.scanQueueLocked()
 			if ok {
 				c.onDequeue(m, env)
-				if c.ck != nil {
-					// The handler chain that starts here may be one a
-					// snapshot has to rebuild.
-					c.beginChain(m, env.event)
-				}
+				c.beginChain(m, env.event)
 			}
 			if ok || bug != nil {
 				return env, bug, ok
@@ -697,7 +663,7 @@ func (m *machineInstance) applyPending(trigger Event) *Bug {
 		if m.rt.logging() {
 			m.rt.logf("%s: raised %s", m, eventName(raised))
 		}
-		if !m.monitor() && m.replayLeft == 0 {
+		if !m.monitor() && m.replayLog == nil {
 			// Monitors observe a machine's raises like its sends; a monitor's
 			// own raise is not a program event, and one a restored machine
 			// makes again as it catches up was observed before the snapshot.

@@ -238,14 +238,9 @@ func (r *Runtime) unlock() {
 
 // create instantiates a machine; creator is nil for environment creates.
 func (r *Runtime) create(machineType string, payload Event, creator *machineInstance) (MachineID, error) {
-	if creator != nil && creator.replayLeft > 0 {
+	if creator != nil && creator.replayLog != nil {
 		// Catching up after a restore: the machine is in the snapshot.
-		id := r.machines[creator.replayed(opCreate)-1].id
-		if r.test.observing {
-			r.test.noteCreate(creator, id)
-		}
-		creator.yieldPoint()
-		return id, nil
+		return r.test.created(creator, 0), nil
 	}
 	r.lock()
 	factory, ok := r.factories[machineType]
@@ -299,11 +294,7 @@ func (r *Runtime) create(machineType string, payload Event, creator *machineInst
 		}
 		c.onCreate(m, creatorIdx)
 		if creator != nil {
-			if c.observing {
-				c.noteCreate(creator, id)
-			}
-			creator.logChain(opCreate, id.Seq)
-			creator.yieldPoint() // create-machine is a scheduling point
+			return c.created(creator, id.Seq), nil
 		}
 		return id, nil
 	}
@@ -351,7 +342,7 @@ func (r *Runtime) enqueue(target MachineID, ev Event, sm *machineInstance, isMac
 	if sm != nil {
 		sender = sm.id
 	}
-	if (isMachineSend || sm == nil) && (sm == nil || sm.replayLeft == 0) {
+	if (isMachineSend || sm == nil) && (sm == nil || sm.replayLog == nil) {
 		// Specification monitors observe the send itself — machine sends and
 		// environment sends, but not internal re-queues of deferred raised
 		// events, which would double-count one observation, nor the sends a
@@ -375,13 +366,10 @@ func (r *Runtime) enqueue(target MachineID, ev Event, sm *machineInstance, isMac
 		// blocking queue is a visible synchronizing operation of its own.
 		sm.yieldPoint()
 	}
-	if sm != nil && sm.replayLeft > 0 {
+	if sm != nil && sm.replayLog != nil {
 		// Catching up after a restore: the snapshot holds the delivery.
 		if isMachineSend {
-			if c.observing {
-				c.noteSend(sm, target, ev)
-			}
-			sm.yieldPoint()
+			c.sent(sm, target, ev)
 		}
 		return
 	}
@@ -465,10 +453,7 @@ func (r *Runtime) enqueue(target MachineID, ev Event, sm *machineInstance, isMac
 	}
 
 	if c != nil && isMachineSend {
-		if c.observing {
-			c.noteSend(sm, target, ev)
-		}
-		sm.yieldPoint() // send is a scheduling point (Section 6.2)
+		c.sent(sm, target, ev)
 	}
 }
 

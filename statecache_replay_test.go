@@ -312,3 +312,60 @@ func TestStateCacheTellsSameNamedEventTypes(t *testing.T) {
 		t.Fatalf("a/msg.Ping and b/msg.Ping queued hash alike (%#x)", a)
 	}
 }
+
+type clTick struct{ psharp.EventBase }
+
+// clSender creates a sink and sends it clSends events, all in its entry
+// action: one handler chain of twice as many ops as sends, counting the
+// yield points.
+type clSender struct{ psharp.StaticBase }
+
+const clSends = 5000
+
+func (*clSender) ConfigureType(sc *psharp.Schema) {
+	sc.Start("Send").OnEntryM(func(_ psharp.Machine, ctx *psharp.Context, _ psharp.Event) {
+		sink := ctx.CreateMachine("Sink", nil)
+		for i := 0; i < clSends; i++ {
+			ctx.Send(sink, &clTick{})
+		}
+	})
+}
+
+type clSink struct{ psharp.StaticBase }
+
+func (*clSink) ConfigureType(sc *psharp.Schema) {
+	sc.Start("Sink").OnEventDoM(&clTick{}, func(psharp.Machine, *psharp.Context, psharp.Event) {})
+}
+
+// TestStateCacheChainLogBounded: a chain's log is kept only as long as
+// something reads it. With no snapshot recording the chain, the state hash
+// drops what it has folded, also on the prefix an attempt replays, where it
+// takes no hash: the sender's log of a 5 000-send entry action stays a
+// step's worth of ops.
+func TestStateCacheChainLogBounded(t *testing.T) {
+	h := psharp.NewTestHarness(func(r *psharp.Runtime) {
+		r.MustRegister("Sender", func() psharp.Machine { return &clSender{} })
+		r.MustRegister("Sink", func() psharp.Machine { return &clSink{} })
+		r.MustCreate("Sender", nil)
+	})
+	defer h.Close()
+	s := sct.NewDFS()
+	cfg := psharp.TestConfig{Strategy: s, StateCache: &countingCache{}}
+	replayed := 0
+	for i := 0; i < 3 && s.PrepareIteration(i); i++ {
+		h.ForgetCheckpoints() // no snapshot, so no chain is recorded
+		res := h.Run(cfg)
+		if res.Err != nil || res.Bug != nil || res.SchedulingPoints < clSends {
+			t.Fatalf("attempt %d: %d points, err %v, bug %v", i, res.SchedulingPoints, res.Err, res.Bug)
+		}
+		replayed = max(replayed, res.ReplayedPoints)
+		// The first attempt ran on instances another harness may have
+		// left: measure from the second on.
+		if n := h.ChainLogCap(); i > 0 && n > 8 {
+			t.Fatalf("attempt %d (%d points replayed): a chain log grew to %d ops", i, res.ReplayedPoints, n)
+		}
+	}
+	if replayed < clSends {
+		t.Fatalf("no attempt replayed the sends: at most %d points replayed", replayed)
+	}
+}

@@ -243,18 +243,11 @@ func (h *stateHasher) hashMachine(m *machineInstance, status machineStatus) uint
 	w.reset()
 	w.h = fold(foldString(fold(w.h, m.id.Seq), m.state), uint64(status))
 	if m.handling {
-		// Mid-handler: the position is the dispatched event plus every
-		// visible operation since. Operations not yet folded are folded now.
-		for _, op := range m.hops {
-			m.hprog = fnvUint64(m.hprog, op.word)
-			if op.sent != nil {
-				m.hprog = fnvUint64(m.hprog, planOf(eventKey(op.sent)).id)
-			}
-		}
-		clear(m.hops)
-		m.hops = m.hops[:0]
+		// Mid-handler: the position is the chain's event plus everything it
+		// did since.
+		m.foldChain()
 		w.h = fold(w.h, m.hprog)
-		w.hashEvent(&m.hev)
+		w.hashEvent(&m.ev)
 	}
 	q := m.queued()
 	w.h = fold(w.h, uint64(len(q)))
@@ -272,6 +265,31 @@ func (h *stateHasher) hashMachine(m *machineInstance, status machineStatus) uint
 		h.err = w.refusedIn("machine " + m.id.Type)
 	}
 	return mix64(w.h)
+}
+
+// foldChain folds into hprog the ops m's chain has logged since the last
+// fold, yield points aside: two continuations that sent, created or drew
+// differently are different program positions. Folded ops no snapshot
+// records (m.chain is nil) are dropped. It runs when the machine is hashed
+// and at the end of each of its steps, for the log to hold no more than a
+// step's ops also where no hash is taken: on the prefix an attempt replays.
+func (m *machineInstance) foldChain() {
+	for _, op := range m.ops[m.folded:] {
+		switch op.kind {
+		case opSend:
+			m.hprog = fnvUint64(fnvUint64(m.hprog, op.v), planOf(op.typ).id)
+		case opCreate:
+			m.hprog = fnvUint64(m.hprog, op.v|0x8000000000000000)
+		case opBool:
+			m.hprog = fnvUint64(m.hprog, op.v|0x100)
+		case opInt:
+			m.hprog = fnvUint64(m.hprog, op.v|0x200000000)
+		}
+	}
+	if m.chain == nil {
+		m.ops = m.ops[:0]
+	}
+	m.folded = len(m.ops)
 }
 
 // hashMonitor folds one monitor's full state — name, FSM state, hot flag,

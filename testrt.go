@@ -481,10 +481,8 @@ func (c *controller) ask() *Decision {
 // from m's log while m catches up after a restore, the decision being in the
 // restored trace already.
 func (c *controller) nextBool(m *machineInstance) bool {
-	var v uint64
-	if m.replayLeft > 0 {
-		v = m.replayed(opBool)
-	} else {
+	op := chainOp{kind: opBool}
+	if m.replayLog == nil {
 		c.choice.Kind = ChoiceBool
 		d := c.ask()
 		if d.Kind != DecisionBool {
@@ -492,32 +490,22 @@ func (c *controller) nextBool(m *machineInstance) bool {
 		}
 		c.trace.commit()
 		if d.Bool {
-			v = 1
+			op.v = 1
 		}
 		if h := c.hasher; h != nil {
-			h.prefix = fnvByte(fnvByte(h.prefix, 2), byte(v))
+			h.prefix = fnvByte(fnvByte(h.prefix, 2), byte(op.v))
 		}
-		m.logChain(opBool, v)
 	}
-	c.mixChoice(m, v|0x100)
-	return v == 1
-}
-
-// mixChoice logs a nondeterministic-choice result in m's mid-handler
-// position, when the state is hashed: two continuations that drew different
-// values are different program positions.
-func (c *controller) mixChoice(m *machineInstance, v uint64) {
-	if c.hasher != nil {
-		m.hops = append(m.hops, handlerOp{word: v})
+	if m.logged() {
+		op = m.note(op)
 	}
+	return op.v == 1
 }
 
 // nextInt draws a controlled integer in [0, n) for machine m, as nextBool.
 func (c *controller) nextInt(m *machineInstance, n int) int {
-	var v int
-	if m.replayLeft > 0 {
-		v = int(m.replayed(opInt))
-	} else {
+	op := chainOp{kind: opInt}
+	if m.replayLog == nil {
 		c.choice.Kind, c.choice.N = ChoiceInt, n
 		d := c.ask()
 		if d.Kind != DecisionInt {
@@ -527,14 +515,15 @@ func (c *controller) nextInt(m *machineInstance, n int) int {
 			panic(assertFailed{msg: fmt.Sprintf("strategy returned %d for NextInt(%d)", d.Int, n)})
 		}
 		c.trace.commit()
-		v = d.Int
+		op.v = uint64(d.Int)
 		if h := c.hasher; h != nil {
-			h.prefix = fnvUint64(fnvByte(h.prefix, 3), uint64(v))
+			h.prefix = fnvUint64(fnvByte(h.prefix, 3), op.v)
 		}
-		m.logChain(opInt, uint64(v))
 	}
-	c.mixChoice(m, uint64(v)|0x200000000)
-	return v
+	if m.logged() {
+		op = m.note(op)
+	}
+	return int(op.v)
 }
 
 // anyQueuedWhileBlocked detects the deadlock case: machines hold only
@@ -572,11 +561,9 @@ func (c *controller) loop() {
 		m := c.rt.machines[c.current.Seq-1]
 		kind, _ := m.next()
 		if kind == ykYield {
-			m.midHandler = true
 			out = c.pending // the machine stays in the ready set
 			continue
 		}
-		m.midHandler = false
 		status := msHalted
 		if kind == ykBlocked {
 			status = msBlocked
@@ -705,37 +692,45 @@ func (c *controller) updateTemperatures() {
 	}
 }
 
-// noteSend records a machine-to-machine send as part of the executing
-// step's footprint: the target's queue changed (dirty for hashing) and the
-// sender's continuation advanced past the send.
-func (c *controller) noteSend(sm *machineInstance, target MachineID, ev Event) {
-	c.stepTarget = target
-	if h := c.hasher; h != nil {
-		sm.hops = append(sm.hops, handlerOp{target.Seq, ev})
-		h.markDirtySeq(target.Seq)
+// sent closes a send of ev by machine sm to target: the step's footprint
+// (the target's queue changed, dirty for hashing), sm's chain log and the
+// send's scheduling point (Section 6.2).
+func (c *controller) sent(sm *machineInstance, target MachineID, ev Event) {
+	if c.observing {
+		c.stepTarget = target
+		if h := c.hasher; h != nil {
+			h.markDirtySeq(target.Seq)
+		}
 	}
+	if sm.logged() {
+		sm.note(chainOp{kind: opSend, v: target.Seq, typ: eventKey(ev)})
+	}
+	sm.yieldPoint()
 }
 
-// noteCreate records a machine creation in the executing step's footprint.
-// Environment-side creations during setup (creator nil) are pre-schedule
-// and not part of any step.
-func (c *controller) noteCreate(creator *machineInstance, id MachineID) {
-	if creator == nil {
-		return
+// created closes a create by machine creator, as sent closes a send. The
+// machine is Seq seq or, while creator catches up, the one its log says.
+func (c *controller) created(creator *machineInstance, seq uint64) MachineID {
+	if creator.logged() {
+		seq = creator.note(chainOp{kind: opCreate, v: seq}).v
 	}
-	c.stepCreated = id
-	if c.hasher != nil {
-		creator.hops = append(creator.hops, handlerOp{word: id.Seq | 0x8000000000000000})
+	id := c.rt.machines[seq-1].id
+	if c.observing {
+		c.stepCreated = id
 	}
+	creator.yieldPoint() // create-machine is a scheduling point
+	return id
 }
 
 // endStep closes the step c.current just executed, on the stack that
 // learned it was over: the executed machine's hash component is stale (its
-// state, queue or continuation moved), the strategy learns the step's
+// state, queue or continuation moved) and what its chain logged in the step
+// is folded (see foldChain), the strategy learns the step's
 // footprint, hot monitors heat up and a detected race may become the bug.
 func (c *controller) endStep() {
 	if h := c.hasher; h != nil {
 		h.markDirtySeq(c.current.Seq)
+		c.rt.machines[c.current.Seq-1].foldChain()
 	}
 	if c.stepObs != nil {
 		c.stepObs.ObserveStep(StepOp{
