@@ -502,12 +502,16 @@
 // and the high-water mailbox depth, snapshotted by Runtime.Metrics. State-
 // transition coverage — which (machine type, state, event) triples actually
 // dispatched — is opt-in: attach an obs.StateEventCoverage via WithCoverage
-// in production mode or TestConfig.Coverage per bug-finding iteration. The
-// event name each dispatch records is resolved once at schema bind time, so
-// a coverage hit is a read-lock, one map lookup on a comparable struct key,
-// and an atomic add — no per-dispatch reflection, no steady-state
-// allocation; the allocation caps above hold with coverage attached
-// (gated by sct's TestTelemetryAllocationOverhead). The sct package
+// in production mode or TestConfig.Coverage per bug-finding iteration. A
+// schema numbers its action and goto bindings when it is compiled, and a
+// runtime resolves the set's counter of each numbered transition once per
+// schema, so recording a dispatch is an array access: under a TestHarness a
+// plain increment of a count the harness owns (on a cache line of its own,
+// so parallel workers do not share it), which Run folds into the shared set
+// once per iteration, beside Runtime.Metrics' counts; in production an atomic
+// add to the set's counter. No per-dispatch lock, hash or reflection, no
+// steady-state allocation; the allocation caps above hold with coverage
+// attached (gated by sct's TestTelemetryAllocationOverhead). The sct package
 // layers campaign-level telemetry — depth histograms, coverage growth
 // curves over wall-clock time, typed progress snapshots, and versioned
 // campaign reports — on the same primitives; see its Observability section.

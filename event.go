@@ -47,9 +47,11 @@ type MachineRestarted struct {
 	Machine MachineID
 }
 
-// defaultEventName strips the package path from an event's dynamic type.
-func eventName(ev Event) string {
-	t := reflect.TypeOf(ev)
+// eventName strips the package path from an event's dynamic type.
+func eventName(ev Event) string { return eventTypeName(reflect.TypeOf(ev)) }
+
+// eventTypeName is eventName of an event of type t.
+func eventTypeName(t reflect.Type) string {
 	for t.Kind() == reflect.Ptr {
 		t = t.Elem()
 	}

@@ -21,6 +21,10 @@ func (r *Runtime) SchemaCompiles() int {
 // runtime has compiled across all Run calls so far.
 func (h *TestHarness) SchemaCompiles() int { return h.rt.SchemaCompiles() }
 
+// CoverageSlots reports how many transitions the harness's runtime counts
+// coverage for, over every schema its machines ran under the current set.
+func (h *TestHarness) CoverageSlots() int { return len(h.rt.cover.counts) }
+
 // TypeSchemaCompiles reports how many static schemas the process has
 // compiled, on every Runtime, since it started.
 func TypeSchemaCompiles() int64 { return typeSchemas.compiles.Load() }

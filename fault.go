@@ -63,17 +63,11 @@ func (s FaultStats) Total() int {
 // to apply (the pass may be running on the very stack to be unwound), and
 // reports strategy protocol violations through c.bug.
 func (c *controller) scheduleFault() bool {
-	fc := c.cfg.Faults
 	c.crashScratch = c.crashScratch[:0]
-	for i, st := range c.statuses {
-		if st == msHalted {
-			continue
+	for _, id := range c.crashable {
+		if c.statuses[id.Seq-1] != msHalted {
+			c.crashScratch = append(c.crashScratch, id)
 		}
-		m := c.rt.machines[i]
-		if fc.isImmune(m.id.Type) {
-			continue
-		}
-		c.crashScratch = append(c.crashScratch, m.id)
 	}
 	eligible := len(c.crashScratch) > 0
 	ch := &c.choice
@@ -168,7 +162,7 @@ func (c *controller) restartMachine(m *machineInstance) {
 		}
 	}
 	m.logic = logic
-	m.schema = schema
+	m.schema, m.cover = schema, r.cover.block(schema)
 	m.state, m.st = "", nil
 	m.crashed = false
 	m.bug = nil
@@ -192,7 +186,8 @@ func (c *controller) restartMachine(m *machineInstance) {
 // assertFailed, which run's recover converts to a bug like any other
 // in-action failure.
 func (c *controller) nextSendFault(target MachineID) FaultKind {
-	eligible := !c.cfg.Faults.isImmune(target.Type)
+	i := int(target.Seq - 1)
+	eligible := i/64 >= len(c.immune) || c.immune[i/64]&(1<<(i%64)) == 0
 	ch := &c.choice
 	ch.Kind, ch.Point, ch.Target, ch.Eligible = ChoiceFault, FaultPointSend, target, eligible
 	d := c.ask()

@@ -115,6 +115,7 @@ func (h *TestHarness) Run(cfg TestConfig) IterationResult {
 	// However the iteration ended — quiescence, bug, interrupt, a panic of
 	// the strategy — what it counted becomes visible in Runtime.Metrics now.
 	h.rt.metrics.fold(c.counts)
+	h.rt.cover.fold()
 	if v := c.panicked; v != nil {
 		// The strategy panicked inside a pass, possibly on a machine's
 		// stack. Teardown has unwound every handler since, so the instances
@@ -163,7 +164,7 @@ func (h *TestHarness) reset(cfg TestConfig) {
 	rt.failure = nil
 	rt.stopped.Store(false)
 	rt.rngState.Store(h.baseSeed)
-	rt.cover = cfg.Coverage
+	rt.cover.attach(cfg.Coverage)
 	rt.logw = cfg.Log
 	if cfg.Log == nil {
 		rt.logw = h.baseLog // WithLog default when the iteration sets none
@@ -172,6 +173,8 @@ func (h *TestHarness) reset(cfg TestConfig) {
 	c.cfg = cfg
 	c.setDecider()
 	c.faults = FaultStats{}
+	c.crashable = c.crashable[:0]
+	clear(c.immune)
 	c.statuses = c.statuses[:0]
 	c.ready = c.ready[:0]
 	c.current = MachineID{}

@@ -20,6 +20,9 @@ type machineInstance struct {
 	logic  Machine
 	schema *compiledSchema
 	ctx    *Context
+	// cover is where a machine's dispatches are counted (see coverage); nil
+	// without a coverage set, and for a monitor.
+	cover *coverBlock
 
 	// state names the current state and st is its compiled form, cached by
 	// enter so that dispatching an event looks no state up by name.
@@ -280,7 +283,7 @@ func (m *machineInstance) poolLoop(yield func(yieldKind) bool) {
 func (m *machineInstance) recycle() {
 	m.id = MachineID{}
 	m.logic = nil
-	m.schema = nil
+	m.schema, m.cover = nil, nil
 	m.state, m.st = "", nil
 	m.halted = false
 	m.temp = 0
@@ -626,9 +629,14 @@ func (m *machineInstance) dispatch(disp dispatchEntry, ev Event) *Bug {
 		m.rt.enqueue(m.id, ev, m, false)
 		return nil
 	case dispatchAction, dispatchGoto:
-		if cov := m.rt.cover; cov != nil && !m.monitor() {
-			// Coverage counts program transitions: a monitor's are observations.
-			cov.Hit(m.id.Type, m.state, disp.event)
+		// Coverage counts program transitions: a monitor has no block, its
+		// dispatches being observations.
+		if b := m.cover; b != nil {
+			if m.rt.test != nil {
+				m.rt.cover.counts[b.base+disp.slot]++
+			} else {
+				b.ctrs[disp.slot].Add(1)
+			}
 		}
 		if disp.kind == dispatchGoto {
 			return m.gotoState(disp.target, ev)

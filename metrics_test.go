@@ -1,17 +1,27 @@
 package psharp_test
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/psharp-go/psharp"
+	"github.com/psharp-go/psharp/internal/protocols"
 	"github.com/psharp-go/psharp/obs"
 	"github.com/psharp-go/psharp/sct"
 )
 
 // TestCoverageRecordsDispatchedTransitions checks that a coverage set
 // attached via TestConfig.Coverage accumulates the (machine, state, event)
-// triples that bug-finding iterations actually dispatch.
+// triples that bug-finding iterations actually dispatch: through RunTest,
+// from an iteration the strategy ends by panicking, and from a closure-form
+// program whose schemas are compiled per create.
 func TestCoverageRecordsDispatchedTransitions(t *testing.T) {
+	t.Run("dispatched", coverageOfDispatches)
+	t.Run("strategy panics mid-iteration", coverageOfPanickedIteration)
+	t.Run("closure form keeps its table", coverageOfClosureForm)
+}
+
+func coverageOfDispatches(t *testing.T) {
 	var cov obs.StateEventCoverage
 	dfs := sct.NewDFS()
 	dfs.PrepareIteration(0)
@@ -38,6 +48,72 @@ func TestCoverageRecordsDispatchedTransitions(t *testing.T) {
 		}
 		if snap[i].Count != 1 {
 			t.Fatalf("transition[%d] count = %d, want 1", i, snap[i].Count)
+		}
+	}
+}
+
+// coverageOfPanickedIteration: the dispatches of an iteration the strategy
+// ends by panicking at its k-th machine choice (panicAt) are in the set once Run
+// panics, as its Runtime.Metrics are: the same triples and counts as an
+// iteration the depth bound stops at that pass.
+func coverageOfPanickedIteration(t *testing.T) {
+	b := protocols.MustByName("TwoPhaseCommit", false)
+	for _, k := range []int{2, 7, 20} {
+		var got, want obs.StateEventCoverage
+		s := sct.NewRandom(5)
+		s.PrepareIteration(0)
+		h := psharp.NewTestHarness(b.Setup)
+		func() {
+			defer func() {
+				if r := recover(); r != (strategyPanic{k}) {
+					t.Fatalf("k=%d: Run panicked with %v", k, r)
+				}
+			}()
+			h.Run(psharp.TestConfig{Strategy: &panicAt{Strategy: s, k: k}, Coverage: &got})
+		}()
+		h.Close()
+		s = sct.NewRandom(5)
+		s.PrepareIteration(0)
+		res := psharp.RunTest(b.Setup, psharp.TestConfig{Strategy: s, MaxSteps: k - 1, Coverage: &want})
+		if !res.BoundReached {
+			t.Fatalf("k=%d: reference iteration ended before its bound", k)
+		}
+		if got.Distinct() == 0 || got.Distinct() != want.Distinct() || !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) {
+			t.Fatalf("k=%d: coverage of the panicked iteration\n%+v\nwant\n%+v", k, got.Snapshot(), want.Snapshot())
+		}
+	}
+}
+
+// coverageOfClosureForm: a closure-form machine's schema is compiled per
+// create, and the harness counts its transitions in one block all the same:
+// a thousand iterations leave the table the size the first left it.
+func coverageOfClosureForm(t *testing.T) {
+	var cov obs.StateEventCoverage
+	h := psharp.NewTestHarness(ballotSetup())
+	defer h.Close()
+	s := sct.NewRandom(3)
+	slots := 0
+	for i := 0; i < 1000; i++ {
+		s.PrepareIteration(i)
+		h.Run(psharp.TestConfig{Strategy: s, MaxSteps: 1000, Coverage: &cov})
+		if i == 0 {
+			slots = h.CoverageSlots()
+		}
+	}
+	if slots == 0 || h.CoverageSlots() != slots {
+		t.Fatalf("coverage table: %d slots after one iteration, %d after 1000", slots, h.CoverageSlots())
+	}
+	want := []obs.Transition{
+		{Machine: "Collector", State: "Collect", Event: "evBallot"},
+		{Machine: "Voter", State: "Vote", Event: "evBallot"},
+	}
+	snap := cov.Snapshot()
+	if len(snap) != len(want) {
+		t.Fatalf("covered %+v, want %+v", snap, want)
+	}
+	for i, w := range want {
+		if snap[i].Transition != w || snap[i].Count == 0 {
+			t.Fatalf("transition[%d] = %+v, want %+v hit", i, snap[i], w)
 		}
 	}
 }

@@ -17,49 +17,63 @@ type Transition struct {
 }
 
 // StateEventCoverage is a concurrent set of exercised transitions with a
-// hit count per transition. The hot path (Hit) is allocation-free in steady
-// state: each new triple is interned exactly once under the write lock, and
-// every later hit takes the read lock, one map lookup with a comparable
-// struct key (no boxing, no string building), and one atomic add. The zero
-// value is ready to use.
+// hit count per transition. Each triple is interned exactly once, under the
+// write lock, as a TransitionCounter. A caller that dispatches the same
+// transitions over and over resolves their counters once (Counter) and adds
+// to them directly; Hit resolves on every call — a read lock and one map
+// lookup with a comparable struct key (no boxing, no string building) — and
+// then adds one. Either way recording is allocation-free in steady state.
+// The zero value is ready to use.
 type StateEventCoverage struct {
 	mu       sync.RWMutex
-	index    map[Transition]int
-	counts   []*atomic.Int64
+	index    map[Transition]*TransitionCounter
 	distinct atomic.Int64
+}
+
+// TransitionCounter is the hit count of one transition of a
+// StateEventCoverage. The transition is covered from the first add on.
+type TransitionCounter struct {
+	n   atomic.Int64
+	set *StateEventCoverage
+}
+
+// Add records n more dispatches of the transition; n must be positive.
+func (t *TransitionCounter) Add(n int64) {
+	if t.n.Add(n) == n {
+		t.set.distinct.Add(1) // the first add: the transition is covered now
+	}
 }
 
 // Hit records one dispatch of event in (machine, state).
 func (c *StateEventCoverage) Hit(machine, state, event string) {
-	k := Transition{Machine: machine, State: state, Event: event}
+	c.Counter(Transition{Machine: machine, State: state, Event: event}).Add(1)
+}
+
+// Counter returns the counter of transition k, interning k if it is new. It
+// adds nothing: k is not covered until something is added to its counter.
+func (c *StateEventCoverage) Counter(k Transition) *TransitionCounter {
 	c.mu.RLock()
-	if i, ok := c.index[k]; ok {
-		// The add happens under the read lock so the counts slice cannot be
-		// swapped out from under it by a concurrent intern.
-		c.counts[i].Add(1)
-		c.mu.RUnlock()
-		return
-	}
+	t, ok := c.index[k]
 	c.mu.RUnlock()
-	c.intern(k)
+	if ok {
+		return t
+	}
+	return c.intern(k)
 }
 
 // intern registers a first-seen transition (the only allocating path).
-func (c *StateEventCoverage) intern(k Transition) {
+func (c *StateEventCoverage) intern(k Transition) *TransitionCounter {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if i, ok := c.index[k]; ok {
-		c.counts[i].Add(1) // another goroutine interned it first
-		return
+	if t, ok := c.index[k]; ok {
+		return t // another goroutine interned it first
 	}
 	if c.index == nil {
-		c.index = make(map[Transition]int)
+		c.index = make(map[Transition]*TransitionCounter)
 	}
-	n := new(atomic.Int64)
-	n.Store(1)
-	c.index[k] = len(c.counts)
-	c.counts = append(c.counts, n)
-	c.distinct.Add(1)
+	t := &TransitionCounter{set: c}
+	c.index[k] = t
+	return t
 }
 
 // Distinct returns the number of distinct transitions covered so far. It is
@@ -77,8 +91,10 @@ type TransitionCount struct {
 func (c *StateEventCoverage) Snapshot() []TransitionCount {
 	c.mu.RLock()
 	out := make([]TransitionCount, 0, len(c.index))
-	for k, i := range c.index {
-		out = append(out, TransitionCount{Transition: k, Count: c.counts[i].Load()})
+	for k, t := range c.index {
+		if n := t.n.Load(); n > 0 {
+			out = append(out, TransitionCount{Transition: k, Count: n})
+		}
 	}
 	c.mu.RUnlock()
 	sort.Slice(out, func(a, b int) bool {

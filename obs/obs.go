@@ -7,8 +7,8 @@
 // Everything in this package is designed for hot paths that must not
 // allocate in steady state: counters, gauges and histograms are fixed-size
 // atomics; the coverage set interns each new triple once (the only
-// allocating operation) and then serves hits with a read-lock, a map lookup
-// and one atomic add; curves allocate only when a sample is actually taken,
+// allocating operation) as a counter its callers may keep and add to with
+// one atomic add; curves allocate only when a sample is actually taken,
 // which happens at most once per bucket interval. Snapshotting — the
 // allocating, sorting, JSON-friendly view — is always a separate call meant
 // to run off the measured path (between iterations, at progress ticks, or

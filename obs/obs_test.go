@@ -85,6 +85,29 @@ func TestStateEventCoverage(t *testing.T) {
 	}
 }
 
+// TestStateEventCoverageCounter: a resolved counter covers its transition
+// at its first add, not at resolution, and Hit counts into the same counter.
+func TestStateEventCoverageCounter(t *testing.T) {
+	var c StateEventCoverage
+	k := Transition{Machine: "Node", State: "Init", Event: "Ping"}
+	n := c.Counter(k)
+	if c.Counter(k) != n {
+		t.Fatal("two counters for one transition")
+	}
+	if got := c.Distinct(); got != 0 || len(c.Snapshot()) != 0 {
+		t.Fatalf("resolved but never added: distinct %d, snapshot %+v", got, c.Snapshot())
+	}
+	n.Add(3)
+	n.Add(2)
+	c.Hit("Node", "Init", "Ping")
+	if got := c.Distinct(); got != 1 {
+		t.Fatalf("distinct = %d, want 1", got)
+	}
+	if snap := c.Snapshot(); len(snap) != 1 || snap[0].Transition != k || snap[0].Count != 6 {
+		t.Fatalf("snapshot = %+v, want %+v counted 6 times", snap, k)
+	}
+}
+
 func TestStateEventCoverageConcurrent(t *testing.T) {
 	var c StateEventCoverage
 	var wg sync.WaitGroup

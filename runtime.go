@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"github.com/psharp-go/psharp/internal/vclock"
-	"github.com/psharp-go/psharp/obs"
 )
 
 // Runtime executes P# programs (paper Section 6.1). It keeps the registry
@@ -79,10 +78,10 @@ type Runtime struct {
 	// metrics are the always-on operational counters (see metrics.go); all
 	// fields are atomics, so recording needs no lock and never allocates.
 	metrics RuntimeMetrics
-	// cover, when non-nil, records every handled (machine type, state,
-	// event) dispatch. Set by WithCoverage in production mode and by
-	// TestConfig.Coverage per bug-finding iteration.
-	cover *obs.StateEventCoverage
+	// cover records every handled (machine type, state, event) dispatch
+	// into its set, when it has one: set by WithCoverage in production mode
+	// and by TestConfig.Coverage per bug-finding iteration.
+	cover coverage
 
 	// Production-mode accounting: busy counts outstanding units of work
 	// (queued events and machine initializations); Wait sleeps on qcond until
@@ -272,6 +271,7 @@ func (r *Runtime) create(machineType string, payload Event, creator *machineInst
 		// The creator owns the first activation, which runs the initial
 		// entry action; until that is done the machine is outstanding work.
 		m = newMachineInstance(r, id, logic, schema)
+		m.cover = r.cover.block(schema)
 		m.active, m.spawn = true, m.activate
 		r.busy.Add(1)
 		r.machines = append(r.machines, m)

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"unsafe"
+
+	"github.com/psharp-go/psharp/obs"
 )
 
 // Machine is implemented by user machine types. A machine is declared in the
@@ -104,9 +106,9 @@ type dispatchEntry struct {
 	kind   dispatchKind
 	target string        // goto target state
 	fn     MachineAction // bound action (dispatchAction)
-	// event is the bound event type's display name, resolved once at bind
-	// time so coverage recording never pays per-dispatch reflection.
-	event string
+	// slot numbers an action or goto binding in its schema's transitions,
+	// so that recording its coverage is an array access (see coverage).
+	slot int
 }
 
 // handlerBinding is one (event type -> dispatch) binding of a state. States
@@ -311,7 +313,6 @@ func (b *StateBuilder) bind(proto Event, e dispatchEntry) {
 		b.schema.err("state %q: event %s bound more than once", b.state.name, eventName(proto))
 		return
 	}
-	e.event = eventName(proto)
 	b.state.handlers = append(b.state.handlers, handlerBinding{key: key, entry: e})
 }
 
@@ -355,13 +356,17 @@ type compiledSchema struct {
 	machineType string
 	initial     string
 	states      map[string]*stateSpec
+	// transitions is the coverage unit of each action and goto binding, by
+	// dispatchEntry.slot.
+	transitions []obs.Transition
 }
 
 // compile validates the schema of the named machine or monitor and freezes
 // it. The builder hands its state table to the compiled form and must not be
 // used afterwards. A machine's states must not carry hot/cold liveness
 // annotations, which belong to monitors; a monitor's must not Defer, since a
-// monitor observes events instead of queueing them.
+// monitor observes events instead of queueing them. Action and goto bindings
+// are numbered in declaration order.
 func (s *Schema) compile(name string, monitor bool) (*compiledSchema, error) {
 	kind := "machine"
 	if monitor {
@@ -381,7 +386,17 @@ func (s *Schema) compile(name string, monitor bool) (*compiledSchema, error) {
 	if err := s.validate(kind, name); err != nil {
 		return nil, err
 	}
-	return &compiledSchema{machineType: name, initial: s.initial, states: s.states}, nil
+	cs := &compiledSchema{machineType: name, initial: s.initial, states: s.states}
+	for _, sn := range s.order {
+		st := s.states[sn]
+		for i := range st.handlers {
+			if e := &st.handlers[i].entry; e.kind == dispatchAction || e.kind == dispatchGoto {
+				e.slot = len(cs.transitions)
+				cs.transitions = append(cs.transitions, obs.Transition{Machine: name, State: sn, Event: eventTypeName(st.handlers[i].key)})
+			}
+		}
+	}
+	return cs, nil
 }
 
 // typeKey names a static declaration up to its probe's value: machine or

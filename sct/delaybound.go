@@ -16,6 +16,7 @@ type DelayBounding struct {
 	delayAt   map[int]bool
 	remaining int
 	step      int
+	_         cacheLinePad
 }
 
 // NewDelayBounding returns a delay-bounding strategy with the given delay

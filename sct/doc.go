@@ -288,8 +288,9 @@
 //     run, the distribution of schedule depths (a fixed 64-bucket
 //     power-of-two histogram over scheduling points per iteration),
 //     state-transition coverage — the distinct (machine type, state, event)
-//     triples the explored schedules actually dispatched, interned once and
-//     then counted with an atomic add per hit — a census of buggy
+//     triples the explored schedules actually dispatched, counted by each
+//     worker's harness in words of its own and added to the shared set once
+//     per iteration — a census of buggy
 //     iterations by bug kind, and a growth curve sampling iterations,
 //     distinct schedule fingerprints, and covered transitions against
 //     wall-clock time (bounded points; the interval doubles and the curve

@@ -21,15 +21,26 @@ type Strategy interface {
 
 // Cloneable is a Strategy that can shard itself across exploration workers.
 // CloneForWorker returns an independent strategy instance for worker
-// (0-based) out of workers: clones must not share mutable state, and the
-// union of the clones' iteration streams should partition the search space
-// deterministically (randomized strategies shard their seed streams, DFS
-// shards the schedule tree by its first decision). All built-in strategies
+// (0-based) out of workers: clones must not share mutable state or cache
+// lines (see cacheLinePad), and the union of the clones' iteration streams
+// should partition the search space deterministically (randomized
+// strategies shard their seed streams, DFS shards the schedule tree by its
+// first decision). All built-in strategies
 // implement Cloneable; RunParallel requires it for homogeneous portfolios.
 type Cloneable interface {
 	Strategy
 	CloneForWorker(worker, workers int) Strategy
 }
+
+// cacheLinePad ends every strategy type that a worker writes at each
+// decision, as sync.Pool pads its per-P state. RunParallel clones a
+// strategy for all its workers on one goroutine, and ParsePortfolio builds
+// its members back to back, so sibling instances come out of one span side
+// by side: without the pad, the last words one worker writes would share a
+// cache line with the first words of the next, and every decision of one
+// worker would invalidate the other's line. The pad is a type's last field,
+// so it covers an instance however it was made.
+type cacheLinePad struct{ _ [64]byte }
 
 // Options configures an engine run.
 type Options struct {

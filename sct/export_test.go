@@ -1,6 +1,7 @@
 package sct
 
 import (
+	"reflect"
 	"time"
 
 	"github.com/psharp-go/psharp"
@@ -44,4 +45,22 @@ func RunWithoutCheckpoints(setup func(*psharp.Runtime), opts Options) Report {
 	rep.DistinctSchedules = sh.fingerprints.size()
 	rep.DistinctStates = sh.cache.size()
 	return rep
+}
+
+// StrategyTableNames lists the named strategies, every row of the table
+// NewStrategy builds from.
+func StrategyTableNames() []string {
+	names := make([]string, len(strategyTable))
+	for i, info := range strategyTable {
+		names[i] = info.name
+	}
+	return names
+}
+
+// CoverageCounts reports the coverage counts array of h's runtime, which its
+// controller writes at every dispatch: the slots in use and the capacity
+// past the last of them, in words.
+func CoverageCounts(h *psharp.TestHarness) (slots, pad int) {
+	counts := reflect.ValueOf(h).Elem().FieldByName("rt").Elem().FieldByName("cover").FieldByName("counts")
+	return counts.Len(), counts.Cap() - counts.Len()
 }

@@ -2,6 +2,7 @@ package sct
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/psharp-go/psharp"
 )
@@ -9,8 +10,9 @@ import (
 // FaultOptions configures PCT-style budgeted fault injection
 // (Options.Faults, psharp-test -faults).
 type FaultOptions struct {
-	// Budget is the maximum number of faults injected per schedule; 0
-	// disables injection entirely.
+	// Budget is the maximum number of faults injected per schedule: up to
+	// Budget injection points per iteration, a repeated draw placing one
+	// (see Horizon); 0 disables injection entirely.
 	Budget int
 	// Seed seeds the injector's own decision stream (fault placement,
 	// kind, crash target). The stream is sharded across parallel workers
@@ -18,13 +20,14 @@ type FaultOptions struct {
 	// population-equal under RunParallel.
 	Seed uint64
 	// Horizon is the fault-point count the budget is spread over,
-	// PCT-style: each iteration pre-places Budget injection points
-	// uniformly in [0, Horizon) and fires a fault when an eligible query
-	// lands on one. Fault points beyond the horizon never fault. 0 means
-	// DefaultFaultHorizon. A schedule issues roughly two fault queries per
-	// scheduling point (one per scheduler pass, one per machine send), so
-	// a horizon near the typical schedule's query count concentrates the
-	// budget where the schedule actually runs.
+	// PCT-style: each iteration places up to Budget injection points
+	// uniformly in [0, Horizon) — Budget draws, a repeated draw placing one
+	// — and fires a fault when an eligible query lands on one. Fault points
+	// beyond the horizon never fault. 0 means DefaultFaultHorizon. A
+	// schedule issues roughly two fault queries per scheduling point (one
+	// per scheduler pass, one per machine send), so a horizon near the
+	// typical schedule's query count concentrates the budget where the
+	// schedule actually runs.
 	Horizon int
 	// Immune lists machine types faults must never touch (see
 	// psharp.FaultConfig.Immune).
@@ -47,12 +50,13 @@ const DefaultFaultHorizon = 256
 // FaultInjector composes fault injection with any inner exploration
 // strategy: machine picks, booleans and integers are delegated to the inner
 // strategy unchanged, while fault queries are answered from a per-iteration
-// PCT-style plan — Budget injection points placed uniformly at random over
-// the first Horizon fault queries of the schedule. When an eligible query
-// lands on an injection point the injector spends one unit of budget on a
-// random fault: a crash of a random crashable machine at schedule points
-// (restarting with probability 1/2 if Restart is set), or a uniformly
-// chosen drop/duplicate/reorder at send points.
+// PCT-style plan — up to Budget injection points placed uniformly at random
+// over the first Horizon fault queries of the schedule (Budget draws, a
+// repeated draw placing one point). When an eligible query lands on an
+// injection point the injector injects a random fault there: a crash of a
+// random crashable machine at schedule points (restarting with probability
+// 1/2 if Restart is set), or a uniformly chosen drop/duplicate/reorder at
+// send points.
 //
 // The injector's own randomness is a seedStream of its own, kept
 // separate from the inner strategy's so enabling faults does not perturb
@@ -67,10 +71,15 @@ type FaultInjector struct {
 	restart  bool
 	preserve bool
 
-	faults    seedStream
-	points    map[int]bool // fault-query indices that inject, this iteration
-	remaining int
-	idx       int // fault queries answered so far this iteration
+	faults seedStream
+	// points are this iteration's injection points, the fault-query indices
+	// that inject: sorted and distinct, so no point outlasts the budget.
+	// next indexes the first one no query has reached yet.
+	points []int
+	next   int
+	idx    int // fault queries answered so far this iteration
+
+	_ cacheLinePad
 }
 
 // NewFaultInjector wraps inner with fault injection per opts; opts.Budget
@@ -97,7 +106,7 @@ func newFaultInjector(inner Strategy, opts FaultOptions, offset, stride int) *Fa
 		restart:  opts.Restart,
 		preserve: opts.PreserveMailbox,
 		faults:   seedStream{seed: opts.Seed}.shard(offset, stride),
-		points:   make(map[int]bool, opts.Budget),
+		points:   make([]int, 0, opts.Budget),
 	}
 }
 
@@ -135,7 +144,7 @@ func (s *FaultInjector) LoadCursor(cursor []byte) error {
 }
 
 // PrepareIteration prepares the inner strategy, then reseeds the fault
-// stream for the global iteration and pre-places the budget's injection
+// stream for the global iteration and places the iteration's injection
 // points, PCT-style.
 func (s *FaultInjector) PrepareIteration(iter int) bool {
 	if !s.inner.PrepareIteration(iter) {
@@ -144,12 +153,13 @@ func (s *FaultInjector) PrepareIteration(iter int) bool {
 	// The salt keeps a FaultInjector sharing its seed with the inner Random
 	// drawing an independent sequence.
 	s.faults.rewind(iter, 0x6a09e667f3bcc909)
-	clear(s.points)
+	s.points = s.points[:0]
 	for i := 0; i < s.budget; i++ {
-		s.points[s.faults.NextInt(s.horizon)] = true
+		s.points = append(s.points, s.faults.NextInt(s.horizon))
 	}
-	s.remaining = s.budget
-	s.idx = 0
+	slices.Sort(s.points)
+	s.points = slices.Compact(s.points)
+	s.next, s.idx = 0, 0
 	return true
 }
 
@@ -161,12 +171,17 @@ func (s *FaultInjector) Decide(c *psharp.Choice, d *psharp.Decision) {
 		return
 	}
 	d.Kind = psharp.DecisionFault
+	// Queries are numbered in order and points are sorted, so the next
+	// point is the only one this query can land on.
 	i := s.idx
 	s.idx++
-	if s.remaining <= 0 || !c.Eligible || !s.points[i] {
+	if s.next == len(s.points) || s.points[s.next] != i {
 		return
 	}
-	s.remaining--
+	s.next++
+	if !c.Eligible {
+		return
+	}
 	f := &d.Fault
 	switch c.Point {
 	case psharp.FaultPointSend:

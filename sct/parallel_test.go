@@ -2,11 +2,14 @@ package sct_test
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/psharp-go/psharp"
+	"github.com/psharp-go/psharp/internal/protocols"
+	"github.com/psharp-go/psharp/obs"
 	"github.com/psharp-go/psharp/sct"
 )
 
@@ -333,4 +336,56 @@ func TestRunParallelSingleWorkerMatchesRun(t *testing.T) {
 	if a, b := reportCounts(par.Report), reportCounts(seq); a != b {
 		t.Fatalf("one-worker parallel run diverged from sequential:\n%v\n%v", a, b)
 	}
+}
+
+// TestWorkerStateOwnsItsCacheLines: what a worker writes at every scheduling
+// point — its strategy, whichever row of the strategy table, a Replay or a
+// FaultInjector, and its harness's coverage counts — is followed by at least
+// a cache line that holds nothing written, so that two workers' state
+// allocated side by side (RunParallel clones on one goroutine, portfolio
+// members are built back to back) never shares a line.
+func TestWorkerStateOwnsItsCacheLines(t *testing.T) {
+	const line = 64
+	strategies := map[string]sct.Strategy{
+		"replay": sct.NewReplay(&psharp.Trace{}),
+		"faults": sct.NewFaultInjector(sct.NewRandom(1), sct.FaultOptions{Budget: 2}),
+	}
+	for _, name := range sct.StrategyTableNames() {
+		s, err := sct.NewStrategy(name, 1, 100, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		strategies[name] = s
+	}
+	for name, s := range strategies {
+		typ := reflect.TypeOf(s).Elem()
+		if pad := typ.Size() - writtenEnd(typ); pad < line {
+			t.Errorf("%s: %v is %d bytes, its last written word ends at %d: %d bytes of pad, want %d",
+				name, typ, typ.Size(), writtenEnd(typ), pad, line)
+		}
+	}
+
+	b := protocols.MustByName("TwoPhaseCommit", true)
+	h := psharp.NewTestHarness(b.Setup)
+	defer h.Close()
+	s := sct.NewRandom(1)
+	s.PrepareIteration(0)
+	h.Run(psharp.TestConfig{Strategy: s, MaxSteps: b.MaxSteps, Coverage: new(obs.StateEventCoverage)})
+	if slots, pad := sct.CoverageCounts(h); slots == 0 || pad*8 < line {
+		t.Errorf("coverage counts: %d slots and %d bytes of capacity past them, want some and %d", slots, pad*8, line)
+	}
+}
+
+// writtenEnd is where the last word of t that is not a blank field ends.
+func writtenEnd(t reflect.Type) uintptr {
+	if t.Kind() != reflect.Struct {
+		return t.Size()
+	}
+	end := uintptr(0)
+	for i := 0; i < t.NumField(); i++ {
+		if f := t.Field(i); f.Name != "_" {
+			end = max(end, f.Offset+writtenEnd(f.Type))
+		}
+	}
+	return end
 }

@@ -31,6 +31,7 @@ type PCT struct {
 	changes []int  // change points, sorted; duplicates are one point
 	next    int    // index into changes of the first point not passed yet
 	step    int
+	_       cacheLinePad
 }
 
 // NewPCT returns a PCT strategy with bug depth d over schedules of roughly

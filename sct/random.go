@@ -11,17 +11,20 @@ import "github.com/psharp-go/psharp"
 // Random is deterministic given its seed, and a sharded parallel run
 // explores exactly the same schedule population as the sequential run with
 // the same seed and budget: see seedStream.
-type Random struct{ seedStream }
+type Random struct {
+	seedStream
+	_ cacheLinePad
+}
 
 // NewRandom returns a random strategy with the given base seed.
 func NewRandom(seed uint64) *Random {
-	return &Random{newSeedStream(seed)}
+	return &Random{seedStream: newSeedStream(seed)}
 }
 
 // CloneForWorker shards the seed stream: the clone's local iteration i is
 // global iteration worker + i*workers of the same base seed.
 func (s *Random) CloneForWorker(worker, workers int) Strategy {
-	return &Random{s.shard(worker, workers)}
+	return &Random{seedStream: s.shard(worker, workers)}
 }
 
 // PrepareIteration reseeds the stream for local iteration iter. Random

@@ -26,6 +26,7 @@ type RandomFair struct {
 
 	steps   int
 	lastSeq uint64
+	_       cacheLinePad
 }
 
 // NewRandomFair returns a fair random strategy: uniformly random for the

@@ -13,6 +13,7 @@ import (
 type Replay struct {
 	trace *psharp.Trace
 	pos   int
+	_     cacheLinePad
 }
 
 // NewReplay returns a strategy that replays trace.

@@ -136,6 +136,8 @@ type tree struct {
 	// nodes for the nodes pushed next.
 	spare    []*reduction
 	spareIDs [][]psharp.MachineID
+
+	_ cacheLinePad
 }
 
 // node is one decision on the current path: idx is the branch being

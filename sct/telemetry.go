@@ -22,7 +22,10 @@ import (
 // caps hold with telemetry on; TestTelemetryAllocationOverhead gates the
 // overhead at 3 allocations per iteration. Snapshot is safe to call
 // concurrently with a live run, which is what the -http debug endpoint
-// serves. The counters in it are not the accumulator's: it reads the Tally
+// serves. Each worker counts its coverage in its own harness and adds it to
+// the set when an iteration ends, so the coverage seen live — the -http
+// view, the growth curve's samples — lags by at most one iteration per
+// worker; a finished run's is exact. The counters in it are not the accumulator's: it reads the Tally
 // of the run it is attached to, the latest one when it is shared across runs.
 type Telemetry struct {
 	coverage obs.StateEventCoverage

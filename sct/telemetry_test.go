@@ -4,11 +4,13 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"github.com/psharp-go/psharp/internal/protocols"
+	"github.com/psharp-go/psharp/obs"
 	"github.com/psharp-go/psharp/sct"
 )
 
@@ -60,6 +62,47 @@ func TestTelemetryAccumulatesCampaignMetrics(t *testing.T) {
 	}
 	if last.CoveredTransitions != snap.CoveredTransitions {
 		t.Fatalf("final curve point coverage = %d, want %d", last.CoveredTransitions, snap.CoveredTransitions)
+	}
+}
+
+// TestCoverageShardedEqualsSequential: workers count coverage in their own
+// harnesses and fold it into the shared set once per iteration, and the
+// folds add up exactly. A two-worker keep-going run explores the schedules
+// the one-worker run does (seed streams, the fault injector's included,
+// shard population-equal), so its coverage must be the same transitions
+// with the same counts — under random, and under random with a fault
+// budget, whose crashes and restarts add transitions of their own.
+func TestCoverageShardedEqualsSequential(t *testing.T) {
+	b := protocols.MustByName("TwoPhaseCommitFT", true)
+	for _, tc := range []struct {
+		name   string
+		faults sct.FaultOptions
+	}{
+		{"random", sct.FaultOptions{}},
+		{"random+faults", sct.FaultOptions{Budget: 2, Seed: 9, Restart: true, Immune: b.FaultImmune}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(workers int) (sct.Report, []obs.TransitionCount) {
+				tel := sct.NewTelemetry(0)
+				rep := sct.RunParallel(b.SetupMonitored(), sct.ParallelOptions{
+					Options: sct.Options{Strategy: sct.NewRandom(11), Iterations: 600, MaxSteps: b.MaxSteps, Faults: tc.faults, Telemetry: tel},
+					Workers: workers,
+				})
+				return rep.Report, tel.Snapshot().Coverage
+			}
+			oneRep, one := run(1)
+			twoRep, two := run(2)
+			if oneRep.Iterations != twoRep.Iterations || oneRep.TotalSchedulingPoints != twoRep.TotalSchedulingPoints {
+				t.Fatalf("two workers ran %d schedules of %d points, one %d of %d",
+					twoRep.Iterations, twoRep.TotalSchedulingPoints, oneRep.Iterations, oneRep.TotalSchedulingPoints)
+			}
+			if tc.faults.Budget > 0 && oneRep.Faults.Total() == 0 {
+				t.Fatal("no fault injected")
+			}
+			if len(one) == 0 || !reflect.DeepEqual(one, two) {
+				t.Fatalf("coverage of two workers\n%+v\none worker\n%+v", two, one)
+			}
+		})
 	}
 }
 

@@ -48,8 +48,10 @@ type TestConfig struct {
 	Interrupt func() bool
 	// Coverage, if non-nil, accumulates state-transition coverage: every
 	// handled (machine type, state, event) dispatch of the iteration is
-	// recorded into it. The set is safe for concurrent use, so parallel
-	// exploration workers can share one and report campaign-wide coverage.
+	// recorded into it, counted by the harness and added when the iteration
+	// ends (or panics with the strategy's panic), as Runtime.Metrics are.
+	// The set is safe for concurrent use, so parallel exploration workers
+	// can share one and report campaign-wide coverage.
 	Coverage *obs.StateEventCoverage
 	// StateCache, if non-nil, is consulted at every scheduling decision
 	// past the prefix the harness's previous iteration already showed it,
@@ -212,9 +214,14 @@ type controller struct {
 	sendSeq uint64
 	counts  iterationCounts
 
-	// faults counts injected failures; crashScratch is the reusable
-	// crashable-machine list handed to schedule-level fault queries.
+	// faults counts injected failures. Under cfg.Faults, onCreate sorts each
+	// machine by its type's immunity once: crashable lists the machines
+	// faults may touch, in creation order, and immune has the bit Seq-1 of
+	// every other. crashScratch is the reusable list of the crashable
+	// machines that have not halted, handed to schedule-level fault queries.
 	faults       FaultStats
+	crashable    []MachineID
+	immune       []uint64
 	crashScratch []MachineID
 
 	// Step observation and state hashing (see statehash.go). observing is
@@ -364,6 +371,9 @@ func (c *controller) acquireInstance(r *Runtime, id MachineID, logic Machine, sc
 		m.next, m.stop = iter.Pull(m.poolLoop)
 	}
 	m.id, m.logic, m.schema = id, logic, schema
+	if id.Seq != 0 {
+		m.cover = r.cover.block(schema)
+	}
 	return m
 }
 
@@ -386,6 +396,17 @@ func (c *controller) release(ms []*machineInstance) []*machineInstance {
 func (c *controller) onCreate(m *machineInstance, creatorIdx int) {
 	c.statuses = append(c.statuses, msReady)
 	c.ready = append(c.ready, m.id)
+	if fc := c.cfg.Faults; fc != nil {
+		if !fc.isImmune(m.id.Type) {
+			c.crashable = append(c.crashable, m.id)
+		} else {
+			i := int(m.id.Seq - 1)
+			for len(c.immune) <= i/64 {
+				c.immune = append(c.immune, 0)
+			}
+			c.immune[i/64] |= 1 << (i % 64)
+		}
+	}
 	if c.det != nil {
 		c.det.Fork(creatorIdx, int(m.id.Seq))
 	}
