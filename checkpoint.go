@@ -1,8 +1,11 @@
 package psharp
 
 import (
+	"reflect"
 	"slices"
 	"unsafe"
+
+	"github.com/psharp-go/psharp/obs"
 )
 
 // Checkpoints: a depth-first attempt does not re-execute the prefix it
@@ -90,16 +93,19 @@ import (
 // (MachineFunc) machine, whose state lives in captured variables;
 // state holding a live func, chan or unsafe.Pointer, or pointers into the
 // middle of other objects, which a copy would not be faithful to; and the
-// first Run after the configuration changed (memoKey). Everything else must
-// keep its state where the tester can see it: in machine and monitor logic
-// values and in events. A handler's effects on anything else — a variable its
-// setup closure captured, a file — are not repeated for restored points, just
-// as the state cache never saw them.
+// first Run after the configuration changed (inheritKey). Only the first and
+// the last of these also turn off the state cache's skip of the prefix the
+// strategy promises to repeat. Everything else must keep its state where the
+// tester can see it: in machine and monitor logic values and in events. A
+// handler's effects on anything else — a variable its setup closure captured,
+// a file — are not repeated for restored points, just as the state cache
+// never saw them.
 
 // PrefixResumer is implemented by strategies whose next iteration repeats a
 // prefix of the previous one and can be started in the middle of it: the
 // depth-first ones (sct.DFS, sct.DPOR). TestHarness.Run discovers it once
-// per iteration, like StepObserver.
+// per iteration, like StepObserver. Its promise also bounds what an iteration
+// does not show the state cache (see StateCache).
 type PrefixResumer interface {
 	// RepeatedPrefix is called before an iteration with the decisions of the
 	// iteration the harness ran last. It returns n such that the iteration
@@ -331,14 +337,55 @@ func (ck *checkpoints) forget() {
 	ck.recent, ck.iter = [backtrackWindow]int{}, 0
 }
 
-// rewind starts an iteration: it restores the deepest snapshot inside the
-// decision prefix the strategy promises to repeat and returns its position,
-// leaving the trace that long; 0 means nothing was restored and setup has to
-// run. It also picks the position this iteration will snapshot at.
+// inheritKey is everything in a TestConfig that decides which state a
+// decision prefix reaches, which cache was shown it and where its handlers
+// left their marks. What a Run inherits from the one before it — that one's
+// trace, as a prefix the cache passed, and the checkpoints — holds only while
+// the key is unchanged.
+type inheritKey struct {
+	cache       StateCache
+	temperature int // monitor temperatures are state
+	chessLike   bool
+	faults      bool // fault decisions are not part of the prefix hash
+	maxSteps    int  // a prefix longer than the bound is never reached
+	coverage    *obs.StateEventCoverage
+}
+
+// same reports whether what was recorded under k is still true under next.
+// With faults on it never is, nor with a cache that cannot be told from
+// another one: comparing interfaces panics on an uncomparable dynamic type (a
+// map-typed cache), so such a cache counts as new every time.
+func (k inheritKey) same(next inheritKey) bool {
+	return !next.faults && (next.cache == nil || reflect.ValueOf(next.cache).Comparable()) && k == next
+}
+
+// rewind starts an iteration with what it inherits from the one before, and
+// is the one place that decides it: under an unchanged configuration, the
+// decision prefix the strategy promises to repeat, whose points the cache
+// passed then, and the deepest snapshot inside it, which it restores. It
+// returns the snapshot's position, leaving the trace that long; 0 means
+// nothing was restored and setup has to run. It also picks the position this
+// iteration will snapshot at.
 func (c *controller) rewind() int {
+	cfg := &c.cfg
+	key := inheritKey{cfg.StateCache, cfg.LivenessTemperature, cfg.ChessLike, cfg.Faults != nil, cfg.MaxSteps, cfg.Coverage}
+	resuming := c.key.same(key) && c.resumer != nil
+	c.key = key
 	at, k := 0, 0
-	if c.resumer != nil {
-		k = c.resumer.RepeatedPrefix(c.trace.Decisions)
+	if resuming {
+		prev := c.trace.Decisions
+		k = c.resumer.RepeatedPrefix(prev)
+		if h := c.hasher; h != nil {
+			h.replayTo = min(k+1, len(prev)) // p <= k, and the previous iteration decided at p
+		}
+	}
+	// Checkpoints carry neither vector clocks nor fault bookkeeping (faults
+	// never keep the key), and a restored prefix writes no log.
+	if !resuming || cfg.RaceDetect || c.rt.logging() {
+		k = 0
+		if c.ck != nil {
+			c.ck.forget()
+		}
 	}
 	if c.ck == nil && k > 0 {
 		c.ck = &checkpoints{}
@@ -586,7 +633,8 @@ func (c *controller) restore(s *snapshot) {
 	c.steps, c.continued, c.current, c.sendSeq = s.steps, s.continued, s.current, s.sendSeq
 	c.resumedOn = s.onStack
 	if h := c.hasher; h != nil {
-		// Every point before this one was shown to the cache by an earlier
+		// Every point before this one lies inside the prefix the strategy
+		// promised to repeat and was shown to the cache by an earlier
 		// iteration, under these prefixes: they count as replayed.
 		h.prefix, h.replayed = s.prefix, s.steps
 	}

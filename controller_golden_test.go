@@ -80,7 +80,8 @@ type goldenCase struct {
 // pruned, a shallower one steals ownership) so the prune path of the
 // controller is part of the oracle. It is held by pointer: the controller
 // can tell it is the cache of the previous iteration, so the recorded
-// dpor+cache cells run with the replayed prefix skipped.
+// dpor+cache cells run with the prefix the strategy promises to repeat
+// skipped.
 type ownerCache struct {
 	owners map[uint64]stateOwner
 	visits int
@@ -218,7 +219,8 @@ func goldenCases() []goldenCase {
 
 // goldenReplayed sums IterationResult.ReplayedPoints over every golden run:
 // the dpor+cache cells reproduce a recording made with every point hashed
-// and visited, which pins the replay memo only if it engaged.
+// and visited, which pins the skip of the repeated prefix only if it
+// engaged.
 var goldenReplayed atomic.Int64
 
 // runGoldenCase executes one case and digests it. run is the iteration
@@ -348,7 +350,7 @@ func TestControllerGolden(t *testing.T) {
 	goldenReplayed.Store(0)
 	t.Cleanup(func() { // runs once the parallel shards are done
 		if !t.Failed() && goldenReplayed.Load() == 0 {
-			t.Error("no dpor+cache cell skipped a replayed prefix: the recorded oracle does not exercise the replay memo")
+			t.Error("no dpor+cache cell skipped a repeated prefix: the recorded oracle does not exercise the skip")
 		}
 	})
 	for shard := 0; shard < shards; shard++ {

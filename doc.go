@@ -271,10 +271,12 @@
 //
 // With a cache, what is left of the shared prefix is not hashed either. The
 // program is deterministic in its decisions (replay rests on the same
-// fact), so on that prefix the states are the ones attempt n already showed
-// the cache, and the controller neither hashes nor consults it there: it
-// compares a rolling hash of the decisions with the one the previous
-// iteration of the same TestHarness had at each point. An attempt therefore
+// fact), so on the prefix the strategy promises to repeat the states are the
+// ones attempt n already showed the cache, and the controller neither hashes
+// nor consults it there: the promise the checkpoints start from
+// (PrefixResumer.RepeatedPrefix) is the one record of that prefix, and no
+// per-point record is kept. A strategy that makes no such promise has its
+// cache consulted at every point. An attempt therefore
 // costs a relocation of the program's image (an allocation and a typed copy
 // per object it holds, a store per pointer between them), the re-execution
 // of its prefix from the checkpoint on, one hash of every live machine at

@@ -56,21 +56,21 @@ func ReserveLen() int {
 	return len(instanceReserve.idle)
 }
 
-// ForgetReplay drops the harness's replay memo and its checkpoints, so that
-// the next Run starts from setup, hashes the global state and consults its
-// StateCache at every scheduling point, its replayed prefix included — what
-// every Run did before either existed. The equivalence tests run a search
-// both ways.
+// ForgetReplay makes the next Run start as the first after a change of
+// configuration: it inherits nothing of the previous one, so it runs from
+// setup and hashes the global state and consults its StateCache at every
+// scheduling point, the prefix the strategy promises to repeat included —
+// what every Run did before checkpoints and the skip existed. The equivalence tests run a
+// search both ways. (A Run with a StateCache never has the zero key; without
+// one, only the checkpoints are left to drop.)
 func (h *TestHarness) ForgetReplay() {
-	if hs := h.c.hasher; hs != nil {
-		hs.seen = hs.seen[:0]
-	}
+	h.c.key = inheritKey{}
 	h.ForgetCheckpoints()
 }
 
-// ForgetCheckpoints drops the harness's checkpoints and leaves the replay
-// memo alone: the next Run executes every scheduling point from setup, as
-// every Run did before checkpoints existed.
+// ForgetCheckpoints drops the harness's checkpoints and leaves the skip of
+// the repeated prefix alone: the next Run executes every scheduling point
+// from setup, as every Run did before checkpoints existed.
 func (h *TestHarness) ForgetCheckpoints() {
 	if ck := h.c.ck; ck != nil {
 		ck.forget()

@@ -132,10 +132,11 @@
 // keeps). Such an
 // attempt does not run setup: the program must register pure machine
 // factories and keep its state in machines, monitors and events (see
-// psharp.NewTestHarness). What is left of the prefix is executed but
-// neither hashed nor shown to the cache —
-// an equal decision prefix reaches an equal state, which the previous
-// attempt showed it (see psharp.StateCache) — so an attempt costs a
+// psharp.NewTestHarness). What is left of the prefix the search promises to
+// repeat is executed but neither hashed nor shown to the cache — an equal
+// decision prefix reaches an equal state, which the previous attempt showed
+// it (see psharp.StateCache), and the promise is the harness's only record of
+// that prefix — so an attempt costs a
 // relocation of the checkpoint's image of the program (no walk of it: an
 // allocation and a typed copy per object, a store per pointer) + prefix
 // re-execution from the checkpoint on + one full hash at the point where it

@@ -233,11 +233,12 @@ func TestDPORCorpusFaultNegative(t *testing.T) {
 }
 
 // TestStateCacheParallelSkipsReplayedPrefix: two DPOR workers sharing one
-// state cache, each skipping the hash and the Visit on the prefix its own
-// previous attempt replayed, still find the gated corpus's bugs, and the
-// traces replay. A worker can no longer be pruned inside its own replay by
-// the other's theft of a state — "replay must reach the frontier" — so the
-// run must also be race-clean with the memo live (CI runs it under -race).
+// state cache, each skipping the hash and the Visit on the prefix its search
+// promised to repeat of its own previous attempt, still find the gated
+// corpus's bugs, and the traces replay. A worker can no longer be pruned
+// inside its own repeated prefix by the other's theft of a state — "replay
+// must reach the frontier" — so the run must also be race-clean with the skip
+// live (CI runs it under -race).
 func TestStateCacheParallelSkipsReplayedPrefix(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -267,7 +268,7 @@ func TestStateCacheParallelSkipsReplayedPrefix(t *testing.T) {
 		}
 		verifyCorpusReplay(t, name, b, rep)
 		if rep.PrunedIterations > 0 && (rep.ReplayedPoints == 0 || rep.PrunedPoints == 0) {
-			t.Errorf("%s: the replay memo never engaged: %s", name, rep.String())
+			t.Errorf("%s: the skip of the repeated prefix never engaged: %s", name, rep.String())
 		}
 		var replayed, pruned int64
 		for _, w := range out.Workers {

@@ -33,9 +33,9 @@ type Tally struct {
 	// which TotalSchedulingPoints leaves out: the campaign's schedules hold
 	// TotalSchedulingPoints + PrunedPoints decisions.
 	PrunedPoints int64 `json:"pruned_points,omitempty"`
-	// ReplayedPoints is how many of those replayed the decisions of the
-	// worker's previous iteration — a shared prefix, where the state cache
-	// is not consulted (psharp.IterationResult.ReplayedPoints);
+	// ReplayedPoints is how many of those lay inside the prefix the
+	// strategy promised to repeat of the worker's previous iteration, where
+	// the state cache is not consulted (psharp.IterationResult.ReplayedPoints);
 	// Shares().ReplayedShare is their ratio. 0 when the state cache was off.
 	ReplayedPoints int64 `json:"replayed_points,omitempty"`
 	// RestoredPoints is how many scheduling decisions did not have to be

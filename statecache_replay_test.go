@@ -1,13 +1,15 @@
 package psharp_test
 
-// Tests for the replay memo of the state hasher: a depth-first attempt
-// hashes and shows its StateCache only the suffix the previous attempt of
-// the same harness did not reach. The names start with TestStateCache so
-// CI's "DPOR + state cache suite" step runs them under the race detector.
+// Tests for the skip of the repeated prefix: a depth-first attempt hashes
+// and shows its StateCache only what lies past the prefix the strategy
+// promises to repeat of the previous attempt of the same harness. The names
+// start with TestStateCache so CI's "DPOR + state cache suite" step runs them
+// under the race detector.
 
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"reflect"
 	"testing"
 
@@ -33,7 +35,7 @@ type attempt struct {
 type searchMode int
 
 const (
-	searchLive          searchMode = iota // replay memo and checkpoints, as shipped
+	searchLive          searchMode = iota // skip of the repeated prefix and checkpoints, as shipped
 	searchNoCheckpoints                   // every attempt executes every point, from setup
 	searchEveryPoint                      // and hashes and shows its cache every point, too
 )
@@ -172,7 +174,8 @@ type mapCache map[string]int
 func (c mapCache) Visit(_, _ uint64, _ int) bool { c["visits"]++; return false }
 
 // sharedPoints is how many scheduling points of cur were reached by the
-// decisions prev made too: the points the replay memo lets cur skip.
+// decisions prev made too: the points a depth-first strategy promises to
+// repeat, which cur skips.
 func sharedPoints(prev, cur *psharp.Trace) int {
 	n := 0
 	for i, d := range cur.Decisions {
@@ -189,10 +192,36 @@ func sharedPoints(prev, cur *psharp.Trace) int {
 	return n
 }
 
+// promiseless forwards only sct.Strategy's methods: the DFS it wraps makes
+// the same search, but promises nothing (psharp.PrefixResumer).
+type promiseless struct{ sct.Strategy }
+
+// firstEnabled always steps the first enabled machine and draws zeros, so it
+// promises to repeat every decision of the attempt before.
+type firstEnabled struct{}
+
+func (firstEnabled) NextMachine(_ psharp.MachineID, enabled []psharp.MachineID) psharp.MachineID {
+	return enabled[0]
+}
+func (firstEnabled) NextBool() bool                            { return false }
+func (firstEnabled) NextInt(int) int                           { return 0 }
+func (firstEnabled) RepeatedPrefix(prev []psharp.Decision) int { return len(prev) }
+func (firstEnabled) ResumeAt(int)                              {}
+
+// depthCache prunes every state shown to it at depth at.
+type depthCache struct{ at int }
+
+func (c depthCache) Visit(_, _ uint64, depth int) bool { return depth == c.at }
+
+// suffixVisits is what one attempt showed its cache.
+type suffixVisits struct{ points, replayed, visits int }
+
 // TestStateCacheVisitsOnlyNewSuffix locks the gain in: under DFS the cache
 // is shown the first attempt's every point and after that only what each
 // attempt does not share with the one before it — and everything again
-// whenever the memo could lie.
+// whenever the promise could lie or was not made. The skip follows the
+// promise, not whether checkpoints may be taken: an execution log and the
+// race detector turn checkpoints off and leave the skip as it is.
 func TestStateCacheVisitsOnlyNewSuffix(t *testing.T) {
 	h := psharp.NewTestHarness(staticBallotSetup())
 	defer h.Close()
@@ -211,6 +240,7 @@ func TestStateCacheVisitsOnlyNewSuffix(t *testing.T) {
 
 	const attempts = 200
 	var prev *psharp.Trace
+	var plain []suffixVisits
 	depths, want := 0, 0
 	for i := 0; i < attempts; i++ {
 		before := cache.visits
@@ -228,14 +258,65 @@ func TestStateCacheVisitsOnlyNewSuffix(t *testing.T) {
 		depths += res.SchedulingPoints
 		want += res.SchedulingPoints - shared
 		prev = res.Trace.Clone()
+		plain = append(plain, suffixVisits{res.SchedulingPoints, res.ReplayedPoints, cache.visits - before})
 	}
 	if cache.visits != want || 2*cache.visits > depths {
 		t.Fatalf("%d visits over %d attempts, want %d (the new suffixes), well under the %d points executed",
 			cache.visits, attempts, want, depths)
 	}
 
-	// Whatever could make the memo lie drops it: the next attempt shows
-	// the cache every point, the one after only its suffix again.
+	// The same search on a harness of its own: under an execution log or
+	// the race detector it skips what the plain one skipped; behind a
+	// wrapper that hides the promise it visits every point.
+	for _, in := range []struct {
+		what       string
+		cfg        psharp.TestConfig
+		everyPoint bool
+	}{
+		{"an execution log", psharp.TestConfig{Log: io.Discard}, false},
+		{"RaceDetect", psharp.TestConfig{RaceDetect: true}, false},
+		{"a DFS hiding PrefixResumer", psharp.TestConfig{}, true},
+	} {
+		h := psharp.NewTestHarness(staticBallotSetup())
+		dfs := sct.NewDFS()
+		cache := &countingCache{}
+		cfg := in.cfg
+		cfg.Strategy, cfg.StateCache = dfs, cache
+		if in.everyPoint {
+			cfg.Strategy = promiseless{dfs}
+		}
+		for i, want := range plain {
+			dfs.PrepareIteration(i)
+			before := cache.visits
+			res := h.Run(cfg)
+			if in.everyPoint {
+				want.replayed, want.visits = 0, want.points
+			}
+			if got := (suffixVisits{res.SchedulingPoints, res.ReplayedPoints, cache.visits - before}); got != want {
+				t.Fatalf("%s, attempt %d: %+v, want %+v", in.what, i, got, want)
+			}
+		}
+		h.Close()
+	}
+
+	// A promise that takes in the whole of a pruned attempt: the point the
+	// attempt was pruned at is inside the prefix, but the cache never passed
+	// it, so it is shown the point again and prunes there again.
+	{
+		h := psharp.NewTestHarness(staticBallotSetup())
+		cfg := psharp.TestConfig{Strategy: firstEnabled{}, StateCache: depthCache{at: 3}}
+		for i := 0; i < 3; i++ {
+			res := h.Run(cfg)
+			if want := min(i, 1) * 3; !res.Pruned || res.SchedulingPoints != 3 || res.ReplayedPoints != want {
+				t.Fatalf("a promise of all of a pruned attempt, attempt %d: pruned %v at %d points, %d replayed, want pruned at 3, %d replayed",
+					i, res.Pruned, res.SchedulingPoints, res.ReplayedPoints, want)
+			}
+		}
+		h.Close()
+	}
+
+	// Whatever could make the promise lie drops the skip: the next attempt
+	// shows the cache every point, the one after only its suffix again.
 	visitsAll := func(what string, cfg psharp.TestConfig, visits func() int) {
 		t.Helper()
 		before := visits()

@@ -1,11 +1,5 @@
 package psharp
 
-import (
-	"reflect"
-
-	"github.com/psharp-go/psharp/obs"
-)
-
 // Global-state hashing and step observation: the controller-side hooks
 // behind the sct package's DPOR strategy and hashed state cache.
 //
@@ -15,8 +9,8 @@ import (
 // global program state (machine FSM states, queue contents, machine logic
 // fields, monitor states and temperatures) and ask a StateCache whether
 // that state was already covered, cutting the iteration short when it was
-// — except on the decision prefix an iteration replays from the one before
-// it, where the answer is known (see StateCache).
+// — except on the prefix the strategy promises to repeat of the iteration
+// before, where the answer is known (see StateCache).
 // Both hooks are off unless the strategy implements StepObserver or
 // TestConfig.StateCache is set, and the step bookkeeping is a handful of
 // word writes — the allocation-free hot path is unchanged when they are
@@ -58,24 +52,24 @@ type StepObserver interface {
 // the iteration — the controller stops scheduling and reports the
 // iteration with IterationResult.Pruned set.
 //
-// The cache is not consulted on a replayed prefix: while an iteration makes
-// the decisions the previous iteration of the same TestHarness made, it
-// passes through states the cache was shown then, under these very
-// prefixes, and answered false to. The controller neither hashes nor calls
-// Visit at those points (IterationResult.ReplayedPoints counts them); the
-// first call of an iteration is at the first point whose decision prefix
-// the previous iteration did not reach. This relies on what replay relies
-// on: the program is deterministic in its decisions, so an equal decision
-// prefix reaches an equal state. (Where the harness holds a checkpoint
-// inside that prefix — see PrefixResumer — the points before it are not even
-// executed; they count as replayed all the same.) A cache must therefore
-// answer a repeated Visit(state, prefix, depth) as it answered the first —
-// any ownership rule does under a depth-first strategy, which finishes a
+// The cache is not consulted on the prefix the strategy promises to repeat
+// (PrefixResumer) of the previous iteration of the same TestHarness: the
+// points inside it at which that iteration went on to decide are states the
+// cache was shown then, under these very prefixes, and answered false to.
+// The controller neither hashes nor calls Visit there
+// (IterationResult.ReplayedPoints counts them). This relies on what replay
+// relies on: the program is deterministic in its decisions, so an equal
+// decision prefix reaches an equal state. (Where the harness holds a
+// checkpoint inside that prefix the points before it are not even executed;
+// they count as replayed all the same.) A cache must therefore answer a
+// repeated Visit(state, prefix, depth) as it answered the first — any
+// ownership rule does under a depth-first strategy, which finishes a
 // prefix's subtree before any other prefix can take the state at a smaller
 // depth — and a cache shared by several harnesses cannot prune one of them
-// inside its own replay. One-shot RunTest calls, and caches whose dynamic
-// type is not comparable (so "the same cache as last time" cannot be told),
-// are consulted at every point.
+// inside its own repeated prefix. A strategy that is not a PrefixResumer,
+// one-shot RunTest calls, the first Run after the configuration changed, and
+// caches whose dynamic type is not comparable (so "the same cache as last
+// time" cannot be told) are consulted at every point.
 //
 // The hash covers machine and monitor logic values and queued events through
 // their types' state plans (stateplan.go): to any depth and length, with what
@@ -160,60 +154,23 @@ type stateHasher struct {
 	walk stateWalk
 	err  *StateError
 
-	// seen is the replay memo: seen[k] is the decision-prefix hash the
-	// harness's previous iteration had at scheduling point k, for every
-	// point the cache let it pass. While replaying, the running iteration
-	// has matched seen at every point so far — replayed counts them — and
-	// the state hash and Visit are skipped; the first point that differs
-	// truncates seen there, and from then on every passed point appends.
-	// The controller drops the memo when the configuration moves (memoKey).
-	// seen starts out in seenBuf, so a search no deeper than that allocates
-	// nothing for its memo (a hunt of a few schedules would notice).
-	seen      []uint64
-	seenBuf   [128]uint64
-	replaying bool
-	replayed  int
+	// Points at trace positions below replayTo were passed by the previous
+	// iteration and repeated by this one (rewind); replayed counts them.
+	replayTo int
+	replayed int
 }
 
-// memoKey is everything in a TestConfig that decides which state a decision
-// prefix reaches, which cache was shown it and where its handlers left their
-// marks. What a harness remembers of its previous iteration — the replay memo
-// and the checkpoints (checkpoint.go) — is dropped when any of it changes
-// between two Runs.
-type memoKey struct {
-	cache       StateCache
-	temperature int // monitor temperatures are state
-	chessLike   bool
-	faults      bool // fault decisions are not part of the prefix hash
-	maxSteps    int  // a prefix longer than the bound is never reached
-	coverage    *obs.StateEventCoverage
-}
-
-// same reports whether what was remembered under k is still true under next.
-// With faults on it never is, nor with a cache that cannot be told from
-// another one: comparing interfaces panics on an uncomparable dynamic type (a
-// map-typed cache), so such a cache counts as new every time.
-func (k memoKey) same(next memoKey) bool {
-	return !next.faults && (next.cache == nil || reflect.ValueOf(next.cache).Comparable()) && k == next
-}
-
-func newStateHasher() *stateHasher {
-	h := &stateHasher{prefix: fnvOffset64}
-	h.seen = h.seenBuf[:0]
-	return h
-}
-
-// reset prepares the hasher for a fresh iteration. The replay memo persists
-// (the controller drops it when the configuration moves, see memoKey). comps
-// stays empty until the iteration leaves its replayed prefix; stateHash's
-// growth path then hashes every live machine once.
+// reset prepares the hasher for a fresh iteration, which replays nothing
+// until rewind says otherwise. comps stays empty until the iteration leaves
+// its replayed prefix; stateHash's growth path then hashes every live machine
+// once.
 func (h *stateHasher) reset() {
 	h.comps = h.comps[:0]
 	h.agg = 0
 	h.dirty = h.dirty[:0]
 	h.marked = h.marked[:0]
 	h.prefix = fnvOffset64
-	h.replaying, h.replayed = true, 0
+	h.replayTo, h.replayed = 0, 0
 	h.err = nil
 }
 

@@ -54,18 +54,18 @@ type TestConfig struct {
 	// can share one and report campaign-wide coverage.
 	Coverage *obs.StateEventCoverage
 	// StateCache, if non-nil, is consulted at every scheduling decision
-	// past the prefix the harness's previous iteration already showed it,
-	// with a hash of the global state (machine FSM states, queue contents,
-	// logic fields, monitor states and temperatures) and the decision
-	// prefix that reached it; when Visit returns true the iteration is cut
-	// short and reported with IterationResult.Pruned set. Skipping the
-	// replayed prefix relies, as replay does, on the program being
-	// deterministic in its decisions. Only sound under depth-first
-	// strategies (see the StateCache docs); incompatible with Faults in
-	// this version. A program whose machines or monitors keep a live func,
-	// chan or unsafe.Pointer in their state, or that has a closure-form
-	// (MachineFunc) machine, cannot be hashed: its iterations end at once with
-	// a *StateError in IterationResult.Err.
+	// past the prefix the strategy promises to repeat of the harness's
+	// previous iteration (see PrefixResumer), with a hash of the global
+	// state (machine FSM states, queue contents, logic fields, monitor
+	// states and temperatures) and the decision prefix that reached it;
+	// when Visit returns true the iteration is cut short and reported with
+	// IterationResult.Pruned set. Skipping the repeated prefix relies, as
+	// replay does, on the program being deterministic in its decisions.
+	// Only sound under depth-first strategies (see the StateCache docs);
+	// incompatible with Faults in this version. A program whose machines
+	// or monitors keep a live func, chan or unsafe.Pointer in their state,
+	// or that has a closure-form (MachineFunc) machine, cannot be hashed:
+	// its iterations end at once with a *StateError in IterationResult.Err.
 	StateCache StateCache
 	// Faults, if non-nil, enables fault-injection nondeterminism: the
 	// controller issues a ChoiceFault query once per scheduler pass (crash?)
@@ -96,9 +96,10 @@ type IterationResult struct {
 	// SchedulingPoints is the number of scheduling decisions taken (the
 	// paper's #SP column).
 	SchedulingPoints int
-	// ReplayedPoints is how many of them replayed the previous iteration's
-	// decisions, so that cfg.StateCache was not consulted (see StateCache);
-	// 0 without a cache. It includes the RestoredPoints.
+	// ReplayedPoints is how many of them lay inside the prefix the
+	// strategy promised to repeat of the previous iteration, so that
+	// cfg.StateCache was not consulted (see StateCache); 0 without a cache
+	// or a PrefixResumer. It includes the RestoredPoints.
 	ReplayedPoints int
 	// RestoredPoints is how many of them were not executed: the iteration
 	// started from a checkpoint taken that deep in the decision prefix it
@@ -249,17 +250,17 @@ type controller struct {
 	// teardown, read by machines right after the switch that resumes them.
 	aborting bool
 
-	// resumer is cfg.Strategy's PrefixResumer, for a Run that may start from a
-	// checkpoint; ck holds the checkpoints, once there is a use for any, and
-	// restored is how many scheduling points this iteration took from one.
-	// key is what of the configuration the memory of the previous iteration —
-	// the hasher's replay memo, the checkpoints — was recorded under; err is
-	// what Run reports in IterationResult.Err.
+	// resumer is cfg.Strategy's PrefixResumer, which says how much of the
+	// previous iteration a Run repeats; ck holds the checkpoints, once there
+	// is a use for any, and restored is how many scheduling points this
+	// iteration took from one. key is what of the configuration the previous
+	// trace and the checkpoints were recorded under (rewind); err is what Run
+	// reports in IterationResult.Err.
 	resumer   PrefixResumer
 	ck        *checkpoints
 	restored  int
 	resumedOn MachineID // whose stack took the restored snapshot's pass, if a machine's
-	key       memoKey
+	key       inheritKey
 	err       error
 }
 
@@ -448,34 +449,20 @@ func (c *controller) onDequeue(m *machineInstance, env envelope) {
 	}
 }
 
-// setDecider caches the per-iteration view of cfg.Strategy through the
-// decision API, avoiding the type assertion at every nondeterminism point,
-// and drops what the harness remembers of its previous iteration if this one
-// runs under another configuration.
+// setDecider caches the per-iteration views of cfg.Strategy — through the
+// decision API, as a StepObserver, as a PrefixResumer — avoiding the type
+// assertion at every nondeterminism point.
 func (c *controller) setDecider() {
 	cfg := &c.cfg
 	c.stepObs, _ = cfg.Strategy.(StepObserver)
-	key := memoKey{cfg.StateCache, cfg.LivenessTemperature, cfg.ChessLike, cfg.Faults != nil, cfg.MaxSteps, cfg.Coverage}
-	same := c.key.same(key)
-	c.key = key
+	c.resumer, _ = cfg.Strategy.(PrefixResumer)
 	if cfg.StateCache == nil {
 		c.hasher = nil
 	} else {
 		if c.hasher == nil {
-			c.hasher = newStateHasher()
-		} else if !same {
-			c.hasher.seen = c.hasher.seen[:0]
+			c.hasher = &stateHasher{}
 		}
 		c.hasher.reset()
-	}
-	// Checkpoints carry neither fault bookkeeping nor vector clocks, and a
-	// restored prefix writes no log.
-	c.resumer = nil
-	if cfg.Faults == nil && !cfg.RaceDetect && !c.rt.logging() {
-		c.resumer, _ = cfg.Strategy.(PrefixResumer)
-	}
-	if c.ck != nil && (!same || c.resumer == nil) {
-		c.ck.forget()
 	}
 	c.observing = c.stepObs != nil || c.hasher != nil
 	c.pruned = false
@@ -773,18 +760,14 @@ func (c *controller) endStep() {
 
 // checkStateCache hashes the current global state and asks cfg.StateCache
 // whether it was already covered; a true answer prunes the iteration, and so
-// does state that cannot be hashed, with c.err set. On a
-// replayed prefix — the decisions so far are the previous iteration's — the
+// does state that cannot be hashed, with c.err set. Inside the prefix the
+// strategy promised to repeat, where the previous iteration passed, the
 // answer is known to be false and neither happens (see StateCache).
 func (c *controller) checkStateCache() bool {
 	h := c.hasher
-	if h.replaying {
-		if k := h.replayed; k < len(h.seen) && h.seen[k] == h.prefix {
-			h.replayed++
-			return false
-		}
-		h.replaying = false
-		h.seen = h.seen[:h.replayed]
+	if len(c.trace.Decisions) < h.replayTo {
+		h.replayed++
+		return false
 	}
 	state := c.stateHash()
 	if h.err != nil {
@@ -792,12 +775,8 @@ func (c *controller) checkStateCache() bool {
 		c.err = h.err
 		return true
 	}
-	if c.cfg.StateCache.Visit(state, h.prefix, c.steps) {
-		c.pruned = true
-		return true
-	}
-	h.seen = append(h.seen, h.prefix)
-	return false
+	c.pruned = c.cfg.StateCache.Visit(state, h.prefix, c.steps)
+	return c.pruned
 }
 
 // stateHash returns the hash of the global state at the current scheduling
