@@ -466,7 +466,7 @@ func (c *controller) checkpoint(running *machineInstance) {
 // started is recorded for the snapshot to rebuild it from. A machine
 // catching up is re-running the chain a snapshot recorded.
 func (c *controller) beginChain(m *machineInstance, ev Event) {
-	m.handling, m.ev, m.ops, m.folded, m.hprog = true, ev, m.ops[:0], 0, fnvOffset64
+	m.handling, m.ev, m.ops, m.folded, m.hprog = true, ev, m.ops[:0], 0, hashSeed
 	if m.replayLog != nil {
 		return
 	}

@@ -483,8 +483,13 @@
 // only the target's mailbox, and accounts for outstanding work (what Wait
 // waits for: pending initializations and events sent but not yet handled,
 // ignored or dropped by a halt) in an atomic counter; only the transition
-// to quiescence takes the runtime's lock, to wake Wait. What one message
-// still costs that another machine can feel is three process-wide atomic
+// to quiescence takes the runtime's lock, to wake Wait. Events a machine
+// goes idle with — all of them deferred by its state — are no such work:
+// they move to a second counter until a send wakes the machine, and if any
+// are left when Wait finds the runtime quiescent, it returns that deadlock
+// as a *Bug of kind BugDeadlock, as RunTest does. A send to a machine that
+// holds none pays no atomic for this. What one message still costs that
+// another machine can feel is three process-wide atomic
 // adds (outstanding work, the send sequence, the Sends metric) and, for
 // several senders to one receiver, that receiver's mailbox lock. Stop (and
 // the first failure, which Wait returns) is a flag every activation reads

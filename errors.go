@@ -18,8 +18,9 @@ const (
 	// BugPanic is an uncaught panic escaping a user action.
 	BugPanic
 	// BugDeadlock means some machine still has queued events but no machine
-	// is enabled (cannot happen with pure machine programs; kept for the
-	// environment-modeling extensions).
+	// is enabled: every event left is deferred by its machine's state, so
+	// none can ever be handled. Both runtimes report it — the testing one
+	// when no machine is ready, production Wait at quiescence.
 	BugDeadlock
 	// BugLivelock is reported when the configured depth bound is exceeded
 	// and the engine is asked to treat that as a liveness bug.

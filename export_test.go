@@ -214,7 +214,7 @@ func (im *StateImage) Maps() int  { return len(im.img.maps) }
 // Digest folds every byte of the image's objects and every slot and root: a
 // restore that writes into the image changes it.
 func (im *StateImage) Digest() uint64 {
-	h := fnvOffset64
+	h := hashSeed
 	for _, o := range im.img.objs {
 		h = fold(fold(fold(h, uint64(o.kind)), uint64(o.n)), uint64(o.slots))
 		if o.kind != objMap {

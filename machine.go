@@ -100,6 +100,11 @@ type machineInstance struct {
 	ops        []chainOp
 	folded     int // ops[:folded] are in hprog
 	hprog      uint64
+	// comp is the machine's component of the state hash as of the last point
+	// that hashed it; stale says it must be rehashed at the next one (see
+	// stateHasher).
+	comp  uint64
+	stale bool
 	// chain is where the chain began — the machine's logic and event as of
 	// the dequeue or birth — recorded only while the iteration has a snapshot
 	// to take ahead; chainSpans is the memory it was copied from, if it was
@@ -293,6 +298,7 @@ func (m *machineInstance) recycle() {
 	m.crashed = false
 	m.birth = nil
 	m.handling, m.dequeueing, m.ev, m.ops, m.folded, m.hprog = false, false, nil, m.ops[:0], 0, 0
+	m.comp, m.stale = 0, false
 	m.chain, m.chainSpans = nil, m.chainSpans[:0]
 	m.replayLog, m.replayEv = nil, nil
 	m.ctx.currentEvent = nil
@@ -492,6 +498,12 @@ func (m *machineInstance) nextEvent() (env envelope, bug *Bug, ok bool) {
 	}
 	if !ok && bug == nil {
 		m.active = false
+		if n := len(m.queued()); n > 0 {
+			// Deferred (or the runtime is stopping): no handler can take them
+			// before a send wakes m, so they are no work Wait can see done.
+			m.rt.parked.Add(int64(n))
+			m.rt.consumed(n)
+		}
 	}
 	m.mu.Unlock()
 	if ok && *m.held != nil {

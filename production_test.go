@@ -315,6 +315,68 @@ func TestProductionFirstFailureWins(t *testing.T) {
 	}
 }
 
+// latch defers evA until evB opens it, then handles each evA slowly.
+type latch struct {
+	psharp.StaticBase
+	handled *atomic.Int32
+}
+
+func (*latch) ConfigureType(sc *psharp.Schema) {
+	sc.Start("Closed").
+		Defer(&evA{}).
+		OnEventGoto(&evB{}, "Open")
+	sc.State("Open").
+		OnEventDoM(&evA{}, func(m psharp.Machine, _ *psharp.Context, _ psharp.Event) {
+			time.Sleep(10 * time.Millisecond)
+			m.(*latch).handled.Add(1)
+		})
+}
+
+// TestProductionDeferredEventsAtQuiescenceAreDeadlock: a machine gone idle
+// holding only events its state defers is the deadlock RunTest reports, and
+// Wait returns it — again when asked again — instead of waiting for work
+// nothing can do. The send that lets the machine handle them makes them work
+// again: Wait waits for both.
+func TestProductionDeferredEventsAtQuiescenceAreDeadlock(t *testing.T) {
+	var handled atomic.Int32
+	setup := func(r *psharp.Runtime) psharp.MachineID {
+		r.MustRegister("Latch", func() psharp.Machine { return &latch{handled: &handled} })
+		id := r.MustCreate("Latch", nil)
+		mustSend(t, r, id, &evA{})
+		mustSend(t, r, id, &evA{})
+		return id
+	}
+	res := runOne(t, func(r *psharp.Runtime) { setup(r) })
+	if res.Bug == nil || res.Bug.Kind != psharp.BugDeadlock {
+		t.Fatalf("RunTest bug = %v, want a deadlock", res.Bug)
+	}
+	r := psharp.NewRuntime()
+	id := setup(r)
+	for i := 0; i < 2; i++ {
+		if err := waitWithin(t, r, 5*time.Second); err == nil || err.Error() != res.Bug.Error() {
+			t.Fatalf("Wait = %v, want %v", err, res.Bug)
+		}
+	}
+	mustSend(t, r, id, &evB{})
+	if err := waitWithin(t, r, 5*time.Second); err != nil || handled.Load() != 2 {
+		t.Fatalf("Wait = %v with %d deferred events handled, want nil after both", err, handled.Load())
+	}
+}
+
+// waitWithin is r.Wait, failing the test if it has not returned after d.
+func waitWithin(t *testing.T, r *psharp.Runtime, d time.Duration) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- r.Wait() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(d):
+		t.Fatalf("Wait still blocked after %v", d)
+		return nil
+	}
+}
+
 // TestActivationRingStaysOnOneGoroutine: a token passed between machines that
 // are idle when it arrives never leaves the goroutine that took it up — a
 // hop costs no goroutine, no park and no wake-up.

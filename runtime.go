@@ -87,7 +87,12 @@ type Runtime struct {
 	// (queued events and machine initializations); Wait sleeps on qcond until
 	// it reaches zero (quiescence), a failure is recorded or the runtime is
 	// stopped. Only the transition to zero and fail take mu, to wake Wait.
+	// parked counts the events idle machines hold, which their states defer:
+	// moved out of busy when a machine goes idle with them, back in by the
+	// send that wakes it (an idle machine's mailbox changes only by that
+	// send). Nonzero at quiescence, it is a deadlock.
 	busy    atomic.Int64
+	parked  atomic.Int64
 	qcond   *sync.Cond
 	failure *Bug
 	stopped atomic.Bool
@@ -352,15 +357,20 @@ func (r *Runtime) enqueue(target MachineID, ev Event, sm *machineInstance, isMac
 		r.observeMonitors(ev)
 	}
 	m := r.machineByID(target)
+	c := r.test
 	if m == nil {
 		msg := fmt.Sprintf("send of %s to unknown machine %s", eventName(ev), target)
-		if r.test != nil && isMachineSend {
+		if c != nil && isMachineSend {
 			panic(assertFailed{msg: msg})
 		}
-		r.fail(&Bug{Kind: BugPanic, Machine: sender, Message: msg})
+		bug := &Bug{Kind: BugPanic, Machine: sender, Message: msg}
+		if c == nil {
+			r.fail(bug)
+		} else if c.bug == nil {
+			c.bug = bug // the environment's send: the iteration's bug
+		}
 		return
 	}
-	c := r.test
 	if c != nil && c.cfg.ChessLike && isMachineSend {
 		// CHESS granularity: acquiring the queue lock of the thread-safe
 		// blocking queue is a visible synchronizing operation of its own.
@@ -417,8 +427,15 @@ func (r *Runtime) enqueue(target MachineID, ev Event, sm *machineInstance, isMac
 			env.seq = c.sendSeq
 		} else {
 			env.seq = r.sendSeq.Add(1)
-			r.busy.Add(1)
 			woke, m.active = !m.active, true
+			parked := 0
+			if woke {
+				parked = len(m.queued()) // what m went idle with is work again
+			}
+			r.busy.Add(int64(1 + parked))
+			if parked > 0 {
+				r.parked.Add(-int64(parked))
+			}
 		}
 		m.push(env)
 		switch fault {
@@ -501,9 +518,12 @@ func (r *Runtime) Failure() *Bug {
 	return r.failure
 }
 
-// Wait blocks until the program is quiescent — every queue is empty and
-// every machine idle — or a failure has been recorded, which it returns.
-// Only valid in production mode.
+// Wait blocks until the program is quiescent — every machine idle, and
+// every queue empty or holding only events its machine's state defers — or
+// a failure has been recorded, which it returns. Deferred events left at
+// quiescence can never be handled: Wait returns that deadlock as a *Bug of
+// kind BugDeadlock naming a machine that holds them. Only valid in
+// production mode.
 func (r *Runtime) Wait() error {
 	if r.test != nil {
 		panic("psharp: Wait is not available in bug-finding mode")
@@ -512,12 +532,24 @@ func (r *Runtime) Wait() error {
 	for r.busy.Load() > 0 && r.failure == nil && !r.stopped.Load() {
 		r.qcond.Wait()
 	}
-	var err error
-	if r.failure != nil {
-		err = r.failure
-	}
+	failure, stopped := r.failure, r.stopped.Load()
 	r.mu.Unlock()
-	return err
+	if failure != nil {
+		return failure
+	}
+	if !stopped && r.parked.Load() > 0 {
+		// Not under mu: a machine going idle takes its mailbox lock first.
+		for _, m := range *r.table.Load() {
+			m.mu.Lock()
+			parked, state := len(m.queued()), m.state
+			m.mu.Unlock()
+			if parked > 0 {
+				return &Bug{Kind: BugDeadlock, Machine: m.id, State: state,
+					Message: "all machines blocked but deferred events remain queued"}
+			}
+		}
+	}
+	return nil
 }
 
 // Stop shuts the runtime down: activations end at their next dequeue and
@@ -551,10 +583,7 @@ func (r *Runtime) randomInt(m *machineInstance, n int) int {
 
 // nextRand steps the production-mode SplitMix64 generator.
 func (r *Runtime) nextRand() uint64 {
-	z := r.rngState.Add(0x9e3779b97f4a7c15)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return mix64(r.rngState.Add(0x9e3779b97f4a7c15))
 }
 
 // access feeds the happens-before race detector in RD-on mode.

@@ -173,6 +173,27 @@ func TestUnhandledEventIsBug(t *testing.T) {
 	}
 }
 
+// TestEnvironmentSendToUnknownMachineIsBug: a send from the environment to a
+// machine that does not exist is the iteration's bug under RunTest, the same
+// one production Wait returns.
+func TestEnvironmentSendToUnknownMachineIsBug(t *testing.T) {
+	ghost := psharp.MachineID{Type: "S", Seq: 7}
+	res := runOne(t, func(r *psharp.Runtime) {
+		r.MustRegister("M", func() psharp.Machine { return &mute{} })
+		r.MustCreate("M", nil)
+		mustSend(t, r, ghost, &evA{})
+	})
+	r := psharp.NewRuntime()
+	mustSend(t, r, ghost, &evA{})
+	prod := r.Wait()
+	if prod == nil || !strings.Contains(prod.Error(), "unknown machine S(7)") {
+		t.Fatalf("production Wait = %v, want the send to the unknown machine", prod)
+	}
+	if res.Bug == nil || res.Bug.Kind != psharp.BugPanic || res.Bug.Error() != prod.Error() {
+		t.Fatalf("RunTest bug = %v, want %v", res.Bug, prod)
+	}
+}
+
 // TestRaiseBypassesQueue checks that raised events are handled before
 // queued ones.
 func TestRaiseBypassesQueue(t *testing.T) {

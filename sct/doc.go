@@ -107,8 +107,9 @@
 //   - The hashed global-state cache (Options.StateCache) fingerprints the
 //     global state — every machine's serialized fields, control state and
 //     queue contents, plus monitor states and liveness temperatures — at
-//     each scheduling point, incrementally (only machines that stepped
-//     rehash). When a schedule reaches a state some earlier schedule
+//     each scheduling point, incrementally (only the machine that stepped,
+//     the one it sent to and the ones it created rehash). When a schedule
+//     reaches a state some earlier schedule
 //     already covered at the same or shallower depth with a different
 //     prefix, the rest of the iteration is cut short: everything reachable
 //     below it has been or will be explored from the first visit. Pruned

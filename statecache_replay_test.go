@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/psharp-go/psharp"
@@ -162,10 +163,23 @@ func TestStateCacheReplaySkipEquivalence(t *testing.T) {
 	}
 }
 
-// countingCache never prunes; it counts Visit calls.
-type countingCache struct{ visits int }
+// countingCache never prunes; it counts Visit calls and keeps what each was
+// shown.
+type countingCache struct {
+	visits int
+	seen   []cacheVisit
+}
 
-func (c *countingCache) Visit(_, _ uint64, _ int) bool { c.visits++; return false }
+type cacheVisit struct {
+	state, prefix uint64
+	depth         int
+}
+
+func (c *countingCache) Visit(state, prefix uint64, depth int) bool {
+	c.visits++
+	c.seen = append(c.seen, cacheVisit{state, prefix, depth})
+	return false
+}
 
 // mapCache is a cache of a map type: comparing two StateCache interfaces
 // that hold one panics, so the controller must not try.
@@ -297,6 +311,54 @@ func TestStateCacheVisitsOnlyNewSuffix(t *testing.T) {
 			}
 		}
 		h.Close()
+	}
+
+	// The same search on a new harness once more after each of three others
+	// has recycled its instances through the process-wide reserve: one of
+	// another program with a cache, one without, and one whose strategy
+	// panicked mid-iteration. A machine's hash component and its stale mark
+	// ride the instance, and none may carry over: the cache is shown the
+	// first search's states and prefixes at its depths, visit for visit.
+	tpc := protocols.MustByName("TwoPhaseCommit", false)
+	for _, prior := range []struct {
+		what   string
+		cache  psharp.StateCache
+		panics bool
+	}{
+		{"another program with a cache", &countingCache{}, false},
+		{"another program without a cache", nil, false},
+		{"a strategy that panicked mid-iteration", &countingCache{}, true},
+	} {
+		other := psharp.NewTestHarness(tpc.Setup)
+		s := sct.NewDFS()
+		cfg := psharp.TestConfig{Strategy: s, StateCache: prior.cache, MaxSteps: tpc.MaxSteps}
+		if prior.panics {
+			cfg.Strategy = &panicAt{Strategy: s, k: 10}
+		}
+		func() {
+			defer func() {
+				if got := recover(); (got != nil) != prior.panics {
+					t.Fatalf("%s: Run panicked with %v", prior.what, got)
+				}
+			}()
+			for i := 0; i < 20 && s.PrepareIteration(i); i++ {
+				other.Run(cfg)
+			}
+		}()
+		other.Close()
+
+		h := psharp.NewTestHarness(staticBallotSetup())
+		dfs := sct.NewDFS()
+		again := &countingCache{}
+		for i := range plain {
+			dfs.PrepareIteration(i)
+			h.Run(psharp.TestConfig{Strategy: dfs, StateCache: again})
+		}
+		h.Close()
+		if !slices.Equal(again.seen, cache.seen) {
+			t.Fatalf("after %s: the cache was shown other visits than by the first search (%d against %d)",
+				prior.what, len(again.seen), len(cache.seen))
+		}
 	}
 
 	// A promise that takes in the whole of a pruned attempt: the point the

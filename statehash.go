@@ -20,6 +20,9 @@ package psharp
 // of pointers, structs, slices and maps of plain keys and elements, and does
 // allocate for an event or interface value that is not a pointer (a box per
 // hash) and for a map whose keys or elements hold pointers (two per entry).
+// One mixing primitive, stateplan.go's fold, makes every hash here. Each
+// machine carries its own component (machineInstance.comp), and which ones
+// to rehash is the footprint of the step (see stateHasher).
 
 // StepOp is the effect footprint of one executed scheduling step: which
 // machine ran, which machine (if any) it sent to, which machine (if any)
@@ -88,34 +91,12 @@ type StateCache interface {
 	Visit(state, prefix uint64, depth int) (prune bool)
 }
 
-// FNV-1a, the same mixing primitive the sct package uses for schedule
-// fingerprints.
-const (
-	fnvOffset64 uint64 = 0xcbf29ce484222325
-	fnvPrime64  uint64 = 0x100000001b3
-)
+// hashSeed starts every hash the package folds: the decision prefix, a
+// chain position, a type identity and each state plan walk.
+const hashSeed uint64 = 0xcbf29ce484222325
 
-func fnvByte(h uint64, b byte) uint64 {
-	return (h ^ uint64(b)) * fnvPrime64
-}
-
-func fnvUint64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = (h ^ (v & 0xff)) * fnvPrime64
-		v >>= 8
-	}
-	return h
-}
-
-func fnvString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime64
-	}
-	return h
-}
-
-// mix64 is a SplitMix64-style finalizer used where a component hash is
-// built from one word.
+// mix64 is the SplitMix64 finalizer: it finishes a component, and steps
+// the production runtime's pseudo-random source (Runtime.nextRand).
 func mix64(v uint64) uint64 {
 	v ^= v >> 30
 	v *= 0xbf58476d1ce4e5b9
@@ -125,26 +106,22 @@ func mix64(v uint64) uint64 {
 	return v
 }
 
-// stateHasher computes the incremental global-state hash. Per-machine
-// components (FSM state, controller status, queue contents, mid-handler
-// position, logic fields) are cached and XORed into an aggregate; each step
-// dirties only the machines it touched — the machine that ran, its send
-// target, machines it created — so a scheduling point rehashes O(step
-// footprint) machines, not O(machines). Monitors are few and shallow and are
+// stateHasher computes the incremental global-state hash: the XOR of the
+// machines' components (FSM state, controller status, queue contents,
+// mid-handler position, logic fields; machineInstance.comp), of which a
+// point rehashes only those marked stale since the last — a created machine,
+// and after each step the machine that stepped and the one it sent to, the
+// footprint DPOR is given anyway. Monitors are few and shallow and are
 // rehashed fresh at every point (their temperatures change every step under
 // liveness checking). A component is one walk of the state plans: what is
 // aliased inside one machine — two fields, a field and a queued event — is
 // part of its hash; memory shared between machines is hashed once per
 // machine that reaches it, the price of rehashing them separately.
 type stateHasher struct {
-	// comps[i] is the cached component of machine Seq i+1; agg is the XOR
-	// of all components.
-	comps []uint64
+	// agg is the XOR of the components hashed so far; dirty lists the
+	// machines marked stale since.
 	agg   uint64
-	// dirty lists component indexes to rehash at the next scheduling
-	// point; marked dedups it.
-	dirty  []int
-	marked []bool
+	dirty []*machineInstance
 	// prefix is the rolling hash of the decision prefix (schedule, bool,
 	// int choices) of the current iteration.
 	prefix uint64
@@ -161,32 +138,24 @@ type stateHasher struct {
 }
 
 // reset prepares the hasher for a fresh iteration, which replays nothing
-// until rewind says otherwise. comps stays empty until the iteration leaves
-// its replayed prefix; stateHash's growth path then hashes every live machine
-// once.
+// until rewind says otherwise, and drops the previous iteration's machines,
+// recycled since. The new ones are marked stale as they are created or
+// restored, so the first point hashed hashes each of them once.
 func (h *stateHasher) reset() {
-	h.comps = h.comps[:0]
 	h.agg = 0
+	clear(h.dirty)
 	h.dirty = h.dirty[:0]
-	h.marked = h.marked[:0]
-	h.prefix = fnvOffset64
+	h.prefix = hashSeed
 	h.replayTo, h.replayed = 0, 0
 	h.err = nil
 }
 
-// markDirtySeq records that machine Seq's component must be rehashed. New
-// machines whose component slot does not exist yet are picked up by the
-// growth path in stateHash.
-func (h *stateHasher) markDirtySeq(seq uint64) {
-	idx := int(seq) - 1
-	if idx < 0 || idx >= len(h.marked) {
-		return
+// stale records that m's component must be rehashed at the next point.
+func (h *stateHasher) stale(m *machineInstance) {
+	if !m.stale {
+		m.stale = true
+		h.dirty = append(h.dirty, m)
 	}
-	if h.marked[idx] {
-		return
-	}
-	h.marked[idx] = true
-	h.dirty = append(h.dirty, idx)
 }
 
 // hashMachine computes one machine's component: identity, FSM state,
@@ -232,15 +201,12 @@ func (h *stateHasher) hashMachine(m *machineInstance, status machineStatus) uint
 // step's ops also where no hash is taken: on the prefix an attempt replays.
 func (m *machineInstance) foldChain() {
 	for _, op := range m.ops[m.folded:] {
-		switch op.kind {
-		case opSend:
-			m.hprog = fnvUint64(fnvUint64(m.hprog, op.v), planOf(op.typ).id)
-		case opCreate:
-			m.hprog = fnvUint64(m.hprog, op.v|0x8000000000000000)
-		case opBool:
-			m.hprog = fnvUint64(m.hprog, op.v|0x100)
-		case opInt:
-			m.hprog = fnvUint64(m.hprog, op.v|0x200000000)
+		if op.kind == opYield {
+			continue
+		}
+		m.hprog = fold(fold(m.hprog, uint64(op.kind)), op.v)
+		if op.kind == opSend {
+			m.hprog = fold(m.hprog, planOf(op.typ).id)
 		}
 	}
 	if m.chain == nil {

@@ -179,17 +179,18 @@ func (p *statePlan) words(off, n uintptr) {
 // typeID hashes a type's identity: its package path and name under its
 // pointer indirections, because String abbreviates the path to the package
 // name — a/msg.Ping and b/msg.Ping would share an ID, and two states that
-// differ only in which of them is queued would be one. Unnamed types have
-// only String to go by.
+// differ only in which of them is queued would be one. Each string is
+// folded with its length, so no separator is needed. Unnamed types have only
+// String to go by.
 func typeID(t reflect.Type) uint64 {
-	id, base := fnvOffset64, t
+	id, base := hashSeed, t
 	for base.Kind() == reflect.Pointer {
-		id, base = fnvByte(id, '*'), base.Elem()
+		id, base = fold(id, '*'), base.Elem()
 	}
 	if base.Name() != "" {
-		return fnvString(fnvByte(fnvString(id, base.PkgPath()), '.'), base.Name())
+		return foldString(foldString(id, base.PkgPath()), base.Name())
 	}
-	return fnvString(id, base.String())
+	return foldString(id, base.String())
 }
 
 // StateError reports that a machine's or monitor's state cannot be hashed:
@@ -331,7 +332,7 @@ type mapScratch struct {
 // reset readies the walk for a new traversal.
 func (w *stateWalk) reset() {
 	w.seen.reset()
-	w.h, w.refused, w.unfaithful = fnvOffset64, nil, false
+	w.h, w.refused, w.unfaithful = hashSeed, nil, false
 }
 
 func (w *stateWalk) refuse(p *statePlan, op *stateOp) {
@@ -532,7 +533,7 @@ func (w *stateWalk) hashMap(op *stateOp, f unsafe.Pointer) {
 		for w.iter.Reset(mv); w.iter.Next(); {
 			sc.k.SetIterKey(&w.iter)
 			sc.v.SetIterValue(&w.iter)
-			w.h = fnvOffset64
+			w.h = hashSeed
 			w.hash(op.key, sc.kp)
 			w.hash(op.sub, sc.vp)
 			x ^= mix64(w.h)
@@ -576,7 +577,7 @@ func (w *stateWalk) hashMap(op *stateOp, f unsafe.Pointer) {
 // for the walk proper to enter.
 func (w *stateWalk) alone(p *statePlan, at unsafe.Pointer) uint64 {
 	mark := len(w.seen.list)
-	w.h = fnvOffset64
+	w.h = hashSeed
 	w.hash(p, at)
 	w.seen.truncate(mark)
 	return w.h

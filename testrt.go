@@ -391,9 +391,10 @@ func (c *controller) release(ms []*machineInstance) []*machineInstance {
 	return ms[:0]
 }
 
-// onCreate registers a newly created machine as ready to run its initial
-// entry action. New machines carry the highest Seq so far, so appending
-// keeps the ready list sorted by creation order.
+// onCreate registers a newly created (or restored) machine as ready to run
+// its initial entry action, its hash component stale. New machines carry the
+// highest Seq so far, so appending keeps the ready list sorted by creation
+// order.
 func (c *controller) onCreate(m *machineInstance, creatorIdx int) {
 	c.statuses = append(c.statuses, msReady)
 	c.ready = append(c.ready, m.id)
@@ -410,6 +411,9 @@ func (c *controller) onCreate(m *machineInstance, creatorIdx int) {
 	}
 	if c.det != nil {
 		c.det.Fork(creatorIdx, int(m.id.Seq))
+	}
+	if h := c.hasher; h != nil {
+		h.stale(m)
 	}
 }
 
@@ -501,7 +505,7 @@ func (c *controller) nextBool(m *machineInstance) bool {
 			op.v = 1
 		}
 		if h := c.hasher; h != nil {
-			h.prefix = fnvByte(fnvByte(h.prefix, 2), byte(op.v))
+			h.prefix = fold(fold(h.prefix, 2), op.v)
 		}
 	}
 	if m.logged() {
@@ -525,7 +529,7 @@ func (c *controller) nextInt(m *machineInstance, n int) int {
 		c.trace.commit()
 		op.v = uint64(d.Int)
 		if h := c.hasher; h != nil {
-			h.prefix = fnvUint64(fnvByte(h.prefix, 3), op.v)
+			h.prefix = fold(fold(h.prefix, 3), op.v)
 		}
 	}
 	if m.logged() {
@@ -658,7 +662,7 @@ func (c *controller) pass() (out passOutcome) {
 	c.steps++
 	if c.observing {
 		if h := c.hasher; h != nil {
-			h.prefix = fnvUint64(fnvByte(h.prefix, 1), next.Seq)
+			h.prefix = fold(fold(h.prefix, 1), next.Seq)
 		}
 		c.stepTarget, c.stepCreated, c.stepObserved = MachineID{}, MachineID{}, false
 	}
@@ -701,14 +705,11 @@ func (c *controller) updateTemperatures() {
 }
 
 // sent closes a send of ev by machine sm to target: the step's footprint
-// (the target's queue changed, dirty for hashing), sm's chain log and the
-// send's scheduling point (Section 6.2).
+// (the target's queue changed), sm's chain log and the send's scheduling
+// point (Section 6.2).
 func (c *controller) sent(sm *machineInstance, target MachineID, ev Event) {
 	if c.observing {
 		c.stepTarget = target
-		if h := c.hasher; h != nil {
-			h.markDirtySeq(target.Seq)
-		}
 	}
 	if sm.logged() {
 		sm.note(chainOp{kind: opSend, v: target.Seq, typ: eventKey(ev)})
@@ -731,14 +732,19 @@ func (c *controller) created(creator *machineInstance, seq uint64) MachineID {
 }
 
 // endStep closes the step c.current just executed, on the stack that
-// learned it was over: the executed machine's hash component is stale (its
-// state, queue or continuation moved) and what its chain logged in the step
-// is folded (see foldChain), the strategy learns the step's
+// learned it was over: the hash components of the machine that stepped and
+// of the one it sent to are stale (a state, a queue or a continuation moved;
+// a machine it created was marked by onCreate) and what its chain logged in
+// the step is folded (see foldChain), the strategy learns the step's
 // footprint, hot monitors heat up and a detected race may become the bug.
 func (c *controller) endStep() {
 	if h := c.hasher; h != nil {
-		h.markDirtySeq(c.current.Seq)
-		c.rt.machines[c.current.Seq-1].foldChain()
+		if t := c.stepTarget.Seq; t != 0 {
+			h.stale(c.rt.machines[t-1])
+		}
+		m := c.rt.machines[c.current.Seq-1]
+		m.foldChain()
+		h.stale(m)
 	}
 	if c.stepObs != nil {
 		c.stepObs.ObserveStep(StepOp{
@@ -780,23 +786,15 @@ func (c *controller) checkStateCache() bool {
 }
 
 // stateHash returns the hash of the global state at the current scheduling
-// point: the XOR of cached per-machine components (rehashing only the
-// machines dirtied since the last point) folded with every monitor's
-// freshly hashed state.
+// point: the XOR of the machines' components (rehashing only those marked
+// stale since the last point) folded with every monitor's freshly hashed
+// state.
 func (c *controller) stateHash() uint64 {
 	h := c.hasher
-	for len(h.comps) < len(c.rt.machines) {
-		// Machines created since the last point: give them a slot and
-		// hash them on this pass.
-		h.comps = append(h.comps, 0)
-		h.marked = append(h.marked, true)
-		h.dirty = append(h.dirty, len(h.comps)-1)
-	}
-	for _, idx := range h.dirty {
-		neu := h.hashMachine(c.rt.machines[idx], c.statuses[idx])
-		h.agg ^= h.comps[idx] ^ neu
-		h.comps[idx] = neu
-		h.marked[idx] = false
+	for _, m := range h.dirty {
+		neu := h.hashMachine(m, c.statuses[m.id.Seq-1])
+		h.agg ^= m.comp ^ neu
+		m.comp, m.stale = neu, false
 	}
 	h.dirty = h.dirty[:0]
 	s := h.agg
