@@ -288,11 +288,13 @@ func (s *tripwire) ResumeAt(n int) {
 	s.resumed = n
 }
 
-func (s *tripwire) NextMachine(cur psharp.MachineID, enabled []psharp.MachineID) psharp.MachineID {
-	if s.armed && s.resumed >= 0 {
+// Decide trips at a machine choice: the controller puts every query to the
+// DFS's Decide, so that is where a wrapper intercepts one.
+func (s *tripwire) Decide(c *psharp.Choice, d *psharp.Decision) {
+	if c.Kind == psharp.ChoiceMachine && s.armed && s.resumed >= 0 {
 		panic(tripped{s.resumed})
 	}
-	return s.DFS.NextMachine(cur, enabled)
+	s.DFS.Decide(c, d)
 }
 
 // TestCheckpointFirstStepAfterRestore ends an iteration at the very first

@@ -23,7 +23,7 @@ type Context struct {
 	rt *Runtime
 
 	currentEvent Event
-	pendingGoto  string
+	pendingGoto  *stateSpec
 	pendingRaise Event
 	pendingHalt  bool
 }
@@ -37,12 +37,12 @@ func (c *Context) monitorForbids(op string) {
 }
 
 func (c *Context) resetPending() {
-	c.pendingGoto = ""
+	c.pendingGoto = nil
 	c.pendingRaise = nil
 	c.pendingHalt = false
 }
 
-func (c *Context) takePending() (halt bool, gotoState string, raised Event) {
+func (c *Context) takePending() (halt bool, gotoState *stateSpec, raised Event) {
 	halt, gotoState, raised = c.pendingHalt, c.pendingGoto, c.pendingRaise
 	c.resetPending()
 	return halt, gotoState, raised
@@ -112,10 +112,11 @@ func (c *Context) Assert(cond bool, format string, args ...any) {
 // being handled. At most one of Goto/Raise/Halt may be pending.
 func (c *Context) Goto(state string) {
 	c.checkNoPending("Goto")
-	if _, ok := c.m.schema.states[state]; !ok {
+	st, ok := c.m.schema.states[state]
+	if !ok {
 		panic(assertFailed{msg: fmt.Sprintf("%s: Goto(%q): no such state", c.m, state)})
 	}
-	c.pendingGoto = state
+	c.pendingGoto = st
 }
 
 // Raise requests that ev be handled immediately after the current action
@@ -137,7 +138,7 @@ func (c *Context) Halt() {
 }
 
 func (c *Context) checkNoPending(op string) {
-	if c.pendingGoto != "" || c.pendingRaise != nil || c.pendingHalt {
+	if c.pendingGoto != nil || c.pendingRaise != nil || c.pendingHalt {
 		panic(assertFailed{msg: fmt.Sprintf("%s: %s: another Goto/Raise/Halt is already pending", c.m, op)})
 	}
 }

@@ -62,11 +62,6 @@ func eventTypeName(t reflect.Type) string {
 	return name
 }
 
-// eventKey returns the dispatch key for an event value or prototype. Pointer
-// and value forms of the same struct type are distinct keys on purpose: use
-// one form consistently.
-func eventKey(ev Event) reflect.Type { return reflect.TypeOf(ev) }
-
 // envelope wraps an event in a machine's queue together with the metadata
 // the testing runtime needs (happens-before clock for the race detector).
 type envelope struct {

@@ -151,6 +151,21 @@ const MaxCheckpoints = maxCheckpoints
 // the last iteration, also when its Run panicked and returned no result.
 func (h *TestHarness) TraceLen() int { return len(h.c.trace.Decisions) }
 
+// RehashState hashes the global state of the harness's running iteration
+// from scratch, every machine's component recomputed, for a StateCache's
+// Visit to hold the incremental hash it was handed to.
+func (h *TestHarness) RehashState() uint64 {
+	c := h.c
+	var s uint64
+	for i, m := range c.rt.machines {
+		s ^= c.hasher.hashMachine(m, c.statuses[i])
+	}
+	for _, mon := range c.rt.monitors {
+		s ^= c.hasher.hashMonitor(mon)
+	}
+	return s
+}
+
 // StateHash hashes the values in one walk of their state plans, the way one
 // component of the global-state hash is computed; err names the first value
 // no plan stands for.

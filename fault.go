@@ -126,6 +126,9 @@ func (c *controller) crashMachine(f FaultAction) {
 	if !f.PreserveMailbox {
 		m.dropQueue()
 	}
+	if h := c.hasher; h != nil {
+		h.stale(m) // its status, its mailbox and, on a restart, its state moved
+	}
 	if c.rt.logging() {
 		c.rt.logf("fault: crashed %s (restart=%v, keepq=%v)", m.id, f.Restart, f.PreserveMailbox)
 	}

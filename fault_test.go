@@ -457,3 +457,68 @@ func (*crashSink) ConfigureType(sc *psharp.Schema) {
 		note(m, "%d:got", ctx.ID().Seq)
 	})
 }
+
+// crashAt is scripted, except that its k-th eligible schedule-level fault
+// query crashes the last crashable machine — restarted if restart says so;
+// visits is how many states cache had been shown by then.
+type crashAt struct {
+	scripted
+	k, queries int
+	restart    bool
+	cache      *rehashCache
+	visits     int
+}
+
+func (s *crashAt) Decide(c *psharp.Choice, d *psharp.Decision) {
+	if c.Kind == psharp.ChoiceFault && c.Point == psharp.FaultPointSchedule && c.Eligible {
+		if s.queries++; s.queries == s.k {
+			d.Kind = psharp.DecisionFault
+			d.Fault = psharp.FaultAction{Kind: psharp.FaultCrash, Machine: c.Crashable[len(c.Crashable)-1], Restart: s.restart}
+			s.visits = s.cache.visits
+			return
+		}
+	}
+	s.scripted.Decide(c, d)
+}
+
+// rehashCache prunes nothing and holds every hash it is shown to a rehash of
+// the same state from scratch; wrong is the depth of the first that differs.
+type rehashCache struct {
+	h             *psharp.TestHarness
+	visits, wrong int
+}
+
+func (c *rehashCache) Visit(state, _ uint64, depth int) bool {
+	if c.visits++; c.wrong == 0 && state != c.h.RehashState() {
+		c.wrong = depth
+	}
+	return false
+}
+
+// TestFaultCrashRehashesCrashedMachine crashes one machine of
+// TwoPhaseCommitFT, with and without restart, at each of its first schedule
+// fault points, under a state cache. A crash halts the machine, drops its
+// mailbox and on a restart rewinds its state, none of which is a step of
+// its own: the crash has to mark its hash component stale, or the state
+// hashed at every later point is the one the machine had before it crashed.
+func TestFaultCrashRehashesCrashedMachine(t *testing.T) {
+	b := protocols.MustByName("TwoPhaseCommitFT", false)
+	h := psharp.NewTestHarness(b.SetupMonitored())
+	defer h.Close()
+	for _, restart := range []bool{false, true} {
+		for k := 1; k <= 3; k++ {
+			cache := &rehashCache{h: h}
+			s := &crashAt{k: k, restart: restart, cache: cache}
+			res := h.Run(psharp.TestConfig{Strategy: s, MaxSteps: b.MaxSteps, Faults: &psharp.FaultConfig{}, StateCache: cache})
+			if res.Err != nil || res.Bug != nil || res.Faults.Crashes != 1 {
+				t.Fatalf("restart=%v, crash at fault point %d: err %v, bug %v, faults %+v", restart, k, res.Err, res.Bug, res.Faults)
+			}
+			if cache.visits <= s.visits {
+				t.Fatalf("restart=%v, crash at fault point %d: no state hashed after the crash", restart, k)
+			}
+			if cache.wrong != 0 {
+				t.Fatalf("restart=%v, crash at fault point %d: the state hashed at depth %d is not the state rehashed from scratch", restart, k, cache.wrong)
+			}
+		}
+	}
+}

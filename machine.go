@@ -431,19 +431,22 @@ func (m *machineInstance) boot() *Bug {
 }
 
 // step dequeues the next dispatchable event and runs its handler to
-// completion: the one unit of execution both runtimes are made of. more is
-// false when the machine cannot take another step now: it failed (bug),
-// nothing is dispatchable and the machine has been given up (production), or
-// the iteration was torn down while it waited (testing).
+// completion: the one unit of execution both runtimes are made of. The
+// dequeue found the event's binding, and step dispatches it without looking
+// it up again. more is false when the machine cannot take another step now:
+// it failed (bug), nothing is dispatchable and the machine has been given up
+// (production), or the iteration was torn down while it waited (testing).
 func (m *machineInstance) step() (more bool, bug *Bug) {
-	env, bug, ok := m.nextEvent()
-	if !ok {
+	ev, disp, bug := m.nextEvent()
+	if ev == nil {
 		return false, bug
 	}
 	if m.rt.logging() {
-		m.rt.logf("%s: dequeued %s in state %q", m.id, eventName(env.event), m.state)
+		m.rt.logf("%s: dequeued %s in state %q", m.id, eventName(ev), m.state)
 	}
-	if bug = m.handleEvent(env.event); bug != nil {
+	if disp == nil {
+		m.doHalt() // the halt event, which no state needs to bind
+	} else if bug = m.dispatch(disp, ev); bug != nil {
 		return false, bug
 	}
 	m.handling = false // the chain is over
@@ -455,21 +458,23 @@ func (m *machineInstance) step() (more bool, bug *Bug) {
 	return true, nil
 }
 
-// nextEvent returns the next dispatchable event. Under the testing runtime
-// it reports "blocked" to the controller and parks until there is one — ok
-// is false only if the iteration ends first — and takes no lock. Under the
-// production runtime ok is false when there is none or the runtime is
-// stopping, and the machine went idle under the very lock that found that
-// out: the next send to it starts its next activation, possibly before this
-// call has returned.
-func (m *machineInstance) nextEvent() (env envelope, bug *Bug, ok bool) {
+// nextEvent returns the next dispatchable event and the binding the current
+// state has for it (nil for an unbound halt event), or a nil event. Under the
+// testing runtime it reports "blocked" to the controller and parks until
+// there is one — the event is nil only if the iteration ends first — and
+// takes no lock. Under the production runtime the event is nil when there is
+// none or the runtime is stopping, and the machine went idle under the very
+// lock that found that out: the next send to it starts its next activation,
+// possibly before this call has returned.
+func (m *machineInstance) nextEvent() (ev Event, disp *dispatchEntry, bug *Bug) {
 	if c := m.rt.test; c != nil {
 		if ev := m.replayEv; ev != nil {
 			// Catching up: the event the chain was dispatched on, which the
-			// restored mailbox no longer holds.
+			// restored mailbox no longer holds, in the state it was dispatched
+			// in.
 			m.replayEv = nil
 			c.beginChain(m, ev)
-			return envelope{event: ev}, nil, true
+			return ev, m.st.find(ev), nil
 		}
 		for {
 			if c.cfg.ChessLike {
@@ -479,24 +484,22 @@ func (m *machineInstance) nextEvent() (env envelope, bug *Bug, ok bool) {
 				m.yieldPoint()
 				m.dequeueing = false
 			}
-			env, ok, bug = m.scanQueueLocked()
-			if ok {
-				c.onDequeue(m, env)
-				c.beginChain(m, env.event)
+			if ev, disp, bug = m.scanQueueLocked(); ev != nil {
+				c.beginChain(m, ev)
 			}
-			if ok || bug != nil {
-				return env, bug, ok
+			if ev != nil || bug != nil {
+				return ev, disp, bug
 			}
 			if !m.parkBlocked() {
-				return envelope{}, nil, false // torn down: run ends as aborted
+				return nil, nil, nil // torn down: run ends as aborted
 			}
 		}
 	}
 	m.mu.Lock()
 	if !m.rt.stopped.Load() {
-		env, ok, bug = m.scanQueueLocked()
+		ev, disp, bug = m.scanQueueLocked()
 	}
-	if !ok && bug == nil {
+	if ev == nil && bug == nil {
 		m.active = false
 		if n := len(m.queued()); n > 0 {
 			// Deferred (or the runtime is stopping): no handler can take them
@@ -506,51 +509,55 @@ func (m *machineInstance) nextEvent() (env envelope, bug *Bug, ok bool) {
 		}
 	}
 	m.mu.Unlock()
-	if ok && *m.held != nil {
+	if ev != nil && *m.held != nil {
 		// More work of its own: the machine this goroutine woke and held
 		// back does not wait for it.
 		go (*m.held).spawn()
 		*m.held = nil
 	}
-	return env, bug, ok
+	return ev, disp, bug
 }
 
 // scanQueueLocked implements the paper's transition-function semantics: it
-// returns the first queued event the machine is willing to handle in its
+// dequeues the first queued event the machine is willing to handle in its
 // current state, dropping ignored events along the way and skipping deferred
-// ones. Encountering an event with no binding at all is a runtime error
-// (Section 6.1), except for the built-in halt event.
-func (m *machineInstance) scanQueueLocked() (envelope, bool, *Bug) {
-	i := m.qhead
-	for i < len(m.queue) {
-		env := m.queue[i]
-		disp, ok := m.st.lookup(eventKey(env.event))
-		if !ok {
-			if isHaltEvent(env.event) {
-				m.removeLocked(i) // released in step, like any dispatch
-				return env, true, nil
+// ones, and returns it with the binding that says how: the one lookup of a
+// dispatch. Encountering an event with no binding at all is a runtime error
+// (Section 6.1), except for the built-in halt event, returned with a nil
+// binding. What leaves the mailbox lock is the event and a pointer into the
+// immutable schema, never one into the queue, which concurrent senders
+// append to.
+func (m *machineInstance) scanQueueLocked() (Event, *dispatchEntry, *Bug) {
+	for i := m.qhead; i < len(m.queue); {
+		ev := m.queue[i].event
+		disp := m.st.find(ev)
+		switch {
+		case disp == nil:
+			if !isHaltEvent(ev) {
+				return nil, nil, &Bug{
+					Kind:    BugUnhandledEvent,
+					Machine: m.id,
+					State:   m.state,
+					Message: fmt.Sprintf("event %s cannot be handled in state %q", eventName(ev), m.state),
+				}
 			}
-			return envelope{}, false, &Bug{
-				Kind:    BugUnhandledEvent,
-				Machine: m.id,
-				State:   m.state,
-				Message: fmt.Sprintf("event %s cannot be handled in state %q", eventName(env.event), m.state),
-			}
-		}
-		switch disp.kind {
-		case dispatchIgnore:
+		case disp.kind == dispatchIgnore:
 			i = m.removeLocked(i)
 			m.rt.consumed(1)
-		case dispatchDefer:
+			continue
+		case disp.kind == dispatchDefer:
 			i++
-		default:
-			// The dequeued event's work unit stays outstanding until its
-			// handler completes (released in step).
-			m.removeLocked(i)
-			return env, true, nil
+			continue
 		}
+		// The dequeued event's work unit stays outstanding until its handler
+		// completes (released in step).
+		if c := m.rt.test; c != nil {
+			c.onDequeue(m, m.queue[i].clock)
+		}
+		m.removeLocked(i)
+		return ev, disp, nil
 	}
-	return envelope{}, false, nil
+	return nil, nil, nil
 }
 
 // queued is the mailbox: the events sent and not yet dequeued, in order.
@@ -606,11 +613,11 @@ func isHaltEvent(ev Event) bool {
 	return false
 }
 
-// handleEvent processes one dequeued or raised event to completion,
-// including any chained raises and transitions requested by the actions.
+// handleEvent processes one raised event to completion, including any
+// chained raises and transitions requested by the actions. (A dequeued event
+// comes with its binding: step dispatches it directly.)
 func (m *machineInstance) handleEvent(ev Event) *Bug {
-	disp, ok := m.st.lookup(eventKey(ev))
-	if ok {
+	if disp := m.st.find(ev); disp != nil {
 		return m.dispatch(disp, ev)
 	}
 	// A monitor gets here only by a raise of its own (observe skips what the
@@ -632,7 +639,7 @@ func (m *machineInstance) handleEvent(ev Event) *Bug {
 }
 
 // dispatch runs the reaction disp the current state binds to ev.
-func (m *machineInstance) dispatch(disp dispatchEntry, ev Event) *Bug {
+func (m *machineInstance) dispatch(disp *dispatchEntry, ev Event) *Bug {
 	switch disp.kind {
 	case dispatchIgnore:
 		return nil
@@ -645,7 +652,7 @@ func (m *machineInstance) dispatch(disp dispatchEntry, ev Event) *Bug {
 		// dispatches being observations.
 		if b := m.cover; b != nil {
 			if m.rt.test != nil {
-				m.rt.cover.counts[b.base+disp.slot]++
+				m.rt.cover.counts[b.base+int(disp.slot)]++
 			} else {
 				b.ctrs[disp.slot].Add(1)
 			}
@@ -676,7 +683,7 @@ func (m *machineInstance) applyPending(trigger Event) *Bug {
 		m.doHalt()
 		return nil
 	}
-	if gotoState != "" {
+	if gotoState != nil {
 		return m.gotoState(gotoState, trigger)
 	}
 	if raised != nil {
@@ -696,11 +703,11 @@ func (m *machineInstance) applyPending(trigger Event) *Bug {
 
 // gotoState exits the current state, enters target, and runs its entry
 // action with the triggering event as payload.
-func (m *machineInstance) gotoState(target string, payload Event) *Bug {
+func (m *machineInstance) gotoState(target *stateSpec, payload Event) *Bug {
 	if cur := m.st; cur != nil && cur.exit != nil {
 		m.ctx.resetPending()
 		cur.exit(m.logic, m.ctx)
-		if halt, g, r := m.ctx.takePending(); halt || g != "" || r != nil {
+		if halt, g, r := m.ctx.takePending(); halt || g != nil || r != nil {
 			msg := "exit actions must not call Goto, Raise or Halt"
 			if m.monitor() {
 				msg = "monitor " + msg
@@ -709,7 +716,7 @@ func (m *machineInstance) gotoState(target string, payload Event) *Bug {
 		}
 	}
 	if m.rt.logging() {
-		m.rt.logf("%s: %q -> %q", m, m.state, target)
+		m.rt.logf("%s: %q -> %q", m, m.state, target.name)
 	}
 	m.enter(target)
 	if entry := m.st.entry; entry != nil {
@@ -718,12 +725,12 @@ func (m *machineInstance) gotoState(target string, payload Event) *Bug {
 	return nil
 }
 
-// enter makes name the current state. Entering a state that is not hot
+// enter makes st the current state. Entering a state that is not hot
 // discharges a monitor's liveness obligation: a later hot period is measured
 // from zero.
-func (m *machineInstance) enter(name string) {
-	m.state, m.st = name, m.schema.states[name]
-	if !m.st.isHot() {
+func (m *machineInstance) enter(st *stateSpec) {
+	m.state, m.st = st.name, st
+	if !st.isHot() {
 		m.temp = 0
 	}
 }

@@ -159,8 +159,8 @@ func (m *machineInstance) start() (bug *Bug) {
 // method-value defer keeps it allocation-free, so observation costs nothing
 // beyond the dispatch itself.
 func (m *machineInstance) observe(ev Event) (bug *Bug) {
-	disp, ok := m.st.lookup(eventKey(ev))
-	if !ok {
+	disp := m.st.find(ev)
+	if disp == nil {
 		return nil // monitors handle only the events their current state binds
 	}
 	defer m.monitorBug(&bug)

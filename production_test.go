@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"github.com/psharp-go/psharp"
+	amsg "github.com/psharp-go/psharp/internal/hashtest/a/msg"
+	bmsg "github.com/psharp-go/psharp/internal/hashtest/b/msg"
 )
 
 // What the production runtime promises, asserted: a machine owns a goroutine
@@ -647,5 +649,79 @@ func TestProductionDeclarationFormsRelayAlike(t *testing.T) {
 		if closure != static || closure != (ringEnd{delivered: hops, sum: want}) {
 			t.Fatalf("%d hops: closure form %+v, static form %+v, want %d hops and checksum %x", hops, closure, static, hops, want)
 		}
+	}
+}
+
+// pingPair binds the two event types that print as msg.Ping to different
+// actions in Run, and only one of them leads there from Wait, which defers
+// the other; Run binds the value form of HaltEvent to an action too, so that
+// only the pointer form halts, and evNum to a Goto of a state never
+// declared.
+type pingPair struct{ logged }
+
+func (*pingPair) ConfigureType(sc *psharp.Schema) {
+	sc.Start("Wait").
+		Defer(&bmsg.Ping{}).
+		OnEventGoto(&amsg.Ping{}, "Run")
+	sc.State("Run").
+		OnEntryM(func(m psharp.Machine, _ *psharp.Context, _ psharp.Event) { note(m, "enter") }).
+		OnEventDoM(&amsg.Ping{}, func(m psharp.Machine, _ *psharp.Context, _ psharp.Event) { note(m, "a") }).
+		OnEventDoM(&bmsg.Ping{}, func(m psharp.Machine, _ *psharp.Context, _ psharp.Event) { note(m, "b") }).
+		OnEventDoM(psharp.HaltEvent{}, func(m psharp.Machine, _ *psharp.Context, _ psharp.Event) { note(m, "halt value") }).
+		OnEventDoM(&evNum{}, func(_ psharp.Machine, ctx *psharp.Context, _ psharp.Event) { ctx.Goto("Nowhere") })
+}
+
+// TestProductionDispatchByTypeIdentity: a state finds an event's binding by
+// the event's dynamic type, and two types are one only if they are the same
+// type — not if they print alike (a/msg.Ping, b/msg.Ping) nor if they are
+// the pointer and value forms of one struct (HaltEvent). The same sends give
+// the same handlers, in the same order, and the same failures under the
+// production runtime and under RunTest.
+func TestProductionDispatchByTypeIdentity(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		sends []psharp.Event
+		log   []string
+		bug   *psharp.Bug // Kind, State and Message
+	}{
+		{"dispatch", []psharp.Event{&bmsg.Ping{}, &amsg.Ping{}, &amsg.Ping{}, psharp.HaltEvent{}, &psharp.HaltEvent{}, &amsg.Ping{}},
+			[]string{"enter", "b", "a", "halt value"}, nil},
+		{"unbound", []psharp.Event{&amsg.Ping{}, &evKick{}},
+			[]string{"enter"}, &psharp.Bug{Kind: psharp.BugUnhandledEvent, State: "Run", Message: `event evKick cannot be handled in state "Run"`}},
+		{"undeclared goto", []psharp.Event{&bmsg.Ping{}, &amsg.Ping{}, &evNum{}},
+			[]string{"enter", "b"}, &psharp.Bug{Kind: psharp.BugAssertion, State: "Run", Message: `PingPair(1): Goto("Nowhere"): no such state`}},
+	} {
+		var log []string
+		setup := func(r *psharp.Runtime) {
+			r.MustRegister("PingPair", func() psharp.Machine { return &pingPair{logged{log: &log}} })
+			id := r.MustCreate("PingPair", nil)
+			for _, ev := range tc.sends {
+				mustSend(t, r, id, ev)
+			}
+		}
+		check := func(runtime string, bug *psharp.Bug) {
+			t.Helper()
+			if strings.Join(log, ",") != strings.Join(tc.log, ",") {
+				t.Fatalf("%s, %s: ran %v, want %v", tc.name, runtime, log, tc.log)
+			}
+			switch {
+			case tc.bug == nil && bug != nil:
+				t.Fatalf("%s, %s: bug %v, want none", tc.name, runtime, bug)
+			case tc.bug != nil && (bug == nil || bug.Kind != tc.bug.Kind || bug.State != tc.bug.State || bug.Message != tc.bug.Message):
+				t.Fatalf("%s, %s: bug %v, want %v", tc.name, runtime, bug, tc.bug)
+			}
+		}
+
+		r := psharp.NewRuntime()
+		setup(r)
+		var bug *psharp.Bug
+		if err := r.Wait(); err != nil && !errors.As(err, &bug) {
+			t.Fatalf("%s, production: Wait = %v", tc.name, err)
+		}
+		r.Stop()
+		check("production", bug)
+
+		log = nil
+		check("RunTest", runOne(t, setup).Bug)
 	}
 }

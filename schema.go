@@ -92,7 +92,7 @@ type MachineAction func(m Machine, ctx *Context, ev Event)
 type MachineExitAction func(m Machine, ctx *Context)
 
 // dispatchKind says how a state reacts to an event type.
-type dispatchKind int
+type dispatchKind uint8
 
 const (
 	dispatchNone dispatchKind = iota
@@ -102,13 +102,17 @@ const (
 	dispatchIgnore
 )
 
+// dispatchEntry is a state's reaction to one event type. A dispatched event
+// is handed a pointer to it (stateSpec.find): the entry lives in the
+// compiled schema, which nothing writes after compile, so the pointer may
+// leave a mailbox lock and be shared by every instance of the schema.
 type dispatchEntry struct {
-	kind   dispatchKind
-	target string        // goto target state
-	fn     MachineAction // bound action (dispatchAction)
+	kind dispatchKind
 	// slot numbers an action or goto binding in its schema's transitions,
 	// so that recording its coverage is an array access (see coverage).
-	slot int
+	slot   int32
+	fn     MachineAction // bound action (dispatchAction)
+	target *stateSpec    // goto target (dispatchGoto), resolved by compile
 }
 
 // handlerBinding is one (event type -> dispatch) binding of a state. States
@@ -116,9 +120,11 @@ type dispatchEntry struct {
 // of event types per state, so a linear scan over inline pairs beats a map
 // on lookup and costs a fraction of the allocations to build — which
 // matters because a closure-form schema is rebuilt for every machine of
-// every exploration iteration.
+// every exploration iteration. The event type is proto's type word (see
+// find); to names a goto target until compile resolves it into the entry.
 type handlerBinding struct {
-	key   reflect.Type
+	proto Event
+	to    string
 	entry dispatchEntry
 }
 
@@ -146,14 +152,21 @@ type stateSpec struct {
 // isHot reports whether the state carries the hot liveness annotation.
 func (st *stateSpec) isHot() bool { return st.temp == tempHot }
 
-// lookup returns the dispatch entry bound to event type t, if any.
-func (st *stateSpec) lookup(t reflect.Type) (dispatchEntry, bool) {
+// find returns the reaction the state binds to ev's dynamic type, nil if it
+// binds none. Two event values have the same dynamic type exactly when their
+// interfaces hold the same type word, so a binding matches by one pointer
+// compare, without asking reflect; types that print alike (msg.Ping of two
+// packages) have different words, and so do the pointer and value forms of
+// one struct type, on purpose: use one form consistently.
+func (st *stateSpec) find(ev Event) *dispatchEntry {
+	tab := (*ifaceWords)(unsafe.Pointer(&ev)).tab
 	for i := range st.handlers {
-		if st.handlers[i].key == t {
-			return st.handlers[i].entry, true
+		h := &st.handlers[i]
+		if (*ifaceWords)(unsafe.Pointer(&h.proto)).tab == tab {
+			return &h.entry
 		}
 	}
-	return dispatchEntry{}, false
+	return nil
 }
 
 // Schema collects a machine's state-machine structure. It is passed to
@@ -263,14 +276,14 @@ func (b *StateBuilder) OnExitM(fn MachineExitAction) *StateBuilder {
 // type is dequeued in this state, the machine exits the state and enters
 // target, passing the event to target's entry action.
 func (b *StateBuilder) OnEventGoto(proto Event, target string) *StateBuilder {
-	b.bind(proto, dispatchEntry{kind: dispatchGoto, target: target})
+	b.bind(proto, target, dispatchEntry{kind: dispatchGoto})
 	return b
 }
 
 // OnEventDoM registers an action binding: the event is handled by fn and the
 // machine stays in the current state; see MachineAction.
 func (b *StateBuilder) OnEventDoM(proto Event, fn MachineAction) *StateBuilder {
-	b.bind(proto, dispatchEntry{kind: dispatchAction, fn: fn})
+	b.bind(proto, "", dispatchEntry{kind: dispatchAction, fn: fn})
 	return b
 }
 
@@ -286,17 +299,17 @@ func (b *StateBuilder) OnEventDo(proto Event, fn Action) *StateBuilder {
 // Defer keeps events of proto's type in the queue while in this state; they
 // become available again after a transition to a state that handles them.
 func (b *StateBuilder) Defer(proto Event) *StateBuilder {
-	b.bind(proto, dispatchEntry{kind: dispatchDefer})
+	b.bind(proto, "", dispatchEntry{kind: dispatchDefer})
 	return b
 }
 
 // Ignore silently drops events of proto's type while in this state.
 func (b *StateBuilder) Ignore(proto Event) *StateBuilder {
-	b.bind(proto, dispatchEntry{kind: dispatchIgnore})
+	b.bind(proto, "", dispatchEntry{kind: dispatchIgnore})
 	return b
 }
 
-func (b *StateBuilder) bind(proto Event, e dispatchEntry) {
+func (b *StateBuilder) bind(proto Event, to string, e dispatchEntry) {
 	if proto == nil {
 		b.schema.err("state %q: nil event prototype", b.state.name)
 		return
@@ -305,15 +318,14 @@ func (b *StateBuilder) bind(proto Event, e dispatchEntry) {
 		b.schema.err("state %q: nil action bound to event %s", b.state.name, eventName(proto))
 		return
 	}
-	key := eventKey(proto)
 	// The paper (Section 6.1) requires the runtime to report an error if an
 	// event can be handled in more than one way in the same state; we reject
 	// the ambiguity statically when the machine is configured.
-	if _, dup := b.state.lookup(key); dup {
+	if b.state.find(proto) != nil {
 		b.schema.err("state %q: event %s bound more than once", b.state.name, eventName(proto))
 		return
 	}
-	b.state.handlers = append(b.state.handlers, handlerBinding{key: key, entry: e})
+	b.state.handlers = append(b.state.handlers, handlerBinding{proto: proto, to: to, entry: e})
 }
 
 func (s *Schema) err(format string, args ...any) {
@@ -330,9 +342,9 @@ func (s *Schema) validate(kind, name string) error {
 	for _, sn := range s.order { // declaration order: deterministic, no copy
 		st := s.states[sn]
 		for i := range st.handlers {
-			if e := st.handlers[i].entry; e.kind == dispatchGoto {
-				if _, ok := s.states[e.target]; !ok {
-					errs = append(errs, fmt.Errorf("state %q: goto target %q is not a declared state", sn, e.target))
+			if h := &st.handlers[i]; h.entry.kind == dispatchGoto {
+				if _, ok := s.states[h.to]; !ok {
+					errs = append(errs, fmt.Errorf("state %q: goto target %q is not a declared state", sn, h.to))
 				}
 			}
 		}
@@ -354,7 +366,7 @@ func (s *Schema) validate(kind, name string) error {
 // (typeSchemas), and a Runtime binds each registered name to one.
 type compiledSchema struct {
 	machineType string
-	initial     string
+	initial     *stateSpec
 	states      map[string]*stateSpec
 	// transitions is the coverage unit of each action and goto binding, by
 	// dispatchEntry.slot.
@@ -386,13 +398,17 @@ func (s *Schema) compile(name string, monitor bool) (*compiledSchema, error) {
 	if err := s.validate(kind, name); err != nil {
 		return nil, err
 	}
-	cs := &compiledSchema{machineType: name, initial: s.initial, states: s.states}
+	cs := &compiledSchema{machineType: name, initial: s.states[s.initial], states: s.states}
 	for _, sn := range s.order {
 		st := s.states[sn]
 		for i := range st.handlers {
-			if e := &st.handlers[i].entry; e.kind == dispatchAction || e.kind == dispatchGoto {
-				e.slot = len(cs.transitions)
-				cs.transitions = append(cs.transitions, obs.Transition{Machine: name, State: sn, Event: eventTypeName(st.handlers[i].key)})
+			h := &st.handlers[i]
+			if e := &h.entry; e.kind == dispatchAction || e.kind == dispatchGoto {
+				e.slot = int32(len(cs.transitions))
+				if e.kind == dispatchGoto {
+					e.target = s.states[h.to]
+				}
+				cs.transitions = append(cs.transitions, obs.Transition{Machine: name, State: sn, Event: eventName(h.proto)})
 			}
 		}
 	}

@@ -69,3 +69,12 @@ func (s *DelayBounding) NextMachine(current psharp.MachineID, enabled []psharp.M
 	s.step++
 	return enabled[idx]
 }
+
+// Decide implements psharp.DecisionStrategy through the three methods.
+func (s *DelayBounding) Decide(c *psharp.Choice, d *psharp.Decision) {
+	if c.Kind != psharp.ChoiceMachine {
+		s.decideValue(c, d)
+		return
+	}
+	d.Kind, d.Machine = psharp.DecisionSchedule, s.NextMachine(c.Current, c.Enabled)
+}

@@ -10,17 +10,20 @@
 // schedule trace that replays it deterministically.
 //
 // A strategy here is a psharp.Strategy — the three-method interface — plus
-// PrepareIteration. The two that must answer fault queries, FaultInjector
-// and Replay, also implement psharp.DecisionStrategy, whose one method is
-// Decide(*psharp.Choice, *psharp.Decision): the controller calls it for
-// every query, the strategy writes its answer into the Decision — the
-// trace's next record, handed over zeroed — and returns. Both arguments are
-// scratch, valid for the call only: copy the Enabled or Crashable set to
-// keep it, and never hold on to the Decision (the record is not part of the
-// trace until the controller has validated it, and is overwritten if it is
-// rejected). FaultInjector forwards what it does not answer to its inner
-// strategy through psharp.AsDecisionStrategy, so a wrapped three-method
-// strategy sees exactly the calls it would see unwrapped.
+// PrepareIteration, and every one also implements psharp.DecisionStrategy,
+// whose one method is Decide(*psharp.Choice, *psharp.Decision): the
+// controller calls it for every query, the strategy writes its answer into
+// the Decision — the trace's next record, handed over zeroed — and returns.
+// FaultInjector and Replay answer fault queries there; the others decline
+// them and answer the rest through their three methods, so a type that
+// embeds one of them and overrides one of those methods must override Decide
+// as well. Both arguments are scratch, valid for the call only: copy the
+// Enabled or Crashable set to keep it, and never hold on to the Decision
+// (the record is not part of the trace until the controller has validated
+// it, and is overwritten if it is rejected). FaultInjector forwards what it
+// does not answer to its inner strategy through psharp.AsDecisionStrategy,
+// so a wrapped three-method strategy sees exactly the calls it would see
+// unwrapped.
 //
 // # Liveness checking and fair scheduling
 //

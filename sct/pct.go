@@ -118,3 +118,12 @@ func (s *PCT) NextMachine(_ psharp.MachineID, enabled []psharp.MachineID) psharp
 	s.step++
 	return best
 }
+
+// Decide implements psharp.DecisionStrategy through the three methods.
+func (s *PCT) Decide(c *psharp.Choice, d *psharp.Decision) {
+	if c.Kind != psharp.ChoiceMachine {
+		s.decideValue(c, d)
+		return
+	}
+	d.Kind, d.Machine = psharp.DecisionSchedule, s.NextMachine(c.Current, c.Enabled)
+}

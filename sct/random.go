@@ -38,3 +38,12 @@ func (s *Random) PrepareIteration(iter int) bool {
 func (s *Random) NextMachine(_ psharp.MachineID, enabled []psharp.MachineID) psharp.MachineID {
 	return enabled[s.NextInt(len(enabled))]
 }
+
+// Decide implements psharp.DecisionStrategy through the three methods.
+func (s *Random) Decide(c *psharp.Choice, d *psharp.Decision) {
+	if c.Kind != psharp.ChoiceMachine {
+		s.decideValue(c, d)
+		return
+	}
+	d.Kind, d.Machine = psharp.DecisionSchedule, s.NextMachine(c.Current, c.Enabled)
+}

@@ -77,3 +77,12 @@ func (s *RandomFair) NextMachine(_ psharp.MachineID, enabled []psharp.MachineID)
 	s.lastSeq = id.Seq
 	return id
 }
+
+// Decide implements psharp.DecisionStrategy through the three methods.
+func (s *RandomFair) Decide(c *psharp.Choice, d *psharp.Decision) {
+	if c.Kind != psharp.ChoiceMachine {
+		s.decideValue(c, d)
+		return
+	}
+	d.Kind, d.Machine = psharp.DecisionSchedule, s.NextMachine(c.Current, c.Enabled)
+}

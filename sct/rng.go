@@ -1,5 +1,11 @@
 package sct
 
+import (
+	"fmt"
+
+	"github.com/psharp-go/psharp"
+)
+
 // splitMix64 is a small, fast, deterministic PRNG (Steele et al.,
 // "Fast splittable pseudorandom number generators"). The testing strategies
 // must be reproducible from a seed alone, so they cannot use math/rand's
@@ -56,4 +62,19 @@ func (s *seedStream) NextInt(n int) int {
 		panic("sct: NextInt requires n > 0")
 	}
 	return int(s.rng.next() % uint64(n))
+}
+
+// decideValue answers, for a seeded strategy's Decide, a query that is not a
+// machine choice: a controlled choice uniformly, a fault query with none.
+func (s *seedStream) decideValue(c *psharp.Choice, d *psharp.Decision) {
+	switch c.Kind {
+	case psharp.ChoiceBool:
+		d.Kind, d.Bool = psharp.DecisionBool, s.NextBool()
+	case psharp.ChoiceInt:
+		d.Kind, d.Int = psharp.DecisionInt, s.NextInt(c.N)
+	case psharp.ChoiceFault:
+		d.Kind = psharp.DecisionFault
+	default:
+		panic(fmt.Sprintf("psharp: unknown choice kind %d", c.Kind))
+	}
 }

@@ -352,6 +352,24 @@ func (t *tree) NextBool() bool { return t.choice(psharp.DecisionBool, 2) == 1 }
 // NextInt explores all n values systematically.
 func (t *tree) NextInt(n int) int { return t.choice(psharp.DecisionInt, n) }
 
+// Decide implements psharp.DecisionStrategy through the three methods; a
+// fault query is declined (the engine refuses faults with a depth-first
+// search).
+func (t *tree) Decide(c *psharp.Choice, d *psharp.Decision) {
+	switch c.Kind {
+	case psharp.ChoiceMachine:
+		d.Kind, d.Machine = psharp.DecisionSchedule, t.NextMachine(c.Current, c.Enabled)
+	case psharp.ChoiceBool:
+		d.Kind, d.Bool = psharp.DecisionBool, t.NextBool()
+	case psharp.ChoiceInt:
+		d.Kind, d.Int = psharp.DecisionInt, t.NextInt(c.N)
+	case psharp.ChoiceFault:
+		d.Kind = psharp.DecisionFault
+	default:
+		panic(fmt.Sprintf("psharp: unknown choice kind %d", c.Kind))
+	}
+}
+
 func (t *tree) choice(kind psharp.DecisionKind, n int) int {
 	if n > math.MaxInt32 {
 		panic(fmt.Sprintf("sct: a depth-first search cannot enumerate a choice among %d values", n))

@@ -115,7 +115,8 @@ type DecisionStrategy interface {
 // legacyDecider adapts a plain Strategy to the decision API. It answers
 // every fault query with FaultNone, so pre-fault strategies compose with
 // fault-enabled configs (they just never inject anything). The controller
-// embeds one by value to avoid a per-iteration allocation.
+// embeds one by value to avoid a per-iteration allocation. Every strategy of
+// the sct package has a Decide of its own; the adapter serves the others.
 type legacyDecider struct {
 	s Strategy
 }

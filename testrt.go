@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"iter"
+	"reflect"
 	"sync"
 
 	"github.com/psharp-go/psharp/internal/vclock"
@@ -446,10 +447,11 @@ func (c *controller) readyRemove(id MachineID) {
 	}
 }
 
-// onDequeue feeds the happens-before edge from send to receive.
-func (c *controller) onDequeue(m *machineInstance, env envelope) {
+// onDequeue feeds the happens-before edge from send to receive: clock is
+// the send's, taken from the mailbox slot the event leaves.
+func (c *controller) onDequeue(m *machineInstance, clock vclock.VC) {
 	if c.det != nil {
-		c.det.Receive(int(m.id.Seq), env.clock)
+		c.det.Receive(int(m.id.Seq), clock)
 	}
 }
 
@@ -651,8 +653,10 @@ func (c *controller) pass() (out passOutcome) {
 			Message: fmt.Sprintf("strategy answered a machine choice with decision kind %d", d.Kind)}
 		return passEnd
 	}
+	// The pick is enabled iff it names, type and all, a machine whose status
+	// is ready: the ready list holds exactly those.
 	next := d.Machine
-	if !contains(c.scratch, next) {
+	if i := next.Seq - 1; i >= uint64(len(c.statuses)) || c.statuses[i] != msReady || c.rt.machines[i].id.Type != next.Type {
 		c.bug = &Bug{Kind: BugPanic, Machine: next,
 			Message: fmt.Sprintf("strategy chose %s, which is not enabled", next)}
 		return passEnd
@@ -712,7 +716,7 @@ func (c *controller) sent(sm *machineInstance, target MachineID, ev Event) {
 		c.stepTarget = target
 	}
 	if sm.logged() {
-		sm.note(chainOp{kind: opSend, v: target.Seq, typ: eventKey(ev)})
+		sm.note(chainOp{kind: opSend, v: target.Seq, typ: reflect.TypeOf(ev)})
 	}
 	sm.yieldPoint()
 }

@@ -106,8 +106,12 @@ type Trace struct {
 // trace: the next slot call hands out, and zeroes, the same record.
 func (t *Trace) slot() *Decision {
 	n := len(t.Decisions)
-	t.Decisions = append(t.Decisions, Decision{})[:n]
-	return &t.Decisions[:n+1][n]
+	if n == cap(t.Decisions) {
+		t.Decisions = append(t.Decisions, Decision{})[:n]
+	}
+	d := &t.Decisions[:n+1][n]
+	*d = Decision{}
+	return d
 }
 
 func (t *Trace) commit() { t.Decisions = t.Decisions[:len(t.Decisions)+1] }
