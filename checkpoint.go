@@ -138,8 +138,7 @@ type snapshot struct {
 	continued int
 	current   MachineID
 	onStack   MachineID // the machine whose yield point took the pass, if one did
-	sendSeq   uint64
-	prefix    uint64 // stateHasher.prefix, when a cache is attached
+	prefix    uint64    // stateHasher.prefix, when a cache is attached
 	machines  []instanceState
 	monitors  []instanceState
 	img       image // what the roots of machines and monitors stand on
@@ -170,7 +169,6 @@ type instanceState struct {
 // queued is an event in a mailbox as a snapshot holds it.
 type queued struct {
 	sender MachineID
-	seq    uint64
 	event  imageRoot
 }
 
@@ -216,7 +214,7 @@ func (is *instanceState) save(w *stateWalk, m *machineInstance, bound *compiledS
 		return false
 	}
 	queue, log := is.queue[:0], is.log[:0]
-	*is = instanceState{id: m.id, schema: m.schema, st: m.st, halted: m.halted, temp: m.temp}
+	*is = instanceState{id: m.id, schema: m.schema, st: m.st, status: m.status, halted: m.halted, temp: m.temp}
 	switch {
 	case m.dequeueing:
 		is.logic = w.logicRoot(&m.logic) // between two chains, one yield short of the next
@@ -233,7 +231,7 @@ func (is *instanceState) save(w *stateWalk, m *machineInstance, bound *compiledS
 	if q := m.queued(); len(q) > 0 {
 		queue = slices.Grow(queue, len(q))[:len(q)]
 		for j := range q {
-			queue[j] = queued{sender: q[j].sender, seq: q[j].seq, event: w.eventRoot(&q[j].event)}
+			queue[j] = queued{sender: q[j].sender, event: w.eventRoot(&q[j].event)}
 		}
 	}
 	is.queue = queue
@@ -267,12 +265,9 @@ func (is *instanceState) load(ck *checkpoints, m *machineInstance) {
 		rel.put(unsafe.Pointer(&m.logic), is.logic)
 		rel.put(unsafe.Pointer(&m.birth), is.birth)
 	}
-	if m.st != nil {
-		m.state = m.st.name
-	}
 	for j := range is.queue {
 		q := &is.queue[j]
-		m.push(envelope{sender: q.sender, seq: q.seq})
+		m.push(envelope{sender: q.sender})
 		rel.put(unsafe.Pointer(&m.queue[len(m.queue)-1].event), q.event)
 	}
 	m.chain = is.chain
@@ -509,7 +504,7 @@ func (c *controller) snapshot(pos int, running *machineInstance) {
 	} else {
 		s = &snapshot{}
 	}
-	*s = snapshot{pos: pos, steps: c.steps, continued: c.continued, current: c.current, sendSeq: c.sendSeq,
+	*s = snapshot{pos: pos, steps: c.steps, continued: c.continued, current: c.current,
 		machines: slices.Grow(s.machines[:0], len(rt.machines))[:len(rt.machines)],
 		monitors: slices.Grow(s.monitors[:0], len(rt.monitors))[:len(rt.monitors)],
 		img:      s.img, starts: s.starts}
@@ -543,7 +538,6 @@ func (c *controller) save(s *snapshot) bool {
 			ck.unfit = true
 			return false
 		}
-		s.machines[i].status = c.statuses[i]
 	}
 	for i, m := range rt.monitors {
 		if !s.monitors[i].save(w, m, rt.monitorSchemas[m.id.Type]) {
@@ -616,13 +610,13 @@ func (c *controller) restore(s *snapshot) {
 		is.load(ck, m)
 		rt.machines = append(rt.machines, m)
 		c.onCreate(m, 0)
-		c.statuses[i] = is.status
+		m.status = is.status
 	}
 	rt.nextSeq = uint64(len(s.machines))
 	c.ready = c.ready[:0]
-	for i, st := range c.statuses {
-		if st == msReady {
-			c.ready = append(c.ready, rt.machines[i].id)
+	for _, m := range rt.machines {
+		if m.status == msReady {
+			c.ready = append(c.ready, m.id)
 		}
 	}
 	for i := range s.monitors {
@@ -630,7 +624,7 @@ func (c *controller) restore(s *snapshot) {
 		is.load(ck, rt.attachMonitor(is.id, nil, is.schema))
 	}
 	ck.rel.release()
-	c.steps, c.continued, c.current, c.sendSeq = s.steps, s.continued, s.current, s.sendSeq
+	c.steps, c.continued, c.current = s.steps, s.continued, s.current
 	c.resumedOn = s.onStack
 	if h := c.hasher; h != nil {
 		// Every point before this one lies inside the prefix the strategy
@@ -646,7 +640,7 @@ func (c *controller) restore(s *snapshot) {
 		if kind, _ := m.next(); (kind != ykYield || m.replayLog != nil) && c.bug == nil {
 			c.bug = m.bug
 			if c.bug == nil {
-				c.bug = &Bug{Kind: BugPanic, Machine: m.id, State: m.state, Message: m.diverged("did not get back to where it was")}
+				c.bug = &Bug{Kind: BugPanic, Machine: m.id, State: m.state(), Message: m.diverged("did not get back to where it was")}
 			}
 		}
 	}

@@ -19,10 +19,8 @@ import (
 // a forbidden operation fails the iteration with BugMonitor. Messages and log
 // lines name a monitor as "monitor Name".
 type Context struct {
-	m  *machineInstance
-	rt *Runtime
+	m *machineInstance
 
-	currentEvent Event
 	pendingGoto  *stateSpec
 	pendingRaise Event
 	pendingHalt  bool
@@ -54,7 +52,7 @@ func (c *Context) takePending() (halt bool, gotoState *stateSpec, raised Event) 
 func (c *Context) ID() MachineID { return c.m.id }
 
 // State returns the name of the machine's (or monitor's) current state.
-func (c *Context) State() string { return c.m.state }
+func (c *Context) State() string { return c.m.state() }
 
 // Send enqueues ev in target's event queue. In bug-finding mode this is a
 // scheduling point (the paper's send operation, Section 6.2).
@@ -66,15 +64,15 @@ func (c *Context) Send(target MachineID, ev Event) {
 	if target.IsNil() {
 		panic(assertFailed{msg: fmt.Sprintf("%s: Send(%s) to nil machine", c.m.id, eventName(ev))})
 	}
-	c.rt.enqueue(target, ev, c.m, true)
+	c.m.rt.enqueue(target, ev, c.m, true)
 }
 
 // CreateMachine instantiates a new machine of the registered type and
 // returns its ID. payload (which may be nil) is passed to the initial
 // state's entry action. In bug-finding mode this is a scheduling point.
-func (c *Context) CreateMachine(machineType string, payload Event) MachineID {
+func (c *Context) CreateMachine(typeName string, payload Event) MachineID {
 	c.monitorForbids("CreateMachine")
-	id, err := c.rt.create(machineType, payload, c.m)
+	id, err := c.m.rt.create(typeName, payload, c.m)
 	if err != nil {
 		panic(assertFailed{msg: err.Error()})
 	}
@@ -87,7 +85,7 @@ func (c *Context) CreateMachine(machineType string, payload Event) MachineID {
 // the production runtime it is pseudo-random.
 func (c *Context) RandomBool() bool {
 	c.monitorForbids("RandomBool")
-	return c.rt.randomBool(c.m)
+	return c.m.rt.randomBool(c.m)
 }
 
 // RandomInt returns a controlled nondeterministic integer in [0, n).
@@ -96,7 +94,7 @@ func (c *Context) RandomInt(n int) int {
 	if n <= 0 {
 		panic(assertFailed{msg: fmt.Sprintf("%s: RandomInt(%d): n must be positive", c.m.id, n)})
 	}
-	return c.rt.randomInt(c.m, n)
+	return c.m.rt.randomInt(c.m, n)
 }
 
 // Assert checks a safety property; a violation is reported as a bug (and in
@@ -143,9 +141,12 @@ func (c *Context) checkNoPending(op string) {
 	}
 }
 
-// Logf writes a formatted message to the runtime log (if configured).
+// Logf writes a formatted message to the runtime log (if configured);
+// without one it formats nothing.
 func (c *Context) Logf(format string, args ...any) {
-	c.rt.logf("%s: %s", c.m, fmt.Sprintf(format, args...))
+	if rt := c.m.rt; rt.logging() {
+		rt.logf("%s: %s", c.m, fmt.Sprintf(format, args...))
+	}
 }
 
 // Read instruments a read of the named shared location for the
@@ -155,11 +156,11 @@ func (c *Context) Logf(format string, args ...any) {
 // has verified the program.
 func (c *Context) Read(location string) {
 	c.monitorForbids("Read")
-	c.rt.access(c.m, location, vclock.Read)
+	c.m.rt.access(c.m, location, vclock.Read)
 }
 
 // Write instruments a write of the named shared location; see Read.
 func (c *Context) Write(location string) {
 	c.monitorForbids("Write")
-	c.rt.access(c.m, location, vclock.Write)
+	c.m.rt.access(c.m, location, vclock.Write)
 }

@@ -422,9 +422,9 @@
 // the reserves' locks. Teardown is as cheap as the iteration was short: a
 // machine blocked between handlers when the iteration ends returns out of
 // its run loop, and only one parked inside a handler is unwound by panic.
-// The testing runtime also counts without atomics — send sequence numbers
-// and the RuntimeMetrics counters are plain words of the controller, added
-// to the runtime's atomics once per iteration (see Runtime.Metrics).
+// The testing runtime also counts without atomics: the RuntimeMetrics
+// counters are plain words of the controller, added to the runtime's
+// atomics once per iteration (see Runtime.Metrics).
 //
 // Machine schemas follow the compile-once discipline: a static type's
 // schema is compiled once per process for each probe value and every
@@ -499,10 +499,10 @@
 // are left when Wait finds the runtime quiescent, it returns that deadlock
 // as a *Bug of kind BugDeadlock, as RunTest does. A send to a machine that
 // holds none pays no atomic for this. What one message still costs that
-// another machine can feel is three process-wide atomic adds (outstanding
-// work, the send sequence, the Sends metric) and, for several senders to
-// one receiver, that receiver's mailbox lock, which the receiver holds only
-// for the scan that finds and removes its next event: what leaves the lock
+// another machine can feel is two process-wide atomic adds (outstanding
+// work, the Sends metric) and, for several senders to one receiver, that
+// receiver's mailbox lock, which the receiver holds only for the scan that
+// finds and removes its next event: what leaves the lock
 // is the event and the schema's binding for it. Stop (and the first
 // failure, which Wait returns) is a flag every activation reads at its next
 // dequeue. bench's prod_runtime workload reads ≈ 200 ns for a

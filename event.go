@@ -62,11 +62,11 @@ func eventTypeName(t reflect.Type) string {
 	return name
 }
 
-// envelope wraps an event in a machine's queue together with the metadata
-// the testing runtime needs (happens-before clock for the race detector).
+// envelope is an event in a machine's mailbox: the event, who sent it, and
+// the send's happens-before clock for the race detector. Nothing numbers
+// sends: the mailbox order is the only order a receiver can see.
 type envelope struct {
 	event  Event
 	sender MachineID
 	clock  vclock.VC // nil when race detection is off
-	seq    uint64    // global send sequence number, for logging/traces
 }

@@ -157,8 +157,8 @@ func (h *TestHarness) TraceLen() int { return len(h.c.trace.Decisions) }
 func (h *TestHarness) RehashState() uint64 {
 	c := h.c
 	var s uint64
-	for i, m := range c.rt.machines {
-		s ^= c.hasher.hashMachine(m, c.statuses[i])
+	for _, m := range c.rt.machines {
+		s ^= c.hasher.hashMachine(m)
 	}
 	for _, mon := range c.rt.monitors {
 		s ^= c.hasher.hashMonitor(mon)

@@ -24,9 +24,9 @@ type FaultConfig struct {
 	Immune []string
 }
 
-func (fc *FaultConfig) isImmune(machineType string) bool {
+func (fc *FaultConfig) isImmune(typeName string) bool {
 	for _, t := range fc.Immune {
-		if t == machineType {
+		if t == typeName {
 			return true
 		}
 	}
@@ -64,9 +64,9 @@ func (s FaultStats) Total() int {
 // reports strategy protocol violations through c.bug.
 func (c *controller) scheduleFault() bool {
 	c.crashScratch = c.crashScratch[:0]
-	for _, id := range c.crashable {
-		if c.statuses[id.Seq-1] != msHalted {
-			c.crashScratch = append(c.crashScratch, id)
+	for _, m := range c.rt.machines {
+		if m.crashable() {
+			c.crashScratch = append(c.crashScratch, m.id)
 		}
 	}
 	eligible := len(c.crashScratch) > 0
@@ -89,7 +89,7 @@ func (c *controller) scheduleFault() bool {
 			Message: fmt.Sprintf("strategy injected %s at a schedule fault point (only crash is valid here)", f.Kind)}
 		return false
 	}
-	if !eligible || !contains(c.crashScratch, f.Machine) {
+	if m := c.rt.machineByID(f.Machine); m == nil || m.id != f.Machine || !m.crashable() {
 		c.bug = &Bug{Kind: BugPanic, Machine: f.Machine,
 			Message: fmt.Sprintf("strategy crashed %s, which is not crashable", f.Machine)}
 		return false
@@ -103,6 +103,10 @@ func (c *controller) scheduleFault() bool {
 	c.crash = *f
 	return true
 }
+
+// crashable reports whether a crash may target m: it is not immune and has
+// not halted.
+func (m *machineInstance) crashable() bool { return !m.immune && m.status != msHalted }
 
 // crashMachine halts the target mid-schedule. Called from loop, where every
 // machine is parked, so the crash is one coroutine round trip: set the
@@ -120,7 +124,7 @@ func (c *controller) crashMachine(f FaultAction) {
 	m.crashed = true
 	m.next()           // yields ykCrashed
 	m.handling = false // a crash ends the chain
-	c.statuses[m.id.Seq-1] = msHalted
+	m.status = msHalted
 	c.readyRemove(m.id)
 	m.halted = true
 	if !f.PreserveMailbox {
@@ -166,14 +170,13 @@ func (c *controller) restartMachine(m *machineInstance) {
 	}
 	m.logic = logic
 	m.schema, m.cover = schema, r.cover.block(schema)
-	m.state, m.st = "", nil
+	m.st = nil
 	m.crashed = false
 	m.bug = nil
 	m.aborted = false
 	m.halted = false
-	m.ctx.currentEvent = nil
 	m.ctx.resetPending()
-	c.statuses[m.id.Seq-1] = msReady
+	m.status = msReady
 	c.readyAdd(m.id)
 	c.faults.Restarts++
 	r.observeMonitors(&MachineRestarted{Machine: m.id})
@@ -183,14 +186,13 @@ func (c *controller) restartMachine(m *machineInstance) {
 }
 
 // nextSendFault issues the per-send fault query for a message bound for
-// target and returns the kind of fault to apply to it. Runs on the sending
-// machine's coroutine (like nextBool), which is the only one running, so
-// trace appends stay serialized. Strategy protocol violations panic
+// target, machine m, and returns the kind of fault to apply to it. Runs on
+// the sending machine's coroutine (like nextBool), which is the only one
+// running, so trace appends stay serialized. Strategy protocol violations panic
 // assertFailed, which run's recover converts to a bug like any other
 // in-action failure.
-func (c *controller) nextSendFault(target MachineID) FaultKind {
-	i := int(target.Seq - 1)
-	eligible := i/64 >= len(c.immune) || c.immune[i/64]&(1<<(i%64)) == 0
+func (c *controller) nextSendFault(target MachineID, m *machineInstance) FaultKind {
+	eligible := !m.immune
 	ch := &c.choice
 	ch.Kind, ch.Point, ch.Target, ch.Eligible = ChoiceFault, FaultPointSend, target, eligible
 	d := c.ask()

@@ -8,6 +8,7 @@ package psharp_test
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -519,6 +520,96 @@ func TestFaultCrashRehashesCrashedMachine(t *testing.T) {
 			if cache.wrong != 0 {
 				t.Fatalf("restart=%v, crash at fault point %d: the state hashed at depth %d is not the state rehashed from scratch", restart, k, cache.wrong)
 			}
+		}
+	}
+}
+
+// stopper does nothing but take the HaltEvent setup sends it.
+type stopper struct{ psharp.StaticBase }
+
+func (*stopper) ConfigureType(sc *psharp.Schema) { sc.Start("Idle") }
+
+// stoppersSetup creates n stoppers and sends each a HaltEvent: scheduled, a
+// stopper boots and halts in one step.
+func stoppersSetup(n int) func(*psharp.Runtime) {
+	return func(r *psharp.Runtime) {
+		r.MustRegister("Stopper", func() psharp.Machine { return &stopper{} })
+		for i := 0; i < n; i++ {
+			if err := r.SendEvent(r.MustCreate("Stopper", nil), &psharp.HaltEvent{}); err != nil {
+				panic(err)
+			}
+		}
+	}
+}
+
+// crashableWatch schedules the first enabled machine, injects no fault, and
+// holds every schedule-level fault query of a stoppersSetup(n) iteration to
+// what it must offer: every machine not yet scheduled, each of which halted
+// when it was. It also holds the first machine choice to all n machines.
+type crashableWatch struct {
+	scripted
+	n      int
+	picked []uint64
+	wrong  string
+}
+
+func (s *crashableWatch) Decide(c *psharp.Choice, d *psharp.Decision) {
+	switch c.Kind {
+	case psharp.ChoiceMachine:
+		if len(s.picked) == 0 && len(c.Enabled) != s.n && s.wrong == "" {
+			s.wrong = fmt.Sprintf("first machine choice offered %v, want all %d machines", c.Enabled, s.n)
+		}
+		d.Kind, d.Machine = psharp.DecisionSchedule, c.Enabled[0]
+		s.picked = append(s.picked, c.Enabled[0].Seq)
+	case psharp.ChoiceFault:
+		d.Kind = psharp.DecisionFault
+		if c.Point != psharp.FaultPointSchedule {
+			return
+		}
+		var want []psharp.MachineID
+		for seq := uint64(1); seq <= uint64(s.n); seq++ {
+			if !slices.Contains(s.picked, seq) {
+				want = append(want, psharp.MachineID{Type: "Stopper", Seq: seq})
+			}
+		}
+		if !slices.Equal(c.Crashable, want) && s.wrong == "" {
+			s.wrong = fmt.Sprintf("after %d steps Crashable = %v, want %v", len(s.picked), c.Crashable, want)
+		}
+	default:
+		s.scripted.Decide(c, d)
+	}
+}
+
+// TestFaultRecycledInstanceCarriesNoSchedulingRecord: a machine's scheduling
+// status and fault immunity live on its instance, which the process-wide
+// reserve hands from one harness to the next and a harness from one
+// iteration to the next. After a TwoPhaseCommitFT harness that made every
+// machine immune has closed, a harness with no immune list must offer every
+// machine that has not halted to a crash, and a machine that halted in one
+// iteration must be ready when it is created in the next.
+func TestFaultRecycledInstanceCarriesNoSchedulingRecord(t *testing.T) {
+	b := protocols.MustByName("TwoPhaseCommitFT", false)
+	immune := psharp.NewTestHarness(b.SetupMonitored())
+	allImmune := &psharp.FaultConfig{Immune: []string{"FTLog", "FTParticipant", "FTCoordinator"}}
+	for i := 0; i < 3; i++ {
+		res := immune.Run(psharp.TestConfig{Strategy: &scripted{}, MaxSteps: b.MaxSteps, Faults: allImmune})
+		if res.Bug != nil || res.Faults.Total() != 0 {
+			t.Fatalf("immune TwoPhaseCommitFT: bug %v, faults %+v", res.Bug, res.Faults)
+		}
+	}
+	immune.Close()
+
+	const n = 8 // more machines than the closed harness parked instances
+	h := psharp.NewTestHarness(stoppersSetup(n))
+	defer h.Close()
+	for i := 0; i < 3; i++ {
+		s := &crashableWatch{n: n}
+		res := h.Run(psharp.TestConfig{Strategy: s, Faults: &psharp.FaultConfig{}})
+		if res.Bug != nil || res.SchedulingPoints != n {
+			t.Fatalf("iteration %d: bug %v after %d scheduling points, want none after %d", i, res.Bug, res.SchedulingPoints, n)
+		}
+		if s.wrong != "" {
+			t.Fatalf("iteration %d: %s", i, s.wrong)
 		}
 	}
 }

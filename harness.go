@@ -84,7 +84,7 @@ type TestHarness struct {
 // iteration — which any deterministic setup does.
 func NewTestHarness(setup func(*Runtime), opts ...Option) *TestHarness {
 	rt := NewRuntime(opts...)
-	c := &controller{rt: rt, trace: &Trace{Decisions: takeReservedTrace()}}
+	c := &controller{rt: rt, trace: &Trace{Decisions: traceReserve.take()}}
 	rt.test = c
 	return &TestHarness{setup: setup, rt: rt, c: c, baseSeed: rt.rngState.Load(), baseLog: rt.logw}
 }
@@ -173,13 +173,10 @@ func (h *TestHarness) reset(cfg TestConfig) {
 	c.cfg = cfg
 	c.setDecider()
 	c.faults = FaultStats{}
-	c.crashable = c.crashable[:0]
-	clear(c.immune)
-	c.statuses = c.statuses[:0]
 	c.ready = c.ready[:0]
 	c.current = MachineID{}
 	c.steps, c.continued = 0, 0
-	c.sendSeq, c.counts = 0, iterationCounts{}
+	c.counts = iterationCounts{}
 	c.panicked = nil
 	c.bug = nil
 	c.bound = false

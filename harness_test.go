@@ -847,3 +847,37 @@ func TestContinuedPointsExact(t *testing.T) {
 		t.Errorf("send-free program: %d scheduling points, %d continued; want 8 and 0", res.SchedulingPoints, res.ContinuedPoints)
 	}
 }
+
+// chatty logs calls lines from its entry action.
+type chatty struct {
+	psharp.StaticBase
+	calls int
+}
+
+func (*chatty) ConfigureType(sc *psharp.Schema) {
+	sc.Start("Talk").OnEntryM(func(m psharp.Machine, ctx *psharp.Context, _ psharp.Event) {
+		for i := 0; i < m.(*chatty).calls; i++ {
+			ctx.Logf("line %s of %d", "x", 1000)
+		}
+	})
+}
+
+// TestLogfWithoutLogAllocatesNothing: with no execution log, Context.Logf
+// must not format its message. A harness iteration whose handler calls it
+// 1000 times allocates no more than the same iteration without the calls.
+func TestLogfWithoutLogAllocatesNothing(t *testing.T) {
+	allocs := func(calls int) float64 {
+		h := psharp.NewTestHarness(func(r *psharp.Runtime) {
+			r.MustRegister("Chatty", func() psharp.Machine { return &chatty{calls: calls} })
+			r.MustCreate("Chatty", nil)
+		})
+		defer h.Close()
+		cfg := psharp.TestConfig{Strategy: &scripted{}}
+		h.Run(cfg)
+		return testing.AllocsPerRun(20, func() { h.Run(cfg) })
+	}
+	quiet, chattering := allocs(0), allocs(1000)
+	if chattering > quiet {
+		t.Fatalf("an iteration calling Logf 1000 times with no log allocates %.0f times, %.0f without the calls", chattering, quiet)
+	}
+}

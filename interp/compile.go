@@ -295,7 +295,6 @@ type compiledClass struct {
 // compiledProgram is one Program's complete bytecode: shared, immutable
 // after construction, plus a pool of recycled VM run states.
 type compiledProgram struct {
-	prog        *lang.Program
 	events      []string
 	machines    []*compiledMachine
 	monitors    []*compiledMachine
@@ -392,7 +391,7 @@ type compiler struct {
 
 func compileProgram(prog *lang.Program) *compiledProgram {
 	ps := schemasFor(prog)
-	cp := &compiledProgram{prog: prog}
+	cp := &compiledProgram{}
 	for _, e := range prog.Events {
 		cp.events = append(cp.events, e.Name)
 	}

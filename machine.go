@@ -24,9 +24,8 @@ type machineInstance struct {
 	// without a coverage set, and for a monitor.
 	cover *coverBlock
 
-	// state names the current state and st is its compiled form, cached by
-	// enter so that dispatching an event looks no state up by name.
-	state  string
+	// st is the current state, set by enter, so that dispatching an event
+	// looks no state up by name; nil before boot.
 	st     *stateSpec
 	halted bool
 	// temp is a monitor's temperature: the consecutive scheduling decisions
@@ -56,7 +55,12 @@ type machineInstance struct {
 	spawn  func()
 	held   **machineInstance
 
-	// test mode fields
+	// test mode fields. status is where the controller has the machine and
+	// immune says faults must not touch it: controller.onCreate sets both for
+	// every machine it registers, whatever a recycled instance held. A machine
+	// that failed is msHalted but not halted: it still receives mail.
+	status  machineStatus
+	immune  bool
 	bug     *Bug
 	aborted bool
 	// next and stop are the controller's side of the machine's coroutine
@@ -177,7 +181,7 @@ func (m *machineInstance) diverged(how string) string {
 
 func newMachineInstance(rt *Runtime, id MachineID, logic Machine, schema *compiledSchema) *machineInstance {
 	m := &machineInstance{id: id, rt: rt, logic: logic, schema: schema}
-	m.ctx = &Context{m: m, rt: rt}
+	m.ctx = &Context{m: m}
 	return m
 }
 
@@ -289,7 +293,7 @@ func (m *machineInstance) recycle() {
 	m.id = MachineID{}
 	m.logic = nil
 	m.schema, m.cover = nil, nil
-	m.state, m.st = "", nil
+	m.st = nil
 	m.halted = false
 	m.temp = 0
 	m.dropQueue()
@@ -301,7 +305,6 @@ func (m *machineInstance) recycle() {
 	m.comp, m.stale = 0, false
 	m.chain, m.chainSpans = nil, m.chainSpans[:0]
 	m.replayLog, m.replayEv = nil, nil
-	m.ctx.currentEvent = nil
 	m.ctx.resetPending()
 }
 
@@ -358,9 +361,9 @@ func (m *machineInstance) finish() {
 // panicBug is the bug a panic out of one of m's actions stands for.
 func (m *machineInstance) panicBug(v any) *Bug {
 	if a, ok := v.(assertFailed); ok {
-		return &Bug{Kind: BugAssertion, Machine: m.id, State: m.state, Message: a.msg}
+		return &Bug{Kind: BugAssertion, Machine: m.id, State: m.state(), Message: a.msg}
 	}
-	return &Bug{Kind: BugPanic, Machine: m.id, State: m.state, Message: fmt.Sprint(v)}
+	return &Bug{Kind: BugPanic, Machine: m.id, State: m.state(), Message: fmt.Sprint(v)}
 }
 
 // activate is the body of every goroutine the production runtime starts. It
@@ -418,7 +421,7 @@ func (m *machineInstance) drain() (bug *Bug) {
 func (m *machineInstance) boot() *Bug {
 	m.enter(m.schema.initial)
 	if m.rt.logging() {
-		m.rt.logf("%s: entering initial state %q", m.id, m.state)
+		m.rt.logf("%s: entering initial state %q", m.id, m.state())
 	}
 	if entry := m.st.entry; entry != nil {
 		if bug := m.execute(entry, m.birth); bug != nil {
@@ -442,7 +445,7 @@ func (m *machineInstance) step() (more bool, bug *Bug) {
 		return false, bug
 	}
 	if m.rt.logging() {
-		m.rt.logf("%s: dequeued %s in state %q", m.id, eventName(ev), m.state)
+		m.rt.logf("%s: dequeued %s in state %q", m.id, eventName(ev), m.state())
 	}
 	if disp == nil {
 		m.doHalt() // the halt event, which no state needs to bind
@@ -537,8 +540,8 @@ func (m *machineInstance) scanQueueLocked() (Event, *dispatchEntry, *Bug) {
 				return nil, nil, &Bug{
 					Kind:    BugUnhandledEvent,
 					Machine: m.id,
-					State:   m.state,
-					Message: fmt.Sprintf("event %s cannot be handled in state %q", eventName(ev), m.state),
+					State:   m.state(),
+					Message: fmt.Sprintf("event %s cannot be handled in state %q", eventName(ev), m.state()),
 				}
 			}
 		case disp.kind == dispatchIgnore:
@@ -623,8 +626,8 @@ func (m *machineInstance) handleEvent(ev Event) *Bug {
 	// A monitor gets here only by a raise of its own (observe skips what the
 	// state does not bind), and no event, HaltEvent included, halts it.
 	if m.monitor() {
-		return &Bug{Kind: BugUnhandledEvent, State: m.state,
-			Message: fmt.Sprintf("raised event %s cannot be handled in state %q", eventName(ev), m.state)}
+		return &Bug{Kind: BugUnhandledEvent, State: m.state(),
+			Message: fmt.Sprintf("raised event %s cannot be handled in state %q", eventName(ev), m.state())}
 	}
 	if isHaltEvent(ev) {
 		m.doHalt()
@@ -633,8 +636,8 @@ func (m *machineInstance) handleEvent(ev Event) *Bug {
 	return &Bug{
 		Kind:    BugUnhandledEvent,
 		Machine: m.id,
-		State:   m.state,
-		Message: fmt.Sprintf("event %s cannot be handled in state %q", eventName(ev), m.state),
+		State:   m.state(),
+		Message: fmt.Sprintf("event %s cannot be handled in state %q", eventName(ev), m.state()),
 	}
 }
 
@@ -662,7 +665,7 @@ func (m *machineInstance) dispatch(disp *dispatchEntry, ev Event) *Bug {
 		}
 		return m.execute(disp.fn, ev)
 	default:
-		return &Bug{Kind: BugPanic, Machine: m.id, State: m.state, Message: "corrupt dispatch table"}
+		return &Bug{Kind: BugPanic, Machine: m.id, State: m.state(), Message: "corrupt dispatch table"}
 	}
 }
 
@@ -672,7 +675,6 @@ func (m *machineInstance) dispatch(disp *dispatchEntry, ev Event) *Bug {
 // schema be shared.
 func (m *machineInstance) execute(fn MachineAction, ev Event) *Bug {
 	m.ctx.resetPending()
-	m.ctx.currentEvent = ev
 	fn(m.logic, m.ctx, ev)
 	return m.applyPending(ev)
 }
@@ -712,11 +714,11 @@ func (m *machineInstance) gotoState(target *stateSpec, payload Event) *Bug {
 			if m.monitor() {
 				msg = "monitor " + msg
 			}
-			return &Bug{Kind: BugPanic, Machine: m.id, State: m.state, Message: msg}
+			return &Bug{Kind: BugPanic, Machine: m.id, State: m.state(), Message: msg}
 		}
 	}
 	if m.rt.logging() {
-		m.rt.logf("%s: %q -> %q", m, m.state, target.name)
+		m.rt.logf("%s: %q -> %q", m, m.state(), target.name)
 	}
 	m.enter(target)
 	if entry := m.st.entry; entry != nil {
@@ -729,10 +731,18 @@ func (m *machineInstance) gotoState(target *stateSpec, payload Event) *Bug {
 // discharges a monitor's liveness obligation: a later hot period is measured
 // from zero.
 func (m *machineInstance) enter(st *stateSpec) {
-	m.state, m.st = st.name, st
+	m.st = st
 	if !st.isHot() {
 		m.temp = 0
 	}
+}
+
+// state names the current state, "" before boot.
+func (m *machineInstance) state() string {
+	if m.st == nil {
+		return ""
+	}
+	return m.st.name
 }
 
 // String names m in messages and log lines: a machine by its ID, a monitor

@@ -175,7 +175,7 @@ func (m *machineInstance) monitorBug(bug **Bug) {
 		*bug = m.panicBug(v)
 	}
 	if b := *bug; b != nil {
-		*bug = &Bug{Kind: BugMonitor, Monitor: m.id.Type, State: m.state, Message: b.Message}
+		*bug = &Bug{Kind: BugMonitor, Monitor: m.id.Type, State: m.state(), Message: b.Message}
 	}
 }
 

@@ -42,7 +42,6 @@ type Runtime struct {
 	factories map[string]func() Machine
 	machines  []*machineInstance
 	nextSeq   uint64
-	sendSeq   atomic.Uint64 // production only; a controller numbers sends itself
 	// table is machines as production create last published it: a reader
 	// sees every machine whose ID it can have learnt.
 	table atomic.Pointer[[]*machineInstance]
@@ -203,14 +202,14 @@ func (r *Runtime) MustRegister(name string, factory func() Machine) {
 
 // CreateMachine creates a machine from outside any machine (the program's
 // environment); the entry action of its initial state runs asynchronously.
-func (r *Runtime) CreateMachine(machineType string, payload Event) (MachineID, error) {
-	return r.create(machineType, payload, nil)
+func (r *Runtime) CreateMachine(typeName string, payload Event) (MachineID, error) {
+	return r.create(typeName, payload, nil)
 }
 
 // MustCreate is CreateMachine that panics on error; convenient in test
 // setups where a failure to create is a harness bug, not a program bug.
-func (r *Runtime) MustCreate(machineType string, payload Event) MachineID {
-	id, err := r.CreateMachine(machineType, payload)
+func (r *Runtime) MustCreate(typeName string, payload Event) MachineID {
+	id, err := r.CreateMachine(typeName, payload)
 	if err != nil {
 		panic(err)
 	}
@@ -241,32 +240,32 @@ func (r *Runtime) unlock() {
 }
 
 // create instantiates a machine; creator is nil for environment creates.
-func (r *Runtime) create(machineType string, payload Event, creator *machineInstance) (MachineID, error) {
+func (r *Runtime) create(typeName string, payload Event, creator *machineInstance) (MachineID, error) {
 	if creator != nil && creator.replayLog != nil {
 		// Catching up after a restore: the machine is in the snapshot.
 		return r.test.created(creator, 0), nil
 	}
 	r.lock()
-	factory, ok := r.factories[machineType]
+	factory, ok := r.factories[typeName]
 	if !ok {
 		r.unlock()
-		return MachineID{}, fmt.Errorf("psharp: unknown machine type %q", machineType)
+		return MachineID{}, fmt.Errorf("psharp: unknown machine type %q", typeName)
 	}
 	logic := factory()
-	schema := r.schemas[machineType]
+	schema := r.schemas[typeName]
 	if schema == nil {
 		// Closure form: build and validate a schema for this instance.
 		// Static types never reach here — their frozen schema was compiled
 		// at registration.
 		var err error
-		schema, err = r.compileInstanceLocked(machineType, logic)
+		schema, err = r.compileInstanceLocked(typeName, logic)
 		if err != nil {
 			r.unlock()
 			return MachineID{}, err
 		}
 	}
 	r.nextSeq++
-	id := MachineID{Type: machineType, Seq: r.nextSeq}
+	id := MachineID{Type: typeName, Seq: r.nextSeq}
 	var m *machineInstance
 	if c := r.test; c != nil {
 		// Bug-finding mode reuses pooled instances and parked coroutines.
@@ -390,7 +389,7 @@ func (r *Runtime) enqueue(target MachineID, ev Event, sm *machineInstance, isMac
 	// already-halted target ignore the answer (there is nothing to fault).
 	fault := FaultNone
 	if c != nil && isMachineSend && c.cfg.Faults != nil {
-		fault = c.nextSendFault(target)
+		fault = c.nextSendFault(target, m)
 	}
 
 	var clock vclock.VC
@@ -398,9 +397,9 @@ func (r *Runtime) enqueue(target MachineID, ev Event, sm *machineInstance, isMac
 		clock = c.det.Send(int(sender.Seq))
 	}
 
-	// Under a controller the sequence number and the counters are plain words
-	// of its own (one stack runs at a time; TestHarness.Run folds the counters
-	// into r.metrics); production senders share atomics.
+	// Under a controller the counters are plain words of its own (one stack
+	// runs at a time; TestHarness.Run folds them into r.metrics); production
+	// senders share atomics.
 	m.lock()
 	if m.halted {
 		m.unlock()
@@ -422,11 +421,7 @@ func (r *Runtime) enqueue(target MachineID, ev Event, sm *machineInstance, isMac
 	} else {
 		env := envelope{event: ev, sender: sender, clock: clock}
 		woke := false
-		if c != nil {
-			c.sendSeq++
-			env.seq = c.sendSeq
-		} else {
-			env.seq = r.sendSeq.Add(1)
+		if c == nil {
 			woke, m.active = !m.active, true
 			parked := 0
 			if woke {
@@ -440,8 +435,6 @@ func (r *Runtime) enqueue(target MachineID, ev Event, sm *machineInstance, isMac
 		m.push(env)
 		switch fault {
 		case FaultDuplicate:
-			c.sendSeq++
-			env.seq = c.sendSeq
 			m.push(env)
 			c.faults.Duplicates++
 		case FaultReorder:
@@ -541,7 +534,7 @@ func (r *Runtime) Wait() error {
 		// Not under mu: a machine going idle takes its mailbox lock first.
 		for _, m := range *r.table.Load() {
 			m.mu.Lock()
-			parked, state := len(m.queued()), m.state
+			parked, state := len(m.queued()), m.state()
 			m.mu.Unlock()
 			if parked > 0 {
 				return &Bug{Kind: BugDeadlock, Machine: m.id, State: state,

@@ -365,9 +365,8 @@ func (s *Schema) validate(kind, name string) error {
 // Runtimes and goroutines — the process keeps one per static declaration
 // (typeSchemas), and a Runtime binds each registered name to one.
 type compiledSchema struct {
-	machineType string
-	initial     *stateSpec
-	states      map[string]*stateSpec
+	initial *stateSpec
+	states  map[string]*stateSpec
 	// transitions is the coverage unit of each action and goto binding, by
 	// dispatchEntry.slot.
 	transitions []obs.Transition
@@ -398,7 +397,7 @@ func (s *Schema) compile(name string, monitor bool) (*compiledSchema, error) {
 	if err := s.validate(kind, name); err != nil {
 		return nil, err
 	}
-	cs := &compiledSchema{machineType: name, initial: s.states[s.initial], states: s.states}
+	cs := &compiledSchema{initial: s.states[s.initial], states: s.states}
 	for _, sn := range s.order {
 		st := s.states[sn]
 		for i := range st.handlers {

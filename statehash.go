@@ -160,14 +160,13 @@ func (h *stateHasher) stale(m *machineInstance) {
 
 // hashMachine computes one machine's component: identity, FSM state,
 // scheduler status, mid-handler position, queue contents (sender, event
-// type, payload — not the global send sequence, which differs across
-// behaviorally equivalent interleavings), and the logic value's fields, the
-// user values by their state plans in one walk. Execution is serialized, so
-// the queue is read unlocked.
-func (h *stateHasher) hashMachine(m *machineInstance, status machineStatus) uint64 {
+// type, payload), and the logic value's fields, the user values by their
+// state plans in one walk. Execution is serialized, so the queue is read
+// unlocked.
+func (h *stateHasher) hashMachine(m *machineInstance) uint64 {
 	w := &h.walk
 	w.reset()
-	w.h = fold(foldString(fold(w.h, m.id.Seq), m.state), uint64(status))
+	w.h = fold(foldString(fold(w.h, m.id.Seq), m.state()), uint64(m.status))
 	if m.handling {
 		// Mid-handler: the position is the chain's event plus everything it
 		// did since.
@@ -220,7 +219,7 @@ func (m *machineInstance) foldChain() {
 func (h *stateHasher) hashMonitor(mon *machineInstance) uint64 {
 	w := &h.walk
 	w.reset()
-	w.h = foldString(foldString(w.h, mon.id.Type), mon.state)
+	w.h = foldString(foldString(w.h, mon.id.Type), mon.state())
 	hot := uint64(0)
 	if mon.st.isHot() {
 		hot = 1

@@ -178,12 +178,10 @@ type controller struct {
 	rt  *Runtime
 	cfg TestConfig
 
-	// statuses is indexed by MachineID.Seq-1, as rt.machines is.
-	statuses []machineStatus
-
-	// ready is the incrementally maintained enabled set, kept sorted by
-	// creation order (Seq); scratch is the reusable copy handed to
-	// Strategy.NextMachine so strategies can never corrupt the ready list.
+	// ready is the incrementally maintained enabled set, the machines whose
+	// status is msReady, kept sorted by creation order (Seq); scratch is the
+	// reusable copy handed to Strategy.NextMachine so strategies can never
+	// corrupt the ready list.
 	ready   []MachineID
 	scratch []MachineID
 
@@ -210,20 +208,15 @@ type controller struct {
 	legacy  legacyDecider
 	choice  Choice
 
-	// sendSeq numbers the iteration's sends and counts holds its operational
-	// counters: plain words, because one stack runs at a time. Run folds
-	// counts into the runtime's atomic RuntimeMetrics when the iteration ends.
-	sendSeq uint64
-	counts  iterationCounts
+	// counts holds the iteration's operational counters: plain words, because
+	// one stack runs at a time. Run folds them into the runtime's atomic
+	// RuntimeMetrics when the iteration ends.
+	counts iterationCounts
 
-	// faults counts injected failures. Under cfg.Faults, onCreate sorts each
-	// machine by its type's immunity once: crashable lists the machines
-	// faults may touch, in creation order, and immune has the bit Seq-1 of
-	// every other. crashScratch is the reusable list of the crashable
-	// machines that have not halted, handed to schedule-level fault queries.
+	// faults counts injected failures. crashScratch is the reusable list of
+	// the machines a crash may target — not immune, not halted — in creation
+	// order, handed to schedule-level fault queries.
 	faults       FaultStats
-	crashable    []MachineID
-	immune       []uint64
 	crashScratch []MachineID
 
 	// Step observation and state hashing (see statehash.go). observing is
@@ -265,62 +258,68 @@ type controller struct {
 	err       error
 }
 
-// instanceReserve is the process-wide stock of idle machine instances:
-// coroutine, if any, parked at the top of poolLoop, bound to no runtime. A
-// closing harness donates its freelist here and a harness whose own freelist
-// is empty draws from here before building anything, so short-lived harnesses
-// (RunTest, a replay, a hunt of three schedules) stop paying for a
-// coroutine per machine — the dominant start-up cost, at 13 allocations
-// each. A harness in steady state is served by its own freelist and never
-// takes the lock.
-var instanceReserve struct {
+// reserve is a process-wide stock of idle things, a stack under a mutex: a
+// closing harness puts what it grew and a new one takes it before building
+// its own. What is kept, and how it is unbound first, is the callers' policy.
+type reserve[T any] struct {
 	mu   sync.Mutex
-	idle []*machineInstance
+	idle []T
 }
 
-// reserveCap bounds the reserve; instances donated beyond it are retired.
-// 256 parked coroutines cover the largest protocol in the suite many times
-// over and pin a few megabytes of stacks at most.
+// put keeps x unless the reserve already holds limit things, and reports
+// whether it did.
+func (r *reserve[T]) put(x T, limit int) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.idle) >= limit {
+		return false
+	}
+	r.idle = append(r.idle, x)
+	return true
+}
+
+// take returns the thing put last, or the zero T when there is none.
+func (r *reserve[T]) take() (x T) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if n := len(r.idle); n > 0 {
+		x = r.idle[n-1]
+		clear(r.idle[n-1:])
+		r.idle = r.idle[:n-1]
+	}
+	return x
+}
+
+// instanceReserve holds idle machine instances: coroutine, if any, parked at
+// the top of poolLoop, bound to no runtime. A closing harness donates its
+// freelist here and a harness whose own freelist is empty draws from here
+// before building anything, so short-lived harnesses (RunTest, a replay, a
+// hunt of three schedules) stop paying for a coroutine per machine — the
+// dominant start-up cost, at 13 allocations each. A harness in steady state
+// is served by its own freelist and never takes the lock.
+var instanceReserve reserve[*machineInstance]
+
+// reserveCap bounds the instance reserve; instances donated beyond it are
+// retired. 256 parked coroutines cover the largest protocol in the suite many
+// times over and pin a few megabytes of stacks at most.
 const reserveCap = 256
 
 // donateInstances moves idle instances into the reserve, unbinding them
 // from their runtime so it can be collected, and retires the overflow.
 func donateInstances(idle []*machineInstance) {
-	instanceReserve.mu.Lock()
-	keep := min(len(idle), reserveCap-len(instanceReserve.idle))
-	for _, m := range idle[:keep] {
-		m.rt, m.ctx.rt = nil, nil
-	}
-	instanceReserve.idle = append(instanceReserve.idle, idle[:keep]...)
-	instanceReserve.mu.Unlock()
-	for _, m := range idle[keep:] {
-		if m.stop != nil {
+	for _, m := range idle {
+		m.rt = nil
+		if !instanceReserve.put(m, reserveCap) && m.stop != nil {
 			m.stop()
 		}
 	}
 }
 
-func takeReserved() *machineInstance {
-	instanceReserve.mu.Lock()
-	defer instanceReserve.mu.Unlock()
-	n := len(instanceReserve.idle)
-	if n == 0 {
-		return nil
-	}
-	m := instanceReserve.idle[n-1]
-	instanceReserve.idle[n-1] = nil
-	instanceReserve.idle = instanceReserve.idle[:n-1]
-	return m
-}
-
-// traceReserve is the stock of idle trace buffers, beside the instances: a
-// closing harness donates the []Decision it grew and the next harness starts
-// with it, so a short-lived harness (a hunt of three schedules, the replay
-// that confirms it) does not regrow a trace by doubling from nothing.
-var traceReserve struct {
-	mu   sync.Mutex
-	idle [][]Decision
-}
+// traceReserve holds idle trace buffers: a closing harness donates the
+// []Decision it grew and the next harness starts with it, so a short-lived
+// harness (a hunt of three schedules, the replay that confirms it) does not
+// regrow a trace by doubling from nothing.
+var traceReserve reserve[[]Decision]
 
 // The reserve keeps at most traceReserveCap buffers of at most
 // traceReserveLen decisions each — 8 × 1.4 MB at worst. A longer trace's
@@ -331,27 +330,9 @@ const (
 )
 
 func donateTrace(buf []Decision) {
-	if cap(buf) == 0 || cap(buf) > traceReserveLen {
-		return
+	if cap(buf) > 0 && cap(buf) <= traceReserveLen {
+		traceReserve.put(buf[:0], traceReserveCap)
 	}
-	traceReserve.mu.Lock()
-	if len(traceReserve.idle) < traceReserveCap {
-		traceReserve.idle = append(traceReserve.idle, buf[:0])
-	}
-	traceReserve.mu.Unlock()
-}
-
-func takeReservedTrace() []Decision {
-	traceReserve.mu.Lock()
-	defer traceReserve.mu.Unlock()
-	n := len(traceReserve.idle)
-	if n == 0 {
-		return nil
-	}
-	buf := traceReserve.idle[n-1]
-	traceReserve.idle[n-1] = nil
-	traceReserve.idle = traceReserve.idle[:n-1]
-	return buf
 }
 
 // acquireInstance returns an idle instance for the machine or monitor id —
@@ -364,8 +345,8 @@ func (c *controller) acquireInstance(r *Runtime, id MachineID, logic Machine, sc
 		m = c.free[n-1]
 		c.free[n-1] = nil
 		c.free = c.free[:n-1]
-	} else if m = takeReserved(); m != nil {
-		m.rt, m.ctx.rt = r, r
+	} else if m = instanceReserve.take(); m != nil {
+		m.rt = r
 	} else {
 		m = newMachineInstance(r, id, logic, schema)
 	}
@@ -393,23 +374,14 @@ func (c *controller) release(ms []*machineInstance) []*machineInstance {
 }
 
 // onCreate registers a newly created (or restored) machine as ready to run
-// its initial entry action, its hash component stale. New machines carry the
-// highest Seq so far, so appending keeps the ready list sorted by creation
-// order.
+// its initial entry action, its hash component stale, and settles whether
+// faults may touch it. Both are written whatever the instance held before: it
+// may come from another iteration or harness. New machines carry the highest
+// Seq so far, so appending keeps the ready list sorted by creation order.
 func (c *controller) onCreate(m *machineInstance, creatorIdx int) {
-	c.statuses = append(c.statuses, msReady)
+	m.status = msReady
+	m.immune = c.cfg.Faults != nil && c.cfg.Faults.isImmune(m.id.Type)
 	c.ready = append(c.ready, m.id)
-	if fc := c.cfg.Faults; fc != nil {
-		if !fc.isImmune(m.id.Type) {
-			c.crashable = append(c.crashable, m.id)
-		} else {
-			i := int(m.id.Seq - 1)
-			for len(c.immune) <= i/64 {
-				c.immune = append(c.immune, 0)
-			}
-			c.immune[i/64] |= 1 << (i % 64)
-		}
-	}
 	if c.det != nil {
 		c.det.Fork(creatorIdx, int(m.id.Seq))
 	}
@@ -420,8 +392,8 @@ func (c *controller) onCreate(m *machineInstance, creatorIdx int) {
 
 // onEnqueue marks a machine blocked on an empty queue as runnable again.
 func (c *controller) onEnqueue(m *machineInstance) {
-	if c.statuses[m.id.Seq-1] == msBlocked {
-		c.statuses[m.id.Seq-1] = msReady
+	if m.status == msBlocked {
+		m.status = msReady
 		c.readyAdd(m.id)
 	}
 }
@@ -543,9 +515,9 @@ func (c *controller) nextInt(m *machineInstance, n int) int {
 // anyQueuedWhileBlocked detects the deadlock case: machines hold only
 // deferred events and nobody is runnable.
 func (c *controller) anyQueuedWhileBlocked() *machineInstance {
-	for i, st := range c.statuses {
-		if st == msBlocked && len(c.rt.machines[i].queued()) > 0 {
-			return c.rt.machines[i]
+	for _, m := range c.rt.machines {
+		if m.status == msBlocked && len(m.queued()) > 0 {
+			return m
 		}
 	}
 	return nil
@@ -587,7 +559,7 @@ func (c *controller) loop() {
 			// and the specification violation is the primary report.
 			c.bug = m.bug
 		}
-		c.statuses[m.id.Seq-1] = status
+		m.status = status
 		c.readyRemove(m.id)
 		c.endStep()
 		out = c.loopPass()
@@ -617,13 +589,13 @@ func (c *controller) pass() (out passOutcome) {
 	}
 	if len(c.ready) == 0 {
 		if m := c.anyQueuedWhileBlocked(); m != nil {
-			c.bug = &Bug{Kind: BugDeadlock, Machine: m.id, State: m.state,
+			c.bug = &Bug{Kind: BugDeadlock, Machine: m.id, State: m.state(),
 				Message: "all machines blocked but deferred events remain queued"}
 		} else if mon := c.hotMonitor(); mon != nil {
 			// A finite execution ended with an undischarged liveness
 			// obligation: nothing can ever discharge it now.
-			c.bug = &Bug{Kind: BugLiveness, Monitor: mon.id.Type, State: mon.state,
-				Message: fmt.Sprintf("monitor still hot in state %q when the program quiesced", mon.state)}
+			c.bug = &Bug{Kind: BugLiveness, Monitor: mon.id.Type, State: mon.state(),
+				Message: fmt.Sprintf("monitor still hot in state %q when the program quiesced", mon.state())}
 		}
 		return passEnd // quiescence: the program terminated naturally
 	}
@@ -656,7 +628,7 @@ func (c *controller) pass() (out passOutcome) {
 	// The pick is enabled iff it names, type and all, a machine whose status
 	// is ready: the ready list holds exactly those.
 	next := d.Machine
-	if i := next.Seq - 1; i >= uint64(len(c.statuses)) || c.statuses[i] != msReady || c.rt.machines[i].id.Type != next.Type {
+	if m := c.rt.machineByID(next); m == nil || m.status != msReady || m.id.Type != next.Type {
 		c.bug = &Bug{Kind: BugPanic, Machine: next,
 			Message: fmt.Sprintf("strategy chose %s, which is not enabled", next)}
 		return passEnd
@@ -700,9 +672,9 @@ func (c *controller) updateTemperatures() {
 		}
 		mon.temp++
 		if mon.temp > c.cfg.LivenessTemperature {
-			c.bug = &Bug{Kind: BugLiveness, Monitor: mon.id.Type, State: mon.state,
+			c.bug = &Bug{Kind: BugLiveness, Monitor: mon.id.Type, State: mon.state(),
 				Message: fmt.Sprintf("monitor stayed hot in state %q for %d consecutive scheduling decisions (threshold %d)",
-					mon.state, mon.temp, c.cfg.LivenessTemperature)}
+					mon.state(), mon.temp, c.cfg.LivenessTemperature)}
 			return
 		}
 	}
@@ -796,7 +768,7 @@ func (c *controller) checkStateCache() bool {
 func (c *controller) stateHash() uint64 {
 	h := c.hasher
 	for _, m := range h.dirty {
-		neu := h.hashMachine(m, c.statuses[m.id.Seq-1])
+		neu := h.hashMachine(m)
 		h.agg ^= m.comp ^ neu
 		m.comp, m.stale = neu, false
 	}
@@ -821,15 +793,6 @@ func (c *controller) teardown() {
 			m.next()
 		}
 	}
-}
-
-func contains(ids []MachineID, id MachineID) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
-		}
-	}
-	return false
 }
 
 // RunTest executes one bug-finding iteration: it builds a serialized
