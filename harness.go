@@ -1,10 +1,6 @@
 package psharp
 
-import (
-	"io"
-
-	"github.com/psharp-go/psharp/internal/vclock"
-)
+import "github.com/psharp-go/psharp/internal/vclock"
 
 // TestHarness runs bug-finding iterations of one program repeatedly while
 // recycling every piece of per-iteration machinery: the serialized Runtime,
@@ -50,16 +46,14 @@ type TestHarness struct {
 	rt     *Runtime
 	c      *controller
 	closed bool
-
-	// baseSeed and baseLog preserve what the construction Options set, so
-	// reset restores them every Run instead of silently discarding them.
-	baseSeed uint64
-	baseLog  io.Writer
 }
 
 // NewTestHarness returns a harness that executes the program constructed by
 // setup. setup runs once per Run call — except for a Run that starts from a
-// checkpoint — against a recycled Runtime.
+// checkpoint — against a recycled Runtime. What an iteration runs with —
+// strategy, coverage set, execution log — is its TestConfig's: the harness
+// takes no Runtime Option (WithSeed, WithLog and WithCoverage configure the
+// production runtime).
 //
 // A Run that starts from a checkpoint (depth-first strategies only, see
 // TestHarness) runs on copies of the machines' logic values and on the
@@ -82,11 +76,11 @@ type TestHarness struct {
 // machines pay zero schema allocations from iteration 2 on. This assumes
 // setup registers the same declaration under the same type name every
 // iteration — which any deterministic setup does.
-func NewTestHarness(setup func(*Runtime), opts ...Option) *TestHarness {
-	rt := NewRuntime(opts...)
+func NewTestHarness(setup func(*Runtime)) *TestHarness {
+	rt := NewRuntime()
 	c := &controller{rt: rt, trace: &Trace{Decisions: traceReserve.take()}}
 	rt.test = c
-	return &TestHarness{setup: setup, rt: rt, c: c, baseSeed: rt.rngState.Load(), baseLog: rt.logw}
+	return &TestHarness{setup: setup, rt: rt, c: c}
 }
 
 // Run executes one bug-finding iteration, exactly like RunTest but against
@@ -163,12 +157,8 @@ func (h *TestHarness) reset(cfg TestConfig) {
 	rt.nextSeq = 0
 	rt.failure = nil
 	rt.stopped.Store(false)
-	rt.rngState.Store(h.baseSeed)
 	rt.cover.attach(cfg.Coverage)
 	rt.logw = cfg.Log
-	if cfg.Log == nil {
-		rt.logw = h.baseLog // WithLog default when the iteration sets none
-	}
 
 	c.cfg = cfg
 	c.setDecider()

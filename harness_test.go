@@ -697,7 +697,7 @@ func (s *panicAt) Decide(c *psharp.Choice, d *psharp.Decision) {
 			panic(strategyPanic{s.k})
 		}
 	}
-	psharp.AsDecisionStrategy(s.Strategy).Decide(c, d)
+	s.Strategy.Decide(c, d)
 	s.answered++
 }
 

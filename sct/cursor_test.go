@@ -22,15 +22,15 @@ var cursorLayouts = []struct {
 	{"dfs", 0, 1}, {"dpor", 0, 1}, {"dfs", 1, 3}, {"dpor", 2, 3},
 }
 
-func cursorStrategy(t testing.TB, name string, shard, shards int) CursorStrategy {
+func cursorStrategy(t testing.TB, name string, shard, shards int) Strategy {
 	s, err := NewStrategy(name, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if shards > 1 {
-		s = s.(Cloneable).CloneForWorker(shard, shards)
+		s = s.CloneForWorker(shard, shards)
 	}
-	return s.(CursorStrategy)
+	return s
 }
 
 // searchOn runs up to n attempts of b under s, local iterations from, from+1,

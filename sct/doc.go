@@ -9,21 +9,22 @@
 // The engine has no false positives: every reported bug comes with a
 // schedule trace that replays it deterministically.
 //
-// A strategy here is a psharp.Strategy — the three-method interface — plus
-// PrepareIteration, and every one also implements psharp.DecisionStrategy,
-// whose one method is Decide(*psharp.Choice, *psharp.Decision): the
-// controller calls it for every query, the strategy writes its answer into
-// the Decision — the trace's next record, handed over zeroed — and returns.
-// FaultInjector and Replay answer fault queries there; the others decline
-// them and answer the rest through their three methods, so a type that
-// embeds one of them and overrides one of those methods must override Decide
-// as well. Both arguments are scratch, valid for the call only: copy the
-// Enabled or Crashable set to keep it, and never hold on to the Decision
-// (the record is not part of the trace until the controller has validated
-// it, and is overwritten if it is rejected). FaultInjector forwards what it
-// does not answer to its inner strategy through psharp.AsDecisionStrategy,
-// so a wrapped three-method strategy sees exactly the calls it would see
-// unwrapped.
+// A strategy here is a Strategy: the one contract the engine drives, which
+// every strategy of the package meets, so the engine asks a strategy for no
+// capability at run time. Its Decide (psharp.DecisionStrategy) is what the
+// controller calls for every query: the strategy writes its answer into the
+// Decision — the trace's next record, handed over zeroed — and returns.
+// PrepareIteration starts an iteration, CloneForWorker shards the strategy
+// across workers, and SaveCursor/LoadCursor carry its position through the
+// journal. The three psharp.Strategy methods answer the same queries one
+// kind at a time. FaultInjector and Replay answer fault queries in Decide;
+// the others decline them and answer the rest through their three methods,
+// so a type that embeds one of them and overrides one of those methods must
+// override Decide as well. Both arguments are scratch, valid for the call
+// only: copy the Enabled or Crashable set to keep it, and never hold on to
+// the Decision (the record is not part of the trace until the controller
+// has validated it, and is overwritten if it is rejected). FaultInjector
+// forwards what it does not answer to its inner strategy's Decide.
 //
 // # Liveness checking and fair scheduling
 //
@@ -50,8 +51,8 @@
 // under an independent strategy instance; Run is its one-worker call, on
 // the caller's goroutine. Two portfolio shapes are supported:
 //
-//   - Homogeneous: ParallelOptions.Strategy implements Cloneable, and
-//     worker w of n receives CloneForWorker(w, n). The built-in strategies
+//   - Homogeneous: worker w of n receives ParallelOptions.Strategy's
+//     CloneForWorker(w, n). The built-in strategies
 //     shard deterministically: the randomized ones (Random, PCT,
 //     DelayBounding) map worker w's local iterations onto the global
 //     iteration stream {w, w+n, w+2n, ...} of the same base seed, so the
@@ -71,9 +72,11 @@
 // machine's type name is implied by its creation order and is left out) —
 // so Report.DistinctSchedules states how many distinct schedules a run
 // covered rather than just raw iteration throughput. Cancellation is
-// cooperative and prompt: StopOnFirstBug, the hard Timeout deadline and
-// the budget are polled at every scheduling point, so even a runaway
-// iteration cannot keep a worker alive.
+// cooperative and prompt: StopOnFirstBug, Options.Stop and the hard Timeout
+// deadline — a timer, armed when the run starts — all set one flag, which
+// every worker polls at every scheduling point with one atomic load, so even
+// a runaway iteration cannot keep a worker alive and no point reads the
+// clock.
 //
 // Determinism carries over: the same seed and worker count reproduce the
 // same merged counts (for runs that are not stopped early, whose timing is
@@ -88,8 +91,9 @@
 // the schedule tree (search.go): a stack of decision nodes, replayed from
 // the root and extended at the frontier on every attempt, backtracked
 // between attempts, sharded across workers by residue class of the root
-// branch, its frontier journaled as a cursor (CursorStrategy). DFS (NewDFS)
-// is that search branching on every enabled machine at every schedule node.
+// branch, its frontier journaled as a cursor (Strategy.SaveCursor). DFS
+// (NewDFS) is that search branching on every enabled machine at every
+// schedule node.
 // Two reduction mechanisms prune the redundancy, composable and optional:
 //
 //   - DPOR (NewDPOR) is the same search with a backtrack set per schedule
@@ -190,7 +194,6 @@
 // the worker resolves to — so a portfolio member is held to exactly what the
 // same strategy is held to on its own:
 //
-//   - a strategy shared by several workers must implement Cloneable;
 //   - depth-first (dfs, dpor) × faults: the search replays the previous
 //     iteration's prefix, but the injector draws its faults afresh each
 //     iteration, so the replay diverges; dpor's reduction would also miss

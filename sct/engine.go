@@ -10,26 +10,32 @@ import (
 	"github.com/psharp-go/psharp/journal"
 )
 
-// Strategy is an iterative scheduling strategy: a psharp.Strategy plus the
-// per-iteration protocol the engine drives.
+// Strategy is the whole contract between the engine and a scheduling
+// strategy. Decide (psharp.DecisionStrategy) is what the controller calls at
+// every nondeterminism point; the three psharp.Strategy methods answer the
+// same queries one kind at a time for callers that drive a strategy by hand.
 type Strategy interface {
 	psharp.Strategy
+	psharp.DecisionStrategy
 	// PrepareIteration is called before iteration iter (0-based); returning
 	// false stops the engine because the search space is exhausted.
 	PrepareIteration(iter int) bool
-}
-
-// Cloneable is a Strategy that can shard itself across exploration workers.
-// CloneForWorker returns an independent strategy instance for worker
-// (0-based) out of workers: clones must not share mutable state or cache
-// lines (see cacheLinePad), and the union of the clones' iteration streams
-// should partition the search space deterministically (randomized
-// strategies shard their seed streams, DFS shards the schedule tree by its
-// first decision). All built-in strategies
-// implement Cloneable; RunParallel requires it for homogeneous portfolios.
-type Cloneable interface {
-	Strategy
+	// CloneForWorker returns an independent instance for worker (0-based)
+	// out of workers: clones must not share mutable state or cache lines
+	// (see cacheLinePad), and the union of the clones' iteration streams
+	// should partition the search space deterministically (randomized
+	// strategies shard their seed streams, the depth-first search shards
+	// the schedule tree by its first decision).
 	CloneForWorker(worker, workers int) Strategy
+	// SaveCursor serializes the strategy's cross-iteration state after the
+	// most recently completed iteration, for the journal; the engine calls
+	// it on every journal flush, so it must be cheap. A strategy whose
+	// position is a function of the iteration index alone — one that
+	// reseeds per global iteration — has none and returns nil.
+	SaveCursor() []byte
+	// LoadCursor restores state saved by SaveCursor on a strategy
+	// configured identically (same seeds, bounds and worker shard).
+	LoadCursor(cursor []byte) error
 }
 
 // cacheLinePad ends every strategy type that a worker writes at each
@@ -50,9 +56,10 @@ type Options struct {
 	// 10,000). Required (must be > 0).
 	Iterations int
 	// Timeout caps total wall-clock time (the paper uses 5 minutes);
-	// zero means no time cap. The deadline is hard: it is polled at every
-	// scheduling point, so even a single runaway iteration cannot overrun
-	// the budget.
+	// zero means no time cap. The deadline is hard: a timer armed when the
+	// run starts sets the stop flag every scheduling point polls, so even a
+	// single runaway iteration cannot overrun the budget, and no scheduling
+	// point reads the clock.
 	Timeout time.Duration
 	// MaxSteps bounds scheduling decisions per iteration; 0 = unbounded.
 	MaxSteps int
@@ -238,8 +245,9 @@ type shared struct {
 	base    Tally
 
 	// stop is the cooperative cancellation flag: StopOnFirstBug, the hard
-	// deadline, and external aborts set it; workers poll it between
-	// iterations and (via TestConfig.Interrupt) at every scheduling point.
+	// deadline's timer (see watchStop), and external aborts set it; workers
+	// poll it between iterations and (via TestConfig.Interrupt) at every
+	// scheduling point.
 	stop atomic.Bool
 	// external records that stop was set by Options.Stop: the run counts as
 	// interrupted regardless of how much budget it had consumed.
@@ -302,23 +310,35 @@ func (sh *shared) tally() Tally {
 // included.
 func (sh *shared) elapsed() time.Duration { return sh.baseElapsed + time.Since(sh.start) }
 
-// watchStop wires Options.Stop into the cooperative cancellation flag; the
-// returned release func must be called when the run ends so the watcher
-// goroutine exits.
+// watchStop wires Options.Stop and the hard deadline into the cooperative
+// cancellation flag: a watcher goroutine for the one, a timer for the other.
+// The returned release func must be called when the run ends so the watcher
+// exits and the timer is stopped.
 func (sh *shared) watchStop() (release func()) {
-	if sh.opts.Stop == nil {
-		return func() {}
+	var timer *time.Timer
+	if !sh.deadline.IsZero() {
+		timer = time.AfterFunc(time.Until(sh.deadline), func() { sh.stop.Store(true) })
 	}
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-sh.opts.Stop:
-			sh.external.Store(true)
-			sh.stop.Store(true)
-		case <-done:
+	var done chan struct{}
+	if sh.opts.Stop != nil {
+		done = make(chan struct{})
+		go func() {
+			select {
+			case <-sh.opts.Stop:
+				sh.external.Store(true)
+				sh.stop.Store(true)
+			case <-done:
+			}
+		}()
+	}
+	return func() {
+		if timer != nil {
+			timer.Stop()
 		}
-	}()
-	return func() { close(done) }
+		if done != nil {
+			close(done)
+		}
+	}
 }
 
 // interruptedOutcome classifies a finished run: true when it ended on an
@@ -364,7 +384,9 @@ func (sh *shared) emitProgress(w *worker, workerIters int) {
 	sh.progressMu.Unlock()
 }
 
-// expired reports whether the hard deadline has passed.
+// expired reports whether the hard deadline has passed. It reads the clock,
+// so only interruptedOutcome calls it, once a run has ended; the workers
+// poll the stop flag the deadline's timer sets.
 func (sh *shared) expired() bool {
 	return !sh.deadline.IsZero() && !time.Now().Before(sh.deadline)
 }
@@ -400,7 +422,6 @@ func runWorker(setup func(*psharp.Runtime), sh *shared, w *worker) Report {
 	var rep Report
 	var races raceSet
 	start := time.Now()
-	interrupt := func() bool { return sh.stop.Load() || sh.expired() }
 	h := psharp.NewTestHarness(setup)
 	defer h.Close()
 	cfg := psharp.TestConfig{
@@ -410,7 +431,7 @@ func runWorker(setup func(*psharp.Runtime), sh *shared, w *worker) Report {
 		LivenessTemperature: opts.LivenessTemperature,
 		ChessLike:           opts.ChessLike,
 		RaceDetect:          opts.RaceDetect,
-		Interrupt:           interrupt,
+		Interrupt:           sh.stop.Load,
 	}
 	if opts.Telemetry != nil {
 		cfg.Coverage = opts.Telemetry.Coverage()
@@ -427,7 +448,7 @@ func runWorker(setup func(*psharp.Runtime), sh *shared, w *worker) Report {
 	}
 	completed := w.start
 	for local := w.start; local < w.quota; local++ {
-		if interrupt() {
+		if sh.stop.Load() {
 			break
 		}
 		if !w.strategy.PrepareIteration(local) {

@@ -1,7 +1,6 @@
 package sct
 
 import (
-	"fmt"
 	"slices"
 
 	"github.com/psharp-go/psharp"
@@ -60,11 +59,10 @@ const DefaultFaultHorizon = 256
 //
 // The injector's own randomness is a seedStream of its own, kept
 // separate from the inner strategy's so enabling faults does not perturb
-// which interleavings the inner strategy would have explored. It implements
-// Cloneable when the inner strategy does, sharding both streams.
+// which interleavings the inner strategy would have explored. A worker's
+// clone shards both streams.
 type FaultInjector struct {
-	inner  Strategy
-	innerD psharp.DecisionStrategy // inner as Decide reaches it
+	inner Strategy
 
 	budget   int
 	horizon  int
@@ -100,7 +98,6 @@ func newFaultInjector(inner Strategy, opts FaultOptions, offset, stride int) *Fa
 	}
 	return &FaultInjector{
 		inner:    inner,
-		innerD:   psharp.AsDecisionStrategy(inner),
 		budget:   opts.Budget,
 		horizon:  horizon,
 		restart:  opts.Restart,
@@ -111,13 +108,9 @@ func newFaultInjector(inner Strategy, opts FaultOptions, offset, stride int) *Fa
 }
 
 // CloneForWorker shards both the inner strategy and the injector's fault
-// stream; it panics if the inner strategy is not Cloneable.
+// stream.
 func (s *FaultInjector) CloneForWorker(worker, workers int) Strategy {
-	cl, ok := s.inner.(Cloneable)
-	if !ok {
-		panic(fmt.Sprintf("sct: FaultInjector inner strategy %T is not Cloneable", s.inner))
-	}
-	return newFaultInjector(cl.CloneForWorker(worker, workers), FaultOptions{
+	return newFaultInjector(s.inner.CloneForWorker(worker, workers), FaultOptions{
 		Budget: s.budget, Horizon: s.horizon, Seed: s.faults.seed,
 		Restart: s.restart, PreserveMailbox: s.preserve,
 	}, worker, workers)
@@ -127,21 +120,10 @@ func (s *FaultInjector) CloneForWorker(worker, workers int) Strategy {
 // stream is reseeded per global iteration (see PrepareIteration) and so
 // needs no cursor of its own — only the inner search state, if any, must
 // survive a resume.
-func (s *FaultInjector) SaveCursor() []byte {
-	if cs, ok := s.inner.(CursorStrategy); ok {
-		return cs.SaveCursor()
-	}
-	return nil
-}
+func (s *FaultInjector) SaveCursor() []byte { return s.inner.SaveCursor() }
 
 // LoadCursor restores the inner strategy's journaled state.
-func (s *FaultInjector) LoadCursor(cursor []byte) error {
-	cs, ok := s.inner.(CursorStrategy)
-	if !ok {
-		return fmt.Errorf("cursor blob present but inner strategy %T cannot load cursors", s.inner)
-	}
-	return cs.LoadCursor(cursor)
-}
+func (s *FaultInjector) LoadCursor(cursor []byte) error { return s.inner.LoadCursor(cursor) }
 
 // PrepareIteration prepares the inner strategy, then reseeds the fault
 // stream for the global iteration and places the iteration's injection
@@ -167,7 +149,7 @@ func (s *FaultInjector) PrepareIteration(iter int) bool {
 // routes every other choice to the inner strategy.
 func (s *FaultInjector) Decide(c *psharp.Choice, d *psharp.Decision) {
 	if c.Kind != psharp.ChoiceFault {
-		s.innerD.Decide(c, d)
+		s.inner.Decide(c, d)
 		return
 	}
 	d.Kind = psharp.DecisionFault

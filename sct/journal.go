@@ -1,30 +1,27 @@
 package sct
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"github.com/psharp-go/psharp/journal"
 )
 
-// CursorStrategy is a Strategy whose cross-iteration state can be
-// journaled and restored, making it resumable mid-search. Strategies that
-// reseed per global iteration (Random, RandomFair, PCT, DelayBounding, and
-// FaultInjector's fault stream) need no cursor — their position is fully
-// determined by the iteration index the engine journals for every worker —
-// so only the systematic enumeration implements it directly: DFS and DPOR,
-// whose frontier is a schedule-tree stack (under reduction, with the
-// backtrack sets and step footprints of its nodes); FaultInjector delegates
-// to its inner strategy.
-type CursorStrategy interface {
-	Strategy
-	// SaveCursor serializes the strategy's cross-iteration state after the
-	// most recently completed iteration. It must be cheap: the engine calls
-	// it on every journal flush.
-	SaveCursor() []byte
-	// LoadCursor restores state saved by SaveCursor on a strategy
-	// configured identically (same seeds, bounds and worker shard).
-	LoadCursor(cursor []byte) error
+// countCursor is the cursor of a strategy that reseeds per global iteration
+// (Random, RandomFair, PCT, DelayBounding through seedStream) or runs one
+// iteration (Replay): its position is the completed-iteration count the
+// engine journals for every worker, so there is nothing else to save, and a
+// blob in the journal must be another strategy's. FaultInjector's own fault
+// stream is of the same kind; it delegates the cursor to its inner strategy.
+type countCursor struct{}
+
+// SaveCursor returns nil: the count says it all.
+func (countCursor) SaveCursor() []byte { return nil }
+
+// LoadCursor refuses any cursor: restoreCursor never hands it an empty one.
+func (countCursor) LoadCursor([]byte) error {
+	return errors.New("the strategy keeps no cursor, so it cannot load cursors (was the campaign run with a different strategy?)")
 }
 
 // journalFlushEvery is the journal batching cadence: each worker flushes its
@@ -65,11 +62,7 @@ func (jw *journalWriter) note(fp uint64, isNew bool, completed int) {
 // set) rather than skipping unjournaled ones.
 func (jw *journalWriter) flush(completed int) {
 	jw.since = 0
-	var blob []byte
-	if cs, ok := jw.w.strategy.(CursorStrategy); ok {
-		blob = cs.SaveCursor()
-	}
-	jw.sh.opts.Journal.Advance(jw.w.offset, completed, blob, jw.fps)
+	jw.sh.opts.Journal.Advance(jw.w.offset, completed, jw.w.strategy.SaveCursor(), jw.fps)
 	jw.fps = jw.fps[:0]
 	jw.sh.checkpoint(jw.sh.elapsed(), jw.sh.tally().Iterations, false)
 }
@@ -91,10 +84,10 @@ func (sh *shared) checkpoint(elapsed time.Duration, iterations int, force bool) 
 }
 
 // restoreCursor loads a worker's journaled position: its completed local
-// iteration count (the engine restarts its stream there) and, for
-// CursorStrategy strategies, the serialized search frontier. A frontier the
-// worker's strategy cannot take up is an error: the campaign cannot go on
-// from it.
+// iteration count (the engine restarts its stream there) and, when the
+// journal holds one, the strategy's cursor (the depth-first search's
+// frontier). A cursor the worker's strategy cannot take up is an error: the
+// campaign cannot go on from it.
 func restoreCursor(j *journal.Campaign, w *worker) error {
 	completed, blob, ok := j.Cursor(w.offset)
 	if !ok {
@@ -104,11 +97,7 @@ func restoreCursor(j *journal.Campaign, w *worker) error {
 	if len(blob) == 0 {
 		return nil
 	}
-	cs, ok := w.strategy.(CursorStrategy)
-	if !ok {
-		return fmt.Errorf("sct: journal holds a cursor blob for worker %d but strategy %T cannot load cursors (was the campaign run with a different strategy?)", w.offset, w.strategy)
-	}
-	if err := cs.LoadCursor(blob); err != nil {
+	if err := w.strategy.LoadCursor(blob); err != nil {
 		return fmt.Errorf("sct: journal cursor for worker %d: %w", w.offset, err)
 	}
 	return nil

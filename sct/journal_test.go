@@ -56,23 +56,28 @@ func journaledFingerprints(t *testing.T, dir string, meta journal.Meta) map[uint
 
 func runJournaled(t *testing.T, dir string, workers, iterations int, resume bool) sct.ParallelReport {
 	t.Helper()
+	return runCampaign(t, dir, campaignMeta(workers), chancySetup, sct.ParallelOptions{
+		Options: sct.Options{Strategy: sct.NewRandom(7), Iterations: iterations, MaxSteps: 200},
+		Workers: workers,
+	}, resume)
+}
+
+// runCampaign runs opts against a journal in dir, created afresh or resumed.
+func runCampaign(t *testing.T, dir string, meta journal.Meta, setup func(*psharp.Runtime), opts sct.ParallelOptions, resume bool) sct.ParallelReport {
+	t.Helper()
 	open := journal.Create
 	if resume {
 		open = journal.Resume
 	}
-	c, err := open(dir, campaignMeta(workers), journal.Options{})
+	c, err := open(dir, meta, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := sct.RunParallel(chancySetup, sct.ParallelOptions{
-		Options: sct.Options{
-			Strategy:   sct.NewRandom(7),
-			Iterations: iterations,
-			MaxSteps:   200,
-			Journal:    c,
-		},
-		Workers: workers,
-	})
+	opts.Journal = c
+	out := sct.RunParallel(setup, opts)
+	if out.Err != nil {
+		t.Fatal(out.Err)
+	}
 	if err := c.Err(); err != nil {
 		t.Fatalf("journal degraded: %v", err)
 	}
@@ -82,50 +87,111 @@ func runJournaled(t *testing.T, dir string, workers, iterations int, resume bool
 	return out
 }
 
-// TestJournalResumeEquivalence is the ISSUE's acceptance scenario: a
-// campaign split into two budget slices via -resume must converge on
+// TestJournalResumeEquivalence: a campaign split into two budget slices
+// via -resume must converge on
 // exactly the state of one uninterrupted run — same cumulative counters,
 // same distinct-fingerprint set — and the resumed slice must re-execute
-// zero journal-covered schedules.
+// zero journal-covered schedules. The inputs cover each way a worker's
+// position is journaled: the iteration count alone (random), a fault
+// injector delegating the cursor to its inner strategy, and a portfolio
+// where a depth-first frontier sits beside a count-only worker.
 func TestJournalResumeEquivalence(t *testing.T) {
-	const workers, half, full = 2, 80, 200
-	splitDir := filepath.Join(t.TempDir(), "split")
-	soloDir := filepath.Join(t.TempDir(), "solo")
+	const workers = 2
+	ft := protocols.MustByName("TwoPhaseCommitFT", true)
+	tpc := protocols.MustByName("TwoPhaseCommit", false)
+	for _, tc := range []struct {
+		name       string
+		setup      func(*psharp.Runtime)
+		meta       journal.Meta
+		half, full int
+		// opts builds the campaign's fresh strategies, without a budget.
+		opts func() sct.ParallelOptions
+	}{
+		{
+			name: "random", setup: chancySetup, meta: campaignMeta(workers), half: 80, full: 200,
+			opts: func() sct.ParallelOptions {
+				return sct.ParallelOptions{Options: sct.Options{Strategy: sct.NewRandom(7), MaxSteps: 200}, Workers: workers}
+			},
+		},
+		{
+			name: "faults", setup: ft.Setup, half: 150, full: 300,
+			meta: journal.Meta{Benchmark: ft.ID(), Strategy: "random", Seed: 5, Workers: workers, ShardCount: 1, MaxSteps: ft.MaxSteps, FaultBudget: 2},
+			opts: func() sct.ParallelOptions {
+				return sct.ParallelOptions{Options: sct.Options{
+					Strategy: sct.NewRandom(5), MaxSteps: ft.MaxSteps, LivelockAsBug: ft.LivelockAsBug,
+					Faults: sct.FaultOptions{Budget: 2, Seed: 5, Immune: ft.FaultImmune, Restart: true},
+				}, Workers: workers}
+			},
+		},
+		{
+			name: "portfolio", setup: tpc.Setup, half: 200, full: 400,
+			meta: journal.Meta{Benchmark: tpc.ID(), Strategy: "portfolio:random,dfs", Seed: 1, Workers: workers, ShardCount: 1, MaxSteps: tpc.MaxSteps},
+			opts: func() sct.ParallelOptions {
+				pf, err := sct.ParsePortfolio("random,dfs", 1, tpc.MaxSteps, -1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sct.ParallelOptions{Options: sct.Options{MaxSteps: tpc.MaxSteps, LivelockAsBug: tpc.LivelockAsBug}, Workers: workers, Portfolio: pf}
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(dir string, budget int, resume bool) sct.ParallelReport {
+				opts := tc.opts()
+				opts.Iterations = budget
+				return runCampaign(t, dir, tc.meta, tc.setup, opts, resume)
+			}
+			splitDir := filepath.Join(t.TempDir(), "split")
+			soloDir := filepath.Join(t.TempDir(), "solo")
 
-	first := runJournaled(t, splitDir, workers, half, false)
-	if first.Report.Iterations != half {
-		t.Fatalf("first slice ran %d iterations, want %d", first.Report.Iterations, half)
-	}
-	second := runJournaled(t, splitDir, workers, full, true)
-	solo := runJournaled(t, soloDir, workers, full, false)
+			first := run(splitDir, tc.half, false)
+			if first.Report.Iterations != tc.half {
+				t.Fatalf("first slice ran %d iterations, want %d", first.Report.Iterations, tc.half)
+			}
+			second := run(splitDir, tc.full, true)
+			solo := run(soloDir, tc.full, false)
 
-	if second.Report.Iterations != full {
-		t.Fatalf("resumed campaign totals %d iterations, want %d", second.Report.Iterations, full)
-	}
-	// Zero re-executed schedules: the resumed process itself ran exactly the
-	// remaining budget (per-worker sub-reports count this run only).
-	ranNow := 0
-	for _, w := range second.Workers {
-		ranNow += w.Report.Iterations
-	}
-	if ranNow != full-half {
-		t.Fatalf("resumed process executed %d schedules, want exactly the remaining %d", ranNow, full-half)
-	}
-	if a, b := second.Report.BuggyIterations, solo.Report.BuggyIterations; a != b {
-		t.Fatalf("buggy iterations diverged: split %d vs solo %d", a, b)
-	}
-	if a, b := second.Report.DistinctSchedules, solo.Report.DistinctSchedules; a != b {
-		t.Fatalf("distinct schedules diverged: split %d vs solo %d", a, b)
-	}
-	splitFPs := journaledFingerprints(t, splitDir, campaignMeta(workers))
-	soloFPs := journaledFingerprints(t, soloDir, campaignMeta(workers))
-	if len(splitFPs) != len(soloFPs) {
-		t.Fatalf("fingerprint sets differ in size: %d vs %d", len(splitFPs), len(soloFPs))
-	}
-	for fp := range soloFPs {
-		if !splitFPs[fp] {
-			t.Fatalf("fingerprint %x found solo but missing from the split campaign", fp)
-		}
+			if second.Report.Iterations != tc.full {
+				t.Fatalf("resumed campaign totals %d iterations, want %d", second.Report.Iterations, tc.full)
+			}
+			// Zero re-executed schedules: the resumed process itself ran exactly
+			// the remaining budget (per-worker sub-reports count this run only).
+			ranNow := 0
+			for _, w := range second.Workers {
+				ranNow += w.Report.Iterations
+			}
+			if ranNow != tc.full-tc.half {
+				t.Fatalf("resumed process executed %d schedules, want exactly the remaining %d", ranNow, tc.full-tc.half)
+			}
+			split, whole := second.Tally, solo.Tally
+			if opts := tc.opts(); opts.Faults.Budget > 0 && whole.Faults == (psharp.FaultStats{}) {
+				t.Fatalf("no fault was injected: the input does not exercise the injector")
+			}
+			// A resumed depth-first worker starts its first attempt from the
+			// program's start: the checkpoints it would have resumed from
+			// lived in the first process. Every other count is the schedules'.
+			if split.RestoredPoints > whole.RestoredPoints {
+				t.Fatalf("the resumed campaign restored more points than the solo run: %d > %d", split.RestoredPoints, whole.RestoredPoints)
+			}
+			split.RestoredPoints, whole.RestoredPoints = 0, 0
+			if split != whole {
+				t.Fatalf("tallies diverged:\nsplit %+v\n solo %+v", second.Tally, solo.Tally)
+			}
+			if a, b := second.Report.DistinctSchedules, solo.Report.DistinctSchedules; a != b {
+				t.Fatalf("distinct schedules diverged: split %d vs solo %d", a, b)
+			}
+			splitFPs := journaledFingerprints(t, splitDir, tc.meta)
+			soloFPs := journaledFingerprints(t, soloDir, tc.meta)
+			if len(splitFPs) != len(soloFPs) {
+				t.Fatalf("fingerprint sets differ in size: %d vs %d", len(splitFPs), len(soloFPs))
+			}
+			for fp := range soloFPs {
+				if !splitFPs[fp] {
+					t.Fatalf("fingerprint %x found solo but missing from the split campaign", fp)
+				}
+			}
+			t.Logf("%s; restored %d split, %d solo", second.Report.String(), second.RestoredPoints, solo.RestoredPoints)
+		})
 	}
 }
 

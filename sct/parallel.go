@@ -113,12 +113,9 @@ func (o ParallelOptions) Validate() error {
 	}
 	n := o.WorkerCount()
 	for w := 0; w < n; w++ {
-		base, label, _, sharing := o.slot(o.ShardIndex*n+w, n*shards)
+		base, label, _, _ := o.slot(o.ShardIndex*n+w, n*shards)
 		info := infoOf(base)
-		_, cloneable := base.(Cloneable)
 		switch {
-		case sharing > 1 && !cloneable:
-			return fmt.Errorf("strategy %s (%T) is shared by %d workers but does not implement Cloneable", label, base, sharing)
 		case info.depthFirst && o.Faults.Budget > 0:
 			return fmt.Errorf("%s cannot be combined with fault injection: a depth-first search replays the previous iteration's prefix, and faults are drawn afresh each iteration, not enumerated", label)
 		case o.StateCache && !info.depthFirst:
@@ -149,10 +146,11 @@ func (o ParallelOptions) Unfair() string {
 // one Report. Worker 0 runs on the caller's goroutine, so Run starts none.
 // Shards are static, so a full run is deterministic — unless several workers
 // share a StateCache, where which of them prunes a revisited state depends on
-// which reached it first. Cancellation is cooperative
-// and prompt: StopOnFirstBug and the hard Timeout deadline are polled by
-// every worker at every scheduling point, so a single long iteration cannot
-// keep the run alive. Options that Validate refuses panic with its error.
+// which reached it first. Cancellation is cooperative and prompt:
+// StopOnFirstBug, Options.Stop and the hard Timeout deadline's timer set one
+// flag that every worker polls at every scheduling point, so a single long
+// iteration cannot keep the run alive. Options that Validate refuses panic
+// with its error.
 func RunParallel(setup func(*psharp.Runtime), opts ParallelOptions) ParallelReport {
 	if err := opts.Validate(); err != nil {
 		panic("sct: " + err.Error())
@@ -169,7 +167,7 @@ func RunParallel(setup func(*psharp.Runtime), opts ParallelOptions) ParallelRepo
 		gw := opts.ShardIndex*n + w
 		strategy, label, rank, sharing := opts.slot(gw, globalWorkers)
 		if sharing > 1 {
-			strategy = strategy.(Cloneable).CloneForWorker(rank, sharing)
+			strategy = strategy.CloneForWorker(rank, sharing)
 		}
 		if opts.Faults.Budget > 0 {
 			// Wrap after per-worker resolution so the injector's own fault

@@ -36,6 +36,40 @@ func (*spinner) ConfigureType(sc *psharp.Schema) {
 		})
 }
 
+// pingPongSetup builds a pair of machines that never quiesce: each learns
+// the other from a cfg and answers every tick with one to it, so the
+// scheduler hands control back and forth at every point.
+func pingPongSetup() func(*psharp.Runtime) {
+	return func(r *psharp.Runtime) {
+		r.MustRegister("Player", func() psharp.Machine { return &player{} })
+		a, b := r.MustCreate("Player", nil), r.MustCreate("Player", nil)
+		for _, ev := range []struct {
+			to psharp.MachineID
+			ev psharp.Event
+		}{{a, &cfg{Target: b}}, {b, &cfg{Target: a}}, {a, &tick{}}} {
+			if err := r.SendEvent(ev.to, ev.ev); err != nil {
+				panic(err)
+			}
+		}
+	}
+}
+
+// player returns every tick to the partner its cfg named.
+type player struct {
+	psharp.StaticBase
+	partner psharp.MachineID
+}
+
+func (*player) ConfigureType(sc *psharp.Schema) {
+	sc.Start("Play").
+		OnEventDoM(&cfg{}, func(m psharp.Machine, _ *psharp.Context, ev psharp.Event) {
+			m.(*player).partner = ev.(*cfg).Target
+		}).
+		OnEventDoM(&tick{}, func(m psharp.Machine, ctx *psharp.Context, _ psharp.Event) {
+			ctx.Send(m.(*player).partner, &tick{})
+		})
+}
+
 func reportCounts(r sct.Report) [7]int64 {
 	return [7]int64{
 		int64(r.Iterations), int64(r.DistinctSchedules), int64(r.BuggyIterations),
@@ -184,36 +218,27 @@ func TestParallelFirstBugReplays(t *testing.T) {
 }
 
 // TestTimeoutIsAHardDeadline checks that the Timeout budget interrupts even
-// a single never-terminating iteration, sequentially and in parallel.
+// a single never-terminating iteration, sequentially and in parallel, and
+// that the run says it was interrupted. The deadline is a timer that sets
+// the flag the scheduling points poll, so nothing else can stop these
+// iterations: a lone machine sending to itself, and a pair that hands
+// control back and forth at every point.
 func TestTimeoutIsAHardDeadline(t *testing.T) {
-	const timeout = 150 * time.Millisecond
-	start := time.Now()
-	rep := sct.Run(runawaySetup(), sct.Options{
-		Strategy:   sct.NewRandom(1),
-		Iterations: 10,
-		Timeout:    timeout,
-	})
-	if elapsed := time.Since(start); elapsed > 20*timeout {
-		t.Fatalf("sequential Run overran the hard deadline: %v", elapsed)
-	}
-	if rep.Iterations != 0 {
-		t.Errorf("the runaway iteration should not be counted, got %d", rep.Iterations)
-	}
-
-	start = time.Now()
-	par := sct.RunParallel(runawaySetup(), sct.ParallelOptions{
-		Options: sct.Options{
-			Strategy:   sct.NewRandom(1),
-			Iterations: 10,
-			Timeout:    timeout,
-		},
-		Workers: 4,
-	})
-	if elapsed := time.Since(start); elapsed > 20*timeout {
-		t.Fatalf("RunParallel overran the hard deadline: %v", elapsed)
-	}
-	if par.Iterations != 0 {
-		t.Errorf("no runaway iteration should complete, got %d", par.Iterations)
+	const timeout = 50 * time.Millisecond
+	for name, setup := range map[string]func(*psharp.Runtime){"spinner": runawaySetup(), "pair": pingPongSetup()} {
+		for _, workers := range []int{1, 4} {
+			start := time.Now()
+			rep := sct.RunParallel(setup, sct.ParallelOptions{
+				Options: sct.Options{Strategy: sct.NewRandom(1), Iterations: 10, Timeout: timeout},
+				Workers: workers,
+			})
+			if elapsed := time.Since(start); elapsed > 40*timeout {
+				t.Fatalf("%s, %d workers: the runaway iterations overran the hard deadline: %v", name, workers, elapsed)
+			}
+			if !rep.Interrupted || rep.Iterations != 0 {
+				t.Errorf("%s, %d workers: want an interrupted run with no iteration counted, got %s", name, workers, rep.Report.String())
+			}
+		}
 	}
 }
 

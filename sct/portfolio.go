@@ -9,9 +9,9 @@ import (
 type PortfolioMember struct {
 	// Name labels the member in per-worker sub-reports ("random", "pct", ...).
 	Name string
-	// Strategy is the member's base strategy. It must implement Cloneable
-	// if more workers than portfolio members run (the member is then
-	// sharded across its workers exactly like a homogeneous strategy).
+	// Strategy is the member's base strategy. When more workers than
+	// portfolio members run, its CloneForWorker shards the member across
+	// its workers exactly like a homogeneous strategy.
 	Strategy Strategy
 }
 

@@ -9,8 +9,10 @@ import (
 
 // Replay re-executes a recorded schedule trace decision by decision,
 // giving the deterministic bug reproduction the paper's bug-finding mode
-// promises (Section 6.2). Replay runs a single iteration.
+// promises (Section 6.2). Replay runs a single iteration, so its cursor is
+// the iteration count alone (countCursor).
 type Replay struct {
+	countCursor
 	trace *psharp.Trace
 	pos   int
 	_     cacheLinePad
@@ -21,8 +23,7 @@ func NewReplay(trace *psharp.Trace) *Replay { return &Replay{trace: trace} }
 
 // CloneForWorker returns an independent replayer of the same trace. Replay
 // has a one-schedule search space, so parallel replay only re-confirms the
-// same schedule on every worker; it exists so a Replay can stand in
-// anywhere a Cloneable is required.
+// same schedule on every worker.
 func (s *Replay) CloneForWorker(worker, workers int) Strategy {
 	return NewReplay(s.trace)
 }

@@ -31,8 +31,10 @@ func (r *splitMix64) next() uint64 {
 // iterations onto the global iterations {worker, worker+workers, ...}, so a
 // sharded parallel run draws exactly what the sequential run with the same
 // seed and budget draws. Its NextBool and NextInt are the embedding
-// strategy's: controlled choices are resolved uniformly.
+// strategy's: controlled choices are resolved uniformly, and so is its
+// cursor: the iteration count alone (countCursor).
 type seedStream struct {
+	countCursor
 	seed   uint64
 	offset int
 	stride int

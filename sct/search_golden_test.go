@@ -88,7 +88,7 @@ func searchCases() []searchCase {
 	return cases
 }
 
-func (sc searchCase) build(t *testing.T) CursorStrategy {
+func (sc searchCase) build(t *testing.T) Strategy {
 	return cursorStrategy(t, sc.strategy, sc.shard, sc.shards)
 }
 

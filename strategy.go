@@ -115,8 +115,9 @@ type DecisionStrategy interface {
 // legacyDecider adapts a plain Strategy to the decision API. It answers
 // every fault query with FaultNone, so pre-fault strategies compose with
 // fault-enabled configs (they just never inject anything). The controller
-// embeds one by value to avoid a per-iteration allocation. Every strategy of
-// the sct package has a Decide of its own; the adapter serves the others.
+// embeds one by value to avoid a per-iteration allocation. Every sct.Strategy
+// has a Decide of its own (it is part of that contract); the adapter serves
+// the three-method strategies a TestConfig is handed directly.
 type legacyDecider struct {
 	s Strategy
 }
@@ -134,16 +135,4 @@ func (a *legacyDecider) Decide(c *Choice, d *Decision) {
 	default:
 		panic(fmt.Sprintf("psharp: unknown choice kind %d", c.Kind))
 	}
-}
-
-// AsDecisionStrategy returns s as the controller sees it: s itself if it
-// implements DecisionStrategy, else an adapter that maps each query onto
-// the three Strategy methods and declines every fault. Strategies that wrap
-// another one (like sct.FaultInjector) use it to forward the queries they do
-// not answer themselves.
-func AsDecisionStrategy(s Strategy) DecisionStrategy {
-	if ds, ok := s.(DecisionStrategy); ok {
-		return ds
-	}
-	return &legacyDecider{s: s}
 }
