@@ -2,6 +2,7 @@ package psharp
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/psharp-go/psharp/internal/vclock"
 )
@@ -88,11 +89,16 @@ func (c *Context) RandomBool() bool {
 	return c.m.rt.randomBool(c.m)
 }
 
-// RandomInt returns a controlled nondeterministic integer in [0, n).
+// RandomInt returns a controlled nondeterministic integer in [0, n). Under
+// the testing runtime n may be at most math.MaxInt32: a trace records the
+// value as an int32.
 func (c *Context) RandomInt(n int) int {
 	c.monitorForbids("RandomInt")
 	if n <= 0 {
 		panic(assertFailed{msg: fmt.Sprintf("%s: RandomInt(%d): n must be positive", c.m.id, n)})
+	}
+	if n > math.MaxInt32 && c.m.rt.test != nil {
+		panic(assertFailed{msg: fmt.Sprintf("%s: RandomInt(%d): n must be at most %d under a testing runtime", c.m.id, n, math.MaxInt32)})
 	}
 	return c.m.rt.randomInt(c.m, n)
 }

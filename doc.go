@@ -151,6 +151,18 @@
 // package implements Decide; any other three-method Strategy is driven
 // through an adapter that does exactly that with its return values.
 //
+// A record is 32 bytes: a kind, the value of that kind — a boolean, an int32
+// (RandomInt's n is at most math.MaxInt32 under the testing runtime), a
+// FaultAction — and a machine named by its creation index alone
+// (MachineRef, from MachineID.Ref). The type names the index implies are kept
+// once per trace, in Trace.Types, which a harness fills from the iteration's
+// machines as the iteration ends and shares with every clone of the trace;
+// Encode and DecodeTrace spell them out, so the text format did not change
+// when the record lost its names. The controller checks a pick or a crash
+// target by Seq; the adapter checks a three-method strategy's MachineID
+// against the enabled machine with its Seq, and a replay checks each record
+// against the type its trace names.
+//
 // A crash halts the machine at its next scheduling point: its queue is
 // cleared (unless the action sets PreserveMailbox), monitors observe a
 // MachineCrashed event, and — if the action requests a restart — the same

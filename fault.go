@@ -89,9 +89,12 @@ func (c *controller) scheduleFault() bool {
 			Message: fmt.Sprintf("strategy injected %s at a schedule fault point (only crash is valid here)", f.Kind)}
 		return false
 	}
-	if m := c.rt.machineByID(f.Machine); m == nil || m.id != f.Machine || !m.crashable() {
-		c.bug = &Bug{Kind: BugPanic, Machine: f.Machine,
-			Message: fmt.Sprintf("strategy crashed %s, which is not crashable", f.Machine)}
+	if m := c.rt.machineAt(f.Machine.Seq); m == nil || !m.crashable() {
+		var id MachineID
+		if m != nil {
+			id = m.id
+		}
+		c.bug = refused("crashed", f.Machine.Seq, id, "crashable")
 		return false
 	}
 	// Canonicalize: preserving a mailbox only means something across a

@@ -205,7 +205,7 @@ func (s *scripted) Decide(c *psharp.Choice, d *psharp.Decision) {
 			}
 			s.picks = s.picks[1:]
 		}
-		d.Kind, d.Machine = psharp.DecisionSchedule, next
+		d.Kind, d.Machine = psharp.DecisionSchedule, next.Ref()
 	case psharp.ChoiceBool:
 		d.Kind = psharp.DecisionBool
 	case psharp.ChoiceInt:
@@ -258,10 +258,10 @@ func TestCoroutineRejectedAnswerLeavesNoRecord(t *testing.T) {
 		wrong         func(c *psharp.Choice, d *psharp.Decision)
 	}{
 		{"wrong kind", "answered a machine choice with decision kind 1", func(c *psharp.Choice, d *psharp.Decision) {
-			d.Kind, d.Bool, d.Machine = psharp.DecisionBool, true, c.Enabled[0]
+			d.Kind, d.Bool, d.Machine = psharp.DecisionBool, true, c.Enabled[0].Ref()
 		}},
 		{"not enabled", "which is not enabled", func(c *psharp.Choice, d *psharp.Decision) {
-			d.Kind, d.Machine = psharp.DecisionSchedule, psharp.MachineID{Type: c.Enabled[0].Type, Seq: 99}
+			d.Kind, d.Machine = psharp.DecisionSchedule, psharp.MachineRef{Seq: 99}
 		}},
 	} {
 		for k := 1; k <= points; k++ {
@@ -314,7 +314,7 @@ func TestCoroutineCrashBeforeFirstSchedule(t *testing.T) {
 		for i := 0; i < 3; i++ { // recycled instances must behave the same
 			log = log[:0]
 			res := h.Run(psharp.TestConfig{
-				Strategy: &scripted{crash: &psharp.FaultAction{Kind: psharp.FaultCrash, Machine: victim, Restart: tc.restart}},
+				Strategy: &scripted{crash: &psharp.FaultAction{Kind: psharp.FaultCrash, Machine: victim.Ref(), Restart: tc.restart}},
 				Faults:   &psharp.FaultConfig{},
 			})
 			if res.Bug != nil {
@@ -375,7 +375,7 @@ func TestCoroutineCrashYieldingMachineAtItsSend(t *testing.T) {
 		cfg := func() psharp.TestConfig {
 			return psharp.TestConfig{
 				Strategy: &scripted{picks: []uint64{1, 1, 2}, declines: 1,
-					crash: &psharp.FaultAction{Kind: psharp.FaultCrash, Machine: victim, Restart: tc.restart}},
+					crash: &psharp.FaultAction{Kind: psharp.FaultCrash, Machine: victim.Ref(), Restart: tc.restart}},
 				Faults: &psharp.FaultConfig{},
 			}
 		}
@@ -474,7 +474,7 @@ func (s *crashAt) Decide(c *psharp.Choice, d *psharp.Decision) {
 	if c.Kind == psharp.ChoiceFault && c.Point == psharp.FaultPointSchedule && c.Eligible {
 		if s.queries++; s.queries == s.k {
 			d.Kind = psharp.DecisionFault
-			d.Fault = psharp.FaultAction{Kind: psharp.FaultCrash, Machine: c.Crashable[len(c.Crashable)-1], Restart: s.restart}
+			d.Fault = psharp.FaultAction{Kind: psharp.FaultCrash, Machine: c.Crashable[len(c.Crashable)-1].Ref(), Restart: s.restart}
 			s.visits = s.cache.visits
 			return
 		}
@@ -559,7 +559,7 @@ func (s *crashableWatch) Decide(c *psharp.Choice, d *psharp.Decision) {
 		if len(s.picked) == 0 && len(c.Enabled) != s.n && s.wrong == "" {
 			s.wrong = fmt.Sprintf("first machine choice offered %v, want all %d machines", c.Enabled, s.n)
 		}
-		d.Kind, d.Machine = psharp.DecisionSchedule, c.Enabled[0]
+		d.Kind, d.Machine = psharp.DecisionSchedule, c.Enabled[0].Ref()
 		s.picked = append(s.picked, c.Enabled[0].Seq)
 	case psharp.ChoiceFault:
 		d.Kind = psharp.DecisionFault

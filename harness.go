@@ -1,6 +1,10 @@
 package psharp
 
-import "github.com/psharp-go/psharp/internal/vclock"
+import (
+	"slices"
+
+	"github.com/psharp-go/psharp/internal/vclock"
+)
 
 // TestHarness runs bug-finding iterations of one program repeatedly while
 // recycling every piece of per-iteration machinery: the serialized Runtime,
@@ -78,7 +82,7 @@ type TestHarness struct {
 // iteration — which any deterministic setup does.
 func NewTestHarness(setup func(*Runtime)) *TestHarness {
 	rt := NewRuntime()
-	c := &controller{rt: rt, trace: &Trace{Decisions: traceReserve.take()}}
+	c := &controller{rt: rt, trace: &Trace{Decisions: traceReserve.take()}, names: namesReserve.take()}
 	rt.test = c
 	return &TestHarness{setup: setup, rt: rt, c: c}
 }
@@ -106,6 +110,7 @@ func (h *TestHarness) Run(cfg TestConfig) IterationResult {
 		h.setup(h.rt)
 	}
 	c.loop()
+	c.nameMachines()
 	// However the iteration ended — quiescence, bug, interrupt, a panic of
 	// the strategy — what it counted becomes visible in Runtime.Metrics now.
 	h.rt.metrics.fold(c.counts)
@@ -142,6 +147,33 @@ func (h *TestHarness) Run(cfg TestConfig) IterationResult {
 	}
 	h.park()
 	return res
+}
+
+// nameMachines points the trace's Types at the types of the iteration's
+// machines. The table outlives the iteration: a trace that was handed out, or
+// a clone of it, reads it later, so an entry once written is never
+// overwritten. A program that creates the same machines every iteration finds
+// them all in place and allocates nothing; a machine of another type at a Seq
+// the table names starts a new table. A closing harness hands its table on
+// through namesReserve, so the harness that replays a bug of the same program
+// allocates none either.
+func (c *controller) nameMachines() {
+	ms, names := c.rt.machines, c.names
+	i := 0
+	for ; i < len(ms) && i < len(names); i++ {
+		if names[i] != ms[i].id.Type {
+			names = slices.Clip(names[:i]) // the next append copies
+			break
+		}
+	}
+	if i < len(ms) {
+		names = slices.Grow(names, len(ms)-i)
+		for _, m := range ms[i:] {
+			names = append(names, m.id.Type)
+		}
+		c.names = names
+	}
+	c.trace.Types = names[:len(ms):len(ms)] // an append to it copies
 }
 
 // reset rewinds the runtime and controller to their pre-setup state while
@@ -202,4 +234,8 @@ func (h *TestHarness) Close() {
 	h.c.free = nil
 	donateTrace(h.c.trace.Decisions)
 	h.c.trace.Decisions = nil
+	if len(h.c.names) > 0 {
+		namesReserve.put(h.c.names, traceReserveCap)
+		h.c.names = nil
+	}
 }

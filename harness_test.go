@@ -804,7 +804,7 @@ func TestCoroutineTraceSurvivesClose(t *testing.T) {
 // exactly when the first of the two steps ended at a send or create: a
 // machine that blocked or halted cannot be enabled at the very next point.
 func adjacentRepeats(tr *psharp.Trace) int {
-	n, last := 0, psharp.MachineID{}
+	n, last := 0, psharp.MachineRef{}
 	for _, d := range tr.Decisions {
 		if d.Kind != psharp.DecisionSchedule {
 			continue

@@ -14,6 +14,9 @@ type MachineID struct {
 	Seq uint64
 }
 
+// Ref returns the reference a Decision names the machine by.
+func (id MachineID) Ref() MachineRef { return MachineRef{Seq: id.Seq} }
+
 // IsNil reports whether the ID is the zero (invalid) ID.
 func (id MachineID) IsNil() bool { return id.Seq == 0 }
 

@@ -1,6 +1,7 @@
 package psharp_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -115,8 +116,9 @@ func TestRaceAsBugStopsIteration(t *testing.T) {
 // TestTraceEncodingRoundTripProperty fuzzes Decision sequences through the
 // text encoding with testing/quick.
 func TestTraceEncodingRoundTripProperty(t *testing.T) {
+	types := slices.Repeat([]string{"M"}, 1<<16) // every Seq a uint16 draws, plus one
 	prop := func(kinds []uint8, seqs []uint16, ints []int16) bool {
-		tr := &psharp.Trace{}
+		tr := &psharp.Trace{Types: types}
 		for i, k := range kinds {
 			switch k % 3 {
 			case 0:
@@ -126,16 +128,16 @@ func TestTraceEncodingRoundTripProperty(t *testing.T) {
 				}
 				tr.Decisions = append(tr.Decisions, psharp.Decision{
 					Kind:    psharp.DecisionSchedule,
-					Machine: psharp.MachineID{Type: "M", Seq: seq},
+					Machine: psharp.MachineRef{Seq: seq},
 				})
 			case 1:
 				tr.Decisions = append(tr.Decisions, psharp.Decision{
 					Kind: psharp.DecisionBool, Bool: k%2 == 0,
 				})
 			case 2:
-				v := 0
+				v := int32(0)
 				if i < len(ints) {
-					v = int(ints[i])
+					v = int32(ints[i])
 					if v < 0 {
 						v = -v
 					}

@@ -355,7 +355,7 @@ func (r *Runtime) enqueue(target MachineID, ev Event, sm *machineInstance, isMac
 		// target can still receive the event.
 		r.observeMonitors(ev)
 	}
-	m := r.machineByID(target)
+	m := r.machineAt(target.Seq)
 	c := r.test
 	if m == nil {
 		msg := fmt.Sprintf("send of %s to unknown machine %s", eventName(ev), target)
@@ -467,18 +467,19 @@ func (r *Runtime) enqueue(target MachineID, ev Event, sm *machineInstance, isMac
 	}
 }
 
-// machineByID looks id up; production senders take no lock for it.
-func (r *Runtime) machineByID(id MachineID) *machineInstance {
+// machineAt returns the machine with Seq seq, nil if there is none;
+// production senders take no lock for it.
+func (r *Runtime) machineAt(seq uint64) *machineInstance {
 	var ms []*machineInstance
 	if r.test != nil {
 		ms = r.machines
 	} else if t := r.table.Load(); t != nil {
 		ms = *t
 	}
-	if id.Seq == 0 || id.Seq > uint64(len(ms)) {
+	if seq == 0 || seq > uint64(len(ms)) {
 		return nil
 	}
-	return ms[id.Seq-1]
+	return ms[seq-1]
 }
 
 // consumed is production-mode work accounting: n units of outstanding work —

@@ -76,5 +76,5 @@ func (s *DelayBounding) Decide(c *psharp.Choice, d *psharp.Decision) {
 		s.decideValue(c, d)
 		return
 	}
-	d.Kind, d.Machine = psharp.DecisionSchedule, s.NextMachine(c.Current, c.Enabled)
+	d.Kind, d.Machine = psharp.DecisionSchedule, s.NextMachine(c.Current, c.Enabled).Ref()
 }

@@ -23,7 +23,10 @@
 // override Decide as well. Both arguments are scratch, valid for the call
 // only: copy the Enabled or Crashable set to keep it, and never hold on to
 // the Decision (the record is not part of the trace until the controller
-// has validated it, and is overwritten if it is rejected). FaultInjector
+// has validated it, and is overwritten if it is rejected). A Decision names
+// a machine by MachineRef — its Seq — so a strategy answers a machine
+// choice with the Ref of an Enabled entry and a crash with the Ref of a
+// Crashable one; the type names live in the trace's Types. FaultInjector
 // forwards what it does not answer to its inner strategy's Decide.
 //
 // # Liveness checking and fair scheduling

@@ -171,7 +171,7 @@ func (s *FaultInjector) Decide(c *psharp.Choice, d *psharp.Decision) {
 		f.Kind = kinds[s.faults.NextInt(3)]
 	default: // FaultPointSchedule: crash a random crashable machine
 		f.Kind = psharp.FaultCrash
-		f.Machine = c.Crashable[s.faults.NextInt(len(c.Crashable))]
+		f.Machine = c.Crashable[s.faults.NextInt(len(c.Crashable))].Ref()
 		if s.restart {
 			f.Restart = s.faults.NextBool()
 		}

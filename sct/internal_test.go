@@ -52,8 +52,8 @@ func TestFingerprintDistinguishesTraces(t *testing.T) {
 		build(tr)
 		return fingerprintTrace(tr)
 	}
-	id1 := psharp.MachineID{Type: "A", Seq: 1}
-	id2 := psharp.MachineID{Type: "A", Seq: 2}
+	id1 := psharp.MachineRef{Seq: 1}
+	id2 := psharp.MachineRef{Seq: 2}
 	base := mk(func(tr *psharp.Trace) {
 		tr.Decisions = []psharp.Decision{
 			{Kind: psharp.DecisionSchedule, Machine: id1},

@@ -84,5 +84,5 @@ func (s *RandomFair) Decide(c *psharp.Choice, d *psharp.Decision) {
 		s.decideValue(c, d)
 		return
 	}
-	d.Kind, d.Machine = psharp.DecisionSchedule, s.NextMachine(c.Current, c.Enabled)
+	d.Kind, d.Machine = psharp.DecisionSchedule, s.NextMachine(c.Current, c.Enabled).Ref()
 }

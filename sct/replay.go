@@ -2,7 +2,6 @@ package sct
 
 import (
 	"fmt"
-	"slices"
 
 	"github.com/psharp-go/psharp"
 )
@@ -49,13 +48,28 @@ func (s *Replay) next(kind psharp.DecisionKind) *psharp.Decision {
 	return d
 }
 
-// NextMachine returns the machine recorded at this position.
+// NextMachine returns the machine recorded at this position: the enabled
+// machine with the recorded Seq, which must be of the type the trace names.
 func (s *Replay) NextMachine(_ psharp.MachineID, enabled []psharp.MachineID) psharp.MachineID {
 	d := s.next(psharp.DecisionSchedule)
-	if !slices.Contains(enabled, d.Machine) {
-		panic(fmt.Sprintf("sct: replay divergence at decision %d: %s is not enabled", s.pos-1, d.Machine))
+	return s.machine(d.Machine, enabled, "is not enabled")
+}
+
+// machine finds the machine r names in the trace among ms, or panics with
+// the divergence: absent, it says why with missing; of another type than the
+// trace names, it names both types.
+func (s *Replay) machine(r psharp.MachineRef, ms []psharp.MachineID, missing string) psharp.MachineID {
+	want := s.trace.ID(r)
+	for _, m := range ms {
+		if m.Seq != r.Seq {
+			continue
+		}
+		if m.Type != want.Type {
+			panic(fmt.Sprintf("sct: replay divergence at decision %d: the trace has %s where the program has %s", s.pos-1, want, m))
+		}
+		return m
 	}
-	return d.Machine
+	panic(fmt.Sprintf("sct: replay divergence at decision %d: %s %s", s.pos-1, want, missing))
 }
 
 // NextBool returns the recorded boolean choice.
@@ -64,28 +78,34 @@ func (s *Replay) NextBool() bool { return s.next(psharp.DecisionBool).Bool }
 // NextInt returns the recorded integer choice.
 func (s *Replay) NextInt(n int) int {
 	d := s.next(psharp.DecisionInt)
-	if d.Int >= n {
+	if int(d.Int) >= n {
 		panic(fmt.Sprintf("sct: replay divergence at decision %d: recorded %d out of range %d", s.pos-1, d.Int, n))
 	}
-	return d.Int
+	return int(d.Int)
 }
 
 // Decide implements psharp.DecisionStrategy, which is what lets Replay
 // answer fault queries: a fault-era trace replays by returning each
 // recorded psharp.FaultAction — crashes, drops, duplicates and the
-// FaultNone declines — at exactly the query where it was recorded. The
-// controller re-validates each action against the current state, so a
-// divergent program still fails loudly instead of misinjecting.
+// FaultNone declines — at exactly the query where it was recorded. A crash
+// names its target by Seq, checked against the trace's type for it like a
+// schedule record's; the controller re-validates each action against the
+// current state, so a divergent program still fails loudly instead of
+// misinjecting.
 func (s *Replay) Decide(c *psharp.Choice, d *psharp.Decision) {
 	switch c.Kind {
 	case psharp.ChoiceMachine:
-		d.Kind, d.Machine = psharp.DecisionSchedule, s.NextMachine(c.Current, c.Enabled)
+		d.Kind, d.Machine = psharp.DecisionSchedule, s.NextMachine(c.Current, c.Enabled).Ref()
 	case psharp.ChoiceBool:
 		d.Kind, d.Bool = psharp.DecisionBool, s.NextBool()
 	case psharp.ChoiceInt:
-		d.Kind, d.Int = psharp.DecisionInt, s.NextInt(c.N)
+		d.Kind, d.Int = psharp.DecisionInt, int32(s.NextInt(c.N))
 	case psharp.ChoiceFault:
-		d.Kind, d.Fault = psharp.DecisionFault, s.next(psharp.DecisionFault).Fault
+		f := s.next(psharp.DecisionFault).Fault
+		if f.Kind == psharp.FaultCrash {
+			s.machine(f.Machine, c.Crashable, "is not crashable")
+		}
+		d.Kind, d.Fault = psharp.DecisionFault, f
 	default:
 		panic(fmt.Sprintf("sct: replay asked for unknown choice kind %d", c.Kind))
 	}

@@ -73,7 +73,7 @@ func (s *seedStream) decideValue(c *psharp.Choice, d *psharp.Decision) {
 	case psharp.ChoiceBool:
 		d.Kind, d.Bool = psharp.DecisionBool, s.NextBool()
 	case psharp.ChoiceInt:
-		d.Kind, d.Int = psharp.DecisionInt, s.NextInt(c.N)
+		d.Kind, d.Int = psharp.DecisionInt, int32(s.NextInt(c.N))
 	case psharp.ChoiceFault:
 		d.Kind = psharp.DecisionFault
 	default:

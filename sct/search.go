@@ -358,11 +358,11 @@ func (t *tree) NextInt(n int) int { return t.choice(psharp.DecisionInt, n) }
 func (t *tree) Decide(c *psharp.Choice, d *psharp.Decision) {
 	switch c.Kind {
 	case psharp.ChoiceMachine:
-		d.Kind, d.Machine = psharp.DecisionSchedule, t.NextMachine(c.Current, c.Enabled)
+		d.Kind, d.Machine = psharp.DecisionSchedule, t.NextMachine(c.Current, c.Enabled).Ref()
 	case psharp.ChoiceBool:
 		d.Kind, d.Bool = psharp.DecisionBool, t.NextBool()
 	case psharp.ChoiceInt:
-		d.Kind, d.Int = psharp.DecisionInt, t.NextInt(c.N)
+		d.Kind, d.Int = psharp.DecisionInt, int32(t.NextInt(c.N))
 	case psharp.ChoiceFault:
 		d.Kind = psharp.DecisionFault
 	default:
@@ -494,7 +494,7 @@ func (n *node) answered(d *psharp.Decision) bool {
 	case psharp.DecisionBool:
 		return d.Bool == (n.idx == 1)
 	default:
-		return d.Int == int(n.idx)
+		return d.Int == n.idx
 	}
 }
 

@@ -102,6 +102,10 @@ type Choice struct {
 // attributed to the strategy. Like Strategy, all calls within one iteration
 // are serialized.
 //
+// A machine is answered by reference: d.Machine (and a crash's
+// d.Fault.Machine) is the MachineRef of an entry of c.Enabled (c.Crashable),
+// whose Seq is all the controller checks; the trace names its type in Types.
+//
 // Both arguments are scratch, valid for the call only. d is the record the
 // answer will occupy in the iteration's trace — the strategy writes it where
 // it is kept, nothing is copied afterwards — but it is not part of the trace
@@ -118,18 +122,36 @@ type DecisionStrategy interface {
 // embeds one by value to avoid a per-iteration allocation. Every sct.Strategy
 // has a Decide of its own (it is part of that contract); the adapter serves
 // the three-method strategies a TestConfig is handed directly.
+//
+// A Decision names a machine by Seq alone, so the adapter checks the type of
+// a NextMachine pick itself: a pick whose type is not that of the enabled
+// machine with its Seq is answered with Seq 0, which names no machine, and
+// pick keeps what the strategy returned for the controller's report.
 type legacyDecider struct {
-	s Strategy
+	s    Strategy
+	pick MachineID
 }
 
 func (a *legacyDecider) Decide(c *Choice, d *Decision) {
 	switch c.Kind {
 	case ChoiceMachine:
-		d.Kind, d.Machine = DecisionSchedule, a.s.NextMachine(c.Current, c.Enabled)
+		a.pick = a.s.NextMachine(c.Current, c.Enabled)
+		d.Kind, d.Machine = DecisionSchedule, a.pick.Ref()
+		for _, e := range c.Enabled {
+			if e.Seq == a.pick.Seq && e.Type != a.pick.Type {
+				d.Machine = MachineRef{}
+			}
+		}
 	case ChoiceBool:
 		d.Kind, d.Bool = DecisionBool, a.s.NextBool()
 	case ChoiceInt:
-		d.Kind, d.Int = DecisionInt, a.s.NextInt(c.N)
+		v := a.s.NextInt(c.N)
+		if v < 0 || v >= c.N {
+			// The controller's own check, on the value before it is cut to
+			// a Decision's int32.
+			panic(assertFailed{msg: fmt.Sprintf("strategy returned %d for NextInt(%d)", v, c.N)})
+		}
+		d.Kind, d.Int = DecisionInt, int32(v)
 	case ChoiceFault:
 		d.Kind = DecisionFault
 	default:

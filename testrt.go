@@ -194,6 +194,7 @@ type controller struct {
 	steps       int
 	continued   int // scheduling points that needed no switch
 	trace       *Trace
+	names       []string // the trace's Types, kept across iterations (nameMachines)
 	bug         *Bug
 	bound       bool
 	interrupted bool
@@ -322,12 +323,16 @@ func donateInstances(idle []*machineInstance) {
 var traceReserve reserve[[]Decision]
 
 // The reserve keeps at most traceReserveCap buffers of at most
-// traceReserveLen decisions each — 8 × 1.4 MB at worst. A longer trace's
+// traceReserveLen decisions each — 8 × 512 KB at worst. A longer trace's
 // buffer is left to the collector: the next harness may run a short program.
 const (
 	traceReserveCap = 8
 	traceReserveLen = 1 << 14
 )
+
+// namesReserve holds the names tables (Trace.Types) of closed harnesses, kept
+// whole: the traces of those harnesses may still read them.
+var namesReserve reserve[[]string]
 
 func donateTrace(buf []Decision) {
 	if cap(buf) > 0 && cap(buf) <= traceReserveLen {
@@ -497,7 +502,7 @@ func (c *controller) nextInt(m *machineInstance, n int) int {
 		if d.Kind != DecisionInt {
 			panic(assertFailed{msg: fmt.Sprintf("strategy answered an int choice with decision kind %d", d.Kind)})
 		}
-		if d.Int < 0 || d.Int >= n {
+		if d.Int < 0 || int(d.Int) >= n {
 			panic(assertFailed{msg: fmt.Sprintf("strategy returned %d for NextInt(%d)", d.Int, n)})
 		}
 		c.trace.commit()
@@ -625,24 +630,40 @@ func (c *controller) pass() (out passOutcome) {
 			Message: fmt.Sprintf("strategy answered a machine choice with decision kind %d", d.Kind)}
 		return passEnd
 	}
-	// The pick is enabled iff it names, type and all, a machine whose status
-	// is ready: the ready list holds exactly those.
-	next := d.Machine
-	if m := c.rt.machineByID(next); m == nil || m.status != msReady || m.id.Type != next.Type {
-		c.bug = &Bug{Kind: BugPanic, Machine: next,
-			Message: fmt.Sprintf("strategy chose %s, which is not enabled", next)}
+	// The pick is enabled iff its Seq is that of a machine whose status is
+	// ready: the ready list holds exactly those.
+	m := c.rt.machineAt(d.Machine.Seq)
+	if m == nil || m.status != msReady {
+		var chosen MachineID
+		if c.decider == DecisionStrategy(&c.legacy) {
+			chosen = c.legacy.pick // what it returned, type and all
+		} else if m != nil {
+			chosen = m.id
+		}
+		c.bug = refused("chose", d.Machine.Seq, chosen, "enabled")
 		return passEnd
 	}
 	c.trace.commit()
-	c.current = next
+	c.current = m.id
 	c.steps++
 	if c.observing {
 		if h := c.hasher; h != nil {
-			h.prefix = fold(fold(h.prefix, 1), next.Seq)
+			h.prefix = fold(fold(h.prefix, 1), m.id.Seq)
 		}
 		c.stepTarget, c.stepCreated, c.stepObserved = MachineID{}, MachineID{}, false
 	}
 	return passRun
+}
+
+// refused is the bug of a strategy answer that named Seq seq, machine id
+// (nil when no machine has that Seq), which is not what the answer needs:
+// the strategy did something to it ("chose") that it must be ("enabled").
+func refused(did string, seq uint64, id MachineID, must string) *Bug {
+	what := id.String()
+	if id.IsNil() {
+		what = fmt.Sprintf("machine %d", seq)
+	}
+	return &Bug{Kind: BugPanic, Machine: id, Message: fmt.Sprintf("strategy %s %s, which is not %s", did, what, must)}
 }
 
 // hotMonitor returns a monitor currently in a hot state, if liveness

@@ -2,8 +2,11 @@ package psharp
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,7 +19,7 @@ import (
 const TraceFormatVersion = 2
 
 // DecisionKind labels entries of a schedule trace.
-type DecisionKind int
+type DecisionKind uint8
 
 // Decision kinds.
 const (
@@ -33,7 +36,7 @@ const (
 
 // FaultKind enumerates the failure actions a strategy can inject when
 // TestConfig.Faults is set.
-type FaultKind int
+type FaultKind uint8
 
 // Fault kinds.
 const (
@@ -74,20 +77,31 @@ func (k FaultKind) String() string {
 // FaultAction is a strategy's answer to a fault query: the failure to
 // inject, if any. Machine, Restart and PreserveMailbox apply to FaultCrash
 // only; the drop/duplicate/reorder kinds act on the message whose send
-// triggered the query.
+// triggered the query. It is 16 bytes.
 type FaultAction struct {
 	Kind            FaultKind
-	Machine         MachineID // FaultCrash: the machine to crash
-	Restart         bool      // FaultCrash: reboot it from its creation payload
-	PreserveMailbox bool      // FaultCrash+Restart: keep queued events across the reboot
+	Restart         bool       // FaultCrash: reboot it from its creation payload
+	PreserveMailbox bool       // FaultCrash+Restart: keep queued events across the reboot
+	Machine         MachineRef // FaultCrash: the machine to crash
 }
 
-// Decision is one scheduling or nondeterminism decision.
+// MachineRef names a machine inside one iteration by its creation index
+// alone. Under the serialized testing runtime that index is deterministic,
+// so within a trace it says which machine was meant; the type name, which
+// the index implies, is kept once per trace in Trace.Types. Build one with
+// MachineID.Ref.
+type MachineRef struct {
+	Seq uint64
+}
+
+// Decision is one scheduling or nondeterminism decision: a kind and the
+// value of that kind, 32 bytes. A machine is named by its MachineRef; the
+// trace holding the record says its type (Trace.Types).
 type Decision struct {
 	Kind    DecisionKind
-	Machine MachineID   // DecisionSchedule
 	Bool    bool        // DecisionBool
-	Int     int         // DecisionInt
+	Int     int32       // DecisionInt: Context.RandomInt bounds n by math.MaxInt32
+	Machine MachineRef  // DecisionSchedule
 	Fault   FaultAction // DecisionFault
 }
 
@@ -95,8 +109,27 @@ type Decision struct {
 // are assigned deterministically in creation order, replaying a trace with
 // sct.NewReplay reproduces the iteration exactly — this is the paper's
 // deterministic bug replay (Section 6.2).
+//
+// Types names the machines the records refer to: Types[i] is the type of
+// the machine with Seq i+1 ("" for a Seq the trace does not name). A
+// TestHarness fills it from the iteration's machines when the iteration
+// ends; DecodeTrace from the records. The table is shared, never written in
+// place: a harness that runs a machine of another type at a Seq an earlier
+// trace named starts a new table, so a clone keeps reading the names of its
+// own iteration.
 type Trace struct {
 	Decisions []Decision
+	Types     []string
+}
+
+// ID returns the machine r names in this trace: r's Seq with the type Types
+// gives it, "" if it gives none.
+func (t *Trace) ID(r MachineRef) MachineID {
+	id := MachineID{Seq: r.Seq}
+	if r.Seq != 0 && r.Seq <= uint64(len(t.Types)) {
+		id.Type = t.Types[r.Seq-1]
+	}
+	return id
 }
 
 // slot returns the record the next decision will occupy — zeroed, within the
@@ -133,15 +166,17 @@ func (t *Trace) HasFaultDecisions() bool {
 	return false
 }
 
-// Clone returns a deep copy of the trace, sized to its length. A TestHarness
-// reuses its trace buffer across iterations and hands it to the next harness
-// when it closes, so callers that retain an IterationResult.Trace past the
-// harness's next Run or its Close must clone it first.
+// Clone returns a copy of the trace's decisions, sized to its length, that
+// shares the names table: Types is never written in place (see Trace). A
+// TestHarness reuses its decision buffer across iterations and hands it to
+// the next harness when it closes, so callers that retain an
+// IterationResult.Trace past the harness's next Run or its Close must clone
+// it first.
 func (t *Trace) Clone() *Trace {
 	if t == nil {
 		return nil
 	}
-	return &Trace{Decisions: append([]Decision(nil), t.Decisions...)}
+	return &Trace{Decisions: append([]Decision(nil), t.Decisions...), Types: t.Types}
 }
 
 // encodeWriters recycles Encode's buffered writers: every bug hunt encodes
@@ -157,6 +192,8 @@ var encodeWriters = sync.Pool{New: func() any { return bufio.NewWriter(nil) }}
 //	f none|drop|dup|reorder                     fault query answer (send point)
 //	f crash <machine-type> <machine-seq> <restart 0|1> <keepq 0|1>
 //
+// A machine's type is looked up in Types; a record naming a Seq that Types
+// does not name fails the encoding, with the records before it written.
 // Records are appended digit by digit into the buffered writer's own free
 // space rather than formatted, and the writer is recycled: a trace is
 // thousands of records, and every bug hunt encodes at least one.
@@ -178,28 +215,42 @@ func (t *Trace) Encode(w io.Writer) error {
 		}
 		return '0'
 	}
-	id := func(rec []byte, m MachineID) []byte {
+	name := func(rec []byte, m MachineID) []byte {
 		return strconv.AppendUint(append(append(rec, m.Type...), ' '), m.Seq, 10)
 	}
 	for i := range t.Decisions {
 		d := &t.Decisions[i]
+		var id MachineID
+		named := true
+		switch {
+		case d.Kind == DecisionSchedule:
+			id = t.ID(d.Machine)
+		case d.Kind == DecisionFault && d.Fault.Kind == FaultCrash:
+			id = t.ID(d.Fault.Machine)
+		default:
+			named = false
+		}
+		if named && id.Type == "" {
+			bw.Flush()
+			return fmt.Errorf("trace: decision %d names machine %d, whose type Types does not give", i, id.Seq)
+		}
 		// Room for the longest record's fixed part ("f crash ", a 20-digit
-		// sequence number, two flags) beside the names: appending past the
+		// sequence number, two flags) beside the name: appending past the
 		// writer's free space would reallocate the record.
-		if bw.Available() < 40+len(d.Machine.Type)+len(d.Fault.Machine.Type) {
+		if bw.Available() < 40+len(id.Type) {
 			bw.Flush()
 		}
 		rec := bw.AvailableBuffer()
 		switch d.Kind {
 		case DecisionSchedule:
-			rec = id(append(rec, "s "...), d.Machine)
+			rec = name(append(rec, "s "...), id)
 		case DecisionBool:
 			rec = append(rec, 'b', ' ', bit(d.Bool))
 		case DecisionInt:
 			rec = strconv.AppendInt(append(rec, "i "...), int64(d.Int), 10)
 		case DecisionFault:
 			if d.Fault.Kind == FaultCrash {
-				rec = id(append(rec, "f crash "...), d.Fault.Machine)
+				rec = name(append(rec, "f crash "...), id)
 				rec = append(rec, ' ', bit(d.Fault.Restart), ' ', bit(d.Fault.PreserveMailbox))
 			} else {
 				rec = append(append(rec, "f "...), d.Fault.Kind.String()...)
@@ -214,106 +265,161 @@ func (t *Trace) Encode(w io.Writer) error {
 	return bw.Flush()
 }
 
+// traceSeqSlack is how far past the input's length in bytes a machine Seq
+// may reach in a trace DecodeTrace accepts. A record naming Seq n makes
+// Types n entries long, so without a bound a 20-byte line could ask for a
+// table of terabytes. A machine a program creates while it runs is a
+// scheduling point, a record of its own, so only the machines setup creates
+// can be named by a Seq beyond the records read so far: traceSeqSlack of
+// them.
+const traceSeqSlack = 1 << 16
+
 // DecodeTrace parses the format produced by Encode. Traces without the
 // "psharp-trace <version>" header — including every trace recorded before
 // format version 2 introduced fault decisions — are rejected with a clear
 // error rather than silently misreplayed; re-record them with this build.
+//
+// Types is rebuilt from the records, one string per distinct type name. A
+// record naming Seq 0, a Seq another record names with another type, or a
+// Seq more than traceSeqSlack past the bytes read so far is rejected with
+// the number of its line.
 func DecodeTrace(r io.Reader) (*Trace, error) {
 	t := &Trace{}
-	add := func(d Decision) { t.Decisions = append(t.Decisions, d) }
+	names := map[string]string{} // interned type names
 	sc := bufio.NewScanner(r)
-	line := 0
+	line, consumed := 0, 0
 	sawHeader := false
+	var f [traceMaxFields + 1][]byte
+
+	// name resolves the machine a record names, checking the Seq against
+	// the names table and entering the type there.
+	name := func(typ, seqText []byte) (MachineRef, error) {
+		seq, ok := parseTraceUint(seqText)
+		switch {
+		case !ok:
+			return MachineRef{}, fmt.Errorf("trace line %d: bad seq %q", line, seqText)
+		case seq == 0:
+			return MachineRef{}, fmt.Errorf("trace line %d: machine seq 0 names no machine (seqs start at 1)", line)
+		case seq > uint64(traceSeqSlack+consumed):
+			return MachineRef{}, fmt.Errorf("trace line %d: machine seq %d is out of proportion to a trace of %d bytes so far", line, seq, consumed)
+		}
+		if seq > uint64(len(t.Types)) {
+			t.Types = slices.Grow(t.Types, int(seq)-len(t.Types))[:seq]
+		}
+		switch have := t.Types[seq-1]; {
+		case have == "":
+			interned, ok := names[string(typ)]
+			if !ok {
+				interned = string(typ)
+				names[interned] = interned
+			}
+			t.Types[seq-1] = interned
+		case have != string(typ):
+			return MachineRef{}, fmt.Errorf("trace line %d: machine %d has type %s here but %s on an earlier line", line, seq, typ, have)
+		}
+		return MachineRef{Seq: seq}, nil
+	}
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
+		raw := sc.Bytes()
+		consumed += len(raw) + 1
+		n := splitTraceFields(raw, &f)
+		if n == 0 {
 			continue
 		}
+		text := bytes.Trim(raw, traceSpace) // for error messages
 		if !sawHeader {
-			fields := strings.Fields(text)
-			if fields[0] != "psharp-trace" || len(fields) != 2 {
+			if string(f[0]) != "psharp-trace" || n != 2 {
 				return nil, fmt.Errorf("trace line %d: missing 'psharp-trace %d' header — this looks like a pre-fault (version 1) trace or not a trace at all; re-record it with this build", line, TraceFormatVersion)
 			}
-			v, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return nil, fmt.Errorf("trace line %d: bad format version %q", line, fields[1])
+			v, ok := parseTraceInt32(f[1])
+			if !ok {
+				return nil, fmt.Errorf("trace line %d: bad format version %q", line, f[1])
 			}
-			if v != TraceFormatVersion {
+			if int(v) != TraceFormatVersion {
 				return nil, fmt.Errorf("trace line %d: unsupported trace format version %d (this build reads version %d)", line, v, TraceFormatVersion)
 			}
 			sawHeader = true
 			continue
 		}
-		if strings.HasPrefix(text, "#") {
+		if f[0][0] == '#' {
 			continue
 		}
-		fields := strings.Fields(text)
-		switch fields[0] {
+		var d Decision
+		switch string(f[0]) {
 		case "s":
-			if len(fields) != 3 {
+			if n != 3 {
 				return nil, fmt.Errorf("trace line %d: want 's <type> <seq>', got %q", line, text)
 			}
-			seq, err := strconv.ParseUint(fields[2], 10, 64)
+			m, err := name(f[1], f[2])
 			if err != nil {
-				return nil, fmt.Errorf("trace line %d: bad seq: %v", line, err)
+				return nil, err
 			}
-			add(Decision{Kind: DecisionSchedule, Machine: MachineID{Type: fields[1], Seq: seq}})
+			d = Decision{Kind: DecisionSchedule, Machine: m}
 		case "b":
-			if len(fields) != 2 || (fields[1] != "0" && fields[1] != "1") {
+			if n != 2 || (string(f[1]) != "0" && string(f[1]) != "1") {
 				return nil, fmt.Errorf("trace line %d: want 'b 0|1', got %q", line, text)
 			}
-			add(Decision{Kind: DecisionBool, Bool: fields[1] == "1"})
+			d = Decision{Kind: DecisionBool, Bool: f[1][0] == '1'}
 		case "i":
-			if len(fields) != 2 {
+			if n != 2 {
 				return nil, fmt.Errorf("trace line %d: want 'i <value>', got %q", line, text)
 			}
-			v, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return nil, fmt.Errorf("trace line %d: bad value: %v", line, err)
+			v, ok := parseTraceInt32(f[1])
+			if !ok {
+				return nil, fmt.Errorf("trace line %d: bad value %q (want an int32)", line, f[1])
 			}
-			add(Decision{Kind: DecisionInt, Int: v})
+			d = Decision{Kind: DecisionInt, Int: v}
 		case "f":
-			if len(fields) < 2 {
+			if n < 2 {
 				return nil, fmt.Errorf("trace line %d: want 'f <kind>', got %q", line, text)
 			}
-			switch fields[1] {
-			case "none", "drop", "dup", "reorder":
-				if len(fields) != 2 {
-					return nil, fmt.Errorf("trace line %d: want 'f %s', got %q", line, fields[1], text)
-				}
-				kind := map[string]FaultKind{
-					"none": FaultNone, "drop": FaultDrop, "dup": FaultDuplicate, "reorder": FaultReorder,
-				}[fields[1]]
-				add(Decision{Kind: DecisionFault, Fault: FaultAction{Kind: kind}})
+			kind := FaultNone
+			switch string(f[1]) {
+			case "none":
+			case "drop":
+				kind = FaultDrop
+			case "dup":
+				kind = FaultDuplicate
+			case "reorder":
+				kind = FaultReorder
 			case "crash":
-				if len(fields) != 6 {
-					return nil, fmt.Errorf("trace line %d: want 'f crash <type> <seq> <restart> <keepq>', got %q", line, text)
-				}
-				seq, err := strconv.ParseUint(fields[3], 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("trace line %d: bad seq: %v", line, err)
-				}
-				restart, err := parseTraceBit(fields[4])
-				if err != nil {
-					return nil, fmt.Errorf("trace line %d: bad restart flag: %v", line, err)
-				}
-				keepq, err := parseTraceBit(fields[5])
-				if err != nil {
-					return nil, fmt.Errorf("trace line %d: bad keepq flag: %v", line, err)
-				}
-				add(Decision{Kind: DecisionFault, Fault: FaultAction{
-					Kind:            FaultCrash,
-					Machine:         MachineID{Type: fields[2], Seq: seq},
-					Restart:         restart,
-					PreserveMailbox: keepq,
-				}})
+				kind = FaultCrash
 			default:
-				return nil, fmt.Errorf("trace line %d: unknown fault kind %q", line, fields[1])
+				return nil, fmt.Errorf("trace line %d: unknown fault kind %q", line, f[1])
 			}
+			if kind != FaultCrash {
+				if n != 2 {
+					return nil, fmt.Errorf("trace line %d: want 'f %s', got %q", line, f[1], text)
+				}
+				d = Decision{Kind: DecisionFault, Fault: FaultAction{Kind: kind}}
+				break
+			}
+			if n != 6 {
+				return nil, fmt.Errorf("trace line %d: want 'f crash <type> <seq> <restart> <keepq>', got %q", line, text)
+			}
+			restart, ok := parseTraceBit(f[4])
+			if !ok {
+				return nil, fmt.Errorf("trace line %d: bad restart flag: want 0 or 1, got %q", line, f[4])
+			}
+			keepq, ok := parseTraceBit(f[5])
+			if !ok {
+				return nil, fmt.Errorf("trace line %d: bad keepq flag: want 0 or 1, got %q", line, f[5])
+			}
+			m, err := name(f[2], f[3])
+			if err != nil {
+				return nil, err
+			}
+			d = Decision{Kind: DecisionFault, Fault: FaultAction{
+				Kind:            FaultCrash,
+				Machine:         m,
+				Restart:         restart,
+				PreserveMailbox: keepq,
+			}}
 		default:
-			return nil, fmt.Errorf("trace line %d: unknown record %q", line, fields[0])
+			return nil, fmt.Errorf("trace line %d: unknown record %q", line, f[0])
 		}
+		t.Decisions = append(t.Decisions, d)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -324,12 +430,78 @@ func DecodeTrace(r io.Reader) (*Trace, error) {
 	return t, nil
 }
 
-func parseTraceBit(s string) (bool, error) {
-	switch s {
-	case "0":
-		return false, nil
-	case "1":
-		return true, nil
+// traceSpace is what separates the fields of a trace line: the bytes a
+// machine-type name may not contain (validateTypeName), so every name a
+// runtime accepts reads back as one field.
+const traceSpace = " \t\r\n"
+
+// traceMaxFields is the most fields a record has ("f crash <type> <seq>
+// <restart> <keepq>").
+const traceMaxFields = 6
+
+// splitTraceFields puts the fields of line into f without copying and
+// returns their number: traceMaxFields+1 when there are more than
+// traceMaxFields, the last slot then holding the first extra one.
+func splitTraceFields(line []byte, f *[traceMaxFields + 1][]byte) int {
+	n := 0
+	for n <= traceMaxFields {
+		i := 0
+		for i < len(line) && strings.IndexByte(traceSpace, line[i]) >= 0 {
+			i++
+		}
+		if i == len(line) {
+			break
+		}
+		j := i
+		for j < len(line) && strings.IndexByte(traceSpace, line[j]) < 0 {
+			j++
+		}
+		f[n], line = line[i:j], line[j:]
+		n++
 	}
-	return false, fmt.Errorf("want 0 or 1, got %q", s)
+	return n
+}
+
+// parseTraceUint parses a decimal uint64: digits only, no sign.
+func parseTraceUint(b []byte) (uint64, bool) {
+	if len(b) == 0 {
+		return 0, false
+	}
+	var v uint64
+	for _, c := range b {
+		if c < '0' || c > '9' || v > (math.MaxUint64-uint64(c-'0'))/10 {
+			return 0, false
+		}
+		v = v*10 + uint64(c-'0')
+	}
+	return v, true
+}
+
+// parseTraceInt32 parses a decimal int32 with an optional sign, as
+// strconv.Atoi does.
+func parseTraceInt32(b []byte) (int32, bool) {
+	neg := false
+	if len(b) > 0 && (b[0] == '-' || b[0] == '+') {
+		neg, b = b[0] == '-', b[1:]
+	}
+	u, ok := parseTraceUint(b)
+	switch {
+	case !ok:
+		return 0, false
+	case neg && u <= -math.MinInt32:
+		return int32(-int64(u)), true
+	case !neg && u <= math.MaxInt32:
+		return int32(u), true
+	}
+	return 0, false
+}
+
+func parseTraceBit(b []byte) (bool, bool) {
+	switch string(b) {
+	case "0":
+		return false, true
+	case "1":
+		return true, true
+	}
+	return false, false
 }
