@@ -2,7 +2,6 @@ package psharp
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/psharp-go/psharp/internal/vclock"
 )
@@ -65,7 +64,7 @@ func (c *Context) Send(target MachineID, ev Event) {
 	if target.IsNil() {
 		panic(assertFailed{msg: fmt.Sprintf("%s: Send(%s) to nil machine", c.m.id, eventName(ev))})
 	}
-	c.m.rt.enqueue(target, ev, c.m, true)
+	c.m.rt.send(target, ev, c.m, true)
 }
 
 // CreateMachine instantiates a new machine of the registered type and
@@ -73,7 +72,7 @@ func (c *Context) Send(target MachineID, ev Event) {
 // state's entry action. In bug-finding mode this is a scheduling point.
 func (c *Context) CreateMachine(typeName string, payload Event) MachineID {
 	c.monitorForbids("CreateMachine")
-	id, err := c.m.rt.create(typeName, payload, c.m)
+	id, err := c.m.rt.newMachine(typeName, payload, c.m)
 	if err != nil {
 		panic(assertFailed{msg: err.Error()})
 	}
@@ -86,7 +85,10 @@ func (c *Context) CreateMachine(typeName string, payload Event) MachineID {
 // the production runtime it is pseudo-random.
 func (c *Context) RandomBool() bool {
 	c.monitorForbids("RandomBool")
-	return c.m.rt.randomBool(c.m)
+	if t := c.m.rt.test; t != nil {
+		return t.nextBool(c.m)
+	}
+	return c.m.rt.nextRand()&1 == 1
 }
 
 // RandomInt returns a controlled nondeterministic integer in [0, n). Under
@@ -97,10 +99,10 @@ func (c *Context) RandomInt(n int) int {
 	if n <= 0 {
 		panic(assertFailed{msg: fmt.Sprintf("%s: RandomInt(%d): n must be positive", c.m.id, n)})
 	}
-	if n > math.MaxInt32 && c.m.rt.test != nil {
-		panic(assertFailed{msg: fmt.Sprintf("%s: RandomInt(%d): n must be at most %d under a testing runtime", c.m.id, n, math.MaxInt32)})
+	if t := c.m.rt.test; t != nil {
+		return t.nextInt(c.m, n)
 	}
-	return c.m.rt.randomInt(c.m, n)
+	return int(c.m.rt.nextRand() % uint64(n))
 }
 
 // Assert checks a safety property; a violation is reported as a bug (and in
@@ -161,12 +163,19 @@ func (c *Context) Logf(format string, args ...any) {
 // what makes the paper's RD-off optimization sound once the static analysis
 // has verified the program.
 func (c *Context) Read(location string) {
-	c.monitorForbids("Read")
-	c.m.rt.access(c.m, location, vclock.Read)
+	c.access("Read", location, vclock.Read)
 }
 
 // Write instruments a write of the named shared location; see Read.
 func (c *Context) Write(location string) {
-	c.monitorForbids("Write")
-	c.m.rt.access(c.m, location, vclock.Write)
+	c.access("Write", location, vclock.Write)
+}
+
+// access feeds the happens-before race detector, which only a testing
+// runtime in RD-on mode has.
+func (c *Context) access(op, location string, kind vclock.AccessKind) {
+	c.monitorForbids(op)
+	if t := c.m.rt.test; t != nil && t.det != nil {
+		t.det.Access(int(c.m.id.Seq), location, kind)
+	}
 }

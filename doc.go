@@ -25,6 +25,11 @@
 //     distinct-schedule accounting (see the sct package docs and
 //     examples/parallel).
 //
+// The two share the machine: its step, its handler path, its Context. A
+// send, a create, a draw and a monitor observation have one body per mode
+// (Runtime.enqueue, create and observe; controller.send, create and
+// observe), picked once per operation by a dispatcher that tests the mode.
+//
 // # Reproducing the paper's Table 1
 //
 // The static-analysis half of the evaluation lives in the lang, analysis,
@@ -392,9 +397,10 @@
 // two (machine → loop → next machine). And because the switches
 // already order everything, a testing Runtime takes none of the locks the
 // production runtime needs: no queue mutex, no runtime mutex, no condition
-// variable on the send, dequeue, halt, create and crash paths — the
-// previous controller paid five uncontended lock pairs and a Signal per
-// send/dequeue. (Hence: touching a testing Runtime from a second goroutine
+// variable on the send, dequeue, create and crash paths, which are the
+// controller's own (a halt, rare and shared by both runtimes, takes its
+// mailbox's lock uncontended) — the previous controller paid five
+// uncontended lock pairs and a Signal per send/dequeue. (Hence: touching a testing Runtime from a second goroutine
 // is a data race, not merely nondeterminism.) bench's traced table2_random
 // pass (bash bench/run.sh -workload table2_random -trace 1) reads the bare
 // hand-off, psharp.handoff_ns_per_sp, at ≈ 185–205 ns of a scheduling point
@@ -434,9 +440,11 @@
 // the reserves' locks. Teardown is as cheap as the iteration was short: a
 // machine blocked between handlers when the iteration ends returns out of
 // its run loop, and only one parked inside a handler is unwound by panic.
-// The testing runtime also counts without atomics: the RuntimeMetrics
-// counters are plain words of the controller, added to the runtime's
-// atomics once per iteration (see Runtime.Metrics).
+// The testing runtime also counts without atomics: the controller's send,
+// create and observe count into plain words of its own, which
+// TestHarness.Run adds to the runtime's RuntimeMetrics atomics once per
+// iteration (see Runtime.Metrics); only production's bodies touch the
+// atomics.
 //
 // Machine schemas follow the compile-once discipline: a static type's
 // schema is compiled once per process for each probe value and every
@@ -500,7 +508,8 @@
 // deadlocks the iteration — and in production it can now also stall the one
 // machine the blocked handler had just woken.
 //
-// No lock is shared between machines on the message path: a sender finds
+// No lock is shared between machines on the message path
+// (Runtime.enqueue, the production runtime's send): a sender finds
 // the target in an atomically published copy of the machine table, locks
 // only the target's mailbox, and accounts for outstanding work (what Wait
 // waits for: pending initializations and events sent but not yet handled,

@@ -4,6 +4,8 @@ import (
 	"math/bits"
 	"reflect"
 	"unsafe"
+
+	"github.com/psharp-go/psharp/internal/splitmix"
 )
 
 // Test-only accessors for the compiled-schema cache, used by the
@@ -178,7 +180,7 @@ func StateHash(vs ...any) (hash uint64, err error) {
 	if w.refused != nil {
 		err = w.refusedIn("value")
 	}
-	return mix64(w.h), err
+	return splitmix.Mix(w.h), err
 }
 
 // StateCopy deep-copies the values in one walk of their state plans and one

@@ -89,7 +89,7 @@ func (c *controller) scheduleFault() bool {
 			Message: fmt.Sprintf("strategy injected %s at a schedule fault point (only crash is valid here)", f.Kind)}
 		return false
 	}
-	if m := c.rt.machineAt(f.Machine.Seq); m == nil || !m.crashable() {
+	if m := c.machineAt(f.Machine.Seq); m == nil || !m.crashable() {
 		var id MachineID
 		if m != nil {
 			id = m.id
@@ -122,7 +122,7 @@ func (c *controller) crashMachine(f FaultAction) {
 	// Monitors observe the lifecycle event before the crash takes effect,
 	// mirroring how sends are observed before delivery. A monitor state
 	// with no binding for MachineCrashed skips it.
-	c.rt.observeMonitors(&MachineCrashed{Machine: m.id, Restart: f.Restart})
+	c.observe(&MachineCrashed{Machine: m.id, Restart: f.Restart})
 	c.faults.Crashes++
 	m.crashed = true
 	m.next()           // yields ykCrashed
@@ -152,24 +152,13 @@ func (c *controller) crashMachine(f FaultAction) {
 // the status is all it takes: the next schedule of m starts run on m.birth.
 func (c *controller) restartMachine(m *machineInstance) {
 	r := c.rt
-	factory := r.factories[m.id.Type]
-	if factory == nil {
+	// Closure-form machines compile a per-instance schema whose actions
+	// close over the logic value, so the new incarnation needs its own.
+	logic, schema, err := r.instantiate(m.id.Type)
+	if err != nil {
 		c.bug = &Bug{Kind: BugPanic, Machine: m.id,
-			Message: fmt.Sprintf("cannot restart %s: machine type not registered", m.id)}
+			Message: fmt.Sprintf("cannot restart %s: %v", m.id, err)}
 		return
-	}
-	logic := factory()
-	schema := r.schemas[m.id.Type]
-	if schema == nil {
-		// Closure-form machines compile a per-instance schema whose actions
-		// close over the logic value, so the new incarnation needs its own.
-		var err error
-		schema, err = r.compileInstanceLocked(m.id.Type, logic)
-		if err != nil {
-			c.bug = &Bug{Kind: BugPanic, Machine: m.id,
-				Message: fmt.Sprintf("cannot restart %s: %v", m.id, err)}
-			return
-		}
 	}
 	m.logic = logic
 	m.schema, m.cover = schema, r.cover.block(schema)
@@ -182,7 +171,7 @@ func (c *controller) restartMachine(m *machineInstance) {
 	m.status = msReady
 	c.readyAdd(m.id)
 	c.faults.Restarts++
-	r.observeMonitors(&MachineRestarted{Machine: m.id})
+	c.observe(&MachineRestarted{Machine: m.id})
 	if r.logging() {
 		r.logf("fault: restarted %s", m.id)
 	}

@@ -38,8 +38,8 @@ import (
 //
 // Machines run as coroutines of the goroutine that calls Run — the
 // strategy's Decide, Interrupt and StateCache.Visit are called from their
-// stacks as well as from Run's — and a testing Runtime takes no lock (see
-// controller). Using the Runtime setup received from another goroutine
+// stacks as well as from Run's — and a testing Runtime's sends and creates
+// take no lock (see controller). Using the Runtime setup received from another goroutine
 // (SendEvent, CreateMachine) is unsupported: it always broke determinism,
 // now it is also a data race. The reserve passes coroutines between
 // harnesses, so harnesses must not be driven from goroutines wired to an OS

@@ -45,6 +45,7 @@ import (
 	"errors"
 	"fmt"
 
+	"github.com/psharp-go/psharp/internal/splitmix"
 	"github.com/psharp-go/psharp/internal/vclock"
 	"github.com/psharp-go/psharp/lang"
 	"github.com/psharp-go/psharp/obs"
@@ -110,20 +111,12 @@ type Scheduler interface {
 }
 
 // randomScheduler is a seeded SplitMix64 scheduler.
-type randomScheduler struct{ state uint64 }
-
-func (r *randomScheduler) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
+type randomScheduler splitmix.Source
 
 func (r *randomScheduler) Next(enabled []MachineID) MachineID {
 	// The stream always advances, but a single-element pick needs no modulo
 	// (a hardware division): the choice and the PRNG state are identical.
-	x := r.next()
+	x := (*splitmix.Source)(r).Next()
 	if len(enabled) == 1 {
 		return enabled[0]
 	}
@@ -218,7 +211,7 @@ func runWalk(prog *lang.Program, main string, opts Options) Outcome {
 	if opts.Scheduler != nil {
 		in.sched = opts.Scheduler
 	} else {
-		in.sched = &randomScheduler{state: opts.Seed}
+		in.sched = &randomScheduler{State: opts.Seed}
 	}
 	if opts.RaceDetect {
 		in.det = vclock.NewDetector()

@@ -175,7 +175,7 @@ func (cp *compiledProgram) getVM(opts Options) *vmState {
 	if opts.Scheduler != nil {
 		vm.sched = opts.Scheduler
 	} else {
-		vm.rsched.state = opts.Seed
+		vm.rsched.State = opts.Seed
 		vm.sched = &vm.rsched
 	}
 	if opts.RaceDetect {

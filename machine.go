@@ -35,7 +35,7 @@ type machineInstance struct {
 
 	// mu guards halted, active and the mailbox under the production runtime,
 	// where senders run concurrently with the machine; the testing runtime is
-	// serialized and takes no lock (see Runtime.lock). The mailbox is the
+	// serialized and takes it only in doHalt, which both share. The mailbox is the
 	// window queue[qhead:]: dequeuing its head advances qhead instead of
 	// shifting the backlog down (see removeLocked, push).
 	mu    sync.Mutex
@@ -237,13 +237,10 @@ func (m *machineInstance) checkScheduled() {
 // create, and the CHESS-granularity points): the machine closes its own step
 // and takes the scheduling decision on its own stack. Chosen again, it just
 // returns into the handler; otherwise it parks until rescheduled, leaving
-// the outcome for the controller's loop to act on. No-op under the
-// production runtime.
+// the outcome for the controller's loop to act on. Only the controller's
+// send and create paths and its dequeue reach one.
 func (m *machineInstance) yieldPoint() {
 	c := m.rt.test
-	if c == nil {
-		return
-	}
 	catchingUp := m.replayLog != nil
 	if m.logged() {
 		m.note(chainOp{kind: opYield})
@@ -648,7 +645,7 @@ func (m *machineInstance) dispatch(disp *dispatchEntry, ev Event) *Bug {
 		return nil
 	case dispatchDefer:
 		// Only reachable for raised events; re-queue at the back.
-		m.rt.enqueue(m.id, ev, m, false)
+		m.rt.send(m.id, ev, m, false)
 		return nil
 	case dispatchAction, dispatchGoto:
 		// Coverage counts program transitions: a monitor has no block, its
@@ -757,26 +754,12 @@ func (m *machineInstance) String() string {
 // doHalt marks the machine halted and drops its queue; further events sent
 // to it are discarded by the runtime.
 func (m *machineInstance) doHalt() {
-	m.lock()
+	m.mu.Lock()
 	dropped := m.dropQueue()
 	m.halted = true
-	m.unlock()
+	m.mu.Unlock()
 	m.rt.consumed(dropped)
 	if m.rt.logging() {
 		m.rt.logf("%s: halted", m.id)
-	}
-}
-
-// lock and unlock take the mailbox lock under the production runtime only
-// (see Runtime.lock).
-func (m *machineInstance) lock() {
-	if m.rt.test == nil {
-		m.mu.Lock()
-	}
-}
-
-func (m *machineInstance) unlock() {
-	if m.rt.test == nil {
-		m.mu.Unlock()
 	}
 }

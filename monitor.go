@@ -96,7 +96,7 @@ func (r *Runtime) RegisterMonitor(name string, factory func() Machine) error {
 	// created before this registration are already running and sending (the
 	// SetupMonitored pattern registers monitors after setup), so appending
 	// and initializing the instance must be mutually exclusive with
-	// observeMonitors. In test mode the lock is uncontended.
+	// observation. In test mode the lock is uncontended.
 	r.monMu.Lock()
 	for _, m := range r.monitors {
 		if m.id.Type == name {
@@ -107,8 +107,13 @@ func (r *Runtime) RegisterMonitor(name string, factory func() Machine) error {
 	bug := r.attachMonitor(MachineID{Type: name}, logic, schema).start()
 	r.monMu.Unlock()
 
-	if bug != nil {
-		r.monitorFailure(bug)
+	if bug == nil {
+		return nil
+	}
+	if c := r.test; c == nil {
+		r.fail(bug)
+	} else if c.bug == nil {
+		c.bug = bug
 	}
 	return nil
 }
@@ -179,52 +184,58 @@ func (m *machineInstance) monitorBug(bug **Bug) {
 	}
 }
 
-// observeMonitors dispatches one program event to every registered monitor;
-// called synchronously at Send and Raise operations, before their scheduling
-// points. In production mode dispatch is serialized behind monMu (machines
-// run concurrently, and registration may still be appending); the atomic
-// counter keeps the no-monitor fast path lock-free. The testing runtime is
-// already serialized and skips the lock.
+// observeMonitors dispatches one program event to every registered monitor,
+// in the runtime's mode: called synchronously at Send and Raise operations,
+// before their scheduling points.
 func (r *Runtime) observeMonitors(ev Event) {
-	if c := r.test; c == nil {
-		if r.monCount.Load() == 0 {
-			return
-		}
-		r.monMu.Lock()
-		defer r.monMu.Unlock()
-		r.metrics.MonitorDispatches.Add(int64(len(r.monitors)))
-	} else {
-		if len(r.monitors) == 0 {
-			return
-		}
-		if c.observing {
-			// Monitor verdicts are order-sensitive global state: mark the
-			// executing step monitor-observed so DPOR treats any two observed
-			// steps as dependent, and note that the monitors' hash components
-			// may have moved.
-			c.stepObserved = true
-		}
-		c.counts.monitorDispatches += int64(len(r.monitors))
+	if c := r.test; c != nil {
+		c.observe(ev)
+		return
 	}
+	r.observe(ev)
+}
+
+// observe is the production runtime's observation. Dispatch is serialized
+// behind monMu (machines run concurrently, and registration may still be
+// appending); the atomic counter keeps the no-monitor fast path lock-free.
+// A monitor's bug fails the runtime as any machine's does.
+func (r *Runtime) observe(ev Event) {
+	if r.monCount.Load() == 0 {
+		return
+	}
+	r.monMu.Lock()
+	defer r.monMu.Unlock()
+	r.metrics.MonitorDispatches.Add(int64(len(r.monitors)))
 	for _, m := range r.monitors {
 		if bug := m.observe(ev); bug != nil {
-			r.monitorFailure(bug)
+			r.fail(bug)
 			return
 		}
 	}
 }
 
-// monitorFailure routes a monitor-detected bug: the testing controller
-// records it as the iteration's bug (the scheduling loop stops at the next
-// decision), the production runtime fails as with any machine bug. Monitor
-// dispatch happens on the observing sender's stack, but in test mode
-// execution is serialized by the coroutine switches, so the write is ordered.
-func (r *Runtime) monitorFailure(bug *Bug) {
-	if c := r.test; c != nil {
-		if c.bug == nil {
-			c.bug = bug
-		}
+// observe is the testing runtime's observation, which execution already
+// serializes. A monitor's bug becomes the iteration's, unless it already has
+// one; the scheduling loop stops at the next decision.
+func (c *controller) observe(ev Event) {
+	mons := c.rt.monitors
+	if len(mons) == 0 {
 		return
 	}
-	r.fail(bug)
+	if c.observing {
+		// Monitor verdicts are order-sensitive global state: mark the
+		// executing step monitor-observed so DPOR treats any two observed
+		// steps as dependent, and note that the monitors' hash components
+		// may have moved.
+		c.stepObserved = true
+	}
+	c.counts.monitorDispatches += int64(len(mons))
+	for _, m := range mons {
+		if bug := m.observe(ev); bug != nil {
+			if c.bug == nil {
+				c.bug = bug
+			}
+			return
+		}
+	}
 }

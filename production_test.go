@@ -2,7 +2,10 @@ package psharp_test
 
 import (
 	"errors"
+	"math"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,6 +15,7 @@ import (
 	"github.com/psharp-go/psharp"
 	amsg "github.com/psharp-go/psharp/internal/hashtest/a/msg"
 	bmsg "github.com/psharp-go/psharp/internal/hashtest/b/msg"
+	"github.com/psharp-go/psharp/internal/splitmix"
 )
 
 // What the production runtime promises, asserted: a machine owns a goroutine
@@ -723,5 +727,94 @@ func TestProductionDispatchByTypeIdentity(t *testing.T) {
 
 		log = nil
 		check("RunTest", runOne(t, setup).Bug)
+	}
+}
+
+// drawSeq draws, in the entry action of its one state, 32 booleans (as 0 or
+// 1) and then 32 integers in [0, N) into the slice its creation payload
+// carries.
+type drawSeq struct{ psharp.StaticBase }
+
+type evDrawSeq struct {
+	psharp.EventBase
+	N   int
+	Out *[]int
+}
+
+func (*drawSeq) ConfigureType(sc *psharp.Schema) {
+	sc.Start("Draw").OnEntryM(func(_ psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
+		e := ev.(*evDrawSeq)
+		for range 32 {
+			b := 0
+			if ctx.RandomBool() {
+				b = 1
+			}
+			*e.Out = append(*e.Out, b)
+		}
+		for range 32 {
+			*e.Out = append(*e.Out, ctx.RandomInt(e.N))
+		}
+	})
+}
+
+// productionDraws runs one drawSeq machine on a production runtime built
+// with opts and returns what it drew.
+func productionDraws(t *testing.T, n int, opts ...psharp.Option) []int {
+	t.Helper()
+	r := psharp.NewRuntime(opts...)
+	r.MustRegister("DrawSeq", func() psharp.Machine { return &drawSeq{} })
+	var out []int
+	r.MustCreate("DrawSeq", &evDrawSeq{N: n, Out: &out})
+	mustWait(t, r)
+	return out
+}
+
+// TestProductionDrawsFollowTheSeed: a production runtime's RandomBool and
+// RandomInt draw the SplitMix64 stream of its WithSeed seed — a bool the
+// low bit of a word, an int the word modulo n — so one seed gives one
+// sequence and another seed another; RandomInt(n) stays in [0, n), also for
+// an n past math.MaxInt32, which production accepts and a controller, whose
+// trace records an int32, refuses.
+func TestProductionDrawsFollowTheSeed(t *testing.T) {
+	const n = 7
+	got := productionDraws(t, n, psharp.WithSeed(42))
+	if again := productionDraws(t, n, psharp.WithSeed(42)); !slices.Equal(got, again) {
+		t.Fatalf("seed 42 drew %v, then %v", got, again)
+	}
+	if other := productionDraws(t, n, psharp.WithSeed(43)); slices.Equal(got, other) {
+		t.Fatalf("seeds 42 and 43 drew the same %v", got)
+	}
+	src := splitmix.Source{State: 42}
+	want := make([]int, 0, 64)
+	for range 32 {
+		want = append(want, int(src.Next()&1))
+	}
+	for range 32 {
+		want = append(want, int(src.Next()%n))
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("seed 42 drew %v, SplitMix64 gives %v", got, want)
+	}
+	for _, v := range got[32:] {
+		if v < 0 || v >= n {
+			t.Fatalf("RandomInt(%d) = %d", n, v)
+		}
+	}
+
+	if strconv.IntSize == 32 {
+		return // an int cannot exceed math.MaxInt32
+	}
+	big := math.MaxInt32 << 8
+	for _, v := range productionDraws(t, big, psharp.WithSeed(42))[32:] {
+		if v < 0 || v >= big {
+			t.Fatalf("RandomInt(%d) = %d", big, v)
+		}
+	}
+	res := psharp.RunTest(func(r *psharp.Runtime) {
+		r.MustRegister("DrawSeq", func() psharp.Machine { return &drawSeq{} })
+		r.MustCreate("DrawSeq", &evDrawSeq{N: big, Out: new([]int)})
+	}, psharp.TestConfig{Strategy: firstEnabled{}})
+	if res.Bug == nil || res.Bug.Kind != psharp.BugAssertion || !strings.Contains(res.Bug.Message, "n must be at most 2147483647") {
+		t.Fatalf("RandomInt(%d) under a controller: bug %v, want its refusal", big, res.Bug)
 	}
 }

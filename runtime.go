@@ -7,7 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/psharp-go/psharp/internal/vclock"
+	"github.com/psharp-go/psharp/internal/splitmix"
 )
 
 // Runtime executes P# programs (paper Section 6.1). It keeps the registry
@@ -31,13 +31,13 @@ import (
 // Either way events from one sender reach one receiver in send order, and
 // Wait returns once nothing is outstanding or on the first failure.
 type Runtime struct {
-	// mu guards the tables below under the production runtime, which takes it
-	// to register, to create and to report (Wait, Failure, NumMachines) — not
-	// to pass a message: senders find machines through table and account for
+	// mu guards the tables below. The production runtime takes it to
+	// register, to create and to report (Wait, Failure, NumMachines) — not to
+	// pass a message: senders find machines through table and account for
 	// work in atomics. A testing runtime is serialized by construction — one
 	// stack runs at a time and the coroutine switches order everything (see
-	// controller) — so its create, send, dequeue, halt and crash paths go
-	// through lock/unlock, which do nothing there.
+	// controller) — and its create, send and crash paths are the controller's
+	// own (controller.create, controller.send), which take no lock.
 	mu        sync.Mutex
 	factories map[string]func() Machine
 	machines  []*machineInstance
@@ -168,7 +168,7 @@ func (r *Runtime) Register(name string, factory func() Machine) error {
 	if _, known := r.schemas[name]; !known {
 		// Bound to the process's schema for the probe's value if it is
 		// static, or to nil, which records the closure form, whose schema is
-		// built per instance (compileInstanceLocked). A failed compile binds
+		// built per instance (instantiate). A failed compile binds
 		// nothing.
 		var cs *compiledSchema
 		if sm, ok := factory().(StaticMachine); ok {
@@ -184,7 +184,8 @@ func (r *Runtime) Register(name string, factory func() Machine) error {
 }
 
 // staticSchemaLocked resolves a static declaration through the process-wide
-// table and counts a compile it could not avoid. Caller holds r.mu.
+// table and counts a compile it could not avoid. The production runtime's
+// callers hold r.mu.
 func (r *Runtime) staticSchemaLocked(name string, probe StaticMachine, monitor bool) (*compiledSchema, error) {
 	cs, compiled, err := typeSchemaOf(name, probe, monitor)
 	if compiled {
@@ -203,7 +204,7 @@ func (r *Runtime) MustRegister(name string, factory func() Machine) {
 // CreateMachine creates a machine from outside any machine (the program's
 // environment); the entry action of its initial state runs asynchronously.
 func (r *Runtime) CreateMachine(typeName string, payload Event) (MachineID, error) {
-	return r.create(typeName, payload, nil)
+	return r.newMachine(typeName, payload, nil)
 }
 
 // MustCreate is CreateMachine that panics on error; convenient in test
@@ -221,86 +222,55 @@ func (r *Runtime) SendEvent(target MachineID, ev Event) error {
 	if ev == nil {
 		return fmt.Errorf("psharp: SendEvent: nil event")
 	}
-	r.enqueue(target, ev, nil, false)
+	r.send(target, ev, nil, false)
 	return nil
 }
 
-// lock and unlock take r.mu under the production runtime only; which kind a
-// runtime is, is fixed at construction.
-func (r *Runtime) lock() {
-	if r.test == nil {
-		r.mu.Lock()
+// newMachine creates a machine in the runtime's mode; creator is nil for
+// environment creates.
+func (r *Runtime) newMachine(typeName string, payload Event, creator *machineInstance) (MachineID, error) {
+	if c := r.test; c != nil {
+		return c.create(typeName, payload, creator)
 	}
+	return r.create(typeName, payload, creator)
 }
 
-func (r *Runtime) unlock() {
-	if r.test == nil {
-		r.mu.Unlock()
+// send routes ev to target's queue in the runtime's mode. sm is the sending
+// machine, nil for sends from the environment. isMachineSend marks sends
+// performed by machine actions (which are scheduling points in test mode);
+// environment sends and internal re-queues of deferred raised events are not.
+func (r *Runtime) send(target MachineID, ev Event, sm *machineInstance, isMachineSend bool) {
+	if c := r.test; c != nil {
+		c.send(target, ev, sm, isMachineSend)
+		return
 	}
+	r.enqueue(target, ev, sm, isMachineSend)
 }
 
-// create instantiates a machine; creator is nil for environment creates.
+// create is the production runtime's create: the creator owns the first
+// activation, which runs the initial entry action; until that is done the
+// machine is outstanding work.
 func (r *Runtime) create(typeName string, payload Event, creator *machineInstance) (MachineID, error) {
-	if creator != nil && creator.replayLog != nil {
-		// Catching up after a restore: the machine is in the snapshot.
-		return r.test.created(creator, 0), nil
-	}
-	r.lock()
-	factory, ok := r.factories[typeName]
-	if !ok {
-		r.unlock()
-		return MachineID{}, fmt.Errorf("psharp: unknown machine type %q", typeName)
-	}
-	logic := factory()
-	schema := r.schemas[typeName]
-	if schema == nil {
-		// Closure form: build and validate a schema for this instance.
-		// Static types never reach here — their frozen schema was compiled
-		// at registration.
-		var err error
-		schema, err = r.compileInstanceLocked(typeName, logic)
-		if err != nil {
-			r.unlock()
-			return MachineID{}, err
-		}
+	r.mu.Lock()
+	logic, schema, err := r.instantiate(typeName)
+	if err != nil {
+		r.mu.Unlock()
+		return MachineID{}, err
 	}
 	r.nextSeq++
 	id := MachineID{Type: typeName, Seq: r.nextSeq}
-	var m *machineInstance
-	if c := r.test; c != nil {
-		// Bug-finding mode reuses pooled instances and parked coroutines.
-		m = c.acquireInstance(r, id, logic, schema)
-		r.machines = append(r.machines, m)
-	} else {
-		// The creator owns the first activation, which runs the initial
-		// entry action; until that is done the machine is outstanding work.
-		m = newMachineInstance(r, id, logic, schema)
-		m.cover = r.cover.block(schema)
-		m.active, m.spawn = true, m.activate
-		r.busy.Add(1)
-		r.machines = append(r.machines, m)
-		table := r.machines
-		r.table.Store(&table)
-	}
-	// The creation payload is what boot starts the machine on — again after
-	// a FaultCrash with Restart (see controller.restartMachine).
+	m := newMachineInstance(r, id, logic, schema)
+	m.cover = r.cover.block(schema)
+	m.active, m.spawn = true, m.activate
 	m.birth = payload
-	r.unlock()
+	r.busy.Add(1)
+	r.machines = append(r.machines, m)
+	table := r.machines
+	r.table.Store(&table)
+	r.mu.Unlock()
 
 	if r.logging() {
 		r.logf("created %s", id)
-	}
-	if c := r.test; c != nil {
-		c.counts.creates++
-		creatorIdx := 0
-		if creator != nil {
-			creatorIdx = int(creator.id.Seq)
-		}
-		c.onCreate(m, creatorIdx)
-		if creator != nil {
-			return c.created(creator, id.Seq), nil
-		}
-		return id, nil
 	}
 	r.metrics.Creates.Inc()
 	r.wake(m, creator)
@@ -322,164 +292,92 @@ func (r *Runtime) wake(m, waker *machineInstance) {
 	*waker.held = m
 }
 
-// compileInstanceLocked builds, validates and freezes a schema for one
-// machine whose type is bound to the closure form: the closure declaration
-// form's per-instance cost. Static logic under such a name — a form that
-// changed between registrations — gets its type's schema instead:
-// StaticBase.Configure would panic. Caller holds r.mu.
-func (r *Runtime) compileInstanceLocked(name string, logic Machine) (*compiledSchema, error) {
+// instantiate builds a new machine's logic from its type's factory, and the
+// schema it runs on, for both creates and a restart: a static type's, bound
+// at registration, or for the closure form one built for the instance —
+// unless the form changed between registrations and the logic is static,
+// which gets its type's schema (StaticBase.Configure would panic). The
+// production runtime's caller holds r.mu.
+func (r *Runtime) instantiate(name string) (Machine, *compiledSchema, error) {
+	factory, ok := r.factories[name]
+	if !ok {
+		return nil, nil, fmt.Errorf("psharp: unknown machine type %q", name)
+	}
+	logic := factory()
+	if schema := r.schemas[name]; schema != nil {
+		return logic, schema, nil
+	}
 	if sm, ok := logic.(StaticMachine); ok {
-		return r.staticSchemaLocked(name, sm, false)
+		schema, err := r.staticSchemaLocked(name, sm, false)
+		return logic, schema, err
 	}
 	s := newSchema()
 	logic.Configure(s)
 	r.schemaCompiles++
-	return s.compile(name, false)
+	schema, err := s.compile(name, false)
+	return logic, schema, err
 }
 
-// enqueue routes an event to target's queue. sm is the sending machine, nil
-// for sends from the environment. isMachineSend marks sends performed by
-// machine actions (which are scheduling points in test mode); environment
-// sends and internal re-queues are not.
+// enqueue is the production runtime's send (see send): it finds the target
+// in the published table, locks only its mailbox, and activates it if it
+// was idle.
 func (r *Runtime) enqueue(target MachineID, ev Event, sm *machineInstance, isMachineSend bool) {
 	var sender MachineID
 	if sm != nil {
 		sender = sm.id
 	}
-	if (isMachineSend || sm == nil) && (sm == nil || sm.replayLog == nil) {
+	if isMachineSend || sm == nil {
 		// Specification monitors observe the send itself — machine sends and
 		// environment sends, but not internal re-queues of deferred raised
-		// events, which would double-count one observation, nor the sends a
-		// restored machine makes again as it catches up. Dispatch happens
-		// before the send's scheduling point and regardless of whether the
-		// target can still receive the event.
-		r.observeMonitors(ev)
+		// events, which would double-count one observation — before it is
+		// delivered and whether or not the target can still receive it.
+		r.observe(ev)
 	}
 	m := r.machineAt(target.Seq)
-	c := r.test
 	if m == nil {
-		msg := fmt.Sprintf("send of %s to unknown machine %s", eventName(ev), target)
-		if c != nil && isMachineSend {
-			panic(assertFailed{msg: msg})
-		}
-		bug := &Bug{Kind: BugPanic, Machine: sender, Message: msg}
-		if c == nil {
-			r.fail(bug)
-		} else if c.bug == nil {
-			c.bug = bug // the environment's send: the iteration's bug
-		}
+		r.fail(&Bug{Kind: BugPanic, Machine: sender,
+			Message: fmt.Sprintf("send of %s to unknown machine %s", eventName(ev), target)})
 		return
 	}
-	if c != nil && c.cfg.ChessLike && isMachineSend {
-		// CHESS granularity: acquiring the queue lock of the thread-safe
-		// blocking queue is a visible synchronizing operation of its own.
-		sm.yieldPoint()
-	}
-	if sm != nil && sm.replayLog != nil {
-		// Catching up after a restore: the snapshot holds the delivery.
-		if isMachineSend {
-			c.sent(sm, target, ev)
-		}
-		return
-	}
-
-	// The per-send fault query: issued on the sending machine's stack
-	// for every machine send when faults are enabled, before delivery, so
-	// the query sequence is a function of the schedule alone. Sends to an
-	// already-halted target ignore the answer (there is nothing to fault).
-	fault := FaultNone
-	if c != nil && isMachineSend && c.cfg.Faults != nil {
-		fault = c.nextSendFault(target, m)
-	}
-
-	var clock vclock.VC
-	if c != nil && c.det != nil {
-		clock = c.det.Send(int(sender.Seq))
-	}
-
-	// Under a controller the counters are plain words of its own (one stack
-	// runs at a time; TestHarness.Run folds them into r.metrics); production
-	// senders share atomics.
-	m.lock()
+	m.mu.Lock()
 	if m.halted {
-		m.unlock()
-		if c != nil {
-			c.counts.dropped++
-		} else {
-			r.metrics.DroppedSends.Inc()
-		}
+		m.mu.Unlock()
+		r.metrics.DroppedSends.Inc()
 		if r.logging() {
 			r.logf("dropped %s to halted %s", eventName(ev), target)
 		}
-	} else if fault == FaultDrop {
-		m.unlock()
-		c.faults.Drops++
-		c.counts.dropped++
-		if r.logging() {
-			r.logf("fault: dropped %s to %s", eventName(ev), target)
-		}
-	} else {
-		env := envelope{event: ev, sender: sender, clock: clock}
-		woke := false
-		if c == nil {
-			woke, m.active = !m.active, true
-			parked := 0
-			if woke {
-				parked = len(m.queued()) // what m went idle with is work again
-			}
-			r.busy.Add(int64(1 + parked))
-			if parked > 0 {
-				r.parked.Add(-int64(parked))
-			}
-		}
-		m.push(env)
-		switch fault {
-		case FaultDuplicate:
-			m.push(env)
-			c.faults.Duplicates++
-		case FaultReorder:
-			// Break FIFO: the message overtakes everything already queued.
-			q := m.queued()
-			copy(q[1:], q)
-			q[0] = env
-			c.faults.Reorders++
-		}
-		depth := int64(len(m.queued()))
-		m.unlock()
-		if r.logging() {
-			r.logf("%s -> %s: %s", sender, target, eventName(ev))
-		}
-		if c != nil {
-			c.counts.sends++
-			c.counts.mailboxMax = max(c.counts.mailboxMax, depth)
-			c.onEnqueue(m)
-		} else {
-			r.metrics.Sends.Inc()
-			r.metrics.MailboxMax.Observe(depth)
-			if woke {
-				r.wake(m, sm)
-			}
-		}
+		return
 	}
-
-	if c != nil && isMachineSend {
-		c.sent(sm, target, ev)
+	woke, parked := !m.active, 0
+	m.active = true
+	if woke {
+		parked = len(m.queued()) // what m went idle with is work again
+	}
+	r.busy.Add(int64(1 + parked))
+	if parked > 0 {
+		r.parked.Add(-int64(parked))
+	}
+	m.push(envelope{event: ev, sender: sender})
+	depth := int64(len(m.queued()))
+	m.mu.Unlock()
+	if r.logging() {
+		r.logf("%s -> %s: %s", sender, target, eventName(ev))
+	}
+	r.metrics.Sends.Inc()
+	r.metrics.MailboxMax.Observe(depth)
+	if woke {
+		r.wake(m, sm)
 	}
 }
 
-// machineAt returns the machine with Seq seq, nil if there is none;
-// production senders take no lock for it.
+// machineAt returns the machine with Seq seq in the table production create
+// last published, nil if there is none; senders take no lock for it.
 func (r *Runtime) machineAt(seq uint64) *machineInstance {
-	var ms []*machineInstance
-	if r.test != nil {
-		ms = r.machines
-	} else if t := r.table.Load(); t != nil {
-		ms = *t
-	}
-	if seq == 0 || seq > uint64(len(ms)) {
+	t := r.table.Load()
+	if t == nil || seq == 0 || seq > uint64(len(*t)) {
 		return nil
 	}
-	return ms[seq-1]
+	return (*t)[seq-1]
 }
 
 // consumed is production-mode work accounting: n units of outstanding work —
@@ -559,34 +457,9 @@ func (r *Runtime) NumMachines() int {
 	return len(r.machines)
 }
 
-// randomBool resolves a controlled nondeterministic boolean choice.
-func (r *Runtime) randomBool(m *machineInstance) bool {
-	if c := r.test; c != nil {
-		return c.nextBool(m)
-	}
-	return r.nextRand()&1 == 1
-}
-
-// randomInt resolves a controlled nondeterministic integer choice in [0,n).
-func (r *Runtime) randomInt(m *machineInstance, n int) int {
-	if c := r.test; c != nil {
-		return c.nextInt(m, n)
-	}
-	return int(r.nextRand() % uint64(n))
-}
-
-// nextRand steps the production-mode SplitMix64 generator.
+// nextRand steps the production runtime's SplitMix64 stream.
 func (r *Runtime) nextRand() uint64 {
-	return mix64(r.rngState.Add(0x9e3779b97f4a7c15))
-}
-
-// access feeds the happens-before race detector in RD-on mode.
-func (r *Runtime) access(m *machineInstance, location string, kind vclock.AccessKind) {
-	c := r.test
-	if c == nil || c.det == nil {
-		return
-	}
-	c.det.Access(int(m.id.Seq), location, kind)
+	return splitmix.Mix(r.rngState.Add(splitmix.Golden))
 }
 
 // logging reports whether execution logging is enabled. Hot paths check it

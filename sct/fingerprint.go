@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"github.com/psharp-go/psharp"
+	"github.com/psharp-go/psharp/internal/splitmix"
 )
 
 // Schedule fingerprinting: a 64-bit hash over the decision trace of one
@@ -28,7 +29,7 @@ import (
 // folded in by a multiply and an xor-shift, both invertible, so traces that
 // differ in one decision never collide.
 func fingerprintTrace(t *psharp.Trace) uint64 {
-	const mul = golden64
+	const mul = splitmix.Golden
 	h := uint64(len(t.Decisions))
 	for i := range t.Decisions {
 		d := &t.Decisions[i]

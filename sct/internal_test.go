@@ -2,10 +2,12 @@ package sct
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"github.com/psharp-go/psharp"
 	"github.com/psharp-go/psharp/internal/protocols"
+	"github.com/psharp-go/psharp/internal/splitmix"
 )
 
 func TestRaceSetDedupsPreservingOrder(t *testing.T) {
@@ -188,7 +190,7 @@ func TestFingerprintSetConcurrentInserts(t *testing.T) {
 			fresh := 0
 			for i := 0; i < 1000; i++ {
 				// Every goroutine inserts the same 1000 values.
-				if s.insert(uint64(i) * golden64) {
+				if s.insert(uint64(i) * splitmix.Golden) {
 					fresh++
 				}
 			}
@@ -201,5 +203,56 @@ func TestFingerprintSetConcurrentInserts(t *testing.T) {
 	}
 	if total != 1000 || s.size() != 1000 {
 		t.Fatalf("fresh inserts = %d, size = %d, want 1000", total, s.size())
+	}
+}
+
+// TestFaultInjectorCloneForWorkerIsTheEngineShard: a FaultInjector cloned
+// for worker w of n explores what the engine's worker w explores, which
+// wraps the inner strategy's clone in an injector of its own sharded the
+// same way (RunParallel): over TwoPhaseCommitFT, the first 50 iterations of
+// the shard have equal schedules and inject equal faults, for every w.
+func TestFaultInjectorCloneForWorkerIsTheEngineShard(t *testing.T) {
+	const workers, iterations = 3, 50
+	b := protocols.MustByName("TwoPhaseCommitFT", true)
+	opts := FaultOptions{Budget: 2, Seed: 11, Immune: b.FaultImmune, Restart: true, PreserveMailbox: true}
+	// shard runs a worker's first iterations and returns each one's
+	// fingerprint and fault counts.
+	shard := func(s Strategy) (fps []uint64, stats []psharp.FaultStats) {
+		h := psharp.NewTestHarness(b.Setup)
+		defer h.Close()
+		cfg := psharp.TestConfig{Strategy: s, MaxSteps: b.MaxSteps, LivelockAsBug: b.LivelockAsBug,
+			Faults: &psharp.FaultConfig{Immune: b.FaultImmune}}
+		for i := range iterations {
+			if !s.PrepareIteration(i) {
+				t.Fatalf("iteration %d refused", i)
+			}
+			res := h.Run(cfg)
+			fps, stats = append(fps, fingerprintTrace(res.Trace)), append(stats, res.Faults)
+		}
+		return fps, stats
+	}
+	injected := 0
+	var first []uint64
+	for w := range workers {
+		cloneFPs, cloneStats := shard(NewFaultInjector(NewRandom(11), opts).CloneForWorker(w, workers))
+		engineFPs, engineStats := shard(newFaultInjector(NewRandom(11).CloneForWorker(w, workers), opts, w, workers))
+		for i := range iterations {
+			if cloneFPs[i] != engineFPs[i] || cloneStats[i] != engineStats[i] {
+				t.Errorf("worker %d of %d, iteration %d: the clone ran schedule %#x injecting %+v, the engine %#x injecting %+v",
+					w, workers, i, cloneFPs[i], cloneStats[i], engineFPs[i], engineStats[i])
+				break
+			}
+		}
+		for _, s := range cloneStats {
+			injected += s.Total()
+		}
+		if w == 0 {
+			first = cloneFPs
+		} else if slices.Equal(cloneFPs, first) {
+			t.Errorf("workers 0 and %d explored the same schedules: the clone is not sharded", w)
+		}
+	}
+	if injected == 0 {
+		t.Fatal("no fault injected: the comparison shows nothing")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/psharp-go/psharp"
+	"github.com/psharp-go/psharp/internal/splitmix"
 	"github.com/psharp-go/psharp/journal"
 )
 
@@ -36,7 +37,7 @@ func TestJournalWriterAllocBudget(t *testing.T) {
 	fp := uint64(0)
 	iterate := func() {
 		completed++
-		fp += golden64
+		fp += splitmix.Golden
 		jw.note(fp, true, completed)
 	}
 	for i := 0; i < 4096; i++ {

@@ -82,7 +82,7 @@ func (s *PCT) priority(id psharp.MachineID) uint64 {
 	p := s.prio[i]
 	if p == 0 {
 		// Initial priorities all sit above the demotion band.
-		p = uint64(s.depth) + 2 + s.rng.next()%1_000_000
+		p = uint64(s.depth) + 2 + s.rng.Next()%1_000_000
 		s.prio[i] = p
 	}
 	return p

@@ -4,28 +4,10 @@ import (
 	"fmt"
 
 	"github.com/psharp-go/psharp"
+	"github.com/psharp-go/psharp/internal/splitmix"
 )
 
-// splitMix64 is a small, fast, deterministic PRNG (Steele et al.,
-// "Fast splittable pseudorandom number generators"). The testing strategies
-// must be reproducible from a seed alone, so they cannot use math/rand's
-// global state.
-type splitMix64 struct{ state uint64 }
-
-// golden64 is 2^64/φ: consecutive multiples of it are spread evenly over the
-// 64-bit words, which is what splitMix64's increment, the distance between
-// the streams of consecutive iterations and a hash multiplier all want.
-const golden64 = 0x9e3779b97f4a7c15
-
-func (r *splitMix64) next() uint64 {
-	r.state += golden64
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// seedStream is the randomness of a seeded strategy: one splitMix64 stream
+// seedStream is the randomness of a seeded strategy: one SplitMix64 stream
 // per global iteration of a base seed, so a bug found at global iteration g
 // can be re-found without a trace. A worker's stream (shard) maps its local
 // iterations onto the global iterations {worker, worker+workers, ...}, so a
@@ -38,32 +20,32 @@ type seedStream struct {
 	seed   uint64
 	offset int
 	stride int
-	rng    splitMix64
+	rng    splitmix.Source
 }
 
 func newSeedStream(seed uint64) seedStream { return seedStream{seed: seed}.shard(0, 1) }
 
 // shard returns the stream of worker among workers, of the same base seed.
 func (s seedStream) shard(worker, workers int) seedStream {
-	return seedStream{seed: s.seed, offset: worker, stride: workers, rng: splitMix64{s.seed}}
+	return seedStream{seed: s.seed, offset: worker, stride: workers, rng: splitmix.Source{State: s.seed}}
 }
 
 // rewind restarts the stream for local iteration iter in place. Streams of
 // one seed that must be independent of each other differ in salt.
 func (s *seedStream) rewind(iter int, salt uint64) {
 	g := uint64(s.offset) + uint64(iter)*uint64(s.stride)
-	s.rng.state = s.seed + salt + g*golden64
+	s.rng.State = s.seed + salt + g*splitmix.Golden
 }
 
 // NextBool resolves a controlled boolean choice uniformly.
-func (s *seedStream) NextBool() bool { return s.rng.next()&1 == 1 }
+func (s *seedStream) NextBool() bool { return s.rng.Next()&1 == 1 }
 
 // NextInt resolves a controlled integer choice uniformly; n must be positive.
 func (s *seedStream) NextInt(n int) int {
 	if n <= 0 {
 		panic("sct: NextInt requires n > 0")
 	}
-	return int(s.rng.next() % uint64(n))
+	return int(s.rng.Next() % uint64(n))
 }
 
 // decideValue answers, for a seeded strategy's Decide, a query that is not a

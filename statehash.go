@@ -24,6 +24,8 @@ package psharp
 // machine carries its own component (machineInstance.comp), and which ones
 // to rehash is the footprint of the step (see stateHasher).
 
+import "github.com/psharp-go/psharp/internal/splitmix"
+
 // StepOp is the effect footprint of one executed scheduling step: which
 // machine ran, which machine (if any) it sent to, which machine (if any)
 // it created, and whether a specification monitor observed the step. Two
@@ -94,17 +96,6 @@ type StateCache interface {
 // hashSeed starts every hash the package folds: the decision prefix, a
 // chain position, a type identity and each state plan walk.
 const hashSeed uint64 = 0xcbf29ce484222325
-
-// mix64 is the SplitMix64 finalizer: it finishes a component, and steps
-// the production runtime's pseudo-random source (Runtime.nextRand).
-func mix64(v uint64) uint64 {
-	v ^= v >> 30
-	v *= 0xbf58476d1ce4e5b9
-	v ^= v >> 27
-	v *= 0x94d049bb133111eb
-	v ^= v >> 31
-	return v
-}
 
 // stateHasher computes the incremental global-state hash: the XOR of the
 // machines' components (FSM state, controller status, queue contents,
@@ -189,7 +180,7 @@ func (h *stateHasher) hashMachine(m *machineInstance) uint64 {
 	if w.refused != nil && h.err == nil {
 		h.err = w.refusedIn("machine " + m.id.Type)
 	}
-	return mix64(w.h)
+	return splitmix.Mix(w.h)
 }
 
 // foldChain folds into hprog the ops m's chain has logged since the last
@@ -231,5 +222,5 @@ func (h *stateHasher) hashMonitor(mon *machineInstance) uint64 {
 	if w.refused != nil && h.err == nil {
 		h.err = w.refusedIn(mon.String())
 	}
-	return mix64(w.h)
+	return splitmix.Mix(w.h)
 }

@@ -8,6 +8,8 @@ import (
 	"slices"
 	"sync"
 	"unsafe"
+
+	"github.com/psharp-go/psharp/internal/splitmix"
 )
 
 // State plans: the one walker over user state.
@@ -536,7 +538,7 @@ func (w *stateWalk) hashMap(op *stateOp, f unsafe.Pointer) {
 			w.h = hashSeed
 			w.hash(op.key, sc.kp)
 			w.hash(op.sub, sc.vp)
-			x ^= mix64(w.h)
+			x ^= splitmix.Mix(w.h)
 		}
 		w.iter.Reset(reflect.Value{})
 		w.h = fold(outer, x)

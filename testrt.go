@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"iter"
+	"math"
 	"reflect"
 	"sync"
 
@@ -165,7 +166,7 @@ const (
 // directly — no scheduler, run queue or wake-up — and orders every write on
 // one side before every read on the other, so neither controller state nor,
 // under a testing runtime, the Runtime's and the machines' own state needs
-// a lock (see Runtime.lock).
+// a lock (see Runtime.mu).
 //
 // The scheduling decision (pass) is taken on whichever stack reaches the
 // scheduling point. A machine at a send/create/CHESS yield point closes its
@@ -378,6 +379,134 @@ func (c *controller) release(ms []*machineInstance) []*machineInstance {
 	return ms[:0]
 }
 
+// create is the testing runtime's create (see Runtime.newMachine): a
+// machine from a recycled instance and coroutine, registered as ready, and
+// the creator's scheduling point. A creator catching up after a restore
+// creates nothing: the machine is in the snapshot.
+func (c *controller) create(typeName string, payload Event, creator *machineInstance) (MachineID, error) {
+	if creator != nil && creator.replayLog != nil {
+		return c.created(creator, 0), nil
+	}
+	r := c.rt
+	logic, schema, err := r.instantiate(typeName)
+	if err != nil {
+		return MachineID{}, err
+	}
+	r.nextSeq++
+	id := MachineID{Type: typeName, Seq: r.nextSeq}
+	m := c.acquireInstance(r, id, logic, schema)
+	m.birth = payload // what boot starts from, again after a restart
+	r.machines = append(r.machines, m)
+	if r.logging() {
+		r.logf("created %s", id)
+	}
+	c.counts.creates++
+	if creator == nil {
+		c.onCreate(m, 0)
+		return id, nil
+	}
+	c.onCreate(m, int(creator.id.Seq))
+	return c.created(creator, id.Seq), nil
+}
+
+// send is the testing runtime's send (see Runtime.send): a machine send is
+// a scheduling point (under CHESS granularity also before delivery) and may
+// be faulted, and it counts into plain words, one stack running at a time.
+func (c *controller) send(target MachineID, ev Event, sm *machineInstance, isMachineSend bool) {
+	var sender MachineID
+	if sm != nil {
+		sender = sm.id
+	}
+	if sm == nil || isMachineSend && sm.replayLog == nil {
+		// As in production, monitors observe machine and environment sends
+		// but not re-queues; nor the sends a restored machine makes again as
+		// it catches up, which they observed before the snapshot.
+		c.observe(ev)
+	}
+	m := c.machineAt(target.Seq)
+	if m == nil {
+		msg := fmt.Sprintf("send of %s to unknown machine %s", eventName(ev), target)
+		if isMachineSend {
+			panic(assertFailed{msg: msg})
+		}
+		if c.bug == nil { // the environment's: a re-queue's target is its sender
+			c.bug = &Bug{Kind: BugPanic, Message: msg}
+		}
+		return
+	}
+	if c.cfg.ChessLike && isMachineSend {
+		// CHESS granularity: acquiring the queue lock of the thread-safe
+		// blocking queue is a visible synchronizing operation of its own.
+		sm.yieldPoint()
+	}
+	if sm != nil && sm.replayLog != nil {
+		// Catching up after a restore: the snapshot holds the delivery.
+		if isMachineSend {
+			c.sent(sm, target, ev)
+		}
+		return
+	}
+
+	// The per-send fault query: on the sender's stack, before delivery, for
+	// every machine send when faults are enabled, so the query sequence is a
+	// function of the schedule alone. A halted target ignores the answer.
+	fault := FaultNone
+	if isMachineSend && c.cfg.Faults != nil {
+		fault = c.nextSendFault(target, m)
+	}
+	var clock vclock.VC
+	if c.det != nil {
+		clock = c.det.Send(int(sender.Seq))
+	}
+	switch {
+	case m.halted:
+		c.counts.dropped++
+		if c.rt.logging() {
+			c.rt.logf("dropped %s to halted %s", eventName(ev), target)
+		}
+	case fault == FaultDrop:
+		c.faults.Drops++
+		c.counts.dropped++
+		if c.rt.logging() {
+			c.rt.logf("fault: dropped %s to %s", eventName(ev), target)
+		}
+	default:
+		env := envelope{event: ev, sender: sender, clock: clock}
+		m.push(env)
+		switch fault {
+		case FaultDuplicate:
+			m.push(env)
+			c.faults.Duplicates++
+		case FaultReorder:
+			// Break FIFO: the message overtakes everything already queued.
+			q := m.queued()
+			copy(q[1:], q)
+			q[0] = env
+			c.faults.Reorders++
+		}
+		if c.rt.logging() {
+			c.rt.logf("%s -> %s: %s", sender, target, eventName(ev))
+		}
+		c.counts.sends++
+		c.counts.mailboxMax = max(c.counts.mailboxMax, int64(len(m.queued())))
+		if m.status == msBlocked { // runnable again: the event may be dispatchable
+			m.status = msReady
+			c.readyAdd(m.id)
+		}
+	}
+	if isMachineSend {
+		c.sent(sm, target, ev)
+	}
+}
+
+// machineAt returns the machine with Seq seq, nil if there is none.
+func (c *controller) machineAt(seq uint64) *machineInstance {
+	if ms := c.rt.machines; seq != 0 && seq <= uint64(len(ms)) {
+		return ms[seq-1]
+	}
+	return nil
+}
+
 // onCreate registers a newly created (or restored) machine as ready to run
 // its initial entry action, its hash component stale, and settles whether
 // faults may touch it. Both are written whatever the instance held before: it
@@ -392,14 +521,6 @@ func (c *controller) onCreate(m *machineInstance, creatorIdx int) {
 	}
 	if h := c.hasher; h != nil {
 		h.stale(m)
-	}
-}
-
-// onEnqueue marks a machine blocked on an empty queue as runnable again.
-func (c *controller) onEnqueue(m *machineInstance) {
-	if m.status == msBlocked {
-		m.status = msReady
-		c.readyAdd(m.id)
 	}
 }
 
@@ -493,8 +614,12 @@ func (c *controller) nextBool(m *machineInstance) bool {
 	return op.v == 1
 }
 
-// nextInt draws a controlled integer in [0, n) for machine m, as nextBool.
+// nextInt draws a controlled integer in [0, n) for machine m, as nextBool;
+// n may be at most math.MaxInt32, a trace recording the value as an int32.
 func (c *controller) nextInt(m *machineInstance, n int) int {
+	if n > math.MaxInt32 {
+		panic(assertFailed{msg: fmt.Sprintf("%s: RandomInt(%d): n must be at most %d under a testing runtime", m.id, n, math.MaxInt32)})
+	}
 	op := chainOp{kind: opInt}
 	if m.replayLog == nil {
 		c.choice.Kind, c.choice.N = ChoiceInt, n
@@ -632,7 +757,7 @@ func (c *controller) pass() (out passOutcome) {
 	}
 	// The pick is enabled iff its Seq is that of a machine whose status is
 	// ready: the ready list holds exactly those.
-	m := c.rt.machineAt(d.Machine.Seq)
+	m := c.machineAt(d.Machine.Seq)
 	if m == nil || m.status != msReady {
 		var chosen MachineID
 		if c.decider == DecisionStrategy(&c.legacy) {
