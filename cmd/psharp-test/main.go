@@ -42,19 +42,19 @@
 //
 // -strategy dpor selects dynamic partial-order reduction with sleep sets: a
 // systematic enumerator like dfs that skips schedules differing only in the
-// order of independent steps. -state-cache (with dfs or dpor) adds a hashed
+// order of independent steps. -strategy delay is dfs within 2 delays of round
+// robin, fewest delays first. -state-cache (with dfs or dpor) adds a hashed
 // global-state cache that cuts schedules short when they revisit an
-// already-covered global state; pruned schedules are reported separately
-// from explored ones and never inflate throughput numbers. A program whose
-// machines keep state no hash stands for — a live func, chan or
-// unsafe.Pointer field — ends a -state-cache run at its first scheduling
-// point: the error names the machine type and the field, and the exit status
-// is 2, as for any configuration that cannot be run. Under dfs and dpor,
-// with or without the cache, a schedule may start from a checkpoint of the
-// previous one instead of from the program's setup (restored_points in the
-// summary); a program run this way must register pure machine factories and
-// keep its state in machines, monitors and events — see
-// psharp.NewTestHarness.
+// already-covered global state; pruned schedules are reported separately from
+// explored ones and never inflate throughput numbers. A program whose machines
+// keep state no hash stands for — a live func, chan or unsafe.Pointer field —
+// ends a -state-cache run at its first scheduling point: the error names the
+// machine type and the field, and the exit status is 2, as for any
+// configuration that cannot be run. Under dfs, dpor and delay, with or without
+// the cache, a schedule may start from a checkpoint of the previous one
+// instead of from the program's setup (restored_points in the summary); a
+// program run this way must register pure machine factories and keep its state
+// in machines, monitors and events — see psharp.NewTestHarness.
 //
 // Which flags combine is not decided here: the flags spell an
 // sct.ParallelOptions, and what its Validate refuses exits 2 with that
@@ -135,7 +135,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list available benchmarks (the liveness suite is marked)")
 	bench := fs.String("bench", "", "benchmark name (see -list)")
 	buggy := fs.Bool("buggy", false, "use the buggy variant")
-	strategy := fs.String("strategy", "", "random | fair | dfs | dpor | pct | delay (default random; fair under -liveness)")
+	strategy := fs.String("strategy", "", "random | fair | dfs | dpor | pct | delay (dfs within 2 delays of round robin); default random, fair under -liveness")
 	iterations := fs.Int("iterations", 10000, "schedule budget")
 	timeout := fs.Duration("timeout", 5*time.Minute, "time budget (hard deadline)")
 	seed := fs.Uint64("seed", 1, "seed for randomized strategies")

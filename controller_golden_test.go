@@ -134,13 +134,13 @@ func goldenCases() []goldenCase {
 					start: plain(b, func() sct.Strategy { return sct.NewRandom(seed) }, nil)},
 				goldenCase{key: fmt.Sprintf("%s/pct/seed=%d", b.ID(), seed), setup: b.Setup, iterations: goldenIterations,
 					start: plain(b, func() sct.Strategy { return sct.NewPCT(seed, 3, b.MaxSteps) }, nil)},
-				goldenCase{key: fmt.Sprintf("%s/delay/seed=%d", b.ID(), seed), setup: b.Setup, iterations: goldenIterations,
-					start: plain(b, func() sct.Strategy { return sct.NewDelayBounding(seed, 2, b.MaxSteps) }, nil)},
 			)
 		}
 		cases = append(cases,
 			goldenCase{key: b.ID() + "/dfs", setup: b.Setup, iterations: goldenSeeds * goldenIterations,
 				start: plain(b, func() sct.Strategy { return sct.NewDFS() }, nil)},
+			goldenCase{key: b.ID() + "/delay", setup: b.Setup, iterations: goldenSeeds * goldenIterations,
+				start: plain(b, func() sct.Strategy { return sct.NewDelayBounding(0, 2, b.MaxSteps) }, nil)},
 			goldenCase{key: b.ID() + "/dpor+cache", setup: b.Setup, iterations: goldenSeeds * goldenIterations,
 				start: plain(b, func() sct.Strategy { return sct.NewDPOR() },
 					func(cfg *psharp.TestConfig) { cfg.StateCache = newOwnerCache() })},

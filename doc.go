@@ -18,9 +18,10 @@
 //     pluggable scheduling Strategy, with scheduling points before send and
 //     create-machine operations only (the paper's partial-order reduction),
 //     records a schedule trace, and supports deterministic replay. The sct
-//     package provides DFS, random, PCT, delay-bounding and replay
-//     strategies plus an iteration engine; sct.RunParallel fans exploration
-//     out over a worker pool running a sharded strategy or a heterogeneous
+//     package provides random, fair random and PCT strategies, depth-first
+//     search plain (DFS), reduced (DPOR) and delay-bounded, and replay,
+//     plus an iteration engine; sct.RunParallel fans exploration out over
+//     a worker pool running a sharded strategy or a heterogeneous
 //     portfolio, with deterministically sharded seeds, merged reports and
 //     distinct-schedule accounting (see the sct package docs and
 //     examples/parallel).
@@ -240,9 +241,9 @@
 // mailbox and monitor — its objects, the pointers between them and the
 // values that stand on them — made in one walk so that what machines and
 // queued events share stays shared, and an attempt whose strategy promises
-// to repeat a prefix of the last one (PrefixResumer: sct's depth-first
-// search, as DFS and as DPOR) starts from the deepest snapshot inside that
-// prefix instead of from setup. Restoring one walks nothing: it is a
+// to repeat a prefix of the last one (PrefixResumer: sct's DFS, DPOR and
+// DelayBounding) starts from the deepest snapshot inside that prefix
+// instead of from setup. Restoring one walks nothing: it is a
 // relocation of the image, each object allocated with its own type and
 // copied whole, its pointers patched to the new objects, its maps rebuilt. A
 // machine parked in the middle of a handler is a coroutine stack, which

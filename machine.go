@@ -50,10 +50,12 @@ type machineInstance struct {
 	// the mailbox lock orders one owner's writes before the next one's reads.
 	// An idle machine owns no goroutine and no stack. spawn is m.activate,
 	// stored once so that starting a goroutine on it allocates no closure;
-	// held is the owning goroutine's hand-off slot (see activate).
-	active bool
-	spawn  func()
-	held   **machineInstance
+	// held is the owning goroutine's hand-off slot (see activate); dropped
+	// counts the events the halt dropped.
+	active  bool
+	dropped int32
+	spawn   func()
+	held    **machineInstance
 
 	// test mode fields. status is where the controller has the machine and
 	// immune says faults must not touch it: controller.onCreate sets both for
@@ -393,7 +395,9 @@ func (m *machineInstance) activate() {
 // run yet, then one step after another until nothing in the mailbox is
 // dispatchable. The bug is reported while the failed (or halted) machine is
 // still owned — its active bit stays set for good; after a step that went
-// idle, m is not touched again.
+// idle, m is not touched again. The creation and each dequeued event are a
+// unit of work until their chain completes, never if it fails: Wait sees no
+// quiescence while an action runs, nor before the failure that ends it.
 func (m *machineInstance) drain() (bug *Bug) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -404,17 +408,18 @@ func (m *machineInstance) drain() (bug *Bug) {
 		if bug = m.boot(); bug != nil {
 			return bug
 		}
+		m.rt.consumed(1 + int(m.dropped))
 	}
 	for more := true; more && !m.halted; {
-		more, bug = m.step()
+		if more, bug = m.step(); more {
+			m.rt.consumed(1 + int(m.dropped))
+		}
 	}
 	return bug
 }
 
 // boot enters the initial state and runs its entry action on the creation
-// payload. Under the production runtime the creation counts as a unit of
-// outstanding work until then, so Wait does not report quiescence while
-// entry actions are still running.
+// payload.
 func (m *machineInstance) boot() *Bug {
 	m.enter(m.schema.initial)
 	if m.rt.logging() {
@@ -426,7 +431,6 @@ func (m *machineInstance) boot() *Bug {
 		}
 	}
 	m.handling = false // the chain is over
-	m.rt.consumed(1)
 	return nil
 }
 
@@ -450,11 +454,6 @@ func (m *machineInstance) step() (more bool, bug *Bug) {
 		return false, bug
 	}
 	m.handling = false // the chain is over
-	// The work unit for this event is released only after its handler has
-	// completed — and never if it failed — so production-mode Wait can
-	// observe neither quiescence while an action is still running nor an
-	// emptied runtime before the failure that emptied it.
-	m.rt.consumed(1)
 	return true, nil
 }
 
@@ -484,11 +483,18 @@ func (m *machineInstance) nextEvent() (ev Event, disp *dispatchEntry, bug *Bug) 
 				m.yieldPoint()
 				m.dequeueing = false
 			}
-			if ev, disp, bug = m.scanQueueLocked(); ev != nil {
+			i, disp, bug := m.scanQueueLocked()
+			if i >= 0 {
+				if c.det != nil { // the happens-before edge from the send
+					c.det.Receive(int(m.id.Seq), m.queue[i].clock)
+				}
+				ev := m.queue[i].event
+				m.removeLocked(i)
 				c.beginChain(m, ev)
+				return ev, disp, nil
 			}
-			if ev != nil || bug != nil {
-				return ev, disp, bug
+			if bug != nil {
+				return nil, nil, bug
 			}
 			if !m.parkBlocked() {
 				return nil, nil, nil // torn down: run ends as aborted
@@ -496,18 +502,24 @@ func (m *machineInstance) nextEvent() (ev Event, disp *dispatchEntry, bug *Bug) 
 		}
 	}
 	m.mu.Lock()
+	queued, i := len(m.queued()), -1
 	if !m.rt.stopped.Load() {
-		ev, disp, bug = m.scanQueueLocked()
+		i, disp, bug = m.scanQueueLocked()
 	}
-	if ev == nil && bug == nil {
+	done := queued - len(m.queued()) // ignored events; drain releases the dequeued one
+	if i >= 0 {
+		ev = m.queue[i].event
+		m.removeLocked(i)
+	} else if bug == nil {
 		m.active = false
 		if n := len(m.queued()); n > 0 {
 			// Deferred (or the runtime is stopping): no handler can take them
 			// before a send wakes m, so they are no work Wait can see done.
 			m.rt.parked.Add(int64(n))
-			m.rt.consumed(n)
+			done += n
 		}
 	}
+	m.rt.consumed(done)
 	m.mu.Unlock()
 	if ev != nil && *m.held != nil {
 		// More work of its own: the machine this goroutine woke and held
@@ -519,22 +531,22 @@ func (m *machineInstance) nextEvent() (ev Event, disp *dispatchEntry, bug *Bug) 
 }
 
 // scanQueueLocked implements the paper's transition-function semantics: it
-// dequeues the first queued event the machine is willing to handle in its
+// finds the first queued event the machine is willing to handle in its
 // current state, dropping ignored events along the way and skipping deferred
-// ones, and returns it with the binding that says how: the one lookup of a
-// dispatch. Encountering an event with no binding at all is a runtime error
-// (Section 6.1), except for the built-in halt event, returned with a nil
-// binding. What leaves the mailbox lock is the event and a pointer into the
-// immutable schema, never one into the queue, which concurrent senders
-// append to.
-func (m *machineInstance) scanQueueLocked() (Event, *dispatchEntry, *Bug) {
+// ones, and returns its index (-1: none) with the binding that says how: the
+// one lookup of a dispatch. The caller dequeues it under the mailbox lock,
+// which the event and a pointer into the immutable schema leave, never one
+// into the queue. Encountering an event with no binding at all is a runtime
+// error (Section 6.1), except for the built-in halt event, returned with a
+// nil binding.
+func (m *machineInstance) scanQueueLocked() (int, *dispatchEntry, *Bug) {
 	for i := m.qhead; i < len(m.queue); {
 		ev := m.queue[i].event
 		disp := m.st.find(ev)
 		switch {
 		case disp == nil:
 			if !isHaltEvent(ev) {
-				return nil, nil, &Bug{
+				return -1, nil, &Bug{
 					Kind:    BugUnhandledEvent,
 					Machine: m.id,
 					State:   m.state(),
@@ -543,21 +555,14 @@ func (m *machineInstance) scanQueueLocked() (Event, *dispatchEntry, *Bug) {
 			}
 		case disp.kind == dispatchIgnore:
 			i = m.removeLocked(i)
-			m.rt.consumed(1)
 			continue
 		case disp.kind == dispatchDefer:
 			i++
 			continue
 		}
-		// The dequeued event's work unit stays outstanding until its handler
-		// completes (released in step).
-		if c := m.rt.test; c != nil {
-			c.onDequeue(m, m.queue[i].clock)
-		}
-		m.removeLocked(i)
-		return ev, disp, nil
+		return i, disp, nil
 	}
-	return nil, nil, nil
+	return -1, nil, nil
 }
 
 // queued is the mailbox: the events sent and not yet dequeued, in order.
@@ -755,10 +760,9 @@ func (m *machineInstance) String() string {
 // to it are discarded by the runtime.
 func (m *machineInstance) doHalt() {
 	m.mu.Lock()
-	dropped := m.dropQueue()
+	m.dropped = int32(m.dropQueue())
 	m.halted = true
 	m.mu.Unlock()
-	m.rt.consumed(dropped)
 	if m.rt.logging() {
 		m.rt.logf("%s: halted", m.id)
 	}

@@ -382,13 +382,18 @@ func (r *Runtime) machineAt(seq uint64) *machineInstance {
 
 // consumed is production-mode work accounting: n units of outstanding work —
 // queued events handled, ignored or dropped by a halt, a completed
-// initialization — are done. The last one out wakes Wait.
+// initialization — are done (drain, nextEvent). The last one out wakes Wait,
+// in a call of its own, so that this one inlines into every step.
 func (r *Runtime) consumed(n int) {
-	if r.test == nil && n > 0 && r.busy.Add(-int64(n)) == 0 {
-		r.mu.Lock()
-		r.qcond.Broadcast()
-		r.mu.Unlock()
+	if n > 0 && r.busy.Add(-int64(n)) == 0 {
+		r.quiesced()
 	}
+}
+
+func (r *Runtime) quiesced() {
+	r.mu.Lock()
+	r.qcond.Broadcast()
+	r.mu.Unlock()
 }
 
 // fail records the first failure (none for a plain Stop) and stops the

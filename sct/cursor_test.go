@@ -19,7 +19,7 @@ var cursorLayouts = []struct {
 	name          string
 	shard, shards int
 }{
-	{"dfs", 0, 1}, {"dpor", 0, 1}, {"dfs", 1, 3}, {"dpor", 2, 3},
+	{"dfs", 0, 1}, {"dpor", 0, 1}, {"dfs", 1, 3}, {"dpor", 2, 3}, {"delay", 0, 1}, {"delay", 1, 3},
 }
 
 func cursorStrategy(t testing.TB, name string, shard, shards int) Strategy {
@@ -76,7 +76,7 @@ func TestCursorRefusesBranchOutOfRange(t *testing.T) {
 	}
 
 	b := protocols.MustByName("AsyncSystemSim", false)
-	for _, name := range []string{"dfs", "dpor"} {
+	for _, name := range []string{"dfs", "dpor", "delay"} {
 		s := cursorStrategy(t, name, 0, 1)
 		if p := searchOn(s, b, 0, 40); p != nil {
 			t.Fatal(p)
@@ -131,25 +131,83 @@ func FuzzLoadCursor(f *testing.F) {
 	})
 }
 
-// TestSeededStrategiesAllocateNothingPerIteration holds the seed stream's
-// half of the allocation caps: a seeded strategy rewinds its stream and
-// clears its plan in place. A fresh one, clone or not, also answers
-// controlled choices before any PrepareIteration.
-func TestSeededStrategiesAllocateNothingPerIteration(t *testing.T) {
+// TestDelayCursorRoundTripsEveryShard: every worker of a delay search split
+// four ways, at budgets 0 and 2, saves after every iteration a cursor that
+// a fresh clone loads — exhausted workers, and those the budget leaves
+// nothing, included — and the search carried on from each reload explores
+// the schedules the uninterrupted one does.
+func TestDelayCursorRoundTripsEveryShard(t *testing.T) {
+	b := protocols.MustByName("Chord", true)
+	cfg := psharp.TestConfig{MaxSteps: b.MaxSteps, LivelockAsBug: b.LivelockAsBug}
+	explore := func(budget, w int, reload bool) map[uint64]bool {
+		h := psharp.NewTestHarness(b.SetupMonitored())
+		defer h.Close()
+		clone := func() *DelayBounding { return NewDelayBounding(0, budget, 0).CloneForWorker(w, 4).(*DelayBounding) }
+		s := clone()
+		fps := make(map[uint64]bool)
+		for i := 0; ; i++ {
+			more := s.PrepareIteration(i)
+			if more {
+				cfg.Strategy = s
+				fps[fingerprintTrace(h.Run(cfg).Trace)] = true
+			}
+			if reload {
+				fresh := clone()
+				if err := fresh.LoadCursor(s.SaveCursor()); err != nil {
+					t.Fatalf("budget %d, worker %d of 4, after iteration %d: %v", budget, w, i, err)
+				}
+				s = fresh
+			}
+			if !more {
+				if !s.Exhausted() {
+					t.Fatalf("budget %d, worker %d of 4: stopped unexhausted", budget, w)
+				}
+				return fps
+			}
+		}
+	}
+	for _, budget := range []int{0, 2} {
+		for w := range 4 {
+			whole, reloaded := explore(budget, w, false), explore(budget, w, true)
+			t.Logf("budget %d, worker %d of 4: %d distinct schedules", budget, w, len(whole))
+			if len(whole) != len(reloaded) {
+				t.Errorf("budget %d, worker %d of 4: %d distinct schedules uninterrupted, %d reloaded after each", budget, w, len(whole), len(reloaded))
+			}
+			for fp := range whole {
+				if !reloaded[fp] {
+					t.Fatalf("budget %d, worker %d of 4: a schedule is missing once reloaded", budget, w)
+				}
+			}
+		}
+	}
+}
+
+// TestStrategiesAllocateNothingPerIteration holds the strategies' half of
+// the allocation caps: a seeded strategy rewinds its stream and clears its
+// plan in place, and a fresh one, clone or not, also answers controlled
+// choices before any PrepareIteration; a search, once its stack has grown to
+// the schedule's depth, reuses the nodes and enabled sets it popped —
+// backtracking, restarting under the next delay bound, replaying and
+// extending the frontier.
+func TestStrategiesAllocateNothingPerIteration(t *testing.T) {
 	enabled := ids(1, 2, 3, 4, 5)
 	for _, tc := range []struct {
-		name string
-		s    Strategy
+		name   string
+		s      Strategy
+		seeded bool
 	}{
-		{"random", NewRandom(7)},
-		{"fair", NewRandomFair(7, 20)},
-		{"pct", NewPCT(7, 3, 50)},
-		{"delay", NewDelayBounding(7, 2, 50)},
-		{"pct clone", NewPCT(7, 3, 50).CloneForWorker(1, 2)},
-		{"delay clone", NewDelayBounding(7, 2, 50).CloneForWorker(1, 2)},
+		{"random", NewRandom(7), true},
+		{"fair", NewRandomFair(7, 20), true},
+		{"pct", NewPCT(7, 3, 50), true},
+		{"pct clone", NewPCT(7, 3, 50).CloneForWorker(1, 2), true},
+		{"dfs", NewDFS(), false},
+		{"delay", NewDelayBounding(0, 2, 0), false},
+		{"delay clone", NewDelayBounding(0, 2, 0).CloneForWorker(1, 2), false},
 	} {
-		tc.s.NextBool()
-		tc.s.NextInt(3)
+		if tc.seeded {
+			tc.s.NextBool()
+			tc.s.NextInt(3)
+		}
 		iter := 0
 		iteration := func() {
 			tc.s.PrepareIteration(iter)

@@ -4,7 +4,7 @@
 // scheduling strategies the paper evaluates — exhaustive depth-first search
 // and uniform random — together with replay (for deterministic bug
 // reproduction), PCT (Burckhardt et al., the paper's reference [4]) and
-// delay-bounding (Emmi et al., reference [9]) as extensions.
+// delay-bounded search (Emmi et al., reference [9]) as extensions.
 //
 // The engine has no false positives: every reported bug comes with a
 // schedule trace that replays it deterministically.
@@ -56,12 +56,12 @@
 //
 //   - Homogeneous: worker w of n receives ParallelOptions.Strategy's
 //     CloneForWorker(w, n). The built-in strategies
-//     shard deterministically: the randomized ones (Random, PCT,
-//     DelayBounding) map worker w's local iterations onto the global
-//     iteration stream {w, w+n, w+2n, ...} of the same base seed, so the
-//     parallel run explores exactly the same schedule population as the
-//     sequential run with that seed and budget; DFS shards the schedule
-//     tree by its first decision so the clones partition it.
+//     shard deterministically: the randomized ones (Random, RandomFair,
+//     PCT) map worker w's local iterations onto the global iteration
+//     stream {w, w+n, w+2n, ...} of the same base seed, so the parallel run
+//     explores exactly the sequential run's schedule population; the
+//     searches partition the schedule tree, DFS and DPOR by its first
+//     decision, DelayBounding by the depth of a schedule's first delay.
 //   - Heterogeneous: ParallelOptions.Portfolio mixes strategies (e.g.
 //     NewPortfolio or ParsePortfolio("random,pct,delay,dfs", ...)), with
 //     members assigned to workers round-robin and sharded within a member
@@ -96,7 +96,8 @@
 // between attempts, sharded across workers by residue class of the root
 // branch, its frontier journaled as a cursor (Strategy.SaveCursor). DFS
 // (NewDFS) is that search branching on every enabled machine at every
-// schedule node.
+// schedule node, DelayBounding (NewDelayBounding) the same search within a
+// budget of delays of round robin.
 // Two reduction mechanisms prune the redundancy, composable and optional:
 //
 //   - DPOR (NewDPOR) is the same search with a backtrack set per schedule
@@ -183,10 +184,10 @@
 // combined; this is its prose form. RunParallel (and so Run) panics with
 // its error, psharp-test exits 2 with the same text, and TestOptionMatrix
 // walks the cross-product on both. What the rules need to know about a
-// strategy — depth-first? fair? — comes from the one table of named
-// strategies (strategies.go, NewStrategy); a Strategy from outside the table
-// is assumed to be neither. dfs and dpor are the depth-first search without
-// and with reduction. In the order checked:
+// strategy — depth-first? delay-bounded? fair? — comes from the one table
+// of named strategies (strategies.go, NewStrategy); a Strategy from outside
+// the table is assumed to be none of them. dfs, dpor and delay are the
+// depth-first search plain, reduced and delay-bounded. In the order checked:
 //
 //   - Iterations must be positive, a Strategy or a Portfolio present (the
 //     Portfolio wins), and ShardIndex within [0, ShardCount).
@@ -197,10 +198,12 @@
 // the worker resolves to — so a portfolio member is held to exactly what the
 // same strategy is held to on its own:
 //
-//   - depth-first (dfs, dpor) × faults: the search replays the previous
-//     iteration's prefix, but the injector draws its faults afresh each
-//     iteration, so the replay diverges; dpor's reduction would also miss
-//     the fault decisions, which carry no footprints;
+//   - depth-first (dfs, dpor, delay) × faults: the search replays the
+//     previous iteration's prefix, but the injector draws its faults afresh
+//     each iteration, so the replay diverges; dpor's reduction would also
+//     miss the fault decisions, which carry no footprints;
+//   - StateCache × delay: a state first reached with fewer delays left
+//     would prune, reached again with more, the schedules that need them;
 //   - StateCache × a worker that is not depth-first (dfs, dpor): pruning
 //     revisited states only preserves coverage when the owning subtree is
 //     completed first. An all-depth-first portfolio ("dfs,dpor") passes.
@@ -338,11 +341,11 @@
 // On a resumed run the engine restores each worker before its first
 // iteration: the depth-first search reloads its exact position via
 // LoadCursor from the one cursor format it has (version 2: the stack, with
-// the backtrack sets and step footprints of its nodes when it is DPOR's),
-// while the reseeding strategies (Random, RandomFair, PCT, DelayBounding,
-// FaultInjector around any of them) need only the completed-iteration
-// count, because worker w's iteration k is a pure function of (seed, w, k)
-// (seedStream). A cursor that does not load — another strategy's, a corrupt
+// the backtrack sets and step footprints of its nodes when it is DPOR's and
+// the current bound when it is DelayBounding's), while the reseeding
+// strategies (Random, RandomFair, PCT, FaultInjector around any of them)
+// need only the completed-iteration count, because worker w's iteration k
+// is a pure function of (seed, w, k) (seedStream). A cursor that does not load — another strategy's, a corrupt
 // one, one in the two layouts of version 1 — ends the run before its first
 // iteration with Report.Err (psharp-test prints it and exits 2); a version-1
 // campaign has to be finished by the build that journaled it or started

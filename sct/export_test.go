@@ -16,6 +16,9 @@ func RunWithoutCheckpoints(setup func(*psharp.Runtime), opts Options) Report {
 	return Run(setup, opts)
 }
 
+// FingerprintTrace is the fingerprint Report.DistinctSchedules counts.
+var FingerprintTrace = fingerprintTrace
+
 // StrategyTableNames lists the named strategies, every row of the table
 // NewStrategy builds from.
 func StrategyTableNames() []string {

@@ -9,7 +9,7 @@ import (
 )
 
 // countCursor is the cursor of a strategy that reseeds per global iteration
-// (Random, RandomFair, PCT, DelayBounding through seedStream) or runs one
+// (Random, RandomFair, PCT through seedStream) or runs one
 // iteration (Replay): its position is the completed-iteration count the
 // engine journals for every worker, so there is nothing else to save, and a
 // blob in the journal must be another strategy's. FaultInjector's own fault

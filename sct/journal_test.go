@@ -93,8 +93,9 @@ func runCampaign(t *testing.T, dir string, meta journal.Meta, setup func(*psharp
 // same distinct-fingerprint set — and the resumed slice must re-execute
 // zero journal-covered schedules. The inputs cover each way a worker's
 // position is journaled: the iteration count alone (random), a fault
-// injector delegating the cursor to its inner strategy, and a portfolio
-// where a depth-first frontier sits beside a count-only worker.
+// injector delegating the cursor to its inner strategy, a portfolio
+// where a depth-first frontier sits beside a count-only worker, and a
+// delay-bounded frontier with its bound.
 func TestJournalResumeEquivalence(t *testing.T) {
 	const workers = 2
 	ft := protocols.MustByName("TwoPhaseCommitFT", true)
@@ -132,6 +133,15 @@ func TestJournalResumeEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				return sct.ParallelOptions{Options: sct.Options{MaxSteps: tpc.MaxSteps, LivelockAsBug: tpc.LivelockAsBug}, Workers: workers, Portfolio: pf}
+			},
+		},
+		{
+			name: "delay", setup: tpc.Setup, half: 200, full: 400,
+			meta: journal.Meta{Benchmark: tpc.ID(), Strategy: "delay", Seed: 1, Workers: workers, ShardCount: 1, MaxSteps: tpc.MaxSteps},
+			opts: func() sct.ParallelOptions {
+				return sct.ParallelOptions{Options: sct.Options{
+					Strategy: sct.NewDelayBounding(1, 2, tpc.MaxSteps), MaxSteps: tpc.MaxSteps, LivelockAsBug: tpc.LivelockAsBug,
+				}, Workers: workers}
 			},
 		},
 	} {

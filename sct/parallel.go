@@ -116,9 +116,11 @@ func (o ParallelOptions) Validate() error {
 		base, label, _, _ := o.slot(o.ShardIndex*n+w, n*shards)
 		info := infoOf(base)
 		switch {
-		case info.depthFirst && o.Faults.Budget > 0:
+		case info.replays && o.Faults.Budget > 0:
 			return fmt.Errorf("%s cannot be combined with fault injection: a depth-first search replays the previous iteration's prefix, and faults are drawn afresh each iteration, not enumerated", label)
-		case o.StateCache && !info.depthFirst:
+		case o.StateCache && info.bounded:
+			return fmt.Errorf("the state cache cannot be combined with %s: a state first reached with fewer delays left to spend would prune, when it is reached again with more, the schedules that need them", label)
+		case o.StateCache && !info.replays:
 			return fmt.Errorf("the state cache requires every worker to run a depth-first strategy (dfs or dpor), not %s: pruning revisited states only preserves coverage under depth-first enumeration", label)
 		}
 	}

@@ -44,13 +44,14 @@ func (p *Portfolio) Size() int { return len(p.members) }
 
 // ParsePortfolio builds a portfolio from a comma-separated member spec such
 // as "random,pct,delay,dfs" or "random,random,pct"; "default" is the
-// paper's roster, random, PCT (depth 3), delay-bounding (budget 2) and DFS.
-// Members are the names NewStrategy accepts, built by NewStrategy from the
-// same maxSteps and fairPrefix (negative selects maxSteps/2; pass the prefix
-// a liveness temperature was calibrated against). Randomized members derive
-// distinct seeds from the base seed by member position (member 0 keeps the
-// base seed, so a one-member portfolio is the homogeneous run of that
-// strategy).
+// paper's roster, random, PCT (depth 3), delay-bounded search (budget 2) and
+// DFS. Members are the names NewStrategy accepts, built by NewStrategy from
+// the same maxSteps and fairPrefix (negative selects maxSteps/2; pass the
+// prefix a liveness temperature was calibrated against). Randomized members
+// derive distinct seeds from the base seed by member position (member 0
+// keeps the base seed, so a one-member portfolio is the homogeneous run of
+// that strategy); the searches (delay, dfs, dpor) draw nothing, so a search
+// named twice explores its tree twice.
 func ParsePortfolio(spec string, seed uint64, maxSteps, fairPrefix int) (*Portfolio, error) {
 	if strings.TrimSpace(spec) == "default" {
 		spec = "random,pct,delay,dfs"

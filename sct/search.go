@@ -105,10 +105,39 @@ func (s *DPOR) CloneForWorker(worker, workers int) Strategy {
 // DFS run observes no steps.
 func (s *DPOR) ObserveStep(op psharp.StepOp) { s.observe(op) }
 
-// tree is the depth-first search of the schedule tree that DFS and DPOR
-// both are: a stack of the decisions on the current path, replayed from the
-// root on every iteration and extended at the frontier, backtracked between
-// iterations to the deepest node with a branch left.
+// DelayBounding is delay-bounded search (Emmi, Qadeer and Rakamarić, POPL
+// 2011, the paper's reference [9]): DFS whose schedule nodes start their
+// branches at what round robin would run — the first enabled machine at or
+// after the one that ran last — so that branch k delays it k times, and
+// whose paths spend at most a bound of delays, deepened 0, 1, …, budget
+// from the root (a schedule within a lower bound runs again under the
+// higher ones). Bool and int choices cost no delay. Exhausted means every
+// schedule within budget has run. Replay, cursors and checkpoints are DFS's.
+type DelayBounding struct{ tree }
+
+// NewDelayBounding returns a delay-bounded search of budget delays per
+// schedule; it draws nothing and needs no horizon, so seed and expectedSteps
+// are unused.
+func NewDelayBounding(seed uint64, budget, expectedSteps int) *DelayBounding {
+	return &DelayBounding{tree{delay: true, budget: max(budget, 0), shards: 1}}
+}
+
+// CloneForWorker returns a DelayBounding owning the schedules whose first
+// delay is at a depth congruent to worker modulo workers (root branch k
+// costs k delays, so root residues would leave worker 0 nearly all), and
+// worker 0 those without; the others re-run them, from bound 1.
+func (s *DelayBounding) CloneForWorker(worker, workers int) Strategy {
+	c := tree{delay: true, budget: s.budget, shard: worker, shards: workers}
+	if worker != 0 {
+		c.bound, c.exhausted = min(s.budget, 1), s.budget == 0
+	}
+	return &DelayBounding{c}
+}
+
+// tree is the depth-first search of the schedule tree that DFS, DPOR and
+// DelayBounding all are: a stack of the decisions on the current path,
+// replayed from the root on every iteration and extended at the frontier,
+// backtracked between iterations to the deepest node with a branch left.
 type tree struct {
 	stack     []node
 	pos       int
@@ -119,6 +148,10 @@ type tree struct {
 	// reduction or does not. (The cursor records it, so that a frontier is
 	// not loaded into the other search.)
 	reduce bool
+	// delay is what tells DelayBounding from DFS: branch k of a schedule
+	// node costs k delays, and a path spends at most bound, deepened to budget.
+	delay         bool
+	bound, budget int
 
 	shard  int
 	shards int
@@ -174,8 +207,8 @@ const (
 
 func (r *reduction) executed() bool { return r.op.Machine.Seq != 0 }
 
-// Exhausted reports whether the entire (depth-bounded) schedule tree — under
-// reduction, every backtrack point of it — has been explored.
+// Exhausted reports whether the entire (depth- and delay-bounded) schedule
+// tree — under reduction, every backtrack point of it — has been explored.
 func (t *tree) Exhausted() bool { return t.exhausted }
 
 // PrepareIteration advances to the next unexplored branch; it returns false
@@ -188,7 +221,7 @@ func (t *tree) PrepareIteration(iter int) bool {
 	if iter == 0 {
 		return true
 	}
-	if t.shards > 1 && !t.jumped {
+	if t.shards > 1 && !t.jumped && !t.delay {
 		t.jumped = true
 		if t.shard != 0 {
 			// Discard the probe's subtree (it belongs to worker 0) and jump
@@ -209,21 +242,45 @@ func (t *tree) PrepareIteration(iter int) bool {
 			return true
 		}
 	}
+	spent := 0
+	for i := 0; t.delay && i < len(t.stack); i++ {
+		spent += t.cost(&t.stack[i])
+	}
 	// Backtrack: drop exhausted trailing nodes, then advance the deepest
-	// node that still has unexplored branches. The root node advances by
-	// the shard stride so a sharded clone stays in its residue class.
+	// node that still has a branch this search admits. A sharded DFS or
+	// DPOR root advances by the shard stride, staying in its residue class.
 	for len(t.stack) > 0 {
+		top, n := len(t.stack)-1, &t.stack[len(t.stack)-1]
 		first, stride := 0, 1
-		if len(t.stack) == 1 {
+		if top == 0 && !t.delay {
 			first, stride = t.shard, t.shards
 		}
-		if t.stack[len(t.stack)-1].advance(first, stride) {
+		spent -= t.cost(n)
+		if n.advance(first, stride) && t.admits(top, spent, t.cost(n)) {
 			return true
 		}
-		t.truncate(len(t.stack) - 1)
+		if top == 0 && t.bound < t.budget { // done under this bound: the next
+			t.bound, n.idx = t.bound+1, 0
+			return true
+		}
+		t.truncate(top)
 	}
 	t.exhausted = true
 	return false
+}
+
+// admits reports whether a branch at depth i costing c delays after spent is
+// within the bound and, if it is the path's first delay, this shard's.
+func (t *tree) admits(i, spent, c int) bool {
+	return spent+c <= t.bound && (c == 0 || spent > 0 || i%t.shards == t.shard)
+}
+
+// cost is what n's current branch spends of the delay bound.
+func (t *tree) cost(n *node) int {
+	if t.delay && n.kind == psharp.DecisionSchedule {
+		return int(n.idx)
+	}
+	return 0
 }
 
 // advance moves n to its next branch among first, first+stride, … and
@@ -266,9 +323,10 @@ func (t *tree) truncate(depth int) {
 }
 
 // NextMachine replays the current prefix and extends the tree with a new
-// node at the frontier: on the first enabled machine, or under reduction on
-// the first one outside the sleep set.
-func (t *tree) NextMachine(_ psharp.MachineID, enabled []psharp.MachineID) psharp.MachineID {
+// node at the frontier: on the first enabled machine, under reduction on the
+// first one outside the sleep set, and under a delay bound on the
+// round-robin base, the first enabled machine at or after current.
+func (t *tree) NextMachine(current psharp.MachineID, enabled []psharp.MachineID) psharp.MachineID {
 	if t.pos < len(t.stack) {
 		n := &t.stack[t.pos]
 		if n.kind != psharp.DecisionSchedule {
@@ -283,10 +341,14 @@ func (t *tree) NextMachine(_ psharp.MachineID, enabled []psharp.MachineID) pshar
 		// nondeterministic beyond its controlled choices.
 		panic("sct: depth-first replay divergence: enabled set changed; program has uncontrolled nondeterminism")
 	}
+	base := 0
+	if t.delay { // rotated, so that branch k delays the base k times
+		base = max(slices.IndexFunc(enabled, func(m psharp.MachineID) bool { return m.Seq >= current.Seq }), 0)
+	}
 	n := node{
 		kind:     psharp.DecisionSchedule,
 		options:  int32(len(enabled)),
-		machines: append(t.newIDs(), enabled...),
+		machines: append(append(t.newIDs(), enabled[base:]...), enabled[:base]...),
 	}
 	if t.reduce {
 		n.idx = int32(t.pickAwake(enabled))
@@ -307,7 +369,7 @@ func (t *tree) NextMachine(_ psharp.MachineID, enabled []psharp.MachineID) pshar
 	t.curSched = len(t.stack)
 	t.stack = append(t.stack, n)
 	t.pos++
-	return enabled[n.idx]
+	return n.machines[n.idx]
 }
 
 // newIDs returns an empty enabled set to fill, a popped node's if there is one.
@@ -518,11 +580,12 @@ const (
 	cursorJumped = 1 << iota
 	cursorExhausted
 	cursorReduce
+	cursorDelay
 )
 
 // SaveCursor serializes the frontier — the backtracking stack after the most
 // recently completed iteration, with the backtrack sets and footprints of its
-// reduced nodes, plus the shard layout and the jumped/exhausted flags —
+// reduced nodes, plus the shard layout, the flags and any delay bound —
 // implementing CursorStrategy: the search's position cannot be recomputed
 // from an iteration index, so resumable campaigns journal the stack itself.
 func (t *tree) SaveCursor() []byte {
@@ -539,6 +602,10 @@ func (t *tree) SaveCursor() []byte {
 	buf := []byte{cursorVersion, flags}
 	buf = binary.AppendUvarint(buf, uint64(t.shard))
 	buf = binary.AppendUvarint(buf, uint64(t.shards))
+	if t.delay {
+		buf[1] |= cursorDelay
+		buf = binary.AppendUvarint(buf, uint64(t.bound))
+	}
 	buf = binary.AppendUvarint(buf, uint64(len(t.stack)))
 	for i := range t.stack {
 		n := &t.stack[i]
@@ -577,10 +644,11 @@ func appendCursorOp(buf []byte, o psharp.StepOp) []byte {
 }
 
 // LoadCursor restores a frontier saved by SaveCursor. The receiver must be
-// the same search (DFS or DPOR) configured for the same worker shard the
-// cursor was saved under; PrepareIteration then backtracks from the restored
-// stack exactly as the uninterrupted run would have. A cursor SaveCursor
-// cannot have written is refused, with the node that gives it away.
+// the same search (DFS, DPOR or DelayBounding) configured for the same
+// worker shard the cursor was saved under; PrepareIteration then backtracks
+// from the restored stack exactly as the uninterrupted run would have. A
+// cursor SaveCursor cannot have written is refused, with the node that
+// gives it away.
 func (t *tree) LoadCursor(cursor []byte) error {
 	r := cursorReader{buf: cursor}
 	if v := r.byte(); v != cursorVersion {
@@ -591,12 +659,15 @@ func (t *tree) LoadCursor(cursor []byte) error {
 	if r.err == nil && (shard != t.shard || shards != t.shards) {
 		return fmt.Errorf("cursor was saved for shard %d/%d, this worker is shard %d/%d", shard, shards, t.shard, t.shards)
 	}
-	if reduce := flags&cursorReduce != 0; r.err == nil && reduce != t.reduce {
-		return fmt.Errorf("cursor was saved by a search with partial-order reduction %t, this one has it %t", reduce, t.reduce)
+	if reduce, delay := flags&cursorReduce != 0, flags&cursorDelay != 0; r.err == nil && (reduce != t.reduce || delay != t.delay) {
+		return fmt.Errorf("cursor was saved by a search with partial-order reduction %t and a delay bound %t, this one has them %t and %t", reduce, delay, t.reduce, t.delay)
 	}
 	loaded := tree{
-		reduce: t.reduce, shard: t.shard, shards: t.shards, curSched: -1,
+		reduce: t.reduce, delay: t.delay, budget: t.budget, shard: t.shard, shards: t.shards, curSched: -1,
 		jumped: flags&cursorJumped != 0, exhausted: flags&cursorExhausted != 0,
+	}
+	if t.delay { // SaveCursor writes no bound past the budget
+		loaded.bound = int(min(r.uvarint(), uint64(t.budget)))
 	}
 	nodes := r.count("stack length")
 	loaded.stack = make([]node, 0, nodes)

@@ -10,13 +10,13 @@ import (
 // ParallelOptions.Validate and Unfair — reads this table.
 type strategyInfo struct {
 	name string
-	// depthFirst: a systematic depth-first enumerator, the only kind the
-	// state cache is sound under (its order completes a state's owning
-	// subtree before another prefix revisits it). It replays each prefix, so
-	// it refuses fault injection, whose faults differ from one iteration to
-	// the next.
+	// replays: a depth-first search of the schedule tree, the only kind
+	// the state cache can be sound under (it completes a state's owning
+	// subtree before another prefix revisits it). Replaying each prefix, it
+	// refuses fault injection, whose faults differ from one iteration to the
+	// next. bounded: the state cache is not sound under its delay bound.
 	// fair: liveness verdicts are sound under it.
-	depthFirst, fair bool
+	replays, bounded, fair bool
 
 	build func(seed uint64, steps, fairPrefix int) Strategy
 	is    func(Strategy) bool
@@ -31,11 +31,11 @@ var strategyTable = []strategyInfo{
 		build: func(seed uint64, _, prefix int) Strategy { return NewRandomFair(seed, prefix) }},
 	{name: "pct", is: isType[*PCT],
 		build: func(seed uint64, steps, _ int) Strategy { return NewPCT(seed, 3, steps) }},
-	{name: "delay", is: isType[*DelayBounding],
-		build: func(seed uint64, steps, _ int) Strategy { return NewDelayBounding(seed, 2, steps) }},
-	{name: "dfs", depthFirst: true, is: isType[*DFS],
+	{name: "delay", replays: true, bounded: true, is: isType[*DelayBounding],
+		build: func(uint64, int, int) Strategy { return NewDelayBounding(0, 2, 0) }},
+	{name: "dfs", replays: true, is: isType[*DFS],
 		build: func(uint64, int, int) Strategy { return NewDFS() }},
-	{name: "dpor", depthFirst: true, is: isType[*DPOR],
+	{name: "dpor", replays: true, is: isType[*DPOR],
 		build: func(uint64, int, int) Strategy { return NewDPOR() }},
 }
 
@@ -69,8 +69,8 @@ func strategyNames() string {
 }
 
 // NewStrategy builds a strategy by name: random, fair, pct, delay, dfs or
-// dpor. PCT (depth 3) and delay-bounding (budget 2) size their change and
-// delay points to maxSteps (0 falls back to 1000 expected steps); fair's
+// dpor. PCT (depth 3) sizes its change points to maxSteps (0 falls back to
+// 1000 expected steps); delay-bounding has a budget of 2 delays; fair's
 // random prefix is fairPrefix, negative selecting maxSteps/2 — pass the
 // prefix the liveness temperature was calibrated against, since a
 // threshold crossed inside the random prefix is scheduler starvation, not

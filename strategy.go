@@ -14,7 +14,7 @@ import "fmt"
 //
 // All calls within one iteration are serialized by the runtime, so Strategy
 // implementations need no internal locking. Concrete strategies (random,
-// DFS, PCT, delay-bounding, replay) live in the sct package.
+// DFS, DPOR, PCT, delay-bounded search, replay) live in the sct package.
 //
 // Strategy is the compatibility surface of the decision model below: the
 // controller drives every strategy through DecisionStrategy, wrapping a

@@ -545,14 +545,6 @@ func (c *controller) readyRemove(id MachineID) {
 	}
 }
 
-// onDequeue feeds the happens-before edge from send to receive: clock is
-// the send's, taken from the mailbox slot the event leaves.
-func (c *controller) onDequeue(m *machineInstance, clock vclock.VC) {
-	if c.det != nil {
-		c.det.Receive(int(m.id.Seq), clock)
-	}
-}
-
 // setDecider caches the per-iteration views of cfg.Strategy — through the
 // decision API, as a StepObserver, as a PrefixResumer — avoiding the type
 // assertion at every nondeterminism point.
