@@ -25,7 +25,6 @@ import (
 	"runtime"
 	"time"
 
-	"github.com/psharp-go/psharp/internal/tables"
 	"github.com/psharp-go/psharp/obs"
 )
 
@@ -56,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return code
 	}
 	if *parallel <= 0 {
-		// tables treats Workers 0/1 as the paper's sequential setup, so
+		// table2Options treats Workers 0/1 as the paper's sequential setup, so
 		// resolve the "all cores" spelling here.
 		*parallel = runtime.GOMAXPROCS(0)
 	}
@@ -73,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *jsonPath != "" && !table1 {
 		return fail(2, "-json requires -table 1 or -table all")
 	}
-	opts2 := tables.Table2Options{Iterations: *iterations, Timeout: *timeout, Seed: *seed, Workers: *parallel}
+	opts2 := table2Options{Iterations: *iterations, Timeout: *timeout, Seed: *seed, Workers: *parallel}
 	if table2 {
 		if err := opts2.Validate(); err != nil {
 			return fail(2, err)
@@ -92,18 +91,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 			defer out.Close()
 		}
 		fmt.Fprintln(stdout, "== Table 1: static data race analysis ==")
-		rows, err := tables.RunTable1()
+		rows, err := runTable1()
 		if err != nil {
 			return fail(1, err)
 		}
-		tables.PrintTable1(stdout, rows)
+		printTable1(stdout, rows)
 		fmt.Fprintln(stdout)
 		if out != nil {
 			enc := json.NewEncoder(out)
 			enc.SetIndent("", "  ")
 			err := enc.Encode(struct {
-				Env    obs.Env            `json:"env"`
-				Table1 []tables.Table1Row `json:"table1"`
+				Env    obs.Env     `json:"env"`
+				Table1 []table1Row `json:"table1"`
 			}{obs.CaptureEnv(), rows})
 			if err == nil {
 				err = out.Close()
@@ -113,7 +112,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 		if *check {
-			if drift := tables.CheckTable1(rows); len(drift) > 0 {
+			if drift := checkTable1(rows); len(drift) > 0 {
 				for _, d := range drift {
 					fail(1, "Table 1 drift:", d)
 				}
@@ -125,11 +124,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if table2 {
 		fmt.Fprintf(stdout, "== Table 2: scheduler comparison (budget: %d schedules / %v per cell) ==\n",
 			*iterations, *timeout)
-		rows, err := tables.RunTable2(opts2)
+		rows, err := runTable2(opts2)
 		if err != nil {
 			return fail(1, err)
 		}
-		tables.PrintTable2(stdout, rows)
+		printTable2(stdout, rows)
 	}
 	return 0
 }

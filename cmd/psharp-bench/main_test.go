@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/psharp-go/psharp/sct"
 )
@@ -45,8 +46,29 @@ func TestRefusedFlags(t *testing.T) {
 	}
 }
 
-// TestTable1JSON: -json writes exactly the environment and the rows the run
-// printed, one per Table 1 benchmark, each with a measured time.
+// pinnedRow is a table1 row and pinnedRowJSON its encoding in
+// psharp-bench -json's table1 slice.
+var pinnedRow = table1Row{Name: "German", Suite: "PSharpBench", LoC: 90, FPsNoXSA: 1, Verified: true,
+	Time: 83500 * time.Nanosecond, RacyTime: 2 * time.Millisecond, HasRacy: true, RacesFound: true}
+
+const pinnedRowJSON = `{"name":"German","suite":"PSharpBench","loc":90,"machines":0,"state_transitions":0,"action_bindings":0,` +
+	`"fps_no_xsa":1,"fps_xsa":0,"verified":true,"races_found":true,"has_racy":true,"time_us":83.5,"racy_time_us":2000}`
+
+// TestTable1RowJSON pins the shape of a table1 row: snake_case keys, the two
+// times in microseconds and nothing in time.Duration's nanosecond encoding.
+func TestTable1RowJSON(t *testing.T) {
+	got, err := json.Marshal(pinnedRow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != pinnedRowJSON {
+		t.Errorf("table1Row JSON drifted:\n got %s\nwant %s", got, pinnedRowJSON)
+	}
+}
+
+// TestTable1JSON checks that -json writes exactly the environment and the
+// rows the run printed, one per Table 1 benchmark, each with the pinned row's
+// keys (TestTable1RowJSON) and a measured time.
 func TestTable1JSON(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "table1.json")
 	code, stdout, stderr := runCLI(t, "-table", "1", "-check", "-json", path)
@@ -67,19 +89,27 @@ func TestTable1JSON(t *testing.T) {
 	if len(doc) != 2 || doc["env"] == nil || doc["table1"] == nil {
 		t.Fatalf("top-level keys = %d, want exactly env and table1:\n%s", len(doc), data)
 	}
-	var rows []struct {
-		Name   string  `json:"name"`
-		TimeUS float64 `json:"time_us"`
-	}
+	var rows []map[string]any
 	if err := json.Unmarshal(doc["table1"], &rows); err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 13 {
 		t.Fatalf("table1 has %d rows, want 13", len(rows))
 	}
+	var keys map[string]any
+	if err := json.Unmarshal([]byte(pinnedRowJSON), &keys); err != nil {
+		t.Fatal(err)
+	}
 	for _, r := range rows {
-		if r.Name == "" || r.TimeUS <= 0 || !strings.Contains(stdout, r.Name) {
-			t.Errorf("row %+v: want a printed benchmark with time_us > 0", r)
+		for k := range keys {
+			if _, ok := r[k]; !ok || len(r) != len(keys) {
+				t.Errorf("row %v: want exactly the pinned row's keys", r)
+				break
+			}
+		}
+		name, _ := r["name"].(string)
+		if us, _ := r["time_us"].(float64); name == "" || us <= 0 || !strings.Contains(stdout, name) {
+			t.Errorf("row %v: want a printed benchmark with time_us > 0", r)
 		}
 	}
 }

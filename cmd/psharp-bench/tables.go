@@ -1,10 +1,8 @@
-// Package tables regenerates the paper's evaluation tables: Table 1 (the
-// static analyzer across the benchmark suites) and Table 2 (the scheduler
-// comparison on the buggy protocol implementations), and nothing else: what
-// a scheduling point or an analysis pass costs, layer by layer, is bench/'s
-// to measure (bash bench/run.sh). It is shared by the psharp-bench command
-// and the root bench_test.go harness.
-package tables
+package main
+
+// The two table runners: Table 1 (the static analyzer across the benchmark
+// suites) and Table 2 (the scheduler comparison on the buggy protocol
+// implementations).
 
 import (
 	"encoding/json"
@@ -20,9 +18,9 @@ import (
 	"github.com/psharp-go/psharp/sct"
 )
 
-// Table1Row is one benchmark's static-analysis results. In JSON the two
+// table1Row is one benchmark's static-analysis results. In JSON the two
 // times are written in microseconds, as time_us and racy_time_us.
-type Table1Row struct {
+type table1Row struct {
 	Name       string        `json:"name"`
 	Suite      string        `json:"suite"`
 	LoC        int           `json:"loc"`
@@ -39,8 +37,8 @@ type Table1Row struct {
 }
 
 // MarshalJSON adds the times, in microseconds, to the tagged fields.
-func (r Table1Row) MarshalJSON() ([]byte, error) {
-	type tagged Table1Row
+func (r table1Row) MarshalJSON() ([]byte, error) {
+	type tagged table1Row
 	return json.Marshal(struct {
 		tagged
 		TimeUS     float64 `json:"time_us"`
@@ -48,7 +46,7 @@ func (r Table1Row) MarshalJSON() ([]byte, error) {
 	}{tagged(r), float64(r.Time.Nanoseconds()) / 1e3, float64(r.RacyTime.Nanoseconds()) / 1e3})
 }
 
-// table1Runs is how many times RunTable1 analyzes each program; the row
+// table1Runs is how many times runTable1 analyzes each program; the row
 // reports the median wall time (the paper's Table 1 time column).
 const table1Runs = 5
 
@@ -66,10 +64,10 @@ func analyzeTimed(prog *lang.Program) (*analysis.Result, time.Duration) {
 	return res, times[table1Runs/2]
 }
 
-// RunTable1 analyzes every Table 1 benchmark (non-racy with and without
+// runTable1 analyzes every Table 1 benchmark (non-racy with and without
 // xSA, racy where available) and returns the rows in the paper's order.
-func RunTable1() ([]Table1Row, error) {
-	var rows []Table1Row
+func runTable1() ([]table1Row, error) {
+	var rows []table1Row
 	for _, b := range benchsrc.All() {
 		stats, err := benchsrc.StatsOf(b.Name)
 		if err != nil {
@@ -80,7 +78,7 @@ func RunTable1() ([]Table1Row, error) {
 			return nil, err
 		}
 		res, elapsed := analyzeTimed(prog)
-		row := Table1Row{
+		row := table1Row{
 			Name: b.Name, Suite: b.Suite,
 			LoC: stats.LoC, Machines: stats.Machines,
 			STs: stats.StateTransitions, ABs: stats.ActionBindings,
@@ -104,12 +102,12 @@ func RunTable1() ([]Table1Row, error) {
 	return rows, nil
 }
 
-// CheckTable1 compares measured rows against the benchsrc roster (the
+// checkTable1 compares measured rows against the benchsrc roster (the
 // paper's published Table 1 numbers) and returns one human-readable drift
 // description per mismatch. An empty result means the analyzer still
 // reproduces the paper exactly; psharp-bench -check turns any drift into a
 // non-zero exit so CI can gate on it.
-func CheckTable1(rows []Table1Row) []string {
+func checkTable1(rows []table1Row) []string {
 	var drift []string
 	want := benchsrc.All()
 	if len(rows) != len(want) {
@@ -137,8 +135,8 @@ func CheckTable1(rows []Table1Row) []string {
 	return drift
 }
 
-// PrintTable1 renders rows like the paper's Table 1.
-func PrintTable1(w io.Writer, rows []Table1Row) {
+// printTable1 renders rows like the paper's Table 1.
+func printTable1(w io.Writer, rows []table1Row) {
 	fmt.Fprintf(w, "%-18s %5s %4s %4s %4s %10s %8s %6s %9s %10s %6s\n",
 		"Benchmark", "LoC", "#M", "#ST", "#AB", "Time", "No-xSA", "xSA", "Verified?", "RacyTime", "Races?")
 	for _, r := range rows {
@@ -160,38 +158,38 @@ func PrintTable1(w io.Writer, rows []Table1Row) {
 	}
 }
 
-// SchedulerMode identifies one Table 2 configuration.
-type SchedulerMode int
+// schedulerMode identifies one Table 2 configuration.
+type schedulerMode int
 
 // Table 2 configurations.
 const (
-	// ModeChessRDOn is the CHESS-like baseline with its happens-before race
+	// modeChessRDOn is the CHESS-like baseline with its happens-before race
 	// detector enabled.
-	ModeChessRDOn SchedulerMode = iota
-	// ModeChessRDOff is the CHESS-like baseline without race detection.
-	ModeChessRDOff
-	// ModePSharpDFS is the embedded P# DFS scheduler.
-	ModePSharpDFS
-	// ModePSharpRandom is the embedded P# random scheduler.
-	ModePSharpRandom
+	modeChessRDOn schedulerMode = iota
+	// modeChessRDOff is the CHESS-like baseline without race detection.
+	modeChessRDOff
+	// modePSharpDFS is the embedded P# DFS scheduler.
+	modePSharpDFS
+	// modePSharpRandom is the embedded P# random scheduler.
+	modePSharpRandom
 )
 
-func (m SchedulerMode) String() string {
+func (m schedulerMode) String() string {
 	switch m {
-	case ModeChessRDOn:
+	case modeChessRDOn:
 		return "CHESS(RD-on)"
-	case ModeChessRDOff:
+	case modeChessRDOff:
 		return "CHESS(RD-off)"
-	case ModePSharpDFS:
+	case modePSharpDFS:
 		return "P#-DFS"
 	default:
 		return "P#-Random"
 	}
 }
 
-// Table2Cell is one (benchmark, scheduler) measurement.
-type Table2Cell struct {
-	Mode         SchedulerMode
+// table2Cell is one (benchmark, scheduler) measurement.
+type table2Cell struct {
+	Mode         schedulerMode
 	Schedules    int
 	SchedPerSec  float64
 	MaxSP        int
@@ -200,16 +198,16 @@ type Table2Cell struct {
 	PercentBuggy float64 // random mode only
 }
 
-// Table2Row is one buggy benchmark across all four configurations.
-type Table2Row struct {
+// table2Row is one buggy benchmark across all four configurations.
+type table2Row struct {
 	Name     string
 	Machines int
-	Cells    []Table2Cell
+	Cells    []table2Cell
 }
 
-// Table2Options bounds the exploration (the paper: 10,000 schedules or 5
+// table2Options bounds the exploration (the paper: 10,000 schedules or 5
 // minutes, whichever first).
-type Table2Options struct {
+type table2Options struct {
 	Iterations int
 	Timeout    time.Duration
 	Seed       uint64
@@ -222,11 +220,11 @@ type Table2Options struct {
 }
 
 // table2Modes are a row's cells, in column order.
-var table2Modes = []SchedulerMode{ModeChessRDOn, ModeChessRDOff, ModePSharpDFS, ModePSharpRandom}
+var table2Modes = []schedulerMode{modeChessRDOn, modeChessRDOff, modePSharpDFS, modePSharpRandom}
 
 // Validate returns the reason the engine would refuse a cell run under o
 // (sct.ParallelOptions.Validate's text), or nil.
-func (o Table2Options) Validate() error {
+func (o table2Options) Validate() error {
 	for _, mode := range table2Modes {
 		if err := cellOptions(protocols.Benchmark{}, mode, o).Validate(); err != nil {
 			return err
@@ -235,30 +233,28 @@ func (o Table2Options) Validate() error {
 	return nil
 }
 
-// RunTable2Row measures one buggy benchmark under all four configurations.
-func RunTable2Row(name string, opts Table2Options) (Table2Row, error) {
+// runTable2Row measures one buggy benchmark under all four configurations;
+// opts must pass Validate.
+func runTable2Row(name string, opts table2Options) (table2Row, error) {
 	b, ok := protocols.ByName(name, true)
 	if !ok {
-		return Table2Row{}, fmt.Errorf("tables: no buggy benchmark %q", name)
+		return table2Row{}, fmt.Errorf("no buggy benchmark %q", name)
 	}
-	if err := opts.Validate(); err != nil {
-		return Table2Row{}, fmt.Errorf("tables: %w", err)
-	}
-	row := Table2Row{Name: name, Machines: b.Machines}
+	row := table2Row{Name: name, Machines: b.Machines}
 	for _, mode := range table2Modes {
 		row.Cells = append(row.Cells, runCell(b, mode, opts))
 	}
 	return row, nil
 }
 
-// RunTable2 measures all eight buggy protocols.
-func RunTable2(opts Table2Options) ([]Table2Row, error) {
-	var rows []Table2Row
+// runTable2 measures all eight buggy protocols.
+func runTable2(opts table2Options) ([]table2Row, error) {
+	var rows []table2Row
 	for _, name := range protocols.Names() {
 		if _, ok := protocols.ByName(name, true); !ok {
 			continue
 		}
-		row, err := RunTable2Row(name, opts)
+		row, err := runTable2Row(name, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -268,7 +264,7 @@ func RunTable2(opts Table2Options) ([]Table2Row, error) {
 }
 
 // cellOptions is the engine configuration of one Table 2 cell.
-func cellOptions(b protocols.Benchmark, mode SchedulerMode, opts Table2Options) sct.ParallelOptions {
+func cellOptions(b protocols.Benchmark, mode schedulerMode, opts table2Options) sct.ParallelOptions {
 	so := sct.Options{
 		Iterations:     opts.Iterations,
 		Timeout:        opts.Timeout,
@@ -277,16 +273,16 @@ func cellOptions(b protocols.Benchmark, mode SchedulerMode, opts Table2Options) 
 		LivelockAsBug:  b.LivelockAsBug,
 	}
 	switch mode {
-	case ModeChessRDOn:
+	case modeChessRDOn:
 		so.Strategy = sct.NewDFS()
 		so.ChessLike = true
 		so.RaceDetect = true
-	case ModeChessRDOff:
+	case modeChessRDOff:
 		so.Strategy = sct.NewDFS()
 		so.ChessLike = true
-	case ModePSharpDFS:
+	case modePSharpDFS:
 		so.Strategy = sct.NewDFS()
-	case ModePSharpRandom:
+	case modePSharpRandom:
 		so.Strategy = sct.NewRandom(opts.Seed)
 		// As the paper does for the random scheduler, keep exploring after
 		// a bug to measure the fraction of buggy schedules.
@@ -295,9 +291,9 @@ func cellOptions(b protocols.Benchmark, mode SchedulerMode, opts Table2Options) 
 	return sct.ParallelOptions{Options: so, Workers: max(opts.Workers, 1)}
 }
 
-func runCell(b protocols.Benchmark, mode SchedulerMode, opts Table2Options) Table2Cell {
+func runCell(b protocols.Benchmark, mode schedulerMode, opts table2Options) table2Cell {
 	rep := sct.RunParallel(b.Setup, cellOptions(b, mode, opts)).Report
-	return Table2Cell{
+	return table2Cell{
 		Mode:         mode,
 		Schedules:    rep.Iterations,
 		SchedPerSec:  rep.SchedulesPerSecond(),
@@ -308,14 +304,14 @@ func runCell(b protocols.Benchmark, mode SchedulerMode, opts Table2Options) Tabl
 	}
 }
 
-// PrintTable2 renders rows like the paper's Table 2.
-func PrintTable2(w io.Writer, rows []Table2Row) {
+// printTable2 renders rows like the paper's Table 2.
+func printTable2(w io.Writer, rows []table2Row) {
 	fmt.Fprintf(w, "%-18s %3s | %-13s | %-13s | %-22s | %-28s\n",
 		"Benchmark", "#T", "CHESS RD-on", "CHESS RD-off", "P# DFS", "P# Random")
 	fmt.Fprintf(w, "%-18s %3s | %6s %6s | %6s %6s | %6s %6s %8s | %6s %8s %7s %6s\n",
 		"", "", "sch/s", "bug?", "sch/s", "bug?", "#SP", "sch/s", "bug?", "#SP", "sch/s", "%buggy", "bug?")
 	for _, r := range rows {
-		found := func(c Table2Cell) string {
+		found := func(c table2Cell) string {
 			if c.BugFound {
 				return fmt.Sprintf("y@%d", c.BugIteration)
 			}

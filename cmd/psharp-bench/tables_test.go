@@ -1,4 +1,4 @@
-package tables
+package main
 
 import (
 	"strings"
@@ -11,7 +11,7 @@ import (
 // TestTable1MatchesExpectations cross-checks the harness against the
 // benchsrc roster (which itself mirrors the paper's Table 1).
 func TestTable1MatchesExpectations(t *testing.T) {
-	rows, err := RunTable1()
+	rows, err := runTable1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestTable1MatchesExpectations(t *testing.T) {
 		}
 	}
 	var sb strings.Builder
-	PrintTable1(&sb, rows)
+	printTable1(&sb, rows)
 	if !strings.Contains(sb.String(), "MultiPaxos") {
 		t.Error("printed table missing rows")
 	}
@@ -42,15 +42,15 @@ func TestTable1MatchesExpectations(t *testing.T) {
 // goldenTable1Rows builds the full 13-row Table 1 deterministically: the
 // roster's published counts, the corpus statistics, and fixed timings (the
 // only nondeterministic columns).
-func goldenTable1Rows(t *testing.T) []Table1Row {
+func goldenTable1Rows(t *testing.T) []table1Row {
 	t.Helper()
-	var rows []Table1Row
+	var rows []table1Row
 	for _, b := range benchsrc.All() {
 		s, err := benchsrc.StatsOf(b.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows = append(rows, Table1Row{
+		rows = append(rows, table1Row{
 			Name: b.Name, Suite: b.Suite,
 			LoC: s.LoC, Machines: s.Machines,
 			STs: s.StateTransitions, ABs: s.ActionBindings,
@@ -68,9 +68,9 @@ func goldenTable1Rows(t *testing.T) []Table1Row {
 // dashes in the racy columns of benchmarks without a racy variant.
 func TestPrintTable1Golden(t *testing.T) {
 	var sb strings.Builder
-	PrintTable1(&sb, goldenTable1Rows(t))
+	printTable1(&sb, goldenTable1Rows(t))
 	if got := sb.String(); got != table1Golden {
-		t.Errorf("PrintTable1 drifted from the golden render.\ngot:\n%s\nwant:\n%s", got, table1Golden)
+		t.Errorf("printTable1 drifted from the golden render.\ngot:\n%s\nwant:\n%s", got, table1Golden)
 	}
 }
 
@@ -78,13 +78,13 @@ func TestPrintTable1Golden(t *testing.T) {
 // drifted rows.
 func TestCheckTable1(t *testing.T) {
 	rows := goldenTable1Rows(t)
-	if drift := CheckTable1(rows); len(drift) != 0 {
+	if drift := checkTable1(rows); len(drift) != 0 {
 		t.Fatalf("clean rows reported drift: %v", drift)
 	}
 	rows[0].FPsNoXSA++
 	rows[6].FPsXSA--
 	rows[1].RacesFound = false
-	drift := CheckTable1(rows)
+	drift := checkTable1(rows)
 	if len(drift) != 3 {
 		t.Fatalf("drift = %v, want 3 entries", drift)
 	}
@@ -99,7 +99,7 @@ func TestCheckTable1(t *testing.T) {
 			t.Errorf("drift %v does not mention %s", drift, want)
 		}
 	}
-	if drift := CheckTable1(rows[:5]); len(drift) != 1 || !strings.Contains(drift[0], "row count") {
+	if drift := checkTable1(rows[:5]); len(drift) != 1 || !strings.Contains(drift[0], "row count") {
 		t.Errorf("truncated rows: drift = %v, want a row-count mismatch", drift)
 	}
 }
@@ -107,7 +107,7 @@ func TestCheckTable1(t *testing.T) {
 // TestTable2RowSmoke runs a small-budget Table 2 row end to end and checks
 // the cell structure and the first-schedule DFS find on ChainReplication.
 func TestTable2RowSmoke(t *testing.T) {
-	row, err := RunTable2Row("ChainReplication", Table2Options{
+	row, err := runTable2Row("ChainReplication", table2Options{
 		Iterations: 200, Timeout: time.Minute, Seed: 1,
 	})
 	if err != nil {
@@ -122,11 +122,11 @@ func TestTable2RowSmoke(t *testing.T) {
 		}
 	}
 	dfs := row.Cells[2]
-	if dfs.Mode != ModePSharpDFS || dfs.BugIteration != 0 {
+	if dfs.Mode != modePSharpDFS || dfs.BugIteration != 0 {
 		t.Errorf("P# DFS should find ChainReplication on the first schedule, got iteration %d", dfs.BugIteration)
 	}
 	var sb strings.Builder
-	PrintTable2(&sb, []Table2Row{row})
+	printTable2(&sb, []table2Row{row})
 	if !strings.Contains(sb.String(), "ChainReplication") {
 		t.Error("printed table missing the row")
 	}

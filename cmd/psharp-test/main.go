@@ -13,16 +13,16 @@
 //	psharp-test -bench Raft -buggy -parallel 8 -portfolio default
 //	psharp-test -bench Raft -buggy -report-out campaign.json [-http :6060]
 //	psharp-test -bench Raft -buggy -journal camp/ [-resume] [-shard 2/4]
-//	psharp-test -psl Raft -racy -iterations 200 [-interp walk]
+//	psharp-test -psl Raft -racy -iterations 200
 //	psharp-test -psl Raft -disasm
 //	psharp-test -list
 //
 // -psl switches to the .psl front end: the named Table 1 benchmark is
-// loaded from the embedded corpus and explored through the interp package
-// with the race detector on. -interp selects the evaluator (the bytecode
-// VM by default; walk is the reference tree-walker — see the interp
-// package docs, "Bytecode execution") and -disasm prints the compiled
-// bytecode listing instead of running.
+// loaded from the embedded corpus and explored on the interp package's
+// bytecode VM with the race detector on; -disasm prints the compiled
+// bytecode listing instead of running. The interp package's differential
+// test holds the VM to the reference tree-walker (see its docs, "Bytecode
+// execution").
 //
 // -monitors attaches the benchmark's specification monitors (global safety
 // invariants such as TwoPhaseCommit atomicity or Raft election safety);
@@ -160,9 +160,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	shardSpec := fs.String("shard", "", "run one shard i/n (1-based, e.g. 2/4) of a multi-process campaign; all n processes share the -journal directory and jointly explore one population")
 	journalSync := fs.Int("journal-sync", 0, "journal fsync cadence in records (0 = default 64; 1 = fsync every record, maximally durable; -1 = fsync only at checkpoints and exit)")
 	httpAddr := fs.String("http", "", "serve /debug/vars (live telemetry) and /debug/pprof/ on this address for the duration of the run, e.g. :6060 or 127.0.0.1:0")
-	psl := fs.String("psl", "", "explore a Table 1 .psl benchmark through the interp package instead of a Go-native protocol (uses -racy, -interp, -disasm, -iterations, -seed)")
+	psl := fs.String("psl", "", "explore a Table 1 .psl benchmark through the interp package instead of a Go-native protocol (uses -racy, -disasm, -iterations, -seed)")
 	racy := fs.Bool("racy", false, "with -psl: use the racy source variant")
-	interpEngine := fs.String("interp", "bytecode", "with -psl: evaluator engine, bytecode or walk")
 	disasm := fs.Bool("disasm", false, "with -psl: print the compiled bytecode listing (interp.Disassemble) and exit")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
@@ -192,13 +191,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	parallelSet, stray := false, ""
 	fs.Visit(func(f *flag.Flag) {
 		parallelSet = parallelSet || f.Name == "parallel"
-		pslOnly := f.Name == "racy" || f.Name == "interp" || f.Name == "disasm"
+		pslOnly := f.Name == "racy" || f.Name == "disasm"
 		switch {
 		case stray != "":
 		case *psl == "" && pslOnly:
 			stray = fmt.Sprintf("-%s requires -psl", f.Name)
 		case *psl != "" && !pslOnly && f.Name != "psl" && f.Name != "iterations" && f.Name != "seed":
-			stray = fmt.Sprintf("-psl does not read -%s (it takes -racy, -interp, -disasm, -iterations and -seed)", f.Name)
+			stray = fmt.Sprintf("-psl does not read -%s (it takes -racy, -disasm, -iterations and -seed)", f.Name)
 		case *portfolio != "" && f.Name == "strategy":
 			stray = "-strategy cannot be combined with -portfolio: the portfolio names every worker's strategy"
 		}
@@ -208,7 +207,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if *psl != "" {
-		return runPSL(*psl, *racy, *interpEngine, *disasm, *iterations, *seed, stdout, stderr)
+		return runPSL(*psl, *racy, *disasm, *iterations, *seed, stdout, stderr)
 	}
 	b, ok := protocols.ByName(*bench, *buggy)
 	if !ok {

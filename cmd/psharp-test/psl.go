@@ -1,10 +1,8 @@
 package main
 
-// The -psl mode: explore a Table 1 .psl benchmark through the interp
-// package instead of a Go-native protocol, selecting the evaluator with
-// -interp (bytecode VM by default, tree-walker with -interp walk) and
-// dumping the compiled bytecode with -disasm. See the interp package docs,
-// "Bytecode execution".
+// The -psl mode: explore a Table 1 .psl benchmark on the interp package's
+// bytecode VM instead of a Go-native protocol, or dump the compiled bytecode
+// with -disasm. See the interp package docs, "Bytecode execution".
 
 import (
 	"fmt"
@@ -20,12 +18,7 @@ import (
 // exhaustion, distinct races, transition coverage, and the first fault.
 // Exit codes mirror the Go-native mode: 1 when a fault was found, 0 clean,
 // 2 for a usage error (a non-positive -iterations among them).
-func runPSL(name string, racy bool, engineName string, disasm bool, iterations int, seed uint64, stdout, stderr io.Writer) int {
-	engine, err := interp.ParseEngine(engineName)
-	if err != nil {
-		fmt.Fprintln(stderr, "psharp-test:", err)
-		return 2
-	}
+func runPSL(name string, racy, disasm bool, iterations int, seed uint64, stdout, stderr io.Writer) int {
 	if iterations <= 0 {
 		fmt.Fprintln(stderr, "psharp-test: Iterations must be positive")
 		return 2
@@ -48,7 +41,6 @@ func runPSL(name string, racy bool, engineName string, disasm bool, iterations i
 	for i := 0; i < iterations; i++ {
 		s := seed + uint64(i)
 		out := interp.Run(prog, main, interp.Options{
-			Engine:     engine,
 			Seed:       s,
 			RaceDetect: true,
 			Coverage:   &cov,
@@ -70,8 +62,8 @@ func runPSL(name string, racy bool, engineName string, disasm bool, iterations i
 	if racy {
 		variant = "racy"
 	}
-	fmt.Fprintf(stdout, "%s (%s, %s): %d schedules: %d quiescent, %d bound-limited, %d distinct races, %d/%d transitions covered\n",
-		name, variant, engine, iterations, quiescent, bounded, len(races),
+	fmt.Fprintf(stdout, "%s (%s): %d schedules: %d quiescent, %d bound-limited, %d distinct races, %d/%d transitions covered\n",
+		name, variant, iterations, quiescent, bounded, len(races),
 		cov.Distinct(), interp.DeclaredTransitions(prog))
 	if firstErr != nil {
 		fmt.Fprintf(stdout, "first fault (seed %d): %v\n", firstSeed, firstErr)

@@ -51,7 +51,14 @@ type goldenEntry struct {
 	Interrupts int    `json:"interrupted,omitempty"`
 	Races      int    `json:"races,omitempty"`
 	// Faults sums the iterations' FaultStats; nil when nothing was injected.
-	Faults *psharp.FaultStats `json:"faults,omitempty"`
+	Faults *goldenFaults `json:"faults,omitempty"`
+}
+
+// goldenFaults is psharp.FaultStats without its JSON tags: the file was
+// recorded when FaultStats had none, so its keys are the field names, each
+// written even when zero.
+type goldenFaults struct {
+	Crashes, Restarts, Drops, Duplicates, Reorders int
 }
 
 // String renders the entry as its golden-file line.
@@ -63,6 +70,23 @@ func (e goldenEntry) String() string {
 type goldenFile struct {
 	Note    string        `json:"note"`
 	Entries []goldenEntry `json:"entries"`
+}
+
+// encodeControllerGolden renders entries as testdata/controller_golden.json:
+// one entry per line keeps the file diffable and a third of the size of an
+// indented encoding.
+func encodeControllerGolden(entries []goldenEntry) []byte {
+	var buf bytes.Buffer
+	buf.WriteString(`{"note": "Recorded by TestWriteControllerGolden; see controller_golden_test.go.", "entries": [`)
+	for i, e := range entries {
+		if i > 0 {
+			buf.WriteByte(',')
+		}
+		buf.WriteByte('\n')
+		buf.WriteString(e.String())
+	}
+	buf.WriteString("\n]}\n")
+	return buf.Bytes()
 }
 
 // goldenCase is one (program, strategy, seed, mode) cell. start returns a
@@ -265,7 +289,8 @@ func runGoldenCase(t *testing.T, gc goldenCase, run func(psharp.TestConfig) psha
 	}
 	e.Digest = fmt.Sprintf("%016x", digest.Sum64())
 	if faults != (psharp.FaultStats{}) {
-		e.Faults = &faults
+		f := goldenFaults(faults)
+		e.Faults = &f
 	}
 	return e
 }
@@ -286,28 +311,46 @@ func TestWriteControllerGolden(t *testing.T) {
 	if os.Getenv("PSHARP_WRITE_GOLDENS") == "" {
 		t.Skip("set PSHARP_WRITE_GOLDENS=1 to re-record testdata/controller_golden.json")
 	}
-	// One entry per line keeps the file diffable and a third of the size of
-	// an indented encoding.
-	var buf bytes.Buffer
-	buf.WriteString(`{"note": "Recorded by TestWriteControllerGolden; see controller_golden_test.go.", "entries": [`)
-	for i, gc := range goldenCases() {
-		line, err := json.Marshal(runGoldenPooled(t, gc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i > 0 {
-			buf.WriteByte(',')
-		}
-		buf.WriteByte('\n')
-		buf.Write(line)
+	var entries []goldenEntry
+	for _, gc := range goldenCases() {
+		entries = append(entries, runGoldenPooled(t, gc))
 	}
-	buf.WriteString("\n]}\n")
 	if err := os.MkdirAll(filepath.Dir(controllerGoldenPath), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(controllerGoldenPath, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(controllerGoldenPath, encodeControllerGolden(entries), 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestControllerGoldenRoundTrip: the writer writes what the file holds.
+// Every committed entry, decoded and re-encoded by the writer's encoder,
+// gives the committed bytes back, so re-recording some cells rewrites only
+// the lines of the cells that moved.
+func TestControllerGoldenRoundTrip(t *testing.T) {
+	data, err := os.ReadFile(controllerGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gf goldenFile
+	if err := json.Unmarshal(data, &gf); err != nil {
+		t.Fatal(err)
+	}
+	got := encodeControllerGolden(gf.Entries)
+	if bytes.Equal(got, data) {
+		return
+	}
+	gotLines, wantLines := bytes.Split(got, []byte("\n")), bytes.Split(data, []byte("\n"))
+	differ := 0
+	for i := range min(len(gotLines), len(wantLines)) {
+		if !bytes.Equal(gotLines[i], wantLines[i]) {
+			if differ++; differ <= 3 {
+				t.Errorf("line %d re-encodes as\n%s\nthe file holds\n%s", i+1, gotLines[i], wantLines[i])
+			}
+		}
+	}
+	t.Fatalf("%s does not round-trip: %d of %d lines differ (%d lines re-encoded)",
+		controllerGoldenPath, differ, len(wantLines), len(gotLines))
 }
 
 // TestControllerGolden replays every recorded cell through the pooled
@@ -340,7 +383,7 @@ func TestControllerGolden(t *testing.T) {
 		total.Interrupts += want.Interrupts
 		total.Races += want.Races
 		if want.Faults != nil {
-			f.Add(*want.Faults)
+			f.Add(psharp.FaultStats(*want.Faults))
 		}
 	}
 	// Cells are independent, so they are checked on parallel shards: it

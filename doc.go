@@ -60,11 +60,10 @@
 // more schedules per second than the walker (bash bench/run.sh reports
 // both, as interp.vm_ns_per_step and interp.walk_ns_per_step; the
 // differential harness holds the two engines outcome-identical on every
-// corpus benchmark). Select the engine with interp.Options.Engine, or
-// from the CLI:
+// corpus benchmark). Run the VM from the CLI (in Go,
+// interp.Options.Engine selects the walker):
 //
-//	psharp-test -psl Raft -racy -iterations 200              # bytecode VM
-//	psharp-test -psl Raft -racy -iterations 200 -interp walk # tree-walker
+//	psharp-test -psl Raft -racy -iterations 200
 //
 // and inspect the compiled form with interp.Disassemble (or -disasm):
 //

@@ -1,7 +1,5 @@
 package interp
 
-import "fmt"
-
 // Engine selects how machine bodies are executed. Both engines implement
 // the same operational semantics (the differential corpus harness locks
 // them together, outcome for outcome); they differ only in speed and
@@ -17,12 +15,12 @@ const (
 	EngineBytecode Engine = iota
 	// EngineWalk is the reference tree-walking evaluator (eval.go): it
 	// re-traverses the AST on every handler dispatch. Roughly an order of
-	// magnitude slower; kept as the semantic baseline and debugging
-	// fallback (-interp=walk in the CLIs).
+	// magnitude slower; kept as the semantic baseline the differential
+	// test holds the VM to.
 	EngineWalk
 )
 
-// String names the engine as the CLIs spell it.
+// String names the engine, as test failures print it.
 func (e Engine) String() string {
 	switch e {
 	case EngineWalk:
@@ -30,15 +28,4 @@ func (e Engine) String() string {
 	default:
 		return "bytecode"
 	}
-}
-
-// ParseEngine parses a CLI engine name: "bytecode" or "walk".
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "bytecode":
-		return EngineBytecode, nil
-	case "walk":
-		return EngineWalk, nil
-	}
-	return EngineBytecode, fmt.Errorf("interp: unknown engine %q (want bytecode or walk)", s)
 }

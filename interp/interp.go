@@ -33,12 +33,12 @@
 // preserves the walker's dispatch precedence (ignore > defer > goto > do),
 // its raised-event goto path, its race-detector access order, and its
 // monitor observation points instruction for instruction. The walker
-// stays selectable (Options.Engine = EngineWalk, -interp=walk in the
-// CLIs) as the semantic baseline; Disassemble prints the compiled
-// listing. On the corpus the VM runs roughly an order of magnitude more
-// schedules per second than the walker: bash bench/run.sh reports both as
-// interp.vm_ns_per_step and interp.walk_ns_per_step, and BENCHMARK.json
-// bounds the psl_interp workload's ops_per_s.
+// stays selectable (Options.Engine = EngineWalk) as the semantic baseline
+// that test holds the VM to; the CLIs run the VM only. Disassemble prints
+// the compiled listing. On the corpus the VM runs roughly an order of
+// magnitude more schedules per second than the walker: bash bench/run.sh
+// reports both as interp.vm_ns_per_step and interp.walk_ns_per_step, and
+// BENCHMARK.json bounds the psl_interp workload's ops_per_s.
 package interp
 
 import (

@@ -227,22 +227,3 @@ func TestDisassemble(t *testing.T) {
 		}
 	}
 }
-
-// TestParseEngine checks the CLI engine names round-trip.
-func TestParseEngine(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Engine
-	}{{"walk", EngineWalk}, {"bytecode", EngineBytecode}} {
-		got, err := ParseEngine(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseEngine(%q) = %v, %v", tc.in, got, err)
-		}
-		if got.String() != tc.in {
-			t.Fatalf("Engine(%q).String() = %q", tc.in, got.String())
-		}
-	}
-	if _, err := ParseEngine("jit"); err == nil {
-		t.Fatal("ParseEngine accepted an unknown engine")
-	}
-}

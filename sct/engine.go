@@ -274,7 +274,7 @@ func newShared(opts Options, start time.Time, workers []worker) *shared {
 		sh.deadline = start.Add(opts.Timeout)
 	}
 	if opts.StateCache {
-		sh.cache = newStateCache()
+		sh.cache = new(stateCache)
 	}
 	if j := opts.Journal; j != nil {
 		// Preload the campaign's journaled fingerprints (this shard's and

@@ -1,9 +1,6 @@
 package sct
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"github.com/psharp-go/psharp"
 	"github.com/psharp-go/psharp/internal/splitmix"
 )
@@ -62,40 +59,20 @@ func fingerprintTrace(t *psharp.Trace) uint64 {
 	return h
 }
 
-// fingerprintShards keeps lock contention negligible relative to the cost
-// of executing a schedule; it must be a power of two.
-const fingerprintShards = 64
-
-// fingerprintSet is a sharded concurrent set of schedule fingerprints. The
-// zero value is ready to use. Insertion takes one short shard-local
-// critical section; workers touching different shards do not contend.
-type fingerprintSet struct {
-	shards [fingerprintShards]struct {
-		mu   sync.Mutex
-		seen map[uint64]struct{}
-	}
-	// distinct is the set's size, so that progress snapshots, growth-curve
-	// samples and journal checkpoints read it without taking the shard locks.
-	distinct atomic.Int64
-}
+// fingerprintSet is the set of schedule fingerprints a campaign has run.
+type fingerprintSet struct{ shardedTable[struct{}] }
 
 // insert adds fp and reports whether it was new.
 func (s *fingerprintSet) insert(fp uint64) bool {
-	shard := &s.shards[fp&(fingerprintShards-1)]
+	shard := s.shard(fp)
 	shard.mu.Lock()
-	if shard.seen == nil {
-		shard.seen = make(map[uint64]struct{})
-	}
-	_, dup := shard.seen[fp]
+	_, dup := shard.m[fp]
 	if !dup {
-		shard.seen[fp] = struct{}{}
+		shard.put(fp, struct{}{})
 	}
 	shard.mu.Unlock()
 	if !dup {
-		s.distinct.Add(1)
+		s.keys.Add(1)
 	}
 	return !dup
 }
-
-// size returns the number of distinct fingerprints inserted.
-func (s *fingerprintSet) size() int { return int(s.distinct.Load()) }

@@ -206,6 +206,43 @@ func TestFingerprintSetConcurrentInserts(t *testing.T) {
 	}
 }
 
+// TestStateCacheConcurrentVisits: goroutines that reach the same states at
+// the same depth under distinct prefixes elect exactly one owner per state —
+// the first visit explores, every later one is pruned — and the owner's own
+// prefix is never pruned by its entry.
+func TestStateCacheConcurrentVisits(t *testing.T) {
+	var c stateCache
+	done := make(chan int)
+	for g := 0; g < 8; g++ {
+		go func(g int) {
+			explored := 0
+			for i := 0; i < 1000; i++ {
+				if !c.Visit(uint64(i)*splitmix.Golden, uint64(g+1), 5) {
+					explored++
+				}
+			}
+			done <- explored
+		}(g)
+	}
+	total := 0
+	for g := 0; g < 8; g++ {
+		total += <-done
+	}
+	if total != 1000 || c.size() != 1000 {
+		t.Fatalf("explored visits = %d, size = %d, want 1000", total, c.size())
+	}
+	for i := 0; i < 1000; i++ {
+		state := uint64(i) * splitmix.Golden
+		owner := c.shard(state).m[state].prefix
+		if c.Visit(state, owner, 5) {
+			t.Fatalf("state %d: its owner's prefix was pruned", i)
+		}
+	}
+	if c.size() != 1000 {
+		t.Fatalf("revisits changed size to %d", c.size())
+	}
+}
+
 // TestFaultInjectorCloneForWorkerIsTheEngineShard: a FaultInjector cloned
 // for worker w of n explores what the engine's worker w explores, which
 // wraps the inner strategy's clone in an injector of its own sharded the

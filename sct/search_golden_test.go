@@ -98,7 +98,7 @@ func (sc searchCase) run(t *testing.T, reloadAt int) searchRun {
 	defer h.Close()
 	cfg := psharp.TestConfig{Strategy: s, MaxSteps: sc.bench.MaxSteps, LivelockAsBug: sc.bench.LivelockAsBug}
 	if sc.cache {
-		cfg.StateCache = newStateCache()
+		cfg.StateCache = new(stateCache)
 	}
 	var out searchRun
 	digest := uint64(fnvOffset)

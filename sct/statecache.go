@@ -1,10 +1,5 @@
 package sct
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
 // stateCache is the hashed global-state cache behind Options.StateCache: a
 // sharded map from global-state hash to the decision prefix that owns it.
 // The controller consults it at every scheduling point; a revisit through
@@ -33,40 +28,22 @@ import (
 // Under non-systematic strategies (Random, PCT, ...) no such completion
 // order exists and pruning would silently drop coverage; the engine
 // refuses the combination.
-type stateCache struct {
-	shards   [stateCacheShards]stateCacheShard
-	distinct atomic.Int64
-}
-
-const stateCacheShards = 64
-
-type stateCacheShard struct {
-	mu   sync.Mutex
-	seen map[uint64]stateOwner
-}
+type stateCache struct{ shardedTable[stateOwner] }
 
 type stateOwner struct {
 	prefix uint64
 	depth  int32
 }
 
-func newStateCache() *stateCache {
-	c := &stateCache{}
-	for i := range c.shards {
-		c.shards[i].seen = make(map[uint64]stateOwner)
-	}
-	return c
-}
-
 // Visit implements psharp.StateCache.
 func (c *stateCache) Visit(state, prefix uint64, depth int) bool {
-	s := &c.shards[state&(stateCacheShards-1)]
+	s := c.shard(state)
 	s.mu.Lock()
-	o, ok := s.seen[state]
+	o, ok := s.m[state]
 	if !ok {
-		s.seen[state] = stateOwner{prefix: prefix, depth: int32(depth)}
+		s.put(state, stateOwner{prefix: prefix, depth: int32(depth)})
 		s.mu.Unlock()
-		c.distinct.Add(1)
+		c.keys.Add(1)
 		return false
 	}
 	if o.prefix == prefix {
@@ -77,7 +54,7 @@ func (c *stateCache) Visit(state, prefix uint64, depth int) bool {
 		s.mu.Unlock()
 		return true
 	}
-	s.seen[state] = stateOwner{prefix: prefix, depth: int32(depth)}
+	s.m[state] = stateOwner{prefix: prefix, depth: int32(depth)}
 	s.mu.Unlock()
 	return false
 }
@@ -88,5 +65,5 @@ func (c *stateCache) size() int {
 	if c == nil {
 		return 0
 	}
-	return int(c.distinct.Load())
+	return c.shardedTable.size()
 }
