@@ -64,7 +64,11 @@ func (c *Context) Send(target MachineID, ev Event) {
 	if target.IsNil() {
 		panic(assertFailed{msg: fmt.Sprintf("%s: Send(%s) to nil machine", c.m.id, eventName(ev))})
 	}
-	c.m.rt.send(target, ev, c.m, true)
+	if t := c.m.rt.test; t != nil {
+		t.send(target, ev, c.m, true)
+	} else {
+		c.m.rt.enqueue(target, ev, c.m, true)
+	}
 }
 
 // CreateMachine instantiates a new machine of the registered type and
@@ -72,7 +76,13 @@ func (c *Context) Send(target MachineID, ev Event) {
 // state's entry action. In bug-finding mode this is a scheduling point.
 func (c *Context) CreateMachine(typeName string, payload Event) MachineID {
 	c.monitorForbids("CreateMachine")
-	id, err := c.m.rt.newMachine(typeName, payload, c.m)
+	var id MachineID
+	var err error
+	if t := c.m.rt.test; t != nil {
+		id, err = t.create(typeName, payload, c.m)
+	} else {
+		id, err = c.m.rt.create(typeName, payload, c.m)
+	}
 	if err != nil {
 		panic(assertFailed{msg: err.Error()})
 	}

@@ -444,7 +444,8 @@
 // create and observe count into plain words of its own, which
 // TestHarness.Run adds to the runtime's RuntimeMetrics atomics once per
 // iteration (see Runtime.Metrics); only production's bodies touch the
-// atomics.
+// atomics, and a production send counts into words of the receiving
+// machine's (see the production runtime below).
 //
 // Machine schemas follow the compile-once discipline: a static type's
 // schema is compiled once per process for each probe value and every
@@ -487,7 +488,14 @@
 // out, and lets go. Whoever holds the bit owns the machine: its handlers
 // run one at a time, and because ownership changes hands under the mailbox
 // lock each sees everything the one before it wrote, although successive
-// activations may be on different goroutines. Between activations a machine
+// activations may be on different goroutines. The mailbox is two queues:
+// the owner's, which only the owner touches, and an inbox, where senders
+// append under the lock while the machine is active. The send that finds
+// the machine idle takes ownership under the lock and appends to the
+// owner's queue itself. The owner dequeues without a lock, and takes it
+// only when nothing in its queue is dispatchable: to splice the inbox in
+// (trading arrays with it when its queue is empty) or, the inbox empty
+// too, to go idle under that same lock. Between activations a machine
 // is a struct and a mailbox — no goroutine, no stack, no condition variable
 // — so ten thousand idle machines cost their memory and nothing else, and
 // a quiescent Runtime that nothing references any more is garbage whether
@@ -509,41 +517,45 @@
 // machine the blocked handler had just woken.
 //
 // No lock is shared between machines on the message path
-// (Runtime.enqueue, the production runtime's send): a sender finds
-// the target in an atomically published copy of the machine table, locks
-// only the target's mailbox, and accounts for outstanding work (what Wait
-// waits for: pending initializations and events sent but not yet handled,
-// ignored or dropped by a halt) in an atomic counter; only the transition
+// (Runtime.enqueue, the production runtime's send): a sender finds the
+// target in an atomically published copy of the machine table and locks
+// only the target's mailbox. What Wait waits for is activations: a create
+// and a send that wakes an idle machine add one to an atomic counter, an
+// activation that goes idle or halts takes it away, and only the transition
 // to quiescence takes the runtime's lock, to wake Wait. Events a machine
-// goes idle with — all of them deferred by its state — are no such work:
-// they move to a second counter until a send wakes the machine, and if any
-// are left when Wait finds the runtime quiescent, it returns that deadlock
-// as a *Bug of kind BugDeadlock, as RunTest does. A send to a machine that
-// holds none pays no atomic for this. What one message still costs that
-// another machine can feel is two process-wide atomic adds (outstanding
-// work, the Sends metric) and, for several senders to one receiver, that
-// receiver's mailbox lock, which the receiver holds only for the scan that
-// finds and removes its next event: what leaves the lock
-// is the event and the schema's binding for it. Stop (and the first
-// failure, which Wait returns) is a flag every activation reads at its next
-// dequeue. bench's prod_runtime workload reads ≈ 200 ns for a
-// hop of a token ring of idle machines and ≈ 340 ns a message for three
-// windowed senders into one sink (go1.24, 2 vCPU); the scheduler this
-// replaced — a goroutine per machine parked on a condition variable, and
-// four round trips through the runtime's lock per message — read ≈ 540 and
-// the same ≈ 340, and took ≈ 6 µs against ≈ 2.3 to create a machine; an
-// idle machine cost it 5.6 KB and a goroutine, against 0.9 KB and none.
-// Finding a dequeued event's binding once and copying no mailbox slot took
-// the hop from ≈ 300 to ≈ 200 ns and the fan-in message from ≈ 420–515 to
-// ≈ 400 ns on one machine (traced passes, three pairs), and the workload's
-// throughput up by a third.
+// goes idle with — all of them deferred by its state, those just spliced
+// from its inbox included — move to a second counter until a send wakes the
+// machine, and if any are left when Wait finds the runtime quiescent, it
+// returns that deadlock as a *Bug of kind BugDeadlock, as RunTest does. The
+// Sends and MailboxMax metrics are counted per receiving machine, under the
+// lock the send holds anyway, and summed by Runtime.Metrics. So a message
+// to an active machine costs its sender one mailbox lock pair and no
+// process-wide atomic, and its receiver nothing but the dequeue, plus one
+// lock pair per batch it splices in; a hop to an idle machine costs the
+// send's lock pair, the going idle's, and the two adds of the activation.
+// Stop (and the first failure, which Wait returns) is a flag every
+// activation reads at its next dequeue. bench's prod_runtime workload reads
+// ≈ 63 ns for a hop of a token ring of idle machines and ≈ 111 ns a message
+// for three windowed senders into one sink (raw per-cell medians, go1.24,
+// 2 vCPU, a host bench rates at 2.2× its reference), against ≈ 86 and
+// ≈ 139 there when one locked queue took the lock at every send, dequeue
+// and going idle and every message paid three process-wide atomic adds
+// (outstanding work up and down, the Sends metric). On slower hosts, the
+// scheduler before activations — a goroutine per machine parked on a
+// condition variable, and four round trips through the runtime's lock per
+// message — read ≈ 540 and ≈ 340 ns, and took ≈ 6 µs against ≈ 2.3 to
+// create a machine; an idle machine cost it 5.6 KB and a goroutine,
+// against 0.9 KB and none; finding a dequeued event's binding once and
+// copying no mailbox slot took the hop from ≈ 300 to ≈ 200 ns there.
 //
 // # Observability
 //
 // The runtime records operational metrics through the obs package's
 // fixed-size atomic primitives, cheap enough to stay always-on: sends,
 // dropped sends (to halted machines), machine creates, monitor dispatches,
-// and the high-water mailbox depth, snapshotted by Runtime.Metrics. State-
+// and the high-water mailbox depth, snapshotted by Runtime.Metrics (a
+// production send counts sends and the depth in words of the receiving
+// machine, under its mailbox lock, which Metrics sums). State-
 // transition coverage — which (machine type, state, event) triples actually
 // dispatched — is opt-in: attach an obs.StateEventCoverage via WithCoverage
 // in production mode or TestConfig.Coverage per bug-finding iteration. A

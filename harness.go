@@ -189,7 +189,7 @@ func (h *TestHarness) reset(cfg TestConfig) {
 	rt.nextSeq = 0
 	rt.failure = nil
 	rt.stopped.Store(false)
-	rt.cover.attach(cfg.Coverage)
+	rt.cover.attach(cfg.Coverage, true)
 	rt.logw = cfg.Log
 
 	c.cfg = cfg

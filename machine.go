@@ -25,7 +25,8 @@ type machineInstance struct {
 	cover *coverBlock
 
 	// st is the current state, set by enter, so that dispatching an event
-	// looks no state up by name; nil before boot.
+	// looks no state up by name; nil before boot. halted is set by doHalt,
+	// under mu: production senders read it there.
 	st     *stateSpec
 	halted bool
 	// temp is a monitor's temperature: the consecutive scheduling decisions
@@ -33,29 +34,20 @@ type machineInstance struct {
 	// resets it on a state that is not hot, which a machine's never is.
 	temp int
 
-	// mu guards halted, active and the mailbox under the production runtime,
-	// where senders run concurrently with the machine; the testing runtime is
-	// serialized and takes it only in doHalt, which both share. The mailbox is the
-	// window queue[qhead:]: dequeuing its head advances qhead instead of
-	// shifting the backlog down (see removeLocked, push).
-	mu    sync.Mutex
+	// The mailbox is the window queue[qhead:]: the events sent and not yet
+	// dequeued, in order. Dequeuing its head advances qhead instead of
+	// shifting the backlog down (see removeAt, push). It is the testing
+	// runtime's one queue. Under the production runtime it belongs to the
+	// machine's owner (see active), which reads and writes it without a
+	// lock, and senders append to inbox instead.
 	queue []envelope
 	qhead int
 
-	// Production mode. active says that some goroutine owns the machine: it
-	// is running, or about to run, an activation of it. Whoever sets the bit
-	// (create, or the send that finds it clear) must start that activation;
-	// the activation clears it under the lock that found nothing
-	// dispatchable. Everything else of the instance belongs to the owner, and
-	// the mailbox lock orders one owner's writes before the next one's reads.
-	// An idle machine owns no goroutine and no stack. spawn is m.activate,
-	// stored once so that starting a goroutine on it allocates no closure;
-	// held is the owning goroutine's hand-off slot (see activate); dropped
-	// counts the events the halt dropped.
-	active  bool
-	dropped int32
-	spawn   func()
-	held    **machineInstance
+	// Production mode, the owner's side. spawn is m.activate, stored once so
+	// that starting a goroutine on it allocates no closure; held is the
+	// owning goroutine's hand-off slot (see activate).
+	spawn func()
+	held  **machineInstance
 
 	// test mode fields. status is where the controller has the machine and
 	// immune says faults must not touch it: controller.onCreate sets both for
@@ -125,6 +117,28 @@ type machineInstance struct {
 	// ends with.
 	replayLog []chainOp
 	replayEv  Event
+
+	// Production mode, the senders' side. mu guards it and halted; the
+	// testing runtime is serialized and takes mu only in doHalt, which both
+	// runtimes share. active says that some goroutine owns the machine: it is
+	// running, or about to run, an activation of it, and only it touches
+	// queue and the rest of the instance. Whoever sets the bit (create, or
+	// the send that finds it clear, which appends to queue itself) must start
+	// that activation; the activation clears it under the lock that found
+	// nothing dispatchable in queue and the inbox empty, and mu orders one
+	// owner's writes before the next one's reads. A send to an active machine
+	// appends to inbox, which the owner splices onto queue whenever nothing
+	// in queue is dispatchable, so an idle machine's inbox is empty. An idle
+	// machine owns no goroutine and no stack. qlen is len(queued()) as of the
+	// last time the owner, or the send that set active, held mu. sends and
+	// mailboxMax are the machine's share of RuntimeMetrics' Sends and
+	// MailboxMax, summed by Runtime.Metrics.
+	mu         sync.Mutex
+	active     bool
+	inbox      []envelope
+	qlen       int
+	sends      int64
+	mailboxMax int64
 }
 
 // chainOp is one thing a running handler chain did: a send (v the target's
@@ -393,11 +407,12 @@ func (m *machineInstance) activate() {
 
 // drain is one activation: the initial entry action if the machine has not
 // run yet, then one step after another until nothing in the mailbox is
-// dispatchable. The bug is reported while the failed (or halted) machine is
-// still owned — its active bit stays set for good; after a step that went
-// idle, m is not touched again. The creation and each dequeued event are a
-// unit of work until their chain completes, never if it fails: Wait sees no
-// quiescence while an action runs, nor before the failure that ends it.
+// dispatchable. An activation is a unit of Wait's work from the send or
+// create that started it until it goes idle (nextEvent) or halts (here),
+// never if it fails: the bug is reported while the failed machine is still
+// owned — its active bit stays set for good — so Wait sees no quiescence
+// while an action runs, nor before the failure that ends it. After a step
+// that went idle, m is not touched again.
 func (m *machineInstance) drain() (bug *Bug) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -408,14 +423,15 @@ func (m *machineInstance) drain() (bug *Bug) {
 		if bug = m.boot(); bug != nil {
 			return bug
 		}
-		m.rt.consumed(1 + int(m.dropped))
 	}
-	for more := true; more && !m.halted; {
-		if more, bug = m.step(); more {
-			m.rt.consumed(1 + int(m.dropped))
+	for !m.halted {
+		more, bug := m.step()
+		if !more {
+			return bug // gone idle, or failed
 		}
 	}
-	return bug
+	m.rt.deactivated()
+	return nil
 }
 
 // boot enters the initial state and runs its entry action on the creation
@@ -461,9 +477,11 @@ func (m *machineInstance) step() (more bool, bug *Bug) {
 // state has for it (nil for an unbound halt event), or a nil event. Under the
 // testing runtime it reports "blocked" to the controller and parks until
 // there is one — the event is nil only if the iteration ends first — and
-// takes no lock. Under the production runtime the event is nil when there is
-// none or the runtime is stopping, and the machine went idle under the very
-// lock that found that out: the next send to it starts its next activation,
+// takes no lock. Under the production runtime the owner scans its queue
+// without a lock and takes the mailbox lock only when nothing there is
+// dispatchable: to splice the inbox in and scan again, or, with the inbox
+// empty too (or the runtime stopping), to go idle under that same lock. The
+// event is nil then, and the next send to m starts its next activation,
 // possibly before this call has returned.
 func (m *machineInstance) nextEvent() (ev Event, disp *dispatchEntry, bug *Bug) {
 	if c := m.rt.test; c != nil {
@@ -483,13 +501,13 @@ func (m *machineInstance) nextEvent() (ev Event, disp *dispatchEntry, bug *Bug) 
 				m.yieldPoint()
 				m.dequeueing = false
 			}
-			i, disp, bug := m.scanQueueLocked()
+			i, disp, bug := m.scanQueue()
 			if i >= 0 {
 				if c.det != nil { // the happens-before edge from the send
 					c.det.Receive(int(m.id.Seq), m.queue[i].clock)
 				}
 				ev := m.queue[i].event
-				m.removeLocked(i)
+				m.removeAt(i)
 				c.beginChain(m, ev)
 				return ev, disp, nil
 			}
@@ -501,45 +519,52 @@ func (m *machineInstance) nextEvent() (ev Event, disp *dispatchEntry, bug *Bug) 
 			}
 		}
 	}
-	m.mu.Lock()
-	queued, i := len(m.queued()), -1
-	if !m.rt.stopped.Load() {
-		i, disp, bug = m.scanQueueLocked()
-	}
-	done := queued - len(m.queued()) // ignored events; drain releases the dequeued one
-	if i >= 0 {
-		ev = m.queue[i].event
-		m.removeLocked(i)
-	} else if bug == nil {
+	r := m.rt
+	for {
+		if !r.stopped.Load() {
+			i, disp, bug := m.scanQueue()
+			if i >= 0 {
+				ev := m.queue[i].event
+				m.removeAt(i)
+				if *m.held != nil {
+					// More work of its own: the machine this goroutine woke and
+					// held back does not wait for it.
+					go (*m.held).spawn()
+					*m.held = nil
+				}
+				return ev, disp, nil
+			}
+			if bug != nil {
+				return nil, nil, bug
+			}
+		}
+		m.mu.Lock()
+		if m.splice() && !r.stopped.Load() {
+			m.mu.Unlock()
+			continue
+		}
 		m.active = false
 		if n := len(m.queued()); n > 0 {
 			// Deferred (or the runtime is stopping): no handler can take them
 			// before a send wakes m, so they are no work Wait can see done.
-			m.rt.parked.Add(int64(n))
-			done += n
+			r.parked.Add(int64(n))
 		}
+		m.mu.Unlock()
+		r.deactivated()
+		return nil, nil, nil
 	}
-	m.rt.consumed(done)
-	m.mu.Unlock()
-	if ev != nil && *m.held != nil {
-		// More work of its own: the machine this goroutine woke and held
-		// back does not wait for it.
-		go (*m.held).spawn()
-		*m.held = nil
-	}
-	return ev, disp, bug
 }
 
-// scanQueueLocked implements the paper's transition-function semantics: it
-// finds the first queued event the machine is willing to handle in its
-// current state, dropping ignored events along the way and skipping deferred
-// ones, and returns its index (-1: none) with the binding that says how: the
-// one lookup of a dispatch. The caller dequeues it under the mailbox lock,
-// which the event and a pointer into the immutable schema leave, never one
-// into the queue. Encountering an event with no binding at all is a runtime
-// error (Section 6.1), except for the built-in halt event, returned with a
-// nil binding.
-func (m *machineInstance) scanQueueLocked() (int, *dispatchEntry, *Bug) {
+// scanQueue implements the paper's transition-function semantics: it finds
+// the first queued event the machine is willing to handle in its current
+// state, dropping ignored events along the way and skipping deferred ones,
+// and returns its index (-1: none) with the binding that says how: the one
+// lookup of a dispatch. Only the machine's owner calls it, and the caller
+// dequeues the event, keeping it and a pointer into the immutable schema,
+// never one into the queue. Encountering an event with no binding at all is
+// a runtime error (Section 6.1), except for the built-in halt event,
+// returned with a nil binding.
+func (m *machineInstance) scanQueue() (int, *dispatchEntry, *Bug) {
 	for i := m.qhead; i < len(m.queue); {
 		ev := m.queue[i].event
 		disp := m.st.find(ev)
@@ -554,7 +579,7 @@ func (m *machineInstance) scanQueueLocked() (int, *dispatchEntry, *Bug) {
 				}
 			}
 		case disp.kind == dispatchIgnore:
-			i = m.removeLocked(i)
+			i = m.removeAt(i)
 			continue
 		case disp.kind == dispatchDefer:
 			i++
@@ -568,12 +593,12 @@ func (m *machineInstance) scanQueueLocked() (int, *dispatchEntry, *Bug) {
 // queued is the mailbox: the events sent and not yet dequeued, in order.
 func (m *machineInstance) queued() []envelope { return m.queue[m.qhead:] }
 
-// removeLocked dequeues queue[i] and returns the index its successor now
+// removeAt dequeues queue[i] and returns the index its successor now
 // has. The head — the only case when nothing is deferred — costs O(1): it
 // moves qhead past the slot, and an emptied mailbox rewinds to the start of
 // its array. Only an event behind deferred ones shifts the rest down. Either
 // way the vacated slot is zeroed so it does not retain its Event.
-func (m *machineInstance) removeLocked(i int) int {
+func (m *machineInstance) removeAt(i int) int {
 	if i == m.qhead {
 		m.queue[i] = envelope{}
 		if m.qhead++; m.qhead == len(m.queue) {
@@ -600,14 +625,32 @@ func (m *machineInstance) push(env envelope) {
 	m.queue = append(m.queue, env)
 }
 
-// dropQueue empties the mailbox, keeping its capacity (with event references
-// cleared) so a recycled instance does not regrow it, and returns how many
-// events it held.
-func (m *machineInstance) dropQueue() int {
-	n := len(m.queued())
+// splice moves the inbox onto the end of the queue, under mu, and reports
+// whether it held anything; an empty queue trades arrays with it instead.
+// It leaves qlen up to date.
+func (m *machineInstance) splice() bool {
+	n := len(m.inbox)
+	if n > 0 && len(m.queued()) == 0 {
+		m.queue, m.qhead, m.inbox = m.inbox, 0, m.queue[:0]
+	} else if n > 0 {
+		for _, env := range m.inbox {
+			m.push(env)
+		}
+		clear(m.inbox)
+		m.inbox = m.inbox[:0]
+	}
+	m.qlen = len(m.queued())
+	return n > 0
+}
+
+// dropQueue empties the mailbox, queue and inbox, keeping their capacity
+// (with event references cleared) so a recycled instance does not regrow
+// them.
+func (m *machineInstance) dropQueue() {
 	clear(m.queued())
 	m.queue, m.qhead = m.queue[:0], 0
-	return n
+	clear(m.inbox)
+	m.inbox = m.inbox[:0]
 }
 
 func isHaltEvent(ev Event) bool {
@@ -656,11 +699,7 @@ func (m *machineInstance) dispatch(disp *dispatchEntry, ev Event) *Bug {
 		// Coverage counts program transitions: a monitor has no block, its
 		// dispatches being observations.
 		if b := m.cover; b != nil {
-			if m.rt.test != nil {
-				m.rt.cover.counts[b.base+int(disp.slot)]++
-			} else {
-				b.ctrs[disp.slot].Add(1)
-			}
+			b.add(disp.slot)
 		}
 		if disp.kind == dispatchGoto {
 			return m.gotoState(disp.target, ev)
@@ -760,7 +799,7 @@ func (m *machineInstance) String() string {
 // to it are discarded by the runtime.
 func (m *machineInstance) doHalt() {
 	m.mu.Lock()
-	m.dropped = int32(m.dropQueue())
+	m.dropQueue()
 	m.halted = true
 	m.mu.Unlock()
 	if m.rt.logging() {

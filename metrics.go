@@ -12,7 +12,10 @@ import (
 // A testing runtime records into plain words of its controller instead
 // (iterationCounts: its execution is serialized, and three lock-prefixed
 // adds a send were a measurable share of a scheduling point) and adds them
-// here once, when the iteration ends.
+// here once, when the iteration ends. A production send counts Sends and
+// MailboxMax per receiving machine, in plain words under the mailbox lock it
+// holds anyway (machineInstance.sends, mailboxMax), and Runtime.Metrics sums
+// them with these.
 type RuntimeMetrics struct {
 	// Sends counts events successfully enqueued (machine sends, environment
 	// sends, and internal re-queues of deferred raised events).
@@ -23,7 +26,12 @@ type RuntimeMetrics struct {
 	MonitorDispatches obs.Counter
 	// Creates counts machine instances created.
 	Creates obs.Counter
-	// MailboxMax is the high-water mark of any machine's queue depth.
+	// MailboxMax is the high-water mark of any machine's mailbox depth, as
+	// each send found it. In production the mailbox is the owner's queue
+	// plus the inbox senders append to while the machine is active (see
+	// machineInstance.mu), the queue counted as the owner last reported it
+	// under the mailbox lock: the owner dequeues without it, so between two
+	// of its splices the depth read can be high by what it dequeued since.
 	MailboxMax obs.MaxGauge
 }
 
@@ -62,14 +70,26 @@ type RuntimeMetricsSnapshot struct {
 // as it returns (or panics with the strategy's panic), so a snapshot taken
 // from inside a handler, a monitor or the strategy does not yet include the
 // iteration that is running.
+//
+// In production Sends and MailboxMax are summed over the machines, each read
+// under its mailbox lock.
 func (r *Runtime) Metrics() RuntimeMetricsSnapshot {
-	return RuntimeMetricsSnapshot{
+	s := RuntimeMetricsSnapshot{
 		Sends:             r.metrics.Sends.Load(),
 		DroppedSends:      r.metrics.DroppedSends.Load(),
 		MonitorDispatches: r.metrics.MonitorDispatches.Load(),
 		Creates:           r.metrics.Creates.Load(),
 		MailboxMax:        r.metrics.MailboxMax.Load(),
 	}
+	if t := r.table.Load(); t != nil {
+		for _, m := range *t {
+			m.mu.Lock()
+			s.Sends += m.sends
+			s.MailboxMax = max(s.MailboxMax, m.mailboxMax)
+			m.mu.Unlock()
+		}
+	}
+	return s
 }
 
 // WithCoverage attaches a state-transition coverage set to a production
@@ -77,18 +97,21 @@ func (r *Runtime) Metrics() RuntimeMetricsSnapshot {
 // into it. Bug-finding iterations attach coverage via TestConfig.Coverage
 // instead, so one set can accumulate across a whole exploration campaign.
 func WithCoverage(cov *obs.StateEventCoverage) Option {
-	return func(r *Runtime) { r.cover.attach(cov) }
+	return func(r *Runtime) { r.cover.attach(cov, false) }
 }
 
 // coverage is a runtime's side of its coverage set: the set's counters of
 // the transitions of every schema the runtime's machines ran, resolved once
-// per schema, in one block each. Under a controller a dispatch adds one to a
-// plain word of counts, and TestHarness.Run folds them into the set's
-// counters when the iteration ends, as it folds iterationCounts into
+// per schema, in one block each. Under a controller (counted) a dispatch adds
+// one to a plain word of counts, and TestHarness.Run folds them into the
+// set's counters when the iteration ends, as it folds iterationCounts into
 // RuntimeMetrics; a production dispatch adds to the set's counter itself.
+// Which one a block does is fixed when it is made, so a machine's dispatch
+// asks its block, not the runtime's mode.
 type coverage struct {
-	set    *obs.StateEventCoverage
-	blocks []*coverBlock
+	set     *obs.StateEventCoverage
+	counted bool
+	blocks  []*coverBlock
 	// counts holds the testing runtime's dispatches not folded yet, by
 	// block base plus binding slot. The array is written at every dispatch
 	// by the worker that owns the harness, so it ends in a cache line of
@@ -102,18 +125,28 @@ type coverage struct {
 const cacheLineWords = 8
 
 // coverBlock holds the counters of schema's transitions, by slot, and where
-// they start in counts.
+// they start in counts, which it points to if its coverage is counted.
 type coverBlock struct {
 	schema *compiledSchema
 	base   int
 	ctrs   []*obs.TransitionCounter
+	counts *[]int64
 }
 
-// attach makes set the one dispatches are recorded into; the blocks of
-// another set are dropped.
-func (cv *coverage) attach(set *obs.StateEventCoverage) {
+// add records one dispatch of the transition in slot.
+func (b *coverBlock) add(slot int32) {
+	if b.counts != nil {
+		(*b.counts)[b.base+int(slot)]++
+	} else {
+		b.ctrs[slot].Add(1)
+	}
+}
+
+// attach makes set the one dispatches are recorded into, counted in plain
+// words under a controller; the blocks of another set are dropped.
+func (cv *coverage) attach(set *obs.StateEventCoverage, counted bool) {
 	if set != cv.set {
-		*cv = coverage{set: set, counts: cv.counts[:0]}
+		*cv = coverage{set: set, counted: counted, counts: cv.counts[:0]}
 	}
 }
 
@@ -134,6 +167,9 @@ func (cv *coverage) block(schema *compiledSchema) *coverBlock {
 	b := &coverBlock{schema: schema, base: len(cv.counts), ctrs: make([]*obs.TransitionCounter, len(schema.transitions))}
 	for i, t := range schema.transitions {
 		b.ctrs[i] = cv.set.Counter(t)
+	}
+	if cv.counted {
+		b.counts = &cv.counts
 	}
 	cv.blocks = append(cv.blocks, b)
 	n := b.base + len(b.ctrs)

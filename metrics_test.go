@@ -2,6 +2,8 @@ package psharp_test
 
 import (
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/psharp-go/psharp"
@@ -299,5 +301,84 @@ func TestHarnessMetricsFoldPerIteration(t *testing.T) {
 	}
 	if !dropped || !panicked || !interrupted {
 		t.Fatalf("the iterations did not cover a dropped send (%v), a strategy panic (%v) and an interrupt (%v)", dropped, panicked, interrupted)
+	}
+}
+
+// TestProductionMailboxMaxCountsTheInbox: a machine whose entry action is
+// still running is active, so what it is sent meanwhile waits in its inbox;
+// MailboxMax counts it, exactly.
+func TestProductionMailboxMaxCountsTheInbox(t *testing.T) {
+	const n = 17
+	entered, gate := make(chan struct{}), make(chan struct{})
+	handled := 0
+	r := psharp.NewRuntime()
+	r.MustRegister("M", func() psharp.Machine {
+		return &gatedEntry{entered: entered, gate: gate, handled: &handled}
+	})
+	id := r.MustCreate("M", nil)
+	<-entered
+	for i := 0; i < n; i++ {
+		if err := r.SendEvent(id, &evA{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(gate)
+	if err := r.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if m := r.Metrics(); m.MailboxMax != n || m.Sends != n || handled != n {
+		t.Fatalf("metrics %+v with %d handled, want a mailbox max and %d sends, all handled", m, handled, n)
+	}
+}
+
+// gatedEntry's entry action signals entered and waits for gate; then it
+// counts the evA it handles.
+type gatedEntry struct {
+	psharp.StaticBase
+	entered, gate chan struct{}
+	handled       *int
+}
+
+func (*gatedEntry) ConfigureType(sc *psharp.Schema) {
+	sc.Start("S").
+		OnEntryM(func(m psharp.Machine, _ *psharp.Context, _ psharp.Event) {
+			g := m.(*gatedEntry)
+			close(g.entered)
+			<-g.gate
+		}).
+		OnEventDoM(&evA{}, func(m psharp.Machine, _ *psharp.Context, _ psharp.Event) { *m.(*gatedEntry).handled++ })
+}
+
+// TestProductionSendsUnderConcurrentSenders: Sends, counted per receiving
+// machine under its mailbox lock, is what three goroutines sending at once
+// delivered — to two machines, so that Metrics sums them.
+func TestProductionSendsUnderConcurrentSenders(t *testing.T) {
+	const senders, each = 3, 10_000
+	var handled atomic.Int64
+	r := psharp.NewRuntime()
+	register(r, "Sink", func(s *psharp.StateBuilder) {
+		s.OnEventDoM(&evA{}, func(psharp.Machine, *psharp.Context, psharp.Event) { handled.Add(1) })
+	})
+	ids := [2]psharp.MachineID{r.MustCreate("Sink", nil), r.MustCreate("Sink", nil)}
+	var wg sync.WaitGroup
+	wg.Add(senders)
+	for g := 0; g < senders; g++ {
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				r.SendEvent(ids[i%2], &evA{})
+			}
+		}()
+	}
+	wg.Wait()
+	if err := r.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	m := r.Metrics()
+	if m.Sends != senders*each || handled.Load() != senders*each || m.DroppedSends != 0 {
+		t.Fatalf("metrics %+v, %d handled: want %d sends, all handled, none dropped", m, handled.Load(), senders*each)
+	}
+	if m.MailboxMax < 1 || m.MailboxMax > senders*each {
+		t.Fatalf("mailbox max %d outside 1..%d", m.MailboxMax, senders*each)
 	}
 }

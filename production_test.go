@@ -818,3 +818,165 @@ func TestProductionDrawsFollowTheSeed(t *testing.T) {
 		t.Fatalf("RandomInt(%d) under a controller: bug %v, want its refusal", big, res.Bug)
 	}
 }
+
+// The mailbox of an active machine is two queues: the owner's, which it
+// dequeues from without a lock, and the inbox senders append to under the
+// mailbox lock. The tests below pin the seams: the event that wakes an idle
+// machine lands in the owner's queue and the ones after it in the inbox, the
+// owner splices the inbox in when nothing in its queue is dispatchable, and
+// always before it goes idle.
+
+// boundarySink checks that each sender's evNum events arrive in order, once
+// each; every pauseEvery events it goes to Hold, which defers them until an
+// evKick from outside. Flow ignores kicks.
+type boundarySink struct {
+	psharp.StaticBase
+	pauseEvery int
+	got        *int
+	nextFrom   map[psharp.MachineID]int
+}
+
+func (*boundarySink) ConfigureType(sc *psharp.Schema) {
+	sc.Start("Flow").
+		OnEventDoM(&evNum{}, func(m psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
+			s, e := m.(*boundarySink), ev.(*evNum)
+			ctx.Assert(e.N == s.nextFrom[e.From], "%s: event %d arrived in position %d", e.From, e.N, s.nextFrom[e.From])
+			s.nextFrom[e.From]++
+			if *s.got++; *s.got%s.pauseEvery == 0 {
+				ctx.Goto("Hold")
+			}
+		}).
+		Ignore(&evKick{})
+	sc.State("Hold").
+		Defer(&evNum{}).
+		OnEventGoto(&evKick{}, "Flow")
+}
+
+// TestProductionFIFOAcrossTheIdleBoundary: three goroutines send numbered
+// events to a machine that keeps going idle holding deferred ones, while a
+// fourth kicks it out of its deferring state. Each send that wakes the
+// machine appends behind the deferred events in the owner's queue, the sends
+// racing it land in the inbox; every sender's events still arrive in send
+// order, each exactly once.
+func TestProductionFIFOAcrossTheIdleBoundary(t *testing.T) {
+	const senders, each, pauseEvery = 3, 20_000, 97
+	var got int // sink-local, like nextFrom: only its handlers touch them
+	nextFrom := make(map[psharp.MachineID]int)
+	r := psharp.NewRuntime()
+	r.MustRegister("Sink", func() psharp.Machine {
+		return &boundarySink{pauseEvery: pauseEvery, got: &got, nextFrom: nextFrom}
+	})
+	sink := r.MustCreate("Sink", nil)
+	mustWait(t, r)
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(senders)
+	for g := 1; g <= senders; g++ {
+		from := psharp.MachineID{Type: "Env", Seq: uint64(g)}
+		go func() {
+			defer wg.Done()
+			for n := 0; n < each; n++ {
+				r.SendEvent(sink, &evNum{From: from, N: n})
+			}
+		}()
+	}
+	kicked := make(chan struct{})
+	go func() {
+		defer close(kicked)
+		for !done.Load() {
+			r.SendEvent(sink, &evKick{})
+			time.Sleep(20 * time.Microsecond)
+		}
+	}()
+	wg.Wait()
+	done.Store(true)
+	<-kicked
+	// Whatever is left deferred is a deadlock until a kick releases it.
+	for kicks := 0; ; kicks++ {
+		err := waitWithin(t, r, 10*time.Second)
+		if err == nil {
+			break
+		}
+		var bug *psharp.Bug
+		if !errors.As(err, &bug) || bug.Kind != psharp.BugDeadlock || kicks > senders*each/pauseEvery {
+			t.Fatalf("Wait = %v after %d closing kicks", err, kicks)
+		}
+		mustSend(t, r, sink, &evKick{})
+	}
+	if got != senders*each {
+		t.Fatalf("sink handled %d of %d events", got, senders*each)
+	}
+	for id, n := range nextFrom {
+		if n != each {
+			t.Fatalf("%s: %d of %d events delivered", id, n, each)
+		}
+	}
+	if m := r.Metrics(); m.Sends < senders*each || m.DroppedSends != 0 {
+		t.Fatalf("metrics %+v, want at least %d sends and none dropped", m, senders*each)
+	}
+}
+
+// TestProductionHaltRacingSends: a machine halts at its haltAt-th event while
+// three goroutines are still sending to it. Wait returns; the machine handled
+// exactly haltAt events; every send was delivered (Sends: handled, or dropped
+// from the mailbox by the halt) or refused (DroppedSends), none lost.
+func TestProductionHaltRacingSends(t *testing.T) {
+	const senders, each, haltAt = 3, 5_000, 500
+	var handled int
+	r := psharp.NewRuntime()
+	register(r, "Mortal", func(s *psharp.StateBuilder) {
+		s.OnEventDoM(&evNum{}, func(_ psharp.Machine, ctx *psharp.Context, _ psharp.Event) {
+			if handled++; handled == haltAt {
+				ctx.Halt()
+			}
+		})
+	})
+	id := r.MustCreate("Mortal", nil)
+	var wg sync.WaitGroup
+	wg.Add(senders)
+	for g := 0; g < senders; g++ {
+		go func() {
+			defer wg.Done()
+			for n := 0; n < each; n++ {
+				r.SendEvent(id, &evNum{N: n})
+			}
+		}()
+	}
+	wg.Wait()
+	if err := waitWithin(t, r, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	m := r.Metrics()
+	if handled != haltAt || m.Sends < haltAt || m.Sends+m.DroppedSends != senders*each {
+		t.Fatalf("handled %d (want %d), metrics %+v: want sends + dropped sends = %d", handled, haltAt, m, senders*each)
+	}
+}
+
+// TestProductionDeferredInboxIsParked: events that reach the inbox while a
+// handler runs, all of them deferred, are spliced into the queue the machine
+// goes idle with and count as parked: Wait reports the deadlock instead of
+// quiescence.
+func TestProductionDeferredInboxIsParked(t *testing.T) {
+	entered, gate := make(chan struct{}), make(chan struct{})
+	r := psharp.NewRuntime()
+	register(r, "M", func(s *psharp.StateBuilder) {
+		s.OnEventDoM(&evA{}, func(psharp.Machine, *psharp.Context, psharp.Event) {
+			close(entered)
+			<-gate
+		}).
+			Defer(&evB{})
+	})
+	id := r.MustCreate("M", nil)
+	mustWait(t, r)
+	mustSend(t, r, id, &evA{})
+	<-entered
+	for i := 0; i < 3; i++ {
+		mustSend(t, r, id, &evB{})
+	}
+	close(gate)
+	err := waitWithin(t, r, 10*time.Second)
+	var bug *psharp.Bug
+	if !errors.As(err, &bug) || bug.Kind != psharp.BugDeadlock || bug.Machine != id {
+		t.Fatalf("Wait = %v, want a deadlock of %s", err, id)
+	}
+}

@@ -33,11 +33,12 @@ import (
 type Runtime struct {
 	// mu guards the tables below. The production runtime takes it to
 	// register, to create and to report (Wait, Failure, NumMachines) — not to
-	// pass a message: senders find machines through table and account for
-	// work in atomics. A testing runtime is serialized by construction — one
-	// stack runs at a time and the coroutine switches order everything (see
-	// controller) — and its create, send and crash paths are the controller's
-	// own (controller.create, controller.send), which take no lock.
+	// pass a message: senders find machines through table, and only a send
+	// that wakes a machine accounts for work, in an atomic. A testing runtime
+	// is serialized by construction — one stack runs at a time and the
+	// coroutine switches order everything (see controller) — and its create,
+	// send and crash paths are the controller's own (controller.create,
+	// controller.send), which take no lock.
 	mu        sync.Mutex
 	factories map[string]func() Machine
 	machines  []*machineInstance
@@ -82,14 +83,17 @@ type Runtime struct {
 	// and by TestConfig.Coverage per bug-finding iteration.
 	cover coverage
 
-	// Production-mode accounting: busy counts outstanding units of work
-	// (queued events and machine initializations); Wait sleeps on qcond until
-	// it reaches zero (quiescence), a failure is recorded or the runtime is
-	// stopped. Only the transition to zero and fail take mu, to wake Wait.
-	// parked counts the events idle machines hold, which their states defer:
-	// moved out of busy when a machine goes idle with them, back in by the
-	// send that wakes it (an idle machine's mailbox changes only by that
-	// send). Nonzero at quiescence, it is a deadlock.
+	// Production-mode accounting: busy counts activations, the outstanding
+	// units of work: a create and the send that wakes an idle machine add
+	// one, an activation that goes idle or halts takes it away, and one that
+	// fails keeps it. Wait sleeps on qcond until it reaches zero
+	// (quiescence), a failure is recorded or the runtime is stopped. Only the
+	// transition to zero and fail take mu, to wake Wait. A send to an active
+	// machine does not touch it. parked counts the events idle machines hold,
+	// all of them deferred by their machine's state: added as a machine goes
+	// idle with them, taken away by the send that wakes it (an idle machine's
+	// mailbox changes only by that send). Nonzero at quiescence, it is a
+	// deadlock.
 	busy    atomic.Int64
 	parked  atomic.Int64
 	qcond   *sync.Cond
@@ -204,7 +208,10 @@ func (r *Runtime) MustRegister(name string, factory func() Machine) {
 // CreateMachine creates a machine from outside any machine (the program's
 // environment); the entry action of its initial state runs asynchronously.
 func (r *Runtime) CreateMachine(typeName string, payload Event) (MachineID, error) {
-	return r.newMachine(typeName, payload, nil)
+	if c := r.test; c != nil {
+		return c.create(typeName, payload, nil)
+	}
+	return r.create(typeName, payload, nil)
 }
 
 // MustCreate is CreateMachine that panics on error; convenient in test
@@ -226,19 +233,10 @@ func (r *Runtime) SendEvent(target MachineID, ev Event) error {
 	return nil
 }
 
-// newMachine creates a machine in the runtime's mode; creator is nil for
-// environment creates.
-func (r *Runtime) newMachine(typeName string, payload Event, creator *machineInstance) (MachineID, error) {
-	if c := r.test; c != nil {
-		return c.create(typeName, payload, creator)
-	}
-	return r.create(typeName, payload, creator)
-}
-
-// send routes ev to target's queue in the runtime's mode. sm is the sending
-// machine, nil for sends from the environment. isMachineSend marks sends
-// performed by machine actions (which are scheduling points in test mode);
-// environment sends and internal re-queues of deferred raised events are not.
+// send routes ev to target's queue in the runtime's mode: a send from the
+// environment, or a deferred raise's re-queue (sm the machine, isMachineSend
+// false). A machine's own sends are Context.Send's, which tests the mode
+// itself so that it reaches the mode's body in one call.
 func (r *Runtime) send(target MachineID, ev Event, sm *machineInstance, isMachineSend bool) {
 	if c := r.test; c != nil {
 		c.send(target, ev, sm, isMachineSend)
@@ -247,9 +245,10 @@ func (r *Runtime) send(target MachineID, ev Event, sm *machineInstance, isMachin
 	r.enqueue(target, ev, sm, isMachineSend)
 }
 
-// create is the production runtime's create: the creator owns the first
-// activation, which runs the initial entry action; until that is done the
-// machine is outstanding work.
+// create is the production runtime's create (controller.create is the
+// testing runtime's; CreateMachine and Context.CreateMachine call the one of
+// their mode): the creator owns the first activation, which runs the initial
+// entry action.
 func (r *Runtime) create(typeName string, payload Event, creator *machineInstance) (MachineID, error) {
 	r.mu.Lock()
 	logic, schema, err := r.instantiate(typeName)
@@ -318,9 +317,15 @@ func (r *Runtime) instantiate(name string) (Machine, *compiledSchema, error) {
 	return logic, schema, err
 }
 
-// enqueue is the production runtime's send (see send): it finds the target
-// in the published table, locks only its mailbox, and activates it if it
-// was idle.
+// enqueue is the production runtime's send (controller.send is the testing
+// runtime's; Context.Send and Runtime.send call the one of their mode). sm
+// is the sending machine, nil for sends from the environment; isMachineSend
+// marks sends performed by machine actions (scheduling points in test mode),
+// not environment sends or internal re-queues of deferred raised events. It
+// finds the target in the published table and locks only its mailbox: a
+// send to an idle machine takes ownership, appends to its queue, which has
+// no other owner then, and activates it; one to an active machine appends
+// to its inbox and touches no process-wide word.
 func (r *Runtime) enqueue(target MachineID, ev Event, sm *machineInstance, isMachineSend bool) {
 	var sender MachineID
 	if sm != nil {
@@ -339,6 +344,7 @@ func (r *Runtime) enqueue(target MachineID, ev Event, sm *machineInstance, isMac
 			Message: fmt.Sprintf("send of %s to unknown machine %s", eventName(ev), target)})
 		return
 	}
+	env := envelope{event: ev, sender: sender}
 	m.mu.Lock()
 	if m.halted {
 		m.mu.Unlock()
@@ -348,24 +354,25 @@ func (r *Runtime) enqueue(target MachineID, ev Event, sm *machineInstance, isMac
 		}
 		return
 	}
-	woke, parked := !m.active, 0
-	m.active = true
+	woke := !m.active
 	if woke {
-		parked = len(m.queued()) // what m went idle with is work again
+		m.active = true
+		if n := len(m.queued()); n > 0 {
+			r.parked.Add(-int64(n)) // what m went idle with is work again
+		}
+		m.push(env)
+		m.qlen = len(m.queued())
+	} else {
+		m.inbox = append(m.inbox, env)
 	}
-	r.busy.Add(int64(1 + parked))
-	if parked > 0 {
-		r.parked.Add(-int64(parked))
-	}
-	m.push(envelope{event: ev, sender: sender})
-	depth := int64(len(m.queued()))
+	m.sends++
+	m.mailboxMax = max(m.mailboxMax, int64(m.qlen+len(m.inbox)))
 	m.mu.Unlock()
 	if r.logging() {
 		r.logf("%s -> %s: %s", sender, target, eventName(ev))
 	}
-	r.metrics.Sends.Inc()
-	r.metrics.MailboxMax.Observe(depth)
 	if woke {
+		r.busy.Add(1)
 		r.wake(m, sm)
 	}
 }
@@ -380,12 +387,11 @@ func (r *Runtime) machineAt(seq uint64) *machineInstance {
 	return (*t)[seq-1]
 }
 
-// consumed is production-mode work accounting: n units of outstanding work —
-// queued events handled, ignored or dropped by a halt, a completed
-// initialization — are done (drain, nextEvent). The last one out wakes Wait,
-// in a call of its own, so that this one inlines into every step.
-func (r *Runtime) consumed(n int) {
-	if n > 0 && r.busy.Add(-int64(n)) == 0 {
+// deactivated is production-mode work accounting: an activation went idle
+// (nextEvent) or halted (drain). The last one out wakes Wait, in a call of
+// its own, so that this one inlines.
+func (r *Runtime) deactivated() {
+	if r.busy.Add(-1) == 0 {
 		r.quiesced()
 	}
 }
@@ -435,10 +441,14 @@ func (r *Runtime) Wait() error {
 		return failure
 	}
 	if !stopped && r.parked.Load() > 0 {
-		// Not under mu: a machine going idle takes its mailbox lock first.
+		// Not under mu: a machine going idle takes its mailbox lock first. A
+		// machine woken since is its owner's: only an idle one is read.
 		for _, m := range *r.table.Load() {
+			parked, state := 0, ""
 			m.mu.Lock()
-			parked, state := len(m.queued()), m.state()
+			if !m.active {
+				parked, state = len(m.queued()), m.state()
+			}
 			m.mu.Unlock()
 			if parked > 0 {
 				return &Bug{Kind: BugDeadlock, Machine: m.id, State: state,
