@@ -16,7 +16,7 @@ import (
 // previous attempt's decisions made again to get back to the backtrack point.
 // A snapshot of the program at a scheduling point spares that: each
 // instance's logic value and state — a machine's with its mailbox and status,
-// a monitor's (a machine that observes) with its temperature — and a handful
+// a monitor's (a machine that observes) with its hot period — and a handful
 // of the controller's counters, one record per instance. Taking one (and
 // recording a handler start, below) is the only time a checkpoint reads the
 // program's memory: one copy walk (stateWalk.copy) over every instance
@@ -95,7 +95,10 @@ import (
 // middle of other objects, which a copy would not be faithful to; and the
 // first Run after the configuration changed (inheritKey). Only the first and
 // the last of these also turn off the state cache's skip of the prefix the
-// strategy promises to repeat. Everything else must keep its state where the
+// strategy promises to repeat. A program with a monitor that declares a hot
+// state is checkpointed like any other: the lasso table is rewound to the
+// repeated prefix (stateHasher.keepLassos) and a monitor's hot period is in
+// its record. Everything else must keep its state where the
 // tester can see it: in machine and monitor logic values and in events. A
 // handler's effects on anything else — a variable its setup closure captured,
 // a file — are not repeated for restored points, just as the state cache
@@ -149,15 +152,15 @@ type snapshot struct {
 
 // instanceState is one machine or monitor as a snapshot holds it.
 type instanceState struct {
-	id     MachineID
-	schema *compiledSchema
-	st     *stateSpec // nil: not booted yet, birth is what boot will start from
-	status machineStatus
-	halted bool
-	temp   int
-	logic  imageRoot
-	queue  []queued
-	birth  imageRoot
+	id      MachineID
+	schema  *compiledSchema
+	st      *stateSpec // nil: not booted yet, birth is what boot will start from
+	status  machineStatus
+	halted  bool
+	hotFrom int
+	logic   imageRoot
+	queue   []queued
+	birth   imageRoot
 	// A machine parked at a yield point (log not empty) is rebuilt: it
 	// re-runs chain — or, if chain is nil, starts from logic at the CHESS
 	// dequeue it yielded at — matching log op for op, and parks at the yield
@@ -214,7 +217,7 @@ func (is *instanceState) save(w *stateWalk, m *machineInstance, bound *compiledS
 		return false
 	}
 	queue, log := is.queue[:0], is.log[:0]
-	*is = instanceState{id: m.id, schema: m.schema, st: m.st, status: m.status, halted: m.halted, temp: m.temp}
+	*is = instanceState{id: m.id, schema: m.schema, st: m.st, status: m.status, halted: m.halted, hotFrom: m.hotFrom}
 	switch {
 	case m.dequeueing:
 		is.logic = w.logicRoot(&m.logic) // between two chains, one yield short of the next
@@ -248,7 +251,7 @@ func (is *instanceState) save(w *stateWalk, m *machineInstance, bound *compiledS
 // image.
 func (is *instanceState) load(ck *checkpoints, m *machineInstance) {
 	rel := &ck.rel
-	m.st, m.halted, m.temp = is.st, is.halted, is.temp
+	m.st, m.halted, m.hotFrom = is.st, is.halted, is.hotFrom
 	if hs := is.chain; hs != nil {
 		cr := &ck.chainRel
 		cr.restore(&hs.img)
@@ -338,12 +341,12 @@ func (ck *checkpoints) forget() {
 // trace, as a prefix the cache passed, and the checkpoints — holds only while
 // the key is unchanged.
 type inheritKey struct {
-	cache       StateCache
-	temperature int // monitor temperatures are state
-	chessLike   bool
-	faults      bool // fault decisions are not part of the prefix hash
-	maxSteps    int  // a prefix longer than the bound is never reached
-	coverage    *obs.StateEventCoverage
+	cache     StateCache
+	chessLike bool
+	faults    bool // fault decisions are not part of the prefix hash
+	live      bool // a lasso table is kept: setup registers a monitor with a hot state
+	maxSteps  int  // a prefix longer than the bound is never reached
+	coverage  *obs.StateEventCoverage
 }
 
 // same reports whether what was recorded under k is still true under next.
@@ -357,22 +360,30 @@ func (k inheritKey) same(next inheritKey) bool {
 // rewind starts an iteration with what it inherits from the one before, and
 // is the one place that decides it: under an unchanged configuration, the
 // decision prefix the strategy promises to repeat, whose points the cache
-// passed then, and the deepest snapshot inside it, which it restores. It
+// and the lasso check passed then, the lasso table as that prefix left it,
+// and the deepest snapshot inside it, which it restores. It
 // returns the snapshot's position, leaving the trace that long; 0 means
 // nothing was restored and setup has to run. It also picks the position this
 // iteration will snapshot at.
 func (c *controller) rewind() int {
 	cfg := &c.cfg
-	key := inheritKey{cfg.StateCache, cfg.LivenessTemperature, cfg.ChessLike, cfg.Faults != nil, cfg.MaxSteps, cfg.Coverage}
+	// Whether the program states a liveness property showed when setup last
+	// ran, or a snapshot was last restored (c.live), and setup is
+	// deterministic; setup or the restore says it again.
+	key := inheritKey{cfg.StateCache, cfg.ChessLike, cfg.Faults != nil, c.live, cfg.MaxSteps, cfg.Coverage}
 	resuming := c.key.same(key) && c.resumer != nil
-	c.key = key
-	at, k := 0, 0
+	c.key, c.live = key, false
+	at, k, keep := 0, 0, 0
 	if resuming {
 		prev := c.trace.Decisions
 		k = c.resumer.RepeatedPrefix(prev)
 		if h := c.hasher; h != nil {
 			h.replayTo = min(k+1, len(prev)) // p <= k, and the previous iteration decided at p
+			keep = h.replayTo
 		}
+	}
+	if h := c.kept; h != nil {
+		h.keepLassos(keep)
 	}
 	// Checkpoints carry neither vector clocks nor fault bookkeeping (faults
 	// never keep the key), and a restored prefix writes no log.
@@ -628,9 +639,13 @@ func (c *controller) restore(s *snapshot) {
 	c.resumedOn = s.onStack
 	if h := c.hasher; h != nil {
 		// Every point before this one lies inside the prefix the strategy
-		// promised to repeat and was shown to the cache by an earlier
-		// iteration, under these prefixes: they count as replayed.
-		h.prefix, h.replayed = s.prefix, s.steps
+		// promised to repeat and was shown to the cache and the lasso table
+		// by an earlier iteration, under these prefixes: they count as
+		// replayed where there is a cache.
+		h.prefix = s.prefix
+		if c.cfg.StateCache != nil {
+			h.replayed = s.steps
+		}
 	}
 	c.restored = s.steps
 	for _, m := range rt.machines {

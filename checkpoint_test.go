@@ -273,6 +273,119 @@ func TestCheckpointClosureFormProgramHasNone(t *testing.T) {
 	}
 }
 
+// TestCheckpointHotMonitorProgramInheritsTheLassoTable: a program with a
+// monitor that declares a hot state starts an attempt from a checkpoint and
+// skips the points of the prefix it repeats like any other program — the
+// lasso table is rewound to what that prefix wrote, and a monitor's hot
+// period is in its record — and finds, attempt for attempt, what the search
+// that executes, hashes and looks up every point from setup finds: the
+// buggy FairResponder's lasso at the same attempt under both cached
+// searches, nothing on the correct one.
+func TestCheckpointHotMonitorProgramInheritsTheLassoTable(t *testing.T) {
+	counters := protocols.Benchmark{Name: "Counters", Buggy: true, MaxSteps: 60, Setup: countersSetup}
+	recooled := protocols.Benchmark{Name: "Recooled", MaxSteps: 60, Setup: recooledSetup}
+	dfs := func() sct.Strategy { return sct.NewDFS() }
+	dpor := func() sct.Strategy { return sct.NewDPOR() }
+	for _, tc := range []struct {
+		b        protocols.Benchmark
+		name     string
+		fresh    func() sct.Strategy
+		cached   bool
+		attempts int
+		lasso    bool
+	}{
+		{protocols.MustByName("FairResponder", true), "dfs", dfs, false, 300, false},
+		{protocols.MustByName("FairResponder", true), "dfs+cache", dfs, true, 1300, true},
+		{protocols.MustByName("FairResponder", true), "dpor+cache", dpor, true, 300, true},
+		{protocols.MustByName("FairResponder", false), "dfs", dfs, false, 300, false},
+		{protocols.MustByName("FairResponder", false), "dfs+cache", dfs, true, 1300, false},
+		{protocols.MustByName("FairResponder", false), "dpor+cache", dpor, true, 300, false},
+		{counters, "dfs", dfs, false, 300, true},
+		{counters, "dfs+cache", dfs, true, 300, true},
+		{recooled, "dfs", dfs, false, 300, false},
+	} {
+		t.Run(tc.b.ID()+"/"+tc.name, func(t *testing.T) {
+			setup := tc.b.SetupMonitored()
+			live, liveCache, restored := search(t, setup, tc.b, tc.fresh(), tc.attempts, tc.cached, searchLive)
+			full, fullCache, _ := search(t, setup, tc.b, tc.fresh(), tc.attempts, tc.cached, searchEveryPoint)
+			bugs := 0
+			for i := range live {
+				live[i].replayed = 0 // the every-point search replays nothing, by construction
+				if live[i].bug != "" {
+					bugs++
+				}
+			}
+			sameAttempts(t, "inherited/every point", live, full, liveCache, fullCache)
+			if restored == 0 {
+				t.Fatal("no point was restored: the program inherited no checkpoint")
+			}
+			if (bugs > 0) != tc.lasso {
+				t.Fatalf("%d of %d attempts end at a lasso, want some: %v", bugs, len(live), tc.lasso)
+			}
+		})
+	}
+}
+
+// countersSetup leaves a request with a sink that ignores it — the monitor
+// it registers first stays hot — and two counters that count modulo 3 by
+// sending themselves a tick. Their states recur every three steps of each,
+// so a depth-first search meets lassos that close past the prefix an
+// attempt repeats and open inside it.
+func countersSetup(r *psharp.Runtime) {
+	r.MustRegister("Sink", func() psharp.Machine { return &quiet{} })
+	r.MustRegister("Counter", func() psharp.Machine { return &modCounter{} })
+	r.MustRegisterMonitor("Responds", mtResponds)
+	if err := r.SendEvent(r.MustCreate("Sink", nil), &mtReq{}); err != nil {
+		panic(err)
+	}
+	for range 2 {
+		if err := r.SendEvent(r.MustCreate("Counter", nil), &mtOutcome{}); err != nil {
+			panic(err)
+		}
+	}
+}
+
+// recooledSetup runs a reheater beside a counter. The reheater cools the
+// monitor and heats it again in two of every three steps of its own: a
+// cycle that keeps the monitor hot starts after it last heated it, and an
+// attempt restored past that step must know when it was.
+func recooledSetup(r *psharp.Runtime) {
+	r.MustRegister("Reheater", func() psharp.Machine { return &reheater{} })
+	r.MustRegister("Counter", func() psharp.Machine { return &modCounter{} })
+	r.MustRegisterMonitor("Responds", mtResponds)
+	if err := r.SendEvent(r.MustCreate("Reheater", nil), &mtReq{}); err != nil {
+		panic(err)
+	}
+	if err := r.SendEvent(r.MustCreate("Counter", nil), &mtOutcome{}); err != nil {
+		panic(err)
+	}
+}
+
+// reheater passes a request, a tick and a response round, one to itself
+// per step.
+type reheater struct{ psharp.StaticBase }
+
+func (*reheater) ConfigureType(sc *psharp.Schema) {
+	sc.Start("S").
+		OnEventDoM(&mtReq{}, func(_ psharp.Machine, ctx *psharp.Context, _ psharp.Event) { ctx.Send(ctx.ID(), &mtOutcome{}) }).
+		OnEventDoM(&mtOutcome{}, func(_ psharp.Machine, ctx *psharp.Context, _ psharp.Event) { ctx.Send(ctx.ID(), &mtResp{}) }).
+		OnEventDoM(&mtResp{}, func(_ psharp.Machine, ctx *psharp.Context, _ psharp.Event) { ctx.Send(ctx.ID(), &mtReq{}) })
+}
+
+// modCounter counts its ticks modulo 3, sending itself the next one.
+type modCounter struct {
+	psharp.StaticBase
+	n int
+}
+
+func (*modCounter) ConfigureType(sc *psharp.Schema) {
+	sc.Start("S").OnEventDoM(&mtOutcome{}, func(m psharp.Machine, ctx *psharp.Context, _ psharp.Event) {
+		c := m.(*modCounter)
+		c.n = (c.n + 1) % 3
+		ctx.Send(ctx.ID(), &mtOutcome{}) // not ev: a snapshot rebuilds no handler whose event is still queued
+	})
+}
+
 // tripwire is a DFS that can be made to panic at its first decision after
 // the harness resumed it in the middle of a schedule.
 type tripwire struct {
@@ -424,7 +537,6 @@ func TestCheckpointConfigChangeAndBound(t *testing.T) {
 		to   func(*psharp.TestConfig)
 	}{
 		{"a state cache", func(c *psharp.TestConfig) { c.StateCache = &countingCache{} }},
-		{"a liveness temperature", func(c *psharp.TestConfig) { c.LivenessTemperature = 100000 }},
 		{"another depth bound", func(c *psharp.TestConfig) { c.MaxSteps-- }},
 	} {
 		change.to(&cfg)

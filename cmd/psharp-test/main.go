@@ -6,7 +6,7 @@
 //	psharp-test -bench Raft -buggy -strategy random -iterations 10000
 //	psharp-test -bench Raft -buggy -monitors -trace-out raft.trace
 //	psharp-test -bench Raft -buggy -monitors -replay raft.trace
-//	psharp-test -bench FairResponder -buggy -liveness
+//	psharp-test -bench FairResponder -buggy -monitors
 //	psharp-test -bench TwoPhaseCommitFT -buggy -monitors -faults 2
 //	psharp-test -bench TwoPhaseCommit -buggy -strategy dpor -state-cache
 //	psharp-test -bench Raft -buggy -parallel 8 [-timeout 1m]
@@ -25,10 +25,11 @@
 // execution").
 //
 // -monitors attaches the benchmark's specification monitors (global safety
-// invariants such as TwoPhaseCommit atomicity or Raft election safety);
-// -liveness additionally enables hot-state temperature tracking and
-// defaults the strategy to the fair random scheduler, which is what makes
-// liveness verdicts sound — see the sct package docs.
+// invariants such as TwoPhaseCommit atomicity or Raft election safety, and
+// the liveness properties of the [liveness] benchmarks in -list, whose
+// violations are fair lassos: a schedule that returns to a global state with
+// the monitor hot throughout, on a fair cycle — under any strategy, see the
+// sct package docs).
 //
 // -faults N gives every schedule a budget of N injected faults — machine
 // crashes (with restart through the creation payload), message drops,
@@ -135,22 +136,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list available benchmarks (the liveness suite is marked)")
 	bench := fs.String("bench", "", "benchmark name (see -list)")
 	buggy := fs.Bool("buggy", false, "use the buggy variant")
-	strategy := fs.String("strategy", "", "random | fair | dfs | dpor | pct | delay (dfs within 2 delays of round robin); default random, fair under -liveness")
+	strategy := fs.String("strategy", "random", "random | dfs | dpor | pct | delay (dfs within 2 delays of round robin)")
 	iterations := fs.Int("iterations", 10000, "schedule budget")
 	timeout := fs.Duration("timeout", 5*time.Minute, "time budget (hard deadline)")
 	seed := fs.Uint64("seed", 1, "seed for randomized strategies")
 	keepGoing := fs.Bool("keep-going", false, "keep exploring after the first bug (reports %buggy)")
 	monitors := fs.Bool("monitors", false, "attach the benchmark's specification monitors")
-	liveness := fs.Bool("liveness", false, "enable hot-state liveness checking (implies -monitors; defaults -strategy to fair)")
-	temperature := fs.Int("temperature", 0, "liveness temperature threshold in scheduling decisions (default: the benchmark's recommendation)")
-	fairPrefix := fs.Int("fair-prefix", -1, "random-prefix length of the fair strategy and of portfolio fair members (default: the benchmark's recommendation, else maxsteps/2)")
 	traceOut := fs.String("trace-out", "", "write the first buggy schedule trace to this file (psharp.Trace.Encode format)")
 	faults := fs.Int("faults", 0, "per-schedule fault-injection budget: crashes (with restart), drops, duplicates, reorders as scheduler decisions (0 = off; see -list's [faults] benchmarks)")
 	stateCache := fs.Bool("state-cache", false, "hashed global-state cache: cut short schedules that revisit an already-covered global state (requires -strategy dfs or dpor; pruned schedules are reported separately)")
 	faultHorizon := fs.Int("fault-horizon", 0, "fault-point horizon the budget is spread over (0 = sct.DefaultFaultHorizon)")
 	replay := fs.String("replay", "", "replay a trace file against the benchmark instead of exploring; exits 0 if the bug reproduces")
 	parallel := fs.Int("parallel", 1, "number of exploration workers (0 = GOMAXPROCS)")
-	portfolio := fs.String("portfolio", "", "comma-separated worker portfolio, e.g. 'random,fair,pct,delay,dfs' or 'default' (implies -parallel; excludes -strategy)")
+	portfolio := fs.String("portfolio", "", "comma-separated worker portfolio, e.g. 'random,pct,delay,dfs' or 'default' (implies -parallel; excludes -strategy)")
 	verbose := fs.Bool("v", false, "print per-worker sub-reports for parallel runs")
 	progressEvery := fs.Int("progress-every", 0, "emit a progress snapshot every N iterations of each worker (0 = off)")
 	progressJSONL := fs.String("progress-jsonl", "", "stream progress snapshots as JSON lines to this file instead of human text ('-' for stdout; defaults -progress-every to 1000)")
@@ -214,45 +212,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "psharp-test: unknown benchmark %q (try -list)\n", *bench)
 		return 2
 	}
-	if *liveness {
-		*monitors = true
-		if b.Temperature == 0 && *temperature == 0 {
-			fmt.Fprintf(stderr, "psharp-test: %s declares no liveness specification; pass -temperature explicitly\n", b.ID())
-			return 2
-		}
-	}
-	if *temperature == 0 {
-		*temperature = b.Temperature
-	}
-	if *liveness && *temperature <= 0 {
-		// A non-positive threshold would silently disable temperature
-		// tracking in the controller and report the run clean.
-		fmt.Fprintf(stderr, "psharp-test: -liveness needs a positive -temperature, got %d\n", *temperature)
-		return 2
-	}
-	if *fairPrefix < 0 {
-		*fairPrefix = b.FairPrefix
-		if *fairPrefix <= 0 {
-			*fairPrefix = b.MaxSteps / 2
-		}
-	}
-	if *liveness && *temperature <= *fairPrefix {
-		fmt.Fprintf(stderr, "psharp-test: warning: -temperature %d <= -fair-prefix %d: the threshold can be crossed inside the random (unfair) prefix, which reports scheduler starvation as a violation; raise -temperature or shrink -fair-prefix\n",
-			*temperature, *fairPrefix)
-	}
 	setup := b.Setup
 	if *monitors {
 		setup = b.SetupMonitored()
 	}
-	if *strategy == "" {
-		*strategy = "random"
-		if *liveness {
-			*strategy = "fair"
-		}
-	}
 
 	if *replay != "" {
-		return replayTrace(b, setup, *replay, *liveness, *temperature, stdout, stderr)
+		return replayTrace(b, setup, *replay, stdout, stderr)
 	}
 
 	// Flags → options. What may be combined with what is sct's call
@@ -274,9 +240,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ShardCount: 1,
 	}
 	opts := &popts.Options
-	if *liveness {
-		opts.LivenessTemperature = *temperature
-	}
 	if *faults > 0 {
 		opts.Faults = sct.FaultOptions{
 			Budget:  *faults,
@@ -288,9 +251,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	label := *strategy
 	if *portfolio != "" {
-		// Fair members take the same prefix as -strategy fair, so a
-		// -liveness temperature calibrated above the prefix stays sound.
-		pf, err := sct.ParsePortfolio(*portfolio, *seed, b.MaxSteps, *fairPrefix)
+		pf, err := sct.ParsePortfolio(*portfolio, *seed, b.MaxSteps)
 		if err != nil {
 			return usage(err)
 		}
@@ -303,7 +264,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	} else {
 		var err error
-		if opts.Strategy, err = sct.NewStrategy(*strategy, *seed, b.MaxSteps, *fairPrefix); err != nil {
+		if opts.Strategy, err = sct.NewStrategy(*strategy, *seed, b.MaxSteps); err != nil {
 			return usage(err)
 		}
 	}
@@ -323,15 +284,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if pf, n := popts.Portfolio, popts.WorkerCount(); pf != nil && n < pf.Size() {
 		fmt.Fprintf(stderr, "psharp-test: warning: -parallel %d runs only the first %d of %d portfolio members\n", n, n, pf.Size())
-	}
-	if name := popts.Unfair(); *liveness && name != "" {
-		// Temperature tracking applies to every worker; an unfair one can
-		// starve the machine that would discharge the obligation.
-		what := "strategy"
-		if popts.Portfolio != nil {
-			what = "portfolio member"
-		}
-		fmt.Fprintf(stderr, "psharp-test: warning: -liveness with the unfair %s %q can report spurious violations (scheduler starvation); use fair\n", what, name)
 	}
 	if *shardSpec != "" && *journalDir == "" {
 		fmt.Fprintf(stderr, "psharp-test: note: -shard without -journal splits the budget but records nothing; shard results merge only through a shared journal\n")
@@ -399,12 +351,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			MaxSteps:     b.MaxSteps,
 			FaultBudget:  *faults,
 			FaultHorizon: *faultHorizon,
-			Extra: fmt.Sprintf("monitors=%t liveness=%t temperature=%d fair-prefix=%d state-cache=%t",
-				*monitors, *liveness, *temperature, *fairPrefix, *stateCache),
+			Extra:        fmt.Sprintf("monitors=%t state-cache=%t", *monitors, *stateCache),
 		}
 		jopts := journal.Options{SyncEvery: *journalSync}
 		var err error
 		if *resumeRun {
+			if st, err := journal.ReadState(*journalDir); err == nil && st.Meta.Extra == legacyExtra(b, *monitors, *stateCache) {
+				meta.Extra = st.Meta.Extra // journaled by a build with liveness flags, none of them set
+			}
 			jc, err = journal.Resume(*journalDir, meta, jopts)
 		} else {
 			jc, err = journal.Create(*journalDir, meta, jopts)
@@ -470,6 +424,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if rep.Err != nil {
 		fmt.Fprintln(stderr, "psharp-test:", rep.Err)
 	}
+	if rep.LivenessUnchecked != nil {
+		fmt.Fprintln(stderr, "psharp-test: note: no fair lasso looked for past:", rep.LivenessUnchecked)
+	}
 	if rep.Interrupted {
 		resumeHint := ""
 		if jc != nil {
@@ -503,7 +460,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			TimeoutMS:   timeout.Milliseconds(),
 			Seed:        *seed,
 			Monitors:    *monitors,
-			Liveness:    *liveness,
 			FaultBudget: *faults,
 			StateCache:  *stateCache,
 			Resumed:     resumed,
@@ -543,6 +499,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// legacyExtra is the fingerprint a build with -liveness, -temperature and
+// -fair-prefix journaled for these flags, none of those three set: such a
+// campaign resumes. One journaled with -liveness is another campaign.
+func legacyExtra(b protocols.Benchmark, monitors, stateCache bool) string {
+	temperature, prefix := 0, b.MaxSteps/2
+	if b.Name == "FairResponder" {
+		temperature, prefix = 120, 40
+	}
+	return fmt.Sprintf("monitors=%t liveness=false temperature=%d fair-prefix=%d state-cache=%t",
+		monitors, temperature, prefix, stateCache)
 }
 
 // parseShard parses a 1-based "i/n" shard spec into a 0-based index and a
@@ -591,7 +559,7 @@ func writeTrace(path string, tr *psharp.Trace) error {
 // replayTrace decodes a trace file and re-executes it against the
 // benchmark, reporting whether the recorded bug reproduces. Exit codes: 0
 // when a bug reproduces, 3 when the schedule replays clean, 1/2 on errors.
-func replayTrace(b protocols.Benchmark, setup func(*psharp.Runtime), path string, liveness bool, temperature int, stdout, stderr io.Writer) int {
+func replayTrace(b protocols.Benchmark, setup func(*psharp.Runtime), path string, stdout, stderr io.Writer) int {
 	f, err := os.Open(path)
 	if err != nil {
 		fmt.Fprintln(stderr, "psharp-test:", err)
@@ -606,9 +574,6 @@ func replayTrace(b protocols.Benchmark, setup func(*psharp.Runtime), path string
 	cfg := psharp.TestConfig{
 		MaxSteps:      b.MaxSteps,
 		LivelockAsBug: b.LivelockAsBug,
-	}
-	if liveness {
-		cfg.LivenessTemperature = temperature
 	}
 	if tr.HasFaultDecisions() {
 		// A fault-era trace needs the fault-query path live so the recorded

@@ -59,23 +59,24 @@ func TestTraceOutReplayRoundTrip(t *testing.T) {
 }
 
 // TestLivenessFlagRoundTrip drives the liveness pipeline end to end from
-// the CLI: -liveness finds the FairResponder bug with the fair strategy,
-// writes the trace, and -replay reproduces the liveness violation.
+// the CLI: -monitors attaches the ResponseMonitor, the default random
+// strategy finds the FairResponder bug as a fair lasso, writes the trace,
+// and -replay reproduces the liveness violation with no liveness setting.
 func TestLivenessFlagRoundTrip(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "liveness.trace")
 	code, stdout, stderr := runCLI(t,
-		"-bench", "FairResponder", "-buggy", "-liveness",
+		"-bench", "FairResponder", "-buggy", "-monitors",
 		"-iterations", "200", "-seed", "20150628",
 		"-trace-out", trace)
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1 (liveness bug found)\nstdout: %s\nstderr: %s", code, stdout, stderr)
 	}
-	if !strings.Contains(stdout, "liveness violation") || !strings.Contains(stdout, "ResponseMonitor") {
-		t.Fatalf("stdout does not report the monitor violation:\n%s", stdout)
+	if !strings.Contains(stdout, "liveness violation") || !strings.Contains(stdout, "ResponseMonitor") || !strings.Contains(stdout, "fair cycle") {
+		t.Fatalf("stdout does not report the monitor's lasso:\n%s", stdout)
 	}
 
 	code, stdout, _ = runCLI(t,
-		"-bench", "FairResponder", "-buggy", "-liveness",
+		"-bench", "FairResponder", "-buggy", "-monitors",
 		"-replay", trace)
 	if code != 0 {
 		t.Fatalf("replay exit code = %d, want 0\nstdout: %s", code, stdout)
@@ -140,25 +141,8 @@ func TestHelpExitsZero(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-h exit code = %d, want 0\nstderr: %s", code, stderr)
 	}
-	if !strings.Contains(stderr, "-liveness") {
-		t.Fatalf("usage output missing the liveness flag:\n%s", stderr)
-	}
-}
-
-// TestLivenessPortfolioWarning checks that -liveness with unfair portfolio
-// members warns about spurious violations.
-func TestLivenessPortfolioWarning(t *testing.T) {
-	_, _, stderr := runCLI(t,
-		"-bench", "FairResponder", "-buggy", "-liveness",
-		"-iterations", "20", "-portfolio", "random,fair")
-	if !strings.Contains(stderr, "unfair portfolio member") {
-		t.Fatalf("no unfair-member warning:\n%s", stderr)
-	}
-	_, _, stderr = runCLI(t,
-		"-bench", "FairResponder", "-buggy", "-liveness",
-		"-iterations", "20", "-portfolio", "fair,fair")
-	if strings.Contains(stderr, "warning") {
-		t.Fatalf("all-fair portfolio still warned:\n%s", stderr)
+	if !strings.Contains(stderr, "-monitors") {
+		t.Fatalf("usage output missing the monitors flag:\n%s", stderr)
 	}
 }
 
@@ -458,7 +442,9 @@ func TestResumeRefusesAnotherBuildsCursor(t *testing.T) {
 // two campaign-wide numbers. The second half resumes a journal the build
 // before sct.Tally wrote (testdata/journal-parent, 60 schedules of the same
 // campaign, a twelve-value counters record): it still resumes, and what that
-// record never carried counts from zero.
+// record never carried counts from zero. That build also packed liveness
+// settings the command no longer has into the manifest's configuration
+// fingerprint, all at their defaults: the journal resumes as it was written.
 func TestResumeStateCacheCampaignCountsWholeBudget(t *testing.T) {
 	dir := t.TempDir()
 	common := []string{"-bench", "TwoPhaseCommit", "-strategy", "dfs", "-state-cache"}

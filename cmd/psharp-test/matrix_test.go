@@ -6,6 +6,8 @@ package main
 // text on refusal, a completed run whose bug replays on acceptance. It is
 // walked twice: stopping at the first bug, as psharp-test does by default,
 // and under -keep-going, where every worker runs its static shard to the end.
+// Besides Chord, one row runs FairResponder with its hot/cold monitor
+// attached, where every option meets the controller's lasso check.
 
 import (
 	"fmt"
@@ -24,6 +26,7 @@ import (
 // matrixCell is one configuration, spelled once and rendered both as
 // sct.ParallelOptions and as psharp-test flags.
 type matrixCell struct {
+	monitored  bool   // FairResponder(buggy) with -monitors instead of Chord(buggy)
 	strategy   string // a table name, or a portfolio spec when it has a comma
 	iterations int
 	faults     int
@@ -34,8 +37,22 @@ type matrixCell struct {
 }
 
 func (c matrixCell) String() string {
-	return fmt.Sprintf("%s iterations=%d faults=%d cache=%t journal=%t shard=%t workers=%d",
+	s := fmt.Sprintf("%s iterations=%d faults=%d cache=%t journal=%t shard=%t workers=%d",
 		c.strategy, c.iterations, c.faults, c.stateCache, c.journal, c.shard, c.workers)
+	if c.monitored {
+		s = "monitored " + s
+	}
+	return s
+}
+
+// bench is the benchmark a cell runs, and the setup that matches its flags.
+func (c matrixCell) bench() (protocols.Benchmark, func(*psharp.Runtime)) {
+	if c.monitored {
+		b := protocols.MustByName("FairResponder", true)
+		return b, b.SetupMonitored()
+	}
+	b := protocols.MustByName("Chord", true)
+	return b, b.Setup
 }
 
 func TestOptionMatrix(t *testing.T) { walkOptionMatrix(t, false) }
@@ -49,27 +66,19 @@ func TestOptionMatrixKeepGoing(t *testing.T) { walkOptionMatrix(t, true) }
 
 func walkOptionMatrix(t *testing.T, keepGoing bool) {
 	const seed = 1
-	b := protocols.MustByName("Chord", true)
-	replays := func(t *testing.T, surface string, tr *psharp.Trace) {
-		t.Helper()
-		cfg := psharp.TestConfig{MaxSteps: b.MaxSteps, LivelockAsBug: b.LivelockAsBug}
-		if res := sct.ReplayTrace(b.Setup, tr, cfg); res.Bug == nil {
-			t.Errorf("%s: the found bug does not replay", surface)
-		}
-	}
 
 	var cells []matrixCell
 	bools := []bool{false, true}
-	for _, strategy := range []string{
-		"random", "fair", "pct", "delay", "dfs", "dpor",
-		"random,dfs", "dfs,dpor", "dpor,random", "dpor,dpor",
-	} {
+	rows := []matrixCell{{strategy: "random"}, {strategy: "pct"}, {strategy: "delay"},
+		{strategy: "dfs"}, {strategy: "dpor"}, {strategy: "random,dfs"}, {strategy: "dfs,dpor"},
+		{strategy: "dpor,random"}, {strategy: "dpor,dpor"}, {monitored: true, strategy: "random"}}
+	for _, row := range rows {
 		for _, faults := range []int{0, 1} {
 			for _, stateCache := range bools {
 				for _, journal := range bools {
 					for _, shard := range bools {
 						for _, workers := range []int{1, 2} {
-							cells = append(cells, matrixCell{strategy, 20, faults, stateCache, journal, shard, workers})
+							cells = append(cells, matrixCell{row.monitored, row.strategy, 20, faults, stateCache, journal, shard, workers})
 						}
 					}
 				}
@@ -81,6 +90,14 @@ func walkOptionMatrix(t *testing.T, keepGoing bool) {
 	refused, accepted := 0, 0
 	for _, c := range cells {
 		t.Run(c.String(), func(t *testing.T) {
+			b, setup := c.bench()
+			replays := func(t *testing.T, surface string, tr *psharp.Trace) {
+				t.Helper()
+				cfg := psharp.TestConfig{MaxSteps: b.MaxSteps, LivelockAsBug: b.LivelockAsBug}
+				if res := sct.ReplayTrace(setup, tr, cfg); res.Bug == nil {
+					t.Errorf("%s: the found bug does not replay", surface)
+				}
+			}
 			dir := t.TempDir()
 			cliJournal, cliTrace := filepath.Join(dir, "cli-journal"), filepath.Join(dir, "cli.trace")
 			cliReport := filepath.Join(dir, "cli.json")
@@ -97,19 +114,22 @@ func walkOptionMatrix(t *testing.T, keepGoing bool) {
 			args := []string{"-bench", b.Name, "-buggy", "-seed", strconv.Itoa(seed),
 				"-iterations", strconv.Itoa(c.iterations), "-parallel", strconv.Itoa(c.workers),
 				"-trace-out", cliTrace}
+			if c.monitored {
+				args = append(args, "-monitors")
+			}
 			var err error
 			if strings.Contains(c.strategy, ",") {
-				popts.Portfolio, err = sct.ParsePortfolio(c.strategy, seed, b.MaxSteps, -1)
+				popts.Portfolio, err = sct.ParsePortfolio(c.strategy, seed, b.MaxSteps)
 				args = append(args, "-portfolio", c.strategy)
 			} else {
-				popts.Strategy, err = sct.NewStrategy(c.strategy, seed, b.MaxSteps, -1)
+				popts.Strategy, err = sct.NewStrategy(c.strategy, seed, b.MaxSteps)
 				args = append(args, "-strategy", c.strategy)
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			if c.faults > 0 {
-				popts.Faults = sct.FaultOptions{Budget: c.faults, Seed: seed, Restart: true}
+				popts.Faults = sct.FaultOptions{Budget: c.faults, Seed: seed, Immune: b.FaultImmune, Restart: true}
 				args = append(args, "-faults", strconv.Itoa(c.faults))
 			}
 			if c.stateCache {
@@ -138,7 +158,7 @@ func walkOptionMatrix(t *testing.T, keepGoing bool) {
 			var prep sct.ParallelReport
 			panicked := func() (v any) {
 				defer func() { v = recover() }()
-				prep = sct.RunParallel(b.Setup, popts)
+				prep = sct.RunParallel(setup, popts)
 				return nil
 			}()
 			code, stdout, stderr := runCLI(t, args...)
@@ -168,6 +188,9 @@ func walkOptionMatrix(t *testing.T, keepGoing bool) {
 			}
 			if prep.BugFound() {
 				replays(t, "RunParallel", prep.FirstBugTrace)
+			}
+			if bug := prep.FirstBug; c.monitored && (bug == nil || bug.Kind != psharp.BugLiveness) {
+				t.Errorf("monitored FairResponder(buggy): first bug %v, want the monitor's liveness violation", bug)
 			}
 			if code == 1 {
 				f, err := os.Open(cliTrace)

@@ -171,13 +171,27 @@ func goldenCases() []goldenCase {
 		)
 	}
 
+	// Liveness: fair lassos under the two cached searches, which show the
+	// cache every point of a hot-monitor program and look for the lasso
+	// first. The budget reaches the buggy variant's first lasso under dfs
+	// (attempt 1 211).
+	for _, b := range protocols.Liveness() {
+		cases = append(cases,
+			goldenCase{key: b.ID() + "/dfs+cache", setup: b.SetupMonitored(), iterations: 1300,
+				start: plain(b, func() sct.Strategy { return sct.NewDFS() },
+					func(cfg *psharp.TestConfig) { cfg.StateCache = newOwnerCache() })},
+			goldenCase{key: b.ID() + "/dpor+cache", setup: b.SetupMonitored(), iterations: goldenSeeds * goldenIterations,
+				start: plain(b, func() sct.Strategy { return sct.NewDPOR() },
+					func(cfg *psharp.TestConfig) { cfg.StateCache = newOwnerCache() })},
+		)
+	}
+
 	for seed := uint64(1); seed <= goldenSeeds; seed++ {
-		// Liveness: fair scheduling plus hot-state temperature.
+		// Liveness: fair lassos under the random scheduler.
 		for _, b := range protocols.Liveness() {
 			cases = append(cases, goldenCase{
-				key: fmt.Sprintf("%s/randomfair+temperature/seed=%d", b.ID(), seed), setup: b.SetupMonitored(), iterations: goldenIterations,
-				start: plain(b, func() sct.Strategy { return sct.NewRandomFair(seed, b.FairPrefix) },
-					func(cfg *psharp.TestConfig) { cfg.LivenessTemperature = b.Temperature }),
+				key: fmt.Sprintf("%s/random/seed=%d", b.ID(), seed), setup: b.SetupMonitored(), iterations: goldenIterations,
+				start: plain(b, func() sct.Strategy { return sct.NewRandom(seed) }, nil),
 			})
 		}
 		// Faults: crash (with and without restart, mailbox kept on even

@@ -18,7 +18,7 @@
 //     pluggable scheduling Strategy, with scheduling points before send and
 //     create-machine operations only (the paper's partial-order reduction),
 //     records a schedule trace, and supports deterministic replay. The sct
-//     package provides random, fair random and PCT strategies, depth-first
+//     package provides random and PCT strategies, depth-first
 //     search plain (DFS), reduced (DPOR) and delay-bounded, and replay,
 //     plus an iteration engine; sct.RunParallel fans exploration out over
 //     a worker pool running a sharded strategy or a heterogeneous
@@ -111,23 +111,39 @@
 //
 //   - Liveness ("something eventually happens"): monitor states carry
 //     hot/cold annotations (StateBuilder.Hot, StateBuilder.Cold). A hot
-//     state is a pending obligation. With TestConfig.LivenessTemperature
-//     set, the testing controller tracks each monitor's temperature — the
-//     number of consecutive scheduling decisions spent hot — and reports
-//     BugLiveness when it crosses the threshold, or when the program
-//     quiesces with a monitor still hot. The temperature is a function of
-//     the schedule alone, so a liveness violation replays exactly like any
-//     other bug.
+//     state is a pending obligation. A testing runtime checks every
+//     registered monitor that declares a hot state, with no setting: while
+//     one is hot, each scheduling point hashes the global state (as the
+//     state cache does) and looks it up among the points of the iteration.
+//     A repeat closes a cycle, and the cycle is a fair lasso — an infinite
+//     execution that never discharges the obligation — when the monitor
+//     was hot all around it, it scheduled every machine enabled at its end
+//     (only a machine's own step or a crash disables one, so that is strong
+//     fairness) and it injected no fault (a fault budget is finite). A fair
+//     lasso, or a program that quiesces with a monitor still hot, is
+//     BugLiveness, naming the monitor, its hot state and the cycle; the
+//     verdict is a function of the schedule, so it replays like any other
+//     bug (Mudduluru, Deligiannis, Desai, Lal and Qadeer, "Lasso detection
+//     using partial-state caching", FMCAD 2017).
 //
-// Liveness caveats: a hot monitor under an unfair scheduler may mean only
-// that the scheduler starved the machine that would discharge the
-// obligation, so liveness checking is sound only under fair schedules —
-// use sct.RandomFair (random prefix, then fair round-robin) and set the
-// temperature threshold above the prefix plus a few fair rounds, so the
-// threshold can only be crossed inside the fair region. The production
-// runtime dispatches monitors too (safety assertions fire as in testing,
-// serialized behind an internal mutex), but does not track temperature:
-// liveness checking is a bug-finding-mode feature.
+// Liveness caveats: a reported lasso is a violation under every strategy —
+// a cycle that starves a machine is not reported, so no fair scheduler is
+// needed — but each strategy still has to reach the bug. Random scheduling
+// finds FairResponder's in its first schedules; DFS and DPOR find it with
+// the state cache, which prunes the subtrees below the 600-step schedules'
+// late decisions, and miss it without (the lost request needs an early
+// one). Two states are one when their 64-bit hashes are, unchecked, as for
+// the state cache. A lasso needs a state that recurs: a violation in a
+// program whose state keeps growing while the monitor is hot (a counter, a
+// lengthening queue, a term or a ballot) is reported only if the program
+// quiesces, and otherwise missed — the temperature threshold this check
+// replaced caught it, at the price of a tuned setting, a fair strategy and
+// false reports when set short. A monitored program is checkpointed like
+// any other, and a func, chan or unsafe.Pointer met while a monitor is hot
+// stops only the search for lassos, which the result's LivenessUnchecked
+// reports (psharp-test prints a note). The production runtime dispatches
+// monitors too (safety assertions fire as in testing, serialized behind an
+// internal mutex), but checks no liveness: it is a bug-finding-mode feature.
 //
 // # Injecting faults
 //
@@ -203,8 +219,8 @@
 // exhaustive as DFS. TestConfig.StateCache (sct Options.StateCache, or
 // psharp-test -state-cache) adds a hashed global-state cache: the
 // controller maintains an incremental fingerprint of the global state —
-// machine fields, control states, queue contents, monitor states and
-// liveness temperatures — and cuts an iteration short when it reaches
+// machine fields, control states, queue contents and monitor states — and
+// cuts an iteration short when it reaches
 // a state an earlier schedule already covered no deeper. Both hooks are
 // off by default and cost nothing when off — the controller skips the
 // footprint and hashing work entirely, and the allocation caps above hold

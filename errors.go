@@ -31,10 +31,12 @@ const (
 	// an assertion failed (or a forbidden operation was attempted) inside a
 	// monitor action while it processed an observed event.
 	BugMonitor
-	// BugLiveness is a liveness violation: a monitor stayed in a hot state
-	// past the configured temperature threshold, or was still hot when the
-	// program quiesced. Only reported when TestConfig.LivenessTemperature is
-	// set; meaningful under fair schedules (see sct.RandomFair).
+	// BugLiveness is a liveness violation: the schedule returned to a global
+	// state it was in around a fair cycle that kept a monitor hot (a fair
+	// lasso: it can repeat forever), or the program quiesced with a monitor
+	// still hot. Reported by the testing runtime for every monitor that
+	// declares a hot state, under any strategy (see "Specifying correctness"
+	// in the package docs).
 	BugLiveness
 )
 

@@ -39,7 +39,7 @@ func main() {
 	// Heterogeneous: one worker each of random, PCT(d=3), delay-bounding
 	// and DFS. The portfolio hedges: whichever strategy fits the bug wins,
 	// and StopOnFirstBug cancels the rest promptly.
-	portfolio, err := sct.ParsePortfolio("default", 20150628, raft.MaxSteps, -1)
+	portfolio, err := sct.ParsePortfolio("default", 20150628, raft.MaxSteps)
 	if err != nil {
 		panic(err)
 	}

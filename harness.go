@@ -27,9 +27,8 @@ import (
 // long as the program keeps its state in its machines, monitors and events
 // and its handlers are deterministic functions of that state, their events
 // and their controlled choices: see checkpoint.go for the rules and for what
-// is never checkpointed
-// (closure-form machines, Faults, RaceDetect, an execution log, state a copy
-// would not be faithful to).
+// is never checkpointed (closure-form machines, Faults, RaceDetect, an
+// execution log, state a copy would not be faithful to).
 //
 // A harness is NOT safe for concurrent use: each exploration worker owns its
 // own. Close hands the idle machine instances and the trace buffer to a
@@ -137,6 +136,9 @@ func (h *TestHarness) Run(cfg TestConfig) IterationResult {
 		Faults:           c.faults,
 		Err:              c.err,
 	}
+	if c.unchecked != nil {
+		res.LivenessUnchecked = c.unchecked
+	}
 	if c.hasher != nil {
 		res.ReplayedPoints = c.hasher.replayed
 	}
@@ -204,7 +206,7 @@ func (h *TestHarness) reset(cfg TestConfig) {
 	c.bound = false
 	c.interrupted = false
 	c.aborting = false
-	c.restored, c.resumedOn, c.err = 0, MachineID{}, nil
+	c.restored, c.resumedOn, c.err, c.unchecked = 0, MachineID{}, nil, nil
 	c.det = nil
 	if cfg.RaceDetect {
 		c.det = vclock.NewDetector()

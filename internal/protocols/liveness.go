@@ -5,7 +5,7 @@ import "github.com/psharp-go/psharp"
 // FairResponder is the liveness benchmark of the specification layer: a
 // client/server request-response protocol whose "every request is
 // eventually answered" property is expressed by a hot/cold monitor, with a
-// seeded lost-request bug that only fair scheduling can expose.
+// seeded lost-request bug that only that monitor can expose.
 //
 // The server answers a request by chopping the work into chunks (one
 // self-send per chunk) before responding, and an admin machine concurrently
@@ -14,31 +14,20 @@ import "github.com/psharp-go/psharp"
 // window and answers it afterwards; the buggy server ignores it — the
 // request is silently dropped, a classic lost-signal bug. A pacer machine
 // ticks forever, so the system never quiesces and never deadlocks: the lost
-// request is invisible to every safety check. Only the ResponseMonitor sees
-// it — hot from the moment the request is sent, cold at the response — and
-// only under a fair schedule is a long-hot monitor a genuine violation
-// rather than scheduler starvation of the server. The paper's random
-// scheduler therefore misses this bug at any budget (there is nothing
-// safety-visible to find), while sct.RandomFair with
-// TestConfig.LivenessTemperature reports BugLiveness with a
-// deterministically replayable trace.
-//
-// The temperature arithmetic behind the recommended settings: with 4
-// machines and chunked work of depth lvChunks, a continuously hot monitor
-// cools within ~4*(lvChunks+4) decisions once scheduling is fair, so any
-// threshold above prefix + that bound is false-positive-free on the correct
-// variant — the benchmark recommends prefix 40 (NewRandomFair's random
-// phase) and temperature 120.
+// request is invisible to every safety check, and the paper's random
+// scheduler without the monitor misses it at any budget. Only the
+// ResponseMonitor sees it — hot from the moment the request is sent, cold at
+// the response. With the monitor attached (SetupMonitored), once the server
+// has dropped the request every schedule spins on the pacer with the monitor
+// hot: the program returns to a global state it was in, on a cycle that
+// schedules every enabled machine, and the testing controller reports that
+// fair lasso as BugLiveness under any strategy, with a replayable trace. In
+// the correct variant, until the response is sent, a machine that moves
+// toward it whenever it steps — the server, or the admin closing the window
+// the request waits out — is enabled, so every cycle that keeps the monitor
+// hot starves it and is not reported.
 
-const (
-	lvChunks = 6
-	// LivenessTemperature is the recommended TestConfig.LivenessTemperature
-	// for FairResponder; see the package comment for the arithmetic.
-	lvTemperature = 120
-	// lvFairPrefix is the recommended random-prefix length for
-	// sct.NewRandomFair on this benchmark.
-	lvFairPrefix = 40
-)
+const lvChunks = 6
 
 type lvClientConfig struct {
 	psharp.EventBase
@@ -157,12 +146,10 @@ func (*lvResponseMonitor) ConfigureType(sc *psharp.Schema) {
 
 func fairResponderBenchmark(buggy bool) Benchmark {
 	return Benchmark{
-		Name:        "FairResponder",
-		Buggy:       buggy,
-		MaxSteps:    600,
-		Machines:    4,
-		Temperature: lvTemperature,
-		FairPrefix:  lvFairPrefix,
+		Name:     "FairResponder",
+		Buggy:    buggy,
+		MaxSteps: 600,
+		Machines: 4,
 		Setup: func(r *psharp.Runtime) {
 			r.MustRegister("LvServer", func() psharp.Machine { return &lvServer{buggy: buggy} })
 			r.MustRegister("LvClient", func() psharp.Machine { return &lvClient{} })

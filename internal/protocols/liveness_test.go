@@ -1,34 +1,37 @@
 package protocols
 
 // Acceptance tests for the specification layer on the protocol corpus: the
-// seeded FairResponder liveness bug is invisible to the plain random
-// scheduler but found by RandomFair with hot-state temperature tracking,
-// replays deterministically, and produces no false alarms on the correct
-// variant; the Raft election-safety monitor catches the double-counted-vote
+// seeded FairResponder liveness bug is invisible without its monitor, found
+// as a fair lasso with it under random and both cached searches, replays
+// deterministically, and produces no false alarms on the correct variant;
+// the Raft election-safety monitor catches the double-counted-vote
 // bug as a monitor violation at the announcement send; the TwoPhaseCommit
 // atomicity monitor stays silent on the benchmark (whose seeded bug is a
 // safety bug of a different kind) without perturbing exploration.
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/psharp-go/psharp"
 	"github.com/psharp-go/psharp/sct"
 )
 
-// TestLivenessBugNeedsFairScheduling is the headline acceptance check:
+// TestLivenessBugIsAFairLasso is the headline acceptance check:
 //
-//   - plain Random (the paper's scheduler, no liveness checking — which an
-//     unfair scheduler cannot soundly do) misses the seeded FairResponder
-//     bug across the whole budget: nothing safety-visible ever happens;
-//   - RandomFair with hot-state temperature tracking finds it, as a
-//     BugLiveness attributed to the ResponseMonitor;
-//   - the violation replays deterministically through sct.ReplayTrace.
-func TestLivenessBugNeedsFairScheduling(t *testing.T) {
+//   - plain random, without the monitor (the paper's scheduler), misses the
+//     seeded FairResponder bug across the whole budget: nothing
+//     safety-visible ever happens;
+//   - with the ResponseMonitor attached, random, dfs with the state cache and
+//     dpor with the state cache find it, as a BugLiveness attributed to the
+//     monitor — a fair lasso, with no option set;
+//   - each violation replays deterministically through sct.ReplayTrace,
+//     bug for bug.
+func TestLivenessBugIsAFairLasso(t *testing.T) {
 	b := MustByName("FairResponder", true)
 
 	plain := sct.Run(b.Setup, sct.Options{
-		Strategy:   sct.NewRandom(20150628),
+		Strategy:   sct.NewRandom(1),
 		Iterations: 200,
 		MaxSteps:   b.MaxSteps,
 	})
@@ -36,45 +39,67 @@ func TestLivenessBugNeedsFairScheduling(t *testing.T) {
 		t.Fatalf("plain random reported %v; the seeded bug must be invisible to safety checking", plain.FirstBug)
 	}
 
-	fair := sct.Run(b.SetupMonitored(), sct.Options{
-		Strategy:            sct.NewRandomFair(20150628, b.FairPrefix),
-		Iterations:          200,
-		MaxSteps:            b.MaxSteps,
-		LivenessTemperature: b.Temperature,
-		StopOnFirstBug:      true,
-	})
-	if !fair.BugFound() {
-		t.Fatal("RandomFair with temperature tracking missed the seeded liveness bug")
-	}
-	bug := fair.FirstBug
-	if bug.Kind != psharp.BugLiveness || bug.Monitor != "ResponseMonitor" {
-		t.Fatalf("bug = %v, want BugLiveness from ResponseMonitor", bug)
-	}
-	t.Logf("liveness bug at iteration %d: %v", fair.FirstBugIteration, bug)
-
-	res := sct.ReplayTrace(b.SetupMonitored(), fair.FirstBugTrace, psharp.TestConfig{
-		MaxSteps:            b.MaxSteps,
-		LivenessTemperature: b.Temperature,
-	})
-	if res.Bug == nil || res.Bug.Kind != psharp.BugLiveness || res.Bug.Message != bug.Message {
-		t.Fatalf("replay did not reproduce the liveness bug: got %v, want %v", res.Bug, bug)
+	for _, tc := range []struct {
+		name       string
+		strategy   sct.Strategy
+		cache      bool
+		iterations int
+	}{
+		{"random", sct.NewRandom(1), false, 200},
+		{"dfs+cache", sct.NewDFS(), true, 10000},
+		{"dpor+cache", sct.NewDPOR(), true, 10000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep := sct.Run(b.SetupMonitored(), sct.Options{
+				Strategy:       tc.strategy,
+				Iterations:     tc.iterations,
+				MaxSteps:       b.MaxSteps,
+				StateCache:     tc.cache,
+				StopOnFirstBug: true,
+			})
+			if !rep.BugFound() {
+				t.Fatalf("missed the seeded liveness bug in %d schedules", tc.iterations)
+			}
+			bug := rep.FirstBug
+			if bug.Kind != psharp.BugLiveness || bug.Monitor != "ResponseMonitor" || bug.State != "AwaitingResponse" {
+				t.Fatalf("bug = %+v, want BugLiveness from ResponseMonitor in AwaitingResponse", bug)
+			}
+			t.Logf("liveness bug at schedule %d: %v", rep.FirstBugIteration, bug)
+			res := sct.ReplayTrace(b.SetupMonitored(), rep.FirstBugTrace, psharp.TestConfig{MaxSteps: b.MaxSteps})
+			if res.Bug == nil || *res.Bug != *bug {
+				t.Fatalf("replay did not reproduce the liveness bug: got %v, want %v", res.Bug, bug)
+			}
+		})
 	}
 }
 
 // TestLivenessCorrectVariantNoFalsePositives checks the zero-false-positive
-// side: the correct FairResponder always answers, and with the recommended
-// threshold above the random prefix plus a few fair rounds, the monitor can
-// never stay hot long enough to alarm.
+// side: the correct FairResponder always answers, so no cycle that keeps the
+// monitor hot is fair, under every strategy in the table and under both
+// searches with the state cache.
 func TestLivenessCorrectVariantNoFalsePositives(t *testing.T) {
 	b := MustByName("FairResponder", false)
-	rep := sct.Run(b.SetupMonitored(), sct.Options{
-		Strategy:            sct.NewRandomFair(20150628, b.FairPrefix),
-		Iterations:          300,
-		MaxSteps:            b.MaxSteps,
-		LivenessTemperature: b.Temperature,
-	})
-	if rep.BugFound() {
-		t.Fatalf("correct variant reported %v at iteration %d", rep.FirstBug, rep.FirstBugIteration)
+	iterations := 300
+	if testing.Short() {
+		iterations = 60
+	}
+	for _, name := range []string{"random", "pct", "delay", "dfs", "dpor", "dfs+cache", "dpor+cache"} {
+		t.Run(name, func(t *testing.T) {
+			base, cache := strings.CutSuffix(name, "+cache")
+			s, err := sct.NewStrategy(base, 1, b.MaxSteps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := sct.Run(b.SetupMonitored(), sct.Options{
+				Strategy:   s,
+				Iterations: iterations,
+				MaxSteps:   b.MaxSteps,
+				StateCache: cache,
+			})
+			if rep.BugFound() || rep.Err != nil {
+				t.Fatalf("correct variant reported %v at schedule %d (err %v)", rep.FirstBug, rep.FirstBugIteration, rep.Err)
+			}
+		})
 	}
 }
 
@@ -136,35 +161,31 @@ func TestMonitorsDoNotPerturbExploration(t *testing.T) {
 }
 
 // TestLivenessBugFoundInParallelPortfolio checks the parallel wiring: a
-// portfolio with a fair member finds the liveness bug under RunParallel and
-// the trace still replays.
+// portfolio finds the liveness bug under RunParallel and the trace still
+// replays.
 func TestLivenessBugFoundInParallelPortfolio(t *testing.T) {
 	b := MustByName("FairResponder", true)
-	pf, err := sct.ParsePortfolio("random,fair", 20150628, b.MaxSteps, -1)
+	pf, err := sct.ParsePortfolio("random,pct", 20150628, b.MaxSteps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep := sct.RunParallel(b.SetupMonitored(), sct.ParallelOptions{
 		Options: sct.Options{
-			Iterations:          200,
-			MaxSteps:            b.MaxSteps,
-			LivenessTemperature: b.Temperature,
-			StopOnFirstBug:      true,
+			Iterations:     200,
+			MaxSteps:       b.MaxSteps,
+			StopOnFirstBug: true,
 		},
 		Workers:   2,
 		Portfolio: pf,
 	})
 	if !rep.BugFound() {
-		t.Fatal("parallel portfolio with a fair member missed the liveness bug")
+		t.Fatal("parallel portfolio missed the liveness bug")
 	}
 	if rep.FirstBug.Kind != psharp.BugLiveness {
 		t.Fatalf("bug = %v, want BugLiveness", rep.FirstBug)
 	}
-	res := sct.ReplayTrace(b.SetupMonitored(), rep.FirstBugTrace, psharp.TestConfig{
-		MaxSteps:            b.MaxSteps,
-		LivenessTemperature: b.Temperature,
-	})
-	if res.Bug == nil || res.Bug.Kind != psharp.BugLiveness {
-		t.Fatalf("replay did not reproduce: got %v", res.Bug)
+	res := sct.ReplayTrace(b.SetupMonitored(), rep.FirstBugTrace, psharp.TestConfig{MaxSteps: b.MaxSteps})
+	if res.Bug == nil || *res.Bug != *rep.FirstBug {
+		t.Fatalf("replay did not reproduce: got %v, want %v", res.Bug, rep.FirstBug)
 	}
 }

@@ -43,13 +43,6 @@ type Benchmark struct {
 	// Kept separate from Setup so the Table 2 measurements stay comparable
 	// to the paper; attach them with SetupMonitored (psharp-test -monitors).
 	Monitors func(r *psharp.Runtime)
-	// Temperature is the recommended TestConfig.LivenessTemperature for the
-	// benchmark's liveness monitors; 0 means the benchmark carries no
-	// liveness specification.
-	Temperature int
-	// FairPrefix is the recommended random-prefix length for
-	// sct.NewRandomFair on this benchmark (only meaningful with Temperature).
-	FairPrefix int
 	// FaultImmune lists machine types that model reliable infrastructure
 	// (stable storage, the specification harness) and must never be faulted;
 	// wire it into sct.FaultOptions.Immune when exploring with fault
@@ -83,8 +76,8 @@ func (b Benchmark) ID() string {
 // All returns the full suite: for every protocol the correct variant and,
 // where defined, the buggy one. Ordering matches the paper's Table 2. The
 // liveness benchmarks are not included — their bugs are only observable
-// through monitors under fair scheduling, so they are not comparable to the
-// Table 2 safety measurements; see Liveness.
+// through their liveness monitors, so they are not comparable to the Table 2
+// safety measurements; see Liveness.
 func All() []Benchmark {
 	var out []Benchmark
 	for _, name := range Names() {
@@ -110,10 +103,9 @@ func Names() []string {
 // Liveness returns the liveness benchmark suite: protocols whose seeded
 // bugs violate a monitor-expressed "eventually" property rather than a
 // safety one. They run with the benchmark's Monitors attached
-// (SetupMonitored), TestConfig.LivenessTemperature set to the benchmark's
-// Temperature, and a fair strategy (sct.NewRandomFair with the benchmark's
-// FairPrefix) — an unfair scheduler cannot soundly report their bugs at
-// all, and a plain random run simply sees nothing.
+// (SetupMonitored), under any strategy: the testing controller checks a
+// monitor with a hot state by itself (fair lassos), and a run without the
+// monitors simply sees nothing.
 func Liveness() []Benchmark {
 	return []Benchmark{
 		fairResponderBenchmark(false),

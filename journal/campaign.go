@@ -45,8 +45,8 @@ type Meta struct {
 	FaultBudget  int `json:"fault_budget,omitempty"`
 	FaultHorizon int `json:"fault_horizon,omitempty"`
 	// Extra is a free-form fingerprint of any further configuration the
-	// caller wants validated across resumes (psharp-test packs monitor and
-	// liveness flags here).
+	// caller wants validated across resumes (psharp-test packs its -monitors
+	// and -state-cache flags here).
 	Extra string `json:"extra,omitempty"`
 }
 

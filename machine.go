@@ -29,10 +29,10 @@ type machineInstance struct {
 	// under mu: production senders read it there.
 	st     *stateSpec
 	halted bool
-	// temp is a monitor's temperature: the consecutive scheduling decisions
-	// it has spent in a hot state (controller.updateTemperatures). enter
-	// resets it on a state that is not hot, which a machine's never is.
-	temp int
+	// hotFrom is, under a testing runtime, the trace position at which a
+	// monitor in a hot state entered it from a state that is not hot: it
+	// has been hot at every scheduling point since (controller.lasso).
+	hotFrom int
 
 	// The mailbox is the window queue[qhead:]: the events sent and not yet
 	// dequeued, in order. Dequeuing its head advances qhead instead of
@@ -308,7 +308,7 @@ func (m *machineInstance) recycle() {
 	m.schema, m.cover = nil, nil
 	m.st = nil
 	m.halted = false
-	m.temp = 0
+	m.hotFrom = 0
 	m.dropQueue()
 	m.bug = nil
 	m.aborted = false
@@ -768,14 +768,17 @@ func (m *machineInstance) gotoState(target *stateSpec, payload Event) *Bug {
 	return nil
 }
 
-// enter makes st the current state. Entering a state that is not hot
-// discharges a monitor's liveness obligation: a later hot period is measured
-// from zero.
+// enter makes st the current state. A monitor that enters a hot state from
+// one that is not takes on a liveness obligation; under a testing runtime
+// it is dated by the trace position (a hot state entered from a hot one
+// continues the obligation, and only monitor states are ever hot).
 func (m *machineInstance) enter(st *stateSpec) {
-	m.st = st
-	if !st.isHot() {
-		m.temp = 0
+	if st.isHot() && (m.st == nil || !m.st.isHot()) {
+		if c := m.rt.test; c != nil {
+			m.hotFrom = len(c.trace.Decisions)
+		}
 	}
+	m.st = st
 }
 
 // state names the current state, "" before boot.

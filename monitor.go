@@ -24,12 +24,10 @@ import "fmt"
 //     iteration with BugMonitor, attributed to the monitor.
 //   - Liveness ("something eventually happens"): monitor states carry
 //     hot/cold annotations (StateBuilder.Hot, StateBuilder.Cold). A hot
-//     state is a pending obligation. Under liveness checking
-//     (TestConfig.LivenessTemperature) the testing controller tracks how
-//     many consecutive scheduling decisions each monitor has spent hot —
-//     its temperature, which entering a state that is not hot resets — and
-//     reports BugLiveness when the threshold is exceeded or a monitor is
-//     still hot at quiescence.
+//     state is a pending obligation. The testing controller checks every
+//     monitor that declares one: it reports BugLiveness when a schedule
+//     returns to a global state around a fair cycle that kept the monitor
+//     hot (controller.lasso), or quiesces with a monitor still hot.
 //
 // Monitor actions are passive: they may Assert, Goto, Raise (to the monitor
 // itself) and Logf, but must not Send, CreateMachine, Halt, or draw
@@ -128,6 +126,9 @@ func (r *Runtime) attachMonitor(id MachineID, logic Machine, schema *compiledSch
 	var m *machineInstance
 	if c := r.test; c != nil {
 		m = c.acquireInstance(r, id, logic, schema)
+		if schema.hot {
+			c.watchLiveness()
+		}
 	} else {
 		m = newMachineInstance(r, id, logic, schema)
 	}

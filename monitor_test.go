@@ -6,6 +6,7 @@ package psharp_test
 // validation that keeps monitor- and machine-found bugs replayable.
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -145,7 +146,7 @@ func TestMonitorAddsNoTraceDecisions(t *testing.T) {
 // TestMonitorRecyclesCleanly checks that a pooled harness with monitors
 // behaves exactly like fresh one-shot runs across 25 recycled iterations:
 // same bugs, byte-identical traces — i.e. monitor state (instance, schema,
-// temperature) leaks nothing between iterations.
+// hot period) leaks nothing between iterations.
 func TestMonitorRecyclesCleanly(t *testing.T) {
 	setup := decidersSetup(true)
 	h := psharp.NewTestHarness(setup)
@@ -215,31 +216,232 @@ type quiet struct{ psharp.StaticBase }
 
 func (*quiet) ConfigureType(sc *psharp.Schema) { sc.Start("S").Ignore(&mtReq{}) }
 
-// TestLivenessTemperatureThreshold checks the hot-state temperature bug: a
-// monitor stuck hot past the threshold fails the iteration with BugLiveness,
-// the violation replays deterministically from its trace, and disabling
-// liveness checking reports nothing.
-func TestLivenessTemperatureThreshold(t *testing.T) {
+// TestLivenessFairLasso checks the lasso verdict: once the pacer spins alone
+// with the monitor hot, the program returns to a global state it was in, on
+// a cycle that chose the one enabled machine and injected nothing. That is a
+// BugLiveness naming the monitor, the hot state and the cycle, whatever the
+// strategy, and it replays deterministically from its trace, needing no
+// option.
+func TestLivenessFairLasso(t *testing.T) {
 	setup := livenessSpinSetup()
-	cfg := psharp.TestConfig{Strategy: mustPrepared(sct.NewRandom(1)), MaxSteps: 500, LivenessTemperature: 50}
-	res := psharp.RunTest(setup, cfg)
-	if res.Bug == nil || res.Bug.Kind != psharp.BugLiveness || res.Bug.Monitor != "Responds" {
-		t.Fatalf("bug = %v, want BugLiveness from Responds", res.Bug)
-	}
-	if res.Bug.State != "Waiting" {
-		t.Errorf("liveness bug in state %q, want the hot state %q", res.Bug.State, "Waiting")
-	}
-
-	replay := sct.ReplayTrace(setup, res.Trace.Clone(), psharp.TestConfig{MaxSteps: 500, LivenessTemperature: 50})
-	if replay.Bug == nil || replay.Bug.Kind != psharp.BugLiveness || replay.Bug.Message != res.Bug.Message {
-		t.Fatalf("replay did not reproduce the liveness bug: got %v, want %v", replay.Bug, res.Bug)
-	}
-
-	off := psharp.RunTest(setup, psharp.TestConfig{Strategy: mustPrepared(sct.NewRandom(1)), MaxSteps: 500})
-	if off.Bug != nil {
-		t.Fatalf("liveness checking disabled still reported %v", off.Bug)
+	for _, s := range []psharp.Strategy{mustPrepared(sct.NewRandom(1)), &scripted{}} {
+		res := psharp.RunTest(setup, psharp.TestConfig{Strategy: s, MaxSteps: 500})
+		if res.Bug == nil || res.Bug.Kind != psharp.BugLiveness || res.Bug.Monitor != "Responds" || res.Bug.State != "Waiting" {
+			t.Fatalf("%T: bug = %+v, want BugLiveness from Responds in Waiting", s, res.Bug)
+		}
+		for _, part := range []string{"monitor Responds", `"Waiting"`, "fair cycle of length 1"} {
+			if !strings.Contains(res.Bug.Message, part) {
+				t.Errorf("%T: message %q does not say %s", s, res.Bug.Message, part)
+			}
+		}
+		replay := sct.ReplayTrace(setup, res.Trace.Clone(), psharp.TestConfig{MaxSteps: 500})
+		if replay.Bug == nil || *replay.Bug != *res.Bug {
+			t.Fatalf("%T: replay did not reproduce the liveness bug: got %v, want %v", s, replay.Bug, res.Bug)
+		}
 	}
 }
+
+// starveSetup is livenessSpinSetup with a responder beside the pacer: the
+// request that heats the monitor is the responder's, which answers it by
+// sending itself the response that cools the monitor.
+func starveSetup(r *psharp.Runtime) {
+	r.MustRegister("Pacer", func() psharp.Machine { return &pacer{} })
+	r.MustRegister("Responder", func() psharp.Machine { return &responder{} })
+	r.MustRegisterMonitor("Responds", mtResponds)
+	p := r.MustCreate("Pacer", nil)
+	if err := r.SendEvent(p, &mtOutcome{}); err != nil {
+		panic(err)
+	}
+	if err := r.SendEvent(r.MustCreate("Responder", nil), &mtReq{}); err != nil {
+		panic(err)
+	}
+}
+
+// responder answers a request by sending itself the response, which it
+// ignores.
+type responder struct{ psharp.StaticBase }
+
+func (*responder) ConfigureType(sc *psharp.Schema) {
+	sc.Start("S").
+		OnEventDoM(&mtReq{}, func(_ psharp.Machine, ctx *psharp.Context, _ psharp.Event) { ctx.Send(ctx.ID(), &mtResp{}) }).
+		Ignore(&mtResp{})
+}
+
+// TestLivenessStarvedCycleNotReported: a schedule that runs only the pacer
+// returns to the same state with the monitor hot over and over, but every
+// such cycle leaves the enabled responder unscheduled — a starving
+// scheduler, not a program that cannot respond. No bug, under that schedule
+// or a random one.
+func TestLivenessStarvedCycleNotReported(t *testing.T) {
+	for _, s := range []psharp.Strategy{&scripted{}, mustPrepared(sct.NewRandom(1))} {
+		res := psharp.RunTest(starveSetup, psharp.TestConfig{Strategy: s, MaxSteps: 300})
+		if res.Bug != nil || res.Err != nil || !res.BoundReached {
+			t.Fatalf("%T: bug %v, err %v, bound reached %v; want a clean run to the bound", s, res.Bug, res.Err, res.BoundReached)
+		}
+	}
+}
+
+// pinger answers each request with a response and each response with a
+// request, to itself: the monitor heats and cools in turn, forever.
+type pinger struct{ psharp.StaticBase }
+
+func (*pinger) ConfigureType(sc *psharp.Schema) {
+	sc.Start("S").
+		OnEventDoM(&mtReq{}, func(_ psharp.Machine, ctx *psharp.Context, _ psharp.Event) { ctx.Send(ctx.ID(), &mtResp{}) }).
+		OnEventDoM(&mtResp{}, func(_ psharp.Machine, ctx *psharp.Context, _ psharp.Event) { ctx.Send(ctx.ID(), &mtReq{}) })
+}
+
+// TestLivenessRecooledCycleNotReported: the pinger's state recurs every two
+// decisions with the monitor hot, but around each cycle the monitor cooled
+// and heated again — every request is answered.
+func TestLivenessRecooledCycleNotReported(t *testing.T) {
+	setup := func(r *psharp.Runtime) {
+		r.MustRegister("Pinger", func() psharp.Machine { return &pinger{} })
+		r.MustRegisterMonitor("Responds", mtResponds)
+		if err := r.SendEvent(r.MustCreate("Pinger", nil), &mtReq{}); err != nil {
+			panic(err)
+		}
+	}
+	res := psharp.RunTest(setup, psharp.TestConfig{Strategy: &scripted{}, MaxSteps: 300})
+	if res.Bug != nil || res.Err != nil || !res.BoundReached {
+		t.Fatalf("bug %v, err %v, bound reached %v; want a clean run to the bound", res.Bug, res.Err, res.BoundReached)
+	}
+}
+
+// grower's queue of ticks grows by one every step: it handles a tick by
+// sending itself two, so without faults no state of it ever recurs.
+type grower struct{ psharp.StaticBase }
+
+func (*grower) ConfigureType(sc *psharp.Schema) {
+	sc.Start("S").
+		OnEntryM(func(_ psharp.Machine, ctx *psharp.Context, _ psharp.Event) { ctx.Send(ctx.ID(), &mtOutcome{}) }).
+		OnEventDoM(&mtOutcome{}, func(_ psharp.Machine, ctx *psharp.Context, ev psharp.Event) {
+			ctx.Send(ctx.ID(), ev)
+			ctx.Send(ctx.ID(), ev)
+		})
+}
+
+// dropAt is scripted, except that its k-th send-level fault query drops the
+// message.
+type dropAt struct {
+	scripted
+	k, queries int
+}
+
+func (s *dropAt) Decide(c *psharp.Choice, d *psharp.Decision) {
+	if c.Kind == psharp.ChoiceFault && c.Point == psharp.FaultPointSend {
+		if s.queries++; s.queries == s.k {
+			d.Kind, d.Fault = psharp.DecisionFault, psharp.FaultAction{Kind: psharp.FaultDrop}
+			return
+		}
+	}
+	s.scripted.Decide(c, d)
+}
+
+// growerSetup leaves a request with a sink that ignores it, so the monitor
+// is hot for good, beside a grower, the one machine that stays enabled.
+func growerSetup(r *psharp.Runtime) {
+	r.MustRegister("Sink", func() psharp.Machine { return &quiet{} })
+	r.MustRegister("Grower", func() psharp.Machine { return &grower{} })
+	r.MustRegisterMonitor("Responds", mtResponds)
+	if err := r.SendEvent(r.MustCreate("Sink", nil), &mtReq{}); err != nil {
+		panic(err)
+	}
+	r.MustCreate("Grower", nil)
+}
+
+// TestLivenessFaultedCycleNotReported: the grower's states recur only by
+// way of a fault — a dropped tick leaves the queue as long as a round
+// before, a crash with restart starts the machine over — and a cycle that
+// needs a fault cannot repeat forever on a finite budget. The monitor is hot
+// throughout and the grower is the one enabled machine, so the fault is all
+// that keeps the cycles from being reported.
+func TestLivenessFaultedCycleNotReported(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		s     psharp.Strategy
+		fault func(psharp.FaultStats) int
+	}{
+		{"drop", &dropAt{k: 7}, func(f psharp.FaultStats) int { return f.Drops }},
+		{"crash", &scripted{declines: 9, crash: &psharp.FaultAction{Kind: psharp.FaultCrash, Machine: psharp.MachineRef{Seq: 2}, Restart: true}},
+			func(f psharp.FaultStats) int { return f.Crashes }},
+	} {
+		res := psharp.RunTest(growerSetup, psharp.TestConfig{Strategy: tc.s, MaxSteps: 60, Faults: &psharp.FaultConfig{}})
+		if res.Bug != nil || res.Err != nil || !res.BoundReached {
+			t.Fatalf("%s: bug %v, err %v, bound reached %v; want a clean run to the bound", tc.name, res.Bug, res.Err, res.BoundReached)
+		}
+		if n := tc.fault(res.Faults); n != 1 {
+			t.Fatalf("%s: %d faults injected (%+v)", tc.name, n, res.Faults)
+		}
+	}
+}
+
+// TestLivenessGrowingStateMissed records the liveness bugs a lasso cannot
+// show. The grower's obligation is never met, but without a fault it never
+// returns to a state it was in — its queue lengthens by a tick a step — so
+// no lasso closes, and it never quiesces: the run reaches the bound clean,
+// under any strategy. The temperature threshold this check replaced
+// reported it. A check that reports it must change this test and the
+// liveness caveats in doc.go and sct/doc.go together.
+func TestLivenessGrowingStateMissed(t *testing.T) {
+	for _, s := range []psharp.Strategy{&scripted{}, mustPrepared(sct.NewRandom(1))} {
+		res := psharp.RunTest(growerSetup, psharp.TestConfig{Strategy: s, MaxSteps: 300})
+		if res.Bug != nil || res.Err != nil || !res.BoundReached {
+			t.Fatalf("%T: bug %v, err %v, bound reached %v; want the miss: a clean run to the bound", s, res.Bug, res.Err, res.BoundReached)
+		}
+	}
+}
+
+// TestLivenessUnhashableStateUnchecked: a program with a monitor that
+// declares a hot state is hashed while the monitor is hot, and a machine
+// holding a func has no hash. That stops the search for lassos, not the
+// iteration: the result names the machine and the field once, in
+// LivenessUnchecked, and the run goes on to its end — here quiescence with
+// the monitor hot, which is still a BugLiveness. With a state cache, which
+// cannot work without the hash, the iteration ends with the *StateError.
+func TestLivenessUnhashableStateUnchecked(t *testing.T) {
+	setup := func(r *psharp.Runtime) {
+		r.MustRegister("Holder", func() psharp.Machine { return &funcHolder{fn: func() {}} })
+		r.MustRegisterMonitor("Responds", mtResponds)
+		if err := r.SendEvent(r.MustCreate("Holder", nil), &mtReq{}); err != nil {
+			panic(err)
+		}
+	}
+	h := psharp.NewTestHarness(setup)
+	defer h.Close()
+	dfs := sct.NewDFS()
+	var se *psharp.StateError
+	for i := 0; i < 2 && dfs.PrepareIteration(i); i++ {
+		res := h.Run(psharp.TestConfig{Strategy: dfs, MaxSteps: 100})
+		if !errors.As(res.LivenessUnchecked, &se) || res.Err != nil {
+			t.Fatalf("run %d: unchecked %v, err %v; want a *StateError in LivenessUnchecked and no Err", i, res.LivenessUnchecked, res.Err)
+		}
+		if msg := se.Error(); !strings.Contains(msg, "Holder") || !strings.Contains(msg, "fn") {
+			t.Errorf("StateError %q does not name the machine and the field", msg)
+		}
+		if res.Bug == nil || res.Bug.Kind != psharp.BugLiveness || !strings.Contains(res.Bug.Message, "quiesced") {
+			t.Fatalf("run %d: bug %v; want the hot-at-quiescence BugLiveness", i, res.Bug)
+		}
+	}
+	rep := sct.Run(setup, sct.Options{Strategy: sct.NewRandom(1), Iterations: 5, MaxSteps: 100})
+	if !errors.As(rep.LivenessUnchecked, &se) || rep.Err != nil || rep.Iterations != 5 {
+		t.Fatalf("sct.Run: unchecked %v, err %v, %d iterations; want the *StateError once and all 5 run", rep.LivenessUnchecked, rep.Err, rep.Iterations)
+	}
+	cached := sct.NewDFS()
+	cached.PrepareIteration(0)
+	res := psharp.RunTest(setup, psharp.TestConfig{Strategy: cached, MaxSteps: 100, StateCache: newOwnerCache()})
+	if !errors.As(res.Err, &se) || res.Bug != nil || res.LivenessUnchecked != nil {
+		t.Fatalf("with a cache: err %v, bug %v, unchecked %v; want a *StateError in Err alone", res.Err, res.Bug, res.LivenessUnchecked)
+	}
+}
+
+// funcHolder keeps a func in its state and ignores requests.
+type funcHolder struct {
+	psharp.StaticBase
+	fn func()
+}
+
+func (*funcHolder) ConfigureType(sc *psharp.Schema) { sc.Start("S").Ignore(&mtReq{}) }
 
 // TestLivenessHotAtQuiescence checks the finite-execution rule: a program
 // that terminates while a monitor is still hot has violated the liveness
@@ -253,7 +455,7 @@ func TestLivenessHotAtQuiescence(t *testing.T) {
 			panic(err)
 		}
 	}
-	res := psharp.RunTest(setup, psharp.TestConfig{Strategy: mustPrepared(sct.NewRandom(1)), MaxSteps: 100, LivenessTemperature: 1000})
+	res := psharp.RunTest(setup, psharp.TestConfig{Strategy: mustPrepared(sct.NewRandom(1)), MaxSteps: 100})
 	if res.Bug == nil || res.Bug.Kind != psharp.BugLiveness {
 		t.Fatalf("bug = %v, want BugLiveness at quiescence", res.Bug)
 	}
@@ -415,7 +617,7 @@ func TestMonitorClosureFormRefused(t *testing.T) {
 		})
 		for i := 0; i < 4; i++ {
 			static = alternate && i%2 == 1
-			res := h.Run(psharp.TestConfig{Strategy: mustPrepared(sct.NewRandom(uint64(i) + 1)), LivenessTemperature: 1000})
+			res := h.Run(psharp.TestConfig{Strategy: mustPrepared(sct.NewRandom(uint64(i) + 1))})
 			if static && err != nil || !static && !refused(err) {
 				t.Fatalf("alternate=%v iteration %d (static=%v): RegisterMonitor err = %v", alternate, i, static, err)
 			}

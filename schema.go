@@ -217,12 +217,13 @@ func (b *StateBuilder) Name() string { return b.state.name }
 
 // Hot marks the state as a liveness obligation: while a monitor sits in a
 // hot state, something is still required to eventually happen (the paper's
-// "eventually responds" class of specifications). Under liveness checking
-// (TestConfig.LivenessTemperature) a monitor that stays hot for too many
-// consecutive scheduling decisions, or is still hot when the program
-// quiesces, fails the iteration with BugLiveness. Hot and cold annotations
-// are only meaningful on monitor states; Register rejects machine schemas
-// that carry them.
+// "eventually responds" class of specifications). A testing runtime checks
+// every registered monitor that declares a hot state: an execution that
+// returns to a global state it was in, on a cycle that keeps the monitor hot,
+// schedules every enabled machine and injects no fault — a fair lasso, which
+// can repeat forever — or that quiesces with the monitor hot fails the
+// iteration with BugLiveness. Hot and cold annotations are only meaningful
+// on monitor states; Register rejects machine schemas that carry them.
 func (b *StateBuilder) Hot() *StateBuilder {
 	if b.state.temp != tempNone {
 		b.schema.err("state %q: duplicate hot/cold annotation", b.state.name)
@@ -367,6 +368,9 @@ func (s *Schema) validate(kind, name string) error {
 type compiledSchema struct {
 	initial *stateSpec
 	states  map[string]*stateSpec
+	// hot says some state is hot: the monitor states a liveness property,
+	// and a testing runtime it is registered on checks it (see controller.lasso).
+	hot bool
 	// transitions is the coverage unit of each action and goto binding, by
 	// dispatchEntry.slot.
 	transitions []obs.Transition
@@ -400,6 +404,7 @@ func (s *Schema) compile(name string, monitor bool) (*compiledSchema, error) {
 	cs := &compiledSchema{initial: s.states[s.initial], states: s.states}
 	for _, sn := range s.order {
 		st := s.states[sn]
+		cs.hot = cs.hot || st.isHot()
 		for i := range st.handlers {
 			h := &st.handlers[i]
 			if e := &h.entry; e.kind == dispatchAction || e.kind == dispatchGoto {

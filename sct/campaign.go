@@ -40,7 +40,6 @@ type CampaignConfig struct {
 	TimeoutMS  int64  `json:"timeout_ms,omitempty"`
 	Seed       uint64 `json:"seed,omitempty"`
 	Monitors   bool   `json:"monitors,omitempty"`
-	Liveness   bool   `json:"liveness,omitempty"`
 	// FaultBudget is the per-schedule fault-injection budget; 0 means the
 	// campaign ran fault-free.
 	FaultBudget int `json:"fault_budget,omitempty"`

@@ -31,7 +31,7 @@ const campaignOraclePath = "testdata/campaign_oracle.json"
 func campaignOracleRuns(t *testing.T) map[string]map[string]any {
 	t.Helper()
 	tpc := protocols.MustByName("TwoPhaseCommit", true)
-	portfolio, err := sct.ParsePortfolio("random,pct", 3, tpc.MaxSteps, -1)
+	portfolio, err := sct.ParsePortfolio("random,pct", 3, tpc.MaxSteps)
 	if err != nil {
 		t.Fatal(err)
 	}

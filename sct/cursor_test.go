@@ -22,8 +22,16 @@ var cursorLayouts = []struct {
 	{"dfs", 0, 1}, {"dpor", 0, 1}, {"dfs", 1, 3}, {"dpor", 2, 3}, {"delay", 0, 1}, {"delay", 1, 3},
 }
 
+func ids(seqs ...uint64) []psharp.MachineID {
+	out := make([]psharp.MachineID, len(seqs))
+	for i, s := range seqs {
+		out[i] = psharp.MachineID{Type: "M", Seq: s}
+	}
+	return out
+}
+
 func cursorStrategy(t testing.TB, name string, shard, shards int) Strategy {
-	s, err := NewStrategy(name, 0, 0, 0)
+	s, err := NewStrategy(name, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +205,6 @@ func TestStrategiesAllocateNothingPerIteration(t *testing.T) {
 		seeded bool
 	}{
 		{"random", NewRandom(7), true},
-		{"fair", NewRandomFair(7, 20), true},
 		{"pct", NewPCT(7, 3, 50), true},
 		{"pct clone", NewPCT(7, 3, 50).CloneForWorker(1, 2), true},
 		{"dfs", NewDFS(), false},

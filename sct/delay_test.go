@@ -120,7 +120,7 @@ func TestDelayBoundingTable2(t *testing.T) {
 	}
 	for _, name := range []string{"BoundedAsync", "German", "BasicPaxos", "TwoPhaseCommit", "Chord", "MultiPaxos", "Raft", "ChainReplication"} {
 		b := protocols.MustByName(name, true)
-		s, err := sct.NewStrategy("delay", 1, b.MaxSteps, -1)
+		s, err := sct.NewStrategy("delay", 1, b.MaxSteps)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,24 +29,31 @@
 // Crashable one; the type names live in the trace's Types. FaultInjector
 // forwards what it does not answer to its inner strategy's Decide.
 //
-// # Liveness checking and fair scheduling
+// # Liveness checking
 //
-// Safety bugs are findable by any strategy; liveness bugs ("eventually
-// responds", specified by hot/cold monitor states — see the psharp
-// package's "Specifying correctness") additionally need fairness. A
-// monitor stuck in a hot state under an unfair scheduler may mean only
-// that the scheduler starved the machine that would discharge the
-// obligation; the paper's plain random scheduler therefore cannot soundly
-// report liveness violations at all, and simply misses that bug class.
-// RandomFair is the CHESS-style recipe: a uniformly random prefix explores
-// the reorderings that trigger the bug, then fair round-robin over the
-// enabled machines guarantees every would-be discharger runs. With
-// Options.LivenessTemperature set above the prefix plus a few fair rounds,
-// a hot streak that crosses the threshold is a genuine violation — and
-// since the temperature is a function of the schedule alone, the resulting
-// psharp.BugLiveness replays deterministically through ReplayTrace like
-// every other bug. RandomFair shards its seed stream across parallel
-// workers like Random, and "fair" is a valid portfolio member.
+// Liveness bugs ("eventually responds", specified by hot/cold monitor
+// states — see the psharp package's "Specifying correctness") are checked
+// by the controller, not by a strategy or an option: for a program with a
+// monitor that declares a hot state, a schedule that returns to a global
+// state it was in, around a cycle that kept the monitor hot, scheduled
+// every machine enabled at its end and injected no fault, is a fair lasso
+// and a psharp.BugLiveness. A cycle that starves an enabled machine is not
+// one, so the verdict is sound under every strategy here — a monitor hot
+// only because the scheduler starved its discharger is never reported, and
+// no fair scheduler is needed (Musuvathi and Qadeer's fair stateless model
+// checking is what the check replaces). Like every other bug it replays
+// through ReplayTrace, needing no option. What it rests on is the state
+// hash the cache uses: two states with one unchecked 64-bit hash are one
+// state to a lasso as to the cache. On FairResponder, random and PCT find
+// the lost request, and DFS and DPOR find it with the state cache (which
+// lets them back up to the early decision it needs) but not in 2 000
+// schedules without it; DelayBounding at its budget of 2 misses it. A
+// lasso needs a state that recurs: a violation in a program whose state
+// keeps growing while the monitor is hot (a counter, a lengthening queue, a
+// term) is found only if the program quiesces with the monitor hot, and
+// missed otherwise — the price of having no temperature threshold. State
+// that cannot be hashed while a monitor is hot ends the search for lassos
+// for the iteration, not the iteration (Report.LivenessUnchecked).
 //
 // # Parallel portfolio exploration
 //
@@ -55,10 +62,10 @@
 // the caller's goroutine. Two portfolio shapes are supported:
 //
 //   - Homogeneous: worker w of n receives ParallelOptions.Strategy's
-//     CloneForWorker(w, n). The built-in strategies
-//     shard deterministically: the randomized ones (Random, RandomFair,
-//     PCT) map worker w's local iterations onto the global iteration
-//     stream {w, w+n, w+2n, ...} of the same base seed, so the parallel run
+//     CloneForWorker(w, n). The built-in strategies shard
+//     deterministically: the randomized ones (Random, PCT) map worker w's
+//     local iterations onto the global iteration stream {w, w+n, w+2n,
+//     ...} of the same base seed, so the parallel run
 //     explores exactly the sequential run's schedule population; the
 //     searches partition the schedule tree, DFS and DPOR by its first
 //     decision, DelayBounding by the depth of a schedule's first delay.
@@ -117,8 +124,8 @@
 //
 //   - The hashed global-state cache (Options.StateCache) fingerprints the
 //     global state — every machine's serialized fields, control state and
-//     queue contents, plus monitor states and liveness temperatures — at
-//     each scheduling point, incrementally (only the machine that stepped,
+//     queue contents, plus monitor states — at each scheduling point,
+//     incrementally (only the machine that stepped,
 //     the one it sent to and the ones it created rehash). When a schedule
 //     reaches a state some earlier schedule
 //     already covered at the same or shallower depth with a different
@@ -184,7 +191,7 @@
 // combined; this is its prose form. RunParallel (and so Run) panics with
 // its error, psharp-test exits 2 with the same text, and TestOptionMatrix
 // walks the cross-product on both. What the rules need to know about a
-// strategy — depth-first? delay-bounded? fair? — comes from the one table
+// strategy — depth-first? delay-bounded? — comes from the one table
 // of named strategies (strategies.go, NewStrategy); a Strategy from outside
 // the table is assumed to be none of them. dfs, dpor and delay are the
 // depth-first search plain, reduced and delay-bounded. In the order checked:
@@ -343,7 +350,7 @@
 // LoadCursor from the one cursor format it has (version 2: the stack, with
 // the backtrack sets and step footprints of its nodes when it is DPOR's and
 // the current bound when it is DelayBounding's), while the reseeding
-// strategies (Random, RandomFair, PCT, FaultInjector around any of them)
+// strategies (Random, PCT, FaultInjector around any of them)
 // need only the completed-iteration count, because worker w's iteration k
 // is a pure function of (seed, w, k) (seedStream). A cursor that does not load — another strategy's, a corrupt
 // one, one in the two layouts of version 1 — ends the run before its first

@@ -184,18 +184,17 @@ func TestDPORCorpusBeatsRandom(t *testing.T) {
 	}
 }
 
-// TestDPORCorpusLiveness: the FairResponder liveness bug (a monitor stuck
-// hot past the temperature threshold) must be reachable under DPOR+cache —
-// the monitor temperature is part of the hashed state, so the cache cannot
-// prune a schedule before its temperature crossing.
+// TestDPORCorpusLiveness: the FairResponder liveness bug (a monitor hot
+// around a fair cycle) must be reachable under DPOR+cache — the lasso is
+// looked for before the cache is asked, so a state the schedule returns to
+// closes the cycle instead of pruning it.
 func TestDPORCorpusLiveness(t *testing.T) {
 	b := protocols.MustByName("FairResponder", true)
 	opts := sct.Options{
-		Iterations:          corpusBudget,
-		MaxSteps:            b.MaxSteps,
-		LivenessTemperature: b.Temperature,
-		StopOnFirstBug:      true,
-		Timeout:             30 * time.Second,
+		Iterations:     corpusBudget,
+		MaxSteps:       b.MaxSteps,
+		StopOnFirstBug: true,
+		Timeout:        30 * time.Second,
 	}
 	rnd := opts
 	rnd.Strategy = sct.NewRandom(1)

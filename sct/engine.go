@@ -70,12 +70,6 @@ type Options struct {
 	StopOnFirstBug bool
 	// LivelockAsBug treats hitting MaxSteps as a liveness bug.
 	LivelockAsBug bool
-	// LivenessTemperature enables monitor-based liveness checking (see
-	// psharp.TestConfig.LivenessTemperature): a registered monitor that
-	// stays in a hot state for more than this many consecutive scheduling
-	// decisions, or is still hot at quiescence, fails the iteration with
-	// psharp.BugLiveness. Only sound under fair strategies (RandomFair).
-	LivenessTemperature int
 	// ChessLike adds CHESS-granularity scheduling points (Table 2 baseline).
 	ChessLike bool
 	// RaceDetect enables the happens-before race detector (RD-on).
@@ -162,6 +156,9 @@ type Report struct {
 	// also how RunParallel refuses to resume a Journal whose cursor a worker's
 	// strategy cannot load: no iteration runs.
 	Err error
+	// LivenessUnchecked is the run's first
+	// psharp.IterationResult.LivenessUnchecked: nil if no lasso went unchecked.
+	LivenessUnchecked error
 }
 
 // BugFound reports whether any iteration failed.
@@ -425,13 +422,12 @@ func runWorker(setup func(*psharp.Runtime), sh *shared, w *worker) Report {
 	h := psharp.NewTestHarness(setup)
 	defer h.Close()
 	cfg := psharp.TestConfig{
-		Strategy:            w.strategy,
-		MaxSteps:            opts.MaxSteps,
-		LivelockAsBug:       opts.LivelockAsBug,
-		LivenessTemperature: opts.LivenessTemperature,
-		ChessLike:           opts.ChessLike,
-		RaceDetect:          opts.RaceDetect,
-		Interrupt:           sh.stop.Load,
+		Strategy:      w.strategy,
+		MaxSteps:      opts.MaxSteps,
+		LivelockAsBug: opts.LivelockAsBug,
+		ChessLike:     opts.ChessLike,
+		RaceDetect:    opts.RaceDetect,
+		Interrupt:     sh.stop.Load,
 	}
 	if opts.Telemetry != nil {
 		cfg.Coverage = opts.Telemetry.Coverage()
@@ -461,6 +457,9 @@ func runWorker(setup func(*psharp.Runtime), sh *shared, w *worker) Report {
 			rep.Err = res.Err
 			sh.stop.Store(true)
 			break
+		}
+		if res.LivenessUnchecked != nil && rep.LivenessUnchecked == nil {
+			rep.LivenessUnchecked = res.LivenessUnchecked
 		}
 		if res.Interrupted {
 			break // partial schedule: not counted

@@ -128,7 +128,7 @@ func TestJournalResumeEquivalence(t *testing.T) {
 			name: "portfolio", setup: tpc.Setup, half: 200, full: 400,
 			meta: journal.Meta{Benchmark: tpc.ID(), Strategy: "portfolio:random,dfs", Seed: 1, Workers: workers, ShardCount: 1, MaxSteps: tpc.MaxSteps},
 			opts: func() sct.ParallelOptions {
-				pf, err := sct.ParsePortfolio("random,dfs", 1, tpc.MaxSteps, -1)
+				pf, err := sct.ParsePortfolio("random,dfs", 1, tpc.MaxSteps)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -127,19 +127,6 @@ func (o ParallelOptions) Validate() error {
 	return nil
 }
 
-// Unfair names the first strategy among this process's workers that
-// liveness verdicts are not sound under (see "Liveness checking and fair
-// scheduling" in the package docs), or "" when every worker is fair.
-func (o ParallelOptions) Unfair() string {
-	n := o.WorkerCount()
-	for w := 0; w < n; w++ {
-		if base, label, _, _ := o.slot(o.ShardIndex*n+w, n*o.shards()); !infoOf(base).fair {
-			return label
-		}
-	}
-	return ""
-}
-
 // RunParallel is the engine: opts.WorkerCount() workers, each running an
 // independent strategy instance over its shard of the global iteration
 // budget, explore schedules of the program constructed by setup until the
@@ -252,6 +239,9 @@ func mergeReports(workers []WorkerReport) Report {
 		merged.Tally.Merge(rep.Tally)
 		if merged.Err == nil {
 			merged.Err = rep.Err
+		}
+		if merged.LivenessUnchecked == nil {
+			merged.LivenessUnchecked = rep.LivenessUnchecked
 		}
 		races.addAll(rep.Races)
 		if rep.FirstBug != nil &&

@@ -126,7 +126,7 @@ func TestParallelDeterminism(t *testing.T) {
 			Options: sct.Options{Strategy: sct.NewPCT(7, 3, 50), Iterations: 200, MaxSteps: 100},
 			Workers: 4,
 		})
-		pf, err := sct.ParsePortfolio("default", 7, 100, -1)
+		pf, err := sct.ParsePortfolio("default", 7, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,18 +269,18 @@ func TestParallelProgressIsCoherent(t *testing.T) {
 
 // TestParsePortfolio covers the CLI-facing portfolio spec parser.
 func TestParsePortfolio(t *testing.T) {
-	p, err := sct.ParsePortfolio("default", 1, 100, -1)
+	p, err := sct.ParsePortfolio("default", 1, 100)
 	if err != nil || p.Size() != 4 {
 		t.Fatalf("default portfolio: %v (size %d)", err, p.Size())
 	}
-	p, err = sct.ParsePortfolio("random, random ,dfs", 1, 0, -1)
+	p, err = sct.ParsePortfolio("random, random ,dfs", 1, 0)
 	if err != nil || p.Size() != 3 {
 		t.Fatalf("explicit portfolio: %v", err)
 	}
-	if _, err := sct.ParsePortfolio("random,,dfs", 1, 100, -1); err == nil {
+	if _, err := sct.ParsePortfolio("random,,dfs", 1, 100); err == nil {
 		t.Error("empty member not rejected")
 	}
-	if _, err := sct.ParsePortfolio("quantum", 1, 100, -1); err == nil {
+	if _, err := sct.ParsePortfolio("quantum", 1, 100); err == nil {
 		t.Error("unknown member not rejected")
 	}
 }
@@ -293,7 +293,7 @@ func TestParsePortfolio(t *testing.T) {
 func TestStaticShardOfAnExhaustedMember(t *testing.T) {
 	// fanInSetup(2) has a 72-schedule DFS tree, within DFS's 150-iteration shard.
 	const iterations, tree, quota = 300, 72, 150
-	pf, err := sct.ParsePortfolio("dfs,random", 7, 1000, -1)
+	pf, err := sct.ParsePortfolio("dfs,random", 7, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestStaticShardOfAnExhaustedMember(t *testing.T) {
 // until the deadline ends the run.
 func TestTimeBudgetOutlivesAnExhaustedMember(t *testing.T) {
 	const tree, timeout = 72, 100 * time.Millisecond
-	pf, err := sct.ParsePortfolio("dfs,random", 7, 1000, -1)
+	pf, err := sct.ParsePortfolio("dfs,random", 7, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestWorkerStateOwnsItsCacheLines(t *testing.T) {
 		"faults": sct.NewFaultInjector(sct.NewRandom(1), sct.FaultOptions{Budget: 2}),
 	}
 	for _, name := range sct.StrategyTableNames() {
-		s, err := sct.NewStrategy(name, 1, 100, -1)
+		s, err := sct.NewStrategy(name, 1, 100)
 		if err != nil {
 			t.Fatal(err)
 		}

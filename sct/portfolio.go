@@ -46,13 +46,11 @@ func (p *Portfolio) Size() int { return len(p.members) }
 // as "random,pct,delay,dfs" or "random,random,pct"; "default" is the
 // paper's roster, random, PCT (depth 3), delay-bounded search (budget 2) and
 // DFS. Members are the names NewStrategy accepts, built by NewStrategy from
-// the same maxSteps and fairPrefix (negative selects maxSteps/2; pass the
-// prefix a liveness temperature was calibrated against). Randomized members
-// derive distinct seeds from the base seed by member position (member 0
-// keeps the base seed, so a one-member portfolio is the homogeneous run of
-// that strategy); the searches (delay, dfs, dpor) draw nothing, so a search
-// named twice explores its tree twice.
-func ParsePortfolio(spec string, seed uint64, maxSteps, fairPrefix int) (*Portfolio, error) {
+// the same maxSteps. Randomized members derive distinct seeds from the base
+// seed by member position (member 0 keeps the base seed, so a one-member
+// portfolio is the homogeneous run of that strategy); the searches (delay,
+// dfs, dpor) draw nothing, so a search named twice explores its tree twice.
+func ParsePortfolio(spec string, seed uint64, maxSteps int) (*Portfolio, error) {
 	if strings.TrimSpace(spec) == "default" {
 		spec = "random,pct,delay,dfs"
 	}
@@ -64,7 +62,7 @@ func ParsePortfolio(spec string, seed uint64, maxSteps, fairPrefix int) (*Portfo
 		}
 		// Distinct members get decorrelated seed streams even when the
 		// same strategy appears twice.
-		s, err := NewStrategy(name, seed+uint64(i)*0xd1342543de82ef95, maxSteps, fairPrefix)
+		s, err := NewStrategy(name, seed+uint64(i)*0xd1342543de82ef95, maxSteps)
 		if err != nil {
 			return nil, fmt.Errorf("sct: unknown portfolio member %q (want %s)", name, strategyNames())
 		}

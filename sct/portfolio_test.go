@@ -26,7 +26,7 @@ func TestParsePortfolioErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p, err := sct.ParsePortfolio(tc.spec, 1, 1000, -1)
+			p, err := sct.ParsePortfolio(tc.spec, 1, 1000)
 			if err == nil {
 				t.Fatalf("ParsePortfolio(%q) accepted an invalid spec (portfolio size %d)", tc.spec, p.Size())
 			}
@@ -43,12 +43,11 @@ func TestParsePortfolioValidSpecs(t *testing.T) {
 		size int
 	}{
 		{"default", 4},
-		{"random,fair,pct,delay,dfs", 5},
+		{"random,pct,delay,dfs,dpor", 5},
 		{" random , pct ", 2}, // members may be padded with spaces
-		{"fair", 1},
 	}
 	for _, tc := range cases {
-		p, err := sct.ParsePortfolio(tc.spec, 1, 1000, -1)
+		p, err := sct.ParsePortfolio(tc.spec, 1, 1000)
 		if err != nil {
 			t.Errorf("ParsePortfolio(%q): %v", tc.spec, err)
 			continue

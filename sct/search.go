@@ -82,12 +82,13 @@ func (s *DFS) CloneForWorker(worker, workers int) Strategy {
 // shard's subtree is executing, so the root explores every branch and the
 // reduction applies within each shard's subtree.
 //
-// DPOR is a safety-exploration strategy: it is unfair in the same way DFS
-// is, so pairing it with LivenessTemperature can flag starvation schedules
-// a fair scheduler would not produce (exactly like DFS). Fault injection
-// is not supported either — besides the replay, the fault injector would hide
-// the StepObserver hook and fault decisions are not footprint-tracked; the
-// engine and psharp-test refuse the combination.
+// DPOR explores liveness as well as safety: the controller's lasso verdict
+// does not report a cycle that starves a machine, so the search's
+// unfairness costs no false alarm (see "Liveness checking"); with the state
+// cache it reaches FairResponder's lasso. Fault injection is not supported
+// — besides the replay, the fault injector would hide the StepObserver hook
+// and fault decisions are not footprint-tracked; the engine and psharp-test
+// refuse the combination.
 type DPOR struct{ tree }
 
 // NewDPOR returns a fresh partial-order-reducing strategy.

@@ -7,7 +7,7 @@ import (
 
 // strategyInfo is one row of the table of named strategies. Every place that
 // names a strategy — psharp-test -strategy, portfolio specs, worker labels,
-// ParallelOptions.Validate and Unfair — reads this table.
+// ParallelOptions.Validate — reads this table.
 type strategyInfo struct {
 	name string
 	// replays: a depth-first search of the schedule tree, the only kind
@@ -15,10 +15,9 @@ type strategyInfo struct {
 	// subtree before another prefix revisits it). Replaying each prefix, it
 	// refuses fault injection, whose faults differ from one iteration to the
 	// next. bounded: the state cache is not sound under its delay bound.
-	// fair: liveness verdicts are sound under it.
-	replays, bounded, fair bool
+	replays, bounded bool
 
-	build func(seed uint64, steps, fairPrefix int) Strategy
+	build func(seed uint64, steps int) Strategy
 	is    func(Strategy) bool
 }
 
@@ -26,17 +25,15 @@ func isType[T Strategy](s Strategy) bool { _, ok := s.(T); return ok }
 
 var strategyTable = []strategyInfo{
 	{name: "random", is: isType[*Random],
-		build: func(seed uint64, _, _ int) Strategy { return NewRandom(seed) }},
-	{name: "fair", fair: true, is: isType[*RandomFair],
-		build: func(seed uint64, _, prefix int) Strategy { return NewRandomFair(seed, prefix) }},
+		build: func(seed uint64, _ int) Strategy { return NewRandom(seed) }},
 	{name: "pct", is: isType[*PCT],
-		build: func(seed uint64, steps, _ int) Strategy { return NewPCT(seed, 3, steps) }},
+		build: func(seed uint64, steps int) Strategy { return NewPCT(seed, 3, steps) }},
 	{name: "delay", replays: true, bounded: true, is: isType[*DelayBounding],
-		build: func(uint64, int, int) Strategy { return NewDelayBounding(0, 2, 0) }},
+		build: func(uint64, int) Strategy { return NewDelayBounding(0, 2, 0) }},
 	{name: "dfs", replays: true, is: isType[*DFS],
-		build: func(uint64, int, int) Strategy { return NewDFS() }},
+		build: func(uint64, int) Strategy { return NewDFS() }},
 	{name: "dpor", replays: true, is: isType[*DPOR],
-		build: func(uint64, int, int) Strategy { return NewDPOR() }},
+		build: func(uint64, int) Strategy { return NewDPOR() }},
 }
 
 // infoOf returns the table row s is an instance of; a strategy from outside
@@ -68,24 +65,18 @@ func strategyNames() string {
 	return strings.Join(names[:last], ", ") + " or " + names[last]
 }
 
-// NewStrategy builds a strategy by name: random, fair, pct, delay, dfs or
-// dpor. PCT (depth 3) sizes its change points to maxSteps (0 falls back to
-// 1000 expected steps); delay-bounding has a budget of 2 delays; fair's
-// random prefix is fairPrefix, negative selecting maxSteps/2 — pass the
-// prefix the liveness temperature was calibrated against, since a
-// threshold crossed inside the random prefix is scheduler starvation, not
-// a sound verdict. It is the constructor behind psharp-test -strategy and
-// behind every member of ParsePortfolio.
-func NewStrategy(name string, seed uint64, maxSteps, fairPrefix int) (Strategy, error) {
+// NewStrategy builds a strategy by name: random, pct, delay, dfs or dpor.
+// PCT (depth 3) sizes its change points to maxSteps (0 falls back to 1000
+// expected steps); delay-bounding has a budget of 2 delays. It is the
+// constructor behind psharp-test -strategy and behind every member of
+// ParsePortfolio.
+func NewStrategy(name string, seed uint64, maxSteps int) (Strategy, error) {
 	if maxSteps <= 0 {
 		maxSteps = 1000
 	}
-	if fairPrefix < 0 {
-		fairPrefix = maxSteps / 2
-	}
 	for _, info := range strategyTable {
 		if info.name == name {
-			return info.build(seed, maxSteps, fairPrefix), nil
+			return info.build(seed, maxSteps), nil
 		}
 	}
 	return nil, fmt.Errorf("sct: unknown strategy %q (want %s)", name, strategyNames())

@@ -135,7 +135,7 @@ func TestTelemetryParallelMergesAcrossWorkers(t *testing.T) {
 // per-strategy breakdown, and a multi-bucket growth curve.
 func TestCampaignReportRoundTrip(t *testing.T) {
 	tel := sct.NewTelemetry(time.Millisecond)
-	pf, err := sct.ParsePortfolio("random,dfs", 1, 100, -1)
+	pf, err := sct.ParsePortfolio("random,dfs", 1, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -396,8 +396,6 @@ func TestStateCacheVisitsOnlyNewSuffix(t *testing.T) {
 	visitsAll("a different cache", cfg, func() int { return other.visits })
 	run(psharp.TestConfig{Strategy: dfs})
 	visitsAll("after a Run without a cache", cfg, func() int { return other.visits })
-	cfg.LivenessTemperature = 1000
-	visitsAll("a different LivenessTemperature", cfg, func() int { return other.visits })
 
 	// A cache that cannot be compared is a new cache every Run.
 	m := mapCache{}

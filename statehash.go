@@ -1,25 +1,30 @@
 package psharp
 
 // Global-state hashing and step observation: the controller-side hooks
-// behind the sct package's DPOR strategy and hashed state cache.
+// behind the sct package's DPOR strategy and hashed state cache, and the
+// liveness verdict.
 //
 // At every scheduling decision the testing controller can (a) report the
 // effect footprint of the step it just executed to a StepObserver — the
 // strategy-side half of dynamic partial-order reduction — and (b) hash the
 // global program state (machine FSM states, queue contents, machine logic
-// fields, monitor states and temperatures) and ask a StateCache whether
-// that state was already covered, cutting the iteration short when it was
-// — except on the prefix the strategy promises to repeat of the iteration
-// before, where the answer is known (see StateCache).
-// Both hooks are off unless the strategy implements StepObserver or
-// TestConfig.StateCache is set, and the step bookkeeping is a handful of
-// word writes — the allocation-free hot path is unchanged when they are
-// off. What is hashed of user values — logic fields, event payloads — is
-// decided by their types' state plans (stateplan.go), the walker checkpoints
-// copy with; hashing allocates nothing per steady-state step for state made
-// of pointers, structs, slices and maps of plain keys and elements, and does
-// allocate for an event or interface value that is not a pointer (a box per
-// hash) and for a map whose keys or elements hold pointers (two per entry).
+// fields, monitor states), to look it up among the iteration's earlier
+// points while a monitor is hot (a repeat closes a lasso, see
+// controller.lasso) and to ask a StateCache whether that state was already
+// covered, cutting the iteration short when it was — except on the prefix
+// the strategy promises to repeat of the iteration before, where the answer
+// is known (see StateCache). The hash stands for the state unchecked: two
+// states with one 64-bit hash are one to the cache and to the lasso alike.
+// Both hooks are off unless the strategy implements StepObserver,
+// TestConfig.StateCache is set or a registered monitor declares a hot
+// state, and the step bookkeeping is a handful of word writes — the
+// allocation-free hot path is unchanged when they are off. What is hashed of
+// user values — logic fields, event payloads — is decided by their types'
+// state plans (stateplan.go), the walker checkpoints copy with; hashing
+// allocates nothing per steady-state step for state made of pointers,
+// structs, slices and maps of plain keys and elements, and does allocate for
+// an event or interface value that is not a pointer (a box per hash) and for
+// a map whose keys or elements hold pointers (two per entry).
 // One mixing primitive, stateplan.go's fold, makes every hash here. Each
 // machine carries its own component (machineInstance.comp), and which ones
 // to rehash is the footprint of the step (see stateHasher).
@@ -103,10 +108,9 @@ const hashSeed uint64 = 0xcbf29ce484222325
 // point rehashes only those marked stale since the last — a created machine,
 // and after each step the machine that stepped and the one it sent to, the
 // footprint DPOR is given anyway. Monitors are few and shallow and are
-// rehashed fresh at every point (their temperatures change every step under
-// liveness checking). A component is one walk of the state plans: what is
-// aliased inside one machine — two fields, a field and a queued event — is
-// part of its hash; memory shared between machines is hashed once per
+// rehashed fresh at every point. A component is one walk of the state
+// plans: what is aliased inside one machine — two fields, a field and a
+// queued event — is part of its hash; memory shared between machines is hashed once per
 // machine that reaches it, the price of rehashing them separately.
 type stateHasher struct {
 	// agg is the XOR of the components hashed so far; dirty lists the
@@ -126,12 +130,48 @@ type stateHasher struct {
 	// iteration and repeated by this one (rewind); replayed counts them.
 	replayTo int
 	replayed int
+
+	// lassos is the lasso table of an iteration that checks a liveness
+	// property: each state hashed while a monitor was hot, at the trace
+	// position a cycle back to it would start from (see controller.lasso).
+	// lassoLog holds its writes in order, each with the entry it replaced
+	// (-1: none). Both outlive reset: rewind keeps what the prefix an
+	// iteration repeats wrote (keepLassos).
+	lassos   map[uint64]int
+	lassoLog []lassoWrite
+}
+
+// lassoWrite is a write to the lasso table at trace position at.
+type lassoWrite struct {
+	state    uint64
+	at, prev int
+}
+
+// setLasso makes state's entry in the lasso table j, replacing prev.
+func (h *stateHasher) setLasso(state uint64, j, prev int) {
+	h.lassos[state] = j
+	h.lassoLog = append(h.lassoLog, lassoWrite{state, j, prev})
+}
+
+// keepLassos undoes the writes to the lasso table made at trace position n
+// or later, newest first, leaving the table as the points before n left it.
+func (h *stateHasher) keepLassos(n int) {
+	k := len(h.lassoLog)
+	for ; k > 0 && h.lassoLog[k-1].at >= n; k-- {
+		if w := h.lassoLog[k-1]; w.prev < 0 {
+			delete(h.lassos, w.state)
+		} else {
+			h.lassos[w.state] = w.prev
+		}
+	}
+	h.lassoLog = h.lassoLog[:k]
 }
 
 // reset prepares the hasher for a fresh iteration, which replays nothing
 // until rewind says otherwise, and drops the previous iteration's machines,
 // recycled since. The new ones are marked stale as they are created or
 // restored, so the first point hashed hashes each of them once.
+// The lasso table is left to rewind (keepLassos).
 func (h *stateHasher) reset() {
 	h.agg = 0
 	clear(h.dirty)
@@ -205,17 +245,14 @@ func (m *machineInstance) foldChain() {
 	m.folded = len(m.ops)
 }
 
-// hashMonitor folds one monitor's full state — name, FSM state, hot flag,
-// temperature, logic fields — into a component.
+// hashMonitor folds one monitor's full state — name, FSM state (which says
+// whether it is hot), logic fields — into a component. How long it has been
+// hot is not state: the same obligation pending at two points is the same
+// state (see lasso).
 func (h *stateHasher) hashMonitor(mon *machineInstance) uint64 {
 	w := &h.walk
 	w.reset()
 	w.h = foldString(foldString(w.h, mon.id.Type), mon.state())
-	hot := uint64(0)
-	if mon.st.isHot() {
-		hot = 1
-	}
-	w.h = fold(fold(w.h, hot), uint64(mon.temp))
 	if mon.logic != nil {
 		w.hashLogic(&mon.logic)
 	}

@@ -6,6 +6,7 @@ import (
 	"iter"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 
 	"github.com/psharp-go/psharp/internal/vclock"
@@ -28,16 +29,6 @@ type TestConfig struct {
 	// queue-lock and dequeue operations, as a tool instrumenting every
 	// synchronizing operation must (Table 2 baseline).
 	ChessLike bool
-	// LivenessTemperature enables liveness checking against the registered
-	// monitors' hot states: a monitor that stays hot for more than this many
-	// consecutive scheduling decisions — or is still hot when the program
-	// quiesces — fails the iteration with BugLiveness. 0 disables liveness
-	// checking. The check is only meaningful under a fair schedule (an
-	// unfair scheduler can starve the machine that would discharge the
-	// obligation, reporting a spurious violation); pair it with
-	// sct.RandomFair and set the threshold above the strategy's random
-	// prefix plus a few fair scheduling rounds.
-	LivenessTemperature int
 	// RaceDetect runs the happens-before race detector over instrumented
 	// Context.Read/Write accesses (the CHESS RD-on configuration).
 	RaceDetect bool
@@ -59,7 +50,7 @@ type TestConfig struct {
 	// past the prefix the strategy promises to repeat of the harness's
 	// previous iteration (see PrefixResumer), with a hash of the global
 	// state (machine FSM states, queue contents, logic fields, monitor
-	// states and temperatures) and the decision prefix that reached it;
+	// states) and the decision prefix that reached it;
 	// when Visit returns true the iteration is cut short and reported with
 	// IterationResult.Pruned set. Skipping the repeated prefix relies, as
 	// replay does, on the program being deterministic in its decisions.
@@ -123,10 +114,15 @@ type IterationResult struct {
 	// Faults counts the failure actions injected during the iteration.
 	Faults FaultStats
 	// Err is non-nil when the iteration was abandoned because the program
-	// cannot be tested as configured: a *StateError when StateCache is set and
-	// a machine's or monitor's state cannot be hashed. The other fields
-	// describe the partial schedule; every later Run would end the same way.
+	// cannot be tested as configured: a *StateError when a machine's or
+	// monitor's state cannot be hashed and StateCache is set. The other
+	// fields describe the partial schedule; every later Run would end the
+	// same way.
 	Err error
+	// LivenessUnchecked is the *StateError of a point, with a monitor hot,
+	// whose state cannot be hashed: from there the iteration looked for no
+	// fair lasso (controller.lasso), and ran on with every other check.
+	LivenessUnchecked error
 }
 
 // yieldKind is what a machine coroutine hands the controller when it
@@ -223,13 +219,18 @@ type controller struct {
 
 	// Step observation and state hashing (see statehash.go). observing is
 	// true when either hook is active; stepObs is cfg.Strategy's
-	// StepObserver view (nil otherwise); hasher is non-nil only when
-	// cfg.StateCache is set. The step* fields accumulate the footprint of
-	// the step currently executing and are reset just before each resume,
-	// so environment-side setup activity never leaks into the first step.
+	// StepObserver view (nil otherwise); hasher is kept, the one the harness
+	// allocated, when cfg.StateCache is set or live, nil otherwise. live says
+	// a monitor that declares a hot state was registered: the iteration
+	// checks a liveness property (see lasso), until a state it cannot hash
+	// stops it (unchecked). The step* fields accumulate the footprint of the
+	// step currently executing and are reset just before each resume, so
+	// environment-side setup activity never leaks into the first step.
 	observing    bool
 	stepObs      StepObserver
-	hasher       *stateHasher
+	hasher, kept *stateHasher
+	live         bool
+	unchecked    *StateError
 	pruned       bool
 	stepTarget   MachineID
 	stepCreated  MachineID
@@ -552,13 +553,9 @@ func (c *controller) setDecider() {
 	cfg := &c.cfg
 	c.stepObs, _ = cfg.Strategy.(StepObserver)
 	c.resumer, _ = cfg.Strategy.(PrefixResumer)
-	if cfg.StateCache == nil {
-		c.hasher = nil
-	} else {
-		if c.hasher == nil {
-			c.hasher = &stateHasher{}
-		}
-		c.hasher.reset()
+	c.hasher = nil
+	if cfg.StateCache != nil || c.live {
+		c.startHashing()
 	}
 	c.observing = c.stepObs != nil || c.hasher != nil
 	c.pruned = false
@@ -729,7 +726,7 @@ func (c *controller) pass() (out passOutcome) {
 		}
 		return passEnd
 	}
-	if c.hasher != nil && c.checkStateCache() {
+	if h := c.hasher; h != nil && c.checkState(h) {
 		return passEnd
 	}
 	if c.cfg.Faults != nil {
@@ -783,39 +780,81 @@ func refused(did string, seq uint64, id MachineID, must string) *Bug {
 	return &Bug{Kind: BugPanic, Machine: id, Message: fmt.Sprintf("strategy %s %s, which is not %s", did, what, must)}
 }
 
-// hotMonitor returns a monitor currently in a hot state, if liveness
-// checking is on; used at quiescence.
+// hotMonitor returns the monitor that has been in a hot state the longest,
+// nil if none is hot.
 func (c *controller) hotMonitor() *machineInstance {
-	if c.cfg.LivenessTemperature <= 0 {
-		return nil
-	}
+	var hot *machineInstance
 	for _, mon := range c.rt.monitors {
-		if mon.st.isHot() {
-			return mon
+		if mon.st.isHot() && (hot == nil || mon.hotFrom < hot.hotFrom) {
+			hot = mon
 		}
 	}
-	return nil
+	return hot
 }
 
-// updateTemperatures advances hot-state temperature tracking by one
-// scheduling decision: every monitor sitting in a hot state heats up by one
-// degree, every other monitor is cold (its counter was already reset when it
-// entered a state that is not hot, see machineInstance.enter). Crossing the
-// threshold is the liveness violation — deterministic in the schedule, so the
-// bug replays like any other.
-func (c *controller) updateTemperatures() {
-	for _, mon := range c.rt.monitors {
-		if !mon.st.isHot() {
-			continue
-		}
-		mon.temp++
-		if mon.temp > c.cfg.LivenessTemperature {
-			c.bug = &Bug{Kind: BugLiveness, Monitor: mon.id.Type, State: mon.state(),
-				Message: fmt.Sprintf("monitor stayed hot in state %q for %d consecutive scheduling decisions (threshold %d)",
-					mon.state(), mon.temp, c.cfg.LivenessTemperature)}
-			return
+// watchLiveness is registration's news of a monitor that declares a hot
+// state: from here on the iteration hashes its points while a monitor is hot,
+// whether or not there is a cache — every machine created so far stale — and
+// looks them up in a lasso table of its own. A harness whose last iteration
+// showed such a monitor starts hashing before setup (setDecider), so that
+// rewind can hand the table on.
+func (c *controller) watchLiveness() {
+	if c.live {
+		return
+	}
+	c.live = true
+	if c.hasher == nil {
+		c.startHashing()
+		c.observing = true
+		for _, m := range c.rt.machines {
+			c.hasher.stale(m)
 		}
 	}
+}
+
+// startHashing makes the harness's hasher, allocated the first time, the
+// iteration's, reset.
+func (c *controller) startHashing() {
+	if c.kept == nil {
+		c.kept = &stateHasher{lassos: make(map[uint64]int)}
+	}
+	c.hasher = c.kept
+	c.hasher.reset()
+}
+
+// lasso looks the state at this point, where monitor mon has been hot the
+// longest, up in the iteration's table of the points hashed while a monitor
+// was hot. A repeat closes a cycle, Decisions[i:j] from the point at trace
+// position i to this one at j, and the cycle is a liveness bug if mon has
+// been hot since i or earlier, it chose every machine enabled now, and it
+// injected no fault. Such a cycle can repeat forever — the program is
+// deterministic in its decisions — and fairly, since only a machine's own
+// step or a crash disables it: a machine enabled anywhere on the cycle was
+// chosen on it or is enabled here. A cycle that fails the first or last test
+// cannot be stretched back into one that passes, and the table moves on to
+// j; one that only starves a machine can, and the table keeps i.
+func (c *controller) lasso(state uint64, mon *machineInstance) bool {
+	h := c.hasher
+	j := len(c.trace.Decisions)
+	i, seen := h.lassos[state]
+	if !seen {
+		h.setLasso(state, j, -1)
+		return false
+	}
+	cycle := c.trace.Decisions[i:j]
+	if mon.hotFrom > i || slices.ContainsFunc(cycle, func(d Decision) bool { return d.Kind == DecisionFault && d.Fault.Kind != FaultNone }) {
+		h.setLasso(state, j, i)
+		return false
+	}
+	for _, id := range c.ready {
+		if !slices.ContainsFunc(cycle, func(d Decision) bool { return d.Kind == DecisionSchedule && d.Machine.Seq == id.Seq }) {
+			return false
+		}
+	}
+	c.bug = &Bug{Kind: BugLiveness, Monitor: mon.id.Type, State: mon.state(),
+		Message: fmt.Sprintf("%s stays hot in state %q around a fair cycle of length %d: the state at decision %d recurs at decision %d",
+			mon, mon.state(), j-i, i, j)}
+	return true
 }
 
 // sent closes a send of ev by machine sm to target: the step's footprint
@@ -850,7 +889,7 @@ func (c *controller) created(creator *machineInstance, seq uint64) MachineID {
 // of the one it sent to are stale (a state, a queue or a continuation moved;
 // a machine it created was marked by onCreate) and what its chain logged in
 // the step is folded (see foldChain), the strategy learns the step's
-// footprint, hot monitors heat up and a detected race may become the bug.
+// footprint and a detected race may become the bug.
 func (c *controller) endStep() {
 	if h := c.hasher; h != nil {
 		if t := c.stepTarget.Seq; t != 0 {
@@ -868,9 +907,6 @@ func (c *controller) endStep() {
 			Observed: c.stepObserved,
 		})
 	}
-	if c.cfg.LivenessTemperature > 0 && c.bug == nil {
-		c.updateTemperatures()
-	}
 	if c.det != nil && c.cfg.RaceAsBug && c.bug == nil {
 		if races := c.det.Races(); len(races) > 0 {
 			c.bug = &Bug{Kind: BugDataRace, Machine: c.current, Message: races[0].String()}
@@ -878,24 +914,48 @@ func (c *controller) endStep() {
 	}
 }
 
-// checkStateCache hashes the current global state and asks cfg.StateCache
-// whether it was already covered; a true answer prunes the iteration, and so
-// does state that cannot be hashed, with c.err set. Inside the prefix the
-// strategy promised to repeat, where the previous iteration passed, the
-// answer is known to be false and neither happens (see StateCache).
-func (c *controller) checkStateCache() bool {
-	h := c.hasher
+// checkState hashes the global state at this point for what asks for it —
+// the lasso table while a monitor is hot, and cfg.StateCache — and reports
+// whether the iteration ends here: at a fair lasso, at a state the cache has
+// covered (pruned), or at state that cannot be hashed under a cache, with
+// c.err set; without one, such state ends only the search for lassos. Inside
+// the prefix the strategy promised to repeat, where the previous iteration
+// passed, both answers are known to be false and neither is asked (see
+// StateCache; rewind keeps what the prefix wrote to the lasso table).
+func (c *controller) checkState(h *stateHasher) bool {
+	var mon *machineInstance
+	if c.live && c.unchecked == nil {
+		mon = c.hotMonitor()
+	}
+	cache := c.cfg.StateCache
+	if mon == nil && cache == nil {
+		return false
+	}
 	if len(c.trace.Decisions) < h.replayTo {
-		h.replayed++
+		if cache != nil {
+			h.replayed++
+		}
 		return false
 	}
 	state := c.stateHash()
 	if h.err != nil {
-		// Part of the state has no hash: nothing may be pruned on the rest.
+		if cache == nil {
+			// The next Run inherits no table with a hole in it.
+			c.unchecked, h.err = h.err, nil
+			c.key = inheritKey{}
+			return false
+		}
+		// Part of the state has no hash: nothing may be decided on the rest.
 		c.err = h.err
 		return true
 	}
-	c.pruned = c.cfg.StateCache.Visit(state, h.prefix, c.steps)
+	if mon != nil && c.lasso(state, mon) {
+		return true
+	}
+	if cache == nil {
+		return false
+	}
+	c.pruned = cache.Visit(state, h.prefix, c.steps)
 	return c.pruned
 }
 

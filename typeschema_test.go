@@ -217,8 +217,6 @@ func TestTypeSchemaVariantsAlternate(t *testing.T) {
 			h.opts.Faults = sct.FaultOptions{Budget: 2, Seed: 1, Horizon: 64, Immune: b.FaultImmune, Restart: true}
 		case "FairResponder":
 			h.setup = b.SetupMonitored()
-			h.opts.Strategy = sct.NewRandomFair(1, b.FairPrefix)
-			h.opts.LivenessTemperature = b.Temperature
 		}
 		h.opts.Iterations, h.opts.StopOnFirstBug = 100, true
 		if buggy {
@@ -242,7 +240,7 @@ func TestTypeSchemaVariantsAlternate(t *testing.T) {
 					continue
 				}
 				res := sct.ReplayTrace(h.setup, rep.FirstBugTrace, psharp.TestConfig{
-					MaxSteps: h.opts.MaxSteps, LivelockAsBug: h.opts.LivelockAsBug, LivenessTemperature: h.opts.LivenessTemperature,
+					MaxSteps: h.opts.MaxSteps, LivelockAsBug: h.opts.LivelockAsBug,
 				})
 				if res.Bug == nil || res.Bug.Kind != rep.FirstBug.Kind || res.Bug.Message != rep.FirstBug.Message {
 					t.Errorf("round %d: buggy %s: replay found %v, the campaign %v", round, name, res.Bug, rep.FirstBug)
