@@ -1,8 +1,10 @@
 package psharp
 
 import (
+	"math"
 	"reflect"
 	"slices"
+	"sort"
 	"unsafe"
 
 	"github.com/psharp-go/psharp/obs"
@@ -54,6 +56,30 @@ import (
 // after sending it away (what the paper's ownership analysis forbids). A
 // machine that does not get back to its yield point, or does another thing
 // than its log holds next, fails the iteration as a BugPanic.
+//
+// A restore costs what the last iteration changed. That iteration repeated
+// the snapshot's decision prefix, so a machine it did not change past the
+// snapshot's position is as the snapshot holds it. Each machine carries the
+// trace position it last changed at (machineInstance.touched: created,
+// chosen by a pass, sent to or crashed there), and a snapshot records it. A
+// harness that holds checkpoints does not tear an iteration down when Run
+// returns; the next rewind does, and restore keeps (controller.keep) every
+// machine that is the one the snapshot holds at its Seq, has not changed
+// since the snapshot's position, and shares no memory with an instance that
+// is rebuilt — a rebuilt one would get copies of what they shared. The
+// snapshot's copy walk records the sharing: which instances' roots reach an
+// object in common (instanceState.group), and where in the image each
+// instance's objects begin (snapshot.parts). A restore keeps all of a group
+// or none, and rebuilds monitors always. A kept machine costs nothing: no
+// relocation of its part of the image, no catch-up, no unwind, no recycle,
+// and its state-hash component stands. Nothing of its handler is re-run
+// either, so a kept machine parked in a handler that is not a deterministic
+// function of its state, event and choices is not caught as a rebuilt one
+// is: it resumes at its yield point with what the handler did before.
+// Everything else is torn down and
+// rebuilt as above. Close, a strategy panic and a Run that restores nothing
+// — no snapshot, a configuration change, a Run without checkpoints — tear
+// everything down at once.
 //
 // Which iterations may: the strategy says, through PrefixResumer, how many of
 // the previous iteration's decisions the next one repeats; the controller
@@ -145,6 +171,10 @@ type snapshot struct {
 	machines  []instanceState
 	monitors  []instanceState
 	img       image // what the roots of machines and monitors stand on
+	// parts[i] is where the stretch of img that instance i's save entered
+	// first begins — machines, then monitors — and the last part is img's
+	// end: a restore relocates the parts of the instances it rebuilds.
+	parts []imagePart
 	// starts holds the handler starts of the machines parked at the point,
 	// copied in when the snapshot is taken; the machines' chains point here.
 	starts []handlerStart
@@ -161,6 +191,12 @@ type instanceState struct {
 	logic   imageRoot
 	queue   []queued
 	birth   imageRoot
+	// touched is the machine's machineInstance.touched. group is the lowest
+	// index (machines, then monitors) of the instances whose roots reach
+	// memory in common with this one's, directly or through others: a
+	// restore keeps all of a group or none.
+	touched int
+	group   int32
 	// A machine parked at a yield point (log not empty) is rebuilt: it
 	// re-runs chain — or, if chain is nil, starts from logic at the CHESS
 	// dequeue it yielded at — matching log op for op, and parks at the yield
@@ -217,7 +253,7 @@ func (is *instanceState) save(w *stateWalk, m *machineInstance, bound *compiledS
 		return false
 	}
 	queue, log := is.queue[:0], is.log[:0]
-	*is = instanceState{id: m.id, schema: m.schema, st: m.st, status: m.status, halted: m.halted, hotFrom: m.hotFrom}
+	*is = instanceState{id: m.id, schema: m.schema, st: m.st, status: m.status, halted: m.halted, hotFrom: m.hotFrom, touched: m.touched}
 	switch {
 	case m.dequeueing:
 		is.logic = w.logicRoot(&m.logic) // between two chains, one yield short of the next
@@ -254,7 +290,7 @@ func (is *instanceState) load(ck *checkpoints, m *machineInstance) {
 	m.st, m.halted, m.hotFrom = is.st, is.halted, is.hotFrom
 	if hs := is.chain; hs != nil {
 		cr := &ck.chainRel
-		cr.restore(&hs.img)
+		cr.restore(&hs.img, nil, nil)
 		m.st = hs.st
 		cr.put(unsafe.Pointer(&m.logic), hs.logic)
 		if hs.st == nil {
@@ -309,8 +345,14 @@ type checkpoints struct {
 	stuck uint64
 	walk  stateWalk
 	// rel and chainRel relocate a snapshot's image and, machine by machine,
-	// the images of the handler starts it holds.
+	// the images of the handler starts it holds. keep and rebuilt are
+	// restore's, by instance and by group.
 	rel, chainRel relocation
+	keep, rebuilt []bool
+	gone          []*machineInstance
+	// kept counts the machines restores kept; parked and stale count those
+	// of them parked mid-handler and those whose hash component was stale.
+	kept, parked, stale int
 	// spare holds snapshots dropped from the stack, for the next ones to
 	// reuse their arrays. The first nrecords of recorded are the handler
 	// starts this iteration has recorded; the next iteration reuses them,
@@ -361,10 +403,11 @@ func (k inheritKey) same(next inheritKey) bool {
 // is the one place that decides it: under an unchanged configuration, the
 // decision prefix the strategy promises to repeat, whose points the cache
 // and the lasso check passed then, the lasso table as that prefix left it,
-// and the deepest snapshot inside it, which it restores. It
-// returns the snapshot's position, leaving the trace that long; 0 means
-// nothing was restored and setup has to run. It also picks the position this
-// iteration will snapshot at.
+// and the deepest snapshot inside it, which it restores, keeping what it can
+// of the machines the previous iteration left. It returns the snapshot's
+// position, leaving the trace that long; 0 means nothing was restored, and
+// setup has to run once Run has torn the previous iteration down. It also
+// picks the position this iteration will snapshot at.
 func (c *controller) rewind() int {
 	cfg := &c.cfg
 	// Whether the program states a liveness property showed when setup last
@@ -544,17 +587,35 @@ func (c *controller) snapshot(pos int, running *machineInstance) {
 func (c *controller) save(s *snapshot) bool {
 	ck, rt := c.ck, c.rt
 	w := &ck.walk
-	for i, m := range rt.machines {
-		if !s.machines[i].save(w, m, rt.schemas[m.id.Type]) {
+	nm, total := len(rt.machines), len(rt.machines)+len(rt.monitors)
+	s.parts = slices.Grow(s.parts[:0], total+1)[:total+1]
+	for k := 0; k < total; k++ {
+		var m *machineInstance
+		var bound *compiledSchema
+		if k < nm {
+			m = rt.machines[k]
+			bound = rt.schemas[m.id.Type]
+		} else {
+			m = rt.monitors[k-nm]
+			bound = rt.monitorSchemas[m.id.Type]
+		}
+		is := s.instance(k)
+		s.parts[k] = w.img.end()
+		w.from = s.parts[k].objs
+		if !is.save(w, m, bound) {
 			ck.unfit = true
 			return false
 		}
+		is.group = int32(k)
+		for _, o := range w.hits {
+			s.join(s.owner(o, k), k)
+		}
+		w.hits = w.hits[:0]
 	}
-	for i, m := range rt.monitors {
-		if !s.monitors[i].save(w, m, rt.monitorSchemas[m.id.Type]) {
-			ck.unfit = true
-			return false
-		}
+	s.parts[total] = w.img.end()
+	for k := 0; k < total; k++ { // to its group's lowest index: every link points lower
+		is := s.instance(k)
+		is.group = s.instance(int(is.group)).group
 	}
 	if w.refused != nil || w.unfaithful || w.overlaps() {
 		ck.unfit = true
@@ -607,22 +668,61 @@ func (c *controller) save(s *snapshot) bool {
 	return true
 }
 
+// instance is record k of s: machine k, or monitor k minus the machines.
+func (s *snapshot) instance(k int) *instanceState {
+	if k < len(s.machines) {
+		return &s.machines[k]
+	}
+	return &s.monitors[k-len(s.machines)]
+}
+
+// owner is the instance before k whose part of s's image holds object o.
+func (s *snapshot) owner(o int32, k int) int {
+	return sort.Search(k, func(j int) bool { return s.parts[j].objs > o }) - 1
+}
+
+// join puts instances j and k, whose roots reach memory in common, in one
+// group: the lower of their groups' indexes.
+func (s *snapshot) join(j, k int) {
+	for j != int(s.instance(j).group) {
+		j = int(s.instance(j).group)
+	}
+	for k != int(s.instance(k).group) {
+		k = int(s.instance(k).group)
+	}
+	s.instance(max(j, k)).group = int32(min(j, k))
+}
+
 // restore sets the reset harness up from s, as setup would from nothing:
 // machines through acquireInstance and onCreate, monitors through
-// attachMonitor, their state a relocation of s's image — s stays as it is
-// for the next iteration to start from. Then every machine s holds parked
-// mid-handler catches up to where it was.
+// attachMonitor, their state a relocation of their parts of s's image — s
+// stays as it is for the next iteration to start from. The exception is what
+// it keeps of the instances the previous iteration left (keep): a kept
+// machine is not relocated, unwound, recycled nor caught up, and its
+// state-hash component stands. Then every machine s holds parked
+// mid-handler that was rebuilt catches up to where it was.
 func (c *controller) restore(s *snapshot) {
 	rt, ck := c.rt, c.ck
-	ck.rel.restore(&s.img)
+	keep := c.keep(s)
+	ck.rel.restore(&s.img, s.parts, keep)
+	ms := rt.machines
 	for i := range s.machines {
 		is := &s.machines[i]
+		if keep[i] {
+			c.keepMachine(ms[i], is)
+			continue
+		}
 		m := c.acquireInstance(rt, is.id, nil, is.schema)
 		is.load(ck, m)
-		rt.machines = append(rt.machines, m)
+		if i < len(ms) {
+			ms[i] = m
+		} else {
+			ms = append(ms, m)
+		}
 		c.onCreate(m, 0)
-		m.status = is.status
+		m.status, m.touched = is.status, is.touched
 	}
+	rt.machines = ms
 	rt.nextSeq = uint64(len(s.machines))
 	c.ready = c.ready[:0]
 	for _, m := range rt.machines {
@@ -652,11 +752,87 @@ func (c *controller) restore(s *snapshot) {
 		if m.replayLog == nil {
 			continue
 		}
-		if kind, _ := m.next(); (kind != ykYield || m.replayLog != nil) && c.bug == nil {
-			c.bug = m.bug
+		if kind, _ := m.next(); kind != ykYield || m.replayLog != nil {
+			m.touched = math.MaxInt // not where s has it: never kept
+			if c.bug == nil {
+				c.bug = m.bug
+			}
 			if c.bug == nil {
 				c.bug = &Bug{Kind: BugPanic, Machine: m.id, State: m.state(), Message: m.diverged("did not get back to where it was")}
 			}
+		}
+	}
+}
+
+// keep decides which machines the previous iteration left restore keeps
+// instead of rebuilding them from s — keep[k] for instance k of s — and tears
+// every other instance it left down into the freelist. A machine is kept
+// when it is the one s holds at its Seq and has not changed since s's
+// position, so that it is as s holds it, and nothing that shares memory with
+// it is rebuilt: a rebuilt machine or monitor gets copies of what it shared
+// with a kept one, which would no longer be shared. Monitors are always
+// rebuilt. A Run that tore its instances down at once (see TestHarness.Run)
+// left none, and restore rebuilds everything.
+func (c *controller) keep(s *snapshot) []bool {
+	ck, ms := c.ck, c.rt.machines
+	n, total := len(s.machines), len(s.machines)+len(s.monitors)
+	keep := slices.Grow(ck.keep[:0], total)[:total]
+	rebuilt := slices.Grow(ck.rebuilt[:0], total)[:total]
+	clear(keep)
+	clear(rebuilt)
+	ck.keep, ck.rebuilt = keep, rebuilt
+	for k := 0; k < total; k++ {
+		is := s.instance(k)
+		if k < min(n, len(ms)) { // the machine at is's Seq, of its type
+			m := ms[k]
+			keep[k] = m.schema == is.schema && m.touched <= s.pos
+		}
+		if !keep[k] {
+			rebuilt[is.group] = true
+		}
+	}
+	// The kept machines stay at their Seqs; the rest leave the list, for
+	// teardown and release as at the end of any iteration.
+	gone := ck.gone[:0]
+	for k, m := range ms {
+		if k < n && keep[k] && !rebuilt[s.machines[k].group] {
+			continue
+		}
+		if k < n {
+			keep[k] = false
+		}
+		gone = append(gone, m)
+		ms[k] = nil
+	}
+	c.teardown(gone)
+	ck.gone = c.release(gone)
+	c.rt.machines = ms[:min(n, len(ms))]
+	c.rt.monitors = c.release(c.rt.monitors)
+	return keep
+}
+
+// keepMachine is restore's load for machine m, kept: it is as is holds it
+// already. What a restore hands down to a rebuilt machine it hands down to m
+// too: the record of where the chain it is parked in began is s's — the one
+// m has may be one the next iteration reuses, or one of a dropped snapshot.
+// (Its chain log is whole: the chain began in an iteration that recorded it,
+// or m caught up in it, or was kept in it before.)
+func (c *controller) keepMachine(m *machineInstance, is *instanceState) {
+	c.ck.kept++
+	if len(is.log) > 0 {
+		c.ck.parked++
+	}
+	m.status = is.status
+	m.chain, m.chainSpans = is.chain, m.chainSpans[:0]
+	if h := c.hasher; h != nil {
+		// The hasher's reset zeroed agg and emptied dirty. agg holds every
+		// machine's component, stale or not: a stale one is XORed out of it
+		// again when it is rehashed.
+		h.agg ^= m.comp
+		if m.stale {
+			c.ck.stale++
+			m.stale = false
+			h.stale(m)
 		}
 	}
 }

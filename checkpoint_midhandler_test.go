@@ -372,17 +372,19 @@ func TestCheckpointMidHandlerFallback(t *testing.T) {
 }
 
 // firstChoice is a depth-first-like strategy with one schedule: the first
-// enabled machine, false, 0, every time. It repeats all of the iteration
-// before, so the harness restores as deep as it has a snapshot.
-type firstChoice struct{}
+// enabled machine, false, 0, every time. It says it repeats all of the
+// iteration before but its last again decisions, which it makes again.
+type firstChoice struct{ again int }
 
 func (firstChoice) NextMachine(_ psharp.MachineID, enabled []psharp.MachineID) psharp.MachineID {
 	return enabled[0]
 }
-func (firstChoice) NextBool() bool                            { return false }
-func (firstChoice) NextInt(int) int                           { return 0 }
-func (firstChoice) RepeatedPrefix(prev []psharp.Decision) int { return len(prev) }
-func (firstChoice) ResumeAt(int)                              {}
+func (firstChoice) NextBool() bool  { return false }
+func (firstChoice) NextInt(int) int { return 0 }
+func (f firstChoice) RepeatedPrefix(prev []psharp.Decision) int {
+	return max(len(prev)-f.again, 0)
+}
+func (firstChoice) ResumeAt(int) {}
 
 // drawsLikeThis and sendsFirst are read by ndTicker's handler: package
 // variables another machine — here the test — writes, which a handler must
@@ -419,22 +421,31 @@ func (*ndTicker) ConfigureType(sc *psharp.Schema) {
 // it drew a bool, or sends once more before its draw, fails the iteration
 // with a BugPanic that says so, instead of running on from a state no
 // schedule reaches (with the extra send, it would park one yield point
-// early if only yield points were counted).
+// early if only yield points were counted). That holds where the ticker,
+// the one machine, is rebuilt: the strategy makes the last decision again,
+// and the ticker, chosen there, changed past every snapshot. Where the
+// strategy repeats all of the attempt before, the ticker did not change past
+// the snapshot's position: a restore keeps it as it is, parked mid-handler,
+// and re-runs nothing of its handler, so the change goes undetected and the
+// attempt runs on to the bound (checkpoint.go).
 func TestCheckpointMidHandlerNondeterminismFails(t *testing.T) {
 	defer func() { drawsLikeThis, sendsFirst = "bool", false }()
 	for _, tc := range []struct {
 		name   string
 		change func()
+		again  int // decisions the strategy makes again: 0 keeps the ticker
 	}{
-		{"draws an int", func() { drawsLikeThis = "int" }},
-		{"sends first", func() { sendsFirst = true }},
+		{"draws an int", func() { drawsLikeThis = "int" }, 1},
+		{"sends first", func() { sendsFirst = true }, 1},
+		{"draws an int, kept", func() { drawsLikeThis = "int" }, 0},
+		{"sends first, kept", func() { sendsFirst = true }, 0},
 	} {
 		drawsLikeThis, sendsFirst = "bool", false
 		h := psharp.NewTestHarness(func(r *psharp.Runtime) {
 			r.MustRegister("Ticker", func() psharp.Machine { return &ndTicker{} })
 			r.MustCreate("Ticker", nil)
 		})
-		cfg := psharp.TestConfig{Strategy: firstChoice{}, MaxSteps: 20}
+		cfg := psharp.TestConfig{Strategy: firstChoice{again: tc.again}, MaxSteps: 20}
 		restored := false
 		for i := 0; i < 10 && !restored; i++ {
 			res := h.Run(cfg)
@@ -447,8 +458,20 @@ func TestCheckpointMidHandlerNondeterminismFails(t *testing.T) {
 			t.Fatalf("%s: no attempt restored a snapshot with the ticker parked: restored %v, held %+v", tc.name, restored, shapes)
 		}
 		tc.change()
+		before, _, _ := h.Kept()
 		res := h.Run(cfg)
+		kept, _, _ := h.Kept()
 		h.Close()
+		if tc.again == 0 {
+			if kept != before+1 || res.RestoredPoints == 0 || res.Bug != nil || res.SchedulingPoints != cfg.MaxSteps {
+				t.Fatalf("%s: the restore kept %d machines, restored %d points, and the attempt reported %v after %d points; want the ticker kept and %d points without a bug",
+					tc.name, kept-before, res.RestoredPoints, res.Bug, res.SchedulingPoints, cfg.MaxSteps)
+			}
+			continue
+		}
+		if kept != before {
+			t.Fatalf("%s: the restore kept the ticker", tc.name)
+		}
 		if res.Bug == nil || res.Bug.Kind != psharp.BugPanic || !strings.Contains(res.Bug.Message, "took another path") ||
 			!strings.Contains(res.Bug.Message, "not a deterministic function") {
 			t.Fatalf("%s: the rebuilt ticker took another path and the attempt reported %v (%d points restored)",

@@ -260,7 +260,12 @@
 // DelayBounding) starts from the deepest snapshot inside that prefix
 // instead of from setup. Restoring one walks nothing: it is a
 // relocation of the image, each object allocated with its own type and
-// copied whole, its pointers patched to the new objects, its maps rebuilt. A
+// copied whole, its pointers patched to the new objects, its maps rebuilt —
+// of the part of it the last attempt changed: a machine that attempt did not
+// change past the snapshot's position, and that shares no memory with one
+// that is rebuilt, is kept as it left it, its teardown deferred to the
+// restore, which neither relocates, unwinds, recycles nor catches it up (a
+// handler that is not deterministic goes undetected in a kept machine). A
 // machine parked in the middle of a handler is a coroutine stack, which
 // cannot be copied; the snapshot holds it as it began its handler chain —
 // its logic and its event as of the dequeue (or birth), copied there — with
@@ -311,10 +316,11 @@
 // (PrefixResumer.RepeatedPrefix) is the one record of that prefix, and no
 // per-point record is kept. A strategy that makes no such promise has its
 // cache consulted at every point. An attempt therefore
-// costs a relocation of the program's image (an allocation and a typed copy
-// per object it holds, a store per pointer between them), the re-execution
-// of its prefix from the checkpoint on, one hash of every live machine at
-// the first point that differs, and incremental hashing (the machines a
+// costs a relocation of the part of the program's image the last attempt
+// changed (an allocation and a typed copy per object it holds, a store per
+// pointer between them), the re-execution
+// of its prefix from the checkpoint on, one hash of every machine it rebuilt
+// or changed at the first point that differs, and incremental hashing (the machines a
 // step touched) of its new suffix; a handler's mid-handler position is its
 // chain log, folded into one word at the end of each of its steps (and
 // dropped once folded, unless a snapshot records the chain), so a handler

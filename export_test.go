@@ -1,6 +1,7 @@
 package psharp
 
 import (
+	"maps"
 	"math/bits"
 	"reflect"
 	"unsafe"
@@ -80,10 +81,12 @@ func (h *TestHarness) ForgetCheckpoints() {
 }
 
 // ChainLogCap reports the largest capacity of a handler-chain log among the
-// harness's idle instances, and drops those logs' arrays, so that the next
-// call measures only the Runs in between (an instance taken from the
+// harness's idle instances — the last Run's among them, torn down now if it
+// deferred that — and drops those logs' arrays, so that the next call
+// measures only the Runs in between (an instance taken from the
 // process-wide reserve brings the capacity another harness grew).
 func (h *TestHarness) ChainLogCap() int {
+	h.c.idle()
 	n := 0
 	for _, m := range h.c.free {
 		n = max(n, cap(m.ops))
@@ -144,6 +147,56 @@ func (h *TestHarness) CheckpointsStuck() int {
 		return 0
 	}
 	return bits.OnesCount64(h.c.ck.stuck)
+}
+
+// Kept reports how many machines the harness's restores have kept as the
+// last Run left them instead of rebuilding them, how many of those were
+// parked mid-handler, and how many had a stale state-hash component.
+func (h *TestHarness) Kept() (kept, parked, stale int) {
+	if ck := h.c.ck; ck != nil {
+		return ck.kept, ck.parked, ck.stale
+	}
+	return 0, 0, 0
+}
+
+// LassoTable is a copy of the lasso table the harness's last Run left: the
+// state hashed at each point it checked while a monitor was hot, and where.
+func (h *TestHarness) LassoTable() map[uint64]int {
+	if h.c.hasher == nil {
+		return nil
+	}
+	return maps.Clone(h.c.hasher.lassos)
+}
+
+// Idle tears the last Run down now, as a harness that holds no checkpoints
+// does when Run returns: the next restore keeps nothing and rebuilds every
+// machine.
+func (h *TestHarness) Idle() { h.c.idle() }
+
+// LiveParked reports how many machines of the last Run still have a run
+// frame parked mid-handler on their coroutine: its teardown was deferred.
+func (h *TestHarness) LiveParked() int {
+	n := 0
+	for _, m := range h.rt.machines {
+		if m.started && (m.handling || m.dequeueing) {
+			n++
+		}
+	}
+	return n
+}
+
+// ReserveAtLoopTop reports whether every instance in the process-wide
+// reserve has its coroutine, if any, at the top of poolLoop: no run frame
+// live on it.
+func ReserveAtLoopTop() bool {
+	instanceReserve.mu.Lock()
+	defer instanceReserve.mu.Unlock()
+	for _, m := range instanceReserve.idle {
+		if m.started || m.stopped || m.rt != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // MaxCheckpoints is the bound of a harness's snapshot stack.
@@ -215,7 +268,7 @@ func NewStateImage(vs ...any) (im *StateImage, ok bool) {
 // checkpoint restores a program.
 func (im *StateImage) Restore() []any {
 	var rel relocation
-	rel.restore(&im.img)
+	rel.restore(&im.img, nil, nil)
 	vs := make([]any, len(im.roots))
 	for i, root := range im.roots {
 		rel.put(unsafe.Pointer(&vs[i]), root)

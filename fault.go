@@ -128,9 +128,11 @@ func (c *controller) crashMachine(f FaultAction) {
 	m.next()           // yields ykCrashed
 	m.handling = false // a crash ends the chain
 	m.status = msHalted
+	m.touched = len(c.trace.Decisions)
 	c.readyRemove(m.id)
 	m.halted = true
 	if !f.PreserveMailbox {
+		m.countHaltDropped()
 		m.dropQueue()
 	}
 	if h := c.hasher; h != nil {

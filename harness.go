@@ -59,7 +59,9 @@ type TestHarness struct {
 // production runtime).
 //
 // A Run that starts from a checkpoint (depth-first strategies only, see
-// TestHarness) runs on copies of the machines' logic values and on the
+// TestHarness) runs on copies of the machines' logic values — or, for a
+// machine the previous Run did not change past the checkpoint and that shares
+// no memory with one rebuilt, on the logic value that Run left — and on the
 // factories the last setup call that did run registered. For its results to
 // be those of a run from setup, factories must be pure — build the logic
 // value from constants and from what every call of setup computes alike — and
@@ -89,6 +91,12 @@ func NewTestHarness(setup func(*Runtime)) *TestHarness {
 // Run executes one bug-finding iteration, exactly like RunTest but against
 // the harness's recycled machinery.
 //
+// A harness that holds checkpoints leaves the iteration's machines where it
+// ended when Run returns, for the next Run to keep those its restore can (see
+// checkpoint.go); that Run tears down the rest, and Close all of them. A
+// strategy panic, and any Run of a harness without checkpoints, tears the
+// iteration down before Run returns.
+//
 // The returned result's Trace aliases the harness's reusable buffer: it is
 // valid only until the next Run call or Close, whichever comes first (Close
 // hands the buffer to the next harness). Callers that retain it (to replay a
@@ -104,11 +112,16 @@ func (h *TestHarness) Run(cfg TestConfig) IterationResult {
 	c := h.c
 	if c.rewind() == 0 {
 		// No checkpoint inside what this iteration repeats of the last one:
-		// the program starts where the user's setup leaves it.
+		// the program starts where the user's setup leaves it, once what the
+		// last Run left is torn down.
+		c.idle()
 		clear(h.rt.factories)
 		h.setup(h.rt)
 	}
 	c.loop()
+	if c.ck == nil || c.panicked != nil {
+		c.teardown(c.rt.machines)
+	}
 	c.nameMachines()
 	// However the iteration ended — quiescence, bug, interrupt, a panic of
 	// the strategy — what it counted becomes visible in Runtime.Metrics now.
@@ -120,7 +133,7 @@ func (h *TestHarness) Run(cfg TestConfig) IterationResult {
 		// are recycled like any iteration's (the harness stays usable and
 		// can Close) before the caller sees the panic it would have seen
 		// had the pass run on its own stack.
-		h.park()
+		c.idle()
 		panic(v)
 	}
 	res := IterationResult{
@@ -147,7 +160,9 @@ func (h *TestHarness) Run(cfg TestConfig) IterationResult {
 			res.Races = append(res.Races, r.String())
 		}
 	}
-	h.park()
+	if c.ck == nil {
+		c.idle()
+	}
 	return res
 }
 
@@ -213,17 +228,10 @@ func (h *TestHarness) reset(cfg TestConfig) {
 	}
 }
 
-// park returns every machine and monitor instance of the finished iteration
-// to the freelist, after the controller's teardown.
-func (h *TestHarness) park() {
-	rt, c := h.rt, h.c
-	rt.machines = c.release(rt.machines)
-	rt.monitors = c.release(rt.monitors)
-}
-
-// Close drops the harness's checkpoints and donates its idle machine
-// instances and its trace buffer to the process-wide reserve (retiring the
-// coroutines of any beyond its cap):
+// Close tears down the machines the last Run left (see Run), drops the
+// harness's checkpoints and donates its idle machine instances and its trace
+// buffer to the process-wide reserve (retiring the coroutines of any beyond
+// its cap):
 // the Trace of the last Run's result is invalid from here on. The harness
 // must be idle (no Run in progress); using it after Close panics.
 func (h *TestHarness) Close() {
@@ -231,6 +239,7 @@ func (h *TestHarness) Close() {
 		return
 	}
 	h.closed = true
+	h.c.idle()
 	h.c.ck = nil
 	donateInstances(h.c.free)
 	h.c.free = nil

@@ -33,6 +33,11 @@ type machineInstance struct {
 	// monitor in a hot state entered it from a state that is not hot: it
 	// has been hot at every scheduling point since (controller.lasso).
 	hotFrom int
+	// touched is, under a testing runtime, the trace position at which the
+	// machine last changed: it was created, chosen by a pass, sent to or
+	// crashed there. A snapshot at that position or deeper holds it as it is
+	// (see controller.restore).
+	touched int
 
 	// The mailbox is the window queue[qhead:]: the events sent and not yet
 	// dequeued, in order. Dequeuing its head advances qhead instead of
@@ -643,6 +648,18 @@ func (m *machineInstance) splice() bool {
 	return n > 0
 }
 
+// countHaltDropped counts the events a halt or a crash is about to drop
+// from m's mailbox, queue and inbox: sent, and never to be handled. The
+// production owner holds mu.
+func (m *machineInstance) countHaltDropped() {
+	n := int64(len(m.queued()) + len(m.inbox))
+	if c := m.rt.test; c != nil {
+		c.counts.haltDropped += n
+	} else if n > 0 {
+		m.rt.metrics.HaltDropped.Add(n)
+	}
+}
+
 // dropQueue empties the mailbox, queue and inbox, keeping their capacity
 // (with event references cleared) so a recycled instance does not regrow
 // them.
@@ -798,10 +815,12 @@ func (m *machineInstance) String() string {
 	return m.id.String()
 }
 
-// doHalt marks the machine halted and drops its queue; further events sent
-// to it are discarded by the runtime.
+// doHalt marks the machine halted and drops its queue, counting what it
+// drops in HaltDropped; further events sent to it are discarded by the
+// runtime.
 func (m *machineInstance) doHalt() {
 	m.mu.Lock()
+	m.countHaltDropped()
 	m.dropQueue()
 	m.halted = true
 	m.mu.Unlock()

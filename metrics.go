@@ -22,6 +22,11 @@ type RuntimeMetrics struct {
 	Sends obs.Counter
 	// DroppedSends counts events discarded because the target had halted.
 	DroppedSends obs.Counter
+	// HaltDropped counts events that were enqueued (and counted in Sends)
+	// but dropped from the mailbox by the halt of their target, or by a
+	// fault-injection crash that does not preserve it: what Sends counts and
+	// no handler took.
+	HaltDropped obs.Counter
 	// MonitorDispatches counts (event, monitor) observation dispatches.
 	MonitorDispatches obs.Counter
 	// Creates counts machine instances created.
@@ -38,13 +43,14 @@ type RuntimeMetrics struct {
 // iterationCounts is RuntimeMetrics for one bug-finding iteration, without
 // the atomics.
 type iterationCounts struct {
-	sends, dropped, monitorDispatches, creates, mailboxMax int64
+	sends, dropped, haltDropped, monitorDispatches, creates, mailboxMax int64
 }
 
 // fold adds one finished iteration's counts.
 func (m *RuntimeMetrics) fold(n iterationCounts) {
 	m.Sends.Add(n.sends)
 	m.DroppedSends.Add(n.dropped)
+	m.HaltDropped.Add(n.haltDropped)
 	m.MonitorDispatches.Add(n.monitorDispatches)
 	m.Creates.Add(n.creates)
 	m.MailboxMax.Observe(n.mailboxMax)
@@ -54,6 +60,7 @@ func (m *RuntimeMetrics) fold(n iterationCounts) {
 type RuntimeMetricsSnapshot struct {
 	Sends             int64 `json:"sends"`
 	DroppedSends      int64 `json:"dropped_sends"`
+	HaltDropped       int64 `json:"halt_dropped"`
 	MonitorDispatches int64 `json:"monitor_dispatches"`
 	Creates           int64 `json:"creates"`
 	MailboxMax        int64 `json:"mailbox_max"`
@@ -77,6 +84,7 @@ func (r *Runtime) Metrics() RuntimeMetricsSnapshot {
 	s := RuntimeMetricsSnapshot{
 		Sends:             r.metrics.Sends.Load(),
 		DroppedSends:      r.metrics.DroppedSends.Load(),
+		HaltDropped:       r.metrics.HaltDropped.Load(),
 		MonitorDispatches: r.metrics.MonitorDispatches.Load(),
 		Creates:           r.metrics.Creates.Load(),
 		MailboxMax:        r.metrics.MailboxMax.Load(),

@@ -230,6 +230,9 @@ func (*tallyHub) ConfigureType(sc *psharp.Schema) {
 			hub := m.(*tallyHub)
 			hub.k.depth[tallyHubID.Seq]--
 			if hub.replies++; hub.replies == 2 {
+				// The halt drops the ballots still queued: sent, never handled.
+				hub.k.want.HaltDropped += hub.k.depth[tallyHubID.Seq]
+				hub.k.depth[tallyHubID.Seq] = 0
 				hub.k.hubHalted = true
 				ctx.Halt()
 			}
@@ -254,6 +257,57 @@ func (*tallyWorker) ConfigureType(sc *psharp.Schema) {
 type ballotWatch struct{ psharp.StaticBase }
 
 func (*ballotWatch) ConfigureType(sc *psharp.Schema) { sc.Start("Watching").Ignore(&evBallot{}) }
+
+// TestHarnessMetricsHaltDropped: under a controller, a machine that halts
+// with events still queued drops them, and HaltDropped counts them: every
+// event Sends counts was handled or dropped by the halt. So does a crash that
+// does not preserve the mailbox, whose target never handles anything.
+func TestHarnessMetricsHaltDropped(t *testing.T) {
+	const queued = 5
+	for _, crash := range []bool{false, true} {
+		handled := 0
+		var rt *psharp.Runtime
+		h := psharp.NewTestHarness(func(r *psharp.Runtime) {
+			rt = r
+			register(r, "Mortal", func(s *psharp.StateBuilder) {
+				s.OnEventDoM(&evNum{}, func(_ psharp.Machine, ctx *psharp.Context, _ psharp.Event) {
+					handled++
+					ctx.Halt()
+				})
+			})
+			id := r.MustCreate("Mortal", nil)
+			for n := 0; n < queued; n++ {
+				mustSend(t, r, id, &evNum{N: n})
+			}
+		})
+		cfg := psharp.TestConfig{Strategy: mustPrepared(sct.NewRandom(1))}
+		if crash {
+			cfg.Strategy, cfg.Faults = &crashFirst{Random: cfg.Strategy.(*sct.Random)}, &psharp.FaultConfig{}
+		}
+		res := h.Run(cfg)
+		h.Close()
+		m := rt.Metrics()
+		if res.Bug != nil || m.Sends != queued || int64(handled)+m.HaltDropped != m.Sends || crash != (handled == 0) {
+			t.Fatalf("crash %v: bug %v, handled %d, metrics %+v: want %d sends, each handled or halt-dropped", crash, res.Bug, handled, m, queued)
+		}
+	}
+}
+
+// crashFirst is a Random strategy that crashes the first machine it may at
+// the first schedule-level fault query, without a restart.
+type crashFirst struct {
+	*sct.Random
+	done bool
+}
+
+func (s *crashFirst) Decide(c *psharp.Choice, d *psharp.Decision) {
+	if c.Kind == psharp.ChoiceFault && c.Point == psharp.FaultPointSchedule && !s.done && len(c.Crashable) > 0 {
+		s.done = true
+		d.Kind, d.Fault = psharp.DecisionFault, psharp.FaultAction{Kind: psharp.FaultCrash, Machine: c.Crashable[0].Ref()}
+		return
+	}
+	s.Random.Decide(c, d)
+}
 
 // TestHarnessMetricsFoldPerIteration holds Runtime.Metrics under a harness —
 // where the controller counts in plain words and Run adds them to the

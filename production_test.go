@@ -919,7 +919,8 @@ func TestProductionFIFOAcrossTheIdleBoundary(t *testing.T) {
 // TestProductionHaltRacingSends: a machine halts at its haltAt-th event while
 // three goroutines are still sending to it. Wait returns; the machine handled
 // exactly haltAt events; every send was delivered (Sends: handled, or dropped
-// from the mailbox by the halt) or refused (DroppedSends), none lost.
+// from the mailbox by the halt, HaltDropped — exactly) or refused
+// (DroppedSends), none lost.
 func TestProductionHaltRacingSends(t *testing.T) {
 	const senders, each, haltAt = 3, 5_000, 500
 	var handled int
@@ -947,8 +948,9 @@ func TestProductionHaltRacingSends(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := r.Metrics()
-	if handled != haltAt || m.Sends < haltAt || m.Sends+m.DroppedSends != senders*each {
-		t.Fatalf("handled %d (want %d), metrics %+v: want sends + dropped sends = %d", handled, haltAt, m, senders*each)
+	if handled != haltAt || int64(handled)+m.HaltDropped != m.Sends || m.Sends+m.DroppedSends != senders*each {
+		t.Fatalf("handled %d (want %d), metrics %+v: want handled + halt-dropped = sends, sends + dropped sends = %d",
+			handled, haltAt, m, senders*each)
 	}
 }
 

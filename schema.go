@@ -502,7 +502,7 @@ func keepable(probe Machine) Machine {
 	}
 	var keep Machine
 	var rel relocation
-	rel.restore(&im)
+	rel.restore(&im, nil, nil)
 	rel.put(unsafe.Pointer(&keep), root)
 	if !reflect.DeepEqual(keep, probe) {
 		return nil

@@ -146,9 +146,9 @@
 // program taken at a scheduling point, a machine parked in the middle of a
 // handler held as it began the handler and rebuilt by running it again (see
 // "What a depth-first attempt costs" in the psharp package docs, which also
-// lists what is never checkpointed; under reduction the
-// sleep set for the resume point is rebuilt from the footprints the stack
-// keeps). Such an
+// lists what is never checkpointed; under reduction each node keeps the
+// sleep set its step left, and the resume point's is a copy of the deepest
+// one's). Such an
 // attempt does not run setup: the program must register pure machine
 // factories and keep its state in machines, monitors and events (see
 // psharp.NewTestHarness). What is left of the prefix the search promises to
@@ -156,10 +156,11 @@
 // decision prefix reaches an equal state, which the previous attempt showed
 // it (see psharp.StateCache), and the promise is the harness's only record of
 // that prefix — so an attempt costs a
-// relocation of the checkpoint's image of the program (no walk of it: an
+// relocation of what the last attempt changed of the checkpoint's image of
+// the program (no walk of it: an
 // allocation and a typed copy per object, a store per pointer) + prefix
-// re-execution from the checkpoint on + one full hash at the point where it
-// diverges + incremental hashing of its new suffix.
+// re-execution from the checkpoint on + one hash of every rebuilt machine at
+// the point where it diverges + incremental hashing of its new suffix.
 // Report.TotalSchedulingPoints counts explored schedules only;
 // Report.PrunedPoints adds the points of the pruned attempts,
 // Report.ReplayedPoints / Shares().ReplayedShare say how much of the total repeated

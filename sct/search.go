@@ -165,7 +165,7 @@ type tree struct {
 	// curSleep is the sleep set at the current depth of this iteration's
 	// descent: footprints of fully explored sibling branches, kept while
 	// every executed step is independent of them.
-	curSleep []psharp.StepOp
+	curSleep []footprint
 	// spare and spareIDs hold the reductions and the enabled sets of popped
 	// nodes for the nodes pushed next.
 	spare    []*reduction
@@ -199,6 +199,19 @@ type reduction struct {
 	// first execution and zero (no Machine) before; re-chosen branches
 	// re-record.
 	op psharp.StepOp
+	// sleep is the sleep set the current branch's step leaves: curSleep past
+	// the node. It is written with op, and read once op is (ResumeAt).
+	sleep []footprint
+}
+
+// footprint is a psharp.StepOp by Seqs alone, all that dependence compares.
+type footprint struct {
+	machine, target, created uint64
+	observed                 bool
+}
+
+func seqs(op psharp.StepOp) footprint {
+	return footprint{op.Machine.Seq, op.Target.Seq, op.Created.Seq, op.Observed}
 }
 
 const (
@@ -393,7 +406,7 @@ func (t *tree) newReduction(branches int) *reduction {
 	t.spare = t.spare[:k-1]
 	r.flags = slices.Grow(r.flags[:0], branches)[:branches]
 	clear(r.flags)
-	r.done, r.op = r.done[:0], psharp.StepOp{}
+	r.done, r.op, r.sleep = r.done[:0], psharp.StepOp{}, r.sleep[:0]
 	return r
 }
 
@@ -402,7 +415,7 @@ func (t *tree) newReduction(branches int) *reduction {
 // execution; the state cache truncates it).
 func (t *tree) pickAwake(enabled []psharp.MachineID) int {
 	for i, m := range enabled {
-		if !slices.ContainsFunc(t.curSleep, func(e psharp.StepOp) bool { return e.Machine.Seq == m.Seq }) {
+		if !slices.ContainsFunc(t.curSleep, func(e footprint) bool { return e.machine == m.Seq }) {
 			return i
 		}
 	}
@@ -460,18 +473,21 @@ func (t *tree) observe(op psharp.StepOp) {
 		r.op = op
 		t.addBacktracks(t.curSched)
 	}
-	t.sleepPast(r, op)
+	t.sleepPast(r, seqs(op))
 	t.curSched = -1
 }
 
-// sleepPast advances the sleep set over a node whose current step did op.
-// Entering the node's subtree, sibling branches already explored there go to
-// sleep. Then every entry dependent with the executed step wakes (is dropped)
-// — reordering against it matters, so the subtree below must be free to
-// schedule it.
-func (t *tree) sleepPast(r *reduction, op psharp.StepOp) {
-	t.curSleep = append(t.curSleep, r.done...)
-	t.curSleep = slices.DeleteFunc(t.curSleep, func(e psharp.StepOp) bool { return dependent(e, op) })
+// sleepPast advances the sleep set over a node whose current step did op,
+// and leaves it with the node. Entering the node's subtree, sibling branches
+// already explored there go to sleep. Then every entry dependent with the
+// executed step wakes (is dropped) — reordering against it matters, so the
+// subtree below must be free to schedule it.
+func (t *tree) sleepPast(r *reduction, op footprint) {
+	for _, d := range r.done {
+		t.curSleep = append(t.curSleep, seqs(d))
+	}
+	t.curSleep = slices.DeleteFunc(t.curSleep, func(e footprint) bool { return dependent(e, op) })
+	r.sleep = append(r.sleep[:0], t.curSleep...)
 }
 
 // addBacktracks is the DPOR race analysis: find the most recent earlier
@@ -479,23 +495,23 @@ func (t *tree) sleepPast(r *reduction, op psharp.StepOp) {
 // different machine, and make that step's node also explore the new
 // step's machine (or, when it was not enabled there, all its machines).
 func (t *tree) addBacktracks(at int) {
-	op := t.stack[at].red.op
+	op := seqs(t.stack[at].red.op)
 	for i := at - 1; i >= 0; i-- {
 		a := &t.stack[i]
 		if a.red == nil || !a.red.executed() {
 			continue
 		}
-		earlier := a.red.op
-		if earlier.Machine.Seq == op.Machine.Seq {
+		earlier := seqs(a.red.op)
+		if earlier.machine == op.machine {
 			continue // program order, not a race
 		}
-		if earlier.Created.Seq != 0 && earlier.Created.Seq == op.Machine.Seq {
+		if earlier.created != 0 && earlier.created == op.machine {
 			continue // creation happens-before every step of the machine
 		}
 		if !dependent(earlier, op) {
 			continue
 		}
-		j := slices.IndexFunc(a.machines, func(m psharp.MachineID) bool { return m.Seq == op.Machine.Seq })
+		j := slices.IndexFunc(a.machines, func(m psharp.MachineID) bool { return m.Seq == op.machine })
 		if j >= 0 {
 			a.red.flags[j] |= toExplore
 		} else {
@@ -509,20 +525,19 @@ func (t *tree) addBacktracks(at int) {
 
 // dependent reports whether two steps are dependent: reordering them could
 // change program behavior.
-func dependent(a, b psharp.StepOp) bool {
-	if a.Observed && b.Observed {
+func dependent(a, b footprint) bool {
+	if a.observed && b.observed {
 		return true
 	}
-	if a.Machine.Seq == b.Machine.Seq {
+	if a.machine == b.machine {
 		return true
 	}
 	// One step touches a machine the other runs as, sends to, or creates.
-	if overlaps(a.Machine.Seq, b.Target.Seq, b.Created.Seq) ||
-		overlaps(b.Machine.Seq, a.Target.Seq, a.Created.Seq) {
+	if overlaps(a.machine, b.target, b.created) || overlaps(b.machine, a.target, a.created) {
 		return true
 	}
 	// Same mailbox: two sends to one target do not commute.
-	return a.Target.Seq != 0 && a.Target.Seq == b.Target.Seq
+	return a.target != 0 && a.target == b.target
 }
 
 func overlaps(m, target, created uint64) bool {
@@ -562,13 +577,16 @@ func (n *node) answered(d *psharp.Decision) bool {
 }
 
 // ResumeAt implements psharp.PrefixResumer: besides the position, the sleep
-// set is what n executed steps would have left it — rebuilt from the
-// footprint and the explored siblings every reduced node on the way keeps.
+// set is what n executed steps would have left it — the one the deepest
+// reduced node among them keeps, its step executed (RepeatedPrefix stops
+// short of a node whose step is not) and the nodes above it on their
+// branches since.
 func (t *tree) ResumeAt(n int) {
 	t.pos, t.curSched, t.curSleep = n, -1, t.curSleep[:0]
-	for i := range t.stack[:n] {
+	for i := n - 1; t.reduce && i >= 0; i-- {
 		if r := t.stack[i].red; r != nil {
-			t.sleepPast(r, r.op)
+			t.curSleep = append(t.curSleep, r.sleep...)
+			return
 		}
 	}
 }
@@ -709,6 +727,12 @@ func (t *tree) LoadCursor(cursor []byte) error {
 	if !bytes.Equal(loaded.SaveCursor(), cursor) {
 		return errors.New("cursor is not in the form SaveCursor writes")
 	}
+	for i := range loaded.stack { // the sleep sets the frontier's steps left
+		if r := loaded.stack[i].red; r != nil {
+			loaded.sleepPast(r, seqs(r.op))
+		}
+	}
+	loaded.curSleep = loaded.curSleep[:0]
 	*t = loaded
 	return nil
 }

@@ -29,7 +29,12 @@ package psharp
 // machine carries its own component (machineInstance.comp), and which ones
 // to rehash is the footprint of the step (see stateHasher).
 
-import "github.com/psharp-go/psharp/internal/splitmix"
+import (
+	"reflect"
+	"unsafe"
+
+	"github.com/psharp-go/psharp/internal/splitmix"
+)
 
 // StepOp is the effect footprint of one executed scheduling step: which
 // machine ran, which machine (if any) it sent to, which machine (if any)
@@ -125,6 +130,12 @@ type stateHasher struct {
 	// asked for the hash to end the iteration with.
 	walk stateWalk
 	err  *StateError
+	// planIDs remembers the plan id of the event types sends were logged
+	// with, by type word (see planID).
+	planIDs [16]struct {
+		typ unsafe.Pointer
+		id  uint64
+	}
 
 	// Points at trace positions below replayTo were passed by the previous
 	// iteration and repeated by this one (rewind); replayed counts them.
@@ -201,7 +212,7 @@ func (h *stateHasher) hashMachine(m *machineInstance) uint64 {
 	if m.handling {
 		// Mid-handler: the position is the chain's event plus everything it
 		// did since.
-		m.foldChain()
+		h.foldChain(m)
 		w.h = fold(w.h, m.hprog)
 		w.hashEvent(&m.ev)
 	}
@@ -223,26 +234,38 @@ func (h *stateHasher) hashMachine(m *machineInstance) uint64 {
 	return splitmix.Mix(w.h)
 }
 
-// foldChain folds into hprog the ops m's chain has logged since the last
+// foldChain folds into m.hprog the ops m's chain has logged since the last
 // fold, yield points aside: two continuations that sent, created or drew
 // differently are different program positions. Folded ops no snapshot
 // records (m.chain is nil) are dropped. It runs when the machine is hashed
 // and at the end of each of its steps, for the log to hold no more than a
 // step's ops also where no hash is taken: on the prefix an attempt replays.
-func (m *machineInstance) foldChain() {
+func (h *stateHasher) foldChain(m *machineInstance) {
 	for _, op := range m.ops[m.folded:] {
 		if op.kind == opYield {
 			continue
 		}
 		m.hprog = fold(fold(m.hprog, uint64(op.kind)), op.v)
 		if op.kind == opSend {
-			m.hprog = fold(m.hprog, planOf(op.typ).id)
+			m.hprog = fold(m.hprog, h.planID(op.typ))
 		}
 	}
 	if m.chain == nil {
 		m.ops = m.ops[:0]
 	}
 	m.folded = len(m.ops)
+}
+
+// planID is planOf(t).id, which is a load from a sync.Map, looked up first
+// in a small direct-mapped cache keyed by t's type word: a program sends
+// events of a handful of types.
+func (h *stateHasher) planID(t reflect.Type) uint64 {
+	w := (*ifaceWords)(unsafe.Pointer(&t)).data
+	e := &h.planIDs[(uintptr(w)>>4)%uintptr(len(h.planIDs))]
+	if e.typ != w {
+		e.typ, e.id = w, planOf(t).id
+	}
+	return e.id
 }
 
 // hashMonitor folds one monitor's full state — name, FSM state (which says

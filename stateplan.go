@@ -311,6 +311,10 @@ type stateWalk struct {
 	owner   int32
 	rootObj int32
 	rootv   ifaceWords
+	// hits lists the objects before from — where the roots being copied
+	// began — that they reach: memory they share with earlier roots.
+	from int32
+	hits []int32
 
 	// tabs remembers the plan behind an interface's type word (see dynamic).
 	tabs [16]struct {
@@ -699,6 +703,15 @@ type imageRoot struct {
 	obj       int32
 }
 
+// imagePart is where a stretch of an image begins: its first object, slot
+// and map.
+type imagePart struct{ objs, slots, maps int32 }
+
+// end is where the next stretch of im would begin.
+func (im *image) end() imagePart {
+	return imagePart{int32(len(im.objs)), int32(len(im.slots)), int32(len(im.maps))}
+}
+
 func (im *image) reset() {
 	clear(im.objs) // drop the copies of the image before
 	im.objs, im.slots, im.maps = im.objs[:0], im.slots[:0], im.maps[:0]
@@ -721,6 +734,14 @@ func (w *stateWalk) begin(im *image) {
 	w.reset()
 	im.reset()
 	w.img, w.owner = im, -1
+	w.from, w.hits = 0, w.hits[:0]
+}
+
+// reached notes that the copy reaches object obj, which it entered before.
+func (w *stateWalk) reached(obj int32) {
+	if obj < w.from {
+		w.hits = append(w.hits, obj)
+	}
 }
 
 // link records that the pointer-like word just written at d stands for
@@ -809,6 +830,8 @@ func (w *stateWalk) copyPointer(sub *statePlan, d, at unsafe.Pointer) {
 		// A pointer is a one-element window of what it points to: a slice that
 		// starts there and is no longer shares the copy.
 		i = w.seen.add(visit{key: k, obj: w.img.alloc(sub, 1, false, objValue), size: sub.size})
+	} else {
+		w.reached(w.seen.list[i].obj)
 	}
 	e := w.seen.list[i]
 	to := w.img.objs[e.obj].at
@@ -836,6 +859,8 @@ func (w *stateWalk) copySlice(op *stateOp, d, s *sliceHeader) {
 	if !ok {
 		obj := w.img.alloc(sub, src.cap, true, objValue)
 		i = w.seen.add(visit{key: k, obj: obj, size: uintptr(src.cap) * sub.size})
+	} else {
+		w.reached(w.seen.list[i].obj)
 	}
 	e := w.seen.list[i]
 	if uintptr(src.cap)*sub.size > e.size {
@@ -884,6 +909,8 @@ func (w *stateWalk) copyMap(op *stateOp, d, s unsafe.Pointer) {
 		// to overlap (see checkpoints.handlerStart).
 		i = w.seen.add(visit{key: k, obj: obj, size: 1})
 		w.copyEntries(op, obj, reflect.NewAt(op.typ, s).Elem())
+	} else {
+		w.reached(w.seen.list[i].obj)
 	}
 	*(*unsafe.Pointer)(d) = nil // last: d may be s, which the entries were read from
 	w.link(d, w.seen.list[i].obj)
@@ -964,41 +991,64 @@ type relocation struct {
 
 // restore makes a working copy of im: every object allocated with its type
 // and filled with a typed copy, every slot patched, every map rebuilt from
-// its entries. im is not written. The roots go where put puts them; release
-// ends the restore.
-func (r *relocation) restore(im *image) {
-	to, maps := r.to[:0], r.maps[:0]
-	for i := range im.objs {
-		o := &im.objs[i]
-		switch {
-		case o.kind == objMap:
-			m := reflect.MakeMapWithSize(o.typ, o.n)
-			maps = append(maps, m)
-			to = append(to, m.UnsafePointer())
-		case o.kind == objEntries && o.slots == 0:
-			to = append(to, o.at) // read where it lies
-		case o.boxed:
-			// Made an interface, an addressable value is copied into a box of
-			// its own type: one allocation and a typed copy, and the box is
-			// the object.
-			v := o.val.Interface()
-			to = append(to, (*ifaceWords)(unsafe.Pointer(&v)).data)
-		default:
-			p := reflect.New(o.typ)
-			p.Elem().Set(o.val)
-			to = append(to, p.UnsafePointer())
+// its entries. im is not written. Given im's parts, in order and the last
+// its end, it copies those whose keep bit is clear, and only they: no slot
+// of one of them may point into a part kept. The roots go where put puts
+// them; release ends the restore.
+func (r *relocation) restore(im *image, parts []imagePart, keep []bool) {
+	if parts == nil {
+		whole := [2]imagePart{{}, im.end()}
+		parts = whole[:]
+	}
+	to, maps := slices.Grow(r.to[:0], len(im.objs))[:len(im.objs)], r.maps[:0]
+	for k := range parts[1:] {
+		if k < len(keep) && keep[k] {
+			continue
+		}
+		for i := parts[k].objs; i < parts[k+1].objs; i++ {
+			o := &im.objs[i]
+			switch {
+			case o.kind == objMap:
+				m := reflect.MakeMapWithSize(o.typ, o.n)
+				maps = append(maps, m)
+				to[i] = m.UnsafePointer()
+			case o.kind == objEntries && o.slots == 0:
+				to[i] = o.at // read where it lies
+			case o.boxed:
+				// Made an interface, an addressable value is copied into a box
+				// of its own type: one allocation and a typed copy, and the box
+				// is the object.
+				v := o.val.Interface()
+				to[i] = (*ifaceWords)(unsafe.Pointer(&v)).data
+			default:
+				p := reflect.New(o.typ)
+				p.Elem().Set(o.val)
+				to[i] = p.UnsafePointer()
+			}
 		}
 	}
-	for _, s := range im.slots {
-		*(*unsafe.Pointer)(unsafe.Add(to[s.obj], s.off)) = to[s.to]
+	for k := range parts[1:] {
+		if k < len(keep) && keep[k] {
+			continue
+		}
+		for _, s := range im.slots[parts[k].slots:parts[k+1].slots] {
+			*(*unsafe.Pointer)(unsafe.Add(to[s.obj], s.off)) = to[s.to]
+		}
 	}
 	r.to, r.maps = to, maps
-	for j, i := range im.maps {
-		if o := &im.objs[i]; o.n > 0 {
-			keys, elems := r.entries(im, o.keys), r.entries(im, o.elems)
-			for e := 0; e < o.n; e++ {
-				maps[j].SetMapIndex(keys.Index(e), elems.Index(e))
+	j := 0
+	for k := range parts[1:] {
+		if k < len(keep) && keep[k] {
+			continue
+		}
+		for _, i := range im.maps[parts[k].maps:parts[k+1].maps] {
+			if o := &im.objs[i]; o.n > 0 {
+				keys, elems := r.entries(im, o.keys), r.entries(im, o.elems)
+				for e := 0; e < o.n; e++ {
+					maps[j].SetMapIndex(keys.Index(e), elems.Index(e))
+				}
 			}
+			j++
 		}
 	}
 }

@@ -474,6 +474,7 @@ func (c *controller) send(target MachineID, ev Event, sm *machineInstance, isMac
 	default:
 		env := envelope{event: ev, sender: sender, clock: clock}
 		m.push(env)
+		m.touched = len(c.trace.Decisions)
 		switch fault {
 		case FaultDuplicate:
 			m.push(env)
@@ -514,7 +515,7 @@ func (c *controller) machineAt(seq uint64) *machineInstance {
 // may come from another iteration or harness. New machines carry the highest
 // Seq so far, so appending keeps the ready list sorted by creation order.
 func (c *controller) onCreate(m *machineInstance, creatorIdx int) {
-	m.status = msReady
+	m.status, m.touched = msReady, len(c.trace.Decisions)
 	m.immune = c.cfg.Faults != nil && c.cfg.Faults.isImmune(m.id.Type)
 	c.ready = append(c.ready, m.id)
 	if c.det != nil {
@@ -643,8 +644,9 @@ func (c *controller) anyQueuedWhileBlocked() *machineInstance {
 }
 
 // loop drives one iteration from the controller's stack: it switches to the
-// machine each pass chose, applies each crash, and tears down at the end.
-// A machine that comes back from a yield point has already closed its step
+// machine each pass chose and applies each crash; TestHarness.Run tears the
+// iteration down after it, or leaves that to the next rewind. A machine that
+// comes back from a yield point has already closed its step
 // and run the next pass; any other way back leaves both to loop.
 func (c *controller) loop() {
 	out := c.loopPass()
@@ -683,7 +685,6 @@ func (c *controller) loop() {
 		c.endStep()
 		out = c.loopPass()
 	}
-	c.teardown()
 }
 
 // pass is the scheduler pass: every check between two steps and the
@@ -759,6 +760,7 @@ func (c *controller) pass() (out passOutcome) {
 	}
 	c.trace.commit()
 	c.current = m.id
+	m.touched = len(c.trace.Decisions)
 	c.steps++
 	if c.observing {
 		if h := c.hasher; h != nil {
@@ -896,7 +898,7 @@ func (c *controller) endStep() {
 			h.stale(c.rt.machines[t-1])
 		}
 		m := c.rt.machines[c.current.Seq-1]
-		m.foldChain()
+		h.foldChain(m)
 		h.stale(m)
 	}
 	if c.stepObs != nil {
@@ -978,19 +980,31 @@ func (c *controller) stateHash() uint64 {
 	return s
 }
 
-// teardown ends the run of every machine that still has a run frame on its
-// coroutine. Resumed with the abort flag up, a machine blocked on its queue
-// — between handlers — returns out of run (parkBlocked); one parked
+// teardown ends the run of every machine of ms that still has a run frame
+// on its coroutine. Resumed with the abort flag up, a machine blocked on its
+// queue — between handlers — returns out of run (parkBlocked); one parked
 // mid-handler panics abortSignal out of park. Either is back at the top of
 // poolLoop by the time next returns. Machines that finished, or were created
-// but never scheduled, are already parked there.
-func (c *controller) teardown() {
+// but never scheduled, are already parked there. ms is the last iteration's
+// machines — whose teardown is deferred to the next rewind while the harness
+// holds checkpoints (see TestHarness.Run) — or, at a restore, those of them
+// it does not keep (controller.keep).
+func (c *controller) teardown(ms []*machineInstance) {
 	c.aborting = true
-	for _, m := range c.rt.machines {
+	for _, m := range ms {
 		if m.started {
 			m.next()
 		}
 	}
+	c.aborting = false
+}
+
+// idle tears the last iteration down and returns every machine and monitor
+// instance to the freelist.
+func (c *controller) idle() {
+	c.teardown(c.rt.machines)
+	c.rt.machines = c.release(c.rt.machines)
+	c.rt.monitors = c.release(c.rt.monitors)
 }
 
 // RunTest executes one bug-finding iteration: it builds a serialized
